@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-unit fuzz bench bench-quick bench-engine bench-compare \
-	bench-baseline clean
+	bench-baseline perf perf-aa clean
 
 ## tier-1: the full unit + benchmark collection, fail-fast
 test:
@@ -44,6 +44,16 @@ bench-compare:
 bench-baseline: bench-engine
 	cp benchmarks/results/BENCH_engine.json \
 		benchmarks/baselines/BENCH_engine.json
+
+## the RC ladder benchmark BENCHMARK.json declares: four workloads, each
+## untraced then traced (~4.5 min; writes perf/out/, see perf/README.md)
+perf:
+	python3 perf/run.py
+
+## A/A check of the ladder: the same commit against itself, to read the
+## run-to-run spread before trusting a before/after difference
+perf-aa:
+	python3 perf/aa.py
 
 # benchmarks/results is regenerated scratch output; the committed
 # comparison baseline lives in benchmarks/baselines/ and is never cleaned.

@@ -216,7 +216,8 @@ def render_engine_stats(stats) -> str:
         f"  queries            : {stats.queries}",
         f"  rows written       : {stats.rows_written:,}",
         f"  bytes written      : {bytes_to_human(stats.bytes_written)}",
-        f"  peak live space    : {bytes_to_human(stats.peak_live_bytes)}",
+        f"  peak live space    : {bytes_to_human(stats.peak_live_bytes)}"
+        f"  (live now {bytes_to_human(stats.live_bytes)})",
         f"  data motion        : {bytes_to_human(stats.motion_bytes)}"
         f"  (broadcast {bytes_to_human(stats.broadcast_bytes)})",
         f"  plan cache         : {stats.plan_cache_hits} hits / "

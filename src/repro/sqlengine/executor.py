@@ -105,6 +105,7 @@ from .operators import (
 from .parallel import (
     PARALLEL_MIN_ROWS,
     AggregateSpec,
+    _parallel_eligible,
     parallel_group_aggregate,
     parallel_join_indices,
     parallel_left_join_indices,
@@ -129,6 +130,14 @@ from .types import _FIXED_WIDTH
 #: Safety valve: a join step with no usable equality predicate falls back to
 #: a cartesian product only below this many output rows.
 MAX_CARTESIAN_ROWS = 1 << 21
+
+#: (single-threaded, hash-partitioned, chunk-probed) join kernels, keyed
+#: on "left outer?" — see :meth:`Executor._dispatch_join`.
+_JOIN_KERNELS = {
+    False: (join_indices, parallel_join_indices, parallel_probe_indexed),
+    True: (left_join_indices, parallel_left_join_indices,
+           parallel_left_probe_indexed),
+}
 
 
 @dataclass
@@ -490,46 +499,47 @@ class Executor:
     # partitioned, shuffle-everything equivalents.
     # ------------------------------------------------------------------
 
-    def _parallel_join_eligible(
+    def _parallel_shape(
+        self, left_keys: list[Column], right_keys: list[Column], n_rows: int
+    ) -> bool:
+        """A pool with real fan-out, key columns of the segment-parallel
+        kernels' shape, and ``n_rows`` above the size where partitioning
+        pays."""
+        pool = self.pool
+        return (
+            pool is not None
+            and pool.n_workers > 1
+            and n_rows >= PARALLEL_MIN_ROWS
+            and _parallel_eligible(left_keys)
+            and _parallel_eligible(right_keys)
+        )
+
+    def _dispatch_join(
         self,
+        left_outer: bool,
         left_keys: list[Column],
         right_keys: list[Column],
         left_index: Optional[KeyIndex],
         right_index: Optional[KeyIndex],
-    ) -> bool:
-        pool = self.pool
-        return (
-            pool is not None
-            and pool.n_workers > 1
-            and left_index is None
-            and right_index is None
-            and len(left_keys) == 1
-            and left_keys[0].mask is None
-            and right_keys[0].mask is None
-            and left_keys[0].values.dtype.kind == "i"
-            and right_keys[0].values.dtype.kind == "i"
-            and max(len(left_keys[0]), len(right_keys[0])) >= PARALLEL_MIN_ROWS
-        )
-
-    def _parallel_probe_eligible(
-        self,
-        left_keys: list[Column],
-        right_keys: list[Column],
-        right_index: Optional[KeyIndex],
-    ) -> bool:
-        """Cached build-side index present: the probe side can be chunked."""
-        pool = self.pool
-        return (
-            pool is not None
-            and pool.n_workers > 1
-            and right_index is not None
-            and len(left_keys) == 1
-            and left_keys[0].mask is None
-            and right_keys[0].mask is None
-            and left_keys[0].values.dtype.kind == "i"
-            and right_keys[0].values.dtype.kind == "i"
-            and len(left_keys[0]) >= PARALLEL_MIN_ROWS
-        )
+        note: Optional[list],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Inner or left-outer join: hash-partitioned when neither side
+        has an index, chunk-probed when the build side has a cached one
+        (the probe side can be chunked), single-threaded otherwise."""
+        serial, partitioned, probed = _JOIN_KERNELS[left_outer]
+        if right_index is not None:
+            if self._parallel_shape(left_keys, right_keys, len(left_keys[0])):
+                local_note: list = []
+                result = probed(left_keys, right_keys, right_index, self.pool,
+                                local_note)
+                self._record_probe_note(local_note, note)
+                return result
+        elif left_index is None and self._parallel_shape(
+            left_keys, right_keys, max(len(left_keys[0]), len(right_keys[0]))
+        ):
+            self.stats.record_parallel_partitions(self.pool.n_segments)
+            return partitioned(left_keys, right_keys, self.pool, note)
+        return serial(left_keys, right_keys, left_index, right_index, note)
 
     def _join_kernel(
         self,
@@ -539,17 +549,8 @@ class Executor:
         right_index: Optional[KeyIndex] = None,
         note: Optional[list] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        if self._parallel_join_eligible(left_keys, right_keys,
-                                        left_index, right_index):
-            self.stats.record_parallel_partitions(self.pool.n_segments)
-            return parallel_join_indices(left_keys, right_keys, self.pool, note)
-        if self._parallel_probe_eligible(left_keys, right_keys, right_index):
-            local_note: list = []
-            result = parallel_probe_indexed(left_keys, right_keys, right_index,
-                                            self.pool, local_note)
-            self._record_probe_note(local_note, note)
-            return result
-        return join_indices(left_keys, right_keys, left_index, right_index, note)
+        return self._dispatch_join(False, left_keys, right_keys, left_index,
+                                   right_index, note)
 
     def _record_probe_note(
         self, local_note: list, note: Optional[list]
@@ -573,20 +574,8 @@ class Executor:
         right_index: Optional[KeyIndex] = None,
         note: Optional[list] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        if self._parallel_join_eligible(left_keys, right_keys,
-                                        left_index, right_index):
-            self.stats.record_parallel_partitions(self.pool.n_segments)
-            return parallel_left_join_indices(left_keys, right_keys,
-                                              self.pool, note)
-        if self._parallel_probe_eligible(left_keys, right_keys, right_index):
-            local_note: list = []
-            result = parallel_left_probe_indexed(
-                left_keys, right_keys, right_index, self.pool, local_note
-            )
-            self._record_probe_note(local_note, note)
-            return result
-        return left_join_indices(left_keys, right_keys, left_index,
-                                 right_index, note)
+        return self._dispatch_join(True, left_keys, right_keys, left_index,
+                                   right_index, note)
 
     def _group_kernel(
         self, key_columns: list[Column], index: Optional[KeyIndex] = None

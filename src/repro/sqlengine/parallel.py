@@ -1,16 +1,15 @@
 """Segment-parallel kernel execution.
 
 The MPP model in :mod:`repro.sqlengine.mpp` assigns rows to segments with a
-splitmix64 hash of the key; until now that assignment was accounting-only
-and every kernel ran single-threaded over whole columns.  This module makes
-the segments real for the two operators that dominate the reproduced
-workloads: equi-joins and keyed aggregation.
+splitmix64 hash of the key.  This module makes the segments real for the
+two operators that dominate the reproduced workloads: equi-joins and keyed
+aggregation.
 
 * :func:`parallel_join_indices` hash-partitions both join inputs by the
   segment assignment (equal keys always co-locate), runs an independent
   hash join per partition on a :class:`~repro.sqlengine.mpp.SegmentPool`
-  worker thread, and scatters the per-partition results into the exact
-  output order of the single-threaded kernel.
+  worker, and scatters the per-partition results into the exact output
+  order of the single-threaded kernel.
 
 * :func:`parallel_group_aggregate` is partial-then-final aggregation: each
   partition groups its rows and computes complete per-key aggregates (all
@@ -31,34 +30,37 @@ workloads: equi-joins and keyed aggregation.
   contiguous chunks, so an existing index over dense keys no longer forces
   the whole join single-threaded.
 
-Both kernels are **bit-identical** to their single-threaded references —
+Every kernel is **bit-identical** to its single-threaded reference —
 :func:`~repro.sqlengine.operators.join_indices` and
 :func:`group_aggregate` below — which the property tests enforce.  numpy
 releases the GIL inside its kernels, so partitions genuinely overlap on
 multi-core hosts; the executor only dispatches here above
 ``PARALLEL_MIN_ROWS`` rows and when the pool has more than one worker.
 
-On a :class:`~repro.sqlengine.mpp.ProcessSegmentPool` the same kernels
-run in worker *processes*: the driver exports each input once into a
-shared-memory block (see :mod:`repro.sqlengine.shm`) and ships only
-``(descriptor, small args)`` payloads; the module-level ``_w_*`` worker
-entries rehydrate zero-copy views and execute math identical to the
-thread closures — partitions are recomputed worker-side from the same
-splitmix64 assignment, chunk outputs concatenate in the same order, and
-the driver's scatter recombination is shared by both paths, so labels
-stay bit-identical across backends.  Non-shareable payloads (text) and
-export failures fall back to the thread closures automatically.
+Each kernel is written **once**, as a module-level function of one
+``(inputs, task)`` payload: ``inputs`` are the big arrays all tasks of a
+dispatch share, ``task`` the few scalars that set one partition or chunk
+apart.  :func:`_run` is the only function here that knows there are two
+kinds of pool: it has the pool :meth:`~SegmentPool.share` the inputs — a
+thread pool hands the driver's arrays back, a
+:class:`~repro.sqlengine.mpp.ProcessSegmentPool` copies each once into
+shared memory (:mod:`repro.sqlengine.shm`) and returns picklable
+descriptors — and :meth:`~SegmentPool.run_tasks` the kernel.  Inside a
+kernel :func:`_view` turns either form into an ndarray, so threads and
+worker processes execute the same statements on the same bytes.  A
+process pool that cannot export (text, exhausted ``/dev/shm``, a single
+worker) returns ``None`` from ``share`` and the kernel runs on its threads.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ExecutionError
-from .mpp import SegmentPool, hash64, partition_rows
-from .shm import attach_array
+from .mpp import SegmentPool, segment_assignment
+from .shm import ShmArray, attach_array
 from .operators import (
     NO_MATCH,
     KeyIndex,
@@ -67,7 +69,6 @@ from .operators import (
     _empty_pair,
     _hash_join_int,
     join_indices,
-    left_join_indices,
     pad_left_outer,
 )
 from .types import INT64, Column
@@ -88,23 +89,34 @@ def _parallel_eligible(columns: list[Column]) -> bool:
     )
 
 
-def _use_processes(pool: SegmentPool) -> bool:
-    """True when this pool dispatches kernel partitions to processes."""
+def _run(
+    pool: SegmentPool, kernel: Callable, inputs: Sequence, tasks: Sequence
+) -> list:
+    """Run ``kernel((inputs, task))`` for every task on the pool, in order.
+    ``inputs`` holds ndarrays, ``None`` for absent optional ones, and
+    Columns (a process pool adopts the shared copy as the column's
+    storage, so a stored column is exported once)."""
+    shared = pool.share(inputs)
+    if shared is not None:
+        return pool.run_tasks(kernel, [(shared, task) for task in tasks])
+    # A process pool that could not export: same kernel, the pool's threads.
+    local = SegmentPool.share(pool, inputs)
+    return pool.map(kernel, [(local, task) for task in tasks])
+
+
+def _view(array):
+    """A kernel input as an ndarray: the driver's own array on a thread,
+    a zero-copy attachment of its shared block in a worker process."""
+    return attach_array(array) if isinstance(array, ShmArray) else array
+
+
+def _concat_pairs(results: list) -> tuple[np.ndarray, np.ndarray]:
+    """Chunk outputs back to back — chunks are contiguous and in probe
+    order, so this is the single-threaded probe's output order."""
     return (
-        getattr(pool, "supports_processes", False)
-        and pool.n_workers > 1
-        and pool.registry is not None
+        np.concatenate([left for left, _ in results]),
+        np.concatenate([right for _, right in results]),
     )
-
-
-def _partition_of(values: np.ndarray, part: int, n_parts: int) -> np.ndarray:
-    """Row indices of one segment partition — ``partition_rows(...)[part]``.
-
-    Recomputed worker-side from the deterministic splitmix64 assignment so
-    a process task receives descriptors only, never index arrays.
-    """
-    seg = (hash64(values) % np.uint64(n_parts)).astype(np.int64)
-    return np.flatnonzero(seg == part)
 
 
 # ---------------------------------------------------------------------------
@@ -135,30 +147,15 @@ def parallel_join_indices(
     if note is not None:
         note.append("parallel-hash")
     n_parts = pool.n_segments
-    results = None
-    if _use_processes(pool):
-        left_desc = pool.registry.export_column(left_keys[0])
-        right_desc = pool.registry.export_column(right_keys[0])
-        if left_desc is not None and right_desc is not None:
-            results = pool.run_tasks(
-                _w_join_partition,
-                [(left_desc, right_desc, part, n_parts)
-                 for part in range(n_parts)],
-            )
-    if results is None:
-        left_parts = partition_rows(lk, n_parts)
-        right_parts = partition_rows(rk, n_parts)
-
-        def join_partition(part: int) -> tuple[np.ndarray, np.ndarray]:
-            left_rows = left_parts[part]
-            right_rows = right_parts[part]
-            if left_rows.size == 0 or right_rows.size == 0:
-                return _empty_pair()
-            l_local, r_local = _hash_join_int(lk[left_rows], rk[right_rows],
-                                              None, None)
-            return left_rows[l_local], right_rows[r_local]
-
-        results = pool.map(join_partition, range(n_parts))
+    # Each side is hashed once, here; a partition picks its rows out of
+    # the shared assignment array.
+    results = _run(
+        pool,
+        _join_partition,
+        (left_keys[0], right_keys[0],
+         segment_assignment(lk, n_parts), segment_assignment(rk, n_parts)),
+        range(n_parts),
+    )
 
     # Reference output order: grouped by left row, ascending; within one
     # left row, right matches in stable key order.  Every left row lives in
@@ -189,6 +186,21 @@ def parallel_join_indices(
     return out_left, out_right
 
 
+def _join_partition(payload) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel: one hash partition of an inner join, as global row pairs
+    (a partition's row numbers are increasing, so its local join keeps the
+    rows' original relative order)."""
+    (lk, rk, left_seg, right_seg), part = payload
+    lk, rk = _view(lk), _view(rk)
+    left_rows = np.flatnonzero(_view(left_seg) == part)
+    right_rows = np.flatnonzero(_view(right_seg) == part)
+    if left_rows.size == 0 or right_rows.size == 0:
+        return _empty_pair()
+    l_local, r_local = _hash_join_int(lk[left_rows], rk[right_rows],
+                                      None, None)
+    return left_rows[l_local], right_rows[r_local]
+
+
 def parallel_left_join_indices(
     left_keys: list[Column],
     right_keys: list[Column],
@@ -201,11 +213,12 @@ def parallel_left_join_indices(
     return pad_left_outer(l_idx, r_idx, len(left_keys[0]))
 
 
-def _probe_chunks(n_rows: int, n_chunks: int) -> list[tuple[int, int]]:
-    """Contiguous, in-order chunk bounds covering ``n_rows`` probe rows."""
+def _probe_tasks(n_rows: int, n_chunks: int, *args) -> list[tuple]:
+    """One ``(start, stop, *args)`` task per contiguous, in-order chunk
+    covering ``n_rows`` probe rows."""
     bounds = [(n_rows * part) // n_chunks for part in range(n_chunks + 1)]
     return [
-        (bounds[part], bounds[part + 1])
+        (bounds[part], bounds[part + 1], *args)
         for part in range(n_chunks)
         if bounds[part] < bounds[part + 1]
     ]
@@ -233,9 +246,8 @@ def parallel_probe_indexed(
     if not (_parallel_eligible(left_keys) and _parallel_eligible(right_keys)):
         return join_indices(left_keys, right_keys, right_index=right_index,
                             note=note)
-    lk = left_keys[0].values
     rk = right_keys[0].values
-    n_left = int(lk.shape[0])
+    n_left = len(left_keys[0])
     n_right = int(rk.shape[0])
     if n_left == 0 or n_right == 0:
         if note is not None:
@@ -249,57 +261,56 @@ def parallel_probe_indexed(
             # per row, exactly like the sorted-index case below).
             return _parallel_dense_probe(left_keys[0], rk, right_index,
                                          pool, note)
-    # Materialise the lazy index properties once, before worker threads
-    # share them.
-    sorted_values = right_index.sorted_values
-    order = None if right_index.is_sorted else right_index.order
-    chunks = _probe_chunks(n_left, pool.n_segments)
     unique = right_index.is_unique
     if note is not None:
         note.append("parallel-probe" if unique else "parallel-merge-probe")
-    results = None
-    if _use_processes(pool):
-        results = _process_probe_chunks(
-            left_keys[0], sorted_values, order, unique, n_right, chunks, pool
-        )
-    if results is None and unique:
+    # Reading the lazy index properties here materialises them once,
+    # before the workers share them; the index arrays are cached by
+    # identity on a process pool, so a warm loop re-probing the same
+    # stored index exports nothing new.
+    order = None if right_index.is_sorted else right_index.order
+    return _concat_pairs(_run(
+        pool,
+        _probe_chunk,
+        (left_keys[0], right_index.sorted_values, order),
+        _probe_tasks(n_left, pool.n_segments, unique),
+    ))
 
-        def probe_unique(bounds: tuple[int, int]):
-            start, stop = bounds
-            sub = lk[start:stop]
-            pos = np.searchsorted(sorted_values, sub)
-            np.minimum(pos, n_right - 1, out=pos)
-            match = sorted_values[pos] == sub
-            l_local = np.flatnonzero(match)
-            hits = pos[l_local]
-            r_local = hits if order is None else order[hits]
-            return l_local + start, r_local
 
-        results = pool.map(probe_unique, chunks)
-    elif results is None:
+def _probe_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel: one contiguous probe chunk against a shared sorted index
+    (``order`` is ``None`` when the build side is stored sorted)."""
+    (lk, sorted_values, order), (start, stop, unique) = payload
+    sorted_values, order = _view(sorted_values), _view(order)
+    sub = _view(lk)[start:stop]
+    if unique:
+        pos = np.searchsorted(sorted_values, sub)
+        np.minimum(pos, sorted_values.shape[0] - 1, out=pos)
+        match = sorted_values[pos] == sub
+        l_local = np.flatnonzero(match)
+        hits = pos[l_local]
+        return l_local + start, hits if order is None else order[hits]
+    lo = np.searchsorted(sorted_values, sub, side="left")
+    hi = np.searchsorted(sorted_values, sub, side="right")
+    return _expand_runs(lo, hi - lo, start, order)
 
-        def probe_runs(bounds: tuple[int, int]):
-            start, stop = bounds
-            sub = lk[start:stop]
-            lo = np.searchsorted(sorted_values, sub, side="left")
-            hi = np.searchsorted(sorted_values, sub, side="right")
-            counts = hi - lo
-            total = int(counts.sum())
-            if total == 0:
-                return _empty_pair()
-            l_local = np.repeat(np.arange(sub.shape[0]), counts)
-            run_starts = np.repeat(lo, counts)
-            offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            within = np.arange(total) - np.repeat(offsets, counts)
-            r_sorted_pos = run_starts + within
-            r_local = r_sorted_pos if order is None else order[r_sorted_pos]
-            return l_local + start, r_local
 
-        results = pool.map(probe_runs, chunks)
-    return (
-        np.concatenate([left for left, _ in results]),
-        np.concatenate([right for _, right in results]),
-    )
+def _expand_runs(
+    first: np.ndarray, counts: np.ndarray, start: int,
+    order: Optional[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs of a chunk whose probe row ``i`` matches the ``counts[i]``
+    consecutive build positions from ``first[i]``, mapped through
+    ``order`` — the duplicate-key expansion of ``_merge_join`` and
+    ``_dense_join``."""
+    total = int(counts.sum())
+    if total == 0:
+        return _empty_pair()
+    l_local = np.repeat(np.arange(counts.shape[0]), counts)
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    within = np.arange(total) - np.repeat(offsets, counts)
+    positions = np.repeat(first, counts) + within
+    return l_local + start, positions if order is None else order[positions]
 
 
 def _parallel_dense_probe(
@@ -317,16 +328,12 @@ def _parallel_dense_probe(
     back in probe order — the single-threaded kernel's exact output order.
     Before this kernel, a cached build-side index over a dense key range
     forced the whole join single-threaded; now only the O(n_right) build
-    stays serial.  On a process pool the slot/bucket tables are exported
-    alongside the probe column and each worker probes its chunk out of
-    process.
+    stays serial.
     """
-    lk = left_col.values
     n_right = int(rk.shape[0])
     rmin = right_index.min_value
     span = right_index.max_value - rmin + 1
     rel_right = rk - rmin
-    chunks = _probe_chunks(int(lk.shape[0]), pool.n_segments)
     counts: Optional[np.ndarray] = None
     if right_index.is_unique:
         unique = True
@@ -338,70 +345,40 @@ def _parallel_dense_probe(
             note.append("parallel-dense")
         slots = np.full(span, NO_MATCH, dtype=np.int64)
         slots[rel_right] = np.arange(n_right, dtype=np.int64)
-        results = None
-        if _use_processes(pool):
-            lk_desc = pool.registry.export_column(left_col)
-            slots_desc = pool.registry.export_array(slots)
-            if lk_desc is not None and slots_desc is not None:
-                results = pool.run_tasks(
-                    _w_dense_unique_chunk,
-                    [(lk_desc, slots_desc, int(rmin), int(span), start, stop)
-                     for start, stop in chunks],
-                )
-        if results is None:
-
-            def probe_unique(bounds: tuple[int, int]):
-                start, stop = bounds
-                sub = lk[start:stop]
-                in_bounds = (sub >= rmin) & (sub <= rmin + (span - 1))
-                candidates = slots[np.where(in_bounds, sub - rmin, 0)]
-                match = in_bounds & (candidates != NO_MATCH)
-                l_local = np.flatnonzero(match)
-                return l_local + start, candidates[l_local]
-
-            results = pool.map(probe_unique, chunks)
+        tables = (slots, None, None)
     else:
         if note is not None:
             note.append("parallel-dense-merge")
         # Duplicate build keys: the same bucket layout _dense_join builds —
         # right rows grouped by key code via the index's stable order.
-        order = right_index.order
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        results = None
-        if _use_processes(pool):
-            lk_desc = pool.registry.export_column(left_col)
-            counts_desc = pool.registry.export_array(counts)
-            starts_desc = pool.registry.export_array(starts)
-            order_desc = pool.registry.export_array(order)
-            if None not in (lk_desc, counts_desc, starts_desc, order_desc):
-                results = pool.run_tasks(
-                    _w_dense_runs_chunk,
-                    [(lk_desc, counts_desc, starts_desc, order_desc,
-                      int(rmin), int(span), start, stop)
-                     for start, stop in chunks],
-                )
-        if results is None:
+        tables = (counts, starts, right_index.order)
+    return _concat_pairs(_run(
+        pool,
+        _dense_chunk,
+        (left_col, *tables),
+        _probe_tasks(len(left_col), pool.n_segments, int(rmin), int(span)),
+    ))
 
-            def probe_runs(bounds: tuple[int, int]):
-                start, stop = bounds
-                sub = lk[start:stop]
-                in_bounds = (sub >= rmin) & (sub <= rmin + (span - 1))
-                l_rel = np.where(in_bounds, sub - rmin, 0)
-                cnt = np.where(in_bounds, counts[l_rel], 0)
-                total = int(cnt.sum())
-                if total == 0:
-                    return _empty_pair()
-                l_local = np.repeat(np.arange(sub.shape[0]), cnt)
-                run_starts = np.repeat(starts[l_rel], cnt)
-                offsets = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-                within = np.arange(total) - np.repeat(offsets, cnt)
-                return l_local + start, order[run_starts + within]
 
-            results = pool.map(probe_runs, chunks)
-    return (
-        np.concatenate([left for left, _ in results]),
-        np.concatenate([right for _, right in results]),
-    )
+def _dense_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel: one probe chunk against a dense direct-address table —
+    ``table`` maps a key code to its build row (unique keys, ``starts`` is
+    ``None``) or to its bucket's size, the bucket being
+    ``order[starts[code]:][:size]``."""
+    (lk, table, starts, order), (start, stop, rmin, span) = payload
+    sub = _view(lk)[start:stop]
+    # Bounds-check on the original values: computing sub - rmin first could
+    # wrap around int64 for extreme key ranges and alias into the table.
+    in_bounds = (sub >= rmin) & (sub <= rmin + (span - 1))
+    l_rel = np.where(in_bounds, sub - rmin, 0)
+    if starts is None:
+        candidates = _view(table)[l_rel]
+        match = in_bounds & (candidates != NO_MATCH)
+        l_local = np.flatnonzero(match)
+        return l_local + start, candidates[l_local]
+    cnt = np.where(in_bounds, _view(table)[l_rel], 0)
+    return _expand_runs(_view(starts)[l_rel], cnt, start, _view(order))
 
 
 def parallel_left_probe_indexed(
@@ -413,9 +390,6 @@ def parallel_left_probe_indexed(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Left-outer variant of :func:`parallel_probe_indexed` (inner probe
     plus NO_MATCH padding, exactly like the single-threaded composition)."""
-    if not (_parallel_eligible(left_keys) and _parallel_eligible(right_keys)):
-        return left_join_indices(left_keys, right_keys,
-                                 right_index=right_index, note=note)
     l_idx, r_idx = parallel_probe_indexed(left_keys, right_keys, right_index,
                                           pool, note)
     return pad_left_outer(l_idx, r_idx, len(left_keys[0]))
@@ -429,155 +403,6 @@ def _runs(sorted_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     run_first = np.flatnonzero(change)
     run_lengths = np.diff(np.append(run_first, sorted_ids.shape[0]))
     return run_first, run_lengths
-
-
-# ---------------------------------------------------------------------------
-# process-pool worker entries
-#
-# Module-level so they pickle by reference; each rehydrates its inputs from
-# shared-memory descriptors and runs math identical to the thread closure
-# it mirrors — the bit-identity contract lives in that line-for-line
-# correspondence.
-# ---------------------------------------------------------------------------
-
-
-def _w_join_partition(payload) -> tuple[np.ndarray, np.ndarray]:
-    """One hash partition of an inner join, executed in a worker process."""
-    left_desc, right_desc, part, n_parts = payload
-    lk = attach_array(left_desc)
-    rk = attach_array(right_desc)
-    left_rows = _partition_of(lk, part, n_parts)
-    right_rows = _partition_of(rk, part, n_parts)
-    if left_rows.size == 0 or right_rows.size == 0:
-        return _empty_pair()
-    l_local, r_local = _hash_join_int(lk[left_rows], rk[right_rows],
-                                      None, None)
-    return left_rows[l_local], right_rows[r_local]
-
-
-def _w_probe_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
-    """One contiguous probe chunk against a shared sorted index."""
-    lk_desc, sorted_desc, order_desc, start, stop, unique, n_right = payload
-    lk = attach_array(lk_desc)
-    sorted_values = attach_array(sorted_desc)
-    order = None if order_desc is None else attach_array(order_desc)
-    sub = lk[start:stop]
-    if unique:
-        pos = np.searchsorted(sorted_values, sub)
-        np.minimum(pos, n_right - 1, out=pos)
-        match = sorted_values[pos] == sub
-        l_local = np.flatnonzero(match)
-        hits = pos[l_local]
-        r_local = hits if order is None else order[hits]
-        return l_local + start, r_local
-    lo = np.searchsorted(sorted_values, sub, side="left")
-    hi = np.searchsorted(sorted_values, sub, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return _empty_pair()
-    l_local = np.repeat(np.arange(sub.shape[0]), counts)
-    run_starts = np.repeat(lo, counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    within = np.arange(total) - np.repeat(offsets, counts)
-    r_sorted_pos = run_starts + within
-    r_local = r_sorted_pos if order is None else order[r_sorted_pos]
-    return l_local + start, r_local
-
-
-def _w_dense_unique_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
-    """One probe chunk against a shared unique direct-address table."""
-    lk_desc, slots_desc, rmin, span, start, stop = payload
-    lk = attach_array(lk_desc)
-    slots = attach_array(slots_desc)
-    sub = lk[start:stop]
-    in_bounds = (sub >= rmin) & (sub <= rmin + (span - 1))
-    candidates = slots[np.where(in_bounds, sub - rmin, 0)]
-    match = in_bounds & (candidates != NO_MATCH)
-    l_local = np.flatnonzero(match)
-    return l_local + start, candidates[l_local]
-
-
-def _w_dense_runs_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
-    """One probe chunk against shared duplicate-key dense buckets."""
-    (lk_desc, counts_desc, starts_desc, order_desc,
-     rmin, span, start, stop) = payload
-    lk = attach_array(lk_desc)
-    counts = attach_array(counts_desc)
-    starts = attach_array(starts_desc)
-    order = attach_array(order_desc)
-    sub = lk[start:stop]
-    in_bounds = (sub >= rmin) & (sub <= rmin + (span - 1))
-    l_rel = np.where(in_bounds, sub - rmin, 0)
-    cnt = np.where(in_bounds, counts[l_rel], 0)
-    total = int(cnt.sum())
-    if total == 0:
-        return _empty_pair()
-    l_local = np.repeat(np.arange(sub.shape[0]), cnt)
-    run_starts = np.repeat(starts[l_rel], cnt)
-    offsets = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-    within = np.arange(total) - np.repeat(offsets, cnt)
-    return l_local + start, order[run_starts + within]
-
-
-def _w_agg_partition(payload):
-    """One hash partition of partial-then-final aggregation."""
-    keys_desc, spec_payloads, part, n_parts = payload
-    keys = attach_array(keys_desc)
-    rows = _partition_of(keys, part, n_parts)
-    if rows.size == 0:
-        return None
-    specs = [
-        AggregateSpec(
-            kind,
-            None if values_desc is None else attach_array(values_desc),
-            None if mask_desc is None else attach_array(mask_desc),
-            sql_type,
-        )
-        for kind, values_desc, mask_desc, sql_type in spec_payloads
-    ]
-    local_keys = keys[rows]
-    order = np.argsort(local_keys, kind="stable")
-    sorted_keys = local_keys[order]
-    starts = _boundaries(sorted_keys)
-    row_counts = np.diff(np.append(starts, order.shape[0]))
-    results = [
-        _reduce_slice(spec, rows, order, starts, row_counts) for spec in specs
-    ]
-    return sorted_keys[starts], results
-
-
-def _process_probe_chunks(
-    left_col: Column,
-    sorted_values: np.ndarray,
-    order: Optional[np.ndarray],
-    unique: bool,
-    n_right: int,
-    chunks: list[tuple[int, int]],
-    pool: SegmentPool,
-) -> Optional[list]:
-    """Dispatch sorted-index probe chunks to worker processes.
-
-    Returns ``None`` when an input cannot be exported (the caller keeps
-    the thread closures).  The probe column is adopted onto shared
-    memory; the index arrays are cached by identity, so a warm loop
-    re-probing the same stored index exports nothing new.
-    """
-    registry = pool.registry
-    lk_desc = registry.export_column(left_col)
-    sorted_desc = registry.export_array(sorted_values)
-    if lk_desc is None or sorted_desc is None:
-        return None
-    order_desc = None
-    if order is not None:
-        order_desc = registry.export_array(order)
-        if order_desc is None:
-            return None
-    return pool.run_tasks(
-        _w_probe_chunk,
-        [(lk_desc, sorted_desc, order_desc, start, stop, unique, n_right)
-         for start, stop in chunks],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -683,41 +508,6 @@ def group_aggregate(
     return unique_keys, results
 
 
-def _process_group_aggregate(
-    keys: np.ndarray,
-    specs: list[AggregateSpec],
-    pool: SegmentPool,
-    n_parts: int,
-) -> Optional[list]:
-    """Dispatch aggregation partitions to worker processes.
-
-    Ships the key column plus each aggregate argument (and its null mask)
-    as descriptors; partial results — one small per-key block per
-    partition — come back pickled.  Returns ``None`` when any input is
-    non-shareable, keeping the thread path as fallback.
-    """
-    registry = pool.registry
-    keys_desc = registry.export_array(keys)
-    if keys_desc is None:
-        return None
-    spec_payloads = []
-    for spec in specs:
-        values_desc = mask_desc = None
-        if spec.values is not None:
-            values_desc = registry.export_array(spec.values)
-            if values_desc is None:
-                return None
-        if spec.mask is not None:
-            mask_desc = registry.export_array(spec.mask)
-            if mask_desc is None:
-                return None
-        spec_payloads.append((spec.kind, values_desc, mask_desc, spec.sql_type))
-    return pool.run_tasks(
-        _w_agg_partition,
-        [(keys_desc, spec_payloads, part, n_parts) for part in range(n_parts)],
-    )
-
-
 def parallel_group_aggregate(
     keys: np.ndarray,
     specs: list[AggregateSpec],
@@ -734,28 +524,14 @@ def parallel_group_aggregate(
     if keys.shape[0] == 0:
         return group_aggregate(keys, specs)
     n_parts = pool.n_segments
-    raw = None
-    if _use_processes(pool):
-        raw = _process_group_aggregate(keys, specs, pool, n_parts)
-    if raw is None:
-        parts = partition_rows(keys, n_parts)
-
-        def aggregate_partition(part: int):
-            rows = parts[part]
-            if rows.size == 0:
-                return None
-            local_keys = keys[rows]
-            order = np.argsort(local_keys, kind="stable")
-            sorted_keys = local_keys[order]
-            starts = _boundaries(sorted_keys)
-            row_counts = np.diff(np.append(starts, order.shape[0]))
-            results = [
-                _reduce_slice(spec, rows, order, starts, row_counts)
-                for spec in specs
-            ]
-            return sorted_keys[starts], results
-
-        raw = pool.map(aggregate_partition, range(n_parts))
+    # Keys, their segment assignment, then each aggregate's argument and
+    # null mask; one small per-key block per partition comes back.
+    inputs = [keys, segment_assignment(keys, n_parts)]
+    for spec in specs:
+        inputs += (spec.values, spec.mask)
+    kinds = tuple((spec.kind, spec.sql_type) for spec in specs)
+    raw = _run(pool, _aggregate_partition, inputs,
+               [(part, kinds) for part in range(n_parts)])
     partials = [p for p in raw if p is not None]
     all_keys = np.concatenate([p[0] for p in partials])
     merge = np.argsort(all_keys, kind="stable")
@@ -775,3 +551,26 @@ def parallel_group_aggregate(
             mask = None
         merged.append((values, mask))
     return unique_keys, merged
+
+
+def _aggregate_partition(payload):
+    """Kernel: one hash partition of partial-then-final aggregation
+    (``None`` for a partition no key hashed to)."""
+    (keys, seg, *arguments), (part, kinds) = payload
+    rows = np.flatnonzero(_view(seg) == part)
+    if rows.size == 0:
+        return None
+    specs = [
+        AggregateSpec(kind, _view(arguments[2 * position]),
+                      _view(arguments[2 * position + 1]), sql_type)
+        for position, (kind, sql_type) in enumerate(kinds)
+    ]
+    local_keys = _view(keys)[rows]
+    order = np.argsort(local_keys, kind="stable")
+    sorted_keys = local_keys[order]
+    starts = _boundaries(sorted_keys)
+    row_counts = np.diff(np.append(starts, order.shape[0]))
+    results = [
+        _reduce_slice(spec, rows, order, starts, row_counts) for spec in specs
+    ]
+    return sorted_keys[starts], results

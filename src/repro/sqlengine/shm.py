@@ -27,8 +27,9 @@ Ownership and lifecycle are explicit and driver-side:
   tracker could unlink it out from under the driver on worker exit).
 
 The registry degrades, never fails: text (object-dtype) payloads and
-allocation errors return ``None`` and the caller falls back to the thread
-kernels.
+allocation errors return ``None`` and the caller
+(:meth:`ProcessSegmentPool.share <repro.sqlengine.mpp.ProcessSegmentPool.share>`)
+has the same kernel run on the pool's threads.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class ShmRegistry:
         """Export a Column's values, adopting the shared view as storage.
 
         Returns the descriptor, or ``None`` for non-shareable payloads
-        (text) — the caller then falls back to the thread kernels.  The
+        (text) — the caller then runs the kernel on threads.  The
         column's ``values`` array is replaced by the bit-identical shared
         view, so the heap copy is freed and the next statement touching
         the same column re-exports it for free.

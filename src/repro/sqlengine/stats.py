@@ -17,10 +17,63 @@ as "did not finish" — reproducing the DNF cells of Table III.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, make_dataclass
 from typing import Optional
 
 from .errors import SpaceBudgetExceeded
+
+#: Every counter :class:`EngineStats` keeps — the one declaration.
+#: :class:`StatsSnapshot`'s fields, its ``delta``, the accumulator's
+#: zeroing and its snapshot are all derived from this tuple, and worker
+#: deltas are validated against it; a new counter is a name here, a
+#: ``record_*`` method, a line in the CLI footer and a README table row
+#: (``tests/test_mpp_stats.py`` fails if either of the last two is
+#: forgotten).
+COUNTERS = (
+    # The paper's axes (Tables III-V) and simulated MPP data motion.
+    "queries",
+    "rows_written",
+    "bytes_written",
+    "motion_bytes",
+    "broadcast_bytes",
+    "live_bytes",
+    "peak_live_bytes",
+    # Engine-cache effectiveness counters (see plancache.py / table.py).
+    "plan_cache_hits",
+    "plan_cache_misses",
+    "index_cache_hits",
+    "index_cache_misses",
+    "joins_pruned",
+    # Physical-plan layer counters (see physicalplan.py / executor.py).
+    "physical_plan_hits",
+    "physical_plan_misses",
+    "physical_plan_invalidations",
+    "fused_pipelines",
+    "fused_group_pipelines",
+    "join_chain_fusions",
+    "left_chain_fusions",
+    "group_sorts_skipped",
+    "parallel_partitions",
+    "parallel_indexed_probes",
+    "parallel_dense_probes",
+    "hash_distincts",
+    "subquery_cache_hits",
+    "subquery_cache_misses",
+    "subquery_cache_evictions",
+    "overlapped_compositions",
+    "dataflow_overlaps",
+    "fused_outer_groups",
+    "union_arm_overlaps",
+    "effects_cache_hits",
+    # Process-backend counters (see mpp.ProcessSegmentPool / shm.py).
+    "process_tasks",
+    "shm_bytes_exported",
+    "stats_merges",
+)
+
+#: The counters that are levels, not running totals: a delta between two
+#: snapshots keeps the later value instead of subtracting.
+GAUGES = frozenset({"live_bytes", "peak_live_bytes"})
 
 
 @dataclass
@@ -35,103 +88,27 @@ class QueryRecord:
     elapsed_seconds: float
 
 
-@dataclass
-class StatsSnapshot:
-    """Immutable copy of the counters, for before/after diffing."""
+def _snapshot_delta(self, earlier: "StatsSnapshot") -> "StatsSnapshot":
+    """Counters accumulated since ``earlier`` (peak is the later peak)."""
+    return StatsSnapshot(*[
+        getattr(self, name) if name in GAUGES
+        else getattr(self, name) - getattr(earlier, name)
+        for name in COUNTERS
+    ])
 
-    queries: int
-    rows_written: int
-    bytes_written: int
-    motion_bytes: int
-    broadcast_bytes: int
-    live_bytes: int
-    peak_live_bytes: int
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    index_cache_hits: int = 0
-    index_cache_misses: int = 0
-    joins_pruned: int = 0
-    physical_plan_hits: int = 0
-    physical_plan_misses: int = 0
-    physical_plan_invalidations: int = 0
-    fused_pipelines: int = 0
-    fused_group_pipelines: int = 0
-    join_chain_fusions: int = 0
-    left_chain_fusions: int = 0
-    group_sorts_skipped: int = 0
-    parallel_partitions: int = 0
-    parallel_indexed_probes: int = 0
-    parallel_dense_probes: int = 0
-    hash_distincts: int = 0
-    subquery_cache_hits: int = 0
-    subquery_cache_misses: int = 0
-    subquery_cache_evictions: int = 0
-    overlapped_compositions: int = 0
-    dataflow_overlaps: int = 0
-    fused_outer_groups: int = 0
-    union_arm_overlaps: int = 0
-    effects_cache_hits: int = 0
-    process_tasks: int = 0
-    shm_bytes_exported: int = 0
-    stats_merges: int = 0
 
-    def delta(self, earlier: "StatsSnapshot") -> "StatsSnapshot":
-        """Counters accumulated since ``earlier`` (peak is the later peak)."""
-        return StatsSnapshot(
-            queries=self.queries - earlier.queries,
-            rows_written=self.rows_written - earlier.rows_written,
-            bytes_written=self.bytes_written - earlier.bytes_written,
-            motion_bytes=self.motion_bytes - earlier.motion_bytes,
-            broadcast_bytes=self.broadcast_bytes - earlier.broadcast_bytes,
-            live_bytes=self.live_bytes,
-            peak_live_bytes=self.peak_live_bytes,
-            plan_cache_hits=self.plan_cache_hits - earlier.plan_cache_hits,
-            plan_cache_misses=self.plan_cache_misses - earlier.plan_cache_misses,
-            index_cache_hits=self.index_cache_hits - earlier.index_cache_hits,
-            index_cache_misses=self.index_cache_misses - earlier.index_cache_misses,
-            joins_pruned=self.joins_pruned - earlier.joins_pruned,
-            physical_plan_hits=self.physical_plan_hits - earlier.physical_plan_hits,
-            physical_plan_misses=self.physical_plan_misses
-            - earlier.physical_plan_misses,
-            physical_plan_invalidations=self.physical_plan_invalidations
-            - earlier.physical_plan_invalidations,
-            fused_pipelines=self.fused_pipelines - earlier.fused_pipelines,
-            fused_group_pipelines=self.fused_group_pipelines
-            - earlier.fused_group_pipelines,
-            join_chain_fusions=self.join_chain_fusions
-            - earlier.join_chain_fusions,
-            left_chain_fusions=self.left_chain_fusions
-            - earlier.left_chain_fusions,
-            group_sorts_skipped=self.group_sorts_skipped
-            - earlier.group_sorts_skipped,
-            parallel_partitions=self.parallel_partitions
-            - earlier.parallel_partitions,
-            parallel_indexed_probes=self.parallel_indexed_probes
-            - earlier.parallel_indexed_probes,
-            parallel_dense_probes=self.parallel_dense_probes
-            - earlier.parallel_dense_probes,
-            hash_distincts=self.hash_distincts - earlier.hash_distincts,
-            subquery_cache_hits=self.subquery_cache_hits
-            - earlier.subquery_cache_hits,
-            subquery_cache_misses=self.subquery_cache_misses
-            - earlier.subquery_cache_misses,
-            subquery_cache_evictions=self.subquery_cache_evictions
-            - earlier.subquery_cache_evictions,
-            overlapped_compositions=self.overlapped_compositions
-            - earlier.overlapped_compositions,
-            dataflow_overlaps=self.dataflow_overlaps
-            - earlier.dataflow_overlaps,
-            fused_outer_groups=self.fused_outer_groups
-            - earlier.fused_outer_groups,
-            union_arm_overlaps=self.union_arm_overlaps
-            - earlier.union_arm_overlaps,
-            effects_cache_hits=self.effects_cache_hits
-            - earlier.effects_cache_hits,
-            process_tasks=self.process_tasks - earlier.process_tasks,
-            shm_bytes_exported=self.shm_bytes_exported
-            - earlier.shm_bytes_exported,
-            stats_merges=self.stats_merges - earlier.stats_merges,
-        )
+StatsSnapshot = make_dataclass(
+    "StatsSnapshot",
+    [(name, int, 0) for name in COUNTERS],
+    namespace={
+        "__doc__": "Immutable copy of the counters, for before/after "
+                   "diffing: one ``int`` field per entry of ``COUNTERS``.",
+        "delta": _snapshot_delta,
+    },
+)
+# make_dataclass cannot know the defining module before Python 3.12;
+# pickling and repr need it.
+StatsSnapshot.__module__ = __name__
 
 
 class EngineStats:
@@ -147,44 +124,8 @@ class EngineStats:
 
     def __init__(self, space_budget_bytes: Optional[int] = None):
         self.space_budget_bytes = space_budget_bytes
-        self.queries = 0
-        self.rows_written = 0
-        self.bytes_written = 0
-        self.motion_bytes = 0
-        self.broadcast_bytes = 0
-        self.live_bytes = 0
-        self.peak_live_bytes = 0
-        # Engine-cache effectiveness counters (see plancache.py / table.py).
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        self.index_cache_hits = 0
-        self.index_cache_misses = 0
-        self.joins_pruned = 0
-        # Physical-plan layer counters (see physicalplan.py / executor.py).
-        self.physical_plan_hits = 0
-        self.physical_plan_misses = 0
-        self.physical_plan_invalidations = 0
-        self.fused_pipelines = 0
-        self.fused_group_pipelines = 0
-        self.join_chain_fusions = 0
-        self.left_chain_fusions = 0
-        self.group_sorts_skipped = 0
-        self.parallel_partitions = 0
-        self.parallel_indexed_probes = 0
-        self.parallel_dense_probes = 0
-        self.hash_distincts = 0
-        self.subquery_cache_hits = 0
-        self.subquery_cache_misses = 0
-        self.subquery_cache_evictions = 0
-        self.overlapped_compositions = 0
-        self.dataflow_overlaps = 0
-        self.fused_outer_groups = 0
-        self.union_arm_overlaps = 0
-        self.effects_cache_hits = 0
-        # Process-backend counters (see mpp.ProcessSegmentPool / shm.py).
-        self.process_tasks = 0
-        self.shm_bytes_exported = 0
-        self.stats_merges = 0
+        for name in COUNTERS:
+            setattr(self, name, 0)
         self.log: list[QueryRecord] = []
         self._lock = threading.Lock()
         # Per-statement scratch counters, folded into a QueryRecord by the
@@ -389,12 +330,11 @@ class EngineStats:
         scheduling.  Unknown counter names are a protocol error."""
         with self._lock:
             for counter, by in delta.items():
-                current = getattr(self, counter, None)
-                if not isinstance(current, int):
+                if counter not in COUNTERS:
                     raise ValueError(
                         f"worker delta names unknown counter {counter!r}"
                     )
-                setattr(self, counter, current + int(by))
+                setattr(self, counter, getattr(self, counter) + int(by))
             self.stats_merges += 1
 
     # -- statement bracketing -------------------------------------------------
@@ -445,43 +385,7 @@ class EngineStats:
             return self._snapshot_locked()
 
     def _snapshot_locked(self) -> StatsSnapshot:
-        return StatsSnapshot(
-            queries=self.queries,
-            rows_written=self.rows_written,
-            bytes_written=self.bytes_written,
-            motion_bytes=self.motion_bytes,
-            broadcast_bytes=self.broadcast_bytes,
-            live_bytes=self.live_bytes,
-            peak_live_bytes=self.peak_live_bytes,
-            plan_cache_hits=self.plan_cache_hits,
-            plan_cache_misses=self.plan_cache_misses,
-            index_cache_hits=self.index_cache_hits,
-            index_cache_misses=self.index_cache_misses,
-            joins_pruned=self.joins_pruned,
-            physical_plan_hits=self.physical_plan_hits,
-            physical_plan_misses=self.physical_plan_misses,
-            physical_plan_invalidations=self.physical_plan_invalidations,
-            fused_pipelines=self.fused_pipelines,
-            fused_group_pipelines=self.fused_group_pipelines,
-            join_chain_fusions=self.join_chain_fusions,
-            left_chain_fusions=self.left_chain_fusions,
-            group_sorts_skipped=self.group_sorts_skipped,
-            parallel_partitions=self.parallel_partitions,
-            parallel_indexed_probes=self.parallel_indexed_probes,
-            parallel_dense_probes=self.parallel_dense_probes,
-            hash_distincts=self.hash_distincts,
-            subquery_cache_hits=self.subquery_cache_hits,
-            subquery_cache_misses=self.subquery_cache_misses,
-            subquery_cache_evictions=self.subquery_cache_evictions,
-            overlapped_compositions=self.overlapped_compositions,
-            dataflow_overlaps=self.dataflow_overlaps,
-            fused_outer_groups=self.fused_outer_groups,
-            union_arm_overlaps=self.union_arm_overlaps,
-            effects_cache_hits=self.effects_cache_hits,
-            process_tasks=self.process_tasks,
-            shm_bytes_exported=self.shm_bytes_exported,
-            stats_merges=self.stats_merges,
-        )
+        return StatsSnapshot(*[getattr(self, name) for name in COUNTERS])
 
     def reset_peak(self) -> None:
         """Restart peak-space tracking from the current live size.
@@ -492,8 +396,12 @@ class EngineStats:
         self.peak_live_bytes = self.live_bytes
 
     def reset(self) -> None:
-        budget = self.space_budget_bytes
-        live = self.live_bytes
-        self.__init__(budget)
-        self.live_bytes = live
-        self.peak_live_bytes = live
+        """Zero the counters and the log; live space carries over as the
+        new baseline.  In place and under the lock: pool threads may be
+        holding the lock or their thread-local scratch right now."""
+        with self._lock:
+            live = self.live_bytes
+            for name in COUNTERS:
+                setattr(self, name, 0)
+            self.live_bytes = self.peak_live_bytes = live
+            self.log = []

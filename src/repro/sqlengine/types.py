@@ -135,7 +135,7 @@ class Column:
         """True when the values can back a shared-memory export.
 
         Fixed-width numpy storage qualifies; text columns are Python
-        object arrays and stay on the thread kernels (null masks are
+        object arrays and their kernels stay on threads (null masks are
         plain bool arrays and ship separately where a kernel needs one).
         """
         return self.values.dtype != object

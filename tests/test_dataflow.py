@@ -7,6 +7,7 @@ schedule, error propagation through the DAG, and the engagement counter.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -236,13 +237,38 @@ def test_effects_fall_back_without_plan_cache():
 def test_failed_task_poisons_dependents_and_submit():
     """A failing statement group must (a) re-raise at wait(), (b) prevent
     its dependents from running on the broken catalog, and (c) refuse
-    further submissions."""
+    further submissions.
+
+    The failing group is queued behind a predecessor that blocks inside a
+    UDF until the whole chain is submitted, so neither the failure nor
+    the dependent can run early — no outcome depends on thread timing.
+    """
     db = _db()
+    release = threading.Event()
+    released_in_time = []
+
+    def gate(values):
+        released_in_time.append(release.wait(timeout=60))
+        return values
+
+    db.create_function("gate", gate)
     sched = DataflowScheduler(db)
-    bad = sched.submit(["create table x as select v from missing_table"])
-    dependent = sched.submit(["select count(*) c from x"])
+    assert sched.asynchronous
+    try:
+        sched.submit(["create table gated as select gate(v) v from base"])
+        bad = sched.submit([
+            "select count(*) c from gated",           # RAW on the gate
+            "create table x as select v from missing_table",
+        ])
+        dependent = sched.submit(["select count(*) c from x"])
+        # Nothing past the gate has started: the failure is still ahead.
+        assert not bad.started and not dependent.started
+    finally:
+        release.set()
     with pytest.raises(CatalogError):
         sched.wait(bad)
+    assert released_in_time == [True]
+    assert len(bad.results) == 1  # failed at its second statement
     with pytest.raises(CatalogError):
         sched.wait(dependent)
     assert dependent.results == []  # poisoned, never executed

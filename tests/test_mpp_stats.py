@@ -1,5 +1,8 @@
 """MPP simulation and statistics accounting tests — Tables IV/V substrate."""
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -235,8 +238,6 @@ def test_process_backend_stats_deltas_match_thread_backend():
     apart from the three process-only counters.  Exercised over a warm
     RC-style round loop (repeated join / group-by / scalar-count
     templates), so merged deltas land on cold and warm paths alike."""
-    import dataclasses
-
     import repro.sqlengine.executor as executor_module
 
     process_only = {"process_tasks", "shm_bytes_exported", "stats_merges"}
@@ -306,3 +307,73 @@ def test_rows_written_counts_inserts():
     before = db.stats.rows_written
     db.execute("insert into t values (1), (2), (3)")
     assert db.stats.rows_written == before + 3
+
+
+# ---------------------------------------------------------------------------
+# the counter declaration and the places derived from / checked against it
+# ---------------------------------------------------------------------------
+
+
+def test_snapshot_and_accumulator_are_derived_from_the_declaration():
+    from repro.sqlengine.stats import COUNTERS, GAUGES, StatsSnapshot
+
+    assert GAUGES <= set(COUNTERS) and len(set(COUNTERS)) == len(COUNTERS)
+    assert [f.name for f in dataclasses.fields(StatsSnapshot)] == list(COUNTERS)
+    db = Database(parallel=False)
+    stats = db.stats
+    for value, name in enumerate(COUNTERS, start=1):
+        setattr(stats, name, value)
+    later = stats.snapshot()
+    assert dataclasses.astuple(later) == tuple(range(1, len(COUNTERS) + 1))
+    delta = later.delta(StatsSnapshot(**{name: 1 for name in COUNTERS}))
+    for value, name in enumerate(COUNTERS, start=1):
+        # Gauges keep the later level; counters subtract.
+        assert getattr(delta, name) == (value if name in GAUGES else value - 1)
+
+
+def test_reset_zeroes_in_place_and_keeps_live_space():
+    from repro.sqlengine.stats import COUNTERS
+
+    db = Database(parallel=False)
+    load_big(db, "t")
+    db.execute("create table u as select v from t")
+    db.execute("drop table u")
+    stats = db.stats
+    lock, scratch, live = stats._lock, stats._scratch, stats.live_bytes
+    assert live > 0 and stats.peak_live_bytes > live and stats.log
+    db.reset_stats()
+    # Same lock and thread-local scratch: a pool thread holding either
+    # across the reset keeps working on the live objects.
+    assert stats._lock is lock and stats._scratch is scratch
+    assert stats.live_bytes == stats.peak_live_bytes == live
+    assert stats.log == []
+    assert all(getattr(stats, name) == 0 for name in COUNTERS
+               if name not in ("live_bytes", "peak_live_bytes"))
+
+
+def test_every_declared_counter_is_in_the_readme_table_and_cli_footer():
+    """The two hand-written lists cannot drift from the declared one."""
+    from repro.cli import render_engine_stats
+    from repro.sqlengine.stats import COUNTERS
+
+    class Recording:
+        def __init__(self):
+            self.read = set()
+
+        def __getattr__(self, name):
+            self.read.add(name)
+            return 1
+
+    recording = Recording()
+    render_engine_stats(recording)
+    assert set(COUNTERS) - recording.read == set()
+
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    table = text[text.index("### EngineStats counters"):]
+    first_cells = [line.split("|")[1] for line in table.splitlines()
+                   if line.startswith("| `")]
+    documented = {name.strip(" `") for cell in first_cells
+                  for name in cell.split(",")}
+    assert set(COUNTERS) - documented == set()

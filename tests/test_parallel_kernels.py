@@ -7,20 +7,35 @@ executor switches between the strategies purely on size and pool
 availability.  These tests force a multi-worker pool even on single-core
 machines so the parallel code path (partitioning, per-partition kernels,
 scatter recombination) is always exercised.
+
+Every kernel has one body that thread workers and worker processes both
+run, so one matrix — kernel x {thread pool, process pool, process pool
+whose shared-memory export fails} — pins the bit-identity of all of them
+(``test_kernel_matrix_bit_identical``).
 """
+
+import errno
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.sqlengine.shm as shm_module
 from repro.sqlengine import Database
-from repro.sqlengine.mpp import SegmentPool, partition_rows
+from repro.sqlengine.mpp import (
+    Cluster,
+    ProcessSegmentPool,
+    SegmentPool,
+    segment_assignment,
+)
 from repro.sqlengine.operators import (
     build_key_index,
     join_indices,
     left_join_indices,
 )
 from repro.sqlengine.parallel import (
+    PARALLEL_AGGREGATES,
     AggregateSpec,
     group_aggregate,
     parallel_group_aggregate,
@@ -177,21 +192,6 @@ def test_parallel_dense_probe_bit_identical(n_segments, unique_build):
     assert np.array_equal(reference[1], parallel[1])
 
 
-def test_parallel_dense_left_probe_bit_identical():
-    rng = np.random.default_rng(4)
-    build = rng.permutation(3000)
-    probe = rng.integers(-500, 3500, 10_000)
-    left_col, right_col = int_column(probe), int_column(build)
-    index = build_key_index(right_col.values)
-    note: list = []
-    reference = left_join_indices([left_col], [right_col], right_index=index)
-    parallel = parallel_left_probe_indexed([left_col], [right_col], index,
-                                           POOL, note)
-    assert note[-1] == "parallel-dense"
-    assert np.array_equal(reference[0], parallel[0])
-    assert np.array_equal(reference[1], parallel[1])
-
-
 def test_executor_engages_parallel_indexed_probe(monkeypatch):
     """The warm-loop case: a cached build-side index no longer disables
     parallel execution — the probe chunks across the pool."""
@@ -253,14 +253,15 @@ def test_executor_engages_parallel_dense_probe(monkeypatch):
     assert off.stats.parallel_dense_probes == 0
 
 
-def test_partition_rows_covers_everything_once():
+def test_segment_assignment_partitions_rows():
     values = np.random.default_rng(0).integers(-(2 ** 60), 2 ** 60, 5000)
-    parts = partition_rows(values, 4)
-    joined = np.concatenate(parts)
-    assert joined.shape[0] == values.shape[0]
-    assert np.array_equal(np.sort(joined), np.arange(values.shape[0]))
-    for part in parts:  # partitions preserve original relative order
-        assert np.all(np.diff(part) > 0) or part.size <= 1
+    values[2500:] = values[:2500]  # every key appears twice
+    seg = segment_assignment(values, 4)
+    assert seg.shape == values.shape
+    assert set(np.unique(seg)) == {0, 1, 2, 3}
+    # Equal keys co-locate, and it is the assignment the cluster models.
+    assert np.array_equal(seg[:2500], seg[2500:])
+    assert np.array_equal(seg, Cluster(4).segment_of(Column(values, INT64)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,3 +386,191 @@ def test_rc_end_to_end_parallel_identical(monkeypatch):
     assert np.array_equal(l_on, l_off)
     assert stats_on.parallel_partitions > 0
     assert stats_off.parallel_partitions == 0
+
+
+# ---------------------------------------------------------------------------
+# the bit-identity matrix: every kernel x every way a pool can run it
+# ---------------------------------------------------------------------------
+
+
+def _join_case(kernel, reference, left_hi):
+    def case(pool, note):
+        rng = np.random.default_rng(7)
+        left = int_column(rng.integers(0, left_hi, 20_000))
+        right = int_column(
+            np.concatenate([rng.permutation(5000), rng.integers(0, 5000, 800)])
+        )
+        return (reference([left], [right]),
+                kernel([left], [right], pool, note))
+    return case
+
+
+def _probe_case(kernel, reference, dense, unique_build):
+    def case(pool, note):
+        rng = np.random.default_rng(17 * dense + unique_build)
+        if dense:
+            build = rng.permutation(5000)
+        else:
+            build = rng.permutation(2 ** 62 // 7 * np.arange(1, 5001))
+        if not unique_build:
+            build = np.concatenate([build, build[:500]])
+        probe = np.concatenate([
+            build[rng.integers(0, build.shape[0], 20_000)],
+            rng.integers(-2000, 0, 1_000),    # below-range misses
+            rng.integers(5001, 9000, 2_000),  # above-range / absent misses
+        ])
+        left_col, right_col = int_column(probe), int_column(build)
+        index = build_key_index(right_col.values)
+        assert index.is_unique == unique_build
+        return (reference([left_col], [right_col], right_index=index),
+                kernel([left_col], [right_col], index, pool, note))
+    return case
+
+
+def _aggregate_case(pool, note):
+    rng = np.random.default_rng(3)
+    n = 6000
+    group_keys = rng.integers(0, 150, n)
+    int_values = rng.integers(-100, 100, n)
+    float_values = rng.normal(size=n)
+    mask = rng.random(n) < 0.2
+    specs = [
+        AggregateSpec("count*"),
+        AggregateSpec("count", int_values, mask.copy(), INT64),
+        AggregateSpec("min", int_values, None, INT64),
+        AggregateSpec("min", float_values, mask.copy(), FLOAT64),
+        AggregateSpec("max", int_values, mask.copy(), INT64),
+        AggregateSpec("max", float_values, None, FLOAT64),
+        AggregateSpec("sum", int_values, None, INT64),
+        AggregateSpec("sum", float_values, mask.copy(), FLOAT64),
+        AggregateSpec("avg", int_values, None, INT64),
+        AggregateSpec("avg", float_values, mask.copy(), FLOAT64),
+    ]
+    assert {spec.kind for spec in specs} == PARALLEL_AGGREGATES
+    ref_keys, ref_results = group_aggregate(group_keys, specs)
+    par_keys, par_results = parallel_group_aggregate(group_keys, specs, pool)
+    # Flatten to array tuples (an absent null mask stays None).
+    return ((ref_keys, *sum(ref_results, ())), (par_keys, *sum(par_results, ())))
+
+
+#: id -> (case, the kernel note it must report or None)
+KERNEL_CASES = {
+    "hash-join": (
+        _join_case(parallel_join_indices, join_indices, 5000),
+        "parallel-hash"),
+    "left-hash-join": (
+        _join_case(parallel_left_join_indices, left_join_indices, 6000),
+        "parallel-hash"),
+    "sorted-unique-probe": (
+        _probe_case(parallel_probe_indexed, join_indices, False, True),
+        "parallel-probe"),
+    "sorted-merge-probe": (
+        _probe_case(parallel_probe_indexed, join_indices, False, False),
+        "parallel-merge-probe"),
+    "dense-unique-probe": (
+        _probe_case(parallel_probe_indexed, join_indices, True, True),
+        "parallel-dense"),
+    "dense-bucket-probe": (
+        _probe_case(parallel_probe_indexed, join_indices, True, False),
+        "parallel-dense-merge"),
+    "left-dense-probe": (
+        _probe_case(parallel_left_probe_indexed, left_join_indices, True,
+                    True),
+        "parallel-dense"),
+    "left-sorted-probe": (
+        _probe_case(parallel_left_probe_indexed, left_join_indices, False,
+                    False),
+        "parallel-merge-probe"),
+    "group-aggregate": (_aggregate_case, None),
+}
+
+
+def _refuse_shm_create(monkeypatch, after: int = 0):
+    """Make ``SharedMemory(create=True)`` raise ENOSPC once ``after``
+    blocks have been created — a full ``/dev/shm``.  Attaching still
+    works."""
+    real = shm_module.shared_memory.SharedMemory
+    created = []
+
+    def shared_memory(*args, create=False, **kwargs):
+        if create:
+            if len(created) >= after:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            created.append(None)
+        return real(*args, create=create, **kwargs)
+
+    monkeypatch.setattr(shm_module.shared_memory, "SharedMemory",
+                        shared_memory)
+
+
+def _shm_blocks() -> set:
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+def _run_case(case, pool):
+    """Run one matrix case; returns (note, process tasks it dispatched)."""
+    deltas: list = []
+    if pool.supports_processes:
+        pool.on_stats_delta = deltas.append
+    note: list = []
+    reference, result = case(pool, note)
+    assert len(reference) == len(result)
+    for expected, got in zip(reference, result):
+        if expected is None:
+            assert got is None
+        else:
+            assert got.dtype == expected.dtype
+            assert np.array_equal(expected, got)
+    return note, sum(delta.get("process_tasks", 0) for delta in deltas)
+
+
+@pytest.mark.parametrize("backend", ["thread", "process", "process-no-shm"])
+@pytest.mark.parametrize("kernel", KERNEL_CASES)
+def test_kernel_matrix_bit_identical(kernel, backend, monkeypatch):
+    case, expected_note = KERNEL_CASES[kernel]
+    pool_cls = SegmentPool if backend == "thread" else ProcessSegmentPool
+    pool = pool_cls(4, max_workers=4)
+    try:
+        if backend == "process-no-shm":
+            _refuse_shm_create(monkeypatch)
+            blocks_before = _shm_blocks()
+        note, process_tasks = _run_case(case, pool)
+        if expected_note is not None:
+            assert note[-1] == expected_note
+        if backend == "thread":
+            assert process_tasks == 0
+        elif backend == "process":
+            assert process_tasks > 0
+            assert pool.registry.bytes_exported > 0
+        else:
+            # Export failed: the same kernel ran on the pool's threads and
+            # nothing was left behind ...
+            assert process_tasks == 0
+            assert pool.registry.created_names() == set()
+            assert _shm_blocks() == blocks_before
+            # ... and the pool is still usable once memory is back.
+            monkeypatch.undo()
+            _, process_tasks = _run_case(case, pool)
+            assert process_tasks > 0
+    finally:
+        pool.shutdown()
+    if backend != "thread":
+        assert not any(os.path.exists(f"/dev/shm/{name}")
+                       for name in pool.registry.created_names())
+
+
+def test_partial_export_failure_falls_back_and_leaks_nothing(monkeypatch):
+    """``/dev/shm`` fills up halfway through a dispatch's exports: the
+    dispatch runs on threads, and the blocks that did get created go with
+    the pool."""
+    case, _ = KERNEL_CASES["sorted-merge-probe"]  # three inputs
+    pool = ProcessSegmentPool(4, max_workers=4)
+    try:
+        _refuse_shm_create(monkeypatch, after=2)
+        _, process_tasks = _run_case(case, pool)
+        assert process_tasks == 0
+        names = pool.registry.created_names()
+        assert len(names) == 2
+    finally:
+        pool.shutdown()
+    assert not any(os.path.exists(f"/dev/shm/{name}") for name in names)
