@@ -267,6 +267,9 @@ def test_engine_microbench():
     # cannot have finished inside that window.
     assert stats_ov.dataflow_overlaps >= stats_ov.overlapped_compositions
     assert stats_se.dataflow_overlaps == 0
+    # The warm round loop must derive its scheduler effect sets from the
+    # plan cache's templates, never re-parsing a statement for hazards.
+    assert stats_ov.effects_cache_hits > 0
     report["overlapped_composition"] = {
         "rounds_overlapped": stats_ov.overlapped_compositions,
         "serial_s": t_serial,
@@ -279,49 +282,6 @@ def test_engine_microbench():
         "overlaps_per_composed_round":
             stats_ov.dataflow_overlaps / stats_ov.overlapped_compositions,
         "serial_overlaps": stats_se.dataflow_overlaps,
-    }
-
-    # -- fast-variant composition chain on the dataflow scheduler ---------
-    # The back-to-front composition loop writes a fresh scratch table per
-    # round, so round k's retire (the drop of the composed-over tables) is
-    # independent of round k-1's composing join and overlaps it on the
-    # pool — the serial driver used to stall on every drop/rename.  Labels
-    # and round counts stay bit-identical, and the warm loop resolves
-    # every statement's effect sets from cached plan templates without a
-    # single scheduler-side parse (effects_cache_hits).
-    def run_fast_chain(parallel: bool):
-        fdb = Database(n_segments=4, parallel=parallel)
-        load_edges_into(fdb, "edges_fc", warm_edges)
-        started = time.perf_counter()
-        result = RandomisedContraction().run(fdb, "edges_fc", seed=31)
-        elapsed = time.perf_counter() - started
-        vertices, labels = result.labels(fdb)
-        order = np.argsort(vertices, kind="stable")
-        stats = fdb.stats.snapshot()
-        fdb.close()
-        return elapsed, vertices[order], labels[order], stats, result.rounds
-
-    t_fast_ov, v_fc, l_fc, stats_fc, rounds_fc = run_fast_chain(True)
-    t_fast_se, v_fs, l_fs, stats_fs, rounds_fs = run_fast_chain(False)
-    assert rounds_fc == rounds_fs
-    assert np.array_equal(v_fc, v_fs) and np.array_equal(l_fc, l_fs)
-    composed_fast = rounds_fc - 1
-    assert composed_fast >= 2  # the graph must actually exercise the chain
-    # Engagement: round k's retire is still in flight when round k-1's
-    # compose is submitted (the composing join over the still-large reps
-    # tables cannot finish inside the submission window), so at least one
-    # concurrent pair per composed round; none on the serial schedule.
-    assert stats_fc.dataflow_overlaps >= composed_fast
-    assert stats_fc.effects_cache_hits > 0
-    assert stats_fs.dataflow_overlaps == 0
-    report["fast_chain"] = {
-        "rounds": rounds_fc,
-        "composed_rounds": composed_fast,
-        "overlaps": stats_fc.dataflow_overlaps,
-        "effects_cache_hits": stats_fc.effects_cache_hits,
-        "serial_s": t_fast_se,
-        "overlapped_s": t_fast_ov,
-        "speedup": t_fast_se / t_fast_ov,
     }
 
     # -- fusion: join -> DISTINCT vs the materialising pipeline -----------
@@ -501,49 +461,6 @@ def test_engine_microbench():
         }
     assert report["hash_distinct"]["duplicate_heavy"]["speedup"] >= 1.2
 
-    # -- subquery result cache: repeated scalar statements -----------------
-    cache_db = Database(n_segments=4)
-    cache_rng = np.random.default_rng(15)
-    cache_db.load_table("big", {"v": cache_rng.integers(0, 1000, SIZES[-1])})
-    scalar_query = "select count(*) from big"
-    started = time.perf_counter()
-    assert cache_db.execute(scalar_query).scalar() == SIZES[-1]
-    t_cache_cold = time.perf_counter() - started
-    n_repeats = 200
-    started = time.perf_counter()
-    for _ in range(n_repeats):
-        cache_db.execute(scalar_query)
-    t_cache_warm = (time.perf_counter() - started) / n_repeats
-    report["result_cache"] = {
-        "rows": SIZES[-1],
-        "cold_s": t_cache_cold,
-        "warm_s": t_cache_warm,
-        "speedup": t_cache_cold / t_cache_warm,
-        "hits": cache_db.stats.subquery_cache_hits,
-    }
-    assert cache_db.stats.subquery_cache_hits == n_repeats
-    assert t_cache_warm < t_cache_cold
-    # Alternating parameter sets — the shape that thrashed the old
-    # one-entry-per-template slot — must now sustain a >= 0.9 hit rate on
-    # the multi-entry LRU (one cold miss per parameterisation, hits after).
-    alt_before = cache_db.stats.snapshot()
-    alt_queries = ["select count(*) c from big where v < 200",
-                   "select count(*) c from big where v < 600",
-                   "select count(*) c from big where v < 900"]
-    n_alt_rounds = 20
-    for _ in range(n_alt_rounds):
-        for alt_query in alt_queries:
-            cache_db.execute(alt_query)
-    alt = cache_db.stats.snapshot().delta(alt_before)
-    alt_rate = alt.subquery_cache_hits / max(
-        alt.subquery_cache_hits + alt.subquery_cache_misses, 1)
-    report["result_cache"]["alternating_hit_rate"] = alt_rate
-    report["result_cache"]["alternating_evictions"] = \
-        alt.subquery_cache_evictions
-    assert alt_rate >= 0.9
-    assert alt.subquery_cache_evictions == 0
-    cache_db.close()
-
     # -- segment-parallel kernels vs single-threaded references -----------
     n_par = SIZES[-1]
     n_workers = min(4, os.cpu_count() or 1)
@@ -619,48 +536,6 @@ def test_engine_microbench():
         assert report["parallel"]["join_speedup"] >= 1.5
         assert report["parallel"]["aggregate_speedup"] >= 1.5
         assert report["parallel"]["indexed_probe_speedup"] >= 1.3
-
-    # -- UNION ALL arm fan-out on the segment pool -------------------------
-    # Three independent heavy arms (1e6-row GROUP BYs): all but the
-    # driver's share offload as pool tasks, the concatenation keeps exact
-    # arm order, and the offloaded arms' scratch folds back into the
-    # statement's accounting byte-for-byte.
-    def union_db(parallel: bool) -> Database:
-        udb = Database(n_segments=4, parallel=parallel,
-                       use_result_cache=False)
-        urng = np.random.default_rng(23)
-        udb.load_table("u", {
-            "v1": urng.integers(0, n_par // 4, n_par),
-            "v2": urng.integers(0, n_par // 4, n_par),
-        }, distributed_by="v1")
-        return udb
-
-    union_sql = (
-        "select v1 k, count(*) c from u group by v1 "
-        "union all select v2, count(*) from u group by v2 "
-        "union all select v1, max(v2) from u where v2 > 100 group by v1")
-    us_db, up_db = union_db(False), union_db(True)
-    union_expected = us_db.execute(union_sql)
-    union_got = up_db.execute(union_sql)
-    assert union_got.names == union_expected.names
-    assert union_got.rows() == union_expected.rows()  # exact serial concat
-    t_union_serial = best_of(lambda: us_db.execute(union_sql))
-    t_union_parallel = best_of(lambda: up_db.execute(union_sql))
-    assert up_db.stats.union_arm_overlaps > 0
-    assert us_db.stats.union_arm_overlaps == 0
-    assert up_db.stats.motion_bytes == us_db.stats.motion_bytes
-    report["union_fanout"] = {
-        "rows": n_par,
-        "arms": 3,
-        "overlapped_arms": up_db.stats.union_arm_overlaps,
-        "serial_s": t_union_serial,
-        "parallel_s": t_union_parallel,
-        "speedup": t_union_serial / t_union_parallel,
-    }
-    us_db.close()
-    up_db.close()
-    if n_workers >= 4:
-        assert report["union_fanout"]["speedup"] >= 1.05
 
     # -- GROUP BY sort skip over a pre-sorted stored column ----------------
     grng = np.random.default_rng(2)
@@ -753,8 +628,7 @@ def test_engine_microbench():
         rc_db = Database(n_segments=4, use_plan_cache=use_caches,
                          use_index_cache=use_caches,
                          use_physical_plans=use_caches,
-                         use_fusion=use_caches,
-                         use_result_cache=use_caches)
+                         use_fusion=use_caches)
         load_edges_into(rc_db, "edges", edges)
         started = time.perf_counter()
         result = RandomisedContraction().run(rc_db, "edges", seed=99)
@@ -775,11 +649,7 @@ def test_engine_microbench():
         "speedup": t_off / t_on,
         "plan_cache_hits": stats_on.plan_cache_hits,
         "index_cache_hits": stats_on.index_cache_hits,
-        "effects_cache_hits": stats_on.effects_cache_hits,
     }
-    # The warm round loop must derive its scheduler effect sets from the
-    # plan cache's templates, never re-parsing a statement for hazards.
-    assert stats_on.effects_cache_hits > 0
     # Identical output is a hard guarantee; the wall-clock advantage is
     # asserted with slack for machine noise and reported exactly.
     assert t_on <= t_off * 1.10
@@ -802,13 +672,10 @@ def test_engine_microbench():
     left_chain = report["left_chain"]
     dataflow = report["dataflow"]
     hashed = report["hash_distinct"]
-    rcache = report["result_cache"]
     par = report["parallel"]
     skip = report["group_sort_skip"]
     proc = report["process_pool"]
     overlap = report["overlapped_composition"]
-    fast_chain = report["fast_chain"]
-    union_fan = report["union_fanout"]
     lines += [
         "",
         f"  plan cache hit rate      : {report['plan_cache']['hit_rate']:.3f}"
@@ -848,24 +715,11 @@ def test_engine_microbench():
         f" statement pairs over {dataflow['composed_rounds']} composed"
         f" rounds ({dataflow['overlaps_per_composed_round']:.1f}/round,"
         f" serial records {dataflow['serial_overlaps']})",
-        f"  fast-variant chain       : {fast_chain['overlaps']} overlaps over"
-        f" {fast_chain['composed_rounds']} composed rounds,"
-        f" {fast_chain['serial_s']:.3f}s -> {fast_chain['overlapped_s']:.3f}s"
-        f" ({fast_chain['speedup']:.2f}x, {fast_chain['effects_cache_hits']}"
-        f" effect-set cache hits, identical labels)",
-        f"  union-arm fan-out 1e6    : {union_fan['serial_s'] * 1e3:.1f} ms ->"
-        f" {union_fan['parallel_s'] * 1e3:.1f} ms"
-        f" ({union_fan['speedup']:.2f}x, {union_fan['overlapped_arms']}"
-        f" offloaded arms, exact serial concat)",
         f"  hash pair-DISTINCT 1e6   : dup-heavy"
         f" {hashed['duplicate_heavy']['lexsort_s'] * 1e3:.1f} ms ->"
         f" {hashed['duplicate_heavy']['hash_s'] * 1e3:.1f} ms"
         f" ({hashed['duplicate_heavy']['speedup']:.2f}x); unique-heavy"
         f" {hashed['unique_heavy']['speedup']:.2f}x",
-        f"  result cache (count(*))  : {rcache['cold_s'] * 1e3:.2f} ms ->"
-        f" {rcache['warm_s'] * 1e6:.1f} us"
-        f" ({rcache['hits']} hits; alternating-params hit rate"
-        f" {rcache['alternating_hit_rate']:.3f})",
         f"  parallel join 1e6        : {par['join_single_s'] * 1e3:.1f} ms ->"
         f" {par['join_parallel_s'] * 1e3:.1f} ms"
         f" ({par['join_speedup']:.2f}x, {par['workers']} workers,"

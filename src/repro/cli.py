@@ -229,24 +229,18 @@ def render_engine_stats(stats) -> str:
            if planned else ""),
         f"  index cache        : {stats.index_cache_hits} hits / "
         f"{stats.index_cache_misses} misses",
-        f"  joins pruned       : {stats.joins_pruned}",
         f"  fused pipelines    : {stats.fused_pipelines} DISTINCT / "
         f"{stats.fused_group_pipelines} GROUP BY / "
         f"{stats.join_chain_fusions} join chains "
-        f"({stats.left_chain_fusions} with outer joins, "
-        f"{stats.fused_outer_groups} outer groups)",
+        f"({stats.left_chain_fusions} with outer joins)",
         f"  hash DISTINCTs     : {stats.hash_distincts}",
         f"  group sorts skipped: {stats.group_sorts_skipped}",
         f"  parallel partitions: {stats.parallel_partitions}"
         f"  (indexed probes {stats.parallel_indexed_probes}, "
         f"dense probes {stats.parallel_dense_probes})",
-        f"  result cache       : {stats.subquery_cache_hits} hits / "
-        f"{stats.subquery_cache_misses} misses / "
-        f"{stats.subquery_cache_evictions} evicted",
         f"  overlapped composes: {stats.overlapped_compositions}"
         f"  (dataflow overlaps {stats.dataflow_overlaps}, "
         f"effect-set cache hits {stats.effects_cache_hits})",
-        f"  union arm overlaps : {stats.union_arm_overlaps}",
         f"  process backend    : {stats.process_tasks} tasks / "
         f"{bytes_to_human(stats.shm_bytes_exported)} shm exported / "
         f"{stats.stats_merges} stat merges",

@@ -59,6 +59,7 @@ A small per-scheduler memo additionally keeps fixed-text statements
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from collections import deque
 from typing import Callable, Optional, Union
@@ -75,12 +76,23 @@ from ..sqlengine.ast_nodes import (
     TableRef,
     TruncateTable,
 )
-from ..sqlengine.mpp import task_scope
 from ..sqlengine.parser import parse_statement
-from ..sqlengine.plancache import _MARKER_RE, _collect_nodes
+from ..sqlengine.plancache import _MARKER_RE
 
 #: How many distinct statement texts the effects memo retains.
 _EFFECTS_MEMO_LIMIT = 256
+
+
+def _collect_nodes(value: object, node_type: type, into: list) -> None:
+    """Collect every dataclass node of ``node_type`` in an AST subtree."""
+    if isinstance(value, node_type):
+        into.append(value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for field in dataclasses.fields(value):
+            _collect_nodes(getattr(value, field.name), node_type, into)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _collect_nodes(item, node_type, into)
 
 
 def statement_effects(
@@ -128,8 +140,9 @@ def _template_effects(entry) -> tuple[tuple, tuple]:
                                getattr(node, field_name))
 
     statement = entry.statement
-    reads = tuple(field_template(node, "name")
-                  for node in entry.table_nodes)
+    refs: list[TableRef] = []
+    _collect_nodes(statement, TableRef, refs)
+    reads = tuple(field_template(node, "name") for node in refs)
     writes: list = []
     if isinstance(statement, (CreateTableAs, CreateTable, InsertValues,
                               InsertSelect, TruncateTable)):
@@ -331,15 +344,9 @@ class DataflowScheduler:
             self._pool.submit(self._run_task, task)
 
     def _execute(self, task: StatementTask) -> None:
-        # task_scope marks the statements as pool-task work even when they
-        # run on the driver thread (_help_once, or the serial fallback), so
-        # operators that fan sub-plans out over the pool — the parallel
-        # UNION ALL arms — bail to their serial path instead of blocking a
-        # scheduler slot on nested futures.
         try:
-            with task_scope():
-                for sql, label in task.statements:
-                    task.results.append(self._db.execute(sql, label=label))
+            for sql, label in task.statements:
+                task.results.append(self._db.execute(sql, label=label))
         except BaseException as error:
             task.error = error
 

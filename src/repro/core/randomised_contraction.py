@@ -184,55 +184,37 @@ class RandomisedContraction(SQLConnectedComponents):
         total_rounds = round_no
 
         # Back-to-front composition with an accumulated affine relabelling,
-        # exactly the second loop of Figure 4 / Appendix A — run as a
-        # statement-level dataflow.  Each iteration writes its own scratch
-        # name ``{p}c{k}`` (the old shared ``{p}tmp`` was a write-write
-        # serialiser), so the chain decomposes into per-round pairs:
-        #
-        #   create c{k}  — reads reps{k} and the upper table (reps{k+1} on
-        #                  the first iteration, c{k+1} after); the genuine
-        #                  data dependency of the chain;
-        #   retire  k    — drops reps{k} and the upper table; WAR-ordered
-        #                  after create c{k}, but *independent* of
-        #                  create c{k-1} (which reads only reps{k-1}/c{k}).
-        #
-        # The scheduler therefore overlaps round k's retire — and the tail
-        # of round k+1's retire — with round k-1's composing join, instead
-        # of stalling the driver on every drop/rename.
-        sched = DataflowScheduler(db)
+        # exactly the second loop of Figure 4 / Appendix A.  Each create
+        # reads the table the previous one wrote — a strict dependency
+        # chain — so it runs as plain serial statements.
         upper = f"{p}reps{total_rounds}"
         composed: Optional[str] = None
         field = stack[-1].affine[2]
         acc_a, acc_b = field.one, field.zero
-        try:
-            while True:
-                a_i, b_i, field = stack.pop().affine
-                acc_a, acc_b = (
-                    field.mul(acc_a, a_i),
-                    field.add(field.mul(acc_a, b_i), acc_b),
-                )
-                round_no -= 1
-                if round_no == 0:
-                    break
-                acc_sql = self.method.affine_sql(acc_a, acc_b, "r1.rep")
-                composed = f"{p}c{round_no}"
-                sched.submit([(
-                    f"""
-                    create table {composed} as
-                    select r1.v as v, coalesce(r2.rep, {acc_sql}) as rep
-                    from {p}reps{round_no} as r1
-                    left outer join {upper} as r2
-                      on (r1.rep = r2.v)
-                    distributed by (v)
-                    """,
-                    f"{self.name}:compose",
-                )])
-                sched.submit([(f"drop table {p}reps{round_no}, {upper}", "")])
-                upper = composed
-            sched.wait_all()
-        except BaseException:
-            sched.drain()
-            raise
+        while True:
+            a_i, b_i, field = stack.pop().affine
+            acc_a, acc_b = (
+                field.mul(acc_a, a_i),
+                field.add(field.mul(acc_a, b_i), acc_b),
+            )
+            round_no -= 1
+            if round_no == 0:
+                break
+            acc_sql = self.method.affine_sql(acc_a, acc_b, "r1.rep")
+            composed = f"{p}c{round_no}"
+            db.execute(
+                f"""
+                create table {composed} as
+                select r1.v as v, coalesce(r2.rep, {acc_sql}) as rep
+                from {p}reps{round_no} as r1
+                left outer join {upper} as r2
+                  on (r1.rep = r2.v)
+                distributed by (v)
+                """,
+                label=f"{self.name}:compose",
+            )
+            db.execute(f"drop table {p}reps{round_no}, {upper}")
+            upper = composed
         final = composed if composed is not None else f"{p}reps1"
         db.execute(f"alter table {final} rename to {result_table}")
         db.execute(f"drop table {p}graph")

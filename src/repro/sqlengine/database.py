@@ -15,7 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ast_nodes import Select
 from .errors import CatalogError, ExecutionError
 from .executor import Executor, Relation
 from .functions import FunctionRegistry
@@ -25,17 +24,6 @@ from .plancache import PlanCache
 from .stats import EngineStats
 from .table import Catalog, Table
 from .types import INT64, Column
-
-#: Subquery result cache admission gate: only small results are retained —
-#: the target is the repeated *scalar* subquery (``select count(*) ...``)
-#: and small lookup relations, not round tables.
-RESULT_CACHE_MAX_ROWS = 128
-RESULT_CACHE_MAX_BYTES = 1 << 16
-#: Entries retained per template (an LRU keyed on parameters + table
-#: fingerprints): alternating parameter sets stay warm side by side
-#: instead of thrashing a single slot.
-RESULT_CACHE_MAX_ENTRIES = 8
-
 
 class ResultSet:
     """The outcome of one ``execute()`` call."""
@@ -104,7 +92,6 @@ class Database:
         use_index_cache: bool = True,
         use_physical_plans: bool = True,
         use_fusion: bool = True,
-        use_result_cache: bool = True,
         parallel: Optional[bool] = None,
         pool_backend: Optional[str] = None,
         pool_workers: Optional[int] = None,
@@ -148,10 +135,6 @@ class Database:
         self._plans: Optional[PlanCache] = PlanCache() if use_plan_cache else None
         #: Cache compiled physical plans on statement templates.
         self._use_physical_plans = use_physical_plans
-        #: Serve repeated small SELECTs from their template's result cache.
-        #: Result entries live on plan-cache templates, so disabling the
-        #: plan cache disables this too (reflected here, not silently).
-        self._use_result_cache = use_result_cache and use_plan_cache
 
     # -- SQL ------------------------------------------------------------
 
@@ -165,14 +148,6 @@ class Database:
         template entry also carries the statement's compiled physical plan
         so re-executions skip planning entirely (see
         :mod:`repro.sqlengine.physicalplan`).
-
-        Small SELECT results are additionally served from a per-template
-        **result cache**: a small LRU of entries keyed on the statement's
-        parameters plus the uid+version fingerprint of every referenced
-        table, so a repeated scalar subquery (``select count(*) from t``)
-        stops re-executing until some input table is appended to,
-        truncated, dropped or renamed away — and alternating parameter
-        sets stay cached side by side instead of evicting each other.
         """
         entry = None
         if self._plans is not None:
@@ -183,25 +158,6 @@ class Database:
                 self.stats.record_plan_cache_miss()
         else:
             statement = parse_statement(sql)
-        result_key = None
-        if (
-            entry is not None
-            and self._use_result_cache
-            and entry.cacheable
-            and isinstance(statement, Select)
-        ):
-            fingerprint = self._result_fingerprint(entry)
-            if fingerprint is not None:
-                result_key = (entry.params, fingerprint)
-                cached = entry.cached_result(result_key)
-                if cached is not None:
-                    self.stats.record_subquery_cache_hit()
-                    relation, rowcount = cached
-                    self.stats.begin_statement()
-                    self.stats.end_statement(
-                        label or type(statement).__name__, sql, rowcount, 0.0
-                    )
-                    return ResultSet(relation, rowcount)
         plan_slot = entry if self._use_physical_plans else None
         self.stats.begin_statement()
         started = time.perf_counter()
@@ -210,35 +166,7 @@ class Database:
         elapsed = time.perf_counter() - started
         self.stats.end_statement(label or type(statement).__name__, sql, rowcount,
                                  elapsed)
-        if result_key is not None and entry is not None:
-            # Every cacheable statement that executed counts as a miss —
-            # including results the admission gate rejects — so the
-            # hit/(hit+miss) rate reflects actual executions saved.
-            self.stats.record_subquery_cache_miss()
-            if (
-                relation is not None
-                and relation.n_rows <= RESULT_CACHE_MAX_ROWS
-                and relation.byte_size() <= RESULT_CACHE_MAX_BYTES
-            ):
-                # Relations are immutable snapshots: columns are never
-                # written in place, and any later table mutation moves the
-                # fingerprint.
-                evicted = entry.store_result(result_key, relation, rowcount,
-                                             RESULT_CACHE_MAX_ENTRIES)
-                for _ in range(evicted):
-                    self.stats.record_subquery_cache_eviction()
         return ResultSet(relation, rowcount)
-
-    def _result_fingerprint(self, entry) -> Optional[tuple]:
-        """(uid, version) per referenced table, or None when one is absent
-        (the statement will raise its own unknown-table error on execution)."""
-        fingerprint = []
-        for node in entry.table_nodes:
-            if node.name not in self.catalog:
-                return None
-            table = self.catalog.get(node.name)
-            fingerprint.append((table.uid, table.version))
-        return tuple(fingerprint)
 
     def execute_script(self, sql: str) -> list[ResultSet]:
         """Run a semicolon-separated script; returns one result per statement."""

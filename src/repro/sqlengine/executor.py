@@ -22,11 +22,7 @@ operators consult the table's versioned index cache
 join pre-sorted (with uniqueness, sortedness and min/max stats), so the
 second and third join against the same table — the paper's per-round
 ``reps`` pattern — skips its sort entirely; a GROUP BY over a column the
-index proves pre-sorted on disk skips both its sort and its gather.  The
-stats also drive **join pruning**: when both sides' key ranges are provably
-disjoint, the executor emits an empty result without running the kernel
-*and without charging the data motion* a stats-blind planner would have
-paid.
+index proves pre-sorted on disk skips both its sort and its gather.
 
 Kernels run **segment-parallel** when a
 :class:`~repro.sqlengine.mpp.SegmentPool` is attached and the input is
@@ -93,7 +89,7 @@ from .expressions import (
     truth_values,
 )
 from .functions import FunctionRegistry
-from .mpp import Cluster, SegmentPool, in_pool_task, task_scope
+from .mpp import Cluster, SegmentPool
 from .operators import (
     NO_MATCH,
     KeyIndex,
@@ -286,10 +282,10 @@ class _JoinChain:
 
     The chain duck-types the ``Frame`` surface the join-step runner reads —
     ``columns`` (lazy), ``sources``, ``length``, ``distribution`` and
-    ``byte_size()`` — so kernel dispatch, index-cache consultation, range
-    pruning and motion accounting run the exact code the staged pipeline
-    runs.  ``byte_size()`` reports byte-for-byte the size the staged
-    pipeline's frame would have had: fixed-width columns at width × rows
+    ``byte_size()`` — so kernel dispatch, index-cache consultation and
+    motion accounting run the exact code the staged pipeline runs.
+    ``byte_size()`` reports byte-for-byte the size the staged pipeline's
+    frame would have had: fixed-width columns at width × rows
     plus the gathered null mask, text columns at their exact per-row byte
     lengths gathered through the composed map (the base column's row widths
     are computed once per chain and re-gathered per step).
@@ -470,7 +466,8 @@ class Executor:
 
         ``build=False`` only returns an already-cached index — used for
         probe sides, where building an index the kernel would not otherwise
-        need is wasted work, but reusing a free one enables range pruning.
+        need is wasted work, but a free one carries the key-range stats
+        behind the kernel's disjoint-range early exit.
         """
         if not self.use_index_cache:
             return None
@@ -776,8 +773,8 @@ class Executor:
         if len(plan.cores) == 1:
             return self._run_core(plan.cores[0])
         # UNION ALL arm arity was validated at compile time
-        # (physicalplan.compile_select), so the arms can fan out freely.
-        relations = self._run_union_arms(plan.cores)
+        # (physicalplan.compile_select), so no arm runs on a mismatch.
+        relations = [self._run_core(core) for core in plan.cores]
         first = relations[0]
         columns = {}
         for position, name in enumerate(first.names):
@@ -785,46 +782,6 @@ class Executor:
             columns[name] = Column.concat(parts)
         return Relation(list(first.names), columns, None,
                         display_names=list(first.display_names))
-
-    def _run_union_arms(self, cores: list[CorePlan]) -> list[Relation]:
-        """Execute UNION ALL arms, overlapping independent arms on the pool.
-
-        The arms of one statement read disjoint pipeline state (shared
-        tables are only read, under the catalog/index locks), so all but
-        the driver's share are offloaded as pool tasks while the driver
-        executes the rest; the results list keeps arm order, so the
-        concatenated relation is bit-identical to the serial loop's.  A
-        thread already running a pool task (a dataflow statement group, a
-        parent UNION arm) executes serially instead: the scheduler's worker
-        reservation keeps one worker free for non-blocking *kernel* chunks,
-        and a nested blocking offload could consume it and deadlock.
-        """
-        pool = self.pool
-        if pool is None or pool.n_workers <= 1 or in_pool_task():
-            return [self._run_core(core) for core in cores]
-        n_offload = min(len(cores) - 1, pool.n_workers - 1)
-        split = len(cores) - n_offload
-        stats = self.stats
-
-        def run_arm(core: CorePlan) -> tuple[Relation, tuple[int, int, int]]:
-            # Sample the worker thread's scratch around the arm so its
-            # bytes/motion re-attribute to the owning statement's record.
-            before = stats.scratch_totals()
-            relation = self._run_core(core)
-            after = stats.scratch_totals()
-            return relation, tuple(
-                now - then for now, then in zip(after, before)
-            )
-
-        futures = [pool.submit(run_arm, core) for core in cores[split:]]
-        with task_scope():
-            relations = [self._run_core(core) for core in cores[:split]]
-        stats.record_union_arm_overlap(len(futures))
-        for future in futures:
-            relation, (d_bytes, d_rows, d_motion) = future.result()
-            stats.fold_scratch(d_bytes, d_rows, d_motion)
-            relations.append(relation)
-        return relations
 
     def _fuse_group(self, plan: CorePlan) -> bool:
         return plan.fused_group is not None and self.monotone_join_output
@@ -1004,16 +961,23 @@ class Executor:
             raise PlanError(f"ambiguous column {ref.name!r}")
         return candidates[0]
 
-    def _charge_join_motion(self, frame: Frame, key_names: list[str]) -> None:
-        """Account data motion for one join input."""
-        colocated = bool(frame.distribution & set(key_names))
-        plan = self.cluster.plan_motion(frame.byte_size(), frame.length, colocated)
+    def _charge_motion(self, n_bytes: int, n_rows: int,
+                       colocated: bool) -> None:
+        """Account the data motion that co-locates one keyed operator's
+        input (a join side, a grouping or DISTINCT input)."""
+        plan = self.cluster.plan_motion(n_bytes, n_rows, colocated)
         if plan.kind == "redistribute":
             self.stats.record_redistribution(plan.moved_bytes)
         elif plan.kind == "broadcast":
             self.stats.record_broadcast(
-                plan.moved_bytes // self.cluster.n_segments, self.cluster.n_segments
+                plan.moved_bytes // self.cluster.n_segments,
+                self.cluster.n_segments,
             )
+
+    def _charge_join_motion(self, frame: Frame, key_names: list[str]) -> None:
+        """Account data motion for one join input."""
+        self._charge_motion(frame.byte_size(), frame.length,
+                            bool(frame.distribution & set(key_names)))
 
     def _join_step_indices(
         self, left: Frame, right: Frame, step: JoinStepPlan
@@ -1030,13 +994,6 @@ class Executor:
                                              build=True)
             left_index = self._stored_index(left, step.left_names[0],
                                             build=False)
-        if _ranges_disjoint(left_index, right_index):
-            # Provably empty join: skip the kernel and the data motion a
-            # stats-blind planner would have charged for co-location.
-            self.stats.record_join_pruned()
-            step.kernel = "range-pruned"
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
         self._charge_join_motion(left, step.left_names)
         self._charge_join_motion(right, step.right_names)
         note: list = []
@@ -1181,7 +1138,6 @@ class Executor:
             columns = {
                 name: col.filter(keep) for name, col in columns.items()
             }
-            n_rows = int(keep.sum())
         out_columns = {
             key: columns[qualified]
             for key, qualified in zip(fused.out_keys, fused.out_quals)
@@ -1190,27 +1146,8 @@ class Executor:
         relation = Relation(list(fused.out_keys), out_columns,
                             fused.out_distribution,
                             display_names=list(fused.display))
-        key_columns = [out_columns[key] for key in fused.out_keys]
-        if not key_columns or n_rows == 0:
-            return relation
-        # DISTINCT with the same motion accounting the staged pipeline pays.
-        colocated = fused.out_distribution is not None
-        motion = self.cluster.plan_motion(relation.byte_size(), n_rows,
-                                          colocated)
-        if motion.kind == "redistribute":
-            self.stats.record_redistribution(motion.moved_bytes)
-        elif motion.kind == "broadcast":
-            self.stats.record_broadcast(
-                motion.moved_bytes // self.cluster.n_segments,
-                self.cluster.n_segments,
-            )
-        keep_idx = self._run_distinct(key_columns)
-        deduped = {
-            key: out_columns[key].take(keep_idx) for key in fused.out_keys
-        }
-        # The staged pipeline's _distinct rebuilds the relation without
-        # display names; mirror that so both paths are indistinguishable.
-        return Relation(list(fused.out_keys), deduped, fused.out_distribution)
+        # DISTINCT with the motion accounting the staged pipeline pays.
+        return self._distinct(relation)
 
     # -- fused join -> GROUP BY --------------------------------------------
 
@@ -1219,43 +1156,28 @@ class Executor:
         and aggregation in one pass over the probe stream.
 
         Only aggregate arguments and residual inputs are gathered at join
-        output size.  With left-side keys the grouping order comes from
-        grouping the *pre-join* left side (which can use a stored table's
-        cached index — provenance the staged pipeline loses the moment it
-        materialises the join) and expanding it through the join's monotone
-        left-row indices.  With a key on the final right binding
-        (``keys_on_right``) the key columns are gathered once through the
-        join output — a left-outer final resolves its NO_MATCH markers
-        into the keys' null masks, so padded rows land in NULL-key groups
-        — and grouped at output size; either way, no full frame ever
-        materialises.
+        output size.  The grouping order comes from grouping the *pre-join*
+        left side (which can use a stored table's cached index —
+        provenance the staged pipeline loses the moment it materialises
+        the join) and expanding it through the join's monotone left-row
+        indices, so no full frame ever materialises.  The final join is an
+        inner step and every key lives on its left side (the compiler
+        leaves the other shapes to the staged aggregation).
         """
         core = plan.core
         fused = plan.fused_group
         chain, right = self._execute_from(plan)
-        outer_final = isinstance(plan.final_join, LeftJoinPlan)
-        key_columns: list[Column] = []
+        # Pre-join left state: the grouping runs on it and expands through
+        # the join's monotone left indices, so capture it before the final
+        # join folds into the chain.
+        key_columns = [chain.column(name) for name in fused.key_quals]
         group_index = None
-        if not fused.keys_on_right:
-            # Pre-join left state: the grouping runs on it and expands
-            # through the join's monotone left indices, so capture it
-            # before the final join folds into the chain.
-            key_columns = [chain.column(name) for name in fused.key_quals]
-            if len(fused.key_quals) == 1:
-                group_index = self._stored_index(chain, fused.key_quals[0],
-                                                 build=True)
+        if len(fused.key_quals) == 1:
+            group_index = self._stored_index(chain, fused.key_quals[0],
+                                             build=True)
         n_left = chain.length
-        l_idx, r_idx = self._apply_final_join(chain, right, plan)
-        # A left-outer final pads unmatched probe rows at the end of the
-        # output (the kernels' shared pad contract); the grouping expansion
-        # slots them behind each group's matched block.
-        unmatched = r_idx == NO_MATCH if outer_final else None
+        l_idx, _ = self._apply_final_join(chain, right, plan)
         self._finish_chain(chain)
-        if fused.keys_on_right:
-            # Right-side keys exist only in the join output: gather them
-            # through the composed maps (outer padding resolves into the
-            # null masks — _gather_padded, the staged runner's own path).
-            key_columns = [chain.column(name) for name in fused.key_quals]
         columns = {
             name: chain.column(name)
             for name in list(fused.left_gather) + list(fused.right_gather)
@@ -1275,24 +1197,14 @@ class Executor:
                 name: col.filter(keep) for name, col in columns.items()
             }
             l_idx = l_idx[keep]
-            if unmatched is not None:
-                unmatched = unmatched[keep]
-            if fused.keys_on_right:
-                key_columns = [col.filter(keep) for col in key_columns]
             n_rows = int(keep.sum())
 
-        if fused.keys_on_right:
-            # Group the gathered (padded) key columns at output size — the
-            # exact input the staged pipeline's aggregation groups, so the
-            # stable order is bit-identical by construction.
-            order, starts = self._group_kernel(key_columns)
-        else:
-            # Group the left side once (cached-index aware), then expand
-            # through the monotone left-row indices of the join output.
-            left_order, left_starts = self._group_kernel(key_columns,
-                                                         index=group_index)
-            order, starts = _expand_group_order(left_order, left_starts,
-                                                l_idx, n_left, unmatched)
+        # Group the left side once (cached-index aware), then expand
+        # through the monotone left-row indices of the join output.
+        left_order, left_starts = self._group_kernel(key_columns,
+                                                     index=group_index)
+        order, starts = _expand_group_order(left_order, left_starts,
+                                            l_idx, n_left)
         n_groups = int(starts.shape[0])
         counts = np.diff(np.append(starts, order.shape[0]))
 
@@ -1300,20 +1212,10 @@ class Executor:
         # materialised frame by group key (gathered columns plus the key
         # columns the fusion never gathers).
         frame_bytes = sum(col.byte_size() for col in columns.values())
-        if fused.keys_on_right:
-            frame_bytes += sum(col.byte_size() for col in key_columns)
-        else:
-            for column in key_columns:
-                width = column.byte_size() // len(column) if len(column) else 8
-                frame_bytes += width * n_rows
-        motion = self.cluster.plan_motion(frame_bytes, n_rows, fused.colocated)
-        if motion.kind == "redistribute":
-            self.stats.record_redistribution(motion.moved_bytes)
-        elif motion.kind == "broadcast":
-            self.stats.record_broadcast(
-                motion.moved_bytes // self.cluster.n_segments,
-                self.cluster.n_segments,
-            )
+        for column in key_columns:
+            width = column.byte_size() // len(column) if len(column) else 8
+            frame_bytes += width * n_rows
+        self._charge_motion(frame_bytes, n_rows, fused.colocated)
 
         env = row_env()
         aggregates: list[Aggregate] = []
@@ -1328,10 +1230,6 @@ class Executor:
         group_refs = list(core.group_by)
         if n_groups == 0:
             first_rows = np.empty(0, dtype=np.int64)
-        elif fused.keys_on_right:
-            # Output-size keys: each group's representative row indexes
-            # the gathered key columns directly.
-            first_rows = order[starts]
         else:
             first_rows = l_idx[order[starts]]
         group_env_columns: dict[str, Column] = {}
@@ -1355,8 +1253,6 @@ class Executor:
             names.append(key)
             display.append(name)
         self.stats.record_fused_group_pipeline()
-        if outer_final:
-            self.stats.record_fused_outer_group()
         return Relation(names, out_columns, plan.out_distribution,
                         display_names=display)
 
@@ -1517,15 +1413,8 @@ class Executor:
         # Motion: grouping needs rows co-located by the group key.
         if key_columns:
             key_names = [self._qualified(ref, frame) for ref in group_refs]
-            colocated = bool(frame.distribution & set(key_names))
-            plan = self.cluster.plan_motion(frame.byte_size(), frame.length, colocated)
-            if plan.kind == "redistribute":
-                self.stats.record_redistribution(plan.moved_bytes)
-            elif plan.kind == "broadcast":
-                self.stats.record_broadcast(
-                    plan.moved_bytes // self.cluster.n_segments,
-                    self.cluster.n_segments,
-                )
+            self._charge_motion(frame.byte_size(), frame.length,
+                                bool(frame.distribution & set(key_names)))
 
         agg_results: dict[Aggregate, Column] = {}
         if parallel is not None:
@@ -1702,23 +1591,15 @@ class Executor:
         columns = [relation.columns[n] for n in relation.names]
         if not columns or relation.n_rows == 0:
             return relation
-        colocated = relation.distribution is not None
-        plan = self.cluster.plan_motion(
-            relation.byte_size(), relation.n_rows, colocated
-        )
-        if plan.kind == "redistribute":
-            self.stats.record_redistribution(plan.moved_bytes)
-        elif plan.kind == "broadcast":
-            self.stats.record_broadcast(
-                plan.moved_bytes // self.cluster.n_segments, self.cluster.n_segments
-            )
+        self._charge_motion(relation.byte_size(), relation.n_rows,
+                            relation.distribution is not None)
         keep = self._run_distinct(columns)
         new_columns = {n: relation.columns[n].take(keep) for n in relation.names}
         return Relation(list(relation.names), new_columns, relation.distribution)
 
 
 # ---------------------------------------------------------------------------
-# fused-grouping and index statistics helpers
+# fused-grouping helper
 # ---------------------------------------------------------------------------
 
 
@@ -1727,7 +1608,6 @@ def _expand_group_order(
     left_starts: np.ndarray,
     l_idx: np.ndarray,
     n_left: int,
-    unmatched: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expand a left-side grouping through a join's monotone left indices.
 
@@ -1739,77 +1619,17 @@ def _expand_group_order(
     visit left rows in left-grouping order and emit each row's slot range.
     Left rows the join dropped contribute nothing; groups that lose every
     row vanish, like keys that never reach the staged pipeline's frame.
-
-    A left-outer final passes ``unmatched`` (True at null-extended output
-    rows).  The shared pad contract appends those rows — one per matchless
-    left row, ascending — after every matched row, an order any boolean
-    keep-filter preserves.  A stable grouping of the gathered keys then
-    lists, inside each group, the matched slots first (ascending left row)
-    and the null-extended slots after (ascending left row), which is
-    exactly how the expansion interleaves the two streams below.
     """
     total = int(l_idx.shape[0])
     if total == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if unmatched is None or not unmatched.any():
-        counts = np.bincount(l_idx, minlength=n_left).astype(np.int64,
-                                                             copy=False)
-        slot_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        cnt = counts[left_order]
-        offsets = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-        within = np.arange(total) - np.repeat(offsets, cnt)
-        order = np.repeat(slot_starts[left_order], cnt) + within
-        group_totals = np.add.reduceat(cnt, left_starts)
-        starts = np.concatenate(([0], np.cumsum(group_totals)[:-1]))
-        keep = group_totals > 0
-        return order, starts[keep]
-    matched_l = l_idx[~unmatched]
-    missing_l = l_idx[unmatched]
-    n_inner = int(matched_l.shape[0])
-    n_groups = int(left_starts.shape[0])
-    counts = np.bincount(matched_l, minlength=n_left).astype(np.int64,
-                                                             copy=False)
+    counts = np.bincount(l_idx, minlength=n_left).astype(np.int64, copy=False)
     slot_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    # Each matchless left row owns exactly one padded slot, placed after
-    # all matched output in ascending left-row order.
-    miss_counts = np.bincount(missing_l, minlength=n_left).astype(
-        np.int64, copy=False)
-    miss_pos = n_inner + np.cumsum(miss_counts) - miss_counts
-    # Matched stream: matched slot ranges visited in left-grouping order.
-    cnt_m = counts[left_order]
-    off_m = np.concatenate(([0], np.cumsum(cnt_m)[:-1]))
-    within = np.arange(n_inner) - np.repeat(off_m, cnt_m)
-    matched_stream = np.repeat(slot_starts[left_order], cnt_m) + within
-    # Missing stream: padded slots visited in the same left-grouping order.
-    cnt_x = miss_counts[left_order]
-    missing_stream = miss_pos[left_order][cnt_x == 1]
-    # Interleave per group: the matched block, then the missing block.
-    group_m = np.add.reduceat(cnt_m, left_starts)
-    group_x = np.add.reduceat(cnt_x, left_starts)
-    totals = group_m + group_x
-    g_starts = np.concatenate(([0], np.cumsum(totals)[:-1]))
-    order = np.empty(total, dtype=np.int64)
-    g_of_m = np.repeat(np.arange(n_groups), group_m)
-    m_off = np.concatenate(([0], np.cumsum(group_m)[:-1]))
-    order[g_starts[g_of_m] + np.arange(n_inner) - m_off[g_of_m]] = \
-        matched_stream
-    g_of_x = np.repeat(np.arange(n_groups), group_x)
-    x_off = np.concatenate(([0], np.cumsum(group_x)[:-1]))
-    order[g_starts[g_of_x] + group_m[g_of_x]
-          + np.arange(int(missing_stream.shape[0])) - x_off[g_of_x]] = \
-        missing_stream
-    return order, g_starts[totals > 0]
-
-
-def _ranges_disjoint(
-    left_index: Optional[KeyIndex], right_index: Optional[KeyIndex]
-) -> bool:
-    """True when two key indexes prove an equi-join can match nothing."""
-    if left_index is None or right_index is None:
-        return False
-    if left_index.min_value is None or right_index.min_value is None:
-        return False
-    return (
-        left_index.min_value > right_index.max_value
-        or left_index.max_value < right_index.min_value
-    )
+    cnt = counts[left_order]
+    offsets = np.concatenate(([0], np.cumsum(cnt)[:-1]))
+    within = np.arange(total) - np.repeat(offsets, cnt)
+    order = np.repeat(slot_starts[left_order], cnt) + within
+    group_totals = np.add.reduceat(cnt, left_starts)
+    starts = np.concatenate(([0], np.cumsum(group_totals)[:-1]))
+    keep = group_totals > 0
+    return order, starts[keep]

@@ -36,32 +36,6 @@ from .errors import ExecutionError
 from .shm import ShmRegistry
 from .types import Column
 
-#: Thread-local marker for threads currently executing a pool-managed
-#: task (a dataflow statement group, a UNION ALL arm).  Such a thread must
-#: not block on further ``SegmentPool.submit`` futures of its own: the
-#: scheduler's worker reservation guarantees one free worker for *kernel*
-#: fan-out (``map`` chunks, which never block), and a nested blocking
-#: offload could consume it and deadlock the pool.  Consumers check
-#: :func:`in_pool_task` and fall back to inline execution instead.
-_TASK_TLS = threading.local()
-
-
-def in_pool_task() -> bool:
-    """True when the calling thread is inside a pool-managed task."""
-    return getattr(_TASK_TLS, "depth", 0) > 0
-
-
-class task_scope:
-    """Context manager marking the current thread as running a pool task."""
-
-    def __enter__(self) -> "task_scope":
-        _TASK_TLS.depth = getattr(_TASK_TLS, "depth", 0) + 1
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _TASK_TLS.depth -= 1
-
-
 #: splitmix64 constants, used as the segment-assignment hash.
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
@@ -157,25 +131,22 @@ class SegmentPool:
     def submit(self, fn: Callable, *args) -> Future:
         """Schedule one task on the pool, returning its Future.
 
-        Used by the overlapped-composition driver to run a contraction
-        round's representative composition off the critical path.  On a
-        single-worker pool the task runs inline (no overlap is possible)
-        and a completed Future is returned, so callers need no special
-        casing.  A task running on a worker may itself call :meth:`map`;
-        its partitions are then served by the remaining workers.
+        Used by the dataflow scheduler to run a statement group — a
+        contraction round's representative composition — off the critical
+        path.  On a single-worker pool the task runs inline (no overlap is
+        possible) and a completed Future is returned, so callers need no
+        special casing.  A task running on a worker may itself call
+        :meth:`map`; its partitions are then served by the remaining
+        workers.
         """
-        def run() -> object:
-            with task_scope():
-                return fn(*args)
-
         if self.n_workers <= 1:
             future: Future = Future()
             try:
-                future.set_result(run())
+                future.set_result(fn(*args))
             except BaseException as error:  # propagate via the future
                 future.set_exception(error)
             return future
-        return self._ensure_pool().submit(run)
+        return self._ensure_pool().submit(fn, *args)
 
     def shutdown(self) -> None:
         """Release the worker threads (a later ``map`` re-creates them).
@@ -190,8 +161,8 @@ class SegmentPool:
 
     @property
     def task_slots(self) -> int:
-        """Concurrent pool-managed *tasks* (statement groups, UNION arms)
-        this pool can serve.  The dataflow scheduler caps its in-flight
+        """Concurrent pool-managed *tasks* (statement groups) this pool
+        can serve.  The dataflow scheduler caps its in-flight
         statement groups at ``task_slots - 1`` so kernel fan-out always
         finds a free worker; process-backed pools keep the same thread-side
         surface (tasks are closures and stay in-process), so the cap is the
@@ -208,9 +179,9 @@ def _process_task_entry(fn: Callable, payload: object) -> tuple[object, dict]:
 class ProcessSegmentPool(SegmentPool):
     """A SegmentPool whose per-segment kernels run in worker *processes*.
 
-    The thread-side surface (``map``/``submit``/``task_scope``) is
-    inherited unchanged — dataflow statement groups and UNION ALL arms are
-    closures over the Database and stay in-process — while the kernels
+    The thread-side surface (``map``/``submit``) is inherited unchanged —
+    dataflow statement groups are closures over the Database and stay
+    in-process — while the kernels
     in :mod:`repro.sqlengine.parallel` dispatch their partitions here:
     :meth:`share` turns a dispatch's inputs into shm descriptors and
     :meth:`run_tasks` ships ``(descriptors, small args)`` payloads, never

@@ -34,19 +34,20 @@ The compiler also wires in **pipeline fusion** (enabled via ``fuse``):
   executor runs the join kernel, gathers exactly the projected columns,
   applies the residual filter and deduplicates in one pass; and
 * **fused join→GROUP BY** — a GROUP BY whose keys live on the left side of
-  the final join aggregates directly over the probe stream: only aggregate
-  arguments and residual inputs are gathered, and the grouping order is
-  computed on the pre-join left side (cached-index aware) and expanded
-  through the join's monotone left-row indices, so the joined group-key
-  column is never materialised or sorted at output size; and
+  an inner final join aggregates directly over the probe stream: only
+  aggregate arguments and residual inputs are gathered, and the grouping
+  order is computed on the pre-join left side (cached-index aware) and
+  expanded through the join's monotone left-row indices, so the joined
+  group-key column is never materialised or sorted at output size; and
 * **join-chain fusion** — a pipeline of two or more joins (``chain``)
   streams through composed row-index maps: a join feeding another join's
   build side never materialises its output, and each downstream-consumed
   column is gathered exactly once across the whole chain (see
   ``_JoinChain`` in the executor).  LEFT OUTER JOINs take part like any
   other step — their null-extended rows travel as validity markers in the
-  composed maps — so the fused DISTINCT/GROUP BY finals apply to the last
-  join in execution order, outer or inner.
+  composed maps — so the fused DISTINCT final applies to the last join in
+  execution order, outer or inner (the fused GROUP BY final needs an inner
+  one).
 
 Compiling ``fuse=False`` reproduces the seed's materialising pipeline,
 which the benchmarks use as the comparison baseline and the property tests
@@ -243,16 +244,13 @@ class FusedGroupPlan:
 
     The executor runs the final join kernel, gathers only the aggregate
     arguments and residual inputs, and aggregates straight over the probe
-    stream.  When every group key lives on the accumulated left side, the
-    grouping order is computed on the *pre-join* left side (cached-index
-    aware, ``n_left`` rows) and expanded through the join's monotone
-    left-row indices, so the joined group-key column is never materialised
-    and never sorted at output size.  When a key lives on the final join's
-    right (build) binding — ``keys_on_right`` — the key columns are
-    gathered once through the join's output indices instead (a left-outer
-    final resolves its ``NO_MATCH`` markers into the keys' null masks, so
-    padded rows form their own NULL-key groups) and grouped at output
-    size; the rest of the frame still never materialises.
+    stream.  Every group key lives on the accumulated left side of an
+    *inner* final join: the grouping order is computed on the *pre-join*
+    left side (cached-index aware, ``n_left`` rows) and expanded through
+    the join's monotone left-row indices, so the joined group-key column is
+    never materialised and never sorted at output size.  A key on the
+    final join's right (build) binding, or a left-outer final, keeps the
+    staged aggregation over the chain's materialised frame.
     """
 
     key_quals: list[str]  # qualified group keys, one per GROUP BY expr
@@ -261,7 +259,6 @@ class FusedGroupPlan:
     right_gather: list[str]  # ... and from the right frame
     bare_names: dict[str, str]  # bare name -> qualified, for the row env
     colocated: bool  # group keys lie inside the join output's distribution
-    keys_on_right: bool = False  # a key lives on the final right binding
 
 
 @dataclass
@@ -413,7 +410,7 @@ class _Compiler:
         if len(cores) > 1:
             # UNION ALL arity is a static property of the compiled arms;
             # checking it here means a malformed statement fails before any
-            # arm executes (and before arms fan out on the segment pool).
+            # arm executes.
             width = len(cores[0].out_names)
             for other in cores[1:]:
                 if len(other.out_names) != width:
@@ -891,12 +888,14 @@ class _Compiler:
         self, core, last_step, all_bindings, residual
     ) -> Optional[FusedGroupPlan]:
         """Compile the fused join->GROUP BY shape, or ``None`` if the core
-        falls outside it (count(distinct), exotic refs — those keep the
-        staged pipeline, including its error reporting)."""
+        falls outside it (a left-outer final, a key on the final right
+        binding, count(distinct), exotic refs — those keep the staged
+        pipeline, including its error reporting)."""
+        if isinstance(last_step, LeftJoinPlan):
+            return None
         right_binding = last_step.binding
         key_quals: list[str] = []
         key_bares: list[Optional[str]] = []
-        keys_on_right = False
         for expr in core.group_by:
             if not isinstance(expr, ColumnRef):
                 return None
@@ -905,10 +904,9 @@ class _Compiler:
             except PlanError:
                 return None
             if qualified.split(".", 1)[0] == right_binding:
-                # The key is produced by the final join itself: the runner
-                # gathers it through the join's output indices (padding
-                # included) and groups at output size.
-                keys_on_right = True
+                # The key is produced by the final join itself; the fused
+                # runner groups the pre-join left side only.
+                return None
             key_quals.append(qualified)
             key_bares.append(expr.name)
         aggregates: list = []
@@ -942,8 +940,7 @@ class _Compiler:
                 bare_names[ref.name] = qualified
         colocated = bool(last_step.out_distribution & set(key_quals))
         return FusedGroupPlan(key_quals, key_bares, left_gather, right_gather,
-                              bare_names, colocated,
-                              keys_on_right=keys_on_right)
+                              bare_names, colocated)
 
 
 def _contains_star(expr) -> bool:

@@ -42,7 +42,7 @@ import threading
 from collections import OrderedDict
 from typing import Optional
 
-from .ast_nodes import FuncCall, Param, Statement, TableRef
+from .ast_nodes import Param, Statement
 from .parser import Parser, parse_statement
 
 #: Matches string literals (kept verbatim) or parameterisable digit runs.
@@ -111,18 +111,6 @@ def _needs_patch(value: object) -> bool:
     return False
 
 
-def _collect_nodes(value: object, node_type: type, into: list) -> None:
-    """Collect every dataclass node of ``node_type`` in an AST subtree."""
-    if isinstance(value, node_type):
-        into.append(value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        for field in dataclasses.fields(value):
-            _collect_nodes(getattr(value, field.name), node_type, into)
-    elif isinstance(value, (tuple, list)):
-        for item in value:
-            _collect_nodes(item, node_type, into)
-
-
 def _instantiate(template_value: object, params: list[str]) -> object:
     """Rebuild a slot value with the statement's actual parameters."""
     if isinstance(template_value, Param):
@@ -150,68 +138,21 @@ class _Template:
     template (see :mod:`repro.sqlengine.physicalplan`).  It is owned and
     validated by the executor; the cache only provides the slot so a
     template carries its execution strategy alongside its AST.
-
-    The remaining slots serve the database's **subquery result cache**:
-    ``table_nodes`` holds every :class:`~repro.sqlengine.ast_nodes.TableRef`
-    of the template (their patched names are the statement's input tables,
-    whose uid+version pairs fingerprint the cached result), ``params`` the
-    most recent patch (two statements sharing a template differ only in
-    parameters, so a cached result is only valid for its own), ``cacheable``
-    whether the template is free of scalar function calls (a user-defined
-    function may be non-deterministic, so such statements always execute),
-    and ``results`` a small per-template LRU of cached
-    ``(params, fingerprint) -> (relation, rowcount)`` entries — multiple
-    parameterisations of one template stay warm side by side, so
-    alternating parameter sets no longer thrash a single slot.
     """
 
-    __slots__ = ("statement", "slots", "physical", "table_nodes", "params",
-                 "cacheable", "results", "effects")
+    __slots__ = ("statement", "slots", "physical", "effects")
 
     def __init__(self, statement: Optional[Statement], slots: list):
         self.statement = statement
         self.slots = slots
         self.physical = None
-        self.table_nodes: list = []
-        self.cacheable = False
         #: Parameter-independent (reads, writes) table-name templates, set
         #: lazily by the dataflow scheduler (see
         #: :func:`repro.core.dataflow._template_effects`) so warm loops
         #: derive a statement's effect sets without re-parsing it.
         self.effects: Optional[tuple] = None
-        if statement is not None:
-            _collect_nodes(statement, TableRef, self.table_nodes)
-            calls: list = []
-            _collect_nodes(statement, FuncCall, calls)
-            self.cacheable = not calls
-        self.params: tuple = ()
-        self.results: "OrderedDict[tuple, tuple]" = OrderedDict()
-
-    def cached_result(self, key: tuple) -> Optional[tuple]:
-        """Fetch the ``(relation, rowcount)`` entry for a key, refreshing
-        its LRU position, or ``None``."""
-        entry = self.results.get(key)
-        if entry is not None:
-            self.results.move_to_end(key)
-        return entry
-
-    def store_result(
-        self, key: tuple, relation, rowcount: int, capacity: int
-    ) -> int:
-        """Insert (or refresh) one result entry; returns how many old
-        entries the capacity bound evicted.  Entries whose fingerprint went
-        stale (a mutated input table) are never served — their keys stop
-        matching — and age out here."""
-        self.results[key] = (relation, rowcount)
-        self.results.move_to_end(key)
-        evicted = 0
-        while len(self.results) > capacity:
-            self.results.popitem(last=False)
-            evicted += 1
-        return evicted
 
     def patch(self, params: list[str]) -> Statement:
-        self.params = tuple(params)
         for node, field_name, template_value in self.slots:
             object.__setattr__(
                 node, field_name, _instantiate(template_value, params)
@@ -224,8 +165,8 @@ class PlanCache:
 
     The cache structure (and the in-place patch of a template's AST) is
     guarded by a lock, so statements may be submitted from more than one
-    thread — the overlapped-composition driver runs a composition statement
-    on a pool worker while the main thread executes the next round.  Two
+    thread — the dataflow scheduler runs a composition statement on a pool
+    worker while the main thread executes the next round.  Two
     *concurrent* statements must still normalise to different templates
     (each template's AST is single-occupancy during execution), which the
     round structure guarantees.

@@ -28,7 +28,9 @@ from .errors import SpaceBudgetExceeded
 #: deltas are validated against it; a new counter is a name here, a
 #: ``record_*`` method, a line in the CLI footer and a README table row
 #: (``tests/test_mpp_stats.py`` fails if either of the last two is
-#: forgotten).
+#: forgotten) — and ``tests/test_traffic.py`` fails unless some reproduced
+#: algorithm moves it at ``Database()`` defaults or its allow-list says why
+#: none can.
 COUNTERS = (
     # The paper's axes (Tables III-V) and simulated MPP data motion.
     "queries",
@@ -43,7 +45,6 @@ COUNTERS = (
     "plan_cache_misses",
     "index_cache_hits",
     "index_cache_misses",
-    "joins_pruned",
     # Physical-plan layer counters (see physicalplan.py / executor.py).
     "physical_plan_hits",
     "physical_plan_misses",
@@ -57,13 +58,8 @@ COUNTERS = (
     "parallel_indexed_probes",
     "parallel_dense_probes",
     "hash_distincts",
-    "subquery_cache_hits",
-    "subquery_cache_misses",
-    "subquery_cache_evictions",
     "overlapped_compositions",
     "dataflow_overlaps",
-    "fused_outer_groups",
-    "union_arm_overlaps",
     "effects_cache_hits",
     # Process-backend counters (see mpp.ProcessSegmentPool / shm.py).
     "process_tasks",
@@ -208,10 +204,6 @@ class EngineStats:
         """A keyed operator built (and cached) a stored column index."""
         self._bump("index_cache_misses")
 
-    def record_join_pruned(self) -> None:
-        """A join proven empty from index stats; its data motion was skipped."""
-        self._bump("joins_pruned")
-
     def record_physical_plan_hit(self) -> None:
         """A statement re-executed its template's cached physical plan."""
         self._bump("physical_plan_hits")
@@ -269,22 +261,6 @@ class EngineStats:
         """A DISTINCT ran on the open-addressing hash kernel (no lexsort)."""
         self._bump("hash_distincts")
 
-    def record_subquery_cache_hit(self) -> None:
-        """A statement was served from the subquery/result cache without
-        re-executing (template + input-table versions matched)."""
-        self._bump("subquery_cache_hits")
-
-    def record_subquery_cache_miss(self) -> None:
-        """A cacheable statement executed instead of being served (and,
-        when its result passed the admission gate, repopulated the
-        cache)."""
-        self._bump("subquery_cache_misses")
-
-    def record_subquery_cache_eviction(self) -> None:
-        """A template's result-cache LRU overflowed and dropped its oldest
-        entry."""
-        self._bump("subquery_cache_evictions")
-
     def record_overlapped_composition(self) -> None:
         """A contraction round's representative composition executed on the
         segment pool, overlapped with the next round's contraction."""
@@ -295,19 +271,6 @@ class EngineStats:
         independent of — and therefore runs concurrently with — at least
         one other in-flight statement group."""
         self._bump("dataflow_overlaps")
-
-    def record_fused_outer_group(self) -> None:
-        """A fused join->GROUP BY grouped through a LEFT OUTER final join:
-        null-extended probe rows rode the padded-output contract (or a
-        padded right-side key gather) into their NULL-key groups instead of
-        forcing the materialising fallback."""
-        self._bump("fused_outer_groups")
-
-    def record_union_arm_overlap(self, n_arms: int = 1) -> None:
-        """UNION ALL arms executed concurrently on the segment pool while
-        the driving thread ran the remaining arms; counted per offloaded
-        arm."""
-        self._bump("union_arm_overlaps", n_arms)
 
     def record_effects_cache_hit(self) -> None:
         """The dataflow scheduler derived a statement's read/write table
@@ -338,24 +301,6 @@ class EngineStats:
             self.stats_merges += 1
 
     # -- statement bracketing -------------------------------------------------
-
-    def scratch_totals(self) -> tuple[int, int, int]:
-        """The calling thread's per-statement scratch ``(bytes, rows,
-        motion)`` — sampled around work offloaded to a pool worker so its
-        delta can be folded back into the owning statement's record."""
-        scratch = self._stmt()
-        return (scratch.bytes, scratch.rows, scratch.motion)
-
-    def fold_scratch(self, n_bytes: int, n_rows: int, n_motion: int) -> None:
-        """Fold a worker thread's scratch delta into the calling thread's
-        per-statement scratch.  Worker threads never see
-        :meth:`begin_statement`, so a statement that fans UNION ALL arms
-        out on the pool re-attributes the workers' bytes/motion here —
-        the global totals were already counted under the lock."""
-        scratch = self._stmt()
-        scratch.bytes += n_bytes
-        scratch.rows += n_rows
-        scratch.motion += n_motion
 
     def begin_statement(self) -> None:
         scratch = self._stmt()

@@ -21,7 +21,6 @@ when the view dies) is owned entirely by the pool's registry.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import Iterable, Optional
 
@@ -30,11 +29,6 @@ import numpy as np
 from .errors import CatalogError, ExecutionError
 from .operators import KeyIndex, build_key_index
 from .types import TEXT, Column
-
-#: Monotonically increasing table identities.  Unlike ``id()``, a uid is
-#: never reused, so a (uid, version) pair uniquely fingerprints table state
-#: across drops and re-creates — the subquery result cache keys on it.
-_table_uids = itertools.count()
 
 
 class Table:
@@ -65,7 +59,6 @@ class Table:
         self.name = name
         self.columns = dict(columns)
         self.distribution_column = distribution_column
-        self.uid = next(_table_uids)
         self._byte_size: Optional[int] = None
         #: Bumped on every mutation; cached indexes are tagged with the
         #: version they were built against and ignored once it moves on.

@@ -5,16 +5,15 @@ only stay trustworthy when the many sampling/finish combinations are
 differentially tested against a simple reference.  This engine's
 equivalent surface is the SELECT pipeline: plan-cache templating, compiled
 physical plans, column pruning, join-chain fusion, fused join->DISTINCT
-and join->GROUP BY, segment-parallel kernels, and the subquery result
-cache all rewrite how a statement executes — and every one of them claims
-bit-identical output.
+and join->GROUP BY and segment-parallel kernels all rewrite how a
+statement executes — and every one of them claims bit-identical output.
 
 This harness generates seeded random SELECT statements (join chains up to
 depth 3, DISTINCT, GROUP BY with aggregates, LEFT OUTER JOIN — including
 a dedicated arm grouping on the outer-padded final binding, where padded
 rows must form NULL-key groups — negative constants, NULL-bearing
-columns, IS NULL predicates, UNION ALL arms (fanned out on the parallel
-configuration's pool), and subquery FROM items — plain, aggregated, and
+columns, IS NULL predicates, UNION ALL arms, and subquery FROM items —
+plain, aggregated, and
 UNION ALL subqueries joined like tables) over small random tables, and
 runs each statement on five configurations:
 
@@ -23,9 +22,10 @@ runs each statement on five configurations:
   (``merge_join_indices``, ``sorted_group_rows``, the sort-based
   DISTINCT).  This is the seed engine, all the way down to the kernels.
 * **planned** — the default engine: plan cache, physical plans, fusion,
-  join-chain fusion, result cache.
+  join-chain fusion.
 * **warm** — the same statement re-executed on the planned database, so
-  the warm template/physical-plan/result-cache paths are exercised.
+  the warm template and cached physical plan are what executes (asserted:
+  one ``physical_plan_hits`` per warm execution).
 * **parallel** — fusion plus a forced multi-worker pool with
   ``PARALLEL_MIN_ROWS`` dropped to 1, so the segment-parallel kernels
   engage even on fuzz-sized inputs.
@@ -88,7 +88,6 @@ def reference_db() -> Database:
         use_index_cache=False,
         use_physical_plans=False,
         use_fusion=False,
-        use_result_cache=False,
         parallel=False,
     )
     executor = db._executor
@@ -151,7 +150,7 @@ def table_statements(rand: random.Random) -> list[str]:
 
 def churn_statements(rand: random.Random) -> list[str]:
     """Mid-batch DDL churn: appends and a rename round-trip, which must
-    invalidate result-cache fingerprints and survive plan re-validation."""
+    invalidate cached indexes and survive plan re-validation."""
     target = rand.choice(list(TABLES))
     key, val, nullable = TABLES[target]
     null = "null" if rand.random() < 0.5 else str(rand.randint(0, 4))
@@ -352,8 +351,7 @@ def test_differential_fuzz(monkeypatch):
     rand = random.Random(FUZZ_SEED)
     executed = 0
     engaged = {"chain": 0, "fused": 0, "fused_group": 0, "parallel": 0,
-               "result_cache": 0, "left_chain": 0, "fused_outer": 0,
-               "union_overlap": 0, "process_tasks": 0}
+               "left_chain": 0, "process_tasks": 0}
     shapes = {"union_all": 0, "subquery_from": 0, "outer_group": 0}
     while executed < FUZZ_ROUNDS:
         databases = {
@@ -380,22 +378,21 @@ def test_differential_fuzz(monkeypatch):
                 shapes["outer_group"] += 1
             reference = databases["reference"].execute(sql).relation
             for config in ("planned", "parallel", "process"):
-                got = databases[config].execute(sql).relation
+                db = databases[config]
+                got = db.execute(sql).relation
                 assert_identical(sql, config, got, reference)
-                # Warm pass: cached template, physical plan, result cache.
-                warm = databases[config].execute(sql).relation
+                # Warm pass: the cached template's physical plan re-executes.
+                plan_hits = db.stats.physical_plan_hits
+                warm = db.execute(sql).relation
                 assert_identical(sql, f"{config}-warm", warm, reference)
+                assert db.stats.physical_plan_hits == plan_hits + 1, sql
             executed += 1
         stats = databases["planned"].stats
         engaged["chain"] += stats.join_chain_fusions
         engaged["left_chain"] += stats.left_chain_fusions
         engaged["fused"] += stats.fused_pipelines
         engaged["fused_group"] += stats.fused_group_pipelines
-        engaged["fused_outer"] += stats.fused_outer_groups
-        engaged["result_cache"] += stats.subquery_cache_hits
         engaged["parallel"] += databases["parallel"].stats.parallel_partitions
-        engaged["union_overlap"] += \
-            databases["parallel"].stats.union_arm_overlaps
         engaged["process_tasks"] += databases["process"].stats.process_tasks
         shm_names = databases["process"].pool.registry.created_names()
         for db in databases.values():
@@ -409,10 +406,7 @@ def test_differential_fuzz(monkeypatch):
     assert engaged["left_chain"] > 0
     assert engaged["fused"] > 0
     assert engaged["fused_group"] > 0
-    assert engaged["fused_outer"] > 0
-    assert engaged["result_cache"] > 0
     assert engaged["parallel"] > 0
-    assert engaged["union_overlap"] > 0
     assert engaged["process_tasks"] > 0
     # ... and actually generate the statement shapes it claims to cover.
     assert shapes["union_all"] > 0

@@ -1,10 +1,9 @@
 """Tests for the engine's caching layer.
 
-Covers the three caches the hot path relies on:
+Covers the two caches the hot path relies on:
 
 * the **plan/statement cache** (template-normalised parsed ASTs),
 * the **table-level index cache** (versioned per-column sorted indexes),
-* the executor's **join pruning** from index min/max stats,
 
 plus the acceptance-level integration: a full Randomised Contraction run
 must populate both caches and produce bit-for-bit identical labels with the
@@ -185,223 +184,29 @@ def test_dense_index_defers_its_sort(db):
     assert index._order is not None
 
 
-def test_join_pruning_skips_motion(db):
-    """Disjoint key ranges: join is proven empty, no data motion charged."""
-    n = 5000  # large enough that the planner would redistribute, not broadcast
-    db.load_table("lo", {"v": np.arange(n, dtype=np.int64)})
-    db.load_table("hi", {"v": np.arange(n, dtype=np.int64) + 10 ** 12,
-                         "w": np.ones(n, dtype=np.int64)})
-    # The probe side's index is never built speculatively; any earlier keyed
-    # operation (here a GROUP BY, as in the contraction rounds) warms it.
-    db.execute("select v, count(*) c from lo group by v")
-    motion_before = db.stats.motion_bytes
-    pruned_before = db.stats.joins_pruned
-    query = "select count(*) from lo, hi where lo.v = hi.v"
-    assert db.execute(query).scalar() == 0
-    assert db.stats.joins_pruned == pruned_before + 1
-    assert db.stats.motion_bytes == motion_before
+def test_disjoint_range_join_motion_independent_of_index_cache():
+    """Disjoint key ranges: the kernel's early exit proves the join empty,
+    and the motion charged for it is the stats-blind planner's — the same
+    whether or not an earlier statement happened to warm the probe side's
+    index."""
+    n = 5000  # large enough that the planner redistributes, not broadcasts
 
+    def join_motion(warm_probe_index: bool) -> int:
+        db = Database(n_segments=4)
+        db.load_table("lo", {"v": np.arange(n, dtype=np.int64)})
+        db.load_table("hi", {"v": np.arange(n, dtype=np.int64) + 10 ** 12,
+                             "w": np.ones(n, dtype=np.int64)})
+        if warm_probe_index:
+            # The probe side's index is never built speculatively; an
+            # earlier keyed operation (a GROUP BY, as in the contraction
+            # rounds) warms it.
+            db.execute("select v, count(*) c from lo group by v")
+        before = db.stats.motion_bytes
+        query = "select count(*) from lo, hi where lo.v = hi.v"
+        assert db.execute(query).scalar() == 0
+        return db.stats.motion_bytes - before
 
-# ---------------------------------------------------------------------------
-# subquery result cache
-# ---------------------------------------------------------------------------
-
-
-def _counting_db() -> Database:
-    db = Database(n_segments=4)
-    db.execute("create table t (v int64, w int64)")
-    db.execute("insert into t values (1, 10), (2, 20), (3, 30)")
-    return db
-
-
-def test_result_cache_serves_repeated_scalar_subquery(db):
-    db.execute("create table t (v int64)")
-    db.execute("insert into t values (1), (2), (3)")
-    q = "select count(*) from t"
-    assert db.execute(q).scalar() == 3
-    assert db.stats.subquery_cache_misses == 1
-    assert db.execute(q).scalar() == 3
-    assert db.execute(q).scalar() == 3
-    assert db.stats.subquery_cache_hits == 2
-    assert db.stats.subquery_cache_misses == 1
-    # Each served statement still counts as a query (the paper counts SQL
-    # statements, not executions).
-    assert db.stats.queries >= 5
-
-
-def test_result_cache_invalidated_by_append():
-    db = _counting_db()
-    q = "select count(*) from t"
-    assert db.execute(q).scalar() == 3
-    assert db.execute(q).scalar() == 3
-    assert db.stats.subquery_cache_hits == 1
-    db.execute("insert into t values (4, 40)")  # version bump
-    assert db.execute(q).scalar() == 4
-    assert db.stats.subquery_cache_hits == 1
-    assert db.stats.subquery_cache_misses == 2
-
-
-def test_result_cache_invalidated_by_truncate():
-    db = _counting_db()
-    q = "select count(*) from t"
-    assert db.execute(q).scalar() == 3
-    db.execute("truncate table t")
-    assert db.execute(q).scalar() == 0
-
-
-def test_result_cache_invalidated_by_drop_and_recreate():
-    db = _counting_db()
-    q = "select count(*) from t"
-    assert db.execute(q).scalar() == 3
-    db.execute("drop table t")
-    db.execute("create table t (v int64, w int64)")
-    db.execute("insert into t values (9, 90)")
-    # Same name, same schema, same version number (0 on both) — only the
-    # table uid distinguishes them; the stale result must not be served.
-    assert db.execute(q).scalar() == 1
-
-
-def test_result_cache_invalidated_by_rename():
-    from repro.sqlengine.errors import CatalogError
-
-    db = _counting_db()
-    q = "select count(*) from t"
-    assert db.execute(q).scalar() == 3
-    db.execute("alter table t rename to u")
-    with pytest.raises(CatalogError):
-        db.execute(q)  # the cached result must not mask the missing table
-    # Renaming back restores the very same table state: serving the cached
-    # result is correct (uid and version both still match).
-    db.execute("alter table u rename to t")
-    assert db.execute(q).scalar() == 3
-    assert db.stats.subquery_cache_hits == 1
-
-
-def test_result_cache_skips_udf_statements(db):
-    """A statement with a scalar function call may be non-deterministic
-    (user-defined); it must always execute."""
-    calls = []
-
-    def impulse(v):
-        calls.append(1)
-        return v * 0 + len(calls)
-
-    db.create_function("impulse", impulse)
-    db.execute("create table t (v int64)")
-    db.execute("insert into t values (7)")
-    q = "select impulse(v) x from t"
-    assert db.execute(q).scalar() == 1
-    assert db.execute(q).scalar() == 2  # executed again, not served
-    assert db.stats.subquery_cache_hits == 0
-    assert db.stats.subquery_cache_misses == 0
-
-
-def test_result_cache_keys_on_parameters(db):
-    db.execute("create table t (v int64)")
-    db.execute("insert into t values (1), (2), (3)")
-    # Same template, different parameter: must not cross-serve...
-    assert db.execute("select count(*) c from t where v != 1").scalar() == 2
-    assert db.execute("select count(*) c from t where v != 2").scalar() == 2
-    assert db.stats.subquery_cache_hits == 0
-    assert db.stats.subquery_cache_misses == 2
-    # ...but both parameterisations now stay warm side by side.
-    assert db.execute("select count(*) c from t where v != 1").scalar() == 2
-    assert db.execute("select count(*) c from t where v != 2").scalar() == 2
-    assert db.stats.subquery_cache_hits == 2
-    assert db.stats.subquery_cache_misses == 2
-
-
-def test_result_cache_alternating_parameters_all_hit(db):
-    """The thrash case the single-slot cache lost: two parameter sets
-    alternating must miss once each and then hit forever."""
-    db.execute("create table t (v int64)")
-    db.execute("insert into t values (1), (2), (3), (4)")
-    for round_no in range(10):
-        assert db.execute("select count(*) c from t where v < 3").scalar() == 2
-        assert db.execute("select count(*) c from t where v < 4").scalar() == 3
-    assert db.stats.subquery_cache_misses == 2
-    assert db.stats.subquery_cache_hits == 18
-    assert db.stats.subquery_cache_evictions == 0
-
-
-def test_result_cache_capacity_eviction(db):
-    """More live parameterisations than the per-template LRU holds: the
-    oldest entries age out and the eviction counter says so."""
-    from repro.sqlengine.database import RESULT_CACHE_MAX_ENTRIES
-
-    db.execute("create table t (v int64)")
-    db.execute("insert into t values (1)")
-    n_params = RESULT_CACHE_MAX_ENTRIES + 3
-    for k in range(n_params):
-        db.execute(f"select count(*) c from t where v != {k + 10}")
-    assert db.stats.subquery_cache_misses == n_params
-    assert db.stats.subquery_cache_evictions == 3
-    # The newest entries survived; the oldest were evicted and re-miss.
-    db.execute(f"select count(*) c from t where v != {n_params + 9}")
-    assert db.stats.subquery_cache_hits == 1
-    db.execute("select count(*) c from t where v != 10")
-    assert db.stats.subquery_cache_misses == n_params + 1
-
-
-def test_result_cache_ddl_churn_interleaved(db):
-    """Append/rename/drop DDL interleaved with alternating parameters:
-    every mutation moves the fingerprint, so stale entries never serve,
-    and the counters account each transition exactly."""
-    db.execute("create table t (v int64)")
-    db.execute("insert into t values (1), (2)")
-    q_low, q_high = ("select count(*) c from t where v < 2",
-                     "select count(*) c from t where v < 9")
-    assert db.execute(q_low).scalar() == 1
-    assert db.execute(q_high).scalar() == 2
-    assert db.execute(q_low).scalar() == 1
-    assert (db.stats.subquery_cache_hits,
-            db.stats.subquery_cache_misses) == (1, 2)
-    # Append: both entries' fingerprints go stale -> two fresh misses.
-    db.execute("insert into t values (5)")
-    assert db.execute(q_low).scalar() == 1
-    assert db.execute(q_high).scalar() == 3
-    assert (db.stats.subquery_cache_hits,
-            db.stats.subquery_cache_misses) == (1, 4)
-    # Rename away and back: the table keeps uid+version, so the round-trip
-    # serves the warm entries again.
-    db.execute("alter table t rename to t2")
-    db.execute("alter table t2 rename to t")
-    assert db.execute(q_low).scalar() == 1
-    assert (db.stats.subquery_cache_hits,
-            db.stats.subquery_cache_misses) == (2, 4)
-    # Drop and re-create: same name, new uid -> miss, then hit again.
-    db.execute("drop table t")
-    db.execute("create table t (v int64)")
-    db.execute("insert into t values (1)")
-    assert db.execute(q_low).scalar() == 1
-    assert db.execute(q_low).scalar() == 1
-    assert (db.stats.subquery_cache_hits,
-            db.stats.subquery_cache_misses) == (3, 5)
-
-
-def test_result_cache_skips_large_results(db):
-    from repro.sqlengine.database import RESULT_CACHE_MAX_ROWS
-
-    n = RESULT_CACHE_MAX_ROWS + 1
-    db.load_table("big", {"v": np.arange(n, dtype=np.int64)})
-    q = "select v from big"
-    assert len(db.execute(q).rows()) == n
-    assert len(db.execute(q).rows()) == n
-    # Too large to admit: never served, and every execution counts as a
-    # miss so the hit rate reflects executions the cache failed to save.
-    assert db.stats.subquery_cache_hits == 0
-    assert db.stats.subquery_cache_misses == 2
-
-
-def test_result_cache_can_be_disabled():
-    db = Database(n_segments=4, use_result_cache=False)
-    db.execute("create table t (v int64)")
-    db.execute("insert into t values (5)")
-    q = "select count(*) from t"
-    assert db.execute(q).scalar() == 1
-    assert db.execute(q).scalar() == 1
-    assert db.stats.subquery_cache_hits == 0
-    assert db.stats.subquery_cache_misses == 0
+    assert join_motion(True) == join_motion(False) > 0
 
 
 # ---------------------------------------------------------------------------

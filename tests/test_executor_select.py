@@ -186,10 +186,10 @@ _UNION_SQL = ("select v1 a, v2 b from e where v1 != 2 "
               "union all select v1 + 10, v2 - 1 from e where v2 > 3")
 
 
-def test_union_all_arms_overlap_on_the_pool():
-    """Independent UNION ALL arms fan out on the segment pool; the output
-    is the exact serial concatenation (arm order preserved), and the
-    per-statement accounting is attributed identically."""
+def test_union_all_same_rows_and_motion_with_and_without_a_pool():
+    """UNION ALL arms run in arm order whether or not a segment pool is
+    attached: the output is the exact concatenation and the motion
+    accounting is identical."""
     def build(parallel):
         database = Database(n_segments=4, parallel=parallel)
         rng = np.random.default_rng(17)
@@ -203,18 +203,14 @@ def test_union_all_arms_overlap_on_the_pool():
     expected = serial.execute(_UNION_SQL)
     got = parallel.execute(_UNION_SQL)
     assert got.names == expected.names
-    assert got.rows() == expected.rows()  # exact order: serial concat
-    assert parallel.stats.union_arm_overlaps > 0
-    assert serial.stats.union_arm_overlaps == 0
-    # Offloaded arms fold their scratch back into the driver's statement.
+    assert got.rows() == expected.rows()  # exact order: arm by arm
     assert parallel.stats.motion_bytes == serial.stats.motion_bytes
     serial.close()
     parallel.close()
 
 
-def test_union_arm_error_matches_serial_order():
-    """When an arm fails, the parallel fan-out must surface the same
-    (lowest-index) arm's error the serial execution would."""
+def test_union_arm_error_surfaces_on_a_pooled_database():
+    """A failing arm's error propagates out of the statement."""
     db = Database(n_segments=4, parallel=True)
     db.load_table("e", {"v1": np.arange(20, dtype=np.int64),
                         "v2": np.arange(20, dtype=np.int64)},
@@ -230,14 +226,13 @@ def test_union_arm_error_matches_serial_order():
     db.close()
 
 
-def test_union_arms_inside_pool_tasks_stay_serial():
+def test_union_inside_a_dataflow_task_and_nested_in_an_arm():
     """A UNION ALL executed from inside a pool task (a dataflow-scheduled
-    statement) must not block a worker on nested futures — the in-task
-    guard keeps it serial and deadlock-free.  Nested UNION subqueries in
-    a fanned-out arm take the same serial path."""
+    statement) completes on a two-worker pool, and so does a UNION
+    subquery nested in a UNION arm."""
     from repro.core.dataflow import DataflowScheduler
 
-    db = Database(n_segments=2, parallel=True)  # a single offload slot
+    db = Database(n_segments=2, parallel=True)
     db.load_table("e", {"v1": np.arange(50, dtype=np.int64),
                         "v2": np.arange(50, dtype=np.int64)},
                   distributed_by="v1")
@@ -247,8 +242,6 @@ def test_union_arms_inside_pool_tasks_stay_serial():
     sched.wait(task)
     sched.wait_all()
     assert db.table("u").n_rows == 100
-    # A UNION subquery inside a UNION arm: the outer arms may fan out,
-    # the nested one stays serial; either way it completes correctly.
     rows = db.execute(
         "select s.a from (select v1 a from e union all select v2 a from e) "
         "as s union all select v1 from e").rowcount
