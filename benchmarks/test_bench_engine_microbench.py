@@ -437,8 +437,9 @@ def test_engine_microbench():
 
     # -- hash DISTINCT: unpackable sparse pairs vs the lexsort reference ---
     # Two full-range 64-bit key columns defeat the int-pair packing, which
-    # used to mean a lexsort over every row; the hash kernel touches each
-    # row O(1) times and only ever sorts nothing.
+    # used to mean a lexsort over every row; the hash kernel value-sorts
+    # one packed (hash prefix, row) word per row and compares keys only
+    # between neighbours.
     n_hash = SIZES[-1]
     hash_rng = np.random.default_rng(14)
     report["hash_distinct"] = {"rows": n_hash}

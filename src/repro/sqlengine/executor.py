@@ -467,7 +467,9 @@ class Executor:
         ``build=False`` only returns an already-cached index — used for
         probe sides, where building an index the kernel would not otherwise
         need is wasted work, but a free one carries the key-range stats
-        behind the kernel's disjoint-range early exit.
+        behind the kernel's disjoint-range early exit and, once some
+        earlier statement has sorted it, turns a sorted-index probe into
+        a merge.
         """
         if not self.use_index_cache:
             return None
@@ -528,7 +530,7 @@ class Executor:
             if self._parallel_shape(left_keys, right_keys, len(left_keys[0])):
                 local_note: list = []
                 result = probed(left_keys, right_keys, right_index, self.pool,
-                                local_note)
+                                local_note, left_index)
                 self._record_probe_note(local_note, note)
                 return result
         elif left_index is None and self._parallel_shape(

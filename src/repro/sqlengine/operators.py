@@ -22,11 +22,23 @@ Two execution strategies coexist:
 * **Sort-merge kernels** (:func:`merge_join_indices`,
   :func:`sorted_group_rows`) remain as the reference implementation and
   the fallback for text keys and NULL-bearing inputs.  Multi-column and
-  unpackable sparse-pair DISTINCT run on an open-addressing **hash-table
-  kernel** (:func:`_hash_distinct_int`, splitmix64 probing) instead of a
-  lexsort — the shape of the contraction query's ``select distinct v1, v2``
-  once representatives are 64-bit field values whose spans defeat pair
-  packing.
+  unpackable sparse-pair DISTINCT run on a **packed-sort hash kernel**
+  (:func:`_hash_distinct_int`: one value sort of ``(splitmix64 prefix,
+  row)`` words, prefix collisions settled exactly) instead of a lexsort —
+  the shape of the contraction query's ``select distinct v1, v2`` once
+  representatives are 64-bit field values whose spans defeat pair packing.
+
+Sparse keys are where the reproduced algorithms spend their time, and at a
+million rows the cost of every kernel above is cache misses, not
+comparisons.  Two primitives keep the memory accesses sequential:
+:func:`stable_argsort` (vectorised unstable sort, ties repaired by one
+value sort) builds every stable order over a key column, and
+:func:`sorted_lookup` (needles radix-bucketed into near-ascending order)
+is every probe of one by keys in arbitrary order — serial or per pool
+chunk (:mod:`repro.sqlengine.parallel` calls the same functions).  A probe
+side that already has a sorted index of its own is merged instead
+(:func:`merge_probe`).  All are drop-in: same arrays as the numpy call
+they replace, which small inputs still make.
 
 Every fast path is *plan-stable*: it returns exactly the same index arrays,
 in exactly the same order, as the sort-merge reference.  The property tests
@@ -62,6 +74,94 @@ NO_MATCH = -1
 DENSE_SPAN_FACTOR = 4
 DENSE_SPAN_FLOOR = 1 << 16
 DENSE_SPAN_CAP = 1 << 24
+
+#: Below this many rows the plain numpy call beats the cache-conscious
+#: forms of :func:`stable_argsort` and :func:`sorted_lookup` (their fixed
+#: cost is a handful of extra passes; they break even near a thousand rows).
+CACHE_KERNEL_MIN_ROWS = 1 << 11
+
+#: An input with at most this many descents is a few sorted runs, which
+#: numpy's stable merge sort finishes in near-linear time (2 ns/row on two
+#: runs, 39 on 64) — faster than any sort that ignores the order.
+PRESORTED_MAX_DESCENTS = 64
+
+
+# ---------------------------------------------------------------------------
+# sorted-order primitives
+# ---------------------------------------------------------------------------
+
+
+def stable_argsort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, values[order])`` with ``order`` equal to
+    ``np.argsort(values, kind="stable")``.
+
+    numpy's stable sort of 64-bit integers is a merge sort (134 ns/row at
+    2M random rows); its default sort is a vectorised quicksort (40).  So
+    sort unstably, then repair the ties: rows of equal value form a run,
+    and sorting ``(run number << row_bits) | row`` *by value* — no
+    indirection — puts each run's rows in ascending order, which is the
+    stable order.  ~60 ns/row including the sorted values every caller
+    wants next.
+    """
+    n = int(values.shape[0])
+    if (
+        n < CACHE_KERNEL_MIN_ROWS
+        or n >= 1 << 31
+        or values.dtype.kind not in "iu"
+        or np.count_nonzero(values[1:] < values[:-1]) <= PRESORTED_MAX_DESCENTS
+    ):
+        order = np.argsort(values, kind="stable")
+        return order, values[order]
+    order = np.argsort(values)
+    sorted_values = values[order]
+    run_start = np.empty(n, dtype=bool)
+    run_start[0] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=run_start[1:])
+    if run_start.all():
+        return order, sorted_values
+    row_bits = (n - 1).bit_length()
+    packed = np.cumsum(run_start, dtype=np.int64)
+    packed <<= row_bits
+    packed |= order
+    packed.sort()
+    packed &= (1 << row_bits) - 1
+    return packed, sorted_values
+
+
+def sorted_lookup(
+    sorted_values: np.ndarray, keys: np.ndarray, side: str = "left"
+) -> np.ndarray:
+    """``np.searchsorted(sorted_values, keys, side)`` — the one probe of a
+    sorted index, serial or per pool chunk.
+
+    Random needles make every binary search miss the cache and mispredict
+    its branches (261 ns/row for 2M probes into 466k keys).  Probing in
+    *roughly* ascending order fixes both, and roughly is cheap: bucket the
+    keys by the top 16 bits of their offset into the build side's value
+    range (a stable argsort of ``uint16`` is numpy's linear radix sort),
+    search bucket by bucket, scatter the positions back (67 ns/row).  The
+    bucket only orders the searches; the positions are ``searchsorted``'s
+    own whatever it is.
+    """
+    n = int(keys.shape[0])
+    if (
+        n < CACHE_KERNEL_MIN_ROWS
+        or sorted_values.shape[0] == 0
+        or keys.dtype != np.int64
+        or sorted_values.dtype != np.int64
+    ):
+        return np.searchsorted(sorted_values, keys, side=side)
+    low = int(sorted_values[0])
+    shift = max((int(sorted_values[-1]) - low).bit_length() - 16, 0)
+    # Offsets wrap modulo 2^64 for keys below the range; those and keys
+    # above it land in the last bucket.
+    bucket = keys.view(np.uint64) - np.uint64(low & 0xFFFFFFFFFFFFFFFF)
+    bucket >>= np.uint64(shift)
+    np.minimum(bucket, np.uint64(0xFFFF), out=bucket)
+    visit = np.argsort(bucket.astype(np.uint16), kind="stable")
+    positions = np.empty(n, dtype=np.intp)
+    positions[visit] = np.searchsorted(sorted_values, keys[visit], side=side)
+    return positions
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +211,17 @@ class KeyIndex:
         self._sorted_values = sorted_values
 
     @property
+    def is_materialised(self) -> bool:
+        """True when reading ``order`` / ``sorted_values`` sorts nothing."""
+        return self.is_sorted or self._order is not None
+
+    @property
     def order(self) -> np.ndarray:
         if self._order is None:
             if self.is_sorted:
                 self._order = np.arange(self.n_rows, dtype=np.int64)
             else:
-                self._order = np.argsort(self._values, kind="stable")
+                self._order, self._sorted_values = stable_argsort(self._values)
         return self._order
 
     @property
@@ -125,7 +230,9 @@ class KeyIndex:
             if self.is_sorted:
                 self._sorted_values = self._values
             else:
-                self._sorted_values = self._values[self.order]
+                order = self.order  # a sort here fills both
+                if self._sorted_values is None:
+                    self._sorted_values = self._values[order]
         return self._sorted_values
 
 
@@ -164,8 +271,7 @@ def build_key_index(values: np.ndarray) -> KeyIndex:
         )
         return KeyIndex(values, is_unique, min_value, max_value,
                         sorted_values=sorted_values, is_sorted=True)
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
+    order, sorted_values = stable_argsort(values)
     is_unique = n < 2 or not bool(
         (sorted_values[1:] == sorted_values[:-1]).any()
     )
@@ -377,7 +483,7 @@ def _hash_join_int(
         if right_index.is_unique:
             if note is not None:
                 note.append("probe-sorted")
-            return _probe_unique_sorted(lk, right_index)
+            return _probe_unique_sorted(lk, right_index, left_index)
         if note is not None:
             note.append("merge-indexed")
         return _merge_join(lk, rk, r_order=right_index.order)
@@ -413,10 +519,9 @@ def _dense_join(
         match = in_bounds & (candidates != NO_MATCH)
         l_idx = np.flatnonzero(match)
         return l_idx, candidates[l_idx]
-    # Duplicate build keys: bucket right rows by key code (stable argsort on
-    # the small code range is numpy's radix sort — linear, not comparison).
+    # Duplicate build keys: bucket right rows by key code.
     order = right_index.order if right_index is not None \
-        else np.argsort(rel_right, kind="stable")
+        else stable_argsort(rel_right)[0]
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     cnt = np.where(in_bounds, counts[l_rel], 0)
     total = int(cnt.sum())
@@ -430,19 +535,80 @@ def _dense_join(
 
 
 def _probe_unique_sorted(
-    lk: np.ndarray, right_index: KeyIndex
+    lk: np.ndarray, right_index: KeyIndex,
+    left_index: Optional[KeyIndex] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probe a cached sorted index with unique keys: one binary search, no
-    duplicate expansion."""
-    sorted_values = right_index.sorted_values
-    pos = np.searchsorted(sorted_values, lk)
+    duplicate expansion.  A probe side whose own sorted index is already
+    in hand (``relabel-src`` joins the column the ``reps`` GROUP BY just
+    sorted) is merged instead — see :func:`merge_probe`."""
+    right_order = None if right_index.is_sorted else right_index.order
+    left = sorted_side(left_index, lk.shape[0])
+    if left is not None:
+        return pairs_in_row_order(
+            [merge_probe(*left, right_index.sorted_values, right_order)],
+            lk.shape[0],
+        )
+    return probe_unique(lk, right_index.sorted_values, right_order)
+
+
+def sorted_side(
+    index: Optional[KeyIndex], n_rows: int
+) -> Optional[tuple[np.ndarray, Optional[np.ndarray]]]:
+    """``(sorted values, their rows)`` of a probe column of ``n_rows`` rows
+    whose index has them in hand (rows ``None``: stored sorted), else
+    ``None`` — merging is never worth *building* an index for."""
+    if index is None or not index.is_materialised or index.n_rows != n_rows:
+        return None
+    return index.sorted_values, None if index.is_sorted else index.order
+
+
+def probe_unique(
+    lk: np.ndarray, sorted_values: np.ndarray, order: Optional[np.ndarray],
+    start: int = 0, ascending: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matches of probe rows ``lk`` (rows ``start..`` of their column) in a
+    sorted array of unique keys whose position ``i`` is build row
+    ``order[i]`` (``None``: stored sorted, positions are rows).
+    ``ascending`` needles make numpy's binary searches walk the build side
+    front to back — a merge already (21 ns/row), nothing to bucket."""
+    pos = (np.searchsorted(sorted_values, lk) if ascending
+           else sorted_lookup(sorted_values, lk))
     np.minimum(pos, sorted_values.shape[0] - 1, out=pos)
-    match = sorted_values[pos] == lk
-    l_idx = np.flatnonzero(match)
-    if right_index.is_sorted:
-        # Identity order: sorted positions are row numbers already.
-        return l_idx, pos[l_idx]
-    return l_idx, right_index.order[pos[l_idx]]
+    l_idx = np.flatnonzero(sorted_values[pos] == lk)
+    hits = pos[l_idx]
+    return l_idx + start, hits if order is None else order[hits]
+
+
+def merge_probe(
+    left_sorted: np.ndarray,
+    left_order: Optional[np.ndarray],
+    sorted_values: np.ndarray,
+    order: Optional[np.ndarray],
+    start: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`probe_unique` for a probe side that is itself sorted:
+    ``left_sorted`` is positions ``start..`` of the probe column's sorted
+    values and ``left_order`` their rows (``None``: stored sorted).  The
+    pairs come out in probe *key* order; :func:`pairs_in_row_order`
+    restores row order."""
+    hit, right_rows = probe_unique(left_sorted, sorted_values, order,
+                                   ascending=True)
+    return hit + start if left_order is None else left_order[hit], right_rows
+
+
+def pairs_in_row_order(
+    pairs: list[tuple[np.ndarray, np.ndarray]], n_left: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter ``(left rows, right rows)`` blocks holding each left row at
+    most once into ascending left-row order."""
+    right_of = np.full(n_left, NO_MATCH, dtype=np.int64)
+    for left_rows, right_rows in pairs:
+        right_of[left_rows] = right_rows
+    l_idx = np.flatnonzero(right_of != NO_MATCH)
+    if l_idx.shape[0] == n_left:
+        return l_idx, right_of
+    return l_idx, right_of[l_idx]
 
 
 def _merge_join(
@@ -454,10 +620,11 @@ def _merge_join(
     table's index cache) that skips the build-side sort.
     """
     if r_order is None:
-        r_order = np.argsort(rk, kind="stable")
-    r_sorted = rk[r_order]
-    lo = np.searchsorted(r_sorted, lk, side="left")
-    hi = np.searchsorted(r_sorted, lk, side="right")
+        r_order, r_sorted = stable_argsort(rk)
+    else:
+        r_sorted = rk[r_order]
+    lo = sorted_lookup(r_sorted, lk, side="left")
+    hi = sorted_lookup(r_sorted, lk, side="right")
     counts = hi - lo
     total = int(counts.sum())
     if total == 0:
@@ -499,9 +666,8 @@ def group_rows(
         return index.order, _boundaries(index.sorted_values)
     if all(col.mask is None for col in key_columns):
         if len(key_columns) == 1:
-            values = key_columns[0].values
-            order = np.argsort(values, kind="stable")
-            return order, _boundaries(values[order])
+            order, sorted_values = stable_argsort(key_columns[0].values)
+            return order, _boundaries(sorted_values)
         if all(col.values.dtype != object for col in key_columns):
             # Null-free multi-column keys: sort on the value arrays alone
             # (the seed path also lexsorts one constant mask key per column,
@@ -644,54 +810,58 @@ def _distinct_int(
     return np.sort(np.minimum.reduceat(order, starts))
 
 
-#: Open-addressing hash tables are sized to the next power of two at or
-#: above ``HASH_TABLE_LOAD`` times the row count (load factor <= 0.5).
-HASH_TABLE_LOAD = 2
-
-
 def _hash_distinct_int(
     arrays: list[np.ndarray], note: Optional[list] = None
 ) -> np.ndarray:
-    """DISTINCT over NULL-free integer key columns via an open-addressing
-    hash table, O(n) expected — no lexsort over the full input.
+    """DISTINCT over NULL-free integer key columns by one value sort of
+    packed ``(hash prefix, row)`` words — no lexsort over the keys and no
+    table to miss the cache in.
 
-    Every row probes a splitmix64-addressed slot table with linear probing,
-    all rows in lock-step per probe distance: unclaimed slots are claimed by
-    the *lowest* pending row that hashes to them (a reversed scatter makes
-    the first writer win), rows whose slot holder carries an equal key are
-    duplicates and drop out, everything else moves one slot over.  Equal
-    keys share a probe sequence, so the first occurrence always either
-    claims the slot or is the row every later duplicate compares against —
-    the kept set is exactly the reference's, returned in row order.
+    The splitmix64 hash of a row's key fills the high bits of a 64-bit
+    word and the row number the low ``row_bits``; ``ndarray.sort`` on the
+    words (9 ns/row) brings rows of equal prefix together in ascending row
+    order, so each run's head is the first occurrence of its prefix.  Equal
+    keys share a prefix; the converse is checked, not assumed: every row is
+    compared with its predecessor in the run, and a run where two
+    different keys met (2^-(64 - row_bits) per pair of keys) is settled
+    exactly by :func:`group_rows` over just its rows.  The kept set is the
+    reference's, returned in row order.
     """
     if note is not None:
         note.append("hash")
     n = int(arrays[0].shape[0])
-    size = 1 << max(int(HASH_TABLE_LOAD * n - 1).bit_length(), 4)
-    slot_mask = np.int64(size - 1)
-    mixed = None
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    packed = None
     for array in arrays:
         unsigned = array.astype(np.uint64, copy=False)
-        mixed = hash64(unsigned if mixed is None else unsigned ^ mixed)
-    slot = (mixed.astype(np.int64) & slot_mask)
-    slot_of = np.full(size, -1, dtype=np.int64)
+        packed = hash64(unsigned if packed is None else unsigned ^ packed)
+    row_bits = (n - 1).bit_length()
+    row_mask = np.uint64((1 << row_bits) - 1)
+    packed &= ~row_mask
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort()
+    rows = (packed & row_mask).view(np.int64)
+    packed >>= np.uint64(row_bits)
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(packed[1:], packed[:-1], out=head[1:])
+    collided = np.zeros(n, dtype=bool)
+    for array in arrays:
+        in_run_order = array[rows]
+        collided[1:] |= in_run_order[1:] != in_run_order[:-1]
+    collided &= ~head
     keep = np.zeros(n, dtype=bool)
-    pending = np.arange(n, dtype=np.int64)
-    while pending.size:
-        probed = slot[pending]
-        holder = slot_of[probed]
-        unclaimed = holder < 0
-        if unclaimed.any():
-            slots = probed[unclaimed]
-            claimants = pending[unclaimed]
-            slot_of[slots[::-1]] = claimants[::-1]
-            holder = slot_of[probed]
-        won = holder == pending
-        keep[pending[won]] = True
-        duplicate = np.ones(pending.size, dtype=bool)
-        for array in arrays:
-            duplicate &= array[holder] == array[pending]
-        pending = pending[~(won | duplicate)]
-        if pending.size:
-            slot[pending] = (slot[pending] + 1) & slot_mask
+    keep[rows[head]] = True
+    if collided.any():
+        run = np.cumsum(head) - 1
+        mixed_runs = np.zeros(int(run[-1]) + 1, dtype=bool)
+        mixed_runs[run[collided]] = True
+        # Ascending rows, so the stable grouping's first row per key is
+        # the first occurrence.
+        contested = np.sort(rows[mixed_runs[run]])
+        order, starts = group_rows(
+            [Column.from_values(array[contested]) for array in arrays])
+        keep[contested] = False
+        keep[contested[order[starts]]] = True
     return np.flatnonzero(keep)

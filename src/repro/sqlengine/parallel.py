@@ -22,9 +22,14 @@ aggregation.
   build-side :class:`~repro.sqlengine.operators.KeyIndex` is positional
   and per-partition hash joins would rebuild it from scratch.  Binary-
   search probes are independent per row, so the probe side is split into
-  contiguous chunks, each worker runs ``searchsorted`` against the shared
+  contiguous chunks, each worker runs the serial kernel's own
+  :func:`~repro.sqlengine.operators.sorted_lookup` against the shared
   sorted index, and the chunk outputs concatenate back in probe order —
-  trivially identical to the single-threaded sorted-index probe.  Dense
+  trivially identical to the single-threaded sorted-index probe.  When
+  the probe column has a sorted index of its own in hand, the chunks are
+  cut from *that* order, each is a merge of two sorted arrays
+  (:func:`~repro.sqlengine.operators.merge_probe`), and one scatter puts
+  the pairs back in row order.  Dense
   build-side key ranges take :func:`_parallel_dense_probe` instead: the
   O(span) direct-address table is built once and probed in the same
   contiguous chunks, so an existing index over dense keys no longer forces
@@ -69,7 +74,13 @@ from .operators import (
     _empty_pair,
     _hash_join_int,
     join_indices,
+    merge_probe,
     pad_left_outer,
+    pairs_in_row_order,
+    probe_unique,
+    sorted_lookup,
+    sorted_side,
+    stable_argsort,
 )
 from .types import INT64, Column
 
@@ -230,6 +241,7 @@ def parallel_probe_indexed(
     right_index: KeyIndex,
     pool: SegmentPool,
     note: Optional[list] = None,
+    left_index: Optional[KeyIndex] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probe a cached sorted build-side index in parallel chunks.
 
@@ -237,6 +249,12 @@ def parallel_probe_indexed(
     probe side is cut into contiguous chunks, so concatenating the chunk
     outputs reproduces the single-threaded probe order exactly (grouped by
     left row ascending; within a row, matches in stable key order).
+
+    ``left_index`` is the probe column's own index when its table has one
+    cached; if its sorted order is already in hand and the build keys are
+    unique, the chunks merge the two sorted orders instead of searching
+    (the serial kernel's :func:`~repro.sqlengine.operators.merge_probe`
+    route — never worth *building* an index for).
 
     Dense build-side key ranges route to :func:`_parallel_dense_probe`
     (the direct-address table is built once, then probed in chunks); shapes
@@ -269,6 +287,16 @@ def parallel_probe_indexed(
     # identity on a process pool, so a warm loop re-probing the same
     # stored index exports nothing new.
     order = None if right_index.is_sorted else right_index.order
+    left = sorted_side(left_index, n_left) if unique else None
+    if left is not None:
+        # The probe column's own sorted index is in hand: chunk *it*, so
+        # every chunk is a merge, and scatter the pairs back to row order.
+        return pairs_in_row_order(_run(
+            pool,
+            _merge_probe_chunk,
+            (*left, right_index.sorted_values, order),
+            _probe_tasks(n_left, pool.n_segments),
+        ), n_left)
     return _concat_pairs(_run(
         pool,
         _probe_chunk,
@@ -284,15 +312,22 @@ def _probe_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
     sorted_values, order = _view(sorted_values), _view(order)
     sub = _view(lk)[start:stop]
     if unique:
-        pos = np.searchsorted(sorted_values, sub)
-        np.minimum(pos, sorted_values.shape[0] - 1, out=pos)
-        match = sorted_values[pos] == sub
-        l_local = np.flatnonzero(match)
-        hits = pos[l_local]
-        return l_local + start, hits if order is None else order[hits]
-    lo = np.searchsorted(sorted_values, sub, side="left")
-    hi = np.searchsorted(sorted_values, sub, side="right")
+        return probe_unique(sub, sorted_values, order, start)
+    lo = sorted_lookup(sorted_values, sub, side="left")
+    hi = sorted_lookup(sorted_values, sub, side="right")
     return _expand_runs(lo, hi - lo, start, order)
+
+
+def _merge_probe_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel: one contiguous chunk of a *sorted* probe side against a
+    shared sorted index of unique keys, as pairs in probe-key order."""
+    (left_sorted, left_order, sorted_values, order), (start, stop) = payload
+    left_order = _view(left_order)
+    return merge_probe(
+        _view(left_sorted)[start:stop],
+        None if left_order is None else left_order[start:stop],
+        _view(sorted_values), _view(order), start,
+    )
 
 
 def _expand_runs(
@@ -387,11 +422,12 @@ def parallel_left_probe_indexed(
     right_index: KeyIndex,
     pool: SegmentPool,
     note: Optional[list] = None,
+    left_index: Optional[KeyIndex] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Left-outer variant of :func:`parallel_probe_indexed` (inner probe
     plus NO_MATCH padding, exactly like the single-threaded composition)."""
     l_idx, r_idx = parallel_probe_indexed(left_keys, right_keys, right_index,
-                                          pool, note)
+                                          pool, note, left_index)
     return pad_left_outer(l_idx, r_idx, len(left_keys[0]))
 
 
@@ -497,8 +533,7 @@ def group_aggregate(
         return empty, [
             (np.empty(0, dtype=np.int64), None) for _ in specs
         ]
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    order, sorted_keys = stable_argsort(keys)
     starts = _boundaries(sorted_keys)
     row_counts = np.diff(np.append(starts, order.shape[0]))
     unique_keys = sorted_keys[starts]
@@ -533,9 +568,7 @@ def parallel_group_aggregate(
     raw = _run(pool, _aggregate_partition, inputs,
                [(part, kinds) for part in range(n_parts)])
     partials = [p for p in raw if p is not None]
-    all_keys = np.concatenate([p[0] for p in partials])
-    merge = np.argsort(all_keys, kind="stable")
-    unique_keys = all_keys[merge]
+    merge, unique_keys = stable_argsort(np.concatenate([p[0] for p in partials]))
     merged: list[tuple[np.ndarray, Optional[np.ndarray]]] = []
     for position, spec in enumerate(specs):
         values = np.concatenate([p[1][position][0] for p in partials])[merge]
@@ -565,9 +598,7 @@ def _aggregate_partition(payload):
                       _view(arguments[2 * position + 1]), sql_type)
         for position, (kind, sql_type) in enumerate(kinds)
     ]
-    local_keys = _view(keys)[rows]
-    order = np.argsort(local_keys, kind="stable")
-    sorted_keys = local_keys[order]
+    order, sorted_keys = stable_argsort(_view(keys)[rows])
     starts = _boundaries(sorted_keys)
     row_counts = np.diff(np.append(starts, order.shape[0]))
     results = [

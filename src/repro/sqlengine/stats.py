@@ -258,7 +258,7 @@ class EngineStats:
         self._bump("parallel_dense_probes")
 
     def record_hash_distinct(self) -> None:
-        """A DISTINCT ran on the open-addressing hash kernel (no lexsort)."""
+        """A DISTINCT ran on the packed-sort hash kernel (no lexsort)."""
         self._bump("hash_distincts")
 
     def record_overlapped_composition(self) -> None:

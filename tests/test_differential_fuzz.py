@@ -36,6 +36,18 @@ runs each statement on five configurations:
 All five must produce bit-identical relations: storage names, display
 names, column order, SQL types, null masks, non-null values, row order.
 
+The input gates of the cache-conscious sort and probe primitives
+(``operators.CACHE_KERNEL_MIN_ROWS``, ``PRESORTED_MAX_DESCENTS``) are
+switched off as well, so every configuration but the reference sorts with
+``stable_argsort``'s tie repair and probes with ``sorted_lookup``'s
+buckets on these tiny tables; the reference's joins keep numpy's own
+``argsort`` / ``searchsorted``.  The tables' keys are small integers, which
+the kernels treat as a dense range; every other batch therefore runs with
+the dense dispatch off (``DENSE_SPAN_FACTOR`` = ``DENSE_SPAN_FLOOR`` = 0),
+so the same statements also cross the sparse-key kernels — sorted-index
+and merge probes, serial and chunked — that carry the contraction loop
+after round 1.
+
 Runs in tier-1 under a fixed seed.  Env knobs for CI:
 
 * ``REPRO_FUZZ_ROUNDS`` — statement count (default 200);
@@ -47,11 +59,12 @@ from __future__ import annotations
 import os
 import random
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.sqlengine import Database
+from repro.sqlengine import Database, operators
 from repro.sqlengine.operators import (
     merge_join_indices,
     pad_left_outer,
@@ -60,6 +73,10 @@ from repro.sqlengine.operators import (
 
 FUZZ_ROUNDS = int(os.environ.get("REPRO_FUZZ_ROUNDS", "200"))
 FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20200420"))
+
+#: The primitives' input gates as shipped (the test switches them off).
+SEED_GATES = {name: getattr(operators, name)
+              for name in ("CACHE_KERNEL_MIN_ROWS", "PRESORTED_MAX_DESCENTS")}
 
 #: Fresh random tables (and databases) every this many statements, with a
 #: DDL churn step (append + rename round-trip) halfway through each batch.
@@ -91,14 +108,18 @@ def reference_db() -> Database:
         parallel=False,
     )
     executor = db._executor
+    # Whatever the test sets the gates to, the reference sorts and
+    # searches with numpy's own calls.
+    seed_primitives = mock.patch.multiple(operators, **SEED_GATES)
 
     def join_kernel(left_keys, right_keys, left_index=None, right_index=None,
                     note=None):
-        return merge_join_indices(left_keys, right_keys)
+        with seed_primitives:
+            return merge_join_indices(left_keys, right_keys)
 
     def left_join_kernel(left_keys, right_keys, left_index=None,
                          right_index=None, note=None):
-        l_idx, r_idx = merge_join_indices(left_keys, right_keys)
+        l_idx, r_idx = join_kernel(left_keys, right_keys)
         return pad_left_outer(l_idx, r_idx, len(left_keys[0]))
 
     def group_kernel(key_columns, index=None):
@@ -348,12 +369,22 @@ def test_differential_fuzz(monkeypatch):
     import repro.sqlengine.executor as executor_module
 
     monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
+    monkeypatch.setattr(operators, "CACHE_KERNEL_MIN_ROWS", 1)
+    monkeypatch.setattr(operators, "PRESORTED_MAX_DESCENTS", -1)
     rand = random.Random(FUZZ_SEED)
     executed = 0
     engaged = {"chain": 0, "fused": 0, "fused_group": 0, "parallel": 0,
-               "left_chain": 0, "process_tasks": 0}
+               "left_chain": 0, "process_tasks": 0, "indexed_probes": 0,
+               "dense_probes": 0}
     shapes = {"union_all": 0, "subquery_from": 0, "outer_group": 0}
+    dense_dispatch = {name: getattr(operators, name)
+                      for name in ("DENSE_SPAN_FACTOR", "DENSE_SPAN_FLOOR")}
     while executed < FUZZ_ROUNDS:
+        # Odd batches: no key range counts as dense.  Set before the
+        # batch's pools start, so forked workers agree with the driver.
+        for name, shipped in dense_dispatch.items():
+            monkeypatch.setattr(operators, name,
+                                0 if (executed // BATCH) % 2 else shipped)
         databases = {
             "reference": reference_db(),
             "planned": planned_db(),
@@ -393,6 +424,10 @@ def test_differential_fuzz(monkeypatch):
         engaged["fused"] += stats.fused_pipelines
         engaged["fused_group"] += stats.fused_group_pipelines
         engaged["parallel"] += databases["parallel"].stats.parallel_partitions
+        engaged["indexed_probes"] += \
+            databases["parallel"].stats.parallel_indexed_probes
+        engaged["dense_probes"] += \
+            databases["parallel"].stats.parallel_dense_probes
         engaged["process_tasks"] += databases["process"].stats.process_tasks
         shm_names = databases["process"].pool.registry.created_names()
         for db in databases.values():
@@ -408,6 +443,9 @@ def test_differential_fuzz(monkeypatch):
     assert engaged["fused_group"] > 0
     assert engaged["parallel"] > 0
     assert engaged["process_tasks"] > 0
+    assert engaged["dense_probes"] > 0
+    if FUZZ_ROUNDS > BATCH:  # a sparse-key batch ran
+        assert engaged["indexed_probes"] > 0
     # ... and actually generate the statement shapes it claims to cover.
     assert shapes["union_all"] > 0
     assert shapes["subquery_from"] > 0

@@ -13,6 +13,7 @@ import pytest
 from repro.sqlengine import Database
 from repro.sqlengine.mpp import SegmentPool
 from repro.sqlengine.operators import (
+    _hash_distinct_int,
     build_key_index,
     distinct_rows,
     group_rows,
@@ -92,6 +93,19 @@ def test_distinct_and_group_kernels_on_degenerate_inputs():
     )
     assert np.array_equal(keys, ref_keys)
     assert np.array_equal(results[0][0], ref_results[0][0])
+
+
+@pytest.mark.parametrize("n_columns", (1, 2, 3))
+def test_hash_distinct_kernel_on_zero_one_and_two_rows(n_columns):
+    def kept(*rows):
+        columns = [np.array(rows, dtype=np.int64) + c
+                   for c in range(n_columns)]
+        return _hash_distinct_int(columns).tolist()
+
+    assert kept() == []
+    assert kept(-(2 ** 63)) == [0]
+    assert kept(7, 7) == [0]
+    assert kept(7, -7) == [0, 1]
 
 
 def test_sql_pipelines_over_empty_and_all_null_tables(db):

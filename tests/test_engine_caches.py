@@ -17,7 +17,7 @@ from repro.core import RandomisedContraction
 from repro.core.unionfind import unionfind_labels
 from repro.graphs import gnm_random_graph
 from repro.graphs.io import load_edges_into
-from repro.sqlengine import Database
+from repro.sqlengine import Database, operators
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.plancache import PlanCache, normalize_statement
 
@@ -207,6 +207,52 @@ def test_disjoint_range_join_motion_independent_of_index_cache():
         return db.stats.motion_bytes - before
 
     assert join_motion(True) == join_motion(False) > 0
+
+
+@pytest.mark.parametrize("warm_probe_index", [True, False])
+def test_probe_side_index_is_merged_when_cached_and_never_built(
+        monkeypatch, warm_probe_index):
+    """``relabel-src`` joins ``graph.v1 = reps.v`` right after the ``reps``
+    GROUP BY sorted ``graph.v1``: that cached order turns the probe into a
+    merge.  Without it the probe side is searched as it lies — building an
+    index just to merge would cost the sort the merge saves."""
+    merges = []
+    real = operators.merge_probe
+    monkeypatch.setattr(
+        operators, "merge_probe",
+        lambda *args: merges.append(args[0].shape[0]) or real(*args))
+    rng = np.random.default_rng(4)
+    n = 3 * operators.CACHE_KERNEL_MIN_ROWS
+    v1 = rng.integers(-(2 ** 62), 2 ** 62, n // 3)[rng.integers(0, n // 3, n)]
+    reps = np.unique(v1)
+
+    def relabel(use_index_cache: bool):
+        db = Database(n_segments=4, parallel=False,
+                      use_index_cache=use_index_cache)
+        db.load_table("graph", {"v1": v1, "v2": np.arange(n)})
+        db.load_table("reps", {"v": reps, "rep": -np.arange(reps.shape[0])})
+        if warm_probe_index:
+            db.execute("select v1, count(*) c from graph group by v1")
+        before = db.stats.snapshot()
+        result = db.execute(
+            "select r1.rep as v1, v2 from graph, reps as r1 "
+            "where graph.v1 = r1.v")
+        return db, result, db.stats.snapshot().delta(before)
+
+    db, result, delta = relabel(True)
+    # The build side's index is the only one this join builds ...
+    assert delta.index_cache_misses == 1
+    assert db.table("reps").cached_index("v") is not None
+    if warm_probe_index:
+        # ... the probe side's was read: one merge over all of its rows.
+        assert delta.index_cache_hits == 1 and merges == [n]
+    else:
+        assert delta.index_cache_hits == 0 and merges == []
+        assert db.table("graph").cached_index("v1") is None
+    _, reference, _ = relabel(False)
+    assert merges == ([n] if warm_probe_index else [])
+    for name in ("v1", "v2"):
+        assert np.array_equal(result.column(name), reference.column(name))
 
 
 # ---------------------------------------------------------------------------

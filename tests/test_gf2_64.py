@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from repro.ff.gf2_64 import (
     IRREDUCIBLE_POLY,
     MASK64,
+    WIDE_TABLE_MIN_VALUES,
     Gf2AffineMap,
     gf2_axplusb,
     gf2_inv,
@@ -128,6 +129,30 @@ def test_affine_map_is_injective_on_sample():
     mapping = Gf2AffineMap(0xABCDEF0123456789, 42)
     xs = np.arange(10_000, dtype=np.uint64)
     assert len(set(mapping.apply(xs).tolist())) == 10_000
+
+
+@pytest.mark.parametrize("a,b", [(3, 7), (0xABCDEF0123456789, MASK64),
+                                 (1 << 63, 0)])
+def test_affine_map_large_batches_match_small_ones(a, b):
+    """From ``WIDE_TABLE_MIN_VALUES`` values a batch goes through the
+    16-bit tables; below it through the byte tables.  Same bits."""
+    mapping = Gf2AffineMap(a, b)
+    n = WIDE_TABLE_MIN_VALUES
+    xs = np.random.default_rng(a % 1000).integers(
+        0, 1 << 64, size=n, dtype=np.uint64)
+    xs[:4] = [0, 1, 0xFFFF, MASK64]
+    large = mapping.apply(xs)
+    assert mapping._wide_tables is not None
+    small = np.concatenate([mapping.apply(xs[:n // 2]),
+                            mapping.apply(xs[n // 2:])])
+    assert np.array_equal(large, small)
+    for i in (0, 1, 2, 3, n - 1):
+        assert int(large[i]) == mapping.apply_scalar(int(xs[i]))
+    # Signed storage and other shapes take the same route.
+    assert np.array_equal(mapping.apply(xs.view(np.int64)), large)
+    assert np.array_equal(mapping.apply(xs.reshape(256, -1)),
+                          large.reshape(256, -1))
+    assert np.array_equal(mapping.apply(np.repeat(xs, 2)[::2]), large)
 
 
 def test_affine_map_rejects_zero_a():

@@ -8,9 +8,12 @@ over randomized inputs covering dense and sparse key ranges, duplicates,
 NULLs, empties, and multi-column/text fallback."""
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.sqlengine import operators
 from repro.sqlengine.operators import (
+    CACHE_KERNEL_MIN_ROWS,
     NO_MATCH,
     _hash_distinct_int,
     _pack_int_pair,
@@ -21,6 +24,8 @@ from repro.sqlengine.operators import (
     left_join_indices,
     merge_join_indices,
     sorted_group_rows,
+    sorted_lookup,
+    stable_argsort,
 )
 from repro.sqlengine.types import Column
 
@@ -349,3 +354,170 @@ def test_key_index_stats():
     assert (index.min_value, index.max_value) == (3, 9)
     unique = build_key_index(np.array([4, 2, 8], dtype=np.int64))
     assert unique.is_unique
+
+
+# ---------------------------------------------------------------------------
+# cache-conscious primitives vs. the numpy calls they stand in for
+# ---------------------------------------------------------------------------
+
+I64 = np.iinfo(np.int64)
+#: Row counts on both sides of the size gate.
+GATE_SIZES = (0, 1, CACHE_KERNEL_MIN_ROWS - 1, CACHE_KERNEL_MIN_ROWS,
+              3 * CACHE_KERNEL_MIN_ROWS + 7)
+
+
+def _full_range(rng, n):
+    return rng.integers(I64.min, I64.max, size=n, dtype=np.int64,
+                        endpoint=True)
+
+
+#: name -> (build values, probe keys) for ``n`` probe rows.
+LOOKUP_REGIMES = {
+    "sparse-negative": lambda rng, n: (
+        _full_range(rng, max(n // 3, 1)), _full_range(rng, n)),
+    "probe-is-build": lambda rng, n: (
+        (build := _full_range(rng, max(n // 3, 1))),
+        build[rng.integers(0, build.shape[0], size=n)]),
+    "int64-extremes": lambda rng, n: (
+        np.array([I64.min, I64.min, -1, 0, I64.max, I64.max]),
+        rng.choice(np.array([I64.min, I64.min + 1, -1, 0, 1, I64.max - 1,
+                             I64.max]), size=n)),
+    "one-bucket": lambda rng, n: (
+        rng.integers(1 << 40, (1 << 40) + 50, size=max(n // 3, 1)),
+        rng.integers(1 << 40, (1 << 40) + 50, size=n)),
+    "one-build-key": lambda rng, n: (
+        np.array([7]), rng.integers(5, 10, size=n)),
+    "keys-absent": lambda rng, n: (
+        2 * rng.integers(-1000, 1000, size=max(n // 3, 1)),
+        np.concatenate([2 * rng.integers(-3000, 3000, size=n - n // 2) + 1,
+                        _full_range(rng, n // 2)])),
+    "prime-field": lambda rng, n: (
+        rng.integers(0, (1 << 31) - 1, size=max(n // 3, 1)),
+        rng.integers(0, (1 << 31) - 1, size=n)),
+}
+
+
+@pytest.mark.parametrize("n", GATE_SIZES)
+@pytest.mark.parametrize("regime", sorted(LOOKUP_REGIMES))
+def test_sorted_lookup_is_searchsorted(regime, n):
+    build, keys = LOOKUP_REGIMES[regime](np.random.default_rng(n), n)
+    sorted_values = np.sort(build.astype(np.int64))
+    keys = keys.astype(np.int64)
+    for side in ("left", "right"):
+        got = sorted_lookup(sorted_values, keys, side=side)
+        expected = np.searchsorted(sorted_values, keys, side=side)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected), (regime, n, side)
+
+
+def test_sorted_lookup_other_dtypes_and_empty_build():
+    n = 2 * CACHE_KERNEL_MIN_ROWS
+    rng = np.random.default_rng(3)
+    floats = np.sort(rng.random(500))
+    needles = rng.random(n)
+    assert np.array_equal(sorted_lookup(floats, needles),
+                          np.searchsorted(floats, needles))
+    keys = _full_range(rng, n)
+    empty = np.empty(0, dtype=np.int64)
+    assert np.array_equal(sorted_lookup(empty, keys), np.zeros(n, np.intp))
+    # A strided probe column (a view, not a copy) is probed in place.
+    strided = _full_range(rng, 2 * n)[::2]
+    build = np.sort(_full_range(rng, 999))
+    assert np.array_equal(sorted_lookup(build, strided),
+                          np.searchsorted(build, strided))
+
+
+#: name -> values of ``n`` rows for the stable-argsort property.
+ARGSORT_REGIMES = {
+    "seven-values": lambda rng, n: rng.integers(-3, 4, size=n),
+    "heavy-duplication": lambda rng, n: _full_range(
+        rng, max(n // 50, 1))[rng.integers(0, max(n // 50, 1), size=n)],
+    "pairs": lambda rng, n: np.repeat(_full_range(rng, n // 2 + 1), 2)[
+        rng.permutation(2 * (n // 2 + 1))][:n],
+    "all-distinct": lambda rng, n: rng.permutation(n) - n // 2,
+    "all-equal": lambda rng, n: np.full(n, I64.min),
+    "two-sorted-runs": lambda rng, n: np.concatenate(
+        [np.arange(n - n // 2), np.arange(n // 2)]),
+    "reversed": lambda rng, n: np.arange(n)[::-1] // 3,
+    "unsigned": lambda rng, n: rng.integers(
+        0, 1 << 64, size=n, dtype=np.uint64) >> np.uint64(rng.integers(40)),
+    "floats": lambda rng, n: rng.integers(0, 9, size=n) / 4.0,
+}
+
+
+@pytest.mark.parametrize("n", GATE_SIZES)
+@pytest.mark.parametrize("regime", sorted(ARGSORT_REGIMES))
+def test_stable_argsort_is_numpys_stable_argsort(regime, n):
+    values = np.asarray(ARGSORT_REGIMES[regime](np.random.default_rng(n), n))
+    order, sorted_values = stable_argsort(values)
+    expected = np.argsort(values, kind="stable")
+    assert order.dtype == expected.dtype
+    assert np.array_equal(order, expected), (regime, n)
+    assert np.array_equal(sorted_values, values[expected])
+
+
+@pytest.mark.parametrize("n", GATE_SIZES[2:])
+def test_merge_probe_agrees_with_reference(n):
+    """A materialised probe-side index turns the sorted-index probe into a
+    merge; unmatched probe rows, a stored-sorted probe side and a build
+    side stored in either order must not change a pair."""
+    rng = np.random.default_rng(n)
+    build = np.unique(_full_range(rng, n // 2 + 1))
+    probe = np.concatenate([build[rng.integers(0, build.shape[0], size=n)],
+                            _full_range(rng, n // 4)])
+    rng.shuffle(probe)
+    for left_values in (probe, np.sort(probe)):
+        for right_values in (build, rng.permutation(build)):
+            lcol, rcol = int_column(left_values), int_column(right_values)
+            l_index = build_key_index(lcol.values)
+            r_index = build_key_index(rcol.values)
+            assert l_index.is_materialised and r_index.is_unique
+            note: list = []
+            got = join_indices([lcol], [rcol], left_index=l_index,
+                               right_index=r_index, note=note)
+            assert note == ["probe-sorted"]
+            assert_same_pairs(got, merge_join_indices([lcol], [rcol]))
+
+
+def test_probe_side_index_is_read_only_when_its_order_is_in_hand():
+    """A dense probe-side index holds statistics only; the merge route
+    must not make it sort."""
+    n = 2 * CACHE_KERNEL_MIN_ROWS
+    rng = np.random.default_rng(5)
+    lcol = int_column(rng.permutation(n))
+    l_index = build_key_index(lcol.values)
+    assert not l_index.is_materialised
+    rcol = int_column(rng.permutation(n)[:50] * (1 << 40))
+    r_index = build_key_index(rcol.values)
+    got = join_indices([lcol], [rcol], left_index=l_index,
+                       right_index=r_index)
+    assert_same_pairs(got, merge_join_indices([lcol], [rcol]))
+    assert not l_index.is_materialised
+
+
+@pytest.mark.parametrize("n_columns", (1, 2, 3))
+@pytest.mark.parametrize("hash_bits", (4, 12, 20, 64))
+def test_hash_distinct_settles_prefix_collisions(monkeypatch, hash_bits,
+                                                 n_columns):
+    """With the hash cut to its top few bits different keys share a prefix
+    all the time; the kernel must still keep exactly the reference rows."""
+    real = operators.hash64
+    low_bits = np.uint64((1 << (64 - hash_bits)) - 1)
+    monkeypatch.setattr(operators, "hash64", lambda v: real(v) & ~low_bits)
+    rng = np.random.default_rng(hash_bits * 10 + n_columns)
+    for n in (1, 2, 3, 50, 5000):
+        distinct = max(n // 3, 1)
+        pick = rng.integers(0, distinct, size=n)
+        arrays = [
+            (_full_range(rng, distinct) >> np.int64(rng.integers(60)))[pick]
+            for _ in range(n_columns)
+        ]
+        if n_columns > 1:
+            # Keys that differ in one column only.
+            arrays[-1] = rng.integers(0, 3, size=n)
+        note: list = []
+        got = _hash_distinct_int(arrays, note)
+        assert note == ["hash"]
+        assert np.array_equal(
+            got, reference_distinct([int_column(a) for a in arrays])
+        ), (hash_bits, n_columns, n)

@@ -30,6 +30,7 @@ from repro.sqlengine.mpp import (
     segment_assignment,
 )
 from repro.sqlengine.operators import (
+    CACHE_KERNEL_MIN_ROWS,
     build_key_index,
     join_indices,
     left_join_indices,
@@ -405,7 +406,11 @@ def _join_case(kernel, reference, left_hi):
     return case
 
 
-def _probe_case(kernel, reference, dense, unique_build):
+def _probe_case(kernel, reference, dense, unique_build, merge=None):
+    """``merge`` hands the kernel the probe side's own sorted index too
+    (the chunks then merge two sorted arrays) — over a shuffled column
+    (``"indexed"``) or one stored in key order (``"stored-sorted"``).  The
+    reference never sees it, so the two routes check each other."""
     def case(pool, note):
         rng = np.random.default_rng(17 * dense + unique_build)
         if dense:
@@ -419,11 +424,20 @@ def _probe_case(kernel, reference, dense, unique_build):
             rng.integers(-2000, 0, 1_000),    # below-range misses
             rng.integers(5001, 9000, 2_000),  # above-range / absent misses
         ])
+        if merge == "stored-sorted":
+            probe.sort()
+        # Every chunk is big enough for the bucketed sorted_lookup.
+        assert probe.shape[0] // pool.n_segments >= CACHE_KERNEL_MIN_ROWS
         left_col, right_col = int_column(probe), int_column(build)
         index = build_key_index(right_col.values)
         assert index.is_unique == unique_build
+        left_index = build_key_index(left_col.values) if merge else None
+        assert left_index is None or (
+            left_index.is_materialised
+            and left_index.is_sorted == (merge == "stored-sorted"))
         return (reference([left_col], [right_col], right_index=index),
-                kernel([left_col], [right_col], index, pool, note))
+                kernel([left_col], [right_col], index, pool, note,
+                       left_index))
     return case
 
 
@@ -467,6 +481,14 @@ KERNEL_CASES = {
     "sorted-merge-probe": (
         _probe_case(parallel_probe_indexed, join_indices, False, False),
         "parallel-merge-probe"),
+    "merge-unique-probe": (
+        _probe_case(parallel_probe_indexed, join_indices, False, True,
+                    merge="indexed"),
+        "parallel-probe"),
+    "left-merge-unique-probe": (
+        _probe_case(parallel_left_probe_indexed, left_join_indices, False,
+                    True, merge="stored-sorted"),
+        "parallel-probe"),
     "dense-unique-probe": (
         _probe_case(parallel_probe_indexed, join_indices, True, True),
         "parallel-dense"),
