@@ -31,7 +31,8 @@ bench-quick:
 bench-engine:
 	$(PYTHON) -m pytest -q benchmarks/test_bench_engine_microbench.py
 
-## diff fresh BENCH_engine.json against the committed baseline (informational)
+## diff fresh BENCH_engine.json against the committed baseline (informational;
+## exit 4 = refused, the two files were recorded on different core counts)
 bench-compare:
 	$(PYTHON) scripts/bench_compare.py benchmarks/baselines/BENCH_engine.json \
 		benchmarks/results/BENCH_engine.json

@@ -42,7 +42,6 @@ from repro.sqlengine.parallel import (
     group_aggregate,
     parallel_group_aggregate,
     parallel_join_indices,
-    parallel_probe_indexed,
 )
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.types import INT64, Column
@@ -62,6 +61,17 @@ def best_of(fn, reps: int = REPS) -> float:
         fn()
         best = min(best, time.perf_counter() - started)
     return best
+
+
+def best_of_pair(fn_a, fn_b, reps: int = REPS) -> tuple[float, float]:
+    """``best_of`` for two things whose *ratio* carries an assert: the runs
+    alternate, so a slow spell of the machine falls on both sides instead
+    of on whichever happened to be measured during it."""
+    best_a = best_b = float("inf")
+    for _ in range(reps):
+        best_a = min(best_a, best_of(fn_a, 1))
+        best_b = min(best_b, best_of(fn_b, 1))
+    return best_a, best_b
 
 
 def reference_distinct(columns):
@@ -200,7 +210,7 @@ def test_engine_microbench():
     report["physical_plan"]["rc_hash_distincts"] = warm.hash_distincts
     sparse_edges = EdgeList(measured_edges.src * 9973 + 5,
                             measured_edges.dst * 9973 + 5)
-    probe_db = Database(n_segments=4, parallel=True)
+    probe_db = Database(n_segments=4, pool_workers=4)
     load_edges_into(probe_db, "edges_sparse", sparse_edges)
     RandomisedContraction().run(probe_db, "edges_sparse", seed=99)
     report["physical_plan"]["rc_parallel_indexed_probes"] = \
@@ -225,7 +235,7 @@ def test_engine_microbench():
     # Dense vertex ids + a warm build-side index + a multi-worker pool:
     # the direct-address probe must chunk across the pool instead of
     # falling back single-threaded (the fourth closed bottleneck).
-    dense_db = Database(n_segments=4, parallel=True)
+    dense_db = Database(n_segments=4, pool_workers=4)
     load_edges_into(dense_db, "edges_dense", measured_edges)
     RandomisedContraction().run(dense_db, "edges_dense", seed=99)
     report["physical_plan"]["rc_parallel_dense_probes"] = \
@@ -240,8 +250,8 @@ def test_engine_microbench():
     # background slot.  Labels must stay bit-identical to the serial
     # schedule, and the dataflow_overlaps counter must prove at least one
     # genuinely concurrent independent-statement pair per composed round.
-    def run_overlap(parallel: bool):
-        odb = Database(n_segments=4, parallel=parallel)
+    def run_overlap(workers: int):
+        odb = Database(n_segments=4, pool_workers=workers)
         load_edges_into(odb, "edges_ov", warm_edges)
         started = time.perf_counter()
         result = RandomisedContraction(variant="deterministic-space").run(
@@ -253,8 +263,8 @@ def test_engine_microbench():
         odb.close()
         return elapsed, vertices[order], labels[order], stats
 
-    t_overlap, v_ov, l_ov, stats_ov = run_overlap(True)
-    t_serial, v_se, l_se, stats_se = run_overlap(False)
+    t_overlap, v_ov, l_ov, stats_ov = run_overlap(4)
+    t_serial, v_se, l_se, stats_se = run_overlap(1)
     assert np.array_equal(v_ov, v_se) and np.array_equal(l_ov, l_se)
     assert stats_ov.overlapped_compositions > 0
     assert stats_se.overlapped_compositions == 0
@@ -323,8 +333,9 @@ def test_engine_microbench():
         for name_f, name_p in zip(fused_rel.names, plain_rel.names):
             assert np.array_equal(fused_rel.column(name_f).values,
                                   plain_rel.column(name_p).values)
-        t_fused = best_of(lambda: fused_db.execute(contract))
-        t_plain = best_of(lambda: plain_db.execute(contract))
+        t_fused, t_plain = best_of_pair(
+            lambda: fused_db.execute(contract),
+            lambda: plain_db.execute(contract))
         assert fused_db.stats.fused_pipelines > 0
         report["fused_distinct"][shape] = {
             "materialising_s": t_plain,
@@ -353,8 +364,9 @@ def test_engine_microbench():
         for name_f, name_p in zip(fused_rel.names, plain_rel.names):
             assert np.array_equal(fused_rel.column(name_f).values,
                                   plain_rel.column(name_p).values)
-        t_fused_g = best_of(lambda: fg_db.execute(group_query))
-        t_plain_g = best_of(lambda: pg_db.execute(group_query))
+        t_fused_g, t_plain_g = best_of_pair(
+            lambda: fg_db.execute(group_query),
+            lambda: pg_db.execute(group_query))
         assert fg_db.stats.fused_group_pipelines > 0
         assert pg_db.stats.fused_group_pipelines == 0
         report["fused_group_by"][shape] = {
@@ -385,8 +397,9 @@ def test_engine_microbench():
         for name_f, name_p in zip(chained_rel.names, plain_rel.names):
             assert np.array_equal(chained_rel.column(name_f).values,
                                   plain_rel.column(name_p).values)
-        t_chained = best_of(lambda: chain_db.execute(chain_query))
-        t_materialised = best_of(lambda: plain_db.execute(chain_query))
+        t_chained, t_materialised = best_of_pair(
+            lambda: chain_db.execute(chain_query),
+            lambda: plain_db.execute(chain_query))
         assert chain_db.stats.join_chain_fusions > 0
         assert plain_db.stats.join_chain_fusions == 0
         report["join_chain"][shape] = {
@@ -420,8 +433,9 @@ def test_engine_microbench():
             assert np.array_equal(mine.null_mask(), theirs.null_mask())
             valid = ~mine.null_mask()
             assert np.array_equal(mine.values[valid], theirs.values[valid])
-        t_left_chained = best_of(lambda: lc_db.execute(left_chain_query))
-        t_left_plain = best_of(lambda: lp_db.execute(left_chain_query))
+        t_left_chained, t_left_plain = best_of_pair(
+            lambda: lc_db.execute(left_chain_query),
+            lambda: lp_db.execute(left_chain_query))
         assert lc_db.stats.left_chain_fusions > 0
         assert lp_db.stats.left_chain_fusions == 0
         report["left_chain"][shape] = {
@@ -495,9 +509,8 @@ def test_engine_microbench():
     t_agg_parallel = best_of(
         lambda: parallel_group_aggregate(agg_keys, specs, pool))
 
-    # Partitioned probe of a cached sorted index (the warm-loop case the
-    # hash-partitioned kernel cannot serve): sparse unique build keys force
-    # the sorted probe, chunked across the pool.
+    # Chunked probe of a cached sorted index (the warm-loop case): sparse
+    # unique build keys force the sorted probe, chunked across the pool.
     sparse_build = Column(prng.permutation(np.arange(n_par) * 9973 + 7), INT64)
     sparse_probe = Column(
         sparse_build.values[prng.integers(0, n_par, n_par)], INT64)
@@ -505,8 +518,8 @@ def test_engine_microbench():
     probe_note: list = []
     ref_probe = join_indices([sparse_probe], [sparse_build],
                              right_index=probe_index)
-    par_probe = parallel_probe_indexed([sparse_probe], [sparse_build],
-                                       probe_index, pool, probe_note)
+    par_probe = parallel_join_indices([sparse_probe], [sparse_build], pool,
+                                      probe_note, right_index=probe_index)
     assert probe_note == ["parallel-probe"]
     assert np.array_equal(ref_probe[0], par_probe[0])
     assert np.array_equal(ref_probe[1], par_probe[1])
@@ -514,8 +527,8 @@ def test_engine_microbench():
         lambda: join_indices([sparse_probe], [sparse_build],
                              right_index=probe_index))
     t_probe_parallel = best_of(
-        lambda: parallel_probe_indexed([sparse_probe], [sparse_build],
-                                       probe_index, pool))
+        lambda: parallel_join_indices([sparse_probe], [sparse_build], pool,
+                                      right_index=probe_index))
 
     report["parallel"] = {
         "rows": n_par,
@@ -585,7 +598,7 @@ def test_engine_microbench():
         original = executor_module.PARALLEL_MIN_ROWS
         executor_module.PARALLEL_MIN_ROWS = proc_min_rows
         try:
-            bdb = Database(n_segments=4, parallel=True, pool_backend=backend,
+            bdb = Database(n_segments=4, pool_backend=backend,
                            pool_workers=proc_workers, use_index_cache=False)
             load_edges_into(bdb, "edges_pp", proc_edges)
             started = time.perf_counter()

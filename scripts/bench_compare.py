@@ -15,7 +15,11 @@ Exit codes are deterministic so CI can stay informational on them:
 * ``2`` — an input file is missing or not valid JSON;
 * ``3`` — schema drift: new, removed and/or NaN metrics were reported
   (commit a refreshed baseline from ``benchmarks/results/`` when this is
-  intended).
+  intended);
+* ``4`` — refused: the two files were recorded on different core counts
+  (a ``cpu_count`` the sections carry differs), so every timing delta
+  would compare machines, not commits — nothing is diffed.  Re-record the
+  baseline on the host class it is compared on (``make bench-baseline``).
 
 A metric that is present but NaN on either side is **drift**, not
 alignment: NaN means the benchmark recorded a division by zero or a
@@ -63,6 +67,16 @@ def main(argv: list[str]) -> int:
     fresh = load(Path(argv[2]), "fresh results (run `make bench-engine`)")
     if baseline is None or fresh is None:
         return 2
+    differing = [
+        f"{key} {baseline[key]:g} vs {fresh[key]:g}"
+        for key in sorted(baseline.keys() & fresh.keys())
+        if key.split(".")[-1] == "cpu_count" and baseline[key] != fresh[key]
+    ]
+    if differing:
+        print("bench-compare: refusing to compare runs of different core "
+              "counts (" + ", ".join(differing) + "); re-record the "
+              "baseline on this host class with `make bench-baseline`.")
+        return 4
     width = max((len(k) for k in baseline | fresh), default=10)
     new_keys = removed_keys = nan_keys = 0
     print(f"{'metric':<{width}}  {'baseline':>12}  {'fresh':>12}  {'delta':>8}")

@@ -124,63 +124,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_statements(sql: str) -> list[str]:
-    """Split on ';' outside string literals and comments.
-
-    Mirrors the engine lexer's surface: single-quoted strings ('' escapes
-    toggle twice, which this scanner handles naturally), ``--`` line
-    comments, and ``/* */`` block comments.
-    """
-    statements: list[str] = []
-    current: list[str] = []
-    i, n = 0, len(sql)
-    in_string = in_line_comment = in_block_comment = False
-    while i < n:
-        ch = sql[i]
-        if in_line_comment:
-            in_line_comment = ch != "\n"
-        elif in_block_comment:
-            if sql.startswith("*/", i):
-                current.append("*/")
-                i += 2
-                in_block_comment = False
-                continue
-        elif in_string:
-            in_string = ch != "'"
-        elif ch == "'":
-            in_string = True
-        elif sql.startswith("--", i):
-            in_line_comment = True
-        elif sql.startswith("/*", i):
-            # Consume both opener chars so "/*/" does not self-close.
-            in_block_comment = True
-            current.append("/*")
-            i += 2
-            continue
-        elif ch == ";":
-            statements.append("".join(current))
-            current = []
-            i += 1
-            continue
-        current.append(ch)
-        i += 1
-    statements.append("".join(current))
-    # Strip surrounding whitespace: template normalisation is text-exact,
-    # so " select ..." and "select ..." would otherwise cache separately.
-    return [s.strip() for s in statements if s.strip()]
-
-
 def _cmd_sql(args: argparse.Namespace) -> int:
     """Ad-hoc SQL over a dataset loaded as table ``edges(v1, v2)``."""
     from .graphs.io import load_edges_into
     from .sqlengine import Database
     from .sqlengine.errors import SqlError
+    from .sqlengine.lexer import split_statements
 
     edges = _load_graph(args.graph, args.scale)
     db = Database(pool_backend=args.backend, pool_workers=args.workers)
     load_edges_into(db, "edges", edges)
     db.stats.reset()
-    for statement in _split_statements(args.sql):
+    try:
+        statements = split_statements(args.sql)
+    except SqlError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    for statement in statements:
         try:
             result = db.execute(statement)
         except SqlError as exc:
@@ -312,13 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the full EngineStats counter dump "
                           "(plan/physical-plan/index caches, fused pipelines, "
                           "motion) after execution")
-    sql.add_argument("--backend", default=None, choices=["thread", "process"],
+    sql.add_argument("--backend", default="thread",
+                     choices=["thread", "process"],
                      help="segment pool backend: threads (default) or worker "
-                          "processes over shared-memory columns "
-                          "(REPRO_POOL_BACKEND sets the default)")
+                          "processes over shared-memory columns")
     sql.add_argument("--workers", type=int, default=None,
-                     help="force the pool's worker count (default: "
-                          "min(segments, cpu count))")
+                     help="the pool's worker count (default: min(segments, "
+                          "cpu count)); 1 runs every kernel serially, more "
+                          "run the same kernels over one chunk per segment")
     sql.set_defaults(fn=_cmd_sql)
 
     gamma = sub.add_parser("gamma", help="measure the contraction factor")

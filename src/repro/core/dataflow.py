@@ -5,14 +5,10 @@ a handful of tables in a fixed pattern: build representatives from the
 edge table, contract the edges, compose the label table.  The dependency
 structure between those statements is known statically — ConnectIt
 (Dhulipala et al.) exploits exactly this to schedule connectivity work
-asynchronously instead of in lockstep rounds — yet until now the driver
-ran everything serially except a single overlapped composition slot
-(``_OverlappedComposer``), which allowed at most one background statement
-and blocked the driver whenever a second round's composition arrived
-early.
+asynchronously instead of in lockstep rounds.
 
-:class:`DataflowScheduler` generalises that slot into a dependency DAG
-over *statement groups*:
+:class:`DataflowScheduler` runs the loop as a dependency DAG over
+*statement groups*:
 
 * each submitted task is a list of SQL statements executed in order on one
   worker (a composition is ``CREATE TABLE … AS``/``DROP``/``RENAME`` — an
@@ -32,12 +28,11 @@ Because the hazard sets fully order every pair of conflicting statements,
 the catalog state each statement observes — and therefore the final labels
 — is bit-identical to the serial schedule; the engine's catalog, plan
 cache and statistics locks (and the round-unique table/template names)
-make the concurrent execution safe, exactly as they did for the single
-overlapped composition.
+make the concurrent execution safe.
 
 Two situations fall back to inline execution at ``submit()`` time, so the
 serial peak-space profile and synchronous error behaviour are preserved:
-a database without a multi-worker pool, and a database under a **space
+a database whose pool has a single worker, and a database under a **space
 budget** (overlap holds round *i*'s tables alive alongside round *i+1*'s,
 which would make budget violations timing-dependent — the bench harness's
 Table III/IV DNF machinery needs the serial profile).
@@ -206,13 +201,10 @@ class DataflowScheduler:
     """
 
     def __init__(self, db: Database):
-        pool = getattr(db, "pool", None)
+        pool = db.pool
         self._db = db
         budgeted = db.stats.space_budget_bytes is not None
-        self._pool = (
-            pool if pool is not None and pool.n_workers > 1 and not budgeted
-            else None
-        )
+        self._pool = pool if pool.n_workers > 1 and not budgeted else None
         self._lock = threading.Lock()
         self._unfinished: set[StatementTask] = set()
         self._ready: deque[StatementTask] = deque()

@@ -9,7 +9,6 @@ write accounting of Tables IV and V.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Callable, Optional
 
@@ -19,7 +18,8 @@ from .errors import CatalogError, ExecutionError
 from .executor import Executor, Relation
 from .functions import FunctionRegistry
 from .mpp import Cluster, ProcessSegmentPool, SegmentPool
-from .parser import parse_script, parse_statement
+from .lexer import split_statements
+from .parser import parse_statement
 from .plancache import PlanCache
 from .stats import EngineStats
 from .table import Catalog, Table
@@ -74,13 +74,16 @@ class Database:
         ``"thread"`` (default) or ``"process"``.  The process backend runs
         the per-segment kernels in worker processes over shared-memory
         column buffers — same kernels, bit-identical labels, no shared
-        GIL.  Defaults to the ``REPRO_POOL_BACKEND`` environment variable
-        when unset.  Space-budgeted databases always fall back to threads:
+        GIL.  Space-budgeted databases always fall back to threads:
         budget enforcement samples live bytes synchronously on every
         allocation, a contract worker processes cannot honour.
     pool_workers:
-        Force the pool's worker count (CLI ``--workers``; tests use it to
-        exercise multi-worker paths on small hosts).
+        The segment pool's worker count, capped at ``n_segments`` (CLI
+        ``--workers``); ``None`` sizes it to ``min(n_segments, cpu
+        count)``.  Every database has a pool: ``pool_workers=1`` is serial
+        execution — each kernel called once, inline, on the calling
+        thread, no worker ever started — and more workers run the same
+        kernels over one chunk per segment, with bit-identical results.
     """
 
     def __init__(
@@ -92,46 +95,34 @@ class Database:
         use_index_cache: bool = True,
         use_physical_plans: bool = True,
         use_fusion: bool = True,
-        parallel: Optional[bool] = None,
-        pool_backend: Optional[str] = None,
+        pool_backend: str = "thread",
         pool_workers: Optional[int] = None,
     ):
         self.catalog = Catalog()
         self.registry = FunctionRegistry()
         self.cluster = Cluster(n_segments, broadcast_row_limit)
         self.stats = EngineStats(space_budget_bytes)
-        if pool_backend is None:
-            pool_backend = (
-                os.environ.get("REPRO_POOL_BACKEND", "").strip().lower()
-                or "thread"
-            )
         if pool_backend not in ("thread", "process"):
             raise ValueError(f"unknown pool backend {pool_backend!r}")
         if pool_backend == "process" and space_budget_bytes is not None:
             pool_backend = "thread"
-        #: Segment-parallel kernel execution.  ``None`` auto-sizes the pool
-        #: to min(n_segments, cpu_count) — single-core hosts keep the plain
-        #: kernels; ``True`` forces one worker per segment (tests exercise
-        #: the parallel code path deterministically); ``False`` disables it.
-        if parallel is False:
-            self.pool = None
-        else:
-            if pool_workers is None:
-                pool_workers = n_segments if parallel is True else None
-            pool_cls = (
-                ProcessSegmentPool if pool_backend == "process" else SegmentPool
-            )
-            self.pool = pool_cls(n_segments, max_workers=pool_workers)
-        #: Effective backend: "thread", "process", or None when disabled.
-        self.pool_backend = None if self.pool is None else pool_backend
-        if self.pool is not None and self.pool.supports_processes:
+        #: Effective backend: "thread" or "process".
+        self.pool_backend = pool_backend
+        pool_cls = (
+            ProcessSegmentPool if pool_backend == "process" else SegmentPool
+        )
+        #: Where kernels fan out and the dataflow scheduler overlaps
+        #: statements; with one worker both run inline.
+        self.pool: SegmentPool = pool_cls(n_segments, max_workers=pool_workers)
+        if self.pool.supports_processes:
             # Worker stat deltas and shm export accounting flow into the
             # same EngineStats the thread backend updates in-process.
             self.pool.on_stats_delta = self.stats.merge_worker_delta
             self.pool.registry.on_export = self.stats.record_shm_export
         self._executor = Executor(self.catalog, self.registry, self.cluster,
-                                  self.stats, use_index_cache=use_index_cache,
-                                  pool=self.pool, use_fusion=use_fusion)
+                                  self.stats, self.pool,
+                                  use_index_cache=use_index_cache,
+                                  use_fusion=use_fusion)
         self._plans: Optional[PlanCache] = PlanCache() if use_plan_cache else None
         #: Cache compiled physical plans on statement templates.
         self._use_physical_plans = use_physical_plans
@@ -169,16 +160,10 @@ class Database:
         return ResultSet(relation, rowcount)
 
     def execute_script(self, sql: str) -> list[ResultSet]:
-        """Run a semicolon-separated script; returns one result per statement."""
-        results = []
-        for statement in parse_script(sql):
-            self.stats.begin_statement()
-            started = time.perf_counter()
-            relation, rowcount = self._executor.execute(statement)
-            elapsed = time.perf_counter() - started
-            self.stats.end_statement(type(statement).__name__, sql, rowcount, elapsed)
-            results.append(ResultSet(relation, rowcount))
-        return results
+        """Run a semicolon-separated script, each statement through
+        :meth:`execute` — plan cache, statistics record with the
+        statement's own text — and return one result per statement."""
+        return [self.execute(statement) for statement in split_statements(sql)]
 
     # -- extension points -------------------------------------------------
 
@@ -238,8 +223,7 @@ class Database:
         on the next parallel kernel.  Long-lived processes creating many
         Database instances should close each when done.
         """
-        if self.pool is not None:
-            self.pool.shutdown()
+        self.pool.shutdown()
 
     def __enter__(self) -> "Database":
         return self

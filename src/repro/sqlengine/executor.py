@@ -1,6 +1,6 @@
 """Statement execution: running compiled physical plans.
 
-Planning and execution are now separate layers.  The planner
+Planning and execution are separate layers.  The planner
 (:mod:`repro.sqlengine.physicalplan`) turns a parsed statement into a
 :class:`~repro.sqlengine.physicalplan.PhysicalPlan` — resolved FROM items,
 predicate classification (per-table filters pushed below the joins,
@@ -24,15 +24,21 @@ second and third join against the same table — the paper's per-round
 ``reps`` pattern — skips its sort entirely; a GROUP BY over a column the
 index proves pre-sorted on disk skips both its sort and its gather.
 
-Kernels run **segment-parallel** when a
-:class:`~repro.sqlengine.mpp.SegmentPool` is attached and the input is
-large enough: joins and aggregations hash-partition their rows by the
-cluster's splitmix64 segment assignment and execute partitions on worker
-threads, with output bit-identical to the single-threaded kernels (see
-:mod:`repro.sqlengine.parallel`).  The executor is backend-transparent: a
+How a join runs is decided in one place,
+:func:`~repro.sqlengine.operators.plan_join`; the executor chooses only
+the **fan-out** of the route it returns: 1 — the route's kernel called
+once over every probe row — or, when the executor's
+:class:`~repro.sqlengine.mpp.SegmentPool` has more than one worker, the
+keys are one NULL-free integer column per side and there are at least
+``PARALLEL_MIN_ROWS`` probe rows, the pool's segment count — the same
+kernel over that many contiguous chunks (see
+:mod:`repro.sqlengine.parallel`), with bit-identical output.  Large
+single-key aggregations likewise run partial-then-final over the pool's
+hash partitions, through the reducer the serial GROUP BY calls.  The
+executor is backend-transparent: a
 :class:`~repro.sqlengine.mpp.ProcessSegmentPool` runs the very same
 kernels in worker processes over shared-memory column buffers — same
-partitioning, same recombination, same labels — with automatic thread
+chunks, same recombination, same labels — with automatic thread
 fallback for payloads that cannot be shared.
 
 Join pipelines of two or more steps run **chain-fused** (see
@@ -96,17 +102,15 @@ from .operators import (
     distinct_rows,
     group_rows,
     join_indices,
-    left_join_indices,
+    pad_left_outer,
+    plan_join,
 )
 from .parallel import (
     PARALLEL_MIN_ROWS,
     AggregateSpec,
-    _parallel_eligible,
+    _reduce_slice,
     parallel_group_aggregate,
-    parallel_join_indices,
-    parallel_left_join_indices,
-    parallel_left_probe_indexed,
-    parallel_probe_indexed,
+    run_join,
 )
 from .physicalplan import (
     CorePlan,
@@ -126,14 +130,6 @@ from .types import _FIXED_WIDTH
 #: Safety valve: a join step with no usable equality predicate falls back to
 #: a cartesian product only below this many output rows.
 MAX_CARTESIAN_ROWS = 1 << 21
-
-#: (single-threaded, hash-partitioned, chunk-probed) join kernels, keyed
-#: on "left outer?" — see :meth:`Executor._dispatch_join`.
-_JOIN_KERNELS = {
-    False: (join_indices, parallel_join_indices, parallel_probe_indexed),
-    True: (left_join_indices, parallel_left_join_indices,
-           parallel_left_probe_indexed),
-}
 
 
 @dataclass
@@ -441,8 +437,8 @@ class Executor:
         registry: FunctionRegistry,
         cluster: Cluster,
         stats: EngineStats,
+        pool: SegmentPool,
         use_index_cache: bool = True,
-        pool: Optional[SegmentPool] = None,
         use_fusion: bool = True,
     ):
         self.catalog = catalog
@@ -453,7 +449,7 @@ class Executor:
         #: by backends that model index-less engines (the Spark comparison),
         #: and by tests that need the seed execution strategy.
         self.use_index_cache = use_index_cache
-        #: Segment-parallel kernel execution (None = single-threaded).
+        #: Where kernels fan out; a one-worker pool runs everything inline.
         self.pool = pool
         #: Compile plans with column pruning and fused join->DISTINCT;
         #: False reproduces the seed's materialising pipeline.
@@ -491,27 +487,12 @@ class Executor:
     # ------------------------------------------------------------------
     # operator kernels — overridable execution strategy
     #
-    # The default engine runs each kernel once over whole columns (an MPP
-    # database's co-located, vectorised execution), switching to
-    # segment-parallel partitions for large inputs when a pool is attached.
+    # The default engine runs each kernel over whole columns (an MPP
+    # database's co-located, vectorised execution), cut into one chunk
+    # per segment for large inputs on a multi-worker pool.
     # The Spark-SQL comparison backend (repro.spark) overrides these with
     # partitioned, shuffle-everything equivalents.
     # ------------------------------------------------------------------
-
-    def _parallel_shape(
-        self, left_keys: list[Column], right_keys: list[Column], n_rows: int
-    ) -> bool:
-        """A pool with real fan-out, key columns of the segment-parallel
-        kernels' shape, and ``n_rows`` above the size where partitioning
-        pays."""
-        pool = self.pool
-        return (
-            pool is not None
-            and pool.n_workers > 1
-            and n_rows >= PARALLEL_MIN_ROWS
-            and _parallel_eligible(left_keys)
-            and _parallel_eligible(right_keys)
-        )
 
     def _dispatch_join(
         self,
@@ -522,23 +503,30 @@ class Executor:
         right_index: Optional[KeyIndex],
         note: Optional[list],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Inner or left-outer join: hash-partitioned when neither side
-        has an index, chunk-probed when the build side has a cached one
-        (the probe side can be chunked), single-threaded otherwise."""
-        serial, partitioned, probed = _JOIN_KERNELS[left_outer]
-        if right_index is not None:
-            if self._parallel_shape(left_keys, right_keys, len(left_keys[0])):
-                local_note: list = []
-                result = probed(left_keys, right_keys, right_index, self.pool,
-                                local_note, left_index)
-                self._record_probe_note(local_note, note)
-                return result
-        elif left_index is None and self._parallel_shape(
-            left_keys, right_keys, max(len(left_keys[0]), len(right_keys[0]))
-        ):
-            self.stats.record_parallel_partitions(self.pool.n_segments)
-            return partitioned(left_keys, right_keys, self.pool, note)
-        return serial(left_keys, right_keys, left_index, right_index, note)
+        """Inner or left-outer join: plan the route once, then run it at
+        fan-out 1 or — a pool with real fan-out, a shape it can chunk and
+        enough probe rows for the dispatch to pay — over the pool."""
+        route = plan_join(left_keys, right_keys, left_index, right_index)
+        pool = self.pool
+        chunked = (
+            route.chunkable
+            and pool.n_workers > 1
+            and route.n_probe >= PARALLEL_MIN_ROWS
+        )
+        if chunked:
+            self.stats.record_parallel_partitions(pool.n_segments)
+            if route.dense:
+                self.stats.record_parallel_dense_probe()
+            elif right_index is not None:
+                self.stats.record_parallel_indexed_probe()
+            l_idx, r_idx = run_join(route, pool)
+        else:
+            l_idx, r_idx = route.run()
+        if note is not None:
+            note.append(route.note(chunked))
+        if left_outer:
+            return pad_left_outer(l_idx, r_idx, len(left_keys[0]))
+        return l_idx, r_idx
 
     def _join_kernel(
         self,
@@ -550,20 +538,6 @@ class Executor:
     ) -> tuple[np.ndarray, np.ndarray]:
         return self._dispatch_join(False, left_keys, right_keys, left_index,
                                    right_index, note)
-
-    def _record_probe_note(
-        self, local_note: list, note: Optional[list]
-    ) -> None:
-        """Fold a parallel-probe kernel's note into stats and the caller's
-        note (the kernel may have fallen back to a single-threaded path)."""
-        if local_note and local_note[-1].startswith("parallel-"):
-            self.stats.record_parallel_partitions(self.pool.n_segments)
-            if local_note[-1].startswith("parallel-dense"):
-                self.stats.record_parallel_dense_probe()
-            else:
-                self.stats.record_parallel_indexed_probe()
-        if note is not None:
-            note.extend(local_note)
 
     def _left_join_kernel(
         self,
@@ -1317,7 +1291,7 @@ class Executor:
         ``None`` when the shape is outside the parallel kernel (which then
         runs the classic path — including its error reporting)."""
         pool = self.pool
-        if pool is None or pool.n_workers <= 1:
+        if pool.n_workers <= 1:
             return None
         if len(key_columns) != 1 or frame.length < PARALLEL_MIN_ROWS:
             return None
@@ -1348,17 +1322,10 @@ class Executor:
             key.values, specs, pool
         )
         self.stats.record_parallel_partitions(pool.n_segments)
-        agg_results: dict[Aggregate, Column] = {}
-        for node, spec, (values, mask) in zip(aggregates, specs, results):
-            if spec.kind in ("count*", "count"):
-                agg_results[node] = Column(values, INT64)
-            elif spec.kind in ("min", "max"):
-                agg_results[node] = Column(values, spec.sql_type, mask)
-            elif spec.kind == "sum":
-                sql_type = INT64 if spec.sql_type == INT64 else FLOAT64
-                agg_results[node] = Column(values, sql_type, mask)
-            else:  # avg
-                agg_results[node] = Column(values, FLOAT64, mask)
+        agg_results = {
+            node: _aggregate_column(spec, values, mask)
+            for node, spec, (values, mask) in zip(aggregates, specs, results)
+        }
         grouped_key = Column(unique_keys, key.sql_type)
         return grouped_key, agg_results, int(unique_keys.shape[0])
 
@@ -1519,52 +1486,16 @@ class Executor:
             if node.name == "count":
                 return Column(np.zeros(n_groups, dtype=np.int64), INT64)
             return Column.nulls(n_groups, argument.sql_type)
-        if presorted:
-            # The cached index proved the input pre-grouped on disk: the
-            # grouping order is the identity and the gathers are no-ops.
-            sorted_values = argument.values
-            sorted_mask = argument.null_mask()
-        else:
-            sorted_values = argument.values[order]
-            sorted_mask = argument.null_mask()[order]
-        valid_counts = np.add.reduceat(
-            (~sorted_mask).astype(np.int64), starts
-        ) if n_groups else np.zeros(0, dtype=np.int64)
-        if node.name == "count":
-            return Column(valid_counts, INT64)
-        if argument.sql_type not in (INT64, FLOAT64, BOOL):
+        if node.name != "count" and argument.sql_type not in (
+            INT64, FLOAT64, BOOL
+        ):
             raise PlanError(f"{node.name}() on non-numeric column")
-        dtype = argument.values.dtype
-        if node.name in ("min", "max"):
-            if argument.sql_type == INT64:
-                sentinel = np.iinfo(np.int64).max if node.name == "min" \
-                    else np.iinfo(np.int64).min
-            else:
-                sentinel = np.inf if node.name == "min" else -np.inf
-            padded = np.where(sorted_mask, sentinel, sorted_values)
-            reducer = np.minimum if node.name == "min" else np.maximum
-            values = reducer.reduceat(padded, starts) if n_groups else padded
-            mask = valid_counts == 0
-            return Column(
-                values.astype(dtype, copy=False),
-                argument.sql_type,
-                mask if mask.any() else None,
-            )
-        if node.name in ("sum", "avg"):
-            padded = np.where(sorted_mask, 0, sorted_values)
-            sums = np.add.reduceat(padded.astype(np.float64), starts) if n_groups \
-                else np.zeros(0)
-            mask = valid_counts == 0
-            if node.name == "sum":
-                if argument.sql_type == INT64:
-                    return Column(
-                        sums.astype(np.int64), INT64, mask if mask.any() else None
-                    )
-                return Column(sums, FLOAT64, mask if mask.any() else None)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                averages = sums / valid_counts
-            return Column(averages, FLOAT64, mask if mask.any() else None)
-        raise PlanError(f"unknown aggregate {node.name!r}")
+        # The cached index that proved the input pre-grouped on disk made
+        # the grouping order the identity: the reducer skips its gathers.
+        spec = AggregateSpec(node.name, argument.values, argument.mask,
+                             argument.sql_type)
+        return _aggregate_column(spec, *_reduce_slice(
+            spec, None, None if presorted else order, starts, counts))
 
     def _count_distinct(
         self, argument: Column, key_columns: list[Column], n_groups: int
@@ -1601,8 +1532,21 @@ class Executor:
 
 
 # ---------------------------------------------------------------------------
-# fused-grouping helper
+# grouping helpers
 # ---------------------------------------------------------------------------
+
+
+def _aggregate_column(
+    spec: AggregateSpec, values: np.ndarray, mask: Optional[np.ndarray]
+) -> Column:
+    """One reducer result as a column of the aggregate's SQL type."""
+    if spec.kind in ("count*", "count"):
+        return Column(values, INT64)
+    if spec.kind in ("min", "max"):
+        return Column(values, spec.sql_type, mask)
+    if spec.kind == "sum" and spec.sql_type == INT64:
+        return Column(values, INT64, mask)
+    return Column(values, FLOAT64, mask)  # float sum, avg
 
 
 def _expand_group_order(

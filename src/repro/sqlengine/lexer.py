@@ -163,3 +163,23 @@ def tokenize(sql: str, allow_params: bool = False) -> list[Token]:
         raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(Token(EOF, "", n))
     return tokens
+
+
+def split_statements(sql: str) -> list[str]:
+    """The statements of a ``;``-separated script, as stripped source text.
+
+    The script is cut at the tokenizer's own top-level ``;`` tokens, so a
+    ``;`` inside a string literal or a comment never splits; a piece
+    holding no token at all (an empty statement, a trailing comment) is
+    dropped.
+    """
+    pieces: list[str] = []
+    start, has_token = 0, False
+    for token in tokenize(sql):
+        if token.kind == EOF or token.matches(OP, ";"):
+            if has_token:
+                pieces.append(sql[start:token.position].strip())
+            start, has_token = token.position + 1, False
+        else:
+            has_token = True
+    return pieces

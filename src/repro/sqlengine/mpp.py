@@ -73,12 +73,13 @@ class SegmentPool:
     """A worker pool executing per-segment kernel partitions.
 
     The pool mirrors the cluster layout: work is split into ``n_segments``
-    hash partitions and executed on up to ``min(n_segments, cpu_count)``
-    threads.  numpy releases the GIL inside its kernels, so partitions run
-    genuinely concurrently on multi-core hosts; on a single core the pool
-    reports ``n_workers == 1`` and the executor keeps the plain
-    single-threaded kernels (``max_workers`` forces a thread count for
-    tests that must exercise the parallel code path regardless).
+    partitions or chunks and executed on ``max_workers`` threads, at most
+    one per segment (default ``min(n_segments, cpu_count)``).  numpy
+    releases the GIL inside its kernels, so they run genuinely
+    concurrently on multi-core hosts.  A pool of one worker — a single
+    core, or ``max_workers=1`` — is serial execution: ``map`` and
+    ``submit`` run inline on the calling thread, the executor calls every
+    kernel once over its whole input, and no thread is ever created.
 
     The thread pool is created lazily on first use, so accounting-only
     databases never spawn threads.
@@ -200,25 +201,16 @@ class ProcessSegmentPool(SegmentPool):
 
     supports_processes = True
 
-    def __init__(
-        self,
-        n_segments: int,
-        max_workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ):
+    def __init__(self, n_segments: int, max_workers: Optional[int] = None):
         super().__init__(n_segments, max_workers)
         self.registry = ShmRegistry()
         #: Hook receiving merged worker stat deltas (wired by Database to
         #: ``EngineStats.merge_worker_delta``).
         self.on_stats_delta: Optional[Callable[[dict], None]] = None
-        if start_method is None:
-            start_method = os.environ.get("REPRO_POOL_START_METHOD") or None
-        if start_method is None:
-            # fork skips re-importing the engine in every worker; spawn is
-            # the fallback where fork is unavailable.
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._start_method = start_method
+        # fork skips re-importing the engine in every worker; spawn is
+        # the fallback where fork is unavailable.
+        methods = multiprocessing.get_all_start_methods()
+        self._start_method = "fork" if "fork" in methods else methods[0]
         self._processes: Optional[ProcessPoolExecutor] = None
         self._proc_lock = threading.Lock()
 

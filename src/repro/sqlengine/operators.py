@@ -6,27 +6,39 @@ DISTINCT.  All kernels are pure index arithmetic — they return row index
 arrays rather than materialised rows, so the executor can gather only the
 columns a query actually needs.
 
-Two execution strategies coexist:
+**Joins** are planned once and written once.  :func:`plan_join` is the
+only place that decides how an equi-join runs: it returns a
+:class:`JoinRoute` naming one of three kernels and the arrays it reads —
 
-* **Hash/dictionary kernels** (the hot path) handle the dominant case of
-  the reproduced algorithms — single-column ``int64`` keys without NULLs.
-  When the key range is dense (span comparable to the row count, as with
-  vertex IDs) the join builds a direct-address slot table and the DISTINCT
-  kernel scatters first-occurrence positions, both O(n) with no sort at
-  all.  Sparse 64-bit keys (post-randomisation representative values) use
-  a :class:`KeyIndex` — a sorted order plus uniqueness and min/max stats —
+* a **direct-address table** (:func:`_dense_chunk`) when the build-side
+  key range is dense (span comparable to the row count, as with vertex
+  IDs): O(n), no sort at all;
+* a **sorted-order probe** (:func:`_probe_chunk`) for sparse 64-bit keys
+  (post-randomisation representative values) — one binary search per row
+  into unique build keys, a run expansion (:func:`_expand_runs`, the only
+  one) into duplicated ones.  The sorted order is a :class:`KeyIndex`,
   which stored tables cache across statements (see
   :meth:`repro.sqlengine.table.Table.ensure_index`), so repeated joins
-  against the same table pay the sort once.
+  against the same table pay the sort once;
+* a **merge** (:func:`_merge_probe_chunk`) when the probe column's own
+  sorted index is already in hand.
 
-* **Sort-merge kernels** (:func:`merge_join_indices`,
-  :func:`sorted_group_rows`) remain as the reference implementation and
-  the fallback for text keys and NULL-bearing inputs.  Multi-column and
-  unpackable sparse-pair DISTINCT run on a **packed-sort hash kernel**
-  (:func:`_hash_distinct_int`: one value sort of ``(splitmix64 prefix,
-  row)`` words, prefix collisions settled exactly) instead of a lexsort —
-  the shape of the contraction query's ``select distinct v1, v2`` once
-  representatives are 64-bit field values whose spans defeat pair packing.
+Each kernel is a module-level function of one ``(inputs, task)`` payload
+whose task is a contiguous range of probe rows.  Serial execution is that
+kernel called once over the whole range (:func:`join_indices`); a segment
+pool calls the same kernel over k ranges
+(:mod:`repro.sqlengine.parallel`).  The fan-out is the executor's only
+choice; the route, the arrays and the output do not depend on it.
+
+**Sort-merge references** (:func:`merge_join_indices`,
+:func:`sorted_group_rows`) remain for the tests to diff against, and
+:func:`sorted_group_rows` as the fallback for text keys and NULL-bearing
+inputs.  Multi-column and
+unpackable sparse-pair DISTINCT run on a **packed-sort hash kernel**
+(:func:`_hash_distinct_int`: one value sort of ``(splitmix64 prefix,
+row)`` words, prefix collisions settled exactly) instead of a lexsort —
+the shape of the contraction query's ``select distinct v1, v2`` once
+representatives are 64-bit field values whose spans defeat pair packing.
 
 Sparse keys are where the reproduced algorithms spend their time, and at a
 million rows the cost of every kernel above is cache misses, not
@@ -34,20 +46,16 @@ comparisons.  Two primitives keep the memory accesses sequential:
 :func:`stable_argsort` (vectorised unstable sort, ties repaired by one
 value sort) builds every stable order over a key column, and
 :func:`sorted_lookup` (needles radix-bucketed into near-ascending order)
-is every probe of one by keys in arbitrary order — serial or per pool
-chunk (:mod:`repro.sqlengine.parallel` calls the same functions).  A probe
-side that already has a sorted index of its own is merged instead
-(:func:`merge_probe`).  All are drop-in: same arrays as the numpy call
-they replace, which small inputs still make.
+is every probe of one by keys in arbitrary order.  Both are drop-in: same
+arrays as the numpy call they replace, which small inputs still make.
 
-Every fast path is *plan-stable*: it returns exactly the same index arrays,
+Every route is *plan-stable*: it returns exactly the same index arrays,
 in exactly the same order, as the sort-merge reference.  The property tests
 in ``tests/test_operators.py`` enforce this, and it is what makes the
-engine's output bit-for-bit reproducible regardless of which kernel the
-dispatch picks.  DISTINCT kernels return first-occurrence positions in
-ascending *row* order (the key-value ordering of earlier revisions was an
-artefact of the sort-based implementation; row order is strategy-neutral,
-so the hash path never pays a key sort it does not need).
+engine's output bit-for-bit reproducible regardless of which route the
+planner picks.  DISTINCT kernels return first-occurrence positions in
+ascending *row* order (row order is strategy-neutral, so the hash path
+never pays a key sort it does not need).
 
 Every kernel must behave on empty inputs, because the termination condition
 of every reproduced algorithm ("repeat until the edge table is empty") makes
@@ -56,12 +64,13 @@ the final round's queries run over zero rows.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ExecutionError
 from .mpp import hash64
+from .shm import view_array
 from .types import TEXT, Column
 
 #: Right-index sentinel for unmatched rows in a left outer join.
@@ -330,6 +339,209 @@ def _empty_pair() -> tuple[np.ndarray, np.ndarray]:
 # joins
 # ---------------------------------------------------------------------------
 
+#: Every route :func:`plan_join` can return, with the kernel-strategy note
+#: it reports at fan-out 1 and at fan-out k (``None``: nothing to fan out).
+JOIN_ROUTES = {
+    "empty": ("empty", None),
+    "range-pruned": ("range-pruned", None),
+    "dense-unique": ("dense", "parallel-dense"),
+    "dense-runs": ("dense", "parallel-dense-merge"),
+    "sparse-unique": ("probe-sorted", "parallel-probe"),
+    "indexed-runs": ("merge-indexed", "parallel-merge-probe"),
+    "sorted-runs": ("merge", "parallel-merge"),
+}
+
+
+class JoinRoute:
+    """How one inner equi-join runs — everything :func:`plan_join` decided.
+
+    ``kernel`` is a module-level function of one ``(inputs, task)``
+    payload: ``inputs`` are the big arrays every task shares (probe keys,
+    slot or bucket tables, sorted values, order) and ``task`` is ``(start,
+    stop, *scalars)``, one contiguous range of the ``n_probe`` probe
+    positions.  Fan-out 1 is the kernel called once over ``(0, n_probe)``
+    (:meth:`run`); fan-out k is the same kernel over k ranges on a pool
+    (:func:`repro.sqlengine.parallel.run_join`); :meth:`combine` turns the
+    chunk outputs of either into the join's row pairs.  ``kernel`` is
+    ``None`` when no row can match.
+    """
+
+    __slots__ = ("kind", "kernel", "inputs", "scalars", "n_probe",
+                 "left_rows", "right_rows", "chunkable", "probe_column")
+
+    def __init__(self, kind: str, kernel: Optional[Callable] = None,
+                 inputs: tuple = (), scalars: tuple = ()):
+        self.kind = kind
+        self.kernel = kernel
+        self.inputs = inputs
+        self.scalars = scalars
+        self.n_probe = 0
+        #: Row numbers behind the key positions of a side that had NULL
+        #: keys filtered out (``None``: positions are rows).
+        self.left_rows: Optional[np.ndarray] = None
+        self.right_rows: Optional[np.ndarray] = None
+        #: The shape a pool may cut into chunks: one NULL-free int64-kind
+        #: key column per side (and some row that can match).
+        self.chunkable = False
+        #: The stored column whose values are ``inputs[0]``, when the route
+        #: is chunkable and its kernel reads the probe keys there (all but
+        #: the merge probe do): a process pool exports a column once by
+        #: adopting the shared copy as its storage, which a bare array
+        #: cannot offer.
+        self.probe_column: Optional[Column] = None
+
+    def note(self, chunked: bool = False) -> str:
+        """The kernel-strategy name the executor records on the plan."""
+        return JOIN_ROUTES[self.kind][chunked]
+
+    @property
+    def dense(self) -> bool:
+        """True when the probe is of a direct-address table."""
+        return self.kernel is _dense_chunk
+
+    def run(self) -> tuple[np.ndarray, np.ndarray]:
+        """The join at fan-out 1: one direct kernel call."""
+        if self.kernel is None:
+            return _empty_pair()
+        task = (0, self.n_probe, *self.scalars)
+        return self.combine([self.kernel((self.inputs, task))])
+
+    def combine(self, pairs: list) -> tuple[np.ndarray, np.ndarray]:
+        """Aligned ``(left rows, right rows)`` from the chunks' outputs.
+
+        Chunks are contiguous and in probe order, so laying them back to
+        back is the one-chunk output order; only the merge probe, whose
+        chunks are cut from the probe column's *sorted* order, scatters.
+        """
+        if self.kernel is _merge_probe_chunk:
+            l_idx, r_idx = pairs_in_row_order(pairs, self.n_probe)
+        elif len(pairs) == 1:
+            l_idx, r_idx = pairs[0]
+        else:
+            l_idx = np.concatenate([left for left, _ in pairs])
+            r_idx = np.concatenate([right for _, right in pairs])
+        if self.left_rows is not None:
+            l_idx = self.left_rows[l_idx]
+        if self.right_rows is not None:
+            r_idx = self.right_rows[r_idx]
+        return l_idx, r_idx
+
+
+def _valid_keys(columns: list[Column]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The packed keys of the rows where no key column is NULL, and those
+    rows' numbers (``None``: every row)."""
+    keys = _pack_keys(_keys_as_arrays(columns))
+    valid = _non_null_rows(columns)
+    if valid is None:
+        return keys, None
+    return keys[valid], np.flatnonzero(valid)
+
+
+def plan_join(
+    left_keys: list[Column],
+    right_keys: list[Column],
+    left_index: Optional[KeyIndex] = None,
+    right_index: Optional[KeyIndex] = None,
+) -> JoinRoute:
+    """Plan an inner m:n equi-join: strip NULL keys (they never match —
+    SQL semantics), then let :func:`_route_keys` pick the route.
+
+    ``left_index``/``right_index`` are optional precomputed
+    :class:`KeyIndex` objects over the *unfiltered* key columns (typically
+    from a stored table's index cache); they let the route skip its
+    build-side sort.  An index is ignored whenever the corresponding side
+    had NULL rows filtered out, since its row numbering would no longer
+    line up.
+    """
+    if len(left_keys) != len(right_keys) or not left_keys:
+        raise ExecutionError("join requires matching non-empty key lists")
+    lk, left_rows = _valid_keys(left_keys)
+    rk, right_rows = _valid_keys(right_keys)
+    if left_rows is not None:
+        left_index = None
+    if right_rows is not None:
+        right_index = None
+    if lk.shape[0] == 0 or rk.shape[0] == 0:
+        return JoinRoute("empty")
+    route = _route_keys(lk, rk, left_index, right_index)
+    route.n_probe = int(lk.shape[0])
+    route.left_rows, route.right_rows = left_rows, right_rows
+    route.chunkable = (
+        route.kernel is not None
+        and left_rows is None and right_rows is None
+        and lk.dtype.kind == "i" and rk.dtype.kind == "i"
+    )
+    if route.chunkable and route.kernel is not _merge_probe_chunk:
+        route.probe_column = left_keys[0]
+    return route
+
+
+def _route_keys(
+    lk: np.ndarray,
+    rk: np.ndarray,
+    left_index: Optional[KeyIndex],
+    right_index: Optional[KeyIndex],
+) -> JoinRoute:
+    """The one join-route decision, over non-empty NULL-free packed keys.
+
+    Integer keys: disjoint key ranges match nothing; a dense build-side
+    range gets a direct-address table (slots for unique keys, buckets
+    otherwise) — O(n), no sort.  Sparse keys probe the build side's sorted
+    order: one binary search per row when its keys are unique (a merge
+    when the probe column's own sorted index is already in hand —
+    ``relabel-src`` joins the column the ``reps`` GROUP BY just sorted;
+    never worth *building* one for), a run expansion otherwise.  Without
+    a build-side index the sort happens here, once, whatever the fan-out.
+    """
+    n_right = int(rk.shape[0])
+    ints = lk.dtype.kind == "i" and rk.dtype.kind == "i"
+    if ints:
+        if right_index is not None and right_index.min_value is not None:
+            rmin, rmax = right_index.min_value, right_index.max_value
+        else:
+            rmin, rmax = int(rk.min()), int(rk.max())
+        if left_index is not None and left_index.min_value is not None and (
+            left_index.min_value > rmax or left_index.max_value < rmin
+        ):
+            return JoinRoute("range-pruned")
+        span = rmax - rmin + 1
+        if span <= _dense_span_limit(n_right):
+            rel_right = rk - rmin
+            counts = None
+            if right_index is None or not right_index.is_unique:
+                counts = np.bincount(rel_right, minlength=span)
+            if counts is None or n_right < 2 or int(counts.max()) <= 1:
+                slots = np.full(span, NO_MATCH, dtype=np.int64)
+                slots[rel_right] = np.arange(n_right, dtype=np.int64)
+                return JoinRoute("dense-unique", _dense_chunk,
+                                 (lk, slots, None, None), (rmin, span))
+            # Duplicate build keys: bucket right rows by key code.
+            order = right_index.order if right_index is not None \
+                else stable_argsort(rel_right)[0]
+            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+            return JoinRoute("dense-runs", _dense_chunk,
+                             (lk, counts, starts, order), (rmin, span))
+    if right_index is None:
+        order, sorted_values = stable_argsort(rk)
+        return JoinRoute("sorted-runs", _probe_chunk,
+                         (lk, sorted_values, order), (False,))
+    sorted_values = right_index.sorted_values
+    order = None if right_index.is_sorted else right_index.order
+    if not (ints and right_index.is_unique):
+        return JoinRoute("indexed-runs", _probe_chunk,
+                         (lk, sorted_values, order), (False,))
+    if (
+        left_index is not None
+        and left_index.is_materialised
+        and left_index.n_rows == lk.shape[0]
+    ):
+        left_order = None if left_index.is_sorted else left_index.order
+        return JoinRoute(
+            "sparse-unique", _merge_probe_chunk,
+            (left_index.sorted_values, left_order, sorted_values, order))
+    return JoinRoute("sparse-unique", _probe_chunk,
+                     (lk, sorted_values, order), (True,))
+
 
 def join_indices(
     left_keys: list[Column],
@@ -338,68 +550,54 @@ def join_indices(
     right_index: Optional[KeyIndex] = None,
     note: Optional[list] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inner m:n equi-join; returns aligned (left_rows, right_rows).
-
-    NULL keys never match (SQL semantics).  ``left_index``/``right_index``
-    are optional precomputed :class:`KeyIndex` objects over the *unfiltered*
-    key columns (typically from a stored table's index cache); they let the
-    kernel skip its build-side sort.  An index is ignored whenever the
-    corresponding side had NULL rows filtered out, since its row numbering
-    would no longer line up.
+    """Inner m:n equi-join; returns aligned (left_rows, right_rows) —
+    :func:`plan_join`'s route run at fan-out 1.
 
     ``note``, when given, receives the name of the kernel strategy the
-    dispatch settled on (``"dense"``, ``"probe-sorted"``, ``"merge"`` ...) —
+    route settled on (``"dense"``, ``"probe-sorted"``, ``"merge"`` ...) —
     the executor records it on the statement's physical plan.
     """
-    if len(left_keys) != len(right_keys) or not left_keys:
-        raise ExecutionError("join requires matching non-empty key lists")
-    left_valid = _non_null_rows(left_keys)
-    right_valid = _non_null_rows(right_keys)
-    lk = _pack_keys(_keys_as_arrays(left_keys))
-    rk = _pack_keys(_keys_as_arrays(right_keys))
-    left_rows = np.arange(lk.shape[0])
-    right_rows = np.arange(rk.shape[0])
-    if left_valid is not None:
-        left_rows = left_rows[left_valid]
-        lk = lk[left_valid]
-        left_index = None
-    if right_valid is not None:
-        right_rows = right_rows[right_valid]
-        rk = rk[right_valid]
-        right_index = None
-    if lk.shape[0] == 0 or rk.shape[0] == 0:
-        if note is not None:
-            note.append("empty")
-        return _empty_pair()
-    l_idx, r_idx = _join_core(lk, rk, left_index, right_index, note)
-    return left_rows[l_idx], right_rows[r_idx]
+    route = plan_join(left_keys, right_keys, left_index, right_index)
+    if note is not None:
+        note.append(route.note())
+    return route.run()
 
 
 def merge_join_indices(
     left_keys: list[Column], right_keys: list[Column]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The seed sort-merge join, kept as reference and benchmark baseline.
+    """The seed sort-merge join, kept as the tests' reference.
 
-    Produces identical output to :func:`join_indices`; the hash kernels are
-    dispatch-time optimisations only.
+    Produces identical output to :func:`join_indices` and shares none of
+    its machinery: numpy's own stable ``argsort`` and ``searchsorted``,
+    and a second copy — the only one, on purpose — of the run-expansion
+    arithmetic of :func:`_expand_runs`, so that the reference cannot
+    inherit a mistake from the kernels it checks.
     """
     if len(left_keys) != len(right_keys) or not left_keys:
         raise ExecutionError("join requires matching non-empty key lists")
-    left_valid = _non_null_rows(left_keys)
-    right_valid = _non_null_rows(right_keys)
-    lk = _pack_keys(_keys_as_arrays(left_keys))
-    rk = _pack_keys(_keys_as_arrays(right_keys))
-    left_rows = np.arange(lk.shape[0])
-    right_rows = np.arange(rk.shape[0])
-    if left_valid is not None:
-        left_rows = left_rows[left_valid]
-        lk = lk[left_valid]
-    if right_valid is not None:
-        right_rows = right_rows[right_valid]
-        rk = rk[right_valid]
+    sides = []
+    for columns in (left_keys, right_keys):
+        keys = _pack_keys(_keys_as_arrays(columns))
+        rows = np.arange(keys.shape[0])
+        valid = _non_null_rows(columns)
+        if valid is not None:
+            keys, rows = keys[valid], rows[valid]
+        sides.append((keys, rows))
+    (lk, left_rows), (rk, right_rows) = sides
     if lk.shape[0] == 0 or rk.shape[0] == 0:
         return _empty_pair()
-    l_idx, r_idx = _merge_join(lk, rk)
+    r_order = np.argsort(rk, kind="stable")
+    r_sorted = rk[r_order]
+    lo = np.searchsorted(r_sorted, lk, side="left")
+    counts = np.searchsorted(r_sorted, lk, side="right") - lo
+    total = int(counts.sum())
+    if total == 0:
+        return _empty_pair()
+    l_idx = np.repeat(np.arange(lk.shape[0]), counts)
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    within_run = np.arange(total) - np.repeat(offsets, counts)
+    r_idx = r_order[np.repeat(lo, counts) + within_run]
     return left_rows[l_idx], right_rows[r_idx]
 
 
@@ -407,8 +605,8 @@ def pad_left_outer(
     l_idx: np.ndarray, r_idx: np.ndarray, n_left: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Append unmatched left rows (``right == NO_MATCH``) to an inner-join
-    result — the shared left-outer step of every join kernel, so the
-    padding order can never diverge between strategies."""
+    result — the shared left-outer step of every join route, so the
+    padding order can never diverge between them."""
     matched = np.zeros(n_left, dtype=bool)
     matched[l_idx] = True
     missing = np.flatnonzero(~matched)
@@ -438,129 +636,70 @@ def left_join_indices(
     return pad_left_outer(l_idx, r_idx, len(left_keys[0]))
 
 
-def _join_core(
-    lk: np.ndarray,
-    rk: np.ndarray,
-    left_index: Optional[KeyIndex],
-    right_index: Optional[KeyIndex],
-    note: Optional[list] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch between the hash paths and the sort-merge fallback."""
-    if lk.dtype.kind == "i" and rk.dtype.kind == "i":
-        return _hash_join_int(lk, rk, left_index, right_index, note)
-    if note is not None:
-        note.append("merge-indexed" if right_index is not None else "merge")
-    if right_index is not None:
-        return _merge_join(lk, rk, r_order=right_index.order)
-    return _merge_join(lk, rk)
+# -- join kernels: one (inputs, task) body each, whatever the fan-out --------
 
 
-def _hash_join_int(
-    lk: np.ndarray,
-    rk: np.ndarray,
-    left_index: Optional[KeyIndex],
-    right_index: Optional[KeyIndex],
-    note: Optional[list] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-column integer join: dense direct-address or sorted-index probe."""
-    n_right = int(rk.shape[0])
-    if right_index is not None and right_index.min_value is not None:
-        rmin, rmax = right_index.min_value, right_index.max_value
-    else:
-        rmin, rmax = int(rk.min()), int(rk.max())
-    # Key-range pruning: disjoint min/max ranges cannot produce matches.
-    if left_index is not None and left_index.min_value is not None:
-        if left_index.min_value > rmax or left_index.max_value < rmin:
-            if note is not None:
-                note.append("range-pruned")
-            return _empty_pair()
-    span = rmax - rmin + 1
-    if span <= _dense_span_limit(n_right):
-        if note is not None:
-            note.append("dense")
-        return _dense_join(lk, rk, rmin, span, right_index)
-    if right_index is not None:
-        if right_index.is_unique:
-            if note is not None:
-                note.append("probe-sorted")
-            return _probe_unique_sorted(lk, right_index, left_index)
-        if note is not None:
-            note.append("merge-indexed")
-        return _merge_join(lk, rk, r_order=right_index.order)
-    if note is not None:
-        note.append("merge")
-    return _merge_join(lk, rk)
-
-
-def _dense_join(
-    lk: np.ndarray,
-    rk: np.ndarray,
-    rmin: int,
-    span: int,
-    right_index: Optional[KeyIndex],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Direct-address join over a dense build-side key range (no sort)."""
-    n_right = int(rk.shape[0])
-    rel_right = rk - rmin
-    counts: Optional[np.ndarray] = None
-    if right_index is not None and right_index.is_unique:
-        unique = True
-    else:
-        counts = np.bincount(rel_right, minlength=span)
-        unique = n_right < 2 or int(counts.max()) <= 1
-    # Bounds-check on the original values: computing lk - rmin first could
+def _dense_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel: one probe chunk against a dense direct-address table —
+    ``table`` maps a key code to its build row (unique keys, ``starts`` is
+    ``None``) or to its bucket's size, the bucket being
+    ``order[starts[code]:][:size]``."""
+    (lk, table, starts, order), (start, stop, rmin, span) = payload
+    sub = view_array(lk)[start:stop]
+    # Bounds-check on the original values: computing sub - rmin first could
     # wrap around int64 for extreme key ranges and alias into the table.
-    in_bounds = (lk >= rmin) & (lk <= rmin + (span - 1))
-    l_rel = np.where(in_bounds, lk - rmin, 0)
-    if unique:
-        slots = np.full(span, NO_MATCH, dtype=np.int64)
-        slots[rel_right] = np.arange(n_right, dtype=np.int64)
-        candidates = slots[l_rel]
+    in_bounds = (sub >= rmin) & (sub <= rmin + (span - 1))
+    l_rel = np.where(in_bounds, sub - rmin, 0)
+    if starts is None:
+        candidates = view_array(table)[l_rel]
         match = in_bounds & (candidates != NO_MATCH)
-        l_idx = np.flatnonzero(match)
-        return l_idx, candidates[l_idx]
-    # Duplicate build keys: bucket right rows by key code.
-    order = right_index.order if right_index is not None \
-        else stable_argsort(rel_right)[0]
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    cnt = np.where(in_bounds, counts[l_rel], 0)
-    total = int(cnt.sum())
+        l_local = np.flatnonzero(match)
+        return l_local + start, candidates[l_local]
+    cnt = np.where(in_bounds, view_array(table)[l_rel], 0)
+    return _expand_runs(view_array(starts)[l_rel], cnt, start,
+                        view_array(order))
+
+
+def _probe_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel: one contiguous probe chunk against a shared sorted build
+    side (``order`` is ``None`` when it is stored sorted)."""
+    (lk, sorted_values, order), (start, stop, unique) = payload
+    sorted_values, order = view_array(sorted_values), view_array(order)
+    sub = view_array(lk)[start:stop]
+    if unique:
+        return probe_unique(sub, sorted_values, order, start)
+    lo = sorted_lookup(sorted_values, sub, side="left")
+    hi = sorted_lookup(sorted_values, sub, side="right")
+    return _expand_runs(lo, hi - lo, start, order)
+
+
+def _merge_probe_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel: one contiguous chunk of a *sorted* probe side against a
+    shared sorted index of unique keys, as pairs in probe-key order."""
+    (left_sorted, left_order, sorted_values, order), (start, stop) = payload
+    left_order = view_array(left_order)
+    return merge_probe(
+        view_array(left_sorted)[start:stop],
+        None if left_order is None else left_order[start:stop],
+        view_array(sorted_values), view_array(order), start,
+    )
+
+
+def _expand_runs(
+    first: np.ndarray, counts: np.ndarray, start: int,
+    order: Optional[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs of a chunk whose probe row ``i`` matches the ``counts[i]``
+    consecutive build positions from ``first[i]``, mapped through
+    ``order`` — the duplicate-key expansion of every join kernel."""
+    total = int(counts.sum())
     if total == 0:
         return _empty_pair()
-    l_idx = np.repeat(np.arange(lk.shape[0]), cnt)
-    run_starts = np.repeat(starts[l_rel], cnt)
-    offsets = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-    within_run = np.arange(total) - np.repeat(offsets, cnt)
-    return l_idx, order[run_starts + within_run]
-
-
-def _probe_unique_sorted(
-    lk: np.ndarray, right_index: KeyIndex,
-    left_index: Optional[KeyIndex] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Probe a cached sorted index with unique keys: one binary search, no
-    duplicate expansion.  A probe side whose own sorted index is already
-    in hand (``relabel-src`` joins the column the ``reps`` GROUP BY just
-    sorted) is merged instead — see :func:`merge_probe`."""
-    right_order = None if right_index.is_sorted else right_index.order
-    left = sorted_side(left_index, lk.shape[0])
-    if left is not None:
-        return pairs_in_row_order(
-            [merge_probe(*left, right_index.sorted_values, right_order)],
-            lk.shape[0],
-        )
-    return probe_unique(lk, right_index.sorted_values, right_order)
-
-
-def sorted_side(
-    index: Optional[KeyIndex], n_rows: int
-) -> Optional[tuple[np.ndarray, Optional[np.ndarray]]]:
-    """``(sorted values, their rows)`` of a probe column of ``n_rows`` rows
-    whose index has them in hand (rows ``None``: stored sorted), else
-    ``None`` — merging is never worth *building* an index for."""
-    if index is None or not index.is_materialised or index.n_rows != n_rows:
-        return None
-    return index.sorted_values, None if index.is_sorted else index.order
+    l_local = np.repeat(np.arange(counts.shape[0]), counts)
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    within = np.arange(total) - np.repeat(offsets, counts)
+    positions = np.repeat(first, counts) + within
+    return l_local + start, positions if order is None else order[positions]
 
 
 def probe_unique(
@@ -609,32 +748,6 @@ def pairs_in_row_order(
     if l_idx.shape[0] == n_left:
         return l_idx, right_of
     return l_idx, right_of[l_idx]
-
-
-def _merge_join(
-    lk: np.ndarray, rk: np.ndarray, r_order: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort-merge join core on packed keys without NULLs.
-
-    ``r_order`` is an optional precomputed stable argsort of ``rk`` (from a
-    table's index cache) that skips the build-side sort.
-    """
-    if r_order is None:
-        r_order, r_sorted = stable_argsort(rk)
-    else:
-        r_sorted = rk[r_order]
-    lo = sorted_lookup(r_sorted, lk, side="left")
-    hi = sorted_lookup(r_sorted, lk, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return _empty_pair()
-    l_idx = np.repeat(np.arange(lk.shape[0]), counts)
-    run_starts = np.repeat(lo, counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    within_run = np.arange(total) - np.repeat(offsets, counts)
-    r_idx = r_order[run_starts + within_run]
-    return l_idx, r_idx
 
 
 # ---------------------------------------------------------------------------
@@ -720,17 +833,13 @@ def _boundaries(sorted_values: np.ndarray) -> np.ndarray:
 
 
 def distinct_rows(
-    columns: list[Column],
-    index: Optional[KeyIndex] = None,
-    note: Optional[list] = None,
+    columns: list[Column], note: Optional[list] = None
 ) -> np.ndarray:
     """First-occurrence row of each distinct key, in ascending row order.
 
-    ``index`` serves callers that hold a cached :class:`KeyIndex` for a
-    single-column input; the executor's DISTINCT runs on post-projection
-    relations (no table provenance), so it does not pass one.  ``note``,
-    when given, receives the kernel strategy the dispatch settled on
-    (``"dense"``, ``"hash"``, ``"sort"`` ...) for executor telemetry.
+    ``note``, when given, receives the kernel strategy the dispatch
+    settled on (``"dense"``, ``"hash"``, ``"sort"`` ...) for executor
+    telemetry.
     """
     if not columns:
         return np.empty(0, dtype=np.int64)
@@ -741,19 +850,19 @@ def distinct_rows(
         return np.empty(0, dtype=np.int64)
     if all(c.mask is None and c.values.dtype.kind == "i" for c in columns):
         if len(columns) == 1:
-            return _distinct_int(columns[0].values, index, note)
+            return _distinct_int(columns[0].values, note)
         if len(columns) == 2:
             packed = _pack_int_pair(columns[0].values, columns[1].values)
             if packed is not None:
                 # The packing is a bijection, so the single-column kernel
                 # keeps exactly the rows the group-based reference keeps.
-                return _distinct_int(packed, None, note)
+                return _distinct_int(packed, note)
         # Unpackable pairs (spans overflow 63 bits — 64-bit field values)
         # and wider integer keys: hash table instead of a lexsort.
         return _hash_distinct_int([c.values for c in columns], note)
     if note is not None:
         note.append("sort")
-    order, starts = group_rows(columns, index=index)
+    order, starts = group_rows(columns)
     if order.size == 0:
         return order
     return np.sort(order[starts])
@@ -775,7 +884,7 @@ def _pack_int_pair(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _distinct_int(
-    values: np.ndarray, index: Optional[KeyIndex], note: Optional[list] = None
+    values: np.ndarray, note: Optional[list] = None
 ) -> np.ndarray:
     """DISTINCT over one NULL-free integer column.
 
@@ -784,10 +893,6 @@ def _distinct_int(
     occurrence, so the kept row set matches the sort-based reference exactly.
     """
     n = int(values.shape[0])
-    if index is not None and index.n_rows == n:
-        if note is not None:
-            note.append("index")
-        return np.sort(index.order[_boundaries(index.sorted_values)])
     vmin, vmax = int(values.min()), int(values.max())
     span = vmax - vmin + 1
     if span <= _dense_span_limit(n):

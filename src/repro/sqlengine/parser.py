@@ -122,21 +122,6 @@ class Parser:
             )
         return statement
 
-    def parse_script(self) -> list[Statement]:
-        """Parse a semicolon-separated list of statements."""
-        statements = []
-        while not self._check(EOF):
-            statements.append(self._statement())
-            if not self._accept(OP, ";"):
-                break
-        token = self._peek()
-        if token.kind != EOF:
-            raise ParseError(
-                f"unexpected trailing input starting at {token.value!r}",
-                token.position,
-            )
-        return statements
-
     # -- statements ----------------------------------------------------------
 
     def _statement(self) -> Statement:
@@ -497,8 +482,3 @@ def _normalise_type(raw: str) -> str:
 def parse_statement(sql: str) -> Statement:
     """Parse one SQL statement."""
     return Parser(sql).parse_statement()
-
-
-def parse_script(sql: str) -> list[Statement]:
-    """Parse a semicolon-separated SQL script."""
-    return Parser(sql).parse_script()

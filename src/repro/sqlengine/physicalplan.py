@@ -1,10 +1,10 @@
 """Compiled physical plans: the per-template execution strategy cache.
 
-PR 1 cached parsed ASTs per statement *template* (same SQL up to table-name
-suffixes and integer constants).  Execution, however, still re-derived the
-whole physical strategy from scratch every round: predicate classification,
-greedy join ordering, co-location (motion) verdicts, projection wiring.
-This module compiles all of that once per template into a
+The plan cache keeps one parsed AST per statement *template* (same SQL up
+to table-name suffixes and integer constants).  The physical strategy of a
+template — predicate classification, greedy join ordering, co-location
+(motion) verdicts, projection wiring — does not change from round to round
+either, so this module compiles it once per template into a
 :class:`PhysicalPlan` that subsequent executions of the same template
 re-run directly.
 

@@ -180,11 +180,6 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def statement_for(self, sql: str) -> tuple[Statement, bool]:
-        """Parse-or-fetch one statement; returns (statement, was_cache_hit)."""
-        statement, cache_hit, _ = self.entry_for(sql)
-        return statement, cache_hit
-
     def entry_for(self, sql: str) -> tuple[Statement, bool, Optional[_Template]]:
         """Parse-or-fetch one statement plus its template cache entry.
 

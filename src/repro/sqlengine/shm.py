@@ -45,7 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["ShmArray", "ShmRegistry", "attach_array"]
+__all__ = ["ShmArray", "ShmRegistry", "attach_array", "view_array"]
 
 
 @dataclass(frozen=True)
@@ -301,3 +301,10 @@ def attach_array(descriptor: ShmArray) -> np.ndarray:
     return np.ndarray(
         descriptor.shape, dtype=np.dtype(descriptor.dtype), buffer=block.buf
     )
+
+
+def view_array(array):
+    """A kernel input as an ndarray: the driver's own array on a thread,
+    a zero-copy attachment of its shared block in a worker process
+    (``None``, an absent optional input, passes through)."""
+    return attach_array(array) if isinstance(array, ShmArray) else array

@@ -220,3 +220,24 @@ def test_bench_compare_missing_or_invalid_inputs(tmp_path, bench_compare,
     assert bench_compare.main(
         ["bench_compare.py", str(broken), str(fresh)]) == 2
     capsys.readouterr()
+
+
+def test_bench_compare_refuses_different_core_counts(tmp_path, bench_compare,
+                                                     capsys):
+    """Timings recorded on different core counts compare machines, not
+    commits: own exit code, and no delta is printed."""
+    baseline = tmp_path / "baseline.json"
+    fresh = tmp_path / "fresh.json"
+    baseline.write_text(json.dumps(
+        {"parallel": {"cpu_count": 1, "join_s": 1.0}, "cpu_count": 2}))
+    fresh.write_text(json.dumps(
+        {"parallel": {"cpu_count": 4, "join_s": 0.5}, "cpu_count": 2}))
+    code = bench_compare.main(["bench_compare.py", str(baseline), str(fresh)])
+    out = capsys.readouterr().out
+    assert code == 4
+    assert "parallel.cpu_count 1 vs 4" in out and "join_s" not in out
+    fresh.write_text(json.dumps(
+        {"parallel": {"cpu_count": 1, "join_s": 0.5}, "cpu_count": 2}))
+    assert bench_compare.main(
+        ["bench_compare.py", str(baseline), str(fresh)]) == 0
+    capsys.readouterr()

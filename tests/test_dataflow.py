@@ -8,7 +8,6 @@ schedule, error propagation through the DAG, and the engagement counter.
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -55,12 +54,27 @@ def test_statement_effects_normalises_case():
 # ---------------------------------------------------------------------------
 
 
-def _db(parallel=True, budget=None) -> Database:
-    db = Database(n_segments=4, parallel=parallel,
+def _db(workers=4, budget=None) -> Database:
+    db = Database(n_segments=4, pool_workers=workers,
                   space_budget_bytes=budget)
     db.load_table("base", {"v": np.arange(64, dtype=np.int64)},
                   distributed_by="v")
     return db
+
+
+def _register_rendezvous(db: Database) -> None:
+    """Register ``meet(v)``, an identity UDF that returns only once two
+    statements are inside it at the same time (a two-party barrier).  Two
+    statements calling it can therefore only both finish if they really
+    overlapped — no clock involved; a schedule that ran them one after
+    the other breaks the barrier at its timeout and fails the statement."""
+    barrier = threading.Barrier(2, timeout=30)
+
+    def meet(values):
+        barrier.wait()
+        return values
+
+    db.create_function("meet", meet)
 
 
 def test_hazard_chain_executes_in_order():
@@ -93,35 +107,27 @@ def test_rename_chains_are_ordered():
 
 
 def test_independent_tasks_overlap_and_are_counted():
-    """Two tasks with disjoint table sets run concurrently: a slow UDF
-    holds the first task on a worker while the second is submitted, which
-    the dataflow_overlaps counter must record."""
+    """Two tasks with disjoint table sets run concurrently: a rendezvous
+    UDF holds the first task on a worker until the second is inside it
+    too, which the dataflow_overlaps counter must record."""
     db = _db()
-
-    def slow_identity(values):
-        time.sleep(0.2)
-        return values
-
-    db.create_function("slowid", slow_identity)
+    _register_rendezvous(db)
     sched = DataflowScheduler(db)
-    started = time.perf_counter()
-    first = sched.submit(["create table s1 as select slowid(v) a from base"])
-    second = sched.submit(["create table s2 as select slowid(v) b from base"])
-    sched.wait(first)
-    sched.wait(second)
-    elapsed = time.perf_counter() - started
-    # Serial execution would take >= 0.4s; overlap keeps it well under.
-    assert elapsed < 0.35
+    first = sched.submit(["create table s1 as select meet(v) a from base"])
+    second = sched.submit(["create table s2 as select meet(v) b from base"])
+    # Each statement leaves the UDF only while the other is inside it.
+    assert sched.wait(first)[0].rowcount == 64
+    assert sched.wait(second)[0].rowcount == 64
     assert db.stats.dataflow_overlaps >= 1
     sched.wait_all()
     db.close()
 
 
 def test_inline_without_pool_and_under_budget():
-    """No multi-worker pool, or a space budget: submission executes the
+    """A one-worker pool, or a space budget: submission executes the
     statements synchronously in submission order (the serial schedule,
     byte-for-byte, so budget violations stay deterministic)."""
-    for db in (_db(parallel=False), _db(budget=1 << 30)):
+    for db in (_db(workers=1), _db(budget=1 << 30)):
         sched = DataflowScheduler(db)
         assert not sched.asynchronous
         task = sched.submit(["create table t as select v from base",
@@ -219,7 +225,7 @@ def test_repeated_statement_text_hits_the_memo():
 def test_effects_fall_back_without_plan_cache():
     """A database without a plan cache still schedules correctly — the
     scheduler parses each statement for its effect sets instead."""
-    db = Database(n_segments=4, parallel=True, use_plan_cache=False)
+    db = Database(n_segments=4, pool_workers=4, use_plan_cache=False)
     db.load_table("base", {"v": np.arange(8, dtype=np.int64)},
                   distributed_by="v")
     sched = DataflowScheduler(db)
@@ -292,25 +298,18 @@ def test_two_worker_pool_overlaps_via_driver_help():
     """On a two-worker pool the running cap leaves one pool slot, so the
     waiting driver thread must execute queued ready tasks itself — the
     reported overlap has to be real concurrency, not a queue entry."""
-    db = Database(n_segments=2, parallel=True)
+    db = Database(n_segments=2, pool_workers=2)
     assert db.pool.n_workers == 2
     db.load_table("base", {"v": np.arange(64, dtype=np.int64)},
                   distributed_by="v")
-
-    def slow_identity(values):
-        time.sleep(0.2)
-        return values
-
-    db.create_function("slowid", slow_identity)
+    _register_rendezvous(db)
     sched = DataflowScheduler(db)
-    started = time.perf_counter()
-    first = sched.submit(["create table s1 as select slowid(v) a from base"])
-    second = sched.submit(["create table s2 as select slowid(v) b from base"])
-    sched.wait(second)
-    sched.wait(first)
-    elapsed = time.perf_counter() - started
-    # One pool slot plus the helping driver: both run concurrently.
-    assert elapsed < 0.35
+    first = sched.submit(["create table s1 as select meet(v) a from base"])
+    second = sched.submit(["create table s2 as select meet(v) b from base"])
+    # One pool slot plus the helping driver: the barrier only opens if
+    # both statements run concurrently.
+    assert sched.wait(second)[0].rowcount == 64
+    assert sched.wait(first)[0].rowcount == 64
     assert db.stats.dataflow_overlaps >= 1
     sched.wait_all()
     db.close()

@@ -40,8 +40,9 @@ The input gates of the cache-conscious sort and probe primitives
 (``operators.CACHE_KERNEL_MIN_ROWS``, ``PRESORTED_MAX_DESCENTS``) are
 switched off as well, so every configuration but the reference sorts with
 ``stable_argsort``'s tie repair and probes with ``sorted_lookup``'s
-buckets on these tiny tables; the reference's joins keep numpy's own
-``argsort`` / ``searchsorted``.  The tables' keys are small integers, which
+buckets on these tiny tables; the reference's joins are plain numpy
+(``merge_join_indices`` calls ``argsort`` / ``searchsorted`` itself and
+shares no primitive with the kernels it checks).  The tables' keys are small integers, which
 the kernels treat as a dense range; every other batch therefore runs with
 the dense dispatch off (``DENSE_SPAN_FACTOR`` = ``DENSE_SPAN_FLOOR`` = 0),
 so the same statements also cross the sparse-key kernels — sorted-index
@@ -59,7 +60,6 @@ from __future__ import annotations
 import os
 import random
 from typing import Optional
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -73,10 +73,6 @@ from repro.sqlengine.operators import (
 
 FUZZ_ROUNDS = int(os.environ.get("REPRO_FUZZ_ROUNDS", "200"))
 FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20200420"))
-
-#: The primitives' input gates as shipped (the test switches them off).
-SEED_GATES = {name: getattr(operators, name)
-              for name in ("CACHE_KERNEL_MIN_ROWS", "PRESORTED_MAX_DESCENTS")}
 
 #: Fresh random tables (and databases) every this many statements, with a
 #: DDL churn step (append + rename round-trip) halfway through each batch.
@@ -105,17 +101,13 @@ def reference_db() -> Database:
         use_index_cache=False,
         use_physical_plans=False,
         use_fusion=False,
-        parallel=False,
+        pool_workers=1,
     )
     executor = db._executor
-    # Whatever the test sets the gates to, the reference sorts and
-    # searches with numpy's own calls.
-    seed_primitives = mock.patch.multiple(operators, **SEED_GATES)
 
     def join_kernel(left_keys, right_keys, left_index=None, right_index=None,
                     note=None):
-        with seed_primitives:
-            return merge_join_indices(left_keys, right_keys)
+        return merge_join_indices(left_keys, right_keys)
 
     def left_join_kernel(left_keys, right_keys, left_index=None,
                          right_index=None, note=None):
@@ -141,11 +133,11 @@ def planned_db() -> Database:
 
 
 def parallel_db() -> Database:
-    return Database(n_segments=4, parallel=True)
+    return Database(n_segments=4, pool_workers=4)
 
 
 def process_db() -> Database:
-    return Database(n_segments=4, parallel=True, pool_backend="process")
+    return Database(n_segments=4, pool_workers=4, pool_backend="process")
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,13 @@ from repro.sqlengine.operators import (
     join_indices,
     left_join_indices,
     merge_join_indices,
+    pad_left_outer,
 )
 from repro.sqlengine.parallel import (
     AggregateSpec,
     group_aggregate,
     parallel_group_aggregate,
     parallel_join_indices,
-    parallel_left_probe_indexed,
-    parallel_probe_indexed,
 )
 from repro.sqlengine.types import Column
 
@@ -66,7 +65,7 @@ def test_join_kernels_agree_on_degenerate_inputs(left, right):
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
     if index is not None:
-        got = parallel_probe_indexed([left], [right], index, POOL)
+        got = parallel_join_indices([left], [right], POOL, right_index=index)
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
 
@@ -74,7 +73,9 @@ def test_join_kernels_agree_on_degenerate_inputs(left, right):
 def test_left_join_kernels_on_degenerate_inputs():
     expected = left_join_indices([FILLED], [EMPTY])
     index = build_key_index(EMPTY.values)
-    got = parallel_left_probe_indexed([FILLED], [EMPTY], index, POOL)
+    got = pad_left_outer(
+        *parallel_join_indices([FILLED], [EMPTY], POOL, right_index=index),
+        len(FILLED))
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
 

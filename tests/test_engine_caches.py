@@ -43,10 +43,10 @@ def test_normalize_parameterises_integers_and_name_suffixes():
 
 def test_plan_cache_hits_across_table_suffixes_and_constants():
     cache = PlanCache()
-    first, hit1 = cache.statement_for(
+    first, hit1, _ = cache.entry_for(
         "create table r7 as select v1, 10 c from g7 where v1 != 3"
     )
-    second, hit2 = cache.statement_for(
+    second, hit2, _ = cache.entry_for(
         "create table r8 as select v1, 99 c from g8 where v1 != 5"
     )
     assert not hit1 and hit2
@@ -96,7 +96,7 @@ def test_plan_cache_is_bounded():
     cache = PlanCache(max_entries=8)
     for i in range(50):
         # Distinct templates: the column alias varies structurally.
-        cache.statement_for(f"select 1 a{'x' * (i % 25)} from t")
+        cache.entry_for(f"select 1 a{'x' * (i % 25)} from t")
     assert len(cache) <= 8
 
 
@@ -104,7 +104,7 @@ def test_plan_cache_repeated_hits_reuse_one_entry():
     cache = PlanCache()
     results = []
     for i in range(5):
-        statement, hit = cache.statement_for(f"select {i} from t{i}")
+        statement, hit, _ = cache.entry_for(f"select {i} from t{i}")
         results.append((statement, hit))
     assert [hit for _, hit in results] == [False, True, True, True, True]
     assert len(cache) == 1
@@ -227,7 +227,7 @@ def test_probe_side_index_is_merged_when_cached_and_never_built(
     reps = np.unique(v1)
 
     def relabel(use_index_cache: bool):
-        db = Database(n_segments=4, parallel=False,
+        db = Database(n_segments=4, pool_workers=1,
                       use_index_cache=use_index_cache)
         db.load_table("graph", {"v1": v1, "v2": np.arange(n)})
         db.load_table("reps", {"v": reps, "rep": -np.arange(reps.shape[0])})

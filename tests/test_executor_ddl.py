@@ -171,3 +171,32 @@ def test_execute_script_runs_all_statements():
     )
     assert len(results) == 3
     assert results[2].scalar() == 1
+
+
+def test_execute_script_runs_each_statement_through_execute():
+    """Every statement of a script is logged with its own text and parsed
+    through the plan cache — a repeated template inside one script hits —
+    and a ``;`` inside a string literal or a comment does not split."""
+    db = Database()
+    results = db.execute_script("""
+        create table t (a int64, s text);
+        insert into t values (1, 'x;y'), (2, 'z');  -- two rows; one ';'
+        select a from t where a = 1 /* ; */;
+        select a from t where a = 2
+    """)
+    assert [r.rowcount for r in results] == [0, 2, 1, 1]
+    assert results[3].scalar() == 2
+    assert [record.sql for record in db.stats.log] == [
+        "create table t (a int64, s text)",
+        "insert into t values (1, 'x;y'), (2, 'z')",
+        "-- two rows; one ';'\n        select a from t where a = 1 /* ; */",
+        "select a from t where a = 2",
+    ]
+    assert db.execute("select s from t where a = 1").scalar() == "x;y"
+    # A template first seen inside a script is a hit the second time the
+    # same script uses it.
+    before = db.stats.snapshot()
+    db.execute_script("select a, s from t where a = 1; "
+                      "select a, s from t where a = 2")
+    delta = db.stats.snapshot().delta(before)
+    assert delta.plan_cache_misses == 1 and delta.plan_cache_hits == 1

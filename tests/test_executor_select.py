@@ -187,11 +187,11 @@ _UNION_SQL = ("select v1 a, v2 b from e where v1 != 2 "
 
 
 def test_union_all_same_rows_and_motion_with_and_without_a_pool():
-    """UNION ALL arms run in arm order whether or not a segment pool is
-    attached: the output is the exact concatenation and the motion
-    accounting is identical."""
-    def build(parallel):
-        database = Database(n_segments=4, parallel=parallel)
+    """UNION ALL arms run in arm order whatever the segment pool's width:
+    the output is the exact concatenation and the motion accounting is
+    identical."""
+    def build(workers):
+        database = Database(n_segments=4, pool_workers=workers)
         rng = np.random.default_rng(17)
         database.load_table("e", {
             "v1": rng.integers(0, 40, 500),
@@ -199,7 +199,7 @@ def test_union_all_same_rows_and_motion_with_and_without_a_pool():
         }, distributed_by="v1")
         return database
 
-    serial, parallel = build(False), build(True)
+    serial, parallel = build(1), build(4)
     expected = serial.execute(_UNION_SQL)
     got = parallel.execute(_UNION_SQL)
     assert got.names == expected.names
@@ -211,7 +211,7 @@ def test_union_all_same_rows_and_motion_with_and_without_a_pool():
 
 def test_union_arm_error_surfaces_on_a_pooled_database():
     """A failing arm's error propagates out of the statement."""
-    db = Database(n_segments=4, parallel=True)
+    db = Database(n_segments=4, pool_workers=4)
     db.load_table("e", {"v1": np.arange(20, dtype=np.int64),
                         "v2": np.arange(20, dtype=np.int64)},
                   distributed_by="v1")
@@ -232,7 +232,7 @@ def test_union_inside_a_dataflow_task_and_nested_in_an_arm():
     subquery nested in a UNION arm."""
     from repro.core.dataflow import DataflowScheduler
 
-    db = Database(n_segments=2, parallel=True)
+    db = Database(n_segments=2, pool_workers=2)
     db.load_table("e", {"v1": np.arange(50, dtype=np.int64),
                         "v2": np.arange(50, dtype=np.int64)},
                   distributed_by="v1")

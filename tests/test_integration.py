@@ -67,17 +67,26 @@ def test_andromeda_has_giant_background_outlier():
 
 
 def test_harness_suite_reproduces_winner_shape():
-    """Table III's headline: RC is the fastest algorithm."""
+    """Table III's headline in its deterministic form: RC finishes, the
+    suite reports every algorithm, the finishers agree on the components,
+    and RC ships the least data between segments — the cost the paper
+    credits its speed to.  (Seconds are compared where repetitions make
+    them meaningful: ``benchmarks/test_bench_table3_runtimes.py``.)"""
     harness = Harness(scale=0.08)
     outcomes = mean_outcomes(harness.run_suite(
         dataset_names=["candels10"], algorithms=PAPER_ALGORITHMS, reps=1,
     ))
     by_algorithm = {o.algorithm.split("[")[0]: o for o in outcomes}
+    assert set(by_algorithm) == {
+        "randomised-contraction", "hash-to-min", "two-phase", "cracker"}
     rc = by_algorithm["randomised-contraction"]
     assert rc.ok
-    for name, outcome in by_algorithm.items():
-        if name != "randomised-contraction" and outcome.ok:
-            assert rc.seconds <= outcome.seconds * 1.5, (name, outcome.seconds)
+    others = [o for name, o in by_algorithm.items()
+              if name != "randomised-contraction" and o.ok]
+    assert len(others) >= 2
+    for outcome in others:
+        assert outcome.n_components == rc.n_components, outcome.algorithm
+        assert rc.motion_bytes < outcome.motion_bytes, outcome.algorithm
 
 
 def test_rc_writes_least_data():

@@ -11,6 +11,7 @@ from repro.sqlengine.lexer import (
     KEYWORD,
     OP,
     STRING,
+    split_statements,
     tokenize,
 )
 
@@ -106,3 +107,27 @@ def test_empty_input_yields_only_eof():
     tokens = tokenize("   \n\t ")
     assert len(tokens) == 1
     assert tokens[0].kind == EOF
+
+
+def test_split_statements_cuts_only_at_top_level_semicolons():
+    script = """
+        select 'a;b' x ;  -- trailing; comment
+        /* block; comment */ select 2;;
+        select 'it''s; fine' /* ; */ from t
+        ; -- only a comment left
+    """
+    assert split_statements(script) == [
+        "select 'a;b' x",
+        "-- trailing; comment\n        /* block; comment */ select 2",
+        "select 'it''s; fine' /* ; */ from t",
+    ]
+    assert split_statements("") == split_statements(" ; ;\n") == []
+    # The pieces lex exactly as the script's statements do.
+    assert [values(piece) for piece in split_statements(script)] == [
+        ["select", "a;b", "x"], ["select", "2"],
+        ["select", "it's; fine", "from", "t"]]
+
+
+def test_split_statements_raises_on_unlexable_script():
+    with pytest.raises(ParseError, match="unterminated string"):
+        split_statements("select 1; select 'oops")

@@ -185,7 +185,7 @@ def test_database_close_is_idempotent_and_execute_after_close_works():
     import repro.sqlengine.executor as executor_module
     from repro.sqlengine.mpp import SegmentPool
 
-    db = Database(n_segments=4, parallel=True, use_index_cache=False)
+    db = Database(n_segments=4, pool_workers=4, use_index_cache=False)
     rng = np.random.default_rng(1)
     n = 3000
     db.load_table("e", {"v1": rng.integers(0, 100, n),
@@ -222,13 +222,16 @@ def test_database_close_is_idempotent_and_execute_after_close_works():
 
 
 def test_close_with_parallel_disabled_is_safe():
-    db = Database(n_segments=2, parallel=False)
-    assert db.pool is None
+    """A one-worker pool is serial execution: closing it, twice, and
+    running on afterwards never creates a worker thread."""
+    db = Database(n_segments=2, pool_workers=1)
+    assert db.pool.n_workers == 1
     db.close()
     db.close()
     db.execute("create table t (v int64)")
     db.execute("insert into t values (1)")
     assert db.execute("select count(*) from t").scalar() == 1
+    assert db.pool._pool is None
 
 
 def test_process_backend_stats_deltas_match_thread_backend():
@@ -248,7 +251,7 @@ def test_process_backend_stats_deltas_match_thread_backend():
     rep = rng.integers(0, 120, 120)
 
     def build(backend):
-        db = Database(n_segments=4, parallel=True, pool_backend=backend,
+        db = Database(n_segments=4, pool_workers=4, pool_backend=backend,
                       use_index_cache=False)
         db.load_table("e", {"v1": v1, "v2": v2})
         db.load_table("r", {"v": np.arange(120, dtype=np.int64),
@@ -293,7 +296,7 @@ def test_process_backend_stats_deltas_match_thread_backend():
 
 
 def test_merge_worker_delta_rejects_unknown_counters():
-    db = Database(parallel=False)
+    db = Database(pool_workers=1)
     db.stats.merge_worker_delta({"process_tasks": 3})
     assert db.stats.process_tasks == 3
     assert db.stats.stats_merges == 1
@@ -319,7 +322,7 @@ def test_snapshot_and_accumulator_are_derived_from_the_declaration():
 
     assert GAUGES <= set(COUNTERS) and len(set(COUNTERS)) == len(COUNTERS)
     assert [f.name for f in dataclasses.fields(StatsSnapshot)] == list(COUNTERS)
-    db = Database(parallel=False)
+    db = Database(pool_workers=1)
     stats = db.stats
     for value, name in enumerate(COUNTERS, start=1):
         setattr(stats, name, value)
@@ -334,7 +337,7 @@ def test_snapshot_and_accumulator_are_derived_from_the_declaration():
 def test_reset_zeroes_in_place_and_keeps_live_space():
     from repro.sqlengine.stats import COUNTERS
 
-    db = Database(parallel=False)
+    db = Database(pool_workers=1)
     load_big(db, "t")
     db.execute("create table u as select v from t")
     db.execute("drop table u")

@@ -247,14 +247,6 @@ def test_distinct_agrees_with_reference(keys):
     assert np.array_equal(got, expected)
 
 
-@given(any_keys)
-def test_distinct_with_index_agrees(keys):
-    column = int_column(keys)
-    index = build_key_index(column.values)
-    assert np.array_equal(distinct_rows([column], index=index),
-                          distinct_rows([column]))
-
-
 def test_distinct_text_fallback():
     col = Column(np.array(["b", "a", "b", "c", "a"], dtype=object), "text")
     kept = distinct_rows([col])

@@ -1,17 +1,20 @@
 """Property tests for the segment-parallel kernels.
 
-The contract is absolute: :func:`parallel_join_indices` and
-:func:`parallel_group_aggregate` must return **bit-identical** output to
-their single-threaded references for every input shape, because the
-executor switches between the strategies purely on size and pool
-availability.  These tests force a multi-worker pool even on single-core
-machines so the parallel code path (partitioning, per-partition kernels,
-scatter recombination) is always exercised.
+The contract is absolute: a join must return **bit-identical** row pairs
+at every fan-out — :func:`join_indices` (the route's kernel called once)
+and :func:`parallel_join_indices` (the same kernel over one chunk per
+segment) — and :func:`parallel_group_aggregate` the output of
+:func:`group_aggregate`, because the executor switches between them purely
+on size and pool width.  Joins are checked against the independent
+plain-numpy reference :func:`merge_join_indices`; the aggregate reducer
+against a per-group Python loop.  These tests force a multi-worker pool
+even on single-core machines so the pool code path (chunking, shared
+inputs, recombination) is always exercised.
 
-Every kernel has one body that thread workers and worker processes both
-run, so one matrix — kernel x {thread pool, process pool, process pool
-whose shared-memory export fails} — pins the bit-identity of all of them
-(``test_kernel_matrix_bit_identical``).
+Every kernel has one body that the direct call, thread workers and worker
+processes all run, so one matrix — kernel x {fan-out 1, thread pool,
+process pool, process pool whose shared-memory export fails} — pins the
+bit-identity of all of them (``test_kernel_matrix_bit_identical``).
 """
 
 import errno
@@ -31,19 +34,19 @@ from repro.sqlengine.mpp import (
 )
 from repro.sqlengine.operators import (
     CACHE_KERNEL_MIN_ROWS,
+    JOIN_ROUTES,
     build_key_index,
     join_indices,
-    left_join_indices,
+    merge_join_indices,
+    pad_left_outer,
 )
 from repro.sqlengine.parallel import (
     PARALLEL_AGGREGATES,
     AggregateSpec,
+    _reduce_slice,
     group_aggregate,
     parallel_group_aggregate,
     parallel_join_indices,
-    parallel_left_join_indices,
-    parallel_left_probe_indexed,
-    parallel_probe_indexed,
 )
 from repro.sqlengine.types import FLOAT64, INT64, Column
 
@@ -70,24 +73,37 @@ keys = st.lists(
 # ---------------------------------------------------------------------------
 
 
+def assert_every_fan_out_matches_reference(
+    left_col, right_col, pool, left_outer=False, note=None, **indexes
+):
+    """Fan-out 1 and fan-out ``pool.n_segments`` against the plain-numpy
+    sort-merge reference (``note`` receives the pool run's route)."""
+    n_left = len(left_col)
+    expected = merge_join_indices([left_col], [right_col])
+    serial = join_indices([left_col], [right_col], **indexes)
+    chunked = parallel_join_indices([left_col], [right_col], pool, note,
+                                    **indexes)
+    if left_outer:
+        expected = pad_left_outer(*expected, n_left)
+        serial = pad_left_outer(*serial, n_left)
+        chunked = pad_left_outer(*chunked, n_left)
+    for got in (serial, chunked):
+        assert np.array_equal(expected[0], got[0])
+        assert np.array_equal(expected[1], got[1])
+
+
 @given(keys, keys)
 def test_parallel_join_bit_identical(left, right):
-    left_col, right_col = int_column(left), int_column(right)
-    reference = join_indices([left_col], [right_col])
-    parallel = parallel_join_indices([left_col], [right_col], POOL)
-    assert np.array_equal(reference[0], parallel[0])
-    assert np.array_equal(reference[1], parallel[1])
+    assert_every_fan_out_matches_reference(
+        int_column(left), int_column(right), POOL)
 
 
 @given(keys, keys)
 def test_parallel_left_join_bit_identical(left, right):
     if not left:
         left = [0]
-    left_col, right_col = int_column(left), int_column(right)
-    reference = left_join_indices([left_col], [right_col])
-    parallel = parallel_left_join_indices([left_col], [right_col], POOL)
-    assert np.array_equal(reference[0], parallel[0])
-    assert np.array_equal(reference[1], parallel[1])
+    assert_every_fan_out_matches_reference(
+        int_column(left), int_column(right), POOL, left_outer=True)
 
 
 @pytest.mark.parametrize("n_segments", [1, 2, 3, 4, 7])
@@ -98,30 +114,24 @@ def test_parallel_join_large_random(n_segments):
     right = int_column(
         np.concatenate([rng.permutation(5000), rng.integers(0, 5000, 800)])
     )
-    reference = join_indices([left], [right])
-    parallel = parallel_join_indices([left], [right], pool)
-    assert np.array_equal(reference[0], parallel[0])
-    assert np.array_equal(reference[1], parallel[1])
+    assert_every_fan_out_matches_reference(left, right, pool)
 
 
 def test_parallel_join_falls_back_on_unsupported_shapes():
     masked = Column(np.array([1, 2, 3], dtype=np.int64), INT64,
                     np.array([False, True, False]))
-    plain = int_column([2, 3, 4])
-    reference = join_indices([masked], [plain])
-    parallel = parallel_join_indices([masked], [plain], POOL)
-    assert np.array_equal(reference[0], parallel[0])
-    assert np.array_equal(reference[1], parallel[1])
+    note: list = []
+    assert_every_fan_out_matches_reference(masked, int_column([2, 3, 4]),
+                                           POOL, note=note)
+    assert note == ["dense"]  # a pool cannot chunk NULL-bearing keys
 
 
 @given(keys, keys)
 def test_parallel_indexed_probe_bit_identical(left, right):
     left_col, right_col = int_column(left), int_column(right)
-    index = build_key_index(right_col.values)
-    reference = join_indices([left_col], [right_col], right_index=index)
-    parallel = parallel_probe_indexed([left_col], [right_col], index, POOL)
-    assert np.array_equal(reference[0], parallel[0])
-    assert np.array_equal(reference[1], parallel[1])
+    assert_every_fan_out_matches_reference(
+        left_col, right_col, POOL,
+        right_index=build_key_index(right_col.values))
 
 
 @given(keys, keys)
@@ -129,19 +139,16 @@ def test_parallel_indexed_left_probe_bit_identical(left, right):
     if not left:
         left = [0]
     left_col, right_col = int_column(left), int_column(right)
-    index = build_key_index(right_col.values)
-    reference = left_join_indices([left_col], [right_col], right_index=index)
-    parallel = parallel_left_probe_indexed([left_col], [right_col], index,
-                                           POOL)
-    assert np.array_equal(reference[0], parallel[0])
-    assert np.array_equal(reference[1], parallel[1])
+    assert_every_fan_out_matches_reference(
+        left_col, right_col, POOL, left_outer=True,
+        right_index=build_key_index(right_col.values))
 
 
 @pytest.mark.parametrize("n_segments", [1, 2, 3, 4, 7])
 @pytest.mark.parametrize("unique_build", [True, False])
 def test_parallel_indexed_probe_large_sparse(n_segments, unique_build):
     """Sparse 64-bit build keys force the sorted-index probe (the warm-loop
-    shape); chunked output must match the single-threaded probe exactly."""
+    shape); chunked output must match the one-chunk probe exactly."""
     pool = SegmentPool(n_segments, max_workers=4)
     rng = np.random.default_rng(10 * n_segments + unique_build)
     build = rng.permutation(2 ** 62 // 7 * np.arange(1, 5001))
@@ -155,20 +162,18 @@ def test_parallel_indexed_probe_large_sparse(n_segments, unique_build):
     index = build_key_index(right_col.values)
     assert index.is_unique == unique_build
     note: list = []
-    reference = join_indices([left_col], [right_col], right_index=index)
-    parallel = parallel_probe_indexed([left_col], [right_col], index, pool,
-                                      note)
-    assert note[-1] in ("parallel-probe", "parallel-merge-probe")
-    assert np.array_equal(reference[0], parallel[0])
-    assert np.array_equal(reference[1], parallel[1])
+    assert_every_fan_out_matches_reference(left_col, right_col, pool,
+                                           note=note, right_index=index)
+    assert note == [
+        "parallel-probe" if unique_build else "parallel-merge-probe"]
 
 
 @pytest.mark.parametrize("n_segments", [1, 2, 3, 4, 7])
 @pytest.mark.parametrize("unique_build", [True, False])
 def test_parallel_dense_probe_bit_identical(n_segments, unique_build):
-    """Dense build-side spans now chunk the direct-address probe across the
-    pool (an existing index no longer forces single-threaded execution);
-    output must match the single-threaded dense kernel exactly."""
+    """Dense build-side spans chunk the direct-address probe across the
+    pool — the table is built once, by the planner; output must match the
+    one-chunk dense kernel exactly."""
     pool = SegmentPool(n_segments, max_workers=4)
     rng = np.random.default_rng(30 * n_segments + unique_build)
     build = rng.permutation(5000)
@@ -180,22 +185,17 @@ def test_parallel_dense_probe_bit_identical(n_segments, unique_build):
         rng.integers(5000, 9000, 1_000),  # above-range misses
     ])
     left_col, right_col = int_column(probe), int_column(build)
-    index = build_key_index(right_col.values)
     note: list = []
-    parallel = parallel_probe_indexed([left_col], [right_col], index, pool,
-                                      note)
-    assert note[-1] in ("parallel-dense", "parallel-dense-merge")
-    assert note[-1] == (
-        "parallel-dense" if unique_build else "parallel-dense-merge"
-    )
-    reference = join_indices([left_col], [right_col], right_index=index)
-    assert np.array_equal(reference[0], parallel[0])
-    assert np.array_equal(reference[1], parallel[1])
+    assert_every_fan_out_matches_reference(
+        left_col, right_col, pool, note=note,
+        right_index=build_key_index(right_col.values))
+    assert note == [
+        "parallel-dense" if unique_build else "parallel-dense-merge"]
 
 
 def test_executor_engages_parallel_indexed_probe(monkeypatch):
-    """The warm-loop case: a cached build-side index no longer disables
-    parallel execution — the probe chunks across the pool."""
+    """The warm-loop case: a cached build-side index is probed in chunks
+    across the pool."""
     import repro.sqlengine.executor as executor_module
 
     monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
@@ -207,8 +207,8 @@ def test_executor_engages_parallel_indexed_probe(monkeypatch):
     v1 = reps[rng.integers(0, 200, n)]
     v2 = rng.integers(0, 200, n)
 
-    def build(parallel):
-        db = Database(n_segments=4, parallel=parallel)
+    def build(workers):
+        db = Database(n_segments=4, pool_workers=workers)
         db.load_table("e", {"v1": v1, "v2": v2})
         db.load_table("r", {"v": np.arange(200, dtype=np.int64),
                             "rep": reps})
@@ -218,7 +218,7 @@ def test_executor_engages_parallel_indexed_probe(monkeypatch):
         return db
 
     query = "select e.v1, r.v from e, r where e.v1 = r.rep"
-    on, off = build(True), build(False)
+    on, off = build(4), build(1)
     rows_on = on.execute(query).rows()
     rows_off = off.execute(query).rows()
     assert rows_on == rows_off
@@ -239,8 +239,8 @@ def test_executor_engages_parallel_dense_probe(monkeypatch):
     v2 = rng.integers(0, 300, n)
     rep = rng.integers(0, 300, 300)
 
-    def build(parallel):
-        db = Database(n_segments=4, parallel=parallel)
+    def build(workers):
+        db = Database(n_segments=4, pool_workers=workers)
         db.load_table("e", {"v1": v1, "v2": v2})
         db.load_table("r", {"v": np.arange(300, dtype=np.int64),
                             "rep": rep})
@@ -248,7 +248,7 @@ def test_executor_engages_parallel_dense_probe(monkeypatch):
         return db
 
     query = "select e.v2, r.rep from e, r where e.v1 = r.v"
-    on, off = build(True), build(False)
+    on, off = build(4), build(1)
     assert on.execute(query).rows() == off.execute(query).rows()
     assert on.stats.parallel_dense_probes > 0
     assert off.stats.parallel_dense_probes == 0
@@ -319,6 +319,79 @@ def test_parallel_group_aggregate_small_inputs(values):
         assert np.array_equal(ref_vals, par_vals)
 
 
+def _loop_reduce(kind, keys, values, nulls):
+    """The reducer's reference: one Python loop per group, in key order,
+    giving ``(value, is NULL)`` per group."""
+    out = []
+    for key in sorted(set(keys)):
+        rows = [i for i, k in enumerate(keys) if k == key]
+        valid = [values[i] for i in rows if not nulls[i]]
+        if kind == "count*":
+            out.append((len(rows), False))
+        elif kind == "count":
+            out.append((len(valid), False))
+        elif not valid:
+            out.append((None, True))
+        elif kind in ("min", "max"):
+            out.append(((min if kind == "min" else max)(valid), False))
+        elif kind == "sum":
+            out.append((sum(valid), False))
+        else:
+            out.append((sum(valid) / len(valid), False))
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(PARALLEL_AGGREGATES))
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(-1000, 1000), st.booleans()),
+        min_size=1, max_size=40),
+    floats=st.booleans(), masked=st.booleans(), pregrouped=st.booleans(),
+)
+def test_reducer_agrees_with_python_loop(kind, rows, floats, masked,
+                                         pregrouped):
+    """``_reduce_slice`` is the one reducer the executor, ``group_aggregate``
+    and the partition kernel share, so its reference shares nothing with
+    it: a per-group loop — every kind, int and float arguments, with and
+    without a null mask (all-NULL groups included), grouped through an
+    order or already lying group by group (``order=None``)."""
+    if pregrouped:
+        rows = sorted(rows, key=lambda row: row[0])
+    keys = [key for key, _, _ in rows]
+    # Eighths add exactly in float64, whatever the order of the additions.
+    values = [value / 8.0 if floats else value for _, value, _ in rows]
+    nulls = [null and masked for _, _, null in rows]
+    expected = _loop_reduce(kind, keys, values, nulls)
+
+    order = np.argsort(np.array(keys), kind="stable")
+    grouped_keys = [keys[i] for i in order]
+    starts = np.array([g for g in range(len(rows))
+                       if g == 0 or grouped_keys[g] != grouped_keys[g - 1]])
+    row_counts = np.diff(np.append(starts, len(rows)))
+    spec = AggregateSpec(
+        kind,
+        None if kind == "count*" else np.array(
+            values, dtype=np.float64 if floats else np.int64),
+        np.array(nulls) if masked else None,
+        FLOAT64 if floats else INT64,
+    )
+    got, got_nulls = _reduce_slice(spec, None, None if pregrouped else order,
+                                   starts, row_counts)
+    if kind in ("count*", "count") or (kind == "sum" and not floats):
+        assert got.dtype == np.int64
+    elif kind in ("min", "max"):
+        assert got.dtype == spec.values.dtype
+    else:
+        assert got.dtype == np.float64
+    assert (got_nulls is None) == (not any(null for _, null in expected))
+    for group, (value, null) in enumerate(expected):
+        if null:
+            assert got_nulls[group]
+        else:
+            assert got_nulls is None or not got_nulls[group]
+            assert got[group] == value
+
+
 # ---------------------------------------------------------------------------
 # executor integration: parallel on/off must be invisible in results
 # ---------------------------------------------------------------------------
@@ -340,10 +413,10 @@ def test_executor_parallel_on_off_identical(query, monkeypatch):
 
     monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
 
-    def build(parallel):
-        # The parallel kernels only engage where no cached build-side index
-        # already provides a sorted path, so model the index-less case.
-        db = Database(n_segments=4, parallel=parallel, use_index_cache=False)
+    def build(workers):
+        # The index-less case: every join sorts its own build side.
+        db = Database(n_segments=4, pool_workers=workers,
+                      use_index_cache=False)
         rng = np.random.default_rng(99)
         n = 2500
         db.load_table("e", {"v1": rng.integers(0, 200, n),
@@ -354,8 +427,8 @@ def test_executor_parallel_on_off_identical(query, monkeypatch):
                             "rep": rng.integers(0, 400, 50)})
         return db
 
-    on = build(True)
-    off = build(False)
+    on = build(4)
+    off = build(1)
     rows_on = on.execute(query).rows()
     rows_off = off.execute(query).rows()
     assert rows_on == rows_off
@@ -373,16 +446,17 @@ def test_rc_end_to_end_parallel_identical(monkeypatch):
     monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
     edges = gnm_random_graph(500, 900, np.random.default_rng(17))
 
-    def run(parallel):
-        db = Database(n_segments=4, parallel=parallel, use_index_cache=False)
+    def run(workers):
+        db = Database(n_segments=4, pool_workers=workers,
+                      use_index_cache=False)
         load_edges_into(db, "edges", edges)
         result = RandomisedContraction().run(db, "edges", seed=13)
         vertices, labels = result.labels(db)
         order = np.argsort(vertices, kind="stable")
         return vertices[order], labels[order], db.stats
 
-    v_on, l_on, stats_on = run(True)
-    v_off, l_off, stats_off = run(False)
+    v_on, l_on, stats_on = run(4)
+    v_off, l_off, stats_off = run(1)
     assert np.array_equal(v_on, v_off)
     assert np.array_equal(l_on, l_off)
     assert stats_on.parallel_partitions > 0
@@ -394,23 +468,17 @@ def test_rc_end_to_end_parallel_identical(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _join_case(kernel, reference, left_hi):
-    def case(pool, note):
-        rng = np.random.default_rng(7)
-        left = int_column(rng.integers(0, left_hi, 20_000))
-        right = int_column(
-            np.concatenate([rng.permutation(5000), rng.integers(0, 5000, 800)])
-        )
-        return (reference([left], [right]),
-                kernel([left], [right], pool, note))
-    return case
+def _join_case(dense, unique_build, indexed=True, merge=None,
+               left_outer=False):
+    """One join of the matrix.  ``pool`` ``None`` is fan-out 1 — the direct
+    ``join_indices`` call; anything else chunks over that pool.  Both are
+    held against ``merge_join_indices``, which sees no index at all.
 
-
-def _probe_case(kernel, reference, dense, unique_build, merge=None):
-    """``merge`` hands the kernel the probe side's own sorted index too
-    (the chunks then merge two sorted arrays) — over a shuffled column
-    (``"indexed"``) or one stored in key order (``"stored-sorted"``).  The
-    reference never sees it, so the two routes check each other."""
+    ``indexed`` hands the build side's ``KeyIndex`` over (a stored
+    table's cached one; without it the route sorts for itself); ``merge``
+    hands over the probe side's own sorted index too (the chunks then
+    merge two sorted arrays) — over a shuffled column (``"indexed"``) or
+    one stored in key order (``"stored-sorted"``)."""
     def case(pool, note):
         rng = np.random.default_rng(17 * dense + unique_build)
         if dense:
@@ -427,17 +495,25 @@ def _probe_case(kernel, reference, dense, unique_build, merge=None):
         if merge == "stored-sorted":
             probe.sort()
         # Every chunk is big enough for the bucketed sorted_lookup.
-        assert probe.shape[0] // pool.n_segments >= CACHE_KERNEL_MIN_ROWS
+        assert probe.shape[0] // 4 >= CACHE_KERNEL_MIN_ROWS
         left_col, right_col = int_column(probe), int_column(build)
-        index = build_key_index(right_col.values)
-        assert index.is_unique == unique_build
+        right_index = build_key_index(right_col.values) if indexed else None
+        assert right_index is None or right_index.is_unique == unique_build
         left_index = build_key_index(left_col.values) if merge else None
         assert left_index is None or (
             left_index.is_materialised
             and left_index.is_sorted == (merge == "stored-sorted"))
-        return (reference([left_col], [right_col], right_index=index),
-                kernel([left_col], [right_col], index, pool, note,
-                       left_index))
+        expected = merge_join_indices([left_col], [right_col])
+        if pool is None:
+            got = join_indices([left_col], [right_col], left_index,
+                               right_index, note)
+        else:
+            got = parallel_join_indices([left_col], [right_col], pool, note,
+                                        left_index, right_index)
+        if left_outer:
+            expected = pad_left_outer(*expected, len(left_col))
+            got = pad_left_outer(*got, len(left_col))
+        return expected, got
     return case
 
 
@@ -467,44 +543,37 @@ def _aggregate_case(pool, note):
     return ((ref_keys, *sum(ref_results, ())), (par_keys, *sum(par_results, ())))
 
 
-#: id -> (case, the kernel note it must report or None)
+#: id -> (case, the route it must take or None).  The two "hash-join" ids
+#: predate the removal of the hash-partitioned join: they are the joins
+#: without a build-side index, which now sort once and chunk the probe.
 KERNEL_CASES = {
     "hash-join": (
-        _join_case(parallel_join_indices, join_indices, 5000),
-        "parallel-hash"),
+        _join_case(False, False, indexed=False), "sorted-runs"),
     "left-hash-join": (
-        _join_case(parallel_left_join_indices, left_join_indices, 6000),
-        "parallel-hash"),
-    "sorted-unique-probe": (
-        _probe_case(parallel_probe_indexed, join_indices, False, True),
-        "parallel-probe"),
-    "sorted-merge-probe": (
-        _probe_case(parallel_probe_indexed, join_indices, False, False),
-        "parallel-merge-probe"),
+        _join_case(True, False, indexed=False, left_outer=True),
+        "dense-runs"),
+    "sorted-unique-probe": (_join_case(False, True), "sparse-unique"),
+    "sorted-merge-probe": (_join_case(False, False), "indexed-runs"),
     "merge-unique-probe": (
-        _probe_case(parallel_probe_indexed, join_indices, False, True,
-                    merge="indexed"),
-        "parallel-probe"),
+        _join_case(False, True, merge="indexed"), "sparse-unique"),
     "left-merge-unique-probe": (
-        _probe_case(parallel_left_probe_indexed, left_join_indices, False,
-                    True, merge="stored-sorted"),
-        "parallel-probe"),
-    "dense-unique-probe": (
-        _probe_case(parallel_probe_indexed, join_indices, True, True),
-        "parallel-dense"),
-    "dense-bucket-probe": (
-        _probe_case(parallel_probe_indexed, join_indices, True, False),
-        "parallel-dense-merge"),
+        _join_case(False, True, merge="stored-sorted", left_outer=True),
+        "sparse-unique"),
+    "dense-unique-probe": (_join_case(True, True), "dense-unique"),
+    "dense-bucket-probe": (_join_case(True, False), "dense-runs"),
     "left-dense-probe": (
-        _probe_case(parallel_left_probe_indexed, left_join_indices, True,
-                    True),
-        "parallel-dense"),
+        _join_case(True, True, left_outer=True), "dense-unique"),
     "left-sorted-probe": (
-        _probe_case(parallel_left_probe_indexed, left_join_indices, False,
-                    False),
-        "parallel-merge-probe"),
+        _join_case(False, False, left_outer=True), "indexed-runs"),
     "group-aggregate": (_aggregate_case, None),
 }
+
+#: Every way a kernel body runs; "serial" is the direct call at fan-out 1
+#: (the aggregate's is ``group_aggregate``, every pool column's reference;
+#: its own is the Python loop of ``test_reducer_agrees_with_python_loop``).
+BACKENDS = ("serial", "thread", "process", "process-no-shm")
+MATRIX = [(kernel, backend) for kernel in KERNEL_CASES for backend in BACKENDS
+          if (kernel, backend) != ("group-aggregate", "serial")]
 
 
 def _refuse_shm_create(monkeypatch, after: int = 0):
@@ -532,7 +601,7 @@ def _shm_blocks() -> set:
 def _run_case(case, pool):
     """Run one matrix case; returns (note, process tasks it dispatched)."""
     deltas: list = []
-    if pool.supports_processes:
+    if pool is not None and pool.supports_processes:
         pool.on_stats_delta = deltas.append
     note: list = []
     reference, result = case(pool, note)
@@ -546,10 +615,14 @@ def _run_case(case, pool):
     return note, sum(delta.get("process_tasks", 0) for delta in deltas)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process", "process-no-shm"])
-@pytest.mark.parametrize("kernel", KERNEL_CASES)
+@pytest.mark.parametrize(
+    "kernel,backend", MATRIX, ids=[f"{k}-{b}" for k, b in MATRIX])
 def test_kernel_matrix_bit_identical(kernel, backend, monkeypatch):
-    case, expected_note = KERNEL_CASES[kernel]
+    case, route = KERNEL_CASES[kernel]
+    if backend == "serial":
+        note, _ = _run_case(case, None)
+        assert note == [JOIN_ROUTES[route][0]]
+        return
     pool_cls = SegmentPool if backend == "thread" else ProcessSegmentPool
     pool = pool_cls(4, max_workers=4)
     try:
@@ -557,8 +630,8 @@ def test_kernel_matrix_bit_identical(kernel, backend, monkeypatch):
             _refuse_shm_create(monkeypatch)
             blocks_before = _shm_blocks()
         note, process_tasks = _run_case(case, pool)
-        if expected_note is not None:
-            assert note[-1] == expected_note
+        if route is not None:
+            assert note == [JOIN_ROUTES[route][1]]
         if backend == "thread":
             assert process_tasks == 0
         elif backend == "process":

@@ -24,7 +24,8 @@ from repro.sqlengine.ast_nodes import (
     UnaryOp,
 )
 from repro.sqlengine.errors import ParseError
-from repro.sqlengine.parser import parse_script, parse_statement
+from repro.sqlengine.lexer import split_statements
+from repro.sqlengine.parser import parse_statement
 
 
 def select_core(sql):
@@ -252,8 +253,12 @@ def test_trailing_garbage_raises():
 
 
 def test_script_parsing():
-    statements = parse_script("select 1; drop table t; alter table a rename to b;")
-    assert len(statements) == 3
+    statements = [
+        parse_statement(piece) for piece in split_statements(
+            "select 1; drop table t; alter table a rename to b;")
+    ]
+    assert [type(s).__name__ for s in statements] == [
+        "Select", "DropTable", "AlterRename"]
 
 
 def test_appendix_a_queries_parse():

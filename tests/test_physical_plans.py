@@ -134,7 +134,7 @@ def test_alias_digit_suffixes_invalidate_stale_plans(db):
 def test_database_close_releases_pool_threads():
     import repro.sqlengine.executor as executor_module
 
-    with Database(n_segments=4, parallel=True,
+    with Database(n_segments=4, pool_workers=4,
                   use_index_cache=False) as db:
         db.execute("create table t (v int64)")
         db.execute("insert into t values (1), (2), (3)")
@@ -224,8 +224,8 @@ def test_rename_does_not_serve_stale_data(db):
 # ---------------------------------------------------------------------------
 
 
-def _two_table_db(use_fusion: bool, parallel=False) -> Database:
-    db = Database(n_segments=4, use_fusion=use_fusion, parallel=parallel)
+def _two_table_db(use_fusion: bool) -> Database:
+    db = Database(n_segments=4, use_fusion=use_fusion, pool_workers=1)
     rng = np.random.default_rng(42)
     n = 4000
     db.load_table("graph2", {

@@ -59,7 +59,7 @@ def test_rc_end_to_end_process_identical(monkeypatch):
     edges = gnm_random_graph(500, 900, np.random.default_rng(23))
 
     def run(backend):
-        db = Database(n_segments=4, parallel=True, pool_backend=backend,
+        db = Database(n_segments=4, pool_workers=4, pool_backend=backend,
                       use_index_cache=False)
         load_edges_into(db, "edges", edges)
         result = RandomisedContraction().run(db, "edges", seed=13)
@@ -123,7 +123,7 @@ def test_database_close_unlinks_blocks_and_stays_usable(monkeypatch):
     import repro.sqlengine.executor as executor_module
 
     monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
-    db = Database(n_segments=4, parallel=True, pool_backend="process",
+    db = Database(n_segments=4, pool_workers=4, pool_backend="process",
                   use_index_cache=False)
     rng = np.random.default_rng(5)
     n = 3000
@@ -165,7 +165,7 @@ def test_no_shm_leaks_after_bench_style_rc_run(monkeypatch):
     from repro.graphs.io import load_edges_into
 
     monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
-    db = Database(n_segments=4, parallel=True, pool_backend="process",
+    db = Database(n_segments=4, pool_workers=4, pool_backend="process",
                   use_index_cache=False)
     edges = gnm_random_graph(400, 700, np.random.default_rng(9))
     load_edges_into(db, "edges", edges)
@@ -224,7 +224,7 @@ def test_text_columns_are_not_shareable_and_fall_back(monkeypatch):
     monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
 
     def run(backend):
-        db = Database(n_segments=4, parallel=True, pool_backend=backend)
+        db = Database(n_segments=4, pool_workers=4, pool_backend=backend)
         db.execute("create table t (k text, v int64)")
         db.execute("insert into t values ('a', 1), ('b', 2), ('a', 3)")
         rows = db.execute(
@@ -255,7 +255,7 @@ def test_atexit_sweep_leaves_no_segments(tmp_path):
         from repro.sqlengine import Database
 
         executor_module.PARALLEL_MIN_ROWS = 1
-        db = Database(n_segments=4, parallel=True, pool_backend="process",
+        db = Database(n_segments=4, pool_workers=4, pool_backend="process",
                       use_index_cache=False)
         rng = np.random.default_rng(2)
         db.load_table("e", {"v1": rng.integers(0, 50, 2000),
@@ -286,35 +286,49 @@ def test_atexit_sweep_leaves_no_segments(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_backend_argument_and_env_selection(monkeypatch):
-    assert Database(parallel=True).pool_backend == "thread"
-    db = Database(parallel=True, pool_backend="process")
-    assert db.pool_backend == "process"
-    assert isinstance(db.pool, ProcessSegmentPool)
-    db.close()
+def test_backend_argument_selection(monkeypatch):
+    """``pool_backend`` is the only backend selector, and the environment
+    is not one."""
     monkeypatch.setenv("REPRO_POOL_BACKEND", "process")
-    db = Database(parallel=True)
-    assert db.pool_backend == "process"
-    db.close()
-    # An explicit argument beats the environment.
-    db = Database(parallel=True, pool_backend="thread")
+    db = Database()
     assert db.pool_backend == "thread"
     assert type(db.pool) is SegmentPool
+    db.close()
+    db = Database(pool_backend="process")
+    assert db.pool_backend == "process"
+    assert isinstance(db.pool, ProcessSegmentPool)
     db.close()
     with pytest.raises(ValueError, match="unknown pool backend"):
         Database(pool_backend="greenlet")
 
 
 def test_space_budget_forces_thread_fallback():
-    db = Database(parallel=True, pool_backend="process",
+    db = Database(pool_workers=4, pool_backend="process",
                   space_budget_bytes=1 << 30)
     assert db.pool_backend == "thread"
     assert not db.pool.supports_processes
     db.close()
 
 
-def test_parallel_disabled_has_no_backend():
-    db = Database(parallel=False, pool_backend="process")
-    assert db.pool is None
-    assert db.pool_backend is None
-    db.close()
+def test_pool_workers_selects_the_width_on_either_backend(monkeypatch):
+    """``pool_workers`` is the only width selector: capped at one worker
+    per segment, defaulting to the host's cores; one worker is serial on
+    either backend — no thread, no worker process, no shared block."""
+    import repro.sqlengine.executor as executor_module
+
+    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
+    assert Database(n_segments=4, pool_workers=3).pool.n_workers == 3
+    assert Database(n_segments=2, pool_workers=8).pool.n_workers == 2
+    assert Database(n_segments=4).pool.n_workers == min(4, os.cpu_count())
+    for backend in ("thread", "process"):
+        db = Database(n_segments=4, pool_workers=1, pool_backend=backend)
+        assert db.pool_backend == backend and db.pool.n_workers == 1
+        db.load_table("t", {"v": np.arange(500, dtype=np.int64) % 7})
+        assert db.execute(
+            "select count(*) from t, t as u where t.v = u.v").scalar() > 0
+        stats = db.stats
+        assert stats.parallel_partitions == stats.process_tasks == 0
+        assert stats.shm_bytes_exported == 0
+        assert db.pool._pool is None
+        assert getattr(db.pool, "_processes", None) is None
+        db.close()

@@ -199,8 +199,8 @@ def test_overlapped_composition_bit_identical(method, variant):
     from repro.graphs import gnm_random_graph
     edges = gnm_random_graph(800, 1400, np.random.default_rng(13))
 
-    def run(parallel):
-        db = Database(n_segments=4, parallel=parallel)
+    def run(workers):
+        db = Database(n_segments=4, pool_workers=workers)
         load_edges_into(db, "edges", edges)
         result = RandomisedContraction(method=method, variant=variant).run(
             db, "edges", seed=6)
@@ -210,8 +210,8 @@ def test_overlapped_composition_bit_identical(method, variant):
         db.close()
         return vertices[order], labels[order], stats
 
-    v_on, l_on, stats_on = run(True)
-    v_off, l_off, stats_off = run(False)
+    v_on, l_on, stats_on = run(4)
+    v_off, l_off, stats_off = run(1)
     assert stats_on.overlapped_compositions > 0
     assert stats_off.overlapped_compositions == 0
     # Same statements ran on both schedules, just on different threads.
@@ -226,7 +226,7 @@ def test_overlapped_composition_waits_out_failures():
     from repro.core.dataflow import DataflowScheduler
     from repro.sqlengine.errors import CatalogError
 
-    db = Database(n_segments=4, parallel=True)
+    db = Database(n_segments=4, pool_workers=4)
     sched = DataflowScheduler(db)
     task = sched.submit(["drop table never_created"])
     with pytest.raises(CatalogError):
@@ -251,7 +251,7 @@ def test_overlapped_rounds_can_outrun_one_composition():
     cannot have finished inside that window."""
     from repro.graphs import gnm_random_graph
     edges = gnm_random_graph(600, 1000, np.random.default_rng(21))
-    db = Database(n_segments=4, parallel=True)
+    db = Database(n_segments=4, pool_workers=4)
     load_edges_into(db, "edges", edges)
     RandomisedContraction(variant="deterministic-space").run(db, "edges",
                                                              seed=6)
@@ -259,12 +259,44 @@ def test_overlapped_rounds_can_outrun_one_composition():
     assert stats.overlapped_compositions > 0
     assert stats.dataflow_overlaps >= stats.overlapped_compositions
     db.close()
-    serial = Database(n_segments=4, parallel=False)
+    serial = Database(n_segments=4, pool_workers=1)
     load_edges_into(serial, "edges", edges)
     RandomisedContraction(variant="deterministic-space").run(serial, "edges",
                                                              seed=6)
     assert serial.stats.dataflow_overlaps == 0
     serial.close()
+
+
+@pytest.mark.parametrize("variant", ["fast", "deterministic-space"])
+def test_one_worker_database_is_serial_with_the_default_labels(
+        variant, monkeypatch):
+    """``pool_workers=1`` is the serial engine: the scheduler runs inline,
+    no kernel fans out, no pool thread is ever created — and the labels
+    are the default database's, row for row, even with that one chunking
+    every join it can."""
+    import repro.sqlengine.executor as executor_module
+    from repro.core.dataflow import DataflowScheduler
+    from repro.graphs import gnm_random_graph
+
+    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
+    edges = gnm_random_graph(700, 1200, np.random.default_rng(3))
+
+    def run(**pool):
+        with Database(**pool) as db:
+            load_edges_into(db, "edges", edges)
+            result = RandomisedContraction(variant=variant).run(
+                db, "edges", seed=8)
+            return db, result.labels(db), db.stats.snapshot()
+
+    serial_db, serial_labels, serial_stats = run(pool_workers=1)
+    assert serial_db.pool.n_workers == 1
+    assert serial_db.pool._pool is None
+    assert DataflowScheduler(serial_db).asynchronous is False
+    assert serial_stats.parallel_partitions == 0
+    assert serial_stats.dataflow_overlaps == 0
+    _, default_labels, _ = run()
+    for got, expected in zip(serial_labels, default_labels, strict=True):
+        assert np.array_equal(got, expected)
 
 
 def test_fast_variant_composition_chain_overlaps():
@@ -276,8 +308,8 @@ def test_fast_variant_composition_chain_overlaps():
     from repro.graphs import gnm_random_graph
     edges = gnm_random_graph(800, 1000, np.random.default_rng(29))
 
-    def run(parallel):
-        db = Database(n_segments=4, parallel=parallel)
+    def run(workers):
+        db = Database(n_segments=4, pool_workers=workers)
         load_edges_into(db, "edges", edges)
         result = RandomisedContraction().run(db, "edges", seed=11)
         vertices, labels = result.labels(db)
@@ -286,8 +318,8 @@ def test_fast_variant_composition_chain_overlaps():
         db.close()
         return vertices[order], labels[order], stats, result.rounds
 
-    v_on, l_on, stats_on, rounds_on = run(True)
-    v_off, l_off, stats_off, rounds_off = run(False)
+    v_on, l_on, stats_on, rounds_on = run(4)
+    v_off, l_off, stats_off, rounds_off = run(1)
     assert rounds_on == rounds_off
     assert np.array_equal(v_on, v_off)
     assert np.array_equal(l_on, l_off)
@@ -302,7 +334,7 @@ def test_overlapped_composition_disabled_under_space_budget():
     a budgeted database must compose inline and keep the serial peak."""
     from repro.graphs import gnm_random_graph
     edges = gnm_random_graph(300, 500, np.random.default_rng(2))
-    db = Database(n_segments=4, parallel=True,
+    db = Database(n_segments=4, pool_workers=4,
                   space_budget_bytes=1 << 30)
     load_edges_into(db, "edges", edges)
     RandomisedContraction(variant="deterministic-space").run(

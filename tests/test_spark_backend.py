@@ -149,12 +149,20 @@ def test_partitioned_distinct_matches_plain():
 
 
 def test_section_viic_shape_spark_is_slower():
-    """The qualitative VII-C result: same SQL, slower on the Spark model.
+    """The qualitative VII-C result, by what defines the Spark model: the
+    same SQL (statement for statement) and the same components, executed
+    as many small tasks that shuffle every keyed operator's whole input —
+    more bytes in motion than the co-location-aware MPP run.
 
-    Uses the streets dataset (the comparison graph of the paper's VII-C)
-    at a size where task overhead dominates; asserts a ratio > 1 only, the
-    magnitude is reported by the benchmark."""
+    Uses the streets dataset (the comparison graph of the paper's VII-C);
+    the runtime ratio those costs buy is measured, with repetitions, by
+    ``benchmarks/test_bench_spark_vs_db.py``."""
     edges = streets_like_graph(80, 80)
     mpp = connected_components(edges, "rc", seed=2)
-    spark = connected_components(edges, "rc", seed=2, db=SparkSQLDatabase())
-    assert spark.run.elapsed_seconds > 0.8 * mpp.run.elapsed_seconds
+    spark_db = SparkSQLDatabase()
+    spark = connected_components(edges, "rc", seed=2, db=spark_db)
+    assert spark.n_components == mpp.n_components
+    assert spark.run.sql_queries == mpp.run.sql_queries
+    # At least one task per statement, and many for the big early rounds.
+    assert spark_db.tasks_launched > spark.run.sql_queries
+    assert spark.run.stats.motion_bytes > mpp.run.stats.motion_bytes

@@ -1,4 +1,5 @@
-"""Every engine counter must see traffic from a reproduced algorithm.
+"""Every engine counter and every join route must see traffic from a
+reproduced algorithm.
 
 A counter marks a code path; a path no algorithm of the reproduction
 reaches is a configuration the fuzz harness, the benchmarks and every
@@ -8,9 +9,17 @@ algorithm configuration the repo ships on two small graphs, with
 ``stats.COUNTERS`` to be non-zero in at least one run — except the
 allow-list below, one reason per name.  A new fast path therefore lands
 together with an algorithm that reaches it, or with a reason here.
+
+Three join kernels share the ``parallel_partitions`` counter, so the
+counters cannot tell which of them ran.  The *route* registry can: every
+note ``operators.JOIN_ROUTES`` lets the join planner report must be
+reached too — the fan-out-1 notes by the runs above, the pool notes by the
+same runs with ``executor.PARALLEL_MIN_ROWS`` lowered (the graphs are
+small) — or sit in its own allow-list.
 """
 
 import numpy as np
+import pytest
 
 from repro.core import (
     ALGORITHMS,
@@ -21,6 +30,8 @@ from repro.core import (
 )
 from repro.graphs import gnm_random_graph, load_edges_into, path_graph
 from repro.sqlengine import Database, stats
+from repro.sqlengine import executor as executor_module
+from repro.sqlengine.operators import JOIN_ROUTES
 
 #: Counters no default-configuration run on these graphs can move.
 NO_TRAFFIC_EXPECTED = {
@@ -41,6 +52,25 @@ NEEDS_TWO_WORKERS = {
     "parallel_dense_probes",
     "overlapped_compositions",
     "dataflow_overlaps",
+}
+
+
+#: Join-route notes no default-configuration run reaches.
+NO_ROUTE_TRAFFIC_EXPECTED = {
+    "empty":
+        "guard for a side without a non-NULL key: the drivers stop before "
+        "joining an empty edge table (tests/test_empty_inputs.py)",
+    "range-pruned":
+        "O(1) early exit on disjoint key ranges of two cached indexes; no "
+        "kernel behind it",
+    "merge-indexed":
+        "duplicate build keys behind a cached index: the kernel body of "
+        "the reached 'merge' route, which differs only in who sorted",
+    "parallel-merge-probe": "'merge-indexed' over a pool: same body",
+    "parallel-merge":
+        "a build side without an index at fan-out k: the no-index joins "
+        "of the algorithms are two-column, outside the shape a pool "
+        "chunks; the fuzz harness and the kernel matrix reach it",
 }
 
 
@@ -74,10 +104,23 @@ def _configurations():
             yield f"{name}/{graph_name}", factory, edges
 
 
-def test_every_counter_sees_traffic_from_some_algorithm():
-    assert set(NO_TRAFFIC_EXPECTED) <= set(stats.COUNTERS)
-    assert all(NO_TRAFFIC_EXPECTED.values())  # one reason per name
-    seen: set[str] = set()
+def _run_everything(monkeypatch) -> tuple[set, set, int]:
+    """Run every configuration on a default ``Database()``; returns the
+    counters that moved, the join-route notes reported and the pool width."""
+    notes: set[str] = set()
+    dispatch_join = executor_module.Executor._dispatch_join
+
+    def recording_dispatch(self, left_outer, left_keys, right_keys,
+                           left_index, right_index, note):
+        note = [] if note is None else note
+        pair = dispatch_join(self, left_outer, left_keys, right_keys,
+                             left_index, right_index, note)
+        notes.add(note[-1])
+        return pair
+
+    monkeypatch.setattr(executor_module.Executor, "_dispatch_join",
+                        recording_dispatch)
+    moved: set[str] = set()
     for run_name, factory, edges in _configurations():
         with Database() as db:
             load_edges_into(db, "edges", edges)
@@ -85,10 +128,45 @@ def test_every_counter_sees_traffic_from_some_algorithm():
             assert result.n_labelled > 0, run_name
             snapshot = db.stats.snapshot()
             workers = db.pool.n_workers
-        seen.update(name for name in stats.COUNTERS
-                    if getattr(snapshot, name))
+        moved.update(name for name in stats.COUNTERS
+                     if getattr(snapshot, name))
+    return moved, notes, workers
+
+
+@pytest.fixture(scope="module")
+def default_traffic():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return _run_everything(monkeypatch)
+
+
+def test_every_counter_sees_traffic_from_some_algorithm(default_traffic):
+    assert set(NO_TRAFFIC_EXPECTED) <= set(stats.COUNTERS)
+    assert all(NO_TRAFFIC_EXPECTED.values())  # one reason per name
+    seen, _, workers = default_traffic
     allowed = set(NO_TRAFFIC_EXPECTED)
     if workers < 2:
         allowed |= NEEDS_TWO_WORKERS
     assert set(stats.COUNTERS) - seen - allowed == set(), (
         "counters no algorithm reaches: delete the path or list a reason")
+
+
+def test_every_join_route_is_reached_by_some_algorithm(default_traffic,
+                                                       monkeypatch):
+    serial_notes = {serial for serial, _ in JOIN_ROUTES.values()}
+    pool_notes = {chunked for _, chunked in JOIN_ROUTES.values() if chunked}
+    assert set(NO_ROUTE_TRAFFIC_EXPECTED) <= serial_notes | pool_notes
+    assert all(NO_ROUTE_TRAFFIC_EXPECTED.values())  # one reason per name
+    _, seen, workers = default_traffic
+    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
+    seen = seen | _run_everything(monkeypatch)[1]
+    # The planner reports nothing outside its registry ...
+    assert seen <= serial_notes | pool_notes
+    # ... and nothing in it goes unused without a stated reason.
+    allowed = set(NO_ROUTE_TRAFFIC_EXPECTED)
+    if workers < 2:
+        allowed |= pool_notes
+    assert (serial_notes | pool_notes) - seen - allowed == set(), (
+        "join routes no algorithm reaches: delete the route or list a reason")
+    # An allow-list entry some algorithm does reach is stale.
+    if workers >= 2:
+        assert seen & set(NO_ROUTE_TRAFFIC_EXPECTED) == set()
