@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-unit fuzz bench bench-quick bench-engine bench-compare \
-	bench-baseline perf perf-aa clean
+	bench-baseline perf perf-aa perf-4m clean
 
 ## tier-1: the full unit + benchmark collection, fail-fast
 test:
@@ -55,6 +55,12 @@ perf:
 ## run-to-run spread before trusting a before/after difference
 perf-aa:
 	python3 perf/aa.py
+
+## the rung above the committed ladder: G(2M, 4M), three timed runs, no
+## time budget (~1 min, 2.5 GB) — ROADMAP A's "edges/s within 1.5x between
+## 1e5 and 4e6" is read off this line and `make perf`'s gnm_100k
+perf-4m:
+	python3 perf/run.py --workload gnm_1m --scale 4 --reps 3 --seconds 0 --trace 0
 
 # benchmarks/results is regenerated scratch output; the committed
 # comparison baseline lives in benchmarks/baselines/ and is never cleaned.

@@ -201,13 +201,18 @@ def test_engine_microbench():
     assert warm.physical_plan_invalidations == 0
 
     # Warm-loop engagement proofs for the round-2 fusion kernels: the
-    # contract DISTINCT pairs GF(2^64) representatives (unpackable -> hash
-    # kernel); a sparse-vertex-id graph makes every round's build side a
-    # sorted-index probe (forced 4-worker pool so the chunked path runs
-    # even on single-core hosts); the table-strategy rounds' neigh-min is
-    # the fused join->GROUP BY shape.
-    assert warm.hash_distincts > 0
+    # contract DISTINCT pairs two dictionary-encoded gathers of the GF(2^64)
+    # representatives (packed codes, key order — the hash kernel is the
+    # fallback nothing in the loop needs, and every later round's reps
+    # GROUP BY skips its sort); a sparse-vertex-id graph makes round 1's
+    # build side a sorted-index probe (forced 4-worker pool so the chunked
+    # path runs even on single-core hosts); the table-strategy rounds'
+    # neigh-min is the fused join->GROUP BY shape.
+    assert warm.hash_distincts == 0
+    assert warm.group_sorts_skipped > 1
     report["physical_plan"]["rc_hash_distincts"] = warm.hash_distincts
+    report["physical_plan"]["rc_group_sorts_skipped"] = \
+        warm.group_sorts_skipped
     sparse_edges = EdgeList(measured_edges.src * 9973 + 5,
                             measured_edges.dst * 9973 + 5)
     probe_db = Database(n_segments=4, pool_workers=4)

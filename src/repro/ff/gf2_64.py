@@ -138,15 +138,16 @@ class Gf2AffineMap:
             raise ValueError("A must be non-zero so that h is a bijection")
         self.a = a
         self.b = to_unsigned(b)
-        basis = _basis_products(a)
+        # basis[j, bit] = a * x^(8j + bit): byte j's table is the XOR of the
+        # basis values its index bits select, so all eight tables double
+        # together — entries with bit ``b`` set are the entries without it,
+        # XOR that bit's value.
+        basis = np.array(_basis_products(a), dtype=np.uint64).reshape(8, 8)
         tables = np.zeros((8, 256), dtype=np.uint64)
-        for j in range(8):
-            table = tables[j]
-            for bit in range(8):
-                stride = 1 << bit
-                value = basis[8 * j + bit]
-                # table[i] for i with this bit set = table[i - stride] ^ value
-                table[stride: 2 * stride] = table[:stride] ^ np.uint64(value)
+        for bit in range(8):
+            stride = 1 << bit
+            tables[:, stride: 2 * stride] = \
+                tables[:, :stride] ^ basis[:, bit, None]
         self._tables = tables
         self._wide_tables: np.ndarray | None = None
 

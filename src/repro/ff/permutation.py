@@ -37,7 +37,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .blowfish import Blowfish
-from .gf2_64 import MASK64, Gf2AffineMap, gf2_mul, to_signed, to_unsigned
+from .gf2_64 import (
+    MASK64,
+    Gf2AffineMap,
+    gf2_axplusb,
+    gf2_mul,
+    to_signed,
+    to_unsigned,
+)
 from .gfp import MERSENNE_31, GfpAffineMap
 
 #: Strategy tag: the round function can be evaluated pointwise as an SQL
@@ -118,16 +125,22 @@ class FiniteFieldRound(PointwiseRound):
     """``h(x) = A*x + B`` over GF(2^64); the paper's headline method."""
 
     def __init__(self, a: int, b: int):
-        self._map = Gf2AffineMap(a, b)
         self.a = to_unsigned(a)
         self.b = to_unsigned(b)
+        if self.a == 0:
+            raise ValueError("A must be non-zero so that h is a bijection")
         self.affine = (self.a, self.b, GF2_64_FIELD)
+        #: Built on first :meth:`apply`: the SQL driver evaluates ``h``
+        #: through the ``axplusb`` UDF and never asks the round itself.
+        self._map: Optional[Gf2AffineMap] = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        if self._map is None:
+            self._map = Gf2AffineMap(self.a, self.b)
         return self._map.apply(x)
 
     def apply_scalar(self, x: int) -> int:
-        return self._map.apply_scalar(x)
+        return gf2_axplusb(self.a, x, self.b)
 
     def sql_expr(self, column: str) -> str:
         return f"axplusb({to_signed(self.a)}, {column}, {to_signed(self.b)})"

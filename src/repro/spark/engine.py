@@ -64,6 +64,11 @@ class SparkExecutor(Executor):
     #: expansion cannot run on it and falls back to the staged pipeline.
     monotone_join_output = False
 
+    #: Every keyed operator runs task by task through the kernels below: no
+    #: dictionary-encoded columns (their DISTINCT and joins are whole-column
+    #: kernels) and no direct-address GROUP BY.
+    whole_column_shortcuts = False
+
     def __init__(self, catalog, registry, cluster, stats, n_tasks: int = 64):
         # Spark SQL has no MPP-style table indexes to reuse; keep the
         # shuffle-everything accounting pure by disabling the index cache.

@@ -168,15 +168,19 @@ class Database:
     # -- extension points -------------------------------------------------
 
     def create_function(
-        self, name: str, fn: Callable[..., np.ndarray], returns: str = INT64
+        self, name: str, fn: Callable[..., np.ndarray], returns: str = INT64,
+        immutable: bool = False,
     ) -> None:
         """Register a vectorised user-defined scalar function.
 
         This is the engine's equivalent of loading the paper's C ``axplusb``
         into HAWQ.  Literal SQL arguments arrive as Python scalars, column
-        arguments as numpy arrays.
+        arguments as numpy arrays.  ``immutable=True`` is PostgreSQL's
+        ``IMMUTABLE``: the result is a function of the arguments alone, so
+        the engine may call ``fn`` once per distinct argument value instead
+        of once per row (see :meth:`FunctionRegistry.register_udf`).
         """
-        self.registry.register_udf(name, fn, returns)
+        self.registry.register_udf(name, fn, returns, immutable=immutable)
 
     # -- bulk data ----------------------------------------------------------
 

@@ -212,7 +212,11 @@ def _binary(expr: BinaryOp, env: Environment) -> Column:
 
 
 def _compare(op: str, left: Column, right: Column) -> Column:
-    lv, rv = left.values, right.values
+    if left.dictionary is not None and left.dictionary is right.dictionary:
+        # One sorted dictionary: the codes compare as their values do.
+        lv, rv = left.codes, right.codes
+    else:
+        lv, rv = left.values, right.values
     if left.sql_type == TEXT or right.sql_type == TEXT:
         if left.sql_type != right.sql_type:
             raise ExecutionError("cannot compare text with non-text")

@@ -123,9 +123,9 @@ class SegmentPool:
 
     def share(self, inputs: Sequence) -> Optional[tuple]:
         """A kernel dispatch's big inputs as this pool's workers read them:
-        here the driver's own arrays (a Column gives its values)."""
+        here the driver's own arrays (a Column gives its storage)."""
         return tuple(
-            item.values if isinstance(item, Column) else item
+            item.storage if isinstance(item, Column) else item
             for item in inputs
         )
 

@@ -54,6 +54,7 @@ import numpy as np
 from .errors import ExecutionError
 from .mpp import SegmentPool, segment_assignment
 from .operators import (
+    DirectGroups,
     JoinRoute,
     KeyIndex,
     _boundaries,
@@ -175,20 +176,25 @@ def _reduce_slice(
     spec: AggregateSpec,
     rows: Optional[np.ndarray],
     order: Optional[np.ndarray],
-    starts: np.ndarray,
+    starts: Optional[np.ndarray],
     row_counts: np.ndarray,
+    direct: Optional[DirectGroups] = None,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The one per-group reducer: ``(values, null mask or None)`` with one
     entry per group.  ``rows`` (None = all) picks a partition's rows out
     of the argument; ``order`` (None = they already lie group by group)
     sorts those so that group ``g`` is positions ``starts[g]`` up to
-    ``starts[g + 1]``, of which there must be at least one."""
+    ``starts[g + 1]``, of which there must be at least one.  With
+    ``direct`` the groups are addressed, not laid out: ``order`` and
+    ``starts`` are unused and the kinds are count, min and max."""
     if spec.kind == "count*":
         return row_counts.astype(np.int64, copy=False), None
     values, mask = spec.values, spec.mask
     if rows is not None:
         values = values[rows]
         mask = None if mask is None else mask[rows]
+    if direct is not None:
+        return _reduce_direct(spec, values, mask, row_counts, direct)
     if mask is None:
         sorted_mask = np.zeros(
             (values if order is None else order).shape[0], dtype=bool)
@@ -200,12 +206,7 @@ def _reduce_slice(
     sorted_values = values if order is None else values[order]
     dtype = values.dtype
     if spec.kind in ("min", "max"):
-        if spec.sql_type == INT64:
-            sentinel = np.iinfo(np.int64).max if spec.kind == "min" \
-                else np.iinfo(np.int64).min
-        else:
-            sentinel = np.inf if spec.kind == "min" else -np.inf
-        padded = np.where(sorted_mask, sentinel, sorted_values)
+        padded = np.where(sorted_mask, _sentinel(spec, dtype), sorted_values)
         reducer = np.minimum if spec.kind == "min" else np.maximum
         reduced = reducer.reduceat(padded, starts)
         empty = valid_counts == 0
@@ -222,6 +223,48 @@ def _reduce_slice(
     with np.errstate(invalid="ignore", divide="ignore"):
         averages = sums / valid_counts
     return averages, empty
+
+
+def _sentinel(spec: AggregateSpec, dtype: np.dtype):
+    """The value no argument of a min / max beats — what a NULL row or an
+    untouched slot holds."""
+    low = spec.kind == "max"
+    if dtype.kind == "b":
+        return not low
+    if dtype.kind == "i":
+        return np.iinfo(dtype).min if low else np.iinfo(dtype).max
+    return -np.inf if low else np.inf
+
+
+def _reduce_direct(
+    spec: AggregateSpec,
+    values: np.ndarray,
+    mask: Optional[np.ndarray],
+    row_counts: np.ndarray,
+    direct: DirectGroups,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """:func:`_reduce_slice` over direct-addressed groups: one scatter
+    reduction into a table of ``direct.span`` slots, read back at the
+    slots that occur."""
+    slots = direct.slots
+    if mask is None:
+        valid_counts = row_counts.astype(np.int64, copy=False)
+    else:
+        valid_counts = np.bincount(
+            slots[~mask], minlength=direct.span)[direct.present]
+    if spec.kind == "count":
+        return valid_counts, None
+    if spec.kind not in ("min", "max"):
+        raise ExecutionError(f"{spec.kind} has no direct-address reduction")
+    sentinel = _sentinel(spec, values.dtype)
+    table = np.full(direct.span, sentinel, dtype=values.dtype)
+    if mask is not None:
+        values = np.where(mask, sentinel, values)
+    reducer = np.minimum if spec.kind == "min" else np.maximum
+    with np.errstate(invalid="ignore"):  # NaN arguments propagate, quietly
+        reducer.at(table, slots, values)
+    empty = valid_counts == 0
+    return table[direct.present], empty if empty.any() else None
 
 
 def group_aggregate(

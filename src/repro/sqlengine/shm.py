@@ -95,16 +95,17 @@ class ShmRegistry:
     # -- driver-side export ------------------------------------------------
 
     def export_column(self, column) -> Optional[ShmArray]:
-        """Export a Column's values, adopting the shared view as storage.
+        """Export a Column's storage (its values, or the codes of an
+        encoded column), adopting the shared view in its place.
 
         Returns the descriptor, or ``None`` for non-shareable payloads
         (text) — the caller then runs the kernel on threads.  The
-        column's ``values`` array is replaced by the bit-identical shared
+        column's array is replaced by the bit-identical shared
         view, so the heap copy is freed and the next statement touching
         the same column re-exports it for free.
         """
         with self._lock:
-            values = column.values
+            values = column.storage
             entry = self._live_entry(values)
             if entry is not None:
                 return entry.descriptor

@@ -10,6 +10,18 @@ never be observed.  The paper's algorithms join the per-round ``reps``
 table two to three times per contraction round, which is exactly the reuse
 pattern this cache targets.
 
+Next to the indexes, and invalidated with them, a table caches the
+**dictionary encoding** of a NULL-free int64 column
+(:meth:`Table.encoded_column`): the sorted distinct values and each row's
+position among them, computed the first time a join gathers the column
+into at least as many rows as it has (see
+:mod:`repro.sqlengine.executor`).  The
+stored column itself never changes form.  Both caches fill
+**single-flight** under one lock per table — the dataflow scheduler runs
+statements over the same ``reps`` table concurrently, and two of them must
+end up sharing one index and, above all, one dictionary *object*, which
+is how kernels recognise codes they may compare.
+
 Under the process pool backend a stored column's storage may be
 **shm-adopted**: the first parallel kernel touching it swaps
 ``Column.values`` for a bit-identical view over a shared-memory block (see
@@ -28,7 +40,7 @@ import numpy as np
 
 from .errors import CatalogError, ExecutionError
 from .operators import KeyIndex, build_key_index
-from .types import TEXT, Column
+from .types import INT64, TEXT, Column, dtype_for
 
 
 class Table:
@@ -64,6 +76,10 @@ class Table:
         #: version they were built against and ignored once it moves on.
         self.version = 0
         self._indexes: dict[str, tuple[int, KeyIndex]] = {}
+        self._encoded: dict[str, tuple[int, Column]] = {}
+        #: Guards the fills of both caches (double-checked: hits take no
+        #: lock).
+        self._fill_lock = threading.Lock()
 
     @property
     def n_rows(self) -> int:
@@ -103,9 +119,8 @@ class Table:
         """Drop all rows, keeping the schema; returns the bytes freed."""
         freed = self.byte_size()
         for name, col in list(self.columns.items()):
-            empty = np.empty(0, dtype=col.values.dtype if col.sql_type != TEXT
-                             else object)
-            self.columns[name] = Column(empty, col.sql_type)
+            self.columns[name] = Column(
+                np.empty(0, dtype=dtype_for(col.sql_type)), col.sql_type)
         self._byte_size = None
         self._invalidate_indexes()
         return freed
@@ -115,6 +130,7 @@ class Table:
     def _invalidate_indexes(self) -> None:
         self.version += 1
         self._indexes.clear()
+        self._encoded.clear()
 
     def cached_index(self, column_name: str) -> Optional[KeyIndex]:
         """Return the cached index for a column, or None if absent/stale."""
@@ -130,15 +146,55 @@ class Table:
         (object storage, no cheap stats) and columns with NULLs (the join
         kernels pre-filter NULL rows, which would invalidate positions).
         """
+        return self.index_for(column_name)[0]
+
+    def index_for(self, column_name: str) -> tuple[Optional[KeyIndex], bool]:
+        """:meth:`ensure_index`, plus whether *this call* built the index:
+        of the statements racing for one index exactly one builds it (and
+        counts the cache miss), the others wait and share it."""
         cached = self.cached_index(column_name)
         if cached is not None:
-            return cached
+            return cached, False
         col = self.column(column_name)
         if col.sql_type == TEXT or col.mask is not None:
+            return None, False
+        with self._fill_lock:
+            cached = self.cached_index(column_name)
+            if cached is not None:
+                return cached, False
+            # An encoded column is indexed through its codes: nothing
+            # gathers its values until a join asks for them.
+            index = build_key_index(col.storage, col.dictionary)
+            self._indexes[column_name] = (self.version, index)
+        return index, True
+
+    def cached_encoding(self, column_name: str) -> Optional[Column]:
+        """The encoded form :meth:`encoded_column` cached, if it has."""
+        entry = self._encoded.get(column_name)
+        if entry is None or entry[0] != self.version:
             return None
-        index = build_key_index(col.values)
-        self._indexes[column_name] = (self.version, index)
-        return index
+        return entry[1]
+
+    def encoded_column(self, column_name: str) -> Optional[Column]:
+        """The dictionary-encoded form of a stored column (built and cached
+        on first use, like an index), or ``None`` for a column that has no
+        such form: anything but NULL-free int64.  Every caller gets the
+        same dictionary object for one table version."""
+        col = self.column(column_name)
+        if col.codes is not None:
+            return col
+        if col.sql_type != INT64 or col.mask is not None:
+            return None
+        cached = self.cached_encoding(column_name)
+        if cached is None:
+            with self._fill_lock:
+                cached = self.cached_encoding(column_name)
+                if cached is None:
+                    dictionary, codes = np.unique(col.values,
+                                                  return_inverse=True)
+                    cached = Column.encoded(codes, dictionary, col.values)
+                    self._encoded[column_name] = (self.version, cached)
+        return cached
 
 
 class Catalog:

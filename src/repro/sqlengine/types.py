@@ -6,11 +6,23 @@ The engine is a column store: a relation is a list of named
 boolean null mask, which keeps whole-column operations vectorised — the
 property that makes a Python-hosted engine fast enough to run the paper's
 workloads at laptop scale.
+
+A column has one of **two physical forms**.  The *plain* form is the
+``values`` array itself.  The *dictionary-encoded* form, for NULL-free
+int64 data only, is ``codes`` — one position per row into ``dictionary``,
+the column's sorted, duplicate-free values — with ``values`` gathered
+through the codes the first time something asks for them.  The dictionary
+is strictly increasing, so codes compare exactly as their values do:
+columns sharing one dictionary *object* are joined, compared, grouped and
+de-duplicated on their dense codes and the 64-bit values are never
+touched.  The form is invisible to SQL and to the space accounting
+(:meth:`Column.byte_size` charges 8 bytes per cell either way); who
+produces it is the executor's business (see
+:mod:`repro.sqlengine.executor`), and ``take`` / ``filter`` carry it along.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -57,25 +69,68 @@ def sql_type_of_value(value: object) -> str:
     raise ExecutionError(f"unsupported literal type {type(value).__name__}")
 
 
-@dataclass
 class Column:
     """One column of values plus an optional null mask.
 
     ``mask`` is ``None`` when the column contains no NULLs (the common case,
     kept mask-free so the hot paths skip mask bookkeeping); otherwise it is a
     boolean array where ``True`` marks NULL.
+
+    ``codes`` / ``dictionary`` are set on the dictionary-encoded form only
+    (:meth:`encoded`); ``values`` then materialises on first read and stays.
     """
 
-    values: np.ndarray
-    sql_type: str
-    mask: Optional[np.ndarray] = None
+    __slots__ = ("_values", "sql_type", "mask", "codes", "dictionary")
 
-    def __post_init__(self) -> None:
-        if self.mask is not None and not self.mask.any():
-            self.mask = None
+    def __init__(self, values: np.ndarray, sql_type: str,
+                 mask: Optional[np.ndarray] = None):
+        self._values = values
+        self.sql_type = sql_type
+        self.mask = mask if mask is not None and mask.any() else None
+        self.codes: Optional[np.ndarray] = None
+        self.dictionary: Optional[np.ndarray] = None
+
+    @classmethod
+    def encoded(cls, codes: np.ndarray, dictionary: np.ndarray,
+                values: Optional[np.ndarray] = None) -> "Column":
+        """The dictionary-encoded form: row ``i`` holds
+        ``dictionary[codes[i]]``; ``dictionary`` is sorted and unique.
+        ``values`` may hand over the rows where they already exist."""
+        column = cls(values, INT64)
+        column.codes = codes
+        column.dictionary = dictionary
+        return column
+
+    @property
+    def values(self) -> np.ndarray:
+        values = self._values
+        if values is None:
+            # Two threads may both gather; they store equal arrays.
+            values = self._values = self.dictionary[self.codes]
+        return values
+
+    @property
+    def storage(self) -> np.ndarray:
+        """The array the rows physically live in: ``codes`` on the encoded
+        form, ``values`` otherwise — what a kernel that honours the form
+        reads, and what a process pool shares."""
+        return self.values if self.codes is None else self.codes
+
+    def with_storage(self, storage: np.ndarray) -> "Column":
+        """A NULL-free column of this one's type and form over other rows:
+        ``storage`` holds their values, or on the encoded form their codes
+        into this column's dictionary — selected rows, a GROUP BY's or a
+        DISTINCT's surviving keys."""
+        if self.codes is None:
+            return Column(storage, self.sql_type)
+        return Column.encoded(storage, self.dictionary)
 
     def __len__(self) -> int:
-        return int(self.values.shape[0])
+        return int(self.storage.shape[0])
+
+    def __repr__(self) -> str:
+        form = "plain" if self.codes is None else "encoded"
+        return f"Column({self.sql_type}, {len(self)} rows, {form})"
 
     @classmethod
     def from_values(cls, values: np.ndarray | Sequence, sql_type: str | None = None,
@@ -121,15 +176,18 @@ class Column:
 
     def take(self, indices: np.ndarray) -> "Column":
         """Gather rows by position."""
-        values = self.values[indices]
-        mask = self.mask[indices] if self.mask is not None else None
-        return Column(values, self.sql_type, mask)
+        return self._select(indices)
 
     def filter(self, keep: np.ndarray) -> "Column":
         """Keep rows where ``keep`` is True."""
-        values = self.values[keep]
-        mask = self.mask[keep] if self.mask is not None else None
-        return Column(values, self.sql_type, mask)
+        return self._select(keep)
+
+    def _select(self, rows: np.ndarray) -> "Column":
+        """Rows by position or by boolean mask, in the column's own form."""
+        if self.codes is not None:
+            return self.with_storage(self.codes[rows])
+        mask = self.mask[rows] if self.mask is not None else None
+        return Column(self._values[rows], self.sql_type, mask)
 
     def process_shareable(self) -> bool:
         """True when the values can back a shared-memory export.
@@ -138,10 +196,10 @@ class Column:
         object arrays and their kernels stay on threads (null masks are
         plain bool arrays and ship separately where a kernel needs one).
         """
-        return self.values.dtype != object
+        return self.sql_type != TEXT
 
-    def adopt_storage(self, values: np.ndarray) -> None:
-        """Swap the backing array for a bit-identical view.
+    def adopt_storage(self, storage: np.ndarray) -> None:
+        """Swap the backing array (:attr:`storage`) for a bit-identical view.
 
         Used by :class:`~repro.sqlengine.shm.ShmRegistry` to re-home a
         column onto a shared-memory block on first parallel use: single-
@@ -149,9 +207,13 @@ class Column:
         columns are never written in place), while worker processes can
         now map the same pages by descriptor.
         """
-        if values.dtype != self.values.dtype or values.shape != self.values.shape:
+        current = self.storage
+        if storage.dtype != current.dtype or storage.shape != current.shape:
             raise ExecutionError("adopted storage must match dtype and shape")
-        self.values = values
+        if self.codes is None:
+            self._values = storage
+        else:
+            self.codes = storage
 
     def null_mask(self) -> np.ndarray:
         """Return a boolean mask of NULL positions (materialised)."""

@@ -1,0 +1,551 @@
+"""Dictionary-encoded columns: the second physical form of ``Column`` and
+the kernels that run on its codes.
+
+The form must be invisible — every observable of an encoded column equals
+the plain column's over the same rows — and each kernel that honours it
+(the dictionary join route lives in ``test_parallel_kernels.py``'s matrix)
+is held against the kernel it replaces: the packed DISTINCT against the
+lexsort reference, the direct-address GROUP BY against the one reducer
+over ``group_rows``, an immutable UDF over a dictionary against the
+row-wise call.
+"""
+
+from __future__ import annotations
+
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.sqlengine import Database
+from repro.sqlengine.operators import (
+    DENSE_SPAN_FLOOR,
+    build_key_index,
+    direct_group_rows,
+    distinct_encoded,
+    distinct_rows,
+    group_rows,
+    sorted_group_rows,
+)
+from repro.sqlengine.parallel import AggregateSpec, _reduce_slice
+from repro.sqlengine.shm import ShmRegistry, attach_array
+from repro.sqlengine.table import Table
+from repro.sqlengine.types import FLOAT64, INT64, Column
+
+sparse_values = st.lists(
+    st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
+    min_size=1, max_size=40)
+
+
+def encode(values) -> Column:
+    dictionary, codes = np.unique(np.asarray(values, dtype=np.int64),
+                                  return_inverse=True)
+    return Column.encoded(codes, dictionary)
+
+
+# ---------------------------------------------------------------------------
+# the form is invisible
+# ---------------------------------------------------------------------------
+
+
+@given(sparse_values, st.data())
+def test_encoded_column_round_trips_like_the_plain_column(values, data):
+    plain = Column.from_values(np.asarray(values, dtype=np.int64))
+    encoded = encode(values)
+    n = len(values)
+    assert len(encoded) == n and encoded.mask is None
+    assert encoded.sql_type == INT64
+    assert encoded.byte_size() == plain.byte_size() == 8 * n
+    rows = np.asarray(data.draw(st.lists(st.integers(0, n - 1), max_size=60)),
+                      dtype=np.int64)
+    keep = np.asarray(data.draw(st.lists(st.booleans(), min_size=n,
+                                         max_size=n)))
+    for got, expected in (
+        (encoded, plain),
+        (encoded.take(rows), plain.take(rows)),
+        (encoded.filter(keep), plain.filter(keep)),
+        (encoded.take(rows).filter(keep[rows]), plain.take(rows).filter(keep[rows])),
+    ):
+        # take / filter carry the form and the dictionary object along.
+        assert got.codes is not None and got.dictionary is encoded.dictionary
+        assert got._values is None  # nothing gathered a value yet
+        assert got.byte_size() == expected.byte_size()
+        assert got.to_list() == expected.to_list()
+        assert got._values is not None  # ... and the gather happened once
+        assert np.array_equal(got.values, expected.values)
+        assert np.array_equal(got.non_null_values(), expected.values)
+        assert not got.null_mask().any()
+    merged = Column.concat([encoded, plain, encoded.take(rows)])
+    assert merged.codes is None
+    assert merged.to_list() == values + values + plain.take(rows).to_list()
+
+
+def test_encoded_column_adopts_shared_memory_for_its_codes():
+    """A process pool shares what a kernel reads — the codes — and adopts
+    the shared copy in their place; the values stay what they were."""
+    encoded = encode([50, -7, 50, 2 ** 62, -7])
+    plain = Column.from_values(encoded.values.copy())
+    registry = ShmRegistry()
+    try:
+        for column in (encoded, plain):
+            before = column.storage.copy()
+            descriptor = registry.export_column(column)
+            assert descriptor is not None
+            # Exported once: the adopted view is the registry's key.
+            assert registry.export_column(column) == descriptor
+            assert np.array_equal(attach_array(descriptor), before)
+            assert np.array_equal(column.storage, before)
+        assert encoded.storage is encoded.codes
+        assert encoded.to_list() == plain.to_list()
+        with pytest.raises(Exception):
+            encoded.adopt_storage(np.zeros(2, dtype=np.int64))
+    finally:
+        registry.release_all()
+
+
+def test_table_encoding_is_cached_single_flight_and_invalidated():
+    rng = np.random.default_rng(0)
+    values = rng.integers(-(2 ** 62), 2 ** 62, 50)[rng.integers(0, 50, 400)]
+    table = Table("t", {"k": Column.from_values(values),
+                        "x": Column.from_values(rng.normal(size=400)),
+                        "n": Column(values.copy(), INT64, values > 0)})
+    assert table.cached_encoding("k") is None
+    encoded = table.encoded_column("k")
+    assert encoded is table.encoded_column("k") is table.cached_encoding("k")
+    assert np.array_equal(encoded.dictionary, np.unique(values))
+    assert np.array_equal(encoded.dictionary[encoded.codes], values)
+    # The stored column keeps its form; the twin shares its values.
+    assert table.column("k").codes is None
+    assert encoded.values is table.column("k").values
+    # Floats and NULL-bearing columns have no encoded form.
+    assert table.encoded_column("x") is None
+    assert table.encoded_column("n") is None
+    table.append({"k": Column.from_values(np.array([7])),
+                  "x": Column.from_values(np.array([0.5])),
+                  "n": Column.from_values(np.array([1]))})
+    assert table.cached_encoding("k") is None
+    assert len(table.encoded_column("k")) == 401
+    # A column stored encoded is its own encoding.
+    stored = Table("s", {"k": encoded})
+    assert stored.encoded_column("k") is encoded
+
+
+@pytest.mark.parametrize("what", ["index", "encoding"])
+def test_racing_statements_share_one_build(monkeypatch, what):
+    """The dataflow scheduler runs statements over one ``reps`` table
+    concurrently.  Two racing for the same index or encoding must end up
+    with one object — a second dictionary would make their codes
+    incomparable — built once, with exactly one cache miss counted."""
+    import repro.sqlengine.table as table_module
+
+    builds = []
+    both_waiting = threading.Barrier(2, timeout=10)
+    real_index, real_unique = table_module.build_key_index, np.unique
+
+    def slow_index(*args):
+        builds.append("index")
+        # Hold the lock until the other thread had every chance to race.
+        threading.Event().wait(0.05)
+        return real_index(*args)
+
+    def slow_unique(*args, **kwargs):
+        builds.append("encoding")
+        threading.Event().wait(0.05)
+        return real_unique(*args, **kwargs)
+
+    monkeypatch.setattr(table_module, "build_key_index", slow_index)
+    monkeypatch.setattr(table_module.np, "unique", slow_unique)
+    rng = np.random.default_rng(1)
+    with Database(pool_workers=1) as db:
+        db.load_table("t", {"k": rng.integers(-(2 ** 62), 2 ** 62, 500)})
+        table = db.table("t")
+        got, errors = [], []
+
+        def fetch():
+            try:
+                both_waiting.wait()
+                if what == "index":
+                    got.append(db._executor._stored_index(
+                        _Sources(table), "t.k", build=True))
+                else:
+                    got.append(table.encoded_column("k"))
+            except BaseException as error:  # surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=fetch) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert not errors
+        assert builds == [what]
+        assert got[0] is got[1] and got[0] is not None
+        if what == "index":
+            assert db.stats.index_cache_misses == 1
+            assert db.stats.index_cache_hits == 1
+        else:
+            assert got[0].dictionary is table.cached_encoding("k").dictionary
+
+
+class _Sources:
+    """The one attribute of a Frame ``Executor._stored_index`` reads."""
+
+    def __init__(self, table):
+        self.sources = {"t.k": (table, "k")}
+
+
+def test_index_over_an_encoded_column_is_built_from_codes():
+    """Order, uniqueness and sortedness come from the codes; values are
+    gathered only when a join asks for ``sorted_values``."""
+    rng = np.random.default_rng(2)
+    values = rng.integers(-(2 ** 62), 2 ** 62, 300)[rng.integers(0, 300, 2000)]
+    encoded = encode(values)
+    index = build_key_index(encoded.codes, encoded.dictionary)
+    reference = build_key_index(values)
+    assert (index.is_unique, index.is_sorted, index.n_rows) == \
+        (reference.is_unique, reference.is_sorted, reference.n_rows)
+    assert (index.min_value, index.max_value) == \
+        (int(values.min()), int(values.max()))
+    assert np.array_equal(index.order, reference.order)
+    assert np.array_equal(index.sorted_keys, np.sort(encoded.codes))
+    assert index._sorted_values is None
+    assert np.array_equal(index.sorted_values, reference.sorted_values)
+    # Grouping reads the codes and gives the values' groups.
+    for got, expected in zip(group_rows([encoded], index),
+                             group_rows([Column.from_values(values)])):
+        assert np.array_equal(got, expected)
+    # A stored-sorted column: the ends are the bounds, the order is free.
+    ordered = encode(np.sort(values))
+    index = build_key_index(ordered.codes, ordered.dictionary)
+    assert index.is_sorted and not index.is_unique
+    assert (index.min_value, index.max_value) == \
+        (int(values.min()), int(values.max()))
+
+
+# ---------------------------------------------------------------------------
+# packed DISTINCT
+# ---------------------------------------------------------------------------
+
+
+def reference_distinct_rows(columns) -> list[tuple]:
+    order, starts = sorted_group_rows(columns)
+    keep = np.sort(order[starts])
+    return sorted(zip(*(col.values[keep].tolist() for col in columns)))
+
+
+@given(st.lists(st.tuples(st.integers(-(2 ** 63), 2 ** 63 - 1),
+                          st.integers(-3, 3), st.integers(0, 1)),
+                min_size=1, max_size=60),
+       st.integers(1, 3))
+def test_packed_distinct_is_the_reference_row_set_in_key_order(rows, width):
+    columns = [encode([row[i] for row in rows]) for i in range(width)]
+    distinct = distinct_encoded(columns)
+    assert distinct is not None
+    for got, source in zip(distinct, columns):
+        assert got.codes is not None and got.dictionary is source.dictionary
+    got_rows = list(zip(*(col.to_list() for col in distinct)))
+    # Key order: ascending as tuples of values, no duplicates ...
+    assert got_rows == sorted(set(got_rows))
+    # ... and exactly the rows the lexsort reference keeps.
+    assert got_rows == reference_distinct_rows(columns)
+    plain = [Column.from_values(col.values) for col in columns]
+    kept = distinct_rows(plain)
+    assert sorted(zip(*(col.values[kept].tolist() for col in plain))) \
+        == got_rows
+
+
+def test_packed_distinct_leading_column_comes_out_sorted():
+    rng = np.random.default_rng(3)
+    a = encode(rng.integers(-(2 ** 62), 2 ** 62, 80)[rng.integers(0, 80, 5000)])
+    b = encode(rng.integers(-(2 ** 62), 2 ** 62, 90)[rng.integers(0, 90, 5000)])
+    first, second = distinct_encoded([a, b])
+    index = build_key_index(first.codes, first.dictionary)
+    assert index.is_sorted  # the next GROUP BY over it skips its sort
+    assert len(first) == len(second) == len(set(zip(a.to_list(),
+                                                    b.to_list())))
+
+
+def test_packed_distinct_falls_back_when_it_cannot_pack():
+    wide = np.arange(1 << 16, dtype=np.int64)
+    # Four 16-bit code columns need 64 bits: one more than a word offers.
+    columns = [Column.encoded(wide, wide) for _ in range(4)]
+    assert distinct_encoded(columns) is None
+    assert distinct_encoded(columns[:3]) is not None
+    # A plain column among them, or no column at all, is not its shape.
+    assert distinct_encoded([columns[0], Column.from_values(wide)]) is None
+    assert distinct_encoded([]) is None
+    # The fallback still de-duplicates encoded columns, through their values.
+    note: list = []
+    assert np.array_equal(distinct_rows(columns, note=note), wide)
+
+
+def test_executor_distinct_over_encoded_columns_is_in_key_order():
+    """Through SQL: two expanding gathers of one stored column leave
+    encoded, their DISTINCT comes out in key order and the hash kernel is
+    not asked; the motion it charges is the plain engine's."""
+    rng = np.random.default_rng(4)
+    reps = rng.permutation(200) * (2 ** 62 // 200) - 2 ** 61
+    edges = {"v1": rng.integers(0, 200, 3000),
+             "v2": rng.integers(0, 200, 3000)}
+    sql = ("select distinct a.rep x, b.rep y from e, r as a, r as b "
+           "where e.v1 = a.v and e.v2 = b.v and a.rep != b.rep")
+    results = {}
+    for encode_columns in (True, False):
+        with Database() as db:
+            db._executor.whole_column_shortcuts = encode_columns
+            db.load_table("e", edges)
+            db.load_table("r", {"v": np.arange(200), "rep": reps // 7 * 7})
+            relation = db.execute(sql).relation
+            results[encode_columns] = (
+                relation, db.stats.hash_distincts, db.stats.motion_bytes)
+    (encoded, hashes, motion), (plain, plain_hashes, plain_motion) = \
+        results[True], results[False]
+    assert encoded.column("x").codes is not None and hashes == 0
+    assert plain.column("x").codes is None and plain_hashes == 1
+    assert motion == plain_motion
+    rows = encoded.rows()
+    assert rows == sorted(rows) == sorted(plain.rows())
+    assert plain.rows() != rows  # first-occurrence order is another order
+
+
+# ---------------------------------------------------------------------------
+# direct-address GROUP BY
+# ---------------------------------------------------------------------------
+
+
+def _specs(rng, n):
+    ints = rng.integers(-(2 ** 63), 2 ** 63 - 1, n)
+    floats = rng.normal(size=n)
+    floats[rng.random(n) < 0.1] = np.nan
+    mask = rng.random(n) < 0.3
+    return [
+        AggregateSpec("count*"),
+        AggregateSpec("count", ints, mask.copy(), INT64),
+        AggregateSpec("count", floats, None, FLOAT64),
+        AggregateSpec("min", ints, None, INT64),
+        AggregateSpec("min", ints, mask.copy(), INT64),
+        AggregateSpec("max", ints, mask.copy(), INT64),
+        AggregateSpec("min", floats, mask.copy(), FLOAT64),
+        AggregateSpec("max", floats, None, FLOAT64),
+        AggregateSpec("max", rng.random(n) < 0.5, mask.copy(), "bool"),
+    ]
+
+
+def assert_direct_equals_sorted(key: Column, seed: int = 0) -> None:
+    direct = direct_group_rows(key)
+    assert direct is not None
+    order, starts = group_rows([key])
+    counts = np.diff(np.append(starts, order.shape[0]))
+    # The groups, in the sort's own (ascending key) order ...
+    assert np.array_equal(direct.present + direct.low,
+                          key.storage[order[starts]])
+    assert np.array_equal(direct.counts, counts)
+    # ... and every reduction the one reducer computes over them.
+    for spec in _specs(np.random.default_rng(seed), len(key)):
+        expected = _reduce_slice(spec, None, order, starts, counts)
+        got = _reduce_slice(spec, None, None, None, direct.counts, direct)
+        assert got[0].dtype == expected[0].dtype, spec.kind
+        assert np.array_equal(got[0], expected[0], equal_nan=True), spec.kind
+        assert (got[1] is None) == (expected[1] is None), spec.kind
+        if got[1] is not None:
+            assert np.array_equal(got[1], expected[1])
+
+
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=80),
+       st.integers(0, 5))
+def test_direct_address_group_by_equals_the_sorted_reducer(keys, seed):
+    assert_direct_equals_sorted(Column.from_values(np.asarray(keys)), seed)
+    # An encoded key column is grouped through its codes.
+    sparse = Column.from_values(np.asarray(keys) * (2 ** 55))
+    assert len(set(keys)) == 1 or direct_group_rows(sparse) is None
+    assert_direct_equals_sorted(encode(sparse.values), seed)
+
+
+def test_direct_address_group_by_span_limit_and_refusals():
+    # A span of exactly the dense limit is served, one more is not.
+    at_limit = Column.from_values(np.array([-5, DENSE_SPAN_FLOOR - 6, 3, -5]))
+    assert_direct_equals_sorted(at_limit)
+    assert direct_group_rows(
+        Column.from_values(np.array([-5, DENSE_SPAN_FLOOR - 5]))) is None
+    # An index's statistics stand in for the two passes that find them.
+    index = build_key_index(at_limit.values)
+    assert direct_group_rows(at_limit, index).span == DENSE_SPAN_FLOOR
+    # Empty, NULL-bearing, float and text keys are not its shape.
+    assert direct_group_rows(Column.from_values(np.empty(0, np.int64))) is None
+    assert direct_group_rows(Column(np.array([1, 2]), INT64,
+                                    np.array([True, False]))) is None
+    assert direct_group_rows(Column.from_values(np.array([1.0, 2.0]))) is None
+    assert direct_group_rows(
+        Column.from_values(np.array(["a"], dtype=object))) is None
+    with pytest.raises(Exception):
+        _reduce_slice(AggregateSpec("sum", np.arange(4), None, INT64), None,
+                      None, None, np.ones(4, dtype=np.int64),
+                      direct_group_rows(Column.from_values(np.arange(4))))
+
+
+@pytest.mark.parametrize("sql", [
+    "select k, count(*) c, min(x) lo, max(x) hi, count(n) m from t group by k",
+    "select k, min(n) lo, max(y) hi from t group by k",
+    "select k from t group by k",
+    # Outside its shape: a sum, a second key, count(distinct).
+    "select k, sum(x) s, min(x) lo from t group by k",
+    "select k, x, count(*) c from t group by k, x",
+    "select k, count(distinct x) d from t group by k",
+])
+def test_executor_direct_group_by_matches_the_sorting_engine(sql):
+    rng = np.random.default_rng(5)
+    columns = {"k": rng.integers(-30, 30, 600), "x": rng.integers(-9, 9, 600),
+               "y": rng.normal(size=600)}
+    results = []
+    for shortcuts in (True, False):
+        with Database() as db:
+            db._executor.whole_column_shortcuts = shortcuts
+            db.load_table("t", columns)
+            db.execute("create table u as select k, x, y, "
+                       "nullif(x, 3) n from t")
+            results.append(db.execute(sql.replace(" t ", " u ")).relation)
+    direct, plain = results
+    assert direct.names == plain.names
+    for name in plain.names:
+        assert direct.column(name).sql_type == plain.column(name).sql_type
+        assert direct.column(name).to_list() == plain.column(name).to_list()
+
+
+@pytest.mark.parametrize("aggregate,pool_workers", [
+    ("min(x)", 1),   # direct addressing
+    ("sum(x)", 1),   # the sort
+    ("min(x)", 4),   # the pool's partial-then-final aggregate
+])
+def test_group_key_keeps_its_form_on_every_grouping_path(
+        monkeypatch, aggregate, pool_workers):
+    """Whichever path groups an encoded key hands it on encoded, over the
+    same dictionary: a later DISTINCT's row order must not depend on the
+    aggregate list or the pool's width."""
+    import repro.sqlengine.executor as executor_module
+
+    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
+    rng = np.random.default_rng(9)
+    reps = rng.integers(-(2 ** 62), 2 ** 62, 50)
+    with Database(pool_workers=pool_workers) as db:
+        db.load_table("e", {"v": rng.integers(0, 50, 2000),
+                            "x": rng.integers(-9, 9, 2000)})
+        db.load_table("r", {"v": np.arange(50), "rep": reps})
+        relation = db.execute(
+            f"select k, {aggregate} a from (select r.rep k, e.x x from e, r "
+            "where e.v = r.v) s group by k").relation
+        key = relation.column("k")
+        assert key.codes is not None
+        assert key.dictionary is db.table("r").cached_encoding("rep").dictionary
+        assert key.to_list() == sorted(set(
+            reps[db.table("e").column("v").values].tolist()))
+        assert (db.stats.parallel_partitions > 0) == (pool_workers > 1)
+
+
+# ---------------------------------------------------------------------------
+# immutable UDFs
+# ---------------------------------------------------------------------------
+
+
+def test_immutable_udf_is_applied_to_the_dictionary_and_only_then():
+    calls = []
+
+    def triple(scale, x):
+        calls.append(int(np.asarray(x).shape[0]))
+        return np.asarray(x) * scale
+
+    rng = np.random.default_rng(6)
+    reps = rng.integers(-(2 ** 40), 2 ** 40, 50)
+    with Database() as db:
+        db.create_function("pure", triple, immutable=True)
+        db.create_function("impure", triple)
+        db.load_table("e", {"v": rng.integers(0, 50, 2000)})
+        db.load_table("r", {"v": np.arange(50), "rep": reps})
+        # g.rep is an expanding gather of r.rep: encoded, 50 distinct values.
+        db.execute("create table g as select r.rep as rep from e, r "
+                   "where e.v = r.v")
+        assert db.table("g").column("rep").codes is not None
+        expected = (db.table("g").column("rep").values * 3).tolist()
+        n_distinct = int(np.unique(db.table("g").column("rep").values).shape[0])
+
+        pure = db.execute("select pure(3, rep) y from g").column("y")
+        assert calls == [50] and n_distinct <= 50
+        assert pure.tolist() == expected
+        # Not declared immutable: every row, every time.
+        impure = db.execute("select impure(3, rep) y from g").column("y")
+        assert calls == [50, 2000]
+        assert impure.tolist() == expected
+        # A plain column is called row-wise whatever the declaration ...
+        db.execute("select pure(3, v) y from e")
+        assert calls[-1] == 2000
+        # ... as is a column no longer than its dictionary,
+        db.execute("create table small as select rep from g where rep = "
+                   f"{int(reps[0])}")
+        small_rows = db.table("small").n_rows
+        assert 0 < small_rows < 50
+        db.execute("select pure(3, rep) y from small")
+        assert calls[-1] == small_rows
+        # ... and a call with two column arguments.
+        db.execute("select pure(rep, rep) y from g")
+        assert calls[-1] == 2000
+
+
+def test_contraction_udfs_are_registered_immutable():
+    """``axplusb`` over an encoded edge column costs one field
+    multiplication per distinct vertex, and the same bits as per row."""
+    from repro.core.udfs import register_udfs
+    from repro.ff.gf2_64 import Gf2AffineMap
+
+    rng = np.random.default_rng(7)
+    reps = rng.integers(-(2 ** 62), 2 ** 62, 40)
+    with Database() as db:
+        register_udfs(db)
+        db.load_table("e", {"v": rng.integers(0, 40, 1000)})
+        db.load_table("r", {"v": np.arange(40), "rep": reps})
+        db.execute("create table g as select r.rep as rep from e, r "
+                   "where e.v = r.v")
+        column = db.table("g").column("rep")
+        assert column.codes is not None
+        got = db.execute("select axplusb(12345, rep, -77) y from g").column("y")
+        expected = Gf2AffineMap(12345, -77).apply(
+            column.values.astype(np.uint64)).view(np.int64)
+        assert np.array_equal(got, expected)
+        # The other two, against themselves over a plain copy (GF(p) ids
+        # must lie below p).
+        db.load_table("small", {"v": np.arange(40),
+                                "rep": rng.integers(0, 2 ** 31 - 2, 40)})
+        db.execute("create table gs as select small.rep as rep from e, small "
+                   "where e.v = small.v")
+        for name, args, table in (("axbmodp", "5, rep, 7, 2147483647", "gs"),
+                                  ("blowfish", "99, rep", "g")):
+            assert db.table(table).column("rep").codes is not None
+            encoded = db.execute(
+                f"select {name}({args}) y from {table}").column("y")
+            db.execute("drop table if exists plain")
+            db.execute(
+                f"create table plain as select rep + 0 as rep from {table}")
+            assert db.table("plain").column("rep").codes is None
+            plain = db.execute(
+                f"select {name}({args}) y from plain").column("y")
+            assert np.array_equal(encoded, plain)
+
+
+def test_comparison_of_columns_sharing_a_dictionary_reads_codes_only():
+    rng = np.random.default_rng(8)
+    reps = rng.integers(-(2 ** 62), 2 ** 62, 30)
+    with Database() as db:
+        db.load_table("e", {"v1": rng.integers(0, 30, 500),
+                            "v2": rng.integers(0, 30, 500)})
+        db.load_table("r", {"v": np.arange(30), "rep": reps})
+        db.execute("create table g as select a.rep x, b.rep y from e, "
+                   "r as a, r as b where e.v1 = a.v and e.v2 = b.v")
+        x, y = (db.table("g").column(name) for name in "xy")
+        assert x.dictionary is y.dictionary is not None
+        for op in ("=", "!=", "<", "<=", ">", ">="):
+            got = db.execute(f"select x {op} y c from g").column("c")
+            assert x._values is None and y._values is None, op
+            expected = eval(f"a {'==' if op == '=' else op} b",
+                            {"a": reps[db.table('e').column('v1').values],
+                             "b": reps[db.table('e').column('v2').values]})
+            assert np.array_equal(got, expected), op

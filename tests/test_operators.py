@@ -450,9 +450,11 @@ def test_stable_argsort_is_numpys_stable_argsort(regime, n):
 
 @pytest.mark.parametrize("n", GATE_SIZES[2:])
 def test_merge_probe_agrees_with_reference(n):
-    """A materialised probe-side index turns the sorted-index probe into a
-    merge; unmatched probe rows, a stored-sorted probe side and a build
-    side stored in either order must not change a pair."""
+    """The planner reads a probe-side index for its key range only: with
+    one in hand — sorted already or stored sorted — unmatched probe rows
+    and a build side stored in either order must not change a pair.  (The
+    name predates the removal of the merge probe such an index used to
+    select, like the ``merge-unique`` ids of the kernel matrix.)"""
     rng = np.random.default_rng(n)
     build = np.unique(_full_range(rng, n // 2 + 1))
     probe = np.concatenate([build[rng.integers(0, build.shape[0], size=n)],
@@ -463,7 +465,7 @@ def test_merge_probe_agrees_with_reference(n):
             lcol, rcol = int_column(left_values), int_column(right_values)
             l_index = build_key_index(lcol.values)
             r_index = build_key_index(rcol.values)
-            assert l_index.is_materialised and r_index.is_unique
+            assert r_index.is_unique
             note: list = []
             got = join_indices([lcol], [rcol], left_index=l_index,
                                right_index=r_index, note=note)
@@ -472,19 +474,19 @@ def test_merge_probe_agrees_with_reference(n):
 
 
 def test_probe_side_index_is_read_only_when_its_order_is_in_hand():
-    """A dense probe-side index holds statistics only; the merge route
-    must not make it sort."""
+    """A dense index holds statistics only until something needs its
+    order; a join probing *with* that column is not such a thing."""
     n = 2 * CACHE_KERNEL_MIN_ROWS
     rng = np.random.default_rng(5)
     lcol = int_column(rng.permutation(n))
     l_index = build_key_index(lcol.values)
-    assert not l_index.is_materialised
+    assert l_index._order is None
     rcol = int_column(rng.permutation(n)[:50] * (1 << 40))
     r_index = build_key_index(rcol.values)
     got = join_indices([lcol], [rcol], left_index=l_index,
                        right_index=r_index)
     assert_same_pairs(got, merge_join_indices([lcol], [rcol]))
-    assert not l_index.is_materialised
+    assert l_index._order is None
 
 
 @pytest.mark.parametrize("n_columns", (1, 2, 3))

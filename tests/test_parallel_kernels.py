@@ -468,17 +468,20 @@ def test_rc_end_to_end_parallel_identical(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _join_case(dense, unique_build, indexed=True, merge=None,
-               left_outer=False):
+def _join_case(dense, unique_build, indexed=True, probe_index=None,
+               left_outer=False, encoded=False):
     """One join of the matrix.  ``pool`` ``None`` is fan-out 1 — the direct
     ``join_indices`` call; anything else chunks over that pool.  Both are
     held against ``merge_join_indices``, which sees no index at all.
 
     ``indexed`` hands the build side's ``KeyIndex`` over (a stored
-    table's cached one; without it the route sorts for itself); ``merge``
-    hands over the probe side's own sorted index too (the chunks then
-    merge two sorted arrays) — over a shuffled column (``"indexed"``) or
-    one stored in key order (``"stored-sorted"``)."""
+    table's cached one; without it the route sorts for itself);
+    ``probe_index`` hands over the probe side's own index too (the planner
+    reads its key range, nothing else) — over a shuffled column
+    (``"indexed"``) or one stored in key order (``"stored-sorted"``).
+    ``encoded`` gives both sides the dictionary-encoded form over one
+    shared dictionary, of which the build side holds a part: the probes
+    absent from it are codes without a build row."""
     def case(pool, note):
         rng = np.random.default_rng(17 * dense + unique_build)
         if dense:
@@ -492,18 +495,27 @@ def _join_case(dense, unique_build, indexed=True, merge=None,
             rng.integers(-2000, 0, 1_000),    # below-range misses
             rng.integers(5001, 9000, 2_000),  # above-range / absent misses
         ])
-        if merge == "stored-sorted":
+        if probe_index == "stored-sorted":
             probe.sort()
         # Every chunk is big enough for the bucketed sorted_lookup.
         assert probe.shape[0] // 4 >= CACHE_KERNEL_MIN_ROWS
         left_col, right_col = int_column(probe), int_column(build)
-        right_index = build_key_index(right_col.values) if indexed else None
+        if encoded:
+            dictionary = np.unique(np.concatenate([probe, build]))
+            left_col, right_col = (
+                Column.encoded(np.searchsorted(dictionary, values),
+                               dictionary)
+                for values in (probe, build))
+            assert np.array_equal(right_col.values, build)
+        right_index = build_key_index(right_col.storage,
+                                      right_col.dictionary) \
+            if indexed else None
         assert right_index is None or right_index.is_unique == unique_build
-        left_index = build_key_index(left_col.values) if merge else None
+        left_index = build_key_index(left_col.values) if probe_index else None
         assert left_index is None or (
-            left_index.is_materialised
-            and left_index.is_sorted == (merge == "stored-sorted"))
-        expected = merge_join_indices([left_col], [right_col])
+            left_index.is_sorted == (probe_index == "stored-sorted"))
+        expected = merge_join_indices([int_column(probe)],
+                                      [int_column(build)])
         if pool is None:
             got = join_indices([left_col], [right_col], left_index,
                                right_index, note)
@@ -546,6 +558,9 @@ def _aggregate_case(pool, note):
 #: id -> (case, the route it must take or None).  The two "hash-join" ids
 #: predate the removal of the hash-partitioned join: they are the joins
 #: without a build-side index, which now sort once and chunk the probe.
+#: The two "merge-unique" ids likewise predate the removal of the merge
+#: probe (no algorithm reached it once joins ran on codes): they are the
+#: joins that find a probe-side index in hand, which changes no pair.
 KERNEL_CASES = {
     "hash-join": (
         _join_case(False, False, indexed=False), "sorted-runs"),
@@ -555,10 +570,20 @@ KERNEL_CASES = {
     "sorted-unique-probe": (_join_case(False, True), "sparse-unique"),
     "sorted-merge-probe": (_join_case(False, False), "indexed-runs"),
     "merge-unique-probe": (
-        _join_case(False, True, merge="indexed"), "sparse-unique"),
+        _join_case(False, True, probe_index="indexed"), "sparse-unique"),
     "left-merge-unique-probe": (
-        _join_case(False, True, merge="stored-sorted", left_outer=True),
+        _join_case(False, True, probe_index="stored-sorted",
+                   left_outer=True),
         "sparse-unique"),
+    "dictionary-probe": (
+        _join_case(False, True, encoded=True), "dictionary"),
+    "dictionary-no-index-probe": (
+        _join_case(False, True, indexed=False, encoded=True), "dictionary"),
+    "left-dictionary-probe": (
+        _join_case(False, True, encoded=True, left_outer=True),
+        "dictionary"),
+    "dictionary-duplicate-build": (
+        _join_case(False, False, encoded=True), "indexed-runs"),
     "dense-unique-probe": (_join_case(True, True), "dense-unique"),
     "dense-bucket-probe": (_join_case(True, False), "dense-runs"),
     "left-dense-probe": (

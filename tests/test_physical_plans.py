@@ -561,9 +561,12 @@ def test_rc_random_reals_round_loop_fuses_join_group_by():
     assert stats_off.fused_group_pipelines == 0
 
 
-def test_rc_fast_variant_round_loop_uses_hash_distinct():
-    """The fast variant's contract DISTINCT pairs 64-bit field values whose
-    spans defeat pair packing — the hash kernel must engage on the loop."""
+def test_rc_fast_variant_round_loop_distinct_runs_on_codes():
+    """The fast variant's contract DISTINCT pairs two gathers of
+    ``reps.rep``: both arrive dictionary-encoded over one dictionary, so
+    the packed-code kernel serves every round — in key order, which the
+    next round's ``reps`` GROUP BY finds already sorted — and the hash
+    kernel, the fallback for plain 64-bit pairs, none."""
     from repro.core import RandomisedContraction
     from repro.graphs import gnm_random_graph
     from repro.graphs.io import load_edges_into
@@ -571,8 +574,23 @@ def test_rc_fast_variant_round_loop_uses_hash_distinct():
     edges = gnm_random_graph(400, 700, np.random.default_rng(33))
     db = Database(n_segments=4)
     load_edges_into(db, "edges", edges)
-    RandomisedContraction().run(db, "edges", seed=5)
-    assert db.stats.hash_distincts > 0
+    result = RandomisedContraction().run(db, "edges", seed=5)
+    assert db.stats.hash_distincts == 0
+    # Every round but the first groups a DISTINCT's output.
+    assert db.stats.group_sorts_skipped >= result.rounds - 1
+
+
+def test_hash_distinct_serves_plain_sparse_pairs():
+    """Plain 64-bit pairs whose spans defeat pair packing — a DISTINCT
+    straight over stored field values — still take the hash kernel."""
+    rng = np.random.default_rng(3)
+    a = rng.integers(-(2 ** 62), 2 ** 62, 40)[rng.integers(0, 40, 400)]
+    b = rng.integers(-(2 ** 62), 2 ** 62, 40)[rng.integers(0, 40, 400)]
+    db = Database(n_segments=4)
+    db.load_table("t", {"a": a, "b": b})
+    rows = db.execute("select distinct a, b from t").rows()
+    assert db.stats.hash_distincts == 1
+    assert sorted(rows) == sorted(set(zip(a.tolist(), b.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,15 @@ NO_TRAFFIC_EXPECTED = {
     "physical_plan_invalidations":
         "safety counter: a cached plan failing its schema/binding check",
     "parallel_indexed_probes":
-        "size-gated (PARALLEL_MIN_ROWS sparse-key probes); the perf/ "
-        "traces show it on gnm_1m",
+        "size-gated (PARALLEL_MIN_ROWS sparse-key probes): the "
+        "composition's plain probe column on path_500k_detspace in the "
+        "perf/ traces; the contraction rounds now probe with codes",
+    "hash_distincts":
+        "the fallback of the packed-code DISTINCT, for plain 64-bit pairs "
+        "and words over 63 bits: every sparse DISTINCT input of the "
+        "algorithms is a pair of encoded gathers now "
+        "(tests/test_physical_plans.py pins both sides); perf/bench.py "
+        "probes the kernel and reads the counter",
 }
 
 #: Counters that need two pool workers; a one-CPU host's default pool has
