@@ -4,18 +4,19 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-unit fuzz bench bench-quick bench-engine bench-compare \
-	bench-baseline perf perf-aa perf-4m clean
+.PHONY: test test-unit fuzz bench bench-quick perf perf-aa perf-4m clean
 
 ## tier-1: the full unit + benchmark collection, fail-fast
 test:
 	$(PYTHON) -m pytest -x -q
 
-## unit tests only — no timing-threshold benchmarks, safe for noisy CI runners
+## unit tests only — without the paper-reproduction grid under benchmarks/
 test-unit:
 	$(PYTHON) -m pytest -x -q tests/
 
-## differential fuzz harness (REPRO_FUZZ_ROUNDS / REPRO_FUZZ_SEED env knobs)
+## differential fuzz harness: every statement against stdlib sqlite3, the
+## engine configurations against one another (REPRO_FUZZ_ROUNDS /
+## REPRO_FUZZ_SEED env knobs)
 fuzz:
 	$(PYTHON) -m pytest -q tests/test_differential_fuzz.py
 
@@ -25,26 +26,7 @@ bench:
 
 ## a fast benchmark smoke pass at reduced scale
 bench-quick:
-	REPRO_SCALE=0.1 $(PYTHON) -m pytest -q benchmarks/ -k "engine or table3"
-
-## engine kernel/cache micro-benchmarks only (writes BENCH_engine.json)
-bench-engine:
-	$(PYTHON) -m pytest -q benchmarks/test_bench_engine_microbench.py
-
-## diff fresh BENCH_engine.json against the committed baseline (informational;
-## exit 4 = refused, the two files were recorded on different core counts)
-bench-compare:
-	$(PYTHON) scripts/bench_compare.py benchmarks/baselines/BENCH_engine.json \
-		benchmarks/results/BENCH_engine.json
-
-## adopt fresh bench-engine results as the committed baseline — run after a
-## PR deliberately moves the numbers or adds metric sections (e.g.
-## left_chain / dataflow), then commit the updated baseline file.  Always
-## re-runs bench-engine so a stale results file can never become the
-## baseline.
-bench-baseline: bench-engine
-	cp benchmarks/results/BENCH_engine.json \
-		benchmarks/baselines/BENCH_engine.json
+	REPRO_SCALE=0.1 $(PYTHON) -m pytest -q benchmarks/ -k table3
 
 ## the RC ladder benchmark BENCHMARK.json declares: four workloads, each
 ## untraced then traced (~4.5 min; writes perf/out/, see perf/README.md)
@@ -62,8 +44,7 @@ perf-aa:
 perf-4m:
 	python3 perf/run.py --workload gnm_1m --scale 4 --reps 3 --seconds 0 --trace 0
 
-# benchmarks/results is regenerated scratch output; the committed
-# comparison baseline lives in benchmarks/baselines/ and is never cleaned.
+# benchmarks/results is regenerated scratch output.
 clean:
 	rm -rf benchmarks/results .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

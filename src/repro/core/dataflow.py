@@ -47,7 +47,7 @@ the entry, and each submitted statement instantiates them with its own
 parameters in one cheap regex pass.  A warm round loop therefore derives
 every statement's effect sets with zero parses (counted as
 ``effects_cache_hits``); a fresh parse remains only for first-seen
-templates, uncacheable statements, and databases without a plan cache.
+templates and uncacheable statements.
 A small per-scheduler memo additionally keeps fixed-text statements
 (drops, renames) free of even the normalisation pass.
 """
@@ -226,7 +226,7 @@ class DataflowScheduler:
     def _memo_effects(self, sql: str) -> tuple[frozenset[str], frozenset[str]]:
         effects = self._effects.get(sql)
         if effects is not None:
-            self._db.stats.record_effects_cache_hit()
+            self._db.stats.bump("effects_cache_hits")
             return effects
         effects = self._template_effects_for(sql)
         if effects is None:
@@ -243,10 +243,7 @@ class DataflowScheduler:
         ``None`` when the statement is uncacheable (the caller parses).
         A pre-existing template — any warm round loop — costs only the
         normalisation regex plus the marker substitution, no parse."""
-        plans = getattr(self._db, "_plans", None)
-        if plans is None:
-            return None
-        entry, params, pre_existing = plans.template_entry(sql)
+        entry, params, pre_existing = self._db._plans.template_entry(sql)
         if entry is None:
             return None
         template = entry.effects
@@ -254,7 +251,7 @@ class DataflowScheduler:
             template = _template_effects(entry)
             entry.effects = template
         if pre_existing:
-            self._db.stats.record_effects_cache_hit()
+            self._db.stats.bump("effects_cache_hits")
         reads_t, writes_t = template
         return (_instantiate_names(reads_t, params),
                 _instantiate_names(writes_t, params))
@@ -312,7 +309,7 @@ class DataflowScheduler:
                 closure.add(dep)
                 frontier.extend(d for d in dep.deps if d in self._unfinished)
             if any(other not in closure for other in self._unfinished):
-                self._db.stats.record_dataflow_overlap()
+                self._db.stats.bump("dataflow_overlaps")
             for dep in task.deps:
                 dep.dependents.append(task)
             self._unfinished.add(task)

@@ -343,7 +343,7 @@ class RandomisedContraction(SQLConnectedComponents):
         if first_round or not sched.asynchronous:
             return None
         task = sched.submit([self._compose_create(reps, rep_sql)])
-        db.stats.record_overlapped_composition()
+        db.stats.bump("overlapped_compositions")
         return task
 
     def _finish_compose(self, sched: DataflowScheduler, first_round: bool,

@@ -69,13 +69,14 @@ class SparkExecutor(Executor):
     #: kernels) and no direct-address GROUP BY.
     whole_column_shortcuts = False
 
+    #: Spark SQL has no MPP-style table indexes to reuse; this also keeps
+    #: the shuffle-everything accounting pure.
+    use_index_cache = False
+
     def __init__(self, catalog, registry, cluster, stats, n_tasks: int = 64):
-        # Spark SQL has no MPP-style table indexes to reuse; keep the
-        # shuffle-everything accounting pure by disabling the index cache.
         # Its tasks are the model's own, so the segment pool is serial.
         super().__init__(catalog, registry, cluster, stats,
-                         SegmentPool(cluster.n_segments, max_workers=1),
-                         use_index_cache=False)
+                         SegmentPool(cluster.n_segments, max_workers=1))
         self.n_tasks = n_tasks
         #: Total tasks launched, a Spark-ish metric exposed for reporting.
         self.tasks_launched = 0

@@ -9,6 +9,7 @@ write accounting of Tables IV and V.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Callable, Optional
 
@@ -19,7 +20,6 @@ from .executor import Executor, Relation
 from .functions import FunctionRegistry
 from .mpp import Cluster, ProcessSegmentPool, SegmentPool
 from .lexer import split_statements
-from .parser import parse_statement
 from .plancache import PlanCache
 from .stats import EngineStats
 from .table import Catalog, Table
@@ -91,10 +91,6 @@ class Database:
         n_segments: int = 4,
         space_budget_bytes: Optional[int] = None,
         broadcast_row_limit: int = 4096,
-        use_plan_cache: bool = True,
-        use_index_cache: bool = True,
-        use_physical_plans: bool = True,
-        use_fusion: bool = True,
         pool_backend: str = "thread",
         pool_workers: Optional[int] = None,
     ):
@@ -118,14 +114,11 @@ class Database:
             # Worker stat deltas and shm export accounting flow into the
             # same EngineStats the thread backend updates in-process.
             self.pool.on_stats_delta = self.stats.merge_worker_delta
-            self.pool.registry.on_export = self.stats.record_shm_export
+            self.pool.registry.on_export = functools.partial(
+                self.stats.bump, "shm_bytes_exported")
         self._executor = Executor(self.catalog, self.registry, self.cluster,
-                                  self.stats, self.pool,
-                                  use_index_cache=use_index_cache,
-                                  use_fusion=use_fusion)
-        self._plans: Optional[PlanCache] = PlanCache() if use_plan_cache else None
-        #: Cache compiled physical plans on statement templates.
-        self._use_physical_plans = use_physical_plans
+                                  self.stats, self.pool)
+        self._plans = PlanCache()
 
     # -- SQL ------------------------------------------------------------
 
@@ -140,20 +133,13 @@ class Database:
         so re-executions skip planning entirely (see
         :mod:`repro.sqlengine.physicalplan`).
         """
-        entry = None
-        if self._plans is not None:
-            statement, cache_hit, entry = self._plans.entry_for(sql)
-            if cache_hit:
-                self.stats.record_plan_cache_hit()
-            else:
-                self.stats.record_plan_cache_miss()
-        else:
-            statement = parse_statement(sql)
-        plan_slot = entry if self._use_physical_plans else None
+        statement, cache_hit, entry = self._plans.entry_for(sql)
+        self.stats.bump("plan_cache_hits" if cache_hit
+                        else "plan_cache_misses")
         self.stats.begin_statement()
         started = time.perf_counter()
         relation, rowcount = self._executor.execute(statement,
-                                                    plan_slot=plan_slot)
+                                                    plan_slot=entry)
         elapsed = time.perf_counter() - started
         self.stats.end_statement(label or type(statement).__name__, sql, rowcount,
                                  elapsed)

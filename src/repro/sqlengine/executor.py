@@ -128,7 +128,6 @@ from .operators import (
     distinct_encoded,
     distinct_rows,
     group_rows,
-    join_indices,
     pad_left_outer,
     plan_join,
 )
@@ -505,6 +504,12 @@ class Executor:
     #: partitioned kernels — set this False.
     whole_column_shortcuts = True
 
+    #: Consult stored tables' index caches for joins and grouping.
+    #: Executors that model index-less engines (the Spark comparison) set
+    #: this False, as do the few tests that need a join to sort its own
+    #: build side — on the instance; nothing selects it from outside.
+    use_index_cache = True
+
     def __init__(
         self,
         catalog: Catalog,
@@ -512,22 +517,13 @@ class Executor:
         cluster: Cluster,
         stats: EngineStats,
         pool: SegmentPool,
-        use_index_cache: bool = True,
-        use_fusion: bool = True,
     ):
         self.catalog = catalog
         self.registry = registry
         self.cluster = cluster
         self.stats = stats
-        #: Consult stored tables' index caches for joins/grouping.  Disabled
-        #: by backends that model index-less engines (the Spark comparison),
-        #: and by tests that need the seed execution strategy.
-        self.use_index_cache = use_index_cache
         #: Where kernels fan out; a one-worker pool runs everything inline.
         self.pool = pool
-        #: Compile plans with column pruning and fused join->DISTINCT;
-        #: False reproduces the seed's materialising pipeline.
-        self.use_fusion = use_fusion
 
     def _stored_index(
         self, frame: Frame, qualified_name: str, build: bool
@@ -552,9 +548,9 @@ class Executor:
         else:
             index, built = table.index_for(column_name)
         if built:
-            self.stats.record_index_cache_miss()
+            self.stats.bump("index_cache_misses")
         elif index is not None:
-            self.stats.record_index_cache_hit()
+            self.stats.bump("index_cache_hits")
         return index
 
     def _join_keys(self, frame, names: list[str]) -> list[Column]:
@@ -606,11 +602,11 @@ class Executor:
             and route.n_probe >= PARALLEL_MIN_ROWS
         )
         if chunked:
-            self.stats.record_parallel_partitions(pool.n_segments)
+            self.stats.bump("parallel_partitions", pool.n_segments)
             if route.dense:
-                self.stats.record_parallel_dense_probe()
+                self.stats.bump("parallel_dense_probes")
             elif right_index is not None:
-                self.stats.record_parallel_indexed_probe()
+                self.stats.bump("parallel_indexed_probes")
             l_idx, r_idx = run_join(route, pool)
         else:
             l_idx, r_idx = route.run()
@@ -659,7 +655,7 @@ class Executor:
         note: list = []
         keep = self._distinct_kernel(columns, note=note)
         if "hash" in note:
-            self.stats.record_hash_distinct()
+            self.stats.bump("hash_distincts")
         return keep
 
     # ------------------------------------------------------------------
@@ -712,14 +708,14 @@ class Executor:
             cached = getattr(plan_slot, "physical", None)
             if cached is not None and cached.statement is statement:
                 if plan_is_valid(cached, self.catalog):
-                    self.stats.record_physical_plan_hit()
+                    self.stats.bump("physical_plan_hits")
                     return cached
-                self.stats.record_physical_plan_invalidation()
+                self.stats.bump("physical_plan_invalidations")
                 plan_slot.physical = None
-        plan = compile_statement(statement, self.catalog, fuse=self.use_fusion)
+        plan = compile_statement(statement, self.catalog)
         if plan is None:
             return None
-        self.stats.record_physical_plan_miss()
+        self.stats.bump("physical_plan_misses")
         if plan_slot is not None and plan_slot.statement is statement:
             plan_slot.physical = plan
         return plan
@@ -835,9 +831,7 @@ class Executor:
         self, select: Select, plan: Optional[SelectPlan] = None
     ) -> Relation:
         if plan is None or plan.select is not select:
-            compiled = compile_statement(select, self.catalog,
-                                         fuse=self.use_fusion)
-            plan = compiled.select_plan
+            plan = compile_statement(select, self.catalog).select_plan
         if len(plan.cores) == 1:
             return self._run_core(plan.cores[0])
         # UNION ALL arm arity was validated at compile time
@@ -912,7 +906,7 @@ class Executor:
                 left_joins = left_joins[:-1]
             else:
                 steps = steps[:-1]
-        if self.use_fusion and plan.chain:
+        if plan.chain:
             # Chainable pipeline: stream every (non-final) join through
             # composed row maps; nothing intermediate is materialised.
             chain = _JoinChain(frames[plan.scans[0].binding],
@@ -978,9 +972,9 @@ class Executor:
         any intermediate join output (outer joins riding inside count
         separately)."""
         if chain.n_joins >= 2:
-            self.stats.record_join_chain_fusion()
+            self.stats.bump("join_chain_fusions")
             if chain.n_outer:
-                self.stats.record_left_chain_fusion()
+                self.stats.bump("left_chain_fusions")
 
     def _scan_frame(self, scan: ScanPlan) -> Frame:
         binding = scan.binding
@@ -1216,7 +1210,7 @@ class Executor:
             key: columns[qualified]
             for key, qualified in zip(fused.out_keys, fused.out_quals)
         }
-        self.stats.record_fused_pipeline()
+        self.stats.bump("fused_pipelines")
         relation = Relation(list(fused.out_keys), out_columns,
                             fused.out_distribution,
                             display_names=list(fused.display))
@@ -1298,7 +1292,7 @@ class Executor:
         agg_results: dict[Aggregate, Column] = {}
         for node in aggregates:
             agg_results[node] = self._compute_aggregate(
-                node, env, None, order, starts, counts, n_groups, [], False,
+                node, env, None, order, starts, counts, n_groups,
             )
 
         group_refs = list(core.group_by)
@@ -1326,7 +1320,7 @@ class Executor:
             out_columns[key] = evaluate(item.expr, group_env)
             names.append(key)
             display.append(name)
-        self.stats.record_fused_group_pipeline()
+        self.stats.bump("fused_group_pipelines")
         return Relation(names, out_columns, plan.out_distribution,
                         display_names=display)
 
@@ -1420,7 +1414,7 @@ class Executor:
         unique_keys, results = parallel_group_aggregate(
             key.storage, specs, pool
         )
-        self.stats.record_parallel_partitions(pool.n_segments)
+        self.stats.bump("parallel_partitions", pool.n_segments)
         agg_results = {
             node: _aggregate_column(spec, values, mask)
             for node, spec, (values, mask) in zip(aggregates, specs, results)
@@ -1475,7 +1469,7 @@ class Executor:
                     and order is group_index.order
                 )
                 if presorted:
-                    self.stats.record_group_sort_skipped()
+                    self.stats.bump("group_sorts_skipped")
                 n_groups = int(starts.shape[0])
                 counts = np.diff(np.append(starts, order.shape[0]))
         else:
@@ -1497,7 +1491,7 @@ class Executor:
             for node in aggregates:
                 agg_results[node] = self._compute_aggregate(
                     node, env, frame, order, starts, counts, n_groups,
-                    key_columns, presorted, direct,
+                    presorted, direct,
                 )
 
         group_env_columns: dict[str, Column] = {}
@@ -1601,7 +1595,6 @@ class Executor:
         starts: np.ndarray,
         counts: np.ndarray,
         n_groups: int,
-        key_columns: list[Column],
         presorted: bool = False,
         direct: Optional[DirectGroups] = None,
     ) -> Column:
@@ -1611,7 +1604,7 @@ class Executor:
             raise PlanError(f"{node.name}() requires an argument")
         argument = evaluate(node.arg, env)
         if node.distinct:
-            return self._count_distinct(argument, key_columns, n_groups)
+            return self._count_distinct(argument, order, counts, n_groups)
         if direct is None and order.shape[0] == 0:
             # Global aggregate over an empty input: count is 0, the others
             # are NULL (SQL semantics); grouped aggregates have no groups.
@@ -1632,27 +1625,22 @@ class Executor:
             spec, None, None if presorted else order, starts, counts, direct))
 
     def _count_distinct(
-        self, argument: Column, key_columns: list[Column], n_groups: int
+        self, argument: Column, order: np.ndarray, counts: np.ndarray,
+        n_groups: int,
     ) -> Column:
-        """count(distinct x), per group (or globally when no GROUP BY)."""
+        """count(distinct x) per group of the caller's grouping (one global
+        group without GROUP BY): distinct (group position, x) pairs,
+        counted per position.  Groups are told apart by position, never by
+        key value, so a group whose key is NULL counts like any other."""
+        group_of_row = np.empty(order.shape[0], dtype=np.int64)
+        group_of_row[order] = np.repeat(np.arange(n_groups), counts)
         valid = ~argument.null_mask()
-        all_columns = [col.filter(valid) for col in key_columns]
-        all_columns.append(argument.filter(valid))
-        unique_idx = distinct_rows(all_columns)
-        if not key_columns:
-            return Column(np.array([unique_idx.shape[0]], dtype=np.int64), INT64)
-        unique_keys = [col.take(unique_idx) for col in all_columns[:-1]]
-        inner_order, inner_starts = group_rows(unique_keys)
-        per_group = np.diff(np.append(inner_starts, inner_order.shape[0]))
-        # Align with the outer grouping: groups with only-NULL arguments or
-        # no rows at all are missing here; rebuild by joining on key order.
-        outer_order, outer_starts = group_rows(key_columns)
-        outer_keys = [col.take(outer_order[outer_starts]) for col in key_columns]
-        inner_key_rows = [col.take(inner_order[inner_starts]) for col in unique_keys]
-        l_idx, r_idx = join_indices(outer_keys, inner_key_rows)
-        result = np.zeros(n_groups, dtype=np.int64)
-        result[l_idx] = per_group[r_idx]
-        return Column(result, INT64)
+        groups = group_of_row[valid]
+        unique_idx = distinct_rows([Column(groups, INT64),
+                                    argument.filter(valid)])
+        return Column(
+            np.bincount(groups[unique_idx], minlength=n_groups).astype(
+                np.int64, copy=False), INT64)
 
     def _distinct(self, relation: Relation) -> Relation:
         columns = [relation.columns[n] for n in relation.names]

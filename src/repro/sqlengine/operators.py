@@ -52,10 +52,11 @@ leading column finds it sorted).  Over plain columns
 instead of a lexsort.  Either order is a deterministic function of the
 input relation — its rows and which of its columns are encoded, which the
 executor decides from the statement and its input alone — and never of
-the fan-out, the backend or a ``Database`` switch.
+the fan-out or the backend.
 
 **Sort-merge references** (:func:`merge_join_indices`,
-:func:`sorted_group_rows`) remain for the tests to diff against, and
+:func:`sorted_group_rows`) remain for the kernel tests to diff *index
+arrays* against — what an outside SQL engine cannot referee — and
 :func:`sorted_group_rows` as the fallback for text keys and NULL-bearing
 inputs.
 

@@ -24,7 +24,7 @@ sets — is reused.  Validity is re-checked cheaply before each reuse:
   choices (index availability, kernel dispatch, motion byte counts) are
   resolved against live table state at execution time.
 
-The compiler also wires in **pipeline fusion** (enabled via ``fuse``):
+The compiler also wires in **pipeline fusion**:
 
 * **column pruning** — each join step gathers only the columns consumed
   downstream (later join keys, residual predicates, projection,
@@ -48,10 +48,6 @@ The compiler also wires in **pipeline fusion** (enabled via ``fuse``):
   composed maps — so the fused DISTINCT final applies to the last join in
   execution order, outer or inner (the fused GROUP BY final needs an inner
   one).
-
-Compiling ``fuse=False`` reproduces the seed's materialising pipeline,
-which the benchmarks use as the comparison baseline and the property tests
-use as the reference for bit-identical output.
 """
 
 from __future__ import annotations
@@ -266,7 +262,7 @@ class CorePlan:
     """The compiled pipeline of one SELECT core.
 
     ``chain`` marks a join pipeline of two or more joins (inner steps plus
-    left outer joins) compiled with fusion: the executor streams it
+    left outer joins): the executor streams it
     through composed row-index maps (a join feeding another join's build
     side never materialises the intermediate — every downstream-consumed
     column is gathered exactly once, across the whole chain).
@@ -319,7 +315,7 @@ class PhysicalPlan:
 
 
 def compile_statement(
-    statement: Statement, catalog: Catalog, fuse: bool = True
+    statement: Statement, catalog: Catalog
 ) -> Optional[PhysicalPlan]:
     """Compile the physical plan of a statement containing a SELECT.
 
@@ -332,7 +328,7 @@ def compile_statement(
         select = getattr(statement, "select", None)
     if not isinstance(select, Select):
         return None
-    compiler = _Compiler(catalog, fuse)
+    compiler = _Compiler(catalog)
     select_plan = compiler.compile_select(select)
     return PhysicalPlan(
         statement, select_plan, compiler.table_checks,
@@ -374,9 +370,8 @@ def plan_is_valid(plan: PhysicalPlan, catalog: Catalog) -> bool:
 
 
 class _Compiler:
-    def __init__(self, catalog: Catalog, fuse: bool):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.fuse = fuse
         self.table_checks: list[tuple] = []
         self.binding_checks: list[tuple] = []
         self.ref_checks: list[tuple] = []
@@ -567,8 +562,7 @@ class _Compiler:
 
         fused = None
         if (
-            self.fuse
-            and core.distinct
+            core.distinct
             and not is_aggregate
             and final_join is not None
             and not final_join.cartesian
@@ -583,8 +577,7 @@ class _Compiler:
 
         fused_group = None
         if (
-            self.fuse
-            and is_aggregate
+            is_aggregate
             and core.group_by
             and final_join is not None
             and not final_join.cartesian
@@ -596,7 +589,7 @@ class _Compiler:
         n_joins = len(steps) + len(left_plans)
         return CorePlan(core, scans, steps, left_plans, residual,
                         is_aggregate, out_names, display, out_distribution,
-                        fused, fused_group, chain=self.fuse and n_joins >= 2,
+                        fused, fused_group, chain=n_joins >= 2,
                         final_join=final_join)
 
     # -- inner / left join steps -----------------------------------------
@@ -700,11 +693,9 @@ class _Compiler:
 
         With ``needed`` known, every step materialises only the columns
         consumed downstream of it (later join keys, residual predicates,
-        projection/aggregation inputs); otherwise every column flows
-        through, reproducing the seed's materialising pipeline.
+        projection/aggregation inputs); otherwise (a ``*`` projection, an
+        unresolvable reference) every column flows through.
         """
-        prune = self.fuse and needed is not None
-
         def quals(binding: str) -> list[str]:
             return [f"{binding}.{c}" for c in by_binding[binding].columns]
 
@@ -723,7 +714,7 @@ class _Compiler:
             prefix = prefix + lj_quals(plan)
 
         # Backward pass: what each operator's output must contain.
-        downstream: Optional[set[str]] = set(needed) if prune else None
+        downstream = None if needed is None else set(needed)
         for plan, left_cols in zip(reversed(left_plans),
                                    reversed(left_left_cols)):
             right_cols = lj_quals(plan)

@@ -88,7 +88,7 @@ class ShmRegistry:
         self._owner_pid = os.getpid()
         self.bytes_exported = 0
         #: Optional hook called with each export's byte count (wired to
-        #: ``EngineStats.record_shm_export``).
+        #: ``EngineStats.bump("shm_bytes_exported", ...)``).
         self.on_export: Optional[Callable[[int], None]] = None
         _registries.add(self)
 

@@ -22,50 +22,74 @@ from typing import Optional
 
 from .errors import SpaceBudgetExceeded
 
-#: Every counter :class:`EngineStats` keeps — the one declaration.
-#: :class:`StatsSnapshot`'s fields, its ``delta``, the accumulator's
-#: zeroing and its snapshot are all derived from this tuple, and worker
-#: deltas are validated against it; a new counter is a name here, a
-#: ``record_*`` method, a line in the CLI footer and a README table row
+#: Every counter :class:`EngineStats` keeps — the one declaration, each
+#: name beside what one increment of it means.  :class:`StatsSnapshot`'s
+#: fields, its ``delta``, the accumulator's zeroing and its snapshot are all
+#: derived from this tuple, and :meth:`EngineStats.bump` and worker deltas
+#: are validated against it; a new counter is a name here, a ``bump`` where
+#: the path engages, a line in the CLI footer and a README table row
 #: (``tests/test_mpp_stats.py`` fails if either of the last two is
 #: forgotten) — and ``tests/test_traffic.py`` fails unless some reproduced
 #: algorithm moves it at ``Database()`` defaults or its allow-list says why
 #: none can.
 COUNTERS = (
-    # The paper's axes (Tables III-V) and simulated MPP data motion.
-    "queries",
-    "rows_written",
-    "bytes_written",
-    "motion_bytes",
-    "broadcast_bytes",
-    "live_bytes",
-    "peak_live_bytes",
-    # Engine-cache effectiveness counters (see plancache.py / table.py).
-    "plan_cache_hits",
-    "plan_cache_misses",
-    "index_cache_hits",
-    "index_cache_misses",
-    # Physical-plan layer counters (see physicalplan.py / executor.py).
-    "physical_plan_hits",
-    "physical_plan_misses",
+    # The paper's axes (Tables III-V) and simulated MPP data motion; these
+    # move through the table-lifecycle and data-motion methods below.
+    "queries",            # statements executed
+    "rows_written",       # rows ever written into a table
+    "bytes_written",      # bytes ever written into a table (Table V)
+    "motion_bytes",       # bytes redistributed or broadcast between segments
+    "broadcast_bytes",    # the broadcast share of motion_bytes
+    "live_bytes",         # bytes of live tables now (gauge)
+    "peak_live_bytes",    # the most live_bytes has been (gauge, Table IV)
+    # Engine caches (see plancache.py / table.py).
+    "plan_cache_hits",    # statement executed from a cached parse
+    "plan_cache_misses",  # statement parsed from scratch
+    "index_cache_hits",   # keyed operator reused a table's cached index
+    "index_cache_misses",  # keyed operator built (and cached) an index
+    # Physical-plan layer (see physicalplan.py / executor.py).
+    "physical_plan_hits",    # statement re-ran its template's cached plan
+    "physical_plan_misses",  # statement compiled its plan from scratch
+    # A cached plan failed its validity check (schema or binding drift)
+    # and was recompiled.
     "physical_plan_invalidations",
+    # A join fed DISTINCT through one fused pass instead of materialising
+    # the intermediate frame and relation.
     "fused_pipelines",
+    # A join fed GROUP BY through one fused pass: the aggregate ran over
+    # the probe stream, not a materialised frame.
     "fused_group_pipelines",
+    # A chain of >= 2 joins streamed through composed row-index maps; no
+    # intermediate join output was materialised.
     "join_chain_fusions",
+    # ... with a LEFT OUTER JOIN inside: its null-extended probe rows
+    # travelled as a validity mask through the composed maps.
     "left_chain_fusions",
+    # A GROUP BY ran sort-free and gather-free: a cached index proved its
+    # input pre-sorted on disk.
     "group_sorts_skipped",
-    "parallel_partitions",
-    "parallel_indexed_probes",
-    "parallel_dense_probes",
-    "hash_distincts",
+    "parallel_partitions",      # partitions kernels ran segment-parallel over
+    "parallel_indexed_probes",  # join probed a cached sorted index in chunks
+    "parallel_dense_probes",    # dense direct-address join probed in chunks
+    "hash_distincts",           # DISTINCT on the packed-sort hash kernel
+    # A round's representative composition ran on the segment pool,
+    # overlapped with the next round's contraction.
     "overlapped_compositions",
+    # The dataflow scheduler dispatched a statement group independent of —
+    # so concurrent with — another in-flight group.
     "dataflow_overlaps",
+    # The scheduler derived a statement's read/write table sets from a
+    # cached plan template instead of a fresh parse.
     "effects_cache_hits",
-    # Process-backend counters (see mpp.ProcessSegmentPool / shm.py).
-    "process_tasks",
+    # Process backend (see mpp.ProcessSegmentPool / shm.py).
+    "process_tasks",       # kernel tasks run in worker processes
+    # Bytes copied into new shared-memory blocks (re-use of a column's or
+    # index array's existing block is not counted).
     "shm_bytes_exported",
-    "stats_merges",
+    "stats_merges",        # worker counter deltas folded into the totals
 )
+
+_COUNTER_NAMES = frozenset(COUNTERS)
 
 #: The counters that are levels, not running totals: a delta between two
 #: snapshots keeps the later value instead of subtracting.
@@ -182,106 +206,15 @@ class EngineStats:
             self.motion_bytes += total
             self.broadcast_bytes += total
 
-    # -- engine caches --------------------------------------------------------
+    # -- engagement counters ------------------------------------------------
 
-    def _bump(self, counter: str, by: int = 1) -> None:
+    def bump(self, counter: str, by: int = 1) -> None:
+        """Add ``by`` to one counter of :data:`COUNTERS` (whose comments say
+        what an increment of each means); any other name is an error."""
+        if counter not in _COUNTER_NAMES:
+            raise ValueError(f"unknown counter {counter!r}")
         with self._lock:
             setattr(self, counter, getattr(self, counter) + by)
-
-    def record_plan_cache_hit(self) -> None:
-        """A statement executed from a cached parse (zero lexer/parser cost)."""
-        self._bump("plan_cache_hits")
-
-    def record_plan_cache_miss(self) -> None:
-        """A statement that had to be parsed from scratch."""
-        self._bump("plan_cache_misses")
-
-    def record_index_cache_hit(self) -> None:
-        """A keyed operator reused a stored table's cached column index."""
-        self._bump("index_cache_hits")
-
-    def record_index_cache_miss(self) -> None:
-        """A keyed operator built (and cached) a stored column index."""
-        self._bump("index_cache_misses")
-
-    def record_physical_plan_hit(self) -> None:
-        """A statement re-executed its template's cached physical plan."""
-        self._bump("physical_plan_hits")
-
-    def record_physical_plan_miss(self) -> None:
-        """A statement compiled its physical plan from scratch."""
-        self._bump("physical_plan_misses")
-
-    def record_physical_plan_invalidation(self) -> None:
-        """A cached physical plan failed its validity check (schema or
-        binding drift) and was recompiled."""
-        self._bump("physical_plan_invalidations")
-
-    def record_fused_pipeline(self) -> None:
-        """A join fed DISTINCT through one fused kernel pass instead of
-        materialising the intermediate frame and relation."""
-        self._bump("fused_pipelines")
-
-    def record_fused_group_pipeline(self) -> None:
-        """A join fed GROUP BY through one fused kernel pass: the aggregate
-        ran directly over the probe stream instead of a materialised frame."""
-        self._bump("fused_group_pipelines")
-
-    def record_join_chain_fusion(self) -> None:
-        """A chain of two or more joins streamed through composed row-index
-        maps — no intermediate join output was ever materialised."""
-        self._bump("join_chain_fusions")
-
-    def record_left_chain_fusion(self) -> None:
-        """A LEFT OUTER JOIN streamed inside a fused join chain: its
-        null-extended probe rows travelled as a validity mask through the
-        composed row maps instead of materialising a padded frame."""
-        self._bump("left_chain_fusions")
-
-    def record_group_sort_skipped(self) -> None:
-        """A GROUP BY ran sort-free and gather-free because a cached index
-        proved its input pre-sorted on disk."""
-        self._bump("group_sorts_skipped")
-
-    def record_parallel_partitions(self, n_partitions: int) -> None:
-        """A kernel executed segment-parallel over this many partitions."""
-        self._bump("parallel_partitions", n_partitions)
-
-    def record_parallel_indexed_probe(self) -> None:
-        """A join probed a cached sorted index in parallel chunks."""
-        self._bump("parallel_indexed_probes")
-
-    def record_parallel_dense_probe(self) -> None:
-        """A dense direct-address join probed its slot table in parallel
-        chunks (the build side's cached index no longer forces the
-        single-threaded kernel)."""
-        self._bump("parallel_dense_probes")
-
-    def record_hash_distinct(self) -> None:
-        """A DISTINCT ran on the packed-sort hash kernel (no lexsort)."""
-        self._bump("hash_distincts")
-
-    def record_overlapped_composition(self) -> None:
-        """A contraction round's representative composition executed on the
-        segment pool, overlapped with the next round's contraction."""
-        self._bump("overlapped_compositions")
-
-    def record_dataflow_overlap(self) -> None:
-        """The dataflow scheduler dispatched a statement group that is
-        independent of — and therefore runs concurrently with — at least
-        one other in-flight statement group."""
-        self._bump("dataflow_overlaps")
-
-    def record_effects_cache_hit(self) -> None:
-        """The dataflow scheduler derived a statement's read/write table
-        sets from a cached plan template instead of a fresh parse."""
-        self._bump("effects_cache_hits")
-
-    def record_shm_export(self, n_bytes: int) -> None:
-        """A kernel input was copied into a new shared-memory block for
-        the process backend (repeat uses of the same column or index array
-        attach the existing block and are not counted)."""
-        self._bump("shm_bytes_exported", n_bytes)
 
     def merge_worker_delta(self, delta: dict) -> None:
         """Fold a worker process's counter deltas into the totals.
@@ -293,7 +226,7 @@ class EngineStats:
         scheduling.  Unknown counter names are a protocol error."""
         with self._lock:
             for counter, by in delta.items():
-                if counter not in COUNTERS:
+                if counter not in _COUNTER_NAMES:
                     raise ValueError(
                         f"worker delta names unknown counter {counter!r}"
                     )

@@ -1,9 +1,5 @@
 """Tests for the benchmark harness and the paper-table renderers."""
 
-import importlib.util
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.bench import (
@@ -143,101 +139,3 @@ def test_render_table2():
     text = render_table2([("path100m", 100, 99, 1)])
     assert "TABLE II" in text
     assert "paper |V|" in text
-
-
-# ---------------------------------------------------------------------------
-# scripts/bench_compare.py: baseline diffing must tolerate schema drift
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def bench_compare():
-    path = Path(__file__).parent.parent / "scripts" / "bench_compare.py"
-    spec = importlib.util.spec_from_file_location("bench_compare", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_bench_compare_aligned_schemas_exit_zero(tmp_path, bench_compare, capsys):
-    baseline = tmp_path / "baseline.json"
-    fresh = tmp_path / "fresh.json"
-    baseline.write_text(json.dumps({"a": {"t_s": 1.0}, "rate": 0.5}))
-    fresh.write_text(json.dumps({"a": {"t_s": 0.8}, "rate": 0.6}))
-    code = bench_compare.main(["bench_compare.py", str(baseline), str(fresh)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "-20.0%" in out and "+20.0%" in out
-
-
-def test_bench_compare_reports_new_and_removed_keys(tmp_path, bench_compare,
-                                                    capsys):
-    """A baseline lacking keys for new benchmarks (or carrying stale extra
-    ones) must be reported, never crash, with a deterministic exit code."""
-    baseline = tmp_path / "baseline.json"
-    fresh = tmp_path / "fresh.json"
-    baseline.write_text(json.dumps({"kept": 1.0, "stale": {"old_s": 2.0}}))
-    fresh.write_text(json.dumps({"kept": 1.5, "brand": {"new_s": 0.1}}))
-    code = bench_compare.main(["bench_compare.py", str(baseline), str(fresh)])
-    out = capsys.readouterr().out
-    assert code == 3
-    assert "new" in out and "removed" in out
-    assert "1 new, 1 removed" in out
-
-
-def test_bench_compare_nan_metric_is_drift_not_alignment(tmp_path,
-                                                         bench_compare,
-                                                         capsys):
-    """A metric present on both sides but NaN on either must be reported
-    as drift (exit 3): NaN means a broken measurement, and treating it as
-    aligned would let it pass every future comparison."""
-    baseline = tmp_path / "baseline.json"
-    fresh = tmp_path / "fresh.json"
-    baseline.write_text(json.dumps({"a": {"t_s": 1.0}, "rate": float("nan")}))
-    fresh.write_text(json.dumps({"a": {"t_s": float("nan")}, "rate": 0.5}))
-    code = bench_compare.main(["bench_compare.py", str(baseline), str(fresh)])
-    out = capsys.readouterr().out
-    assert code == 3
-    assert "nan" in out
-    assert "2 NaN metric(s)" in out
-    # NaN on both sides is still drift — NaN == NaN never holds.
-    baseline.write_text(json.dumps({"rate": float("nan")}))
-    fresh.write_text(json.dumps({"rate": float("nan")}))
-    assert bench_compare.main(
-        ["bench_compare.py", str(baseline), str(fresh)]) == 3
-    capsys.readouterr()
-
-
-def test_bench_compare_missing_or_invalid_inputs(tmp_path, bench_compare,
-                                                 capsys):
-    fresh = tmp_path / "fresh.json"
-    fresh.write_text(json.dumps({"a": 1}))
-    missing = tmp_path / "nope.json"
-    assert bench_compare.main(
-        ["bench_compare.py", str(missing), str(fresh)]) == 2
-    broken = tmp_path / "broken.json"
-    broken.write_text("{not json")
-    assert bench_compare.main(
-        ["bench_compare.py", str(broken), str(fresh)]) == 2
-    capsys.readouterr()
-
-
-def test_bench_compare_refuses_different_core_counts(tmp_path, bench_compare,
-                                                     capsys):
-    """Timings recorded on different core counts compare machines, not
-    commits: own exit code, and no delta is printed."""
-    baseline = tmp_path / "baseline.json"
-    fresh = tmp_path / "fresh.json"
-    baseline.write_text(json.dumps(
-        {"parallel": {"cpu_count": 1, "join_s": 1.0}, "cpu_count": 2}))
-    fresh.write_text(json.dumps(
-        {"parallel": {"cpu_count": 4, "join_s": 0.5}, "cpu_count": 2}))
-    code = bench_compare.main(["bench_compare.py", str(baseline), str(fresh)])
-    out = capsys.readouterr().out
-    assert code == 4
-    assert "parallel.cpu_count 1 vs 4" in out and "join_s" not in out
-    fresh.write_text(json.dumps(
-        {"parallel": {"cpu_count": 1, "join_s": 0.5}, "cpu_count": 2}))
-    assert bench_compare.main(
-        ["bench_compare.py", str(baseline), str(fresh)]) == 0
-    capsys.readouterr()

@@ -222,19 +222,6 @@ def test_repeated_statement_text_hits_the_memo():
     db.close()
 
 
-def test_effects_fall_back_without_plan_cache():
-    """A database without a plan cache still schedules correctly — the
-    scheduler parses each statement for its effect sets instead."""
-    db = Database(n_segments=4, pool_workers=4, use_plan_cache=False)
-    db.load_table("base", {"v": np.arange(8, dtype=np.int64)},
-                  distributed_by="v")
-    sched = DataflowScheduler(db)
-    sched.wait(sched.submit(["create table t as select v from base"]))
-    sched.wait_all()
-    assert db.table("t").n_rows == 8
-    db.close()
-
-
 # ---------------------------------------------------------------------------
 # error propagation
 # ---------------------------------------------------------------------------

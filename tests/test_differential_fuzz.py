@@ -1,12 +1,13 @@
-"""Differential fuzzing: every fast path vs the retained sort-merge reference.
+"""Differential fuzzing: every statement against sqlite, every engine
+configuration against the others.
 
 ConnectIt's lesson (Dhulipala et al., 2020) is that connectivity kernels
 only stay trustworthy when the many sampling/finish combinations are
-differentially tested against a simple reference.  This engine's
-equivalent surface is the SELECT pipeline: plan-cache templating, compiled
-physical plans, column pruning, join-chain fusion, fused join->DISTINCT
-and join->GROUP BY and segment-parallel kernels all rewrite how a
-statement executes — and every one of them claims bit-identical output.
+differentially tested against a simple, *independent* reference.  This
+engine's equivalent surface is the SELECT pipeline: plan-cache templating,
+compiled physical plans, column pruning, join-chain fusion, fused
+join->DISTINCT and join->GROUP BY, dictionary-encoded columns and
+segment-parallel kernels all rewrite how a statement executes.
 
 This harness generates seeded random SELECT statements (join chains up to
 depth 3, DISTINCT, GROUP BY with aggregates, LEFT OUTER JOIN — including
@@ -15,42 +16,40 @@ rows must form NULL-key groups — negative constants, NULL-bearing
 columns, IS NULL predicates, UNION ALL arms, and subquery FROM items —
 plain, aggregated, and
 UNION ALL subqueries joined like tables) over small random tables, and
-runs each statement on five configurations:
+holds each statement to two contracts:
 
-* **reference** — every cache, fusion and parallel feature off, with the
-  executor's kernels swapped for the retained sort-merge references
-  (``merge_join_indices``, ``sorted_group_rows``, the sort-based
-  DISTINCT).  This is the seed engine, all the way down to the kernels.
-* **planned** — the default engine: plan cache, physical plans, fusion,
-  join-chain fusion.
-* **warm** — the same statement re-executed on the planned database, so
-  the warm template and cached physical plan are what executes (asserted:
-  one ``physical_plan_hits`` per warm execution).
-* **parallel** — fusion plus a forced multi-worker pool with
-  ``PARALLEL_MIN_ROWS`` dropped to 1, so the segment-parallel kernels
-  engage even on fuzz-sized inputs.
-* **process** — the same forced pool on the process backend: kernels run
-  in worker processes over shared-memory columns, exercising descriptor
-  export, worker rehydration and stats-delta merging on every statement.
+* **Row content, against an engine that shares nothing with ours.**  The
+  statement runs unmodified on stdlib ``sqlite3`` (``tests/sqlite_oracle.py``
+  — no common parser, planner, expression evaluator, aggregate code or
+  NULL handling) and the default engine's result must equal sqlite's as a
+  sorted row list.  SQL promises no row order, so none is compared here.
+* **Everything else, between engine configurations.**  Four executions
+  must be bit-identical to one another — storage names, display names,
+  column order, SQL types, null masks, non-null values *and row order*:
 
-All five must produce bit-identical relations: storage names, display
-names, column order, SQL types, null masks, non-null values, row order —
-with one stated exception.  The four engine configurations leave
-expanding build-side gathers dictionary-encoded (there is no size gate, so
-fuzz-sized tables are encoded like million-row ones) and a DISTINCT over
-encoded columns emits *key* order; the reference, which never encodes,
-emits first-occurrence order.  A ``select distinct`` statement is
-therefore held against the reference as a sorted row list, and the four
-engine configurations — which must agree on which columns are encoded —
-against one another bit for bit, row order included.
+  * **planned** — the default engine, cold: the statement is parsed,
+    templated and compiled.
+  * **warm** — the same statement re-executed on each database, so the
+    warm template and cached physical plan are what executes (asserted:
+    one ``physical_plan_hits`` per warm execution).
+  * **parallel** — a forced multi-worker pool with ``PARALLEL_MIN_ROWS``
+    dropped to 1, so the segment-parallel kernels engage even on
+    fuzz-sized inputs.
+  * **process** — the same forced pool on the process backend: kernels run
+    in worker processes over shared-memory columns, exercising descriptor
+    export, worker rehydration and stats-delta merging on every statement.
+
+  A DISTINCT's row order is a function of the statement and its input
+  relation (key order over dictionary-encoded columns — there is no size
+  gate, so fuzz-sized tables are encoded like million-row ones — first
+  occurrence otherwise), never of the fan-out or the backend, so the
+  configurations must agree on it too.
 
 The input gates of the cache-conscious sort and probe primitives
 (``operators.CACHE_KERNEL_MIN_ROWS``, ``PRESORTED_MAX_DESCENTS``) are
-switched off as well, so every configuration but the reference sorts with
-``stable_argsort``'s tie repair and probes with ``sorted_lookup``'s
-buckets on these tiny tables; the reference's joins are plain numpy
-(``merge_join_indices`` calls ``argsort`` / ``searchsorted`` itself and
-shares no primitive with the kernels it checks).  The tables' keys are small integers, which
+switched off, so every configuration sorts with ``stable_argsort``'s tie
+repair and probes with ``sorted_lookup``'s buckets on these tiny tables.
+The tables' keys are small integers, which
 the kernels treat as a dense range; every other batch therefore runs with
 the dense dispatch off (``DENSE_SPAN_FACTOR`` = ``DENSE_SPAN_FLOOR`` = 0),
 so the same statements also cross the sparse-key kernels — sorted-index
@@ -73,11 +72,8 @@ import numpy as np
 import pytest
 
 from repro.sqlengine import Database, operators
-from repro.sqlengine.operators import (
-    merge_join_indices,
-    pad_left_outer,
-    sorted_group_rows,
-)
+
+from .sqlite_oracle import SqliteOracle, sorted_rows
 
 FUZZ_ROUNDS = int(os.environ.get("REPRO_FUZZ_ROUNDS", "200"))
 FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20200420"))
@@ -99,43 +95,6 @@ ALIASES = [("t0", "x"), ("t1", "y"), ("t2", "z"), ("t0", "w")]
 # ---------------------------------------------------------------------------
 # engine configurations
 # ---------------------------------------------------------------------------
-
-
-def reference_db() -> Database:
-    """The seed pipeline over the retained sort-merge reference kernels."""
-    db = Database(
-        n_segments=4,
-        use_plan_cache=False,
-        use_index_cache=False,
-        use_physical_plans=False,
-        use_fusion=False,
-        pool_workers=1,
-    )
-    executor = db._executor
-    # The seed engine has one column form and sorts every GROUP BY.
-    executor.whole_column_shortcuts = False
-
-    def join_kernel(left_keys, right_keys, left_index=None, right_index=None,
-                    note=None):
-        return merge_join_indices(left_keys, right_keys)
-
-    def left_join_kernel(left_keys, right_keys, left_index=None,
-                         right_index=None, note=None):
-        l_idx, r_idx = join_kernel(left_keys, right_keys)
-        return pad_left_outer(l_idx, r_idx, len(left_keys[0]))
-
-    def group_kernel(key_columns, index=None):
-        return sorted_group_rows(key_columns)
-
-    def distinct_kernel(columns, note=None):
-        order, starts = sorted_group_rows(columns)
-        return np.sort(order[starts]) if order.size else order
-
-    executor._join_kernel = join_kernel
-    executor._left_join_kernel = left_join_kernel
-    executor._group_kernel = group_kernel
-    executor._distinct_kernel = distinct_kernel
-    return db
 
 
 def planned_db() -> Database:
@@ -351,21 +310,14 @@ def _generate_core(rand: random.Random,
 # ---------------------------------------------------------------------------
 
 
-def assert_identical(sql: str, config: str, got, expected,
-                     any_row_order: bool = False) -> None:
+def assert_identical(sql: str, config: str, got, expected) -> None:
     __tracebackhide__ = True
     assert got.names == expected.names, (config, sql)
     assert got.display_names == expected.display_names, (config, sql)
-    if any_row_order:
-        # Equal as multisets of rows (NULL cells compare as None).
-        assert sorted(got.rows(), key=repr) == \
-            sorted(expected.rows(), key=repr), (config, sql)
     for name in expected.names:
         mine = got.column(name)
         theirs = expected.column(name)
         assert mine.sql_type == theirs.sql_type, (config, sql, name)
-        if any_row_order:
-            continue
         mask_mine = mine.null_mask()
         mask_theirs = theirs.null_mask()
         assert np.array_equal(mask_mine, mask_theirs), (config, sql, name)
@@ -396,18 +348,20 @@ def test_differential_fuzz(monkeypatch):
             monkeypatch.setattr(operators, name,
                                 0 if (executed // BATCH) % 2 else shipped)
         databases = {
-            "reference": reference_db(),
             "planned": planned_db(),
             "parallel": parallel_db(),
             "process": process_db(),
         }
+        oracle = SqliteOracle()
         for statement in table_statements(rand):
+            oracle.execute(statement)
             for db in databases.values():
                 db.execute(statement)
         batch_rounds = min(BATCH, FUZZ_ROUNDS - executed)
         for batch_position in range(batch_rounds):
             if batch_position == BATCH // 2:
                 for statement in churn_statements(rand):
+                    oracle.execute(statement)
                     for db in databases.values():
                         db.execute(statement)
             sql = generate_query(rand)
@@ -417,16 +371,11 @@ def test_differential_fuzz(monkeypatch):
                 shapes["subquery_from"] += 1
             if "left outer join" in sql and " group by " in sql:
                 shapes["outer_group"] += 1
-            reference = databases["reference"].execute(sql).relation
-            # DISTINCT row order: key order over encoded columns, first
-            # occurrence in the reference (see the module docstring).
-            distinct = "select distinct " in sql
-            shapes["distinct"] += distinct
+            shapes["distinct"] += "select distinct " in sql
             planned = None
             for config in ("planned", "parallel", "process"):
                 db = databases[config]
                 got = db.execute(sql).relation
-                assert_identical(sql, config, got, reference, distinct)
                 # Warm pass: the cached template's physical plan re-executes.
                 plan_hits = db.stats.physical_plan_hits
                 warm = db.execute(sql).relation
@@ -435,6 +384,9 @@ def test_differential_fuzz(monkeypatch):
                 # Fan-out and backend never move a row, DISTINCT or not.
                 planned = planned or got
                 assert_identical(sql, f"{config}-vs-planned", got, planned)
+            # Row content: equal to sqlite's as multisets of rows.
+            assert sorted_rows(planned.rows()) == \
+                sorted_rows(oracle.execute(sql)), sql
             engaged["encoded"] += any(
                 planned.column(name).codes is not None
                 for name in planned.names)
@@ -453,6 +405,7 @@ def test_differential_fuzz(monkeypatch):
         shm_names = databases["process"].pool.registry.created_names()
         for db in databases.values():
             db.close()
+        oracle.close()
         # close() must have unlinked every block this batch exported.
         for name in shm_names:
             assert not os.path.exists(f"/dev/shm/{name}"), name

@@ -6,8 +6,8 @@ Covers the two caches the hot path relies on:
 * the **table-level index cache** (versioned per-column sorted indexes),
 
 plus the acceptance-level integration: a full Randomised Contraction run
-must populate both caches and produce bit-for-bit identical labels with the
-caches disabled.
+must populate both caches while every table it writes holds the rows stdlib
+sqlite computes for the same statement (``tests/sqlite_oracle.py``).
 """
 
 import numpy as np
@@ -20,6 +20,8 @@ from repro.graphs.io import load_edges_into
 from repro.sqlengine import Database, operators
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.plancache import PlanCache, normalize_statement
+
+from .sqlite_oracle import tee
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +224,16 @@ def test_probe_side_index_is_read_when_cached_and_never_built(
     v1 = rng.integers(-(2 ** 62), 2 ** 62, n // 3)[rng.integers(0, n // 3, n)]
     reps = np.unique(v1)
 
-    def relabel(use_index_cache: bool):
-        db = Database(n_segments=4, pool_workers=1,
-                      use_index_cache=use_index_cache)
-        db.load_table("graph", {"v1": v1, "v2": np.arange(n)})
-        db.load_table("reps", {"v": reps, "rep": -np.arange(reps.shape[0])})
-        if warm_probe_index:
-            db.execute("select v1, count(*) c from graph group by v1")
-        before = db.stats.snapshot()
-        result = db.execute(
-            "select r1.rep as v1, v2 from graph, reps as r1 "
-            "where graph.v1 = r1.v")
-        return db, result, db.stats.snapshot().delta(before)
-
-    db, result, delta = relabel(True)
+    db = tee(Database(n_segments=4, pool_workers=1))
+    db.load_table("graph", {"v1": v1, "v2": np.arange(n)})
+    db.load_table("reps", {"v": reps, "rep": -np.arange(reps.shape[0])})
+    if warm_probe_index:
+        db.execute("select v1, count(*) c from graph group by v1")
+    before = db.stats.snapshot()
+    # Teed: the join's rows are sqlite's, with or without the index.
+    db.execute("select r1.rep as v1, v2 from graph, reps as r1 "
+               "where graph.v1 = r1.v")
+    delta = db.stats.snapshot().delta(before)
     # The build side's index is the only one this join builds ...
     assert delta.index_cache_misses == 1
     assert db.table("reps").cached_index("v") is not None
@@ -243,9 +241,6 @@ def test_probe_side_index_is_read_when_cached_and_never_built(
     assert delta.index_cache_hits == int(warm_probe_index)
     assert (db.table("graph").cached_index("v1") is not None) \
         == warm_probe_index
-    _, reference, _ = relabel(False)
-    for name in ("v1", "v2"):
-        assert np.array_equal(result.column(name), reference.column(name))
 
 
 # ---------------------------------------------------------------------------
@@ -257,28 +252,17 @@ def test_probe_side_index_is_read_when_cached_and_never_built(
 def test_randomised_contraction_exercises_caches(variant):
     edges = gnm_random_graph(600, 1100, np.random.default_rng(11))
 
-    def run(use_caches: bool):
-        db = Database(n_segments=4, use_plan_cache=use_caches,
-                      use_index_cache=use_caches)
-        load_edges_into(db, "edges", edges)
-        result = RandomisedContraction(variant=variant).run(db, "edges", seed=5)
-        vertices, labels = result.labels(db)
-        order = np.argsort(vertices, kind="stable")
-        return vertices[order], labels[order], result.stats
-
-    v_on, l_on, stats_on = run(True)
-    v_off, l_off, stats_off = run(False)
-    # Acceptance: caches must actually engage during the run...
-    assert stats_on.plan_cache_hits > 0
-    assert stats_on.index_cache_hits > 0
-    assert stats_off.plan_cache_hits == 0
-    assert stats_off.index_cache_hits == 0
-    # ...without changing a single output bit.
-    assert np.array_equal(v_on, v_off)
-    assert np.array_equal(l_on, l_off)
+    # Teed: sqlite referees every table the run writes.
+    db = tee(Database(n_segments=4))
+    load_edges_into(db, "edges", edges)
+    result = RandomisedContraction(variant=variant).run(db, "edges", seed=5)
+    vertices, labels = result.labels(db)
+    # Acceptance: caches must actually engage during the run.
+    assert result.stats.plan_cache_hits > 0
+    assert result.stats.index_cache_hits > 0
     # And the labelling partitions vertices exactly like union-find does.
     truth = unionfind_labels(edges)
-    by_vertex = dict(zip(v_on.tolist(), l_on.tolist()))
+    by_vertex = dict(zip(vertices.tolist(), labels.tolist()))
     assert set(by_vertex) == set(truth)
     grouped: dict[int, set[int]] = {}
     for vertex, label in by_vertex.items():

@@ -136,6 +136,24 @@ def test_count_distinct(db):
     assert sorted(rows) == [(1, 2), (2, 1), (3, 2)]
 
 
+def test_count_distinct_counts_null_key_groups():
+    """A group whose key is (or contains) NULL is a group like any other
+    (sqlite and PostgreSQL count it; aligning groups by key value would
+    not, since NULL keys never match)."""
+    db = Database()
+    db.execute("create table t (g int64, v int64)")
+    db.execute("insert into t values (null,6),(null,6),(1,3),(1,4),(null,7)")
+    rows = db.execute("select g, count(distinct v) from t group by g").rows()
+    assert sorted(rows, key=repr) == [(1, 2), (None, 2)]
+    db.execute("create table u (a int64, b int64, v int64)")
+    db.execute("insert into u values (null,1,6), (null,1,7), (1,null,3), "
+               "(1,null,3), (1,2,null), (null,null,5)")
+    rows = db.execute(
+        "select a, b, count(distinct v) from u group by a, b").rows()
+    assert sorted(rows, key=repr) == [
+        (1, 2, 0), (1, None, 1), (None, 1, 2), (None, None, 1)]
+
+
 def test_aggregate_ignores_nulls():
     db = Database()
     db.execute("create table t (a int, b int)")

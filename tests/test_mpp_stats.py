@@ -185,7 +185,8 @@ def test_database_close_is_idempotent_and_execute_after_close_works():
     import repro.sqlengine.executor as executor_module
     from repro.sqlengine.mpp import SegmentPool
 
-    db = Database(n_segments=4, pool_workers=4, use_index_cache=False)
+    db = Database(n_segments=4, pool_workers=4)
+    db._executor.use_index_cache = False
     rng = np.random.default_rng(1)
     n = 3000
     db.load_table("e", {"v1": rng.integers(0, 100, n),
@@ -251,8 +252,8 @@ def test_process_backend_stats_deltas_match_thread_backend():
     rep = rng.integers(0, 120, 120)
 
     def build(backend):
-        db = Database(n_segments=4, pool_workers=4, pool_backend=backend,
-                      use_index_cache=False)
+        db = Database(n_segments=4, pool_workers=4, pool_backend=backend)
+        db._executor.use_index_cache = False
         db.load_table("e", {"v1": v1, "v2": v2})
         db.load_table("r", {"v": np.arange(120, dtype=np.int64),
                             "rep": rep})

@@ -415,8 +415,8 @@ def test_executor_parallel_on_off_identical(query, monkeypatch):
 
     def build(workers):
         # The index-less case: every join sorts its own build side.
-        db = Database(n_segments=4, pool_workers=workers,
-                      use_index_cache=False)
+        db = Database(n_segments=4, pool_workers=workers)
+        db._executor.use_index_cache = False
         rng = np.random.default_rng(99)
         n = 2500
         db.load_table("e", {"v1": rng.integers(0, 200, n),
@@ -447,8 +447,8 @@ def test_rc_end_to_end_parallel_identical(monkeypatch):
     edges = gnm_random_graph(500, 900, np.random.default_rng(17))
 
     def run(workers):
-        db = Database(n_segments=4, pool_workers=workers,
-                      use_index_cache=False)
+        db = Database(n_segments=4, pool_workers=workers)
+        db._executor.use_index_cache = False
         load_edges_into(db, "edges", edges)
         result = RandomisedContraction().run(db, "edges", seed=13)
         vertices, labels = result.labels(db)

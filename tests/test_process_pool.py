@@ -59,8 +59,8 @@ def test_rc_end_to_end_process_identical(monkeypatch):
     edges = gnm_random_graph(500, 900, np.random.default_rng(23))
 
     def run(backend):
-        db = Database(n_segments=4, pool_workers=4, pool_backend=backend,
-                      use_index_cache=False)
+        db = Database(n_segments=4, pool_workers=4, pool_backend=backend)
+        db._executor.use_index_cache = False
         load_edges_into(db, "edges", edges)
         result = RandomisedContraction().run(db, "edges", seed=13)
         vertices, labels = result.labels(db)
@@ -123,8 +123,8 @@ def test_database_close_unlinks_blocks_and_stays_usable(monkeypatch):
     import repro.sqlengine.executor as executor_module
 
     monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
-    db = Database(n_segments=4, pool_workers=4, pool_backend="process",
-                  use_index_cache=False)
+    db = Database(n_segments=4, pool_workers=4, pool_backend="process")
+    db._executor.use_index_cache = False
     rng = np.random.default_rng(5)
     n = 3000
     db.load_table("e", {"v1": rng.integers(0, 100, n),
@@ -165,8 +165,8 @@ def test_no_shm_leaks_after_bench_style_rc_run(monkeypatch):
     from repro.graphs.io import load_edges_into
 
     monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
-    db = Database(n_segments=4, pool_workers=4, pool_backend="process",
-                  use_index_cache=False)
+    db = Database(n_segments=4, pool_workers=4, pool_backend="process")
+    db._executor.use_index_cache = False
     edges = gnm_random_graph(400, 700, np.random.default_rng(9))
     load_edges_into(db, "edges", edges)
     RandomisedContraction().run(db, "edges", seed=4)
@@ -255,8 +255,8 @@ def test_atexit_sweep_leaves_no_segments(tmp_path):
         from repro.sqlengine import Database
 
         executor_module.PARALLEL_MIN_ROWS = 1
-        db = Database(n_segments=4, pool_workers=4, pool_backend="process",
-                      use_index_cache=False)
+        db = Database(n_segments=4, pool_workers=4, pool_backend="process")
+        db._executor.use_index_cache = False
         rng = np.random.default_rng(2)
         db.load_table("e", {"v1": rng.integers(0, 50, 2000),
                             "v2": rng.integers(0, 50, 2000)})

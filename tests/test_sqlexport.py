@@ -1,9 +1,10 @@
 """Tests for the PostgreSQL export of Randomised Contraction.
 
 The exported PL/pgSQL procedure cannot run here (no PostgreSQL offline),
-but its round queries are shared templates that *are* executed against our
-engine — one full contraction driven with the exported SQL skeleton, and
-validated against ground truth.
+but its round queries are shared templates that *are* executed — one full
+contraction driven with the exported SQL skeleton against our engine, and
+one against stdlib sqlite3 (``tests/sqlite_oracle.py``), each validated
+against ground truth.
 """
 
 import random
@@ -13,9 +14,12 @@ import pytest
 
 from repro.core.labels import validate_labelling
 from repro.core.sqlexport import engine_round_queries, postgres_script
+from repro.core.unionfind import unionfind_labels
 from repro.ff.gfp import MERSENNE_31
 from repro.graphs import EdgeList, gnm_random_graph, load_edges_into
 from repro.sqlengine import Database
+
+from .sqlite_oracle import SqliteOracle
 
 
 def test_script_contains_the_figure3_structure():
@@ -52,12 +56,11 @@ def test_round_queries_reject_zero_a():
         engine_round_queries("cc", a=0, b=1, p=101)
 
 
-def run_exported_skeleton(db: Database, edges: EdgeList, p: int = MERSENNE_31,
-                          seed: int = 0) -> None:
-    """Drive the exported Figure-3 queries against our engine."""
+def run_exported_skeleton(execute, p: int = MERSENNE_31, seed: int = 0) -> None:
+    """Drive the exported Figure-3 queries over a loaded ``edges(v1, v2)``
+    through ``execute(sql)``, which returns a SELECT's rows."""
     rng = random.Random(seed)
-    load_edges_into(db, "edges", edges)
-    db.execute(
+    execute(
         "create table cc_e as select v1, v2 from edges "
         "union all select v2, v1 from edges distributed by (v1)"
     )
@@ -66,27 +69,38 @@ def run_exported_skeleton(db: Database, edges: EdgeList, p: int = MERSENNE_31,
         a = rng.randrange(1, p)
         b = rng.randrange(0, p)
         queries = engine_round_queries("cc_", a, b, p)
-        db.execute(queries["representatives"])
-        row_count = db.execute(queries["contract"]).rowcount
-        db.execute("drop table cc_e")
-        db.execute("alter table cc_t rename to cc_e")
+        execute(queries["representatives"])
+        execute(queries["contract"])
+        row_count = execute("select count(*) from cc_t")[0][0]
+        execute("drop table cc_e")
+        execute("alter table cc_t rename to cc_e")
         if first_round:
             first_round = False
-            db.execute("alter table cc_r rename to cc_l")
+            execute("alter table cc_r rename to cc_l")
         else:
-            db.execute(queries["compose"])
-            db.execute("drop table cc_l, cc_r")
-            db.execute("alter table cc_t rename to cc_l")
+            execute(queries["compose"])
+            execute("drop table cc_l, cc_r")
+            execute("alter table cc_t rename to cc_l")
         if row_count == 0:
             break
-    db.execute("alter table cc_l rename to ccresult")
-    db.execute("drop table cc_e")
+    execute("alter table cc_l rename to ccresult")
+    execute("drop table cc_e")
+
+
+def run_on_our_engine(db: Database, edges: EdgeList, seed: int) -> None:
+    load_edges_into(db, "edges", edges)
+
+    def execute(sql: str):
+        result = db.execute(sql)
+        return result.rows() if sql.startswith("select") else None
+
+    run_exported_skeleton(execute, seed=seed)
 
 
 def test_exported_queries_run_on_our_engine():
     edges = gnm_random_graph(80, 120, np.random.default_rng(3))
     db = Database()
-    run_exported_skeleton(db, edges, seed=5)
+    run_on_our_engine(db, edges, seed=5)
     table = db.table("ccresult")
     vertices = table.column("v").values
     labels = table.column("rep").values
@@ -97,9 +111,30 @@ def test_exported_queries_run_on_our_engine():
 def test_exported_queries_handle_loops_and_multiple_components():
     edges = EdgeList.from_pairs([(1, 2), (2, 3), (10, 11), (42, 42)])
     db = Database()
-    run_exported_skeleton(db, edges, seed=1)
+    run_on_our_engine(db, edges, seed=1)
     table = db.table("ccresult")
     report = validate_labelling(
         edges, table.column("v").values, table.column("rep").values
     )
     assert report.valid, report.reason
+
+
+def test_exported_queries_run_on_an_engine_that_is_not_ours():
+    """Figure 3, GF(p) variant, on stdlib sqlite3 (``distributed by``
+    stripped, ``least`` registered): the exported round queries are SQL a
+    stock database executes, and the partition is union-find's."""
+    edges = gnm_random_graph(400, 300, np.random.default_rng(3))
+    oracle = SqliteOracle()
+    oracle.load("edges", ["v1", "v2"],
+                list(zip(edges.src.tolist(), edges.dst.tolist())))
+    run_exported_skeleton(oracle.execute, seed=5)
+    groups: dict[int, list[int]] = {}
+    for vertex, label in oracle.table_rows("ccresult"):
+        groups.setdefault(label, []).append(vertex)
+    oracle.close()
+    truth: dict[int, list[int]] = {}
+    for vertex, label in unionfind_labels(edges).items():
+        truth.setdefault(label, []).append(vertex)
+    assert len(truth) > 1  # several components
+    assert sorted(sorted(members) for members in groups.values()) == \
+        sorted(sorted(members) for members in truth.values())

@@ -1,18 +1,24 @@
-"""Whole-loop differential: Randomised Contraction with and without the
-engine's dictionary-encoded columns, against union-find.
+"""Whole-loop differential: every algorithm's full statement sequence on the
+engine and on sqlite, table by table, and the labels against union-find.
 
 The statement-level fuzz (``test_differential_fuzz.py``) cannot see a bug
 that only a *sequence* of statements makes: a round's encoded ``graph``
 table feeding the next round's GROUP BY, join and DISTINCT, the table-level
 dictionary two concurrent statements of the dataflow scheduler share, the
 composition joining a column an earlier statement encoded.  So every
-randomisation method x variant of the driver runs on a random graph, a
-long path, a star and the 3-cycle of ``contraction_theory.py`` — twice: on
-a default ``Database()`` (no size gate: these small graphs are encoded from
-round 1 like million-edge ones) and on one whose executor never encodes
-and sorts every GROUP BY (``whole_column_shortcuts`` off, the Spark
-model's setting; not a product switch).  The two labellings must be
-bit-identical — values *and* row order — and their partition union-find's.
+``SQLConnectedComponents`` subclass — Randomised Contraction in all eight
+randomisation method x variant configurations, Hash-to-Min, Two-Phase,
+Cracker, BFS and graph squaring — runs on a random graph, a long path, a
+star and the 3-cycle of ``contraction_theory.py`` through
+:func:`tests.sqlite_oracle.tee`: each statement executes on a default
+``Database()`` (no size gate: these small graphs are dictionary-encoded
+from round 1 like million-edge ones) *and* on stdlib ``sqlite3``, and every
+table a statement writes must hold the same rows on both.  The final
+partition must be union-find's.
+
+What an outside engine cannot referee — row order — stays an
+engine-vs-engine contract: the loop's stored tables are byte-identical
+whatever the pool's fan-out or backend.
 """
 
 from __future__ import annotations
@@ -22,7 +28,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import RandomisedContraction
+from repro.core import (
+    BreadthFirstSearchCC,
+    Cracker,
+    GraphSquaringCC,
+    HashToMin,
+    RandomisedContraction,
+    TwoPhase,
+)
 from repro.core.unionfind import unionfind_labels
 from repro.graphs import (
     EdgeList,
@@ -33,6 +46,8 @@ from repro.graphs import (
 )
 from repro.sqlengine import Database
 
+from .sqlite_oracle import tee
+
 GRAPHS = {
     "gnm": lambda: gnm_random_graph(3000, 6000, np.random.default_rng(7)),
     "path": lambda: path_graph(1500),
@@ -40,6 +55,23 @@ GRAPHS = {
     # The tight case of Appendix B (contraction_theory.py), as edges.
     "three-cycle": lambda: EdgeList.from_pairs([(0, 1), (1, 2), (2, 0)]),
 }
+
+#: The same shapes where the baselines finish in seconds on both engines
+#: (Hash-to-Min and BFS are quadratic on a path by design) ...
+BASELINE_GRAPHS = dict(
+    GRAPHS,
+    gnm=lambda: gnm_random_graph(1500, 3000, np.random.default_rng(7)),
+    path=lambda: path_graph(400),
+)
+
+#: ... and where squaring does: its tables are |V|^2 rows and sqlite has no
+#: indexes to join them with.
+SQUARING_GRAPHS = dict(
+    GRAPHS,
+    gnm=lambda: gnm_random_graph(100, 180, np.random.default_rng(7)),
+    path=lambda: path_graph(150),
+    star=lambda: star_graph(150),
+)
 
 CONFIGURATIONS = [
     ("finite-fields", "fast"),
@@ -52,15 +84,69 @@ CONFIGURATIONS = [
     ("identity", "deterministic-space"),
 ]
 
+BASELINES = {
+    "hash-to-min": (HashToMin, BASELINE_GRAPHS),
+    "two-phase": (TwoPhase, BASELINE_GRAPHS),
+    "cracker": (Cracker, BASELINE_GRAPHS),
+    "bfs": (BreadthFirstSearchCC, BASELINE_GRAPHS),
+    "squaring": (GraphSquaringCC, SQUARING_GRAPHS),
+}
 
-def _labels(edges: EdgeList, method: str, variant: str, encode: bool,
-            **database):
-    """(vertices, labels, group_sorts_skipped, sha256 of every table the
-    run created — keyed by name and how many of that name came before)."""
+
+def _assert_teed_run_labels_like_union_find(algorithm, edges: EdgeList):
+    """Run ``algorithm`` with every statement teed to sqlite; returns the
+    run's result and its database's counters."""
+    with tee(Database()) as db:
+        load_edges_into(db, "edges", edges)
+        result = algorithm.run(db, "edges", seed=11)
+        vertices, labels = result.labels(db)
+        stats = db.stats.snapshot()
+        # Every statement that returns rows or leaves a table behind was
+        # compared — all but the DROPs.
+        assert db.oracle.compared == sum(
+            not record.sql.lstrip().lower().startswith("drop")
+            for record in db.stats.log) > result.rounds
+    groups: dict[int, list[int]] = {}
+    for vertex, label in zip(vertices.tolist(), labels.tolist()):
+        groups.setdefault(label, []).append(vertex)
+    truth: dict[int, list[int]] = {}
+    for vertex, label in unionfind_labels(edges).items():
+        truth.setdefault(label, []).append(vertex)
+    assert sorted(sorted(members) for members in groups.values()) == \
+        sorted(sorted(members) for members in truth.values())
+    return result, stats
+
+
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+@pytest.mark.parametrize("method,variant", CONFIGURATIONS)
+def test_encoded_loop_labels_equal_plain_loop_and_union_find(
+        method, variant, graph):
+    """The plain loop — one column form, no index, no fusion — is the one
+    sqlite runs beside ours, statement by statement."""
+    if method == "identity" and graph == "path":
+        pytest.skip("no randomisation on a path: linear rounds by design")
+    _, stats = _assert_teed_run_labels_like_union_find(
+        RandomisedContraction(method=method, variant=variant),
+        GRAPHS[graph]())
+    if graph == "gnm" and method != "random-reals":
+        # The encoded loop was the one under test: its DISTINCTs emitted
+        # key order and the next rounds' GROUP BYs found it.  (The table
+        # strategy's GROUP BY is fused behind a join and sorts nothing.)
+        assert stats.group_sorts_skipped > 1
+
+
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+@pytest.mark.parametrize("name", sorted(BASELINES))
+def test_baseline_loop_equals_sqlite_and_union_find(name, graph):
+    algorithm, graphs = BASELINES[name]
+    _assert_teed_run_labels_like_union_find(algorithm(), graphs[graph]())
+
+
+def _stored_tables(edges: EdgeList, variant: str, **database):
+    """(vertices, labels, sha256 of every table the run created — keyed by
+    name and how many of that name came before)."""
     tables: dict[tuple[str, int], str] = {}
     with Database(**database) as db:
-        if not encode:
-            db._executor.whole_column_shortcuts = False
         execute = db.execute
 
         def recording_execute(sql: str, label: str = ""):
@@ -78,64 +164,28 @@ def _labels(edges: EdgeList, method: str, variant: str, encode: bool,
 
         db.execute = recording_execute
         load_edges_into(db, "edges", edges)
-        result = RandomisedContraction(method=method, variant=variant).run(
+        result = RandomisedContraction(variant=variant).run(
             db, "edges", seed=11)
         vertices, labels = result.labels(db)
-        group_sorts_skipped = db.stats.group_sorts_skipped
-    return vertices, labels, group_sorts_skipped, tables
-
-
-def _partition(vertices, labels) -> list[list[int]]:
-    groups: dict[int, list[int]] = {}
-    for vertex, label in zip(vertices.tolist(), labels.tolist()):
-        groups.setdefault(label, []).append(vertex)
-    return sorted(sorted(members) for members in groups.values())
-
-
-@pytest.mark.parametrize("graph", sorted(GRAPHS))
-@pytest.mark.parametrize("method,variant", CONFIGURATIONS)
-def test_encoded_loop_labels_equal_plain_loop_and_union_find(
-        method, variant, graph):
-    if method == "identity" and graph == "path":
-        pytest.skip("no randomisation on a path: linear rounds by design")
-    edges = GRAPHS[graph]()
-    vertices, labels, skipped, _ = _labels(edges, method, variant,
-                                           encode=True)
-    plain_vertices, plain_labels, _, _ = _labels(edges, method, variant,
-                                                 encode=False)
-    assert np.array_equal(vertices, plain_vertices)
-    assert np.array_equal(labels, plain_labels)
-    truth: dict[int, list[int]] = {}
-    for vertex, label in unionfind_labels(edges).items():
-        truth.setdefault(label, []).append(vertex)
-    assert _partition(vertices, labels) == \
-        sorted(sorted(members) for members in truth.values())
-    if graph == "gnm" and method != "random-reals":
-        # The encoded loop was the one under test: its DISTINCTs emitted
-        # key order and the next rounds' GROUP BYs found it.  (The table
-        # strategy's GROUP BY is fused behind a join and sorts nothing.)
-        assert skipped > 1
+    return vertices, labels, tables
 
 
 @pytest.mark.parametrize("variant", ["fast", "deterministic-space"])
 @pytest.mark.parametrize("database", [
     {"pool_workers": 1},
     {"pool_workers": 4, "pool_backend": "process"},
-    {"use_fusion": False},
-    {"use_index_cache": False},
-    {"use_physical_plans": False, "use_plan_cache": False},
 ], ids=lambda options: ",".join(f"{k}={v}" for k, v in options.items()))
 def test_encoded_loop_is_bit_identical_on_every_configuration(
         variant, database, monkeypatch):
-    """Fan-out, backend and switches decide nothing about which columns
-    are encoded, so none of them may move a label — or a row of any table
-    a round stores, DISTINCT outputs in key order included."""
+    """Fan-out and backend decide nothing about which columns are encoded,
+    so neither may move a label — or a row of any table a round stores,
+    DISTINCT outputs in key order included."""
     import repro.sqlengine.executor as executor_module
 
     monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
     edges = GRAPHS["gnm"]()
-    expected = _labels(edges, "finite-fields", variant, encode=True)
-    got = _labels(edges, "finite-fields", variant, encode=True, **database)
+    expected = _stored_tables(edges, variant)
+    got = _stored_tables(edges, variant, **database)
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
-    assert len(expected[3]) > 10 and got[3] == expected[3]
+    assert len(expected[2]) > 10 and got[2] == expected[2]
