@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-unit fuzz bench bench-quick perf perf-aa perf-4m clean
+.PHONY: test test-unit fuzz bench bench-quick perf perf-aa perf-4m size clean
 
 ## tier-1: the full unit + benchmark collection, fail-fast
 test:
@@ -43,6 +43,13 @@ perf-aa:
 ## 1e5 and 4e6" is read off this line and `make perf`'s gnm_100k
 perf-4m:
 	python3 perf/run.py --workload gnm_1m --scale 4 --reps 3 --seconds 0 --trace 0
+
+## the numbers every ROADMAP re-anchor re-counts by hand ("Size")
+size:
+	@echo "src/ lines:        $$(find src -name '*.py' | xargs cat | wc -l)"
+	@echo "sqlengine/ lines:  $$(find src/repro/sqlengine -name '*.py' | xargs cat | wc -l)"
+	@echo "executor.py lines: $$(wc -l < src/repro/sqlengine/executor.py)"
+	@echo "stats.COUNTERS:    $$($(PYTHON) -c 'from repro.sqlengine import stats; print(len(stats.COUNTERS))')"
 
 # benchmarks/results is regenerated scratch output.
 clean:

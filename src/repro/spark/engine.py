@@ -61,7 +61,7 @@ class SparkExecutor(Executor):
 
     #: The partitioned join concatenates per-task outputs partition-major,
     #: so its left-row indices are not ascending — the fused join->GROUP BY
-    #: expansion cannot run on it and falls back to the staged pipeline.
+    #: expansion cannot run on it and falls back to the unfused aggregation.
     monotone_join_output = False
 
     #: Every keyed operator runs task by task through the kernels below: no

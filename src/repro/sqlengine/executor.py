@@ -41,12 +41,13 @@ kernels in worker processes over shared-memory column buffers — same
 chunks, same recombination, same labels — with automatic thread
 fallback for payloads that cannot be shared.
 
-Join pipelines of two or more steps run **chain-fused** (see
+Every join runs through one runner, the **join chain** (see
 :class:`_JoinChain`): a join feeding another join's build side never
 materialises its output — the executor keeps per-binding row-index maps,
 composes them through each join's output indices, and gathers every
 downstream-consumed column exactly once, whether it is the next join's
 key, a fused DISTINCT/GROUP BY input, or part of the chain-final frame.
+A single join is the chain at length one.
 LEFT OUTER JOINs stream inside the chain too: their null-extended probe
 rows ride the composed maps as ``NO_MATCH`` validity markers that only
 materialisation resolves into null masks, so an outer join can sit in any
@@ -66,8 +67,8 @@ flag: joins of two columns over one dictionary take the planner's
 (:mod:`~repro.sqlengine.expressions`), an immutable UDF is applied to the
 dictionary (:mod:`~repro.sqlengine.functions`), DISTINCT packs and sorts
 the codes, GROUP BY finds that output sorted.  The rule reads a join's row
-counts and a column's provenance — the same in the chain and the staged
-pipeline — so the form, and with it a DISTINCT's row order, is a
+counts and a column's provenance — nothing about how the statement
+runs — so the form, and with it a DISTINCT's row order, is a
 deterministic function of the statement and its input relation: **key
 order over encoded columns, first-occurrence order otherwise, never a
 function of the fan-out, the backend or a switch.**  Space, motion and
@@ -242,9 +243,10 @@ class Frame:
                     env[col] = AMBIGUOUS
         return env
 
-    def take(self, indices: np.ndarray) -> "Frame":
-        columns = {name: col.take(indices) for name, col in self.columns.items()}
-        return Frame(columns, self.bindings, int(indices.shape[0]), self.distribution)
+    def column(self, qualified: str) -> Column:
+        """One column by qualified name — the accessor a join input is
+        read through, which a :class:`_JoinChain` answers lazily."""
+        return self.columns[qualified]
 
     def filter(self, keep: np.ndarray) -> "Frame":
         columns = {name: col.filter(keep) for name, col in self.columns.items()}
@@ -257,9 +259,7 @@ def _gather_padded(col: Column, safe_idx: np.ndarray, unmatched: np.ndarray,
 
     ``safe_idx`` is the zero-clamped gather map and ``unmatched`` marks the
     null-extended rows whose markers OR into the null mask; an empty build
-    side pads an all-NULL column of the scanned type.  This is the single
-    definition of outer-join padding — the staged runner and the chain both
-    call it, so their columns are bit-identical by construction.
+    side pads an all-NULL column of the scanned type.
     """
     if build_len == 0:
         return Column.nulls(out_len, col.sql_type)
@@ -294,26 +294,13 @@ def _encoded_source(frame: Frame, qualified: str) -> Column:
     return frame.columns[qualified] if encoded is None else encoded
 
 
-class _ChainColumns:
-    """Lazy qualified-name → :class:`~repro.sqlengine.types.Column` view of a
-    :class:`_JoinChain`: each access gathers that one column through the
-    chain's composed row map."""
-
-    __slots__ = ("_chain",)
-
-    def __init__(self, chain: "_JoinChain"):
-        self._chain = chain
-
-    def __getitem__(self, name: str) -> Column:
-        return self._chain.column(name)
-
-
 class _JoinChain:
-    """A virtual frame over a fused chain of joins.
+    """A virtual frame over a pipeline of one or more joins — the only
+    join runner.
 
-    Where the staged pipeline materialises every join step's output —
-    gathering each surviving column of both inputs at every step — the
-    chain keeps only a per-binding *row-index map* into the base frames and
+    Rather than materialise every join step's output — gathering each
+    surviving column of both inputs at every step — the chain keeps only
+    a per-binding *row-index map* into the base frames and
     composes it through each join's output indices (``map ∘ l_idx``, the
     same monotone-index composition :class:`FusedGroupPlan` exploits).  A
     column is gathered exactly once, when something downstream finally
@@ -326,28 +313,34 @@ class _JoinChain:
     maps for free — later joins gather the ``NO_MATCH`` markers like any
     other entry — and only materialisation resolves it, gathering through a
     zero-clamped map and OR-ing the marker positions into the column's null
-    mask, exactly the padded column the staged left-join runner builds.
+    mask (:func:`_gather_padded`).
 
-    The chain duck-types the ``Frame`` surface the join-step runner reads —
-    ``columns`` (lazy), ``sources``, ``length``, ``distribution`` and
-    ``byte_size()`` — so kernel dispatch, index-cache consultation and
-    motion accounting run the exact code the staged pipeline runs.
-    ``byte_size()`` reports byte-for-byte the size the staged pipeline's
-    frame would have had: fixed-width columns at width × rows
-    plus the gathered null mask, text columns at their exact per-row byte
+    The chain duck-types the ``Frame`` surface the join-step runner reads
+    of either input — ``column()`` (lazy), ``sources``, ``length``,
+    ``distribution`` and ``byte_size()`` — so kernel dispatch, index-cache
+    consultation and motion accounting need not know which side they are
+    handed.  ``byte_size()`` is the motion model of the paper's Table V: a
+    join input moves at the size of the relation the previous join
+    *produced*, so it reports byte-for-byte the size of the frame
+    :meth:`materialise` would gather at this point — fixed-width columns
+    at width × rows plus the gathered null mask, text columns at their
+    exact per-row byte
     lengths gathered through the composed map (the base column's row widths
     are computed once per chain and re-gathered per step).
+
+    Nothing the chain holds points back at it, so it — with its edge-length
+    row maps and its references to the scanned frames — is freed by
+    reference count the moment the statement's FROM pipeline returns.
     """
 
     __slots__ = ("_frames", "_maps", "_outer", "_gather_cache", "_base",
-                 "_staged_cols", "_text_widths", "_encode", "_expanded",
-                 "columns", "length", "distribution", "n_joins", "n_outer")
+                 "_surviving", "_text_widths", "_encode", "_expanded",
+                 "length", "distribution", "n_joins", "n_outer")
 
     def __init__(self, frame: Frame, encode: bool = True):
         #: Whether build-side gathers may dictionary-encode, and the
         #: bindings whose (inner) join expanded them: their columns are
-        #: gathered through :func:`_encoded_source`, as the staged
-        #: pipeline gathers them at that join.
+        #: gathered through :func:`_encoded_source`.
         self._encode = encode
         self._expanded: set[str] = set()
         self._frames: dict[str, Frame] = {b: frame for b in frame.bindings}
@@ -360,10 +353,11 @@ class _JoinChain:
         #: join and shared by every column gather and byte_size pass.
         self._gather_cache: dict[str, tuple] = {}
         self._base = frame
-        self._staged_cols = list(frame.columns)
+        #: The columns the latest join's output keeps (what
+        #: :meth:`materialise` would gather and :meth:`byte_size` prices).
+        self._surviving = list(frame.columns)
         #: Per-row byte widths of text columns, cached per qualified name.
         self._text_widths: dict[str, np.ndarray] = {}
-        self.columns = _ChainColumns(self)
         self.length = frame.length
         self.distribution = frame.distribution
         self.n_joins = 0
@@ -372,8 +366,8 @@ class _JoinChain:
     @property
     def sources(self) -> dict:
         """Column provenance: the base frame's while no join ran (a scan's
-        cached indexes stay reachable), empty afterwards — exactly when the
-        staged pipeline's materialised frames lose provenance too."""
+        cached indexes stay reachable), empty afterwards — a join reorders
+        rows, and cached indexes are positional."""
         return self._base.sources if self.n_joins == 0 else {}
 
     def _gather_state(
@@ -425,7 +419,7 @@ class _JoinChain:
         if self.n_joins == 0:
             return self._base.byte_size()
         total = 0
-        for qualified in self._staged_cols:
+        for qualified in self._surviving:
             binding = qualified.split(".", 1)[0]
             frame, safe_map, invalid = self._gather_state(binding)
             col = frame.columns[qualified]
@@ -469,20 +463,17 @@ class _JoinChain:
         self._gather_cache.clear()
         self.length = int(l_idx.shape[0])
         self.distribution = step.out_distribution
-        self._staged_cols = list(step.left_gather) + list(step.right_gather)
+        self._surviving = list(step.left_gather) + list(step.right_gather)
         self.n_joins += 1
         if outer:
             self.n_outer += 1
 
     def materialise(self, step) -> Frame:
-        """The frame the staged pipeline would have produced after ``step``
-        — each surviving column gathered once, through the composed map."""
-        columns = {
-            name: self.column(name)
-            for name in list(step.left_gather) + list(step.right_gather)
-        }
+        """The frame ``step``, the latest applied join, produces — each
+        surviving column gathered once, through the composed map."""
+        columns = {name: self.column(name) for name in self._surviving}
         return Frame(columns, step.out_bindings, self.length,
-                     step.out_distribution)
+                     self.distribution)
 
 
 class Executor:
@@ -492,7 +483,8 @@ class Executor:
     #: left row, ascending.  The fused join->GROUP BY expansion
     #: (:func:`_expand_group_order`) relies on it; executors whose kernels
     #: break it — the Spark model's partition-major concatenation — must
-    #: set this False so the shape falls back to the staged pipeline.
+    #: set this False so the shape falls back to the unfused aggregation
+    #: over the chain's materialised frame.
     monotone_join_output = True
 
     #: Two whole-column shortcuts sit beside the overridable kernels below
@@ -561,7 +553,7 @@ class Executor:
         sparse-key probe for the dictionary route.  A join's row pairs do
         not depend on its keys' form, so — unlike the rule that *creates*
         encodings — this one may read the cache."""
-        keys = [frame.columns[name] for name in names]
+        keys = [frame.column(name) for name in names]
         if self.whole_column_shortcuts and len(keys) == 1 \
                 and keys[0].codes is None:
             source = frame.sources.get(names[0])
@@ -881,10 +873,9 @@ class Executor:
         Returns the joined (and residual-filtered) :class:`Frame` — or, for
         a fused-final plan, the ``(chain, right_frame)`` pair the fused
         runner finishes: the accumulated left side as a :class:`_JoinChain`
-        and the final join's build-side frame.  When the plan marks the
-        join pipeline chainable, the joins — inner *and* left outer —
-        stream through the chain's composed row maps and no intermediate
-        join output is materialised.
+        and the final join's build-side frame.  Every join — inner, left
+        outer or cartesian, one or many — streams through the chain's
+        composed row maps; the chain materialises once, after the last.
         """
         if not plan.scans:
             # SELECT without FROM: one anonymous row.
@@ -897,50 +888,40 @@ class Executor:
                 frames[scan.binding] = self._apply_filters(
                     frames[scan.binding], scan.filters
                 )
-        fuse_final = plan.fused is not None or self._fuse_group(plan)
-        steps = list(plan.steps)
-        left_joins = list(plan.left_joins)
-        if fuse_final:
-            # The compiled final join is run by the fused runner, not here.
-            if isinstance(plan.final_join, LeftJoinPlan):
-                left_joins = left_joins[:-1]
-            else:
-                steps = steps[:-1]
-        if plan.chain:
-            # Chainable pipeline: stream every (non-final) join through
-            # composed row maps; nothing intermediate is materialised.
-            chain = _JoinChain(frames[plan.scans[0].binding],
-                               self.whole_column_shortcuts)
+        current = frames[plan.scans[0].binding]
+        if plan.final_join is not None:
+            fuse_final = plan.fused is not None or self._fuse_group(plan)
+            steps = list(plan.steps)
+            left_joins = list(plan.left_joins)
+            if fuse_final:
+                # The compiled final join is run by the fused runner, not
+                # here.
+                if isinstance(plan.final_join, LeftJoinPlan):
+                    left_joins = left_joins[:-1]
+                else:
+                    steps = steps[:-1]
+            chain = _JoinChain(current, self.whole_column_shortcuts)
             for step in steps:
-                self._execute_chain_step(chain, frames[step.binding], step)
+                self._join_step(chain, frames[step.binding], step)
             for left_join in left_joins:
-                self._execute_chain_left_step(chain, left_join)
+                self._join_step(chain, self._scan_frame(left_join.scan),
+                                left_join, outer=True)
             if fuse_final:
                 return chain, self._final_right_frame(plan, frames)
             self._finish_chain(chain)
-            last = left_joins[-1] if left_joins else steps[-1]
-            current = chain.materialise(last)
-        else:
-            current = frames[plan.scans[0].binding]
-            for step in steps:
-                current = self._execute_step(current, frames[step.binding],
-                                             step)
-            for left_join in left_joins:
-                current = self._execute_left_join(current, left_join)
-            if fuse_final:
-                # Identity chain over the staged frame: the fused runners
-                # work on one surface either way.
-                return _JoinChain(current, self.whole_column_shortcuts), \
-                    self._final_right_frame(plan, frames)
+            current = chain.materialise(plan.final_join)
         if plan.residual:
             current = self._apply_filters(current, plan.residual)
         return current
 
-    def _execute_chain_step(
-        self, chain: _JoinChain, right: Frame, step: JoinStepPlan
-    ) -> None:
-        """Run one join step against the chain, folding its output indices
-        into the composed row maps instead of materialising a frame."""
+    def _join_step(
+        self, chain: _JoinChain, right: Frame,
+        step: JoinStepPlan | LeftJoinPlan, outer: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Run one join step — equi-join (``outer``: LEFT JOIN, whose
+        unmatched probe rows surface as ``NO_MATCH`` right indices) or
+        cartesian product — against the chain and fold its output index
+        pair, which is also returned, into the composed row maps."""
         if step.cartesian:
             total = chain.length * right.length
             if total > MAX_CARTESIAN_ROWS:
@@ -954,18 +935,29 @@ class Executor:
             l_idx = np.repeat(np.arange(chain.length), right.length)
             r_idx = np.tile(np.arange(right.length), chain.length)
         else:
-            l_idx, r_idx = self._join_step_indices(chain, right, step)
-        chain.apply(l_idx, r_idx, right, step)
-
-    def _execute_chain_left_step(
-        self, chain: _JoinChain, plan: LeftJoinPlan
-    ) -> None:
-        """Run one LEFT JOIN against the chain: the padded output indices
-        fold into the composed row maps, with the build side's NO_MATCH
-        markers carried as the binding's validity mask."""
-        right = self._scan_frame(plan.scan)
-        l_idx, r_idx = self._left_join_step_indices(chain, right, plan)
-        chain.apply(l_idx, r_idx, right, plan, outer=True)
+            left_keys = self._join_keys(chain, step.left_names)
+            right_keys = self._join_keys(right, step.right_names)
+            left_index = right_index = None
+            if len(step.left_names) == 1:
+                # Single-column equi-join (the dominant shape): the build
+                # side consults — and on a miss populates — its table's
+                # index cache; the probe side only picks up a cached index
+                # (free key-range stats).
+                right_index = self._stored_index(right, step.right_names[0],
+                                                 build=True)
+                left_index = self._stored_index(chain, step.left_names[0],
+                                                build=False)
+            self._charge_join_motion(chain, step.left_names)
+            self._charge_join_motion(right, step.right_names)
+            note: list = []
+            kernel = self._left_join_kernel if outer else self._join_kernel
+            l_idx, r_idx = kernel(left_keys, right_keys,
+                                  left_index=left_index,
+                                  right_index=right_index, note=note)
+            if note:
+                step.kernel = note[-1]
+        chain.apply(l_idx, r_idx, right, step, outer)
+        return l_idx, r_idx
 
     def _finish_chain(self, chain: _JoinChain) -> None:
         """Telemetry: a chain of >= 2 joins streamed without materialising
@@ -1042,110 +1034,6 @@ class Executor:
         self._charge_motion(frame.byte_size(), frame.length,
                             bool(frame.distribution & set(key_names)))
 
-    def _join_step_indices(
-        self, left: Frame, right: Frame, step: JoinStepPlan
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Run one compiled equi-join step's kernel (shared with fusion)."""
-        left_keys = self._join_keys(left, step.left_names)
-        right_keys = self._join_keys(right, step.right_names)
-        left_index = right_index = None
-        if len(step.left_names) == 1:
-            # Single-column equi-join (the dominant shape): the build side
-            # consults — and on a miss populates — its table's index cache;
-            # the probe side only picks up a cached index (free stats).
-            right_index = self._stored_index(right, step.right_names[0],
-                                             build=True)
-            left_index = self._stored_index(left, step.left_names[0],
-                                            build=False)
-        self._charge_join_motion(left, step.left_names)
-        self._charge_join_motion(right, step.right_names)
-        note: list = []
-        l_idx, r_idx = self._join_kernel(
-            left_keys, right_keys, left_index=left_index,
-            right_index=right_index, note=note,
-        )
-        if note:
-            step.kernel = note[-1]
-        return l_idx, r_idx
-
-    def _execute_step(
-        self, left: Frame, right: Frame, step: JoinStepPlan
-    ) -> Frame:
-        if step.cartesian:
-            return self._cartesian(left, right, step)
-        l_idx, r_idx = self._join_step_indices(left, right, step)
-        columns = {
-            name: left.columns[name].take(l_idx) for name in step.left_gather
-        }
-        columns.update(self._gather_build(right, step.right_gather, r_idx))
-        return Frame(columns, step.out_bindings, int(l_idx.shape[0]),
-                     step.out_distribution)
-
-    def _gather_build(self, right: Frame, names, r_idx: np.ndarray) -> dict:
-        """The build side's surviving columns of one staged inner join —
-        dictionary-encoded where the join expands them, by the rule (and
-        the function) the chain applies."""
-        if self.whole_column_shortcuts and r_idx.shape[0] >= right.length:
-            return {name: _encoded_source(right, name).take(r_idx)
-                    for name in names}
-        return {name: right.columns[name].take(r_idx) for name in names}
-
-    def _cartesian(self, left: Frame, right: Frame, step: JoinStepPlan) -> Frame:
-        total = left.length * right.length
-        if total > MAX_CARTESIAN_ROWS:
-            raise PlanError(
-                f"refusing cartesian product of {left.length} x {right.length} rows; "
-                "add an equality join predicate"
-            )
-        l_idx = np.repeat(np.arange(left.length), right.length)
-        r_idx = np.tile(np.arange(right.length), left.length)
-        self._charge_join_motion(left, [])
-        self._charge_join_motion(right, [])
-        step.kernel = "cartesian"
-        columns = {
-            name: left.columns[name].take(l_idx) for name in step.left_gather
-        }
-        columns.update(self._gather_build(right, step.right_gather, r_idx))
-        return Frame(columns, step.out_bindings, total, frozenset())
-
-    def _left_join_step_indices(
-        self, left, right: Frame, plan: LeftJoinPlan
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Run one LEFT JOIN's kernel (shared by the staged runner, the
-        chain and the fused finals); ``left`` is a Frame or a _JoinChain.
-        Unmatched probe rows surface as ``NO_MATCH`` in the right indices.
-        """
-        left_keys = self._join_keys(left, plan.left_names)
-        right_keys = self._join_keys(right, plan.right_names)
-        right_index = None
-        if len(left_keys) == 1:
-            right_index = self._stored_index(right, plan.right_names[0],
-                                             build=True)
-        self._charge_join_motion(left, plan.left_names)
-        self._charge_join_motion(right, plan.right_names)
-        note: list = []
-        l_idx, r_idx = self._left_join_kernel(
-            left_keys, right_keys, right_index=right_index, note=note
-        )
-        if note:
-            plan.kernel = note[-1]
-        return l_idx, r_idx
-
-    def _execute_left_join(self, left: Frame, plan: LeftJoinPlan) -> Frame:
-        right = self._scan_frame(plan.scan)
-        l_idx, r_idx = self._left_join_step_indices(left, right, plan)
-        n_out = int(l_idx.shape[0])
-        columns = {
-            name: left.columns[name].take(l_idx) for name in plan.left_gather
-        }
-        unmatched = r_idx == NO_MATCH
-        safe_idx = np.where(unmatched, 0, r_idx)
-        for name in plan.right_gather:
-            columns[name] = _gather_padded(right.columns[name], safe_idx,
-                                           unmatched, right.length, n_out)
-        return Frame(columns, plan.out_bindings, n_out,
-                     plan.out_distribution)
-
     # -- fused join -> DISTINCT --------------------------------------------
 
     def _residual_keep(
@@ -1178,13 +1066,8 @@ class Executor:
         """Run the fused final join — inner or left outer — and fold it
         into the chain; returns the kernel's output index pair."""
         final = plan.final_join
-        if isinstance(final, LeftJoinPlan):
-            l_idx, r_idx = self._left_join_step_indices(chain, right, final)
-            chain.apply(l_idx, r_idx, right, final, outer=True)
-        else:
-            l_idx, r_idx = self._join_step_indices(chain, right, final)
-            chain.apply(l_idx, r_idx, right, final)
-        return l_idx, r_idx
+        return self._join_step(chain, right, final,
+                               isinstance(final, LeftJoinPlan))
 
     def _run_fused_distinct(self, plan: CorePlan) -> Relation:
         """Run a compiled fused pipeline: final join, residual filter,
@@ -1214,7 +1097,7 @@ class Executor:
         relation = Relation(list(fused.out_keys), out_columns,
                             fused.out_distribution,
                             display_names=list(fused.display))
-        # DISTINCT with the motion accounting the staged pipeline pays.
+        # DISTINCT with the motion accounting the unfused pipeline pays.
         return self._distinct(relation)
 
     # -- fused join -> GROUP BY --------------------------------------------
@@ -1226,11 +1109,11 @@ class Executor:
         Only aggregate arguments and residual inputs are gathered at join
         output size.  The grouping order comes from grouping the *pre-join*
         left side (which can use a stored table's cached index —
-        provenance the staged pipeline loses the moment it materialises
-        the join) and expanding it through the join's monotone left-row
-        indices, so no full frame ever materialises.  The final join is an
+        provenance a materialised join output no longer has) and expanding
+        it through the join's monotone left-row indices, so no full frame
+        ever materialises.  The final join is an
         inner step and every key lives on its left side (the compiler
-        leaves the other shapes to the staged aggregation).
+        leaves the other shapes to the unfused aggregation).
         """
         core = plan.core
         fused = plan.fused_group
@@ -1276,7 +1159,7 @@ class Executor:
         n_groups = int(starts.shape[0])
         counts = np.diff(np.append(starts, order.shape[0]))
 
-        # Motion: the same charge the staged pipeline pays to co-locate its
+        # Motion: the same charge the unfused aggregation pays to co-locate its
         # materialised frame by group key (gathered columns plus the key
         # columns the fusion never gathers).
         frame_bytes = sum(col.byte_size() for col in columns.values())
@@ -1690,7 +1573,7 @@ def _expand_group_order(
     grouping ``group_rows`` would compute over the gathered key columns:
     visit left rows in left-grouping order and emit each row's slot range.
     Left rows the join dropped contribute nothing; groups that lose every
-    row vanish, like keys that never reach the staged pipeline's frame.
+    row vanish, like keys that never reach a materialised join output.
     """
     total = int(l_idx.shape[0])
     if total == 0:

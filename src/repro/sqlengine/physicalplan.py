@@ -39,11 +39,12 @@ The compiler also wires in **pipeline fusion**:
   order is computed on the pre-join left side (cached-index aware) and
   expanded through the join's monotone left-row indices, so the joined
   group-key column is never materialised or sorted at output size; and
-* **join-chain fusion** — a pipeline of two or more joins (``chain``)
+* **join-chain fusion** — every join pipeline, of one join or many,
   streams through composed row-index maps: a join feeding another join's
   build side never materialises its output, and each downstream-consumed
   column is gathered exactly once across the whole chain (see
-  ``_JoinChain`` in the executor).  LEFT OUTER JOINs take part like any
+  ``_JoinChain`` in the executor, the only join runner).  LEFT OUTER JOINs
+  take part like any
   other step — their null-extended rows travel as validity markers in the
   composed maps — so the fused DISTINCT final applies to the last join in
   execution order, outer or inner (the fused GROUP BY final needs an inner
@@ -197,7 +198,7 @@ class JoinStepPlan:
 class LeftJoinPlan:
     """A LEFT OUTER JOIN appended after the inner pipeline.
 
-    Shares the join-step surface the executor's chain/fused runners read
+    Shares the join-step surface the executor's one step routine reads
     (``binding``, key names, gather lists, output wiring, ``kernel``
     telemetry) so an outer join can occupy any chain position — including
     the fused final — without special-casing; ``cartesian`` is a constant
@@ -246,7 +247,7 @@ class FusedGroupPlan:
     the join's monotone left-row indices, so the joined group-key column is
     never materialised and never sorted at output size.  A key on the
     final join's right (build) binding, or a left-outer final, keeps the
-    staged aggregation over the chain's materialised frame.
+    unfused aggregation over the chain's materialised frame.
     """
 
     key_quals: list[str]  # qualified group keys, one per GROUP BY expr
@@ -261,11 +262,11 @@ class FusedGroupPlan:
 class CorePlan:
     """The compiled pipeline of one SELECT core.
 
-    ``chain`` marks a join pipeline of two or more joins (inner steps plus
-    left outer joins): the executor streams it
-    through composed row-index maps (a join feeding another join's build
-    side never materialises the intermediate — every downstream-consumed
-    column is gathered exactly once, across the whole chain).
+    The executor streams the joins (inner ``steps``, then ``left_joins``)
+    through composed row-index maps: a join feeding another join's build
+    side never materialises the intermediate, and every
+    downstream-consumed column is gathered exactly once, across the whole
+    chain.
     """
 
     core: SelectCore
@@ -279,7 +280,6 @@ class CorePlan:
     out_distribution: Optional[str]
     fused: Optional[FusedDistinctPlan]
     fused_group: Optional[FusedGroupPlan] = None
-    chain: bool = False
     #: The pipeline's final join in execution order (left joins run after
     #: every inner step) — the operator a fused final fuses.  Compiled
     #: here so the executor and the compiler can never disagree on it.
@@ -586,11 +586,9 @@ class _Compiler:
                 core, final_join, all_bindings, residual
             )
 
-        n_joins = len(steps) + len(left_plans)
         return CorePlan(core, scans, steps, left_plans, residual,
                         is_aggregate, out_names, display, out_distribution,
-                        fused, fused_group, chain=n_joins >= 2,
-                        final_join=final_join)
+                        fused, fused_group, final_join=final_join)
 
     # -- inner / left join steps -----------------------------------------
 
@@ -880,8 +878,8 @@ class _Compiler:
     ) -> Optional[FusedGroupPlan]:
         """Compile the fused join->GROUP BY shape, or ``None`` if the core
         falls outside it (a left-outer final, a key on the final right
-        binding, count(distinct), exotic refs — those keep the staged
-        pipeline, including its error reporting)."""
+        binding, count(distinct), exotic refs — those keep the unfused
+        aggregation, including its error reporting)."""
         if isinstance(last_step, LeftJoinPlan):
             return None
         right_binding = last_step.binding

@@ -280,7 +280,7 @@ def test_fused_group_by_matches_materialising_pipeline(query):
 RIGHT_KEY_GROUP_QUERIES = [
     # The key is produced by the final join itself, so the fused runner
     # (which groups the pre-join left side) does not apply: the chain
-    # materialises and the staged aggregation groups at output size.
+    # materialises and the unfused aggregation groups at output size.
     "select r2.v, count(*) c from graph2, reps as r2 "
     "where graph2.v2 = r2.v group by r2.v",
     "select r2.rep g, count(*) c, min(graph2.v1) m from graph2, reps as r2 "
@@ -294,7 +294,7 @@ RIGHT_KEY_GROUP_QUERIES = [
 @pytest.mark.parametrize("query", RIGHT_KEY_GROUP_QUERIES)
 def test_right_side_group_keys_fuse(query):
     """Right-side group keys are outside the fused GROUP BY shape: only
-    the join side fuses and the aggregation runs staged."""
+    the join streams and the aggregation runs unfused."""
     db = _two_table_db()
     db.execute(query)
     assert db.stats.fused_group_pipelines == 0
@@ -346,7 +346,7 @@ def test_fused_group_by_empty_sides():
 
 def test_fused_group_by_uses_left_side_index(db):
     """The fused path recovers the left scan's index-cache provenance that
-    the staged pipeline loses when it materialises the join."""
+    a materialised join output no longer has."""
     rng = np.random.default_rng(9)
     n = 3000
     db.load_table("e", {"v1": rng.integers(0, 2 ** 61, n),
@@ -544,9 +544,9 @@ def test_hash_distinct_serves_plain_sparse_pairs():
 
 
 # ---------------------------------------------------------------------------
-# join-chain fusion: a join feeding another join's build side streams
-# through composed row-index maps — the rows sqlite produces, and
-# byte-for-byte the motion of the staged single-join runner
+# the join chain: every join — one or many — streams through composed
+# row-index maps; the rows are sqlite's, and the chain's virtual size is
+# byte for byte the size of the frame it would gather
 # ---------------------------------------------------------------------------
 
 
@@ -595,48 +595,51 @@ CHAIN_QUERIES = [
 ]
 
 
+# One join runs on the chain like any other pipeline; only the fusion
+# counters tell it apart (they count chains of >= 2 joins).
+SINGLE_JOIN_QUERIES = [
+    "select e.w, rv.rep from e, r as rv where e.v1 = rv.v",
+    # LEFT JOIN: all matched in the default database, none under
+    # ``middle_empty``, every row padded under ``empty_build``.
+    "select e.w, lj.rep from e left join r as lj on (e.v1 = lj.v)",
+    # No equality edge: the cartesian arm of the step routine.
+    "select e.v1, s.rep from e, r as s where e.w = 8 and s.v < 5",
+]
+
+# Over ``en`` (``null_keys=True``), whose ``v1`` holds NULLs: they never
+# match, and only a LEFT JOIN keeps their rows, null-extended.  The last
+# query of each list is a single join.
+NULL_KEY_CHAIN_QUERIES = [
+    "select en.v2, rv.rep, rw.rep from en, r as rv, r as rw "
+    "where en.v1 = rv.v and en.v2 = rw.v",
+    "select en.v2, rv.rep from en, r as rv where en.v1 = rv.v",
+]
+NULL_KEY_LEFT_CHAIN_QUERIES = [
+    "select en.v2, rv.rep, lj.rep from en join r as rv "
+    "on (en.v2 = rv.v) left join r as lj on (en.v1 = lj.v)",
+    # All-NULL probe key column via an always-NULL left-join chain.
+    "select en.v1, a.rep, b.rep from en left join r as a "
+    "on (en.v1 = a.v) left join r as b on (en.v1 = b.v)",
+    "select en.v1, lj.rep from en left join r as lj on (en.v1 = lj.v)",
+]
+
+_ONE_JOIN = {*SINGLE_JOIN_QUERIES, NULL_KEY_CHAIN_QUERIES[-1],
+             NULL_KEY_LEFT_CHAIN_QUERIES[-1]}
+
+
 def _assert_chain_matches(query, db):
-    """The teed ``db`` streams ``query`` as a chain, and sqlite agrees."""
+    """sqlite agrees with the teed ``db`` on ``query``, and the chain
+    counter moved exactly when the pipeline has two or more joins."""
     db.execute(query)
-    assert db.stats.join_chain_fusions > 0
+    assert (db.stats.join_chain_fusions > 0) == (query not in _ONE_JOIN)
 
 
-@pytest.mark.parametrize("query", CHAIN_QUERIES)
-def test_join_chain_matches_staged_pipeline(query):
+@pytest.mark.parametrize("query", CHAIN_QUERIES + SINGLE_JOIN_QUERIES)
+def test_join_chain_matches_sqlite(query):
     _assert_chain_matches(query, _chain_db())
 
 
-@pytest.mark.parametrize("query", CHAIN_QUERIES)
-def test_join_chain_charges_staged_motion(query, monkeypatch):
-    """The chain's virtual frames charge byte-for-byte the motion the
-    staged (equally pruned) single-join runner charges.
-
-    The chained execution runs *before* the no-chain patch lands (the
-    patch is class-level), and the engagement counters prove each side
-    took its intended path.
-    """
-    from repro.sqlengine import physicalplan
-
-    chained_db = _chain_db()
-    chained = chained_db.execute(query)
-    original = physicalplan._Compiler.compile_core
-
-    def compile_without_chain(self, core):
-        plan = original(self, core)
-        plan.chain = False
-        return plan
-
-    monkeypatch.setattr(physicalplan._Compiler, "compile_core",
-                        compile_without_chain)
-    staged_db = _chain_db()
-    staged = staged_db.execute(query)
-    assert chained.rows() == staged.rows()
-    assert chained_db.stats.join_chain_fusions > 0
-    assert staged_db.stats.join_chain_fusions == 0
-    assert chained_db.stats.motion_bytes == staged_db.stats.motion_bytes
-
-
-@pytest.mark.parametrize("query", CHAIN_QUERIES)
+@pytest.mark.parametrize("query", CHAIN_QUERIES + SINGLE_JOIN_QUERIES)
 def test_join_chain_with_empty_build_side(query):
     """A chain over an empty build side collapses every downstream step to
     zero rows without a kernel error."""
@@ -645,7 +648,7 @@ def test_join_chain_with_empty_build_side(query):
     assert db.execute(CHAIN_QUERIES[0]).rowcount == 0
 
 
-@pytest.mark.parametrize("query", CHAIN_QUERIES)
+@pytest.mark.parametrize("query", CHAIN_QUERIES + SINGLE_JOIN_QUERIES)
 def test_join_chain_with_zero_row_middle_join(query):
     """The middle join of the chain matches nothing: every later map is
     empty and the output is the empty relation."""
@@ -658,10 +661,9 @@ def test_join_chain_with_all_null_keys():
     """NULL join keys never match (SQL semantics); a chain whose first
     edge runs over a NULL-bearing column must drop exactly the rows sqlite
     drops."""
-    query = ("select en.v2, rv.rep, rw.rep from en, r as rv, r as rw "
-             "where en.v1 = rv.v and en.v2 = rw.v")
-    db = _chain_db(null_keys=True)
-    _assert_chain_matches(query, db)
+    for query in NULL_KEY_CHAIN_QUERIES:
+        db = _chain_db(null_keys=True)
+        _assert_chain_matches(query, db)
     # All-NULL key column: zero output rows, no kernel error.
     all_null = ("select rv.rep from en, r as rv where en.v1 = rv.v "
                 "and en.v1 != en.v1")
@@ -719,11 +721,11 @@ LEFT_CHAIN_QUERIES = [
 
 def _assert_left_chain_matches(query, db):
     _assert_chain_matches(query, db)
-    assert db.stats.left_chain_fusions > 0
+    assert (db.stats.left_chain_fusions > 0) == (query not in _ONE_JOIN)
 
 
 @pytest.mark.parametrize("query", LEFT_CHAIN_QUERIES)
-def test_left_join_chain_matches_staged_pipeline(query):
+def test_left_join_chain_matches_sqlite(query):
     _assert_left_chain_matches(query, _chain_db())
 
 
@@ -739,40 +741,8 @@ def test_left_join_chain_with_all_null_probe_keys():
     """NULL probe keys never match (SQL semantics) but — unlike an inner
     join — their rows survive null-extended; the chain must carry the
     NULLs sqlite pads through both outer joins."""
-    queries = [
-        "select en.v2, rv.rep, lj.rep from en join r as rv "
-        "on (en.v2 = rv.v) left join r as lj on (en.v1 = lj.v)",
-        # All-NULL probe key column via an always-NULL left-join chain.
-        "select en.v1, a.rep, b.rep from en left join r as a "
-        "on (en.v1 = a.v) left join r as b on (en.v1 = b.v)",
-    ]
-    for query in queries:
+    for query in NULL_KEY_LEFT_CHAIN_QUERIES:
         _assert_left_chain_matches(query, _chain_db(null_keys=True))
-
-
-def test_left_join_chain_motion_matches_staged(monkeypatch):
-    """The chain's virtual frames charge byte-for-byte the motion the
-    staged pipeline charges, null-extension masks included."""
-    from repro.sqlengine import physicalplan
-
-    query = LEFT_CHAIN_QUERIES[1]
-    chained_db = _chain_db()
-    chained = chained_db.execute(query)
-    original = physicalplan._Compiler.compile_core
-
-    def compile_without_chain(self, core):
-        plan = original(self, core)
-        plan.chain = False
-        return plan
-
-    monkeypatch.setattr(physicalplan._Compiler, "compile_core",
-                        compile_without_chain)
-    staged_db = _chain_db()
-    staged = staged_db.execute(query)
-    assert chained.rows() == staged.rows()
-    assert chained_db.stats.left_chain_fusions > 0
-    assert staged_db.stats.left_chain_fusions == 0
-    assert chained_db.stats.motion_bytes == staged_db.stats.motion_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +784,7 @@ TEXT_CHAIN_QUERIES = [
 # ---------------------------------------------------------------------------
 # GROUP BY through outer padding: group keys on the padded (right) binding
 # of a left-outer final join — padded rows form NULL-key groups.  The join
-# chain streams; the aggregation is the staged one.
+# chain streams; the aggregation is the unfused one.
 # ---------------------------------------------------------------------------
 
 
@@ -845,7 +815,7 @@ def _assert_outer_group_matches(query, db):
 
 
 @pytest.mark.parametrize("query", OUTER_GROUP_QUERIES)
-def test_outer_padded_group_keys_match_staged_pipeline(query):
+def test_outer_padded_group_keys_match_sqlite(query):
     _assert_outer_group_matches(query, _chain_db())
 
 
@@ -880,27 +850,47 @@ def test_outer_padded_group_aggregates_see_padded_nulls():
     assert rows[None] == (3, 0)  # the padded NULL-key group
 
 
-@pytest.mark.parametrize("query", TEXT_CHAIN_QUERIES)
-def test_text_column_chain_motion_is_exact(query, monkeypatch):
-    """The chain and the staged runner must charge identical motion bytes
-    for text columns: the chain gathers exact per-row byte lengths through
-    its composed maps instead of estimating by mean row width."""
-    from repro.sqlengine import physicalplan
+# ---------------------------------------------------------------------------
+# chain motion accounting: a join input is charged at ``chain.byte_size()``,
+# which must be the byte size of the frame really gathered at that point —
+# null-extension masks, all-NULL padding and exact text widths included
+# ---------------------------------------------------------------------------
 
-    chained_db = _text_chain_db()
-    chained = chained_db.execute(query)
-    original = physicalplan._Compiler.compile_core
 
-    def compile_without_chain(self, core):
-        plan = original(self, core)
-        plan.chain = False
-        return plan
+_PLAIN_QUERIES = CHAIN_QUERIES + LEFT_CHAIN_QUERIES + SINGLE_JOIN_QUERIES
+_BYTE_SIZE_DBS = {
+    "plain": _chain_db,
+    "empty_build": lambda: _chain_db(empty_build=True),
+    "null_keys": lambda: _chain_db(null_keys=True),
+    "text": _text_chain_db,
+}
+BYTE_SIZE_CASES = (
+    [("plain", q) for q in _PLAIN_QUERIES]
+    + [("empty_build", q) for q in _PLAIN_QUERIES]
+    + [("null_keys", q)
+       for q in NULL_KEY_CHAIN_QUERIES + NULL_KEY_LEFT_CHAIN_QUERIES]
+    + [("text", q) for q in TEXT_CHAIN_QUERIES]
+)
 
-    monkeypatch.setattr(physicalplan._Compiler, "compile_core",
-                        compile_without_chain)
-    staged_db = _text_chain_db()
-    staged = staged_db.execute(query)
-    assert chained.rows() == staged.rows()
-    assert chained_db.stats.join_chain_fusions > 0
-    assert staged_db.stats.join_chain_fusions == 0
-    assert chained_db.stats.motion_bytes == staged_db.stats.motion_bytes
+
+@pytest.mark.parametrize("database, query", BYTE_SIZE_CASES)
+def test_chain_byte_size_is_the_gathered_frames(database, query,
+                                                monkeypatch):
+    """After every applied join — intermediate and fused-final alike — the
+    chain's virtual ``byte_size()`` equals the size of the frame it
+    materialises there: text columns at exact per-row byte lengths through
+    the composed maps, not a mean row width."""
+    from repro.sqlengine.executor import _JoinChain
+
+    apply = _JoinChain.apply
+    sizes = []
+
+    def checked_apply(chain, l_idx, r_idx, right, step, outer=False):
+        apply(chain, l_idx, r_idx, right, step, outer)
+        sizes.append((chain.byte_size(),
+                      chain.materialise(step).byte_size()))
+
+    monkeypatch.setattr(_JoinChain, "apply", checked_apply)
+    _BYTE_SIZE_DBS[database]().execute(query)
+    assert sizes  # at least one join ran on the chain
+    assert all(virtual == gathered for virtual, gathered in sizes)

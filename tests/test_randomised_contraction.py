@@ -299,6 +299,45 @@ def test_one_worker_database_is_serial_with_the_default_labels(
         assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("variant", ["fast", "deterministic-space"])
+def test_run_leaves_nothing_to_the_cycle_collector(variant):
+    """Nothing the engine builds for a statement may sit in a reference
+    cycle.  A join chain's edge-length row maps — and through its frames
+    the tables, columns and indexes of tables the driver has already
+    dropped — must be freed by reference count, not whenever the cyclic
+    collector next runs, which a numpy loop almost never triggers."""
+    import gc
+
+    from repro.graphs import gnm_random_graph
+    from repro.sqlengine.executor import Frame, _JoinChain
+    from repro.sqlengine.operators import KeyIndex
+    from repro.sqlengine.table import Table
+    from repro.sqlengine.types import Column
+
+    edges = gnm_random_graph(400, 700, np.random.default_rng(21))
+    algorithm = RandomisedContraction(variant=variant)
+    with Database() as db:
+        load_edges_into(db, "edges", edges)
+        algorithm.run(db, "edges", seed=4)  # warm-up: plans and caches
+        gc.collect()
+        flags = gc.get_debug()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # unreachable objects -> gc.garbage
+        try:
+            algorithm.run(db, "edges", seed=4)
+            gc.collect()
+            leaked = sorted(
+                type(obj).__name__ for obj in gc.garbage
+                if isinstance(obj, (_JoinChain, Frame, Table, Column,
+                                    KeyIndex))
+            )
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            gc.enable()
+    assert leaked == []
+
+
 def test_fast_variant_composition_chain_overlaps():
     """The fast variant's back-to-front composition is a strict dependency
     chain (each create reads the table the previous one wrote), so it runs

@@ -37,7 +37,7 @@ def test_spark_join_group_by_matches_mpp_above_task_threshold():
          "from t, u where t.k = u.k group by t.g")
     assert sorted(mpp.execute(q).rows()) == sorted(spark.execute(q).rows())
     assert mpp.stats.fused_group_pipelines == 1
-    assert spark.stats.fused_group_pipelines == 0  # staged fallback
+    assert spark.stats.fused_group_pipelines == 0  # unfused fallback
 
 
 def test_same_sql_same_answers():
