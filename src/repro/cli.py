@@ -190,7 +190,6 @@ def render_engine_stats(stats) -> str:
         f"  index cache        : {stats.index_cache_hits} hits / "
         f"{stats.index_cache_misses} misses",
         f"  fused pipelines    : {stats.fused_pipelines} DISTINCT / "
-        f"{stats.fused_group_pipelines} GROUP BY / "
         f"{stats.join_chain_fusions} join chains "
         f"({stats.left_chain_fusions} with outer joins)",
         f"  hash DISTINCTs     : {stats.hash_distincts}",

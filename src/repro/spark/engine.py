@@ -59,11 +59,6 @@ def _partition_ids(key: Column, n_tasks: int) -> np.ndarray:
 class SparkExecutor(Executor):
     """Executor with shuffle-everything, per-task kernel execution."""
 
-    #: The partitioned join concatenates per-task outputs partition-major,
-    #: so its left-row indices are not ascending — the fused join->GROUP BY
-    #: expansion cannot run on it and falls back to the unfused aggregation.
-    monotone_join_output = False
-
     #: Every keyed operator runs task by task through the kernels below: no
     #: dictionary-encoded columns (their DISTINCT and joins are whole-column
     #: kernels) and no direct-address GROUP BY.

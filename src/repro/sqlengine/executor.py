@@ -32,9 +32,7 @@ once over every probe row — or, when the executor's
 keys are one NULL-free integer column per side and there are at least
 ``PARALLEL_MIN_ROWS`` probe rows, the pool's segment count — the same
 kernel over that many contiguous chunks (see
-:mod:`repro.sqlengine.parallel`), with bit-identical output.  Large
-single-key aggregations likewise run partial-then-final over the pool's
-hash partitions, through the reducer the serial GROUP BY calls.  The
+:mod:`repro.sqlengine.parallel`), with bit-identical output.  The
 executor is backend-transparent: a
 :class:`~repro.sqlengine.mpp.ProcessSegmentPool` runs the very same
 kernels in worker processes over shared-memory column buffers — same
@@ -46,12 +44,14 @@ Every join runs through one runner, the **join chain** (see
 materialises its output — the executor keeps per-binding row-index maps,
 composes them through each join's output indices, and gathers every
 downstream-consumed column exactly once, whether it is the next join's
-key, a fused DISTINCT/GROUP BY input, or part of the chain-final frame.
+key or part of the chain-final frame.
 A single join is the chain at length one.
 LEFT OUTER JOINs stream inside the chain too: their null-extended probe
 rows ride the composed maps as ``NO_MATCH`` validity markers that only
 materialisation resolves into null masks, so an outer join can sit in any
-chain position — including the fused final.
+chain position.  DISTINCT, projection and GROUP BY all read the one frame
+the chain materialises; :meth:`Executor._aggregate` is the only GROUP BY
+runner.
 
 The executor also decides **which columns are dictionary-encoded** (the
 second physical form of :class:`~repro.sqlengine.types.Column`), and it is
@@ -97,19 +97,24 @@ from .ast_nodes import (
     Aggregate,
     AlterRename,
     BinaryOp,
+    CaseWhen,
     ColumnRef,
     CreateTable,
     CreateTableAs,
     DropTable,
     Expression,
+    FuncCall,
+    InList,
     InsertSelect,
     InsertValues,
+    IsNull,
     Select,
     SelectCore,
     SelectItem,
     Star,
     Statement,
     TruncateTable,
+    UnaryOp,
 )
 from .errors import CatalogError, ExecutionError, PlanError
 from .expressions import (
@@ -132,13 +137,7 @@ from .operators import (
     pad_left_outer,
     plan_join,
 )
-from .parallel import (
-    PARALLEL_MIN_ROWS,
-    AggregateSpec,
-    _reduce_slice,
-    parallel_group_aggregate,
-    run_join,
-)
+from .parallel import PARALLEL_MIN_ROWS, AggregateSpec, _reduce_slice, run_join
 from .physicalplan import (
     CorePlan,
     JoinStepPlan,
@@ -301,11 +300,9 @@ class _JoinChain:
     Rather than materialise every join step's output — gathering each
     surviving column of both inputs at every step — the chain keeps only
     a per-binding *row-index map* into the base frames and
-    composes it through each join's output indices (``map ∘ l_idx``, the
-    same monotone-index composition :class:`FusedGroupPlan` exploits).  A
+    composes it through each join's output indices (``map ∘ l_idx``).  A
     column is gathered exactly once, when something downstream finally
-    consumes it: the next join's key, a fused projection, an aggregate
-    argument, or the chain-final materialisation.
+    consumes it: the next join's key or the chain-final materialisation.
 
     LEFT OUTER JOINs stream through the chain too: a binding that entered
     via an outer join carries ``NO_MATCH`` entries in its row map (one per
@@ -478,14 +475,6 @@ class _JoinChain:
 
 class Executor:
     """Executes parsed statements against a catalog."""
-
-    #: Contract of this executor's join kernels: output rows are grouped by
-    #: left row, ascending.  The fused join->GROUP BY expansion
-    #: (:func:`_expand_group_order`) relies on it; executors whose kernels
-    #: break it — the Spark model's partition-major concatenation — must
-    #: set this False so the shape falls back to the unfused aggregation
-    #: over the chain's materialised frame.
-    monotone_join_output = True
 
     #: Two whole-column shortcuts sit beside the overridable kernels below
     #: rather than behind them: expanding build-side gathers leave
@@ -837,46 +826,27 @@ class Executor:
         return Relation(list(first.names), columns, None,
                         display_names=list(first.display_names))
 
-    def _fuse_group(self, plan: CorePlan) -> bool:
-        return plan.fused_group is not None and self.monotone_join_output
-
     def _run_core(self, plan: CorePlan) -> Relation:
         core = plan.core
-        if plan.fused is not None:
-            return self._run_fused_distinct(plan)
-        if self._fuse_group(plan):
-            relation = self._run_fused_group(plan)
-            if core.distinct:
-                relation = self._distinct(relation)
-            return relation
         frame = self._execute_from(plan)
         if plan.is_aggregate:
             relation = self._aggregate(core, frame)
         else:
             relation = self._project(core, frame)
+        if plan.fused:
+            self.stats.bump("fused_pipelines")
         if core.distinct:
             relation = self._distinct(relation)
         return relation
 
     # -- plan execution: scans, joins, filters -----------------------------
 
-    def _final_right_frame(self, plan: CorePlan, frames: dict) -> Frame:
-        """Build-side frame of the final join a fused runner finishes."""
-        final = plan.final_join
-        if isinstance(final, LeftJoinPlan):
-            return self._scan_frame(final.scan)
-        return frames[final.binding]
-
-    def _execute_from(self, plan: CorePlan):
-        """Run a core's scan/join pipeline.
-
-        Returns the joined (and residual-filtered) :class:`Frame` — or, for
-        a fused-final plan, the ``(chain, right_frame)`` pair the fused
-        runner finishes: the accumulated left side as a :class:`_JoinChain`
-        and the final join's build-side frame.  Every join — inner, left
-        outer or cartesian, one or many — streams through the chain's
-        composed row maps; the chain materialises once, after the last.
-        """
+    def _execute_from(self, plan: CorePlan) -> Frame:
+        """Run a core's scan/join pipeline and return the joined,
+        residual-filtered :class:`Frame`.  Every join — inner, left outer
+        or cartesian, one or many — streams through one
+        :class:`_JoinChain`'s composed row maps; the chain materialises
+        once, after the last, only the columns the core reads above it."""
         if not plan.scans:
             # SELECT without FROM: one anonymous row.
             return Frame({}, {}, 1, frozenset())
@@ -890,25 +860,19 @@ class Executor:
                 )
         current = frames[plan.scans[0].binding]
         if plan.final_join is not None:
-            fuse_final = plan.fused is not None or self._fuse_group(plan)
-            steps = list(plan.steps)
-            left_joins = list(plan.left_joins)
-            if fuse_final:
-                # The compiled final join is run by the fused runner, not
-                # here.
-                if isinstance(plan.final_join, LeftJoinPlan):
-                    left_joins = left_joins[:-1]
-                else:
-                    steps = steps[:-1]
             chain = _JoinChain(current, self.whole_column_shortcuts)
-            for step in steps:
+            for step in plan.steps:
                 self._join_step(chain, frames[step.binding], step)
-            for left_join in left_joins:
+            for left_join in plan.left_joins:
                 self._join_step(chain, self._scan_frame(left_join.scan),
                                 left_join, outer=True)
-            if fuse_final:
-                return chain, self._final_right_frame(plan, frames)
-            self._finish_chain(chain)
+            if chain.n_joins >= 2:
+                # Telemetry: joins streamed without materialising any
+                # intermediate output (outer joins riding inside count
+                # separately).
+                self.stats.bump("join_chain_fusions")
+                if chain.n_outer:
+                    self.stats.bump("left_chain_fusions")
             current = chain.materialise(plan.final_join)
         if plan.residual:
             current = self._apply_filters(current, plan.residual)
@@ -917,11 +881,11 @@ class Executor:
     def _join_step(
         self, chain: _JoinChain, right: Frame,
         step: JoinStepPlan | LeftJoinPlan, outer: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> None:
         """Run one join step — equi-join (``outer``: LEFT JOIN, whose
         unmatched probe rows surface as ``NO_MATCH`` right indices) or
         cartesian product — against the chain and fold its output index
-        pair, which is also returned, into the composed row maps."""
+        pair into the composed row maps."""
         if step.cartesian:
             total = chain.length * right.length
             if total > MAX_CARTESIAN_ROWS:
@@ -957,16 +921,6 @@ class Executor:
             if note:
                 step.kernel = note[-1]
         chain.apply(l_idx, r_idx, right, step, outer)
-        return l_idx, r_idx
-
-    def _finish_chain(self, chain: _JoinChain) -> None:
-        """Telemetry: a chain of >= 2 joins streamed without materialising
-        any intermediate join output (outer joins riding inside count
-        separately)."""
-        if chain.n_joins >= 2:
-            self.stats.bump("join_chain_fusions")
-            if chain.n_outer:
-                self.stats.bump("left_chain_fusions")
 
     def _scan_frame(self, scan: ScanPlan) -> Frame:
         binding = scan.binding
@@ -1034,179 +988,6 @@ class Executor:
         self._charge_motion(frame.byte_size(), frame.length,
                             bool(frame.distribution & set(key_names)))
 
-    # -- fused join -> DISTINCT --------------------------------------------
-
-    def _residual_keep(
-        self,
-        columns: dict[str, Column],
-        n_rows: int,
-        bare_names: dict[str, str],
-        residual: list[Expression],
-    ) -> Optional[np.ndarray]:
-        """Evaluate residual predicates over gathered fused columns.
-
-        Returns the keep mask, or ``None`` when every row survives (or
-        there is nothing to evaluate) — shared by both fused runners so
-        their residual semantics can never diverge.
-        """
-        if not residual:
-            return None
-        env_map: dict[str, Column] = dict(columns)
-        for bare, qualified in bare_names.items():
-            env_map[bare] = columns[qualified]
-        env = Environment(env_map, n_rows, self.registry)
-        keep = np.ones(n_rows, dtype=bool)
-        for predicate in residual:
-            keep &= truth_values(evaluate(predicate, env))
-        return None if keep.all() else keep
-
-    def _apply_final_join(
-        self, chain: _JoinChain, right: Frame, plan: CorePlan
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Run the fused final join — inner or left outer — and fold it
-        into the chain; returns the kernel's output index pair."""
-        final = plan.final_join
-        return self._join_step(chain, right, final,
-                               isinstance(final, LeftJoinPlan))
-
-    def _run_fused_distinct(self, plan: CorePlan) -> Relation:
-        """Run a compiled fused pipeline: final join, residual filter,
-        projection and DISTINCT in one pass over only the needed columns.
-        The accumulated left side arrives as a :class:`_JoinChain`, so each
-        gathered column is materialised once, through the composed maps."""
-        chain, right = self._execute_from(plan)
-        fused = plan.fused
-        self._apply_final_join(chain, right, plan)
-        self._finish_chain(chain)
-        columns = {
-            name: chain.column(name)
-            for name in list(fused.left_gather) + list(fused.right_gather)
-        }
-        n_rows = chain.length
-        keep = self._residual_keep(columns, n_rows, fused.bare_names,
-                                   plan.residual)
-        if keep is not None:
-            columns = {
-                name: col.filter(keep) for name, col in columns.items()
-            }
-        out_columns = {
-            key: columns[qualified]
-            for key, qualified in zip(fused.out_keys, fused.out_quals)
-        }
-        self.stats.bump("fused_pipelines")
-        relation = Relation(list(fused.out_keys), out_columns,
-                            fused.out_distribution,
-                            display_names=list(fused.display))
-        # DISTINCT with the motion accounting the unfused pipeline pays.
-        return self._distinct(relation)
-
-    # -- fused join -> GROUP BY --------------------------------------------
-
-    def _run_fused_group(self, plan: CorePlan) -> Relation:
-        """Run a compiled fused join->GROUP BY: final join, residual filter
-        and aggregation in one pass over the probe stream.
-
-        Only aggregate arguments and residual inputs are gathered at join
-        output size.  The grouping order comes from grouping the *pre-join*
-        left side (which can use a stored table's cached index —
-        provenance a materialised join output no longer has) and expanding
-        it through the join's monotone left-row indices, so no full frame
-        ever materialises.  The final join is an
-        inner step and every key lives on its left side (the compiler
-        leaves the other shapes to the unfused aggregation).
-        """
-        core = plan.core
-        fused = plan.fused_group
-        chain, right = self._execute_from(plan)
-        # Pre-join left state: the grouping runs on it and expands through
-        # the join's monotone left indices, so capture it before the final
-        # join folds into the chain.
-        key_columns = [chain.column(name) for name in fused.key_quals]
-        group_index = None
-        if len(fused.key_quals) == 1:
-            group_index = self._stored_index(chain, fused.key_quals[0],
-                                             build=True)
-        n_left = chain.length
-        l_idx, _ = self._apply_final_join(chain, right, plan)
-        self._finish_chain(chain)
-        columns = {
-            name: chain.column(name)
-            for name in list(fused.left_gather) + list(fused.right_gather)
-        }
-        n_rows = chain.length
-
-        def row_env() -> Environment:
-            env_map: dict[str, Column] = dict(columns)
-            for bare, qualified in fused.bare_names.items():
-                env_map[bare] = columns[qualified]
-            return Environment(env_map, n_rows, self.registry)
-
-        keep = self._residual_keep(columns, n_rows, fused.bare_names,
-                                   plan.residual)
-        if keep is not None:
-            columns = {
-                name: col.filter(keep) for name, col in columns.items()
-            }
-            l_idx = l_idx[keep]
-            n_rows = int(keep.sum())
-
-        # Group the left side once (cached-index aware), then expand
-        # through the monotone left-row indices of the join output.
-        left_order, left_starts = self._group_kernel(key_columns,
-                                                     index=group_index)
-        order, starts = _expand_group_order(left_order, left_starts,
-                                            l_idx, n_left)
-        n_groups = int(starts.shape[0])
-        counts = np.diff(np.append(starts, order.shape[0]))
-
-        # Motion: the same charge the unfused aggregation pays to co-locate its
-        # materialised frame by group key (gathered columns plus the key
-        # columns the fusion never gathers).
-        frame_bytes = sum(col.byte_size() for col in columns.values())
-        for column in key_columns:
-            width = column.byte_size() // len(column) if len(column) else 8
-            frame_bytes += width * n_rows
-        self._charge_motion(frame_bytes, n_rows, fused.colocated)
-
-        env = row_env()
-        aggregates: list[Aggregate] = []
-        for item in core.items:
-            collect_aggregates(item.expr, aggregates)
-        agg_results: dict[Aggregate, Column] = {}
-        for node in aggregates:
-            agg_results[node] = self._compute_aggregate(
-                node, env, None, order, starts, counts, n_groups,
-            )
-
-        group_refs = list(core.group_by)
-        if n_groups == 0:
-            first_rows = np.empty(0, dtype=np.int64)
-        else:
-            first_rows = l_idx[order[starts]]
-        group_env_columns: dict[str, Column] = {}
-        for qualified, bare, column in zip(fused.key_quals, fused.key_bares,
-                                           key_columns):
-            grouped = column.take(first_rows)
-            group_env_columns[qualified] = grouped
-            group_env_columns.setdefault(bare, grouped)
-        group_env = Environment(group_env_columns, n_groups, self.registry,
-                                aggregates=agg_results)
-        names: list[str] = []
-        display: list[str] = []
-        out_columns: dict[str, Column] = {}
-        for position, item in enumerate(core.items):
-            if isinstance(item.expr, Star):
-                raise PlanError("'*' cannot be combined with GROUP BY")
-            name = self._output_name(item, position)
-            key = name if name not in out_columns else f"{name}__{position + 1}"
-            self._check_grouped_refs(item.expr, group_refs)
-            out_columns[key] = evaluate(item.expr, group_env)
-            names.append(key)
-            display.append(name)
-        self.stats.bump("fused_group_pipelines")
-        return Relation(names, out_columns, plan.out_distribution,
-                        display_names=display)
-
     # -- projection / aggregation / distinct -------------------------------
 
     def _output_name(self, item: SelectItem, position: int) -> str:
@@ -1253,59 +1034,12 @@ class Executor:
                 break
         return Relation(names, columns, distribution, display_names=display)
 
-    def _parallel_aggregate(
-        self,
-        key_columns: list[Column],
-        aggregates: list[Aggregate],
-        env: Environment,
-        frame: Frame,
-    ) -> Optional[tuple[Column, dict, int]]:
-        """Partial-then-final aggregation over segment partitions.
-
-        Returns (grouped key column, per-node results, group count), or
-        ``None`` when the shape is outside the parallel kernel (which then
-        runs the classic path — including its error reporting)."""
-        pool = self.pool
-        if pool.n_workers <= 1:
-            return None
-        if len(key_columns) != 1 or frame.length < PARALLEL_MIN_ROWS:
-            return None
-        key = key_columns[0]
-        if key.mask is not None or key.storage.dtype.kind != "i":
-            return None
-        specs: list[AggregateSpec] = []
-        for node in aggregates:
-            if node.distinct:
-                return None
-            if node.name == "count" and node.arg is None:
-                specs.append(AggregateSpec("count*"))
-                continue
-            if node.name not in ("count", "min", "max", "sum", "avg"):
-                return None
-            if node.arg is None:
-                return None
-            argument = evaluate(node.arg, env)
-            if node.name != "count" and argument.sql_type not in (
-                INT64, FLOAT64, BOOL
-            ):
-                return None
-            if argument.values.dtype == object:
-                return None
-            specs.append(AggregateSpec(node.name, argument.values,
-                                       argument.mask, argument.sql_type))
-        # Codes group exactly as their values do, in the same key order.
-        unique_keys, results = parallel_group_aggregate(
-            key.storage, specs, pool
-        )
-        self.stats.bump("parallel_partitions", pool.n_segments)
-        agg_results = {
-            node: _aggregate_column(spec, values, mask)
-            for node, spec, (values, mask) in zip(aggregates, specs, results)
-        }
-        grouped_key = key.with_storage(unique_keys)
-        return grouped_key, agg_results, int(unique_keys.shape[0])
-
     def _aggregate(self, core: SelectCore, frame: Frame) -> Relation:
+        """GROUP BY (or a global aggregate) over a frame: the one runner.
+        Dense keys nothing has sorted yet are reduced by direct addressing;
+        any other key is sorted — or found sorted by a cached index — and
+        both layouts feed the one reducer,
+        :func:`~repro.sqlengine.parallel._reduce_slice`."""
         env = Environment(frame.env_columns(), frame.length, self.registry)
         group_refs: list[ColumnRef] = []
         for expr in core.group_by:
@@ -1313,12 +1047,13 @@ class Executor:
                 raise PlanError("GROUP BY supports plain column references only")
             group_refs.append(expr)
         key_columns = [env.lookup(ref) for ref in group_refs]
+        key_names = [self._qualified(ref, frame) for ref in group_refs]
 
         aggregates: list[Aggregate] = []
         for item in core.items:
             collect_aggregates(item.expr, aggregates)
 
-        parallel = direct = None
+        direct = None
         presorted = False
         if key_columns:
             group_index = None
@@ -1326,19 +1061,10 @@ class Executor:
                 # A group key scanned straight off a stored table uses (and
                 # warms) the table's index cache: the sort performed here is
                 # the same one the round's joins need.
-                group_index = self._stored_index(
-                    frame, self._qualified(group_refs[0], frame), build=True
-                )
-            if group_index is None:
-                parallel = self._parallel_aggregate(
-                    key_columns, aggregates, env, frame
-                )
-            if parallel is None:
-                direct = self._direct_groups(key_columns, group_index,
-                                             aggregates)
-            if parallel is not None:
-                grouped_key, parallel_results, n_groups = parallel
-            elif direct is not None:
+                group_index = self._stored_index(frame, key_names[0],
+                                                 build=True)
+            direct = self._direct_groups(key_columns, group_index, aggregates)
+            if direct is not None:
                 order = starts = None
                 n_groups, counts = int(direct.present.shape[0]), direct.counts
             else:
@@ -1355,45 +1081,33 @@ class Executor:
                     self.stats.bump("group_sorts_skipped")
                 n_groups = int(starts.shape[0])
                 counts = np.diff(np.append(starts, order.shape[0]))
+            # Motion: grouping needs rows co-located by the group key.
+            self._charge_motion(frame.byte_size(), frame.length,
+                                bool(frame.distribution & set(key_names)))
         else:
             order = np.arange(frame.length)
             starts = np.zeros(1, dtype=np.int64)
             n_groups = 1
             counts = np.array([frame.length])
 
-        # Motion: grouping needs rows co-located by the group key.
-        if key_columns:
-            key_names = [self._qualified(ref, frame) for ref in group_refs]
-            self._charge_motion(frame.byte_size(), frame.length,
-                                bool(frame.distribution & set(key_names)))
-
-        agg_results: dict[Aggregate, Column] = {}
-        if parallel is not None:
-            agg_results = parallel_results
-        else:
-            for node in aggregates:
-                agg_results[node] = self._compute_aggregate(
-                    node, env, frame, order, starts, counts, n_groups,
-                    presorted, direct,
-                )
+        agg_results = {
+            node: self._compute_aggregate(node, env, order, starts, counts,
+                                          n_groups, presorted, direct)
+            for node in aggregates
+        }
 
         group_env_columns: dict[str, Column] = {}
-        if direct is not None:
-            # The occurring slots are the group keys, in the key column's
-            # own form.
-            grouped_key = key_columns[0].with_storage(
-                direct.present + direct.low)
-        if parallel is not None or direct is not None:
-            for ref in group_refs:
-                qualified = self._qualified(ref, frame)
-                group_env_columns[qualified] = grouped_key
-                group_env_columns.setdefault(ref.name, grouped_key)
-        else:
-            for ref, column in zip(group_refs, key_columns):
-                grouped = column.take(order[starts]) if n_groups else column.take(starts)
-                qualified = self._qualified(ref, frame)
-                group_env_columns[qualified] = grouped
-                group_env_columns.setdefault(ref.name, grouped)
+        for ref, qualified, column in zip(group_refs, key_names, key_columns):
+            if direct is not None:
+                # The occurring slots are the group keys, in the key
+                # column's own form.
+                grouped = column.with_storage(direct.present + direct.low)
+            elif n_groups:
+                grouped = column.take(order[starts])
+            else:
+                grouped = column.take(starts)
+            group_env_columns[qualified] = grouped
+            group_env_columns.setdefault(ref.name, grouped)
         group_env = Environment(
             group_env_columns, n_groups, self.registry, aggregates=agg_results
         )
@@ -1415,9 +1129,8 @@ class Executor:
                 qualified_by_output[key] = self._qualified(item.expr, frame)
         distribution = None
         if key_columns:
-            first_key = self._qualified(group_refs[0], frame)
             for name, qualified in qualified_by_output.items():
-                if qualified == first_key:
+                if qualified == key_names[0]:
                     distribution = name
                     break
         return Relation(names, columns, distribution, display_names=display)
@@ -1448,9 +1161,8 @@ class Executor:
     def _check_grouped_refs(
         self, expr: Expression, group_refs: list[ColumnRef]
     ) -> None:
-        """Reject references to non-grouped columns outside aggregates."""
-        if isinstance(expr, Aggregate):
-            return
+        """Reject references to non-grouped columns outside aggregates,
+        through every node kind :func:`collect_aggregates` walks."""
         if isinstance(expr, ColumnRef):
             for ref in group_refs:
                 if ref.name == expr.name and (
@@ -1461,19 +1173,24 @@ class Executor:
                 f"column {expr.display()!r} must appear in GROUP BY or an aggregate"
             )
         if isinstance(expr, BinaryOp):
-            self._check_grouped_refs(expr.left, group_refs)
-            self._check_grouped_refs(expr.right, group_refs)
-        elif hasattr(expr, "operand"):
-            self._check_grouped_refs(expr.operand, group_refs)
-        elif hasattr(expr, "args"):
-            for arg in expr.args:
-                self._check_grouped_refs(arg, group_refs)
+            children = [expr.left, expr.right]
+        elif isinstance(expr, (UnaryOp, IsNull, InList)):
+            children = [expr.operand]
+        elif isinstance(expr, FuncCall):
+            children = list(expr.args)
+        elif isinstance(expr, CaseWhen):
+            children = [node for branch in expr.branches for node in branch]
+            if expr.default is not None:
+                children.append(expr.default)
+        else:  # an aggregate, a literal, a parameter
+            return
+        for child in children:
+            self._check_grouped_refs(child, group_refs)
 
     def _compute_aggregate(
         self,
         node: Aggregate,
         env: Environment,
-        frame: Frame,
         order: np.ndarray,
         starts: np.ndarray,
         counts: np.ndarray,
@@ -1505,7 +1222,7 @@ class Executor:
         spec = AggregateSpec(node.name, argument.values, argument.mask,
                              argument.sql_type)
         return _aggregate_column(spec, *_reduce_slice(
-            spec, None, None if presorted else order, starts, counts, direct))
+            spec, None if presorted else order, starts, counts, direct))
 
     def _count_distinct(
         self, argument: Column, order: np.ndarray, counts: np.ndarray,
@@ -1556,35 +1273,3 @@ def _aggregate_column(
     if spec.kind == "sum" and spec.sql_type == INT64:
         return Column(values, INT64, mask)
     return Column(values, FLOAT64, mask)  # float sum, avg
-
-
-def _expand_group_order(
-    left_order: np.ndarray,
-    left_starts: np.ndarray,
-    l_idx: np.ndarray,
-    n_left: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expand a left-side grouping through a join's monotone left indices.
-
-    Every join kernel emits output grouped by left row, ascending, so
-    ``l_idx`` is non-decreasing and each left row owns one contiguous slot
-    range of the output.  The left side's stable grouping
-    ``(left_order, left_starts)`` therefore expands to exactly the stable
-    grouping ``group_rows`` would compute over the gathered key columns:
-    visit left rows in left-grouping order and emit each row's slot range.
-    Left rows the join dropped contribute nothing; groups that lose every
-    row vanish, like keys that never reach a materialised join output.
-    """
-    total = int(l_idx.shape[0])
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    counts = np.bincount(l_idx, minlength=n_left).astype(np.int64, copy=False)
-    slot_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    cnt = counts[left_order]
-    offsets = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-    within = np.arange(total) - np.repeat(offsets, cnt)
-    order = np.repeat(slot_starts[left_order], cnt) + within
-    group_totals = np.add.reduceat(cnt, left_starts)
-    starts = np.concatenate(([0], np.cumsum(group_totals)[:-1]))
-    keep = group_totals > 0
-    return order, starts[keep]

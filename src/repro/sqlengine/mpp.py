@@ -54,21 +54,6 @@ def hash64(values: np.ndarray) -> np.ndarray:
     return x
 
 
-def segment_assignment(values: np.ndarray, n_parts: int) -> np.ndarray:
-    """Segment number of each row under splitmix64 hash distribution.
-
-    This is the same assignment :meth:`Cluster.segment_of` models for
-    tables; the segment-parallel kernels use it to split join/aggregation
-    work so that equal keys always land in the same partition.  The result
-    is as narrow as ``n_parts`` allows: every partition scans it for its
-    rows and a process pool copies it to shared memory, so its cost is
-    bytes per row (2M-row join, int64 -> uint8: 0.61 -> 0.59 s on threads,
-    0.80 -> 0.67 s on processes).
-    """
-    segments = hash64(values) % np.uint64(n_parts)
-    return segments.astype(np.min_scalar_type(n_parts - 1))
-
-
 class SegmentPool:
     """A worker pool executing per-segment kernel partitions.
 

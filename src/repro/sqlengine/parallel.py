@@ -1,9 +1,4 @@
-"""Segment-parallel kernel execution: the same kernels at fan-out k.
-
-The MPP model in :mod:`repro.sqlengine.mpp` assigns rows to segments with a
-splitmix64 hash of the key.  This module makes the segments real for the
-two operators that dominate the reproduced workloads: equi-joins and keyed
-aggregation.
+"""Segment-parallel join execution, and the one GROUP BY reducer.
 
 * **Joins.**  :func:`repro.sqlengine.operators.plan_join` decides the
   route and names its kernel; a probe is independent per row, so
@@ -15,16 +10,11 @@ aggregation.
   one-chunk output, by construction.  There is no second join algorithm
   here: :func:`parallel_join_indices` is ``plan_join`` + ``run_join``.
 
-* **Aggregation.**  :func:`parallel_group_aggregate` is
-  partial-then-final: each hash partition groups its rows and computes
-  complete per-key aggregates (all rows of a key live in one partition,
-  in their original relative order, so even float sums reduce in the
-  reference order), and the final step merges the disjoint per-partition
-  group lists by key.  :func:`_reduce_slice` is the one per-group
-  reducer — the partition kernel, :func:`group_aggregate` and the
-  executor's serial GROUP BY all call it.
+* **Aggregation** is not fanned out.  :func:`_reduce_slice` is the
+  per-group reducer the executor's GROUP BY calls, over groups laid out
+  by a sort or addressed directly (:func:`_reduce_direct`).
 
-Every kernel is **bit-identical** at every fan-out, which the property
+Every join is **bit-identical** at every fan-out, which the property
 tests enforce against independent references.  numpy releases the GIL
 inside its kernels, so chunks genuinely overlap on multi-core hosts; the
 executor only fans out above ``PARALLEL_MIN_ROWS`` rows and when the pool
@@ -32,7 +22,7 @@ has more than one worker.
 
 Each kernel is a module-level function of one ``(inputs, task)`` payload:
 ``inputs`` are the big arrays all tasks of a dispatch share, ``task`` the
-few scalars that set one partition or chunk apart.  :func:`_run` is the
+few scalars that set one chunk apart.  :func:`_run` is the
 only function here that knows there are two kinds of pool: it has the pool
 :meth:`~SegmentPool.share` the inputs — a thread pool hands the driver's
 arrays back, a :class:`~repro.sqlengine.mpp.ProcessSegmentPool` copies
@@ -52,23 +42,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ExecutionError
-from .mpp import SegmentPool, segment_assignment
-from .operators import (
-    DirectGroups,
-    JoinRoute,
-    KeyIndex,
-    _boundaries,
-    plan_join,
-    stable_argsort,
-)
-from .shm import view_array
+from .mpp import SegmentPool
+from .operators import DirectGroups, JoinRoute, KeyIndex, plan_join
 from .types import INT64, Column
 
 #: Below this many probe rows the dispatch overhead outweighs any overlap.
 PARALLEL_MIN_ROWS = 1 << 17
 
-#: Aggregate kinds the parallel partial-then-final path supports.
-PARALLEL_AGGREGATES = frozenset({"count*", "count", "min", "max", "sum", "avg"})
+#: Aggregate kinds the reducer computes.
+AGGREGATE_KINDS = frozenset({"count*", "count", "min", "max", "sum", "avg"})
 
 
 def _run(
@@ -148,7 +130,7 @@ def parallel_join_indices(
 class AggregateSpec:
     """One aggregate to compute: kind plus its (optional) argument column.
 
-    ``kind`` is one of ``PARALLEL_AGGREGATES``; ``count*`` takes no
+    ``kind`` is one of ``AGGREGATE_KINDS``; ``count*`` takes no
     argument.  The argument is carried as raw values + null mask + SQL type
     so the reduction mirrors the executor's arithmetic exactly.
     """
@@ -162,7 +144,7 @@ class AggregateSpec:
         mask: Optional[np.ndarray] = None,
         sql_type: str = INT64,
     ):
-        if kind not in PARALLEL_AGGREGATES:
+        if kind not in AGGREGATE_KINDS:
             raise ExecutionError(f"unsupported aggregate kind {kind!r}")
         if kind != "count*" and values is None:
             raise ExecutionError(f"{kind} requires an argument column")
@@ -174,25 +156,21 @@ class AggregateSpec:
 
 def _reduce_slice(
     spec: AggregateSpec,
-    rows: Optional[np.ndarray],
     order: Optional[np.ndarray],
     starts: Optional[np.ndarray],
     row_counts: np.ndarray,
     direct: Optional[DirectGroups] = None,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The one per-group reducer: ``(values, null mask or None)`` with one
-    entry per group.  ``rows`` (None = all) picks a partition's rows out
-    of the argument; ``order`` (None = they already lie group by group)
-    sorts those so that group ``g`` is positions ``starts[g]`` up to
-    ``starts[g + 1]``, of which there must be at least one.  With
+    entry per group.  ``order`` (None = the rows already lie group by
+    group) sorts the argument's rows so that group ``g`` is positions
+    ``starts[g]`` up to ``starts[g + 1]``, of which there must be at least
+    one.  With
     ``direct`` the groups are addressed, not laid out: ``order`` and
     ``starts`` are unused and the kinds are count, min and max."""
     if spec.kind == "count*":
         return row_counts.astype(np.int64, copy=False), None
     values, mask = spec.values, spec.mask
-    if rows is not None:
-        values = values[rows]
-        mask = None if mask is None else mask[rows]
     if direct is not None:
         return _reduce_direct(spec, values, mask, row_counts, direct)
     if mask is None:
@@ -265,90 +243,3 @@ def _reduce_direct(
         reducer.at(table, slots, values)
     empty = valid_counts == 0
     return table[direct.present], empty if empty.any() else None
-
-
-def group_aggregate(
-    keys: np.ndarray, specs: list[AggregateSpec]
-) -> tuple[np.ndarray, list[tuple[np.ndarray, Optional[np.ndarray]]]]:
-    """Single-threaded grouped aggregation: the parallel kernel's reference.
-
-    Returns the sorted unique keys and, per spec, (values, null mask or
-    None), one entry per group.
-    """
-    if keys.shape[0] == 0:
-        empty = np.empty(0, dtype=keys.dtype)
-        return empty, [
-            (np.empty(0, dtype=np.int64), None) for _ in specs
-        ]
-    order, sorted_keys = stable_argsort(keys)
-    starts = _boundaries(sorted_keys)
-    row_counts = np.diff(np.append(starts, order.shape[0]))
-    unique_keys = sorted_keys[starts]
-    results = [
-        _reduce_slice(spec, None, order, starts, row_counts) for spec in specs
-    ]
-    return unique_keys, results
-
-
-def parallel_group_aggregate(
-    keys: np.ndarray,
-    specs: list[AggregateSpec],
-    pool: SegmentPool,
-) -> tuple[np.ndarray, list[tuple[np.ndarray, Optional[np.ndarray]]]]:
-    """Partial-then-final grouped aggregation over segment partitions.
-
-    Each partition holds *all* rows of its keys in original relative order,
-    so per-partition aggregates are already final for those keys (even
-    float sums reduce in the reference order); the final step only merges
-    the disjoint per-partition group lists into global key order.
-    Bit-identical to :func:`group_aggregate`.
-    """
-    if keys.shape[0] == 0:
-        return group_aggregate(keys, specs)
-    n_parts = pool.n_segments
-    # Keys, their segment assignment, then each aggregate's argument and
-    # null mask; one small per-key block per partition comes back.
-    inputs = [keys, segment_assignment(keys, n_parts)]
-    for spec in specs:
-        inputs += (spec.values, spec.mask)
-    kinds = tuple((spec.kind, spec.sql_type) for spec in specs)
-    raw = _run(pool, _aggregate_partition, inputs,
-               [(part, kinds) for part in range(n_parts)])
-    partials = [p for p in raw if p is not None]
-    merge, unique_keys = stable_argsort(np.concatenate([p[0] for p in partials]))
-    merged: list[tuple[np.ndarray, Optional[np.ndarray]]] = []
-    for position, spec in enumerate(specs):
-        values = np.concatenate([p[1][position][0] for p in partials])[merge]
-        if any(p[1][position][1] is not None for p in partials):
-            mask = np.concatenate([
-                p[1][position][1]
-                if p[1][position][1] is not None
-                else np.zeros(p[0].shape[0], dtype=bool)
-                for p in partials
-            ])[merge]
-            mask = mask if mask.any() else None
-        else:
-            mask = None
-        merged.append((values, mask))
-    return unique_keys, merged
-
-
-def _aggregate_partition(payload):
-    """Kernel: one hash partition of partial-then-final aggregation
-    (``None`` for a partition no key hashed to)."""
-    (keys, seg, *arguments), (part, kinds) = payload
-    rows = np.flatnonzero(view_array(seg) == part)
-    if rows.size == 0:
-        return None
-    specs = [
-        AggregateSpec(kind, view_array(arguments[2 * position]),
-                      view_array(arguments[2 * position + 1]), sql_type)
-        for position, (kind, sql_type) in enumerate(kinds)
-    ]
-    order, sorted_keys = stable_argsort(view_array(keys)[rows])
-    starts = _boundaries(sorted_keys)
-    row_counts = np.diff(np.append(starts, order.shape[0]))
-    results = [
-        _reduce_slice(spec, rows, order, starts, row_counts) for spec in specs
-    ]
-    return sorted_keys[starts], results

@@ -29,26 +29,19 @@ The compiler also wires in **pipeline fusion**:
 * **column pruning** — each join step gathers only the columns consumed
   downstream (later join keys, residual predicates, projection,
   aggregation) instead of materialising every column of both inputs; and
-* **fused join→DISTINCT** — a ``SELECT DISTINCT col, ...`` directly above
-  the final join skips the intermediate frame and relation entirely: the
-  executor runs the join kernel, gathers exactly the projected columns,
-  applies the residual filter and deduplicates in one pass; and
-* **fused join→GROUP BY** — a GROUP BY whose keys live on the left side of
-  an inner final join aggregates directly over the probe stream: only
-  aggregate arguments and residual inputs are gathered, and the grouping
-  order is computed on the pre-join left side (cached-index aware) and
-  expanded through the join's monotone left-row indices, so the joined
-  group-key column is never materialised or sorted at output size; and
 * **join-chain fusion** — every join pipeline, of one join or many,
   streams through composed row-index maps: a join feeding another join's
   build side never materialises its output, and each downstream-consumed
   column is gathered exactly once across the whole chain (see
   ``_JoinChain`` in the executor, the only join runner).  LEFT OUTER JOINs
-  take part like any
-  other step — their null-extended rows travel as validity markers in the
-  composed maps — so the fused DISTINCT final applies to the last join in
-  execution order, outer or inner (the fused GROUP BY final needs an inner
-  one).
+  take part like any other step — their null-extended rows travel as
+  validity markers in the composed maps.
+
+Together they make a ``SELECT DISTINCT col, ...`` directly above a join —
+outer or inner — a **fused join→DISTINCT** (``CorePlan.fused``): the
+chain's one materialisation gathers exactly the projected and
+residual-filter columns, and DISTINCT reads them with no projection pass
+in between.  Every GROUP BY runs over the chain's materialised frame.
 """
 
 from __future__ import annotations
@@ -69,7 +62,6 @@ from .ast_nodes import (
 )
 from .errors import PlanError
 from .expressions import (
-    collect_aggregates,
     collect_column_refs,
     contains_aggregate,
 )
@@ -200,9 +192,9 @@ class LeftJoinPlan:
 
     Shares the join-step surface the executor's one step routine reads
     (``binding``, key names, gather lists, output wiring, ``kernel``
-    telemetry) so an outer join can occupy any chain position — including
-    the fused final — without special-casing; ``cartesian`` is a constant
-    because a LEFT JOIN always has at least one equality edge.
+    telemetry) so an outer join can occupy any chain position without
+    special-casing; ``cartesian`` is a constant because a LEFT JOIN always
+    has at least one equality edge.
     """
 
     scan: ScanPlan
@@ -215,47 +207,6 @@ class LeftJoinPlan:
     binding: str = ""
     kernel: str = ""  # last kernel strategy the dispatch picked (telemetry)
     cartesian: bool = False
-
-
-@dataclass
-class FusedDistinctPlan:
-    """SELECT DISTINCT of plain columns directly above the final join.
-
-    The executor runs the final join kernel, gathers only ``left_gather`` /
-    ``right_gather``, filters by the residual predicates and deduplicates —
-    one fused pipeline instead of frame + projection + distinct.
-    """
-
-    left_gather: list[str]
-    right_gather: list[str]
-    bare_names: dict[str, str]  # bare name -> qualified, for the filter env
-    out_keys: list[str]  # storage keys, one per select item
-    out_quals: list[str]  # qualified source column per item
-    display: list[str]
-    out_distribution: Optional[str]
-
-
-@dataclass
-class FusedGroupPlan:
-    """GROUP BY directly above the final join.
-
-    The executor runs the final join kernel, gathers only the aggregate
-    arguments and residual inputs, and aggregates straight over the probe
-    stream.  Every group key lives on the accumulated left side of an
-    *inner* final join: the grouping order is computed on the *pre-join*
-    left side (cached-index aware, ``n_left`` rows) and expanded through
-    the join's monotone left-row indices, so the joined group-key column is
-    never materialised and never sorted at output size.  A key on the
-    final join's right (build) binding, or a left-outer final, keeps the
-    unfused aggregation over the chain's materialised frame.
-    """
-
-    key_quals: list[str]  # qualified group keys, one per GROUP BY expr
-    key_bares: list[Optional[str]]  # bare spelling of each key ref, if any
-    left_gather: list[str]  # row-level columns gathered from the left frame
-    right_gather: list[str]  # ... and from the right frame
-    bare_names: dict[str, str]  # bare name -> qualified, for the row env
-    colocated: bool  # group keys lie inside the join output's distribution
 
 
 @dataclass
@@ -278,11 +229,12 @@ class CorePlan:
     out_names: list[str]
     display_names: list[str]
     out_distribution: Optional[str]
-    fused: Optional[FusedDistinctPlan]
-    fused_group: Optional[FusedGroupPlan] = None
+    #: A SELECT DISTINCT of plain columns directly above a join: the
+    #: chain's materialised frame holds only what it projects and filters
+    #: on (telemetry: ``fused_pipelines``).
+    fused: bool = False
     #: The pipeline's final join in execution order (left joins run after
-    #: every inner step) — the operator a fused final fuses.  Compiled
-    #: here so the executor and the compiler can never disagree on it.
+    #: every inner step) — the step whose output the chain materialises.
     final_join: object = None
 
 
@@ -305,8 +257,8 @@ class PhysicalPlan:
     #: (FromItem node, binding the plan was compiled for)
     binding_checks: list[tuple]
     #: (ColumnRef node, table, name) — every reference whose resolved
-    #: qualified name may be baked into the plan (join keys, gather lists,
-    #: fused projections).  Digit suffixes of column names are template
+    #: qualified name may be baked into the plan (join keys, gather
+    #: lists).  Digit suffixes of column names are template
     #: parameters like everything else, so a later statement can patch a
     #: *different* column into the same node; the plan must notice.
     ref_checks: list[tuple]
@@ -458,7 +410,7 @@ class _Compiler:
             # SELECT without FROM: one anonymous row, nothing to plan.
             out_names, display, _ = self._projected_names(core, [])
             return CorePlan(core, [], [], [], [], is_aggregate,
-                            out_names, display, None, None)
+                            out_names, display, None)
 
         scans: list[ScanPlan] = []
         by_binding: dict[str, ScanPlan] = {}
@@ -555,40 +507,22 @@ class _Compiler:
         )
 
         # The pipeline's final join in execution order (left joins run after
-        # every inner step): either a fused final, or the last chain link.
+        # every inner step).
         final_join = left_plans[-1] if left_plans else (
             steps[-1] if steps else None
         )
-
-        fused = None
-        if (
+        fused = (
             core.distinct
             and not is_aggregate
             and final_join is not None
             and not final_join.cartesian
-            and core.items
+            and bool(core.items)
             and all(isinstance(item.expr, ColumnRef) for item in core.items)
             and needed is not None
-        ):
-            fused = self._compile_fused(
-                core, final_join, all_bindings, residual,
-                out_names, display, out_distribution,
-            )
-
-        fused_group = None
-        if (
-            is_aggregate
-            and core.group_by
-            and final_join is not None
-            and not final_join.cartesian
-        ):
-            fused_group = self._compile_fused_group(
-                core, final_join, all_bindings, residual
-            )
-
+        )
         return CorePlan(core, scans, steps, left_plans, residual,
                         is_aggregate, out_names, display, out_distribution,
-                        fused, fused_group, final_join=final_join)
+                        fused, final_join)
 
     # -- inner / left join steps -----------------------------------------
 
@@ -840,96 +774,6 @@ class _Compiler:
         if steps:
             return steps[-1].out_distribution
         return by_binding[order[0]].distribution
-
-    # -- fused join -> DISTINCT -------------------------------------------
-
-    def _compile_fused(
-        self, core, last_step, all_bindings, residual,
-        out_names, display, out_distribution,
-    ) -> Optional[FusedDistinctPlan]:
-        refs: list[ColumnRef] = []
-        for item in core.items:
-            collect_column_refs(item.expr, refs)
-        for predicate in residual:
-            collect_column_refs(predicate, refs)
-        bare_names: dict[str, str] = {}
-        out_quals: list[str] = []
-        for ref in refs:
-            qualified = _qualify(ref, all_bindings)
-            if ref.table is None:
-                bare_names[ref.name] = qualified
-        for item in core.items:
-            out_quals.append(_qualify(item.expr, all_bindings))
-        return FusedDistinctPlan(
-            list(last_step.left_gather),
-            list(last_step.right_gather),
-            bare_names,
-            list(out_names),
-            out_quals,
-            list(display),
-            out_distribution,
-        )
-
-
-    # -- fused join -> GROUP BY -------------------------------------------
-
-    def _compile_fused_group(
-        self, core, last_step, all_bindings, residual
-    ) -> Optional[FusedGroupPlan]:
-        """Compile the fused join->GROUP BY shape, or ``None`` if the core
-        falls outside it (a left-outer final, a key on the final right
-        binding, count(distinct), exotic refs — those keep the unfused
-        aggregation, including its error reporting)."""
-        if isinstance(last_step, LeftJoinPlan):
-            return None
-        right_binding = last_step.binding
-        key_quals: list[str] = []
-        key_bares: list[Optional[str]] = []
-        for expr in core.group_by:
-            if not isinstance(expr, ColumnRef):
-                return None
-            try:
-                qualified = _qualify(expr, all_bindings)
-            except PlanError:
-                return None
-            if qualified.split(".", 1)[0] == right_binding:
-                # The key is produced by the final join itself; the fused
-                # runner groups the pre-join left side only.
-                return None
-            key_quals.append(qualified)
-            key_bares.append(expr.name)
-        aggregates: list = []
-        for item in core.items:
-            collect_aggregates(item.expr, aggregates)
-        if any(node.distinct for node in aggregates):
-            # count(distinct ...) consumes row-level key columns.
-            return None
-        refs: list[ColumnRef] = []
-        for node in aggregates:
-            if node.arg is not None:
-                collect_column_refs(node.arg, refs)
-        for predicate in residual:
-            collect_column_refs(predicate, refs)
-        left_gather: list[str] = []
-        right_gather: list[str] = []
-        bare_names: dict[str, str] = {}
-        for ref in refs:
-            try:
-                qualified = _qualify(ref, all_bindings)
-            except PlanError:
-                return None
-            gather = (
-                right_gather
-                if qualified.split(".", 1)[0] == right_binding
-                else left_gather
-            )
-            if qualified not in gather:
-                gather.append(qualified)
-            if ref.table is None:
-                bare_names[ref.name] = qualified
-        colocated = bool(last_step.out_distribution & set(key_quals))
-        return FusedGroupPlan(key_quals, key_bares, left_gather, right_gather,
-                              bare_names, colocated)
 
 
 def _contains_star(expr) -> bool:

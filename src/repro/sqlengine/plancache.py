@@ -190,28 +190,16 @@ class PlanCache:
         equal — so a physical plan compiled during the first execution
         already references the nodes every later hit re-patches.
         """
-        if "$" in sql or "--" in sql or "/*" in sql:
-            # "$" would collide with our own markers; comments would need a
-            # comment-aware normaliser.  Neither occurs in generated SQL.
-            return parse_statement(sql), False, None
-        template_sql, params = normalize_statement(sql)
         with self._lock:
-            entry = self._entries.get(template_sql)
-            if entry is not None:
-                self._entries.move_to_end(template_sql)
-                if entry.statement is None:
-                    return parse_statement(sql), False, None
+            entry, params, direct = self._lookup(sql)
+            if entry is not None and direct is None:
                 return entry.patch(params), True, entry
-            direct = parse_statement(sql)
-            entry = self._build(template_sql, params, direct)
-            self._entries[template_sql] = entry
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-            if entry.statement is None:
-                return direct, False, None
-            # _build leaves the template patched with this statement's
-            # params.
-            return entry.statement, False, entry
+        if entry is None:
+            if direct is None:
+                direct = parse_statement(sql)
+            return direct, False, None
+        # _build leaves the template patched with this statement's params.
+        return entry.statement, False, entry
 
     def template_entry(
         self, sql: str
@@ -228,24 +216,34 @@ class PlanCache:
         (and verified) here, paying the one parse its first execution
         would otherwise have paid; ``pre_existing`` is False in that case.
         """
+        entry, params, direct = self._lookup(sql)
+        return entry, params, direct is None
+
+    def _lookup(
+        self, sql: str
+    ) -> tuple[Optional[_Template], list[str], Optional[Statement]]:
+        """The one lookup both entry points share: ``(entry, params,
+        direct)``.  ``entry`` is ``None`` for an uncacheable statement;
+        ``direct`` is the parse a first-seen template was built and
+        verified against, ``None`` when the template was already cached."""
         if "$" in sql or "--" in sql or "/*" in sql:
-            return None, [], False
+            # "$" would collide with our own markers; comments would need a
+            # comment-aware normaliser.  Neither occurs in generated SQL.
+            return None, [], None
         template_sql, params = normalize_statement(sql)
         with self._lock:
             entry = self._entries.get(template_sql)
+            direct = None
             if entry is not None:
                 self._entries.move_to_end(template_sql)
-                if entry.statement is None:
-                    return None, params, True
-                return entry, params, True
-            direct = parse_statement(sql)
-            entry = self._build(template_sql, params, direct)
-            self._entries[template_sql] = entry
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-            if entry.statement is None:
-                return None, params, False
-            return entry, params, False
+            else:
+                direct = parse_statement(sql)
+                entry = self._build(template_sql, params, direct)
+                self._entries[template_sql] = entry
+                while len(self._entries) > self.max_entries:
+                    self._entries.popitem(last=False)
+            return (entry if entry.statement is not None else None,
+                    params, direct)
 
     def _build(
         self, template_sql: str, params: list[str], direct: Statement

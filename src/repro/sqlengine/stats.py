@@ -53,12 +53,9 @@ COUNTERS = (
     # A cached plan failed its validity check (schema or binding drift)
     # and was recompiled.
     "physical_plan_invalidations",
-    # A join fed DISTINCT through one fused pass instead of materialising
-    # the intermediate frame and relation.
+    # A SELECT DISTINCT of plain columns ran directly above a join: the
+    # chain materialised only the columns it projects and filters on.
     "fused_pipelines",
-    # A join fed GROUP BY through one fused pass: the aggregate ran over
-    # the probe stream, not a materialised frame.
-    "fused_group_pipelines",
     # A chain of >= 2 joins streamed through composed row-index maps; no
     # intermediate join output was materialised.
     "join_chain_fusions",
@@ -68,7 +65,7 @@ COUNTERS = (
     # A GROUP BY ran sort-free and gather-free: a cached index proved its
     # input pre-sorted on disk.
     "group_sorts_skipped",
-    "parallel_partitions",      # partitions kernels ran segment-parallel over
+    "parallel_partitions",      # probe chunks joins ran segment-parallel over
     "parallel_indexed_probes",  # join probed a cached sorted index in chunks
     "parallel_dense_probes",    # dense direct-address join probed in chunks
     "hash_distincts",           # DISTINCT on the packed-sort hash kernel

@@ -6,7 +6,7 @@ only stay trustworthy when the many sampling/finish combinations are
 differentially tested against a simple, *independent* reference.  This
 engine's equivalent surface is the SELECT pipeline: plan-cache templating,
 compiled physical plans, column pruning, join-chain fusion, fused
-join->DISTINCT and join->GROUP BY, dictionary-encoded columns and
+join->DISTINCT, GROUP BY over join chains, dictionary-encoded columns and
 segment-parallel kernels all rewrite how a statement executes.
 
 This harness generates seeded random SELECT statements (join chains up to
@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 from typing import Optional
 
 import numpy as np
@@ -266,9 +267,9 @@ def _generate_core(rand: random.Random,
         # GROUP BY + aggregates over random argument columns.
         group_uses = uses[:1] if rand.random() < 0.6 else uses
         if explicit_joins and left_join_tail and rand.random() < 0.6:
-            # Dedicated arm: group keys on the outer-padded final binding
-            # — the fused outer-group path, where padded rows must form
-            # their own NULL-key groups on every configuration.
+            # Dedicated arm: group keys on the outer-padded final binding,
+            # where padded rows must form their own NULL-key groups on
+            # every configuration.
             group_uses = uses[-1:]
         keys = []
         for _ in range(rand.randint(1, 2)):
@@ -334,11 +335,11 @@ def test_differential_fuzz(monkeypatch):
     monkeypatch.setattr(operators, "PRESORTED_MAX_DESCENTS", -1)
     rand = random.Random(FUZZ_SEED)
     executed = 0
-    engaged = {"chain": 0, "fused": 0, "fused_group": 0, "parallel": 0,
+    engaged = {"chain": 0, "fused": 0, "parallel": 0,
                "left_chain": 0, "process_tasks": 0, "indexed_probes": 0,
                "dense_probes": 0, "encoded": 0}
     shapes = {"union_all": 0, "subquery_from": 0, "outer_group": 0,
-              "distinct": 0}
+              "inner_group": 0, "distinct": 0}
     dense_dispatch = {name: getattr(operators, name)
                       for name in ("DENSE_SPAN_FACTOR", "DENSE_SPAN_FLOOR")}
     while executed < FUZZ_ROUNDS:
@@ -371,6 +372,10 @@ def test_differential_fuzz(monkeypatch):
                 shapes["subquery_from"] += 1
             if "left outer join" in sql and " group by " in sql:
                 shapes["outer_group"] += 1
+            # An explicit inner JOIN, or a comma after a FROM alias.
+            if re.search(r"(?<!outer) join |as \w+, ", sql) \
+                    and " group by " in sql:
+                shapes["inner_group"] += 1
             shapes["distinct"] += "select distinct " in sql
             planned = None
             for config in ("planned", "parallel", "process"):
@@ -395,7 +400,6 @@ def test_differential_fuzz(monkeypatch):
         engaged["chain"] += stats.join_chain_fusions
         engaged["left_chain"] += stats.left_chain_fusions
         engaged["fused"] += stats.fused_pipelines
-        engaged["fused_group"] += stats.fused_group_pipelines
         engaged["parallel"] += databases["parallel"].stats.parallel_partitions
         engaged["indexed_probes"] += \
             databases["parallel"].stats.parallel_indexed_probes
@@ -414,7 +418,6 @@ def test_differential_fuzz(monkeypatch):
     assert engaged["chain"] > 0
     assert engaged["left_chain"] > 0
     assert engaged["fused"] > 0
-    assert engaged["fused_group"] > 0
     assert engaged["parallel"] > 0
     assert engaged["process_tasks"] > 0
     assert engaged["dense_probes"] > 0
@@ -425,6 +428,7 @@ def test_differential_fuzz(monkeypatch):
     assert shapes["union_all"] > 0
     assert shapes["subquery_from"] > 0
     assert shapes["outer_group"] > 0
+    assert shapes["inner_group"] > 0
     assert shapes["distinct"] > 0
 
 

@@ -22,12 +22,7 @@ from repro.sqlengine.operators import (
     merge_join_indices,
     pad_left_outer,
 )
-from repro.sqlengine.parallel import (
-    AggregateSpec,
-    group_aggregate,
-    parallel_group_aggregate,
-    parallel_join_indices,
-)
+from repro.sqlengine.parallel import parallel_join_indices
 from repro.sqlengine.types import Column
 
 POOL = SegmentPool(4, max_workers=4)
@@ -86,14 +81,6 @@ def test_distinct_and_group_kernels_on_degenerate_inputs():
     assert distinct_rows([ALL_NULL]).shape[0] == 1  # NULLs compare equal
     order, starts = group_rows([EMPTY])
     assert order.shape[0] == 0 and starts.shape[0] == 0
-    keys, results = parallel_group_aggregate(
-        np.empty(0, dtype=np.int64), [AggregateSpec("count*")], POOL
-    )
-    ref_keys, ref_results = group_aggregate(
-        np.empty(0, dtype=np.int64), [AggregateSpec("count*")]
-    )
-    assert np.array_equal(keys, ref_keys)
-    assert np.array_equal(results[0][0], ref_results[0][0])
 
 
 @pytest.mark.parametrize("n_columns", (1, 2, 3))

@@ -344,8 +344,8 @@ def assert_direct_equals_sorted(key: Column, seed: int = 0) -> None:
     assert np.array_equal(direct.counts, counts)
     # ... and every reduction the one reducer computes over them.
     for spec in _specs(np.random.default_rng(seed), len(key)):
-        expected = _reduce_slice(spec, None, order, starts, counts)
-        got = _reduce_slice(spec, None, None, None, direct.counts, direct)
+        expected = _reduce_slice(spec, order, starts, counts)
+        got = _reduce_slice(spec, None, None, direct.counts, direct)
         assert got[0].dtype == expected[0].dtype, spec.kind
         assert np.array_equal(got[0], expected[0], equal_nan=True), spec.kind
         assert (got[1] is None) == (expected[1] is None), spec.kind
@@ -380,7 +380,7 @@ def test_direct_address_group_by_span_limit_and_refusals():
     assert direct_group_rows(
         Column.from_values(np.array(["a"], dtype=object))) is None
     with pytest.raises(Exception):
-        _reduce_slice(AggregateSpec("sum", np.arange(4), None, INT64), None,
+        _reduce_slice(AggregateSpec("sum", np.arange(4), None, INT64),
                       None, None, np.ones(4, dtype=np.int64),
                       direct_group_rows(Column.from_values(np.arange(4))))
 
@@ -416,7 +416,7 @@ def test_executor_direct_group_by_matches_the_sorting_engine(sql):
 @pytest.mark.parametrize("aggregate,pool_workers", [
     ("min(x)", 1),   # direct addressing
     ("sum(x)", 1),   # the sort
-    ("min(x)", 4),   # the pool's partial-then-final aggregate
+    ("min(x)", 4),   # direct addressing after a join chunked over the pool
 ])
 def test_group_key_keeps_its_form_on_every_grouping_path(
         monkeypatch, aggregate, pool_workers):
@@ -440,6 +440,7 @@ def test_group_key_keeps_its_form_on_every_grouping_path(
         assert key.dictionary is db.table("r").cached_encoding("rep").dictionary
         assert key.to_list() == sorted(set(
             reps[db.table("e").column("v").values].tolist()))
+        # Only the join fans out; every GROUP BY runs once, whole-column.
         assert (db.stats.parallel_partitions > 0) == (pool_workers > 1)
 
 

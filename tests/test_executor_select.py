@@ -163,8 +163,15 @@ def test_aggregate_ignores_nulls():
 
 
 def test_non_grouped_column_rejected(db):
-    with pytest.raises(PlanError, match="GROUP BY"):
-        db.execute("select v1, v2 from e group by v1")
+    for sql in (
+        "select v1, v2 from e group by v1",
+        "select v1, coalesce(v2, 0) c from e group by v1",
+        "select v1, case when v2 > 0 then 1 else 0 end c from e group by v1",
+        "select v1, case when v1 > 0 then v2 end c from e group by v1",
+        "select v1, case when v1 > 0 then 1 else v2 end c from e group by v1",
+    ):
+        with pytest.raises(PlanError, match="'v2' must appear in GROUP BY"):
+            db.execute(sql)
 
 
 def test_distinct(db):

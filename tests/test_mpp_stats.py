@@ -27,11 +27,24 @@ def test_hash64_is_deterministic_and_mixing():
     assert len(set((h1 % np.uint64(16)).tolist())) == 16
 
 
-def test_segment_assignment_is_balanced():
+def test_cluster_skew_of_distinct_keys_is_balanced():
     cluster = Cluster(n_segments=8)
     column = Column.from_values(np.arange(80_000, dtype=np.int64))
     skew = cluster.skew(column)
     assert skew < 1.05
+
+
+def test_cluster_segment_of_colocates_equal_keys():
+    """Hash distribution: every row gets a segment, every segment gets
+    rows, and equal keys land on the same one."""
+    values = np.random.default_rng(0).integers(-(2 ** 60), 2 ** 60, 5000)
+    values[2500:] = values[:2500]  # every key appears twice
+    segments = Cluster(n_segments=4).segment_of(Column.from_values(values))
+    assert segments.shape == values.shape
+    assert set(np.unique(segments).tolist()) == {0, 1, 2, 3}
+    assert np.array_equal(segments[:2500], segments[2500:])
+    assert np.array_equal(segments, (hash64(values) % np.uint64(4)).astype(
+        np.int64))
 
 
 def test_skew_of_constant_column_is_maximal():

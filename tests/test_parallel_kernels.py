@@ -3,16 +3,15 @@
 The contract is absolute: a join must return **bit-identical** row pairs
 at every fan-out — :func:`join_indices` (the route's kernel called once)
 and :func:`parallel_join_indices` (the same kernel over one chunk per
-segment) — and :func:`parallel_group_aggregate` the output of
-:func:`group_aggregate`, because the executor switches between them purely
-on size and pool width.  Joins are checked against the independent
-plain-numpy reference :func:`merge_join_indices`; the aggregate reducer
-against a per-group Python loop.  These tests force a multi-worker pool
+segment) — because the executor switches between them purely on size and
+pool width.  Joins are checked against the independent plain-numpy
+reference :func:`merge_join_indices`; the GROUP BY reducer against a
+per-group Python loop.  These tests force a multi-worker pool
 even on single-core machines so the pool code path (chunking, shared
 inputs, recombination) is always exercised.
 
-Every kernel has one body that the direct call, thread workers and worker
-processes all run, so one matrix — kernel x {fan-out 1, thread pool,
+Every join kernel has one body that the direct call, thread workers and
+worker processes all run, so one matrix — kernel x {fan-out 1, thread pool,
 process pool, process pool whose shared-memory export fails} — pins the
 bit-identity of all of them (``test_kernel_matrix_bit_identical``).
 """
@@ -26,12 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.sqlengine.shm as shm_module
 from repro.sqlengine import Database
-from repro.sqlengine.mpp import (
-    Cluster,
-    ProcessSegmentPool,
-    SegmentPool,
-    segment_assignment,
-)
+from repro.sqlengine.mpp import ProcessSegmentPool, SegmentPool
 from repro.sqlengine.operators import (
     CACHE_KERNEL_MIN_ROWS,
     JOIN_ROUTES,
@@ -41,11 +35,9 @@ from repro.sqlengine.operators import (
     pad_left_outer,
 )
 from repro.sqlengine.parallel import (
-    PARALLEL_AGGREGATES,
+    AGGREGATE_KINDS,
     AggregateSpec,
     _reduce_slice,
-    group_aggregate,
-    parallel_group_aggregate,
     parallel_join_indices,
 )
 from repro.sqlengine.types import FLOAT64, INT64, Column
@@ -254,69 +246,9 @@ def test_executor_engages_parallel_dense_probe(monkeypatch):
     assert off.stats.parallel_dense_probes == 0
 
 
-def test_segment_assignment_partitions_rows():
-    values = np.random.default_rng(0).integers(-(2 ** 60), 2 ** 60, 5000)
-    values[2500:] = values[:2500]  # every key appears twice
-    seg = segment_assignment(values, 4)
-    assert seg.shape == values.shape
-    assert set(np.unique(seg)) == {0, 1, 2, 3}
-    # Equal keys co-locate, and it is the assignment the cluster models.
-    assert np.array_equal(seg[:2500], seg[2500:])
-    assert np.array_equal(seg, Cluster(4).segment_of(Column(values, INT64)))
-
-
 # ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------
-
-
-def _specs_for(rng, n):
-    int_values = rng.integers(-100, 100, n)
-    float_values = rng.normal(size=n)
-    mask = rng.random(n) < 0.2
-    return [
-        AggregateSpec("count*"),
-        AggregateSpec("count", int_values, mask.copy(), INT64),
-        AggregateSpec("min", int_values, None, INT64),
-        AggregateSpec("max", int_values, mask.copy(), INT64),
-        AggregateSpec("sum", int_values, None, INT64),
-        AggregateSpec("sum", float_values, mask.copy(), FLOAT64),
-        AggregateSpec("avg", float_values, mask.copy(), FLOAT64),
-    ]
-
-
-@pytest.mark.parametrize("n_keys", [1, 7, 200])
-def test_parallel_group_aggregate_bit_identical(n_keys):
-    rng = np.random.default_rng(n_keys)
-    n = 3000
-    group_keys = rng.integers(0, n_keys, n)
-    specs = _specs_for(rng, n)
-    ref_keys, ref_results = group_aggregate(group_keys, specs)
-    par_keys, par_results = parallel_group_aggregate(group_keys, specs, POOL)
-    assert np.array_equal(ref_keys, par_keys)
-    for (ref_vals, ref_mask), (par_vals, par_mask) in zip(ref_results,
-                                                          par_results):
-        # Bit-identical, including float sums (per-key rows never split
-        # across partitions, so reduction order is preserved).
-        assert ref_vals.dtype == par_vals.dtype
-        assert np.array_equal(ref_vals, par_vals)
-        if ref_mask is None:
-            assert par_mask is None
-        else:
-            assert np.array_equal(ref_mask, par_mask)
-
-
-@given(st.lists(st.integers(min_value=-5, max_value=5), min_size=0,
-                max_size=50))
-def test_parallel_group_aggregate_small_inputs(values):
-    group_keys = np.array(values, dtype=np.int64)
-    arg = np.arange(group_keys.shape[0], dtype=np.int64)
-    specs = [AggregateSpec("count*"), AggregateSpec("min", arg, None, INT64)]
-    ref_keys, ref_results = group_aggregate(group_keys, specs)
-    par_keys, par_results = parallel_group_aggregate(group_keys, specs, POOL)
-    assert np.array_equal(ref_keys, par_keys)
-    for (ref_vals, _), (par_vals, _) in zip(ref_results, par_results):
-        assert np.array_equal(ref_vals, par_vals)
 
 
 def _loop_reduce(kind, keys, values, nulls):
@@ -341,7 +273,7 @@ def _loop_reduce(kind, keys, values, nulls):
     return out
 
 
-@pytest.mark.parametrize("kind", sorted(PARALLEL_AGGREGATES))
+@pytest.mark.parametrize("kind", sorted(AGGREGATE_KINDS))
 @given(
     rows=st.lists(
         st.tuples(st.integers(0, 5), st.integers(-1000, 1000), st.booleans()),
@@ -350,9 +282,8 @@ def _loop_reduce(kind, keys, values, nulls):
 )
 def test_reducer_agrees_with_python_loop(kind, rows, floats, masked,
                                          pregrouped):
-    """``_reduce_slice`` is the one reducer the executor, ``group_aggregate``
-    and the partition kernel share, so its reference shares nothing with
-    it: a per-group loop — every kind, int and float arguments, with and
+    """``_reduce_slice`` is the one reducer every GROUP BY calls, so its
+    reference shares nothing with it: a per-group loop — every kind, int and float arguments, with and
     without a null mask (all-NULL groups included), grouped through an
     order or already lying group by group (``order=None``)."""
     if pregrouped:
@@ -375,7 +306,7 @@ def test_reducer_agrees_with_python_loop(kind, rows, floats, masked,
         np.array(nulls) if masked else None,
         FLOAT64 if floats else INT64,
     )
-    got, got_nulls = _reduce_slice(spec, None, None if pregrouped else order,
+    got, got_nulls = _reduce_slice(spec, None if pregrouped else order,
                                    starts, row_counts)
     if kind in ("count*", "count") or (kind == "sum" and not floats):
         assert got.dtype == np.int64
@@ -392,6 +323,99 @@ def test_reducer_agrees_with_python_loop(kind, rows, floats, masked,
             assert got[group] == value
 
 
+#: Every aggregate kind, NULLs in each argument (a CASE without ELSE).
+_GROUP_ITEMS = (
+    "count(*) n, count(case when keep = 1 then i end) c, "
+    "min(case when keep = 1 then i end) lo, max(i) hi, "
+    "min(f) flo, max(case when keep = 1 then f end) fhi"
+)
+_SUM_ITEMS = "sum(case when keep = 1 then i end) s, avg(f) a"
+
+
+@pytest.mark.parametrize("n_keys", [1, 7, 200])
+def test_group_by_layouts_agree_with_python_loop(n_keys, monkeypatch):
+    """A GROUP BY reduces dense keys by direct addressing, any other key
+    through a sort, and a key its stored index proves sorted (one key
+    value) in place; every layout, and sum/avg (never direct), gives the
+    per-group loop's values."""
+    import repro.sqlengine.executor as executor_module
+
+    layouts: list = []
+    real = executor_module.direct_group_rows
+
+    def spy(*args):
+        groups = real(*args)
+        layouts.append("direct" if groups is not None else "sorted")
+        return groups
+
+    monkeypatch.setattr(executor_module, "direct_group_rows", spy)
+    rng = np.random.default_rng(n_keys)
+    n = 1500
+    keys = rng.integers(0, n_keys, n)
+    ints = rng.integers(-100, 100, n)
+    floats = rng.integers(-800, 800, n) / 8.0  # eighths add exactly
+    keep = (rng.random(n) >= 0.2).astype(np.int64)
+    db = Database(n_segments=4, pool_workers=1)
+    db.load_table("t", {"k": keys, "s": keys * (2 ** 40) + 3, "i": ints,
+                        "f": floats, "keep": keep})
+
+    dropped = (keep == 0).tolist()
+    never = [False] * n
+    columns = [
+        _loop_reduce("count*", keys.tolist(), ints.tolist(), never),
+        _loop_reduce("count", keys.tolist(), ints.tolist(), dropped),
+        _loop_reduce("min", keys.tolist(), ints.tolist(), dropped),
+        _loop_reduce("max", keys.tolist(), ints.tolist(), never),
+        _loop_reduce("min", keys.tolist(), floats.tolist(), never),
+        _loop_reduce("max", keys.tolist(), floats.tolist(), dropped),
+    ]
+    sums = [
+        _loop_reduce("sum", keys.tolist(), ints.tolist(), dropped),
+        _loop_reduce("avg", keys.tolist(), floats.tolist(), never),
+    ]
+
+    def expected(reduced, key_of):
+        return [(key_of(key), *(column[g][0] for column in reduced))
+                for g, key in enumerate(sorted(set(keys.tolist())))]
+
+    for key, layout, key_of in (("k", "direct", int),
+                                ("s", "sorted", lambda k: k * 2 ** 40 + 3)):
+        layouts.clear()
+        skipped = db.stats.group_sorts_skipped
+        rows = db.execute(f"select {key}, {_GROUP_ITEMS} from t "
+                          f"group by {key}").rows()
+        if n_keys == 1:
+            assert layouts == []
+            assert db.stats.group_sorts_skipped == skipped + 1
+        else:
+            assert layouts == [layout]
+        assert sorted(rows) == expected(columns, key_of)
+    layouts.clear()
+    rows = db.execute(f"select k, {_SUM_ITEMS} from t group by k").rows()
+    assert layouts == []
+    assert sorted(rows) == expected(sums, int)
+    db.close()
+
+
+@given(st.lists(st.integers(min_value=-5, max_value=5), min_size=0,
+                max_size=50))
+def test_group_by_small_inputs_agree_with_python_loop(values):
+    """Few rows, negative keys, no rows at all: the direct-address layout
+    (whose slots start at the smallest key) against the per-group loop."""
+    db = Database(n_segments=4, pool_workers=1)
+    db.load_table("t", {"k": np.array(values, dtype=np.int64),
+                        "i": np.arange(len(values), dtype=np.int64)})
+    rows = db.execute("select k, count(*) c, min(i) m from t "
+                      "group by k").rows()
+    db.close()
+    never = [False] * len(values)
+    counts = _loop_reduce("count*", values, values, never)
+    minima = _loop_reduce("min", values, list(range(len(values))), never)
+    assert sorted(rows) == [
+        (key, count, low) for key, (count, _), (low, _)
+        in zip(sorted(set(values)), counts, minima)]
+
+
 # ---------------------------------------------------------------------------
 # executor integration: parallel on/off must be invisible in results
 # ---------------------------------------------------------------------------
@@ -399,8 +423,9 @@ def test_reducer_agrees_with_python_loop(kind, rows, floats, masked,
 
 QUERIES = [
     "select e.v1, r.rep from e, r where e.v1 = r.v",
-    "select e.v1, count(*) c, min(e.v2) lo, max(e.v2) hi, sum(e.v2) s "
-    "from e group by e.v1",
+    # GROUP BY over a chunked join: only the join fans out.
+    "select e.v1, count(*) c, min(r.rep) lo, max(e.v2) hi, sum(e.v2) s "
+    "from e, r where e.v2 = r.v group by e.v1",
     "select l.v, coalesce(r.rep, 0 - 1) rep from l "
     "left outer join r on (l.rep = r.v)",
     "select distinct e.v1, r.rep from e, r where e.v2 = r.v and e.v1 != r.rep",
@@ -529,33 +554,7 @@ def _join_case(dense, unique_build, indexed=True, probe_index=None,
     return case
 
 
-def _aggregate_case(pool, note):
-    rng = np.random.default_rng(3)
-    n = 6000
-    group_keys = rng.integers(0, 150, n)
-    int_values = rng.integers(-100, 100, n)
-    float_values = rng.normal(size=n)
-    mask = rng.random(n) < 0.2
-    specs = [
-        AggregateSpec("count*"),
-        AggregateSpec("count", int_values, mask.copy(), INT64),
-        AggregateSpec("min", int_values, None, INT64),
-        AggregateSpec("min", float_values, mask.copy(), FLOAT64),
-        AggregateSpec("max", int_values, mask.copy(), INT64),
-        AggregateSpec("max", float_values, None, FLOAT64),
-        AggregateSpec("sum", int_values, None, INT64),
-        AggregateSpec("sum", float_values, mask.copy(), FLOAT64),
-        AggregateSpec("avg", int_values, None, INT64),
-        AggregateSpec("avg", float_values, mask.copy(), FLOAT64),
-    ]
-    assert {spec.kind for spec in specs} == PARALLEL_AGGREGATES
-    ref_keys, ref_results = group_aggregate(group_keys, specs)
-    par_keys, par_results = parallel_group_aggregate(group_keys, specs, pool)
-    # Flatten to array tuples (an absent null mask stays None).
-    return ((ref_keys, *sum(ref_results, ())), (par_keys, *sum(par_results, ())))
-
-
-#: id -> (case, the route it must take or None).  The two "hash-join" ids
+#: id -> (case, the route it must take).  The two "hash-join" ids
 #: predate the removal of the hash-partitioned join: they are the joins
 #: without a build-side index, which now sort once and chunk the probe.
 #: The two "merge-unique" ids likewise predate the removal of the merge
@@ -590,15 +589,11 @@ KERNEL_CASES = {
         _join_case(True, True, left_outer=True), "dense-unique"),
     "left-sorted-probe": (
         _join_case(False, False, left_outer=True), "indexed-runs"),
-    "group-aggregate": (_aggregate_case, None),
 }
 
-#: Every way a kernel body runs; "serial" is the direct call at fan-out 1
-#: (the aggregate's is ``group_aggregate``, every pool column's reference;
-#: its own is the Python loop of ``test_reducer_agrees_with_python_loop``).
+#: Every way a kernel body runs; "serial" is the direct call at fan-out 1.
 BACKENDS = ("serial", "thread", "process", "process-no-shm")
-MATRIX = [(kernel, backend) for kernel in KERNEL_CASES for backend in BACKENDS
-          if (kernel, backend) != ("group-aggregate", "serial")]
+MATRIX = [(kernel, backend) for kernel in KERNEL_CASES for backend in BACKENDS]
 
 
 def _refuse_shm_create(monkeypatch, after: int = 0):
@@ -632,11 +627,8 @@ def _run_case(case, pool):
     reference, result = case(pool, note)
     assert len(reference) == len(result)
     for expected, got in zip(reference, result):
-        if expected is None:
-            assert got is None
-        else:
-            assert got.dtype == expected.dtype
-            assert np.array_equal(expected, got)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(expected, got)
     return note, sum(delta.get("process_tasks", 0) for delta in deltas)
 
 
@@ -655,8 +647,7 @@ def test_kernel_matrix_bit_identical(kernel, backend, monkeypatch):
             _refuse_shm_create(monkeypatch)
             blocks_before = _shm_blocks()
         note, process_tasks = _run_case(case, pool)
-        if route is not None:
-            assert note == [JOIN_ROUTES[route][1]]
+        assert note == [JOIN_ROUTES[route][1]]
         if backend == "thread":
             assert process_tasks == 0
         elif backend == "process":
@@ -677,6 +668,51 @@ def test_kernel_matrix_bit_identical(kernel, backend, monkeypatch):
     if backend != "thread":
         assert not any(os.path.exists(f"/dev/shm/{name}")
                        for name in pool.registry.created_names())
+
+
+@pytest.mark.parametrize("backend", ["thread", "process", "process-no-shm"])
+def test_group_by_over_join_bit_identical_across_backends(backend,
+                                                          monkeypatch):
+    """A GROUP BY runs serially over its join's output, which every pool
+    backend must produce in the one-worker order: float sums and averages
+    then match to the bit."""
+    import repro.sqlengine.executor as executor_module
+
+    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
+    query = ("select e.v1, count(*) c, sum(e.f) s, avg(e.f) a, "
+             "min(r.rep) lo, max(case when e.v2 > 50 then e.f end) hi "
+             "from e, r where e.v2 = r.v group by e.v1")
+
+    def run(workers, pool_backend):
+        db = Database(n_segments=4, pool_workers=workers,
+                      pool_backend=pool_backend)
+        db._executor.use_index_cache = False
+        rng = np.random.default_rng(41)
+        n = 4000
+        db.load_table("e", {"v1": rng.integers(0, 150, n),
+                            "v2": rng.integers(0, 200, n),
+                            "f": rng.normal(size=n)})
+        db.load_table("r", {"v": np.arange(200, dtype=np.int64),
+                            "rep": rng.integers(0, 1 << 40, 200)})
+        return db, db.execute(query).rows()
+
+    reference_db, expected = run(1, "thread")
+    reference_db.close()
+    if backend == "process-no-shm":
+        _refuse_shm_create(monkeypatch)
+        blocks_before = _shm_blocks()
+    db, rows = run(4, "thread" if backend == "thread" else "process")
+    try:
+        assert rows == expected
+        assert db.stats.parallel_partitions > 0
+        if backend == "process":
+            assert db.stats.process_tasks > 0
+        else:
+            assert db.stats.process_tasks == 0
+        if backend == "process-no-shm":
+            assert _shm_blocks() == blocks_before
+    finally:
+        db.close()
 
 
 def test_partial_export_failure_falls_back_and_leaks_nothing(monkeypatch):

@@ -5,11 +5,11 @@ Covers the tentpole behaviours of the physical plan cache:
 * templates cache a compiled plan (hit/miss/invalidation counters),
 * validity across schema changes and the per-round rename/drop churn that
   Randomised Contraction performs (``reps{N}``/``tmp``/``graph`` cycling),
-* pipeline fusion (column pruning, fused join->DISTINCT / GROUP BY, join
-  chains) producing the rows stdlib sqlite produces — the fused databases
-  below are teed (``tests/sqlite_oracle.py``): every statement they run
-  also runs on sqlite and the two results must be equal as sorted row
-  lists,
+* pipeline fusion (column pruning, fused join->DISTINCT, join chains)
+  and GROUP BY over joins producing the rows stdlib sqlite produces — the
+  databases below are teed (``tests/sqlite_oracle.py``): every statement
+  they run also runs on sqlite and the two results must be equal as
+  sorted row lists,
 * the GROUP BY sort skip over pre-sorted stored columns,
 * plan-template normalization edge cases — negative literals, string
   literals containing digits, digit-suffix collisions across table names —
@@ -248,7 +248,7 @@ def test_fused_distinct_matches_materialising_pipeline(query):
     assert db.stats.fused_pipelines > 0
 
 
-FUSABLE_GROUP_QUERIES = [
+GROUP_OVER_JOIN_QUERIES = [
     # The table-strategy round's neigh-min shape: join -> GROUP BY on a
     # left-side key, aggregate over a right-side column.
     "select graph2.v1 as v, min(r2.rep) as hmin from graph2, reps as r2 "
@@ -267,54 +267,27 @@ FUSABLE_GROUP_QUERIES = [
     # Expression over key and aggregate in one select item.
     "select v1 v, v1 + min(r2.rep) x from graph2, reps as r2 "
     "where graph2.v2 = r2.v group by v1",
-]
-
-
-@pytest.mark.parametrize("query", FUSABLE_GROUP_QUERIES)
-def test_fused_group_by_matches_materialising_pipeline(query):
-    db = _two_table_db()
-    db.execute(query)
-    assert db.stats.fused_group_pipelines > 0
-
-
-RIGHT_KEY_GROUP_QUERIES = [
-    # The key is produced by the final join itself, so the fused runner
-    # (which groups the pre-join left side) does not apply: the chain
-    # materialises and the unfused aggregation groups at output size.
+    # Keys produced by the join itself: on the build side, or one on each.
     "select r2.v, count(*) c from graph2, reps as r2 "
     "where graph2.v2 = r2.v group by r2.v",
     "select r2.rep g, count(*) c, min(graph2.v1) m from graph2, reps as r2 "
     "where graph2.v2 = r2.v group by r2.rep",
-    # Mixed: one key on the probe side, one on the build side.
     "select v1, r2.rep, count(*) c from graph2, reps as r2 "
     "where graph2.v2 = r2.v group by v1, r2.rep",
-]
-
-
-@pytest.mark.parametrize("query", RIGHT_KEY_GROUP_QUERIES)
-def test_right_side_group_keys_fuse(query):
-    """Right-side group keys are outside the fused GROUP BY shape: only
-    the join streams and the aggregation runs unfused."""
-    db = _two_table_db()
-    db.execute(query)
-    assert db.stats.fused_group_pipelines == 0
-
-
-NOT_FUSABLE_GROUP_QUERIES = [
-    # count(distinct) needs row-level key columns.
+    # count(distinct) over the joined rows.
     "select v1, count(distinct r2.rep) c from graph2, reps as r2 "
     "where graph2.v2 = r2.v group by v1",
 ]
 
 
-@pytest.mark.parametrize("query", NOT_FUSABLE_GROUP_QUERIES)
-def test_unfusable_group_shapes_stay_staged_and_correct(query):
-    db = _two_table_db()
-    db.execute(query)
-    assert db.stats.fused_group_pipelines == 0
+@pytest.mark.parametrize("query", GROUP_OVER_JOIN_QUERIES)
+def test_group_by_over_join_matches_sqlite(query):
+    """A GROUP BY over a join runs over the chain's materialised frame,
+    whatever side its keys come from; its groups are sqlite's."""
+    _two_table_db().execute(query)
 
 
-def test_fused_group_by_with_nulls_in_aggregate_argument():
+def test_group_by_over_join_with_nulls_in_aggregate_argument():
     db = tee(Database(n_segments=4))
     db.execute("create table e (v1 int64, v2 int64)")
     db.execute("insert into e values (1, 10), (1, 11), (2, 10), (3, 12)")
@@ -324,10 +297,9 @@ def test_fused_group_by_with_nulls_in_aggregate_argument():
                       "from e, w where e.v2 = w.v group by e.v1").rows()
     assert sorted(rows) == [(1, 1, 5, 5), (2, 0, None, None),
                             (3, 0, None, None)]
-    assert db.stats.fused_group_pipelines == 1
 
 
-def test_fused_group_by_empty_sides():
+def test_group_by_over_join_empty_sides():
     db = tee(Database(n_segments=4))
     db.execute("create table e (v1 int64, v2 int64)")
     db.execute("create table w (v int64, x int64)")
@@ -341,25 +313,25 @@ def test_fused_group_by_empty_sides():
     db.execute("truncate table e")
     db.execute("insert into w values (10, 7)")
     assert db.execute(q).rows() == []
-    assert db.stats.fused_group_pipelines == 3
 
 
-def test_fused_group_by_uses_left_side_index(db):
-    """The fused path recovers the left scan's index-cache provenance that
-    a materialised join output no longer has."""
+def test_group_by_on_stored_key_uses_cached_index():
+    """A GROUP BY key scanned straight off a stored table is sorted
+    through the table's index cache: the first statement builds the
+    index, a repeat finds it, and both give sqlite's groups."""
+    db = tee(Database(n_segments=4))
     rng = np.random.default_rng(9)
     n = 3000
-    db.load_table("e", {"v1": rng.integers(0, 2 ** 61, n),
+    db.load_table("e", {"v1": rng.integers(0, 2 ** 61, 300)[
+                            rng.integers(0, 300, n)],
                         "v2": rng.integers(0, 100, n)})
-    db.load_table("r", {"v": np.arange(100, dtype=np.int64),
-                        "h": rng.permutation(100)})
-    q = ("select e.v1, min(r.h) m from e, r where e.v2 = r.v "
-         "group by e.v1")
-    db.execute(q)  # builds (and caches) the index over e.v1
-    hits_before = db.stats.index_cache_hits
+    q = "select e.v1, count(*) c, sum(e.v2) s from e group by e.v1"
     db.execute(q)
-    assert db.stats.index_cache_hits > hits_before
-    assert db.stats.fused_group_pipelines == 2
+    misses, hits = db.stats.index_cache_misses, db.stats.index_cache_hits
+    assert misses == 1
+    db.execute(q)
+    assert db.stats.index_cache_misses == misses
+    assert db.stats.index_cache_hits == hits + 1
 
 
 def test_fusion_preserves_create_table_as(db):
@@ -495,8 +467,8 @@ def test_rc_physical_plan_hit_rate_and_identical_labels():
 
 
 def test_rc_random_reals_round_loop_fuses_join_group_by():
-    """The table-strategy round's neigh-min statement is a join->GROUP BY;
-    it must run fused, every table it writes equal to sqlite's."""
+    """The table-strategy round's neigh-min statement is a join->GROUP BY
+    over a join chain; every table the loop writes equals sqlite's."""
     from repro.core import RandomisedContraction
     from repro.graphs import gnm_random_graph
     from repro.graphs.io import load_edges_into
@@ -508,7 +480,7 @@ def test_rc_random_reals_round_loop_fuses_join_group_by():
     RandomisedContraction(method="random-reals",
                           variant="deterministic-space").run(
         db, "edges", seed=5)
-    assert db.stats.fused_group_pipelines > 0
+    assert db.stats.join_chain_fusions > 0
 
 
 def test_rc_fast_variant_round_loop_distinct_runs_on_codes():
@@ -586,7 +558,7 @@ CHAIN_QUERIES = [
     # Chain feeding the fused DISTINCT (the contraction query itself).
     "select distinct rv.rep as v1, rw.rep as v2 from e, r as rv, r as rw "
     "where e.v1 = rv.v and e.v2 = rw.v and rv.rep != rw.rep",
-    # Chain feeding the fused GROUP BY.
+    # Chain feeding a GROUP BY.
     "select rv.rep g, count(*) c, min(e.w) m from e, r as rv, r as rw "
     "where e.v1 = rv.v and e.v2 = rw.v group by rv.rep",
     # Residual predicate over the chained output.
@@ -693,7 +665,7 @@ def test_join_chain_counter_requires_two_joins():
 
 
 # ---------------------------------------------------------------------------
-# LEFT JOINs streaming inside the chain: edge cases and fused finals
+# LEFT JOINs streaming inside the chain: edge cases, DISTINCT and GROUP BY
 # ---------------------------------------------------------------------------
 
 
@@ -704,10 +676,10 @@ LEFT_CHAIN_QUERIES = [
     # LEFT JOIN feeding a second LEFT JOIN (outer build over outer output).
     "select e.w, a.rep, b.rep from e left join r as a on (e.v1 = a.v) "
     "left join r as b on (a.rep = b.v)",
-    # LEFT JOIN tail into the fused DISTINCT final.
+    # LEFT JOIN tail into the fused DISTINCT.
     "select distinct rv.rep, lj.rep from e join r as rv on (e.v1 = rv.v) "
     "left outer join r as lj on (e.v2 = lj.v)",
-    # LEFT JOIN tail into the fused GROUP BY final (keys on the left side;
+    # LEFT JOIN tail into a GROUP BY (keys on the left side;
     # aggregates over the null-extended build columns).
     "select rv.rep g, count(*) c, min(lj.rep) m, count(lj.v) k from e "
     "join r as rv on (e.v1 = rv.v) left join r as lj on (e.v2 = lj.v) "
@@ -784,7 +756,7 @@ TEXT_CHAIN_QUERIES = [
 # ---------------------------------------------------------------------------
 # GROUP BY through outer padding: group keys on the padded (right) binding
 # of a left-outer final join — padded rows form NULL-key groups.  The join
-# chain streams; the aggregation is the unfused one.
+# chain streams; the aggregation runs over its materialised frame.
 # ---------------------------------------------------------------------------
 
 
@@ -809,14 +781,9 @@ OUTER_GROUP_QUERIES = [
 ]
 
 
-def _assert_outer_group_matches(query, db):
-    db.execute(query)  # teed: the groups are sqlite's
-    assert db.stats.fused_group_pipelines == 0
-
-
 @pytest.mark.parametrize("query", OUTER_GROUP_QUERIES)
 def test_outer_padded_group_keys_match_sqlite(query):
-    _assert_outer_group_matches(query, _chain_db())
+    _chain_db().execute(query)  # teed: the groups are sqlite's
 
 
 @pytest.mark.parametrize("query", OUTER_GROUP_QUERIES)
@@ -824,7 +791,7 @@ def test_outer_padded_group_keys_with_empty_build_side(query):
     """An empty build side pads *every* probe row: the padded key column
     is all-NULL and collapses to the single NULL-key group (or one group
     per surviving left-side key combination on multi-key shapes)."""
-    _assert_outer_group_matches(query, _chain_db(empty_build=True))
+    _chain_db(empty_build=True).execute(query)  # teed
 
 
 def test_outer_padded_group_keys_with_null_probe_keys():
@@ -832,7 +799,7 @@ def test_outer_padded_group_keys_with_null_probe_keys():
     rows must land in the NULL-key group exactly as sqlite groups them."""
     query = ("select lj.rep g, count(*) c, count(lj.v) k from en "
              "left join r as lj on (en.v1 = lj.v) group by lj.rep")
-    _assert_outer_group_matches(query, _chain_db(null_keys=True))
+    _chain_db(null_keys=True).execute(query)  # teed
 
 
 def test_outer_padded_group_aggregates_see_padded_nulls():

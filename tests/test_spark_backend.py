@@ -17,11 +17,8 @@ from .conftest import edge_lists
 
 def test_spark_join_group_by_matches_mpp_above_task_threshold():
     """Regression: the Spark model's partitioned join emits partition-major
-    (non-monotone) left indices, so the fused join->GROUP BY expansion must
-    not run on it — it silently mislabelled groups before the
-    ``monotone_join_output`` gate existed."""
-    from repro.graphs import load_edges_into
-
+    (non-monotone) left indices; a GROUP BY over it once silently
+    mislabelled groups by assuming ascending left rows."""
     rng = np.random.default_rng(8)
     n = 3000  # far above n_tasks * 4, so the partitioned join kernel engages
     groups = rng.integers(0, 40, n)
@@ -36,8 +33,6 @@ def test_spark_join_group_by_matches_mpp_above_task_threshold():
     q = ("select t.g, count(*) c, sum(u.b) s, min(u.b) lo "
          "from t, u where t.k = u.k group by t.g")
     assert sorted(mpp.execute(q).rows()) == sorted(spark.execute(q).rows())
-    assert mpp.stats.fused_group_pipelines == 1
-    assert spark.stats.fused_group_pipelines == 0  # unfused fallback
 
 
 def test_same_sql_same_answers():

@@ -155,6 +155,9 @@ def test_every_counter_sees_traffic_from_some_algorithm(default_traffic):
         allowed |= NEEDS_TWO_WORKERS
     assert set(stats.COUNTERS) - seen - allowed == set(), (
         "counters no algorithm reaches: delete the path or list a reason")
+    # An allow-list entry some algorithm does move is stale.
+    if workers >= 2:
+        assert seen & set(NO_TRAFFIC_EXPECTED) == set()
 
 
 def test_every_join_route_is_reached_by_some_algorithm(default_traffic,
