@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-unit fuzz bench bench-quick perf perf-aa perf-4m size clean
+.PHONY: test test-unit fuzz bench bench-quick perf perf-aa perf-ab perf-4m size clean
 
 ## tier-1: the full unit + benchmark collection, fail-fast
 test:
@@ -37,6 +37,15 @@ perf:
 ## run-to-run spread before trusting a before/after difference
 perf-aa:
 	python3 perf/aa.py
+
+## alternating A/B pairs of one workload: revision BASE (exported to a
+## temporary directory, removed afterwards) against the working tree;
+## prints every run, both medians and quartiles, and the win count
+BASE ?= HEAD
+WORKLOAD ?= gnm_100k
+PAIRS ?= 5
+perf-ab:
+	python3 scripts/perf_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 ## the rung above the committed ladder: G(2M, 4M), three timed runs, no
 ## time budget (~1 min, 2.5 GB) — ROADMAP A's "edges/s within 1.5x between

@@ -57,21 +57,25 @@ The executor also decides **which columns are dictionary-encoded** (the
 second physical form of :class:`~repro.sqlengine.types.Column`), and it is
 the only layer that does.  One rule creates the form, in one function
 (:func:`_encoded_source`): the gather of a stored NULL-free int64 column
-through the build side of an inner join with at least as many output rows
-as build rows — ``reps.rep`` fanned out over the edge table — reads an
-encoding of that column that its table caches like an index, and gathers
-codes.  ``take`` / ``filter`` carry the form, ``CREATE TABLE AS`` stores
-it, and every consumer recognises it by the columns it is handed, not by a
-flag: joins of two columns over one dictionary take the planner's
-``dictionary`` route, ``v1 != r2.rep`` compares codes
-(:mod:`~repro.sqlengine.expressions`), an immutable UDF is applied to the
-dictionary (:mod:`~repro.sqlengine.functions`), DISTINCT packs and sorts
-the codes, GROUP BY finds that output sorted.  The rule reads a join's row
-counts and a column's provenance — nothing about how the statement
-runs — so the form, and with it a DISTINCT's row order, is a
-deterministic function of the statement and its input relation: **key
-order over encoded columns, first-occurrence order otherwise, never a
-function of the fan-out, the backend or a switch.**  Space, motion and
+through the build side of an inner join, or a LEFT JOIN none of whose
+gathered rows is null-extended, with at least as many output rows as
+build rows — ``reps.rep`` fanned out over the edge table, or composed into
+the label table while no component has finished — reads an encoding of
+that column that its table caches like an index, and gathers codes.  A
+gather with a null-extended row reads plain values under a null mask: the
+encoded form stays NULL-free.  ``take`` / ``filter`` carry the form,
+``CREATE TABLE AS`` stores it, and every consumer recognises it by the
+columns it is handed, not by a flag: joins of two columns over one
+dictionary take the planner's ``dictionary`` route, ``v1 != r2.rep``
+compares codes (:mod:`~repro.sqlengine.expressions`), an immutable UDF is
+applied to the dictionary (:mod:`~repro.sqlengine.functions`), DISTINCT
+packs and sorts the codes, GROUP BY finds that output sorted.  The rule
+reads a join's row counts, whether a gathered row is null-extended and a
+column's provenance — nothing about how the statement runs — so the form,
+and with it a DISTINCT's row order, is a deterministic function of the
+statement and its input relation: **key order over encoded columns,
+first-occurrence order otherwise, never a function of the fan-out, the
+backend or a switch.**  Space, motion and
 written bytes charge 8 bytes per cell in either form.  Dense GROUP BY keys
 nothing has sorted yet — round 1's vertex ids — are reduced by direct
 addressing (:func:`~repro.sqlengine.operators.direct_group_rows`) through
@@ -268,8 +272,10 @@ def _gather_padded(col: Column, safe_idx: np.ndarray, unmatched: np.ndarray,
 
 
 def _encoded_source(frame: Frame, qualified: str) -> Column:
-    """The column a build-side gather of an *expanding* join reads — a join
-    with at least as many output rows as its build side has.
+    """The column a build-side gather of an *expanding* join reads — an
+    inner join, or a LEFT JOIN none of whose gathered rows is
+    null-extended, with at least as many output rows as its build side
+    has.
 
     This is where dictionary-encoded columns are born.  A stored NULL-free
     int64 column is encoded once (sorted distinct values plus a code per
@@ -279,11 +285,12 @@ def _encoded_source(frame: Frame, qualified: str) -> Column:
     comparisons, DISTINCT and GROUP BY over the per-edge column run on
     dense integers.  There is no size gate — encoding wherever the rule
     allows wins from G(500, 1000) (1.07x per run) to G(500k, 1M) (2.3x).
-    The rule reads one join's row counts and the column's provenance —
-    never a switch, the fan-out or the backend — so which columns are
-    encoded, and with it the row order of a DISTINCT over them, is a
-    function of the statement and its input.  Anything else (text, NULLs,
-    a subquery's or a filtered scan's column) is returned as it is.
+    The rule reads one join's row counts, whether a gathered row is
+    null-extended, and the column's provenance — never a switch, the
+    fan-out or the backend — so which columns are encoded, and with it
+    the row order of a DISTINCT over them, is a function of the statement
+    and its input.  Anything else (text, NULLs, a subquery's or a filtered
+    scan's column) is returned as it is.
     """
     source = frame.sources.get(qualified)
     encoded = None
@@ -336,8 +343,9 @@ class _JoinChain:
 
     def __init__(self, frame: Frame, encode: bool = True):
         #: Whether build-side gathers may dictionary-encode, and the
-        #: bindings whose (inner) join expanded them: their columns are
-        #: gathered through :func:`_encoded_source`.
+        #: bindings whose join expanded them: their columns are gathered
+        #: through :func:`_encoded_source` unless a row they gather is
+        #: null-extended.
         self._encode = encode
         self._expanded: set[str] = set()
         self._frames: dict[str, Frame] = {b: frame for b in frame.bindings}
@@ -455,7 +463,7 @@ class _JoinChain:
             self._maps[binding] = r_idx
             if outer:
                 self._outer.add(binding)
-            elif self._encode and r_idx.shape[0] >= right.length:
+            if self._encode and r_idx.shape[0] >= right.length:
                 self._expanded.add(binding)
         self._gather_cache.clear()
         self.length = int(l_idx.shape[0])

@@ -54,15 +54,15 @@ input relation — its rows and which of its columns are encoded, which the
 executor decides from the statement and its input alone — and never of
 the fan-out or the backend.
 
-**Sort-merge references** (:func:`merge_join_indices`,
-:func:`sorted_group_rows`) remain for the kernel tests to diff *index
-arrays* against — what an outside SQL engine cannot referee — and
-:func:`sorted_group_rows` as the fallback for text keys and NULL-bearing
-inputs.
+**Sort-merge grouping** (:func:`sorted_group_rows`) is the fallback of
+:func:`group_rows` for text keys and NULL-bearing inputs, and the
+reference the kernel tests diff grouping *index arrays* against — what an
+outside SQL engine cannot referee.  The join's sort-merge reference lives
+with the tests (``tests/join_reference.py``): no engine code calls it.
 
-Sparse keys in plain columns are where round 1 and the composition still
-spend time, and at a million rows the cost of every kernel above is cache
-misses, not comparisons.  Two primitives keep the memory accesses
+Sparse keys in plain columns are where round 1 of a sparse-id graph
+still spends time, and at a million rows the cost of every kernel above
+is cache misses, not comparisons.  Two primitives keep the memory accesses
 sequential: :func:`stable_argsort` (vectorised unstable sort, ties
 repaired by one value sort) builds every stable order over a key column,
 and :func:`sorted_lookup` (needles radix-bucketed into near-ascending
@@ -623,44 +623,6 @@ def join_indices(
     if note is not None:
         note.append(route.note())
     return route.run()
-
-
-def merge_join_indices(
-    left_keys: list[Column], right_keys: list[Column]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The seed sort-merge join, kept as the tests' reference.
-
-    Produces identical output to :func:`join_indices` and shares none of
-    its machinery: numpy's own stable ``argsort`` and ``searchsorted``,
-    and a second copy — the only one, on purpose — of the run-expansion
-    arithmetic of :func:`_expand_runs`, so that the reference cannot
-    inherit a mistake from the kernels it checks.
-    """
-    if len(left_keys) != len(right_keys) or not left_keys:
-        raise ExecutionError("join requires matching non-empty key lists")
-    sides = []
-    for columns in (left_keys, right_keys):
-        keys = _pack_keys(_keys_as_arrays(columns))
-        rows = np.arange(keys.shape[0])
-        valid = _non_null_rows(columns)
-        if valid is not None:
-            keys, rows = keys[valid], rows[valid]
-        sides.append((keys, rows))
-    (lk, left_rows), (rk, right_rows) = sides
-    if lk.shape[0] == 0 or rk.shape[0] == 0:
-        return _empty_pair()
-    r_order = np.argsort(rk, kind="stable")
-    r_sorted = rk[r_order]
-    lo = np.searchsorted(r_sorted, lk, side="left")
-    counts = np.searchsorted(r_sorted, lk, side="right") - lo
-    total = int(counts.sum())
-    if total == 0:
-        return _empty_pair()
-    l_idx = np.repeat(np.arange(lk.shape[0]), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    within_run = np.arange(total) - np.repeat(offsets, counts)
-    r_idx = r_order[np.repeat(lo, counts) + within_run]
-    return left_rows[l_idx], right_rows[r_idx]
 
 
 def pad_left_outer(

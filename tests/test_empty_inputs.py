@@ -19,11 +19,12 @@ from repro.sqlengine.operators import (
     group_rows,
     join_indices,
     left_join_indices,
-    merge_join_indices,
     pad_left_outer,
 )
 from repro.sqlengine.parallel import parallel_join_indices
 from repro.sqlengine.types import Column
+
+from .join_reference import merge_join_indices
 
 POOL = SegmentPool(4, max_workers=4)
 

@@ -33,6 +33,8 @@ from repro.sqlengine.shm import ShmRegistry, attach_array
 from repro.sqlengine.table import Table
 from repro.sqlengine.types import FLOAT64, INT64, Column
 
+from .sqlite_oracle import tee
+
 sparse_values = st.lists(
     st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
     min_size=1, max_size=40)
@@ -308,6 +310,49 @@ def test_executor_distinct_over_encoded_columns_is_in_key_order():
     rows = encoded.rows()
     assert rows == sorted(rows) == sorted(plain.rows())
     assert plain.rows() != rows  # first-occurrence order is another order
+
+
+# ---------------------------------------------------------------------------
+# the encoding rule on a LEFT JOIN's build side
+# ---------------------------------------------------------------------------
+
+
+def _left_join_rep(probe_keys) -> tuple[Column, Column, Table]:
+    """``l LEFT JOIN r`` on a 50-row build side with sparse ``rep`` values,
+    teed to sqlite: the output's ``l.k`` and ``r.rep`` columns and the
+    build table."""
+    rng = np.random.default_rng(10)
+    with tee(Database()) as db:
+        db.load_table("l", {"k": np.asarray(probe_keys, dtype=np.int64)})
+        db.load_table("r", {"v": np.arange(50),
+                            "rep": rng.integers(-(2 ** 62), 2 ** 62, 50)})
+        relation = db.execute("select l.k k, r.rep rep from l left join r "
+                              "on (l.k = r.v)").relation
+        assert db.oracle.compared == 1
+        return relation.column("k"), relation.column("rep"), db.table("r")
+
+
+def test_expanding_left_join_matching_every_row_gathers_codes():
+    rng = np.random.default_rng(11)
+    _, rep, build = _left_join_rep(rng.integers(0, 50, 400))
+    assert rep.codes is not None and rep.mask is None
+    assert rep.dictionary is build.cached_encoding("rep").dictionary
+
+
+def test_left_join_null_extending_a_row_gathers_plain_values():
+    rng = np.random.default_rng(12)
+    keys = rng.integers(0, 50, 400)
+    keys[123] = 50  # the one probe key the build side lacks
+    k, rep, _ = _left_join_rep(keys)
+    assert rep.codes is None
+    assert np.array_equal(rep.null_mask(), k.values == 50)
+    assert int(rep.null_mask().sum()) == 1
+
+
+def test_non_expanding_left_join_gathers_plain_values():
+    _, rep, build = _left_join_rep(np.arange(20))  # 20 output rows < 50
+    assert rep.codes is None and rep.mask is None
+    assert build.cached_encoding("rep") is None
 
 
 # ---------------------------------------------------------------------------

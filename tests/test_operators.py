@@ -22,12 +22,13 @@ from repro.sqlengine.operators import (
     group_rows,
     join_indices,
     left_join_indices,
-    merge_join_indices,
     sorted_group_rows,
     sorted_lookup,
     stable_argsort,
 )
 from repro.sqlengine.types import Column
+
+from .join_reference import merge_join_indices
 
 small_ints = st.integers(min_value=0, max_value=8)
 key_lists = st.lists(small_ints, min_size=0, max_size=30)

@@ -31,7 +31,6 @@ from repro.sqlengine.operators import (
     JOIN_ROUTES,
     build_key_index,
     join_indices,
-    merge_join_indices,
     pad_left_outer,
 )
 from repro.sqlengine.parallel import (
@@ -41,6 +40,8 @@ from repro.sqlengine.parallel import (
     parallel_join_indices,
 )
 from repro.sqlengine.types import FLOAT64, INT64, Column
+
+from .join_reference import merge_join_indices
 
 
 POOL = SegmentPool(4, max_workers=4)

@@ -502,6 +502,76 @@ def test_rc_fast_variant_round_loop_distinct_runs_on_codes():
     assert db.stats.group_sorts_skipped >= result.rounds - 1
 
 
+def _run_deterministic_space(monkeypatch, edges):
+    """One deterministic-space RC run; returns the result, each
+    composition's (join route, null-extended rows) in round order, whether
+    the stored labels are encoded, and the labels' edge check."""
+    from repro.core import RandomisedContraction
+    from repro.graphs.io import load_edges_into
+    from repro.sqlengine import executor as executor_module
+
+    compositions = []
+    dispatch_join = executor_module.Executor._dispatch_join
+
+    def recording_dispatch(self, left_outer, left_keys, right_keys,
+                           left_index, right_index, note):
+        note = [] if note is None else note
+        l_idx, r_idx = dispatch_join(self, left_outer, left_keys, right_keys,
+                                     left_index, right_index, note)
+        if left_outer:  # the loop's only LEFT JOIN is the composition
+            compositions.append((note[-1], int((r_idx < 0).sum())))
+        return l_idx, r_idx
+
+    monkeypatch.setattr(executor_module.Executor, "_dispatch_join",
+                        recording_dispatch)
+    with Database() as db:
+        load_edges_into(db, "edges", edges)
+        result = RandomisedContraction(variant="deterministic-space").run(
+            db, "edges", seed=5)
+        encoded = db.table("ccresult").column("rep").codes is not None
+        vertices, labels = result.labels(db)
+    label_of = dict(zip(vertices.tolist(), labels.tolist()))
+    consistent = all(label_of[s] == label_of[d]
+                     for s, d in zip(edges.src.tolist(), edges.dst.tolist()))
+    return result, compositions, encoded, consistent
+
+
+def test_rc_deterministic_space_composition_joins_codes(monkeypatch):
+    """The composition ``l LEFT JOIN reps ON l.rep = r.v`` matches every
+    row on a path (one component), so it gathers ``reps.rep`` as codes and
+    ``coalesce`` stores them: from round 2 on each composition joins two
+    columns over one dictionary, and the final labels are encoded."""
+    from repro.graphs import path_graph
+
+    result, compositions, encoded, consistent = _run_deterministic_space(
+        monkeypatch, path_graph(1500))
+    assert result.rounds > 2
+    assert compositions == [("dictionary", 0)] * (result.rounds - 1)
+    assert encoded and consistent
+
+
+def test_rc_deterministic_space_composition_probes_plain_keys_once_a_component_finishes(
+        monkeypatch):
+    """The rule's limit: a component that has finished leaves the edge
+    table, so from then on its label rows are null-extended in every
+    composition.  A gather with a null-extended row stays plain, so the
+    labels are stored plain and every later composition probes plain keys.
+    Here a lone edge finishes in round 1 beside a path."""
+    from repro.graphs import EdgeList, path_graph
+
+    path = path_graph(1500)
+    edges = EdgeList(np.append(path.src, 10_000), np.append(path.dst, 10_001))
+    result, compositions, encoded, consistent = _run_deterministic_space(
+        monkeypatch, edges)
+    assert result.rounds > 3
+    # Round 2 still probes round 1's encoded labels; nothing after does.
+    routes = [route for route, _ in compositions]
+    assert routes[0] == "dictionary"
+    assert "dictionary" not in routes[1:]
+    assert [padded for _, padded in compositions] == [2] * len(compositions)
+    assert not encoded and consistent
+
+
 def test_hash_distinct_serves_plain_sparse_pairs():
     """Plain 64-bit pairs whose spans defeat pair packing — a DISTINCT
     straight over stored field values — still take the hash kernel."""

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import connected_components
+from repro.core import RandomisedContraction
 from repro.graphs import gnm_random_graph, path_graph, streets_like_graph
 from repro.spark import SparkSQLDatabase
 from repro.spark.engine import SparkExecutor, _partition_ids
@@ -13,6 +14,10 @@ from repro.sqlengine.operators import NO_MATCH, join_indices, left_join_indices
 from repro.sqlengine.types import Column
 
 from .conftest import edge_lists
+from .test_whole_loop_differential import (
+    BASELINE_GRAPHS,
+    _assert_teed_run_labels_like_union_find,
+)
 
 
 def test_spark_join_group_by_matches_mpp_above_task_threshold():
@@ -60,6 +65,17 @@ def test_algorithms_agree_across_backends(edges):
     spark = connected_components(edges, "rc", seed=4,
                                  db=SparkSQLDatabase(), validate=True)
     assert mpp.n_components == spark.n_components
+
+
+@pytest.mark.parametrize("variant", ["fast", "deterministic-space"])
+@pytest.mark.parametrize("graph", ["gnm", "path"])
+def test_spark_loop_equals_sqlite_statement_by_statement(variant, graph):
+    """The whole Spark-model loop — partitioned kernels, no index cache,
+    no encoded columns — teed to sqlite: every table a round writes holds
+    sqlite's rows, and every non-DROP statement was compared."""
+    _assert_teed_run_labels_like_union_find(
+        RandomisedContraction(variant=variant), BASELINE_GRAPHS[graph](),
+        database=SparkSQLDatabase)
 
 
 def test_spark_charges_more_motion():

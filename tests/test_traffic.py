@@ -28,7 +28,12 @@ from repro.core import (
     HashToMin,
     RandomisedContraction,
 )
-from repro.graphs import gnm_random_graph, load_edges_into, path_graph
+from repro.graphs import (
+    EdgeList,
+    gnm_random_graph,
+    load_edges_into,
+    path_graph,
+)
 from repro.sqlengine import Database, stats
 from repro.sqlengine import executor as executor_module
 from repro.sqlengine.operators import JOIN_ROUTES
@@ -41,9 +46,11 @@ NO_TRAFFIC_EXPECTED = {
     "physical_plan_invalidations":
         "safety counter: a cached plan failing its schema/binding check",
     "parallel_indexed_probes":
-        "size-gated (PARALLEL_MIN_ROWS sparse-key probes): the "
-        "composition's plain probe column on path_500k_detspace in the "
-        "perf/ traces; the contraction rounds now probe with codes",
+        "size-gated (PARALLEL_MIN_ROWS sparse-key probes): plain keys are "
+        "probed in round 1 of a sparse-id graph, and by the "
+        "deterministic-space composition once a component has finished "
+        "(its label rows are null-extended, so the labels stay plain); "
+        "every graph below is smaller than the gate",
     "hash_distincts":
         "the fallback of the packed-code DISTINCT, for plain 64-bit pairs "
         "and words over 63 bits: every sparse DISTINCT input of the "
@@ -85,6 +92,12 @@ def _configurations():
     random_graph = gnm_random_graph(3000, 6000, np.random.default_rng(7))
     path = path_graph(1500)
     both = {"gnm": random_graph, "path": path}
+    # Vertex ids far apart: round 1's joins probe plain sparse keys (the
+    # 'probe-sorted' routes).  The graph is one component, so the
+    # deterministic-space composition matches every row and, from round 2
+    # on, every RC join is on codes.
+    sparse_ids = EdgeList(random_graph.src * 1_000_003 + 2 ** 40,
+                          random_graph.dst * 1_000_003 + 2 ** 40)
     configs = {cls.__name__: cls for cls in set(ALGORITHMS.values())}
     configs.update({
         "rc-deterministic-space": lambda: RandomisedContraction(
@@ -105,6 +118,8 @@ def _configurations():
         elif factory in (BreadthFirstSearchCC, HashToMin):
             # Quadratic on a path by design.
             graphs = {"gnm": random_graph}
+        elif name in ("RandomisedContraction", "rc-deterministic-space"):
+            graphs = {**both, "gnm-sparse-ids": sparse_ids}
         else:
             graphs = both
         for graph_name, edges in graphs.items():

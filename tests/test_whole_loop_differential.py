@@ -93,10 +93,12 @@ BASELINES = {
 }
 
 
-def _assert_teed_run_labels_like_union_find(algorithm, edges: EdgeList):
-    """Run ``algorithm`` with every statement teed to sqlite; returns the
-    run's result and its database's counters."""
-    with tee(Database()) as db:
+def _assert_teed_run_labels_like_union_find(algorithm, edges: EdgeList,
+                                            database=Database):
+    """Run ``algorithm`` on a fresh ``database()`` with every statement
+    teed to sqlite; returns the run's result and its database's
+    counters."""
+    with tee(database()) as db:
         load_edges_into(db, "edges", edges)
         result = algorithm.run(db, "edges", seed=11)
         vertices, labels = result.labels(db)
@@ -131,7 +133,8 @@ def test_encoded_loop_labels_equal_plain_loop_and_union_find(
     if graph == "gnm" and method != "random-reals":
         # The encoded loop was the one under test: its DISTINCTs emitted
         # key order and the next rounds' GROUP BYs found it.  (The table
-        # strategy's GROUP BY is fused behind a join and sorts nothing.)
+        # strategy's one GROUP BY reads a join's output, which has no
+        # cached index to prove it sorted.)
         assert stats.group_sorts_skipped > 1
 
 
