@@ -38,9 +38,11 @@ perf:
 perf-aa:
 	python3 perf/aa.py
 
-## alternating A/B pairs of one workload: revision BASE (exported to a
-## temporary directory, removed afterwards) against the working tree;
-## prints every run, both medians and quartiles, and the win count
+## alternating A/B pairs of one workload (WORKLOAD=all: every workload of
+## BENCHMARK.json in turn): revision BASE (exported to a temporary
+## directory, removed afterwards) against the working tree; prints every
+## run, both medians and quartiles, the win count, and per end-to-end
+## metric both medians, their ratio and WORSE beyond the metric's bound
 BASE ?= HEAD
 WORKLOAD ?= gnm_100k
 PAIRS ?= 5

@@ -1,4 +1,4 @@
-"""Alternating A/B pairs of one benchmark workload: an earlier revision
+"""Alternating A/B pairs of benchmark workloads: an earlier revision
 against the working tree.
 
 ``python3 scripts/perf_ab.py --base REV --workload W --pairs N [--seed S]``
@@ -7,10 +7,17 @@ against the working tree.
 ``python3 perf/run.py --workload W --seconds 0 --trace 0`` N times in each
 tree, one pair at a time, the side that goes first alternating from pair
 to pair so a drift of the host (thermal, other tenants) lands on both.
+``--workload all`` does that for every workload ``BENCHMARK.json`` names,
+one after another.
+
 Each run prints one line — ``edges_per_s``, the three count metrics and
-RSS / setup — and the end prints both sides' ``edges_per_s`` median and
-quartiles and how many pairs the working tree won.  The exported tree is
-removed on exit.
+RSS / setup.  After each workload come both sides' ``edges_per_s`` median
+and quartiles, how many pairs the working tree won, and one row per
+end-to-end metric of ``BENCHMARK.json``: both medians, the change/base
+ratio, and ``WORSE`` where the change's median is worse than the base's
+by more than the metric's ``bound`` in the direction of its ``better``.
+A last line says whether ``sql_queries`` and ``written_ratio`` were
+identical within every pair.  The exported tree is removed on exit.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ from typing import Optional
 ROOT = Path(__file__).resolve().parent.parent
 SHOWN = ("edges_per_s", "sql_queries", "written_ratio", "peak_space_ratio",
          "peak_rss_mb", "setup_s")
+#: Count metrics a change that only moves time must leave unchanged.
+PER_SEED_CONSTANTS = ("sql_queries", "written_ratio")
 
 
 def export(rev: str, into: Path) -> None:
@@ -66,40 +75,78 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return low, median, high
 
 
+def run_pairs(trees: dict, workload: str, pairs: int,
+              seed: Optional[int]) -> dict[str, list[dict]]:
+    """``pairs`` alternating base/change runs of one workload, each
+    printed as it finishes; the runs per side, in pair order."""
+    runs: dict[str, list[dict]] = {"base": [], "change": []}
+    for pair in range(pairs):
+        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+        for side in order:
+            metrics = run(trees[side], workload, seed)
+            runs[side].append(metrics)
+            shown = "  ".join(f"{name}={metrics[name]:.6g}" for name in SHOWN)
+            print(f"{workload} pair {pair + 1} {side:<6} {shown}  "
+                  f"correct={metrics['correct']}", flush=True)
+    return runs
+
+
+def worse(metric: dict, base: float, change: float) -> bool:
+    """True when ``change`` is worse than ``base`` by more than the
+    metric's relative ``bound``, in the direction of its ``better``."""
+    if metric["better"] == "higher":
+        return change < base * (1 - metric["bound"])
+    return change > base * (1 + metric["bound"])
+
+
+def summarise(workload: str, runs: dict[str, list[dict]],
+              end_to_end: list[dict]) -> None:
+    """Print one workload's summary."""
+    speeds = {side: [m["edges_per_s"] for m in runs[side]] for side in runs}
+    for side in ("base", "change"):
+        low, median, high = quartiles(speeds[side])
+        print(f"{workload} {side:<6} edges_per_s median {median:.6g} "
+              f"[{low:.6g}, {high:.6g}]")
+    wins = sum(c > b for b, c in zip(speeds["base"], speeds["change"]))
+    print(f"{workload} change wins {wins}/{len(speeds['base'])} pairs")
+    for metric in end_to_end:
+        name = metric["name"]
+        base = statistics.median(m[name] for m in runs["base"])
+        change = statistics.median(m[name] for m in runs["change"])
+        ratio = change / base if base else float("nan")
+        flag = "  WORSE" if worse(metric, base, change) else ""
+        print(f"{workload} {name:<17} base {base:<12.6g} change "
+              f"{change:<12.6g} ratio {ratio:.3f}x{flag}")
+    for name in PER_SEED_CONSTANTS:
+        same = all(b[name] == c[name]
+                   for b, c in zip(runs["base"], runs["change"]))
+        print(f"{workload} {name} identical in every pair: {same}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True,
                         help="git revision to compare the working tree with")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload name, or 'all' for every workload "
+                             "BENCHMARK.json names")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=None,
                         help="perf/run.py's --seed (default: its own)")
     args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = ([w["name"] for w in spec["workloads"]]
+                 if args.workload == "all" else [args.workload])
     base_tree = Path(tempfile.mkdtemp(prefix="perf-ab-"))
     try:
         export(args.base, base_tree)
         trees = {"base": base_tree, "change": ROOT}
-        speeds: dict[str, list[float]] = {"base": [], "change": []}
         all_correct = True
-        for pair in range(args.pairs):
-            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            for side in order:
-                metrics = run(trees[side], args.workload, args.seed)
-                all_correct &= metrics["correct"]
-                speeds[side].append(metrics["edges_per_s"])
-                shown = "  ".join(f"{name}={metrics[name]:.6g}"
-                                  for name in SHOWN)
-                print(f"pair {pair + 1} {side:<6} {shown}  "
-                      f"correct={metrics['correct']}", flush=True)
-        for side in ("base", "change"):
-            low, median, high = quartiles(speeds[side])
-            print(f"{side:<6} edges_per_s median {median:.6g} "
-                  f"[{low:.6g}, {high:.6g}]")
-        wins = sum(c > b for b, c in zip(speeds["base"], speeds["change"]))
-        ratio = statistics.median(speeds["change"]) / statistics.median(
-            speeds["base"])
-        print(f"change wins {wins}/{args.pairs} pairs; median ratio "
-              f"{ratio:.3f}x")
+        for workload in workloads:
+            runs = run_pairs(trees, workload, args.pairs, args.seed)
+            all_correct &= all(m["correct"] for side in runs.values()
+                               for m in side)
+            summarise(workload, runs, spec["end_to_end"])
         return 0 if all_correct else 1
     finally:
         shutil.rmtree(base_tree, ignore_errors=True)

@@ -45,7 +45,12 @@ materialises its output — the executor keeps per-binding row-index maps,
 composes them through each join's output indices, and gathers every
 downstream-consumed column exactly once, whether it is the next join's
 key or part of the chain-final frame.
-A single join is the chain at length one.
+A single join is the chain at length one.  A join that keeps every probe
+row once, in order — every join of the contraction loop, where each edge
+or label row finds its one ``reps`` row — returns no left map at all
+(``None``), so the maps the chain already holds stand and the probe
+side passes through: its columns reach the output as they are, not
+gathered, down to the stored table's own column objects.
 LEFT OUTER JOINs stream inside the chain too: their null-extended probe
 rows ride the composed maps as ``NO_MATCH`` validity markers that only
 materialisation resolves into null masks, so an outer join can sit in any
@@ -310,6 +315,9 @@ class _JoinChain:
     composes it through each join's output indices (``map ∘ l_idx``).  A
     column is gathered exactly once, when something downstream finally
     consumes it: the next join's key or the chain-final materialisation.
+    A join that keeps every probe row once, in order, hands over no
+    ``l_idx`` (``None``): the maps stand, and a binding still mapped by
+    ``None`` passes its base frame's column objects through ungathered.
 
     LEFT OUTER JOINs stream through the chain too: a binding that entered
     via an outer join carries ``NO_MATCH`` entries in its row map (one per
@@ -445,8 +453,8 @@ class _JoinChain:
                 total += self.length
         return total
 
-    def apply(self, l_idx: np.ndarray, r_idx: np.ndarray, right: Frame,
-              step, outer: bool = False) -> None:
+    def apply(self, l_idx: Optional[np.ndarray], r_idx: np.ndarray,
+              right: Frame, step, outer: bool = False) -> None:
         """Fold one executed join step into the chain's row maps.
 
         ``outer`` marks a LEFT JOIN: ``r_idx`` then carries ``NO_MATCH``
@@ -454,19 +462,23 @@ class _JoinChain:
         as validity markers.  ``l_idx`` always holds valid chain rows, so
         composing the existing maps needs no special casing — a NO_MATCH
         already present in an earlier outer binding's map is gathered
-        through like any other entry.
+        through like any other entry.  ``l_idx`` is ``None`` when the join
+        kept every chain row once, in order: the existing maps stand as
+        they are, and a LEFT JOIN that did so null-extended nothing.
         """
-        for binding, row_map in self._maps.items():
-            self._maps[binding] = l_idx if row_map is None else row_map[l_idx]
+        if l_idx is not None:
+            for binding, row_map in self._maps.items():
+                self._maps[binding] = (l_idx if row_map is None
+                                       else row_map[l_idx])
         for binding in right.bindings:
             self._frames[binding] = right
             self._maps[binding] = r_idx
-            if outer:
+            if outer and l_idx is not None:
                 self._outer.add(binding)
             if self._encode and r_idx.shape[0] >= right.length:
                 self._expanded.add(binding)
         self._gather_cache.clear()
-        self.length = int(l_idx.shape[0])
+        self.length = int(r_idx.shape[0])
         self.distribution = step.out_distribution
         self._surviving = list(step.left_gather) + list(step.right_gather)
         self.n_joins += 1
@@ -579,10 +591,12 @@ class Executor:
         left_index: Optional[KeyIndex],
         right_index: Optional[KeyIndex],
         note: Optional[list],
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[Optional[np.ndarray], np.ndarray]:
         """Inner or left-outer join: plan the route once, then run it at
         fan-out 1 or — a pool with real fan-out, a shape it can chunk and
-        enough probe rows for the dispatch to pay — over the pool."""
+        enough probe rows for the dispatch to pay — over the pool.  Left
+        rows are ``None`` when the join kept every probe row once, in
+        order (see :meth:`~repro.sqlengine.operators.JoinRoute.combine`)."""
         route = plan_join(left_keys, right_keys, left_index, right_index)
         pool = self.pool
         chunked = (
@@ -954,8 +968,9 @@ class Executor:
 
     def _apply_filters(self, frame: Frame, predicates: list[Expression]) -> Frame:
         env = Environment(frame.env_columns(), frame.length, self.registry)
-        keep = np.ones(frame.length, dtype=bool)
-        for predicate in predicates:
+        # truth_values hands back a fresh array: the first one is the mask.
+        keep = truth_values(evaluate(predicates[0], env))
+        for predicate in predicates[1:]:
             keep &= truth_values(evaluate(predicate, env))
         if keep.all():
             return frame

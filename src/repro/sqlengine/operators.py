@@ -6,6 +6,13 @@ DISTINCT.  All kernels but one are pure index arithmetic — they return row
 index arrays rather than materialised rows, so the executor can gather only
 the columns a query actually needs (:func:`distinct_encoded` returns the
 distinct rows themselves: it has no row to point at, having sorted codes).
+One index array may be *absent*: a join that matched every probe row
+exactly once, in probe order, returns ``None`` for its left rows — the
+identity map, which the executor then never builds, scans or gathers
+through.  Every join of the contraction loop is such a join (each edge or
+label row finds its one row of the per-vertex ``reps`` table).  The
+public entry points (:func:`join_indices`, :func:`left_join_indices`)
+spell the identity out as ``arange``.
 
 **Joins** are planned once and written once.  :func:`plan_join` is the
 only place that decides how an equi-join runs: it returns a
@@ -400,6 +407,12 @@ class JoinRoute:
     (:func:`repro.sqlengine.parallel.run_join`); :meth:`combine` turns the
     chunk outputs of either into the join's row pairs.  ``kernel`` is
     ``None`` when no row can match.
+
+    A kernel returns ``(None, right rows)`` when every probe row of its
+    range matched exactly one build row: the left rows are then the
+    range itself, in order.  The join's left rows stay ``None`` — the
+    identity over the probe side — when every chunk said so and no NULL
+    key was filtered out.
     """
 
     __slots__ = ("kind", "kernel", "inputs", "scalars", "n_probe",
@@ -435,26 +448,36 @@ class JoinRoute:
         """True when the probe is of a direct-address table."""
         return self.kernel is _dense_chunk
 
-    def run(self) -> tuple[np.ndarray, np.ndarray]:
+    def run(self) -> tuple[Optional[np.ndarray], np.ndarray]:
         """The join at fan-out 1: one direct kernel call."""
         if self.kernel is None:
             return _empty_pair()
         task = (0, self.n_probe, *self.scalars)
-        return self.combine([self.kernel((self.inputs, task))])
+        return self.combine([self.kernel((self.inputs, task))],
+                            [(0, self.n_probe)])
 
-    def combine(self, pairs: list) -> tuple[np.ndarray, np.ndarray]:
-        """Aligned ``(left rows, right rows)`` from the chunks' outputs.
+    def combine(
+        self, pairs: list, spans: list
+    ) -> tuple[Optional[np.ndarray], np.ndarray]:
+        """Aligned ``(left rows, right rows)`` from the chunks' outputs;
+        ``spans`` are the chunks' ``(start, stop)`` probe ranges.
 
         Chunks are contiguous and in probe order, so laying them back to
-        back is the one-chunk output order.
+        back is the one-chunk output order.  Left rows are ``None`` when
+        every chunk's were (the identity over the probe side); otherwise a
+        chunk's ``None`` stands for its own range, ``arange(start, stop)``.
         """
         if len(pairs) == 1:
             l_idx, r_idx = pairs[0]
         else:
-            l_idx = np.concatenate([left for left, _ in pairs])
             r_idx = np.concatenate([right for _, right in pairs])
+            l_idx = None if all(left is None for left, _ in pairs) else \
+                np.concatenate([
+                    np.arange(start, stop, dtype=np.int64) if left is None
+                    else left
+                    for (left, _), (start, stop) in zip(pairs, spans)])
         if self.left_rows is not None:
-            l_idx = self.left_rows[l_idx]
+            l_idx = self.left_rows if l_idx is None else self.left_rows[l_idx]
         if self.right_rows is not None:
             r_idx = self.right_rows[r_idx]
         return l_idx, r_idx
@@ -622,15 +645,28 @@ def join_indices(
     route = plan_join(left_keys, right_keys, left_index, right_index)
     if note is not None:
         note.append(route.note())
-    return route.run()
+    return spelled_out(*route.run())
+
+
+def spelled_out(
+    l_idx: Optional[np.ndarray], r_idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A join's row pairs with an identity left map (``None``) written out
+    as ``arange`` — what the public join entry points return."""
+    if l_idx is None:
+        l_idx = np.arange(r_idx.shape[0], dtype=np.int64)
+    return l_idx, r_idx
 
 
 def pad_left_outer(
-    l_idx: np.ndarray, r_idx: np.ndarray, n_left: int
-) -> tuple[np.ndarray, np.ndarray]:
+    l_idx: Optional[np.ndarray], r_idx: np.ndarray, n_left: int
+) -> tuple[Optional[np.ndarray], np.ndarray]:
     """Append unmatched left rows (``right == NO_MATCH``) to an inner-join
     result — the shared left-outer step of every join route, so the
-    padding order can never diverge between them."""
+    padding order can never diverge between them.  Identity left rows
+    (``None``) miss nothing and come back as they are."""
+    if l_idx is None:
+        return l_idx, r_idx
     matched = np.zeros(n_left, dtype=bool)
     matched[l_idx] = True
     missing = np.flatnonzero(~matched)
@@ -663,11 +699,12 @@ def left_join_indices(
 # -- join kernels: one (inputs, task) body each, whatever the fan-out --------
 
 
-def _dense_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
+def _dense_chunk(payload) -> tuple[Optional[np.ndarray], np.ndarray]:
     """Kernel: one probe chunk against a dense direct-address table —
     ``table`` maps a key code to its build row (unique keys, ``starts`` is
     ``None``) or to its bucket's size, the bucket being
-    ``order[starts[code]:][:size]``."""
+    ``order[starts[code]:][:size]``.  Left rows are ``None`` when every
+    probe row of the chunk found its one build row."""
     (lk, table, starts, order), (start, stop, rmin, span) = payload
     sub = view_array(lk)[start:stop]
     if sub.shape[0] and int(sub.min()) >= rmin \
@@ -688,7 +725,7 @@ def _dense_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
         if in_bounds is not None:
             match &= in_bounds
         if match.all():
-            return np.arange(start, stop, dtype=np.int64), candidates
+            return None, candidates
         l_local = np.flatnonzero(match)
         return l_local + start, candidates[l_local]
     cnt = view_array(table)[l_rel]
@@ -698,7 +735,7 @@ def _dense_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
                         view_array(order))
 
 
-def _probe_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
+def _probe_chunk(payload) -> tuple[Optional[np.ndarray], np.ndarray]:
     """Kernel: one contiguous probe chunk against a shared sorted build
     side (``order`` is ``None`` when it is stored sorted)."""
     (lk, sorted_values, order), (start, stop, unique) = payload
@@ -717,7 +754,8 @@ def _expand_runs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row pairs of a chunk whose probe row ``i`` matches the ``counts[i]``
     consecutive build positions from ``first[i]``, mapped through
-    ``order`` — the duplicate-key expansion of every join kernel."""
+    ``order`` — the duplicate-key expansion of every join kernel.  Its
+    left rows are always an array, never the identity ``None``."""
     total = int(counts.sum())
     if total == 0:
         return _empty_pair()
@@ -731,13 +769,17 @@ def _expand_runs(
 def probe_unique(
     lk: np.ndarray, sorted_values: np.ndarray, order: Optional[np.ndarray],
     start: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[Optional[np.ndarray], np.ndarray]:
     """Matches of probe rows ``lk`` (rows ``start..`` of their column) in a
     sorted array of unique keys whose position ``i`` is build row
-    ``order[i]`` (``None``: stored sorted, positions are rows)."""
+    ``order[i]`` (``None``: stored sorted, positions are rows).  Left rows
+    are ``None`` when every probe row matched."""
     pos = sorted_lookup(sorted_values, lk)
     np.minimum(pos, sorted_values.shape[0] - 1, out=pos)
-    l_idx = np.flatnonzero(sorted_values[pos] == lk)
+    match = sorted_values[pos] == lk
+    if match.all():
+        return None, pos if order is None else order[pos]
+    l_idx = np.flatnonzero(match)
     hits = pos[l_idx]
     return l_idx + start, hits if order is None else order[hits]
 

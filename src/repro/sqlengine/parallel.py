@@ -43,7 +43,13 @@ import numpy as np
 
 from .errors import ExecutionError
 from .mpp import SegmentPool
-from .operators import DirectGroups, JoinRoute, KeyIndex, plan_join
+from .operators import (
+    DirectGroups,
+    JoinRoute,
+    KeyIndex,
+    plan_join,
+    spelled_out,
+)
 from .types import INT64, Column
 
 #: Below this many probe rows the dispatch overhead outweighs any overlap.
@@ -84,17 +90,21 @@ def _probe_tasks(n_rows: int, n_chunks: int, *args) -> list[tuple]:
     ]
 
 
-def run_join(route: JoinRoute, pool: SegmentPool) -> tuple[np.ndarray, np.ndarray]:
+def run_join(
+    route: JoinRoute, pool: SegmentPool
+) -> tuple[Optional[np.ndarray], np.ndarray]:
     """A planned, chunkable join at fan-out ``pool.n_segments``: the
     route's kernel once per contiguous probe chunk.  Reading the lazy
     index properties was the planner's job, so the workers share arrays
     that already exist; on a process pool they are cached by identity, so
-    a warm loop re-probing the same stored index exports nothing new."""
+    a warm loop re-probing the same stored index exports nothing new.
+    Left rows are ``None`` as :meth:`JoinRoute.combine` decides."""
     inputs = route.inputs
     if route.probe_column is not None:
         inputs = (route.probe_column, *inputs[1:])
     tasks = _probe_tasks(route.n_probe, pool.n_segments, *route.scalars)
-    return route.combine(_run(pool, route.kernel, inputs, tasks))
+    return route.combine(_run(pool, route.kernel, inputs, tasks),
+                         [task[:2] for task in tasks])
 
 
 def parallel_join_indices(
@@ -119,7 +129,8 @@ def parallel_join_indices(
     route = plan_join(left_keys, right_keys, left_index, right_index)
     if note is not None:
         note.append(route.note(route.chunkable))
-    return run_join(route, pool) if route.chunkable else route.run()
+    return spelled_out(*(run_join(route, pool) if route.chunkable
+                         else route.run()))
 
 
 # ---------------------------------------------------------------------------
@@ -167,33 +178,39 @@ def _reduce_slice(
     ``starts[g]`` up to ``starts[g + 1]``, of which there must be at least
     one.  With
     ``direct`` the groups are addressed, not laid out: ``order`` and
-    ``starts`` are unused and the kinds are count, min and max."""
+    ``starts`` are unused and the kinds are count, min and max.  A
+    NULL-free argument (``mask`` None) skips the NULL bookkeeping: every
+    row counts, nothing is padded and no group comes out empty."""
     if spec.kind == "count*":
         return row_counts.astype(np.int64, copy=False), None
     values, mask = spec.values, spec.mask
     if direct is not None:
         return _reduce_direct(spec, values, mask, row_counts, direct)
     if mask is None:
-        sorted_mask = np.zeros(
-            (values if order is None else order).shape[0], dtype=bool)
+        sorted_mask = None
+        valid_counts = row_counts.astype(np.int64, copy=False)
     else:
         sorted_mask = mask if order is None else mask[order]
-    valid_counts = np.add.reduceat((~sorted_mask).astype(np.int64), starts)
+        valid_counts = np.add.reduceat((~sorted_mask).astype(np.int64),
+                                       starts)
     if spec.kind == "count":
         return valid_counts, None
     sorted_values = values if order is None else values[order]
     dtype = values.dtype
+    empty = None
+    if sorted_mask is not None:
+        empty = valid_counts == 0
+        empty = empty if empty.any() else None
     if spec.kind in ("min", "max"):
-        padded = np.where(sorted_mask, _sentinel(spec, dtype), sorted_values)
+        padded = sorted_values if sorted_mask is None else np.where(
+            sorted_mask, _sentinel(spec, dtype), sorted_values)
         reducer = np.minimum if spec.kind == "min" else np.maximum
         reduced = reducer.reduceat(padded, starts)
-        empty = valid_counts == 0
-        return reduced.astype(dtype, copy=False), empty if empty.any() else None
+        return reduced.astype(dtype, copy=False), empty
     # sum / avg: float64 accumulation in reference row order.
-    padded = np.where(sorted_mask, 0, sorted_values)
+    padded = sorted_values if sorted_mask is None else np.where(
+        sorted_mask, 0, sorted_values)
     sums = np.add.reduceat(padded.astype(np.float64), starts)
-    empty = valid_counts == 0
-    empty = empty if empty.any() else None
     if spec.kind == "sum":
         if spec.sql_type == INT64:
             return sums.astype(np.int64), empty

@@ -29,9 +29,15 @@ How it works:
 4. **Hits**: subsequent statements that normalise to the same template
    re-patch the slots in place (a few ``setattr`` calls) and reuse the AST.
 
-Patching mutates the cached AST between executions, which is safe because
-execution is synchronous and the executor retains no statement references
-after a call completes.
+Patching mutates the cached AST between executions.  Execution is not
+always synchronous — the dataflow scheduler runs a composition on a pool
+worker while the driver thread executes the next round — so what makes
+it safe is narrower: **two concurrent statements never share a
+template** (each in-flight template's AST has one occupant; the
+contraction drivers' concurrent statements are different templates), and
+the executor retains no statement reference after a call completes.  The
+scheduler reads a template it may not own through :meth:`template_entry`,
+which never patches.
 """
 
 from __future__ import annotations

@@ -17,10 +17,17 @@ as "did not finish" — reproducing the DNF cells of Table III.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, make_dataclass
 from typing import Optional
 
 from .errors import SpaceBudgetExceeded
+
+#: How many statements :attr:`EngineStats.log` remembers — far more than
+#: one algorithm run issues (a run of RC on 4M edges is ~155), so a
+#: per-run reader that resets the stats first sees every record, while a
+#: database that lives for many runs keeps only the latest.
+LOG_MAXLEN = 1 << 14
 
 #: Every counter :class:`EngineStats` keeps — the one declaration, each
 #: name beside what one increment of it means.  :class:`StatsSnapshot`'s
@@ -143,7 +150,7 @@ class EngineStats:
         self.space_budget_bytes = space_budget_bytes
         for name in COUNTERS:
             setattr(self, name, 0)
-        self.log: list[QueryRecord] = []
+        self.log: deque[QueryRecord] = deque(maxlen=LOG_MAXLEN)
         self._lock = threading.Lock()
         # Per-statement scratch counters, folded into a QueryRecord by the
         # database façade around each execute() call.  Thread-local so an
@@ -279,4 +286,4 @@ class EngineStats:
             for name in COUNTERS:
                 setattr(self, name, 0)
             self.live_bytes = self.peak_live_bytes = live
-            self.log = []
+            self.log.clear()

@@ -363,9 +363,31 @@ def test_reset_zeroes_in_place_and_keeps_live_space():
     # across the reset keeps working on the live objects.
     assert stats._lock is lock and stats._scratch is scratch
     assert stats.live_bytes == stats.peak_live_bytes == live
-    assert stats.log == []
+    assert list(stats.log) == []
     assert all(getattr(stats, name) == 0 for name in COUNTERS
                if name not in ("live_bytes", "peak_live_bytes"))
+
+
+def test_query_log_is_bounded_for_long_lived_databases(monkeypatch):
+    """The log keeps the latest ``LOG_MAXLEN`` records: a database that
+    outlives many runs stops growing it, ``reset()`` empties it, and the
+    newest record is still ``log[-1]``."""
+    from repro.sqlengine import stats as stats_module
+
+    monkeypatch.setattr(stats_module, "LOG_MAXLEN", 8)
+    db = Database(pool_workers=1)
+    db.execute("create table t (a int)")
+    for i in range(20):
+        db.execute(f"insert into t values ({i})", label=f"insert-{i}")
+    log = db.stats.log
+    assert len(log) == 8
+    assert [record.label for record in log] == [
+        f"insert-{i}" for i in range(12, 20)]
+    assert db.stats.queries == 21
+    db.reset_stats()
+    assert len(db.stats.log) == 0
+    db.execute("select count(*) from t", label="count")
+    assert db.stats.log[-1].label == "count" and db.stats.log[-1].rows == 1
 
 
 def test_every_declared_counter_is_in_the_readme_table_and_cli_footer():

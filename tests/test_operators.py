@@ -223,6 +223,74 @@ def test_hash_join_with_nulls_agrees_with_reference(left, right, data):
     assert_same_pairs(join_indices([lcol], [rcol]), expected)
 
 
+#: A unique build side and probe keys drawn from it, so every probe row
+#: matches exactly once — the shape of every join of the contraction loop.
+unique_builds = st.one_of(
+    st.lists(st.integers(min_value=-3, max_value=40), min_size=1,
+             max_size=40, unique=True),
+    st.lists(st.integers(min_value=-(2 ** 62), max_value=2 ** 62),
+             min_size=1, max_size=40, unique=True),
+)
+
+
+@given(unique_builds, st.data())
+def test_every_row_matching_join_has_identity_left_rows(right, data):
+    """Every probe row finds its one build row: a route that knows its
+    build keys unique (a direct-address table, or a sorted index) returns
+    the identity (``None``) for left rows — the no-index sparse route
+    expands runs and never does — and the public entry points spell it
+    out as the reference's ``arange``."""
+    left = data.draw(st.lists(st.sampled_from(right), max_size=60))
+    lcol, rcol = int_column(left), int_column(right)
+    expected = merge_join_indices([lcol], [rcol])
+    for r_index in (None, build_key_index(rcol.values)):
+        if left:
+            route = operators.plan_join([lcol], [rcol], right_index=r_index)
+            l_idx, r_idx = route.run()
+            assert (l_idx is None) == (route.kind != "sorted-runs")
+            assert np.array_equal(r_idx, expected[1])
+        got = join_indices([lcol], [rcol], right_index=r_index)
+        assert got[0].dtype == np.int64
+        assert_same_pairs(got, expected)
+        assert_same_pairs(
+            left_join_indices([lcol], [rcol], right_index=r_index), expected)
+
+
+@given(unique_builds, st.data())
+def test_left_join_matching_only_some_rows_agrees_with_reference(right, data):
+    """One probe key outside the build side makes the left rows an array
+    again, and the LEFT JOIN pads exactly that row."""
+    left = data.draw(st.lists(st.sampled_from(right), max_size=40))
+    at = data.draw(st.integers(min_value=0, max_value=len(left)))
+    left.insert(at, max(right) + 1)
+    lcol, rcol = int_column(left), int_column(right)
+    assert operators.plan_join([lcol], [rcol]).run()[0] is not None
+    assert_same_pairs(join_indices([lcol], [rcol]),
+                      merge_join_indices([lcol], [rcol]))
+    l_idx, r_idx = left_join_indices([lcol], [rcol])
+    assert l_idx.tolist() == [i for i in range(len(left)) if i != at] + [at]
+    assert r_idx[-1] == NO_MATCH and (r_idx[:-1] != NO_MATCH).all()
+
+
+def test_identity_left_rows_survive_null_key_filtering():
+    """A NULL probe key is filtered before the kernel, which then matches
+    every remaining row: the identity is over the filtered positions, so
+    the join's left rows are the surviving row numbers."""
+    lcol = int_column([3, 1, 2, 1], mask_positions=[1])
+    rcol = int_column([1, 2, 3])
+    l_idx, r_idx = operators.plan_join([lcol], [rcol]).run()
+    assert l_idx.tolist() == [0, 2, 3] and r_idx.tolist() == [2, 1, 0]
+    l_idx, r_idx = left_join_indices([lcol], [rcol])
+    assert l_idx.tolist() == [0, 2, 3, 1]
+    assert r_idx.tolist() == [2, 1, 0, NO_MATCH]
+
+
+def test_pad_left_outer_passes_identity_left_rows_through():
+    r_idx = np.array([2, 0, 1])
+    l_out, r_out = operators.pad_left_outer(None, r_idx, 3)
+    assert l_out is None and r_out is r_idx
+
+
 def test_join_ignores_index_when_nulls_were_filtered():
     # The index describes unfiltered row positions; the kernel must drop it
     # once NULL rows are removed rather than produce misaligned matches.

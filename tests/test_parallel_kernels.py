@@ -29,6 +29,7 @@ from repro.sqlengine.mpp import ProcessSegmentPool, SegmentPool
 from repro.sqlengine.operators import (
     CACHE_KERNEL_MIN_ROWS,
     JOIN_ROUTES,
+    JoinRoute,
     build_key_index,
     join_indices,
     pad_left_outer,
@@ -495,10 +496,15 @@ def test_rc_end_to_end_parallel_identical(monkeypatch):
 
 
 def _join_case(dense, unique_build, indexed=True, probe_index=None,
-               left_outer=False, encoded=False):
+               left_outer=False, encoded=False, misses=True):
     """One join of the matrix.  ``pool`` ``None`` is fan-out 1 — the direct
     ``join_indices`` call; anything else chunks over that pool.  Both are
     held against ``merge_join_indices``, which sees no index at all.
+
+    The probe side is 20 000 rows drawn from the build side followed by
+    3 000 misses, so at fan-out 4 against a unique build side three
+    chunks match every row (identity left rows) and the last does not;
+    ``misses=False`` drops the misses, and every row matches.
 
     ``indexed`` hands the build side's ``KeyIndex`` over (a stored
     table's cached one; without it the route sorts for itself);
@@ -516,11 +522,13 @@ def _join_case(dense, unique_build, indexed=True, probe_index=None,
             build = rng.permutation(2 ** 62 // 7 * np.arange(1, 5001))
         if not unique_build:
             build = np.concatenate([build, build[:500]])
-        probe = np.concatenate([
-            build[rng.integers(0, build.shape[0], 20_000)],
-            rng.integers(-2000, 0, 1_000),    # below-range misses
-            rng.integers(5001, 9000, 2_000),  # above-range / absent misses
-        ])
+        probe = build[rng.integers(0, build.shape[0], 20_000)]
+        if misses:
+            probe = np.concatenate([
+                probe,
+                rng.integers(-2000, 0, 1_000),    # below-range misses
+                rng.integers(5001, 9000, 2_000),  # above-range / absent misses
+            ])
         if probe_index == "stored-sorted":
             probe.sort()
         # Every chunk is big enough for the bucketed sorted_lookup.
@@ -590,6 +598,14 @@ KERNEL_CASES = {
         _join_case(True, True, left_outer=True), "dense-unique"),
     "left-sorted-probe": (
         _join_case(False, False, left_outer=True), "indexed-runs"),
+    # Every probe row matches once: identity left rows in every chunk.
+    "dense-unique-all-match": (
+        _join_case(True, True, misses=False), "dense-unique"),
+    "sorted-unique-all-match": (
+        _join_case(False, True, misses=False), "sparse-unique"),
+    "left-dictionary-all-match": (
+        _join_case(False, True, encoded=True, left_outer=True,
+                   misses=False), "dictionary"),
 }
 
 #: Every way a kernel body runs; "serial" is the direct call at fan-out 1.
@@ -669,6 +685,59 @@ def test_kernel_matrix_bit_identical(kernel, backend, monkeypatch):
     if backend != "thread":
         assert not any(os.path.exists(f"/dev/shm/{name}")
                        for name in pool.registry.created_names())
+
+
+#: Matrix cases over a unique build side -> whether each of the four
+#: chunks matches every one of its probe rows.
+IDENTITY_CHUNKS = {
+    "dense-unique-probe": [True, True, True, False],
+    "sorted-unique-probe": [True, True, True, False],
+    "dictionary-probe": [True, True, True, False],
+    "left-dense-probe": [True, True, True, False],
+    "dense-unique-all-match": [True] * 4,
+    "sorted-unique-all-match": [True] * 4,
+    "left-dictionary-all-match": [True] * 4,
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(IDENTITY_CHUNKS))
+def test_fully_matching_chunks_return_identity_left_rows(kernel,
+                                                         monkeypatch):
+    """A chunk whose every probe row found its one build row returns
+    ``None`` left rows, at fan-out 1 and 4; the matrix case's pairs (held
+    against the reference by ``_run_case``) show ``combine`` rebuilt the
+    mixed ``None`` / array chunk lists in probe order."""
+    combined = []
+    combine = JoinRoute.combine
+
+    def recording_combine(route, pairs, spans):
+        combined.append([left is None for left, _ in pairs])
+        return combine(route, pairs, spans)
+
+    monkeypatch.setattr(JoinRoute, "combine", recording_combine)
+    case, _ = KERNEL_CASES[kernel]
+    _run_case(case, None)
+    _run_case(case, POOL)
+    chunks = IDENTITY_CHUNKS[kernel]
+    assert combined == [[all(chunks)], chunks]
+
+
+def test_combine_spells_out_identity_chunks_over_their_own_spans():
+    route = JoinRoute("dense-unique")
+    pairs = [(None, np.array([5, 6])), (np.array([3]), np.array([7])),
+             (None, np.array([8, 9]))]
+    spans = [(0, 2), (2, 4), (4, 6)]
+    l_idx, r_idx = route.combine(pairs, spans)
+    assert l_idx.dtype == np.int64
+    assert l_idx.tolist() == [0, 1, 3, 4, 5]
+    assert r_idx.tolist() == [5, 6, 7, 8, 9]
+    identity = [(None, np.array([5, 6])), (None, np.array([7, 8, 9, 4]))]
+    l_idx, r_idx = route.combine(identity, [(0, 2), (2, 6)])
+    assert l_idx is None and r_idx.tolist() == [5, 6, 7, 8, 9, 4]
+    # NULL probe keys were filtered out: positions are surviving rows.
+    route.left_rows = np.array([1, 2, 4, 7, 8, 9])
+    assert route.combine(identity, [(0, 2), (2, 6)])[0] is route.left_rows
+    assert route.combine(pairs, spans)[0].tolist() == [1, 2, 7, 8, 9]
 
 
 @pytest.mark.parametrize("backend", ["thread", "process", "process-no-shm"])

@@ -572,6 +572,90 @@ def test_rc_deterministic_space_composition_probes_plain_keys_once_a_component_f
     assert not encoded and consistent
 
 
+def _record_identity_joins(monkeypatch) -> list:
+    """Spy on ``_JoinChain.apply``: one ``(right bindings, LEFT JOIN?,
+    identity left rows?, chain)`` per applied join, from any thread."""
+    from repro.sqlengine.executor import _JoinChain
+
+    applied = []
+    apply = _JoinChain.apply
+
+    def recording_apply(chain, l_idx, r_idx, right, step, outer=False):
+        applied.append((tuple(right.bindings), outer, l_idx is None, chain))
+        apply(chain, l_idx, r_idx, right, step, outer)
+
+    monkeypatch.setattr(_JoinChain, "apply", recording_apply)
+    return applied
+
+
+def test_all_matching_join_passes_the_probe_side_through(monkeypatch):
+    """A join that keeps every probe row once leaves the probe binding's
+    map the identity: the chain hands out the stored table's own column
+    object, and ``CREATE TABLE AS`` stores it as it is."""
+    applied = _record_identity_joins(monkeypatch)
+    rng = np.random.default_rng(8)
+    with Database(pool_workers=1) as db:
+        db.load_table("e", {"v1": rng.integers(0, 300, 2000),
+                            "v2": rng.integers(0, 300, 2000)})
+        db.load_table("r", {"v": rng.permutation(300),
+                            "rep": rng.integers(0, 1 << 40, 300)})
+        edges = db.table("e")
+        for join in ("e, r where e.v1 = r.v",
+                     "e left join r on (e.v1 = r.v)"):
+            applied.clear()
+            db.execute(f"create table t as select e.v2, r.rep from {join}")
+            ((_, _, identity, chain),) = applied
+            assert identity
+            assert chain.column("e.v2") is edges.column("v2")
+            assert db.table("t").column("v2") is edges.column("v2")
+            db.execute("drop table t")
+        # One unmatched probe row: the probe side is gathered again.
+        db.execute("insert into e values (1000, 1)")
+        applied.clear()
+        db.execute("select e.v2, r.rep from e left join r on (e.v1 = r.v)")
+        ((_, _, identity, chain),) = applied
+        assert not identity
+        assert chain.column("e.v2") is not db.table("e").column("v2")
+
+
+def test_rc_fast_joins_keep_every_probe_row(monkeypatch):
+    """Engagement: on G(1500, 3000) every relabel-src join (``r1``) and
+    every contract join (``r2``) of the fast variant's rounds matches each
+    edge row once, so none of them builds a left row map."""
+    from repro.core import RandomisedContraction
+    from repro.graphs import gnm_random_graph
+    from repro.graphs.io import load_edges_into
+
+    applied = _record_identity_joins(monkeypatch)
+    edges = gnm_random_graph(1500, 3000, np.random.default_rng(19))
+    with Database() as db:
+        load_edges_into(db, "edges", edges)
+        result = RandomisedContraction().run(db, "edges", seed=5)
+    loop = [identity for bindings, outer, identity, _ in applied
+            if not outer and bindings in (("r1",), ("r2",))]
+    assert result.rounds > 3
+    assert len(loop) == 2 * result.rounds
+    assert all(loop)
+
+
+def test_rc_deterministic_space_compositions_keep_every_label_row(
+        monkeypatch):
+    """Engagement: on a path (one component) every composition — round 2
+    on, each a LEFT JOIN of the full label table — matches every label row
+    once and builds no left row map; neither do the contractions."""
+    from repro.graphs import path_graph
+
+    applied = _record_identity_joins(monkeypatch)
+    result, _, _, consistent = _run_deterministic_space(monkeypatch,
+                                                        path_graph(1500))
+    compositions = [identity for _, outer, identity, _ in applied if outer]
+    contractions = [identity for _, outer, identity, _ in applied
+                    if not outer]
+    assert consistent and result.rounds > 3
+    assert compositions == [True] * (result.rounds - 1)
+    assert contractions == [True] * (2 * result.rounds)
+
+
 def test_hash_distinct_serves_plain_sparse_pairs():
     """Plain 64-bit pairs whose spans defeat pair packing — a DISTINCT
     straight over stored field values — still take the hash kernel."""
