@@ -60,7 +60,7 @@ size:
 	@echo "src/ lines:        $$(find src -name '*.py' | xargs cat | wc -l)"
 	@echo "sqlengine/ lines:  $$(find src/repro/sqlengine -name '*.py' | xargs cat | wc -l)"
 	@echo "executor.py lines: $$(wc -l < src/repro/sqlengine/executor.py)"
-	@echo "stats.COUNTERS:    $$($(PYTHON) -c 'from repro.sqlengine import stats; print(len(stats.COUNTERS))')"
+	@echo "stats.COUNTERS:    $$($(PYTHON) -c 'from repro.sqlengine import stats; print(len(stats.COUNTERS), "(retired:", len(stats.RETIRED), end=")")')"
 
 # benchmarks/results is regenerated scratch output.
 clean:

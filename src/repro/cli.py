@@ -132,7 +132,7 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     from .sqlengine.lexer import split_statements
 
     edges = _load_graph(args.graph, args.scale)
-    db = Database(pool_backend=args.backend, pool_workers=args.workers)
+    db = Database(pool_workers=args.workers)
     load_edges_into(db, "edges", edges)
     db.stats.reset()
     try:
@@ -197,12 +197,6 @@ def render_engine_stats(stats) -> str:
         f"  parallel partitions: {stats.parallel_partitions}"
         f"  (indexed probes {stats.parallel_indexed_probes}, "
         f"dense probes {stats.parallel_dense_probes})",
-        f"  overlapped composes: {stats.overlapped_compositions}"
-        f"  (dataflow overlaps {stats.dataflow_overlaps}, "
-        f"effect-set cache hits {stats.effects_cache_hits})",
-        f"  process backend    : {stats.process_tasks} tasks / "
-        f"{bytes_to_human(stats.shm_bytes_exported)} shm exported / "
-        f"{stats.stats_merges} stat merges",
     ]
     return "\n".join(lines)
 
@@ -271,10 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the full EngineStats counter dump "
                           "(plan/physical-plan/index caches, fused pipelines, "
                           "motion) after execution")
-    sql.add_argument("--backend", default="thread",
-                     choices=["thread", "process"],
-                     help="segment pool backend: threads (default) or worker "
-                          "processes over shared-memory columns")
     sql.add_argument("--workers", type=int, default=None,
                      help="the pool's worker count (default: min(segments, "
                           "cpu count)); 1 runs every kernel serially, more "

@@ -30,6 +30,11 @@ table-strategy methods (random reals)
     realise it exactly, as integer ranks of random reals) at the cost of
     shipping the random table across the cluster, which the engine's
     motion accounting makes visible.
+
+Each variant is a plain sequence of ``db.execute`` calls, issued in the
+order Figures 3 and 4 write them, and the engine runs them one at a time:
+a round's statements, and every space and write count, are a function of
+the seed alone.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from ..ff.permutation import (
 from ..sqlengine import Database
 from ..sqlengine.errors import ExecutionError
 from .base import SQLConnectedComponents
-from .dataflow import DataflowScheduler
 from .udfs import register_udfs
 
 
@@ -184,9 +188,7 @@ class RandomisedContraction(SQLConnectedComponents):
         total_rounds = round_no
 
         # Back-to-front composition with an accumulated affine relabelling,
-        # exactly the second loop of Figure 4 / Appendix A.  Each create
-        # reads the table the previous one wrote — a strict dependency
-        # chain — so it runs as plain serial statements.
+        # exactly the second loop of Figure 4 / Appendix A.
         upper = f"{p}reps{total_rounds}"
         composed: Optional[str] = None
         field = stack[-1].affine[2]
@@ -229,137 +231,59 @@ class RandomisedContraction(SQLConnectedComponents):
                                  n_hint: int) -> int:
         p = self.prefix
         self._setup_doubled_edges(db, edges_table, f"{p}e")
-        # Statement-level dataflow: per-round representative table names
-        # (``{p}r{N}``) and the composition's own scratch name (``{p}c``)
-        # keep the statement groups' read/write sets disjoint exactly where
-        # the rounds are independent.  The composing CREATE only reads
-        # ``l`` and the round's reps — no hazard with the contraction — so
-        # it is submitted *before* the driver waits on the contract and the
-        # two joins overlap on the pool; only the composition's
-        # drop/rename finish waits for the contract (it retires the reps
-        # table the contract still reads).  The old composer serialised all
-        # of this behind a single in-flight slot.
-        sched = DataflowScheduler(db)
-        first_round = True
         rounds = 0
-        try:
-            while True:
-                rounds += 1
-                self._check_rounds(rounds, n_hint)
-                h = self.method.new_round(rng)
-                reps = f"{p}r{rounds}"
-                sched.submit([(
-                    f"""
+        while True:
+            rounds += 1
+            self._check_rounds(rounds, n_hint)
+            h = self.method.new_round(rng)
+            reps = f"{p}r{rounds}"
+            db.execute(f"""
                     create table {reps} as
                     select v1 v,
                            least({h.sql_expr('v1')}, min({h.sql_expr('v2')})) rep
                     from {p}e
                     group by v1
                     distributed by (v)
-                    """,
-                    f"{self.name}:reps",
-                )])
-                composing = self._submit_compose(db, sched, first_round, reps,
-                                                 h.sql_expr("l.rep"))
-                row_count = self._run_contract(sched, reps)
-                self._finish_compose(sched, first_round, composing, reps,
-                                     h.sql_expr("l.rep"))
-                first_round = False
-                if row_count == 0:
-                    break
-            sched.wait_all()
-        except BaseException:
-            sched.drain()
-            raise
+                    """, label=f"{self.name}:reps")
+            if self._contract_and_compose(db, reps, rounds == 1,
+                                          h.sql_expr("l.rep")) == 0:
+                break
         db.execute(f"alter table {p}l rename to {result_table}")
         db.execute(f"drop table {p}e")
         return rounds
 
-    # -- contraction/composition scheduling (shared by the looping
-    # variants) -----------------------------------------------------------
-
-    def _run_contract(self, sched: DataflowScheduler, reps: str) -> int:
-        """Submit one round's contraction group — contract the doubled
-        edge table over the round's representatives, retire the old edges,
-        install the contracted ones — and wait it out; returns the
-        contracted edge count that decides loop exit."""
+    def _contract_and_compose(self, db: Database, reps: str,
+                              first_round: bool, rep_sql: str) -> int:
+        """The round tail both looping variants share, in Figure 3's order:
+        contract the doubled edge table over the round's representatives,
+        then compose them into the label table, ``L := coalesce(R∘L,
+        h_i∘L)`` (round one adopts the representatives as ``L``).  Returns
+        the contracted edge count that decides loop exit."""
         p = self.prefix
-        contract = sched.submit([
-            (
-                f"""
+        row_count = db.execute(f"""
                 create table {p}t as
                 select distinct rv.rep as v1, rw.rep as v2
                 from {p}e, {reps} as rv, {reps} as rw
                 where {p}e.v1 = rv.v and {p}e.v2 = rw.v
                   and rv.rep != rw.rep
                 distributed by (v1)
-                """,
-                f"{self.name}:contract",
-            ),
-            (f"drop table {p}e", ""),
-            (f"alter table {p}t rename to {p}e", ""),
-        ])
-        return sched.wait(contract)[0].rowcount
-
-    def _compose_create(self, reps: str, rep_sql: str) -> tuple:
-        """The composing statement ``C := coalesce(R∘L, h_i∘L)``: reads
-        only ``l`` and the round's reps, so it can overlap the round's
-        contraction.  Writes its own scratch name (``{p}c``), never the
-        foreground round's ``{p}t``."""
-        p = self.prefix
-        return (
-            f"""
+                """, label=f"{self.name}:contract").rowcount
+        db.execute(f"drop table {p}e")
+        db.execute(f"alter table {p}t rename to {p}e")
+        if first_round:
+            db.execute(f"alter table {reps} rename to {p}l")
+            return row_count
+        db.execute(f"""
             create table {p}c as
             select l.v as v,
                    coalesce(r.rep, {rep_sql}) as rep
             from {p}l as l
             left outer join {reps} as r on (l.rep = r.v)
             distributed by (v)
-            """,
-            f"{self.name}:compose",
-        )
-
-    def _compose_finish(self, reps: str) -> list:
-        """Retire the composed-over tables and install ``C`` as the new
-        ``L``.  Its write set (``l``, ``c``, the reps table) makes the
-        scheduler order it after the composing CREATE *and* after the
-        contraction that still reads the reps table."""
-        p = self.prefix
-        return [
-            (f"drop table {p}l, {reps}", ""),
-            (f"alter table {p}c rename to {p}l", ""),
-        ]
-
-    def _submit_compose(self, db: Database, sched: DataflowScheduler,
-                        first_round: bool, reps: str, rep_sql: str):
-        """Launch round ``i``'s composing CREATE alongside its contraction
-        (asynchronous schedules only).
-
-        Inline schedules keep the serial statement order — composition
-        strictly after the contraction — because a space-budgeted run's
-        peak-space profile (the Table III/IV DNF signal) must stay exactly
-        the serial one, and the budget check fires statement by statement.
-        """
-        if first_round or not sched.asynchronous:
-            return None
-        task = sched.submit([self._compose_create(reps, rep_sql)])
-        db.stats.bump("overlapped_compositions")
-        return task
-
-    def _finish_compose(self, sched: DataflowScheduler, first_round: bool,
-                        composing, reps: str, rep_sql: str) -> None:
-        """After the contract: install the composed labels (or, in round
-        one, adopt the reps table as the initial ``L``)."""
-        p = self.prefix
-        if first_round:
-            sched.submit([(f"alter table {reps} rename to {p}l", "")])
-        elif composing is not None:
-            sched.submit(self._compose_finish(reps))
-        else:
-            # Inline schedule: the whole composition runs here, after the
-            # contraction, preserving the serial peak-space profile.
-            sched.submit([self._compose_create(reps, rep_sql)]
-                         + self._compose_finish(reps))
+            """, label=f"{self.name}:compose")
+        db.execute(f"drop table {p}l, {reps}")
+        db.execute(f"alter table {p}c rename to {p}l")
+        return row_count
 
     # ------------------------------------------------------------------
     # Table-strategy methods (random reals): argmin representatives
@@ -371,91 +295,61 @@ class RandomisedContraction(SQLConnectedComponents):
         p = self.prefix
         self._setup_doubled_edges(db, edges_table, f"{p}e")
         np_rng = np.random.default_rng(rng.getrandbits(63))
-        sched = DataflowScheduler(db)
-        first_round = True
         rounds = 0
-        scratch_drop = None
-        try:
-            while True:
-                rounds += 1
-                self._check_rounds(rounds, n_hint)
-                if scratch_drop is not None:
-                    # The random/scratch tables are re-created outside the
-                    # scheduler (bulk load), so the previous round's
-                    # background drop must land first.
-                    sched.wait(scratch_drop)
-                vertices = np.unique(db.table(f"{p}e").column("v1").values)
-                if vertices.shape[0] == 0:
-                    # Degenerate input (empty edge table): nothing to do.
-                    if first_round:
-                        db.execute(f"create table {result_table} (v int, r int)")
-                    break
-                # A uniformly random permutation, realised as the ranks of
-                # i.i.d. random reals (this is the "random reals method"
-                # with exact tie-free ordering).
-                ranks = np.empty(vertices.shape[0], dtype=np.int64)
-                ranks[np_rng.permutation(vertices.shape[0])] = np.arange(
-                    vertices.shape[0], dtype=np.int64
-                )
-                db.load_table(f"{p}rand", {"v": vertices, "h": ranks},
-                              distributed_by="v")
-                # The random table must reach every segment (the paper's
-                # noted disadvantage of this method).
-                db.stats.record_broadcast(
-                    db.table(f"{p}rand").byte_size(), db.cluster.n_segments
-                )
-                reps = f"{p}r{rounds}"
-                # The reps-building pipeline (neigh-min -> closed-min ->
-                # argmin) and the contraction chain after it: the scheduler
-                # serialises them through their table hazards while round
-                # i-1's composition runs alongside.
-                sched.submit([(
-                    f"""
+        while True:
+            rounds += 1
+            self._check_rounds(rounds, n_hint)
+            vertices = np.unique(db.table(f"{p}e").column("v1").values)
+            if vertices.shape[0] == 0:
+                # Degenerate input (empty edge table): nothing to do.  No
+                # later round gets here: the loop stops once a contraction
+                # leaves no edge.
+                db.execute(f"create table {result_table} (v int, r int)")
+                db.drop_table(f"{p}e")
+                return rounds
+            # A uniformly random permutation, realised as the ranks of
+            # i.i.d. random reals (this is the "random reals method" with
+            # exact tie-free ordering).
+            ranks = np.empty(vertices.shape[0], dtype=np.int64)
+            ranks[np_rng.permutation(vertices.shape[0])] = np.arange(
+                vertices.shape[0], dtype=np.int64
+            )
+            db.load_table(f"{p}rand", {"v": vertices, "h": ranks},
+                          distributed_by="v")
+            # The random table must reach every segment (the paper's noted
+            # disadvantage of this method).
+            db.stats.record_broadcast(
+                db.table(f"{p}rand").byte_size(), db.cluster.n_segments
+            )
+            reps = f"{p}r{rounds}"
+            # The reps-building pipeline: neigh-min -> closed-min -> argmin.
+            db.execute(f"""
                     create table {p}nmin as
                     select e.v1 as v, min(h2.h) as hmin
                     from {p}e as e, {p}rand as h2
                     where e.v2 = h2.v
                     group by e.v1
                     distributed by (v)
-                    """,
-                    f"{self.name}:neigh-min",
-                )])
-                sched.submit([(
-                    f"""
+                    """, label=f"{self.name}:neigh-min")
+            db.execute(f"""
                     create table {p}cmin as
                     select m.v as v, least(m.hmin, hv.h) as hmin
                     from {p}nmin as m, {p}rand as hv
                     where m.v = hv.v
                     distributed by (v)
-                    """,
-                    f"{self.name}:closed-min",
-                )])
-                sched.submit([(
-                    f"""
+                    """, label=f"{self.name}:closed-min")
+            db.execute(f"""
                     create table {reps} as
                     select mc.v as v, h3.v as rep
                     from {p}cmin as mc, {p}rand as h3
                     where mc.hmin = h3.h
                     distributed by (v)
-                    """,
-                    f"{self.name}:argmin",
-                )])
-                composing = self._submit_compose(db, sched, first_round,
-                                                 reps, "l.rep")
-                row_count = self._run_contract(sched, reps)
-                self._finish_compose(sched, first_round, composing, reps,
-                                     "l.rep")
-                first_round = False
-                scratch_drop = sched.submit(
-                    [(f"drop table {p}rand, {p}nmin, {p}cmin", "")]
-                )
-                if row_count == 0:
-                    break
-            sched.wait_all()
-        except BaseException:
-            sched.drain()
-            raise
-        if not first_round:
-            db.execute(f"alter table {p}l rename to {result_table}")
-        db.drop_table(f"{p}e", if_exists=True)
+                    """, label=f"{self.name}:argmin")
+            row_count = self._contract_and_compose(db, reps, rounds == 1,
+                                                   "l.rep")
+            db.execute(f"drop table {p}rand, {p}nmin, {p}cmin")
+            if row_count == 0:
+                break
+        db.execute(f"alter table {p}l rename to {result_table}")
+        db.drop_table(f"{p}e")
         return rounds

@@ -9,7 +9,6 @@ write accounting of Tables IV and V.
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import Callable, Optional
 
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import CatalogError, ExecutionError
 from .executor import Executor, Relation
 from .functions import FunctionRegistry
-from .mpp import Cluster, ProcessSegmentPool, SegmentPool
+from .mpp import Cluster, SegmentPool
 from .lexer import split_statements
 from .plancache import PlanCache
 from .stats import EngineStats
@@ -61,6 +60,14 @@ class ResultSet:
 class Database:
     """An in-process MPP-simulating SQL database.
 
+    Statements execute one at a time, in the order the caller issues them,
+    on the calling thread; the parallelism the paper's MPP cluster has
+    lives inside a statement — data motion is modelled by
+    :class:`~repro.sqlengine.mpp.Cluster`, and a large join's probe is cut
+    into one chunk per segment on the segment pool.  A statement issued
+    while another is still running (a UDF calling back into its database)
+    is refused with :class:`~repro.sqlengine.errors.ExecutionError`.
+
     Parameters
     ----------
     n_segments:
@@ -70,20 +77,14 @@ class Database:
         Optional cap on live table space.  Exceeding it raises
         :class:`~repro.sqlengine.errors.SpaceBudgetExceeded`, which the bench
         harness reports as "did not finish" (Table III).
-    pool_backend:
-        ``"thread"`` (default) or ``"process"``.  The process backend runs
-        the per-segment kernels in worker processes over shared-memory
-        column buffers — same kernels, bit-identical labels, no shared
-        GIL.  Space-budgeted databases always fall back to threads:
-        budget enforcement samples live bytes synchronously on every
-        allocation, a contract worker processes cannot honour.
     pool_workers:
-        The segment pool's worker count, capped at ``n_segments`` (CLI
+        The segment pool's thread count, capped at ``n_segments`` (CLI
         ``--workers``); ``None`` sizes it to ``min(n_segments, cpu
         count)``.  Every database has a pool: ``pool_workers=1`` is serial
         execution — each kernel called once, inline, on the calling
         thread, no worker ever started — and more workers run the same
-        kernels over one chunk per segment, with bit-identical results.
+        join kernels over one chunk per segment, with bit-identical
+        results.
     """
 
     def __init__(
@@ -91,34 +92,19 @@ class Database:
         n_segments: int = 4,
         space_budget_bytes: Optional[int] = None,
         broadcast_row_limit: int = 4096,
-        pool_backend: str = "thread",
         pool_workers: Optional[int] = None,
     ):
         self.catalog = Catalog()
         self.registry = FunctionRegistry()
         self.cluster = Cluster(n_segments, broadcast_row_limit)
         self.stats = EngineStats(space_budget_bytes)
-        if pool_backend not in ("thread", "process"):
-            raise ValueError(f"unknown pool backend {pool_backend!r}")
-        if pool_backend == "process" and space_budget_bytes is not None:
-            pool_backend = "thread"
-        #: Effective backend: "thread" or "process".
-        self.pool_backend = pool_backend
-        pool_cls = (
-            ProcessSegmentPool if pool_backend == "process" else SegmentPool
-        )
-        #: Where kernels fan out and the dataflow scheduler overlaps
-        #: statements; with one worker both run inline.
-        self.pool: SegmentPool = pool_cls(n_segments, max_workers=pool_workers)
-        if self.pool.supports_processes:
-            # Worker stat deltas and shm export accounting flow into the
-            # same EngineStats the thread backend updates in-process.
-            self.pool.on_stats_delta = self.stats.merge_worker_delta
-            self.pool.registry.on_export = functools.partial(
-                self.stats.bump, "shm_bytes_exported")
+        #: Where join kernels fan out; with one worker they run inline.
+        self.pool = SegmentPool(n_segments, max_workers=pool_workers)
         self._executor = Executor(self.catalog, self.registry, self.cluster,
                                   self.stats, self.pool)
         self._plans = PlanCache()
+        #: True while :meth:`execute` runs a statement.
+        self._executing = False
 
     # -- SQL ------------------------------------------------------------
 
@@ -132,15 +118,30 @@ class Database:
         template entry also carries the statement's compiled physical plan
         so re-executions skip planning entirely (see
         :mod:`repro.sqlengine.physicalplan`).
+
+        One statement runs at a time: a call made while another is in
+        flight — from a UDF the running statement invokes — raises
+        :class:`~repro.sqlengine.errors.ExecutionError` before it touches
+        the plan cache, whose templates are patched in place.
         """
-        statement, cache_hit, entry = self._plans.entry_for(sql)
-        self.stats.bump("plan_cache_hits" if cache_hit
-                        else "plan_cache_misses")
-        self.stats.begin_statement()
-        started = time.perf_counter()
-        relation, rowcount = self._executor.execute(statement,
-                                                    plan_slot=entry)
-        elapsed = time.perf_counter() - started
+        if self._executing:
+            raise ExecutionError(
+                "a statement is already running on this database: "
+                "statements run one at a time, so a function a statement "
+                "calls may not execute SQL on its database"
+            )
+        self._executing = True
+        try:
+            statement, cache_hit, entry = self._plans.entry_for(sql)
+            self.stats.bump("plan_cache_hits" if cache_hit
+                            else "plan_cache_misses")
+            self.stats.begin_statement()
+            started = time.perf_counter()
+            relation, rowcount = self._executor.execute(statement,
+                                                        plan_slot=entry)
+            elapsed = time.perf_counter() - started
+        finally:
+            self._executing = False
         self.stats.end_statement(label or type(statement).__name__, sql, rowcount,
                                  elapsed)
         return ResultSet(relation, rowcount)
@@ -203,15 +204,12 @@ class Database:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the segment-parallel workers (threads and processes).
+        """Release the segment pool's worker threads.
 
-        On the process backend this also terminates the worker processes
-        and unlinks every shared-memory block the database exported (live
-        column views stay readable; only the ``/dev/shm`` names go away).
         Idempotent — a double close is a no-op — and the database stays
-        usable afterwards: the pool re-creates its workers and re-exports
-        on the next parallel kernel.  Long-lived processes creating many
-        Database instances should close each when done.
+        usable afterwards: the pool re-creates its workers on the next
+        parallel kernel.  Long-lived processes creating many Database
+        instances should close each when done.
         """
         self.pool.shutdown()
 

@@ -33,11 +33,8 @@ keys are one NULL-free integer column per side and there are at least
 ``PARALLEL_MIN_ROWS`` probe rows, the pool's segment count — the same
 kernel over that many contiguous chunks (see
 :mod:`repro.sqlengine.parallel`), with bit-identical output.  The
-executor is backend-transparent: a
-:class:`~repro.sqlengine.mpp.ProcessSegmentPool` runs the very same
-kernels in worker processes over shared-memory column buffers — same
-chunks, same recombination, same labels — with automatic thread
-fallback for payloads that cannot be shared.
+executor runs one statement at a time; those chunks are the only work
+that leaves the calling thread.
 
 Every join runs through one runner, the **join chain** (see
 :class:`_JoinChain`): a join feeding another join's build side never
@@ -79,8 +76,8 @@ reads a join's row counts, whether a gathered row is null-extended and a
 column's provenance — nothing about how the statement runs — so the form,
 and with it a DISTINCT's row order, is a deterministic function of the
 statement and its input relation: **key order over encoded columns,
-first-occurrence order otherwise, never a function of the fan-out, the
-backend or a switch.**  Space, motion and
+first-occurrence order otherwise, never a function of the fan-out or a
+switch.**  Space, motion and
 written bytes charge 8 bytes per cell in either form.  Dense GROUP BY keys
 nothing has sorted yet — round 1's vertex ids — are reduced by direct
 addressing (:func:`~repro.sqlengine.operators.direct_group_rows`) through
@@ -291,8 +288,8 @@ def _encoded_source(frame: Frame, qualified: str) -> Column:
     dense integers.  There is no size gate — encoding wherever the rule
     allows wins from G(500, 1000) (1.07x per run) to G(500k, 1M) (2.3x).
     The rule reads one join's row counts, whether a gathered row is
-    null-extended, and the column's provenance — never a switch, the
-    fan-out or the backend — so which columns are encoded, and with it
+    null-extended, and the column's provenance — never a switch or the
+    fan-out — so which columns are encoded, and with it
     the row order of a DISTINCT over them, is a function of the statement
     and its input.  Anything else (text, NULLs, a subquery's or a filtered
     scan's column) is returned as it is.
@@ -534,9 +531,8 @@ class Executor:
         ``build=False`` only returns an already-cached index — used for
         probe sides, where building an index the kernel would not otherwise
         need is wasted work, but a free one carries the key-range stats
-        behind the planner's disjoint-range early exit.  Of statements
-        racing for one index exactly one builds it and counts the miss;
-        the others count hits.
+        behind the planner's disjoint-range early exit.  The statement
+        that builds an index counts the miss; later ones count hits.
         """
         if not self.use_index_cache:
             return None

@@ -97,7 +97,6 @@ import numpy as np
 
 from .errors import ExecutionError
 from .mpp import hash64
-from .shm import view_array
 from .types import TEXT, Column
 
 #: Right-index sentinel for unmatched rows in a left outer join.
@@ -416,7 +415,7 @@ class JoinRoute:
     """
 
     __slots__ = ("kind", "kernel", "inputs", "scalars", "n_probe",
-                 "left_rows", "right_rows", "chunkable", "probe_column")
+                 "left_rows", "right_rows", "chunkable")
 
     def __init__(self, kind: str, kernel: Optional[Callable] = None,
                  inputs: tuple = (), scalars: tuple = ()):
@@ -432,12 +431,6 @@ class JoinRoute:
         #: The shape a pool may cut into chunks: one NULL-free int64-kind
         #: key column per side (and some row that can match).
         self.chunkable = False
-        #: The column whose storage is ``inputs[0]``, when the route is
-        #: chunkable and probes with the column as it is stored (its
-        #: values, or its codes on the dictionary route): a process pool
-        #: exports a column once by adopting the shared copy as its
-        #: storage, which a bare array cannot offer.
-        self.probe_column: Optional[Column] = None
 
     def note(self, chunked: bool = False) -> str:
         """The kernel-strategy name the executor records on the plan."""
@@ -530,8 +523,6 @@ def plan_join(
         and left_rows is None and right_rows is None
         and lk.dtype.kind == "i" and rk.dtype.kind == "i"
     )
-    if route.chunkable and route.inputs[0] is left_keys[0].storage:
-        route.probe_column = left_keys[0]
     return route
 
 
@@ -567,7 +558,6 @@ def _dictionary_route(
                       (left.codes, slots, None, None), (0, span))
     route.n_probe = len(left)
     route.chunkable = True
-    route.probe_column = left
     return route
 
 
@@ -706,7 +696,7 @@ def _dense_chunk(payload) -> tuple[Optional[np.ndarray], np.ndarray]:
     ``order[starts[code]:][:size]``.  Left rows are ``None`` when every
     probe row of the chunk found its one build row."""
     (lk, table, starts, order), (start, stop, rmin, span) = payload
-    sub = view_array(lk)[start:stop]
+    sub = lk[start:stop]
     if sub.shape[0] and int(sub.min()) >= rmin \
             and int(sub.max()) <= rmin + (span - 1):
         # Every key addresses the table (an encoded column's codes always
@@ -720,7 +710,7 @@ def _dense_chunk(payload) -> tuple[Optional[np.ndarray], np.ndarray]:
         in_bounds = (sub >= rmin) & (sub <= rmin + (span - 1))
         l_rel = np.where(in_bounds, sub - rmin, 0)
     if starts is None:
-        candidates = view_array(table)[l_rel]
+        candidates = table[l_rel]
         match = candidates != NO_MATCH
         if in_bounds is not None:
             match &= in_bounds
@@ -728,19 +718,17 @@ def _dense_chunk(payload) -> tuple[Optional[np.ndarray], np.ndarray]:
             return None, candidates
         l_local = np.flatnonzero(match)
         return l_local + start, candidates[l_local]
-    cnt = view_array(table)[l_rel]
+    cnt = table[l_rel]
     if in_bounds is not None:
         cnt = np.where(in_bounds, cnt, 0)
-    return _expand_runs(view_array(starts)[l_rel], cnt, start,
-                        view_array(order))
+    return _expand_runs(starts[l_rel], cnt, start, order)
 
 
 def _probe_chunk(payload) -> tuple[Optional[np.ndarray], np.ndarray]:
     """Kernel: one contiguous probe chunk against a shared sorted build
     side (``order`` is ``None`` when it is stored sorted)."""
     (lk, sorted_values, order), (start, stop, unique) = payload
-    sorted_values, order = view_array(sorted_values), view_array(order)
-    sub = view_array(lk)[start:stop]
+    sub = lk[start:stop]
     if unique:
         return probe_unique(sub, sorted_values, order, start)
     lo = sorted_lookup(sorted_values, sub, side="left")

@@ -16,28 +16,21 @@
 
 Every join is **bit-identical** at every fan-out, which the property
 tests enforce against independent references.  numpy releases the GIL
-inside its kernels, so chunks genuinely overlap on multi-core hosts; the
+inside its kernels, so chunks can overlap on multi-core hosts; the
 executor only fans out above ``PARALLEL_MIN_ROWS`` rows and when the pool
-has more than one worker.
+has more than one worker.  The chunks of one join are the only work that
+ever leaves the calling thread: statements execute one at a time.
 
 Each kernel is a module-level function of one ``(inputs, task)`` payload:
 ``inputs`` are the big arrays all tasks of a dispatch share, ``task`` the
-few scalars that set one chunk apart.  :func:`_run` is the
-only function here that knows there are two kinds of pool: it has the pool
-:meth:`~SegmentPool.share` the inputs — a thread pool hands the driver's
-arrays back, a :class:`~repro.sqlengine.mpp.ProcessSegmentPool` copies
-each once into shared memory (:mod:`repro.sqlengine.shm`) and returns
-picklable descriptors — and :meth:`~SegmentPool.run_tasks` the kernel.
-Inside a kernel :func:`~repro.sqlengine.shm.view_array` turns either form
-into an ndarray, so threads and worker processes execute the same
-statements on the same bytes.  A process pool that cannot export (text,
-exhausted ``/dev/shm``, a single worker) returns ``None`` from ``share``
-and the kernel runs on its threads.
+few scalars that set one chunk apart.  A kernel reads nothing else — no
+table, catalog, cache or statistics object — so the pool's threads share
+no mutable engine state.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -57,21 +50,6 @@ PARALLEL_MIN_ROWS = 1 << 17
 
 #: Aggregate kinds the reducer computes.
 AGGREGATE_KINDS = frozenset({"count*", "count", "min", "max", "sum", "avg"})
-
-
-def _run(
-    pool: SegmentPool, kernel: Callable, inputs: Sequence, tasks: Sequence
-) -> list:
-    """Run ``kernel((inputs, task))`` for every task on the pool, in order.
-    ``inputs`` holds ndarrays, ``None`` for absent optional ones, and
-    Columns (a process pool adopts the shared copy as the column's
-    storage, so a stored column is exported once)."""
-    shared = pool.share(inputs)
-    if shared is not None:
-        return pool.run_tasks(kernel, [(shared, task) for task in tasks])
-    # A process pool that could not export: same kernel, the pool's threads.
-    local = SegmentPool.share(pool, inputs)
-    return pool.map(kernel, [(local, task) for task in tasks])
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +74,11 @@ def run_join(
     """A planned, chunkable join at fan-out ``pool.n_segments``: the
     route's kernel once per contiguous probe chunk.  Reading the lazy
     index properties was the planner's job, so the workers share arrays
-    that already exist; on a process pool they are cached by identity, so
-    a warm loop re-probing the same stored index exports nothing new.
-    Left rows are ``None`` as :meth:`JoinRoute.combine` decides."""
-    inputs = route.inputs
-    if route.probe_column is not None:
-        inputs = (route.probe_column, *inputs[1:])
+    that already exist.  Left rows are ``None`` as
+    :meth:`JoinRoute.combine` decides."""
     tasks = _probe_tasks(route.n_probe, pool.n_segments, *route.scalars)
-    return route.combine(_run(pool, route.kernel, inputs, tasks),
-                         [task[:2] for task in tasks])
+    pairs = pool.map(route.kernel, [(route.inputs, task) for task in tasks])
+    return route.combine(pairs, [task[:2] for task in tasks])
 
 
 def parallel_join_indices(

@@ -29,22 +29,21 @@ How it works:
 4. **Hits**: subsequent statements that normalise to the same template
    re-patch the slots in place (a few ``setattr`` calls) and reuse the AST.
 
-Patching mutates the cached AST between executions.  Execution is not
-always synchronous — the dataflow scheduler runs a composition on a pool
-worker while the driver thread executes the next round — so what makes
-it safe is narrower: **two concurrent statements never share a
-template** (each in-flight template's AST has one occupant; the
-contraction drivers' concurrent statements are different templates), and
-the executor retains no statement reference after a call completes.  The
-scheduler reads a template it may not own through :meth:`template_entry`,
-which never patches.
+Patching mutates the cached AST between executions, which is safe because
+execution is synchronous: the engine runs **one statement at a time**, so
+a template's AST has at most one occupant, and the executor retains no
+statement reference after a call completes.  The invariant is enforced,
+not assumed: :meth:`Database.execute
+<repro.sqlengine.database.Database.execute>` refuses a statement issued
+while another is running — a UDF calling back into its database — before
+it reaches this cache, so a running statement's template is never
+re-patched under it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
-import threading
 from collections import OrderedDict
 from typing import Optional
 
@@ -146,17 +145,12 @@ class _Template:
     template carries its execution strategy alongside its AST.
     """
 
-    __slots__ = ("statement", "slots", "physical", "effects")
+    __slots__ = ("statement", "slots", "physical")
 
     def __init__(self, statement: Optional[Statement], slots: list):
         self.statement = statement
         self.slots = slots
         self.physical = None
-        #: Parameter-independent (reads, writes) table-name templates, set
-        #: lazily by the dataflow scheduler (see
-        #: :func:`repro.core.dataflow._template_effects`) so warm loops
-        #: derive a statement's effect sets without re-parsing it.
-        self.effects: Optional[tuple] = None
 
     def patch(self, params: list[str]) -> Statement:
         for node, field_name, template_value in self.slots:
@@ -169,19 +163,15 @@ class _Template:
 class PlanCache:
     """LRU cache of parsed statement templates.
 
-    The cache structure (and the in-place patch of a template's AST) is
-    guarded by a lock, so statements may be submitted from more than one
-    thread — the dataflow scheduler runs a composition statement on a pool
-    worker while the main thread executes the next round.  Two
-    *concurrent* statements must still normalise to different templates
-    (each template's AST is single-occupancy during execution), which the
-    round structure guarantees.
+    Single-occupancy: :meth:`entry_for` patches the returned template's
+    AST in place, so it holds for one statement at a time — the one the
+    database is executing (see the module docstring).  There is no lock;
+    the database never has two statements in flight.
     """
 
     def __init__(self, max_entries: int = 256):
         self.max_entries = max_entries
         self._entries: "OrderedDict[str, _Template]" = OrderedDict()
-        self._lock = threading.RLock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -196,60 +186,26 @@ class PlanCache:
         equal — so a physical plan compiled during the first execution
         already references the nodes every later hit re-patches.
         """
-        with self._lock:
-            entry, params, direct = self._lookup(sql)
-            if entry is not None and direct is None:
-                return entry.patch(params), True, entry
-        if entry is None:
-            if direct is None:
-                direct = parse_statement(sql)
-            return direct, False, None
-        # _build leaves the template patched with this statement's params.
-        return entry.statement, False, entry
-
-    def template_entry(
-        self, sql: str
-    ) -> tuple[Optional[_Template], list[str], bool]:
-        """The template entry for a statement — WITHOUT patching its AST.
-
-        Returns ``(entry, params, pre_existing)``; ``entry`` is ``None``
-        for uncacheable statements.  Unlike :meth:`entry_for`, an existing
-        entry's AST is left untouched, so this is safe to call while
-        another thread executes a statement of the same template — the
-        dataflow scheduler derives read/write effect sets this way,
-        reading only the slot list's pristine template values and the
-        never-patched constant fields.  A first-seen template is built
-        (and verified) here, paying the one parse its first execution
-        would otherwise have paid; ``pre_existing`` is False in that case.
-        """
-        entry, params, direct = self._lookup(sql)
-        return entry, params, direct is None
-
-    def _lookup(
-        self, sql: str
-    ) -> tuple[Optional[_Template], list[str], Optional[Statement]]:
-        """The one lookup both entry points share: ``(entry, params,
-        direct)``.  ``entry`` is ``None`` for an uncacheable statement;
-        ``direct`` is the parse a first-seen template was built and
-        verified against, ``None`` when the template was already cached."""
         if "$" in sql or "--" in sql or "/*" in sql:
             # "$" would collide with our own markers; comments would need a
             # comment-aware normaliser.  Neither occurs in generated SQL.
-            return None, [], None
+            return parse_statement(sql), False, None
         template_sql, params = normalize_statement(sql)
-        with self._lock:
-            entry = self._entries.get(template_sql)
-            direct = None
-            if entry is not None:
-                self._entries.move_to_end(template_sql)
-            else:
-                direct = parse_statement(sql)
-                entry = self._build(template_sql, params, direct)
-                self._entries[template_sql] = entry
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-            return (entry if entry.statement is not None else None,
-                    params, direct)
+        entry = self._entries.get(template_sql)
+        if entry is not None:
+            self._entries.move_to_end(template_sql)
+            if entry.statement is None:
+                return parse_statement(sql), False, None
+            return entry.patch(params), True, entry
+        direct = parse_statement(sql)
+        entry = self._build(template_sql, params, direct)
+        self._entries[template_sql] = entry
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+        if entry.statement is None:
+            return direct, False, None
+        # _build leaves the template patched with this statement's params.
+        return entry.statement, False, entry
 
     def _build(
         self, template_sql: str, params: list[str], direct: Statement

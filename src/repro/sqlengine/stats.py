@@ -16,7 +16,6 @@ as "did not finish" — reproducing the DNF cells of Table III.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, make_dataclass
 from typing import Optional
@@ -32,8 +31,8 @@ LOG_MAXLEN = 1 << 14
 #: Every counter :class:`EngineStats` keeps — the one declaration, each
 #: name beside what one increment of it means.  :class:`StatsSnapshot`'s
 #: fields, its ``delta``, the accumulator's zeroing and its snapshot are all
-#: derived from this tuple, and :meth:`EngineStats.bump` and worker deltas
-#: are validated against it; a new counter is a name here, a ``bump`` where
+#: derived from this tuple, and :meth:`EngineStats.bump` is validated
+#: against it; a new counter is a name here, a ``bump`` where
 #: the path engages, a line in the CLI footer and a README table row
 #: (``tests/test_mpp_stats.py`` fails if either of the last two is
 #: forgotten) — and ``tests/test_traffic.py`` fails unless some reproduced
@@ -76,24 +75,27 @@ COUNTERS = (
     "parallel_indexed_probes",  # join probed a cached sorted index in chunks
     "parallel_dense_probes",    # dense direct-address join probed in chunks
     "hash_distincts",           # DISTINCT on the packed-sort hash kernel
-    # A round's representative composition ran on the segment pool,
-    # overlapped with the next round's contraction.
+    # Retired (see RETIRED): nothing moves them any more.
     "overlapped_compositions",
-    # The dataflow scheduler dispatched a statement group independent of —
-    # so concurrent with — another in-flight group.
     "dataflow_overlaps",
-    # The scheduler derived a statement's read/write table sets from a
-    # cached plan template instead of a fresh parse.
     "effects_cache_hits",
-    # Process backend (see mpp.ProcessSegmentPool / shm.py).
-    "process_tasks",       # kernel tasks run in worker processes
-    # Bytes copied into new shared-memory blocks (re-use of a column's or
-    # index array's existing block is not counted).
+    "process_tasks",
     "shm_bytes_exported",
-    "stats_merges",        # worker counter deltas folded into the totals
 )
 
 _COUNTER_NAMES = frozenset(COUNTERS)
+
+#: Counters of removed machinery — statement overlap, the process backend —
+#: that nothing bumps: they stay declared, and read 0, only because
+#: ``perf/bench.py`` still reads them as per-layer metrics (a missing
+#: counter would report ``None``).  They leave together with those probes.
+RETIRED = frozenset({
+    "overlapped_compositions",
+    "dataflow_overlaps",
+    "effects_cache_hits",
+    "process_tasks",
+    "shm_bytes_exported",
+})
 
 #: The counters that are levels, not running totals: a delta between two
 #: snapshots keeps the later value instead of subtracting.
@@ -138,12 +140,10 @@ StatsSnapshot.__module__ = __name__
 class EngineStats:
     """Mutable statistics accumulator owned by a Database instance.
 
-    Counter updates are guarded by a lock and the per-statement scratch
-    counters are thread-local, so statements of an overlapped composition
-    (see :mod:`repro.core.randomised_contraction`) can execute on a
-    :class:`~repro.sqlengine.mpp.SegmentPool` worker while the driving
-    thread runs the next round — totals stay exact and each
-    :class:`QueryRecord` attributes bytes/motion to its own statement.
+    Statements execute one at a time, so the counters are plain
+    attributes, and so are the bytes written and moved by the statement
+    in flight, which :meth:`end_statement` folds into its
+    :class:`QueryRecord`.
     """
 
     def __init__(self, space_budget_bytes: Optional[int] = None):
@@ -151,44 +151,28 @@ class EngineStats:
         for name in COUNTERS:
             setattr(self, name, 0)
         self.log: deque[QueryRecord] = deque(maxlen=LOG_MAXLEN)
-        self._lock = threading.Lock()
-        # Per-statement scratch counters, folded into a QueryRecord by the
-        # database façade around each execute() call.  Thread-local so an
-        # overlapped composition statement never pollutes the accounting of
-        # the statement concurrently executing on the driving thread.
-        self._scratch = threading.local()
-
-    def _stmt(self) -> "threading.local":
-        scratch = self._scratch
-        if not hasattr(scratch, "bytes"):
-            scratch.bytes = 0
-            scratch.rows = 0
-            scratch.motion = 0
-        return scratch
+        self._statement_bytes = 0
+        self._statement_motion = 0
 
     # -- table lifecycle ----------------------------------------------------
 
     def record_table_created(self, n_bytes: int, n_rows: int) -> None:
         """Account a freshly materialised table and enforce the budget."""
-        scratch = self._stmt()
-        scratch.bytes += n_bytes
-        scratch.rows += n_rows
-        with self._lock:
-            self.rows_written += n_rows
-            self.bytes_written += n_bytes
-            self.live_bytes += n_bytes
-            if self.live_bytes > self.peak_live_bytes:
-                self.peak_live_bytes = self.live_bytes
-            live = self.live_bytes
+        self._statement_bytes += n_bytes
+        self.rows_written += n_rows
+        self.bytes_written += n_bytes
+        self.live_bytes += n_bytes
+        if self.live_bytes > self.peak_live_bytes:
+            self.peak_live_bytes = self.live_bytes
         if (
             self.space_budget_bytes is not None
-            and live > self.space_budget_bytes
+            and self.live_bytes > self.space_budget_bytes
         ):
-            raise SpaceBudgetExceeded(live, self.space_budget_bytes)
+            raise SpaceBudgetExceeded(self.live_bytes,
+                                      self.space_budget_bytes)
 
     def record_table_dropped(self, n_bytes: int) -> None:
-        with self._lock:
-            self.live_bytes -= n_bytes
+        self.live_bytes -= n_bytes
 
     def record_rows_appended(self, n_bytes: int, n_rows: int) -> None:
         """INSERT accounting (same budget rules as table creation)."""
@@ -198,17 +182,15 @@ class EngineStats:
 
     def record_redistribution(self, n_bytes: int) -> None:
         """Rows re-hashed to other segments ahead of a join/aggregation."""
-        self._stmt().motion += n_bytes
-        with self._lock:
-            self.motion_bytes += n_bytes
+        self._statement_motion += n_bytes
+        self.motion_bytes += n_bytes
 
     def record_broadcast(self, n_bytes: int, n_segments: int) -> None:
         """A small relation replicated to every segment."""
         total = n_bytes * n_segments
-        self._stmt().motion += total
-        with self._lock:
-            self.motion_bytes += total
-            self.broadcast_bytes += total
+        self._statement_motion += total
+        self.motion_bytes += total
+        self.broadcast_bytes += total
 
     # -- engagement counters ------------------------------------------------
 
@@ -217,56 +199,30 @@ class EngineStats:
         what an increment of each means); any other name is an error."""
         if counter not in _COUNTER_NAMES:
             raise ValueError(f"unknown counter {counter!r}")
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + by)
-
-    def merge_worker_delta(self, delta: dict) -> None:
-        """Fold a worker process's counter deltas into the totals.
-
-        Worker kernels cannot touch the driver's counters directly, so
-        each process task returns a small ``{counter: increment}`` dict;
-        the pool sums them in submission order and hands one merged dict
-        here per kernel dispatch — deterministic regardless of worker
-        scheduling.  Unknown counter names are a protocol error."""
-        with self._lock:
-            for counter, by in delta.items():
-                if counter not in _COUNTER_NAMES:
-                    raise ValueError(
-                        f"worker delta names unknown counter {counter!r}"
-                    )
-                setattr(self, counter, getattr(self, counter) + int(by))
-            self.stats_merges += 1
+        setattr(self, counter, getattr(self, counter) + by)
 
     # -- statement bracketing -------------------------------------------------
 
     def begin_statement(self) -> None:
-        scratch = self._stmt()
-        scratch.bytes = 0
-        scratch.rows = 0
-        scratch.motion = 0
+        self._statement_bytes = 0
+        self._statement_motion = 0
 
     def end_statement(self, label: str, sql: str, rows: int, elapsed: float) -> None:
-        scratch = self._stmt()
-        with self._lock:
-            self.queries += 1
-            self.log.append(
-                QueryRecord(
-                    label=label,
-                    sql=sql if len(sql) <= 200 else sql[:197] + "...",
-                    rows=rows,
-                    bytes_written=scratch.bytes,
-                    motion_bytes=scratch.motion,
-                    elapsed_seconds=elapsed,
-                )
+        self.queries += 1
+        self.log.append(
+            QueryRecord(
+                label=label,
+                sql=sql if len(sql) <= 200 else sql[:197] + "...",
+                rows=rows,
+                bytes_written=self._statement_bytes,
+                motion_bytes=self._statement_motion,
+                elapsed_seconds=elapsed,
             )
+        )
 
     # -- snapshots -------------------------------------------------------------
 
     def snapshot(self) -> StatsSnapshot:
-        with self._lock:
-            return self._snapshot_locked()
-
-    def _snapshot_locked(self) -> StatsSnapshot:
         return StatsSnapshot(*[getattr(self, name) for name in COUNTERS])
 
     def reset_peak(self) -> None:
@@ -279,11 +235,9 @@ class EngineStats:
 
     def reset(self) -> None:
         """Zero the counters and the log; live space carries over as the
-        new baseline.  In place and under the lock: pool threads may be
-        holding the lock or their thread-local scratch right now."""
-        with self._lock:
-            live = self.live_bytes
-            for name in COUNTERS:
-                setattr(self, name, 0)
-            self.live_bytes = self.peak_live_bytes = live
-            self.log.clear()
+        new baseline."""
+        live = self.live_bytes
+        for name in COUNTERS:
+            setattr(self, name, 0)
+        self.live_bytes = self.peak_live_bytes = live
+        self.log.clear()

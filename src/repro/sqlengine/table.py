@@ -16,24 +16,15 @@ Next to the indexes, and invalidated with them, a table caches the
 position among them, computed the first time a join gathers the column
 into at least as many rows as it has (see
 :mod:`repro.sqlengine.executor`).  The
-stored column itself never changes form.  Both caches fill
-**single-flight** under one lock per table — the dataflow scheduler runs
-statements over the same ``reps`` table concurrently, and two of them must
-end up sharing one index and, above all, one dictionary *object*, which
-is how kernels recognise codes they may compare.
-
-Under the process pool backend a stored column's storage may be
-**shm-adopted**: the first parallel kernel touching it swaps
-``Column.values`` for a bit-identical view over a shared-memory block (see
-:mod:`repro.sqlengine.shm`), so later statements ship workers a descriptor
-instead of copying.  Adoption is invisible here — tables hold Column
-objects either way, and block lifecycle (unlink on ``Database.close()`` or
-when the view dies) is owned entirely by the pool's registry.
+stored column itself never changes form.  Each cache is filled once per
+table version: every statement after the first that reads the ``reps``
+table shares its one index and, above all, its one dictionary *object*,
+which is how kernels recognise codes they may compare.  Statements run
+one at a time, so a fill needs no lock.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Optional
 
 import numpy as np
@@ -77,9 +68,6 @@ class Table:
         self.version = 0
         self._indexes: dict[str, tuple[int, KeyIndex]] = {}
         self._encoded: dict[str, tuple[int, Column]] = {}
-        #: Guards the fills of both caches (double-checked: hits take no
-        #: lock).
-        self._fill_lock = threading.Lock()
 
     @property
     def n_rows(self) -> int:
@@ -149,23 +137,18 @@ class Table:
         return self.index_for(column_name)[0]
 
     def index_for(self, column_name: str) -> tuple[Optional[KeyIndex], bool]:
-        """:meth:`ensure_index`, plus whether *this call* built the index:
-        of the statements racing for one index exactly one builds it (and
-        counts the cache miss), the others wait and share it."""
+        """:meth:`ensure_index`, plus whether *this call* built the index
+        (and so counts the cache miss); later calls share it."""
         cached = self.cached_index(column_name)
         if cached is not None:
             return cached, False
         col = self.column(column_name)
         if col.sql_type == TEXT or col.mask is not None:
             return None, False
-        with self._fill_lock:
-            cached = self.cached_index(column_name)
-            if cached is not None:
-                return cached, False
-            # An encoded column is indexed through its codes: nothing
-            # gathers its values until a join asks for them.
-            index = build_key_index(col.storage, col.dictionary)
-            self._indexes[column_name] = (self.version, index)
+        # An encoded column is indexed through its codes: nothing gathers
+        # its values until a join asks for them.
+        index = build_key_index(col.storage, col.dictionary)
+        self._indexes[column_name] = (self.version, index)
         return index, True
 
     def cached_encoding(self, column_name: str) -> Optional[Column]:
@@ -187,13 +170,9 @@ class Table:
             return None
         cached = self.cached_encoding(column_name)
         if cached is None:
-            with self._fill_lock:
-                cached = self.cached_encoding(column_name)
-                if cached is None:
-                    dictionary, codes = np.unique(col.values,
-                                                  return_inverse=True)
-                    cached = Column.encoded(codes, dictionary, col.values)
-                    self._encoded[column_name] = (self.version, cached)
+            dictionary, codes = np.unique(col.values, return_inverse=True)
+            cached = Column.encoded(codes, dictionary, col.values)
+            self._encoded[column_name] = (self.version, cached)
         return cached
 
 
@@ -204,17 +183,10 @@ class Catalog:
     ``name`` — the one error messages and :meth:`names` show — keeps the
     casing it was given.  ``rename`` in particular must not silently
     lower-case the user-visible name while normalising its lookup key.
-
-    Mutations are lock-guarded so an overlapped-composition statement
-    executing on a pool worker can create/drop/rename its tables while the
-    driving thread runs the next contraction round (the two threads always
-    touch disjoint table names; the lock only keeps the dict transitions —
-    ``rename`` is a pop plus an insert — atomic).
     """
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
-        self._lock = threading.Lock()
 
     def __contains__(self, name: str) -> bool:
         return name.lower() in self._tables
@@ -227,35 +199,30 @@ class Catalog:
 
     def put(self, table: Table) -> None:
         key = table.name.lower()
-        with self._lock:
-            if key in self._tables:
-                raise CatalogError(f"table {table.name!r} already exists")
-            self._tables[key] = table
+        if key in self._tables:
+            raise CatalogError(f"table {table.name!r} already exists")
+        self._tables[key] = table
 
     def drop(self, name: str) -> Table:
         try:
-            with self._lock:
-                return self._tables.pop(name.lower())
+            return self._tables.pop(name.lower())
         except KeyError:
             raise CatalogError(f"unknown table {name!r}")
 
     def rename(self, old: str, new: str) -> Table:
-        with self._lock:
-            if new.lower() in self._tables:
-                raise CatalogError(f"table {new!r} already exists")
-            try:
-                table = self._tables.pop(old.lower())
-            except KeyError:
-                raise CatalogError(f"unknown table {old!r}")
-            table.name = new
-            self._tables[new.lower()] = table
-            return table
+        if new.lower() in self._tables:
+            raise CatalogError(f"table {new!r} already exists")
+        try:
+            table = self._tables.pop(old.lower())
+        except KeyError:
+            raise CatalogError(f"unknown table {old!r}")
+        table.name = new
+        self._tables[new.lower()] = table
+        return table
 
     def names(self) -> list[str]:
         """User-visible table names, ordered by their lookup key."""
-        with self._lock:
-            return [self._tables[key].name for key in sorted(self._tables)]
+        return [self._tables[key].name for key in sorted(self._tables)]
 
     def total_bytes(self) -> int:
-        with self._lock:
-            return sum(t.byte_size() for t in self._tables.values())
+        return sum(t.byte_size() for t in self._tables.values())

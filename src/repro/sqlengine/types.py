@@ -105,7 +105,6 @@ class Column:
     def values(self) -> np.ndarray:
         values = self._values
         if values is None:
-            # Two threads may both gather; they store equal arrays.
             values = self._values = self.dictionary[self.codes]
         return values
 
@@ -113,7 +112,7 @@ class Column:
     def storage(self) -> np.ndarray:
         """The array the rows physically live in: ``codes`` on the encoded
         form, ``values`` otherwise — what a kernel that honours the form
-        reads, and what a process pool shares."""
+        reads."""
         return self.values if self.codes is None else self.codes
 
     def with_storage(self, storage: np.ndarray) -> "Column":
@@ -188,32 +187,6 @@ class Column:
             return self.with_storage(self.codes[rows])
         mask = self.mask[rows] if self.mask is not None else None
         return Column(self._values[rows], self.sql_type, mask)
-
-    def process_shareable(self) -> bool:
-        """True when the values can back a shared-memory export.
-
-        Fixed-width numpy storage qualifies; text columns are Python
-        object arrays and their kernels stay on threads (null masks are
-        plain bool arrays and ship separately where a kernel needs one).
-        """
-        return self.sql_type != TEXT
-
-    def adopt_storage(self, storage: np.ndarray) -> None:
-        """Swap the backing array (:attr:`storage`) for a bit-identical view.
-
-        Used by :class:`~repro.sqlengine.shm.ShmRegistry` to re-home a
-        column onto a shared-memory block on first parallel use: single-
-        process consumers are unchanged (same dtype, shape and contents;
-        columns are never written in place), while worker processes can
-        now map the same pages by descriptor.
-        """
-        current = self.storage
-        if storage.dtype != current.dtype or storage.shape != current.shape:
-            raise ExecutionError("adopted storage must match dtype and shape")
-        if self.codes is None:
-            self._values = storage
-        else:
-            self.codes = storage
 
     def null_mask(self) -> np.ndarray:
         """Return a boolean mask of NULL positions (materialised)."""

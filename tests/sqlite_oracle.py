@@ -24,7 +24,7 @@ statement the instance executes also runs here, and the SELECT result or
 the table the statement wrote is compared with sqlite's as a sorted row
 list.  Row *content* is what an outside engine can referee; row order,
 column names and types stay an engine-vs-engine contract (warm against
-cold plan, fan-out, backend) checked where two engine runs are compared.
+cold plan, fan-out) checked where two engine runs are compared.
 
 Nothing is imported from ``repro.sqlengine``: the tee drives the database
 through the methods every caller uses (``execute``, ``load_table``,
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import re
 import sqlite3
-import threading
 
 import numpy as np
 
@@ -75,13 +74,10 @@ def sorted_rows(rows) -> list[tuple]:
 
 
 class SqliteOracle:
-    """One in-memory sqlite database behind one lock (the dataflow
-    scheduler executes statements from several threads)."""
+    """One in-memory sqlite database."""
 
     def __init__(self):
-        self._conn = sqlite3.connect(":memory:", check_same_thread=False,
-                                     isolation_level=None)
-        self._lock = threading.Lock()
+        self._conn = sqlite3.connect(":memory:", isolation_level=None)
         self._conn.create_function("least", -1, _least, deterministic=True)
         self._conn.create_function("greatest", -1, _greatest,
                                    deterministic=True)
@@ -105,11 +101,10 @@ class SqliteOracle:
     def execute(self, sql: str):
         """Run one engine statement; a SELECT's rows, else ``None``."""
         rows = None
-        with self._lock:
-            for statement in self.translate(sql):
-                cursor = self._conn.execute(statement)
-                if cursor.description is not None:
-                    rows = cursor.fetchall()
+        for statement in self.translate(sql):
+            cursor = self._conn.execute(statement)
+            if cursor.description is not None:
+                rows = cursor.fetchall()
         return rows
 
     def create_function(self, name: str, fn) -> None:
@@ -119,33 +114,26 @@ class SqliteOracle:
                 return None
             return np.asarray(fn(*args)).ravel()[0].item()
 
-        with self._lock:
-            self._conn.create_function(name, -1, scalar, deterministic=True)
+        self._conn.create_function(name, -1, scalar, deterministic=True)
 
     def load(self, name: str, column_names: list[str], rows: list) -> None:
         """Create a table from rows (a dataset load is input, not a result:
         the tee copies what the engine stored)."""
         marks = ", ".join("?" * len(column_names))
-        with self._lock:
-            self._conn.execute(
-                f"create table {name} ({', '.join(column_names)})")
-            self._conn.executemany(
-                f"insert into {name} values ({marks})", rows)
+        self._conn.execute(f"create table {name} ({', '.join(column_names)})")
+        self._conn.executemany(f"insert into {name} values ({marks})", rows)
 
     def drop(self, name: str) -> None:
-        with self._lock:
-            self._conn.execute(f"drop table if exists {name}")
+        self._conn.execute(f"drop table if exists {name}")
 
     def table_rows(self, name: str) -> list[tuple]:
-        with self._lock:
-            return self._conn.execute(f"select * from {name}").fetchall()
+        return self._conn.execute(f"select * from {name}").fetchall()
 
     def expect_equal(self, mine, theirs, sql: str) -> None:
         """One comparison: equal as sorted row lists, and counted."""
         assert sorted_rows(mine) == sorted_rows(theirs), \
             f"engine and sqlite disagree on: {sql}"
-        with self._lock:
-            self.compared += 1
+        self.compared += 1
 
     def close(self) -> None:
         self._conn.close()

@@ -23,7 +23,7 @@ holds each statement to two contracts:
   — no common parser, planner, expression evaluator, aggregate code or
   NULL handling) and the default engine's result must equal sqlite's as a
   sorted row list.  SQL promises no row order, so none is compared here.
-* **Everything else, between engine configurations.**  Four executions
+* **Everything else, between engine configurations.**  Three executions
   must be bit-identical to one another — storage names, display names,
   column order, SQL types, null masks, non-null values *and row order*:
 
@@ -35,15 +35,12 @@ holds each statement to two contracts:
   * **parallel** — a forced multi-worker pool with ``PARALLEL_MIN_ROWS``
     dropped to 1, so the segment-parallel kernels engage even on
     fuzz-sized inputs.
-  * **process** — the same forced pool on the process backend: kernels run
-    in worker processes over shared-memory columns, exercising descriptor
-    export, worker rehydration and stats-delta merging on every statement.
 
   A DISTINCT's row order is a function of the statement and its input
   relation (key order over dictionary-encoded columns — there is no size
   gate, so fuzz-sized tables are encoded like million-row ones — first
-  occurrence otherwise), never of the fan-out or the backend, so the
-  configurations must agree on it too.
+  occurrence otherwise), never of the fan-out, so the configurations
+  must agree on it too.
 
 The input gates of the cache-conscious sort and probe primitives
 (``operators.CACHE_KERNEL_MIN_ROWS``, ``PRESORTED_MAX_DESCENTS``) are
@@ -104,10 +101,6 @@ def planned_db() -> Database:
 
 def parallel_db() -> Database:
     return Database(n_segments=4, pool_workers=4)
-
-
-def process_db() -> Database:
-    return Database(n_segments=4, pool_workers=4, pool_backend="process")
 
 
 # ---------------------------------------------------------------------------
@@ -336,22 +329,20 @@ def test_differential_fuzz(monkeypatch):
     rand = random.Random(FUZZ_SEED)
     executed = 0
     engaged = {"chain": 0, "fused": 0, "parallel": 0,
-               "left_chain": 0, "process_tasks": 0, "indexed_probes": 0,
+               "left_chain": 0, "indexed_probes": 0,
                "dense_probes": 0, "encoded": 0}
     shapes = {"union_all": 0, "subquery_from": 0, "outer_group": 0,
               "inner_group": 0, "distinct": 0}
     dense_dispatch = {name: getattr(operators, name)
                       for name in ("DENSE_SPAN_FACTOR", "DENSE_SPAN_FLOOR")}
     while executed < FUZZ_ROUNDS:
-        # Odd batches: no key range counts as dense.  Set before the
-        # batch's pools start, so forked workers agree with the driver.
+        # Odd batches: no key range counts as dense.
         for name, shipped in dense_dispatch.items():
             monkeypatch.setattr(operators, name,
                                 0 if (executed // BATCH) % 2 else shipped)
         databases = {
             "planned": planned_db(),
             "parallel": parallel_db(),
-            "process": process_db(),
         }
         oracle = SqliteOracle()
         for statement in table_statements(rand):
@@ -378,7 +369,7 @@ def test_differential_fuzz(monkeypatch):
                 shapes["inner_group"] += 1
             shapes["distinct"] += "select distinct " in sql
             planned = None
-            for config in ("planned", "parallel", "process"):
+            for config in ("planned", "parallel"):
                 db = databases[config]
                 got = db.execute(sql).relation
                 # Warm pass: the cached template's physical plan re-executes.
@@ -386,7 +377,7 @@ def test_differential_fuzz(monkeypatch):
                 warm = db.execute(sql).relation
                 assert_identical(sql, f"{config}-warm", warm, got)
                 assert db.stats.physical_plan_hits == plan_hits + 1, sql
-                # Fan-out and backend never move a row, DISTINCT or not.
+                # The fan-out never moves a row, DISTINCT or not.
                 planned = planned or got
                 assert_identical(sql, f"{config}-vs-planned", got, planned)
             # Row content: equal to sqlite's as multisets of rows.
@@ -405,21 +396,15 @@ def test_differential_fuzz(monkeypatch):
             databases["parallel"].stats.parallel_indexed_probes
         engaged["dense_probes"] += \
             databases["parallel"].stats.parallel_dense_probes
-        engaged["process_tasks"] += databases["process"].stats.process_tasks
-        shm_names = databases["process"].pool.registry.created_names()
         for db in databases.values():
             db.close()
         oracle.close()
-        # close() must have unlinked every block this batch exported.
-        for name in shm_names:
-            assert not os.path.exists(f"/dev/shm/{name}"), name
     assert executed == FUZZ_ROUNDS
     # The fuzz run must actually exercise the paths it claims to pin.
     assert engaged["chain"] > 0
     assert engaged["left_chain"] > 0
     assert engaged["fused"] > 0
     assert engaged["parallel"] > 0
-    assert engaged["process_tasks"] > 0
     assert engaged["dense_probes"] > 0
     assert engaged["encoded"] > 0  # results that left the engine encoded
     if FUZZ_ROUNDS > BATCH:  # a sparse-key batch ran

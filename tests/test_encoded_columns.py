@@ -12,8 +12,6 @@ row-wise call.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -29,7 +27,6 @@ from repro.sqlengine.operators import (
     sorted_group_rows,
 )
 from repro.sqlengine.parallel import AggregateSpec, _reduce_slice
-from repro.sqlengine.shm import ShmRegistry, attach_array
 from repro.sqlengine.table import Table
 from repro.sqlengine.types import FLOAT64, INT64, Column
 
@@ -83,27 +80,21 @@ def test_encoded_column_round_trips_like_the_plain_column(values, data):
     assert merged.to_list() == values + values + plain.take(rows).to_list()
 
 
-def test_encoded_column_adopts_shared_memory_for_its_codes():
-    """A process pool shares what a kernel reads — the codes — and adopts
-    the shared copy in their place; the values stay what they were."""
+def test_storage_is_what_a_kernel_reads():
+    """``storage`` is the array a kernel that honours the form reads — the
+    codes of an encoded column, the values of a plain one — and
+    ``with_storage`` builds a column of the same form over other rows of
+    it, sharing the dictionary object."""
     encoded = encode([50, -7, 50, 2 ** 62, -7])
     plain = Column.from_values(encoded.values.copy())
-    registry = ShmRegistry()
-    try:
-        for column in (encoded, plain):
-            before = column.storage.copy()
-            descriptor = registry.export_column(column)
-            assert descriptor is not None
-            # Exported once: the adopted view is the registry's key.
-            assert registry.export_column(column) == descriptor
-            assert np.array_equal(attach_array(descriptor), before)
-            assert np.array_equal(column.storage, before)
-        assert encoded.storage is encoded.codes
-        assert encoded.to_list() == plain.to_list()
-        with pytest.raises(Exception):
-            encoded.adopt_storage(np.zeros(2, dtype=np.int64))
-    finally:
-        registry.release_all()
+    assert encoded.storage is encoded.codes
+    assert plain.storage is plain.values
+    rows = np.array([3, 0, 0])
+    for column in (encoded, plain):
+        picked = column.with_storage(column.storage[rows])
+        assert (picked.codes is None) == (column.codes is None)
+        assert picked.dictionary is column.dictionary
+        assert picked.to_list() == [2 ** 62, 50, 50]
 
 
 def test_table_encoding_is_cached_single_flight_and_invalidated():
@@ -134,54 +125,36 @@ def test_table_encoding_is_cached_single_flight_and_invalidated():
 
 
 @pytest.mark.parametrize("what", ["index", "encoding"])
-def test_racing_statements_share_one_build(monkeypatch, what):
-    """The dataflow scheduler runs statements over one ``reps`` table
-    concurrently.  Two racing for the same index or encoding must end up
-    with one object — a second dictionary would make their codes
-    incomparable — built once, with exactly one cache miss counted."""
+def test_statements_over_one_table_share_one_build(monkeypatch, what):
+    """A round's statements read one ``reps`` table several times.  Every
+    reader of one table version must get one object — a second dictionary
+    would make their codes incomparable — built once, with exactly one
+    cache miss counted."""
     import repro.sqlengine.table as table_module
 
     builds = []
-    both_waiting = threading.Barrier(2, timeout=10)
     real_index, real_unique = table_module.build_key_index, np.unique
 
-    def slow_index(*args):
+    def counting_index(*args):
         builds.append("index")
-        # Hold the lock until the other thread had every chance to race.
-        threading.Event().wait(0.05)
         return real_index(*args)
 
-    def slow_unique(*args, **kwargs):
+    def counting_unique(*args, **kwargs):
         builds.append("encoding")
-        threading.Event().wait(0.05)
         return real_unique(*args, **kwargs)
 
-    monkeypatch.setattr(table_module, "build_key_index", slow_index)
-    monkeypatch.setattr(table_module.np, "unique", slow_unique)
+    monkeypatch.setattr(table_module, "build_key_index", counting_index)
+    monkeypatch.setattr(table_module.np, "unique", counting_unique)
     rng = np.random.default_rng(1)
     with Database(pool_workers=1) as db:
         db.load_table("t", {"k": rng.integers(-(2 ** 62), 2 ** 62, 500)})
         table = db.table("t")
-        got, errors = [], []
-
-        def fetch():
-            try:
-                both_waiting.wait()
-                if what == "index":
-                    got.append(db._executor._stored_index(
-                        _Sources(table), "t.k", build=True))
-                else:
-                    got.append(table.encoded_column("k"))
-            except BaseException as error:  # surfaced below
-                errors.append(error)
-
-        threads = [threading.Thread(target=fetch) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-        assert not errors
+        if what == "index":
+            got = [db._executor._stored_index(_Sources(table), "t.k",
+                                              build=True)
+                   for _ in range(2)]
+        else:
+            got = [table.encoded_column("k") for _ in range(2)]
         assert builds == [what]
         assert got[0] is got[1] and got[0] is not None
         if what == "index":

@@ -251,21 +251,15 @@ def test_union_arm_error_surfaces_on_a_pooled_database():
     db.close()
 
 
-def test_union_inside_a_dataflow_task_and_nested_in_an_arm():
-    """A UNION ALL executed from inside a pool task (a dataflow-scheduled
-    statement) completes on a two-worker pool, and so does a UNION
-    subquery nested in a UNION arm."""
-    from repro.core.dataflow import DataflowScheduler
-
+def test_union_stored_on_a_pool_and_nested_in_an_arm():
+    """A UNION ALL stored by CREATE TABLE AS completes on a two-worker
+    pool, and so does a UNION subquery nested in a UNION arm."""
     db = Database(n_segments=2, pool_workers=2)
     db.load_table("e", {"v1": np.arange(50, dtype=np.int64),
                         "v2": np.arange(50, dtype=np.int64)},
                   distributed_by="v1")
-    sched = DataflowScheduler(db)
-    task = sched.submit([
-        "create table u as select v1 a from e union all select v2 from e"])
-    sched.wait(task)
-    sched.wait_all()
+    db.execute("create table u as select v1 a from e union all "
+               "select v2 from e")
     assert db.table("u").n_rows == 100
     rows = db.execute(
         "select s.a from (select v1 a from e union all select v2 a from e) "

@@ -8,10 +8,11 @@ an exception from a kernel — and must then:
 * leave the ``Database`` usable: the same instance then completes a clean
   run whose labelling matches union-find.
 
-RC's deterministic-space variant runs its statements on the dataflow
-scheduler: its kernel fault lands in round 2's composition, which runs on
-a pool worker while the driver runs the contraction, and the error has
-to find its way back to the driver.
+RC's deterministic-space kernel fault lands in round 2's composition, the
+last statement of the round, after the contraction has already replaced
+the edge table: it is raised on the calling thread, straight from
+``db.execute``, and the cleanup still has the label table and the
+round's representatives to drop.
 """
 
 import numpy as np

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -235,6 +236,67 @@ def test_database_close_is_idempotent_and_execute_after_close_works():
     pool.shutdown()
 
 
+def test_pool_workers_selects_the_width(monkeypatch):
+    """``pool_workers`` is the only width selector: capped at one thread
+    per segment, defaulting to the host's cores; one worker is serial —
+    no thread started, no join chunked."""
+    import repro.sqlengine.executor as executor_module
+
+    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
+    assert Database(n_segments=4, pool_workers=3).pool.n_workers == 3
+    assert Database(n_segments=2, pool_workers=8).pool.n_workers == 2
+    assert Database(n_segments=4).pool.n_workers == min(4, os.cpu_count())
+    db = Database(n_segments=4, pool_workers=1)
+    db.load_table("t", {"v": np.arange(500, dtype=np.int64) % 7})
+    assert db.execute(
+        "select count(*) from t, t as u where t.v = u.v").scalar() > 0
+    assert db.stats.parallel_partitions == 0
+    assert db.pool._pool is None
+    db.close()
+
+
+def test_pool_map_keeps_item_order_past_the_worker_count():
+    """More chunks than workers: every chunk runs on a pool thread and the
+    results come back in item order; a one-worker pool runs them inline on
+    the calling thread."""
+    from repro.sqlengine.mpp import SegmentPool
+
+    def chunk(item):
+        return item * item, threading.current_thread().name
+
+    pool = SegmentPool(4, max_workers=2)
+    try:
+        results = pool.map(chunk, list(range(12)))
+    finally:
+        pool.shutdown()
+    assert [value for value, _ in results] == [i * i for i in range(12)]
+    assert all(name.startswith("repro-segment") for _, name in results)
+    serial = SegmentPool(4, max_workers=1)
+    caller = threading.current_thread().name
+    assert serial.map(chunk, list(range(12))) == [
+        (i * i, caller) for i in range(12)]
+    assert serial._pool is None
+
+
+def test_pool_map_raises_a_failed_chunk_and_stays_usable():
+    """A chunk's error reaches the statement that dispatched it, and the
+    pool runs the next dispatch."""
+    from repro.sqlengine.mpp import SegmentPool
+
+    def chunk(item):
+        if item == 5:
+            raise ValueError("chunk 5")
+        return item + 1
+
+    pool = SegmentPool(4, max_workers=4)
+    try:
+        with pytest.raises(ValueError, match="chunk 5"):
+            pool.map(chunk, list(range(8)))
+        assert pool.map(chunk, [0, 1, 2]) == [1, 2, 3]
+    finally:
+        pool.shutdown()
+
+
 def test_close_with_parallel_disabled_is_safe():
     """A one-worker pool is serial execution: closing it, twice, and
     running on afterwards never creates a worker thread."""
@@ -248,24 +310,24 @@ def test_close_with_parallel_disabled_is_safe():
     assert db.pool._pool is None
 
 
-def test_process_backend_stats_deltas_match_thread_backend():
-    """Satellite contract: per-statement counter deltas on the process
-    backend equal the thread backend **exactly** — worker-side accounting
-    merges back into the same EngineStats the thread kernels update —
-    apart from the three process-only counters.  Exercised over a warm
+def test_stats_deltas_do_not_depend_on_the_pool_width():
+    """Per-statement counter deltas of a four-worker database equal a
+    one-worker database's **exactly**, apart from the fan-out's own
+    counters: a chunked kernel moves no accounting.  Exercised over a warm
     RC-style round loop (repeated join / group-by / scalar-count
-    templates), so merged deltas land on cold and warm paths alike."""
+    templates), so deltas land on cold and warm paths alike."""
     import repro.sqlengine.executor as executor_module
 
-    process_only = {"process_tasks", "shm_bytes_exported", "stats_merges"}
+    fan_out_only = {"parallel_partitions", "parallel_indexed_probes",
+                    "parallel_dense_probes"}
     rng = np.random.default_rng(31)
     n = 3000
     v1 = rng.integers(0, 120, n)
     v2 = rng.integers(0, 120, n)
     rep = rng.integers(0, 120, 120)
 
-    def build(backend):
-        db = Database(n_segments=4, pool_workers=4, pool_backend=backend)
+    def build(workers):
+        db = Database(n_segments=4, pool_workers=workers)
         db._executor.use_index_cache = False
         db.load_table("e", {"v1": v1, "v2": v2})
         db.load_table("r", {"v": np.arange(120, dtype=np.int64),
@@ -283,39 +345,40 @@ def test_process_backend_stats_deltas_match_thread_backend():
             "select e.v2, r.rep from e, r where e.v2 = r.v",
             f"drop table t{round_no}",
         ]
-    thread_db, process_db = build("thread"), build("process")
+    serial_db, pool_db = build(1), build(4)
     original = executor_module.PARALLEL_MIN_ROWS
     executor_module.PARALLEL_MIN_ROWS = 1
     try:
         for sql in statements:
-            before_t = thread_db.stats.snapshot()
-            before_p = process_db.stats.snapshot()
-            thread_db.execute(sql)
-            process_db.execute(sql)
-            delta_t = thread_db.stats.snapshot().delta(before_t)
-            delta_p = process_db.stats.snapshot().delta(before_p)
-            for field in dataclasses.fields(delta_t):
-                if field.name in process_only:
+            before_s = serial_db.stats.snapshot()
+            before_p = pool_db.stats.snapshot()
+            serial_db.execute(sql)
+            pool_db.execute(sql)
+            delta_s = serial_db.stats.snapshot().delta(before_s)
+            delta_p = pool_db.stats.snapshot().delta(before_p)
+            for field in dataclasses.fields(delta_s):
+                if field.name in fan_out_only:
                     continue
                 assert getattr(delta_p, field.name) == \
-                    getattr(delta_t, field.name), (sql, field.name)
+                    getattr(delta_s, field.name), (sql, field.name)
+            assert serial_db.stats.log[-1].bytes_written == \
+                pool_db.stats.log[-1].bytes_written
+            assert serial_db.stats.log[-1].motion_bytes == \
+                pool_db.stats.log[-1].motion_bytes
     finally:
         executor_module.PARALLEL_MIN_ROWS = original
-    assert process_db.stats.process_tasks > 0
-    assert process_db.stats.stats_merges > 0
-    assert process_db.stats.shm_bytes_exported > 0
-    assert thread_db.stats.process_tasks == 0
-    thread_db.close()
-    process_db.close()
+    assert pool_db.stats.parallel_partitions > 0
+    assert serial_db.stats.parallel_partitions == 0
+    serial_db.close()
+    pool_db.close()
 
 
-def test_merge_worker_delta_rejects_unknown_counters():
+def test_bump_rejects_unknown_counters():
     db = Database(pool_workers=1)
-    db.stats.merge_worker_delta({"process_tasks": 3})
-    assert db.stats.process_tasks == 3
-    assert db.stats.stats_merges == 1
+    db.stats.bump("hash_distincts", 3)
+    assert db.stats.hash_distincts == 3
     with pytest.raises(ValueError, match="unknown counter"):
-        db.stats.merge_worker_delta({"not_a_counter": 1})
+        db.stats.bump("not_a_counter")
 
 
 def test_rows_written_counts_inserts():
@@ -356,12 +419,10 @@ def test_reset_zeroes_in_place_and_keeps_live_space():
     db.execute("create table u as select v from t")
     db.execute("drop table u")
     stats = db.stats
-    lock, scratch, live = stats._lock, stats._scratch, stats.live_bytes
+    log, live = stats.log, stats.live_bytes
     assert live > 0 and stats.peak_live_bytes > live and stats.log
     db.reset_stats()
-    # Same lock and thread-local scratch: a pool thread holding either
-    # across the reset keeps working on the live objects.
-    assert stats._lock is lock and stats._scratch is scratch
+    assert db.stats is stats and stats.log is log
     assert stats.live_bytes == stats.peak_live_bytes == live
     assert list(stats.log) == []
     assert all(getattr(stats, name) == 0 for name in COUNTERS
@@ -391,9 +452,11 @@ def test_query_log_is_bounded_for_long_lived_databases(monkeypatch):
 
 
 def test_every_declared_counter_is_in_the_readme_table_and_cli_footer():
-    """The two hand-written lists cannot drift from the declared one."""
+    """The two hand-written lists cannot drift from the declared one.
+    Retired counters are declared only for the benchmark's probes and
+    belong in neither."""
     from repro.cli import render_engine_stats
-    from repro.sqlengine.stats import COUNTERS
+    from repro.sqlengine.stats import COUNTERS, RETIRED
 
     class Recording:
         def __init__(self):
@@ -403,9 +466,11 @@ def test_every_declared_counter_is_in_the_readme_table_and_cli_footer():
             self.read.add(name)
             return 1
 
+    live = set(COUNTERS) - RETIRED
     recording = Recording()
     render_engine_stats(recording)
-    assert set(COUNTERS) - recording.read == set()
+    assert live - recording.read == set()
+    assert recording.read & RETIRED == set()
 
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as handle:
@@ -415,4 +480,5 @@ def test_every_declared_counter_is_in_the_readme_table_and_cli_footer():
                    if line.startswith("| `")]
     documented = {name.strip(" `") for cell in first_cells
                   for name in cell.split(",")}
-    assert set(COUNTERS) - documented == set()
+    assert live - documented == set()
+    assert documented & RETIRED == set()

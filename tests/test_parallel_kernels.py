@@ -10,22 +10,19 @@ per-group Python loop.  These tests force a multi-worker pool
 even on single-core machines so the pool code path (chunking, shared
 inputs, recombination) is always exercised.
 
-Every join kernel has one body that the direct call, thread workers and
-worker processes all run, so one matrix — kernel x {fan-out 1, thread pool,
-process pool, process pool whose shared-memory export fails} — pins the
-bit-identity of all of them (``test_kernel_matrix_bit_identical``).
+Every join kernel has one body that the direct call and the pool's
+threads both run, so one matrix — kernel x {fan-out 1, and fan-out 4, 3
+and 7 on a four-thread pool} — pins the bit-identity of all of them
+(``test_kernel_matrix_bit_identical``): four chunks split the probe side
+evenly, three and seven put chunk boundaries elsewhere in it.
 """
-
-import errno
-import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.sqlengine.shm as shm_module
 from repro.sqlengine import Database
-from repro.sqlengine.mpp import ProcessSegmentPool, SegmentPool
+from repro.sqlengine.mpp import SegmentPool
 from repro.sqlengine.operators import (
     CACHE_KERNEL_MIN_ROWS,
     JOIN_ROUTES,
@@ -118,6 +115,32 @@ def test_parallel_join_falls_back_on_unsupported_shapes():
     assert_every_fan_out_matches_reference(masked, int_column([2, 3, 4]),
                                            POOL, note=note)
     assert note == ["dense"]  # a pool cannot chunk NULL-bearing keys
+
+
+def test_text_keyed_join_runs_at_fan_out_one(monkeypatch):
+    """Text keys are not a shape a pool chunks: on a four-worker database
+    with the size gate off, a text-keyed join runs once, whole, and
+    returns the one-worker rows."""
+    import repro.sqlengine.executor as executor_module
+
+    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
+
+    def run(workers):
+        db = Database(n_segments=4, pool_workers=workers)
+        db.execute("create table t (k text, v int64)")
+        db.execute("insert into t values ('a', 1), ('b', 2), ('a', 3)")
+        rows = db.execute(
+            "select x.k, x.v, y.v from t as x, t as y where x.k = y.k"
+        ).rows()
+        partitions = db.stats.parallel_partitions
+        db.close()
+        return rows, partitions
+
+    rows, partitions = run(4)
+    assert partitions == 0
+    assert (rows, partitions) == run(1)
+    assert sorted(rows) == [("a", 1, 1), ("a", 1, 3), ("a", 3, 1),
+                            ("a", 3, 3), ("b", 2, 2)]
 
 
 @given(keys, keys)
@@ -608,83 +631,36 @@ KERNEL_CASES = {
                    misses=False), "dictionary"),
 }
 
-#: Every way a kernel body runs; "serial" is the direct call at fan-out 1.
-BACKENDS = ("serial", "thread", "process", "process-no-shm")
-MATRIX = [(kernel, backend) for kernel in KERNEL_CASES for backend in BACKENDS]
-
-
-def _refuse_shm_create(monkeypatch, after: int = 0):
-    """Make ``SharedMemory(create=True)`` raise ENOSPC once ``after``
-    blocks have been created — a full ``/dev/shm``.  Attaching still
-    works."""
-    real = shm_module.shared_memory.SharedMemory
-    created = []
-
-    def shared_memory(*args, create=False, **kwargs):
-        if create:
-            if len(created) >= after:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            created.append(None)
-        return real(*args, create=create, **kwargs)
-
-    monkeypatch.setattr(shm_module.shared_memory, "SharedMemory",
-                        shared_memory)
-
-
-def _shm_blocks() -> set:
-    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+#: Every way a kernel body runs: "serial" is the direct call at fan-out 1,
+#: the others chunk over a four-thread pool of that many segments.
+FAN_OUTS = {"serial": None, "thread": 4, "thread-3": 3, "thread-7": 7}
+MATRIX = [(kernel, fan_out) for kernel in KERNEL_CASES for fan_out in FAN_OUTS]
 
 
 def _run_case(case, pool):
-    """Run one matrix case; returns (note, process tasks it dispatched)."""
-    deltas: list = []
-    if pool is not None and pool.supports_processes:
-        pool.on_stats_delta = deltas.append
+    """Run one matrix case against its reference; returns the route note."""
     note: list = []
     reference, result = case(pool, note)
     assert len(reference) == len(result)
     for expected, got in zip(reference, result):
         assert got.dtype == expected.dtype
         assert np.array_equal(expected, got)
-    return note, sum(delta.get("process_tasks", 0) for delta in deltas)
+    return note
 
 
 @pytest.mark.parametrize(
-    "kernel,backend", MATRIX, ids=[f"{k}-{b}" for k, b in MATRIX])
-def test_kernel_matrix_bit_identical(kernel, backend, monkeypatch):
+    "kernel,fan_out", MATRIX, ids=[f"{k}-{f}" for k, f in MATRIX])
+def test_kernel_matrix_bit_identical(kernel, fan_out):
     case, route = KERNEL_CASES[kernel]
-    if backend == "serial":
-        note, _ = _run_case(case, None)
-        assert note == [JOIN_ROUTES[route][0]]
+    n_segments = FAN_OUTS[fan_out]
+    if n_segments is None:
+        assert _run_case(case, None) == [JOIN_ROUTES[route][0]]
         return
-    pool_cls = SegmentPool if backend == "thread" else ProcessSegmentPool
-    pool = pool_cls(4, max_workers=4)
+    pool = SegmentPool(n_segments, max_workers=4)
     try:
-        if backend == "process-no-shm":
-            _refuse_shm_create(monkeypatch)
-            blocks_before = _shm_blocks()
-        note, process_tasks = _run_case(case, pool)
-        assert note == [JOIN_ROUTES[route][1]]
-        if backend == "thread":
-            assert process_tasks == 0
-        elif backend == "process":
-            assert process_tasks > 0
-            assert pool.registry.bytes_exported > 0
-        else:
-            # Export failed: the same kernel ran on the pool's threads and
-            # nothing was left behind ...
-            assert process_tasks == 0
-            assert pool.registry.created_names() == set()
-            assert _shm_blocks() == blocks_before
-            # ... and the pool is still usable once memory is back.
-            monkeypatch.undo()
-            _, process_tasks = _run_case(case, pool)
-            assert process_tasks > 0
+        assert _run_case(case, pool) == [JOIN_ROUTES[route][1]]
     finally:
         pool.shutdown()
-    if backend != "thread":
-        assert not any(os.path.exists(f"/dev/shm/{name}")
-                       for name in pool.registry.created_names())
 
 
 #: Matrix cases over a unique build side -> whether each of the four
@@ -740,12 +716,12 @@ def test_combine_spells_out_identity_chunks_over_their_own_spans():
     assert route.combine(pairs, spans)[0].tolist() == [1, 2, 7, 8, 9]
 
 
-@pytest.mark.parametrize("backend", ["thread", "process", "process-no-shm"])
-def test_group_by_over_join_bit_identical_across_backends(backend,
+@pytest.mark.parametrize("fan_out", ["thread", "thread-3", "thread-7"])
+def test_group_by_over_join_bit_identical_across_fan_outs(fan_out,
                                                           monkeypatch):
-    """A GROUP BY runs serially over its join's output, which every pool
-    backend must produce in the one-worker order: float sums and averages
-    then match to the bit."""
+    """A GROUP BY runs serially over its join's output, which every fan-out
+    must produce in the one-worker order: float sums and averages then
+    match to the bit."""
     import repro.sqlengine.executor as executor_module
 
     monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
@@ -753,9 +729,8 @@ def test_group_by_over_join_bit_identical_across_backends(backend,
              "min(r.rep) lo, max(case when e.v2 > 50 then e.f end) hi "
              "from e, r where e.v2 = r.v group by e.v1")
 
-    def run(workers, pool_backend):
-        db = Database(n_segments=4, pool_workers=workers,
-                      pool_backend=pool_backend)
+    def run(n_segments, workers):
+        db = Database(n_segments=n_segments, pool_workers=workers)
         db._executor.use_index_cache = False
         rng = np.random.default_rng(41)
         n = 4000
@@ -766,37 +741,11 @@ def test_group_by_over_join_bit_identical_across_backends(backend,
                             "rep": rng.integers(0, 1 << 40, 200)})
         return db, db.execute(query).rows()
 
-    reference_db, expected = run(1, "thread")
+    reference_db, expected = run(4, 1)
     reference_db.close()
-    if backend == "process-no-shm":
-        _refuse_shm_create(monkeypatch)
-        blocks_before = _shm_blocks()
-    db, rows = run(4, "thread" if backend == "thread" else "process")
+    db, rows = run(FAN_OUTS[fan_out], 4)
     try:
         assert rows == expected
-        assert db.stats.parallel_partitions > 0
-        if backend == "process":
-            assert db.stats.process_tasks > 0
-        else:
-            assert db.stats.process_tasks == 0
-        if backend == "process-no-shm":
-            assert _shm_blocks() == blocks_before
+        assert db.stats.parallel_partitions == FAN_OUTS[fan_out]
     finally:
         db.close()
-
-
-def test_partial_export_failure_falls_back_and_leaks_nothing(monkeypatch):
-    """``/dev/shm`` fills up halfway through a dispatch's exports: the
-    dispatch runs on threads, and the blocks that did get created go with
-    the pool."""
-    case, _ = KERNEL_CASES["sorted-merge-probe"]  # three inputs
-    pool = ProcessSegmentPool(4, max_workers=4)
-    try:
-        _refuse_shm_create(monkeypatch, after=2)
-        _, process_tasks = _run_case(case, pool)
-        assert process_tasks == 0
-        names = pool.registry.created_names()
-        assert len(names) == 2
-    finally:
-        pool.shutdown()
-    assert not any(os.path.exists(f"/dev/shm/{name}") for name in names)

@@ -183,99 +183,116 @@ def test_query_count_is_linear_in_rounds():
 
 
 # ---------------------------------------------------------------------------
-# overlapped composition: round i composes while round i+1 contracts
+# one statement at a time: a run's statements and counts are a function of
+# the seed
 # ---------------------------------------------------------------------------
+
+#: The deterministic-space (Figure 3) configurations, by their method.
+LOOPING = ["finite-fields", "prime-field", "encryption", "identity",
+           "random-reals"]
+
+
+def _run_logged(edges, seed, database=None, **algorithm):
+    """One run on a fresh ``Database(**database)``: the run's count
+    metrics and its statement log as ``(label, sql)`` pairs."""
+    with Database(**(database or {})) as db:
+        load_edges_into(db, "edges", edges)
+        db.reset_stats()
+        result = RandomisedContraction(**algorithm).run(db, "edges",
+                                                        seed=seed)
+        counts = (result.stats.peak_live_bytes, result.stats.bytes_written,
+                  result.stats.queries, result.rounds)
+        return counts, [(record.label, record.sql)
+                        for record in db.stats.log]
+
+
+@pytest.mark.parametrize("method,graph", [
+    (method, graph) for method in LOOPING for graph in ("gnm", "path")
+    # No randomisation on a path: linear rounds by design.
+    if (method, graph) != ("identity", "path")
+])
+def test_count_metrics_are_per_seed_constants(method, graph):
+    """Peak space, bytes written, the query count and the statement log
+    are constants of the seed: two runs of one seed on a four-worker
+    database agree, and equal a one-worker run.  On the path (one
+    component) the composition joins codes, on the random graph plain
+    keys once a component has finished."""
+    from repro.graphs import gnm_random_graph
+    edges = (gnm_random_graph(800, 1400, np.random.default_rng(13))
+             if graph == "gnm" else path_graph(600))
+    algorithm = {"method": method, "variant": "deterministic-space"}
+    first = _run_logged(edges, 6, {"pool_workers": 4}, **algorithm)
+    assert _run_logged(edges, 6, {"pool_workers": 4}, **algorithm) == first
+    assert _run_logged(edges, 6, {"pool_workers": 1}, **algorithm) == first
+    assert first[0][3] > 2  # the loop composed more than once
+
+
+@pytest.mark.parametrize("method", LOOPING)
+def test_round_statements_follow_figure3(method):
+    """Each round issues its representatives, then the contraction, then
+    the composition — Figure 3's order — and round one adopts its
+    representatives as the labels instead of composing."""
+    from repro.graphs import gnm_random_graph
+    edges = gnm_random_graph(600, 1000, np.random.default_rng(21))
+    (*_, rounds), log = _run_logged(edges, 6, {"pool_workers": 4},
+                                    method=method,
+                                    variant="deterministic-space")
+    labels = [label.rpartition(":")[2] for label, _ in log]
+    table = method == "random-reals"
+    reps = ["neigh-min", "closed-min", "argmin"] if table else ["reps"]
+    scratch = ["DropTable"] if table else []
+    contract = ["contract", "DropTable", "AlterRename"]
+    expected = ["setup"]
+    for round_no in range(1, rounds + 1):
+        compose = (["AlterRename"] if round_no == 1
+                   else ["compose", "DropTable", "AlterRename"])
+        expected += reps + contract + compose + scratch
+    expected += ["AlterRename"] + ([] if table else ["DropTable"])
+    assert labels == expected
+
+
+@pytest.mark.parametrize("method", ["finite-fields", "prime-field",
+                                    "identity"])
+def test_fast_variant_statements_do_not_depend_on_the_pool_width(method):
+    """The fast variant's forward loop and back-to-front composition chain
+    issue the same statements, with the same counts, at every pool
+    width."""
+    from repro.graphs import gnm_random_graph
+    edges = gnm_random_graph(800, 1000, np.random.default_rng(29))
+    wide = _run_logged(edges, 11, {"pool_workers": 4}, method=method)
+    assert wide == _run_logged(edges, 11, {"pool_workers": 1},
+                               method=method)
+    assert wide[0][3] - 1 >= 2  # the graph must actually exercise the chain
+    assert sum(label.endswith(":compose") for label, _ in wide[1]) \
+        == wide[0][3] - 1
 
 
 @pytest.mark.parametrize("method,variant", [
+    ("finite-fields", "fast"),
     ("finite-fields", "deterministic-space"),
     ("random-reals", "deterministic-space"),
 ])
-def test_overlapped_composition_bit_identical(method, variant):
-    """With a multi-worker pool the looping variants run round i's
-    representative composition on the pool while round i+1 contracts; the
-    final labels must be bit-identical to the serial schedule and the
-    engagement counter must prove the overlap actually happened."""
+def test_space_budget_does_not_change_the_run(method, variant):
+    """A budget only checks the statements' space: a budgeted run that
+    fits issues the unbudgeted run's statements and reaches its peak, so
+    the harness's "did not finish" verdict (Tables III/IV) is a function
+    of the budget and the seed."""
     from repro.graphs import gnm_random_graph
-    edges = gnm_random_graph(800, 1400, np.random.default_rng(13))
-
-    def run(workers):
-        db = Database(n_segments=4, pool_workers=workers)
-        load_edges_into(db, "edges", edges)
-        result = RandomisedContraction(method=method, variant=variant).run(
-            db, "edges", seed=6)
-        vertices, labels = result.labels(db)
-        order = np.argsort(vertices, kind="stable")
-        stats = db.stats.snapshot()
-        db.close()
-        return vertices[order], labels[order], stats
-
-    v_on, l_on, stats_on = run(4)
-    v_off, l_off, stats_off = run(1)
-    assert stats_on.overlapped_compositions > 0
-    assert stats_off.overlapped_compositions == 0
-    # Same statements ran on both schedules, just on different threads.
-    assert stats_on.queries == stats_off.queries
-    assert np.array_equal(v_on, v_off)
-    assert np.array_equal(l_on, l_off)
-
-
-def test_overlapped_composition_waits_out_failures():
-    """An error raised by a background composition must surface to the
-    caller, not vanish on the worker thread."""
-    from repro.core.dataflow import DataflowScheduler
-    from repro.sqlengine.errors import CatalogError
-
-    db = Database(n_segments=4, pool_workers=4)
-    sched = DataflowScheduler(db)
-    task = sched.submit(["drop table never_created"])
-    with pytest.raises(CatalogError):
-        sched.wait(task)
-    sched.drain()  # idempotent, swallows nothing further
-    # A broken schedule must refuse further submissions with the original
-    # error rather than silently extending a half-applied plan.
-    with pytest.raises(CatalogError):
-        sched.submit(["drop table never_created_either"])
-    db.close()
-
-
-def test_overlapped_rounds_can_outrun_one_composition():
-    """The DAG scheduler runs every composed round's composing CREATE
-    concurrently with that round's contraction — two independent
-    statements overlapping per round, where the old composer held a single
-    background slot.  The dataflow_overlaps counter must record at least
-    one genuinely concurrent pair per composed round (cheap drop/rename
-    tasks may add more, timing permitting).  The per-round bound is safe
-    to assert: the contraction is submitted microseconds after the
-    composing CREATE, which joins the never-shrinking label table and so
-    cannot have finished inside that window."""
-    from repro.graphs import gnm_random_graph
-    edges = gnm_random_graph(600, 1000, np.random.default_rng(21))
-    db = Database(n_segments=4, pool_workers=4)
-    load_edges_into(db, "edges", edges)
-    RandomisedContraction(variant="deterministic-space").run(db, "edges",
-                                                             seed=6)
-    stats = db.stats.snapshot()
-    assert stats.overlapped_compositions > 0
-    assert stats.dataflow_overlaps >= stats.overlapped_compositions
-    db.close()
-    serial = Database(n_segments=4, pool_workers=1)
-    load_edges_into(serial, "edges", edges)
-    RandomisedContraction(variant="deterministic-space").run(serial, "edges",
-                                                             seed=6)
-    assert serial.stats.dataflow_overlaps == 0
-    serial.close()
+    edges = gnm_random_graph(300, 500, np.random.default_rng(2))
+    algorithm = {"method": method, "variant": variant}
+    free = _run_logged(edges, 3, {"pool_workers": 4}, **algorithm)
+    budget = {"pool_workers": 4, "space_budget_bytes": 1 << 30}
+    assert _run_logged(edges, 3, budget, **algorithm) == free
 
 
 @pytest.mark.parametrize("variant", ["fast", "deterministic-space"])
 def test_one_worker_database_is_serial_with_the_default_labels(
         variant, monkeypatch):
-    """``pool_workers=1`` is the serial engine: the scheduler runs inline,
-    no kernel fans out, no pool thread is ever created — and the labels
-    are the default database's, row for row, even with that one chunking
-    every join it can."""
+    """``pool_workers=1`` is the serial engine: no kernel fans out, no
+    pool thread is ever created — and the labels are the default
+    database's, row for row, even with that one chunking every join it
+    can."""
     import repro.sqlengine.executor as executor_module
-    from repro.core.dataflow import DataflowScheduler
     from repro.graphs import gnm_random_graph
 
     monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
@@ -291,9 +308,7 @@ def test_one_worker_database_is_serial_with_the_default_labels(
     serial_db, serial_labels, serial_stats = run(pool_workers=1)
     assert serial_db.pool.n_workers == 1
     assert serial_db.pool._pool is None
-    assert DataflowScheduler(serial_db).asynchronous is False
     assert serial_stats.parallel_partitions == 0
-    assert serial_stats.dataflow_overlaps == 0
     _, default_labels, _ = run()
     for got, expected in zip(serial_labels, default_labels, strict=True):
         assert np.array_equal(got, expected)
@@ -336,47 +351,3 @@ def test_run_leaves_nothing_to_the_cycle_collector(variant):
             gc.garbage.clear()
             gc.enable()
     assert leaked == []
-
-
-def test_fast_variant_composition_chain_overlaps():
-    """The fast variant's back-to-front composition is a strict dependency
-    chain (each create reads the table the previous one wrote), so it runs
-    as plain serial statements — no dataflow scheduler, nothing to overlap
-    — and labels and round counts are bit-identical with and without a
-    multi-worker pool."""
-    from repro.graphs import gnm_random_graph
-    edges = gnm_random_graph(800, 1000, np.random.default_rng(29))
-
-    def run(workers):
-        db = Database(n_segments=4, pool_workers=workers)
-        load_edges_into(db, "edges", edges)
-        result = RandomisedContraction().run(db, "edges", seed=11)
-        vertices, labels = result.labels(db)
-        order = np.argsort(vertices, kind="stable")
-        stats = db.stats.snapshot()
-        db.close()
-        return vertices[order], labels[order], stats, result.rounds
-
-    v_on, l_on, stats_on, rounds_on = run(4)
-    v_off, l_off, stats_off, rounds_off = run(1)
-    assert rounds_on == rounds_off
-    assert np.array_equal(v_on, v_off)
-    assert np.array_equal(l_on, l_off)
-    assert rounds_on - 1 >= 2  # the graph must actually exercise the chain
-    assert stats_on.dataflow_overlaps == 0
-    assert stats_off.dataflow_overlaps == 0
-
-
-def test_overlapped_composition_disabled_under_space_budget():
-    """Overlap briefly holds two rounds' tables at once, which would make
-    space-budget violations (the harness's DNF signal) timing-dependent —
-    a budgeted database must compose inline and keep the serial peak."""
-    from repro.graphs import gnm_random_graph
-    edges = gnm_random_graph(300, 500, np.random.default_rng(2))
-    db = Database(n_segments=4, pool_workers=4,
-                  space_budget_bytes=1 << 30)
-    load_edges_into(db, "edges", edges)
-    RandomisedContraction(variant="deterministic-space").run(
-        db, "edges", seed=3)
-    assert db.stats.overlapped_compositions == 0
-    db.close()

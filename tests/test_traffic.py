@@ -7,8 +7,10 @@ later executor change keep alive for nothing.  This test runs every
 algorithm configuration the repo ships on two small graphs, with
 ``Database()`` at its defaults, and requires each name in
 ``stats.COUNTERS`` to be non-zero in at least one run — except the
-allow-list below, one reason per name.  A new fast path therefore lands
-together with an algorithm that reaches it, or with a reason here.
+allow-list below, one reason per name, and ``stats.RETIRED``, the
+counters of removed machinery, which no run may move at all.  A new fast
+path therefore lands together with an algorithm that reaches it, or with
+a reason here.
 
 Three join kernels share the ``parallel_partitions`` counter, so the
 counters cannot tell which of them ran.  The *route* registry can: every
@@ -40,9 +42,6 @@ from repro.sqlengine.operators import JOIN_ROUTES
 
 #: Counters no default-configuration run on these graphs can move.
 NO_TRAFFIC_EXPECTED = {
-    "process_tasks": "process backend only (pool_backend='process')",
-    "shm_bytes_exported": "process backend only (pool_backend='process')",
-    "stats_merges": "process backend only (pool_backend='process')",
     "physical_plan_invalidations":
         "safety counter: a cached plan failing its schema/binding check",
     "parallel_indexed_probes":
@@ -60,12 +59,10 @@ NO_TRAFFIC_EXPECTED = {
 }
 
 #: Counters that need two pool workers; a one-CPU host's default pool has
-#: a single worker and keeps every kernel and statement group inline.
+#: a single worker and runs every kernel inline.
 NEEDS_TWO_WORKERS = {
     "parallel_partitions",
     "parallel_dense_probes",
-    "overlapped_compositions",
-    "dataflow_overlaps",
 }
 
 
@@ -163,9 +160,12 @@ def default_traffic():
 
 def test_every_counter_sees_traffic_from_some_algorithm(default_traffic):
     assert set(NO_TRAFFIC_EXPECTED) <= set(stats.COUNTERS)
+    assert stats.RETIRED <= set(stats.COUNTERS)
+    assert not stats.RETIRED & (set(NO_TRAFFIC_EXPECTED) | NEEDS_TWO_WORKERS)
     assert all(NO_TRAFFIC_EXPECTED.values())  # one reason per name
     seen, _, workers = default_traffic
-    allowed = set(NO_TRAFFIC_EXPECTED)
+    assert seen & stats.RETIRED == set(), "a retired counter moved"
+    allowed = set(NO_TRAFFIC_EXPECTED) | stats.RETIRED
     if workers < 2:
         allowed |= NEEDS_TWO_WORKERS
     assert set(stats.COUNTERS) - seen - allowed == set(), (

@@ -4,8 +4,8 @@ engine and on sqlite, table by table, and the labels against union-find.
 The statement-level fuzz (``test_differential_fuzz.py``) cannot see a bug
 that only a *sequence* of statements makes: a round's encoded ``graph``
 table feeding the next round's GROUP BY, join and DISTINCT, the table-level
-dictionary two concurrent statements of the dataflow scheduler share, the
-composition joining a column an earlier statement encoded.  So every
+dictionary a round's statements share, the composition joining a column
+an earlier statement encoded.  So every
 ``SQLConnectedComponents`` subclass — Randomised Contraction in all eight
 randomisation method x variant configurations, Hash-to-Min, Two-Phase,
 Cracker, BFS and graph squaring — runs on a random graph, a long path, a
@@ -18,7 +18,7 @@ partition must be union-find's.
 
 What an outside engine cannot referee — row order — stays an
 engine-vs-engine contract: the loop's stored tables are byte-identical
-whatever the pool's fan-out or backend.
+whatever the pool's width and fan-out.
 """
 
 from __future__ import annotations
@@ -156,8 +156,6 @@ def _stored_tables(edges: EdgeList, variant: str, **database):
             result = execute(sql, label=label)
             words = sql.split()
             if words[:2] == ["create", "table"] and words[3] == "as":
-                # Same-name tables are created one after another even on
-                # the dataflow scheduler, so the count needs no lock.
                 nth = sum(1 for name, _ in tables if name == words[2])
                 digest = hashlib.sha256()
                 for column in db.table(words[2]).columns.values():
@@ -176,13 +174,15 @@ def _stored_tables(edges: EdgeList, variant: str, **database):
 @pytest.mark.parametrize("variant", ["fast", "deterministic-space"])
 @pytest.mark.parametrize("database", [
     {"pool_workers": 1},
-    {"pool_workers": 4, "pool_backend": "process"},
+    {"pool_workers": 4},
 ], ids=lambda options: ",".join(f"{k}={v}" for k, v in options.items()))
 def test_encoded_loop_is_bit_identical_on_every_configuration(
         variant, database, monkeypatch):
-    """Fan-out and backend decide nothing about which columns are encoded,
-    so neither may move a label — or a row of any table a round stores,
-    DISTINCT outputs in key order included."""
+    """The pool's width and fan-out decide nothing about which columns are
+    encoded, so neither may move a label — or a row of any table a round
+    stores, DISTINCT outputs in key order included.  With
+    ``PARALLEL_MIN_ROWS`` lowered, the four-worker loop chunks every join
+    it can."""
     import repro.sqlengine.executor as executor_module
 
     monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
