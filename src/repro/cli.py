@@ -132,7 +132,7 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     from .sqlengine.lexer import split_statements
 
     edges = _load_graph(args.graph, args.scale)
-    db = Database(pool_workers=args.workers)
+    db = Database()
     load_edges_into(db, "edges", edges)
     db.stats.reset()
     try:
@@ -194,9 +194,6 @@ def render_engine_stats(stats) -> str:
         f"({stats.left_chain_fusions} with outer joins)",
         f"  hash DISTINCTs     : {stats.hash_distincts}",
         f"  group sorts skipped: {stats.group_sorts_skipped}",
-        f"  parallel partitions: {stats.parallel_partitions}"
-        f"  (indexed probes {stats.parallel_indexed_probes}, "
-        f"dense probes {stats.parallel_dense_probes})",
     ]
     return "\n".join(lines)
 
@@ -265,10 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the full EngineStats counter dump "
                           "(plan/physical-plan/index caches, fused pipelines, "
                           "motion) after execution")
-    sql.add_argument("--workers", type=int, default=None,
-                     help="the pool's worker count (default: min(segments, "
-                          "cpu count)); 1 runs every kernel serially, more "
-                          "run the same kernels over one chunk per segment")
     sql.set_defaults(fn=_cmd_sql)
 
     gamma = sub.add_parser("gamma", help="measure the contraction factor")

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..sqlengine.database import Database
 from ..sqlengine.executor import Executor
-from ..sqlengine.mpp import SegmentPool, hash64
+from ..sqlengine.mpp import hash64
 from ..sqlengine.operators import (
     NO_MATCH,
     distinct_rows,
@@ -69,9 +69,7 @@ class SparkExecutor(Executor):
     use_index_cache = False
 
     def __init__(self, catalog, registry, cluster, stats, n_tasks: int = 64):
-        # Its tasks are the model's own, so the segment pool is serial.
-        super().__init__(catalog, registry, cluster, stats,
-                         SegmentPool(cluster.n_segments, max_workers=1))
+        super().__init__(catalog, registry, cluster, stats)
         self.n_tasks = n_tasks
         #: Total tasks launched, a Spark-ish metric exposed for reporting.
         self.tasks_launched = 0

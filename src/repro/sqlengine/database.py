@@ -61,12 +61,12 @@ class Database:
     """An in-process MPP-simulating SQL database.
 
     Statements execute one at a time, in the order the caller issues them,
-    on the calling thread; the parallelism the paper's MPP cluster has
-    lives inside a statement — data motion is modelled by
-    :class:`~repro.sqlengine.mpp.Cluster`, and a large join's probe is cut
-    into one chunk per segment on the segment pool.  A statement issued
-    while another is still running (a UDF calling back into its database)
-    is refused with :class:`~repro.sqlengine.errors.ExecutionError`.
+    on the calling thread, and every operator of a statement runs there
+    too: the engine starts no thread.  The parallelism the paper's MPP
+    cluster has is modelled, not executed — data motion is charged by
+    :class:`~repro.sqlengine.mpp.Cluster`.  A statement issued while
+    another is still running (a UDF calling back into its database) is
+    refused with :class:`~repro.sqlengine.errors.ExecutionError`.
 
     Parameters
     ----------
@@ -77,14 +77,6 @@ class Database:
         Optional cap on live table space.  Exceeding it raises
         :class:`~repro.sqlengine.errors.SpaceBudgetExceeded`, which the bench
         harness reports as "did not finish" (Table III).
-    pool_workers:
-        The segment pool's thread count, capped at ``n_segments`` (CLI
-        ``--workers``); ``None`` sizes it to ``min(n_segments, cpu
-        count)``.  Every database has a pool: ``pool_workers=1`` is serial
-        execution — each kernel called once, inline, on the calling
-        thread, no worker ever started — and more workers run the same
-        join kernels over one chunk per segment, with bit-identical
-        results.
     """
 
     def __init__(
@@ -92,16 +84,15 @@ class Database:
         n_segments: int = 4,
         space_budget_bytes: Optional[int] = None,
         broadcast_row_limit: int = 4096,
-        pool_workers: Optional[int] = None,
     ):
         self.catalog = Catalog()
         self.registry = FunctionRegistry()
         self.cluster = Cluster(n_segments, broadcast_row_limit)
         self.stats = EngineStats(space_budget_bytes)
-        #: Where join kernels fan out; with one worker they run inline.
-        self.pool = SegmentPool(n_segments, max_workers=pool_workers)
+        #: Retired shell (see ``stats.RETIRED``): one worker, no thread.
+        self.pool = SegmentPool(n_segments)
         self._executor = Executor(self.catalog, self.registry, self.cluster,
-                                  self.stats, self.pool)
+                                  self.stats)
         self._plans = PlanCache()
         #: True while :meth:`execute` runs a statement.
         self._executing = False
@@ -204,14 +195,11 @@ class Database:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the segment pool's worker threads.
+        """Release nothing: the engine holds no thread, process or file.
 
-        Idempotent — a double close is a no-op — and the database stays
-        usable afterwards: the pool re-creates its workers on the next
-        parallel kernel.  Long-lived processes creating many Database
-        instances should close each when done.
+        Kept, with the context manager, as the lifecycle API callers
+        already use; idempotent, and the database stays usable afterwards.
         """
-        self.pool.shutdown()
 
     def __enter__(self) -> "Database":
         return self

@@ -25,16 +25,10 @@ second and third join against the same table — the paper's per-round
 index proves pre-sorted on disk skips both its sort and its gather.
 
 How a join runs is decided in one place,
-:func:`~repro.sqlengine.operators.plan_join`; the executor chooses only
-the **fan-out** of the route it returns: 1 — the route's kernel called
-once over every probe row — or, when the executor's
-:class:`~repro.sqlengine.mpp.SegmentPool` has more than one worker, the
-keys are one NULL-free integer column per side and there are at least
-``PARALLEL_MIN_ROWS`` probe rows, the pool's segment count — the same
-kernel over that many contiguous chunks (see
-:mod:`repro.sqlengine.parallel`), with bit-identical output.  The
-executor runs one statement at a time; those chunks are the only work
-that leaves the calling thread.
+:func:`~repro.sqlengine.operators.plan_join`, and the executor runs the
+route it returns: its kernel, called once over every probe row.  The
+executor runs one statement at a time, on the calling thread, and starts
+no thread; nothing it does depends on the host's core count.
 
 Every join runs through one runner, the **join chain** (see
 :class:`_JoinChain`): a join feeding another join's build side never
@@ -76,8 +70,8 @@ reads a join's row counts, whether a gathered row is null-extended and a
 column's provenance — nothing about how the statement runs — so the form,
 and with it a DISTINCT's row order, is a deterministic function of the
 statement and its input relation: **key order over encoded columns,
-first-occurrence order otherwise, never a function of the fan-out or a
-switch.**  Space, motion and
+first-occurrence order otherwise, never a function of a switch.**  Space,
+motion and
 written bytes charge 8 bytes per cell in either form.  Dense GROUP BY keys
 nothing has sorted yet — round 1's vertex ids — are reduced by direct
 addressing (:func:`~repro.sqlengine.operators.direct_group_rows`) through
@@ -131,7 +125,7 @@ from .expressions import (
     truth_values,
 )
 from .functions import FunctionRegistry
-from .mpp import Cluster, SegmentPool
+from .mpp import Cluster
 from .operators import (
     NO_MATCH,
     DirectGroups,
@@ -143,7 +137,7 @@ from .operators import (
     pad_left_outer,
     plan_join,
 )
-from .parallel import PARALLEL_MIN_ROWS, AggregateSpec, _reduce_slice, run_join
+from .parallel import AggregateSpec, _reduce_slice
 from .physicalplan import (
     CorePlan,
     JoinStepPlan,
@@ -288,8 +282,8 @@ def _encoded_source(frame: Frame, qualified: str) -> Column:
     dense integers.  There is no size gate — encoding wherever the rule
     allows wins from G(500, 1000) (1.07x per run) to G(500k, 1M) (2.3x).
     The rule reads one join's row counts, whether a gathered row is
-    null-extended, and the column's provenance — never a switch or the
-    fan-out — so which columns are encoded, and with it
+    null-extended, and the column's provenance — never a switch — so
+    which columns are encoded, and with it
     the row order of a DISTINCT over them, is a function of the statement
     and its input.  Anything else (text, NULLs, a subquery's or a filtered
     scan's column) is returned as it is.
@@ -514,14 +508,11 @@ class Executor:
         registry: FunctionRegistry,
         cluster: Cluster,
         stats: EngineStats,
-        pool: SegmentPool,
     ):
         self.catalog = catalog
         self.registry = registry
         self.cluster = cluster
         self.stats = stats
-        #: Where kernels fan out; a one-worker pool runs everything inline.
-        self.pool = pool
 
     def _stored_index(
         self, frame: Frame, qualified_name: str, build: bool
@@ -572,9 +563,8 @@ class Executor:
     # ------------------------------------------------------------------
     # operator kernels — overridable execution strategy
     #
-    # The default engine runs each kernel over whole columns (an MPP
-    # database's co-located, vectorised execution), cut into one chunk
-    # per segment for large inputs on a multi-worker pool.
+    # The default engine runs each kernel once, over whole columns (an MPP
+    # database's co-located, vectorised execution).
     # The Spark-SQL comparison backend (repro.spark) overrides these with
     # partitioned, shuffle-everything equivalents.
     # ------------------------------------------------------------------
@@ -588,29 +578,13 @@ class Executor:
         right_index: Optional[KeyIndex],
         note: Optional[list],
     ) -> tuple[Optional[np.ndarray], np.ndarray]:
-        """Inner or left-outer join: plan the route once, then run it at
-        fan-out 1 or — a pool with real fan-out, a shape it can chunk and
-        enough probe rows for the dispatch to pay — over the pool.  Left
+        """Inner or left-outer join: plan the route, then run it.  Left
         rows are ``None`` when the join kept every probe row once, in
-        order (see :meth:`~repro.sqlengine.operators.JoinRoute.combine`)."""
+        order (see :meth:`~repro.sqlengine.operators.JoinRoute.run`)."""
         route = plan_join(left_keys, right_keys, left_index, right_index)
-        pool = self.pool
-        chunked = (
-            route.chunkable
-            and pool.n_workers > 1
-            and route.n_probe >= PARALLEL_MIN_ROWS
-        )
-        if chunked:
-            self.stats.bump("parallel_partitions", pool.n_segments)
-            if route.dense:
-                self.stats.bump("parallel_dense_probes")
-            elif right_index is not None:
-                self.stats.bump("parallel_indexed_probes")
-            l_idx, r_idx = run_join(route, pool)
-        else:
-            l_idx, r_idx = route.run()
+        l_idx, r_idx = route.run()
         if note is not None:
-            note.append(route.note(chunked))
+            note.append(route.note())
         if left_outer:
             return pad_left_outer(l_idx, r_idx, len(left_keys[0]))
         return l_idx, r_idx

@@ -13,15 +13,14 @@ mismatched side), or is cheaper served by broadcasting a small relation to
 every segment.  The decisions feed the motion counters in
 :mod:`repro.sqlengine.stats`; row data itself is kept in whole-column numpy
 arrays because physically scattering it would only slow the simulation
-without changing any measured quantity.
+without changing any measured quantity.  Nothing here executes anything:
+the segments are modelled, and every operator runs once, on the calling
+thread.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,54 +45,17 @@ def hash64(values: np.ndarray) -> np.ndarray:
 
 
 class SegmentPool:
-    """A worker pool executing per-segment kernel chunks.
+    """Retired shell (see :data:`repro.sqlengine.stats.RETIRED`): one
+    worker, no thread, nothing to shut down.  Every join runs on the
+    calling thread; only :class:`Cluster` models the segments."""
 
-    The pool mirrors the cluster layout: a join's probe side is cut into
-    ``n_segments`` contiguous chunks and the chunks run on ``max_workers``
-    threads, at most one per segment (default ``min(n_segments,
-    cpu_count)``).  Only the array kernels that
-    :func:`repro.sqlengine.parallel.run_join` dispatches run here;
-    statements themselves run one at a time on the calling thread.  numpy releases the GIL inside
-    its kernels, so chunks can overlap on multi-core hosts.  A pool of one
-    worker — a single core, or ``max_workers=1`` — is serial execution:
-    :meth:`map` runs inline on the calling thread, the executor calls
-    every kernel once over its whole input, and no thread is ever created.
+    n_workers = 1
 
-    The thread pool is created lazily on first use, so accounting-only
-    databases never spawn threads.
-    """
-
-    def __init__(self, n_segments: int, max_workers: Optional[int] = None):
-        if n_segments < 1:
-            raise ValueError("a segment pool needs at least one segment")
+    def __init__(self, n_segments: int):
         self.n_segments = n_segments
-        if max_workers is not None:
-            self.n_workers = max(1, min(n_segments, max_workers))
-        else:
-            self.n_workers = max(1, min(n_segments, os.cpu_count() or 1))
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        """Run ``fn`` over ``items``, in order; threaded when it can help."""
-        if self.n_workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.n_workers,
-                thread_name_prefix="repro-segment",
-            )
-        return list(self._pool.map(fn, items))
 
     def shutdown(self) -> None:
-        """Release the worker threads (a later ``map`` re-creates them).
-
-        Idle workers also exit when the pool is garbage collected, but
-        long-lived processes juggling many databases should close them
-        deterministically via :meth:`Database.close`.
-        """
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
+        """Nothing to release."""
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ spell the identity out as ``arange``.
 only place that decides how an equi-join runs: it returns a
 :class:`JoinRoute` naming one of two kernels and the arrays it reads —
 
-* a **direct-address table** (:func:`_dense_chunk`) when the build-side
+* a **direct-address table** (:func:`_dense_probe`) when the build-side
   key range is dense (span comparable to the row count, as with vertex
   IDs): O(n), no sort at all.  Two **dictionary-encoded** key columns
   sharing one dictionary (see :mod:`repro.sqlengine.types`) take it
@@ -26,7 +26,7 @@ only place that decides how an equi-join runs: it returns a
   codes are its keys' slots, the probe side's codes address them, and no
   64-bit value is read.  From round 2 on that is every join of the
   contraction loop;
-* a **sorted-order probe** (:func:`_probe_chunk`) for sparse 64-bit keys
+* a **sorted-order probe** (:func:`_sorted_probe`) for sparse 64-bit keys
   in plain columns — one binary search per row into unique build keys, a
   run expansion (:func:`_expand_runs`, the only one) into duplicated
   ones.  The sorted order is a :class:`KeyIndex`, which stored tables
@@ -34,12 +34,9 @@ only place that decides how an equi-join runs: it returns a
   :meth:`repro.sqlengine.table.Table.ensure_index`), so repeated joins
   against the same table pay the sort once.
 
-Each kernel is a module-level function of one ``(inputs, task)`` payload
-whose task is a contiguous range of probe rows.  Serial execution is that
-kernel called once over the whole range (:func:`join_indices`); a segment
-pool calls the same kernel over k ranges
-(:mod:`repro.sqlengine.parallel`).  The fan-out is the executor's only
-choice; the route, the arrays and the output do not depend on it.
+Every join runs its route's kernel once, over the whole probe side, on
+the calling thread (:meth:`JoinRoute.run`); nothing about the host — its
+core count included — changes a route, its note or its output.
 
 **Grouping** sorts (:func:`group_rows`: a cached index's order, else
 :func:`stable_argsort`) unless the keys are dense integers — vertex ids,
@@ -58,8 +55,7 @@ leading column finds it sorted).  Over plain columns
 ``(splitmix64 prefix, row)`` words, prefix collisions settled exactly)
 instead of a lexsort.  Either order is a deterministic function of the
 input relation — its rows and which of its columns are encoded, which the
-executor decides from the statement and its input alone — and never of
-the fan-out or the backend.
+executor decides from the statement and its input alone.
 
 **Sort-merge grouping** (:func:`sorted_group_rows`) is the fallback of
 :func:`group_rows` for text keys and NULL-bearing inputs, and the
@@ -167,7 +163,7 @@ def sorted_lookup(
     sorted_values: np.ndarray, keys: np.ndarray, side: str = "left"
 ) -> np.ndarray:
     """``np.searchsorted(sorted_values, keys, side)`` — the one probe of a
-    sorted index, serial or per pool chunk.
+    sorted index.
 
     Random needles make every binary search miss the cache and mispredict
     its branches (261 ns/row for 2M probes into 466k keys).  Probing in
@@ -381,94 +377,59 @@ def _empty_pair() -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 #: Every route :func:`plan_join` can return, with the kernel-strategy note
-#: it reports at fan-out 1 and at fan-out k (``None``: nothing to fan out).
+#: it reports.
 JOIN_ROUTES = {
-    "empty": ("empty", None),
-    "range-pruned": ("range-pruned", None),
-    "dictionary": ("dictionary", "parallel-dictionary"),
-    "dense-unique": ("dense", "parallel-dense"),
-    "dense-runs": ("dense", "parallel-dense-merge"),
-    "sparse-unique": ("probe-sorted", "parallel-probe"),
-    "indexed-runs": ("merge-indexed", "parallel-merge-probe"),
-    "sorted-runs": ("merge", "parallel-merge"),
+    "empty": "empty",
+    "range-pruned": "range-pruned",
+    "dictionary": "dictionary",
+    "dense-unique": "dense",
+    "dense-runs": "dense",
+    "sparse-unique": "probe-sorted",
+    "indexed-runs": "merge-indexed",
+    "sorted-runs": "merge",
 }
 
 
 class JoinRoute:
     """How one inner equi-join runs — everything :func:`plan_join` decided.
 
-    ``kernel`` is a module-level function of one ``(inputs, task)``
-    payload: ``inputs`` are the big arrays every task shares (probe keys,
-    slot or bucket tables, sorted values, order) and ``task`` is ``(start,
-    stop, *scalars)``, one contiguous range of the ``n_probe`` probe
-    positions.  Fan-out 1 is the kernel called once over ``(0, n_probe)``
-    (:meth:`run`); fan-out k is the same kernel over k ranges on a pool
-    (:func:`repro.sqlengine.parallel.run_join`); :meth:`combine` turns the
-    chunk outputs of either into the join's row pairs.  ``kernel`` is
-    ``None`` when no row can match.
+    ``kernel`` is a module-level function called once, as
+    ``kernel(*args)``, over the whole probe side: ``args`` are the probe
+    keys, the build side's slot or bucket table or sorted values and
+    order, and the scalars that shape the probe.  ``kernel`` is ``None``
+    when no row can match.
 
-    A kernel returns ``(None, right rows)`` when every probe row of its
-    range matched exactly one build row: the left rows are then the
-    range itself, in order.  The join's left rows stay ``None`` — the
-    identity over the probe side — when every chunk said so and no NULL
-    key was filtered out.
+    A kernel returns ``(None, right rows)`` when every probe row matched
+    exactly one build row: the left rows are then the probe rows
+    themselves, in order.  The join's left rows stay ``None`` — the
+    identity over the probe side — when the kernel said so and no NULL key
+    was filtered out.
     """
 
-    __slots__ = ("kind", "kernel", "inputs", "scalars", "n_probe",
-                 "left_rows", "right_rows", "chunkable")
+    __slots__ = ("kind", "kernel", "args", "left_rows", "right_rows")
 
     def __init__(self, kind: str, kernel: Optional[Callable] = None,
-                 inputs: tuple = (), scalars: tuple = ()):
+                 args: tuple = ()):
         self.kind = kind
         self.kernel = kernel
-        self.inputs = inputs
-        self.scalars = scalars
-        self.n_probe = 0
+        self.args = args
         #: Row numbers behind the key positions of a side that had NULL
         #: keys filtered out (``None``: positions are rows).
         self.left_rows: Optional[np.ndarray] = None
         self.right_rows: Optional[np.ndarray] = None
-        #: The shape a pool may cut into chunks: one NULL-free int64-kind
-        #: key column per side (and some row that can match).
-        self.chunkable = False
 
-    def note(self, chunked: bool = False) -> str:
+    def note(self) -> str:
         """The kernel-strategy name the executor records on the plan."""
-        return JOIN_ROUTES[self.kind][chunked]
-
-    @property
-    def dense(self) -> bool:
-        """True when the probe is of a direct-address table."""
-        return self.kernel is _dense_chunk
+        return JOIN_ROUTES[self.kind]
 
     def run(self) -> tuple[Optional[np.ndarray], np.ndarray]:
-        """The join at fan-out 1: one direct kernel call."""
+        """Aligned ``(left rows, right rows)``: the kernel called once,
+        its key positions mapped back to the rows of a side whose NULL
+        keys were filtered out.  Left rows are ``None`` when every probe
+        row matched once, in order."""
         if self.kernel is None:
             return _empty_pair()
-        task = (0, self.n_probe, *self.scalars)
-        return self.combine([self.kernel((self.inputs, task))],
-                            [(0, self.n_probe)])
-
-    def combine(
-        self, pairs: list, spans: list
-    ) -> tuple[Optional[np.ndarray], np.ndarray]:
-        """Aligned ``(left rows, right rows)`` from the chunks' outputs;
-        ``spans`` are the chunks' ``(start, stop)`` probe ranges.
-
-        Chunks are contiguous and in probe order, so laying them back to
-        back is the one-chunk output order.  Left rows are ``None`` when
-        every chunk's were (the identity over the probe side); otherwise a
-        chunk's ``None`` stands for its own range, ``arange(start, stop)``.
-        """
-        if len(pairs) == 1:
-            l_idx, r_idx = pairs[0]
-        else:
-            r_idx = np.concatenate([right for _, right in pairs])
-            l_idx = None if all(left is None for left, _ in pairs) else \
-                np.concatenate([
-                    np.arange(start, stop, dtype=np.int64) if left is None
-                    else left
-                    for (left, _), (start, stop) in zip(pairs, spans)])
+        l_idx, r_idx = self.kernel(*self.args)
         if self.left_rows is not None:
             l_idx = self.left_rows if l_idx is None else self.left_rows[l_idx]
         if self.right_rows is not None:
@@ -516,13 +477,7 @@ def plan_join(
     if lk.shape[0] == 0 or rk.shape[0] == 0:
         return JoinRoute("empty")
     route = _route_keys(lk, rk, left_index, right_index)
-    route.n_probe = int(lk.shape[0])
     route.left_rows, route.right_rows = left_rows, right_rows
-    route.chunkable = (
-        route.kernel is not None
-        and left_rows is None and right_rows is None
-        and lk.dtype.kind == "i" and rk.dtype.kind == "i"
-    )
     return route
 
 
@@ -535,7 +490,7 @@ def _dictionary_route(
 
     Equal codes are then equal values, so the build side's codes *are* its
     keys' positions in the probe side's dictionary: one scatter fills the
-    direct-address table and :func:`_dense_chunk` probes it with the codes
+    direct-address table and :func:`_dense_probe` probes it with the codes
     — no value is read, sorted or searched on either side.  Duplicate
     build keys, distinct dictionaries and plain columns take the routes of
     :func:`_route_keys` over the (materialised) values.
@@ -554,11 +509,8 @@ def _dictionary_route(
         return None
     slots = np.full(span, NO_MATCH, dtype=np.int64)
     slots[right.codes] = np.arange(len(right), dtype=np.int64)
-    route = JoinRoute("dictionary", _dense_chunk,
-                      (left.codes, slots, None, None), (0, span))
-    route.n_probe = len(left)
-    route.chunkable = True
-    return route
+    return JoinRoute("dictionary", _dense_probe,
+                     (left.codes, slots, None, None, 0, span))
 
 
 def _route_keys(
@@ -574,7 +526,7 @@ def _route_keys(
     otherwise) — O(n), no sort.  Sparse keys probe the build side's sorted
     order: one binary search per row when its keys are unique, a run
     expansion otherwise.  Without a build-side index the sort happens
-    here, once, whatever the fan-out.  The probe side's index, when one
+    here.  The probe side's index, when one
     is cached, is read for its key range only.
     """
     n_right = int(rk.shape[0])
@@ -597,25 +549,25 @@ def _route_keys(
             if counts is None or n_right < 2 or int(counts.max()) <= 1:
                 slots = np.full(span, NO_MATCH, dtype=np.int64)
                 slots[rel_right] = np.arange(n_right, dtype=np.int64)
-                return JoinRoute("dense-unique", _dense_chunk,
-                                 (lk, slots, None, None), (rmin, span))
+                return JoinRoute("dense-unique", _dense_probe,
+                                 (lk, slots, None, None, rmin, span))
             # Duplicate build keys: bucket right rows by key code.
             order = right_index.order if right_index is not None \
                 else stable_argsort(rel_right)[0]
             starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            return JoinRoute("dense-runs", _dense_chunk,
-                             (lk, counts, starts, order), (rmin, span))
+            return JoinRoute("dense-runs", _dense_probe,
+                             (lk, counts, starts, order, rmin, span))
     if right_index is None:
         order, sorted_values = stable_argsort(rk)
-        return JoinRoute("sorted-runs", _probe_chunk,
-                         (lk, sorted_values, order), (False,))
+        return JoinRoute("sorted-runs", _sorted_probe,
+                         (lk, sorted_values, order, False))
     sorted_values = right_index.sorted_values
     order = None if right_index.is_sorted else right_index.order
     if not (ints and right_index.is_unique):
-        return JoinRoute("indexed-runs", _probe_chunk,
-                         (lk, sorted_values, order), (False,))
-    return JoinRoute("sparse-unique", _probe_chunk,
-                     (lk, sorted_values, order), (True,))
+        return JoinRoute("indexed-runs", _sorted_probe,
+                         (lk, sorted_values, order, False))
+    return JoinRoute("sparse-unique", _sorted_probe,
+                     (lk, sorted_values, order, True))
 
 
 def join_indices(
@@ -626,7 +578,7 @@ def join_indices(
     note: Optional[list] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inner m:n equi-join; returns aligned (left_rows, right_rows) —
-    :func:`plan_join`'s route run at fan-out 1.
+    :func:`plan_join`'s route, run.
 
     ``note``, when given, receives the name of the kernel strategy the
     route settled on (``"dense"``, ``"probe-sorted"``, ``"merge"`` ...) —
@@ -686,29 +638,30 @@ def left_join_indices(
     return pad_left_outer(l_idx, r_idx, len(left_keys[0]))
 
 
-# -- join kernels: one (inputs, task) body each, whatever the fan-out --------
+# -- join kernels: each called once, over the whole probe side ---------------
 
 
-def _dense_chunk(payload) -> tuple[Optional[np.ndarray], np.ndarray]:
-    """Kernel: one probe chunk against a dense direct-address table —
-    ``table`` maps a key code to its build row (unique keys, ``starts`` is
-    ``None``) or to its bucket's size, the bucket being
+def _dense_probe(
+    lk: np.ndarray, table: np.ndarray, starts: Optional[np.ndarray],
+    order: Optional[np.ndarray], rmin: int, span: int,
+) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """Kernel: the probe keys ``lk`` against a dense direct-address table
+    — ``table`` maps a key code to its build row (unique keys, ``starts``
+    is ``None``) or to its bucket's size, the bucket being
     ``order[starts[code]:][:size]``.  Left rows are ``None`` when every
-    probe row of the chunk found its one build row."""
-    (lk, table, starts, order), (start, stop, rmin, span) = payload
-    sub = lk[start:stop]
-    if sub.shape[0] and int(sub.min()) >= rmin \
-            and int(sub.max()) <= rmin + (span - 1):
+    probe row found its one build row."""
+    if lk.shape[0] and int(lk.min()) >= rmin \
+            and int(lk.max()) <= rmin + (span - 1):
         # Every key addresses the table (an encoded column's codes always
         # do): two reductions save the five passes that guard the gather.
         in_bounds = None
-        l_rel = sub - rmin if rmin else sub
+        l_rel = lk - rmin if rmin else lk
     else:
-        # Bounds-check on the original values: computing sub - rmin first
+        # Bounds-check on the original values: computing lk - rmin first
         # could wrap around int64 for extreme key ranges and alias into
         # the table.
-        in_bounds = (sub >= rmin) & (sub <= rmin + (span - 1))
-        l_rel = np.where(in_bounds, sub - rmin, 0)
+        in_bounds = (lk >= rmin) & (lk <= rmin + (span - 1))
+        l_rel = np.where(in_bounds, lk - rmin, 0)
     if starts is None:
         candidates = table[l_rel]
         match = candidates != NO_MATCH
@@ -716,52 +669,51 @@ def _dense_chunk(payload) -> tuple[Optional[np.ndarray], np.ndarray]:
             match &= in_bounds
         if match.all():
             return None, candidates
-        l_local = np.flatnonzero(match)
-        return l_local + start, candidates[l_local]
+        l_idx = np.flatnonzero(match)
+        return l_idx, candidates[l_idx]
     cnt = table[l_rel]
     if in_bounds is not None:
         cnt = np.where(in_bounds, cnt, 0)
-    return _expand_runs(starts[l_rel], cnt, start, order)
+    return _expand_runs(starts[l_rel], cnt, order)
 
 
-def _probe_chunk(payload) -> tuple[Optional[np.ndarray], np.ndarray]:
-    """Kernel: one contiguous probe chunk against a shared sorted build
-    side (``order`` is ``None`` when it is stored sorted)."""
-    (lk, sorted_values, order), (start, stop, unique) = payload
-    sub = lk[start:stop]
+def _sorted_probe(
+    lk: np.ndarray, sorted_values: np.ndarray, order: Optional[np.ndarray],
+    unique: bool,
+) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """Kernel: the probe keys ``lk`` against a sorted build side
+    (``order`` is ``None`` when it is stored sorted)."""
     if unique:
-        return probe_unique(sub, sorted_values, order, start)
-    lo = sorted_lookup(sorted_values, sub, side="left")
-    hi = sorted_lookup(sorted_values, sub, side="right")
-    return _expand_runs(lo, hi - lo, start, order)
+        return probe_unique(lk, sorted_values, order)
+    lo = sorted_lookup(sorted_values, lk, side="left")
+    hi = sorted_lookup(sorted_values, lk, side="right")
+    return _expand_runs(lo, hi - lo, order)
 
 
 def _expand_runs(
-    first: np.ndarray, counts: np.ndarray, start: int,
-    order: Optional[np.ndarray],
+    first: np.ndarray, counts: np.ndarray, order: Optional[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs of a chunk whose probe row ``i`` matches the ``counts[i]``
+    """Row pairs of a probe whose row ``i`` matches the ``counts[i]``
     consecutive build positions from ``first[i]``, mapped through
     ``order`` — the duplicate-key expansion of every join kernel.  Its
     left rows are always an array, never the identity ``None``."""
     total = int(counts.sum())
     if total == 0:
         return _empty_pair()
-    l_local = np.repeat(np.arange(counts.shape[0]), counts)
+    l_idx = np.repeat(np.arange(counts.shape[0]), counts)
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
     within = np.arange(total) - np.repeat(offsets, counts)
     positions = np.repeat(first, counts) + within
-    return l_local + start, positions if order is None else order[positions]
+    return l_idx, positions if order is None else order[positions]
 
 
 def probe_unique(
     lk: np.ndarray, sorted_values: np.ndarray, order: Optional[np.ndarray],
-    start: int = 0,
 ) -> tuple[Optional[np.ndarray], np.ndarray]:
-    """Matches of probe rows ``lk`` (rows ``start..`` of their column) in a
-    sorted array of unique keys whose position ``i`` is build row
-    ``order[i]`` (``None``: stored sorted, positions are rows).  Left rows
-    are ``None`` when every probe row matched."""
+    """Matches of probe rows ``lk`` in a sorted array of unique keys whose
+    position ``i`` is build row ``order[i]`` (``None``: stored sorted,
+    positions are rows).  Left rows are ``None`` when every probe row
+    matched."""
     pos = sorted_lookup(sorted_values, lk)
     np.minimum(pos, sorted_values.shape[0] - 1, out=pos)
     match = sorted_values[pos] == lk
@@ -769,7 +721,7 @@ def probe_unique(
         return None, pos if order is None else order[pos]
     l_idx = np.flatnonzero(match)
     hits = pos[l_idx]
-    return l_idx + start, hits if order is None else order[hits]
+    return l_idx, hits if order is None else order[hits]
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,13 @@
-"""Segment-parallel join execution, and the one GROUP BY reducer.
+"""The one GROUP BY reducer, and a retired join entry point.
 
-* **Joins.**  :func:`repro.sqlengine.operators.plan_join` decides the
-  route and names its kernel; a probe is independent per row, so
-  :func:`run_join` cuts the probe side into ``pool.n_segments``
-  contiguous chunks, runs that kernel once per chunk on a
-  :class:`~repro.sqlengine.mpp.SegmentPool` worker against the shared
-  build side (direct-address table or sorted order, built once by the
-  planner) and lets the route lay the chunk outputs back to back — the
-  one-chunk output, by construction.  There is no second join algorithm
-  here: :func:`parallel_join_indices` is ``plan_join`` + ``run_join``.
+:func:`_reduce_slice` is the per-group reducer the executor's GROUP BY
+calls, over groups laid out by a sort or addressed directly
+(:func:`_reduce_direct`).  Joins live in :mod:`repro.sqlengine.operators`
+and run once, on the calling thread: the engine starts no thread.
 
-* **Aggregation** is not fanned out.  :func:`_reduce_slice` is the
-  per-group reducer the executor's GROUP BY calls, over groups laid out
-  by a sort or addressed directly (:func:`_reduce_direct`).
-
-Every join is **bit-identical** at every fan-out, which the property
-tests enforce against independent references.  numpy releases the GIL
-inside its kernels, so chunks can overlap on multi-core hosts; the
-executor only fans out above ``PARALLEL_MIN_ROWS`` rows and when the pool
-has more than one worker.  The chunks of one join are the only work that
-ever leaves the calling thread: statements execute one at a time.
-
-Each kernel is a module-level function of one ``(inputs, task)`` payload:
-``inputs`` are the big arrays all tasks of a dispatch share, ``task`` the
-few scalars that set one chunk apart.  A kernel reads nothing else — no
-table, catalog, cache or statistics object — so the pool's threads share
-no mutable engine state.
+:func:`parallel_join_indices` is a retired shell (see
+:data:`repro.sqlengine.stats.RETIRED`): it is
+:func:`~repro.sqlengine.operators.join_indices` and ignores its pool.
 """
 
 from __future__ import annotations
@@ -35,76 +17,24 @@ from typing import Optional
 import numpy as np
 
 from .errors import ExecutionError
-from .mpp import SegmentPool
-from .operators import (
-    DirectGroups,
-    JoinRoute,
-    KeyIndex,
-    plan_join,
-    spelled_out,
-)
+from .operators import DirectGroups, KeyIndex, join_indices
 from .types import INT64, Column
-
-#: Below this many probe rows the dispatch overhead outweighs any overlap.
-PARALLEL_MIN_ROWS = 1 << 17
 
 #: Aggregate kinds the reducer computes.
 AGGREGATE_KINDS = frozenset({"count*", "count", "min", "max", "sum", "avg"})
 
 
-# ---------------------------------------------------------------------------
-# joins
-# ---------------------------------------------------------------------------
-
-
-def _probe_tasks(n_rows: int, n_chunks: int, *args) -> list[tuple]:
-    """One ``(start, stop, *args)`` task per contiguous, in-order chunk
-    covering ``n_rows`` probe rows."""
-    bounds = [(n_rows * part) // n_chunks for part in range(n_chunks + 1)]
-    return [
-        (bounds[part], bounds[part + 1], *args)
-        for part in range(n_chunks)
-        if bounds[part] < bounds[part + 1]
-    ]
-
-
-def run_join(
-    route: JoinRoute, pool: SegmentPool
-) -> tuple[Optional[np.ndarray], np.ndarray]:
-    """A planned, chunkable join at fan-out ``pool.n_segments``: the
-    route's kernel once per contiguous probe chunk.  Reading the lazy
-    index properties was the planner's job, so the workers share arrays
-    that already exist.  Left rows are ``None`` as
-    :meth:`JoinRoute.combine` decides."""
-    tasks = _probe_tasks(route.n_probe, pool.n_segments, *route.scalars)
-    pairs = pool.map(route.kernel, [(route.inputs, task) for task in tasks])
-    return route.combine(pairs, [task[:2] for task in tasks])
-
-
 def parallel_join_indices(
     left_keys: list[Column],
     right_keys: list[Column],
-    pool: SegmentPool,
+    pool,
     note: Optional[list] = None,
     left_index: Optional[KeyIndex] = None,
     right_index: Optional[KeyIndex] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inner equi-join chunked over ``pool``, whatever its size:
-    :func:`~repro.sqlengine.operators.join_indices` at fan-out
-    ``pool.n_segments``, bit-identical to it by construction.
-
-    Shapes a pool cannot chunk (multi-column, text or NULL-bearing keys,
-    joins no row of which can match) run at fan-out 1.  The name dates
-    from a hash-partitioned join this module no longer has; it survives
-    because ``perf/bench.py`` and the tests call it — without an index it
-    now is the serial no-index route (one build-side sort, then the
-    sorted-runs probe) over k chunks.
-    """
-    route = plan_join(left_keys, right_keys, left_index, right_index)
-    if note is not None:
-        note.append(route.note(route.chunkable))
-    return spelled_out(*(run_join(route, pool) if route.chunkable
-                         else route.run()))
+    """Retired: :func:`~repro.sqlengine.operators.join_indices`, rows and
+    note; ``pool`` is ignored."""
+    return join_indices(left_keys, right_keys, left_index, right_index, note)
 
 
 # ---------------------------------------------------------------------------

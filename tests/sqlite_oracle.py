@@ -24,7 +24,8 @@ statement the instance executes also runs here, and the SELECT result or
 the table the statement wrote is compared with sqlite's as a sorted row
 list.  Row *content* is what an outside engine can referee; row order,
 column names and types stay an engine-vs-engine contract (warm against
-cold plan, fan-out) checked where two engine runs are compared.
+cold plan, indexed against index-less) checked where two engine runs are
+compared.
 
 Nothing is imported from ``repro.sqlengine``: the tee drives the database
 through the methods every caller uses (``execute``, ``load_table``,

@@ -7,7 +7,7 @@ differentially tested against a simple, *independent* reference.  This
 engine's equivalent surface is the SELECT pipeline: plan-cache templating,
 compiled physical plans, column pruning, join-chain fusion, fused
 join->DISTINCT, GROUP BY over join chains, dictionary-encoded columns and
-segment-parallel kernels all rewrite how a statement executes.
+the join routes all rewrite how a statement executes.
 
 This harness generates seeded random SELECT statements (join chains up to
 depth 3, DISTINCT, GROUP BY with aggregates, LEFT OUTER JOIN — including
@@ -23,35 +23,31 @@ holds each statement to two contracts:
   — no common parser, planner, expression evaluator, aggregate code or
   NULL handling) and the default engine's result must equal sqlite's as a
   sorted row list.  SQL promises no row order, so none is compared here.
-* **Everything else, between engine configurations.**  Three executions
-  must be bit-identical to one another — storage names, display names,
-  column order, SQL types, null masks, non-null values *and row order*:
+* **Everything else, between executions.**  Two executions must be
+  bit-identical to one another — storage names, display names, column
+  order, SQL types, null masks, non-null values *and row order*:
 
   * **planned** — the default engine, cold: the statement is parsed,
     templated and compiled.
-  * **warm** — the same statement re-executed on each database, so the
-    warm template and cached physical plan are what executes (asserted:
-    one ``physical_plan_hits`` per warm execution).
-  * **parallel** — a forced multi-worker pool with ``PARALLEL_MIN_ROWS``
-    dropped to 1, so the segment-parallel kernels engage even on
-    fuzz-sized inputs.
+  * **warm** — the same statement re-executed, so the warm template and
+    cached physical plan are what executes (asserted: one
+    ``physical_plan_hits`` per warm execution).
 
   A DISTINCT's row order is a function of the statement and its input
   relation (key order over dictionary-encoded columns — there is no size
   gate, so fuzz-sized tables are encoded like million-row ones — first
-  occurrence otherwise), never of the fan-out, so the configurations
-  must agree on it too.
+  occurrence otherwise), so the two executions must agree on it too.
 
 The input gates of the cache-conscious sort and probe primitives
 (``operators.CACHE_KERNEL_MIN_ROWS``, ``PRESORTED_MAX_DESCENTS``) are
-switched off, so every configuration sorts with ``stable_argsort``'s tie
+switched off, so every execution sorts with ``stable_argsort``'s tie
 repair and probes with ``sorted_lookup``'s buckets on these tiny tables.
 The tables' keys are small integers, which
 the kernels treat as a dense range; every other batch therefore runs with
 the dense dispatch off (``DENSE_SPAN_FACTOR`` = ``DENSE_SPAN_FLOOR`` = 0),
 so the same statements also cross the sparse-key kernels — sorted-index
-and merge probes, serial and chunked — that carry the contraction loop
-after round 1.
+and merge probes — that carry the contraction loop after round 1.  The
+harness asserts that both kinds of route were taken.
 
 Runs in tier-1 under a fixed seed.  Env knobs for CI:
 
@@ -97,10 +93,6 @@ ALIASES = [("t0", "x"), ("t1", "y"), ("t2", "z"), ("t0", "w")]
 
 def planned_db() -> Database:
     return Database(n_segments=4)
-
-
-def parallel_db() -> Database:
-    return Database(n_segments=4, pool_workers=4)
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +315,20 @@ def assert_identical(sql: str, config: str, got, expected) -> None:
 def test_differential_fuzz(monkeypatch):
     import repro.sqlengine.executor as executor_module
 
-    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
     monkeypatch.setattr(operators, "CACHE_KERNEL_MIN_ROWS", 1)
     monkeypatch.setattr(operators, "PRESORTED_MAX_DESCENTS", -1)
+    routes: set[str] = set()
+    plan_join = executor_module.plan_join
+
+    def recording_plan_join(*args):
+        route = plan_join(*args)
+        routes.add(route.kind)
+        return route
+
+    monkeypatch.setattr(executor_module, "plan_join", recording_plan_join)
     rand = random.Random(FUZZ_SEED)
     executed = 0
-    engaged = {"chain": 0, "fused": 0, "parallel": 0,
-               "left_chain": 0, "indexed_probes": 0,
-               "dense_probes": 0, "encoded": 0}
+    engaged = {"chain": 0, "fused": 0, "left_chain": 0, "encoded": 0}
     shapes = {"union_all": 0, "subquery_from": 0, "outer_group": 0,
               "inner_group": 0, "distinct": 0}
     dense_dispatch = {name: getattr(operators, name)
@@ -340,22 +338,17 @@ def test_differential_fuzz(monkeypatch):
         for name, shipped in dense_dispatch.items():
             monkeypatch.setattr(operators, name,
                                 0 if (executed // BATCH) % 2 else shipped)
-        databases = {
-            "planned": planned_db(),
-            "parallel": parallel_db(),
-        }
+        db = planned_db()
         oracle = SqliteOracle()
         for statement in table_statements(rand):
             oracle.execute(statement)
-            for db in databases.values():
-                db.execute(statement)
+            db.execute(statement)
         batch_rounds = min(BATCH, FUZZ_ROUNDS - executed)
         for batch_position in range(batch_rounds):
             if batch_position == BATCH // 2:
                 for statement in churn_statements(rand):
                     oracle.execute(statement)
-                    for db in databases.values():
-                        db.execute(statement)
+                    db.execute(statement)
             sql = generate_query(rand)
             if " union all " in sql:
                 shapes["union_all"] += 1
@@ -368,18 +361,12 @@ def test_differential_fuzz(monkeypatch):
                     and " group by " in sql:
                 shapes["inner_group"] += 1
             shapes["distinct"] += "select distinct " in sql
-            planned = None
-            for config in ("planned", "parallel"):
-                db = databases[config]
-                got = db.execute(sql).relation
-                # Warm pass: the cached template's physical plan re-executes.
-                plan_hits = db.stats.physical_plan_hits
-                warm = db.execute(sql).relation
-                assert_identical(sql, f"{config}-warm", warm, got)
-                assert db.stats.physical_plan_hits == plan_hits + 1, sql
-                # The fan-out never moves a row, DISTINCT or not.
-                planned = planned or got
-                assert_identical(sql, f"{config}-vs-planned", got, planned)
+            planned = db.execute(sql).relation
+            # Warm pass: the cached template's physical plan re-executes.
+            plan_hits = db.stats.physical_plan_hits
+            warm = db.execute(sql).relation
+            assert_identical(sql, "warm", warm, planned)
+            assert db.stats.physical_plan_hits == plan_hits + 1, sql
             # Row content: equal to sqlite's as multisets of rows.
             assert sorted_rows(planned.rows()) == \
                 sorted_rows(oracle.execute(sql)), sql
@@ -387,28 +374,20 @@ def test_differential_fuzz(monkeypatch):
                 planned.column(name).codes is not None
                 for name in planned.names)
             executed += 1
-        stats = databases["planned"].stats
-        engaged["chain"] += stats.join_chain_fusions
-        engaged["left_chain"] += stats.left_chain_fusions
-        engaged["fused"] += stats.fused_pipelines
-        engaged["parallel"] += databases["parallel"].stats.parallel_partitions
-        engaged["indexed_probes"] += \
-            databases["parallel"].stats.parallel_indexed_probes
-        engaged["dense_probes"] += \
-            databases["parallel"].stats.parallel_dense_probes
-        for db in databases.values():
-            db.close()
+        engaged["chain"] += db.stats.join_chain_fusions
+        engaged["left_chain"] += db.stats.left_chain_fusions
+        engaged["fused"] += db.stats.fused_pipelines
+        db.close()
         oracle.close()
     assert executed == FUZZ_ROUNDS
     # The fuzz run must actually exercise the paths it claims to pin.
     assert engaged["chain"] > 0
     assert engaged["left_chain"] > 0
     assert engaged["fused"] > 0
-    assert engaged["parallel"] > 0
-    assert engaged["dense_probes"] > 0
     assert engaged["encoded"] > 0  # results that left the engine encoded
+    assert routes & {"dense-unique", "dense-runs"}
     if FUZZ_ROUNDS > BATCH:  # a sparse-key batch ran
-        assert engaged["indexed_probes"] > 0
+        assert routes & {"sparse-unique", "indexed-runs", "sorted-runs"}
     # ... and actually generate the statement shapes it claims to cover.
     assert shapes["union_all"] > 0
     assert shapes["subquery_from"] > 0

@@ -10,8 +10,6 @@ reference exists, without diverging from it.
 import numpy as np
 import pytest
 
-from repro.sqlengine import Database
-from repro.sqlengine.mpp import SegmentPool
 from repro.sqlengine.operators import (
     _hash_distinct_int,
     build_key_index,
@@ -21,12 +19,9 @@ from repro.sqlengine.operators import (
     left_join_indices,
     pad_left_outer,
 )
-from repro.sqlengine.parallel import parallel_join_indices
 from repro.sqlengine.types import Column
 
 from .join_reference import merge_join_indices
-
-POOL = SegmentPool(4, max_workers=4)
 
 EMPTY = Column(np.empty(0, dtype=np.int64), "int64")
 FILLED = Column(np.array([1, 2, 3], dtype=np.int64), "int64")
@@ -46,34 +41,38 @@ def test_key_index_over_empty_and_all_null_columns(db):
     assert db.table("nn").ensure_index("v") is None  # NULL-bearing
 
 
-@pytest.mark.parametrize("left,right", [
+DEGENERATE = [
     (EMPTY, FILLED), (FILLED, EMPTY), (EMPTY, EMPTY),
     (ALL_NULL, FILLED), (FILLED, ALL_NULL), (ALL_NULL, ALL_NULL),
-])
+]
+
+
+@pytest.mark.parametrize("left,right", DEGENERATE)
 def test_join_kernels_agree_on_degenerate_inputs(left, right):
     expected = merge_join_indices([left], [right])
     index = build_key_index(right.values) if right.mask is None else None
     for got in (
         join_indices([left], [right]),
         join_indices([left], [right], right_index=index),
-        parallel_join_indices([left], [right], POOL),
     ):
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
-    if index is not None:
-        got = parallel_join_indices([left], [right], POOL, right_index=index)
+
+
+@pytest.mark.parametrize("left,right", DEGENERATE)
+def test_left_join_kernels_on_degenerate_inputs(left, right):
+    """Every probe row survives a left join once, NULL-keyed or not, and
+    an empty probe side leaves nothing to pad."""
+    expected = pad_left_outer(*merge_join_indices([left], [right]),
+                              len(left))
+    index = build_key_index(right.values) if right.mask is None else None
+    for got in (
+        left_join_indices([left], [right]),
+        left_join_indices([left], [right], right_index=index),
+    ):
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
-
-
-def test_left_join_kernels_on_degenerate_inputs():
-    expected = left_join_indices([FILLED], [EMPTY])
-    index = build_key_index(EMPTY.values)
-    got = pad_left_outer(
-        *parallel_join_indices([FILLED], [EMPTY], POOL, right_index=index),
-        len(FILLED))
-    assert np.array_equal(got[0], expected[0])
-    assert np.array_equal(got[1], expected[1])
+        assert sorted(got[0].tolist()) == list(range(len(left)))
 
 
 def test_distinct_and_group_kernels_on_degenerate_inputs():

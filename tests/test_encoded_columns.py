@@ -146,7 +146,7 @@ def test_statements_over_one_table_share_one_build(monkeypatch, what):
     monkeypatch.setattr(table_module, "build_key_index", counting_index)
     monkeypatch.setattr(table_module.np, "unique", counting_unique)
     rng = np.random.default_rng(1)
-    with Database(pool_workers=1) as db:
+    with Database() as db:
         db.load_table("t", {"k": rng.integers(-(2 ** 62), 2 ** 62, 500)})
         table = db.table("t")
         if what == "index":
@@ -431,35 +431,38 @@ def test_executor_direct_group_by_matches_the_sorting_engine(sql):
         assert direct.column(name).to_list() == plain.column(name).to_list()
 
 
-@pytest.mark.parametrize("aggregate,pool_workers", [
-    ("min(x)", 1),   # direct addressing
-    ("sum(x)", 1),   # the sort
-    ("min(x)", 4),   # direct addressing after a join chunked over the pool
+@pytest.mark.parametrize("aggregate,source", [
+    ("min(x)", "subquery"),  # direct addressing
+    ("sum(x)", "subquery"),  # the sort
+    ("sum(x)", "stored"),    # a stored GROUP BY output, found sorted
 ])
-def test_group_key_keeps_its_form_on_every_grouping_path(
-        monkeypatch, aggregate, pool_workers):
+def test_group_key_keeps_its_form_on_every_grouping_path(aggregate, source):
     """Whichever path groups an encoded key hands it on encoded, over the
     same dictionary: a later DISTINCT's row order must not depend on the
-    aggregate list or the pool's width."""
-    import repro.sqlengine.executor as executor_module
-
-    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
+    aggregate list or on where the key was read."""
     rng = np.random.default_rng(9)
     reps = rng.integers(-(2 ** 62), 2 ** 62, 50)
-    with Database(pool_workers=pool_workers) as db:
+    with Database() as db:
         db.load_table("e", {"v": rng.integers(0, 50, 2000),
                             "x": rng.integers(-9, 9, 2000)})
         db.load_table("r", {"v": np.arange(50), "rep": reps})
+        joined = "select r.rep k, e.x x from e, r where e.v = r.v"
+        if source == "stored":
+            # A GROUP BY stores its rows in key order.
+            db.execute(f"create table s as select k, min(x) x from "
+                       f"({joined}) j group by k")
+            source_sql = "s"
+        else:
+            source_sql = f"({joined}) s"
+        skipped = db.stats.group_sorts_skipped
         relation = db.execute(
-            f"select k, {aggregate} a from (select r.rep k, e.x x from e, r "
-            "where e.v = r.v) s group by k").relation
+            f"select k, {aggregate} a from {source_sql} group by k").relation
         key = relation.column("k")
         assert key.codes is not None
         assert key.dictionary is db.table("r").cached_encoding("rep").dictionary
         assert key.to_list() == sorted(set(
             reps[db.table("e").column("v").values].tolist()))
-        # Only the join fans out; every GROUP BY runs once, whole-column.
-        assert (db.stats.parallel_partitions > 0) == (pool_workers > 1)
+        assert db.stats.group_sorts_skipped - skipped == (source == "stored")
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ def test_probe_side_index_is_read_when_cached_and_never_built(
     v1 = rng.integers(-(2 ** 62), 2 ** 62, n // 3)[rng.integers(0, n // 3, n)]
     reps = np.unique(v1)
 
-    db = tee(Database(n_segments=4, pool_workers=1))
+    db = tee(Database(n_segments=4))
     db.load_table("graph", {"v1": v1, "v2": np.arange(n)})
     db.load_table("reps", {"v": reps, "rep": -np.arange(reps.shape[0])})
     if warm_probe_index:

@@ -211,32 +211,32 @@ _UNION_SQL = ("select v1 a, v2 b from e where v1 != 2 "
               "union all select v1 + 10, v2 - 1 from e where v2 > 3")
 
 
-def test_union_all_same_rows_and_motion_with_and_without_a_pool():
-    """UNION ALL arms run in arm order whatever the segment pool's width:
-    the output is the exact concatenation and the motion accounting is
-    identical."""
-    def build(workers):
-        database = Database(n_segments=4, pool_workers=workers)
-        rng = np.random.default_rng(17)
-        database.load_table("e", {
-            "v1": rng.integers(0, 40, 500),
-            "v2": rng.integers(0, 40, 500),
-        }, distributed_by="v1")
-        return database
+def test_union_all_is_its_arms_in_arm_order():
+    """UNION ALL arms run in arm order: the output is the exact
+    concatenation of the arms run on their own, and the motion charged is
+    theirs."""
+    database = Database(n_segments=4)
+    rng = np.random.default_rng(17)
+    database.load_table("e", {
+        "v1": rng.integers(0, 40, 500),
+        "v2": rng.integers(0, 40, 500),
+    }, distributed_by="v1")
+    arms = _UNION_SQL.split(" union all ")
+    expected, motion = [], 0
+    for arm in arms:
+        before = database.stats.motion_bytes
+        expected += database.execute(arm).rows()
+        motion += database.stats.motion_bytes - before
+    before = database.stats.motion_bytes
+    got = database.execute(_UNION_SQL)
+    assert database.stats.motion_bytes - before == motion
+    assert got.names == database.execute(arms[0]).names
+    assert got.rows() == expected  # exact order: arm by arm
 
-    serial, parallel = build(1), build(4)
-    expected = serial.execute(_UNION_SQL)
-    got = parallel.execute(_UNION_SQL)
-    assert got.names == expected.names
-    assert got.rows() == expected.rows()  # exact order: arm by arm
-    assert parallel.stats.motion_bytes == serial.stats.motion_bytes
-    serial.close()
-    parallel.close()
 
-
-def test_union_arm_error_surfaces_on_a_pooled_database():
+def test_union_arm_error_surfaces():
     """A failing arm's error propagates out of the statement."""
-    db = Database(n_segments=4, pool_workers=4)
+    db = Database(n_segments=4)
     db.load_table("e", {"v1": np.arange(20, dtype=np.int64),
                         "v2": np.arange(20, dtype=np.int64)},
                   distributed_by="v1")
@@ -251,10 +251,10 @@ def test_union_arm_error_surfaces_on_a_pooled_database():
     db.close()
 
 
-def test_union_stored_on_a_pool_and_nested_in_an_arm():
-    """A UNION ALL stored by CREATE TABLE AS completes on a two-worker
-    pool, and so does a UNION subquery nested in a UNION arm."""
-    db = Database(n_segments=2, pool_workers=2)
+def test_union_stored_and_nested_in_an_arm():
+    """A UNION ALL stored by CREATE TABLE AS completes, and so does a
+    UNION subquery nested in a UNION arm."""
+    db = Database(n_segments=2)
     db.load_table("e", {"v1": np.arange(50, dtype=np.int64),
                         "v2": np.arange(50, dtype=np.int64)},
                   distributed_by="v1")

@@ -96,7 +96,7 @@ def _closed_rounds(db, closing) -> int:
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_space_budget_trip_mid_loop(name):
     algorithm, opening, closing, _, _ = ALGORITHMS[name]
-    with Database(pool_workers=2) as db:
+    with Database() as db:
         load_edges_into(db, "edges", EDGES)
         opened = _trip_budget_at(db, opening, 2)
         with pytest.raises(SpaceBudgetExceeded):
@@ -110,7 +110,7 @@ def test_space_budget_trip_mid_loop(name):
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_kernel_error_mid_loop(name, monkeypatch):
     algorithm, _, closing, (owner, kernel), k = ALGORITHMS[name]
-    with Database(pool_workers=2) as db:
+    with Database() as db:
         load_edges_into(db, "edges", EDGES)
         _raise_on_call(monkeypatch, owner, kernel, k)
         with pytest.raises(InjectedFault):

@@ -194,12 +194,10 @@ def test_snapshot_delta():
 
 
 def test_database_close_is_idempotent_and_execute_after_close_works():
-    """Pins the ``close()`` contract: double-close is a no-op, and the pool
-    genuinely re-creates its worker threads on the next parallel kernel."""
-    import repro.sqlengine.executor as executor_module
-    from repro.sqlengine.mpp import SegmentPool
-
-    db = Database(n_segments=4, pool_workers=4)
+    """Pins the ``close()`` contract: it releases nothing — the engine
+    holds no thread — so a double close is a no-op and the database runs
+    its joins afterwards as before."""
+    db = Database(n_segments=4)
     db._executor.use_index_cache = False
     rng = np.random.default_rng(1)
     n = 3000
@@ -208,126 +206,63 @@ def test_database_close_is_idempotent_and_execute_after_close_works():
     db.load_table("r", {"v": np.arange(100, dtype=np.int64),
                         "rep": rng.integers(0, 100, 100)})
     query = "select e.v1, r.rep from e, r where e.v1 = r.v"
-    original = executor_module.PARALLEL_MIN_ROWS
-    executor_module.PARALLEL_MIN_ROWS = 1
-    try:
-        expected = sorted(db.execute(query).rows())
-        assert db.pool._pool is not None  # workers were spawned
-        db.close()
-        assert db.pool._pool is None
-        db.close()  # double-close: no error, still released
-        assert db.pool._pool is None
-        # Execute after close: the parallel kernel must engage again ...
-        partitions_before = db.stats.parallel_partitions
-        assert sorted(db.execute(query).rows()) == expected
-        assert db.stats.parallel_partitions > partitions_before
-        # ... on freshly created worker threads.
-        assert db.pool._pool is not None
-    finally:
-        executor_module.PARALLEL_MIN_ROWS = original
-        db.close()
-    assert db.pool._pool is None
-    # SegmentPool.shutdown is idempotent in isolation too.
-    pool = SegmentPool(2, max_workers=2)
-    pool.map(lambda part: part, [0, 1])
-    pool.shutdown()
-    pool.shutdown()
-    assert pool.map(lambda part: part + 1, [0, 1]) == [1, 2]
-    pool.shutdown()
-
-
-def test_pool_workers_selects_the_width(monkeypatch):
-    """``pool_workers`` is the only width selector: capped at one thread
-    per segment, defaulting to the host's cores; one worker is serial —
-    no thread started, no join chunked."""
-    import repro.sqlengine.executor as executor_module
-
-    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
-    assert Database(n_segments=4, pool_workers=3).pool.n_workers == 3
-    assert Database(n_segments=2, pool_workers=8).pool.n_workers == 2
-    assert Database(n_segments=4).pool.n_workers == min(4, os.cpu_count())
-    db = Database(n_segments=4, pool_workers=1)
-    db.load_table("t", {"v": np.arange(500, dtype=np.int64) % 7})
-    assert db.execute(
-        "select count(*) from t, t as u where t.v = u.v").scalar() > 0
-    assert db.stats.parallel_partitions == 0
-    assert db.pool._pool is None
+    expected = db.execute(query).rows()
+    threads = threading.enumerate()
     db.close()
+    db.close()
+    assert db.execute(query).rows() == expected
+    with db:
+        assert db.execute(query).rows() == expected
+    assert threading.enumerate() == threads
 
 
-def test_pool_map_keeps_item_order_past_the_worker_count():
-    """More chunks than workers: every chunk runs on a pool thread and the
-    results come back in item order; a one-worker pool runs them inline on
-    the calling thread."""
+def test_retired_segment_pool_is_an_inert_shell(monkeypatch):
+    """``Database.pool`` and ``mpp.SegmentPool`` survive only for the
+    benchmark's probes: one worker whatever the segment count or the
+    host's cores, a no-op ``shutdown``, nothing to run work on; and no
+    constructor argument sets a thread count."""
     from repro.sqlengine.mpp import SegmentPool
 
-    def chunk(item):
-        return item * item, threading.current_thread().name
-
-    pool = SegmentPool(4, max_workers=2)
-    try:
-        results = pool.map(chunk, list(range(12)))
-    finally:
-        pool.shutdown()
-    assert [value for value, _ in results] == [i * i for i in range(12)]
-    assert all(name.startswith("repro-segment") for _, name in results)
-    serial = SegmentPool(4, max_workers=1)
-    caller = threading.current_thread().name
-    assert serial.map(chunk, list(range(12))) == [
-        (i * i, caller) for i in range(12)]
-    assert serial._pool is None
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    for n_segments in (1, 4, 7):
+        pool = Database(n_segments=n_segments).pool
+        assert (pool.n_segments, pool.n_workers) == (n_segments, 1)
+    pool = SegmentPool(4)
+    pool.shutdown()
+    pool.shutdown()
+    assert pool.n_workers == 1 and not hasattr(pool, "map")
+    with pytest.raises(TypeError):
+        SegmentPool(4, max_workers=4)
+    with pytest.raises(TypeError):
+        Database(n_segments=4, pool_workers=1)
 
 
-def test_pool_map_raises_a_failed_chunk_and_stays_usable():
-    """A chunk's error reaches the statement that dispatched it, and the
-    pool runs the next dispatch."""
-    from repro.sqlengine.mpp import SegmentPool
-
-    def chunk(item):
-        if item == 5:
-            raise ValueError("chunk 5")
-        return item + 1
-
-    pool = SegmentPool(4, max_workers=4)
-    try:
-        with pytest.raises(ValueError, match="chunk 5"):
-            pool.map(chunk, list(range(8)))
-        assert pool.map(chunk, [0, 1, 2]) == [1, 2, 3]
-    finally:
-        pool.shutdown()
-
-
-def test_close_with_parallel_disabled_is_safe():
-    """A one-worker pool is serial execution: closing it, twice, and
-    running on afterwards never creates a worker thread."""
-    db = Database(n_segments=2, pool_workers=1)
-    assert db.pool.n_workers == 1
+def test_close_of_a_fresh_database_is_safe():
+    """Closing a database, twice, before it ran anything leaves it
+    usable."""
+    db = Database(n_segments=2)
     db.close()
     db.close()
     db.execute("create table t (v int64)")
     db.execute("insert into t values (1)")
     assert db.execute("select count(*) from t").scalar() == 1
-    assert db.pool._pool is None
 
 
-def test_stats_deltas_do_not_depend_on_the_pool_width():
-    """Per-statement counter deltas of a four-worker database equal a
-    one-worker database's **exactly**, apart from the fan-out's own
-    counters: a chunked kernel moves no accounting.  Exercised over a warm
-    RC-style round loop (repeated join / group-by / scalar-count
-    templates), so deltas land on cold and warm paths alike."""
-    import repro.sqlengine.executor as executor_module
-
-    fan_out_only = {"parallel_partitions", "parallel_indexed_probes",
-                    "parallel_dense_probes"}
+def test_stats_deltas_do_not_depend_on_the_segment_count():
+    """Per-statement counter deltas of a four-segment database equal a
+    one-segment database's **exactly**, apart from data motion, which a
+    single segment never needs.  Exercised over a warm RC-style round
+    loop (repeated join / group-by / scalar-count templates), so deltas
+    land on cold and warm paths alike."""
+    motion = {"motion_bytes", "broadcast_bytes"}
     rng = np.random.default_rng(31)
     n = 3000
     v1 = rng.integers(0, 120, n)
     v2 = rng.integers(0, 120, n)
     rep = rng.integers(0, 120, 120)
 
-    def build(workers):
-        db = Database(n_segments=4, pool_workers=workers)
+    def build(n_segments):
+        db = Database(n_segments=n_segments)
         db._executor.use_index_cache = False
         db.load_table("e", {"v1": v1, "v2": v2})
         db.load_table("r", {"v": np.arange(120, dtype=np.int64),
@@ -345,36 +280,27 @@ def test_stats_deltas_do_not_depend_on_the_pool_width():
             "select e.v2, r.rep from e, r where e.v2 = r.v",
             f"drop table t{round_no}",
         ]
-    serial_db, pool_db = build(1), build(4)
-    original = executor_module.PARALLEL_MIN_ROWS
-    executor_module.PARALLEL_MIN_ROWS = 1
-    try:
-        for sql in statements:
-            before_s = serial_db.stats.snapshot()
-            before_p = pool_db.stats.snapshot()
-            serial_db.execute(sql)
-            pool_db.execute(sql)
-            delta_s = serial_db.stats.snapshot().delta(before_s)
-            delta_p = pool_db.stats.snapshot().delta(before_p)
-            for field in dataclasses.fields(delta_s):
-                if field.name in fan_out_only:
-                    continue
-                assert getattr(delta_p, field.name) == \
-                    getattr(delta_s, field.name), (sql, field.name)
-            assert serial_db.stats.log[-1].bytes_written == \
-                pool_db.stats.log[-1].bytes_written
-            assert serial_db.stats.log[-1].motion_bytes == \
-                pool_db.stats.log[-1].motion_bytes
-    finally:
-        executor_module.PARALLEL_MIN_ROWS = original
-    assert pool_db.stats.parallel_partitions > 0
-    assert serial_db.stats.parallel_partitions == 0
-    serial_db.close()
-    pool_db.close()
+    single, four = build(1), build(4)
+    for sql in statements:
+        before_1 = single.stats.snapshot()
+        before_4 = four.stats.snapshot()
+        single.execute(sql)
+        four.execute(sql)
+        delta_1 = single.stats.snapshot().delta(before_1)
+        delta_4 = four.stats.snapshot().delta(before_4)
+        for field in dataclasses.fields(delta_1):
+            if field.name in motion:
+                continue
+            assert getattr(delta_4, field.name) == \
+                getattr(delta_1, field.name), (sql, field.name)
+        assert single.stats.log[-1].bytes_written == \
+            four.stats.log[-1].bytes_written
+        assert single.stats.log[-1].motion_bytes == 0
+    assert single.stats.motion_bytes == 0 < four.stats.motion_bytes
 
 
 def test_bump_rejects_unknown_counters():
-    db = Database(pool_workers=1)
+    db = Database()
     db.stats.bump("hash_distincts", 3)
     assert db.stats.hash_distincts == 3
     with pytest.raises(ValueError, match="unknown counter"):
@@ -399,7 +325,7 @@ def test_snapshot_and_accumulator_are_derived_from_the_declaration():
 
     assert GAUGES <= set(COUNTERS) and len(set(COUNTERS)) == len(COUNTERS)
     assert [f.name for f in dataclasses.fields(StatsSnapshot)] == list(COUNTERS)
-    db = Database(pool_workers=1)
+    db = Database()
     stats = db.stats
     for value, name in enumerate(COUNTERS, start=1):
         setattr(stats, name, value)
@@ -414,7 +340,7 @@ def test_snapshot_and_accumulator_are_derived_from_the_declaration():
 def test_reset_zeroes_in_place_and_keeps_live_space():
     from repro.sqlengine.stats import COUNTERS
 
-    db = Database(pool_workers=1)
+    db = Database()
     load_big(db, "t")
     db.execute("create table u as select v from t")
     db.execute("drop table u")
@@ -436,7 +362,7 @@ def test_query_log_is_bounded_for_long_lived_databases(monkeypatch):
     from repro.sqlengine import stats as stats_module
 
     monkeypatch.setattr(stats_module, "LOG_MAXLEN", 8)
-    db = Database(pool_workers=1)
+    db = Database()
     db.execute("create table t (a int)")
     for i in range(20):
         db.execute(f"insert into t values ({i})", label=f"insert-{i}")

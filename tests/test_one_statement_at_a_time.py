@@ -16,7 +16,7 @@ from repro.cli import main
 from repro.core import RandomisedContraction
 from repro.core.labels import validate_labelling
 from repro.graphs import gnm_random_graph, load_edges_into
-from repro.sqlengine import Database, operators
+from repro.sqlengine import Database
 from repro.sqlengine.errors import CatalogError, ExecutionError, SqlError
 from repro.sqlengine.plancache import normalize_statement
 
@@ -33,7 +33,7 @@ def test_function_executing_sql_is_refused_then_rc_runs(call):
     """A UDF that executes SQL on its own database fails its statement
     with a clear error, and the same database then labels a graph like
     union-find."""
-    with Database(pool_workers=2) as db:
+    with Database() as db:
         _base(db)
 
         def nested(values):
@@ -56,7 +56,7 @@ def test_refused_statement_never_reaches_the_running_template():
     template's AST under it.  Even when the function swallows the error,
     the running statement keeps its own parameters, and the refused one
     leaves no trace in the plan cache, the counters or the log."""
-    with Database(pool_workers=1) as db:
+    with Database() as db:
         _base(db)
         refusals = []
 
@@ -100,7 +100,7 @@ def test_every_statement_kind_is_refused_inside_a_statement(sql):
     running statement calls, the statement is refused before it is parsed
     into the plan cache, and leaves the catalog, the space accounting and
     the log as they were."""
-    with Database(pool_workers=2) as db:
+    with Database() as db:
         _base(db)
         for name in ("edges", "reps", "t", "a", "b", "old"):
             db.load_table(name, {"v": np.arange(8, dtype=np.int64)})
@@ -136,7 +136,7 @@ def test_statements_see_what_their_predecessors_left():
     """Statements run in the order they are issued, each over the catalog
     the previous one left: a read of a fresh table, a drop of a table just
     read, a re-creation of the dropped name and a rename of it — the round
-    loop's churn — on a database whose joins fan out."""
+    loop's churn."""
     issued = [
         "create table a as select v from base where v < 32",
         "create table b as select v from a where v < 16",
@@ -145,7 +145,7 @@ def test_statements_see_what_their_predecessors_left():
         "alter table a rename to final",
         "select count(*) c from final",
     ]
-    with Database(pool_workers=4) as db:
+    with Database() as db:
         _base(db)
         results = [db.execute(sql) for sql in issued]
         assert [record.sql for record in db.stats.log] == issued
@@ -158,7 +158,7 @@ def test_a_failing_script_statement_ends_the_script():
     """``execute_script`` runs its statements one after the other: those
     before a failure took effect, none after it ran, and the database runs
     the next statement."""
-    with Database(pool_workers=4) as db:
+    with Database() as db:
         _base(db)
         with pytest.raises(CatalogError):
             db.execute_script(
@@ -171,32 +171,35 @@ def test_a_failing_script_statement_ends_the_script():
         assert db.execute("select count(*) from x").scalar() == 64
 
 
-def _leaves(value):
-    if isinstance(value, tuple):
-        for item in value:
-            yield from _leaves(item)
-    else:
-        yield value
-
-
-@pytest.mark.parametrize("shape,kernel", [
-    ("dense-unique", operators._dense_chunk),
-    ("dense-runs", operators._dense_chunk),
-    ("sparse-unique", operators._probe_chunk),
-    ("sparse-runs", operators._probe_chunk),
-    ("left-dense", operators._dense_chunk),
+@pytest.mark.parametrize("shape,note", [
+    ("dense-unique", "dense"),
+    ("dense-runs", "dense"),
+    ("sparse-unique", "probe-sorted"),
+    ("sparse-runs", "merge-indexed"),
+    ("left-dense", "dense"),
 ])
-def test_only_array_kernels_leave_the_calling_thread(shape, kernel,
-                                                     monkeypatch):
-    """What a join hands its pool is a module-level kernel over a payload
-    of arrays and scalars — no table, catalog, cache or statistics object
-    — so the pool's threads share no engine state with the statement that
-    runs them, and the chunked join matches the one-worker one."""
+def test_joins_start_no_thread(shape, note, monkeypatch):
+    """A join runs its kernel once, on the calling thread: with a probe
+    side larger than any size at which joins were once cut into per-core
+    chunks, every shape leaves the interpreter's threads as it found them,
+    and gives the rows of the index-less join, which takes another
+    route."""
+    import threading
+
     import repro.sqlengine.executor as executor_module
 
-    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
+    notes = []
+    dispatch = executor_module.Executor._dispatch_join
+
+    def recording(self, *args):
+        pair = dispatch(self, *args)
+        notes.append(args[-1][-1])
+        return pair
+
+    monkeypatch.setattr(executor_module.Executor, "_dispatch_join",
+                        recording)
     rng = np.random.default_rng(13)
-    n, n_keys = 3000, 200
+    n, n_keys = 140_000, 200
     keys = np.arange(n_keys, dtype=np.int64)
     if shape.startswith("sparse"):
         keys = keys * (2 ** 53 + 12345)
@@ -211,35 +214,24 @@ def test_only_array_kernels_leave_the_calling_thread(shape, kernel,
     else:
         query = "select e.v2, r.rep from e, r where e.v1 = r.k"
 
-    def build(workers):
-        db = Database(n_segments=4, pool_workers=workers)
-        db.load_table("e", {"v1": probe, "v2": np.arange(n, dtype=np.int64)})
-        db.load_table("r", {"k": build_keys,
-                            "rep": np.arange(len(build_keys),
-                                             dtype=np.int64)})
-        return db
+    def run(use_index_cache):
+        with Database(n_segments=4) as db:
+            db._executor.use_index_cache = use_index_cache
+            db.load_table("e", {"v1": probe,
+                                "v2": np.arange(n, dtype=np.int64)})
+            db.load_table("r", {"k": build_keys,
+                                "rep": np.arange(len(build_keys),
+                                                 dtype=np.int64)})
+            relation = db.execute(query).relation
+            return [relation.column(name).to_list()
+                    for name in relation.names]
 
-    with build(4) as db, build(1) as serial:
-        calls = []
-        pool_map = db.pool.map
-
-        def recording(fn, items):
-            calls.append((fn, list(items)))
-            return pool_map(fn, items)
-
-        monkeypatch.setattr(db.pool, "map", recording)
-        assert db.execute(query).rows() == serial.execute(query).rows()
-        assert calls
-        for fn, items in calls:
-            assert fn is kernel
-            assert fn.__module__ == operators.__name__
-            assert "<locals>" not in fn.__qualname__
-            for item in items:
-                for leaf in _leaves(item):
-                    assert leaf is None or isinstance(
-                        leaf, (bool, int, np.integer, np.ndarray)), leaf
-                    if isinstance(leaf, np.ndarray):
-                        assert leaf.dtype != object
+    threads = threading.enumerate()
+    got = run(True)
+    assert threading.enumerate() == threads
+    assert notes[0] == note
+    assert got == run(False)
+    assert len(got[0]) > 1 << 17  # the old chunking gate, in probe rows
 
 
 @pytest.mark.parametrize("statement,error", [
@@ -250,7 +242,7 @@ def test_only_array_kernels_leave_the_calling_thread(shape, kernel,
 def test_failed_statement_frees_the_database(statement, error):
     """A statement that fails while parsing, planning or executing leaves
     no statement in flight."""
-    with Database(pool_workers=1) as db:
+    with Database() as db:
         _base(db)
 
         def boom(values):
@@ -263,10 +255,39 @@ def test_failed_statement_frees_the_database(statement, error):
 
 
 def test_no_argument_or_flag_selects_a_pool_backend(capsys):
-    """Kernels run on the pool's threads or inline; nothing selects
-    another backend."""
-    with pytest.raises(TypeError):
-        Database(pool_backend="thread")
-    with pytest.raises(SystemExit):
-        main(["sql", "pathunion10", "select 1", "--backend", "thread"])
-    assert "--backend" in capsys.readouterr().err
+    """Kernels run on the calling thread; nothing selects a backend or a
+    thread count."""
+    for option in ({"pool_backend": "thread"}, {"pool_workers": 2}):
+        with pytest.raises(TypeError):
+            Database(**option)
+    for flag in ("--backend", "--workers"):
+        with pytest.raises(SystemExit):
+            main(["sql", "pathunion10", "select 1", flag, "2"])
+        assert flag in capsys.readouterr().err
+
+
+def test_the_engine_imports_no_concurrency():
+    """No module of the package imports ``threading``,
+    ``concurrent.futures`` or ``multiprocessing``: the engine starts no
+    thread and no process, so nothing it computes can depend on a
+    schedule or on the host's core count."""
+    import ast
+    import pathlib
+
+    import repro
+
+    banned = {"threading", "_thread", "concurrent", "multiprocessing"}
+    modules = sorted(pathlib.Path(repro.__file__).parent.rglob("*.py"))
+    assert len(modules) > 30
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.split(".")[0] in banned]
+    assert found == []

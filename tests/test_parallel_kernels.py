@@ -1,27 +1,28 @@
-"""Property tests for the segment-parallel kernels.
+"""Property tests for the join kernels and the GROUP BY reducer.
 
-The contract is absolute: a join must return **bit-identical** row pairs
-at every fan-out — :func:`join_indices` (the route's kernel called once)
-and :func:`parallel_join_indices` (the same kernel over one chunk per
-segment) — because the executor switches between them purely on size and
-pool width.  Joins are checked against the independent plain-numpy
-reference :func:`merge_join_indices`; the GROUP BY reducer against a
-per-group Python loop.  These tests force a multi-worker pool
-even on single-core machines so the pool code path (chunking, shared
-inputs, recombination) is always exercised.
+The contract is absolute: :func:`join_indices` — the planned route's
+kernel, called once over the whole probe side — returns **bit-identical**
+row pairs to the independent plain-numpy reference
+:func:`merge_join_indices`, whatever route the planner picks; the GROUP BY
+reducer agrees with a per-group Python loop.
 
-Every join kernel has one body that the direct call and the pool's
-threads both run, so one matrix — kernel x {fan-out 1, and fan-out 4, 3
-and 7 on a four-thread pool} — pins the bit-identity of all of them
-(``test_kernel_matrix_bit_identical``): four chunks split the probe side
-evenly, three and seven put chunk boundaries elsewhere in it.
+Every join kernel has one body, so one matrix pins all of them
+(``test_kernel_matrix_bit_identical``): each kernel case with the shipped
+size gates ("serial"), the cases that sort or search once more with the
+plain numpy forms of those primitives ("plain-numpy"), and the dense cases
+once more with no key range counted dense ("sparse-dispatch"), which sends
+small keys and below-range misses through the sorted probes.
+``parallel_join_indices`` is a retired shell the benchmark still calls;
+``test_retired_parallel_join_indices_is_join_indices`` pins it to
+``join_indices`` on every case of the matrix.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sqlengine import Database
+from repro.sqlengine import Database, operators
+from repro.sqlengine import executor as executor_module
 from repro.sqlengine.mpp import SegmentPool
 from repro.sqlengine.operators import (
     CACHE_KERNEL_MIN_ROWS,
@@ -30,6 +31,8 @@ from repro.sqlengine.operators import (
     build_key_index,
     join_indices,
     pad_left_outer,
+    plan_join,
+    spelled_out,
 )
 from repro.sqlengine.parallel import (
     AGGREGATE_KINDS,
@@ -40,13 +43,12 @@ from repro.sqlengine.parallel import (
 from repro.sqlengine.types import FLOAT64, INT64, Column
 
 from .join_reference import merge_join_indices
+from .sqlite_oracle import tee
 
 
-POOL = SegmentPool(4, max_workers=4)
-
-
-def int_column(values) -> Column:
-    return Column(np.array(values, dtype=np.int64), INT64)
+def int_column(values, nulls=None) -> Column:
+    return Column(np.array(values, dtype=np.int64), INT64,
+                  None if nulls is None else np.asarray(nulls, dtype=bool))
 
 
 keys = st.lists(
@@ -59,115 +61,110 @@ keys = st.lists(
 )
 
 
+def _recording_notes(monkeypatch) -> list:
+    """Every route note the executor's joins report, in order."""
+    notes: list = []
+    dispatch = executor_module.Executor._dispatch_join
+
+    def recording(self, left_outer, left_keys, right_keys, left_index,
+                  right_index, note):
+        note = [] if note is None else note
+        pair = dispatch(self, left_outer, left_keys, right_keys, left_index,
+                        right_index, note)
+        notes.append(note[-1])
+        return pair
+
+    monkeypatch.setattr(executor_module.Executor, "_dispatch_join", recording)
+    return notes
+
+
 # ---------------------------------------------------------------------------
 # joins
 # ---------------------------------------------------------------------------
 
 
-def assert_every_fan_out_matches_reference(
-    left_col, right_col, pool, left_outer=False, note=None, **indexes
-):
-    """Fan-out 1 and fan-out ``pool.n_segments`` against the plain-numpy
-    sort-merge reference (``note`` receives the pool run's route)."""
+def assert_matches_reference(left_col, right_col, left_outer=False,
+                             note=None, **indexes):
+    """``join_indices`` against the plain-numpy sort-merge reference
+    (``note`` receives the route's note)."""
     n_left = len(left_col)
     expected = merge_join_indices([left_col], [right_col])
-    serial = join_indices([left_col], [right_col], **indexes)
-    chunked = parallel_join_indices([left_col], [right_col], pool, note,
-                                    **indexes)
+    got = join_indices([left_col], [right_col], note=note, **indexes)
     if left_outer:
         expected = pad_left_outer(*expected, n_left)
-        serial = pad_left_outer(*serial, n_left)
-        chunked = pad_left_outer(*chunked, n_left)
-    for got in (serial, chunked):
-        assert np.array_equal(expected[0], got[0])
-        assert np.array_equal(expected[1], got[1])
+        got = pad_left_outer(*got, n_left)
+    assert np.array_equal(expected[0], got[0])
+    assert np.array_equal(expected[1], got[1])
 
 
 @given(keys, keys)
-def test_parallel_join_bit_identical(left, right):
-    assert_every_fan_out_matches_reference(
-        int_column(left), int_column(right), POOL)
+def test_join_bit_identical(left, right):
+    assert_matches_reference(int_column(left), int_column(right))
 
 
 @given(keys, keys)
-def test_parallel_left_join_bit_identical(left, right):
+def test_left_join_bit_identical(left, right):
     if not left:
         left = [0]
-    assert_every_fan_out_matches_reference(
-        int_column(left), int_column(right), POOL, left_outer=True)
+    assert_matches_reference(int_column(left), int_column(right),
+                             left_outer=True)
 
 
-@pytest.mark.parametrize("n_segments", [1, 2, 3, 4, 7])
-def test_parallel_join_large_random(n_segments):
-    pool = SegmentPool(n_segments, max_workers=4)
-    rng = np.random.default_rng(n_segments)
+#: The random inputs of the large join tests: one generator seed each.
+SEEDS = [1, 2, 3, 4, 7]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_join_large_random(seed):
+    rng = np.random.default_rng(seed)
     left = int_column(rng.integers(0, 5000, 20_000))
     right = int_column(
         np.concatenate([rng.permutation(5000), rng.integers(0, 5000, 800)])
     )
-    assert_every_fan_out_matches_reference(left, right, pool)
+    assert_matches_reference(left, right)
 
 
-def test_parallel_join_falls_back_on_unsupported_shapes():
-    masked = Column(np.array([1, 2, 3], dtype=np.int64), INT64,
-                    np.array([False, True, False]))
+def test_join_over_null_bearing_keys():
     note: list = []
-    assert_every_fan_out_matches_reference(masked, int_column([2, 3, 4]),
-                                           POOL, note=note)
-    assert note == ["dense"]  # a pool cannot chunk NULL-bearing keys
+    assert_matches_reference(int_column([1, 2, 3], [False, True, False]),
+                             int_column([2, 3, 4]), note=note)
+    assert note == ["dense"]
 
 
-def test_text_keyed_join_runs_at_fan_out_one(monkeypatch):
-    """Text keys are not a shape a pool chunks: on a four-worker database
-    with the size gate off, a text-keyed join runs once, whole, and
-    returns the one-worker rows."""
-    import repro.sqlengine.executor as executor_module
-
-    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
-
-    def run(workers):
-        db = Database(n_segments=4, pool_workers=workers)
-        db.execute("create table t (k text, v int64)")
-        db.execute("insert into t values ('a', 1), ('b', 2), ('a', 3)")
-        rows = db.execute(
-            "select x.k, x.v, y.v from t as x, t as y where x.k = y.k"
-        ).rows()
-        partitions = db.stats.parallel_partitions
-        db.close()
-        return rows, partitions
-
-    rows, partitions = run(4)
-    assert partitions == 0
-    assert (rows, partitions) == run(1)
+def test_text_keyed_join():
+    """Text keys take the no-index sorted route over the packed values."""
+    db = Database(n_segments=4)
+    db.execute("create table t (k text, v int64)")
+    db.execute("insert into t values ('a', 1), ('b', 2), ('a', 3)")
+    rows = db.execute(
+        "select x.k, x.v, y.v from t as x, t as y where x.k = y.k"
+    ).rows()
     assert sorted(rows) == [("a", 1, 1), ("a", 1, 3), ("a", 3, 1),
                             ("a", 3, 3), ("b", 2, 2)]
 
 
 @given(keys, keys)
-def test_parallel_indexed_probe_bit_identical(left, right):
+def test_indexed_probe_bit_identical(left, right):
     left_col, right_col = int_column(left), int_column(right)
-    assert_every_fan_out_matches_reference(
-        left_col, right_col, POOL,
-        right_index=build_key_index(right_col.values))
+    assert_matches_reference(left_col, right_col,
+                             right_index=build_key_index(right_col.values))
 
 
 @given(keys, keys)
-def test_parallel_indexed_left_probe_bit_identical(left, right):
+def test_indexed_left_probe_bit_identical(left, right):
     if not left:
         left = [0]
     left_col, right_col = int_column(left), int_column(right)
-    assert_every_fan_out_matches_reference(
-        left_col, right_col, POOL, left_outer=True,
-        right_index=build_key_index(right_col.values))
+    assert_matches_reference(left_col, right_col, left_outer=True,
+                             right_index=build_key_index(right_col.values))
 
 
-@pytest.mark.parametrize("n_segments", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("unique_build", [True, False])
-def test_parallel_indexed_probe_large_sparse(n_segments, unique_build):
+def test_indexed_probe_large_sparse(seed, unique_build):
     """Sparse 64-bit build keys force the sorted-index probe (the warm-loop
-    shape); chunked output must match the one-chunk probe exactly."""
-    pool = SegmentPool(n_segments, max_workers=4)
-    rng = np.random.default_rng(10 * n_segments + unique_build)
+    shape)."""
+    rng = np.random.default_rng(10 * seed + unique_build)
     build = rng.permutation(2 ** 62 // 7 * np.arange(1, 5001))
     if not unique_build:
         build = np.concatenate([build, build[:500]])
@@ -179,20 +176,17 @@ def test_parallel_indexed_probe_large_sparse(n_segments, unique_build):
     index = build_key_index(right_col.values)
     assert index.is_unique == unique_build
     note: list = []
-    assert_every_fan_out_matches_reference(left_col, right_col, pool,
-                                           note=note, right_index=index)
-    assert note == [
-        "parallel-probe" if unique_build else "parallel-merge-probe"]
+    assert_matches_reference(left_col, right_col, note=note,
+                             right_index=index)
+    assert note == ["probe-sorted" if unique_build else "merge-indexed"]
 
 
-@pytest.mark.parametrize("n_segments", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("unique_build", [True, False])
-def test_parallel_dense_probe_bit_identical(n_segments, unique_build):
-    """Dense build-side spans chunk the direct-address probe across the
-    pool — the table is built once, by the planner; output must match the
-    one-chunk dense kernel exactly."""
-    pool = SegmentPool(n_segments, max_workers=4)
-    rng = np.random.default_rng(30 * n_segments + unique_build)
+def test_dense_probe_bit_identical(seed, unique_build):
+    """Dense build-side spans take the direct-address probe, misses below
+    and above the build side's range included."""
+    rng = np.random.default_rng(30 * seed + unique_build)
     build = rng.permutation(5000)
     if not unique_build:
         build = np.concatenate([build, build[:700]])
@@ -203,72 +197,155 @@ def test_parallel_dense_probe_bit_identical(n_segments, unique_build):
     ])
     left_col, right_col = int_column(probe), int_column(build)
     note: list = []
-    assert_every_fan_out_matches_reference(
-        left_col, right_col, pool, note=note,
-        right_index=build_key_index(right_col.values))
-    assert note == [
-        "parallel-dense" if unique_build else "parallel-dense-merge"]
+    assert_matches_reference(left_col, right_col, note=note,
+                             right_index=build_key_index(right_col.values))
+    assert note == ["dense"]
 
 
-def test_executor_engages_parallel_indexed_probe(monkeypatch):
-    """The warm-loop case: a cached build-side index is probed in chunks
-    across the pool."""
-    import repro.sqlengine.executor as executor_module
+def _index_less_twin(build, query):
+    """``query``'s rows on a database ``build`` made, and on its twin whose
+    joins sort their own build sides."""
+    indexed, index_less = build(), build()
+    index_less._executor.use_index_cache = False
+    return indexed.execute(query).rows(), index_less.execute(query).rows()
 
-    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
+
+def test_executor_probes_a_warm_sparse_index(monkeypatch):
+    """The warm-loop case: a cached build-side index over sparse keys is
+    probed by binary search, and gives the index-less join's rows."""
     rng = np.random.default_rng(21)
     n = 4000
-    # Sparse unique representatives: span far beyond the dense-kernel cap,
-    # so the single-threaded dispatch would take the sorted-index probe.
     reps = rng.permutation(np.arange(200) * (2 ** 53 + 12345))
     v1 = reps[rng.integers(0, 200, n)]
     v2 = rng.integers(0, 200, n)
 
-    def build(workers):
-        db = Database(n_segments=4, pool_workers=workers)
+    def build():
+        db = Database(n_segments=4)
         db.load_table("e", {"v1": v1, "v2": v2})
         db.load_table("r", {"v": np.arange(200, dtype=np.int64),
                             "rep": reps})
         # Warm the index on the build side, as the round loop's first join
-        # does, then re-join: the indexed path must go parallel.
+        # does.
         db.execute("select r.rep, count(*) c from r group by r.rep")
         return db
 
-    query = "select e.v1, r.v from e, r where e.v1 = r.rep"
-    on, off = build(4), build(1)
-    rows_on = on.execute(query).rows()
-    rows_off = off.execute(query).rows()
-    assert rows_on == rows_off
-    assert on.stats.parallel_indexed_probes > 0
-    assert on.stats.index_cache_hits > 0
-    assert off.stats.parallel_indexed_probes == 0
+    notes = _recording_notes(monkeypatch)
+    rows, expected = _index_less_twin(
+        build, "select e.v1, r.v from e, r where e.v1 = r.rep")
+    assert rows == expected
+    assert notes == ["probe-sorted", "merge"]
 
 
-def test_executor_engages_parallel_dense_probe(monkeypatch):
-    """Dense vertex ids with a warm build-side index: the direct-address
-    probe must chunk across the pool rather than run single-threaded."""
-    import repro.sqlengine.executor as executor_module
-
-    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
+def test_executor_probes_a_warm_dense_index(monkeypatch):
+    """Dense vertex ids behind a warm build-side index take the
+    direct-address probe, and give the index-less join's rows."""
     rng = np.random.default_rng(27)
     n = 4000
     v1 = rng.integers(0, 300, n)
     v2 = rng.integers(0, 300, n)
     rep = rng.integers(0, 300, 300)
 
-    def build(workers):
-        db = Database(n_segments=4, pool_workers=workers)
+    def build():
+        db = Database(n_segments=4)
         db.load_table("e", {"v1": v1, "v2": v2})
         db.load_table("r", {"v": np.arange(300, dtype=np.int64),
                             "rep": rep})
         db.execute("select r.v, count(*) c from r group by r.v")  # warm index
+        assert db.stats.index_cache_misses == 1
         return db
 
-    query = "select e.v2, r.rep from e, r where e.v1 = r.v"
-    on, off = build(4), build(1)
-    assert on.execute(query).rows() == off.execute(query).rows()
-    assert on.stats.parallel_dense_probes > 0
-    assert off.stats.parallel_dense_probes == 0
+    notes = _recording_notes(monkeypatch)
+    rows, expected = _index_less_twin(
+        build, "select e.v2, r.rep from e, r where e.v1 = r.v")
+    assert rows == expected
+    assert notes == ["dense", "dense"]
+
+
+# -- JoinRoute.run: NULL-filtered sides and the identity left rows ----------
+
+
+def _run_case_inputs(kind, nulls):
+    """Probe and build columns (and the build index, when the route reads
+    one) that take route ``kind``; ``nulls`` names the sides with NULL
+    keys.  Unique build sides hold every probe key, so a NULL-free probe
+    matches every row once."""
+    rng = np.random.default_rng(len(kind) + 7 * len(nulls))
+    sparse = kind in ("sorted-runs", "sparse-unique", "indexed-runs")
+    build = rng.permutation(100) * (2 ** 53 + 12345 if sparse else 1)
+    if kind in ("dense-runs", "sorted-runs", "indexed-runs"):
+        build = np.concatenate([build, build[:20]])
+    probe = build[rng.integers(0, build.shape[0], 300)]
+
+    def side(values, name):
+        return int_column(values, rng.random(values.shape[0]) < 0.2
+                          if name in nulls else None)
+
+    left, right = side(probe, "left"), side(build, "right")
+    index = build_key_index(build) \
+        if kind in ("sparse-unique", "indexed-runs") else None
+    return left, right, index
+
+
+RUN_CASES = [(kind, nulls)
+             for kind in ("dense-unique", "dense-runs", "sorted-runs")
+             for nulls in ("left", "right", "left+right")]
+RUN_CASES += [("sparse-unique", "left"), ("indexed-runs", "left")]
+
+
+@pytest.mark.parametrize("kind,nulls", RUN_CASES,
+                         ids=[f"{k}-{n}" for k, n in RUN_CASES])
+def test_run_maps_filtered_rows_back(kind, nulls):
+    """A side with NULL keys is joined over its non-NULL rows, and
+    :meth:`JoinRoute.run` maps the key positions back to rows; a probe
+    whose every non-NULL row matched once returns exactly the surviving
+    rows, the identity ``None`` only when none was filtered."""
+    left, right, index = _run_case_inputs(kind, nulls)
+    route = plan_join([left], [right], right_index=index)
+    assert route.kind == kind
+    l_idx, r_idx = route.run()
+    expected = merge_join_indices([left], [right])
+    got = spelled_out(l_idx, r_idx)
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+    if kind in ("dense-unique", "sparse-unique") and nulls == "left":
+        assert l_idx is route.left_rows
+        assert np.array_equal(l_idx, np.flatnonzero(~left.mask))
+
+
+#: Joins no row of which can match -> (probe keys, build keys, whether
+#: both sides hand over an index, the route).  ``None`` keys are NULL.
+NO_KERNEL_CASES = {
+    "empty-probe": ([], [1, 2, 3], False, "empty"),
+    "empty-build": ([1, 2, 3], [], False, "empty"),
+    "all-null-probe": ([None, None], [1, 2, 3], False, "empty"),
+    "all-null-build": ([1, 2, 3], [None, None], False, "empty"),
+    "probe-below-build": ([1, 2, 3], [7, 8], True, "range-pruned"),
+    "probe-above-build": ([7, 8], [1, 2, 3], True, "range-pruned"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_KERNEL_CASES))
+def test_run_of_routes_without_a_kernel(case):
+    """An empty or all-NULL side, or two indexes proving the key ranges
+    disjoint (either way round): the planner picks no kernel, ``run``
+    returns no pair, and so does the reference."""
+    probe, build, indexed, kind = NO_KERNEL_CASES[case]
+
+    def column(keys):
+        nulls = [key is None for key in keys]
+        return int_column([0 if key is None else key for key in keys],
+                          nulls if any(nulls) else None)
+
+    left, right = column(probe), column(build)
+    indexes = {"left_index": build_key_index(left.values),
+               "right_index": build_key_index(right.values)} \
+        if indexed else {}
+    route = plan_join([left], [right], **indexes)
+    assert (route.kind, route.kernel, route.note()) == \
+        (kind, None, JOIN_ROUTES[kind])
+    l_idx, r_idx = route.run()
+    assert l_idx.shape == r_idx.shape == (0,)
+    assert merge_join_indices([left], [right])[0].shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +440,6 @@ def test_group_by_layouts_agree_with_python_loop(n_keys, monkeypatch):
     through a sort, and a key its stored index proves sorted (one key
     value) in place; every layout, and sum/avg (never direct), gives the
     per-group loop's values."""
-    import repro.sqlengine.executor as executor_module
-
     layouts: list = []
     real = executor_module.direct_group_rows
 
@@ -380,7 +455,7 @@ def test_group_by_layouts_agree_with_python_loop(n_keys, monkeypatch):
     ints = rng.integers(-100, 100, n)
     floats = rng.integers(-800, 800, n) / 8.0  # eighths add exactly
     keep = (rng.random(n) >= 0.2).astype(np.int64)
-    db = Database(n_segments=4, pool_workers=1)
+    db = Database(n_segments=4)
     db.load_table("t", {"k": keys, "s": keys * (2 ** 40) + 3, "i": ints,
                         "f": floats, "keep": keep})
 
@@ -419,7 +494,6 @@ def test_group_by_layouts_agree_with_python_loop(n_keys, monkeypatch):
     rows = db.execute(f"select k, {_SUM_ITEMS} from t group by k").rows()
     assert layouts == []
     assert sorted(rows) == expected(sums, int)
-    db.close()
 
 
 @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=0,
@@ -427,12 +501,11 @@ def test_group_by_layouts_agree_with_python_loop(n_keys, monkeypatch):
 def test_group_by_small_inputs_agree_with_python_loop(values):
     """Few rows, negative keys, no rows at all: the direct-address layout
     (whose slots start at the smallest key) against the per-group loop."""
-    db = Database(n_segments=4, pool_workers=1)
+    db = Database(n_segments=4)
     db.load_table("t", {"k": np.array(values, dtype=np.int64),
                         "i": np.arange(len(values), dtype=np.int64)})
     rows = db.execute("select k, count(*) c, min(i) m from t "
                       "group by k").rows()
-    db.close()
     never = [False] * len(values)
     counts = _loop_reduce("count*", values, values, never)
     minima = _loop_reduce("min", values, list(range(len(values))), never)
@@ -442,13 +515,13 @@ def test_group_by_small_inputs_agree_with_python_loop(values):
 
 
 # ---------------------------------------------------------------------------
-# executor integration: parallel on/off must be invisible in results
+# executor integration: the no-index route must be invisible in results
 # ---------------------------------------------------------------------------
 
 
 QUERIES = [
     "select e.v1, r.rep from e, r where e.v1 = r.v",
-    # GROUP BY over a chunked join: only the join fans out.
+    # GROUP BY over a join: it reduces the join's materialised output.
     "select e.v1, count(*) c, min(r.rep) lo, max(e.v2) hi, sum(e.v2) s "
     "from e, r where e.v2 = r.v group by e.v1",
     "select l.v, coalesce(r.rep, 0 - 1) rep from l "
@@ -458,15 +531,11 @@ QUERIES = [
 
 
 @pytest.mark.parametrize("query", QUERIES)
-def test_executor_parallel_on_off_identical(query, monkeypatch):
-    import repro.sqlengine.executor as executor_module
-
-    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
-
-    def build(workers):
-        # The index-less case: every join sorts its own build side.
-        db = Database(n_segments=4, pool_workers=workers)
-        db._executor.use_index_cache = False
+def test_executor_index_less_joins_identical(query):
+    """A join that sorts its own build side returns the indexed join's
+    rows in the same order, and sqlite's rows."""
+    def build():
+        db = tee(Database(n_segments=4))
         rng = np.random.default_rng(99)
         n = 2500
         db.load_table("e", {"v1": rng.integers(0, 200, n),
@@ -477,57 +546,92 @@ def test_executor_parallel_on_off_identical(query, monkeypatch):
                             "rep": rng.integers(0, 400, 50)})
         return db
 
-    on = build(4)
-    off = build(1)
-    rows_on = on.execute(query).rows()
-    rows_off = off.execute(query).rows()
-    assert rows_on == rows_off
-    assert on.stats.parallel_partitions > 0
-    assert off.stats.parallel_partitions == 0
+    rows, expected = _index_less_twin(build, query)
+    assert rows == expected
 
 
-def test_rc_end_to_end_parallel_identical(monkeypatch):
-    import repro.sqlengine.executor as executor_module
+def test_left_join_over_null_probe_keys_keeps_every_probe_row(monkeypatch):
+    """A LEFT JOIN whose probe keys are partly NULL and otherwise all
+    found: the kernel matches the non-NULL rows once each, ``run`` maps
+    them back to their rows, and the NULL-keyed rows come back
+    null-extended — sqlite's rows."""
+    db = tee(Database(n_segments=4))
+    db.execute("create table l (v int64, rep int64)")
+    db.execute("insert into l values " + ", ".join(
+        f"({i}, {'null' if i % 5 == 0 else i % 7})" for i in range(60)))
+    db.execute("create table r (v int64, w int64)")
+    db.execute("insert into r values " + ", ".join(
+        f"({k}, {k * 10})" for k in range(7)))
+    notes = _recording_notes(monkeypatch)
+    rows = db.execute(
+        "select l.v, r.w from l left outer join r on (l.rep = r.v)").rows()
+    assert notes == ["dense"]
+    assert sorted(v for v, _ in rows) == list(range(60))
+    assert sorted(v for v, w in rows if w is None) == list(range(0, 60, 5))
 
+
+def test_group_by_over_join_bit_identical_with_and_without_indexes():
+    """A GROUP BY reduces its join's output in the join's row order, which
+    the index-less route reproduces: float sums and averages match to the
+    bit."""
+    query = ("select e.v1, count(*) c, sum(e.f) s, avg(e.f) a, "
+             "min(r.rep) lo, max(case when e.v2 > 50 then e.f end) hi "
+             "from e, r where e.v2 = r.v group by e.v1")
+
+    def build():
+        db = Database(n_segments=4)
+        rng = np.random.default_rng(41)
+        n = 4000
+        db.load_table("e", {"v1": rng.integers(0, 150, n),
+                            "v2": rng.integers(0, 200, n),
+                            "f": rng.normal(size=n)})
+        db.load_table("r", {"v": np.arange(200, dtype=np.int64),
+                            "rep": rng.integers(0, 1 << 40, 200)})
+        return db
+
+    rows, expected = _index_less_twin(build, query)
+    assert rows == expected
+
+
+def test_rc_end_to_end_index_less_identical():
     from repro.core import RandomisedContraction
     from repro.graphs import gnm_random_graph
     from repro.graphs.io import load_edges_into
 
-    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
     edges = gnm_random_graph(500, 900, np.random.default_rng(17))
 
-    def run(workers):
-        db = Database(n_segments=4, pool_workers=workers)
-        db._executor.use_index_cache = False
+    def run(use_index_cache):
+        db = Database(n_segments=4)
+        db._executor.use_index_cache = use_index_cache
         load_edges_into(db, "edges", edges)
         result = RandomisedContraction().run(db, "edges", seed=13)
         vertices, labels = result.labels(db)
         order = np.argsort(vertices, kind="stable")
         return vertices[order], labels[order], db.stats
 
-    v_on, l_on, stats_on = run(4)
-    v_off, l_off, stats_off = run(1)
+    v_on, l_on, stats_on = run(True)
+    v_off, l_off, stats_off = run(False)
     assert np.array_equal(v_on, v_off)
     assert np.array_equal(l_on, l_off)
-    assert stats_on.parallel_partitions > 0
-    assert stats_off.parallel_partitions == 0
+    assert stats_on.index_cache_hits > 0
+    assert stats_off.index_cache_hits == stats_off.index_cache_misses == 0
 
 
 # ---------------------------------------------------------------------------
-# the bit-identity matrix: every kernel x every way a pool can run it
+# the bit-identity matrix: every kernel, every form of its primitives
 # ---------------------------------------------------------------------------
 
 
 def _join_case(dense, unique_build, indexed=True, probe_index=None,
                left_outer=False, encoded=False, misses=True):
-    """One join of the matrix.  ``pool`` ``None`` is fan-out 1 — the direct
-    ``join_indices`` call; anything else chunks over that pool.  Both are
-    held against ``merge_join_indices``, which sees no index at all.
+    """One join of the matrix, run through ``join`` — a function of
+    ``(left keys, right keys, left index, right index, note)`` such as
+    ``join_indices`` — and held against ``merge_join_indices``, which sees
+    no index at all.
 
     The probe side is 20 000 rows drawn from the build side followed by
-    3 000 misses, so at fan-out 4 against a unique build side three
-    chunks match every row (identity left rows) and the last does not;
-    ``misses=False`` drops the misses, and every row matches.
+    3 000 misses; ``misses=False`` drops the misses, and every row
+    matches.
 
     ``indexed`` hands the build side's ``KeyIndex`` over (a stored
     table's cached one; without it the route sorts for itself);
@@ -537,7 +641,7 @@ def _join_case(dense, unique_build, indexed=True, probe_index=None,
     ``encoded`` gives both sides the dictionary-encoded form over one
     shared dictionary, of which the build side holds a part: the probes
     absent from it are codes without a build row."""
-    def case(pool, note):
+    def case(join, note):
         rng = np.random.default_rng(17 * dense + unique_build)
         if dense:
             build = rng.permutation(5000)
@@ -554,8 +658,8 @@ def _join_case(dense, unique_build, indexed=True, probe_index=None,
             ])
         if probe_index == "stored-sorted":
             probe.sort()
-        # Every chunk is big enough for the bucketed sorted_lookup.
-        assert probe.shape[0] // 4 >= CACHE_KERNEL_MIN_ROWS
+        # Big enough for the bucketed sorted_lookup.
+        assert probe.shape[0] >= CACHE_KERNEL_MIN_ROWS
         left_col, right_col = int_column(probe), int_column(build)
         if encoded:
             dictionary = np.unique(np.concatenate([probe, build]))
@@ -573,12 +677,7 @@ def _join_case(dense, unique_build, indexed=True, probe_index=None,
             left_index.is_sorted == (probe_index == "stored-sorted"))
         expected = merge_join_indices([int_column(probe)],
                                       [int_column(build)])
-        if pool is None:
-            got = join_indices([left_col], [right_col], left_index,
-                               right_index, note)
-        else:
-            got = parallel_join_indices([left_col], [right_col], pool, note,
-                                        left_index, right_index)
+        got = join([left_col], [right_col], left_index, right_index, note)
         if left_outer:
             expected = pad_left_outer(*expected, len(left_col))
             got = pad_left_outer(*got, len(left_col))
@@ -588,7 +687,7 @@ def _join_case(dense, unique_build, indexed=True, probe_index=None,
 
 #: id -> (case, the route it must take).  The two "hash-join" ids
 #: predate the removal of the hash-partitioned join: they are the joins
-#: without a build-side index, which now sort once and chunk the probe.
+#: without a build-side index, which now sort once and probe.
 #: The two "merge-unique" ids likewise predate the removal of the merge
 #: probe (no algorithm reached it once joins ran on codes): they are the
 #: joins that find a probe-side index in hand, which changes no pair.
@@ -621,7 +720,7 @@ KERNEL_CASES = {
         _join_case(True, True, left_outer=True), "dense-unique"),
     "left-sorted-probe": (
         _join_case(False, False, left_outer=True), "indexed-runs"),
-    # Every probe row matches once: identity left rows in every chunk.
+    # Every probe row matches once: identity left rows.
     "dense-unique-all-match": (
         _join_case(True, True, misses=False), "dense-unique"),
     "sorted-unique-all-match": (
@@ -631,16 +730,33 @@ KERNEL_CASES = {
                    misses=False), "dictionary"),
 }
 
-#: Every way a kernel body runs: "serial" is the direct call at fan-out 1,
-#: the others chunk over a four-thread pool of that many segments.
-FAN_OUTS = {"serial": None, "thread": 4, "thread-3": 3, "thread-7": 7}
-MATRIX = [(kernel, fan_out) for kernel in KERNEL_CASES for fan_out in FAN_OUTS]
+#: The cases that sort (``stable_argsort``) or search (``sorted_lookup``)
+#: somewhere: an index build, a route's own sort or a sorted probe.
+PLAIN_NUMPY_CASES = [
+    "hash-join", "left-hash-join", "sorted-unique-probe",
+    "sorted-merge-probe", "merge-unique-probe", "left-merge-unique-probe",
+    "dictionary-duplicate-build", "dense-bucket-probe", "left-sorted-probe",
+    "sorted-unique-all-match",
+]
+
+#: The dense cases -> the route each takes when no key range is dense.
+SPARSE_DISPATCH_ROUTES = {
+    "left-hash-join": "sorted-runs",
+    "dense-unique-probe": "sparse-unique",
+    "dense-bucket-probe": "indexed-runs",
+    "left-dense-probe": "sparse-unique",
+    "dense-unique-all-match": "sparse-unique",
+}
+
+MATRIX = ([(kernel, "serial") for kernel in KERNEL_CASES]
+          + [(kernel, "plain-numpy") for kernel in PLAIN_NUMPY_CASES]
+          + [(kernel, "sparse-dispatch") for kernel in SPARSE_DISPATCH_ROUTES])
 
 
-def _run_case(case, pool):
+def _run_case(case, join=join_indices):
     """Run one matrix case against its reference; returns the route note."""
     note: list = []
-    reference, result = case(pool, note)
+    reference, result = case(join, note)
     assert len(reference) == len(result)
     for expected, got in zip(reference, result):
         assert got.dtype == expected.dtype
@@ -649,103 +765,76 @@ def _run_case(case, pool):
 
 
 @pytest.mark.parametrize(
-    "kernel,fan_out", MATRIX, ids=[f"{k}-{f}" for k, f in MATRIX])
-def test_kernel_matrix_bit_identical(kernel, fan_out):
+    "kernel,column", MATRIX, ids=[f"{k}-{c}" for k, c in MATRIX])
+def test_kernel_matrix_bit_identical(kernel, column, monkeypatch):
     case, route = KERNEL_CASES[kernel]
-    n_segments = FAN_OUTS[fan_out]
-    if n_segments is None:
-        assert _run_case(case, None) == [JOIN_ROUTES[route][0]]
-        return
-    pool = SegmentPool(n_segments, max_workers=4)
-    try:
-        assert _run_case(case, pool) == [JOIN_ROUTES[route][1]]
-    finally:
-        pool.shutdown()
+    primitives: list = []
+    if column == "plain-numpy":
+        monkeypatch.setattr(operators, "CACHE_KERNEL_MIN_ROWS", 1 << 62)
+        for name in ("stable_argsort", "sorted_lookup"):
+            def spy(*args, _real=getattr(operators, name), _name=name,
+                    **kwargs):
+                primitives.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(operators, name, spy)
+    elif column == "sparse-dispatch":
+        monkeypatch.setattr(operators, "DENSE_SPAN_FACTOR", 0)
+        monkeypatch.setattr(operators, "DENSE_SPAN_FLOOR", 0)
+        route = SPARSE_DISPATCH_ROUTES[kernel]
+    assert _run_case(case) == [JOIN_ROUTES[route]]
+    if column == "plain-numpy":
+        assert primitives  # the case did sort or search
 
 
-#: Matrix cases over a unique build side -> whether each of the four
-#: chunks matches every one of its probe rows.
-IDENTITY_CHUNKS = {
-    "dense-unique-probe": [True, True, True, False],
-    "sorted-unique-probe": [True, True, True, False],
-    "dictionary-probe": [True, True, True, False],
-    "left-dense-probe": [True, True, True, False],
-    "dense-unique-all-match": [True] * 4,
-    "sorted-unique-all-match": [True] * 4,
-    "left-dictionary-all-match": [True] * 4,
+@pytest.mark.parametrize("kernel", sorted(KERNEL_CASES))
+def test_retired_parallel_join_indices_is_join_indices(kernel):
+    """The retired entry point ``perf/bench.py`` still calls returns
+    ``join_indices``' rows and note, whatever pool it is handed."""
+    case, route = KERNEL_CASES[kernel]
+    pool = SegmentPool(4)
+
+    def retired(left, right, left_index, right_index, note):
+        return parallel_join_indices(left, right, pool, note, left_index,
+                                     right_index)
+
+    serial_note, retired_note = [], []
+    _, serial = case(join_indices, serial_note)
+    _, got = case(retired, retired_note)
+    assert retired_note == serial_note == [JOIN_ROUTES[route]]
+    for expected, pair in zip(serial, got):
+        assert pair.dtype == expected.dtype
+        assert np.array_equal(expected, pair)
+
+
+#: Matrix cases over a unique build side -> whether every probe row
+#: matches.
+IDENTITY_PROBES = {
+    "dense-unique-probe": False,
+    "sorted-unique-probe": False,
+    "dictionary-probe": False,
+    "left-dense-probe": False,
+    "dense-unique-all-match": True,
+    "sorted-unique-all-match": True,
+    "left-dictionary-all-match": True,
 }
 
 
-@pytest.mark.parametrize("kernel", sorted(IDENTITY_CHUNKS))
-def test_fully_matching_chunks_return_identity_left_rows(kernel,
+@pytest.mark.parametrize("kernel", sorted(IDENTITY_PROBES))
+def test_fully_matching_probes_return_identity_left_rows(kernel,
                                                          monkeypatch):
-    """A chunk whose every probe row found its one build row returns
-    ``None`` left rows, at fan-out 1 and 4; the matrix case's pairs (held
-    against the reference by ``_run_case``) show ``combine`` rebuilt the
-    mixed ``None`` / array chunk lists in probe order."""
-    combined = []
-    combine = JoinRoute.combine
+    """A probe whose every row found its one build row returns ``None``
+    left rows, and one with a miss never does; the matrix case's pairs
+    (held against the reference by ``_run_case``) show the identity is
+    the right answer."""
+    identities = []
+    run = JoinRoute.run
 
-    def recording_combine(route, pairs, spans):
-        combined.append([left is None for left, _ in pairs])
-        return combine(route, pairs, spans)
+    def recording_run(route):
+        pair = run(route)
+        identities.append(pair[0] is None)
+        return pair
 
-    monkeypatch.setattr(JoinRoute, "combine", recording_combine)
+    monkeypatch.setattr(JoinRoute, "run", recording_run)
     case, _ = KERNEL_CASES[kernel]
-    _run_case(case, None)
-    _run_case(case, POOL)
-    chunks = IDENTITY_CHUNKS[kernel]
-    assert combined == [[all(chunks)], chunks]
-
-
-def test_combine_spells_out_identity_chunks_over_their_own_spans():
-    route = JoinRoute("dense-unique")
-    pairs = [(None, np.array([5, 6])), (np.array([3]), np.array([7])),
-             (None, np.array([8, 9]))]
-    spans = [(0, 2), (2, 4), (4, 6)]
-    l_idx, r_idx = route.combine(pairs, spans)
-    assert l_idx.dtype == np.int64
-    assert l_idx.tolist() == [0, 1, 3, 4, 5]
-    assert r_idx.tolist() == [5, 6, 7, 8, 9]
-    identity = [(None, np.array([5, 6])), (None, np.array([7, 8, 9, 4]))]
-    l_idx, r_idx = route.combine(identity, [(0, 2), (2, 6)])
-    assert l_idx is None and r_idx.tolist() == [5, 6, 7, 8, 9, 4]
-    # NULL probe keys were filtered out: positions are surviving rows.
-    route.left_rows = np.array([1, 2, 4, 7, 8, 9])
-    assert route.combine(identity, [(0, 2), (2, 6)])[0] is route.left_rows
-    assert route.combine(pairs, spans)[0].tolist() == [1, 2, 7, 8, 9]
-
-
-@pytest.mark.parametrize("fan_out", ["thread", "thread-3", "thread-7"])
-def test_group_by_over_join_bit_identical_across_fan_outs(fan_out,
-                                                          monkeypatch):
-    """A GROUP BY runs serially over its join's output, which every fan-out
-    must produce in the one-worker order: float sums and averages then
-    match to the bit."""
-    import repro.sqlengine.executor as executor_module
-
-    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
-    query = ("select e.v1, count(*) c, sum(e.f) s, avg(e.f) a, "
-             "min(r.rep) lo, max(case when e.v2 > 50 then e.f end) hi "
-             "from e, r where e.v2 = r.v group by e.v1")
-
-    def run(n_segments, workers):
-        db = Database(n_segments=n_segments, pool_workers=workers)
-        db._executor.use_index_cache = False
-        rng = np.random.default_rng(41)
-        n = 4000
-        db.load_table("e", {"v1": rng.integers(0, 150, n),
-                            "v2": rng.integers(0, 200, n),
-                            "f": rng.normal(size=n)})
-        db.load_table("r", {"v": np.arange(200, dtype=np.int64),
-                            "rep": rng.integers(0, 1 << 40, 200)})
-        return db, db.execute(query).rows()
-
-    reference_db, expected = run(4, 1)
-    reference_db.close()
-    db, rows = run(FAN_OUTS[fan_out], 4)
-    try:
-        assert rows == expected
-        assert db.stats.parallel_partitions == FAN_OUTS[fan_out]
-    finally:
-        db.close()
+    _run_case(case)
+    assert identities == [IDENTITY_PROBES[kernel]]

@@ -124,23 +124,17 @@ def test_alias_digit_suffixes_invalidate_stale_plans(db):
     assert second.relation.display_names == ["c2", "v2"]
 
 
-def test_database_close_releases_pool_threads():
-    import repro.sqlengine.executor as executor_module
-
-    with Database(n_segments=4, pool_workers=4) as db:
-        db._executor.use_index_cache = False
+def test_database_close_keeps_cached_plans():
+    """``close()`` releases nothing: a statement after it re-runs its
+    template's cached physical plan."""
+    with Database(n_segments=4) as db:
         db.execute("create table t (v int64)")
         db.execute("insert into t values (1), (2), (3)")
-        original = executor_module.PARALLEL_MIN_ROWS
-        executor_module.PARALLEL_MIN_ROWS = 1
-        try:
-            db.execute("select t.v from t, t as u where t.v = u.v")
-        finally:
-            executor_module.PARALLEL_MIN_ROWS = original
-        assert db.stats.parallel_partitions > 0
-        assert db.pool._pool is not None
-    assert db.pool._pool is None  # close() released the workers
-    # The database stays usable after close.
+        query = "select t.v from t, t as u where t.v = u.v"
+        rows = db.execute(query).rows()
+    hits = db.stats.physical_plan_hits
+    assert db.execute(query).rows() == rows
+    assert db.stats.physical_plan_hits == hits + 1
     assert db.execute("select count(*) from t").scalar() == 3
 
 
@@ -219,7 +213,7 @@ def test_rename_does_not_serve_stale_data(db):
 
 def _two_table_db() -> Database:
     """Teed: every ``execute`` is also compared with sqlite's result."""
-    db = tee(Database(n_segments=4, pool_workers=1))
+    db = tee(Database(n_segments=4))
     rng = np.random.default_rng(42)
     n = 4000
     db.load_table("graph2", {
@@ -594,7 +588,7 @@ def test_all_matching_join_passes_the_probe_side_through(monkeypatch):
     object, and ``CREATE TABLE AS`` stores it as it is."""
     applied = _record_identity_joins(monkeypatch)
     rng = np.random.default_rng(8)
-    with Database(pool_workers=1) as db:
+    with Database() as db:
         db.load_table("e", {"v1": rng.integers(0, 300, 2000),
                             "v2": rng.integers(0, 300, 2000)})
         db.load_table("r", {"v": rng.permutation(300),

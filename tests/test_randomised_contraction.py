@@ -213,17 +213,17 @@ def _run_logged(edges, seed, database=None, **algorithm):
 ])
 def test_count_metrics_are_per_seed_constants(method, graph):
     """Peak space, bytes written, the query count and the statement log
-    are constants of the seed: two runs of one seed on a four-worker
-    database agree, and equal a one-worker run.  On the path (one
-    component) the composition joins codes, on the random graph plain
-    keys once a component has finished."""
+    are constants of the seed: two runs of one seed agree, and equal a run
+    on a one-segment cluster (segments change motion, nothing else).  On
+    the path (one component) the composition joins codes, on the random
+    graph plain keys once a component has finished."""
     from repro.graphs import gnm_random_graph
     edges = (gnm_random_graph(800, 1400, np.random.default_rng(13))
              if graph == "gnm" else path_graph(600))
     algorithm = {"method": method, "variant": "deterministic-space"}
-    first = _run_logged(edges, 6, {"pool_workers": 4}, **algorithm)
-    assert _run_logged(edges, 6, {"pool_workers": 4}, **algorithm) == first
-    assert _run_logged(edges, 6, {"pool_workers": 1}, **algorithm) == first
+    first = _run_logged(edges, 6, **algorithm)
+    assert _run_logged(edges, 6, **algorithm) == first
+    assert _run_logged(edges, 6, {"n_segments": 1}, **algorithm) == first
     assert first[0][3] > 2  # the loop composed more than once
 
 
@@ -234,8 +234,7 @@ def test_round_statements_follow_figure3(method):
     representatives as the labels instead of composing."""
     from repro.graphs import gnm_random_graph
     edges = gnm_random_graph(600, 1000, np.random.default_rng(21))
-    (*_, rounds), log = _run_logged(edges, 6, {"pool_workers": 4},
-                                    method=method,
+    (*_, rounds), log = _run_logged(edges, 6, method=method,
                                     variant="deterministic-space")
     labels = [label.rpartition(":")[2] for label, _ in log]
     table = method == "random-reals"
@@ -253,14 +252,14 @@ def test_round_statements_follow_figure3(method):
 
 @pytest.mark.parametrize("method", ["finite-fields", "prime-field",
                                     "identity"])
-def test_fast_variant_statements_do_not_depend_on_the_pool_width(method):
+def test_fast_variant_statements_do_not_depend_on_the_segment_count(method):
     """The fast variant's forward loop and back-to-front composition chain
-    issue the same statements, with the same counts, at every pool
-    width."""
+    issue the same statements, with the same counts, on a one-segment
+    cluster as on the default four."""
     from repro.graphs import gnm_random_graph
     edges = gnm_random_graph(800, 1000, np.random.default_rng(29))
-    wide = _run_logged(edges, 11, {"pool_workers": 4}, method=method)
-    assert wide == _run_logged(edges, 11, {"pool_workers": 1},
+    wide = _run_logged(edges, 11, method=method)
+    assert wide == _run_logged(edges, 11, {"n_segments": 1},
                                method=method)
     assert wide[0][3] - 1 >= 2  # the graph must actually exercise the chain
     assert sum(label.endswith(":compose") for label, _ in wide[1]) \
@@ -280,38 +279,51 @@ def test_space_budget_does_not_change_the_run(method, variant):
     from repro.graphs import gnm_random_graph
     edges = gnm_random_graph(300, 500, np.random.default_rng(2))
     algorithm = {"method": method, "variant": variant}
-    free = _run_logged(edges, 3, {"pool_workers": 4}, **algorithm)
-    budget = {"pool_workers": 4, "space_budget_bytes": 1 << 30}
+    free = _run_logged(edges, 3, **algorithm)
+    budget = {"space_budget_bytes": 1 << 30}
     assert _run_logged(edges, 3, budget, **algorithm) == free
 
 
 @pytest.mark.parametrize("variant", ["fast", "deterministic-space"])
-def test_one_worker_database_is_serial_with_the_default_labels(
-        variant, monkeypatch):
-    """``pool_workers=1`` is the serial engine: no kernel fans out, no
-    pool thread is ever created — and the labels are the default
-    database's, row for row, even with that one chunking every join it
-    can."""
+def test_run_does_not_depend_on_the_host_core_count(variant, monkeypatch):
+    """Nothing a run does reads the host's core count.  On G(70k, 140k),
+    whose doubled edge table is above the size at which joins were once
+    cut into per-core chunks, a run on a host reporting one core and one
+    reporting sixteen issue the same statements, move the same counters,
+    record the same kernel note on every join step of their physical
+    plans and label alike."""
+    import os
+
     import repro.sqlengine.executor as executor_module
     from repro.graphs import gnm_random_graph
 
-    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
-    edges = gnm_random_graph(700, 1200, np.random.default_rng(3))
+    edges = gnm_random_graph(70_000, 140_000, np.random.default_rng(23))
+    join_step = executor_module.Executor._join_step
 
-    def run(**pool):
-        with Database(**pool) as db:
+    def run(cores):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        kernels = []
+
+        def recording(self, chain, right, step, outer=False):
+            join_step(self, chain, right, step, outer)
+            kernels.append(step.kernel)
+
+        monkeypatch.setattr(executor_module.Executor, "_join_step",
+                            recording)
+        with Database() as db:
             load_edges_into(db, "edges", edges)
+            db.reset_stats()
             result = RandomisedContraction(variant=variant).run(
                 db, "edges", seed=8)
-            return db, result.labels(db), db.stats.snapshot()
+            log = [(record.label, record.sql) for record in db.stats.log]
+            return log, db.stats.snapshot(), kernels, result.labels(db)
 
-    serial_db, serial_labels, serial_stats = run(pool_workers=1)
-    assert serial_db.pool.n_workers == 1
-    assert serial_db.pool._pool is None
-    assert serial_stats.parallel_partitions == 0
-    _, default_labels, _ = run()
-    for got, expected in zip(serial_labels, default_labels, strict=True):
+    one = run(1)
+    sixteen = run(16)
+    assert one[:3] == sixteen[:3]
+    for got, expected in zip(sixteen[3], one[3], strict=True):
         assert np.array_equal(got, expected)
+    assert "dense" in one[2]  # round 1 probed a dense table, unchunked
 
 
 @pytest.mark.parametrize("variant", ["fast", "deterministic-space"])

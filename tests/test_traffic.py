@@ -12,12 +12,11 @@ counters of removed machinery, which no run may move at all.  A new fast
 path therefore lands together with an algorithm that reaches it, or with
 a reason here.
 
-Three join kernels share the ``parallel_partitions`` counter, so the
-counters cannot tell which of them ran.  The *route* registry can: every
+No counter says which join kernel ran.  The *route* registry does: every
 note ``operators.JOIN_ROUTES`` lets the join planner report must be
-reached too — the fan-out-1 notes by the runs above, the pool notes by the
-same runs with ``executor.PARALLEL_MIN_ROWS`` lowered (the graphs are
-small) — or sit in its own allow-list.
+reached by the runs above too, or sit in its own allow-list.  Neither
+check depends on the host: the engine starts no thread, so every host
+sees the same counters and notes.
 """
 
 import numpy as np
@@ -44,25 +43,12 @@ from repro.sqlengine.operators import JOIN_ROUTES
 NO_TRAFFIC_EXPECTED = {
     "physical_plan_invalidations":
         "safety counter: a cached plan failing its schema/binding check",
-    "parallel_indexed_probes":
-        "size-gated (PARALLEL_MIN_ROWS sparse-key probes): plain keys are "
-        "probed in round 1 of a sparse-id graph, and by the "
-        "deterministic-space composition once a component has finished "
-        "(its label rows are null-extended, so the labels stay plain); "
-        "every graph below is smaller than the gate",
     "hash_distincts":
         "the fallback of the packed-code DISTINCT, for plain 64-bit pairs "
         "and words over 63 bits: every sparse DISTINCT input of the "
         "algorithms is a pair of encoded gathers now "
         "(tests/test_physical_plans.py pins both sides); perf/bench.py "
         "probes the kernel and reads the counter",
-}
-
-#: Counters that need two pool workers; a one-CPU host's default pool has
-#: a single worker and runs every kernel inline.
-NEEDS_TWO_WORKERS = {
-    "parallel_partitions",
-    "parallel_dense_probes",
 }
 
 
@@ -77,11 +63,6 @@ NO_ROUTE_TRAFFIC_EXPECTED = {
     "merge-indexed":
         "duplicate build keys behind a cached index: the kernel body of "
         "the reached 'merge' route, which differs only in who sorted",
-    "parallel-merge-probe": "'merge-indexed' over a pool: same body",
-    "parallel-merge":
-        "a build side without an index at fan-out k: the no-index joins "
-        "of the algorithms are two-column, outside the shape a pool "
-        "chunks; the fuzz harness and the kernel matrix reach it",
 }
 
 
@@ -123,9 +104,9 @@ def _configurations():
             yield f"{name}/{graph_name}", factory, edges
 
 
-def _run_everything(monkeypatch) -> tuple[set, set, int]:
+def _run_everything(monkeypatch) -> tuple[set, set]:
     """Run every configuration on a default ``Database()``; returns the
-    counters that moved, the join-route notes reported and the pool width."""
+    counters that moved and the join-route notes reported."""
     notes: set[str] = set()
     dispatch_join = executor_module.Executor._dispatch_join
 
@@ -146,10 +127,9 @@ def _run_everything(monkeypatch) -> tuple[set, set, int]:
             result = factory().run(db, "edges", seed=5)
             assert result.n_labelled > 0, run_name
             snapshot = db.stats.snapshot()
-            workers = db.pool.n_workers
         moved.update(name for name in stats.COUNTERS
                      if getattr(snapshot, name))
-    return moved, notes, workers
+    return moved, notes
 
 
 @pytest.fixture(scope="module")
@@ -161,37 +141,26 @@ def default_traffic():
 def test_every_counter_sees_traffic_from_some_algorithm(default_traffic):
     assert set(NO_TRAFFIC_EXPECTED) <= set(stats.COUNTERS)
     assert stats.RETIRED <= set(stats.COUNTERS)
-    assert not stats.RETIRED & (set(NO_TRAFFIC_EXPECTED) | NEEDS_TWO_WORKERS)
+    assert not stats.RETIRED & set(NO_TRAFFIC_EXPECTED)
     assert all(NO_TRAFFIC_EXPECTED.values())  # one reason per name
-    seen, _, workers = default_traffic
+    seen, _ = default_traffic
     assert seen & stats.RETIRED == set(), "a retired counter moved"
     allowed = set(NO_TRAFFIC_EXPECTED) | stats.RETIRED
-    if workers < 2:
-        allowed |= NEEDS_TWO_WORKERS
     assert set(stats.COUNTERS) - seen - allowed == set(), (
         "counters no algorithm reaches: delete the path or list a reason")
     # An allow-list entry some algorithm does move is stale.
-    if workers >= 2:
-        assert seen & set(NO_TRAFFIC_EXPECTED) == set()
+    assert seen & set(NO_TRAFFIC_EXPECTED) == set()
 
 
-def test_every_join_route_is_reached_by_some_algorithm(default_traffic,
-                                                       monkeypatch):
-    serial_notes = {serial for serial, _ in JOIN_ROUTES.values()}
-    pool_notes = {chunked for _, chunked in JOIN_ROUTES.values() if chunked}
-    assert set(NO_ROUTE_TRAFFIC_EXPECTED) <= serial_notes | pool_notes
+def test_every_join_route_is_reached_by_some_algorithm(default_traffic):
+    notes = set(JOIN_ROUTES.values())
+    assert set(NO_ROUTE_TRAFFIC_EXPECTED) <= notes
     assert all(NO_ROUTE_TRAFFIC_EXPECTED.values())  # one reason per name
-    _, seen, workers = default_traffic
-    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
-    seen = seen | _run_everything(monkeypatch)[1]
+    _, seen = default_traffic
     # The planner reports nothing outside its registry ...
-    assert seen <= serial_notes | pool_notes
+    assert seen <= notes
     # ... and nothing in it goes unused without a stated reason.
-    allowed = set(NO_ROUTE_TRAFFIC_EXPECTED)
-    if workers < 2:
-        allowed |= pool_notes
-    assert (serial_notes | pool_notes) - seen - allowed == set(), (
+    assert notes - seen - set(NO_ROUTE_TRAFFIC_EXPECTED) == set(), (
         "join routes no algorithm reaches: delete the route or list a reason")
     # An allow-list entry some algorithm does reach is stale.
-    if workers >= 2:
-        assert seen & set(NO_ROUTE_TRAFFIC_EXPECTED) == set()
+    assert seen & set(NO_ROUTE_TRAFFIC_EXPECTED) == set()

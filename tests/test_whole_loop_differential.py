@@ -18,7 +18,7 @@ partition must be union-find's.
 
 What an outside engine cannot referee — row order — stays an
 engine-vs-engine contract: the loop's stored tables are byte-identical
-whatever the pool's width and fan-out.
+whatever the database's options.
 """
 
 from __future__ import annotations
@@ -173,19 +173,15 @@ def _stored_tables(edges: EdgeList, variant: str, **database):
 
 @pytest.mark.parametrize("variant", ["fast", "deterministic-space"])
 @pytest.mark.parametrize("database", [
-    {"pool_workers": 1},
-    {"pool_workers": 4},
+    {"n_segments": 1},
+    {"space_budget_bytes": 1 << 30},
 ], ids=lambda options: ",".join(f"{k}={v}" for k, v in options.items()))
 def test_encoded_loop_is_bit_identical_on_every_configuration(
-        variant, database, monkeypatch):
-    """The pool's width and fan-out decide nothing about which columns are
-    encoded, so neither may move a label — or a row of any table a round
-    stores, DISTINCT outputs in key order included.  With
-    ``PARALLEL_MIN_ROWS`` lowered, the four-worker loop chunks every join
-    it can."""
-    import repro.sqlengine.executor as executor_module
-
-    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ROWS", 1)
+        variant, database):
+    """A database's options — its segment count (motion only) and a space
+    budget the run fits in — decide nothing about which columns are
+    encoded, so none may move a label — or a row of any table a round
+    stores, DISTINCT outputs in key order included."""
     edges = GRAPHS["gnm"]()
     expected = _stored_tables(edges, variant)
     got = _stored_tables(edges, variant, **database)
