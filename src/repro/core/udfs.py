@@ -13,8 +13,13 @@ preparation (the GF(2^64) byte tables, the Blowfish key schedule) is cached
 across calls exactly like a C UDF would keep state per prepared statement.
 
 All three are registered ``immutable=True`` — each is a function of its
-arguments alone — so over a dictionary-encoded edge column the engine
-evaluates them once per distinct vertex id rather than once per edge row.
+arguments alone — so over an edge column the engine evaluates them once
+per distinct vertex id rather than once per edge row: over the
+dictionary of an encoded column, over the occurring ids of round 1's
+plain dense one, and not again for the group keys of the same statement
+or a later call over the same vertex set (see
+:mod:`repro.sqlengine.functions`).  Column arguments arrive as int64 and
+are reinterpreted as uint64 in place, without a copy.
 """
 
 from __future__ import annotations
@@ -34,7 +39,10 @@ UDF_NAMES = ("axplusb", "axbmodp", "blowfish")
 def _as_uint64(x) -> np.ndarray:
     if np.isscalar(x) or not isinstance(x, np.ndarray):
         x = np.array([x])
-    return np.ascontiguousarray(x).astype(np.uint64, copy=False)
+    x = np.ascontiguousarray(x)
+    # Same bits, no copy: ``astype`` copies across dtypes even when asked not to.
+    return x.view(np.uint64) if x.dtype == np.int64 \
+        else x.astype(np.uint64, copy=False)
 
 
 def register_udfs(db: Database) -> None:

@@ -64,7 +64,8 @@ encoded form stays NULL-free.  ``take`` / ``filter`` carry the form,
 columns it is handed, not by a flag: joins of two columns over one
 dictionary take the planner's ``dictionary`` route, ``v1 != r2.rep``
 compares codes (:mod:`~repro.sqlengine.expressions`), an immutable UDF is
-applied to the dictionary (:mod:`~repro.sqlengine.functions`), DISTINCT
+applied to the dictionary, once for every call over it
+(:mod:`~repro.sqlengine.functions`), DISTINCT
 packs and sorts the codes, GROUP BY finds that output sorted.  The rule
 reads a join's row counts, whether a gathered row is null-extended and a
 column's provenance — nothing about how the statement runs — so the form,

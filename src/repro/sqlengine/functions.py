@@ -17,22 +17,38 @@ Volatility: ``register_udf(..., immutable=False)`` (and
 ``Database.create_function``) is the default — the function is called with
 every row of its column arguments, every time.  Declaring
 ``immutable=True`` says what PostgreSQL's ``IMMUTABLE`` says: a row's
-result depends on that row's arguments alone.  The engine then calls the
-function once per *distinct* value where it has the distinct values in
-hand — over a dictionary-encoded column argument (see
-:mod:`repro.sqlengine.types`) it is applied to the dictionary and the
-results are gathered through the codes, |V| field multiplications instead
-of 2|E| in a contraction round.
+result depends on that row's arguments alone.  The engine then calls
+the function once per *distinct* value of a lone NULL-free integer
+column argument whose values have dense *slots* — an encoded column's
+codes (see :mod:`repro.sqlengine.types`), a plain column's ``v - min``
+over a span :func:`~repro.sqlengine.operators._dense_span_limit` admits
+(round 1's vertex ids) — and gathers the results back through the slots:
+
+* an encoded column at least as long as its dictionary is evaluated over
+  the whole dictionary, values of the stored column it encodes;
+* any other such column over the values that *occur* (a presence mask
+  over the slots).  A value no row holds is never passed: a partial
+  function such as ``axbmodp`` sees only what the query supplied.
+
+That is |V| field multiplications instead of 2|E| in a contraction
+round.  Each such function also keeps its last evaluation, keyed by its
+literal arguments and its domain — the dictionary object (read-only, and
+held, so its identity stands for its content) or the plain span — with
+the evaluated-presence mask, and a later call whose rows all lie in that
+domain is a gather with no call at all.  So ``least(h(v1),
+min(h(v2)))`` evaluates ``h`` once per round: the group keys ``v1`` lie
+in the domain the aggregate's call over ``v2`` just evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import CatalogError, ExecutionError
+from .operators import _dense_span_limit
 from .types import BOOL, FLOAT64, INT64, TEXT, Column, dtype_for
 
 #: Marker for scalar (literal) arguments inside evaluated argument lists.
@@ -186,6 +202,36 @@ def _union_masks(columns: Sequence[Column], length: int) -> np.ndarray | None:
     return mask
 
 
+class _EvaluatedDomain:
+    """An immutable UDF's last evaluation: ``results[s]`` is its value at
+    slot ``s`` of a domain — code ``s`` of ``dictionary``, or id ``low +
+    s`` of a plain column — under the literal arguments ``literals``, for
+    every slot ``present`` marks (``None``: every slot).  Holding
+    ``dictionary`` keeps its identity from being recycled; it is
+    read-only, so identity implies content."""
+
+    __slots__ = ("literals", "dictionary", "low", "present", "results")
+
+    def __init__(self, literals: tuple, dictionary: Optional[np.ndarray],
+                 low: int, present: Optional[np.ndarray],
+                 results: np.ndarray):
+        self.literals = literals
+        self.dictionary = dictionary
+        self.low = low
+        self.present = present
+        self.results = results
+
+    def covers(self, literals: tuple, dictionary: Optional[np.ndarray],
+               low: int, span: int) -> bool:
+        """Whether a call with these literals over slots ``[low, low +
+        span)`` of ``dictionary`` (plain ids when ``None``) falls in this
+        domain's range; the caller still checks ``present``."""
+        return (self.dictionary is dictionary
+                and self.literals == literals
+                and self.low <= low
+                and low + span <= self.low + self.results.shape[0])
+
+
 class FunctionRegistry:
     """Name → implementation mapping for scalar functions."""
 
@@ -222,32 +268,17 @@ class FunctionRegistry:
 
         ``immutable`` declares, as PostgreSQL's ``IMMUTABLE`` does, that a
         row's result depends on that row's arguments alone.  The engine may
-        then evaluate the function once per *distinct* argument value: over
-        a dictionary-encoded column it is applied to the dictionary and the
-        results gathered through the codes.  A function not so declared is
-        called with every row, always.
+        then evaluate the function once per *distinct* argument value —
+        over an encoded column's dictionary, or the values a dense column
+        holds — with the results gathered back per row, and not at all
+        when the previous call's evaluation, for the same literals,
+        already covers every row (see the module docstring).  A function
+        not so declared is called with every row, always.
         """
         lowered = name.lower()
+        last: list[Optional[_EvaluatedDomain]] = [None]
 
-        def call(args: Sequence[ArgValue], length: int) -> Column:
-            columns = [arg for arg in args if not isinstance(arg, ScalarArg)]
-            encoded = None
-            if (
-                immutable
-                and len(columns) == 1
-                and columns[0].codes is not None
-                and columns[0].dictionary.shape[0] < length
-            ):
-                # The one column argument is encoded and the literals are
-                # the same for every row: call once per distinct value.
-                encoded = columns[0]
-            n_calls = length if encoded is None \
-                else int(encoded.dictionary.shape[0])
-            raw = [
-                arg.value if isinstance(arg, ScalarArg)
-                else arg.values if encoded is None else arg.dictionary
-                for arg in args
-            ]
+        def evaluate(raw: list, n_calls: int) -> np.ndarray:
             result = np.asarray(fn(*raw))
             if result.ndim == 0:
                 result = np.full(n_calls, result[()])
@@ -255,8 +286,73 @@ class FunctionRegistry:
                 raise ExecutionError(
                     f"UDF {name} returned {result.shape[0]} rows, expected {n_calls}"
                 )
-            if encoded is not None:
-                result = result[encoded.codes]
+            return result
+
+        def per_value(args: Sequence[ArgValue], column: Column,
+                      length: int) -> Optional[np.ndarray]:
+            """The result rows through one evaluation per distinct value
+            (or none, when ``last`` already holds them); ``None`` for a
+            column without a dense set of distinct values."""
+            if length == 0 or column.mask is not None \
+                    or column.storage.dtype.kind != "i":
+                return None
+            literals = tuple((type(arg.value), arg.value)
+                             if isinstance(arg, ScalarArg) else None
+                             for arg in args)
+            dictionary = column.dictionary
+            if dictionary is None:
+                values = column.values
+                low = int(values.min())
+                span = int(values.max()) - low + 1
+            else:
+                low, span = 0, int(dictionary.shape[0])
+            domain = last[0]
+            if domain is not None and domain.covers(literals, dictionary,
+                                                    low, span):
+                slots = column.codes if dictionary is not None \
+                    else values - domain.low if domain.low else values
+                if domain.present is None or domain.present[slots].all():
+                    return domain.results[slots]
+
+            def applied(domain_values: np.ndarray) -> np.ndarray:
+                return evaluate(
+                    [arg.value if isinstance(arg, ScalarArg) else domain_values
+                     for arg in args], int(domain_values.shape[0]))
+
+            if dictionary is not None and span <= length:
+                # Every entry is a value of the stored column the
+                # dictionary encodes: evaluate them all, no presence pass.
+                slots, present, results = column.codes, None, \
+                    applied(dictionary)
+            elif span <= _dense_span_limit(length):
+                # Only the values that occur: a partial function must not
+                # see a slot's value that no row holds.
+                slots = column.codes if dictionary is not None \
+                    else values - low if low else values
+                present = np.zeros(span, dtype=bool)
+                present[slots] = True
+                occurring = np.flatnonzero(present)
+                evaluated = applied(occurring + low if dictionary is None
+                                    else dictionary[occurring])
+                results = np.zeros(span, dtype=evaluated.dtype)
+                results[occurring] = evaluated
+            else:
+                return None
+            last[0] = _EvaluatedDomain(literals, dictionary, low, present,
+                                       results)
+            return results[slots]
+
+        def call(args: Sequence[ArgValue], length: int) -> Column:
+            columns = [arg for arg in args if not isinstance(arg, ScalarArg)]
+            result = None
+            if immutable and len(columns) == 1:
+                # The literals are the same for every row: one call per
+                # distinct value of the one column argument.
+                result = per_value(args, columns[0], length)
+            if result is None:
+                result = evaluate(
+                    [arg.value if isinstance(arg, ScalarArg) else arg.values
+                     for arg in args], length)
             mask = _union_masks(columns, length)
             if returns == TEXT:
                 values = result.astype(object)

@@ -220,11 +220,15 @@ class KeyIndex:
     here gathers a value until a join asks for ``sorted_values``; grouping
     reads ``sorted_keys`` and never does.  ``min_value`` / ``max_value``
     are values either way.
+
+    ``histogram``, kept from the build over dense plain keys only, counts
+    the rows of each key in ``[min_value, max_value]``: the direct-address
+    GROUP BY over the same column reads it instead of counting again.
     """
 
     __slots__ = ("_keys", "n_rows", "is_unique", "min_value", "max_value",
                  "is_sorted", "_order", "_sorted_keys", "_dictionary",
-                 "_sorted_values")
+                 "_sorted_values", "histogram")
 
     def __init__(
         self,
@@ -236,6 +240,7 @@ class KeyIndex:
         sorted_keys: Optional[np.ndarray] = None,
         is_sorted: bool = False,
         dictionary: Optional[np.ndarray] = None,
+        histogram: Optional[np.ndarray] = None,
     ):
         self._keys = keys
         self.n_rows = int(keys.shape[0])
@@ -251,6 +256,7 @@ class KeyIndex:
         self._sorted_keys = sorted_keys
         self._dictionary = dictionary
         self._sorted_values: Optional[np.ndarray] = None
+        self.histogram = histogram
 
     @property
     def order(self) -> np.ndarray:
@@ -313,7 +319,8 @@ def build_key_index(
             counts = np.bincount(values - low)
             return KeyIndex(values, int(counts.max()) <= 1, min_value,
                             max_value, is_sorted=is_sorted,
-                            dictionary=dictionary)
+                            dictionary=dictionary,
+                            histogram=counts if dictionary is None else None)
     if is_sorted:
         # Pre-sorted storage (e.g. any GROUP BY output): the stable argsort
         # is the identity, so sorted consumers are free.
@@ -776,15 +783,18 @@ class DirectGroups:
     belongs to slot ``slots[i]`` of ``span``; the groups are the slots
     that occur, ``present``, ascending — the key order :func:`group_rows`
     yields — with ``counts`` rows each, and group ``g``'s key is
-    ``low + present[g]``."""
+    ``low + present[g]``.  ``per_slot``, when the caller has it, is the
+    keys' histogram over the span."""
 
     __slots__ = ("slots", "span", "low", "present", "counts")
 
-    def __init__(self, keys: np.ndarray, low: int, span: int):
+    def __init__(self, keys: np.ndarray, low: int, span: int,
+                 per_slot: Optional[np.ndarray] = None):
         self.slots = keys - low if low else keys
         self.span = span
         self.low = low
-        per_slot = np.bincount(self.slots, minlength=span)
+        if per_slot is None:
+            per_slot = np.bincount(self.slots, minlength=span)
         self.present = np.flatnonzero(per_slot)
         self.counts = per_slot[self.present]
 
@@ -798,20 +808,24 @@ def direct_group_rows(
     length); ``None`` otherwise.  ``bincount`` is 3 ns/row and a
     ``ufunc.at`` reduction 4–6, against 60 for :func:`stable_argsort`
     plus a gather per aggregate: what round 1 of a contraction, whose ids
-    nothing has sorted yet, spends its GROUP BY on."""
+    nothing has sorted yet, spends its GROUP BY on.  An ``index`` built
+    over the same dense keys hands over its histogram, so they are
+    counted once."""
     n = len(key)
     if n == 0 or key.mask is not None or key.storage.dtype.kind != "i":
         return None
     keys = key.storage
+    per_slot = None
     if key.codes is not None:
         low, high = 0, int(key.dictionary.shape[0]) - 1
     elif index is not None and index.min_value is not None:
         low, high = index.min_value, index.max_value
+        per_slot = index.histogram
     else:
         low, high = int(keys.min()), int(keys.max())
     if high - low + 1 > _dense_span_limit(n):
         return None
-    return DirectGroups(keys, low, high - low + 1)
+    return DirectGroups(keys, low, high - low + 1, per_slot)
 
 
 def sorted_group_rows(key_columns: list[Column]) -> tuple[np.ndarray, np.ndarray]:
@@ -820,17 +834,24 @@ def sorted_group_rows(key_columns: list[Column]) -> tuple[np.ndarray, np.ndarray
     n = len(key_columns[0]) if key_columns else 0
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    masks = [col.null_mask() for col in key_columns]
+    # A NULL row's value is whatever its storage holds (a null-extended
+    # gather leaves another row's): sorting on it would part NULL rows
+    # that later keys make equal, so every numeric NULL sorts as zero.
+    values = [col.values if col.mask is None or col.values.dtype == object
+              else np.where(col.mask, col.values.dtype.type(0), col.values)
+              for col in key_columns]
     sort_keys: list[np.ndarray] = []
-    for col in key_columns:
-        sort_keys.append(col.null_mask())
-        sort_keys.append(col.values)
+    for mask, column_values in zip(masks, values):
+        sort_keys.append(mask)
+        sort_keys.append(column_values)
     # np.lexsort sorts by the *last* key first.
     order = np.lexsort(tuple(reversed(sort_keys)))
     change = np.zeros(n, dtype=bool)
     change[0] = True
-    for col in key_columns:
-        values_sorted = col.values[order]
-        mask_sorted = col.null_mask()[order]
+    for mask, column_values in zip(masks, values):
+        values_sorted = column_values[order]
+        mask_sorted = mask[order]
         differs = values_sorted[1:] != values_sorted[:-1]
         differs |= mask_sorted[1:] != mask_sorted[:-1]
         # Two NULLs compare equal regardless of their underlying values.

@@ -95,7 +95,10 @@ class Column:
                 values: Optional[np.ndarray] = None) -> "Column":
         """The dictionary-encoded form: row ``i`` holds
         ``dictionary[codes[i]]``; ``dictionary`` is sorted and unique.
-        ``values`` may hand over the rows where they already exist."""
+        ``values`` may hand over the rows where they already exist.  The
+        dictionary is made read-only here: columns, indexes and UDF
+        evaluations that share it key on its identity."""
+        dictionary.flags.writeable = False
         column = cls(values, INT64)
         column.codes = codes
         column.dictionary = dictionary

@@ -13,10 +13,12 @@ This harness generates seeded random SELECT statements (join chains up to
 depth 3, DISTINCT, GROUP BY with aggregates, LEFT OUTER JOIN — including
 a dedicated arm grouping on the outer-padded final binding, where padded
 rows must form NULL-key groups — negative constants, NULL-bearing
-columns, IS NULL predicates, UNION ALL arms, and subquery FROM items —
+columns, IS NULL predicates, UNION ALL arms, subquery FROM items —
 plain, aggregated, and
-UNION ALL subqueries joined like tables) over small random tables, and
-holds each statement to two contracts:
+UNION ALL subqueries joined like tables — and calls of an immutable UDF
+over dense, sparse, encoded and NULL-bearing columns, including the
+contraction's ``least(udf(k), min(udf(v)))`` shape) over small random
+tables, and holds each statement to two contracts:
 
 * **Row content, against an engine that shares nothing with ours.**  The
   statement runs unmodified on stdlib ``sqlite3`` (``tests/sqlite_oracle.py``
@@ -37,6 +39,12 @@ holds each statement to two contracts:
   relation (key order over dictionary-encoded columns — there is no size
   gate, so fuzz-sized tables are encoded like million-row ones — first
   occurrence otherwise), so the two executions must agree on it too.
+
+The UDF is registered ``immutable`` on the engine, so a call over a dense
+column evaluates it once per occurring value and a later call over the
+same domain reuses that evaluation (the warm pass always can), and as a
+strict scalar callback on sqlite.  The harness asserts that both kinds of
+evaluation domain — a dictionary and a plain id span — were built.
 
 The input gates of the cache-conscious sort and probe primitives
 (``operators.CACHE_KERNEL_MIN_ROWS``, ``PRESORTED_MAX_DESCENTS``) are
@@ -65,7 +73,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from repro.sqlengine import Database, operators
+from repro.sqlengine import Database, functions, operators
 
 from .sqlite_oracle import SqliteOracle, sorted_rows
 
@@ -93,6 +101,17 @@ ALIASES = [("t0", "x"), ("t1", "y"), ("t2", "z"), ("t0", "w")]
 
 def planned_db() -> Database:
     return Database(n_segments=4)
+
+
+def fuzz_udf(scale, x):
+    """The harness's immutable UDF: an integer polynomial that numpy and
+    sqlite's scalar callback compute alike."""
+    x = np.asarray(x, dtype=np.int64)
+    return x * x * scale + 3 * x
+
+
+#: Literal first arguments of ``udf``: few, so calls repeat domains.
+UDF_SCALES = (1, 2, -3)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +223,10 @@ def _projection_item(rand: random.Random, uses: list[tuple],
     column = rand.choice(columns)
     ref = f"{alias}.{column}"
     roll = rand.random()
+    if roll < 0.12:
+        # Small ids are a dense span; scaled up they are sparse.
+        scaled = " * 1000003" if rand.random() < 0.3 else ""
+        return f"udf({rand.choice(UDF_SCALES)}, {ref}{scaled}) c{position}"
     if roll < 0.2:
         return f"{ref} + {rand.randint(-3, 3)} c{position}"
     if roll < 0.3:
@@ -272,6 +295,14 @@ def _generate_core(rand: random.Random,
                 items.append(f"count(distinct {argument}) d{position}")
             else:
                 items.append(f"{fn}({argument}) f{position}")
+        if rand.random() < 0.3:
+            # The contraction's reps shape: the group key and the
+            # aggregated column through one UDF.
+            columns, alias, _ = rand.choice(uses)
+            scale = rand.choice(UDF_SCALES)
+            items.append(f"least(udf({scale}, {keys[0]}), "
+                         f"min(udf({scale}, {alias}.{rand.choice(columns)})))"
+                         " u")
         select_sql = ", ".join(items)
         tail = f" group by {', '.join(keys)}"
         distinct = ""
@@ -326,11 +357,19 @@ def test_differential_fuzz(monkeypatch):
         return route
 
     monkeypatch.setattr(executor_module, "plan_join", recording_plan_join)
+    domains = {"dictionary": 0, "span": 0}
+    evaluated_domain = functions._EvaluatedDomain
+
+    def recording_domain(literals, dictionary, *args):
+        domains["span" if dictionary is None else "dictionary"] += 1
+        return evaluated_domain(literals, dictionary, *args)
+
+    monkeypatch.setattr(functions, "_EvaluatedDomain", recording_domain)
     rand = random.Random(FUZZ_SEED)
     executed = 0
     engaged = {"chain": 0, "fused": 0, "left_chain": 0, "encoded": 0}
     shapes = {"union_all": 0, "subquery_from": 0, "outer_group": 0,
-              "inner_group": 0, "distinct": 0}
+              "inner_group": 0, "distinct": 0, "udf": 0, "udf_reps": 0}
     dense_dispatch = {name: getattr(operators, name)
                       for name in ("DENSE_SPAN_FACTOR", "DENSE_SPAN_FLOOR")}
     while executed < FUZZ_ROUNDS:
@@ -339,7 +378,9 @@ def test_differential_fuzz(monkeypatch):
             monkeypatch.setattr(operators, name,
                                 0 if (executed // BATCH) % 2 else shipped)
         db = planned_db()
+        db.create_function("udf", fuzz_udf, immutable=True)
         oracle = SqliteOracle()
+        oracle.create_function("udf", fuzz_udf)
         for statement in table_statements(rand):
             oracle.execute(statement)
             db.execute(statement)
@@ -361,6 +402,8 @@ def test_differential_fuzz(monkeypatch):
                     and " group by " in sql:
                 shapes["inner_group"] += 1
             shapes["distinct"] += "select distinct " in sql
+            shapes["udf"] += "udf(" in sql
+            shapes["udf_reps"] += "least(udf(" in sql
             planned = db.execute(sql).relation
             # Warm pass: the cached template's physical plan re-executes.
             plan_hits = db.stats.physical_plan_hits
@@ -394,6 +437,8 @@ def test_differential_fuzz(monkeypatch):
     assert shapes["outer_group"] > 0
     assert shapes["inner_group"] > 0
     assert shapes["distinct"] > 0
+    assert shapes["udf"] > 0 and shapes["udf_reps"] > 0
+    assert domains["dictionary"] > 0 and domains["span"] > 0
 
 
 def test_fuzz_generator_is_deterministic():

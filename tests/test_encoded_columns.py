@@ -470,47 +470,112 @@ def test_group_key_keeps_its_form_on_every_grouping_path(aggregate, source):
 # ---------------------------------------------------------------------------
 
 
-def test_immutable_udf_is_applied_to_the_dictionary_and_only_then():
+def test_immutable_udf_is_applied_once_per_occurring_value():
     calls = []
 
     def triple(scale, x):
-        calls.append(int(np.asarray(x).shape[0]))
-        return np.asarray(x) * scale
+        x = np.asarray(x)
+        calls.append(x.copy())
+        if (x == 7).any():
+            raise ValueError("7 lies outside this function's domain")
+        return x * scale
 
     rng = np.random.default_rng(6)
     reps = rng.integers(-(2 ** 40), 2 ** 40, 50)
+    ids = rng.integers(0, 50, 2000)
+    ids[ids == 7] = 8  # 7 lies in [min, max] and occurs in no row
     with Database() as db:
         db.create_function("pure", triple, immutable=True)
         db.create_function("impure", triple)
-        db.load_table("e", {"v": rng.integers(0, 50, 2000)})
+        db.load_table("e", {"v": ids})
         db.load_table("r", {"v": np.arange(50), "rep": reps})
         # g.rep is an expanding gather of r.rep: encoded, 50 distinct values.
         db.execute("create table g as select r.rep as rep from e, r "
                    "where e.v = r.v")
-        assert db.table("g").column("rep").codes is not None
-        expected = (db.table("g").column("rep").values * 3).tolist()
-        n_distinct = int(np.unique(db.table("g").column("rep").values).shape[0])
+        g_rep = db.table("g").column("rep")
+        assert g_rep.codes is not None
 
+        # An encoded column: one call over its dictionary (r.rep's 50
+        # values), gathered back through the codes.
         pure = db.execute("select pure(3, rep) y from g").column("y")
-        assert calls == [50] and n_distinct <= 50
-        assert pure.tolist() == expected
+        assert len(calls) == 1
+        assert np.array_equal(calls[-1], np.unique(reps))
+        assert pure.tolist() == (g_rep.values * 3).tolist()
         # Not declared immutable: every row, every time.
         impure = db.execute("select impure(3, rep) y from g").column("y")
-        assert calls == [50, 2000]
-        assert impure.tolist() == expected
-        # A plain column is called row-wise whatever the declaration ...
-        db.execute("select pure(3, v) y from e")
-        assert calls[-1] == 2000
-        # ... as is a column no longer than its dictionary,
-        db.execute("create table small as select rep from g where rep = "
-                   f"{int(reps[0])}")
-        small_rows = db.table("small").n_rows
-        assert 0 < small_rows < 50
-        db.execute("select pure(3, rep) y from small")
-        assert calls[-1] == small_rows
+        assert len(calls) == 2 and calls[-1].shape[0] == 2000
+        assert impure.tolist() == pure.tolist()
+
+        # A dense plain column: one call over the ids that occur, never
+        # over the absent 7 in [min, max] this function raises on.
+        got = db.execute("select pure(3, v) y from e").column("y")
+        assert len(calls) == 3
+        assert np.array_equal(calls[-1], np.unique(ids))
+        assert got.tolist() == (ids * 3).tolist()
+        # (It does raise when a row supplies 7.)
+        with pytest.raises(ValueError, match="outside"):
+            db.execute("select pure(3, v - 1) y from e")
+        # The same domain and literals again — or any rows inside it —
+        # make no call; different literals do.
+        n_calls = len(calls)
+        again = db.execute("select pure(3, v) y from e").column("y")
+        subset = db.execute("select pure(3, v) y from e where v > 20")
+        assert len(calls) == n_calls
+        assert again.tolist() == got.tolist()
+        assert subset.column("y").tolist() == [3 * i for i in ids if i > 20]
+        db.execute("select pure(4, v) y from e")
+        assert len(calls) == n_calls + 1
+        assert np.array_equal(calls[-1], np.unique(ids))
+
+        # Row-wise stay: a sparse plain column ...
+        db.load_table("sparse", {"v": ids * 2 ** 40})
+        db.execute("select pure(3, v) y from sparse")
+        assert calls[-1].shape[0] == 2000
+        # ... a NULL-bearing one (nullif makes v = 8 NULL) ...
+        nulls = db.execute("select pure(3, nullif(v, 8)) y from e")
+        assert calls[-1].shape[0] == 2000
+        assert [y for (y,) in nulls.rows()] == [
+            None if i == 8 else 3 * i for i in ids]
         # ... and a call with two column arguments.
         db.execute("select pure(rep, rep) y from g")
-        assert calls[-1] == 2000
+        assert calls[-1].shape[0] == 2000
+
+        # An encoded column shorter than its dictionary is evaluated over
+        # the entries its rows hold, not the whole dictionary ...
+        db.execute("create table small as select rep from g where rep = "
+                   f"{int(reps[ids[0]])}")
+        small_rows = db.table("small").n_rows
+        assert db.table("small").column("rep").codes is not None
+        assert 1 < small_rows < 50
+        got = db.execute("select pure(5, rep) y from small").column("y")
+        assert calls[-1].tolist() == [int(reps[ids[0]])]
+        assert got.tolist() == [5 * int(reps[ids[0]])] * small_rows
+        # ... and not at all once the dictionary was, for these literals.
+        db.execute("select pure(7, rep) y from g")
+        n_calls = len(calls)
+        got = db.execute("select pure(7, rep) y from small").column("y")
+        assert len(calls) == n_calls
+        assert got.tolist() == [7 * int(reps[ids[0]])] * small_rows
+
+
+def test_dictionaries_are_read_only():
+    """A dictionary's identity stands for its content — joins, indexes
+    and UDF evaluations key on it — so no one may write into it."""
+    rng = np.random.default_rng(5)
+    with Database() as db:
+        db.load_table("e", {"v": rng.integers(0, 20, 200)})
+        db.load_table("r", {"v": np.arange(20),
+                            "rep": rng.integers(0, 2 ** 40, 20)})
+        db.execute("create table g as select r.rep as rep from e, r "
+                   "where e.v = r.v")
+        stored = db.table("g").column("rep")
+        cached = db.table("r").encoded_column("rep")
+        assert stored.codes is not None and stored.dictionary is cached.dictionary
+        for dictionary in (stored.dictionary,
+                           stored.take(np.arange(3)).dictionary,
+                           encode([3, 1, 2]).dictionary):
+            with pytest.raises(ValueError, match="read-only"):
+                dictionary[0] = 0
 
 
 def test_contraction_udfs_are_registered_immutable():

@@ -164,6 +164,16 @@ def test_distinct_treats_nulls_as_equal():
     assert kept.shape[0] == 2  # one NULL row + one 5 row
 
 
+def test_null_keys_group_together_whatever_their_storage_holds():
+    """A null-extended gather leaves other rows' values under the mask:
+    (NULL, -1) twice is one key, even with (NULL, 2) stored between."""
+    a = int_column([0, 0, 1], mask_positions=[0, 1, 2])
+    b = int_column([-1, 2, -1])
+    assert distinct_rows([a, b]).tolist() == [0, 1]
+    _, starts = group_rows([a, b])
+    assert starts.shape[0] == 2
+
+
 # ---------------------------------------------------------------------------
 # hash kernels vs. the sort-merge reference
 # ---------------------------------------------------------------------------

@@ -17,7 +17,13 @@ note ``operators.JOIN_ROUTES`` lets the join planner report must be
 reached by the runs above too, or sit in its own allow-list.  Neither
 check depends on the host: the engine starts no thread, so every host
 sees the same counters and notes.
+
+No counter says how many values the contraction's UDF saw either: a spy
+on the GF(2^64) map does, and holds each round to one evaluation of h per
+live vertex.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +41,7 @@ from repro.graphs import (
     load_edges_into,
     path_graph,
 )
+from repro.ff.gf2_64 import Gf2AffineMap
 from repro.sqlengine import Database, stats
 from repro.sqlengine import executor as executor_module
 from repro.sqlengine.operators import JOIN_ROUTES
@@ -164,3 +171,46 @@ def test_every_join_route_is_reached_by_some_algorithm(default_traffic):
         "join routes no algorithm reaches: delete the route or list a reason")
     # An allow-list entry some algorithm does reach is stale.
     assert seen & set(NO_ROUTE_TRAFFIC_EXPECTED) == set()
+
+
+def test_each_round_evaluates_h_once_per_live_vertex(monkeypatch):
+    """``least(h(v1), min(h(v2)))`` over the doubled edge table passes h
+    each of its round's live vertices at most once — |V| in round 1, the
+    representatives round k - 1 chose after — because the aggregate's
+    call runs over distinct ids (round 1's plain dense ``v2``, a later
+    round's dictionary of those representatives) and the call over the
+    group keys ``v1`` reuses that evaluation instead of calling again."""
+    statement = {"number": 0}
+    passed: list[tuple[int, int]] = []  # (statement number, values)
+    chosen: dict[int, int] = {}  # reps statement -> distinct reps it chose
+    apply = Gf2AffineMap.apply
+    execute = Database.execute
+
+    def spy_apply(self, x):
+        passed.append((statement["number"], int(x.shape[0])))
+        return apply(self, x)
+
+    def numbered_execute(self, sql, label=""):
+        statement["number"] += 1
+        number = statement["number"]
+        result = execute(self, sql, label=label)
+        if label.endswith(":reps"):
+            reps = re.search(r"create table (\w+)", sql).group(1)
+            chosen[number] = int(np.unique(
+                self.table(reps).column("rep").values).shape[0])
+        return result
+
+    monkeypatch.setattr(Gf2AffineMap, "apply", spy_apply)
+    monkeypatch.setattr(Database, "execute", numbered_execute)
+    n_vertices = 70_000
+    with Database() as db:
+        load_edges_into(db, "edges", gnm_random_graph(
+            n_vertices, 140_000, np.random.default_rng(3)))
+        RandomisedContraction().run(db, "edges", seed=11)
+    rounds = sorted(chosen)
+    assert len(rounds) > 3
+    assert passed[0][0] == rounds[0] and passed[0][1] <= n_vertices
+    live = [n_vertices] + [chosen[number] for number in rounds[:-1]]
+    for number, vertices in zip(rounds, live):
+        values = sum(rows for at, rows in passed if at == number)
+        assert 0 < values <= vertices, (number, values, vertices)
