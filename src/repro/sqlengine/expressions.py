@@ -12,13 +12,21 @@ NULL semantics are the pragmatic subset the paper's queries need:
 * comparisons involving NULL evaluate to FALSE (not UNKNOWN) — sufficient
   because the reproduced queries only compare non-nullable key columns, and
   explicit NULL tests go through ``IS [NOT] NULL``;
-* ``coalesce``/``least`` follow PostgreSQL semantics (see functions.py).
+* ``least`` follows PostgreSQL semantics (see functions.py), and so does
+  ``coalesce``, a special form here like CASE: argument k + 1 is
+  evaluated only over the rows arguments 1..k left NULL, in an
+  environment restricted to those rows (:meth:`Environment.restricted`),
+  and scattered back.  A fallback no row needs is evaluated over zero
+  rows — still typed, so the result type is promoted over every
+  argument — and a UDF in it never sees a row whose first argument was
+  set: the composition's ``coalesce(r2.rep, axplusb(...))`` applies ``h``
+  to the null-extended rows alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -36,8 +44,8 @@ from .ast_nodes import (
     UnaryOp,
 )
 from .errors import ExecutionError, PlanError
-from .functions import FunctionRegistry, ScalarArg
-from .types import BOOL, FLOAT64, INT64, TEXT, Column
+from .functions import FunctionRegistry, ScalarArg, common_type
+from .types import BOOL, FLOAT64, INT64, TEXT, Column, dtype_for
 
 
 class AmbiguousColumn:
@@ -68,6 +76,44 @@ class Environment:
         if isinstance(found, AmbiguousColumn):
             raise PlanError(f"ambiguous column {ref.display()!r}")
         return found
+
+    def restricted(self, rows: np.ndarray) -> "Environment":
+        """This environment over ``rows`` only: each column and aggregate
+        is gathered on its first lookup."""
+        aggregates = self.aggregates
+        return Environment(
+            _GatheredOnLookup(self.columns, rows), int(rows.shape[0]),
+            self.registry,
+            None if aggregates is None else _GatheredOnLookup(aggregates, rows),
+        )
+
+
+class _GatheredOnLookup(Mapping):
+    """``columns`` restricted to ``rows``: a column is gathered the first
+    time it is looked up, and only then."""
+
+    def __init__(self, columns: Mapping, rows: np.ndarray):
+        self._columns = columns
+        self._rows = rows
+        self._gathered: dict = {}
+
+    def __getitem__(self, key) -> Column:
+        found = self._gathered.get(key)
+        if found is None:
+            found = self._columns[key]
+            if not isinstance(found, AmbiguousColumn):
+                found = found.take(self._rows)
+            self._gathered[key] = found
+        return found
+
+    def __contains__(self, key) -> bool:
+        return key in self._columns
+
+    def __iter__(self) -> Iterator:
+        return iter(self._columns)
+
+    def __len__(self) -> int:
+        return len(self._columns)
 
 
 def contains_aggregate(expr: Expression) -> bool:
@@ -155,6 +201,8 @@ def evaluate(expr: Expression, env: Environment) -> Column:
             raise PlanError("aggregate used outside of an aggregation context")
         return env.aggregates[expr]
     if isinstance(expr, FuncCall):
+        if expr.name == "coalesce":
+            return _coalesce(expr.args, env)
         fn = env.registry.lookup(expr.name)
         args = []
         for arg in expr.args:
@@ -305,9 +353,7 @@ def _case(expr: CaseWhen, env: Environment) -> Column:
     for col in results + [default]:
         if col.sql_type == FLOAT64:
             sql_type = FLOAT64
-    out_values = default.values.astype(
-        results[0].values.dtype if sql_type != TEXT else object, copy=True
-    )
+    out_values = default.values.astype(dtype_for(sql_type), copy=True)
     out_mask = default.null_mask().copy()
     decided = np.zeros(env.length, dtype=bool)
     for condition, result in zip(conditions, results):
@@ -316,6 +362,35 @@ def _case(expr: CaseWhen, env: Environment) -> Column:
         out_mask[take] = result.null_mask()[take]
         decided |= condition
     return Column(out_values, sql_type, out_mask if out_mask.any() else None)
+
+
+def _coalesce(args: Sequence[Expression], env: Environment) -> Column:
+    """``coalesce(a1, ..., an)``, short-circuiting as PostgreSQL's does:
+    each argument after the first is evaluated over the rows the ones
+    before it left NULL, and its rows are scattered into the result.  The
+    first argument comes back as it is — encoded or not — when it has no
+    NULL and the promoted type is its own."""
+    if not args:
+        raise ExecutionError("coalesce needs at least one argument")
+    first = evaluate(args[0], env)
+    pending = np.flatnonzero(first.mask) if first.mask is not None \
+        else np.empty(0, dtype=np.int64)
+    filled: list[tuple[np.ndarray, Column]] = []
+    for arg in args[1:]:
+        part = evaluate(arg, env.restricted(pending))
+        filled.append((pending, part))
+        pending = pending[part.mask] if part.mask is not None else pending[:0]
+    sql_type = common_type([first] + [part for _, part in filled])
+    if sql_type == first.sql_type and first.mask is None:
+        return first
+    values = first.values.astype(dtype_for(sql_type), copy=True)
+    for rows, part in filled:
+        values[rows] = part.values
+    mask = None
+    if pending.shape[0]:
+        mask = np.zeros(env.length, dtype=bool)
+        mask[pending] = True
+    return Column(values, sql_type, mask)
 
 
 def _in_list(expr: InList, env: Environment) -> Column:

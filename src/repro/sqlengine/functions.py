@@ -7,6 +7,14 @@ function of Appendix A.  The engine exposes the same extension point:
 and makes it callable from SQL, which is how :mod:`repro.core` installs
 ``axplusb``, ``axbmodp`` and ``blowfish``.
 
+Every function here is called with each argument evaluated over every
+row.  ``coalesce`` cannot be: it evaluates a fallback only over the rows
+still NULL, so it is a special form of
+:func:`repro.sqlengine.expressions.evaluate`, like CASE, and its name is
+reserved (:data:`SPECIAL_FORMS`) — the composition's
+``coalesce(r2.rep, axplusb(...))`` applies the UDF to the null-extended
+rows alone.
+
 Calling convention for UDFs: argument expressions that are SQL literals are
 passed as plain Python scalars, column-valued arguments as numpy arrays.
 This mirrors how a database hands constant arguments to a C UDF once per
@@ -68,7 +76,14 @@ def _as_column(arg: ArgValue, length: int) -> Column:
     return Column.constant(arg.value, length)
 
 
-def _common_numeric_type(columns: Sequence[Column]) -> str:
+#: Function names :func:`repro.sqlengine.expressions.evaluate` handles
+#: itself, with lazily evaluated arguments: no UDF may take one.
+SPECIAL_FORMS = frozenset({"coalesce"})
+
+
+def common_type(columns: Sequence[Column]) -> str:
+    """The type a value of every one of ``columns`` promotes to: TEXT if
+    any is text, else FLOAT64 if any is float, else INT64."""
     if any(col.sql_type == TEXT for col in columns):
         return TEXT
     if any(col.sql_type == FLOAT64 for col in columns):
@@ -81,7 +96,7 @@ def _least_greatest(args: Sequence[ArgValue], length: int, pick_max: bool) -> Co
     columns = [_as_column(a, length) for a in args]
     if not columns:
         raise ExecutionError("least/greatest need at least one argument")
-    sql_type = _common_numeric_type(columns)
+    sql_type = common_type(columns)
     if sql_type == TEXT:
         return _least_greatest_text(columns, length, pick_max)
     dtype = dtype_for(sql_type)
@@ -132,30 +147,6 @@ def _least_greatest_text(
         any_valid |= fresh
     mask = None if any_valid.all() else ~any_valid
     return Column(best, TEXT, mask)
-
-
-def _coalesce(args: Sequence[ArgValue], length: int) -> Column:
-    columns = [_as_column(a, length) for a in args]
-    if not columns:
-        raise ExecutionError("coalesce needs at least one argument")
-    sql_type = _common_numeric_type(columns)
-    result = columns[0]
-    if sql_type != result.sql_type and sql_type != TEXT:
-        result = Column(result.values.astype(dtype_for(sql_type)), sql_type, result.mask)
-    for col in columns[1:]:
-        if result.mask is None:
-            break
-        take_from_next = result.mask
-        values = result.values.copy()
-        next_values = col.values.astype(values.dtype, copy=False) \
-            if sql_type != TEXT else col.values
-        values[take_from_next] = next_values[take_from_next]
-        if col.mask is not None:
-            new_mask = result.mask & col.mask
-        else:
-            new_mask = np.zeros(length, dtype=bool)
-        result = Column(values, sql_type, new_mask if new_mask.any() else None)
-    return result
 
 
 def _strict_unary(fn: Callable[[np.ndarray], np.ndarray], result_type: str | None = None):
@@ -242,7 +233,6 @@ class FunctionRegistry:
     def _install_builtins(self) -> None:
         self._builtins["least"] = lambda a, n: _least_greatest(a, n, pick_max=False)
         self._builtins["greatest"] = lambda a, n: _least_greatest(a, n, pick_max=True)
-        self._builtins["coalesce"] = _coalesce
         self._builtins["abs"] = _strict_unary(np.abs)
         self._builtins["floor"] = _strict_unary(np.floor, FLOAT64)
         self._builtins["ceil"] = _strict_unary(np.ceil, FLOAT64)
@@ -360,6 +350,8 @@ class FunctionRegistry:
                 values = result.astype(dtype_for(returns), copy=False)
             return Column(values, returns, mask)
 
+        if lowered in SPECIAL_FORMS:
+            raise CatalogError(f"{name!r} is a special form, not a function")
         if not replace and lowered in self._builtins:
             raise CatalogError(f"function {name!r} already exists")
         self._builtins[lowered] = call

@@ -221,9 +221,16 @@ class KeyIndex:
     reads ``sorted_keys`` and never does.  ``min_value`` / ``max_value``
     are values either way.
 
-    ``histogram``, kept from the build over dense plain keys only, counts
-    the rows of each key in ``[min_value, max_value]``: the direct-address
-    GROUP BY over the same column reads it instead of counting again.
+    A column found non-decreasing (``is_sorted``: every GROUP BY output,
+    a DISTINCT's leading column) costs one comparison pass more: its
+    bounds are its ends, its uniqueness one ``==`` of neighbours, and its
+    order the identity — no ``bincount``, no sort.
+
+    ``histogram``, kept from the build over dense plain keys that are not
+    sorted, counts the rows of each key in ``[min_value, max_value]``: the
+    direct-address GROUP BY over the same column reads it instead of
+    counting again.  That GROUP BY never serves a sorted key — one reduces
+    in place — so a sorted build keeps none.
     """
 
     __slots__ = ("_keys", "n_rows", "is_unique", "min_value", "max_value",
@@ -298,7 +305,13 @@ def build_key_index(
     values: np.ndarray, dictionary: Optional[np.ndarray] = None
 ) -> KeyIndex:
     """Build a :class:`KeyIndex` over a non-null numeric column —
-    ``values`` are its codes when ``dictionary`` is given."""
+    ``values`` are its codes when ``dictionary`` is given.
+
+    Sortedness is checked first.  A sorted column reads its bounds off its
+    ends (through the dictionary for codes) and its uniqueness off one
+    comparison of neighbours.  Otherwise the bounds take a ``min`` and a
+    ``max``; dense integer keys then take a ``bincount``, kept as the
+    histogram, and sparse ones the stable sort."""
     if values.dtype == object:
         raise ExecutionError("key indexes require fixed-width numeric columns")
     n = int(values.shape[0])
@@ -309,7 +322,20 @@ def build_key_index(
                         dictionary=dictionary)
     is_sorted = n < 2 or bool(np.all(values[1:] >= values[:-1]))
     min_value = max_value = None
-    if values.dtype.kind in "iu":
+    ints = values.dtype.kind in "iu"
+    if is_sorted:
+        # Pre-sorted storage (any GROUP BY output, a DISTINCT's leading
+        # column): the stable argsort is the identity, the bounds are the
+        # ends and uniqueness is one comparison of neighbours.
+        if ints:
+            low, high = int(values[0]), int(values[-1])
+            min_value, max_value = (low, high) if dictionary is None else (
+                int(dictionary[low]), int(dictionary[high]))
+        is_unique = n < 2 or not bool((values[1:] == values[:-1]).any())
+        return KeyIndex(values, is_unique, min_value, max_value,
+                        sorted_keys=values, is_sorted=True,
+                        dictionary=dictionary)
+    if ints:
         low, high = int(values.min()), int(values.max())
         min_value, max_value = (low, high) if dictionary is None else (
             int(dictionary[low]), int(dictionary[high]))
@@ -318,18 +344,12 @@ def build_key_index(
             # join kernel will use direct addressing — defer the sort.
             counts = np.bincount(values - low)
             return KeyIndex(values, int(counts.max()) <= 1, min_value,
-                            max_value, is_sorted=is_sorted,
-                            dictionary=dictionary,
+                            max_value, dictionary=dictionary,
                             histogram=counts if dictionary is None else None)
-    if is_sorted:
-        # Pre-sorted storage (e.g. any GROUP BY output): the stable argsort
-        # is the identity, so sorted consumers are free.
-        order, sorted_keys = None, values
-    else:
-        order, sorted_keys = stable_argsort(values)
-    is_unique = n < 2 or not bool((sorted_keys[1:] == sorted_keys[:-1]).any())
+    order, sorted_keys = stable_argsort(values)
+    is_unique = not bool((sorted_keys[1:] == sorted_keys[:-1]).any())
     return KeyIndex(values, is_unique, min_value, max_value, order,
-                    sorted_keys, is_sorted, dictionary)
+                    sorted_keys, False, dictionary)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +537,7 @@ def _dictionary_route(
     slots = np.full(span, NO_MATCH, dtype=np.int64)
     slots[right.codes] = np.arange(len(right), dtype=np.int64)
     return JoinRoute("dictionary", _dense_probe,
-                     (left.codes, slots, None, None, 0, span))
+                     (left.codes, slots, None, None, 0, span, True))
 
 
 def _route_keys(
@@ -650,17 +670,19 @@ def left_join_indices(
 
 def _dense_probe(
     lk: np.ndarray, table: np.ndarray, starts: Optional[np.ndarray],
-    order: Optional[np.ndarray], rmin: int, span: int,
+    order: Optional[np.ndarray], rmin: int, span: int, codes: bool = False,
 ) -> tuple[Optional[np.ndarray], np.ndarray]:
     """Kernel: the probe keys ``lk`` against a dense direct-address table
     — ``table`` maps a key code to its build row (unique keys, ``starts``
     is ``None``) or to its bucket's size, the bucket being
-    ``order[starts[code]:][:size]``.  Left rows are ``None`` when every
-    probe row found its one build row."""
-    if lk.shape[0] and int(lk.min()) >= rmin \
-            and int(lk.max()) <= rmin + (span - 1):
-        # Every key addresses the table (an encoded column's codes always
-        # do): two reductions save the five passes that guard the gather.
+    ``order[starts[code]:][:size]``.  ``codes`` says ``lk`` are codes into
+    a dictionary of ``span`` entries (``rmin`` 0), in bounds by
+    construction.  Left rows are ``None`` when every probe row found its
+    one build row."""
+    if codes or (lk.shape[0] and int(lk.min()) >= rmin
+                 and int(lk.max()) <= rmin + (span - 1)):
+        # Every key addresses the table: two reductions (none for codes)
+        # save the five passes that guard the gather.
         in_bounds = None
         l_rel = lk - rmin if rmin else lk
     else:
@@ -671,11 +693,16 @@ def _dense_probe(
         l_rel = np.where(in_bounds, lk - rmin, 0)
     if starts is None:
         candidates = table[l_rel]
-        match = candidates != NO_MATCH
-        if in_bounds is not None:
-            match &= in_bounds
-        if match.all():
-            return None, candidates
+        if in_bounds is None:
+            # NO_MATCH is the least entry: one reduction proves every
+            # probe row matched, and only a miss builds the match mask.
+            if not candidates.shape[0] or int(candidates.min()) != NO_MATCH:
+                return None, candidates
+            match = candidates != NO_MATCH
+        else:
+            match = (candidates != NO_MATCH) & in_bounds
+            if match.all():
+                return None, candidates
         l_idx = np.flatnonzero(match)
         return l_idx, candidates[l_idx]
     cnt = table[l_rel]

@@ -17,8 +17,11 @@ columns, IS NULL predicates, UNION ALL arms, subquery FROM items —
 plain, aggregated, and
 UNION ALL subqueries joined like tables — and calls of an immutable UDF
 over dense, sparse, encoded and NULL-bearing columns, including the
-contraction's ``least(udf(k), min(udf(v)))`` shape) over small random
-tables, and holds each statement to two contracts:
+contraction's ``least(udf(k), min(udf(v)))`` shape and the composition's
+``coalesce(<nullable>, udf(...))``), three-argument COALESCE and a CASE
+with an integer and a float branch) over small random tables, and holds
+each statement to two contracts.  sqlite short-circuits COALESCE as the
+engine does, so both evaluate a fallback over the same rows:
 
 * **Row content, against an engine that shares nothing with ours.**  The
   statement runs unmodified on stdlib ``sqlite3`` (``tests/sqlite_oracle.py``
@@ -112,6 +115,16 @@ def fuzz_udf(scale, x):
 
 #: Literal first arguments of ``udf``: few, so calls repeat domains.
 UDF_SCALES = (1, 2, -3)
+
+#: ELSE values of the CASE arm, whose THEN branch is an integer column.
+CASE_FLOATS = ("2.5", "-1.5", "0.5")
+
+#: Statement shape -> pattern of the SQL that has it.
+SHAPE_PATTERNS = {
+    "coalesce_udf": r"coalesce\(\w+\.\w+, udf\(",
+    "coalesce_three": r"coalesce\(\w+\.\w+, \w+\.\w+, -?\d+\)",
+    "case_int_float": r"case when .* else -?\d+\.\d+ end",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +235,30 @@ def _projection_item(rand: random.Random, uses: list[tuple],
     columns, alias, _ = rand.choice(uses)
     column = rand.choice(columns)
     ref = f"{alias}.{column}"
+    nullable = f"{alias}.{columns[2]}"
     roll = rand.random()
     if roll < 0.12:
         # Small ids are a dense span; scaled up they are sparse.
         scaled = " * 1000003" if rand.random() < 0.3 else ""
         return f"udf({rand.choice(UDF_SCALES)}, {ref}{scaled}) c{position}"
-    if roll < 0.2:
+    if roll < 0.17:
+        # The composition's shape: a UDF fallback for the NULL rows only.
+        return (f"coalesce({nullable}, udf({rand.choice(UDF_SCALES)}, "
+                f"{ref})) c{position}")
+    if roll < 0.21:
+        other_columns, other_alias, _ = rand.choice(uses)
+        return (f"coalesce({nullable}, "
+                f"{other_alias}.{rand.choice(other_columns)}, "
+                f"{rand.randint(-3, 3)}) c{position}")
+    if roll < 0.25:
+        # An integer branch and a float one: the result is float.
+        return (f"case when {ref} > {rand.randint(-2, 3)} then {ref} "
+                f"else {rand.choice(CASE_FLOATS)} end c{position}")
+    if roll < 0.32:
         return f"{ref} + {rand.randint(-3, 3)} c{position}"
-    if roll < 0.3:
+    if roll < 0.4:
         return f"{ref} * -1 c{position}"
-    if roll < 0.5:
+    if roll < 0.55:
         return f"{ref} c{position}"
     return ref
 
@@ -369,7 +396,8 @@ def test_differential_fuzz(monkeypatch):
     executed = 0
     engaged = {"chain": 0, "fused": 0, "left_chain": 0, "encoded": 0}
     shapes = {"union_all": 0, "subquery_from": 0, "outer_group": 0,
-              "inner_group": 0, "distinct": 0, "udf": 0, "udf_reps": 0}
+              "inner_group": 0, "distinct": 0, "udf": 0, "udf_reps": 0,
+              **dict.fromkeys(SHAPE_PATTERNS, 0)}
     dense_dispatch = {name: getattr(operators, name)
                       for name in ("DENSE_SPAN_FACTOR", "DENSE_SPAN_FLOOR")}
     while executed < FUZZ_ROUNDS:
@@ -404,6 +432,8 @@ def test_differential_fuzz(monkeypatch):
             shapes["distinct"] += "select distinct " in sql
             shapes["udf"] += "udf(" in sql
             shapes["udf_reps"] += "least(udf(" in sql
+            for shape, pattern in SHAPE_PATTERNS.items():
+                shapes[shape] += re.search(pattern, sql) is not None
             planned = db.execute(sql).relation
             # Warm pass: the cached template's physical plan re-executes.
             plan_hits = db.stats.physical_plan_hits
@@ -438,6 +468,7 @@ def test_differential_fuzz(monkeypatch):
     assert shapes["inner_group"] > 0
     assert shapes["distinct"] > 0
     assert shapes["udf"] > 0 and shapes["udf_reps"] > 0
+    assert all(shapes[shape] > 0 for shape in SHAPE_PATTERNS), shapes
     assert domains["dictionary"] > 0 and domains["span"] > 0
 
 

@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.sqlengine import Database, ExecutionError, PlanError
+from repro.sqlengine import CatalogError, Database, ExecutionError, PlanError
 
 
 @pytest.fixture()
@@ -140,6 +141,123 @@ def test_coalesce_all_null():
     assert db.execute("select coalesce(null, null)").scalar() is None
 
 
+def _nullable_table() -> Database:
+    """``t(a, b, c)``: ``b`` is NULL on rows 2, 4 and 5, ``c`` on 4 and 6."""
+    db = Database()
+    db.execute("create table t (a int64, b int64, c int64)")
+    db.execute("insert into t values (1, 10, 1), (2, null, 2), (3, 30, 3), "
+               "(4, null, null), (5, null, 5), (6, 60, null)")
+    return db
+
+
+@pytest.mark.parametrize("immutable", (False, True))
+def test_coalesce_never_evaluates_a_fallback_for_a_set_row(immutable):
+    """Only the rows whose ``b`` is set hold ``a`` = 3: a fallback that
+    raises on 3 never sees it (PostgreSQL and sqlite short-circuit too)."""
+    db = _nullable_table()
+
+    def partial(x):
+        if (x == 3).any():
+            raise ValueError("partial() is undefined at 3")
+        return x * 100
+
+    db.create_function("partial", partial, immutable=immutable)
+    rows = db.execute("select a, coalesce(b, partial(a)) from t").rows()
+    assert rows == [(1, 10), (2, 200), (3, 30), (4, 400), (5, 500), (6, 60)]
+
+
+def test_coalesce_passes_each_fallback_exactly_the_rows_still_null():
+    db = _nullable_table()
+    seen: dict[str, list] = {"second": [], "third": []}
+
+    def spy(name):
+        def fn(x):
+            seen[name].append(np.asarray(x).tolist())
+            return x
+        return fn
+
+    db.create_function("second", spy("second"))
+    db.create_function("third", spy("third"))
+    rows = db.execute(
+        "select a, coalesce(b, second(a) * 1000 + c, third(a)) from t"
+    ).rows()
+    assert rows == [(1, 10), (2, 2002), (3, 30), (4, 4), (5, 5005), (6, 60)]
+    assert seen == {"second": [[2, 4, 5]], "third": [[4]]}
+
+
+def test_coalesce_evaluates_a_fallback_no_row_needs_over_zero_rows():
+    db = _nullable_table()
+    seen: list[int] = []
+
+    def spy(x):
+        seen.append(int(np.asarray(x).shape[0]))
+        return x
+
+    db.create_function("spy", spy)
+    assert db.execute("select coalesce(a, spy(b)) from t").rows() == \
+        [(a,) for a in range(1, 7)]
+    assert seen == [0]
+
+
+def test_coalesce_promotes_over_every_argument_without_nulls():
+    db = _nullable_table()
+    column = db.execute("select coalesce(a, 2.5) x from t").relation \
+        .column("x")
+    assert column.sql_type == "float64"
+    assert column.values.dtype == np.float64
+    assert column.to_list() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    # A later argument the rows never reach still promotes the type.
+    column = db.execute("select coalesce(a, b, 2.5) x from t").relation \
+        .column("x")
+    assert column.sql_type == "float64"
+    assert column.to_list() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    rows = db.execute("select coalesce(b, c, 0.5) from t").rows()
+    assert rows == [(10.0,), (2.0,), (30.0,), (0.5,), (5.0,), (60.0,)]
+    assert all(isinstance(value, float) for (value,) in rows)
+
+
+def test_coalesce_returns_a_null_free_encoded_first_argument_as_it_is():
+    """An expanding LEFT JOIN matching every probe row gathers ``r.rep`` as
+    codes; ``coalesce`` hands that column on, codes and all."""
+    db = Database()
+    rng = np.random.default_rng(5)
+    rep = rng.integers(-(2 ** 62), 2 ** 62, 50)
+    keys = rng.integers(0, 50, 400)
+    db.load_table("l", {"k": keys})
+    db.load_table("r", {"v": np.arange(50), "rep": rep})
+    calls: list[int] = []
+
+    def fallback(x):
+        calls.append(int(np.asarray(x).shape[0]))
+        return x
+
+    db.create_function("fallback", fallback, immutable=True)
+    relation = db.execute(
+        "select l.k k, coalesce(r.rep, fallback(l.k)) rep "
+        "from l left join r on (l.k = r.v)").relation
+    column = relation.column("rep")
+    assert column.codes is not None and column.mask is None
+    assert column.dictionary is db.table("r").cached_encoding("rep").dictionary
+    assert np.array_equal(column.values, rep[relation.column("k").values])
+    assert calls == [0]
+
+
+def test_coalesce_over_aggregates_restricts_them_to_the_null_groups():
+    db = _nullable_table()
+    rows = db.execute(
+        "select a, coalesce(min(b), max(c), -1) from t group by a").rows()
+    assert sorted(rows) == [(1, 10), (2, 2), (3, 30), (4, -1), (5, 5),
+                            (6, 60)]
+
+
+def test_coalesce_is_a_special_form_no_udf_can_take():
+    db = Database()
+    with pytest.raises(CatalogError, match="special form"):
+        db.create_function("coalesce", lambda x: x)
+    with pytest.raises(ExecutionError, match="at least one argument"):
+        db.execute("select coalesce()")
+
+
 def test_nullif():
     db = Database()
     assert db.execute("select nullif(5, 5)").scalar() is None
@@ -170,6 +288,20 @@ def test_case_without_else_yields_null(db):
         "select a, case when a = 1 then 100 end from t"
     ).rows())
     assert rows == {1: 100, 2: None, 3: None}
+
+
+def test_case_promotes_an_int_branch_to_a_later_float_branch(db):
+    """The output is built in the promoted type: an integer first branch
+    used to fix the array's dtype and truncate ``2.5`` to ``2``."""
+    column = db.execute(
+        "select case when a = 1 then 1 else 2.5 end x from t").relation \
+        .column("x")
+    assert column.sql_type == "float64"
+    assert column.values.dtype == np.float64
+    assert column.to_list() == [1.0, 2.5, 2.5]
+    rows = db.execute("select case when a = 1 then 1 when a = 2 then f "
+                      "end from t").rows()
+    assert rows == [(1.0,), (2.5,), (None,)]
 
 
 def test_null_propagates_through_arithmetic(db):

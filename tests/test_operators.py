@@ -594,3 +594,95 @@ def test_hash_distinct_settles_prefix_collisions(monkeypatch, hash_bits,
         assert np.array_equal(
             got, reference_distinct([int_column(a) for a in arrays])
         ), (hash_bits, n_columns, n)
+
+
+# ---------------------------------------------------------------------------
+# key index builds and dictionary probes against numpy references
+# ---------------------------------------------------------------------------
+
+
+def _index_keys(rng, n, ordered, dense, unique):
+    """``n`` keys: dense ids or sparse 64-bit values, distinct or drawn
+    with repeats from a third as many, in storage or ascending order."""
+    pool_size = n if unique else max(n // 3, 1)
+    if dense:
+        pool = 1000 + rng.permutation(2 * n + 1)[:pool_size]
+    else:
+        pool = rng.choice(_full_range(rng, 4 * n + 4), size=pool_size,
+                          replace=False)
+    keys = rng.permutation(pool) if unique \
+        else pool[rng.integers(0, pool_size, size=n)]
+    return np.sort(keys) if ordered else keys
+
+
+@pytest.mark.parametrize("n", (1, 2, 37, 3 * CACHE_KERNEL_MIN_ROWS + 7))
+@pytest.mark.parametrize("unique", (True, False), ids=("unique", "dups"))
+@pytest.mark.parametrize("encoded", (False, True), ids=("plain", "encoded"))
+@pytest.mark.parametrize("dense", (True, False), ids=("dense", "sparse"))
+@pytest.mark.parametrize("ordered", (True, False), ids=("sorted", "unsorted"))
+def test_key_index_matches_a_numpy_reference(ordered, dense, encoded,
+                                             unique, n):
+    """Every build — a sorted one reading its ends and one ``==`` pass, a
+    dense one its ``bincount``, a sparse one its sort — holds what
+    ``np.unique`` and a stable argsort say about the keys."""
+    rng = np.random.default_rng(n * 16 + ordered * 8 + dense * 4
+                                + encoded * 2 + unique)
+    values = _index_keys(rng, n, ordered, dense, unique)
+    if encoded:
+        dictionary, storage = np.unique(values, return_inverse=True)
+        storage = storage.astype(np.int64)
+        index = build_key_index(storage, dictionary)
+    else:
+        storage = values
+        index = build_key_index(storage)
+    order = np.argsort(storage, kind="stable")
+    assert index.is_unique == (np.unique(values).shape[0] == n)
+    assert (index.min_value, index.max_value) == \
+        (int(values.min()), int(values.max()))
+    assert index.is_sorted == bool(np.all(np.diff(storage) >= 0))
+    assert np.array_equal(index.order, order)
+    assert np.array_equal(index.sorted_keys, storage[order])
+    assert np.array_equal(index.sorted_values, values[order])
+    if index.is_sorted or encoded or not dense:
+        # A sorted key never reaches the direct-address GROUP BY.
+        assert index.histogram is None
+    else:
+        assert np.array_equal(index.histogram,
+                              np.bincount(values - values.min()))
+
+
+@pytest.mark.parametrize("n", (1, 50, 3 * CACHE_KERNEL_MIN_ROWS + 7))
+@pytest.mark.parametrize("matched", ("all", "some", "none"))
+def test_dense_probe_over_codes_skips_bounds_yet_matches_the_reference(
+        matched, n):
+    """Codes address a dictionary's slots by construction: the probe that
+    skips its bounds reductions returns the bounds-checked probe's rows,
+    and the reference join's."""
+    rng = np.random.default_rng(n)
+    dictionary = np.unique(_full_range(rng, 2 * n + 2))
+    span = int(dictionary.shape[0])
+    build = rng.permutation(span)[:max(span // 2, 1)]
+    absent = np.setdiff1d(np.arange(span), build)
+    if matched == "all":
+        probe = build[rng.integers(0, build.shape[0], size=n)]
+    elif matched == "some":
+        probe = np.concatenate([build[rng.integers(0, build.shape[0], n)],
+                                absent[rng.integers(0, absent.shape[0], 3)]])
+        rng.shuffle(probe)
+    else:
+        probe = absent[rng.integers(0, absent.shape[0], size=n)]
+    slots = np.full(span, NO_MATCH, dtype=np.int64)
+    slots[build] = np.arange(build.shape[0])
+    got = operators._dense_probe(probe, slots, None, None, 0, span, True)
+    checked = operators._dense_probe(probe, slots, None, None, 0, span)
+    assert (got[0] is None) == (matched == "all") == (checked[0] is None)
+    assert np.array_equal(got[1], checked[1])
+    if got[0] is not None:
+        assert np.array_equal(got[0], checked[0])
+    left = Column.encoded(probe, dictionary)
+    right = Column.encoded(build, dictionary)
+    note: list = []
+    pairs = join_indices([left], [right], note=note)
+    assert note == ["dictionary"]
+    assert_same_pairs(pairs, merge_join_indices(
+        [int_column(dictionary[probe])], [int_column(dictionary[build])]))

@@ -20,7 +20,7 @@ sees the same counters and notes.
 
 No counter says how many values the contraction's UDF saw either: a spy
 on the GF(2^64) map does, and holds each round to one evaluation of h per
-live vertex.
+live vertex and each composition to h over its null-extended rows only.
 """
 
 import re
@@ -173,16 +173,22 @@ def test_every_join_route_is_reached_by_some_algorithm(default_traffic):
     assert seen & set(NO_ROUTE_TRAFFIC_EXPECTED) == set()
 
 
-def test_each_round_evaluates_h_once_per_live_vertex(monkeypatch):
-    """``least(h(v1), min(h(v2)))`` over the doubled edge table passes h
-    each of its round's live vertices at most once — |V| in round 1, the
-    representatives round k - 1 chose after — because the aggregate's
-    call runs over distinct ids (round 1's plain dense ``v2``, a later
-    round's dictionary of those representatives) and the call over the
-    group keys ``v1`` reuses that evaluation instead of calling again."""
+#: G(70k, 140k): the spied fast-variant run's graph size.
+SPIED_VERTICES = 70_000
+
+
+@pytest.fixture(scope="module")
+def spied_fast_run():
+    """A default fast RC run on G(70k, 140k) with a spy on the GF(2^64)
+    map: ``passed`` lists ``(statement number, values)`` per call of h,
+    ``chosen`` maps each ``reps`` statement to the distinct
+    representatives it chose, and ``null_extended`` each ``compose``
+    statement to its LEFT JOIN's null-extended rows, counted from the two
+    input tables before the statement runs."""
     statement = {"number": 0}
-    passed: list[tuple[int, int]] = []  # (statement number, values)
-    chosen: dict[int, int] = {}  # reps statement -> distinct reps it chose
+    passed: list[tuple[int, int]] = []
+    chosen: dict[int, int] = {}
+    null_extended: dict[int, int] = {}
     apply = Gf2AffineMap.apply
     execute = Database.execute
 
@@ -193,6 +199,12 @@ def test_each_round_evaluates_h_once_per_live_vertex(monkeypatch):
     def numbered_execute(self, sql, label=""):
         statement["number"] += 1
         number = statement["number"]
+        if label.endswith(":compose"):
+            lower = re.search(r"from (\w+) as r1", sql).group(1)
+            upper = re.search(r"join (\w+) as r2", sql).group(1)
+            null_extended[number] = int(np.count_nonzero(~np.isin(
+                self.table(lower).column("rep").values,
+                self.table(upper).column("v").values)))
         result = execute(self, sql, label=label)
         if label.endswith(":reps"):
             reps = re.search(r"create table (\w+)", sql).group(1)
@@ -200,17 +212,44 @@ def test_each_round_evaluates_h_once_per_live_vertex(monkeypatch):
                 self.table(reps).column("rep").values).shape[0])
         return result
 
-    monkeypatch.setattr(Gf2AffineMap, "apply", spy_apply)
-    monkeypatch.setattr(Database, "execute", numbered_execute)
-    n_vertices = 70_000
-    with Database() as db:
-        load_edges_into(db, "edges", gnm_random_graph(
-            n_vertices, 140_000, np.random.default_rng(3)))
-        RandomisedContraction().run(db, "edges", seed=11)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(Gf2AffineMap, "apply", spy_apply)
+        monkeypatch.setattr(Database, "execute", numbered_execute)
+        with Database() as db:
+            load_edges_into(db, "edges", gnm_random_graph(
+                SPIED_VERTICES, 2 * SPIED_VERTICES,
+                np.random.default_rng(3)))
+            RandomisedContraction().run(db, "edges", seed=11)
+    return {"passed": passed, "chosen": chosen,
+            "null_extended": null_extended}
+
+
+def test_each_round_evaluates_h_once_per_live_vertex(spied_fast_run):
+    """``least(h(v1), min(h(v2)))`` over the doubled edge table passes h
+    each of its round's live vertices at most once — |V| in round 1, the
+    representatives round k - 1 chose after — because the aggregate's
+    call runs over distinct ids (round 1's plain dense ``v2``, a later
+    round's dictionary of those representatives) and the call over the
+    group keys ``v1`` reuses that evaluation instead of calling again."""
+    passed, chosen = spied_fast_run["passed"], spied_fast_run["chosen"]
     rounds = sorted(chosen)
     assert len(rounds) > 3
-    assert passed[0][0] == rounds[0] and passed[0][1] <= n_vertices
-    live = [n_vertices] + [chosen[number] for number in rounds[:-1]]
+    assert passed[0][0] == rounds[0] and passed[0][1] <= SPIED_VERTICES
+    live = [SPIED_VERTICES] + [chosen[number] for number in rounds[:-1]]
     for number, vertices in zip(rounds, live):
         values = sum(rows for at, rows in passed if at == number)
         assert 0 < values <= vertices, (number, values, vertices)
+
+
+def test_composition_applies_h_only_to_null_extended_rows(spied_fast_run):
+    """The back-to-front composition ``coalesce(r2.rep, axplusb(acc_a,
+    r1.rep, acc_b))`` needs its affine fallback only where ``r2.rep`` is
+    NULL — a representative that left the graph.  COALESCE short-circuits,
+    so h sees those rows and no other: an eager COALESCE would pass it
+    every label row of every composition."""
+    passed = spied_fast_run["passed"]
+    null_extended = spied_fast_run["null_extended"]
+    assert len(null_extended) > 2
+    for number, extended in null_extended.items():
+        values = sum(rows for at, rows in passed if at == number)
+        assert values <= extended, (number, values, extended)
