@@ -18,6 +18,11 @@ ratio, and ``WORSE`` where the change's median is worse than the base's
 by more than the metric's ``bound`` in the direction of its ``better``.
 A last line says whether ``sql_queries`` and ``written_ratio`` were
 identical within every pair.  The exported tree is removed on exit.
+
+``--stages`` adds one ``--trace 1`` pass per side to every pair, after
+its untraced runs, and prints both sides' median ``rc.stmt_*_s`` per
+statement stage with the change's delta in milliseconds — where in the
+round a saving sits.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -39,6 +45,8 @@ SHOWN = ("edges_per_s", "sql_queries", "written_ratio", "peak_space_ratio",
          "peak_rss_mb", "setup_s")
 #: Count metrics a change that only moves time must leave unchanged.
 PER_SEED_CONSTANTS = ("sql_queries", "written_ratio")
+#: The traced pass's seconds per statement stage of a run.
+STAGE = re.compile(r"rc\.stmt_\w+_s")
 
 
 def export(rev: str, into: Path) -> None:
@@ -49,11 +57,12 @@ def export(rev: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
-def run(tree: Path, workload: str, seed: Optional[int]) -> dict:
-    """One untraced pass; its end-to-end metrics by name, plus
-    ``correct``."""
+def run(tree: Path, workload: str, seed: Optional[int],
+        trace: int = 0) -> dict:
+    """One pass; its end-to-end metrics (``trace`` 0) or per-layer ones
+    (``trace`` 1) by name, plus ``correct``."""
     command = [sys.executable, "perf/run.py", "--workload", workload,
-               "--seconds", "0", "--trace", "0"]
+               "--seconds", "0", "--trace", str(trace)]
     if seed is not None:
         command += ["--seed", str(seed)]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True,
@@ -75,11 +84,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return low, median, high
 
 
-def run_pairs(trees: dict, workload: str, pairs: int,
-              seed: Optional[int]) -> dict[str, list[dict]]:
+def run_pairs(trees: dict, workload: str, pairs: int, seed: Optional[int],
+              stages: bool = False) -> tuple[dict, dict]:
     """``pairs`` alternating base/change runs of one workload, each
-    printed as it finishes; the runs per side, in pair order."""
+    printed as it finishes; the untraced runs per side, in pair order, and
+    the traced ones (``stages``; none otherwise)."""
     runs: dict[str, list[dict]] = {"base": [], "change": []}
+    traced: dict[str, list[dict]] = {"base": [], "change": []}
     for pair in range(pairs):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
         for side in order:
@@ -88,7 +99,9 @@ def run_pairs(trees: dict, workload: str, pairs: int,
             shown = "  ".join(f"{name}={metrics[name]:.6g}" for name in SHOWN)
             print(f"{workload} pair {pair + 1} {side:<6} {shown}  "
                   f"correct={metrics['correct']}", flush=True)
-    return runs
+        for side in order if stages else ():
+            traced[side].append(run(trees[side], workload, seed, trace=1))
+    return runs, traced
 
 
 def worse(metric: dict, base: float, change: float) -> bool:
@@ -123,6 +136,17 @@ def summarise(workload: str, runs: dict[str, list[dict]],
         print(f"{workload} {name} identical in every pair: {same}")
 
 
+def summarise_stages(workload: str, traced: dict[str, list[dict]]) -> None:
+    """Print both sides' median seconds per statement stage, in ms."""
+    names = sorted(name for name in traced["change"][0]
+                   if STAGE.fullmatch(name) and name in traced["base"][0])
+    for name in names:
+        base, change = (statistics.median(m[name] for m in traced[side])
+                        for side in ("base", "change"))
+        print(f"{workload} {name:<22} base {base * 1e3:9.2f} ms  change "
+              f"{change * 1e3:9.2f} ms  delta {(change - base) * 1e3:+.2f} ms")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True,
@@ -133,6 +157,9 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=None,
                         help="perf/run.py's --seed (default: its own)")
+    parser.add_argument("--stages", action="store_true",
+                        help="add a traced pass per side per pair and print "
+                             "the median seconds per statement stage")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = ([w["name"] for w in spec["workloads"]]
@@ -143,10 +170,14 @@ def main(argv=None) -> int:
         trees = {"base": base_tree, "change": ROOT}
         all_correct = True
         for workload in workloads:
-            runs = run_pairs(trees, workload, args.pairs, args.seed)
-            all_correct &= all(m["correct"] for side in runs.values()
+            runs, traced = run_pairs(trees, workload, args.pairs, args.seed,
+                                     args.stages)
+            all_correct &= all(m["correct"]
+                               for side in (*runs.values(), *traced.values())
                                for m in side)
             summarise(workload, runs, spec["end_to_end"])
+            if args.stages:
+                summarise_stages(workload, traced)
         return 0 if all_correct else 1
     finally:
         shutil.rmtree(base_tree, ignore_errors=True)

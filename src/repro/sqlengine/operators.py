@@ -16,8 +16,14 @@ spell the identity out as ``arange``.
 
 **Joins** are planned once and written once.  :func:`plan_join` is the
 only place that decides how an equi-join runs: it returns a
-:class:`JoinRoute` naming one of two kernels and the arrays it reads —
+:class:`JoinRoute` naming one of three kernels and the arrays it reads —
 
+* **no table at all** (:func:`_offset_probe`) when the build side's
+  cached index shows its keys sorted, unique and filling their whole
+  domain — every ``reps.v`` of a single-component input: key ``k`` is
+  build row ``k - min``, so the probe keys, shifted, *are* the right
+  rows.  The only work is the probe's bounds check, and none at all for
+  codes;
 * a **direct-address table** (:func:`_dense_probe`) when the build-side
   key range is dense (span comparable to the row count, as with vertex
   IDs): O(n), no sort at all.  Two **dictionary-encoded** key columns
@@ -25,7 +31,7 @@ only place that decides how an equi-join runs: it returns a
   whatever their values are — the ``dictionary`` route: the build side's
   codes are its keys' slots, the probe side's codes address them, and no
   64-bit value is read.  From round 2 on that is every join of the
-  contraction loop;
+  contraction loop that the first kernel does not take;
 * a **sorted-order probe** (:func:`_sorted_probe`) for sparse 64-bit keys
   in plain columns — one binary search per row into unique build keys, a
   run expansion (:func:`_expand_runs`, the only one) into duplicated
@@ -265,6 +271,12 @@ class KeyIndex:
         self._sorted_values: Optional[np.ndarray] = None
         self.histogram = histogram
 
+    def fills(self, span: int) -> bool:
+        """Whether the indexed keys are sorted, unique and exactly ``span``
+        many — over a domain of ``span`` keys, all of them, in order, so
+        the ``i``-th key of the domain is row ``i``.  O(1)."""
+        return self.is_sorted and self.is_unique and self.n_rows == span
+
     @property
     def order(self) -> np.ndarray:
         if self._order is None:
@@ -408,7 +420,9 @@ def _empty_pair() -> tuple[np.ndarray, np.ndarray]:
 JOIN_ROUTES = {
     "empty": "empty",
     "range-pruned": "range-pruned",
+    "dictionary-identity": "identity",
     "dictionary": "dictionary",
+    "dense-offset": "offset",
     "dense-unique": "dense",
     "dense-runs": "dense",
     "sparse-unique": "probe-sorted",
@@ -488,7 +502,11 @@ def plan_join(
     from a stored table's index cache); they let the route skip its
     build-side sort.  An index is ignored whenever the corresponding side
     had NULL rows filtered out, since its row numbering would no longer
-    line up.
+    line up.  A build-side index that :meth:`KeyIndex.fills` its key
+    domain — checked in O(1) — takes the join off every table: the
+    ``dictionary-identity`` and ``dense-offset`` routes read the right
+    rows straight off the probe keys.  Without an index (the Spark model
+    keeps none) no join takes them.
     """
     if len(left_keys) != len(right_keys) or not left_keys:
         raise ExecutionError("join requires matching non-empty key lists")
@@ -516,11 +534,15 @@ def _dictionary_route(
     over a unique build side, else ``None``.
 
     Equal codes are then equal values, so the build side's codes *are* its
-    keys' positions in the probe side's dictionary: one scatter fills the
-    direct-address table and :func:`_dense_probe` probes it with the codes
-    — no value is read, sorted or searched on either side.  Duplicate
-    build keys, distinct dictionaries and plain columns take the routes of
-    :func:`_route_keys` over the (materialised) values.
+    keys' positions in the probe side's dictionary.  When its index shows
+    them sorted, unique and as many as the dictionary's entries, code ``c``
+    is build row ``c``: the ``dictionary-identity`` route hands the probe
+    codes back as the right rows — no table, no gather and no match check,
+    since codes address the dictionary by construction.  Otherwise one
+    scatter fills the direct-address table and :func:`_dense_probe` probes
+    it with the codes — no value is read, sorted or searched on either
+    side.  Duplicate build keys, distinct dictionaries and plain columns
+    take the routes of :func:`_route_keys` over the (materialised) values.
     """
     left, right = left_keys[0], right_keys[0]
     if (
@@ -531,6 +553,9 @@ def _dictionary_route(
     ):
         return None
     span = int(left.dictionary.shape[0])
+    if right_index is not None and right_index.fills(span):
+        return JoinRoute("dictionary-identity", _offset_probe,
+                         (left.codes, 0, span, True))
     if not (right_index.is_unique if right_index is not None
             else int(np.bincount(right.codes, minlength=span).max()) <= 1):
         return None
@@ -548,13 +573,16 @@ def _route_keys(
 ) -> JoinRoute:
     """The one join-route decision, over non-empty NULL-free packed keys.
 
-    Integer keys: disjoint key ranges match nothing; a dense build-side
-    range gets a direct-address table (slots for unique keys, buckets
-    otherwise) — O(n), no sort.  Sparse keys probe the build side's sorted
-    order: one binary search per row when its keys are unique, a run
-    expansion otherwise.  Without a build-side index the sort happens
-    here.  The probe side's index, when one
-    is cached, is read for its key range only.
+    Integer keys: disjoint key ranges match nothing; a build side whose
+    index :meth:`~KeyIndex.fills` its range is addressed by offset, with
+    no table (``dense-offset``: key ``k`` is build row ``k - min``); any
+    other dense build-side range gets a direct-address table (slots for
+    unique keys, buckets otherwise) — O(n), no sort.  The offset route
+    allocates nothing, so the dense-span limit does not bound it.  Sparse
+    keys probe the build side's sorted order: one binary search per row
+    when its keys are unique, a run expansion otherwise.  Without a
+    build-side index the sort happens here.  The probe side's index, when
+    one is cached, is read for its key range only.
     """
     n_right = int(rk.shape[0])
     ints = lk.dtype.kind == "i" and rk.dtype.kind == "i"
@@ -568,6 +596,8 @@ def _route_keys(
         ):
             return JoinRoute("range-pruned")
         span = rmax - rmin + 1
+        if right_index is not None and right_index.fills(span):
+            return JoinRoute("dense-offset", _offset_probe, (lk, rmin, span))
         if span <= _dense_span_limit(n_right):
             rel_right = rk - rmin
             counts = None
@@ -666,6 +696,29 @@ def left_join_indices(
 
 
 # -- join kernels: each called once, over the whole probe side ---------------
+
+
+def _offset_probe(
+    lk: np.ndarray, rmin: int, span: int, codes: bool = False,
+) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """Kernel: the probe keys ``lk`` against a build side whose keys are
+    ``rmin .. rmin + span - 1``, in row order — key ``k`` is build row
+    ``k - rmin``, so no table is built or read.  ``codes`` says ``lk`` are
+    codes into a dictionary of ``span`` entries (``rmin`` 0), in bounds by
+    construction.  Left rows are ``None`` when every probe key is in
+    bounds; the right rows are then a read-only view of ``lk`` when
+    ``rmin`` is 0, which can be a stored column's array."""
+    rmax = rmin + (span - 1)
+    if codes or (int(lk.min()) >= rmin and int(lk.max()) <= rmax):
+        if rmin:
+            return None, lk - rmin
+        rows = lk.view()
+        rows.flags.writeable = False
+        return None, rows
+    # Bounds-check on the original values: lk - rmin could wrap around
+    # int64 for extreme key ranges.
+    l_idx = np.flatnonzero((lk >= rmin) & (lk <= rmax))
+    return l_idx, lk[l_idx] - rmin
 
 
 def _dense_probe(

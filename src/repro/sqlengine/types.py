@@ -97,8 +97,11 @@ class Column:
         ``dictionary[codes[i]]``; ``dictionary`` is sorted and unique.
         ``values`` may hand over the rows where they already exist.  The
         dictionary is made read-only here: columns, indexes and UDF
-        evaluations that share it key on its identity."""
+        evaluations that share it key on its identity.  So are the codes:
+        a join whose build rows are the probe codes hands them on as its
+        row map."""
         dictionary.flags.writeable = False
+        codes.flags.writeable = False
         column = cls(values, INT64)
         column.codes = codes
         column.dictionary = dictionary

@@ -18,8 +18,10 @@ plain, aggregated, and
 UNION ALL subqueries joined like tables — and calls of an immutable UDF
 over dense, sparse, encoded and NULL-bearing columns, including the
 contraction's ``least(udf(k), min(udf(v)))`` shape and the composition's
-``coalesce(<nullable>, udf(...))``), three-argument COALESCE and a CASE
-with an integer and a float branch) over small random tables, and holds
+``coalesce(<nullable>, udf(...))``), three-argument COALESCE, a CASE
+with an integer and a float branch, and joins — inner and LEFT — whose
+build side is a stored GROUP BY output, as each round's ``reps`` is,
+joined back to its input) over small random tables, and holds
 each statement to two contracts.  sqlite short-circuits COALESCE as the
 engine does, so both evaluate a fallback over the same rows:
 
@@ -58,7 +60,9 @@ the kernels treat as a dense range; every other batch therefore runs with
 the dense dispatch off (``DENSE_SPAN_FACTOR`` = ``DENSE_SPAN_FLOOR`` = 0),
 so the same statements also cross the sparse-key kernels — sorted-index
 and merge probes — that carry the contraction loop after round 1.  The
-harness asserts that both kinds of route were taken.
+harness asserts that both kinds of route were taken, and both routes of
+a build side that fills its key domain (``dense-offset`` on values,
+``dictionary-identity`` on codes), which no span limit bounds.
 
 Runs in tier-1 under a fixed seed.  Env knobs for CI:
 
@@ -119,11 +123,33 @@ UDF_SCALES = (1, 2, -3)
 #: ELSE values of the CASE arm, whose THEN branch is an integer column.
 CASE_FLOATS = ("2.5", "-1.5", "0.5")
 
+#: Stored GROUP BY outputs, made after each batch's tables, as the
+#: contraction's ``reps`` is: sorted unique keys, which fill their domain
+#: whenever no key of it is missing.  ``h0.hk`` is an expanding join's
+#: encoded gather of ``t1.k1``, so ``g0.g`` is on codes over its
+#: dictionary; ``g1.g`` is plain.
+DERIVED_TABLES = [
+    "create table h0 as select y.k1 hk, y.a1 ha from t0 as x, t1 as y "
+    "where x.k0 = y.k1",
+    "create table g0 as select hk g, min(ha) m from h0 group by hk",
+    "create table g1 as select k2 g, count(*) m from t2 group by k2",
+]
+
+#: A derived GROUP BY output joined back to its input (or to a table of
+#: the same keys): (probe table, its key, its value column, build table).
+GROUPED_JOINS = [
+    ("h0", "hk", "ha", "g0"),
+    ("t1", "k1", "n1", "g0"),
+    ("t2", "k2", "n2", "g1"),
+    ("t0", "k0", "n0", "g1"),
+]
+
 #: Statement shape -> pattern of the SQL that has it.
 SHAPE_PATTERNS = {
     "coalesce_udf": r"coalesce\(\w+\.\w+, udf\(",
     "coalesce_three": r"coalesce\(\w+\.\w+, \w+\.\w+, -?\d+\)",
     "case_int_float": r"case when .* else -?\d+\.\d+ end",
+    "grouped_join": r" as q on \(p\.\w+ = q\.g\)",
 }
 
 
@@ -145,7 +171,7 @@ def table_statements(rand: random.Random) -> list[str]:
             null = "null" if rand.random() < 0.25 else str(rand.randint(0, 4))
             rows.append(f"({rand.randint(0, 6)}, {rand.randint(-5, 5)}, {null})")
         statements.append(f"insert into {name} values {', '.join(rows)}")
-    return statements
+    return statements + DERIVED_TABLES
 
 
 def churn_statements(rand: random.Random) -> list[str]:
@@ -263,7 +289,22 @@ def _projection_item(rand: random.Random, uses: list[tuple],
     return ref
 
 
+def _grouped_join(rand: random.Random) -> str:
+    """A stored GROUP BY output as the build side of a join with its
+    input: the join the contraction runs against each round's ``reps``."""
+    probe, key, value, build = rand.choice(GROUPED_JOINS)
+    kind = "left outer join" if rand.random() < 0.4 else "join"
+    distinct = "distinct " if rand.random() < 0.3 else ""
+    sql = (f"select {distinct}p.{key}, p.{value}, q.m from {probe} as p "
+           f"{kind} {build} as q on (p.{key} = q.g)")
+    if rand.random() < 0.3:
+        sql += f" where p.{value} is not null"
+    return sql
+
+
 def generate_query(rand: random.Random) -> str:
+    if rand.random() < 0.1:
+        return _grouped_join(rand)
     if rand.random() < 0.15:
         # UNION ALL: two projection cores of identical arity (every fuzz
         # column is int64, so the arms always concatenate cleanly).
@@ -459,6 +500,9 @@ def test_differential_fuzz(monkeypatch):
     assert engaged["fused"] > 0
     assert engaged["encoded"] > 0  # results that left the engine encoded
     assert routes & {"dense-unique", "dense-runs"}
+    # A build side that fills its domain skips the table, on values and
+    # on codes.
+    assert {"dense-offset", "dictionary-identity"} <= routes, routes
     if FUZZ_ROUNDS > BATCH:  # a sparse-key batch ran
         assert routes & {"sparse-unique", "indexed-runs", "sorted-runs"}
     # ... and actually generate the statement shapes it claims to cover.

@@ -578,6 +578,28 @@ def test_dictionaries_are_read_only():
                 dictionary[0] = 0
 
 
+def test_codes_are_read_only():
+    """A join whose build rows are its probe codes hands the codes on as
+    its row map, so a stored encoded column's codes — like those of a
+    cached encoding or of any encoded gather — refuse an in-place write."""
+    rng = np.random.default_rng(5)
+    with Database() as db:
+        db.load_table("e", {"v": rng.integers(0, 20, 200)})
+        db.load_table("r", {"v": np.arange(20),
+                            "rep": rng.integers(0, 2 ** 40, 20)})
+        db.execute("create table g as select r.rep as rep from e, r "
+                   "where e.v = r.v")
+        stored = db.table("g").column("rep")
+        assert stored.codes is not None
+        for codes in (stored.codes, stored.take(np.arange(3)).codes,
+                      db.table("r").encoded_column("rep").codes,
+                      encode([3, 1, 2]).codes):
+            with pytest.raises(ValueError, match="read-only"):
+                codes[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                codes += 1
+
+
 def test_contraction_udfs_are_registered_immutable():
     """``axplusb`` over an encoded edge column costs one field
     multiplication per distinct vertex, and the same bits as per row."""

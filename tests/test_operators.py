@@ -246,10 +246,15 @@ unique_builds = st.one_of(
 @given(unique_builds, st.data())
 def test_every_row_matching_join_has_identity_left_rows(right, data):
     """Every probe row finds its one build row: a route that knows its
-    build keys unique (a direct-address table, or a sorted index) returns
+    build keys unique (a direct-address table, a sorted index, or an
+    index showing them fill their range, which needs no table) returns
     the identity (``None``) for left rows — the no-index sparse route
     expands runs and never does — and the public entry points spell it
-    out as the reference's ``arange``."""
+    out as the reference's ``arange``.  Stored in key order, a build
+    side of consecutive keys takes the tableless route."""
+    if data.draw(st.booleans()):
+        right = sorted(right)
+    fills = right == list(range(right[0], right[0] + len(right)))
     left = data.draw(st.lists(st.sampled_from(right), max_size=60))
     lcol, rcol = int_column(left), int_column(right)
     expected = merge_join_indices([lcol], [rcol])
@@ -258,6 +263,8 @@ def test_every_row_matching_join_has_identity_left_rows(right, data):
             route = operators.plan_join([lcol], [rcol], right_index=r_index)
             l_idx, r_idx = route.run()
             assert (l_idx is None) == (route.kind != "sorted-runs")
+            assert (route.kind == "dense-offset") == \
+                (fills and r_index is not None)
             assert np.array_equal(r_idx, expected[1])
         got = join_indices([lcol], [rcol], right_index=r_index)
         assert got[0].dtype == np.int64
@@ -686,3 +693,103 @@ def test_dense_probe_over_codes_skips_bounds_yet_matches_the_reference(
     assert note == ["dictionary"]
     assert_same_pairs(pairs, merge_join_indices(
         [int_column(dictionary[probe])], [int_column(dictionary[build])]))
+
+
+#: Build sides of ``n`` unique keys from ``low``: ``filled`` holds every
+#: key of its range in order — key ``k`` is row ``k - low`` — and the
+#: others must keep a table: ``unsorted`` (the range, reversed) and
+#: ``holed`` (in order, one interior key missing, one more at the end).
+BUILD_SHAPES = ("filled", "unsorted", "holed")
+
+
+def _build_side(shape, low, n):
+    keys = np.arange(n + (shape == "holed"), dtype=np.int64) + low
+    if shape == "unsorted":
+        return keys[::-1].copy()
+    if shape == "holed":
+        return np.delete(keys, (n + 1) // 2)
+    return keys
+
+
+@given(
+    shape=st.sampled_from(BUILD_SHAPES),
+    low=st.one_of(st.integers(min_value=-5, max_value=5),
+                  st.just(int(I64.min)),
+                  st.integers(min_value=2 ** 62, max_value=2 ** 62 + 9)),
+    n=st.integers(min_value=2, max_value=40),
+    misses=st.booleans(),
+    encoded=st.booleans(),
+    null_probes=st.booleans(),
+    data=st.data(),
+)
+def test_build_sides_that_fill_their_domain_skip_the_table(
+        shape, low, n, misses, encoded, null_probes, data):
+    """A build side whose index shows every key of its domain, in order,
+    takes the tableless route — ``dense-offset`` over values,
+    ``dictionary-identity`` over codes, whose domain is the dictionary —
+    and any other keeps the table; inner and LEFT joins give the
+    reference's pairs either way, with and without probe keys outside
+    the build side (below its range, above it, in its hole) and NULL
+    probe keys."""
+    build = _build_side(shape, low, n)
+    probe = data.draw(st.lists(st.sampled_from(build.tolist()),
+                               min_size=1, max_size=50))
+    if misses:
+        outside = [low - 1, int(build.max()) + 1]
+        if shape == "holed":
+            outside.append(low + (n + 1) // 2)
+        probe += [key for key in outside if I64.min <= key <= I64.max]
+        probe = data.draw(st.permutations(probe))
+    probe = np.array(probe, dtype=np.int64)
+    # An encoded column holds no NULL; one probe key at least is not.
+    nulls = sorted(data.draw(st.sets(
+        st.integers(min_value=0, max_value=probe.shape[0] - 1),
+        max_size=min(3, probe.shape[0] - 1)))) \
+        if null_probes and not encoded else []
+    if encoded:
+        dictionary = np.unique(np.concatenate([probe, build]))
+        left, right = (Column.encoded(np.searchsorted(dictionary, keys),
+                                      dictionary)
+                       for keys in (probe, build))
+        fills = shape != "unsorted" and dictionary.shape[0] == n
+        kind = "dictionary-identity" if fills else "dictionary"
+    else:
+        left = int_column(probe, nulls)
+        right = int_column(build)
+        kind = "dense-offset" if shape == "filled" else None
+    index = build_key_index(right.storage, right.dictionary)
+    route = operators.plan_join([left], [right], right_index=index)
+    if kind is not None:
+        assert route.kind == kind
+    else:
+        assert route.kind not in ("dense-offset", "dictionary-identity")
+    expected = merge_join_indices([int_column(probe, nulls)],
+                                  [int_column(build)])
+    l_idx, r_idx = route.run()
+    assert_same_pairs(operators.spelled_out(l_idx, r_idx), expected)
+    if route.kind in ("dense-offset", "dictionary-identity"):
+        every_row = expected[0].shape[0] == probe.shape[0]
+        assert (l_idx is None) == (every_row and not nulls)
+        assert not r_idx.flags.writeable or not np.shares_memory(
+            r_idx, left.storage)
+    assert_same_pairs(
+        join_indices([left], [right], right_index=index), expected)
+    assert_same_pairs(
+        left_join_indices([left], [right], right_index=index),
+        operators.pad_left_outer(*expected, probe.shape[0]))
+
+
+def test_offset_route_never_hands_out_a_writable_probe_array():
+    """Keys from 0 that every build row holds: the right rows are the
+    probe array itself, behind a read-only view; from another origin
+    they are a new array."""
+    probe = np.array([2, 0, 1, 1], dtype=np.int64)
+    for low, aliased in ((0, True), (5, False)):
+        route = operators.plan_join(
+            [int_column(probe + low)], [int_column(np.arange(3) + low)],
+            right_index=build_key_index(np.arange(3) + low))
+        assert route.kind == "dense-offset"
+        l_idx, r_idx = route.run()
+        assert l_idx is None and r_idx.tolist() == [2, 0, 1, 1]
+        assert not r_idx.flags.writeable if aliased else r_idx.flags.writeable
+        assert np.shares_memory(r_idx, route.args[0]) == aliased

@@ -236,20 +236,20 @@ def test_executor_probes_a_warm_sparse_index(monkeypatch):
     assert notes == ["probe-sorted", "merge"]
 
 
-def test_executor_probes_a_warm_dense_index(monkeypatch):
-    """Dense vertex ids behind a warm build-side index take the
-    direct-address probe, and give the index-less join's rows."""
+def _warm_dense_twin(monkeypatch, build_keys):
+    """``e.v1 = r.v`` over dense ids, ``r.v`` being ``build_keys`` behind
+    a warm index, on a database and on its index-less twin: the route
+    notes of both, then each one's rows."""
     rng = np.random.default_rng(27)
     n = 4000
     v1 = rng.integers(0, 300, n)
     v2 = rng.integers(0, 300, n)
-    rep = rng.integers(0, 300, 300)
+    rep = rng.integers(0, 300, build_keys.shape[0])
 
     def build():
         db = Database(n_segments=4)
         db.load_table("e", {"v1": v1, "v2": v2})
-        db.load_table("r", {"v": np.arange(300, dtype=np.int64),
-                            "rep": rep})
+        db.load_table("r", {"v": build_keys, "rep": rep})
         db.execute("select r.v, count(*) c from r group by r.v")  # warm index
         assert db.stats.index_cache_misses == 1
         return db
@@ -257,8 +257,27 @@ def test_executor_probes_a_warm_dense_index(monkeypatch):
     notes = _recording_notes(monkeypatch)
     rows, expected = _index_less_twin(
         build, "select e.v2, r.rep from e, r where e.v1 = r.v")
+    return notes, rows, expected
+
+
+def test_executor_probes_a_warm_dense_index(monkeypatch):
+    """Dense vertex ids behind a warm build-side index, one id missing,
+    take the direct-address probe, and give the index-less join's rows."""
+    build_keys = np.delete(np.arange(301, dtype=np.int64), 150)
+    notes, rows, expected = _warm_dense_twin(monkeypatch, build_keys)
     assert rows == expected
     assert notes == ["dense", "dense"]
+
+
+def test_executor_reads_rows_off_a_warm_index_that_fills_its_range(
+        monkeypatch):
+    """Every id of the range, in order, behind a warm index: key ``k`` is
+    build row ``k``, so the join builds no table (``offset``) and gives
+    the rows of the index-less twin, which builds one."""
+    notes, rows, expected = _warm_dense_twin(
+        monkeypatch, np.arange(300, dtype=np.int64))
+    assert rows == expected
+    assert notes == ["offset", "dense"]
 
 
 # -- JoinRoute.run: NULL-filtered sides and the identity left rows ----------
@@ -272,6 +291,8 @@ def _run_case_inputs(kind, nulls):
     rng = np.random.default_rng(len(kind) + 7 * len(nulls))
     sparse = kind in ("sorted-runs", "sparse-unique", "indexed-runs")
     build = rng.permutation(100) * (2 ** 53 + 12345 if sparse else 1)
+    if kind == "dense-offset":
+        build = np.arange(100)
     if kind in ("dense-runs", "sorted-runs", "indexed-runs"):
         build = np.concatenate([build, build[:20]])
     probe = build[rng.integers(0, build.shape[0], 300)]
@@ -282,14 +303,15 @@ def _run_case_inputs(kind, nulls):
 
     left, right = side(probe, "left"), side(build, "right")
     index = build_key_index(build) \
-        if kind in ("sparse-unique", "indexed-runs") else None
+        if kind in ("sparse-unique", "indexed-runs", "dense-offset") else None
     return left, right, index
 
 
 RUN_CASES = [(kind, nulls)
              for kind in ("dense-unique", "dense-runs", "sorted-runs")
              for nulls in ("left", "right", "left+right")]
-RUN_CASES += [("sparse-unique", "left"), ("indexed-runs", "left")]
+RUN_CASES += [("sparse-unique", "left"), ("indexed-runs", "left"),
+              ("dense-offset", "left")]
 
 
 @pytest.mark.parametrize("kind,nulls", RUN_CASES,
@@ -307,7 +329,8 @@ def test_run_maps_filtered_rows_back(kind, nulls):
     got = spelled_out(l_idx, r_idx)
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
-    if kind in ("dense-unique", "sparse-unique") and nulls == "left":
+    if kind in ("dense-unique", "sparse-unique", "dense-offset") \
+            and nulls == "left":
         assert l_idx is route.left_rows
         assert np.array_equal(l_idx, np.flatnonzero(~left.mask))
 
@@ -552,9 +575,10 @@ def test_executor_index_less_joins_identical(query):
 
 def test_left_join_over_null_probe_keys_keeps_every_probe_row(monkeypatch):
     """A LEFT JOIN whose probe keys are partly NULL and otherwise all
-    found: the kernel matches the non-NULL rows once each, ``run`` maps
-    them back to their rows, and the NULL-keyed rows come back
-    null-extended — sqlite's rows."""
+    found: the kernel matches the non-NULL rows once each — by offset,
+    ``r.v`` being every key of its range in order — ``run`` maps them back
+    to their rows, and the NULL-keyed rows come back null-extended —
+    sqlite's rows."""
     db = tee(Database(n_segments=4))
     db.execute("create table l (v int64, rep int64)")
     db.execute("insert into l values " + ", ".join(
@@ -565,7 +589,7 @@ def test_left_join_over_null_probe_keys_keeps_every_probe_row(monkeypatch):
     notes = _recording_notes(monkeypatch)
     rows = db.execute(
         "select l.v, r.w from l left outer join r on (l.rep = r.v)").rows()
-    assert notes == ["dense"]
+    assert notes == ["offset"]
     assert sorted(v for v, _ in rows) == list(range(60))
     assert sorted(v for v, w in rows if w is None) == list(range(0, 60, 5))
 
@@ -623,7 +647,8 @@ def test_rc_end_to_end_index_less_identical():
 
 
 def _join_case(dense, unique_build, indexed=True, probe_index=None,
-               left_outer=False, encoded=False, misses=True):
+               left_outer=False, encoded=False, misses=True,
+               sorted_build=False):
     """One join of the matrix, run through ``join`` — a function of
     ``(left keys, right keys, left index, right index, note)`` such as
     ``join_indices`` — and held against ``merge_join_indices``, which sees
@@ -640,7 +665,10 @@ def _join_case(dense, unique_build, indexed=True, probe_index=None,
     (``"indexed"``) or one stored in key order (``"stored-sorted"``).
     ``encoded`` gives both sides the dictionary-encoded form over one
     shared dictionary, of which the build side holds a part: the probes
-    absent from it are codes without a build row."""
+    absent from it are codes without a build row.  ``sorted_build`` stores
+    the build side in key order: a unique dense one then fills its key
+    range, and an encoded one fills its dictionary unless misses widen
+    it."""
     def case(join, note):
         rng = np.random.default_rng(17 * dense + unique_build)
         if dense:
@@ -650,6 +678,8 @@ def _join_case(dense, unique_build, indexed=True, probe_index=None,
         if not unique_build:
             build = np.concatenate([build, build[:500]])
         probe = build[rng.integers(0, build.shape[0], 20_000)]
+        if sorted_build:
+            build = np.sort(build)
         if misses:
             probe = np.concatenate([
                 probe,
@@ -728,6 +758,30 @@ KERNEL_CASES = {
     "left-dictionary-all-match": (
         _join_case(False, True, encoded=True, left_outer=True,
                    misses=False), "dictionary"),
+    # A build side stored in key order that fills its key range: no table.
+    "dense-offset-probe": (
+        _join_case(True, True, sorted_build=True), "dense-offset"),
+    "left-dense-offset-probe": (
+        _join_case(True, True, sorted_build=True, left_outer=True),
+        "dense-offset"),
+    "dense-offset-all-match": (
+        _join_case(True, True, sorted_build=True, misses=False),
+        "dense-offset"),
+    "dense-offset-no-index": (
+        _join_case(True, True, sorted_build=True, indexed=False),
+        "dense-unique"),
+    "dense-sorted-bucket-probe": (
+        _join_case(True, False, sorted_build=True), "dense-runs"),
+    "dictionary-identity-probe": (
+        _join_case(False, True, encoded=True, sorted_build=True,
+                   misses=False), "dictionary-identity"),
+    "left-dictionary-identity-probe": (
+        _join_case(False, True, encoded=True, sorted_build=True,
+                   left_outer=True, misses=False), "dictionary-identity"),
+    # The misses are dictionary entries no build row holds: holes.
+    "dictionary-sorted-with-holes": (
+        _join_case(False, True, encoded=True, sorted_build=True),
+        "dictionary"),
 }
 
 #: The cases that sort (``stable_argsort``) or search (``sorted_lookup``)
@@ -746,6 +800,9 @@ SPARSE_DISPATCH_ROUTES = {
     "dense-bucket-probe": "indexed-runs",
     "left-dense-probe": "sparse-unique",
     "dense-unique-all-match": "sparse-unique",
+    # The offset route allocates nothing: no span limit bounds it.
+    "dense-offset-probe": "dense-offset",
+    "dense-offset-no-index": "sorted-runs",
 }
 
 MATRIX = ([(kernel, "serial") for kernel in KERNEL_CASES]
@@ -816,6 +873,9 @@ IDENTITY_PROBES = {
     "dense-unique-all-match": True,
     "sorted-unique-all-match": True,
     "left-dictionary-all-match": True,
+    "dense-offset-probe": False,
+    "dense-offset-all-match": True,
+    "dictionary-identity-probe": True,
 }
 
 

@@ -534,14 +534,87 @@ def test_rc_deterministic_space_composition_joins_codes(monkeypatch):
     """The composition ``l LEFT JOIN reps ON l.rep = r.v`` matches every
     row on a path (one component), so it gathers ``reps.rep`` as codes and
     ``coalesce`` stores them: from round 2 on each composition joins two
-    columns over one dictionary, and the final labels are encoded."""
+    columns over one dictionary — every entry of which is a ``reps.v``
+    row, in order, so the codes are the build rows (``identity``) — and
+    the final labels are encoded."""
     from repro.graphs import path_graph
 
     result, compositions, encoded, consistent = _run_deterministic_space(
         monkeypatch, path_graph(1500))
     assert result.rounds > 2
-    assert compositions == [("dictionary", 0)] * (result.rounds - 1)
+    assert compositions == [("identity", 0)] * (result.rounds - 1)
     assert encoded and consistent
+
+
+def _round_join_routes(monkeypatch, edges) -> list:
+    """One deterministic-space RC run; returns ``(round, statement,
+    route note)`` per join, the statement being the label's last part
+    (``contract``, ``compose``)."""
+    from repro.core import RandomisedContraction
+    from repro.graphs.io import load_edges_into
+    from repro.sqlengine import executor as executor_module
+
+    routes: list = []
+    current = {"round": 0, "statement": ""}
+    execute = Database.execute
+    dispatch_join = executor_module.Executor._dispatch_join
+
+    def labelled_execute(db, sql, label=""):
+        current["statement"] = label.rsplit(":", 1)[-1]
+        current["round"] += current["statement"] == "reps"
+        return execute(db, sql, label)
+
+    def recording_dispatch(self, left_outer, left_keys, right_keys,
+                           left_index, right_index, note):
+        note = [] if note is None else note
+        pair = dispatch_join(self, left_outer, left_keys, right_keys,
+                             left_index, right_index, note)
+        routes.append((current["round"], current["statement"], note[-1]))
+        return pair
+
+    monkeypatch.setattr(Database, "execute", labelled_execute)
+    monkeypatch.setattr(executor_module.Executor, "_dispatch_join",
+                        recording_dispatch)
+    with Database() as db:
+        load_edges_into(db, "edges", edges)
+        RandomisedContraction(variant="deterministic-space").run(
+            db, "edges", seed=5)
+    return routes
+
+
+def test_rc_deterministic_space_joins_read_rows_off_the_keys_on_a_path(
+        monkeypatch):
+    """On one component every round's ``reps.v`` holds every vertex left,
+    in order: round 1's ids fill their range (``offset``) and later codes
+    fill their dictionary (``identity``), so no contract or composition
+    join builds a table."""
+    from repro.graphs import path_graph
+
+    routes = _round_join_routes(monkeypatch, path_graph(1500))
+    assert {statement for _, statement, _ in routes} == \
+        {"contract", "compose"}
+    for round_no, _, note in routes:
+        assert note == ("offset" if round_no == 1 else "identity")
+
+
+def test_rc_deterministic_space_contract_keeps_the_table_for_holes(
+        monkeypatch):
+    """On G(3000, 2000) components finish in round 1: their
+    representatives stay in round 2's dictionary but leave its ``reps.v``,
+    whose codes then have holes, so the round-2 contract probes a table
+    (``dictionary``); isolated ids leave holes in round 1's range too."""
+    from repro.graphs import gnm_random_graph
+
+    routes = _round_join_routes(
+        monkeypatch, gnm_random_graph(3000, 2000, np.random.default_rng(7)))
+    contract = {}
+    for round_no, statement, note in routes:
+        if statement == "contract":
+            contract.setdefault(round_no, []).append(note)
+    assert contract[1] == ["dense", "dense"]
+    assert contract[2] == ["dictionary", "dictionary"]
+    assert all(set(notes) <= {"dictionary", "identity"}
+               for round_no, notes in contract.items() if round_no >= 2)
 
 
 def test_rc_deterministic_space_composition_probes_plain_keys_once_a_component_finishes(

@@ -173,6 +173,18 @@ def test_every_join_route_is_reached_by_some_algorithm(default_traffic):
     assert seen & set(NO_ROUTE_TRAFFIC_EXPECTED) == set()
 
 
+def test_tableless_routes_are_reached_without_an_allow_list_entry(
+        default_traffic):
+    """Each round's ``reps.v`` on the path fills its key domain — round 1's
+    ids, later rounds' dictionary codes — so the default runs reach both
+    routes that skip the direct-address table."""
+    _, seen = default_traffic
+    tableless = {JOIN_ROUTES["dense-offset"],
+                 JOIN_ROUTES["dictionary-identity"]}
+    assert tableless <= seen
+    assert not tableless & set(NO_ROUTE_TRAFFIC_EXPECTED)
+
+
 #: G(70k, 140k): the spied fast-variant run's graph size.
 SPIED_VERTICES = 70_000
 
