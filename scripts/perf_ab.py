@@ -23,6 +23,13 @@ identical within every pair.  The exported tree is removed on exit.
 its untraced runs, and prints both sides' median ``rc.stmt_*_s`` per
 statement stage with the change's delta in milliseconds — where in the
 round a saving sits.
+
+``--cold`` adds one more process per side to every pair, which loads the
+workload's graph into a fresh ``Database`` and times its *first* RC run,
+and prints both sides' median first-run seconds.  ``perf/run.py`` times
+runs on a database that warm-up runs have used, so a gain that comes from
+a cache on the input table shows there on every run; here it is paid
+inside the timed run, and shows apart from a per-run gain.
 """
 
 from __future__ import annotations
@@ -47,6 +54,19 @@ SHOWN = ("edges_per_s", "sql_queries", "written_ratio", "peak_space_ratio",
 PER_SEED_CONSTANTS = ("sql_queries", "written_ratio")
 #: The traced pass's seconds per statement stage of a run.
 STAGE = re.compile(r"rc\.stmt_\w+_s")
+#: One fresh process, run in a tree: the workload's graph (argv[1], seed
+#: argv[2] or perf/run.py's default) loaded into a new ``Database`` and
+#: its first RC run timed by ``perf/bench.py``'s own rep.
+COLD_RUN = """
+import json, sys
+sys.path[:0] = ["src", "."]
+from perf.bench import WORKLOADS, Bench
+from perf.run import DEFAULT_SEED
+seed = int(sys.argv[2]) if len(sys.argv) > 2 else DEFAULT_SEED
+rep = Bench(WORKLOADS[sys.argv[1]], seed, 1.0, 0).run_rep(seed + 1)
+print(json.dumps({"first_run_s": rep.end - rep.start if rep.error is None
+                  else None, "correct": rep.error is None}))
+"""
 
 
 def export(rev: str, into: Path) -> None:
@@ -77,6 +97,20 @@ def run(tree: Path, workload: str, seed: Optional[int],
     return metrics
 
 
+def cold_run(tree: Path, workload: str, seed: Optional[int]) -> dict:
+    """One :data:`COLD_RUN` process: its first run's seconds and
+    ``correct``."""
+    command = [sys.executable, "-c", COLD_RUN, workload]
+    if seed is not None:
+        command.append(str(seed))
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True,
+                          check=False)
+    if not done.stdout.strip():
+        raise RuntimeError(f"{tree}: cold run of {workload} printed "
+                           f"nothing:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -85,12 +119,15 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def run_pairs(trees: dict, workload: str, pairs: int, seed: Optional[int],
-              stages: bool = False) -> tuple[dict, dict]:
+              stages: bool = False,
+              cold: bool = False) -> tuple[dict, dict, dict]:
     """``pairs`` alternating base/change runs of one workload, each
-    printed as it finishes; the untraced runs per side, in pair order, and
-    the traced ones (``stages``; none otherwise)."""
+    printed as it finishes; the untraced runs per side, in pair order, the
+    traced ones (``stages``; none otherwise) and the cold first runs
+    (``cold``; none otherwise)."""
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     traced: dict[str, list[dict]] = {"base": [], "change": []}
+    first: dict[str, list[dict]] = {"base": [], "change": []}
     for pair in range(pairs):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
         for side in order:
@@ -101,7 +138,11 @@ def run_pairs(trees: dict, workload: str, pairs: int, seed: Optional[int],
                   f"correct={metrics['correct']}", flush=True)
         for side in order if stages else ():
             traced[side].append(run(trees[side], workload, seed, trace=1))
-    return runs, traced
+        for side in order if cold else ():
+            first[side].append(cold_run(trees[side], workload, seed))
+            print(f"{workload} pair {pair + 1} {side:<6} first run "
+                  f"{first[side][-1]['first_run_s']}", flush=True)
+    return runs, traced, first
 
 
 def worse(metric: dict, base: float, change: float) -> bool:
@@ -147,6 +188,19 @@ def summarise_stages(workload: str, traced: dict[str, list[dict]]) -> None:
               f"{change * 1e3:9.2f} ms  delta {(change - base) * 1e3:+.2f} ms")
 
 
+def summarise_cold(workload: str, first: dict[str, list[dict]]) -> None:
+    """Print both sides' median first-run seconds and the change's wins."""
+    seconds = {side: [m["first_run_s"] for m in first[side]]
+               for side in first}
+    for side in ("base", "change"):
+        low, median, high = quartiles(seconds[side])
+        print(f"{workload} {side:<6} cold first run median {median:.4g} s "
+              f"[{low:.4g}, {high:.4g}]")
+    wins = sum(c < b for b, c in zip(seconds["base"], seconds["change"]))
+    print(f"{workload} change's first run faster in {wins}/"
+          f"{len(seconds['base'])} pairs")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True,
@@ -160,6 +214,10 @@ def main(argv=None) -> int:
     parser.add_argument("--stages", action="store_true",
                         help="add a traced pass per side per pair and print "
                              "the median seconds per statement stage")
+    parser.add_argument("--cold", action="store_true",
+                        help="add a fresh process per side per pair that "
+                             "times the first run on a newly loaded "
+                             "database, and print both medians")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = ([w["name"] for w in spec["workloads"]]
@@ -170,14 +228,18 @@ def main(argv=None) -> int:
         trees = {"base": base_tree, "change": ROOT}
         all_correct = True
         for workload in workloads:
-            runs, traced = run_pairs(trees, workload, args.pairs, args.seed,
-                                     args.stages)
+            runs, traced, first = run_pairs(trees, workload, args.pairs,
+                                            args.seed, args.stages, args.cold)
             all_correct &= all(m["correct"]
-                               for side in (*runs.values(), *traced.values())
+                               for side in (*runs.values(), *traced.values(),
+                                            *first.values())
                                for m in side)
             summarise(workload, runs, spec["end_to_end"])
             if args.stages:
                 summarise_stages(workload, traced)
+            if args.cold and all(m["correct"] for side in first.values()
+                                 for m in side):
+                summarise_cold(workload, first)
         return 0 if all_correct else 1
     finally:
         shutil.rmtree(base_tree, ignore_errors=True)

@@ -163,11 +163,15 @@ class Gf2AffineMap:
                 wide = self._wide_tables = (
                     self._tables[1::2, :, None] ^ self._tables[0::2, None, :]
                 ).reshape(4, 1 << 16)
-            # Little-endian layout puts bits 16j..16j+15 in column j.
+            # Little-endian layout puts bits 16j..16j+15 in column j.  A
+            # lane that is zero in every value adds T16_j[0] = 0: skip it
+            # (ids below 2^32 take two gathers).
             words = x.astype("<u8", copy=False).view("<u2").reshape(-1, 4)
+            occupied = int(np.bitwise_or.reduce(x, axis=None))
             flat = result.reshape(-1)
             for j in range(4):
-                flat ^= wide[j][words[:, j]]
+                if occupied >> (16 * j) & 0xFFFF:
+                    flat ^= wide[j][words[:, j]]
             return result
         for j in range(8):
             byte = (x >> np.uint64(8 * j)).astype(np.uint8)

@@ -51,30 +51,36 @@ runner.
 
 The executor also decides **which columns are dictionary-encoded** (the
 second physical form of :class:`~repro.sqlengine.types.Column`), and it is
-the only layer that does.  One rule creates the form, in one function
-(:func:`_encoded_source`): the gather of a stored NULL-free int64 column
-through the build side of an inner join, or a LEFT JOIN none of whose
-gathered rows is null-extended, with at least as many output rows as
-build rows — ``reps.rep`` fanned out over the edge table, or composed into
-the label table while no component has finished — reads an encoding of
-that column that its table caches like an index, and gathers codes.  A
-gather with a null-extended row reads plain values under a null mask: the
-encoded form stays NULL-free.  ``take`` / ``filter`` carry the form,
+the only layer that does.  Two rules create the form, each in one
+function.  The first (:func:`_encoded_source`): the gather of a stored
+NULL-free int64 column through the build side of an inner join, or a LEFT
+JOIN none of whose gathered rows is null-extended, with at least as many
+output rows as build rows — ``reps.rep`` fanned out over the edge table,
+or composed into the label table while no component has finished — reads
+an encoding of that column that its table caches like an index, and
+gathers codes.  A gather with a null-extended row reads plain values under
+a null mask: the encoded form stays NULL-free.  The second
+(:func:`_union_scan`): a UNION ALL whose arms are unfiltered scans of one
+stored table stacks a **joint** encoding of the NULL-free int64 columns
+each output column draws from — one dictionary over all of them, cached
+on the table the same way — so the setup query stores the doubled edge
+table over one vertex dictionary and round 1 runs on codes like every
+later round.  ``take`` / ``filter`` carry the form,
 ``CREATE TABLE AS`` stores it, and every consumer recognises it by the
 columns it is handed, not by a flag: joins of two columns over one
 dictionary take the planner's ``dictionary`` route, ``v1 != r2.rep``
 compares codes (:mod:`~repro.sqlengine.expressions`), an immutable UDF is
 applied to the dictionary, once for every call over it
 (:mod:`~repro.sqlengine.functions`), DISTINCT
-packs and sorts the codes, GROUP BY finds that output sorted.  The rule
-reads a join's row counts, whether a gathered row is null-extended and a
+packs and sorts the codes, GROUP BY finds that output sorted.  The rules
+read a join's row counts, whether a gathered row is null-extended and a
 column's provenance — nothing about how the statement runs — so the form,
 and with it a DISTINCT's row order, is a deterministic function of the
 statement and its input relation: **key order over encoded columns,
 first-occurrence order otherwise, never a function of a switch.**  Space,
 motion and
 written bytes charge 8 bytes per cell in either form.  Dense GROUP BY keys
-nothing has sorted yet — round 1's vertex ids — are reduced by direct
+nothing has sorted yet — round 1's vertex codes — are reduced by direct
 addressing (:func:`~repro.sqlengine.operators.direct_group_rows`) through
 the one reducer the sorted path calls.
 
@@ -274,13 +280,14 @@ def _encoded_source(frame: Frame, qualified: str) -> Column:
     null-extended, with at least as many output rows as its build side
     has.
 
-    This is where dictionary-encoded columns are born.  A stored NULL-free
+    This is where most dictionary-encoded columns are born (the rest in
+    :func:`_union_scan`, the setup's stacked scans).  A stored NULL-free
     int64 column is encoded once (sorted distinct values plus a code per
     row, cached on its table like an index, so every statement gathering
     it shares one dictionary object) and the output gathers its codes: the
-    sort is paid on the per-vertex side and every later statement's joins,
-    comparisons, DISTINCT and GROUP BY over the per-edge column run on
-    dense integers.  There is no size gate — encoding wherever the rule
+    encoding is paid on the per-vertex side and every later statement's
+    joins, comparisons, DISTINCT and GROUP BY over the per-edge column run
+    on dense integers.  There is no size gate — encoding wherever the rule
     allows wins from G(500, 1000) (1.07x per run) to G(500k, 1M) (2.3x).
     The rule reads one join's row counts, whether a gathered row is
     null-extended, and the column's provenance — never a switch — so
@@ -295,6 +302,50 @@ def _encoded_source(frame: Frame, qualified: str) -> Column:
         table, column_name = source
         encoded = table.encoded_column(column_name)
     return frame.columns[qualified] if encoded is None else encoded
+
+
+def _union_scan(
+    plan: SelectPlan, catalog: Catalog
+) -> Optional[tuple[Table, list[tuple[str, ...]]]]:
+    """The stored table every UNION ALL arm of ``plan`` is an unfiltered
+    scan of, and the columns each arm projects, in order — else ``None``.
+
+    This is where the second rule creating encoded columns reads its
+    input: each output column of such a UNION ALL whose arms draw it from
+    NULL-free int64 columns stacks their **joint encoding**
+    (:meth:`~repro.sqlengine.table.Table.joint_encoding`) — one dictionary
+    over every column drawn, cached on the table like
+    :func:`_encoded_source`'s — and :meth:`Column.concat` then stacks
+    codes.  The paper's setup query, ``select v1, v2 from E union all
+    select v2, v1 from E``, so stores the doubled edge table over one
+    vertex dictionary, and round 1 of every contraction joins, groups and
+    evaluates h on codes, as later rounds do.  Like the rule for joins it
+    reads the plan's provenance alone: a filtered, joined, grouped or
+    DISTINCT arm, a subquery, an expression, or arms over two tables
+    leave the UNION ALL plain."""
+    table = None
+    arms = []
+    for core_plan in plan.cores:
+        core = core_plan.core
+        if (
+            len(core_plan.scans) != 1 or core.joins
+            or core.where is not None or core.distinct
+            or core_plan.is_aggregate
+        ):
+            return None
+        scan = core_plan.scans[0]
+        if scan.subplan is not None:
+            return None
+        refs = [item.expr for item in core.items]
+        if not all(isinstance(ref, ColumnRef) and ref.name in scan.columns
+                   for ref in refs):
+            return None
+        scanned = catalog.get(scan.item.name)
+        if table is not None and scanned is not table:
+            return None
+        table = scanned
+        arms.append(tuple(ref.name for ref in refs))
+    return table, arms
 
 
 class _JoinChain:
@@ -811,10 +862,18 @@ class Executor:
         # UNION ALL arm arity was validated at compile time
         # (physicalplan.compile_select), so no arm runs on a mismatch.
         relations = [self._run_core(core) for core in plan.cores]
+        scanned = _union_scan(plan, self.catalog) \
+            if self.whole_column_shortcuts else None
         first = relations[0]
         columns = {}
         for position, name in enumerate(first.names):
             parts = [rel.columns[rel.names[position]] for rel in relations]
+            if scanned is not None:
+                table, arms = scanned
+                drawn = [arm[position] for arm in arms]
+                encoded = table.joint_encoding(drawn)
+                if encoded is not None:
+                    parts = [encoded[column_name] for column_name in drawn]
             columns[name] = Column.concat(parts)
         return Relation(list(first.names), columns, None,
                         display_names=list(first.display_names))

@@ -30,10 +30,10 @@ the function once per *distinct* value of a lone NULL-free integer
 column argument whose values have dense *slots* — an encoded column's
 codes (see :mod:`repro.sqlengine.types`), a plain column's ``v - min``
 over a span :func:`~repro.sqlengine.operators._dense_span_limit` admits
-(round 1's vertex ids) — and gathers the results back through the slots:
+(plain vertex ids) — and gathers the results back through the slots:
 
 * an encoded column at least as long as its dictionary is evaluated over
-  the whole dictionary, values of the stored column it encodes;
+  the whole dictionary, values of the stored columns it encodes;
 * any other such column over the values that *occur* (a presence mask
   over the slots).  A value no row holds is never passed: a partial
   function such as ``axbmodp`` sees only what the query supplied.

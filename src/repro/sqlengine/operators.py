@@ -20,18 +20,18 @@ only place that decides how an equi-join runs: it returns a
 
 * **no table at all** (:func:`_offset_probe`) when the build side's
   cached index shows its keys sorted, unique and filling their whole
-  domain — every ``reps.v`` of a single-component input: key ``k`` is
-  build row ``k - min``, so the probe keys, shifted, *are* the right
-  rows.  The only work is the probe's bounds check, and none at all for
-  codes;
+  domain — round 1's ``reps.v``, and every later one of a
+  single-component input: key ``k`` is build row ``k - min``, so the
+  probe keys, shifted, *are* the right rows.  The only work is the
+  probe's bounds check, and none at all for codes;
 * a **direct-address table** (:func:`_dense_probe`) when the build-side
   key range is dense (span comparable to the row count, as with vertex
   IDs): O(n), no sort at all.  Two **dictionary-encoded** key columns
   sharing one dictionary (see :mod:`repro.sqlengine.types`) take it
   whatever their values are — the ``dictionary`` route: the build side's
   codes are its keys' slots, the probe side's codes address them, and no
-  64-bit value is read.  From round 2 on that is every join of the
-  contraction loop that the first kernel does not take;
+  64-bit value is read.  That is every join of the contraction loop
+  that the first kernel does not take;
 * a **sorted-order probe** (:func:`_sorted_probe`) for sparse 64-bit keys
   in plain columns — one binary search per row into unique build keys, a
   run expansion (:func:`_expand_runs`, the only one) into duplicated
@@ -69,15 +69,15 @@ reference the kernel tests diff grouping *index arrays* against — what an
 outside SQL engine cannot referee.  The join's sort-merge reference lives
 with the tests (``tests/join_reference.py``): no engine code calls it.
 
-Sparse keys in plain columns are where round 1 of a sparse-id graph
-still spends time, and at a million rows the cost of every kernel above
-is cache misses, not comparisons.  Two primitives keep the memory accesses
-sequential: :func:`stable_argsort` (vectorised unstable sort, ties
-repaired by one value sort) builds every stable order over a key column,
-and :func:`sorted_lookup` (needles radix-bucketed into near-ascending
-order) is every probe of one by keys in arbitrary order.  Both are
-drop-in: same arrays as the numpy call they replace, which small inputs
-still make.
+Sparse keys in plain columns — stored field values, the Spark model's
+every key — are where sorting still costs, and at a million rows the cost
+of every kernel above is cache misses, not comparisons.  Two primitives
+keep the memory accesses sequential: :func:`stable_argsort` (vectorised
+unstable sort, ties repaired by one value sort) builds every stable order
+over a key column, and :func:`sorted_lookup` (needles radix-bucketed into
+near-ascending order) is every probe of one by keys in arbitrary order.
+Both are drop-in: same arrays as the numpy call they replace, which small
+inputs still make.
 
 Every join route is *plan-stable*: it returns exactly the same index
 arrays, in exactly the same order, as the sort-merge reference.  The
@@ -232,11 +232,12 @@ class KeyIndex:
     bounds are its ends, its uniqueness one ``==`` of neighbours, and its
     order the identity — no ``bincount``, no sort.
 
-    ``histogram``, kept from the build over dense plain keys that are not
-    sorted, counts the rows of each key in ``[min_value, max_value]``: the
-    direct-address GROUP BY over the same column reads it instead of
-    counting again.  That GROUP BY never serves a sorted key — one reduces
-    in place — so a sorted build keeps none.
+    ``histogram``, kept from the build over dense keys that are not
+    sorted, counts the rows of each key in ``[min_value, max_value]`` —
+    over codes, of each code from 0 to the largest: the direct-address
+    GROUP BY over the same column reads it instead of counting again.
+    That GROUP BY never serves a sorted key — one reduces in place — so a
+    sorted build keeps none.
     """
 
     __slots__ = ("_keys", "n_rows", "is_unique", "min_value", "max_value",
@@ -351,17 +352,77 @@ def build_key_index(
         low, high = int(values.min()), int(values.max())
         min_value, max_value = (low, high) if dictionary is None else (
             int(dictionary[low]), int(dictionary[high]))
-        if high - low + 1 <= _dense_span_limit(n):
+        # Codes are counted from code 0, the first slot of a direct-address
+        # GROUP BY over them; values from their least.
+        base = low if dictionary is None else 0
+        if high - base + 1 <= _dense_span_limit(n):
             # Dense keys: uniqueness comes from an O(n) bincount and the
             # join kernel will use direct addressing — defer the sort.
-            counts = np.bincount(values - low)
+            counts = np.bincount(values - base if base else values)
             return KeyIndex(values, int(counts.max()) <= 1, min_value,
                             max_value, dictionary=dictionary,
-                            histogram=counts if dictionary is None else None)
+                            histogram=counts)
     order, sorted_keys = stable_argsort(values)
     is_unique = not bool((sorted_keys[1:] == sorted_keys[:-1]).any())
     return KeyIndex(values, is_unique, min_value, max_value, order,
                     sorted_keys, False, dictionary)
+
+
+def encode_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` without its argsort: the
+    sorted distinct values and each row's position among them — the
+    dictionary and the codes of an encoded column.
+
+    A span :func:`_dense_span_limit` admits takes a presence mask over the
+    span and a running count of it: no sort at all.  Any other int64 span
+    of at least :data:`CACHE_KERNEL_MIN_ROWS` rows (below, ``np.unique``'s
+    fewer passes are the faster) takes one value sort (``ndarray.sort``, a
+    SIMD sort: 5 ms against 21 for ``argsort`` on 466k rows) of
+    ``((v - min) >> shift) << row_bits | row`` words, ``shift`` dropping
+    just enough low bits for the row number to fit.  Values that differ
+    only in the dropped bits share a prefix and come out in row order, not
+    value order; the sorted values are checked, and an input where such a
+    pair came out of order goes to ``np.unique``.
+    """
+    n = int(values.shape[0])
+    if n == 0 or values.dtype != np.int64:
+        return np.unique(values, return_inverse=True)
+    low, high = int(values.min()), int(values.max())
+    span = high - low + 1
+    if span <= _dense_span_limit(n):
+        slots = values - low if low else values
+        present = np.zeros(span, dtype=bool)
+        present[slots] = True
+        rank = present.astype(np.int64)  # a cumsum over bools is 3x slower
+        np.cumsum(rank, out=rank)
+        rank -= 1
+        dictionary = np.flatnonzero(present)
+        if low:
+            dictionary += low
+        return dictionary, rank[slots]
+    if n < CACHE_KERNEL_MIN_ROWS:
+        return np.unique(values, return_inverse=True)
+    row_bits = (n - 1).bit_length()
+    shift = max((span - 1).bit_length() + row_bits - 64, 0)
+    words = values.view(np.uint64) - np.uint64(low & 0xFFFFFFFFFFFFFFFF)
+    words >>= np.uint64(shift)
+    words <<= np.uint64(row_bits)
+    words |= np.arange(n, dtype=np.uint64)
+    words.sort()
+    words &= np.uint64((1 << row_bits) - 1)
+    rows = words.view(np.int64)
+    ordered = values[rows]
+    if shift and bool((ordered[1:] < ordered[:-1]).any()):
+        return np.unique(values, return_inverse=True)
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    rank = head.astype(np.int64)
+    np.cumsum(rank, out=rank)
+    rank -= 1
+    codes = np.empty(n, dtype=np.int64)
+    codes[rows] = rank
+    return ordered[np.flatnonzero(head)], codes
 
 
 # ---------------------------------------------------------------------------
@@ -887,22 +948,24 @@ def direct_group_rows(
     or the codes of an encoded column, whose span is its dictionary's
     length); ``None`` otherwise.  ``bincount`` is 3 ns/row and a
     ``ufunc.at`` reduction 4–6, against 60 for :func:`stable_argsort`
-    plus a gather per aggregate: what round 1 of a contraction, whose ids
-    nothing has sorted yet, spends its GROUP BY on.  An ``index`` built
-    over the same dense keys hands over its histogram, so they are
-    counted once."""
+    plus a gather per aggregate: what round 1 of a contraction, whose
+    codes nothing has sorted yet, spends its GROUP BY on.  An ``index``
+    built over the same dense keys — values or codes — hands over its
+    histogram, so they are counted once."""
     n = len(key)
     if n == 0 or key.mask is not None or key.storage.dtype.kind != "i":
         return None
     keys = key.storage
-    per_slot = None
     if key.codes is not None:
         low, high = 0, int(key.dictionary.shape[0]) - 1
     elif index is not None and index.min_value is not None:
         low, high = index.min_value, index.max_value
-        per_slot = index.histogram
     else:
         low, high = int(keys.min()), int(keys.max())
+    per_slot = None if index is None else index.histogram
+    if per_slot is not None:
+        # Counted from ``low``: no slot above the histogram's is occupied.
+        high = low + int(per_slot.shape[0]) - 1
     if high - low + 1 > _dense_span_limit(n):
         return None
     return DirectGroups(keys, low, high - low + 1, per_slot)

@@ -14,9 +14,12 @@ Next to the indexes, and invalidated with them, a table caches the
 **dictionary encoding** of a NULL-free int64 column
 (:meth:`Table.encoded_column`): the sorted distinct values and each row's
 position among them, computed the first time a join gathers the column
-into at least as many rows as it has (see
-:mod:`repro.sqlengine.executor`).  The
-stored column itself never changes form.  Each cache is filled once per
+into at least as many rows as it has — and the **joint encoding** of
+several such columns over one dictionary (:meth:`Table.joint_encoding`),
+computed the first time a UNION ALL of unfiltered scans of the table
+stacks them (see :mod:`repro.sqlengine.executor`).  Both are built by
+:func:`~repro.sqlengine.operators.encode_values`.  The stored columns
+themselves never change form.  Each cache is filled once per
 table version: every statement after the first that reads the ``reps``
 table shares its one index and, above all, its one dictionary *object*,
 which is how kernels recognise codes they may compare.  Statements run
@@ -30,7 +33,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import CatalogError, ExecutionError
-from .operators import KeyIndex, build_key_index
+from .operators import KeyIndex, build_key_index, encode_values
 from .types import INT64, TEXT, Column, dtype_for
 
 
@@ -67,7 +70,8 @@ class Table:
         #: version they were built against and ignored once it moves on.
         self.version = 0
         self._indexes: dict[str, tuple[int, KeyIndex]] = {}
-        self._encoded: dict[str, tuple[int, Column]] = {}
+        #: Encodings by sorted column names: (version, {name: column}).
+        self._encoded: dict[tuple[str, ...], tuple[int, dict]] = {}
 
     @property
     def n_rows(self) -> int:
@@ -153,10 +157,10 @@ class Table:
 
     def cached_encoding(self, column_name: str) -> Optional[Column]:
         """The encoded form :meth:`encoded_column` cached, if it has."""
-        entry = self._encoded.get(column_name)
+        entry = self._encoded.get((column_name,))
         if entry is None or entry[0] != self.version:
             return None
-        return entry[1]
+        return entry[1][column_name]
 
     def encoded_column(self, column_name: str) -> Optional[Column]:
         """The dictionary-encoded form of a stored column (built and cached
@@ -166,14 +170,41 @@ class Table:
         col = self.column(column_name)
         if col.codes is not None:
             return col
-        if col.sql_type != INT64 or col.mask is not None:
+        joint = self.joint_encoding((column_name,))
+        return None if joint is None else joint[column_name]
+
+    def joint_encoding(
+        self, column_names: Iterable[str]
+    ) -> Optional[dict[str, Column]]:
+        """Columns encoded over **one** dictionary — the sorted distinct
+        values of all of them — by name; ``None`` unless every one is
+        NULL-free int64.  Built and cached per table version and set of
+        names, like :meth:`encoded_column` (a set of one), so every caller
+        gets the same dictionary object.  Columns already stored over one
+        dictionary are their own joint encoding."""
+        names = tuple(sorted(set(column_names)))
+        entry = self._encoded.get(names)
+        if entry is not None and entry[0] == self.version:
+            return entry[1]
+        columns = [self.column(name) for name in names]
+        if any(col.sql_type != INT64 or col.mask is not None
+               for col in columns):
             return None
-        cached = self.cached_encoding(column_name)
-        if cached is None:
-            dictionary, codes = np.unique(col.values, return_inverse=True)
-            cached = Column.encoded(codes, dictionary, col.values)
-            self._encoded[column_name] = (self.version, cached)
-        return cached
+        dictionary = columns[0].dictionary
+        if dictionary is not None and all(
+                col.dictionary is dictionary for col in columns[1:]):
+            return dict(zip(names, columns))
+        values = [col.values for col in columns]
+        dictionary, codes = encode_values(
+            values[0] if len(values) == 1 else np.concatenate(values))
+        n = self.n_rows
+        encoded = {
+            name: Column.encoded(codes[i * n:(i + 1) * n], dictionary,
+                                 column_values)
+            for i, (name, column_values) in enumerate(zip(names, values))
+        }
+        self._encoded[names] = (self.version, encoded)
+        return encoded
 
 
 class Catalog:

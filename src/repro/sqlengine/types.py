@@ -226,10 +226,19 @@ class Column:
 
     @staticmethod
     def concat(columns: Iterable["Column"]) -> "Column":
-        """Vertically concatenate columns of a compatible type."""
+        """Vertically concatenate columns of a compatible type.  Encoded
+        columns over one dictionary object concatenate their codes — a
+        UNION ALL of one table's jointly encoded columns (see
+        :mod:`repro.sqlengine.executor`) stays encoded, and no value is
+        gathered; any other mix concatenates values."""
         columns = list(columns)
         if not columns:
             raise ExecutionError("cannot concatenate zero columns")
+        dictionary = columns[0].dictionary
+        if dictionary is not None and all(
+                col.dictionary is dictionary for col in columns[1:]):
+            return Column.encoded(
+                np.concatenate([col.codes for col in columns]), dictionary)
         sql_type = columns[0].sql_type
         for col in columns[1:]:
             if col.sql_type != sql_type:

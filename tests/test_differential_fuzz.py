@@ -15,7 +15,9 @@ a dedicated arm grouping on the outer-padded final binding, where padded
 rows must form NULL-key groups — negative constants, NULL-bearing
 columns, IS NULL predicates, UNION ALL arms, subquery FROM items —
 plain, aggregated, and
-UNION ALL subqueries joined like tables — and calls of an immutable UDF
+UNION ALL subqueries joined like tables, among them unfiltered scans of
+one table's int columns, which stack those columns' joint encoding, under
+a DISTINCT or a join — and calls of an immutable UDF
 over dense, sparse, encoded and NULL-bearing columns, including the
 contraction's ``least(udf(k), min(udf(v)))`` shape and the composition's
 ``coalesce(<nullable>, udf(...))``), three-argument COALESCE, a CASE
@@ -62,7 +64,8 @@ so the same statements also cross the sparse-key kernels — sorted-index
 and merge probes — that carry the contraction loop after round 1.  The
 harness asserts that both kinds of route were taken, and both routes of
 a build side that fills its key domain (``dense-offset`` on values,
-``dictionary-identity`` on codes), which no span limit bounds.
+``dictionary-identity`` on codes), which no span limit bounds, and that a
+joint encoding of two or more columns was built.
 
 Runs in tier-1 under a fixed seed.  Env knobs for CI:
 
@@ -150,6 +153,7 @@ SHAPE_PATTERNS = {
     "coalesce_three": r"coalesce\(\w+\.\w+, \w+\.\w+, -?\d+\)",
     "case_int_float": r"case when .* else -?\d+\.\d+ end",
     "grouped_join": r" as q on \(p\.\w+ = q\.g\)",
+    "stacked_scans": r"\(select \w+ c0, \w+ c1 from \w+ union all ",
 }
 
 
@@ -302,7 +306,38 @@ def _grouped_join(rand: random.Random) -> str:
     return sql
 
 
+def _stacked_scans(rand: random.Random) -> str:
+    """A UNION ALL of unfiltered projections of one stored table's int
+    columns — the setup query's symmetrised shape, or three arms — which
+    stacks their joint encoding, or one that stays plain: an arm over a
+    second table, a filtered arm, a NULL-bearing column.  A DISTINCT or a
+    join with a stored GROUP BY output sits on top."""
+    table = rand.choice(list(TABLES) + ["h0"])
+    key, val, nullable = TABLES.get(table, ("hk", "ha", None))
+    second = val if nullable is None or rand.random() < 0.85 else nullable
+    arms = [f"select {key} c0, {second} c1 from {table}",
+            f"select {second} c0, {key} c1 from {table}"]
+    roll = rand.random()
+    if roll < 0.25:
+        arms.append(f"select {key} c0, {key} c1 from {table}")
+    elif roll < 0.4:
+        other = rand.choice([name for name in TABLES if name != table])
+        other_key, other_val, _ = TABLES[other]
+        arms[1] = f"select {other_val} c0, {other_key} c1 from {other}"
+    elif roll < 0.55:
+        arms[1] += f" where {key} > {rand.randint(-1, 4)}"
+    union = " union all ".join(arms)
+    if rand.random() < 0.5:
+        return f"select distinct u.c0, u.c1 from ({union}) as u"
+    build = rand.choice(("g0", "g1"))
+    kind = "left outer join" if rand.random() < 0.3 else "join"
+    return (f"select u.c0, u.c1, q.m from ({union}) as u "
+            f"{kind} {build} as q on (u.c0 = q.g)")
+
+
 def generate_query(rand: random.Random) -> str:
+    if rand.random() < 0.08:
+        return _stacked_scans(rand)
     if rand.random() < 0.1:
         return _grouped_join(rand)
     if rand.random() < 0.15:
@@ -413,6 +448,7 @@ def assert_identical(sql: str, config: str, got, expected) -> None:
 
 def test_differential_fuzz(monkeypatch):
     import repro.sqlengine.executor as executor_module
+    import repro.sqlengine.table as table_module
 
     monkeypatch.setattr(operators, "CACHE_KERNEL_MIN_ROWS", 1)
     monkeypatch.setattr(operators, "PRESORTED_MAX_DESCENTS", -1)
@@ -433,6 +469,18 @@ def test_differential_fuzz(monkeypatch):
         return evaluated_domain(literals, dictionary, *args)
 
     monkeypatch.setattr(functions, "_EvaluatedDomain", recording_domain)
+    # Joint encodings of two or more columns built: the stacked scans'.
+    joint = {"built": 0}
+    joint_encoding = table_module.Table.joint_encoding
+
+    def recording_joint_encoding(table, column_names):
+        names = set(column_names)
+        encoded = joint_encoding(table, names)
+        joint["built"] += encoded is not None and len(names) > 1
+        return encoded
+
+    monkeypatch.setattr(table_module.Table, "joint_encoding",
+                        recording_joint_encoding)
     rand = random.Random(FUZZ_SEED)
     executed = 0
     engaged = {"chain": 0, "fused": 0, "left_chain": 0, "encoded": 0}
@@ -514,6 +562,7 @@ def test_differential_fuzz(monkeypatch):
     assert shapes["udf"] > 0 and shapes["udf_reps"] > 0
     assert all(shapes[shape] > 0 for shape in SHAPE_PATTERNS), shapes
     assert domains["dictionary"] > 0 and domains["span"] > 0
+    assert joint["built"] > 0
 
 
 def test_fuzz_generator_is_deterministic():

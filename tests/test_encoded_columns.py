@@ -22,6 +22,7 @@ from repro.sqlengine.operators import (
     build_key_index,
     direct_group_rows,
     distinct_encoded,
+    encode_values,
     distinct_rows,
     group_rows,
     sorted_group_rows,
@@ -133,18 +134,19 @@ def test_statements_over_one_table_share_one_build(monkeypatch, what):
     import repro.sqlengine.table as table_module
 
     builds = []
-    real_index, real_unique = table_module.build_key_index, np.unique
+    real_index = table_module.build_key_index
+    real_encode = table_module.encode_values
 
     def counting_index(*args):
         builds.append("index")
         return real_index(*args)
 
-    def counting_unique(*args, **kwargs):
+    def counting_encode(*args):
         builds.append("encoding")
-        return real_unique(*args, **kwargs)
+        return real_encode(*args)
 
     monkeypatch.setattr(table_module, "build_key_index", counting_index)
-    monkeypatch.setattr(table_module.np, "unique", counting_unique)
+    monkeypatch.setattr(table_module, "encode_values", counting_encode)
     rng = np.random.default_rng(1)
     with Database() as db:
         db.load_table("t", {"k": rng.integers(-(2 ** 62), 2 ** 62, 500)})
@@ -197,6 +199,230 @@ def test_index_over_an_encoded_column_is_built_from_codes():
     assert index.is_sorted and not index.is_unique
     assert (index.min_value, index.max_value) == \
         (int(values.min()), int(values.max()))
+
+
+# ---------------------------------------------------------------------------
+# one encoder
+# ---------------------------------------------------------------------------
+
+
+def _encoder_input(kind: str, n: int, rng) -> np.ndarray:
+    """``n`` int64 values with repeats: a dense span, sparse, all
+    negative, or anywhere in int64 including both ends."""
+    if kind == "dense":
+        pool = 1000 + rng.permutation(2 * n + 1)
+    elif kind == "sparse":
+        pool = rng.integers(0, 2 ** 40, n + 1)
+    elif kind == "negative":
+        pool = rng.integers(-(2 ** 62), -1, n + 1)
+    else:
+        pool = rng.integers(-(2 ** 63), 2 ** 63 - 1, n + 1, endpoint=True)
+        pool[:2] = [-(2 ** 63), 2 ** 63 - 1][:pool.shape[0]]
+    return pool[rng.integers(0, pool.shape[0], n)].astype(np.int64)
+
+
+@pytest.fixture
+def sorting_encoder(monkeypatch):
+    """Every sparse input takes the packed sort, however few its rows."""
+    import repro.sqlengine.operators as operators_module
+
+    monkeypatch.setattr(operators_module, "CACHE_KERNEL_MIN_ROWS", 1)
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 37, 5000))
+@pytest.mark.parametrize("kind", ("dense", "sparse", "negative",
+                                  "full-range"))
+def test_encode_values_is_numpy_unique(sorting_encoder, kind, n):
+    values = _encoder_input(kind, n, np.random.default_rng(n))
+    dictionary, codes = encode_values(values)
+    expected_dictionary, expected_codes = np.unique(values,
+                                                    return_inverse=True)
+    assert dictionary.dtype == codes.dtype == np.int64
+    assert np.array_equal(dictionary, expected_dictionary)
+    assert np.array_equal(codes, expected_codes)
+
+
+@given(st.lists(st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
+                max_size=60), st.integers(0, 3))
+def test_encode_values_is_numpy_unique_on_any_input(values, repeat):
+    import repro.sqlengine.operators as operators_module
+
+    values = np.asarray(values * (repeat + 1), dtype=np.int64)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(operators_module, "CACHE_KERNEL_MIN_ROWS", 1)
+        dictionary, codes = encode_values(values)
+    expected_dictionary, expected_codes = np.unique(values,
+                                                    return_inverse=True)
+    assert np.array_equal(dictionary, expected_dictionary)
+    assert np.array_equal(codes, expected_codes)
+
+
+@pytest.mark.parametrize("values, falls_back", [
+    # Four rows leave 62 bits for the value: 0 and 1 share a prefix
+    # across a 2^64 span and come out in row order, 1 before 0.
+    ([-(2 ** 63), 2 ** 63 - 1, 1, 0], True),
+    ([2 ** 63 - 1, 7, -(2 ** 63), 5, 6, 4, 7], True),
+    # A shared prefix in value order needs no repair.
+    ([-(2 ** 63), 2 ** 63 - 1, 0, 1], False),
+    # Spans that fit beside the row number share no prefix.
+    ([2 ** 40, -5, 2 ** 40, 3], False),
+])
+def test_encode_values_falls_back_on_a_shared_prefix_out_of_order(
+        sorting_encoder, monkeypatch, values, falls_back):
+    import repro.sqlengine.operators as operators_module
+
+    calls = []
+    real_unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real_unique(*args, **kwargs)
+
+    monkeypatch.setattr(operators_module.np, "unique", counting_unique)
+    values = np.asarray(values, dtype=np.int64)
+    dictionary, codes = encode_values(values)
+    assert calls == ([len(values)] if falls_back else [])
+    assert np.array_equal(dictionary, real_unique(values))
+    assert np.array_equal(dictionary[codes], values)
+
+
+def test_direct_group_by_over_codes_reads_the_index_histogram(monkeypatch):
+    """The dense index build over codes counts each code once; the
+    direct-address GROUP BY over the same column reuses that count."""
+    import repro.sqlengine.operators as operators_module
+
+    rng = np.random.default_rng(4)
+    column = encode(rng.integers(-(2 ** 62), 2 ** 62, 300)[
+        rng.integers(0, 300, 2000)])
+    index = build_key_index(column.codes, column.dictionary)
+    assert np.array_equal(index.histogram, np.bincount(column.codes))
+    expected = direct_group_rows(column)
+    monkeypatch.setattr(operators_module.np, "bincount", None)
+    groups = direct_group_rows(column, index)
+    assert np.array_equal(groups.present, expected.present)
+    assert np.array_equal(groups.counts, expected.counts)
+
+
+# ---------------------------------------------------------------------------
+# the encoding rule on a UNION ALL of one table's scans
+# ---------------------------------------------------------------------------
+
+
+def _edges_db(db: Database, rng) -> tuple[np.ndarray, np.ndarray]:
+    v1 = rng.integers(0, 2 ** 40, 300)
+    v2 = rng.integers(0, 2 ** 40, 300)
+    db.load_table("e", {"v1": v1, "v2": v2, "x": rng.normal(size=300),
+                        "n": np.where(v1 % 3 == 0, 0, v1)})
+    db.execute("insert into e values (1, 2, 0.5, null)")
+    return np.append(v1, 1), np.append(v2, 2)
+
+
+def test_symmetrised_scan_is_stored_over_one_dictionary():
+    """The setup query stacks both columns' joint encoding: the stored
+    doubled table's columns share one dictionary object, the sorted
+    distinct values of both, and hold exactly the plain rows."""
+    with Database() as db:
+        v1, v2 = _edges_db(db, np.random.default_rng(5))
+        db.execute("create table g as select v1, v2 from e "
+                   "union all select v2, v1 from e")
+        a, b = (db.table("g").column(name) for name in ("v1", "v2"))
+        assert a.codes is not None and a.dictionary is b.dictionary
+        assert a._values is None and b._values is None
+        assert np.array_equal(a.dictionary, np.unique(np.append(v1, v2)))
+        assert np.array_equal(a.values, np.append(v1, v2))
+        assert np.array_equal(b.values, np.append(v2, v1))
+        # Three arms, and the same columns under a DISTINCT: one
+        # dictionary object, the table's cached one.
+        three = db.execute("select v2 a, v1 b from e union all select v1, "
+                           "v1 from e union all select v1, v2 from e"
+                           ).relation
+        assert three.column("a").dictionary is a.dictionary
+        assert three.column("b").dictionary is a.dictionary
+        distinct = db.execute("select distinct u.a from (select v1 a from e "
+                              "union all select v2 a from e) as u").relation
+        assert distinct.column("a").dictionary is a.dictionary
+        assert np.array_equal(distinct.column("a").values, a.dictionary)
+
+
+@pytest.mark.parametrize("sql", [
+    # a filtered arm
+    "select v1, v2 from e union all select v2, v1 from e where v1 > 5",
+    # arms over two tables
+    "select v1, v2 from e union all select v2, v1 from f",
+    # an expression, a subquery, a DISTINCT arm
+    "select v1, v2 from e union all select v2 + 0, v1 from e",
+    "select v1, v2 from e union all select v2, v1 from (select v1, v2 "
+    "from e) as s",
+    "select v1, v2 from e union all select distinct v2, v1 from e",
+])
+def test_union_all_other_than_unfiltered_scans_of_one_table_stays_plain(sql):
+    with Database() as db:
+        v1, v2 = _edges_db(db, np.random.default_rng(6))
+        db.load_table("f", {"v1": v1, "v2": v2})
+        relation = db.execute(sql).relation
+        assert all(relation.column(name).codes is None
+                   for name in relation.names)
+        assert db.table("e").cached_encoding("v1") is None
+
+
+def test_union_all_encodes_only_the_null_free_int_columns():
+    """A NULL-bearing or float column drawn into an output column leaves
+    that column plain; the NULL-free int64 ones beside it are encoded."""
+    with Database() as db:
+        _edges_db(db, np.random.default_rng(7))
+        relation = db.execute("select v1, n, x from e union all "
+                              "select v2, v1, x from e").relation
+        assert relation.column("v1").codes is not None
+        assert relation.column("n").codes is None
+        assert relation.column("x").codes is None
+        db.execute("create table s (v text, w int64)")
+        db.execute("insert into s values ('a', 1), ('b', 2)")
+        relation = db.execute("select v, w from s union all select v, w "
+                              "from s").relation
+        assert relation.column("v").codes is None
+        assert relation.column("w").codes is not None
+
+
+def test_spark_model_stacks_plain_columns():
+    from repro.spark import SparkSQLDatabase
+
+    with SparkSQLDatabase() as db:
+        _edges_db(db, np.random.default_rng(8))
+        db.execute("create table g as select v1, v2 from e "
+                   "union all select v2, v1 from e")
+        assert db.table("g").column("v1").codes is None
+        assert db.table("e").cached_encoding("v1") is None
+
+
+def test_second_run_builds_no_joint_encoding(monkeypatch):
+    """The edge table's joint encoding is cached on it: a second run over
+    the same input stores the doubled table over the same dictionary
+    without encoding again."""
+    import repro.sqlengine.table as table_module
+    from repro.core import RandomisedContraction
+    from repro.graphs import gnm_random_graph, load_edges_into
+
+    built = []
+    real_encode = table_module.encode_values
+
+    def counting_encode(values):
+        built.append(values.shape[0])
+        return real_encode(values)
+
+    monkeypatch.setattr(table_module, "encode_values", counting_encode)
+    with Database() as db:
+        edges = gnm_random_graph(400, 600, np.random.default_rng(9))
+        load_edges_into(db, "edges", edges)
+        labels, joint_builds = [], []
+        for _ in range(2):
+            built.clear()
+            result = RandomisedContraction().run(db, "edges", seed=3)
+            labels.append(result.labels(db))
+            # The joint encoding is the one over both columns' rows.
+            joint_builds.append(built.count(2 * len(edges.src)))
+        assert joint_builds == [1, 0]
+        for first, second in zip(*labels):
+            assert np.array_equal(first, second)
 
 
 # ---------------------------------------------------------------------------

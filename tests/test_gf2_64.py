@@ -155,6 +155,44 @@ def test_affine_map_large_batches_match_small_ones(a, b):
     assert np.array_equal(mapping.apply(np.repeat(xs, 2)[::2]), large)
 
 
+class _CountingRows:
+    """The wide tables, recording which lane's table a batch reads."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.read: list[int] = []
+
+    def __getitem__(self, lane):
+        self.read.append(lane)
+        return self.rows[lane]
+
+
+@pytest.mark.parametrize("high_lanes, read", [
+    (0, [0, 1]),            # ids below 2^32: two gathers
+    (1 << 63, [0, 1, 3]),   # one value reaches the top lane
+    (MASK64, [0, 1, 2, 3]),
+])
+def test_affine_map_skips_lanes_zero_in_every_value(high_lanes, read):
+    """A 16-bit lane that is zero in every value adds nothing: the wide
+    path skips its gather and still matches the byte tables and the
+    scalar reference."""
+    mapping = Gf2AffineMap(0xABCDEF0123456789, 0x1234)
+    n = WIDE_TABLE_MIN_VALUES
+    xs = np.random.default_rng(5).integers(0, 1 << 32, size=n,
+                                           dtype=np.uint64)
+    xs[:3] = [0, 0xFFFFFFFF, high_lanes]
+    mapping.apply(xs)  # builds the wide tables
+    rows = mapping._wide_tables = _CountingRows(mapping._wide_tables)
+    large = mapping.apply(xs)
+    assert rows.read == read
+    small = np.concatenate([mapping.apply(xs[:n // 2]),
+                            mapping.apply(xs[n // 2:])])
+    assert rows.read == read  # the byte tables served the halves
+    assert np.array_equal(large, small)
+    for i in (0, 1, 2, 3, n - 1):
+        assert int(large[i]) == mapping.apply_scalar(int(xs[i]))
+
+
 def test_affine_map_rejects_zero_a():
     with pytest.raises(ValueError):
         Gf2AffineMap(0, 1)

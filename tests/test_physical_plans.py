@@ -546,10 +546,11 @@ def test_rc_deterministic_space_composition_joins_codes(monkeypatch):
     assert encoded and consistent
 
 
-def _round_join_routes(monkeypatch, edges) -> list:
-    """One deterministic-space RC run; returns ``(round, statement,
-    route note)`` per join, the statement being the label's last part
-    (``contract``, ``compose``)."""
+def _round_join_routes(monkeypatch, edges,
+                       variant: str = "deterministic-space") -> list:
+    """One RC run (deterministic space unless ``variant`` says); returns
+    ``(round, statement, route note)`` per join, the statement being the
+    label's last part (``relabel-src``, ``contract``, ``compose``)."""
     from repro.core import RandomisedContraction
     from repro.graphs.io import load_edges_into
     from repro.sqlengine import executor as executor_module
@@ -577,24 +578,25 @@ def _round_join_routes(monkeypatch, edges) -> list:
                         recording_dispatch)
     with Database() as db:
         load_edges_into(db, "edges", edges)
-        RandomisedContraction(variant="deterministic-space").run(
-            db, "edges", seed=5)
+        RandomisedContraction(variant=variant).run(db, "edges", seed=5)
     return routes
 
 
 def test_rc_deterministic_space_joins_read_rows_off_the_keys_on_a_path(
         monkeypatch):
     """On one component every round's ``reps.v`` holds every vertex left,
-    in order: round 1's ids fill their range (``offset``) and later codes
-    fill their dictionary (``identity``), so no contract or composition
-    join builds a table."""
+    in order, as codes that fill their dictionary — round 1's the doubled
+    edge table's vertex dictionary, later rounds' the representatives' —
+    so every contract and composition join reads its rows off the probe
+    codes (``identity``) and none builds a table."""
     from repro.graphs import path_graph
 
     routes = _round_join_routes(monkeypatch, path_graph(1500))
     assert {statement for _, statement, _ in routes} == \
         {"contract", "compose"}
-    for round_no, _, note in routes:
-        assert note == ("offset" if round_no == 1 else "identity")
+    assert {round_no for round_no, _, _ in routes} > {1, 2}
+    for _, _, note in routes:
+        assert note == "identity"
 
 
 def test_rc_deterministic_space_contract_keeps_the_table_for_holes(
@@ -602,7 +604,8 @@ def test_rc_deterministic_space_contract_keeps_the_table_for_holes(
     """On G(3000, 2000) components finish in round 1: their
     representatives stay in round 2's dictionary but leave its ``reps.v``,
     whose codes then have holes, so the round-2 contract probes a table
-    (``dictionary``); isolated ids leave holes in round 1's range too."""
+    (``dictionary``).  Round 1 has none: isolated ids never enter the
+    doubled edge table's vertex dictionary, which its ``reps.v`` fills."""
     from repro.graphs import gnm_random_graph
 
     routes = _round_join_routes(
@@ -611,10 +614,31 @@ def test_rc_deterministic_space_contract_keeps_the_table_for_holes(
     for round_no, statement, note in routes:
         if statement == "contract":
             contract.setdefault(round_no, []).append(note)
-    assert contract[1] == ["dense", "dense"]
+    assert contract[1] == ["identity", "identity"]
     assert contract[2] == ["dictionary", "dictionary"]
     assert all(set(notes) <= {"dictionary", "identity"}
                for round_no, notes in contract.items() if round_no >= 2)
+
+
+def test_rc_round_one_reads_rows_off_the_vertex_codes(monkeypatch):
+    """The setup stores the doubled edge table over one vertex dictionary
+    that holds no isolated id, and round 1's ``reps.v`` — one group per
+    vertex of the table — fills it in order: both variants' round-1 joins
+    (the fast variant's relabelling and contraction, the deterministic
+    space contraction) read their rows off the probe codes, on G(3000,
+    2000) with its isolated ids as on a path."""
+    from repro.graphs import gnm_random_graph, path_graph
+
+    for variant, statements in (("fast", {"relabel-src", "contract"}),
+                                ("deterministic-space", {"contract"})):
+        for edges in (gnm_random_graph(3000, 2000,
+                                       np.random.default_rng(7)),
+                      path_graph(500)):
+            round_one = [(statement, note) for round_no, statement, note
+                         in _round_join_routes(monkeypatch, edges, variant)
+                         if round_no == 1]
+            assert {statement for statement, _ in round_one} == statements
+            assert {note for _, note in round_one} == {"identity"}
 
 
 def test_rc_deterministic_space_composition_probes_plain_keys_once_a_component_finishes(

@@ -323,7 +323,8 @@ def test_run_does_not_depend_on_the_host_core_count(variant, monkeypatch):
     assert one[:3] == sixteen[:3]
     for got, expected in zip(sixteen[3], one[3], strict=True):
         assert np.array_equal(got, expected)
-    assert "dense" in one[2]  # round 1 probed a dense table, unchunked
+    # Round 1 read its build rows off the probe codes, unchunked.
+    assert "identity" in one[2]
 
 
 @pytest.mark.parametrize("variant", ["fast", "deterministic-space"])

@@ -70,6 +70,11 @@ NO_ROUTE_TRAFFIC_EXPECTED = {
     "merge-indexed":
         "duplicate build keys behind a cached index: the kernel body of "
         "the reached 'merge' route, which differs only in who sorted",
+    "probe-sorted":
+        "unique sparse plain build keys behind a cached index: round 1 of "
+        "a sparse-id graph was its last caller, and it joins the doubled "
+        "edge table's codes now; the fuzz harness and the kernel matrix "
+        "still reach it (a deletion candidate)",
 }
 
 
@@ -77,10 +82,10 @@ def _configurations():
     random_graph = gnm_random_graph(3000, 6000, np.random.default_rng(7))
     path = path_graph(1500)
     both = {"gnm": random_graph, "path": path}
-    # Vertex ids far apart: round 1's joins probe plain sparse keys (the
-    # 'probe-sorted' routes).  The graph is one component, so the
-    # deterministic-space composition matches every row and, from round 2
-    # on, every RC join is on codes.
+    # Vertex ids far apart: the doubled edge table's joint encoding takes
+    # its sorting path, not its presence mask.  The graph is one
+    # component, so the deterministic-space composition matches every row
+    # and every RC join is on codes.
     sparse_ids = EdgeList(random_graph.src * 1_000_003 + 2 ** 40,
                           random_graph.dst * 1_000_003 + 2 ** 40)
     configs = {cls.__name__: cls for cls in set(ALGORITHMS.values())}
