@@ -30,11 +30,29 @@ and prints both sides' median first-run seconds.  ``perf/run.py`` times
 runs on a database that warm-up runs have used, so a gain that comes from
 a cache on the input table shows there on every run; here it is paid
 inside the timed run, and shows apart from a per-run gain.
+
+``--interleaved`` runs both sides in this one process instead: the
+exported tree's ``src/repro`` is imported as package ``repro_base``
+beside the working tree's ``repro`` (which works because ``repro``
+imports itself only relatively), each side keeps one warm ``Database``
+per workload — the workload's graph loaded and its warm-up runs made, as
+``perf/bench.py`` does — and the pairs alternate single RC runs, both
+sides with the same RC seed.  A drift of the host that lasts longer than
+one run lands on both sides alike, so the pairs read a change that
+separate processes, minutes apart, cannot tell from drift.  It prints
+every run's milliseconds, each side's median and quartiles, the win
+count, both sides' median milliseconds per statement stage (from
+``stats.log``), and fails if the two sides' result tables differ on any
+run.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import hashlib
+import importlib
+import importlib.util
 import io
 import json
 import re
@@ -46,6 +64,8 @@ import tarfile
 import tempfile
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SHOWN = ("edges_per_s", "sql_queries", "written_ratio", "peak_space_ratio",
@@ -201,6 +221,120 @@ def summarise_cold(workload: str, first: dict[str, list[dict]]) -> None:
           f"{len(seconds['base'])} pairs")
 
 
+#: The package name the exported tree's ``src/repro`` is imported under.
+BASE_PACKAGE = "repro_base"
+
+
+def import_base(tree: Path) -> None:
+    """Import ``tree``'s ``src/repro`` as package :data:`BASE_PACKAGE`."""
+    package = tree / "src" / "repro"
+    spec = importlib.util.spec_from_file_location(
+        BASE_PACKAGE, package / "__init__.py",
+        submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[BASE_PACKAGE] = module
+    spec.loader.exec_module(module)
+
+
+def _statement_kind(label: str) -> str:
+    """The stage of a logged statement: its label's last part, ``ddl``
+    for the drops and renames, which the algorithm does not label (the
+    log names them by statement class) — as ``perf/bench.py`` counts."""
+    return label.rpartition(":")[2] if ":" in label else "ddl"
+
+
+class WarmSide:
+    """One side of an interleaved A/B: package ``package``'s ``Database``
+    with the workload's graph loaded and its warm-up runs made."""
+
+    def __init__(self, package: str, workload, edges, seed: int):
+        core = importlib.import_module(f"{package}.core")
+        sqlengine = importlib.import_module(f"{package}.sqlengine")
+        graphs_io = importlib.import_module(f"{package}.graphs.io")
+        self.db = sqlengine.Database()
+        graphs_io.load_edges_into(self.db, "edges", edges)
+        self.algo = core.RandomisedContraction(variant=workload.variant)
+        for i in range(workload.warmups):
+            self.run(seed + 1 + i)
+
+    def run(self, rc_seed: int) -> tuple[float, dict, str]:
+        """One RC run: its seconds, seconds per statement stage, and a
+        digest of the result table (column names, values, null masks)."""
+        self.db.reset_stats()
+        gc.collect()
+        result = self.algo.run(self.db, "edges", seed=rc_seed)
+        stages: dict[str, float] = {}
+        for record in self.db.stats.log:
+            kind = _statement_kind(record.label)
+            stages[kind] = stages.get(kind, 0.0) + record.elapsed_seconds
+        table = self.db.table(result.result_table)
+        digest = hashlib.sha256()
+        for name in table.column_names:
+            column = table.column(name)
+            digest.update(name.encode())
+            digest.update(column.values.tobytes())
+            digest.update(column.null_mask().tobytes())
+        return result.elapsed_seconds, stages, digest.hexdigest()
+
+    def close(self) -> None:
+        self.db.close()
+
+
+def run_interleaved(workload: str, pairs: int, seed: int,
+                    scale: float = 1.0) -> bool:
+    """``pairs`` alternating single runs of ``workload`` on a warm
+    database per side, both sides in this process; prints every run and
+    the summaries, and returns whether every run's result tables agreed.
+    The base side is package :data:`BASE_PACKAGE` (:func:`import_base`
+    must have run), the change side ``repro``."""
+    from perf.bench import WORKLOADS
+    spec = WORKLOADS[workload]
+    edges = spec.graph(scale, np.random.default_rng(seed))
+    sides = {"base": WarmSide(BASE_PACKAGE, spec, edges, seed),
+             "change": WarmSide("repro", spec, edges, seed)}
+    seconds: dict[str, list[float]] = {"base": [], "change": []}
+    stages: dict[str, list[dict]] = {"base": [], "change": []}
+    agreed = True
+    try:
+        for pair in range(pairs):
+            rc_seed = seed + 1 + spec.warmups + pair
+            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+            digests = {}
+            for side in order:
+                elapsed, per_stage, digests[side] = sides[side].run(rc_seed)
+                seconds[side].append(elapsed)
+                stages[side].append(per_stage)
+            same = digests["base"] == digests["change"]
+            agreed &= same
+            print(f"{workload} pair {pair + 1} base "
+                  f"{seconds['base'][-1] * 1e3:.1f} ms  change "
+                  f"{seconds['change'][-1] * 1e3:.1f} ms  results "
+                  f"{'identical' if same else 'DIFFER'}", flush=True)
+    finally:
+        for side in sides.values():
+            side.close()
+    for side in ("base", "change"):
+        low, median, high = quartiles(seconds[side])
+        print(f"{workload} {side:<6} run median {median * 1e3:.1f} ms "
+              f"[{low * 1e3:.1f}, {high * 1e3:.1f}]")
+    wins = sum(c < b for b, c in zip(seconds["base"], seconds["change"]))
+    base, change = (statistics.median(seconds[side])
+                    for side in ("base", "change"))
+    print(f"{workload} change wins {wins}/{pairs} pairs, median ratio "
+          f"{change / base:.3f}x")
+    kinds = sorted({kind for side in stages.values() for run in side
+                    for kind in run})
+    for kind in kinds:
+        base, change = (statistics.median(run.get(kind, 0.0)
+                                          for run in stages[side])
+                        for side in ("base", "change"))
+        print(f"{workload} stage {kind:<12} base {base * 1e3:9.2f} ms  "
+              f"change {change * 1e3:9.2f} ms  delta "
+              f"{(change - base) * 1e3:+.2f} ms")
+    print(f"{workload} result tables identical on every run: {agreed}")
+    return agreed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True,
@@ -218,6 +352,9 @@ def main(argv=None) -> int:
                         help="add a fresh process per side per pair that "
                              "times the first run on a newly loaded "
                              "database, and print both medians")
+    parser.add_argument("--interleaved", action="store_true",
+                        help="run both sides in this process, alternating "
+                             "single runs on one warm database per side")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = ([w["name"] for w in spec["workloads"]]
@@ -225,6 +362,15 @@ def main(argv=None) -> int:
     base_tree = Path(tempfile.mkdtemp(prefix="perf-ab-"))
     try:
         export(args.base, base_tree)
+        if args.interleaved:
+            for path in (ROOT / "src", ROOT):
+                sys.path.insert(0, str(path))
+            import_base(base_tree)
+            from perf.run import DEFAULT_SEED
+            seed = DEFAULT_SEED if args.seed is None else args.seed
+            agreed = [run_interleaved(workload, args.pairs, seed)
+                      for workload in workloads]
+            return 0 if all(agreed) else 1
         trees = {"base": base_tree, "change": ROOT}
         all_correct = True
         for workload in workloads:

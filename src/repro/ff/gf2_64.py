@@ -166,12 +166,19 @@ class Gf2AffineMap:
             # Little-endian layout puts bits 16j..16j+15 in column j.  A
             # lane that is zero in every value adds T16_j[0] = 0: skip it
             # (ids below 2^32 take two gathers).
+            # Every lane is gathered into one reused buffer, not a fresh
+            # array per lane.  ``mode="clip"`` never clips — a 16-bit lane
+            # addresses all of its table — but spares ``np.take`` the
+            # bounds-checked copy it makes into ``out`` otherwise
+            # (500k values: 9.3 ms fresh, 22.5 checked, 5.6 clipped).
             words = x.astype("<u8", copy=False).view("<u2").reshape(-1, 4)
             occupied = int(np.bitwise_or.reduce(x, axis=None))
             flat = result.reshape(-1)
+            gathered = np.empty_like(flat)
             for j in range(4):
                 if occupied >> (16 * j) & 0xFFFF:
-                    flat ^= wide[j][words[:, j]]
+                    np.take(wide[j], words[:, j], out=gathered, mode="clip")
+                    flat ^= gathered
             return result
         for j in range(8):
             byte = (x >> np.uint64(8 * j)).astype(np.uint8)

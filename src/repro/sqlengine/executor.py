@@ -47,7 +47,16 @@ rows ride the composed maps as ``NO_MATCH`` validity markers that only
 materialisation resolves into null masks, so an outer join can sit in any
 chain position.  DISTINCT, projection and GROUP BY all read the one frame
 the chain materialises; :meth:`Executor._aggregate` is the only GROUP BY
-runner.
+runner.  A residual WHERE selects rows by position, never by boolean
+mask — one ``flatnonzero`` and a gather per column — and in a fused
+join→DISTINCT (the contraction's contract, ``CorePlan.fused``) the WHERE
+reaches DISTINCT as those positions: projection reads the unfiltered
+frame (its items are plain column references, so nothing is evaluated),
+and over encoded columns the DISTINCT gathers each column's codes at the
+positions straight into its packed words — no column is compressed on
+its own.  The DISTINCT's input relation, its row order and the motion it
+is charged are the filtered relation's, as if the frame had been
+filtered first.
 
 The executor also decides **which columns are dictionary-encoded** (the
 second physical form of :class:`~repro.sqlengine.types.Column`), and it is
@@ -254,9 +263,11 @@ class Frame:
         read through, which a :class:`_JoinChain` answers lazily."""
         return self.columns[qualified]
 
-    def filter(self, keep: np.ndarray) -> "Frame":
-        columns = {name: col.filter(keep) for name, col in self.columns.items()}
-        return Frame(columns, self.bindings, int(keep.sum()), self.distribution)
+    def take(self, rows: np.ndarray) -> "Frame":
+        """The frame's ``rows``, every column gathered by position."""
+        columns = {name: col.take(rows) for name, col in self.columns.items()}
+        return Frame(columns, self.bindings, int(rows.shape[0]),
+                     self.distribution)
 
 
 def _gather_padded(col: Column, safe_idx: np.ndarray, unmatched: np.ndarray,
@@ -880,7 +891,7 @@ class Executor:
 
     def _run_core(self, plan: CorePlan) -> Relation:
         core = plan.core
-        frame = self._execute_from(plan)
+        frame, rows = self._execute_from(plan)
         if plan.is_aggregate:
             relation = self._aggregate(core, frame)
         else:
@@ -888,20 +899,28 @@ class Executor:
         if plan.fused:
             self.stats.bump("fused_pipelines")
         if core.distinct:
-            relation = self._distinct(relation)
+            relation = self._distinct(relation, rows)
         return relation
 
     # -- plan execution: scans, joins, filters -----------------------------
 
-    def _execute_from(self, plan: CorePlan) -> Frame:
-        """Run a core's scan/join pipeline and return the joined,
-        residual-filtered :class:`Frame`.  Every join — inner, left outer
-        or cartesian, one or many — streams through one
+    def _execute_from(
+        self, plan: CorePlan
+    ) -> tuple[Frame, Optional[np.ndarray]]:
+        """Run a core's scan/join pipeline: the joined :class:`Frame` and
+        the rows its residual predicates keep.  Every join — inner, left
+        outer or cartesian, one or many — streams through one
         :class:`_JoinChain`'s composed row maps; the chain materialises
-        once, after the last, only the columns the core reads above it."""
+        once, after the last, only the columns the core reads above it.
+
+        A fused join→DISTINCT gets the unfiltered frame and the kept rows
+        as ascending positions (``None``: every row), which its DISTINCT
+        selects once (:meth:`_distinct`); its items are plain column
+        references, so projecting every row evaluates nothing.  Any other
+        core gets the filtered frame and ``None``."""
         if not plan.scans:
             # SELECT without FROM: one anonymous row.
-            return Frame({}, {}, 1, frozenset())
+            return Frame({}, {}, 1, frozenset()), None
         frames: dict[str, Frame] = {
             scan.binding: self._scan_frame(scan) for scan in plan.scans
         }
@@ -926,9 +945,11 @@ class Executor:
                 if chain.n_outer:
                     self.stats.bump("left_chain_fusions")
             current = chain.materialise(plan.final_join)
-        if plan.residual:
-            current = self._apply_filters(current, plan.residual)
-        return current
+        rows = self._kept_rows(current, plan.residual) \
+            if plan.residual else None
+        if rows is None or plan.fused:
+            return current, rows
+        return current.take(rows), None
 
     def _join_step(
         self, chain: _JoinChain, right: Frame,
@@ -996,15 +1017,26 @@ class Executor:
         return Frame(columns, {binding: list(relation.names)}, relation.n_rows,
                      scan.distribution)
 
-    def _apply_filters(self, frame: Frame, predicates: list[Expression]) -> Frame:
+    def _kept_rows(
+        self, frame: Frame, predicates: list[Expression]
+    ) -> Optional[np.ndarray]:
+        """The ascending positions of the rows every predicate holds on,
+        ``None`` when that is every row.  Rows are selected by position,
+        never by boolean mask: one ``flatnonzero`` and a gather per column
+        cost a third or less of what compressing two columns by mask does
+        (7.7 against 19.6 ms for 2M rows, 83% kept)."""
         env = Environment(frame.env_columns(), frame.length, self.registry)
         # truth_values hands back a fresh array: the first one is the mask.
         keep = truth_values(evaluate(predicates[0], env))
         for predicate in predicates[1:]:
             keep &= truth_values(evaluate(predicate, env))
         if keep.all():
-            return frame
-        return frame.filter(keep)
+            return None
+        return np.flatnonzero(keep)
+
+    def _apply_filters(self, frame: Frame, predicates: list[Expression]) -> Frame:
+        rows = self._kept_rows(frame, predicates)
+        return frame if rows is None else frame.take(rows)
 
     def _qualified(self, ref: ColumnRef, frame: Frame) -> str:
         if ref.table is not None:
@@ -1287,26 +1319,44 @@ class Executor:
         key value, so a group whose key is NULL counts like any other."""
         group_of_row = np.empty(order.shape[0], dtype=np.int64)
         group_of_row[order] = np.repeat(np.arange(n_groups), counts)
-        valid = ~argument.null_mask()
-        groups = group_of_row[valid]
+        rows = np.flatnonzero(~argument.null_mask())
+        groups = group_of_row[rows]
         unique_idx = distinct_rows([Column(groups, INT64),
-                                    argument.filter(valid)])
+                                    argument.take(rows)])
         return Column(
             np.bincount(groups[unique_idx], minlength=n_groups).astype(
                 np.int64, copy=False), INT64)
 
-    def _distinct(self, relation: Relation) -> Relation:
-        columns = [relation.columns[n] for n in relation.names]
-        if not columns or relation.n_rows == 0:
-            return relation
-        self._charge_motion(relation.byte_size(), relation.n_rows,
-                            relation.distribution is not None)
-        distinct = distinct_encoded(columns)
-        if distinct is None:
+    def _distinct(self, relation: Relation,
+                  rows: Optional[np.ndarray] = None) -> Relation:
+        """DISTINCT over ``relation``'s ``rows`` (ascending positions, a
+        fused join→DISTINCT's WHERE; ``None``: every row).  Encoded
+        columns hand the positions to
+        :func:`~repro.sqlengine.operators.distinct_encoded`, which gathers
+        their codes at them straight into its packed words; any other
+        input takes its rows first.
+        Either way the input relation — its rows, their order, the motion
+        charged for it — is the filtered one."""
+        names = relation.names
+        columns = [relation.columns[n] for n in names]
+        n_rows = relation.n_rows if rows is None else int(rows.shape[0])
+        distinct = distinct_encoded(columns, rows) if n_rows else None
+        if distinct is not None:
+            # Encoded cells are NULL-free int64: 8 bytes each.
+            moved = _FIXED_WIDTH[INT64] * n_rows * len(columns)
+        else:
+            if rows is not None:
+                columns = [col.take(rows) for col in columns]
+                relation = Relation(list(names), dict(zip(names, columns)),
+                                    relation.distribution,
+                                    relation.display_names)
+            if not columns or n_rows == 0:
+                return relation
+            moved = relation.byte_size()
             keep = self._run_distinct(columns)
             distinct = [col.take(keep) for col in columns]
-        return Relation(list(relation.names),
-                        dict(zip(relation.names, distinct)),
+        self._charge_motion(moved, n_rows, relation.distribution is not None)
+        return Relation(list(names), dict(zip(names, distinct)),
                         relation.distribution)
 
 

@@ -100,6 +100,18 @@ def _least_greatest(args: Sequence[ArgValue], length: int, pick_max: bool) -> Co
     if sql_type == TEXT:
         return _least_greatest_text(columns, length, pick_max)
     dtype = dtype_for(sql_type)
+    if all(col.mask is None for col in columns):
+        # NULL-free arguments — every round's ``reps`` call, once per
+        # group: one ufunc per extra argument, and no fill, mask or
+        # validity pass.
+        pick = np.maximum if pick_max else np.minimum
+        arrays = [col.values.astype(dtype, copy=False) for col in columns]
+        if len(arrays) == 1:
+            return Column(arrays[0].copy(), sql_type)
+        best = pick(arrays[0], arrays[1])
+        for values in arrays[2:]:
+            pick(best, values, out=best)
+        return Column(best, sql_type)
     extreme = (np.iinfo(np.int64).min if pick_max else np.iinfo(np.int64).max) \
         if sql_type == INT64 else (-np.inf if pick_max else np.inf)
     best = np.full(length, extreme, dtype=dtype)

@@ -546,7 +546,8 @@ def _valid_keys(columns: list[Column]) -> tuple[np.ndarray, Optional[np.ndarray]
     valid = _non_null_rows(columns)
     if valid is None:
         return keys, None
-    return keys[valid], np.flatnonzero(valid)
+    rows = np.flatnonzero(valid)
+    return keys[rows], rows
 
 
 def plan_join(
@@ -1050,7 +1051,9 @@ def distinct_rows(
     return np.sort(order[starts])
 
 
-def distinct_encoded(columns: list[Column]) -> Optional[list[Column]]:
+def distinct_encoded(
+    columns: list[Column], rows: Optional[np.ndarray] = None
+) -> Optional[list[Column]]:
     """DISTINCT over dictionary-encoded columns: the distinct rows
     themselves, as encoded columns in ascending *key* order — or ``None``
     when a column is plain or the codes do not fit one 63-bit word, and
@@ -1064,6 +1067,14 @@ def distinct_encoded(columns: list[Column]) -> Optional[list[Column]]:
     output codes: nothing is hashed, no collision is settled and no row is
     gathered.  A GROUP BY or index build over the leading column of the
     result finds it sorted.
+
+    ``rows``, when given, are the ascending positions of the only rows the
+    DISTINCT reads — a fused join→DISTINCT's WHERE (see
+    :mod:`repro.sqlengine.executor`): each column's codes are gathered at
+    those positions straight into the packing, so no column is compressed
+    by boolean mask (5.8 against 23.6 ms on the 2M rows of a
+    G(500k, 1M) round 1).  Packing every row and selecting the words once
+    is about as fast, but holds a word per unfiltered row.
     """
     if not columns or any(col.codes is None for col in columns):
         return None
@@ -1071,15 +1082,17 @@ def distinct_encoded(columns: list[Column]) -> Optional[list[Column]]:
               for col in columns]
     if sum(widths) > 63:
         return None
-    words = columns[0].codes.copy()
+    words = columns[0].codes.copy() if rows is None \
+        else columns[0].codes[rows]
     for col, width in zip(columns[1:], widths[1:]):
         words <<= width
-        words |= col.codes
+        words |= col.codes if rows is None else col.codes[rows]
     words.sort()
     head = np.empty(words.shape[0], dtype=bool)
     head[:1] = True
     np.not_equal(words[1:], words[:-1], out=head[1:])
-    words = words[head]
+    if not head.all():
+        words = words[np.flatnonzero(head)]
     unpacked = []
     for col, width in zip(columns[:0:-1], widths[:0:-1]):
         unpacked.append(col.with_storage(words & ((1 << width) - 1)))
@@ -1121,7 +1134,7 @@ def _distinct_int(
         rel = values - vmin
         first = np.full(span, -1, dtype=np.int64)
         first[rel[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
-        firsts = first[first >= 0]
+        firsts = first[np.flatnonzero(first >= 0)]
         return np.sort(firsts)
     # Sparse keys: an *unstable* sort (numpy's introsort is ~4x faster than
     # the stable radix argsort here) followed by a per-group position
@@ -1177,7 +1190,7 @@ def _hash_distinct_int(
         collided[1:] |= in_run_order[1:] != in_run_order[:-1]
     collided &= ~head
     keep = np.zeros(n, dtype=bool)
-    keep[rows[head]] = True
+    keep[rows[np.flatnonzero(head)]] = True
     if collided.any():
         run = np.cumsum(head) - 1
         mixed_runs = np.zeros(int(run[-1]) + 1, dtype=bool)

@@ -41,7 +41,10 @@ Together they make a ``SELECT DISTINCT col, ...`` directly above a join —
 outer or inner — a **fused join→DISTINCT** (``CorePlan.fused``): the
 chain's one materialisation gathers exactly the projected and
 residual-filter columns, and DISTINCT reads them with no projection pass
-in between.  Every GROUP BY runs over the chain's materialised frame.
+in between.  The WHERE reaches DISTINCT as positions: the executor
+evaluates the residual predicates over the materialised frame and hands
+DISTINCT the kept rows' positions instead of a filtered frame, which it
+selects once.  Every GROUP BY runs over the chain's materialised frame.
 """
 
 from __future__ import annotations
@@ -231,7 +234,8 @@ class CorePlan:
     out_distribution: Optional[str]
     #: A SELECT DISTINCT of plain columns directly above a join: the
     #: chain's materialised frame holds only what it projects and filters
-    #: on (telemetry: ``fused_pipelines``).
+    #: on, and the residual WHERE reaches DISTINCT as row positions
+    #: (telemetry: ``fused_pipelines``).
     fused: bool = False
     #: The pipeline's final join in execution order (left joins run after
     #: every inner step) — the step whose output the chain materialises.

@@ -180,19 +180,17 @@ class Column:
         return cls.constant(None, length, sql_type)
 
     def take(self, indices: np.ndarray) -> "Column":
-        """Gather rows by position."""
-        return self._select(indices)
+        """Gather rows by position, in the column's own form."""
+        if self.codes is not None:
+            return self.with_storage(self.codes[indices])
+        mask = self.mask[indices] if self.mask is not None else None
+        return Column(self._values[indices], self.sql_type, mask)
 
     def filter(self, keep: np.ndarray) -> "Column":
-        """Keep rows where ``keep`` is True."""
-        return self._select(keep)
-
-    def _select(self, rows: np.ndarray) -> "Column":
-        """Rows by position or by boolean mask, in the column's own form."""
-        if self.codes is not None:
-            return self.with_storage(self.codes[rows])
-        mask = self.mask[rows] if self.mask is not None else None
-        return Column(self._values[rows], self.sql_type, mask)
+        """Keep rows where ``keep`` is True — selected by position: numpy's
+        boolean compression is several times slower than one
+        ``flatnonzero`` and a gather."""
+        return self.take(np.flatnonzero(keep))
 
     def null_mask(self) -> np.ndarray:
         """Return a boolean mask of NULL positions (materialised)."""

@@ -67,6 +67,11 @@ a build side that fills its key domain (``dense-offset`` on values,
 ``dictionary-identity`` on codes), which no span limit bounds, and that a
 joint encoding of two or more columns was built.
 
+A second harness (:func:`test_filtered_distinct_fuzz`) generates only
+fused join->DISTINCTs under a WHERE over both sides of the join — the
+contract's shape, whose DISTINCT takes the kept rows as positions — and
+holds them to the same two contracts.
+
 Runs in tier-1 under a fixed seed.  Env knobs for CI:
 
 * ``REPRO_FUZZ_ROUNDS`` — statement count (default 200);
@@ -563,6 +568,127 @@ def test_differential_fuzz(monkeypatch):
     assert all(shapes[shape] > 0 for shape in SHAPE_PATTERNS), shapes
     assert domains["dictionary"] > 0 and domains["span"] > 0
     assert joint["built"] > 0
+
+
+# ---------------------------------------------------------------------------
+# filtered DISTINCT: a fused join->DISTINCT's WHERE as row positions
+# ---------------------------------------------------------------------------
+
+#: The text table the filtered-DISTINCT fuzz joins for a text column.
+TEXT_WORDS = ("", "a", "ab", "b", "pear")
+
+
+def text_table_statements(rand: random.Random) -> list[str]:
+    """A small table of keys and NULL-bearing text."""
+    rows = []
+    for _ in range(rand.randint(4, 12)):
+        text = "null" if rand.random() < 0.25 \
+            else f"'{rand.choice(TEXT_WORDS)}'"
+        rows.append(f"({rand.randint(0, 6)}, {text})")
+    return ["create table s0 (k int64, s text)",
+            f"insert into s0 values {', '.join(rows)}"]
+
+
+def _filtered_distinct(rand: random.Random) -> str:
+    """A DISTINCT of plain columns directly above a join, under a WHERE
+    over both sides of it — the contraction's contract: an edge-like table
+    joined twice to a stored GROUP BY output, whose build-side gathers
+    arrive dictionary-encoded.  A text join, a LEFT JOIN tail, NULL-bearing
+    operands, a predicate column the DISTINCT does not project, and WHEREs
+    that keep every row or none ride along."""
+    probe = rand.choice(list(TABLES))
+    key, val, nullable = TABLES[probe]
+    build = rand.choice(("g0", "g1"))
+    from_sql = (f"{probe} as e join {build} as r1 on (e.{key} = r1.g) "
+                f"join {build} as r2 on (e.{val} = r2.g)")
+    numeric = ["r1.g", "r1.m", "r2.g", "r2.m", f"e.{key}", f"e.{val}",
+               f"e.{nullable}"]
+    projectable = list(numeric)
+    if rand.random() < 0.25:
+        from_sql += f" join s0 as s on (e.{key} = s.k)"
+        projectable.append("s.s")
+    if rand.random() < 0.3:
+        tail = rand.choice(("g0", "g1"))
+        from_sql += (f" left outer join {tail} as q on "
+                     f"(e.{rand.choice((key, val, nullable))} = q.g)")
+        numeric += ["q.g", "q.m"]
+        projectable += ["q.g", "q.m"]
+    roll = rand.random()
+    if roll < 0.1:
+        where = ["r1.g + r2.g > -1000"]  # keeps every row
+    elif roll < 0.2:
+        where = ["r1.m + r2.g < -1000"]  # keeps no row
+    else:
+        where = []
+        for _ in range(rand.randint(1, 2)):
+            left = rand.choice(numeric)
+            right = rand.choice([ref for ref in numeric
+                                 if ref.split(".")[0] != left.split(".")[0]])
+            offset = rand.choice(("", f" + {rand.randint(-2, 2)}"))
+            where.append(f"{left} {rand.choice(('!=', '<', '>', '='))} "
+                         f"{right}{offset}")
+    items = [f"{ref} c{position}" if rand.random() < 0.5 else ref
+             for position, ref in enumerate(
+                 rand.sample(projectable, rand.randint(1, 3)))]
+    return (f"select distinct {', '.join(items)} from {from_sql} "
+            f"where {' and '.join(where)}")
+
+
+def test_filtered_distinct_fuzz(monkeypatch):
+    """Fused join->DISTINCTs under a residual WHERE, against sqlite and
+    against their own warm re-execution.  Their DISTINCT gets the kept
+    rows as positions; the harness asserts every way those positions are
+    served was generated: packed into encoded words, taken from plain,
+    NULL-bearing and text columns first, ``None`` for a WHERE that keeps
+    every row, and an empty selection for one that keeps none."""
+    import repro.sqlengine.executor as executor_module
+
+    engaged = {"encoded": 0, "plain": 0, "nulls": 0, "text": 0,
+               "kept_all": 0, "kept_none": 0, "left_tail": 0}
+    execute_from = executor_module.Executor._execute_from
+    distinct = executor_module.Executor._distinct
+
+    def recording_execute_from(self, plan):
+        frame, rows = execute_from(self, plan)
+        if plan.fused and plan.residual:
+            engaged["kept_all"] += rows is None
+            engaged["kept_none"] += rows is not None and rows.shape[0] == 0
+            engaged["left_tail"] += bool(plan.left_joins)
+        return frame, rows
+
+    def recording_distinct(self, relation, rows=None):
+        if rows is not None and rows.shape[0]:
+            columns = [relation.column(name) for name in relation.names]
+            engaged["encoded"] += all(col.codes is not None
+                                      for col in columns)
+            engaged["plain"] += any(col.codes is None for col in columns)
+            engaged["nulls"] += any(col.mask is not None for col in columns)
+            engaged["text"] += any(col.sql_type == "text" for col in columns)
+        return distinct(self, relation, rows)
+
+    monkeypatch.setattr(executor_module.Executor, "_execute_from",
+                        recording_execute_from)
+    monkeypatch.setattr(executor_module.Executor, "_distinct",
+                        recording_distinct)
+    rand = random.Random(FUZZ_SEED)
+    executed = 0
+    while executed < FUZZ_ROUNDS:
+        db = planned_db()
+        oracle = SqliteOracle()
+        for statement in table_statements(rand) + text_table_statements(rand):
+            oracle.execute(statement)
+            db.execute(statement)
+        for _ in range(min(BATCH, FUZZ_ROUNDS - executed)):
+            sql = _filtered_distinct(rand)
+            planned = db.execute(sql).relation
+            warm = db.execute(sql).relation
+            assert_identical(sql, "warm", warm, planned)
+            assert sorted_rows(planned.rows()) == \
+                sorted_rows(oracle.execute(sql)), sql
+            executed += 1
+        db.close()
+        oracle.close()
+    assert all(engaged.values()), engaged
 
 
 def test_fuzz_generator_is_deterministic():

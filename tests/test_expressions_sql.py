@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sqlengine import CatalogError, Database, ExecutionError, PlanError
+from repro.sqlengine.functions import _least_greatest
+from repro.sqlengine.types import FLOAT64, INT64, TEXT, Column
 
 
 @pytest.fixture()
@@ -129,6 +132,64 @@ def test_least_greatest_mixed_text_numeric_raises(db):
         db.execute("select least(s, a) from t")
     with pytest.raises(ExecutionError, match="mix"):
         db.execute("select greatest(s, 1) from t")
+
+
+_ARGUMENT_KINDS = ("int", "float", "int_null", "float_null")
+
+
+@st.composite
+def _least_arguments(draw):
+    """1-4 argument columns of one length: NULL-free or NULL-bearing,
+    int or float (mixed: the result is float), or all text."""
+    n = draw(st.integers(1, 12))
+    n_args = draw(st.integers(1, 4))
+    if draw(st.booleans()) and draw(st.booleans()):
+        texts = st.one_of(st.none(), st.sampled_from(["", "a", "b", "pear"]))
+        return n, [Column.from_values(np.array(
+            draw(st.lists(texts, min_size=n, max_size=n)), dtype=object),
+            TEXT) for _ in range(n_args)]
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(_ARGUMENT_KINDS),
+                              min_size=n_args, max_size=n_args)):
+        if kind.startswith("int"):
+            values = np.array(draw(st.lists(
+                st.integers(-(1 << 62), 1 << 62), min_size=n, max_size=n)),
+                dtype=np.int64)
+        else:
+            values = np.array(draw(st.lists(
+                st.floats(-1e6, 1e6, allow_nan=False), min_size=n,
+                max_size=n)), dtype=np.float64)
+        mask = None
+        if kind.endswith("null"):
+            mask = np.array(draw(st.lists(st.booleans(), min_size=n,
+                                          max_size=n)))
+        columns.append(Column.from_values(values, mask=mask))
+    return n, columns
+
+
+@given(_least_arguments(), st.booleans())
+def test_least_greatest_matches_the_masked_path(arguments, pick_max):
+    """NULL-free numeric arguments take one ``np.minimum`` /
+    ``np.maximum`` per extra argument; one more argument that is NULL on
+    every row changes no row's result but forces the masked path, which
+    must agree bit for bit — and both agree with a row-by-row reference
+    (NULLs skipped, NULL only where every argument is)."""
+    n, columns = arguments
+    got = _least_greatest(columns, n, pick_max)
+    sql_type = columns[0].sql_type
+    padding = Column.nulls(n, TEXT if sql_type == TEXT else INT64)
+    masked = _least_greatest(columns + [padding], n, pick_max)
+    assert got.sql_type == masked.sql_type
+    assert np.array_equal(got.null_mask(), masked.null_mask())
+    valid = ~got.null_mask()
+    assert np.array_equal(got.values[valid], masked.values[valid])
+    pick = max if pick_max else min
+    promote = float if got.sql_type == FLOAT64 else (lambda value: value)
+    expected = []
+    for row in zip(*(col.to_list() for col in columns)):
+        present = [promote(value) for value in row if value is not None]
+        expected.append(pick(present) if present else None)
+    assert got.to_list() == expected
 
 
 def test_coalesce(db):

@@ -193,6 +193,24 @@ def test_affine_map_skips_lanes_zero_in_every_value(high_lanes, read):
         assert int(large[i]) == mapping.apply_scalar(int(xs[i]))
 
 
+def test_affine_map_top_lane_alone_matches_scalar():
+    """Values whose only non-zero 16-bit lane is the top one: the wide
+    path skips the three low lanes, so its one gather fills the reused
+    buffer — nothing a skipped lane left in it may reach the result."""
+    mapping = Gf2AffineMap(0xABCDEF0123456789, 0x1234)
+    n = WIDE_TABLE_MIN_VALUES
+    xs = np.random.default_rng(11).integers(1, 1 << 16, size=n,
+                                            dtype=np.uint64) << np.uint64(48)
+    xs[:3] = [1 << 48, 0xFFFF << 48, 1 << 63]
+    large = mapping.apply(xs)
+    assert mapping._wide_tables is not None
+    small = np.concatenate([mapping.apply(xs[:n // 2]),
+                            mapping.apply(xs[n // 2:])])
+    assert np.array_equal(large, small)
+    for i in (*range(64), n - 1):
+        assert int(large[i]) == mapping.apply_scalar(int(xs[i]))
+
+
 def test_affine_map_rejects_zero_a():
     with pytest.raises(ValueError):
         Gf2AffineMap(0, 1)

@@ -5,6 +5,8 @@ Covers the tentpole behaviours of the physical plan cache:
 * templates cache a compiled plan (hit/miss/invalidation counters),
 * validity across schema changes and the per-round rename/drop churn that
   Randomised Contraction performs (``reps{N}``/``tmp``/``graph`` cycling),
+* a fused join->DISTINCT taking its WHERE as row positions, with the
+  motion and stored tables of filter-then-DISTINCT,
 * pipeline fusion (column pruning, fused join->DISTINCT, join chains)
   and GROUP BY over joins producing the rows stdlib sqlite produces — the
   databases below are teed (``tests/sqlite_oracle.py``): every statement
@@ -240,6 +242,160 @@ def test_fused_distinct_matches_materialising_pipeline(query):
     db = _two_table_db()
     db.execute(query)
     assert db.stats.fused_pipelines > 0
+
+
+def _record_distinct_rows(monkeypatch) -> list:
+    """Spy on the executor's calls of ``operators.distinct_encoded``:
+    ``(statement, rows)`` per call — the statement being the label's last
+    part, ``rows`` the positions the DISTINCT was handed (``None``: every
+    row of its input)."""
+    from repro.sqlengine import executor as executor_module
+
+    calls: list = []
+    current = {"statement": ""}
+    execute = Database.execute
+    distinct_encoded = executor_module.distinct_encoded
+
+    def labelled_execute(db, sql, label=""):
+        current["statement"] = label.rsplit(":", 1)[-1]
+        return execute(db, sql, label)
+
+    def recording(columns, rows=None):
+        calls.append((current["statement"], rows))
+        return distinct_encoded(columns, rows)
+
+    monkeypatch.setattr(Database, "execute", labelled_execute)
+    monkeypatch.setattr(executor_module, "distinct_encoded", recording)
+    return calls
+
+
+def _filter_before_distinct(monkeypatch) -> None:
+    """Make every core filter its frame before DISTINCT: the reference a
+    DISTINCT over positions must match."""
+    from repro.sqlengine import executor as executor_module
+
+    execute_from = executor_module.Executor._execute_from
+
+    def filtering(self, plan):
+        frame, rows = execute_from(self, plan)
+        return (frame if rows is None else frame.take(rows)), None
+
+    monkeypatch.setattr(executor_module.Executor, "_execute_from", filtering)
+
+
+def test_contract_and_relink_hand_distinct_positions(monkeypatch):
+    """The contract statement of both RC variants and Cracker's relink
+    are fused join→DISTINCTs whose WHERE drops rows: their DISTINCT gets
+    the kept rows as ascending positions, not a filtered frame."""
+    from repro.core import Cracker, RandomisedContraction
+    from repro.graphs import gnm_random_graph
+    from repro.graphs.io import load_edges_into
+
+    calls = _record_distinct_rows(monkeypatch)
+    edges = gnm_random_graph(400, 700, np.random.default_rng(37))
+    for algorithm, statement in (
+            (RandomisedContraction(), "contract"),
+            (RandomisedContraction(variant="deterministic-space"),
+             "contract"),
+            (Cracker(), "relink")):
+        calls.clear()
+        with Database() as db:
+            load_edges_into(db, "edges", edges)
+            algorithm.run(db, "edges", seed=5)
+        handed = [rows for name, rows in calls
+                  if name == statement and rows is not None]
+        assert handed, (algorithm.name, statement)
+        for rows in handed:
+            assert rows.dtype.kind == "i" and rows.shape[0]
+            assert bool((rows[1:] > rows[:-1]).all())
+
+
+def test_where_keeping_every_row_hands_distinct_no_positions(monkeypatch):
+    """A fused DISTINCT's residual WHERE (one over both sides of the join:
+    a one-table predicate filters its scan) that keeps every row hands
+    ``None``; one that drops rows hands exactly the kept ones, ascending."""
+    calls = _record_distinct_rows(monkeypatch)
+    db = _two_table_db()
+    join = ("select distinct v1, r2.rep as v2 from graph2, reps as r2 "
+            "where graph2.v2 = r2.v")
+    db.execute(f"{join} and v1 + r2.v >= 0")
+    assert [rows for _, rows in calls] == [None]
+    calls.clear()
+    kept = db.execute(f"select count(*) from graph2, reps as r2 "
+                      f"where graph2.v2 = r2.v and v1 < r2.v").scalar()
+    db.execute(f"{join} and v1 < r2.v")
+    (_, rows), = calls
+    assert rows.shape[0] == kept < db.table("graph2").n_rows
+    assert bool((rows[1:] > rows[:-1]).all())
+
+
+#: Per-seed data motion of an RC run on G(400, 700) (graph seed 37), as
+#: filter-then-DISTINCT charges it.
+RC_MOTION_BYTES = {("fast", 5): 283936, ("fast", 6): 296128,
+                   ("deterministic-space", 5): 546080,
+                   ("deterministic-space", 6): 532560}
+
+
+@pytest.mark.parametrize("variant", ["fast", "deterministic-space"])
+def test_filtered_distinct_charges_filter_then_distinct_motion(
+        monkeypatch, variant):
+    """DISTINCT over positions charges the motion of the filtered
+    relation: every statement of an RC run moves the bytes it moves when
+    the frame is filtered first, the stored tables are the same, and the
+    run's total is the pinned per-seed value."""
+    from repro.core import RandomisedContraction
+    from repro.graphs import gnm_random_graph
+    from repro.graphs.io import load_edges_into
+
+    edges = gnm_random_graph(400, 700, np.random.default_rng(37))
+
+    def run(seed):
+        with Database() as db:
+            load_edges_into(db, "edges", edges)
+            result = RandomisedContraction(variant=variant).run(
+                db, "edges", seed=seed)
+            moved = [(record.label, record.motion_bytes)
+                     for record in db.stats.log]
+            stored = db.table("ccresult")
+            labels = [stored.column(name).values.copy()
+                      for name in stored.column_names]
+        return result.stats.motion_bytes, moved, labels
+
+    for seed in (5, 6):
+        total, moved, labels = run(seed)
+        assert total == RC_MOTION_BYTES[variant, seed]
+        with monkeypatch.context() as patched:
+            _filter_before_distinct(patched)
+            filtered_total, filtered_moved, filtered_labels = run(seed)
+        assert (total, moved) == (filtered_total, filtered_moved)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(labels, filtered_labels))
+
+
+def test_computed_distinct_item_never_sees_a_dropped_row():
+    """A DISTINCT with a computed item is not fused: its WHERE filters the
+    frame before the projection, so ``a % b`` (which raises on a zero
+    divisor) and a UDF never see a row the WHERE drops."""
+    seen: list = []
+
+    def checked(values):
+        assert not (values == 0).any()
+        seen.append(values.shape[0])
+        return values * 2
+
+    db = Database(n_segments=4)
+    db.create_function("checked", checked)
+    k, a = np.arange(40) % 7, np.arange(40)
+    db.load_table("t", {"k": k, "a": a})
+    db.load_table("u", {"k": np.arange(7), "b": np.arange(7) % 3})
+    rows = db.execute("select distinct t.a % u.b, checked(u.b) from t, u "
+                      "where t.k = u.k and u.b != 0").rows()
+    b = k % 3
+    kept = b != 0
+    assert seen == [int(kept.sum())]
+    assert sorted(rows) == sorted(set(zip((a[kept] % b[kept]).tolist(),
+                                          (2 * b[kept]).tolist())))
+    assert db.stats.fused_pipelines == 0
 
 
 GROUP_OVER_JOIN_QUERIES = [
