@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..ff.permutation import RandomisationMethod, get_method
-from ..graphs.edgelist import EdgeList
+from ..graphs.edgelist import EdgeList, sorted_unique
 
 
 def _closed_out_neighbourhoods(
@@ -162,13 +162,12 @@ def one_round_surviving_fraction(
     round_fn = method.new_round(rng)
     h_all = np.asarray(round_fn.apply(vertices.astype(np.uint64)))
     # Position-indexed h values; minimise over closed neighbourhoods.
-    position = {int(v): i for i, v in enumerate(vertices.tolist())}
-    src_idx = np.array([position[int(v)] for v in edges.src.tolist()])
-    dst_idx = np.array([position[int(v)] for v in edges.dst.tolist()])
+    src_idx = np.searchsorted(vertices, edges.src)
+    dst_idx = np.searchsorted(vertices, edges.dst)
     best = h_all.copy()
     np.minimum.at(best, src_idx, h_all[dst_idx])
     np.minimum.at(best, dst_idx, h_all[src_idx])
-    return float(np.unique(best).shape[0] / n)
+    return float(sorted_unique(best).shape[0] / n)
 
 
 def monte_carlo_gamma(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graphs.edgelist import EdgeList
+from ..graphs.edgelist import EdgeList, sorted_unique
 from .unionfind import ground_truth_labels
 
 
@@ -71,8 +71,8 @@ def validate_labelling(
             False, f"{bad} edge(s) connect differently-labelled vertices", n, 0, 0
         )
 
-    n_expected = int(np.unique(truth).shape[0]) if n else 0
-    n_found = int(np.unique(labels).shape[0]) if n else 0
+    n_expected = int(sorted_unique(truth).shape[0]) if n else 0
+    n_found = int(sorted_unique(labels).shape[0]) if n else 0
     if n_found != n_expected:
         return ValidationReport(
             False,

@@ -52,6 +52,7 @@ from ..ff.permutation import (
     RandomisationMethod,
     get_method,
 )
+from ..graphs.edgelist import sorted_unique
 from ..sqlengine import Database
 from ..sqlengine.errors import ExecutionError
 from .base import SQLConnectedComponents
@@ -299,7 +300,7 @@ class RandomisedContraction(SQLConnectedComponents):
         while True:
             rounds += 1
             self._check_rounds(rounds, n_hint)
-            vertices = np.unique(db.table(f"{p}e").column("v1").values)
+            vertices = sorted_unique(db.table(f"{p}e").column("v1").values)
             if vertices.shape[0] == 0:
                 # Degenerate input (empty edge table): nothing to do.  No
                 # later round gets here: the loop stops once a contraction

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..graphs.edgelist import EdgeList
+from ..graphs.edgelist import EdgeList, sorted_unique
 from ..graphs.io import load_edges_into
 from ..sqlengine import Database
 from .base import CCRunResult, SQLConnectedComponents
@@ -77,7 +77,7 @@ class CCResult:
     def n_components(self) -> int:
         if self.labels.shape[0] == 0:
             return 0
-        return int(np.unique(self.labels).shape[0])
+        return int(sorted_unique(self.labels).shape[0])
 
     def components(self) -> dict[int, list[int]]:
         """{component_label: sorted vertex list}."""

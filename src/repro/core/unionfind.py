@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.csgraph import connected_components as _scipy_components
 
-from ..graphs.edgelist import EdgeList
+from ..graphs.edgelist import EdgeList, sorted_unique
 
 
 class UnionFind:
@@ -118,4 +118,4 @@ def count_components(edges: EdgeList) -> int:
     _, labels = ground_truth_labels(edges)
     if labels.shape[0] == 0:
         return 0
-    return int(np.unique(labels).shape[0])
+    return int(sorted_unique(labels).shape[0])

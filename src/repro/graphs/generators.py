@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .edgelist import EdgeList
+from .edgelist import EdgeList, sorted_distinct_pairs
 
 
 def path_graph(n: int, start_id: int = 1) -> EdgeList:
@@ -92,16 +92,33 @@ def complete_graph(n: int, start_id: int = 1) -> EdgeList:
 
 
 def gnm_random_graph(n: int, m: int, rng: np.random.Generator) -> EdgeList:
-    """Erdős–Rényi G(n, m): m edges drawn uniformly (duplicates removed)."""
+    """G(n, m)-like: 2m endpoint pairs drawn uniformly, loops and duplicates
+    removed, and the first m of the remaining pairs kept.
+
+    The kept pairs are the first m in lexicographic (lo, hi) order, not a
+    uniform sample of them, so the graph is *not* uniform G(n, m): every
+    edge has a low-id endpoint.  At n = 500 000, m = 1 000 000 and seed 7
+    every kept edge has lo <= 146 435, about (1 - 1/sqrt 2) n, the lo below
+    which half of the ~2m distinct pairs fall.  Which pairs are kept fixes
+    every generated graph, and with it the count metrics of every
+    benchmark over one, so it stays as it is.
+
+    The work is done in place over the two draws, so the peak is about
+    three arrays of 2m int64.
+    """
     if n < 2:
         raise ValueError("G(n, m) needs at least two vertices")
     src = rng.integers(0, n, size=2 * m, dtype=np.int64)
     dst = rng.integers(0, n, size=2 * m, dtype=np.int64)
-    keep = src != dst
-    edges = EdgeList(src[keep] + 1, dst[keep] + 1).canonical()
-    if edges.n_edges > m:
-        edges = EdgeList(edges.src[:m], edges.dst[:m])
-    return edges
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst, out=dst)
+    del src, dst
+    proper = lo != hi
+    lo = lo[proper]
+    hi = hi[proper]
+    del proper
+    lo, hi = sorted_distinct_pairs(lo, hi)
+    return EdgeList(lo[:m] + 1, hi[:m] + 1)
 
 
 def rmat_graph(

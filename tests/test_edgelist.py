@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from repro.graphs import EdgeList
+from repro.graphs.edgelist import sorted_unique
 
 from .conftest import edge_lists
 
@@ -111,3 +112,110 @@ def test_equality_is_structural():
 def test_mismatched_arrays_rejected():
     with pytest.raises(ValueError):
         EdgeList(np.array([1, 2]), np.array([1]))
+
+
+# -- canonical() against the np.unique(axis=0) form it replaced ---------------
+
+
+def _reference_canonical(edges):
+    """The earlier ``EdgeList.canonical``, kept as the bit-identity oracle."""
+    if edges.n_edges == 0:
+        return EdgeList.empty()
+    lo = np.minimum(edges.src, edges.dst)
+    hi = np.maximum(edges.src, edges.dst)
+    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    loops = pairs[:, 0] == pairs[:, 1]
+    if loops.any():
+        proper = pairs[~loops]
+        touched = np.unique(proper.ravel()) if proper.size else np.empty(0, np.int64)
+        loop_ids = pairs[loops, 0]
+        keep_loops = ~np.isin(loop_ids, touched)
+        pairs = np.concatenate([proper, np.stack(
+            [loop_ids[keep_loops], loop_ids[keep_loops]], axis=1)])
+    return EdgeList(pairs[:, 0], pairs[:, 1])
+
+
+def _assert_bit_identical(edges):
+    expected = _reference_canonical(edges)
+    got = edges.canonical()
+    assert got.src.dtype == got.dst.dtype == np.int64
+    assert got.src.tobytes() == expected.src.tobytes()
+    assert got.dst.tobytes() == expected.dst.tobytes()
+
+
+def _random_pairs(rng, low, high, size):
+    return EdgeList(rng.integers(low, high, size), rng.integers(low, high, size))
+
+
+def test_canonical_matches_reference_on_random_pairs():
+    rng = np.random.default_rng(11)
+    _assert_bit_identical(_random_pairs(rng, 0, 1_000, 5_000))
+    _assert_bit_identical(_random_pairs(rng, 1, 1 << 31, 5_000))
+
+
+def test_canonical_matches_reference_on_duplicate_heavy_pairs():
+    rng = np.random.default_rng(12)
+    edges = _random_pairs(rng, 0, 6, 2_000)
+    _assert_bit_identical(edges)
+    _assert_bit_identical(edges.concat(edges).concat(edges.doubled()))
+
+
+def test_canonical_matches_reference_on_loops():
+    rng = np.random.default_rng(13)
+    edges = _random_pairs(rng, 0, 300, 1_000)
+    edges.dst[::3] = edges.src[::3]
+    # Loops on ids no proper edge touches: isolated vertices, kept once.
+    isolated = np.arange(1_000, 1_040, dtype=np.int64)
+    edges = edges.concat(EdgeList(isolated, isolated))
+    edges = edges.concat(EdgeList(isolated[::2], isolated[::2]))
+    _assert_bit_identical(edges)
+    only_loops = EdgeList(isolated[::-1], isolated[::-1])
+    _assert_bit_identical(only_loops)
+    assert only_loops.canonical().src.tolist() == isolated.tolist()
+
+
+@pytest.mark.parametrize("low, high", [
+    (-1_000, 1_000),                # negative ids
+    ((1 << 31) - 50, (1 << 31) + 50),  # straddling the packed bound
+    (1 << 31, (1 << 31) + 500),     # every id past it
+    (0, 1 << 62),                   # sparse 62-bit ids
+])
+def test_canonical_matches_reference_past_the_packed_range(low, high):
+    rng = np.random.default_rng(14)
+    edges = _random_pairs(rng, low, high, 3_000)
+    edges = edges.concat(edges.doubled())
+    edges.dst[::7] = edges.src[::7]
+    _assert_bit_identical(edges)
+
+
+def test_canonical_matches_reference_at_the_packed_bound():
+    top = (1 << 31) - 1
+    _assert_bit_identical(EdgeList.from_pairs(
+        [(top, 0), (0, top), (top, top), (top - 1, top), (5, 5)]))
+    _assert_bit_identical(EdgeList.from_pairs([(top + 1, 0), (0, 0)]))
+
+
+@pytest.mark.parametrize("pairs", [[], [(3, 1)], [(4, 4)]])
+def test_canonical_matches_reference_on_tiny_lists(pairs):
+    _assert_bit_identical(EdgeList.from_pairs(pairs))
+
+
+@given(edge_lists())
+def test_canonical_matches_reference(edges):
+    _assert_bit_identical(edges)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([], dtype=np.int64),
+    np.array([7], dtype=np.int64),
+    np.random.default_rng(15).integers(-50, 50, 1_000),
+    np.random.default_rng(16).integers(0, 1 << 63, 1_000, dtype=np.uint64),
+    np.random.default_rng(17).random(500).round(1),
+])
+def test_sorted_unique_matches_np_unique(values):
+    got = sorted_unique(values)
+    expected = np.unique(values)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+    both = sorted_unique(values, values[::-1])
+    assert both.tobytes() == expected.tobytes()

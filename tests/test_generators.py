@@ -1,5 +1,7 @@
 """Tests for the synthetic graph generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,40 @@ def test_gnm_random_graph_bounds():
     assert edges.max_vertex_id() <= 50
     canonical = edges.canonical()
     assert canonical.n_edges == edges.n_edges  # already deduplicated
+
+
+def _digest(edges):
+    return hashlib.sha256(edges.src.tobytes() + edges.dst.tobytes()).hexdigest()
+
+
+# Generated graphs are pinned byte for byte: a generator that is rewritten
+# must draw the same numbers in the same order and keep the same edges in
+# the same order, or every count metric over these graphs moves.
+@pytest.mark.parametrize("n, m, seed, digest", [
+    (500_000, 1_000_000, 7,
+     "630275f58fcbd303ebf535ad9ff957025e540c53849960ec554bd51909b802ae"),
+    (50_000, 100_000, 7,
+     "003c89884aacc8d7e8a2fd0967d1b68a8e8896d16f4219711389fd9717ad4498"),
+    (1_000, 2_000, 7,
+     "82b6605bab56b35e01f5f6b10752a7bbffe99fb09ef75f24abe6aa1e407cf948"),
+    (500_000, 1_000_000, 20200420,
+     "ee751514de14ccbfe6e7ede9916982e71c2e8249c0a767c4794e4ede4b966391"),
+    (50_000, 100_000, 20200420,
+     "bcf172e503877c0572adee878304dce4432a71ec83d7617a95778a837f9b1700"),
+    (1_000, 2_000, 20200420,
+     "6c12674a3b79d41f870c2c927fb654b36a50e40b95b24a938dce3a2d75509f02"),
+])
+def test_gnm_random_graph_is_pinned(n, m, seed, digest):
+    edges = gnm_random_graph(n, m, np.random.default_rng(seed))
+    assert edges.n_edges == m
+    assert _digest(edges) == digest
+
+
+def test_rmat_graph_is_pinned():
+    edges = rmat_graph(15, 644_000, np.random.default_rng(3))
+    assert edges.n_edges == 530_876
+    assert _digest(edges) == (
+        "234adbb77c508e13ae82f218891aad563efa366ccd6c2084ee5343f4b3914922")
 
 
 def test_rmat_graph_basic_shape():
