@@ -61,6 +61,7 @@ size:
 	@echo "sqlengine/ lines:  $$(find src/repro/sqlengine -name '*.py' | xargs cat | wc -l)"
 	@echo "executor.py lines: $$(wc -l < src/repro/sqlengine/executor.py)"
 	@echo "stats.COUNTERS:    $$($(PYTHON) -c 'from repro.sqlengine import stats; print(len(stats.COUNTERS), "(retired:", len(stats.RETIRED), end=")")')"
+	@echo "join routes:       $$($(PYTHON) -c 'from repro.sqlengine import operators; print(len(operators.JOIN_ROUTES))')"
 
 # benchmarks/results is regenerated scratch output.
 clean:

@@ -82,17 +82,11 @@ class SparkExecutor(Executor):
 
     # -- kernels: hash-partitioned per-task execution ------------------------
 
-    def _join_kernel(self, left_keys, right_keys, left_index=None,
-                     right_index=None, note=None):
+    def _dispatch_join(self, left_outer, left_keys, right_keys, right_index,
+                       note):
         if note is not None:
             note.append("spark-partitioned")
-        return self._partitioned_join(left_keys, right_keys, outer=False)
-
-    def _left_join_kernel(self, left_keys, right_keys, left_index=None,
-                          right_index=None, note=None):
-        if note is not None:
-            note.append("spark-partitioned")
-        return self._partitioned_join(left_keys, right_keys, outer=True)
+        return self._partitioned_join(left_keys, right_keys, left_outer)
 
     def _partitioned_join(self, left_keys, right_keys, outer: bool):
         n_left = len(left_keys[0])

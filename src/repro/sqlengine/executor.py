@@ -578,26 +578,19 @@ class Executor:
         self.stats = stats
 
     def _stored_index(
-        self, frame: Frame, qualified_name: str, build: bool
+        self, frame: Frame, qualified_name: str
     ) -> Optional[KeyIndex]:
-        """Fetch (or build) the table index backing a frame column, if any.
-
-        ``build=False`` only returns an already-cached index — used for
-        probe sides, where building an index the kernel would not otherwise
-        need is wasted work, but a free one carries the key-range stats
-        behind the planner's disjoint-range early exit.  The statement
-        that builds an index counts the miss; later ones count hits.
-        """
+        """Fetch, or build and cache, the index of the stored column behind
+        a join's build-side key or a GROUP BY key, if there is one.  The
+        statement that builds an index counts the miss; later ones count
+        hits."""
         if not self.use_index_cache:
             return None
         source = frame.sources.get(qualified_name)
         if source is None:
             return None
         table, column_name = source
-        if not build:
-            index, built = table.cached_index(column_name), False
-        else:
-            index, built = table.index_for(column_name)
+        index, built = table.index_for(column_name)
         if built:
             self.stats.bump("index_cache_misses")
         elif index is not None:
@@ -637,42 +630,19 @@ class Executor:
         left_outer: bool,
         left_keys: list[Column],
         right_keys: list[Column],
-        left_index: Optional[KeyIndex],
         right_index: Optional[KeyIndex],
         note: Optional[list],
     ) -> tuple[Optional[np.ndarray], np.ndarray]:
         """Inner or left-outer join: plan the route, then run it.  Left
         rows are ``None`` when the join kept every probe row once, in
         order (see :meth:`~repro.sqlengine.operators.JoinRoute.run`)."""
-        route = plan_join(left_keys, right_keys, left_index, right_index)
+        route = plan_join(left_keys, right_keys, right_index)
         l_idx, r_idx = route.run()
         if note is not None:
             note.append(route.note())
         if left_outer:
             return pad_left_outer(l_idx, r_idx, len(left_keys[0]))
         return l_idx, r_idx
-
-    def _join_kernel(
-        self,
-        left_keys: list[Column],
-        right_keys: list[Column],
-        left_index: Optional[KeyIndex] = None,
-        right_index: Optional[KeyIndex] = None,
-        note: Optional[list] = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self._dispatch_join(False, left_keys, right_keys, left_index,
-                                   right_index, note)
-
-    def _left_join_kernel(
-        self,
-        left_keys: list[Column],
-        right_keys: list[Column],
-        left_index: Optional[KeyIndex] = None,
-        right_index: Optional[KeyIndex] = None,
-        note: Optional[list] = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self._dispatch_join(True, left_keys, right_keys, left_index,
-                                   right_index, note)
 
     def _group_kernel(
         self, key_columns: list[Column], index: Optional[KeyIndex] = None
@@ -974,23 +944,15 @@ class Executor:
         else:
             left_keys = self._join_keys(chain, step.left_names)
             right_keys = self._join_keys(right, step.right_names)
-            left_index = right_index = None
-            if len(step.left_names) == 1:
-                # Single-column equi-join (the dominant shape): the build
-                # side consults — and on a miss populates — its table's
-                # index cache; the probe side only picks up a cached index
-                # (free key-range stats).
-                right_index = self._stored_index(right, step.right_names[0],
-                                                 build=True)
-                left_index = self._stored_index(chain, step.left_names[0],
-                                                build=False)
+            # A single-column build side (the dominant shape) consults —
+            # and on a miss populates — its table's index cache.
+            right_index = self._stored_index(right, step.right_names[0]) \
+                if len(step.right_names) == 1 else None
             self._charge_join_motion(chain, step.left_names)
             self._charge_join_motion(right, step.right_names)
             note: list = []
-            kernel = self._left_join_kernel if outer else self._join_kernel
-            l_idx, r_idx = kernel(left_keys, right_keys,
-                                  left_index=left_index,
-                                  right_index=right_index, note=note)
+            l_idx, r_idx = self._dispatch_join(outer, left_keys, right_keys,
+                                               right_index, note)
             if note:
                 step.kernel = note[-1]
         chain.apply(l_idx, r_idx, right, step, outer)
@@ -1146,8 +1108,7 @@ class Executor:
                 # A group key scanned straight off a stored table uses (and
                 # warms) the table's index cache: the sort performed here is
                 # the same one the round's joins need.
-                group_index = self._stored_index(frame, key_names[0],
-                                                 build=True)
+                group_index = self._stored_index(frame, key_names[0])
             direct = self._direct_groups(key_columns, group_index, aggregates)
             if direct is not None:
                 order = starts = None

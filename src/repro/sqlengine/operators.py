@@ -32,23 +32,29 @@ only place that decides how an equi-join runs: it returns a
   codes are its keys' slots, the probe side's codes address them, and no
   64-bit value is read.  That is every join of the contraction loop
   that the first kernel does not take;
-* a **sorted-order probe** (:func:`_sorted_probe`) for sparse 64-bit keys
-  in plain columns — one binary search per row into unique build keys, a
-  run expansion (:func:`_expand_runs`, the only one) into duplicated
-  ones.  The sorted order is a :class:`KeyIndex`, which stored tables
-  cache across statements (see
+* a **sorted-order probe** (:func:`_sorted_probe`, the ``sorted`` route)
+  for every other key — sparse 64-bit values in plain columns, floats,
+  text — one binary search per row into unique integer build keys, a
+  run expansion (:func:`_expand_runs`, the only one) into any others.
+  The sorted order and the uniqueness come from a :class:`KeyIndex` when
+  the build side's stored table caches one (see
   :meth:`repro.sqlengine.table.Table.ensure_index`), so repeated joins
-  against the same table pay the sort once.
+  against the same table pay the sort once; otherwise the route sorts.
+
+A multi-column key is one order-preserving int64 word per row
+(:func:`pack_keys`, over both sides of a join), on which joins, GROUP BY
+and DISTINCT run their single-column kernels.
 
 Every join runs its route's kernel once, over the whole probe side, on
 the calling thread (:meth:`JoinRoute.run`); nothing about the host — its
 core count included — changes a route, its note or its output.
 
 **Grouping** sorts (:func:`group_rows`: a cached index's order, else
-:func:`stable_argsort`) unless the keys are dense integers — vertex ids,
-or any encoded column's codes — which :func:`direct_group_rows` groups by
-address: a ``bincount`` and one scatter reduction per aggregate, groups in
-ascending key order like the sort's.
+:func:`stable_argsort` of the key or its packed word) unless the keys are
+dense integers — vertex ids, or any encoded column's codes — which
+:func:`direct_group_rows` groups by address: a ``bincount`` and one
+scatter reduction per aggregate, groups in ascending key order like the
+sort's.
 
 **DISTINCT** has two kernels and one order contract.  Over encoded
 columns :func:`distinct_encoded` packs each row's codes into a word,
@@ -56,15 +62,17 @@ value-sorts the words and unpacks the survivors: the distinct rows come
 out in ascending **key** order (so the next GROUP BY or index over the
 leading column finds it sorted).  Over plain columns
 :func:`distinct_rows` returns first-occurrence positions in ascending
-**row** order; multi-column and unpackable sparse pairs run there on a
-**packed-sort hash kernel** (:func:`_hash_distinct_int`: one value sort of
-``(splitmix64 prefix, row)`` words, prefix collisions settled exactly)
-instead of a lexsort.  Either order is a deterministic function of the
+**row** order: one integer column, or a pair whose offsets pack into a
+word, runs the single-column kernel, any other integer key a
+**packed-sort hash kernel** (:func:`_hash_distinct_int`: one value sort
+of ``(splitmix64 prefix, row)`` words, prefix collisions settled
+exactly).  Either order is a deterministic function of the
 input relation — its rows and which of its columns are encoded, which the
 executor decides from the statement and its input alone.
 
 **Sort-merge grouping** (:func:`sorted_group_rows`) is the fallback of
-:func:`group_rows` for text keys and NULL-bearing inputs, and the
+:func:`group_rows` for multi-column float or text keys and NULL-bearing
+inputs, and the
 reference the kernel tests diff grouping *index arrays* against — what an
 outside SQL engine cannot referee.  The join's sort-merge reference lives
 with the tests (``tests/join_reference.py``): no engine code calls it.
@@ -82,7 +90,7 @@ inputs still make.
 Every join route is *plan-stable*: it returns exactly the same index
 arrays, in exactly the same order, as the sort-merge reference.  The
 property tests in ``tests/test_operators.py`` and the kernel matrix in
-``tests/test_parallel_kernels.py`` enforce this, and it is what makes the
+``tests/test_join_kernels.py`` enforce this, and it is what makes the
 engine's output bit-for-bit reproducible regardless of which route the
 planner picks.
 
@@ -93,13 +101,13 @@ the final round's queries run over zero rows.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ExecutionError
 from .mpp import hash64
-from .types import TEXT, Column
+from .types import Column
 
 #: Right-index sentinel for unmatched rows in a left outer join.
 NO_MATCH = -1
@@ -210,8 +218,8 @@ class KeyIndex:
     """A reusable single-column index: key statistics plus sorted order.
 
     ``is_unique`` and the min/max bounds let the join kernels skip the
-    duplicate-expansion machinery and let the planner prove joins empty
-    (disjoint key ranges) without touching the data.  ``order`` (the
+    duplicate-expansion machinery and size a direct-address table without
+    touching the data.  ``order`` (the
     stable argsort of the values) and ``sorted_values`` are **lazy**:
     dense-key columns never need them — the direct-address join consumes
     only the O(n) statistics — so building them eagerly would make every
@@ -430,16 +438,6 @@ def encode_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _keys_as_arrays(columns: list[Column]) -> list[np.ndarray]:
-    arrays = []
-    for col in columns:
-        if col.sql_type == TEXT:
-            arrays.append(col.values)
-        else:
-            arrays.append(np.ascontiguousarray(col.values))
-    return arrays
-
-
 def _non_null_rows(columns: list[Column]) -> np.ndarray | None:
     """Row mask selecting rows where no key column is NULL, or None if all."""
     mask = None
@@ -451,20 +449,60 @@ def _non_null_rows(columns: list[Column]) -> np.ndarray | None:
     return ~mask
 
 
-def _pack_keys(arrays: list[np.ndarray]) -> np.ndarray:
-    """Reduce a multi-column key to a single comparable array.
+#: Packed key words stay below this bound, so one more fold over spans
+#: multiplying to less than it cannot overflow int64.
+PACKED_BOUND = 1 << 62
 
-    Single numeric keys pass through untouched (the hot path — every join in
-    the reproduced algorithms is single-column).  Multi-column numeric keys
-    are packed into a contiguous void view so one argsort handles them;
-    anything involving text falls back to Python tuples.
-    """
-    if len(arrays) == 1:
-        return arrays[0]
-    if all(a.dtype != object for a in arrays):
-        stacked = np.ascontiguousarray(np.stack(arrays, axis=1))
-        return stacked.view([("", stacked.dtype)] * stacked.shape[1]).ravel()
-    return np.array([tuple(row) for row in zip(*arrays)], dtype=object)
+
+def _offsets(arrays: Sequence[np.ndarray]) -> Optional[tuple[list, int]]:
+    """Integer arrays as offsets from their joint least value, and their
+    joint span, if it is below :data:`PACKED_BOUND`."""
+    if any(array.dtype.kind != "i" for array in arrays):
+        return None
+    present = [array for array in arrays if array.shape[0]]
+    low = min(int(array.min()) for array in present)
+    span = max(int(array.max()) for array in present) - low + 1
+    if span >= PACKED_BOUND:
+        return None
+    return [array - low if low else array for array in arrays], span
+
+
+def _ranks(arrays: Sequence[np.ndarray]) -> tuple[list, int]:
+    """Each array's values ranked among all the arrays' values — equal
+    floats (``-0.0`` and ``0.0``, every NaN) share a rank — and the number
+    of ranks."""
+    dictionary, codes = encode_values(np.concatenate(arrays))
+    cuts = np.cumsum([array.shape[0] for array in arrays[:-1]])
+    return np.split(codes, cuts), int(dictionary.shape[0])
+
+
+def pack_keys(sides: list, rank: bool = True) -> Optional[list[np.ndarray]]:
+    """One order-preserving int64 word per row of each side for a
+    multi-column key: ``sides`` holds each side's NULL-free key columns,
+    column ``i`` compared across sides.  Columns fold left to right as
+    ``word * span + code``; a code is an integer column's :func:`_offsets`,
+    else its :func:`_ranks`, and a fold that would reach
+    :data:`PACKED_BOUND` ranks the packed prefix first, then the column if
+    it must.  Equal rows, and only those, share a word, and words order as
+    their rows do.  ``rank=False``: ``None`` rather than rank anything."""
+    words, span = None, 1
+    for column in zip(*sides):
+        codes = _offsets(column)
+        if codes is None:
+            if not rank:
+                return None
+            codes = _ranks(column)
+        if span * codes[1] >= PACKED_BOUND:
+            if not rank:
+                return None
+            words, span = _ranks(words)
+            if span * codes[1] >= PACKED_BOUND:
+                codes = _ranks(column)
+        codes, width = codes
+        words = codes if words is None else [
+            word * width + code for word, code in zip(words, codes)]
+        span *= width
+    return words
 
 
 def _empty_pair() -> tuple[np.ndarray, np.ndarray]:
@@ -480,15 +518,12 @@ def _empty_pair() -> tuple[np.ndarray, np.ndarray]:
 #: it reports.
 JOIN_ROUTES = {
     "empty": "empty",
-    "range-pruned": "range-pruned",
     "dictionary-identity": "identity",
     "dictionary": "dictionary",
     "dense-offset": "offset",
     "dense-unique": "dense",
     "dense-runs": "dense",
-    "sparse-unique": "probe-sorted",
-    "indexed-runs": "merge-indexed",
-    "sorted-runs": "merge",
+    "sorted": "merge",
 }
 
 
@@ -539,51 +574,51 @@ class JoinRoute:
         return l_idx, r_idx
 
 
-def _valid_keys(columns: list[Column]) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The packed keys of the rows where no key column is NULL, and those
-    rows' numbers (``None``: every row)."""
-    keys = _pack_keys(_keys_as_arrays(columns))
+def _valid_keys(columns: list[Column]) -> tuple[list, Optional[np.ndarray]]:
+    """The key columns' values at the rows where no key column is NULL,
+    and those rows' numbers (``None``: every row)."""
+    arrays = [col.values for col in columns]
     valid = _non_null_rows(columns)
     if valid is None:
-        return keys, None
+        return arrays, None
     rows = np.flatnonzero(valid)
-    return keys[rows], rows
+    return [array[rows] for array in arrays], rows
 
 
 def plan_join(
     left_keys: list[Column],
     right_keys: list[Column],
-    left_index: Optional[KeyIndex] = None,
     right_index: Optional[KeyIndex] = None,
 ) -> JoinRoute:
     """Plan an inner m:n equi-join: strip NULL keys (they never match —
-    SQL semantics), then let :func:`_route_keys` pick the route.
+    SQL semantics), pack a multi-column key into one word per row
+    (:func:`pack_keys`, over both sides at once), then let
+    :func:`_route_keys` pick the route.
 
-    ``left_index``/``right_index`` are optional precomputed
-    :class:`KeyIndex` objects over the *unfiltered* key columns (typically
-    from a stored table's index cache); they let the route skip its
-    build-side sort.  An index is ignored whenever the corresponding side
-    had NULL rows filtered out, since its row numbering would no longer
-    line up.  A build-side index that :meth:`KeyIndex.fills` its key
-    domain — checked in O(1) — takes the join off every table: the
-    ``dictionary-identity`` and ``dense-offset`` routes read the right
-    rows straight off the probe keys.  Without an index (the Spark model
-    keeps none) no join takes them.
+    ``right_index`` is an optional precomputed :class:`KeyIndex` over the
+    *unfiltered* build-side key column (typically from a stored table's
+    index cache); it lets the route skip its build-side sort.  It is
+    ignored whenever the build side had NULL rows filtered out, since its
+    row numbering would no longer line up.  An index that
+    :meth:`KeyIndex.fills` its key domain — checked in O(1) — takes the
+    join off every table: the ``dictionary-identity`` and ``dense-offset``
+    routes read the right rows straight off the probe keys.  Without an
+    index (the Spark model keeps none) no join takes them.
     """
     if len(left_keys) != len(right_keys) or not left_keys:
         raise ExecutionError("join requires matching non-empty key lists")
     route = _dictionary_route(left_keys, right_keys, right_index)
     if route is not None:
         return route
-    lk, left_rows = _valid_keys(left_keys)
-    rk, right_rows = _valid_keys(right_keys)
-    if left_rows is not None:
-        left_index = None
+    left, left_rows = _valid_keys(left_keys)
+    right, right_rows = _valid_keys(right_keys)
     if right_rows is not None:
         right_index = None
-    if lk.shape[0] == 0 or rk.shape[0] == 0:
+    if left[0].shape[0] == 0 or right[0].shape[0] == 0:
         return JoinRoute("empty")
-    route = _route_keys(lk, rk, left_index, right_index)
+    lk, rk = (left[0], right[0]) if len(left) == 1 \
+        else pack_keys([left, right])
+    route = _route_keys(lk, rk, right_index)
     route.left_rows, route.right_rows = left_rows, right_rows
     return route
 
@@ -628,23 +663,19 @@ def _dictionary_route(
 
 
 def _route_keys(
-    lk: np.ndarray,
-    rk: np.ndarray,
-    left_index: Optional[KeyIndex],
-    right_index: Optional[KeyIndex],
+    lk: np.ndarray, rk: np.ndarray, right_index: Optional[KeyIndex],
 ) -> JoinRoute:
-    """The one join-route decision, over non-empty NULL-free packed keys.
+    """The one join-route decision, over non-empty NULL-free keys.
 
-    Integer keys: disjoint key ranges match nothing; a build side whose
-    index :meth:`~KeyIndex.fills` its range is addressed by offset, with
-    no table (``dense-offset``: key ``k`` is build row ``k - min``); any
-    other dense build-side range gets a direct-address table (slots for
-    unique keys, buckets otherwise) — O(n), no sort.  The offset route
-    allocates nothing, so the dense-span limit does not bound it.  Sparse
-    keys probe the build side's sorted order: one binary search per row
-    when its keys are unique, a run expansion otherwise.  Without a
-    build-side index the sort happens here.  The probe side's index, when
-    one is cached, is read for its key range only.
+    Integer keys: a build side whose index :meth:`~KeyIndex.fills` its
+    range is addressed by offset, with no table (``dense-offset``: key
+    ``k`` is build row ``k - min``); any other dense build-side range gets
+    a direct-address table (slots for unique keys, buckets otherwise) —
+    O(n), no sort.  The offset route allocates nothing, so the dense-span
+    limit does not bound it.  Any other key takes the ``sorted`` route:
+    order and uniqueness from the build index, else a sort and one compare
+    of neighbours; one search per row into unique integer keys, a run
+    expansion (two, which match NaN to NaN) otherwise.
     """
     n_right = int(rk.shape[0])
     ints = lk.dtype.kind == "i" and rk.dtype.kind == "i"
@@ -653,10 +684,6 @@ def _route_keys(
             rmin, rmax = right_index.min_value, right_index.max_value
         else:
             rmin, rmax = int(rk.min()), int(rk.max())
-        if left_index is not None and left_index.min_value is not None and (
-            left_index.min_value > rmax or left_index.max_value < rmin
-        ):
-            return JoinRoute("range-pruned")
         span = rmax - rmin + 1
         if right_index is not None and right_index.fills(span):
             return JoinRoute("dense-offset", _offset_probe, (lk, rmin, span))
@@ -678,21 +705,18 @@ def _route_keys(
                              (lk, counts, starts, order, rmin, span))
     if right_index is None:
         order, sorted_values = stable_argsort(rk)
-        return JoinRoute("sorted-runs", _sorted_probe,
-                         (lk, sorted_values, order, False))
-    sorted_values = right_index.sorted_values
-    order = None if right_index.is_sorted else right_index.order
-    if not (ints and right_index.is_unique):
-        return JoinRoute("indexed-runs", _sorted_probe,
-                         (lk, sorted_values, order, False))
-    return JoinRoute("sparse-unique", _sorted_probe,
-                     (lk, sorted_values, order, True))
+        unique = not bool((sorted_values[1:] == sorted_values[:-1]).any())
+    else:
+        sorted_values = right_index.sorted_values
+        order = None if right_index.is_sorted else right_index.order
+        unique = right_index.is_unique
+    return JoinRoute("sorted", _sorted_probe,
+                     (lk, sorted_values, order, ints and unique))
 
 
 def join_indices(
     left_keys: list[Column],
     right_keys: list[Column],
-    left_index: Optional[KeyIndex] = None,
     right_index: Optional[KeyIndex] = None,
     note: Optional[list] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -700,10 +724,10 @@ def join_indices(
     :func:`plan_join`'s route, run.
 
     ``note``, when given, receives the name of the kernel strategy the
-    route settled on (``"dense"``, ``"probe-sorted"``, ``"merge"`` ...) —
+    route settled on (``"dense"``, ``"offset"``, ``"merge"`` ...) —
     the executor records it on the statement's physical plan.
     """
-    route = plan_join(left_keys, right_keys, left_index, right_index)
+    route = plan_join(left_keys, right_keys, right_index)
     if note is not None:
         note.append(route.note())
     return spelled_out(*route.run())
@@ -743,7 +767,6 @@ def pad_left_outer(
 def left_join_indices(
     left_keys: list[Column],
     right_keys: list[Column],
-    left_index: Optional[KeyIndex] = None,
     right_index: Optional[KeyIndex] = None,
     note: Optional[list] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -752,8 +775,7 @@ def left_join_indices(
     Returns (left_rows, right_rows) where unmatched left rows appear exactly
     once with ``right_rows == NO_MATCH``.
     """
-    l_idx, r_idx = join_indices(left_keys, right_keys, left_index, right_index,
-                                note)
+    l_idx, r_idx = join_indices(left_keys, right_keys, right_index, note)
     return pad_left_outer(l_idx, r_idx, len(left_keys[0]))
 
 
@@ -905,18 +927,14 @@ def group_rows(
             # Codes group exactly as their values do.
             order, sorted_keys = stable_argsort(key_columns[0].storage)
             return order, _boundaries(sorted_keys)
-        if all(col.values.dtype != object for col in key_columns):
-            # Null-free multi-column keys: sort on the value arrays alone
-            # (the seed path also lexsorts one constant mask key per column,
-            # doubling the sort work for nothing).
-            arrays = [col.values for col in key_columns]
-            order = np.lexsort(tuple(reversed(arrays)))
-            change = np.zeros(n, dtype=bool)
-            change[0] = True
-            for values in arrays:
-                values_sorted = values[order]
-                change[1:] |= values_sorted[1:] != values_sorted[:-1]
-            return order, np.flatnonzero(change)
+        if all(col.storage.dtype.kind == "i" for col in key_columns):
+            # NULL-free integer keys (codes order as their values): one
+            # packed word per row, whose stable order is the lexicographic
+            # one.  Other keys group in sorted_group_rows, whose ``!=``
+            # makes every NaN a group.
+            (words,) = pack_keys([[col.storage for col in key_columns]])
+            order, sorted_words = stable_argsort(words)
+            return order, _boundaries(sorted_words)
     return sorted_group_rows(key_columns)
 
 
@@ -1035,13 +1053,13 @@ def distinct_rows(
         if len(columns) == 1:
             return _distinct_int(columns[0].values, note)
         if len(columns) == 2:
-            packed = _pack_int_pair(columns[0].values, columns[1].values)
+            packed = pack_keys([[c.values for c in columns]], rank=False)
             if packed is not None:
                 # The packing is a bijection, so the single-column kernel
                 # keeps exactly the rows the group-based reference keeps.
-                return _distinct_int(packed, note)
-        # Unpackable pairs (spans overflow 63 bits — 64-bit field values)
-        # and wider integer keys: hash table instead of a lexsort.
+                return _distinct_int(packed[0], note)
+        # Pairs whose offsets do not fit one word (64-bit field values —
+        # ranking them would cost 2.5x the hash) and wider integer keys.
         return _hash_distinct_int([c.values for c in columns], note)
     if note is not None:
         note.append("sort")
@@ -1099,21 +1117,6 @@ def distinct_encoded(
         words >>= width
     unpacked.append(columns[0].with_storage(words))
     return unpacked[::-1]
-
-
-def _pack_int_pair(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """Pack two int64 columns into one when their spans fit 63 bits.
-
-    DISTINCT over two integer columns — the shape of every contraction
-    query's ``select distinct v1, v2`` — then runs the O(n) single-column
-    kernel instead of a lexsort over a structured view.
-    """
-    a_min, a_max = int(a.min()), int(a.max())
-    b_min, b_max = int(b.min()), int(b.max())
-    b_span = b_max - b_min + 1
-    if (a_max - a_min + 1) * b_span >= (1 << 62):  # Python ints: no overflow
-        return None
-    return (a - a_min) * np.int64(b_span) + (b - b_min)
 
 
 def _distinct_int(

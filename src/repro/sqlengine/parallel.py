@@ -29,12 +29,11 @@ def parallel_join_indices(
     right_keys: list[Column],
     pool,
     note: Optional[list] = None,
-    left_index: Optional[KeyIndex] = None,
     right_index: Optional[KeyIndex] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Retired: :func:`~repro.sqlengine.operators.join_indices`, rows and
     note; ``pool`` is ignored."""
-    return join_indices(left_keys, right_keys, left_index, right_index, note)
+    return join_indices(left_keys, right_keys, right_index, note)
 
 
 # ---------------------------------------------------------------------------

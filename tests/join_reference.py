@@ -6,13 +6,28 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sqlengine.errors import ExecutionError
-from repro.sqlengine.operators import (
-    _empty_pair,
-    _keys_as_arrays,
-    _non_null_rows,
-    _pack_keys,
-)
-from repro.sqlengine.types import Column
+from repro.sqlengine.operators import _empty_pair, _non_null_rows
+from repro.sqlengine.types import TEXT, Column
+
+
+def _reference_keys(columns: list[Column]) -> np.ndarray:
+    """One comparable array for a key of any width, in a form the engine
+    does not use: a single column as it is; numeric columns as one
+    structured (void) record per row, compared field by field; anything
+    with text as Python tuples, each value tagged so that NaN sorts after
+    every float and equals NaN, as in a numpy sort."""
+    arrays = [col.values if col.sql_type == TEXT
+              else np.ascontiguousarray(col.values) for col in columns]
+    if len(arrays) == 1:
+        return arrays[0]
+    if all(a.dtype != object for a in arrays):
+        stacked = np.ascontiguousarray(np.stack(arrays, axis=1))
+        return stacked.view([("", stacked.dtype)] * stacked.shape[1]).ravel()
+    keys = np.empty(arrays[0].shape[0], dtype=object)
+    for row, values in enumerate(zip(*arrays)):
+        keys[row] = tuple((1, 0.0) if value != value else (0, value)
+                          for value in values)
+    return keys
 
 
 def merge_join_indices(
@@ -23,14 +38,15 @@ def merge_join_indices(
     Produces identical output to :func:`join_indices` and shares none of
     its machinery: numpy's own stable ``argsort`` and ``searchsorted``,
     and a second copy — the only one, on purpose — of the run-expansion
-    arithmetic of :func:`_expand_runs`, so that the reference cannot
-    inherit a mistake from the kernels it checks.
+    arithmetic of :func:`_expand_runs`, and its own key form
+    (:func:`_reference_keys`) where the engine packs words, so that the
+    reference cannot inherit a mistake from the kernels it checks.
     """
     if len(left_keys) != len(right_keys) or not left_keys:
         raise ExecutionError("join requires matching non-empty key lists")
     sides = []
     for columns in (left_keys, right_keys):
-        keys = _pack_keys(_keys_as_arrays(columns))
+        keys = _reference_keys(columns)
         rows = np.arange(keys.shape[0])
         valid = _non_null_rows(columns)
         if valid is not None:

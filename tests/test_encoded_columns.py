@@ -3,7 +3,7 @@ the kernels that run on its codes.
 
 The form must be invisible — every observable of an encoded column equals
 the plain column's over the same rows — and each kernel that honours it
-(the dictionary join route lives in ``test_parallel_kernels.py``'s matrix)
+(the dictionary join route lives in ``test_join_kernels.py``'s matrix)
 is held against the kernel it replaces: the packed DISTINCT against the
 lexsort reference, the direct-address GROUP BY against the one reducer
 over ``group_rows``, an immutable UDF over a dictionary against the
@@ -152,8 +152,7 @@ def test_statements_over_one_table_share_one_build(monkeypatch, what):
         db.load_table("t", {"k": rng.integers(-(2 ** 62), 2 ** 62, 500)})
         table = db.table("t")
         if what == "index":
-            got = [db._executor._stored_index(_Sources(table), "t.k",
-                                              build=True)
+            got = [db._executor._stored_index(_Sources(table), "t.k")
                    for _ in range(2)]
         else:
             got = [table.encoded_column("k") for _ in range(2)]

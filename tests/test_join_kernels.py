@@ -3,15 +3,16 @@
 The contract is absolute: :func:`join_indices` — the planned route's
 kernel, called once over the whole probe side — returns **bit-identical**
 row pairs to the independent plain-numpy reference
-:func:`merge_join_indices`, whatever route the planner picks; the GROUP BY
-reducer agrees with a per-group Python loop.
+:func:`merge_join_indices`, whatever route the planner picks and however
+many columns the key has; the GROUP BY reducer agrees with a per-group
+Python loop, and multi-column grouping with :func:`sorted_group_rows`.
 
 Every join kernel has one body, so one matrix pins all of them
 (``test_kernel_matrix_bit_identical``): each kernel case with the shipped
 size gates ("serial"), the cases that sort or search once more with the
 plain numpy forms of those primitives ("plain-numpy"), and the dense cases
 once more with no key range counted dense ("sparse-dispatch"), which sends
-small keys and below-range misses through the sorted probes.
+small keys and below-range misses through the ``sorted`` route.
 ``parallel_join_indices`` is a retired shell the benchmark still calls;
 ``test_retired_parallel_join_indices_is_join_indices`` pins it to
 ``join_indices`` on every case of the matrix.
@@ -31,7 +32,10 @@ from repro.sqlengine.operators import (
     build_key_index,
     join_indices,
     pad_left_outer,
+    group_rows,
+    left_join_indices,
     plan_join,
+    sorted_group_rows,
     spelled_out,
 )
 from repro.sqlengine.parallel import (
@@ -40,7 +44,7 @@ from repro.sqlengine.parallel import (
     _reduce_slice,
     parallel_join_indices,
 )
-from repro.sqlengine.types import FLOAT64, INT64, Column
+from repro.sqlengine.types import FLOAT64, INT64, TEXT, Column
 
 from .join_reference import merge_join_indices
 from .sqlite_oracle import tee
@@ -66,11 +70,11 @@ def _recording_notes(monkeypatch) -> list:
     notes: list = []
     dispatch = executor_module.Executor._dispatch_join
 
-    def recording(self, left_outer, left_keys, right_keys, left_index,
-                  right_index, note):
+    def recording(self, left_outer, left_keys, right_keys, right_index,
+                  note):
         note = [] if note is None else note
-        pair = dispatch(self, left_outer, left_keys, right_keys, left_index,
-                        right_index, note)
+        pair = dispatch(self, left_outer, left_keys, right_keys, right_index,
+                        note)
         notes.append(note[-1])
         return pair
 
@@ -132,7 +136,7 @@ def test_join_over_null_bearing_keys():
 
 
 def test_text_keyed_join():
-    """Text keys take the no-index sorted route over the packed values."""
+    """Text keys take the no-index sorted route over their values."""
     db = Database(n_segments=4)
     db.execute("create table t (k text, v int64)")
     db.execute("insert into t values ('a', 1), ('b', 2), ('a', 3)")
@@ -178,7 +182,7 @@ def test_indexed_probe_large_sparse(seed, unique_build):
     note: list = []
     assert_matches_reference(left_col, right_col, note=note,
                              right_index=index)
-    assert note == ["probe-sorted" if unique_build else "merge-indexed"]
+    assert note == ["merge"]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -233,7 +237,7 @@ def test_executor_probes_a_warm_sparse_index(monkeypatch):
     rows, expected = _index_less_twin(
         build, "select e.v1, r.v from e, r where e.v1 = r.rep")
     assert rows == expected
-    assert notes == ["probe-sorted", "merge"]
+    assert notes == ["merge", "merge"]
 
 
 def _warm_dense_twin(monkeypatch, build_keys):
@@ -283,17 +287,30 @@ def test_executor_reads_rows_off_a_warm_index_that_fills_its_range(
 # -- JoinRoute.run: NULL-filtered sides and the identity left rows ----------
 
 
-def _run_case_inputs(kind, nulls):
+#: Build-side shapes of the route cases -> (sparse keys, duplicate keys,
+#: the build index handed over).
+RUN_SHAPES = {
+    "dense-unique": (False, False, False),
+    "dense-runs": (False, True, False),
+    "dense-offset": (False, False, True),
+    "sorted-runs": (True, True, False),
+    "sorted-unique": (True, False, False),
+    "sorted-indexed-unique": (True, False, True),
+    "sorted-indexed-runs": (True, True, True),
+}
+
+
+def _run_case_inputs(shape, nulls):
     """Probe and build columns (and the build index, when the route reads
-    one) that take route ``kind``; ``nulls`` names the sides with NULL
+    one) of build-side ``shape``; ``nulls`` names the sides with NULL
     keys.  Unique build sides hold every probe key, so a NULL-free probe
     matches every row once."""
-    rng = np.random.default_rng(len(kind) + 7 * len(nulls))
-    sparse = kind in ("sorted-runs", "sparse-unique", "indexed-runs")
+    sparse, duplicates, indexed = RUN_SHAPES[shape]
+    rng = np.random.default_rng(len(shape) + 7 * len(nulls))
     build = rng.permutation(100) * (2 ** 53 + 12345 if sparse else 1)
-    if kind == "dense-offset":
+    if shape == "dense-offset":
         build = np.arange(100)
-    if kind in ("dense-runs", "sorted-runs", "indexed-runs"):
+    if duplicates:
         build = np.concatenate([build, build[:20]])
     probe = build[rng.integers(0, build.shape[0], 300)]
 
@@ -302,57 +319,52 @@ def _run_case_inputs(kind, nulls):
                           if name in nulls else None)
 
     left, right = side(probe, "left"), side(build, "right")
-    index = build_key_index(build) \
-        if kind in ("sparse-unique", "indexed-runs", "dense-offset") else None
-    return left, right, index
+    return left, right, build_key_index(build) if indexed else None
 
 
-RUN_CASES = [(kind, nulls)
-             for kind in ("dense-unique", "dense-runs", "sorted-runs")
+RUN_CASES = [(shape, nulls)
+             for shape in ("dense-unique", "dense-runs", "sorted-runs",
+                           "sorted-unique")
              for nulls in ("left", "right", "left+right")]
-RUN_CASES += [("sparse-unique", "left"), ("indexed-runs", "left"),
-              ("dense-offset", "left")]
+RUN_CASES += [("sorted-indexed-unique", "left"),
+              ("sorted-indexed-runs", "left"), ("dense-offset", "left")]
 
 
-@pytest.mark.parametrize("kind,nulls", RUN_CASES,
+@pytest.mark.parametrize("shape,nulls", RUN_CASES,
                          ids=[f"{k}-{n}" for k, n in RUN_CASES])
-def test_run_maps_filtered_rows_back(kind, nulls):
+def test_run_maps_filtered_rows_back(shape, nulls):
     """A side with NULL keys is joined over its non-NULL rows, and
     :meth:`JoinRoute.run` maps the key positions back to rows; a probe
     whose every non-NULL row matched once returns exactly the surviving
     rows, the identity ``None`` only when none was filtered."""
-    left, right, index = _run_case_inputs(kind, nulls)
+    left, right, index = _run_case_inputs(shape, nulls)
     route = plan_join([left], [right], right_index=index)
-    assert route.kind == kind
+    assert route.kind == ("sorted" if shape.startswith("sorted") else shape)
     l_idx, r_idx = route.run()
     expected = merge_join_indices([left], [right])
     got = spelled_out(l_idx, r_idx)
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
-    if kind in ("dense-unique", "sparse-unique", "dense-offset") \
-            and nulls == "left":
+    if not RUN_SHAPES[shape][1] and nulls == "left":
         assert l_idx is route.left_rows
         assert np.array_equal(l_idx, np.flatnonzero(~left.mask))
 
 
 #: Joins no row of which can match -> (probe keys, build keys, whether
-#: both sides hand over an index, the route).  ``None`` keys are NULL.
+#: the build side hands over an index).  ``None`` keys are NULL.
 NO_KERNEL_CASES = {
-    "empty-probe": ([], [1, 2, 3], False, "empty"),
-    "empty-build": ([1, 2, 3], [], False, "empty"),
-    "all-null-probe": ([None, None], [1, 2, 3], False, "empty"),
-    "all-null-build": ([1, 2, 3], [None, None], False, "empty"),
-    "probe-below-build": ([1, 2, 3], [7, 8], True, "range-pruned"),
-    "probe-above-build": ([7, 8], [1, 2, 3], True, "range-pruned"),
+    "empty-probe": ([], [1, 2, 3], False),
+    "empty-build": ([1, 2, 3], [], False),
+    "all-null-probe": ([None, None], [1, 2, 3], True),
+    "all-null-build": ([1, 2, 3], [None, None], False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NO_KERNEL_CASES))
 def test_run_of_routes_without_a_kernel(case):
-    """An empty or all-NULL side, or two indexes proving the key ranges
-    disjoint (either way round): the planner picks no kernel, ``run``
+    """An empty or all-NULL side: the planner picks no kernel, ``run``
     returns no pair, and so does the reference."""
-    probe, build, indexed, kind = NO_KERNEL_CASES[case]
+    probe, build, indexed = NO_KERNEL_CASES[case]
 
     def column(keys):
         nulls = [key is None for key in keys]
@@ -360,15 +372,136 @@ def test_run_of_routes_without_a_kernel(case):
                           nulls if any(nulls) else None)
 
     left, right = column(probe), column(build)
-    indexes = {"left_index": build_key_index(left.values),
-               "right_index": build_key_index(right.values)} \
-        if indexed else {}
-    route = plan_join([left], [right], **indexes)
+    index = build_key_index(right.values) if indexed else None
+    route = plan_join([left], [right], right_index=index)
     assert (route.kind, route.kernel, route.note()) == \
-        (kind, None, JOIN_ROUTES[kind])
+        ("empty", None, JOIN_ROUTES["empty"])
     l_idx, r_idx = route.run()
     assert l_idx.shape == r_idx.shape == (0,)
     assert merge_join_indices([left], [right])[0].shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# multi-column keys: one packed word per row, against the reference's own
+# structured records and tuples
+# ---------------------------------------------------------------------------
+
+#: Value pools of one key column, by kind.  Values are drawn from a pool
+#: so that keys repeat and match; the full-range pool's span overflows
+#: 62 bits, so packing it ranks it, and two wide columns' spans multiply
+#: past 2^62, so packing them ranks the packed prefix.
+KEY_POOLS = {
+    "dense": [0, 1, 2, 5, 7],
+    "wide": [-(2 ** 40), 0, 7, 2 ** 40],
+    "full-range": [-(2 ** 63), -(2 ** 62) - 3, -1, 0, 2 ** 62 + 5,
+                   2 ** 63 - 1],
+    "float": [0.0, -0.0, float("nan"), 1.5, -2.25],
+    "text": ["", "a", "ab", "b", "\u00e9"],
+}
+
+
+def _key_column(kind, values, nulls):
+    if kind == "text":
+        column = Column(np.array(values, dtype=object), TEXT)
+    else:
+        column = Column.from_values(np.array(values))
+    if any(nulls):
+        column = Column(column.values, column.sql_type,
+                        np.array(nulls, dtype=bool))
+    return column
+
+
+@st.composite
+def composite_keys(draw, max_rows=30):
+    """Two or three key columns of drawn kinds, over a probe side and a
+    build side, with NULLs on either side."""
+    kinds = draw(st.lists(st.sampled_from(sorted(KEY_POOLS)), min_size=2,
+                          max_size=3))
+    sides = []
+    for _ in range(2):
+        n = draw(st.integers(0, max_rows))
+        columns = []
+        for kind in kinds:
+            values = draw(st.lists(st.sampled_from(KEY_POOLS[kind]),
+                                   min_size=n, max_size=n))
+            nulls = draw(st.lists(st.booleans().map(lambda b: b and
+                                                    draw(st.booleans())),
+                                  min_size=n, max_size=n))
+            columns.append(_key_column(kind, values, nulls))
+        sides.append(columns)
+    return sides
+
+
+@settings(max_examples=300, deadline=None)
+@given(composite_keys())
+def test_composite_join_matches_reference(sides):
+    """``plan_join`` over two or three columns — dense, full-range int64,
+    float with ±0.0 and NaN, text — with NULL keys on either side gives
+    the reference's pairs, inner and left outer."""
+    left, right = sides
+    expected = merge_join_indices(left, right)
+    got = spelled_out(*plan_join(left, right).run())
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+    n_left = len(left[0])
+    padded = pad_left_outer(*expected, n_left)
+    got = left_join_indices(left, right)
+    assert np.array_equal(got[0], padded[0])
+    assert np.array_equal(got[1], padded[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(composite_keys())
+def test_composite_group_rows_matches_reference(sides):
+    """``group_rows`` over the same keys — the packed word's stable order
+    for NULL-free integer keys — gives ``sorted_group_rows``' order and
+    group starts."""
+    for columns in sides:
+        expected = sorted_group_rows(columns)
+        got = group_rows(columns)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+
+
+@pytest.mark.parametrize("n_columns", [1, 2])
+def test_signed_zeros_and_nans_match_in_joins(n_columns):
+    """``-0.0 = 0.0`` and ``NaN = NaN`` match in a join, keyed on the float
+    alone or beside an integer column."""
+    nan = float("nan")
+    probe = [Column.from_values(np.array([0.0, nan, -0.0, 2.0]))]
+    build = [Column.from_values(np.array([nan, -0.0, 3.0]))]
+    if n_columns == 2:
+        probe.append(Column.from_values(np.array([4, 4, 4, 4])))
+        build.append(Column.from_values(np.array([4, 4, 4])))
+    l_idx, r_idx = join_indices(probe, build)
+    assert list(zip(l_idx.tolist(), r_idx.tolist())) == [
+        (0, 1), (1, 0), (2, 1)]
+    expected = merge_join_indices(probe, build)
+    assert np.array_equal(l_idx, expected[0])
+    assert np.array_equal(r_idx, expected[1])
+
+
+def test_composite_keys_whose_spans_overflow_rank_jointly():
+    """Full-range int64 columns overflow every offset packing: each side's
+    words are ranks over both sides, so equal rows meet across sides and
+    order as their values do."""
+    extremes = np.array([2 ** 63 - 1, -(2 ** 63), 0, 2 ** 63 - 1])
+    other = np.array([-(2 ** 63), 2 ** 63 - 1, 0, -(2 ** 63)])
+    left, right = operators.pack_keys([[extremes, other],
+                                       [other[:3], extremes[:3]]])
+    # Each column ranks as min 0, zero 1, max 2: a row's word is 3a + b.
+    assert left.tolist() == [6, 2, 4, 6]
+    assert right.tolist() == [2, 6, 4]
+    assert operators.pack_keys([[extremes, other]], rank=False) is None
+    # Two offsets fold to ~2^61, and a third column would carry the words
+    # past 2^62: the packed prefix is ranked first, so the words keep the
+    # rows' lexicographic order.
+    columns = [np.array([2 ** 31, 0, 2 ** 31, 0, 2 ** 31]),
+               np.array([0, 2 ** 30, 2 ** 30, 0, 0]),
+               np.array([4, 0, 1, 3, 4])]
+    (words,) = operators.pack_keys([columns])
+    assert np.argsort(words, kind="stable").tolist() == [3, 1, 0, 4, 2]
+    assert words[0] == words[4] and len(set(words.tolist())) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -646,11 +779,10 @@ def test_rc_end_to_end_index_less_identical():
 # ---------------------------------------------------------------------------
 
 
-def _join_case(dense, unique_build, indexed=True, probe_index=None,
-               left_outer=False, encoded=False, misses=True,
-               sorted_build=False):
+def _join_case(dense, unique_build, indexed=True, left_outer=False,
+               encoded=False, misses=True, sorted_build=False):
     """One join of the matrix, run through ``join`` — a function of
-    ``(left keys, right keys, left index, right index, note)`` such as
+    ``(left keys, right keys, right index, note)`` such as
     ``join_indices`` — and held against ``merge_join_indices``, which sees
     no index at all.
 
@@ -659,10 +791,7 @@ def _join_case(dense, unique_build, indexed=True, probe_index=None,
     matches.
 
     ``indexed`` hands the build side's ``KeyIndex`` over (a stored
-    table's cached one; without it the route sorts for itself);
-    ``probe_index`` hands over the probe side's own index too (the planner
-    reads its key range, nothing else) — over a shuffled column
-    (``"indexed"``) or one stored in key order (``"stored-sorted"``).
+    table's cached one; without it the route sorts for itself).
     ``encoded`` gives both sides the dictionary-encoded form over one
     shared dictionary, of which the build side holds a part: the probes
     absent from it are codes without a build row.  ``sorted_build`` stores
@@ -686,8 +815,6 @@ def _join_case(dense, unique_build, indexed=True, probe_index=None,
                 rng.integers(-2000, 0, 1_000),    # below-range misses
                 rng.integers(5001, 9000, 2_000),  # above-range / absent misses
             ])
-        if probe_index == "stored-sorted":
-            probe.sort()
         # Big enough for the bucketed sorted_lookup.
         assert probe.shape[0] >= CACHE_KERNEL_MIN_ROWS
         left_col, right_col = int_column(probe), int_column(build)
@@ -702,12 +829,9 @@ def _join_case(dense, unique_build, indexed=True, probe_index=None,
                                       right_col.dictionary) \
             if indexed else None
         assert right_index is None or right_index.is_unique == unique_build
-        left_index = build_key_index(left_col.values) if probe_index else None
-        assert left_index is None or (
-            left_index.is_sorted == (probe_index == "stored-sorted"))
         expected = merge_join_indices([int_column(probe)],
                                       [int_column(build)])
-        got = join([left_col], [right_col], left_index, right_index, note)
+        got = join([left_col], [right_col], right_index, note)
         if left_outer:
             expected = pad_left_outer(*expected, len(left_col))
             got = pad_left_outer(*got, len(left_col))
@@ -715,26 +839,19 @@ def _join_case(dense, unique_build, indexed=True, probe_index=None,
     return case
 
 
-#: id -> (case, the route it must take).  The two "hash-join" ids
-#: predate the removal of the hash-partitioned join: they are the joins
-#: without a build-side index, which now sort once and probe.
-#: The two "merge-unique" ids likewise predate the removal of the merge
-#: probe (no algorithm reached it once joins ran on codes): they are the
-#: joins that find a probe-side index in hand, which changes no pair.
+#: id -> (case, the route it must take).
 KERNEL_CASES = {
-    "hash-join": (
-        _join_case(False, False, indexed=False), "sorted-runs"),
-    "left-hash-join": (
+    "sorted-runs-no-index": (
+        _join_case(False, False, indexed=False), "sorted"),
+    "sorted-unique-no-index": (
+        _join_case(False, True, indexed=False), "sorted"),
+    "left-sorted-unique-no-index": (
+        _join_case(False, True, indexed=False, left_outer=True), "sorted"),
+    "left-dense-runs-no-index": (
         _join_case(True, False, indexed=False, left_outer=True),
         "dense-runs"),
-    "sorted-unique-probe": (_join_case(False, True), "sparse-unique"),
-    "sorted-merge-probe": (_join_case(False, False), "indexed-runs"),
-    "merge-unique-probe": (
-        _join_case(False, True, probe_index="indexed"), "sparse-unique"),
-    "left-merge-unique-probe": (
-        _join_case(False, True, probe_index="stored-sorted",
-                   left_outer=True),
-        "sparse-unique"),
+    "sorted-unique-probe": (_join_case(False, True), "sorted"),
+    "sorted-runs-probe": (_join_case(False, False), "sorted"),
     "dictionary-probe": (
         _join_case(False, True, encoded=True), "dictionary"),
     "dictionary-no-index-probe": (
@@ -743,18 +860,20 @@ KERNEL_CASES = {
         _join_case(False, True, encoded=True, left_outer=True),
         "dictionary"),
     "dictionary-duplicate-build": (
-        _join_case(False, False, encoded=True), "indexed-runs"),
+        _join_case(False, False, encoded=True), "sorted"),
     "dense-unique-probe": (_join_case(True, True), "dense-unique"),
     "dense-bucket-probe": (_join_case(True, False), "dense-runs"),
     "left-dense-probe": (
         _join_case(True, True, left_outer=True), "dense-unique"),
     "left-sorted-probe": (
-        _join_case(False, False, left_outer=True), "indexed-runs"),
+        _join_case(False, False, left_outer=True), "sorted"),
     # Every probe row matches once: identity left rows.
     "dense-unique-all-match": (
         _join_case(True, True, misses=False), "dense-unique"),
     "sorted-unique-all-match": (
-        _join_case(False, True, misses=False), "sparse-unique"),
+        _join_case(False, True, misses=False), "sorted"),
+    "sorted-unique-no-index-all-match": (
+        _join_case(False, True, indexed=False, misses=False), "sorted"),
     "left-dictionary-all-match": (
         _join_case(False, True, encoded=True, left_outer=True,
                    misses=False), "dictionary"),
@@ -787,22 +906,22 @@ KERNEL_CASES = {
 #: The cases that sort (``stable_argsort``) or search (``sorted_lookup``)
 #: somewhere: an index build, a route's own sort or a sorted probe.
 PLAIN_NUMPY_CASES = [
-    "hash-join", "left-hash-join", "sorted-unique-probe",
-    "sorted-merge-probe", "merge-unique-probe", "left-merge-unique-probe",
+    "sorted-runs-no-index", "sorted-unique-no-index",
+    "left-dense-runs-no-index", "sorted-unique-probe", "sorted-runs-probe",
     "dictionary-duplicate-build", "dense-bucket-probe", "left-sorted-probe",
     "sorted-unique-all-match",
 ]
 
 #: The dense cases -> the route each takes when no key range is dense.
 SPARSE_DISPATCH_ROUTES = {
-    "left-hash-join": "sorted-runs",
-    "dense-unique-probe": "sparse-unique",
-    "dense-bucket-probe": "indexed-runs",
-    "left-dense-probe": "sparse-unique",
-    "dense-unique-all-match": "sparse-unique",
+    "left-dense-runs-no-index": "sorted",
+    "dense-unique-probe": "sorted",
+    "dense-bucket-probe": "sorted",
+    "left-dense-probe": "sorted",
+    "dense-unique-all-match": "sorted",
     # The offset route allocates nothing: no span limit bounds it.
     "dense-offset-probe": "dense-offset",
-    "dense-offset-no-index": "sorted-runs",
+    "dense-offset-no-index": "sorted",
 }
 
 MATRIX = ([(kernel, "serial") for kernel in KERNEL_CASES]
@@ -850,9 +969,8 @@ def test_retired_parallel_join_indices_is_join_indices(kernel):
     case, route = KERNEL_CASES[kernel]
     pool = SegmentPool(4)
 
-    def retired(left, right, left_index, right_index, note):
-        return parallel_join_indices(left, right, pool, note, left_index,
-                                     right_index)
+    def retired(left, right, right_index, note):
+        return parallel_join_indices(left, right, pool, note, right_index)
 
     serial_note, retired_note = [], []
     _, serial = case(join_indices, serial_note)
@@ -872,6 +990,8 @@ IDENTITY_PROBES = {
     "left-dense-probe": False,
     "dense-unique-all-match": True,
     "sorted-unique-all-match": True,
+    "sorted-unique-no-index": False,
+    "sorted-unique-no-index-all-match": True,
     "left-dictionary-all-match": True,
     "dense-offset-probe": False,
     "dense-offset-all-match": True,

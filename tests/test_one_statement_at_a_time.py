@@ -174,16 +174,16 @@ def test_a_failing_script_statement_ends_the_script():
 @pytest.mark.parametrize("shape,note", [
     ("dense-unique", "dense"),
     ("dense-runs", "dense"),
-    ("sparse-unique", "probe-sorted"),
-    ("sparse-runs", "merge-indexed"),
+    ("sparse-unique", "merge"),
+    ("sparse-runs", "merge"),
     ("left-dense", "dense"),
 ])
 def test_joins_start_no_thread(shape, note, monkeypatch):
     """A join runs its kernel once, on the calling thread: with a probe
     side larger than any size at which joins were once cut into per-core
     chunks, every shape leaves the interpreter's threads as it found them,
-    and gives the rows of the index-less join, which takes another
-    route."""
+    and gives the rows of the index-less join, which sorts or counts its
+    own build side."""
     import threading
 
     import repro.sqlengine.executor as executor_module

@@ -16,12 +16,12 @@ from repro.sqlengine.operators import (
     CACHE_KERNEL_MIN_ROWS,
     NO_MATCH,
     _hash_distinct_int,
-    _pack_int_pair,
     build_key_index,
     distinct_rows,
     group_rows,
     join_indices,
     left_join_indices,
+    pack_keys,
     sorted_group_rows,
     sorted_lookup,
     stable_argsort,
@@ -198,14 +198,9 @@ def test_hash_join_agrees_with_reference(left, right):
     lcol, rcol = int_column(left), int_column(right)
     expected = merge_join_indices([lcol], [rcol])
     assert_same_pairs(join_indices([lcol], [rcol]), expected)
-    # And with pre-built indexes on either or both sides.
-    l_index = build_key_index(lcol.values)
+    # And with a pre-built build-side index.
     r_index = build_key_index(rcol.values)
     assert_same_pairs(join_indices([lcol], [rcol], right_index=r_index), expected)
-    assert_same_pairs(
-        join_indices([lcol], [rcol], left_index=l_index, right_index=r_index),
-        expected,
-    )
 
 
 @given(any_keys, any_keys)
@@ -248,9 +243,9 @@ def test_every_row_matching_join_has_identity_left_rows(right, data):
     """Every probe row finds its one build row: a route that knows its
     build keys unique (a direct-address table, a sorted index, or an
     index showing them fill their range, which needs no table) returns
-    the identity (``None``) for left rows — the no-index sparse route
-    expands runs and never does — and the public entry points spell it
-    out as the reference's ``arange``.  Stored in key order, a build
+    the identity (``None``) for left rows — the no-index sparse route too,
+    whose one compare of sorted neighbours finds them unique — and the
+    public entry points spell it out as the reference's ``arange``.  Stored in key order, a build
     side of consecutive keys takes the tableless route."""
     if data.draw(st.booleans()):
         right = sorted(right)
@@ -262,7 +257,7 @@ def test_every_row_matching_join_has_identity_left_rows(right, data):
         if left:
             route = operators.plan_join([lcol], [rcol], right_index=r_index)
             l_idx, r_idx = route.run()
-            assert (l_idx is None) == (route.kind != "sorted-runs")
+            assert l_idx is None
             assert (route.kind == "dense-offset") == \
                 (fills and r_index is not None)
             assert np.array_equal(r_idx, expected[1])
@@ -355,7 +350,7 @@ def test_unpackable_pair_distinct_uses_hash_kernel(a_keys, b_keys):
     note: list = []
     got = distinct_rows([a, b], note=note)
     assert np.array_equal(got, reference_distinct([a, b]))
-    if n and _pack_int_pair(a.values, b.values) is None:
+    if n and pack_keys([[a.values, b.values]], rank=False) is None:
         assert note == ["hash"]
 
 
@@ -536,11 +531,10 @@ def test_stable_argsort_is_numpys_stable_argsort(regime, n):
 
 @pytest.mark.parametrize("n", GATE_SIZES[2:])
 def test_merge_probe_agrees_with_reference(n):
-    """The planner reads a probe-side index for its key range only: with
-    one in hand — sorted already or stored sorted — unmatched probe rows
-    and a build side stored in either order must not change a pair.  (The
-    name predates the removal of the merge probe such an index used to
-    select, like the ``merge-unique`` ids of the kernel matrix.)"""
+    """The ``sorted`` route (note ``merge``) over unique sparse build keys:
+    a probe side shuffled or sorted, with unmatched rows, and a build side
+    stored in either order, behind its index or sorted by the route, give
+    the reference's pairs."""
     rng = np.random.default_rng(n)
     build = np.unique(_full_range(rng, n // 2 + 1))
     probe = np.concatenate([build[rng.integers(0, build.shape[0], size=n)],
@@ -549,30 +543,14 @@ def test_merge_probe_agrees_with_reference(n):
     for left_values in (probe, np.sort(probe)):
         for right_values in (build, rng.permutation(build)):
             lcol, rcol = int_column(left_values), int_column(right_values)
-            l_index = build_key_index(lcol.values)
             r_index = build_key_index(rcol.values)
             assert r_index.is_unique
-            note: list = []
-            got = join_indices([lcol], [rcol], left_index=l_index,
-                               right_index=r_index, note=note)
-            assert note == ["probe-sorted"]
-            assert_same_pairs(got, merge_join_indices([lcol], [rcol]))
-
-
-def test_probe_side_index_is_read_only_when_its_order_is_in_hand():
-    """A dense index holds statistics only until something needs its
-    order; a join probing *with* that column is not such a thing."""
-    n = 2 * CACHE_KERNEL_MIN_ROWS
-    rng = np.random.default_rng(5)
-    lcol = int_column(rng.permutation(n))
-    l_index = build_key_index(lcol.values)
-    assert l_index._order is None
-    rcol = int_column(rng.permutation(n)[:50] * (1 << 40))
-    r_index = build_key_index(rcol.values)
-    got = join_indices([lcol], [rcol], left_index=l_index,
-                       right_index=r_index)
-    assert_same_pairs(got, merge_join_indices([lcol], [rcol]))
-    assert l_index._order is None
+            for index in (r_index, None):
+                note: list = []
+                got = join_indices([lcol], [rcol], right_index=index,
+                                   note=note)
+                assert note == ["merge"]
+                assert_same_pairs(got, merge_join_indices([lcol], [rcol]))
 
 
 @pytest.mark.parametrize("n_columns", (1, 2, 3))

@@ -664,10 +664,10 @@ def _run_deterministic_space(monkeypatch, edges):
     dispatch_join = executor_module.Executor._dispatch_join
 
     def recording_dispatch(self, left_outer, left_keys, right_keys,
-                           left_index, right_index, note):
+                           right_index, note):
         note = [] if note is None else note
         l_idx, r_idx = dispatch_join(self, left_outer, left_keys, right_keys,
-                                     left_index, right_index, note)
+                                     right_index, note)
         if left_outer:  # the loop's only LEFT JOIN is the composition
             compositions.append((note[-1], int((r_idx < 0).sum())))
         return l_idx, r_idx
@@ -722,10 +722,10 @@ def _round_join_routes(monkeypatch, edges,
         return execute(db, sql, label)
 
     def recording_dispatch(self, left_outer, left_keys, right_keys,
-                           left_index, right_index, note):
+                           right_index, note):
         note = [] if note is None else note
         pair = dispatch_join(self, left_outer, left_keys, right_keys,
-                             left_index, right_index, note)
+                             right_index, note)
         routes.append((current["round"], current["statement"], note[-1]))
         return pair
 

@@ -122,7 +122,8 @@ def test_partitioned_join_matches_plain_join():
                             join_indices([left], [right])]))
     executor = make_spark_executor()
     got = sorted(zip(*[arr.tolist() for arr in
-                       executor._join_kernel([left], [right])]))
+                       executor._dispatch_join(False, [left], [right],
+                                               None, None)]))
     assert got == expected
 
 
@@ -134,7 +135,8 @@ def test_partitioned_left_join_matches_plain():
                             left_join_indices([left], [right])]))
     executor = make_spark_executor()
     got = sorted(zip(*[arr.tolist() for arr in
-                       executor._left_join_kernel([left], [right])]))
+                       executor._dispatch_join(True, [left], [right],
+                                               None, None)]))
     assert got == expected
 
 

@@ -5,7 +5,8 @@ A counter marks a code path; a path no algorithm of the reproduction
 reaches is a configuration the fuzz harness, the benchmarks and every
 later executor change keep alive for nothing.  This test runs every
 algorithm configuration the repo ships on two small graphs, with
-``Database()`` at its defaults, and requires each name in
+``Database()`` at its defaults — and the contraction once more on the
+Spark model's ``SparkSQLDatabase()`` — and requires each name in
 ``stats.COUNTERS`` to be non-zero in at least one run — except the
 allow-list below, one reason per name, and ``stats.RETIRED``, the
 counters of removed machinery, which no run may move at all.  A new fast
@@ -45,17 +46,12 @@ from repro.ff.gf2_64 import Gf2AffineMap
 from repro.sqlengine import Database, stats
 from repro.sqlengine import executor as executor_module
 from repro.sqlengine.operators import JOIN_ROUTES
+from repro.spark import SparkSQLDatabase
 
 #: Counters no default-configuration run on these graphs can move.
 NO_TRAFFIC_EXPECTED = {
     "physical_plan_invalidations":
         "safety counter: a cached plan failing its schema/binding check",
-    "hash_distincts":
-        "the fallback of the packed-code DISTINCT, for plain 64-bit pairs "
-        "and words over 63 bits: every sparse DISTINCT input of the "
-        "algorithms is a pair of encoded gathers now "
-        "(tests/test_physical_plans.py pins both sides); perf/bench.py "
-        "probes the kernel and reads the counter",
 }
 
 
@@ -64,17 +60,6 @@ NO_ROUTE_TRAFFIC_EXPECTED = {
     "empty":
         "guard for a side without a non-NULL key: the drivers stop before "
         "joining an empty edge table (tests/test_empty_inputs.py)",
-    "range-pruned":
-        "O(1) early exit on disjoint key ranges of two cached indexes; no "
-        "kernel behind it",
-    "merge-indexed":
-        "duplicate build keys behind a cached index: the kernel body of "
-        "the reached 'merge' route, which differs only in who sorted",
-    "probe-sorted":
-        "unique sparse plain build keys behind a cached index: round 1 of "
-        "a sparse-id graph was its last caller, and it joins the doubled "
-        "edge table's codes now; the fuzz harness and the kernel matrix "
-        "still reach it (a deletion candidate)",
 }
 
 
@@ -89,6 +74,10 @@ def _configurations():
     sparse_ids = EdgeList(random_graph.src * 1_000_003 + 2 ** 40,
                           random_graph.dst * 1_000_003 + 2 ** 40)
     configs = {cls.__name__: cls for cls in set(ALGORITHMS.values())}
+    # The Spark model keeps no encoded column: its contraction's DISTINCT
+    # over sparse 64-bit pairs is the hash kernel's one caller.
+    yield "rc-spark/gnm", RandomisedContraction, random_graph, \
+        SparkSQLDatabase
     configs.update({
         "rc-deterministic-space": lambda: RandomisedContraction(
             variant="deterministic-space"),
@@ -113,7 +102,7 @@ def _configurations():
         else:
             graphs = both
         for graph_name, edges in graphs.items():
-            yield f"{name}/{graph_name}", factory, edges
+            yield f"{name}/{graph_name}", factory, edges, Database
 
 
 def _run_everything(monkeypatch) -> tuple[set, set]:
@@ -123,18 +112,18 @@ def _run_everything(monkeypatch) -> tuple[set, set]:
     dispatch_join = executor_module.Executor._dispatch_join
 
     def recording_dispatch(self, left_outer, left_keys, right_keys,
-                           left_index, right_index, note):
+                           right_index, note):
         note = [] if note is None else note
         pair = dispatch_join(self, left_outer, left_keys, right_keys,
-                             left_index, right_index, note)
+                             right_index, note)
         notes.add(note[-1])
         return pair
 
     monkeypatch.setattr(executor_module.Executor, "_dispatch_join",
                         recording_dispatch)
     moved: set[str] = set()
-    for run_name, factory, edges in _configurations():
-        with Database() as db:
+    for run_name, factory, edges, database in _configurations():
+        with database() as db:
             load_edges_into(db, "edges", edges)
             result = factory().run(db, "edges", seed=5)
             assert result.n_labelled > 0, run_name
