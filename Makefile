@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-unit fuzz bench bench-quick perf perf-aa perf-ab perf-4m size clean
+.PHONY: test test-unit fuzz bench bench-quick perf perf-aa perf-ab grid-ab perf-4m size clean
 
 ## tier-1: the full unit + benchmark collection, fail-fast
 test:
@@ -48,6 +48,13 @@ WORKLOAD ?= gnm_100k
 PAIRS ?= 5
 perf-ab:
 	python3 scripts/perf_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
+
+## the same A/B over the paper's Table III grid (RC, HM, TP, CR and the
+## Spark model's RC on every dataset, at REPRO_SCALE, default 0.5), both
+## trees in one process: per-cell medians, per-algorithm totals, and a
+## failure if any cell's labels, statements or bytes differ
+grid-ab:
+	python3 scripts/perf_ab.py --base $(BASE) --grid --pairs $(PAIRS)
 
 ## the rung above the committed ladder: G(2M, 4M), three timed runs, no
 ## time budget (~1 min, 2.5 GB) — ROADMAP A's "edges/s within 1.5x between

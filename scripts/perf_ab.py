@@ -44,6 +44,19 @@ every run's milliseconds, each side's median and quartiles, the win
 count, both sides' median milliseconds per statement stage (from
 ``stats.log``), and fails if the two sides' result tables differ on any
 run.
+
+``--grid`` (or ``make grid-ab BASE=REV PAIRS=N``) runs the paper's Table
+III grid the same way, both sides in this one process: RC, HM, TP, CR and
+the Spark model's RC on every dataset of the table, at ``REPRO_SCALE``
+(default 0.5, as ``make bench``), under the space budget of
+``repro.bench.Harness``, each cell on a fresh database.  A first round of
+every cell warms both sides up; then ``--pairs`` rounds alternate which
+side runs each cell first.  It prints every cell's median milliseconds
+per side, each dataset's HM/RC, CR/RC and TP/RC ratios on the working
+tree beside the paper's, and per algorithm both sides' median total over
+the cells that finished, with its quartiles over the rounds.  It fails if
+any cell's labels, statement count, bytes written, motion bytes, peak
+bytes or finish differ between the sides.
 """
 
 from __future__ import annotations
@@ -55,6 +68,7 @@ import importlib
 import importlib.util
 import io
 import json
+import os
 import re
 import shutil
 import statistics
@@ -335,11 +349,140 @@ def run_interleaved(workload: str, pairs: int, seed: int,
     return agreed
 
 
+#: The Table III grid's columns: name -> (algorithm, on the Spark model).
+GRID_ALGORITHMS = {"rc": ("rc", False), "hm": ("hm", False),
+                   "tp": ("tp", False), "cr": ("cr", False),
+                   "rc-spark": ("rc", True)}
+#: What a grid cell must report alike on both sides.
+GRID_IDENTICAL = ("ok", "labels", "sql_queries", "bytes_written",
+                  "motion_bytes", "peak_bytes")
+
+
+class GridSide:
+    """One side of the grid A/B: package ``package``'s bench harness at
+    ``scale``, which builds and keeps every dataset of the grid."""
+
+    def __init__(self, package: str, scale: float):
+        bench = importlib.import_module(f"{package}.bench")
+        self.sqlengine = importlib.import_module(f"{package}.sqlengine")
+        self.spark = importlib.import_module(f"{package}.spark")
+        self.graphs_io = importlib.import_module(f"{package}.graphs.io")
+        self.runner = importlib.import_module(f"{package}.core.runner")
+        self.datasets = importlib.import_module(
+            f"{package}.graphs.datasets").TABLE_DATASETS
+        self.harness = bench.Harness(scale=scale)
+        self.budget = self.harness.budget_bytes(self.datasets)
+
+    def run(self, dataset: str, algorithm: str, spark: bool) -> dict:
+        """One cell as ``Harness.run_once`` runs it: its seconds, whether
+        it finished within the budget, and what :data:`GRID_IDENTICAL`
+        compares — the labels as a digest of the (vertex, label) pairs in
+        vertex order."""
+        factory = self.spark.SparkSQLDatabase if spark \
+            else self.sqlengine.Database
+        db = factory(n_segments=self.harness.n_segments,
+                     space_budget_bytes=self.budget)
+        try:
+            self.graphs_io.load_edges_into(db, "ccinput",
+                                           self.harness.dataset(dataset))
+            gc.collect()
+            algo = self.runner.make_algorithm(algorithm)
+            try:
+                run = algo.run(db, "ccinput", seed=self.harness.seed)
+            except self.sqlengine.SpaceBudgetExceeded as exc:
+                return {"ok": False, "seconds": None, "labels": None,
+                        "sql_queries": None,
+                        "bytes_written": db.stats.bytes_written,
+                        "motion_bytes": db.stats.motion_bytes,
+                        "peak_bytes": exc.used_bytes}
+            vertices, labels = run.labels(db)
+            order = np.argsort(vertices, kind="stable")
+            digest = hashlib.sha256(vertices[order].tobytes())
+            digest.update(labels[order].tobytes())
+            return {"ok": True, "seconds": run.elapsed_seconds,
+                    "labels": digest.hexdigest(),
+                    "sql_queries": run.sql_queries,
+                    "bytes_written": run.stats.bytes_written,
+                    "motion_bytes": run.stats.motion_bytes,
+                    "peak_bytes": run.stats.peak_live_bytes}
+        finally:
+            db.close()
+
+
+def run_grid(pairs: int, scale: float,
+             datasets: Optional[list[str]] = None) -> bool:
+    """One warm-up round and ``pairs`` timed rounds of the Table III grid
+    (its ``datasets`` only, when given), both sides in this process, the
+    side that runs a cell first alternating from cell to cell and round
+    to round; prints every mismatch and the summaries, and returns whether
+    every cell agreed on :data:`GRID_IDENTICAL` in every round."""
+    from repro.bench.tables import PAPER_TABLE3
+    sides = {"base": GridSide(BASE_PACKAGE, scale),
+             "change": GridSide("repro", scale)}
+    datasets = datasets or sides["change"].datasets
+    cells = [(dataset, name) for dataset in datasets
+             for name in GRID_ALGORITHMS]
+    seconds: dict = {(cell, side): [] for cell in cells for side in sides}
+    finished = set(cells)
+    agreed = True
+    for round_number in range(pairs + 1):
+        for index, cell in enumerate(cells):
+            algorithm, spark = GRID_ALGORITHMS[cell[1]]
+            order = ("base", "change") if (round_number + index) % 2 == 0 \
+                else ("change", "base")
+            outcome = {side: sides[side].run(cell[0], algorithm, spark)
+                       for side in order}
+            differ = [key for key in GRID_IDENTICAL
+                      if outcome["base"][key] != outcome["change"][key]]
+            if differ:
+                agreed = False
+                print(f"grid {cell[0]} {cell[1]} round {round_number}: "
+                      f"{', '.join(differ)} DIFFER", flush=True)
+            if not all(outcome[side]["ok"] for side in sides):
+                finished.discard(cell)
+            elif round_number:
+                for side in sides:
+                    seconds[cell, side].append(outcome[side]["seconds"])
+        print(f"grid round {round_number}"
+              f"{' (warm-up)' if round_number == 0 else ''} done",
+              flush=True)
+    medians = {key: statistics.median(values) if values else None
+               for key, values in seconds.items()}
+    for dataset, name in cells:
+        if (dataset, name) not in finished:
+            print(f"grid {dataset:<17} {name:<8} did not finish")
+            continue
+        base, change = (medians[(dataset, name), side] for side in sides)
+        print(f"grid {dataset:<17} {name:<8} base {base * 1e3:9.1f} ms  "
+              f"change {change * 1e3:9.1f} ms  ratio {change / base:.3f}x")
+    for dataset in datasets:
+        paper = PAPER_TABLE3[dataset]
+        rc = medians[(dataset, "rc"), "change"]
+        ratios = []
+        for name in ("hm", "cr", "tp"):
+            ours = "-" if (dataset, name) not in finished \
+                else f"{medians[(dataset, name), 'change'] / rc:.2f}"
+            theirs = "-" if paper[name] is None \
+                else f"{paper[name] / paper['rc']:.2f}"
+            ratios.append(f"{name.upper()}/RC {ours} (paper {theirs})")
+        print(f"grid {dataset:<17} " + "  ".join(ratios))
+    for name in GRID_ALGORITHMS:
+        done = [cell for cell in cells if cell[1] == name and cell in finished]
+        for side in sides:
+            totals = [sum(seconds[cell, side][i] for cell in done)
+                      for i in range(pairs)]
+            low, median, high = quartiles(totals)
+            print(f"grid total {name:<8} {side:<6} {median:.3f} s "
+                  f"[{low:.3f}, {high:.3f}] over {len(done)} cells")
+    print(f"grid cells identical on every round: {agreed}")
+    return agreed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True,
                         help="git revision to compare the working tree with")
-    parser.add_argument("--workload", required=True,
+    parser.add_argument("--workload",
                         help="a workload name, or 'all' for every workload "
                              "BENCHMARK.json names")
     parser.add_argument("--pairs", type=int, default=5)
@@ -355,17 +498,27 @@ def main(argv=None) -> int:
     parser.add_argument("--interleaved", action="store_true",
                         help="run both sides in this process, alternating "
                              "single runs on one warm database per side")
+    parser.add_argument("--grid", action="store_true",
+                        help="A/B the Table III grid at REPRO_SCALE in this "
+                             "process instead of a workload")
     args = parser.parse_args(argv)
+    if (args.workload is None) == (not args.grid):
+        parser.error("give --workload or --grid")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = ([w["name"] for w in spec["workloads"]]
                  if args.workload == "all" else [args.workload])
     base_tree = Path(tempfile.mkdtemp(prefix="perf-ab-"))
     try:
         export(args.base, base_tree)
-        if args.interleaved:
+        if args.interleaved or args.grid:
             for path in (ROOT / "src", ROOT):
                 sys.path.insert(0, str(path))
             import_base(base_tree)
+        if args.grid:
+            # The benchmarks' default scale (benchmarks/conftest.py).
+            scale = float(os.environ.get("REPRO_SCALE", "0.5"))
+            return 0 if run_grid(args.pairs, scale) else 1
+        if args.interleaved:
             from perf.run import DEFAULT_SEED
             seed = DEFAULT_SEED if args.seed is None else args.seed
             agreed = [run_interleaved(workload, args.pairs, seed)

@@ -192,7 +192,6 @@ def render_engine_stats(stats) -> str:
         f"  fused pipelines    : {stats.fused_pipelines} DISTINCT / "
         f"{stats.join_chain_fusions} join chains "
         f"({stats.left_chain_fusions} with outer joins)",
-        f"  hash DISTINCTs     : {stats.hash_distincts}",
         f"  group sorts skipped: {stats.group_sorts_skipped}",
     ]
     return "\n".join(lines)

@@ -95,20 +95,11 @@ class SparkExecutor(Executor):
             self.tasks_launched += 1
             kernel = left_join_indices if outer else join_indices
             return kernel(left_keys, right_keys)
-        left_parts = _partition_ids(left_keys[0], self.n_tasks)
-        right_parts = _partition_ids(right_keys[0], self.n_tasks)
-        left_order = np.argsort(left_parts, kind="stable")
-        right_order = np.argsort(right_parts, kind="stable")
-        left_bounds = np.searchsorted(left_parts[left_order],
-                                      np.arange(self.n_tasks + 1))
-        right_bounds = np.searchsorted(right_parts[right_order],
-                                       np.arange(self.n_tasks + 1))
         out_left = []
         out_right = []
         kernel = left_join_indices if outer else join_indices
-        for task in range(self.n_tasks):
-            l_rows = left_order[left_bounds[task]:left_bounds[task + 1]]
-            r_rows = right_order[right_bounds[task]:right_bounds[task + 1]]
+        for l_rows, r_rows in zip(self._partitions(left_keys[0]),
+                                  self._partitions(right_keys[0])):
             if l_rows.size == 0:
                 continue
             if r_rows.size == 0:
@@ -134,57 +125,51 @@ class SparkExecutor(Executor):
             return empty, empty.copy()
         return np.concatenate(out_left), np.concatenate(out_right)
 
+    def _partitions(self, key: Column) -> list[np.ndarray]:
+        """The rows of each task's hash partition of ``key``, ascending,
+        in task order (a partition may be empty)."""
+        parts = _partition_ids(key, self.n_tasks)
+        order = np.argsort(parts, kind="stable")
+        bounds = np.searchsorted(parts[order], np.arange(self.n_tasks + 1))
+        return [order[bounds[task]:bounds[task + 1]]
+                for task in range(self.n_tasks)]
+
+    def _task_rows(self, key: Column):
+        """The rows of each non-empty partition of ``key``, one task each."""
+        for rows in self._partitions(key):
+            if rows.size:
+                self.tasks_launched += 1
+                yield rows
+
     def _group_kernel(self, key_columns, index=None):
         n = len(key_columns[0]) if key_columns else 0
         if n < self.n_tasks * 4:
             self.tasks_launched += 1
             return group_rows(key_columns)
-        parts = _partition_ids(key_columns[0], self.n_tasks)
-        order = np.argsort(parts, kind="stable")
-        bounds = np.searchsorted(parts[order], np.arange(self.n_tasks + 1))
         out_order = []
         out_starts = []
         offset = 0
-        for task in range(self.n_tasks):
-            rows = order[bounds[task]:bounds[task + 1]]
-            if rows.size == 0:
-                continue
-            self.tasks_launched += 1
-            sub = [col.take(rows) for col in key_columns]
-            sub_order, sub_starts = group_rows(sub)
+        for rows in self._task_rows(key_columns[0]):
+            sub_order, sub_starts = group_rows(
+                [col.take(rows) for col in key_columns])
             out_order.append(rows[sub_order])
             out_starts.append(sub_starts + offset)
             offset += rows.size
         return np.concatenate(out_order), np.concatenate(out_starts)
 
-    def _distinct_kernel(self, columns, note=None):
+    def _distinct_kernel(self, columns, rows=None):
+        if rows is not None:
+            columns = [col.take(rows) for col in columns]
         n = len(columns[0]) if columns else 0
         if n < self.n_tasks * 4:
             self.tasks_launched += 1
-            return distinct_rows(columns, note=note)
-        parts = _partition_ids(columns[0], self.n_tasks)
-        order = np.argsort(parts, kind="stable")
-        bounds = np.searchsorted(parts[order], np.arange(self.n_tasks + 1))
-        keep = []
-        for task in range(self.n_tasks):
-            rows = order[bounds[task]:bounds[task + 1]]
-            if rows.size == 0:
-                continue
-            self.tasks_launched += 1
-            sub = [col.take(rows) for col in columns]
-            keep.append(rows[distinct_rows(sub)])
-        if not keep:
-            return np.empty(0, dtype=np.int64)
-        # Distinct rows may still collide across partitions only when the
-        # first column alone did not separate them; finish with one pass.
-        # The concatenation is partition-major, so the result is sorted to
-        # honour the kernel contract (ascending row order).
-        candidate = np.concatenate(keep)
-        sub = [col.take(candidate) for col in columns]
-        # The finish pass runs the same kernel class as the partitioned
-        # passes; route its note through so kernel telemetry (hash
-        # DISTINCT counting) reflects large inputs too.
-        return np.sort(candidate[distinct_rows(sub, note=note)])
+            return distinct_rows(columns)
+        tasks = [distinct_rows(columns, task_rows)
+                 for task_rows in self._task_rows(columns[0])]
+        # Equal rows share a first column, so no two tasks hold one row;
+        # the final pass merges the tasks' outputs into key order.
+        return distinct_rows([Column.concat(pieces)
+                              for pieces in zip(*tasks)])
 
 
 class SparkSQLDatabase(Database):

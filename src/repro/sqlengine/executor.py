@@ -52,11 +52,11 @@ mask — one ``flatnonzero`` and a gather per column — and in a fused
 join→DISTINCT (the contraction's contract, ``CorePlan.fused``) the WHERE
 reaches DISTINCT as those positions: projection reads the unfiltered
 frame (its items are plain column references, so nothing is evaluated),
-and over encoded columns the DISTINCT gathers each column's codes at the
-positions straight into its packed words — no column is compressed on
-its own.  The DISTINCT's input relation, its row order and the motion it
-is charged are the filtered relation's, as if the frame had been
-filtered first.
+and the DISTINCT gathers each column's codes or values at the positions
+straight into its packed words — no column is compressed on its own.
+The DISTINCT's input relation, its row order and the motion it is
+charged are the filtered relation's, as if the frame had been filtered
+first.
 
 The executor also decides **which columns are dictionary-encoded** (the
 second physical form of :class:`~repro.sqlengine.types.Column`), and it is
@@ -83,12 +83,11 @@ applied to the dictionary, once for every call over it
 (:mod:`~repro.sqlengine.functions`), DISTINCT
 packs and sorts the codes, GROUP BY finds that output sorted.  The rules
 read a join's row counts, whether a gathered row is null-extended and a
-column's provenance — nothing about how the statement runs — so the form,
-and with it a DISTINCT's row order, is a deterministic function of the
-statement and its input relation: **key order over encoded columns,
-first-occurrence order otherwise, never a function of a switch.**  Space,
-motion and
-written bytes charge 8 bytes per cell in either form.  Dense GROUP BY keys
+column's provenance — nothing about how the statement runs — so the form
+is a deterministic function of the statement and its input relation.  A
+DISTINCT's row order does not depend on the form: **it is ascending key
+order.**  Space, motion and written bytes charge 8 bytes per cell in
+either form.  Dense GROUP BY keys
 nothing has sorted yet — round 1's vertex codes — are reduced by direct
 addressing (:func:`~repro.sqlengine.operators.direct_group_rows`) through
 the one reducer the sorted path calls.
@@ -147,7 +146,6 @@ from .operators import (
     DirectGroups,
     KeyIndex,
     direct_group_rows,
-    distinct_encoded,
     distinct_rows,
     group_rows,
     pad_left_outer,
@@ -302,10 +300,9 @@ def _encoded_source(frame: Frame, qualified: str) -> Column:
     allows wins from G(500, 1000) (1.07x per run) to G(500k, 1M) (2.3x).
     The rule reads one join's row counts, whether a gathered row is
     null-extended, and the column's provenance — never a switch — so
-    which columns are encoded, and with it
-    the row order of a DISTINCT over them, is a function of the statement
-    and its input.  Anything else (text, NULLs, a subquery's or a filtered
-    scan's column) is returned as it is.
+    which columns are encoded is a function of the statement and its
+    input.  Anything else (text, NULLs, a subquery's or a filtered scan's
+    column) is returned as it is.
     """
     source = frame.sources.get(qualified)
     encoded = None
@@ -650,19 +647,11 @@ class Executor:
         return group_rows(key_columns, index=index)
 
     def _distinct_kernel(
-        self, columns: list[Column], note: Optional[list] = None
-    ) -> np.ndarray:
-        """First-occurrence rows, in ascending row order (the kernels'
-        contract; overriding executors must normalise their own output)."""
-        return distinct_rows(columns, note=note)
-
-    def _run_distinct(self, columns: list[Column]) -> np.ndarray:
-        """Dispatch a DISTINCT kernel and record which strategy engaged."""
-        note: list = []
-        keep = self._distinct_kernel(columns, note=note)
-        if "hash" in note:
-            self.stats.bump("hash_distincts")
-        return keep
+        self, columns: list[Column], rows: Optional[np.ndarray] = None
+    ) -> list[Column]:
+        """The distinct rows of ``columns`` at ``rows``, in ascending key
+        order (the kernel's contract; overriding executors must keep it)."""
+        return distinct_rows(columns, rows)
 
     # ------------------------------------------------------------------
     # statement dispatch
@@ -1281,44 +1270,26 @@ class Executor:
         group_of_row = np.empty(order.shape[0], dtype=np.int64)
         group_of_row[order] = np.repeat(np.arange(n_groups), counts)
         rows = np.flatnonzero(~argument.null_mask())
-        groups = group_of_row[rows]
-        unique_idx = distinct_rows([Column(groups, INT64),
-                                    argument.take(rows)])
+        groups, _ = distinct_rows([Column(group_of_row[rows], INT64),
+                                   argument.take(rows)])
         return Column(
-            np.bincount(groups[unique_idx], minlength=n_groups).astype(
+            np.bincount(groups.values, minlength=n_groups).astype(
                 np.int64, copy=False), INT64)
 
     def _distinct(self, relation: Relation,
                   rows: Optional[np.ndarray] = None) -> Relation:
         """DISTINCT over ``relation``'s ``rows`` (ascending positions, a
-        fused join→DISTINCT's WHERE; ``None``: every row).  Encoded
-        columns hand the positions to
-        :func:`~repro.sqlengine.operators.distinct_encoded`, which gathers
-        their codes at them straight into its packed words; any other
-        input takes its rows first.
-        Either way the input relation — its rows, their order, the motion
-        charged for it — is the filtered one."""
+        fused join→DISTINCT's WHERE; ``None``: every row), which the
+        kernel gathers straight into its packed words.  The input relation
+        — its rows, the motion charged for it — is the filtered one."""
         names = relation.names
         columns = [relation.columns[n] for n in names]
-        n_rows = relation.n_rows if rows is None else int(rows.shape[0])
-        distinct = distinct_encoded(columns, rows) if n_rows else None
-        if distinct is not None:
-            # Encoded cells are NULL-free int64: 8 bytes each.
-            moved = _FIXED_WIDTH[INT64] * n_rows * len(columns)
-        else:
-            if rows is not None:
-                columns = [col.take(rows) for col in columns]
-                relation = Relation(list(names), dict(zip(names, columns)),
-                                    relation.distribution,
-                                    relation.display_names)
-            if not columns or n_rows == 0:
-                return relation
-            moved = relation.byte_size()
-            keep = self._run_distinct(columns)
-            distinct = [col.take(keep) for col in columns]
-        self._charge_motion(moved, n_rows, relation.distribution is not None)
-        return Relation(list(names), dict(zip(names, distinct)),
-                        relation.distribution)
+        self._charge_motion(sum(col.byte_size(rows) for col in columns),
+                            relation.n_rows if rows is None else len(rows),
+                            relation.distribution is not None)
+        return Relation(list(names),
+                        dict(zip(names, self._distinct_kernel(columns, rows))),
+                        relation.distribution, list(relation.display_names))
 
 
 # ---------------------------------------------------------------------------

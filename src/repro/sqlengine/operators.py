@@ -4,8 +4,8 @@ These are the numpy building blocks the executor assembles plans from:
 m:n equi-joins (inner and left outer), group-by boundary detection, and
 DISTINCT.  All kernels but one are pure index arithmetic — they return row
 index arrays rather than materialised rows, so the executor can gather only
-the columns a query actually needs (:func:`distinct_encoded` returns the
-distinct rows themselves: it has no row to point at, having sorted codes).
+the columns a query actually needs (:func:`distinct_rows` returns the
+distinct rows themselves: it has no row to point at, having sorted words).
 One index array may be *absent*: a join that matched every probe row
 exactly once, in probe order, returns ``None`` for its left rows — the
 identity map, which the executor then never builds, scans or gathers
@@ -42,8 +42,8 @@ only place that decides how an equi-join runs: it returns a
   against the same table pay the sort once; otherwise the route sorts.
 
 A multi-column key is one order-preserving int64 word per row
-(:func:`pack_keys`, over both sides of a join), on which joins, GROUP BY
-and DISTINCT run their single-column kernels.
+(:func:`pack_keys`, over both sides of a join), on which joins and GROUP
+BY run their single-column kernels.
 
 Every join runs its route's kernel once, over the whole probe side, on
 the calling thread (:meth:`JoinRoute.run`); nothing about the host — its
@@ -56,23 +56,19 @@ dense integers — vertex ids, or any encoded column's codes — which
 scatter reduction per aggregate, groups in ascending key order like the
 sort's.
 
-**DISTINCT** has two kernels and one order contract.  Over encoded
-columns :func:`distinct_encoded` packs each row's codes into a word,
-value-sorts the words and unpacks the survivors: the distinct rows come
-out in ascending **key** order (so the next GROUP BY or index over the
-leading column finds it sorted).  Over plain columns
-:func:`distinct_rows` returns first-occurrence positions in ascending
-**row** order: one integer column, or a pair whose offsets pack into a
-word, runs the single-column kernel, any other integer key a
-**packed-sort hash kernel** (:func:`_hash_distinct_int`: one value sort
-of ``(splitmix64 prefix, row)`` words, prefix collisions settled
-exactly).  Either order is a deterministic function of the
-input relation — its rows and which of its columns are encoded, which the
-executor decides from the statement and its input alone.
+**DISTINCT** has one kernel and one row order: :func:`distinct_rows`
+returns the distinct rows in ascending **key** order (so the next GROUP BY
+or index over the leading column finds it sorted), as columns in the
+input's forms.  NULL-free int64 keys pack each row's offsets — an encoded
+column's codes, a plain column's values less their least — into one word,
+value-sort the words and unpack the survivors; offsets wider than 63 bits
+together rank the plain columns first (:func:`encode_values`).  Every
+other key — NULLs, floats, text, words still too wide — takes the first
+row of each :func:`group_rows` group, groups coming in key order too.
 
 **Sort-merge grouping** (:func:`sorted_group_rows`) is the fallback of
 :func:`group_rows` for multi-column float or text keys and NULL-bearing
-inputs, and the
+inputs — NULLs sort last, and every NaN is a group of its own — and the
 reference the kernel tests diff grouping *index arrays* against — what an
 outside SQL engine cannot referee.  The join's sort-merge reference lives
 with the tests (``tests/join_reference.py``): no engine code calls it.
@@ -101,12 +97,11 @@ the final round's queries run over zero rows.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ExecutionError
-from .mpp import hash64
 from .types import Column
 
 #: Right-index sentinel for unmatched rows in a left outer join.
@@ -476,7 +471,7 @@ def _ranks(arrays: Sequence[np.ndarray]) -> tuple[list, int]:
     return np.split(codes, cuts), int(dictionary.shape[0])
 
 
-def pack_keys(sides: list, rank: bool = True) -> Optional[list[np.ndarray]]:
+def pack_keys(sides: list) -> list[np.ndarray]:
     """One order-preserving int64 word per row of each side for a
     multi-column key: ``sides`` holds each side's NULL-free key columns,
     column ``i`` compared across sides.  Columns fold left to right as
@@ -484,17 +479,13 @@ def pack_keys(sides: list, rank: bool = True) -> Optional[list[np.ndarray]]:
     else its :func:`_ranks`, and a fold that would reach
     :data:`PACKED_BOUND` ranks the packed prefix first, then the column if
     it must.  Equal rows, and only those, share a word, and words order as
-    their rows do.  ``rank=False``: ``None`` rather than rank anything."""
+    their rows do."""
     words, span = None, 1
     for column in zip(*sides):
         codes = _offsets(column)
         if codes is None:
-            if not rank:
-                return None
             codes = _ranks(column)
         if span * codes[1] >= PACKED_BOUND:
-            if not rank:
-                return None
             words, span = _ranks(words)
             if span * codes[1] >= PACKED_BOUND:
                 codes = _ranks(column)
@@ -999,9 +990,11 @@ def sorted_group_rows(key_columns: list[Column]) -> tuple[np.ndarray, np.ndarray
     masks = [col.null_mask() for col in key_columns]
     # A NULL row's value is whatever its storage holds (a null-extended
     # gather leaves another row's): sorting on it would part NULL rows
-    # that later keys make equal, so every numeric NULL sorts as zero.
-    values = [col.values if col.mask is None or col.values.dtype == object
-              else np.where(col.mask, col.values.dtype.type(0), col.values)
+    # that later keys make equal, so every NULL sorts as zero, or as the
+    # empty string in text.
+    values = [col.values if col.mask is None
+              else np.where(col.mask, "" if col.values.dtype == object
+                            else col.values.dtype.type(0), col.values)
               for col in key_columns]
     sort_keys: list[np.ndarray] = []
     for mask, column_values in zip(masks, values):
@@ -1033,176 +1026,136 @@ def _boundaries(sorted_values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(change)
 
 
+class _PackedKey(NamedTuple):
+    """One column of a packed DISTINCT: ``array`` holds its codes (every
+    row), its values at the DISTINCT's rows — an offset is a value less
+    ``base`` — or their ranks in ``dictionary``; offsets fit ``width``
+    bits."""
+
+    column: Column
+    array: np.ndarray
+    base: int
+    width: int
+    dictionary: Optional[np.ndarray]
+
+
 def distinct_rows(
-    columns: list[Column], note: Optional[list] = None
-) -> np.ndarray:
-    """First-occurrence row of each distinct key, in ascending row order.
-
-    ``note``, when given, receives the kernel strategy the dispatch
-    settled on (``"dense"``, ``"hash"``, ``"sort"`` ...) for executor
-    telemetry.
-    """
-    if not columns:
-        return np.empty(0, dtype=np.int64)
-    n = len(columns[0])
-    if n == 0:
-        if note is not None:
-            note.append("empty")
-        return np.empty(0, dtype=np.int64)
-    if all(c.mask is None and c.values.dtype.kind == "i" for c in columns):
-        if len(columns) == 1:
-            return _distinct_int(columns[0].values, note)
-        if len(columns) == 2:
-            packed = pack_keys([[c.values for c in columns]], rank=False)
-            if packed is not None:
-                # The packing is a bijection, so the single-column kernel
-                # keeps exactly the rows the group-based reference keeps.
-                return _distinct_int(packed[0], note)
-        # Pairs whose offsets do not fit one word (64-bit field values —
-        # ranking them would cost 2.5x the hash) and wider integer keys.
-        return _hash_distinct_int([c.values for c in columns], note)
-    if note is not None:
-        note.append("sort")
-    order, starts = group_rows(columns)
-    if order.size == 0:
-        return order
-    return np.sort(order[starts])
-
-
-def distinct_encoded(
     columns: list[Column], rows: Optional[np.ndarray] = None
-) -> Optional[list[Column]]:
-    """DISTINCT over dictionary-encoded columns: the distinct rows
-    themselves, as encoded columns in ascending *key* order — or ``None``
-    when a column is plain or the codes do not fit one 63-bit word, and
-    :func:`distinct_rows` serves.
-
-    Each row's codes are packed into one word, first column in the high
-    bits; one value sort (``ndarray.sort``, 9.5 ns/row against 57 for the
-    packed-hash kernel) brings equal rows together *and* the distinct ones
-    into the order of their values, because a sorted dictionary's codes
-    order as its values do.  The survivors are unpacked straight into the
-    output codes: nothing is hashed, no collision is settled and no row is
-    gathered.  A GROUP BY or index build over the leading column of the
-    result finds it sorted.
+) -> list[Column]:
+    """DISTINCT: the distinct rows themselves, in ascending key order, as
+    columns in the input's forms.
 
     ``rows``, when given, are the ascending positions of the only rows the
     DISTINCT reads — a fused join→DISTINCT's WHERE (see
-    :mod:`repro.sqlengine.executor`): each column's codes are gathered at
-    those positions straight into the packing, so no column is compressed
-    by boolean mask (5.8 against 23.6 ms on the 2M rows of a
-    G(500k, 1M) round 1).  Packing every row and selecting the words once
-    is about as fast, but holds a word per unfiltered row.
+    :mod:`repro.sqlengine.executor`).  NULL-free int64 keys whose offsets
+    fit one word, the plain columns ranked if they must, are packed and
+    sorted (:func:`_packed_distinct`); any other key is grouped
+    (:func:`_grouped_distinct`).
     """
-    if not columns or any(col.codes is None for col in columns):
-        return None
-    widths = [(int(col.dictionary.shape[0]) - 1).bit_length()
-              for col in columns]
-    if sum(widths) > 63:
-        return None
-    words = columns[0].codes.copy() if rows is None \
-        else columns[0].codes[rows]
-    for col, width in zip(columns[1:], widths[1:]):
-        words <<= width
-        words |= col.codes if rows is None else col.codes[rows]
+    if columns and all(col.mask is None and col.storage.dtype == np.int64
+                       for col in columns):
+        keys = _packed_keys(columns, rows)
+        if keys is not None:
+            return _packed_distinct(keys, rows)
+    return _grouped_distinct(columns, rows)
+
+
+def _packed_keys(
+    columns: list[Column], rows: Optional[np.ndarray]
+) -> Optional[list[_PackedKey]]:
+    """Each column's :class:`_PackedKey` — an encoded column's offset is
+    its code, a plain column's its value less the least one — or ``None``
+    when the offsets need more than 63 bits even with every plain column
+    ranked (:func:`encode_values`)."""
+    keys = []
+    for col in columns:
+        if col.codes is not None:
+            width = (int(col.dictionary.shape[0]) - 1).bit_length()
+            keys.append(_PackedKey(col, col.codes, 0, width, None))
+            continue
+        values = col.values if rows is None else col.values[rows]
+        low, high = (int(values.min()), int(values.max())) \
+            if values.shape[0] else (0, 0)
+        keys.append(_PackedKey(col, values, low, (high - low).bit_length(),
+                               None))
+    if sum(key.width for key in keys) > 63:
+        keys = [key if key.column.codes is not None else _ranked(key)
+                for key in keys]
+        if sum(key.width for key in keys) > 63:
+            return None
+    return keys
+
+
+def _ranked(key: _PackedKey) -> _PackedKey:
+    """A plain key as ranks among its distinct values, which unpack
+    through its ``dictionary``."""
+    dictionary, ranks = encode_values(key.array)
+    width = (int(dictionary.shape[0]) - 1).bit_length()
+    return _PackedKey(key.column, ranks, 0, width, dictionary)
+
+
+def _packed_distinct(
+    keys: list[_PackedKey], rows: Optional[np.ndarray]
+) -> list[Column]:
+    """DISTINCT by one value sort: each row's offsets are packed into one
+    int64 word, first column in the high bits; ``ndarray.sort`` (9.5
+    ns/row) brings equal rows together *and* the distinct ones into key
+    order, because offsets, codes and ranks order as their values do.  The
+    survivors are unpacked by shift and mask straight into the output
+    columns: nothing is hashed and no row is gathered.  A GROUP BY or
+    index build over the leading column of the result finds it sorted.
+
+    Codes are gathered at ``rows`` straight into the fold, so no column is
+    compressed by boolean mask (5.8 against 23.6 ms on the 2M rows of a
+    G(500k, 1M) round 1), and the first column's gather is the word array
+    itself.  Every other gather is freed as soon as it is folded in: one
+    held through the sort makes the sort's allocations fault in fresh
+    pages (3 ms of 60 there)."""
+    words = _offsets_at(keys[0], rows)
+    if words is keys[0].column.storage:
+        words = words.copy()
+    for key in keys[1:]:
+        words <<= key.width
+        words |= _offsets_at(key, rows)
     words.sort()
     head = np.empty(words.shape[0], dtype=bool)
     head[:1] = True
     np.not_equal(words[1:], words[:-1], out=head[1:])
     if not head.all():
         words = words[np.flatnonzero(head)]
-    unpacked = []
-    for col, width in zip(columns[:0:-1], widths[:0:-1]):
-        unpacked.append(col.with_storage(words & ((1 << width) - 1)))
-        words >>= width
-    unpacked.append(columns[0].with_storage(words))
-    return unpacked[::-1]
+    distinct = []
+    for key in keys[:0:-1]:
+        distinct.append(_unpacked(key, words & ((1 << key.width) - 1)))
+        words >>= key.width
+    distinct.append(_unpacked(keys[0], words))
+    return distinct[::-1]
 
 
-def _distinct_int(
-    values: np.ndarray, note: Optional[list] = None
-) -> np.ndarray:
-    """DISTINCT over one NULL-free integer column.
-
-    Dense key ranges use a first-occurrence scatter (O(n), no sort): writing
-    positions in reverse order leaves each slot holding the *first* original
-    occurrence, so the kept row set matches the sort-based reference exactly.
-    """
-    n = int(values.shape[0])
-    vmin, vmax = int(values.min()), int(values.max())
-    span = vmax - vmin + 1
-    if span <= _dense_span_limit(n):
-        if note is not None:
-            note.append("dense")
-        rel = values - vmin
-        first = np.full(span, -1, dtype=np.int64)
-        first[rel[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
-        firsts = first[np.flatnonzero(first >= 0)]
-        return np.sort(firsts)
-    # Sparse keys: an *unstable* sort (numpy's introsort is ~4x faster than
-    # the stable radix argsort here) followed by a per-group position
-    # minimum.  The minimum of each equal-key run is its first original
-    # occurrence, so the result matches the stable reference exactly.
-    if note is not None:
-        note.append("sparse-sort")
-    order = np.argsort(values, kind="quicksort")
-    sorted_values = values[order]
-    starts = _boundaries(sorted_values)
-    return np.sort(np.minimum.reduceat(order, starts))
+def _offsets_at(key: _PackedKey, rows: Optional[np.ndarray]) -> np.ndarray:
+    """A packed key's offsets at ``rows``: codes gathered there, values
+    (already at ``rows``) less their base."""
+    if rows is not None and key.column.codes is not None:
+        return key.array[rows]
+    return key.array - key.base if key.base else key.array
 
 
-def _hash_distinct_int(
-    arrays: list[np.ndarray], note: Optional[list] = None
-) -> np.ndarray:
-    """DISTINCT over NULL-free integer key columns by one value sort of
-    packed ``(hash prefix, row)`` words — no lexsort over the keys and no
-    table to miss the cache in.
+def _unpacked(key: _PackedKey, offsets: np.ndarray) -> Column:
+    """The column of a packed key's distinct ``offsets``, in its form."""
+    if key.dictionary is not None:
+        offsets = key.dictionary[offsets]
+    elif key.base:
+        offsets += key.base
+    return key.column.with_storage(offsets)
 
-    The splitmix64 hash of a row's key fills the high bits of a 64-bit
-    word and the row number the low ``row_bits``; ``ndarray.sort`` on the
-    words (9 ns/row) brings rows of equal prefix together in ascending row
-    order, so each run's head is the first occurrence of its prefix.  Equal
-    keys share a prefix; the converse is checked, not assumed: every row is
-    compared with its predecessor in the run, and a run where two
-    different keys met (2^-(64 - row_bits) per pair of keys) is settled
-    exactly by :func:`group_rows` over just its rows.  The kept set is the
-    reference's, returned in row order.
-    """
-    if note is not None:
-        note.append("hash")
-    n = int(arrays[0].shape[0])
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    packed = None
-    for array in arrays:
-        unsigned = array.astype(np.uint64, copy=False)
-        packed = hash64(unsigned if packed is None else unsigned ^ packed)
-    row_bits = (n - 1).bit_length()
-    row_mask = np.uint64((1 << row_bits) - 1)
-    packed &= ~row_mask
-    packed |= np.arange(n, dtype=np.uint64)
-    packed.sort()
-    rows = (packed & row_mask).view(np.int64)
-    packed >>= np.uint64(row_bits)
-    head = np.empty(n, dtype=bool)
-    head[0] = True
-    np.not_equal(packed[1:], packed[:-1], out=head[1:])
-    collided = np.zeros(n, dtype=bool)
-    for array in arrays:
-        in_run_order = array[rows]
-        collided[1:] |= in_run_order[1:] != in_run_order[:-1]
-    collided &= ~head
-    keep = np.zeros(n, dtype=bool)
-    keep[rows[np.flatnonzero(head)]] = True
-    if collided.any():
-        run = np.cumsum(head) - 1
-        mixed_runs = np.zeros(int(run[-1]) + 1, dtype=bool)
-        mixed_runs[run[collided]] = True
-        # Ascending rows, so the stable grouping's first row per key is
-        # the first occurrence.
-        contested = np.sort(rows[mixed_runs[run]])
-        order, starts = group_rows(
-            [Column.from_values(array[contested]) for array in arrays])
-        keep[contested] = False
-        keep[contested[order[starts]]] = True
-    return np.flatnonzero(keep)
+
+def _grouped_distinct(
+    columns: list[Column], rows: Optional[np.ndarray]
+) -> list[Column]:
+    """DISTINCT of every other key — NULLs, floats, text, words wider than
+    63 bits after ranking: the first row of each :func:`group_rows` group,
+    which come in key order (NULLs last, each NaN a group of its own)."""
+    if rows is not None:
+        columns = [col.take(rows) for col in columns]
+    order, starts = group_rows(columns)
+    keep = order[starts]
+    return [col.take(keep) for col in columns]

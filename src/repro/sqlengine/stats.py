@@ -71,8 +71,8 @@ COUNTERS = (
     # A GROUP BY ran sort-free and gather-free: a cached index proved its
     # input pre-sorted on disk.
     "group_sorts_skipped",
-    "hash_distincts",           # DISTINCT on the packed-sort hash kernel
     # Retired (see RETIRED): nothing moves them any more.
+    "hash_distincts",
     "parallel_partitions",
     "parallel_indexed_probes",
     "parallel_dense_probes",
@@ -86,14 +86,16 @@ COUNTERS = (
 _COUNTER_NAMES = frozenset(COUNTERS)
 
 #: Counters of removed machinery — statement overlap, the process backend,
-#: the chunked join fan-out — that nothing bumps: they stay declared, and
-#: read 0, only because ``perf/bench.py`` still reads them as per-layer
-#: metrics (a missing counter would report ``None``).  They leave together
-#: with those probes, and so do the other inert shells the probes call:
-#: ``mpp.SegmentPool`` (``n_segments``, ``n_workers = 1``, a no-op
-#: ``shutdown``; ``Database.pool`` holds one) and
-#: ``parallel.parallel_join_indices`` (``join_indices``, pool ignored).
+#: the chunked join fan-out, the hash DISTINCT — that nothing bumps: they
+#: stay declared, and read 0, only because ``perf/bench.py`` still reads
+#: them as per-layer metrics (a missing counter would report ``None``).
+#: They leave together with those probes, and so do the other inert
+#: shells the probes call: ``mpp.SegmentPool`` (``n_segments``,
+#: ``n_workers = 1``, a no-op ``shutdown``; ``Database.pool`` holds one)
+#: and ``parallel.parallel_join_indices`` (``join_indices``, pool
+#: ignored).
 RETIRED = frozenset({
+    "hash_distincts",
     "parallel_partitions",
     "parallel_indexed_probes",
     "parallel_dense_probes",

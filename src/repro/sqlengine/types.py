@@ -204,14 +204,17 @@ class Column:
             return self.values
         return self.values[~self.mask]
 
-    def byte_size(self) -> int:
-        """Storage footprint used for the engine's space accounting."""
-        n = len(self)
+    def byte_size(self, rows: Optional[np.ndarray] = None) -> int:
+        """Storage footprint used for the engine's space accounting — of
+        the rows at positions ``rows`` only, when given: what
+        ``take(rows).byte_size()`` would say, without the gather."""
+        n = len(self) if rows is None else int(rows.shape[0])
         if self.sql_type in _FIXED_WIDTH:
             size = _FIXED_WIDTH[self.sql_type] * n
         else:
-            size = sum(len(str(v)) for v in self.values) + n
-        if self.mask is not None:
+            values = self.values if rows is None else self.values[rows]
+            size = sum(len(str(v)) for v in values) + n
+        if self.mask is not None and (rows is None or self.mask[rows].any()):
             size += n
         return size
 

@@ -21,8 +21,9 @@ a DISTINCT or a join — and calls of an immutable UDF
 over dense, sparse, encoded and NULL-bearing columns, including the
 contraction's ``least(udf(k), min(udf(v)))`` shape and the composition's
 ``coalesce(<nullable>, udf(...))``), three-argument COALESCE, a CASE
-with an integer and a float branch, joins on two-column keys, one column
-NULL-bearing, and joins — inner and LEFT — whose
+with an integer and a float branch, joins on two- and three-column keys,
+one column NULL-bearing, projections of integers spread over 2^41, and
+joins — inner and LEFT — whose
 build side is a stored GROUP BY output, as each round's ``reps`` is,
 joined back to its input) over small random tables, and holds
 each statement to two contracts.  sqlite short-circuits COALESCE as the
@@ -43,10 +44,11 @@ engine does, so both evaluate a fallback over the same rows:
     cached physical plan are what executes (asserted: one
     ``physical_plan_hits`` per warm execution).
 
-  A DISTINCT's row order is a function of the statement and its input
-  relation (key order over dictionary-encoded columns — there is no size
-  gate, so fuzz-sized tables are encoded like million-row ones — first
-  occurrence otherwise), so the two executions must agree on it too.
+  A DISTINCT's row order is ascending key order, so the two executions
+  must agree on it too.  The harness asserts that every branch of the
+  one DISTINCT kernel met sqlite: codes packed (there is no size gate,
+  so fuzz-sized tables are encoded like million-row ones), plain offsets
+  packed, two wide columns ranked, and NULL-bearing keys grouped.
 
 The UDF is registered ``immutable`` on the engine, so a call over a dense
 column evaluates it once per occurring value and a later call over the
@@ -91,6 +93,7 @@ import pytest
 
 from repro.sqlengine import Database, functions, operators
 
+from .distinct_reference import BRANCHES, record_branches
 from .sqlite_oracle import SqliteOracle, sorted_rows
 
 FUZZ_ROUNDS = int(os.environ.get("REPRO_FUZZ_ROUNDS", "200"))
@@ -105,6 +108,16 @@ TABLES = {
     "t1": ("k1", "a1", "n1"),
     "t2": ("k2", "a2", "n2"),
 }
+#: Each table's fourth column: integers spread over 2^41, drawn from a
+#: few per batch so that rows repeat.  Offsets of two of them overflow a
+#: word, so a DISTINCT over both ranks them.  They are projected as they
+#: are, never computed on: sqlite turns an overflowing product into a
+#: float.
+WIDE = {"t0": "b0", "t1": "b1", "t2": "b2"}
+WIDE_SPREAD = 1 << 40
+#: A table use's wide column, by the key column its columns start with.
+WIDE_BY_KEY = {TABLES[name][0]: wide for name, wide in WIDE.items()}
+
 #: Alias pool; t0 appears twice so chains can re-join a table (the paper's
 #: per-round ``reps`` pattern) and bare column names can collide.
 ALIASES = [("t0", "x"), ("t1", "y"), ("t2", "z"), ("t0", "w")]
@@ -174,12 +187,15 @@ def table_statements(rand: random.Random) -> list[str]:
     for name, (key, val, nullable) in TABLES.items():
         n_rows = rand.randint(8, 28)
         statements.append(
-            f"create table {name} ({key} int64, {val} int64, {nullable} int64)"
+            f"create table {name} ({key} int64, {val} int64, "
+            f"{nullable} int64, {WIDE[name]} int64)"
         )
+        wide = [rand.randint(-WIDE_SPREAD, WIDE_SPREAD) for _ in range(4)]
         rows = []
         for _ in range(n_rows):
             null = "null" if rand.random() < 0.25 else str(rand.randint(0, 4))
-            rows.append(f"({rand.randint(0, 6)}, {rand.randint(-5, 5)}, {null})")
+            rows.append(f"({rand.randint(0, 6)}, {rand.randint(-5, 5)}, "
+                        f"{null}, {rand.choice(wide)})")
         statements.append(f"insert into {name} values {', '.join(rows)}")
     return statements + DERIVED_TABLES
 
@@ -192,7 +208,8 @@ def churn_statements(rand: random.Random) -> list[str]:
     null = "null" if rand.random() < 0.5 else str(rand.randint(0, 4))
     return [
         f"insert into {target} values "
-        f"({rand.randint(0, 6)}, {rand.randint(-5, 5)}, {null})",
+        f"({rand.randint(0, 6)}, {rand.randint(-5, 5)}, {null}, "
+        f"{rand.randint(-WIDE_SPREAD, WIDE_SPREAD)})",
         f"alter table {target} rename to churned",
         f"alter table churned rename to {target}",
     ]
@@ -249,10 +266,14 @@ def _generate_uses(rand: random.Random) -> list[tuple]:
 def _join_condition(rand: random.Random, left: tuple, right: tuple) -> str:
     """One equality edge between two FROM uses.  Occasionally joins on the
     NULL-bearing column, exercising the kernels' NULL-key filtering, and
-    now and then on two columns, the NULL-bearing one second: a composite
-    key, packed into one word per row."""
+    now and then on two or all three columns, the NULL-bearing one last: a
+    composite key, packed into one word per row."""
     left_cols, left_alias, _ = left
     right_cols, right_alias, _ = right
+    if rand.random() < 0.05:
+        return " and ".join(
+            f"{left_alias}.{left_col} = {right_alias}.{right_col}"
+            for left_col, right_col in zip(left_cols, right_cols))
     if rand.random() < 0.15:
         first = rand.choice((0, 1))
         return (f"{left_alias}.{left_cols[first]} = "
@@ -303,6 +324,8 @@ def _projection_item(rand: random.Random, uses: list[tuple],
         return f"{ref} * -1 c{position}"
     if roll < 0.55:
         return f"{ref} c{position}"
+    if roll < 0.75 and columns[0] in WIDE_BY_KEY:
+        return f"{alias}.{WIDE_BY_KEY[columns[0]]}"
     return ref
 
 
@@ -466,13 +489,14 @@ def test_differential_fuzz(monkeypatch):
     monkeypatch.setattr(operators, "CACHE_KERNEL_MIN_ROWS", 1)
     monkeypatch.setattr(operators, "PRESORTED_MAX_DESCENTS", -1)
     routes: set[str] = set()
-    composite = {"joins": 0}
+    composite = {"joins": 0, "three_column": 0}
     plan_join = executor_module.plan_join
 
     def recording_plan_join(left_keys, *args):
         route = plan_join(left_keys, *args)
         routes.add(route.kind)
         composite["joins"] += len(left_keys) > 1
+        composite["three_column"] += len(left_keys) > 2
         return route
 
     monkeypatch.setattr(executor_module, "plan_join", recording_plan_join)
@@ -496,6 +520,9 @@ def test_differential_fuzz(monkeypatch):
 
     monkeypatch.setattr(table_module.Table, "joint_encoding",
                         recording_joint_encoding)
+    # DISTINCT branches whose output met sqlite.
+    taken = record_branches(monkeypatch)
+    diffed: set[str] = set()
     rand = random.Random(FUZZ_SEED)
     executed = 0
     engaged = {"chain": 0, "fused": 0, "left_chain": 0, "encoded": 0}
@@ -538,6 +565,7 @@ def test_differential_fuzz(monkeypatch):
             shapes["udf_reps"] += "least(udf(" in sql
             for shape, pattern in SHAPE_PATTERNS.items():
                 shapes[shape] += re.search(pattern, sql) is not None
+            taken.clear()
             planned = db.execute(sql).relation
             # Warm pass: the cached template's physical plan re-executes.
             plan_hits = db.stats.physical_plan_hits
@@ -547,6 +575,7 @@ def test_differential_fuzz(monkeypatch):
             # Row content: equal to sqlite's as multisets of rows.
             assert sorted_rows(planned.rows()) == \
                 sorted_rows(oracle.execute(sql)), sql
+            diffed.update(taken)
             engaged["encoded"] += any(
                 planned.column(name).codes is not None
                 for name in planned.names)
@@ -569,6 +598,10 @@ def test_differential_fuzz(monkeypatch):
     if FUZZ_ROUNDS > BATCH:  # a sparse-key batch ran
         assert "sorted" in routes  # note "merge"
     assert composite["joins"] > 0  # a two-column key met the oracle
+    assert composite["three_column"] > 0
+    # Every DISTINCT branch met the oracle: the wide columns' pairs are
+    # the ranked branch's.
+    assert diffed == set(BRANCHES), diffed
     # ... and actually generate the statement shapes it claims to cover.
     assert shapes["union_all"] > 0
     assert shapes["subquery_from"] > 0

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.sqlengine.operators import (
-    _hash_distinct_int,
     build_key_index,
     distinct_rows,
     group_rows,
@@ -76,24 +75,35 @@ def test_left_join_kernels_on_degenerate_inputs(left, right):
 
 
 def test_distinct_and_group_kernels_on_degenerate_inputs():
-    assert distinct_rows([EMPTY]).shape[0] == 0
-    assert distinct_rows([EMPTY, EMPTY]).shape[0] == 0
-    assert distinct_rows([ALL_NULL]).shape[0] == 1  # NULLs compare equal
+    assert distinct_rows([]) == []
+    assert [len(col) for col in distinct_rows([EMPTY])] == [0]
+    assert [len(col) for col in distinct_rows([EMPTY, EMPTY])] == [0, 0]
+    # NULLs compare equal.
+    assert [col.to_list() for col in distinct_rows([ALL_NULL])] == [[None]]
+    nothing = np.empty(0, dtype=np.int64)
+    # A WHERE that kept no row.
+    assert [len(col) for col in distinct_rows([FILLED, FILLED],
+                                              nothing)] == [0, 0]
     order, starts = group_rows([EMPTY])
     assert order.shape[0] == 0 and starts.shape[0] == 0
 
 
 @pytest.mark.parametrize("n_columns", (1, 2, 3))
-def test_hash_distinct_kernel_on_zero_one_and_two_rows(n_columns):
+def test_distinct_kernel_on_zero_one_and_two_rows(n_columns):
+    """The packed branch at its smallest, int64's extremes included (a
+    pair of them overflows a word: the ranked branch)."""
     def kept(*rows):
-        columns = [np.array(rows, dtype=np.int64) + c
+        columns = [Column(np.array(rows, dtype=np.int64) - c, "int64")
                    for c in range(n_columns)]
-        return _hash_distinct_int(columns).tolist()
+        distinct = distinct_rows(columns)
+        return [col.to_list() for col in distinct][0]
 
     assert kept() == []
-    assert kept(-(2 ** 63)) == [0]
-    assert kept(7, 7) == [0]
-    assert kept(7, -7) == [0, 1]
+    assert kept(-(2 ** 63) + 2) == [-(2 ** 63) + 2]
+    assert kept(7, 7) == [7]
+    assert kept(7, -7) == [-7, 7]
+    assert kept(2 ** 63 - 1, -(2 ** 63) + 2, 2 ** 63 - 1) == \
+        [-(2 ** 63) + 2, 2 ** 63 - 1]
 
 
 def test_sql_pipelines_over_empty_and_all_null_tables(db):

@@ -4,10 +4,10 @@ the kernels that run on its codes.
 The form must be invisible — every observable of an encoded column equals
 the plain column's over the same rows — and each kernel that honours it
 (the dictionary join route lives in ``test_join_kernels.py``'s matrix)
-is held against the kernel it replaces: the packed DISTINCT against the
-lexsort reference, the direct-address GROUP BY against the one reducer
-over ``group_rows``, an immutable UDF over a dictionary against the
-row-wise call.
+is held against a reference: the packed DISTINCT against the sorted
+row set and the plain columns' DISTINCT, the direct-address GROUP BY
+against the one reducer over ``group_rows``, an immutable UDF over a
+dictionary against the row-wise call.
 """
 
 from __future__ import annotations
@@ -21,16 +21,15 @@ from repro.sqlengine.operators import (
     DENSE_SPAN_FLOOR,
     build_key_index,
     direct_group_rows,
-    distinct_encoded,
-    encode_values,
     distinct_rows,
+    encode_values,
     group_rows,
-    sorted_group_rows,
 )
 from repro.sqlengine.parallel import AggregateSpec, _reduce_slice
 from repro.sqlengine.table import Table
 from repro.sqlengine.types import FLOAT64, INT64, Column
 
+from .distinct_reference import record_branches, reference_rows, row_tokens
 from .sqlite_oracle import tee
 
 sparse_values = st.lists(
@@ -429,62 +428,54 @@ def test_second_run_builds_no_joint_encoding(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def reference_distinct_rows(columns) -> list[tuple]:
-    order, starts = sorted_group_rows(columns)
-    keep = np.sort(order[starts])
-    return sorted(zip(*(col.values[keep].tolist() for col in columns)))
-
-
 @given(st.lists(st.tuples(st.integers(-(2 ** 63), 2 ** 63 - 1),
                           st.integers(-3, 3), st.integers(0, 1)),
                 min_size=1, max_size=60),
        st.integers(1, 3))
 def test_packed_distinct_is_the_reference_row_set_in_key_order(rows, width):
     columns = [encode([row[i] for row in rows]) for i in range(width)]
-    distinct = distinct_encoded(columns)
-    assert distinct is not None
+    distinct = distinct_rows(columns)
     for got, source in zip(distinct, columns):
         assert got.codes is not None and got.dictionary is source.dictionary
-    got_rows = list(zip(*(col.to_list() for col in distinct)))
-    # Key order: ascending as tuples of values, no duplicates ...
-    assert got_rows == sorted(set(got_rows))
-    # ... and exactly the rows the lexsort reference keeps.
-    assert got_rows == reference_distinct_rows(columns)
+    # Key order: ascending as tuples of values, no duplicates — exactly
+    # the reference's rows ...
+    assert row_tokens(distinct) == reference_rows(columns)
+    # ... and the plain columns' DISTINCT, row for row: one order.
     plain = [Column.from_values(col.values) for col in columns]
-    kept = distinct_rows(plain)
-    assert sorted(zip(*(col.values[kept].tolist() for col in plain))) \
-        == got_rows
+    assert [col.to_list() for col in distinct_rows(plain)] == \
+        [col.to_list() for col in distinct]
 
 
 def test_packed_distinct_leading_column_comes_out_sorted():
     rng = np.random.default_rng(3)
     a = encode(rng.integers(-(2 ** 62), 2 ** 62, 80)[rng.integers(0, 80, 5000)])
     b = encode(rng.integers(-(2 ** 62), 2 ** 62, 90)[rng.integers(0, 90, 5000)])
-    first, second = distinct_encoded([a, b])
+    first, second = distinct_rows([a, b])
     index = build_key_index(first.codes, first.dictionary)
     assert index.is_sorted  # the next GROUP BY over it skips its sort
     assert len(first) == len(second) == len(set(zip(a.to_list(),
                                                     b.to_list())))
 
 
-def test_packed_distinct_falls_back_when_it_cannot_pack():
+def test_packed_distinct_falls_back_when_it_cannot_pack(monkeypatch):
+    """Four 16-bit code columns need 64 bits, one more than a word
+    offers, and codes are never ranked: they are grouped, still in key
+    order and still encoded.  Three pack."""
     wide = np.arange(1 << 16, dtype=np.int64)
-    # Four 16-bit code columns need 64 bits: one more than a word offers.
     columns = [Column.encoded(wide, wide) for _ in range(4)]
-    assert distinct_encoded(columns) is None
-    assert distinct_encoded(columns[:3]) is not None
-    # A plain column among them, or no column at all, is not its shape.
-    assert distinct_encoded([columns[0], Column.from_values(wide)]) is None
-    assert distinct_encoded([]) is None
-    # The fallback still de-duplicates encoded columns, through their values.
-    note: list = []
-    assert np.array_equal(distinct_rows(columns, note=note), wide)
+    taken = record_branches(monkeypatch)
+    distinct = distinct_rows(columns)
+    assert all(col.codes is not None for col in distinct)
+    assert all(np.array_equal(col.codes, wide) for col in distinct)
+    distinct_rows(columns[:3])
+    assert taken == ["grouped", "packed-codes"]
 
 
 def test_executor_distinct_over_encoded_columns_is_in_key_order():
     """Through SQL: two expanding gathers of one stored column leave
-    encoded, their DISTINCT comes out in key order and the hash kernel is
-    not asked; the motion it charges is the plain engine's."""
+    encoded, and their DISTINCT comes out in key order — the order the
+    plain engine's DISTINCT over the same values has too; the motion it
+    charges is the plain engine's."""
     rng = np.random.default_rng(4)
     reps = rng.permutation(200) * (2 ** 62 // 200) - 2 ** 61
     edges = {"v1": rng.integers(0, 200, 3000),
@@ -498,16 +489,13 @@ def test_executor_distinct_over_encoded_columns_is_in_key_order():
             db.load_table("e", edges)
             db.load_table("r", {"v": np.arange(200), "rep": reps // 7 * 7})
             relation = db.execute(sql).relation
-            results[encode_columns] = (
-                relation, db.stats.hash_distincts, db.stats.motion_bytes)
-    (encoded, hashes, motion), (plain, plain_hashes, plain_motion) = \
-        results[True], results[False]
-    assert encoded.column("x").codes is not None and hashes == 0
-    assert plain.column("x").codes is None and plain_hashes == 1
+            results[encode_columns] = (relation, db.stats.motion_bytes)
+    (encoded, motion), (plain, plain_motion) = results[True], results[False]
+    assert encoded.column("x").codes is not None
+    assert plain.column("x").codes is None
     assert motion == plain_motion
     rows = encoded.rows()
-    assert rows == sorted(rows) == sorted(plain.rows())
-    assert plain.rows() != rows  # first-occurrence order is another order
+    assert rows == sorted(rows) == plain.rows()
 
 
 # ---------------------------------------------------------------------------

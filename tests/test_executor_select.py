@@ -179,6 +179,51 @@ def test_distinct(db):
     assert sorted(r[0] for r in rows) == [1, 2, 3]
 
 
+def test_distinct_keeps_repeated_display_names(db):
+    """Two projected columns of one name keep it under DISTINCT, as they
+    do without it and as sqlite reports them."""
+    sql = "select{} a.v1, b.v1 from e a, e b where a.v1 = b.v1"
+    for distinct in ("", " distinct"):
+        relation = db.execute(sql.format(distinct)).relation
+        assert relation.display_names == ["v1", "v1"]
+    assert db.execute(sql.format(" distinct")).rows() == \
+        [(1, 1), (2, 2), (3, 3)]
+
+
+def test_distinct_ctas_refuses_duplicate_column_names(db):
+    """CREATE TABLE AS over a DISTINCT with a repeated name fails like the
+    same statement without DISTINCT, instead of storing a renamed
+    column."""
+    for distinct in ("", "distinct "):
+        with pytest.raises(PlanError, match="duplicate column names"):
+            db.execute(f"create table v as select {distinct}a.v1, b.v1 "
+                       f"from e a, e b where a.v1 = b.v1")
+        assert "v" not in db.catalog
+
+
+def test_null_text_groups_whatever_their_storage_holds():
+    """A stored LEFT JOIN output keeps other rows' text under its NULLs:
+    they are one NULL all the same, for DISTINCT and GROUP BY alike."""
+    from .sqlite_oracle import tee
+
+    with tee(Database()) as db:
+        db.execute("create table s (k int64, s text)")
+        db.execute("insert into s values (1, 'b'), (2, null), (3, 'a'), "
+                   "(4, null), (5, 'c')")
+        db.execute("create table t (k int64, x int64)")
+        db.execute("insert into t values (1, 0), (7, 1), (3, 0), (9, 0), "
+                   "(2, 1), (4, 0), (8, 0)")
+        db.execute("create table u as select s.s s, t.x x from t "
+                   "left join s on (t.k = s.k)")
+        stored = db.table("u").column("s")
+        assert len(set(stored.values[stored.mask].tolist())) > 1
+        compared = db.oracle.compared
+        assert db.execute("select distinct s, x from u").rows() == \
+            [("a", 0), ("b", 0), (None, 0), (None, 1)]
+        db.execute("select s, x, count(*) from u group by s, x")
+        assert db.oracle.compared == compared + 2
+
+
 def test_union_all(db):
     result = db.execute(
         "select v1, v2 from e union all select v2, v1 from e"

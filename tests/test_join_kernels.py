@@ -492,7 +492,6 @@ def test_composite_keys_whose_spans_overflow_rank_jointly():
     # Each column ranks as min 0, zero 1, max 2: a row's word is 3a + b.
     assert left.tolist() == [6, 2, 4, 6]
     assert right.tolist() == [2, 6, 4]
-    assert operators.pack_keys([[extremes, other]], rank=False) is None
     # Two offsets fold to ~2^61, and a third column would carry the words
     # past 2^62: the packed prefix is ranked first, so the words keep the
     # rows' lexicographic order.

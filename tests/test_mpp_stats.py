@@ -301,8 +301,8 @@ def test_stats_deltas_do_not_depend_on_the_segment_count():
 
 def test_bump_rejects_unknown_counters():
     db = Database()
-    db.stats.bump("hash_distincts", 3)
-    assert db.stats.hash_distincts == 3
+    db.stats.bump("group_sorts_skipped", 3)
+    assert db.stats.group_sorts_skipped == 3
     with pytest.raises(ValueError, match="unknown counter"):
         db.stats.bump("not_a_counter")
 

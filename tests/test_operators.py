@@ -15,19 +15,19 @@ from repro.sqlengine import operators
 from repro.sqlengine.operators import (
     CACHE_KERNEL_MIN_ROWS,
     NO_MATCH,
-    _hash_distinct_int,
     build_key_index,
     distinct_rows,
     group_rows,
     join_indices,
     left_join_indices,
-    pack_keys,
     sorted_group_rows,
     sorted_lookup,
     stable_argsort,
 )
 from repro.sqlengine.types import Column
 
+from .distinct_reference import (record_branches, reference_rows,
+                                 row_tokens)
 from .join_reference import merge_join_indices
 
 small_ints = st.integers(min_value=0, max_value=8)
@@ -143,25 +143,24 @@ def test_group_rows_empty():
     assert order.shape[0] == 0 and starts.shape[0] == 0
 
 
+def distinct_lists(columns, rows=None) -> list[list]:
+    return [col.to_list() for col in distinct_rows(columns, rows)]
+
+
 @given(key_lists)
 def test_distinct_matches_python_set(keys):
-    column = int_column(keys)
-    kept = distinct_rows([column])
-    assert sorted(column.values[kept].tolist()) == sorted(set(keys))
+    assert distinct_lists([int_column(keys)]) == [sorted(set(keys))]
 
 
 def test_distinct_multi_column():
     a = int_column([1, 1, 2, 1])
     b = int_column([1, 2, 1, 1])
-    kept = distinct_rows([a, b])
-    pairs = {(int(a.values[i]), int(b.values[i])) for i in kept.tolist()}
-    assert pairs == {(1, 1), (1, 2), (2, 1)}
+    assert distinct_lists([a, b]) == [[1, 1, 2], [1, 2, 1]]
 
 
 def test_distinct_treats_nulls_as_equal():
     a = int_column([5, 5, 5], mask_positions=[0, 2])
-    kept = distinct_rows([a])
-    assert kept.shape[0] == 2  # one NULL row + one 5 row
+    assert distinct_lists([a]) == [[5, None]]  # one 5 row, one NULL row
 
 
 def test_null_keys_group_together_whatever_their_storage_holds():
@@ -169,7 +168,7 @@ def test_null_keys_group_together_whatever_their_storage_holds():
     (NULL, -1) twice is one key, even with (NULL, 2) stored between."""
     a = int_column([0, 0, 1], mask_positions=[0, 1, 2])
     b = int_column([-1, 2, -1])
-    assert distinct_rows([a, b]).tolist() == [0, 1]
+    assert distinct_lists([a, b]) == [[None, None], [-1, 2]]
     _, starts = group_rows([a, b])
     assert starts.shape[0] == 2
 
@@ -313,77 +312,37 @@ def test_join_ignores_index_when_nulls_were_filtered():
     assert sorted(zip(l_idx.tolist(), r_idx.tolist())) == [(1, 1), (2, 2)]
 
 
-def reference_distinct(columns):
-    """The retained sort-based reference: first row of each lexsort group,
-    in ascending row order (the kernels' documented output order)."""
-    order, starts = sorted_group_rows(columns)
-    return np.sort(order[starts]) if order.size else order
-
-
 @given(any_keys)
 def test_distinct_agrees_with_reference(keys):
     column = int_column(keys)
-    expected = reference_distinct([column])
-    got = distinct_rows([column])
-    assert np.array_equal(got, expected)
+    assert row_tokens(distinct_rows([column])) == reference_rows([column])
 
 
 def test_distinct_text_fallback():
     col = Column(np.array(["b", "a", "b", "c", "a"], dtype=object), "text")
-    kept = distinct_rows([col])
-    assert sorted(col.values[kept].tolist()) == ["a", "b", "c"]
+    assert distinct_lists([col]) == [["a", "b", "c"]]
 
 
 @given(any_keys, dense_keys)
 def test_multi_column_distinct_agrees_with_reference(a_keys, b_keys):
     n = min(len(a_keys), len(b_keys))
     a, b = int_column(a_keys[:n]), int_column(b_keys[:n])
-    assert np.array_equal(distinct_rows([a, b]), reference_distinct([a, b]))
-
-
-@given(sparse_keys, sparse_keys)
-def test_unpackable_pair_distinct_uses_hash_kernel(a_keys, b_keys):
-    """Two full-range sparse columns defeat pair packing; the hash kernel
-    must still match the lexsort reference exactly."""
-    n = min(len(a_keys), len(b_keys))
-    a, b = int_column(a_keys[:n]), int_column(b_keys[:n])
-    note: list = []
-    got = distinct_rows([a, b], note=note)
-    assert np.array_equal(got, reference_distinct([a, b]))
-    if n and pack_keys([[a.values, b.values]], rank=False) is None:
-        assert note == ["hash"]
+    assert row_tokens(distinct_rows([a, b])) == reference_rows([a, b])
 
 
 @given(dense_keys, dense_keys, dense_keys)
 def test_three_column_distinct_agrees_with_reference(a_keys, b_keys, c_keys):
     n = min(len(a_keys), len(b_keys), len(c_keys))
     columns = [int_column(k[:n]) for k in (a_keys, b_keys, c_keys)]
-    note: list = []
-    got = distinct_rows(columns, note=note)
-    assert np.array_equal(got, reference_distinct(columns))
-    if n:
-        assert note == ["hash"]
+    assert row_tokens(distinct_rows(columns)) == reference_rows(columns)
 
 
-@given(any_keys)
-def test_hash_distinct_kernel_agrees_on_single_column(keys):
-    """The hash kernel itself (bypassing dispatch) on one column."""
-    if not keys:
-        return
-    values = np.asarray(keys, dtype=np.int64)
-    got = _hash_distinct_int([values])
-    assert np.array_equal(got, reference_distinct([int_column(keys)]))
-
-
-def test_hash_distinct_duplicate_heavy_and_negative_keys():
+def test_distinct_duplicate_heavy_and_negative_keys():
     rng = np.random.default_rng(7)
     base = rng.integers(-(2 ** 62), 2 ** 62, 50)
-    a = base[rng.integers(0, 50, 5000)]
-    b = base[rng.integers(0, 50, 5000)]
-    got = _hash_distinct_int([a, b])
-    assert np.array_equal(
-        got, reference_distinct([int_column(a), int_column(b)])
-    )
+    a = int_column(base[rng.integers(0, 50, 5000)])
+    b = int_column(base[rng.integers(0, 50, 5000)])
+    assert row_tokens(distinct_rows([a, b])) == reference_rows([a, b])
 
 
 @given(any_keys)
@@ -553,32 +512,142 @@ def test_merge_probe_agrees_with_reference(n):
                 assert_same_pairs(got, merge_join_indices([lcol], [rcol]))
 
 
-@pytest.mark.parametrize("n_columns", (1, 2, 3))
-@pytest.mark.parametrize("hash_bits", (4, 12, 20, 64))
-def test_hash_distinct_settles_prefix_collisions(monkeypatch, hash_bits,
-                                                 n_columns):
-    """With the hash cut to its top few bits different keys share a prefix
-    all the time; the kernel must still keep exactly the reference rows."""
-    real = operators.hash64
-    low_bits = np.uint64((1 << (64 - hash_bits)) - 1)
-    monkeypatch.setattr(operators, "hash64", lambda v: real(v) & ~low_bits)
-    rng = np.random.default_rng(hash_bits * 10 + n_columns)
-    for n in (1, 2, 3, 50, 5000):
-        distinct = max(n // 3, 1)
-        pick = rng.integers(0, distinct, size=n)
-        arrays = [
-            (_full_range(rng, distinct) >> np.int64(rng.integers(60)))[pick]
-            for _ in range(n_columns)
-        ]
-        if n_columns > 1:
-            # Keys that differ in one column only.
-            arrays[-1] = rng.integers(0, 3, size=n)
-        note: list = []
-        got = _hash_distinct_int(arrays, note)
-        assert note == ["hash"]
-        assert np.array_equal(
-            got, reference_distinct([int_column(a) for a in arrays])
-        ), (hash_bits, n_columns, n)
+# ---------------------------------------------------------------------------
+# DISTINCT: one kernel and one row order, against the sorted row set
+# ---------------------------------------------------------------------------
+
+#: A dictionary of 512 entries: codes into it need 9 bits, so eight
+#: columns of them overflow a word and no ranking can shrink them.
+WIDE_DICTIONARY = np.arange(512, dtype=np.int64) * 7 - 1000
+FLOAT_VALUES = (0.0, -0.0, float("nan"), 1.5, -2.0)
+TEXT_VALUES = ("", "a", "ab", "b")
+INT_ELEMENTS = (st.integers(-5, 5), st.integers(I64.min, I64.max))
+
+
+def _encoded(values) -> Column:
+    dictionary, codes = np.unique(np.asarray(values, dtype=np.int64),
+                                  return_inverse=True)
+    return Column.encoded(codes.astype(np.int64), dictionary)
+
+
+@st.composite
+def distinct_inputs(draw):
+    """``(columns, rows)``: one to three integer columns, each plain or
+    encoded, dense or full-range; eight or nine encoded columns too wide
+    to pack; or a key with NULLs, floats or text — and the positions a
+    WHERE kept, or ``None``."""
+    n = draw(st.integers(0, 30))
+
+    def drawn(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    def int_key():
+        values = drawn(draw(st.sampled_from(INT_ELEMENTS)))
+        return _encoded(values) if draw(st.booleans()) \
+            else int_column(values)
+
+    shape = draw(st.sampled_from(("ints", "wide", "nulls", "floats",
+                                  "text")))
+    if shape == "ints":
+        columns = [int_key() for _ in range(draw(st.integers(1, 3)))]
+    elif shape == "wide":
+        columns = [Column.encoded(np.asarray(drawn(st.integers(0, 511)),
+                                             dtype=np.int64), WIDE_DICTIONARY)
+                   for _ in range(draw(st.integers(8, 9)))]
+    elif shape == "nulls":
+        nulls = drawn(st.booleans())
+        nullable = int_column(drawn(st.integers(-3, 3)), mask_positions=[
+            i for i, null in enumerate(nulls) if null])
+        columns = [int_key() for _ in range(draw(st.integers(0, 2)))]
+        columns.insert(draw(st.integers(0, len(columns))), nullable)
+    elif shape == "floats":
+        columns = [Column.from_values(np.array(
+            drawn(st.sampled_from(FLOAT_VALUES)), dtype=np.float64))
+            for _ in range(draw(st.integers(1, 2)))]
+        columns += [int_key() for _ in range(draw(st.integers(0, 1)))]
+    else:
+        nulls = np.array(drawn(st.booleans()), dtype=bool)
+        text = Column(np.array(drawn(st.sampled_from(TEXT_VALUES)),
+                               dtype=object), "text", nulls)
+        columns = [text] + [int_key() for _ in range(draw(st.integers(0, 1)))]
+    rows = np.flatnonzero(drawn(st.booleans())) if draw(st.booleans()) \
+        else None
+    return columns, rows
+
+
+@given(distinct_inputs())
+def test_distinct_rows_is_the_sorted_row_set(case):
+    """Whatever the branch, the output is the reference: the distinct
+    rows at ``rows`` in ascending key order, NULLs last, each NaN row
+    kept apart — as columns of the input's types and forms, with the
+    input's storage left as it was."""
+    columns, rows = case
+    stored = [(col.storage.copy(), col.mask) for col in columns]
+    got = distinct_rows(columns, rows)
+    assert row_tokens(got) == reference_rows(columns, rows)
+    for out, col in zip(got, columns):
+        assert out.sql_type == col.sql_type
+        assert out.dictionary is col.dictionary
+    for col, (storage, mask) in zip(columns, stored):
+        assert np.array_equal(col.storage, storage,
+                              equal_nan=storage.dtype.kind == "f")
+        assert col.mask is mask
+
+
+def _branch_keys(rng) -> dict:
+    """3000-row key columns of every shape a branch serves."""
+    n = 3000
+    small = rng.integers(-40, 40, n)
+    pool = np.concatenate([[I64.min, I64.max], _full_range(rng, 60)])
+    full = pool[rng.integers(0, pool.shape[0], n)]
+    other = pool[rng.integers(0, pool.shape[0], n)]
+    mask = rng.random(n) < 0.2
+    return {
+        "small": small, "full": full, "other": other, "mask": mask,
+        "floats": rng.choice(np.array(FLOAT_VALUES), n),
+        "text": np.array(rng.choice(TEXT_VALUES, n), dtype=object),
+        "wide": [rng.integers(0, 512, n) for _ in range(8)],
+    }
+
+
+#: name -> (the key columns, the branch they take).
+BRANCH_CASES = {
+    "codes-pair": (lambda k: [_encoded(k["full"]), _encoded(k["small"])],
+                   "packed-codes"),
+    "dense-plain-and-codes": (
+        lambda k: [int_column(k["small"]), _encoded(k["full"])],
+        "packed-offsets"),
+    "sparse-single": (lambda k: [int_column(k["full"] >> 2)],
+                      "packed-offsets"),
+    "full-range-single": (lambda k: [int_column(k["full"])], "ranked"),
+    "full-range-pair": (
+        lambda k: [int_column(k["full"]), int_column(k["other"])], "ranked"),
+    "full-range-and-codes": (
+        lambda k: [_encoded(k["small"]), int_column(k["full"])], "ranked"),
+    "wide-codes": (lambda k: [Column.encoded(codes, WIDE_DICTIONARY)
+                              for codes in k["wide"]], "grouped"),
+    "nulls": (lambda k: [int_column(k["small"],
+                                    np.flatnonzero(k["mask"]).tolist()),
+                         int_column(k["full"])], "grouped"),
+    "floats": (lambda k: [Column.from_values(k["floats"])], "grouped"),
+    "text": (lambda k: [Column(k["text"], "text"), int_column(k["small"])],
+             "grouped"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRANCH_CASES))
+def test_each_branch_serves_its_keys(monkeypatch, case):
+    """Each key shape takes its branch — codes packed as they are, plain
+    offsets, plain columns ranked when the offsets overflow a word, and
+    every other key grouped — with and without ``rows``, and the output
+    is the reference's."""
+    make, branch = BRANCH_CASES[case]
+    columns = make(_branch_keys(np.random.default_rng(len(case))))
+    taken = record_branches(monkeypatch)
+    for rows in (None, np.arange(0, len(columns[0]), 3)):
+        got = distinct_rows(columns, rows)
+        assert row_tokens(got) == reference_rows(columns, rows), rows
+    assert taken == [branch, branch]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 
@@ -45,27 +47,47 @@ def test_repro_imports_itself_only_relatively():
     assert offenders == []
 
 
-def test_interleaved_ab_of_a_tree_against_itself(capsys):
+@pytest.fixture()
+def perf_ab():
+    """``scripts/perf_ab.py`` with this tree imported a second time as its
+    base package, which is unloaded afterwards."""
+    spec = importlib.util.spec_from_file_location(
+        "perf_ab", ROOT / "scripts" / "perf_ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    try:
+        module.import_base(ROOT)
+        yield module
+    finally:
+        for name in [name for name in sys.modules
+                     if name.split(".")[0] == module.BASE_PACKAGE]:
+            del sys.modules[name]
+
+
+def test_interleaved_ab_of_a_tree_against_itself(perf_ab, capsys):
     """An A/A at a small scale: the tree imported a second time as the
     base package runs its own module objects, and both sides store the
     same result tables on every run."""
     import repro.sqlengine
 
-    spec = importlib.util.spec_from_file_location(
-        "perf_ab", ROOT / "scripts" / "perf_ab.py")
-    perf_ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(perf_ab)
-    try:
-        perf_ab.import_base(ROOT)
-        base = importlib.import_module(f"{perf_ab.BASE_PACKAGE}.sqlengine")
-        assert base.Database is not repro.sqlengine.Database
-        assert perf_ab.run_interleaved("small_2k", pairs=2, seed=3,
-                                       scale=0.05)
-    finally:
-        for name in [name for name in sys.modules
-                     if name.split(".")[0] == perf_ab.BASE_PACKAGE]:
-            del sys.modules[name]
+    base = importlib.import_module(f"{perf_ab.BASE_PACKAGE}.sqlengine")
+    assert base.Database is not repro.sqlengine.Database
+    assert perf_ab.run_interleaved("small_2k", pairs=2, seed=3, scale=0.05)
     out = capsys.readouterr().out
     assert "small_2k change wins" in out
     assert "small_2k stage contract" in out
     assert "result tables identical on every run: True" in out
+
+
+def test_grid_ab_of_a_tree_against_itself(perf_ab, capsys):
+    """The Table III grid A/A at a tiny scale: every cell of both sides
+    agrees on its labels, statements and bytes — the path dataset's HM and
+    CR cells by failing alike — and every algorithm gets its totals."""
+    assert perf_ab.run_grid(pairs=1, scale=0.01,
+                            datasets=["candels10", "path100m"])
+    out = capsys.readouterr().out
+    assert "grid path100m          hm       did not finish" in out
+    for name in perf_ab.GRID_ALGORITHMS:
+        assert f"grid total {name:<8} change" in out
+    assert "grid candels10         HM/RC" in out
+    assert "grid cells identical on every round: True" in out

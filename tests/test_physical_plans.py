@@ -24,6 +24,7 @@ import pytest
 from repro.sqlengine import Database
 from repro.sqlengine.plancache import normalize_statement
 
+from .distinct_reference import record_branches
 from .sqlite_oracle import tee
 
 
@@ -245,7 +246,7 @@ def test_fused_distinct_matches_materialising_pipeline(query):
 
 
 def _record_distinct_rows(monkeypatch) -> list:
-    """Spy on the executor's calls of ``operators.distinct_encoded``:
+    """Spy on the executor's calls of ``operators.distinct_rows``:
     ``(statement, rows)`` per call — the statement being the label's last
     part, ``rows`` the positions the DISTINCT was handed (``None``: every
     row of its input)."""
@@ -254,7 +255,7 @@ def _record_distinct_rows(monkeypatch) -> list:
     calls: list = []
     current = {"statement": ""}
     execute = Database.execute
-    distinct_encoded = executor_module.distinct_encoded
+    distinct_rows = executor_module.distinct_rows
 
     def labelled_execute(db, sql, label=""):
         current["statement"] = label.rsplit(":", 1)[-1]
@@ -262,10 +263,10 @@ def _record_distinct_rows(monkeypatch) -> list:
 
     def recording(columns, rows=None):
         calls.append((current["statement"], rows))
-        return distinct_encoded(columns, rows)
+        return distinct_rows(columns, rows)
 
     monkeypatch.setattr(Database, "execute", labelled_execute)
-    monkeypatch.setattr(executor_module, "distinct_encoded", recording)
+    monkeypatch.setattr(executor_module, "distinct_rows", recording)
     return calls
 
 
@@ -304,9 +305,10 @@ def test_contract_and_relink_hand_distinct_positions(monkeypatch):
             algorithm.run(db, "edges", seed=5)
         handed = [rows for name, rows in calls
                   if name == statement and rows is not None]
-        assert handed, (algorithm.name, statement)
+        assert any(rows.shape[0] for rows in handed), \
+            (algorithm.name, statement)
         for rows in handed:
-            assert rows.dtype.kind == "i" and rows.shape[0]
+            assert rows.dtype.kind == "i"
             assert bool((rows[1:] > rows[:-1]).all())
 
 
@@ -633,12 +635,12 @@ def test_rc_random_reals_round_loop_fuses_join_group_by():
     assert db.stats.join_chain_fusions > 0
 
 
-def test_rc_fast_variant_round_loop_distinct_runs_on_codes():
+def test_rc_fast_variant_round_loop_distinct_runs_on_codes(monkeypatch):
     """The fast variant's contract DISTINCT pairs two gathers of
     ``reps.rep``: both arrive dictionary-encoded over one dictionary, so
-    the packed-code kernel serves every round — in key order, which the
-    next round's ``reps`` GROUP BY finds already sorted — and the hash
-    kernel, the fallback for plain 64-bit pairs, none."""
+    every round's DISTINCT packs codes — in key order, which the next
+    round's ``reps`` GROUP BY finds already sorted — and never ranks or
+    groups a plain 64-bit value."""
     from repro.core import RandomisedContraction
     from repro.graphs import gnm_random_graph
     from repro.graphs.io import load_edges_into
@@ -646,8 +648,9 @@ def test_rc_fast_variant_round_loop_distinct_runs_on_codes():
     edges = gnm_random_graph(400, 700, np.random.default_rng(33))
     db = Database(n_segments=4)
     load_edges_into(db, "edges", edges)
+    taken = record_branches(monkeypatch)
     result = RandomisedContraction().run(db, "edges", seed=5)
-    assert db.stats.hash_distincts == 0
+    assert taken == ["packed-codes"] * result.rounds
     # Every round but the first groups a DISTINCT's output.
     assert db.stats.group_sorts_skipped >= result.rounds - 1
 
@@ -903,17 +906,19 @@ def test_rc_deterministic_space_compositions_keep_every_label_row(
     assert contractions == [True] * (2 * result.rounds)
 
 
-def test_hash_distinct_serves_plain_sparse_pairs():
-    """Plain 64-bit pairs whose spans defeat pair packing — a DISTINCT
-    straight over stored field values — still take the hash kernel."""
+def test_plain_sparse_pairs_are_ranked_into_key_order(monkeypatch):
+    """Plain 64-bit pairs whose offsets overflow a word — a DISTINCT
+    straight over stored field values — rank their values first, and
+    come out in key order like every DISTINCT."""
     rng = np.random.default_rng(3)
     a = rng.integers(-(2 ** 62), 2 ** 62, 40)[rng.integers(0, 40, 400)]
     b = rng.integers(-(2 ** 62), 2 ** 62, 40)[rng.integers(0, 40, 400)]
     db = Database(n_segments=4)
     db.load_table("t", {"a": a, "b": b})
+    taken = record_branches(monkeypatch)
     rows = db.execute("select distinct a, b from t").rows()
-    assert db.stats.hash_distincts == 1
-    assert sorted(rows) == sorted(set(zip(a.tolist(), b.tolist())))
+    assert taken == ["ranked"]
+    assert rows == sorted(set(zip(a.tolist(), b.tolist())))
 
 
 # ---------------------------------------------------------------------------

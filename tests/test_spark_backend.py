@@ -10,7 +10,12 @@ from repro.graphs import gnm_random_graph, path_graph, streets_like_graph
 from repro.spark import SparkSQLDatabase
 from repro.spark.engine import SparkExecutor, _partition_ids
 from repro.sqlengine import Database
-from repro.sqlengine.operators import NO_MATCH, join_indices, left_join_indices
+from repro.sqlengine.operators import (
+    NO_MATCH,
+    distinct_rows,
+    join_indices,
+    left_join_indices,
+)
 from repro.sqlengine.types import Column
 
 from .conftest import edge_lists
@@ -151,14 +156,21 @@ def test_partitioned_group_covers_all_rows():
 
 
 def test_partitioned_distinct_matches_plain():
+    """Task by task, then merged: the partitioned DISTINCT is the plain
+    kernel's, row for row — in key order — with and without the
+    positions a WHERE kept."""
     rng = np.random.default_rng(6)
     a = int_column(rng.integers(0, 30, size=2500))
-    b = int_column(rng.integers(0, 30, size=2500))
+    b = int_column(rng.integers(-(2 ** 62), 2 ** 62, size=30)[
+        rng.integers(0, 30, size=2500)])
     executor = make_spark_executor()
-    kept = executor._distinct_kernel([a, b])
-    pairs = {(int(a.values[i]), int(b.values[i])) for i in kept.tolist()}
-    expected = set(zip(a.values.tolist(), b.values.tolist()))
-    assert pairs == expected
+    for rows in (None, np.arange(0, 2500, 3)):
+        tasks = executor.tasks_launched
+        got = executor._distinct_kernel([a, b], rows)
+        assert executor.tasks_launched > tasks + 1
+        expected = distinct_rows([a, b], rows)
+        assert [col.to_list() for col in got] == \
+            [col.to_list() for col in expected]
 
 
 def test_section_viic_shape_spark_is_slower():

@@ -15,9 +15,11 @@ a reason here.
 
 No counter says which join kernel ran.  The *route* registry does: every
 note ``operators.JOIN_ROUTES`` lets the join planner report must be
-reached by the runs above too, or sit in its own allow-list.  Neither
-check depends on the host: the engine starts no thread, so every host
-sees the same counters and notes.
+reached by the runs above too, or sit in its own allow-list.  No counter
+says which branch of the one DISTINCT kernel ran either; a spy does, and
+every branch must be reached the same way.  No check depends on the
+host: the engine starts no thread, so every host sees the same counters,
+notes and branches.
 
 No counter says how many values the contraction's UDF saw either: a spy
 on the GF(2^64) map does, and holds each round to one evaluation of h per
@@ -48,6 +50,8 @@ from repro.sqlengine import executor as executor_module
 from repro.sqlengine.operators import JOIN_ROUTES
 from repro.spark import SparkSQLDatabase
 
+from .distinct_reference import BRANCHES, record_branches
+
 #: Counters no default-configuration run on these graphs can move.
 NO_TRAFFIC_EXPECTED = {
     "physical_plan_invalidations":
@@ -63,6 +67,16 @@ NO_ROUTE_TRAFFIC_EXPECTED = {
 }
 
 
+#: DISTINCT branches no default-configuration run reaches.
+NO_BRANCH_TRAFFIC_EXPECTED = {
+    "grouped":
+        "NULL, float and text keys, and integer keys too wide to pack even "
+        "ranked: every reproduced algorithm DISTINCTs NULL-free int64 "
+        "columns, which pack, ranked at worst (tests/test_operators.py and "
+        "the differential fuzz reach it)",
+}
+
+
 def _configurations():
     random_graph = gnm_random_graph(3000, 6000, np.random.default_rng(7))
     path = path_graph(1500)
@@ -75,7 +89,7 @@ def _configurations():
                           random_graph.dst * 1_000_003 + 2 ** 40)
     configs = {cls.__name__: cls for cls in set(ALGORITHMS.values())}
     # The Spark model keeps no encoded column: its contraction's DISTINCT
-    # over sparse 64-bit pairs is the hash kernel's one caller.
+    # over sparse 64-bit pairs ranks them.
     yield "rc-spark/gnm", RandomisedContraction, random_graph, \
         SparkSQLDatabase
     configs.update({
@@ -105,10 +119,13 @@ def _configurations():
             yield f"{name}/{graph_name}", factory, edges, Database
 
 
-def _run_everything(monkeypatch) -> tuple[set, set]:
+def _run_everything(monkeypatch) -> tuple[set, set, dict]:
     """Run every configuration on a default ``Database()``; returns the
-    counters that moved and the join-route notes reported."""
+    counters that moved, the join-route notes reported and the DISTINCT
+    branches each run took."""
     notes: set[str] = set()
+    branches: dict[str, set] = {}
+    taken = record_branches(monkeypatch)
     dispatch_join = executor_module.Executor._dispatch_join
 
     def recording_dispatch(self, left_outer, left_keys, right_keys,
@@ -123,6 +140,7 @@ def _run_everything(monkeypatch) -> tuple[set, set]:
                         recording_dispatch)
     moved: set[str] = set()
     for run_name, factory, edges, database in _configurations():
+        taken.clear()
         with database() as db:
             load_edges_into(db, "edges", edges)
             result = factory().run(db, "edges", seed=5)
@@ -130,7 +148,8 @@ def _run_everything(monkeypatch) -> tuple[set, set]:
             snapshot = db.stats.snapshot()
         moved.update(name for name in stats.COUNTERS
                      if getattr(snapshot, name))
-    return moved, notes
+        branches[run_name] = set(taken)
+    return moved, notes, branches
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +163,7 @@ def test_every_counter_sees_traffic_from_some_algorithm(default_traffic):
     assert stats.RETIRED <= set(stats.COUNTERS)
     assert not stats.RETIRED & set(NO_TRAFFIC_EXPECTED)
     assert all(NO_TRAFFIC_EXPECTED.values())  # one reason per name
-    seen, _ = default_traffic
+    seen, _, _ = default_traffic
     assert seen & stats.RETIRED == set(), "a retired counter moved"
     allowed = set(NO_TRAFFIC_EXPECTED) | stats.RETIRED
     assert set(stats.COUNTERS) - seen - allowed == set(), (
@@ -157,7 +176,7 @@ def test_every_join_route_is_reached_by_some_algorithm(default_traffic):
     notes = set(JOIN_ROUTES.values())
     assert set(NO_ROUTE_TRAFFIC_EXPECTED) <= notes
     assert all(NO_ROUTE_TRAFFIC_EXPECTED.values())  # one reason per name
-    _, seen = default_traffic
+    _, seen, _ = default_traffic
     # The planner reports nothing outside its registry ...
     assert seen <= notes
     # ... and nothing in it goes unused without a stated reason.
@@ -172,11 +191,32 @@ def test_tableless_routes_are_reached_without_an_allow_list_entry(
     """Each round's ``reps.v`` on the path fills its key domain — round 1's
     ids, later rounds' dictionary codes — so the default runs reach both
     routes that skip the direct-address table."""
-    _, seen = default_traffic
+    _, seen, _ = default_traffic
     tableless = {JOIN_ROUTES["dense-offset"],
                  JOIN_ROUTES["dictionary-identity"]}
     assert tableless <= seen
     assert not tableless & set(NO_ROUTE_TRAFFIC_EXPECTED)
+
+
+def test_every_distinct_branch_is_reached_by_some_algorithm(
+        default_traffic):
+    """Codes pack in every RC variant's contraction, plain offsets in the
+    baselines' DISTINCTs, and the Spark model's plain 64-bit pairs are
+    ranked; every other branch has a stated reason."""
+    _, _, branches = default_traffic
+    assert set(NO_BRANCH_TRAFFIC_EXPECTED) <= set(BRANCHES)
+    assert all(NO_BRANCH_TRAFFIC_EXPECTED.values())  # one reason per name
+    seen = set().union(*branches.values())
+    assert seen <= set(BRANCHES)
+    assert set(BRANCHES) - seen - set(NO_BRANCH_TRAFFIC_EXPECTED) == set(), (
+        "DISTINCT branches no algorithm reaches: delete the branch or list "
+        "a reason")
+    assert seen & set(NO_BRANCH_TRAFFIC_EXPECTED) == set()
+    rc_runs = [name for name in branches
+               if name.startswith(("RandomisedContraction/", "rc-"))
+               and not name.startswith("rc-spark")]
+    assert all("packed-codes" in branches[name] for name in rc_runs)
+    assert "ranked" in branches["rc-spark/gnm"]
 
 
 #: G(70k, 140k): the spied fast-variant run's graph size.
