@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-unit fuzz bench bench-quick perf perf-aa perf-ab grid-ab perf-4m size clean
+.PHONY: test test-unit fuzz bench bench-quick perf perf-aa perf-ab grid-ab perf-4m size key-forms clean
 
 ## tier-1: the full unit + benchmark collection, fail-fast
 test:
@@ -69,6 +69,11 @@ size:
 	@echo "executor.py lines: $$(wc -l < src/repro/sqlengine/executor.py)"
 	@echo "stats.COUNTERS:    $$($(PYTHON) -c 'from repro.sqlengine import stats; print(len(stats.COUNTERS), "(retired:", len(stats.RETIRED), end=")")')"
 	@echo "join routes:       $$($(PYTHON) -c 'from repro.sqlengine import operators; print(len(operators.JOIN_ROUTES))')"
+
+## the key forms (codes or plain) and the route of every join, DISTINCT,
+## GROUP BY and UDF domain of every shipped algorithm (~5 s)
+key-forms:
+	$(PYTHON) scripts/key_forms.py
 
 # benchmarks/results is regenerated scratch output.
 clean:

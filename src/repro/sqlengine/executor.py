@@ -13,6 +13,16 @@ re-validated against table schemas, and re-executed with only parameter
 patching — the per-round statements of the reproduced algorithms stop
 paying any planning cost.
 
+The executor reads a core's shape off its
+:class:`~repro.sqlengine.physicalplan.CorePlan` and decides none of it:
+the output's storage names and display names, each output's source (a
+qualified frame column, or an expression it evaluates), the column the
+result is distributed on, the GROUP BY keys' qualified names and the
+aggregate nodes.  The compiler has already rejected, once per template, a
+GROUP BY key that is not a column, ``*`` beside GROUP BY and a column read
+outside the GROUP BY keys and the aggregates; the plan cache's checks
+re-validate every compiled name after each parameter patch.
+
 Join and group execution is *index-aware*.  Base-table frames carry
 provenance (``Frame.sources``): as long as a frame is an unfiltered scan of
 a stored table, its columns are traceable back to that table, and keyed
@@ -111,47 +121,32 @@ import numpy as np
 from .ast_nodes import (
     Aggregate,
     AlterRename,
-    BinaryOp,
-    CaseWhen,
     ColumnRef,
     CreateTable,
     CreateTableAs,
     DropTable,
     Expression,
-    FuncCall,
-    InList,
     InsertSelect,
     InsertValues,
-    IsNull,
     Select,
-    SelectCore,
-    SelectItem,
-    Star,
     Statement,
     TruncateTable,
-    UnaryOp,
 )
 from .errors import CatalogError, ExecutionError, PlanError
-from .expressions import (
-    AMBIGUOUS,
-    Environment,
-    collect_aggregates,
-    evaluate,
-    truth_values,
-)
+from .expressions import AMBIGUOUS, Environment, evaluate, truth_values
 from .functions import FunctionRegistry
 from .mpp import Cluster
 from .operators import (
     NO_MATCH,
     DirectGroups,
     KeyIndex,
+    _reduce_slice,
     direct_group_rows,
     distinct_rows,
     group_rows,
     pad_left_outer,
     plan_join,
 )
-from .parallel import AggregateSpec, _reduce_slice
 from .physicalplan import (
     CorePlan,
     JoinStepPlan,
@@ -849,15 +844,17 @@ class Executor:
                         display_names=list(first.display_names))
 
     def _run_core(self, plan: CorePlan) -> Relation:
-        core = plan.core
         frame, rows = self._execute_from(plan)
         if plan.is_aggregate:
-            relation = self._aggregate(core, frame)
+            columns, env = self._aggregate(plan, frame)
         else:
-            relation = self._project(core, frame)
+            columns = frame.columns
+            env = Environment(frame.env_columns(), frame.length,
+                              self.registry)
+        relation = self._project(plan, columns, env)
         if plan.fused:
             self.stats.bump("fused_pipelines")
-        if core.distinct:
+        if plan.core.distinct:
             relation = self._distinct(relation, rows)
         return relation
 
@@ -959,13 +956,8 @@ class Executor:
             return Frame(columns, {binding: list(scan.columns)}, table.n_rows,
                          scan.distribution, sources)
         relation = self.run_select(scan.item.select, scan.subplan)
-        if tuple(relation.names) != scan.columns:
-            raise ExecutionError(
-                f"subquery {binding!r} produced columns {relation.names}, "
-                f"planned {list(scan.columns)}"
-            )
-        columns = {f"{binding}.{n}": relation.columns[n] for n in relation.names}
-        return Frame(columns, {binding: list(relation.names)}, relation.n_rows,
+        columns = {f"{binding}.{n}": relation.columns[n] for n in scan.columns}
+        return Frame(columns, {binding: list(scan.columns)}, relation.n_rows,
                      scan.distribution)
 
     def _kept_rows(
@@ -989,23 +981,6 @@ class Executor:
         rows = self._kept_rows(frame, predicates)
         return frame if rows is None else frame.take(rows)
 
-    def _qualified(self, ref: ColumnRef, frame: Frame) -> str:
-        if ref.table is not None:
-            key = f"{ref.table}.{ref.name}"
-            if key not in frame.columns:
-                raise PlanError(f"unknown column {ref.display()!r}")
-            return key
-        candidates = [
-            f"{binding}.{ref.name}"
-            for binding, cols in frame.bindings.items()
-            if ref.name in cols
-        ]
-        if not candidates:
-            raise PlanError(f"unknown column {ref.name!r}")
-        if len(candidates) > 1:
-            raise PlanError(f"ambiguous column {ref.name!r}")
-        return candidates[0]
-
     def _charge_motion(self, n_bytes: int, n_rows: int,
                        colocated: bool) -> None:
         """Account the data motion that co-locates one keyed operator's
@@ -1026,79 +1001,45 @@ class Executor:
 
     # -- projection / aggregation / distinct -------------------------------
 
-    def _output_name(self, item: SelectItem, position: int) -> str:
-        if item.alias:
-            return item.alias
-        if isinstance(item.expr, ColumnRef):
-            return item.expr.name
-        return f"column{position + 1}"
+    def _project(self, plan: CorePlan, columns: dict[str, Column],
+                 env: Environment) -> Relation:
+        """The core's output relation, shaped as its plan says: each output
+        reads its qualified source out of ``columns`` or evaluates its
+        expression in ``env`` — the joined frame's, or above a GROUP BY
+        the groups'."""
+        out = {
+            name: columns[source] if isinstance(source, str)
+            else evaluate(source, env)
+            for name, source in zip(plan.out_names, plan.sources)
+        }
+        return Relation(list(plan.out_names), out, plan.out_distribution,
+                        display_names=list(plan.display_names))
 
-    def _project(self, core: SelectCore, frame: Frame) -> Relation:
-        env = Environment(frame.env_columns(), frame.length, self.registry)
-        names: list[str] = []
-        display: list[str] = []
-        columns: dict[str, Column] = {}
-        qualified_by_output: dict[str, str] = {}
-        position = 0
-
-        def key_for(name: str) -> str:
-            return name if name not in columns else f"{name}__{position + 1}"
-
-        for item in core.items:
-            if isinstance(item.expr, Star):
-                for binding, cols in frame.bindings.items():
-                    for col in cols:
-                        key = key_for(col)
-                        names.append(key)
-                        display.append(col)
-                        columns[key] = frame.columns[f"{binding}.{col}"]
-                        qualified_by_output[key] = f"{binding}.{col}"
-                        position += 1
-                continue
-            name = self._output_name(item, position)
-            key = key_for(name)
-            columns[key] = evaluate(item.expr, env)
-            names.append(key)
-            display.append(name)
-            if isinstance(item.expr, ColumnRef):
-                qualified_by_output[key] = self._qualified(item.expr, frame)
-            position += 1
-        distribution = None
-        for name, qualified in qualified_by_output.items():
-            if qualified in frame.distribution:
-                distribution = name
-                break
-        return Relation(names, columns, distribution, display_names=display)
-
-    def _aggregate(self, core: SelectCore, frame: Frame) -> Relation:
+    def _aggregate(
+        self, plan: CorePlan, frame: Frame
+    ) -> tuple[dict[str, Column], Environment]:
         """GROUP BY (or a global aggregate) over a frame: the one runner.
         Dense keys nothing has sorted yet are reduced by direct addressing;
         any other key is sorted — or found sorted by a cached index — and
         both layouts feed the one reducer,
-        :func:`~repro.sqlengine.parallel._reduce_slice`."""
+        :func:`~repro.sqlengine.operators._reduce_slice`.  Returns the group
+        keys by qualified and bare name, and the environment the outputs
+        are evaluated in: those keys and every aggregate's result."""
         env = Environment(frame.env_columns(), frame.length, self.registry)
-        group_refs: list[ColumnRef] = []
-        for expr in core.group_by:
-            if not isinstance(expr, ColumnRef):
-                raise PlanError("GROUP BY supports plain column references only")
-            group_refs.append(expr)
-        key_columns = [env.lookup(ref) for ref in group_refs]
-        key_names = [self._qualified(ref, frame) for ref in group_refs]
-
-        aggregates: list[Aggregate] = []
-        for item in core.items:
-            collect_aggregates(item.expr, aggregates)
+        key_names = plan.group_keys
+        key_columns = [frame.columns[name] for name in key_names]
 
         direct = None
         presorted = False
         if key_columns:
             group_index = None
-            if len(group_refs) == 1:
+            if len(key_names) == 1:
                 # A group key scanned straight off a stored table uses (and
                 # warms) the table's index cache: the sort performed here is
                 # the same one the round's joins need.
                 group_index = self._stored_index(frame, key_names[0])
-            direct = self._direct_groups(key_columns, group_index, aggregates)
+            direct = self._direct_groups(key_columns, group_index,
+                                         plan.aggregates)
             if direct is not None:
                 order = starts = None
                 n_groups, counts = int(direct.present.shape[0]), direct.counts
@@ -1125,50 +1066,29 @@ class Executor:
             n_groups = 1
             counts = np.array([frame.length])
 
-        agg_results = {
-            node: self._compute_aggregate(node, env, order, starts, counts,
-                                          n_groups, presorted, direct)
-            for node in aggregates
-        }
+        # Equal aggregate nodes are computed once, the first one's way.
+        results: dict[Aggregate, Column] = {}
+        for node in plan.aggregates:
+            if node not in results:
+                results[node] = self._compute_aggregate(
+                    node, env, order, starts, counts, n_groups, presorted,
+                    direct)
 
-        group_env_columns: dict[str, Column] = {}
-        for ref, qualified, column in zip(group_refs, key_names, key_columns):
+        grouped: dict[str, Column] = {}
+        for ref, qualified, column in zip(plan.core.group_by, key_names,
+                                          key_columns):
             if direct is not None:
                 # The occurring slots are the group keys, in the key
                 # column's own form.
-                grouped = column.with_storage(direct.present + direct.low)
+                keys = column.with_storage(direct.present + direct.low)
             elif n_groups:
-                grouped = column.take(order[starts])
+                keys = column.take(order[starts])
             else:
-                grouped = column.take(starts)
-            group_env_columns[qualified] = grouped
-            group_env_columns.setdefault(ref.name, grouped)
-        group_env = Environment(
-            group_env_columns, n_groups, self.registry, aggregates=agg_results
-        )
-
-        names: list[str] = []
-        display: list[str] = []
-        columns: dict[str, Column] = {}
-        qualified_by_output: dict[str, str] = {}
-        for position, item in enumerate(core.items):
-            if isinstance(item.expr, Star):
-                raise PlanError("'*' cannot be combined with GROUP BY")
-            name = self._output_name(item, position)
-            key = name if name not in columns else f"{name}__{position + 1}"
-            self._check_grouped_refs(item.expr, group_refs)
-            columns[key] = evaluate(item.expr, group_env)
-            names.append(key)
-            display.append(name)
-            if isinstance(item.expr, ColumnRef):
-                qualified_by_output[key] = self._qualified(item.expr, frame)
-        distribution = None
-        if key_columns:
-            for name, qualified in qualified_by_output.items():
-                if qualified == key_names[0]:
-                    distribution = name
-                    break
-        return Relation(names, columns, distribution, display_names=display)
+                keys = column.take(starts)
+            grouped[qualified] = keys
+            grouped.setdefault(ref.name, keys)
+        return grouped, Environment(grouped, n_groups, self.registry,
+                                    aggregates=results)
 
     def _direct_groups(
         self,
@@ -1192,35 +1112,6 @@ class Executor:
         ):
             return direct_group_rows(key_columns[0], group_index)
         return None
-
-    def _check_grouped_refs(
-        self, expr: Expression, group_refs: list[ColumnRef]
-    ) -> None:
-        """Reject references to non-grouped columns outside aggregates,
-        through every node kind :func:`collect_aggregates` walks."""
-        if isinstance(expr, ColumnRef):
-            for ref in group_refs:
-                if ref.name == expr.name and (
-                    expr.table is None or ref.table is None or ref.table == expr.table
-                ):
-                    return
-            raise PlanError(
-                f"column {expr.display()!r} must appear in GROUP BY or an aggregate"
-            )
-        if isinstance(expr, BinaryOp):
-            children = [expr.left, expr.right]
-        elif isinstance(expr, (UnaryOp, IsNull, InList)):
-            children = [expr.operand]
-        elif isinstance(expr, FuncCall):
-            children = list(expr.args)
-        elif isinstance(expr, CaseWhen):
-            children = [node for branch in expr.branches for node in branch]
-            if expr.default is not None:
-                children.append(expr.default)
-        else:  # an aggregate, a literal, a parameter
-            return
-        for child in children:
-            self._check_grouped_refs(child, group_refs)
 
     def _compute_aggregate(
         self,
@@ -1254,10 +1145,9 @@ class Executor:
             raise PlanError(f"{node.name}() on non-numeric column")
         # The cached index that proved the input pre-grouped on disk made
         # the grouping order the identity: the reducer skips its gathers.
-        spec = AggregateSpec(node.name, argument.values, argument.mask,
-                             argument.sql_type)
-        return _aggregate_column(spec, *_reduce_slice(
-            spec, None if presorted else order, starts, counts, direct))
+        return _reduce_slice(node.name, argument,
+                             None if presorted else order, starts, counts,
+                             direct)
 
     def _count_distinct(
         self, argument: Column, order: np.ndarray, counts: np.ndarray,
@@ -1291,20 +1181,3 @@ class Executor:
                         dict(zip(names, self._distinct_kernel(columns, rows))),
                         relation.distribution, list(relation.display_names))
 
-
-# ---------------------------------------------------------------------------
-# grouping helpers
-# ---------------------------------------------------------------------------
-
-
-def _aggregate_column(
-    spec: AggregateSpec, values: np.ndarray, mask: Optional[np.ndarray]
-) -> Column:
-    """One reducer result as a column of the aggregate's SQL type."""
-    if spec.kind in ("count*", "count"):
-        return Column(values, INT64)
-    if spec.kind in ("min", "max"):
-        return Column(values, spec.sql_type, mask)
-    if spec.kind == "sum" and spec.sql_type == INT64:
-        return Column(values, INT64, mask)
-    return Column(values, FLOAT64, mask)  # float sum, avg

@@ -116,78 +116,34 @@ class _GatheredOnLookup(Mapping):
         return len(self._columns)
 
 
-def contains_aggregate(expr: Expression) -> bool:
-    """True if the expression tree contains an Aggregate node."""
-    if isinstance(expr, Aggregate):
-        return True
+def children(expr: Expression) -> tuple:
+    """The direct sub-expressions of an expression node, in source order:
+    the one place outside :func:`evaluate` that knows each node kind's
+    shape."""
     if isinstance(expr, BinaryOp):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, UnaryOp):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, IsNull):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, FuncCall):
-        return any(contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, CaseWhen):
-        return any(
-            contains_aggregate(c) or contains_aggregate(v) for c, v in expr.branches
-        ) or (expr.default is not None and contains_aggregate(expr.default))
+        return expr.left, expr.right
+    if isinstance(expr, (UnaryOp, IsNull)):
+        return (expr.operand,)
     if isinstance(expr, InList):
-        return contains_aggregate(expr.operand)
-    return False
-
-
-def collect_aggregates(expr: Expression, into: list[Aggregate]) -> None:
-    """Append every Aggregate node of the tree to ``into`` (deduplicated)."""
+        return (expr.operand, *expr.items)
+    if isinstance(expr, FuncCall):
+        return expr.args
     if isinstance(expr, Aggregate):
-        if expr not in into:
-            into.append(expr)
-        return
-    if isinstance(expr, BinaryOp):
-        collect_aggregates(expr.left, into)
-        collect_aggregates(expr.right, into)
-    elif isinstance(expr, UnaryOp):
-        collect_aggregates(expr.operand, into)
-    elif isinstance(expr, IsNull):
-        collect_aggregates(expr.operand, into)
-    elif isinstance(expr, FuncCall):
-        for arg in expr.args:
-            collect_aggregates(arg, into)
-    elif isinstance(expr, CaseWhen):
-        for condition, value in expr.branches:
-            collect_aggregates(condition, into)
-            collect_aggregates(value, into)
-        if expr.default is not None:
-            collect_aggregates(expr.default, into)
-    elif isinstance(expr, InList):
-        collect_aggregates(expr.operand, into)
+        return () if expr.arg is None else (expr.arg,)
+    if isinstance(expr, CaseWhen):
+        nodes = tuple(node for branch in expr.branches for node in branch)
+        return nodes if expr.default is None else nodes + (expr.default,)
+    return ()  # a column, a literal, a star
 
 
-def collect_column_refs(expr: Expression, into: list[ColumnRef]) -> None:
-    """Append every ColumnRef of the tree to ``into`` (order-preserving)."""
-    if isinstance(expr, ColumnRef):
-        into.append(expr)
-    elif isinstance(expr, BinaryOp):
-        collect_column_refs(expr.left, into)
-        collect_column_refs(expr.right, into)
-    elif isinstance(expr, UnaryOp):
-        collect_column_refs(expr.operand, into)
-    elif isinstance(expr, IsNull):
-        collect_column_refs(expr.operand, into)
-    elif isinstance(expr, FuncCall):
-        for arg in expr.args:
-            collect_column_refs(arg, into)
-    elif isinstance(expr, Aggregate):
-        if expr.arg is not None:
-            collect_column_refs(expr.arg, into)
-    elif isinstance(expr, CaseWhen):
-        for condition, value in expr.branches:
-            collect_column_refs(condition, into)
-            collect_column_refs(value, into)
-        if expr.default is not None:
-            collect_column_refs(expr.default, into)
-    elif isinstance(expr, InList):
-        collect_column_refs(expr.operand, into)
+def walk(expr: Expression, into_aggregates: bool = True) -> Iterator:
+    """Every node of an expression tree, pre-order.  With
+    ``into_aggregates`` False an aggregate's argument is not entered: what
+    a GROUP BY's output evaluates outside its aggregates."""
+    yield expr
+    if into_aggregates or not isinstance(expr, Aggregate):
+        for child in children(expr):
+            yield from walk(child, into_aggregates)
 
 
 def evaluate(expr: Expression, env: Environment) -> Column:

@@ -102,7 +102,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ExecutionError
-from .types import Column
+from .types import FLOAT64, INT64, Column
 
 #: Right-index sentinel for unmatched rows in a left outer join.
 NO_MATCH = -1
@@ -979,6 +979,107 @@ def direct_group_rows(
     if high - low + 1 > _dense_span_limit(n):
         return None
     return DirectGroups(keys, low, high - low + 1, per_slot)
+
+
+#: Aggregate kinds the reducer computes (``count*`` takes no argument).
+AGGREGATE_KINDS = frozenset({"count*", "count", "min", "max", "sum", "avg"})
+
+
+def _reduce_slice(
+    kind: str,
+    argument: Optional[Column],
+    order: Optional[np.ndarray],
+    starts: Optional[np.ndarray],
+    row_counts: np.ndarray,
+    direct: Optional[DirectGroups] = None,
+) -> Column:
+    """The one per-group reducer every GROUP BY calls: aggregate ``kind``
+    of ``argument`` as a column with one row per group, of the
+    aggregate's SQL type.  ``order`` (None = the rows already lie group by
+    group) sorts the argument's rows so that group ``g`` is positions
+    ``starts[g]`` up to ``starts[g + 1]``, of which there must be at least
+    one.  With ``direct`` the groups are addressed, not laid out: ``order``
+    and ``starts`` are unused and the kinds are count, min and max.  A
+    NULL-free argument skips the NULL bookkeeping: every row counts,
+    nothing is padded and no group comes out empty (NULL)."""
+    if kind not in AGGREGATE_KINDS:
+        raise ExecutionError(f"unsupported aggregate kind {kind!r}")
+    if kind == "count*":
+        return Column(row_counts.astype(np.int64, copy=False), INT64)
+    values, mask, sql_type = argument.values, argument.mask, argument.sql_type
+    if direct is not None:
+        reduced, empty = _reduce_direct(kind, values, mask, row_counts, direct)
+        return Column(reduced, INT64 if kind == "count" else sql_type, empty)
+    if mask is None:
+        sorted_mask = None
+        valid_counts = row_counts.astype(np.int64, copy=False)
+    else:
+        sorted_mask = mask if order is None else mask[order]
+        valid_counts = np.add.reduceat((~sorted_mask).astype(np.int64),
+                                       starts)
+    if kind == "count":
+        return Column(valid_counts, INT64)
+    sorted_values = values if order is None else values[order]
+    dtype = values.dtype
+    empty = None if sorted_mask is None else valid_counts == 0
+    if kind in ("min", "max"):
+        padded = sorted_values if sorted_mask is None else np.where(
+            sorted_mask, _sentinel(kind, dtype), sorted_values)
+        reducer = np.minimum if kind == "min" else np.maximum
+        reduced = reducer.reduceat(padded, starts)
+        return Column(reduced.astype(dtype, copy=False), sql_type, empty)
+    # sum / avg: float64 accumulation in reference row order.
+    padded = sorted_values if sorted_mask is None else np.where(
+        sorted_mask, 0, sorted_values)
+    sums = np.add.reduceat(padded.astype(np.float64), starts)
+    if kind == "sum":
+        if sql_type == INT64:
+            return Column(sums.astype(np.int64), INT64, empty)
+        return Column(sums, FLOAT64, empty)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        averages = sums / valid_counts
+    return Column(averages, FLOAT64, empty)
+
+
+def _sentinel(kind: str, dtype: np.dtype):
+    """The value no argument of a min / max beats — what a NULL row or an
+    untouched slot holds."""
+    low = kind == "max"
+    if dtype.kind == "b":
+        return not low
+    if dtype.kind == "i":
+        return np.iinfo(dtype).min if low else np.iinfo(dtype).max
+    return -np.inf if low else np.inf
+
+
+def _reduce_direct(
+    kind: str,
+    values: np.ndarray,
+    mask: Optional[np.ndarray],
+    row_counts: np.ndarray,
+    direct: DirectGroups,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """:func:`_reduce_slice` over direct-addressed groups — ``(values,
+    empty groups or None)`` from one scatter reduction into a table of
+    ``direct.span`` slots, read back at the slots that occur."""
+    slots = direct.slots
+    if mask is None:
+        valid_counts = row_counts.astype(np.int64, copy=False)
+    else:
+        valid_counts = np.bincount(
+            slots[~mask], minlength=direct.span)[direct.present]
+    if kind == "count":
+        return valid_counts, None
+    if kind not in ("min", "max"):
+        raise ExecutionError(f"{kind} has no direct-address reduction")
+    sentinel = _sentinel(kind, values.dtype)
+    table = np.full(direct.span, sentinel, dtype=values.dtype)
+    if mask is not None:
+        values = np.where(mask, sentinel, values)
+    reducer = np.minimum if kind == "min" else np.maximum
+    with np.errstate(invalid="ignore"):  # NaN arguments propagate, quietly
+        reducer.at(table, slots, values)
+    return table[direct.present], valid_counts == 0
 
 
 def sorted_group_rows(key_columns: list[Column]) -> tuple[np.ndarray, np.ndarray]:

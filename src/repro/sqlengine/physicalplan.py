@@ -8,6 +8,17 @@ either, so this module compiles it once per template into a
 :class:`PhysicalPlan` that subsequent executions of the same template
 re-run directly.
 
+Each SELECT core's **shape** is compiled here and nowhere else
+(:func:`_output_shape`): its output names, where each output comes from,
+the column the result is distributed on, the GROUP BY keys' qualified
+names and the aggregates.  Compiling it raises what running it would —
+an unknown or ambiguous column, a GROUP BY key that is not a column,
+``*`` beside GROUP BY, a column read outside the GROUP BY keys and the
+aggregates — with the same messages, once per template.  The executor
+reads the shape; it names, qualifies and checks nothing.  Expression
+trees are walked by one iterator
+(:func:`~repro.sqlengine.expressions.walk`).
+
 A physical plan is compiled against the *patched* template AST and holds
 references to its nodes.  The plan cache patches parameters into those same
 nodes in place before every execution, so per-round values (table-name
@@ -53,26 +64,25 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .ast_nodes import (
+    Aggregate,
     BinaryOp,
     ColumnRef,
     Expression,
     FromItem,
     Select,
     SelectCore,
+    Star,
     Statement,
     SubqueryRef,
     TableRef,
 )
 from .errors import PlanError
-from .expressions import (
-    collect_column_refs,
-    contains_aggregate,
-)
+from .expressions import walk
 from .table import Catalog
 
 
 # ---------------------------------------------------------------------------
-# predicate analysis helpers (shared with the executor)
+# predicate analysis helpers
 # ---------------------------------------------------------------------------
 
 
@@ -97,10 +107,8 @@ def _ref_binding(ref: ColumnRef, bindings: dict[str, list[str]]) -> Optional[str
 def _bindings_of(
     expr: Expression, binding_columns: dict[str, set[str]]
 ) -> set[str]:
-    refs: list[ColumnRef] = []
-    collect_column_refs(expr, refs)
     touched: set[str] = set()
-    for ref in refs:
+    for ref in _column_refs(expr):
         if ref.table is not None:
             touched.add(ref.table)
         else:
@@ -138,9 +146,14 @@ def _edge_bindings(edge: tuple[str, str, ColumnRef, ColumnRef]) -> set[str]:
     return {edge[0], edge[1]}
 
 
+def _column_refs(expr: Expression) -> list[ColumnRef]:
+    """Every column reference of an expression tree, in source order."""
+    return [node for node in walk(expr) if isinstance(node, ColumnRef)]
+
+
 def _qualify(ref: ColumnRef, bindings: dict[str, list[str]]) -> str:
-    """Resolve a column reference to its ``binding.column`` key (mirrors
-    ``Executor._qualified`` including its error messages)."""
+    """Resolve a column reference to its ``binding.column`` key, or raise
+    the error evaluating it would: an unknown or an ambiguous column."""
     if ref.table is not None:
         if ref.table not in bindings or ref.name not in bindings[ref.table]:
             raise PlanError(f"unknown column {ref.display()!r}")
@@ -214,13 +227,16 @@ class LeftJoinPlan:
 
 @dataclass
 class CorePlan:
-    """The compiled pipeline of one SELECT core.
+    """The compiled pipeline of one SELECT core, and the shape of its
+    output.
 
     The executor streams the joins (inner ``steps``, then ``left_joins``)
     through composed row-index maps: a join feeding another join's build
     side never materialises the intermediate, and every
     downstream-consumed column is gathered exactly once, across the whole
-    chain.
+    chain.  Above the joins it reads the output's names, sources and
+    distribution, the GROUP BY keys and the aggregates off this plan; it
+    decides none of them.
     """
 
     core: SelectCore
@@ -229,9 +245,21 @@ class CorePlan:
     left_joins: list[LeftJoinPlan]
     residual: list[Expression]
     is_aggregate: bool
+    #: Unique storage keys, one per output (a repeated name ``n`` at
+    #: output ``i`` is stored as ``n__{i + 1}``) ...
     out_names: list[str]
+    #: ... the names a user sees, which may repeat ...
     display_names: list[str]
+    #: ... and where each output comes from: the qualified frame column a
+    #: ``*`` expansion or a column item reads, else the item's expression.
+    sources: list
+    #: The output the result is hash-distributed on, if any.
     out_distribution: Optional[str]
+    #: The GROUP BY keys' qualified names.
+    group_keys: list[str]
+    #: Every aggregate node of the select items, in walk order (equal
+    #: nodes repeat: patching may make them differ).
+    aggregates: list[Aggregate]
     #: A SELECT DISTINCT of plain columns directly above a join: the
     #: chain's materialised frame holds only what it projects and filters
     #: on, and the residual WHERE reaches DISTINCT as row positions
@@ -341,18 +369,15 @@ class _Compiler:
         so a template whose parameters reach into identifier names can
         never execute a stale plan.
         """
-        refs: list[ColumnRef] = []
-        for item in core.items:
-            collect_column_refs(item.expr, refs)
-            self.alias_checks.append((item, item.alias))
+        exprs = [item.expr for item in core.items]
+        self.alias_checks.extend((item, item.alias) for item in core.items)
         if core.where is not None:
-            collect_column_refs(core.where, refs)
-        for join in core.joins:
-            collect_column_refs(join.condition, refs)
-        for expr in core.group_by:
-            collect_column_refs(expr, refs)
-        for ref in refs:
-            self.ref_checks.append((ref, ref.table, ref.name))
+            exprs.append(core.where)
+        exprs.extend(join.condition for join in core.joins)
+        exprs.extend(core.group_by)
+        for expr in exprs:
+            self.ref_checks.extend((ref, ref.table, ref.name)
+                                   for ref in _column_refs(expr))
 
     # -- selects ---------------------------------------------------------
 
@@ -389,7 +414,7 @@ class _Compiler:
             subplan = self.compile_select(item.select)
             binding = item.alias
             # A UNION ALL subquery exposes the first arm's storage names and
-            # no distribution, mirroring Executor.run_select.
+            # no distribution: its arms' rows interleave.
             first = subplan.cores[0]
             columns = tuple(first.out_names)
             inner_distribution = (
@@ -408,13 +433,14 @@ class _Compiler:
     def compile_core(self, core: SelectCore) -> CorePlan:
         self._record_core_checks(core)
         is_aggregate = bool(core.group_by) or any(
-            contains_aggregate(item.expr) for item in core.items
+            isinstance(node, Aggregate)
+            for item in core.items for node in walk(item.expr)
         )
         if not core.from_items:
             # SELECT without FROM: one anonymous row, nothing to plan.
-            out_names, display, _ = self._projected_names(core, [])
             return CorePlan(core, [], [], [], [], is_aggregate,
-                            out_names, display, None)
+                            **_output_shape(core, {}, is_aggregate,
+                                            frozenset()))
 
         scans: list[ScanPlan] = []
         by_binding: dict[str, ScanPlan] = {}
@@ -499,21 +525,18 @@ class _Compiler:
 
         all_bindings = dict(acc_bindings)
 
-        needed = self._collect_needed(core, residual, all_bindings, left_plans)
+        needed = self._collect_needed(core, residual, all_bindings)
         self._wire_gathers(core, by_binding, order, steps, left_plans, needed)
-
-        out_names, display, qualified_by_output = self._projected_names(
-            core, [(b, all_bindings[b]) for b in all_bindings]
-        )
-        out_distribution = self._compile_out_distribution(
-            core, is_aggregate, all_bindings, steps, left_plans, by_binding,
-            order, qualified_by_output,
-        )
 
         # The pipeline's final join in execution order (left joins run after
         # every inner step).
         final_join = left_plans[-1] if left_plans else (
             steps[-1] if steps else None
+        )
+        shape = _output_shape(
+            core, all_bindings, is_aggregate,
+            by_binding[order[0]].distribution if final_join is None
+            else final_join.out_distribution,
         )
         fused = (
             core.distinct
@@ -525,8 +548,8 @@ class _Compiler:
             and needed is not None
         )
         return CorePlan(core, scans, steps, left_plans, residual,
-                        is_aggregate, out_names, display, out_distribution,
-                        fused, final_join)
+                        is_aggregate, **shape, fused=fused,
+                        final_join=final_join)
 
     # -- inner / left join steps -----------------------------------------
 
@@ -595,25 +618,19 @@ class _Compiler:
         core: SelectCore,
         residual: list[Expression],
         all_bindings: dict[str, list[str]],
-        left_plans: list[LeftJoinPlan],
     ) -> Optional[set[str]]:
         """Qualified columns the pipeline consumes above the joins, or
         ``None`` when pruning must stay off (``*``, unresolvable refs)."""
-        refs: list[ColumnRef] = []
-        for item in core.items:
-            if not isinstance(item.expr, ColumnRef) and _contains_star(item.expr):
-                return None
-            collect_column_refs(item.expr, refs)
-        for expr in core.group_by:
-            collect_column_refs(expr, refs)
-        for predicate in residual:
-            collect_column_refs(predicate, refs)
+        exprs = [item.expr for item in core.items]
+        if any(isinstance(expr, Star) for expr in exprs):
+            return None
         needed: set[str] = set()
-        for ref in refs:
-            try:
-                needed.add(_qualify(ref, all_bindings))
-            except PlanError:
-                return None
+        for expr in exprs + list(core.group_by) + residual:
+            for ref in _column_refs(expr):
+                try:
+                    needed.add(_qualify(ref, all_bindings))
+                except PlanError:
+                    return None
         return needed
 
     def _wire_gathers(
@@ -696,94 +713,78 @@ class _Compiler:
                 return result
         return result
 
-    # -- output wiring -----------------------------------------------------
 
-    def _projected_names(
-        self, core: SelectCore, binding_items: list[tuple[str, list[str]]]
-    ) -> tuple[list[str], list[str], dict[str, str]]:
-        """Mirror of the executor's output naming (stable storage keys,
-        display names, and the qualified source of plain column outputs)."""
-        bindings = dict(binding_items)
-        names: list[str] = []
-        display: list[str] = []
-        taken: set[str] = set()
-        qualified_by_output: dict[str, str] = {}
-        position = 0
-        is_aggregate = bool(core.group_by) or any(
-            contains_aggregate(item.expr) for item in core.items
-        )
-        for item in core.items:
-            if _contains_star(item.expr) and not isinstance(item.expr, ColumnRef):
-                if is_aggregate:
-                    raise PlanError("'*' cannot be combined with GROUP BY")
-                for binding, cols in binding_items:
-                    for col in cols:
-                        key = col if col not in taken \
-                            else f"{col}__{position + 1}"
-                        taken.add(key)
-                        names.append(key)
-                        display.append(col)
-                        qualified_by_output[key] = f"{binding}.{col}"
-                        position += 1
-                continue
-            if item.alias:
-                name = item.alias
-            elif isinstance(item.expr, ColumnRef):
-                name = item.expr.name
-            else:
-                name = f"column{position + 1}"
-            key = name if name not in taken else f"{name}__{position + 1}"
-            taken.add(key)
-            names.append(key)
-            display.append(name)
-            if isinstance(item.expr, ColumnRef):
-                try:
-                    qualified_by_output[key] = _qualify(item.expr, bindings)
-                except PlanError:
-                    pass  # the executor raises when it evaluates the item
-            position += 1
-        return names, display, qualified_by_output
+def _output_shape(
+    core: SelectCore, bindings: dict[str, list[str]], is_aggregate: bool,
+    distribution: frozenset,
+) -> dict:
+    """A core's output shape, as :class:`CorePlan` fields: names, sources
+    and distribution, the GROUP BY keys and the aggregates.  ``bindings``
+    are the columns every FROM item and join contributes, in join order,
+    and ``distribution`` the qualified columns the final frame is
+    hash-distributed on.
 
-    def _compile_out_distribution(
-        self, core, is_aggregate, all_bindings, steps, left_plans,
-        by_binding, order, qualified_by_output,
-    ) -> Optional[str]:
+    Raises what executing the core would: a GROUP BY key that is not a
+    column, ``*`` under GROUP BY, an unknown or ambiguous column item or
+    key, and a column a GROUP BY output reads outside its aggregates and
+    keys."""
+    if is_aggregate and any(isinstance(item.expr, Star) for item in core.items):
+        raise PlanError("'*' cannot be combined with GROUP BY")
+    group_keys = []
+    for ref in core.group_by:
+        if not isinstance(ref, ColumnRef):
+            raise PlanError("GROUP BY supports plain column references only")
+        group_keys.append(_qualify(ref, bindings))
+    names: list[str] = []
+    display: list[str] = []
+    sources: list = []
+
+    def add(name: str, source) -> None:
+        names.append(name if name not in names
+                     else f"{name}__{len(names) + 1}")
+        display.append(name)
+        sources.append(source)
+
+    for item in core.items:
+        expr = item.expr
+        if isinstance(expr, Star):
+            for binding, cols in bindings.items():
+                for col in cols:
+                    add(col, f"{binding}.{col}")
+            continue
         if is_aggregate:
-            if not core.group_by:
-                return None
-            first = core.group_by[0]
-            if not isinstance(first, ColumnRef):
-                return None
-            try:
-                first_key = _qualify(first, all_bindings)
-            except PlanError:
-                return None
-            for name, qualified in qualified_by_output.items():
-                if qualified == first_key:
-                    return name
-            return None
-        final_distribution = self._final_distribution(
-            by_binding, order, steps, left_plans
-        )
-        for name, qualified in qualified_by_output.items():
-            if qualified in final_distribution:
-                return name
-        return None
-
-    def _final_distribution(
-        self, by_binding, order, steps, left_plans
-    ) -> frozenset:
-        if left_plans:
-            return left_plans[-1].out_distribution
-        if steps:
-            return steps[-1].out_distribution
-        return by_binding[order[0]].distribution
+            _check_grouped(expr, core.group_by)
+        if isinstance(expr, ColumnRef):
+            add(item.alias or expr.name, _qualify(expr, bindings))
+        else:
+            add(item.alias or f"column{len(names) + 1}", expr)
+    if is_aggregate:
+        distribution = frozenset(group_keys[:1])
+    out_distribution = next(
+        (name for name, source in zip(names, sources)
+         if isinstance(source, str) and source in distribution), None)
+    aggregates = [
+        node for item in core.items
+        for node in walk(item.expr, into_aggregates=False)
+        if isinstance(node, Aggregate)
+    ] if is_aggregate else []
+    return dict(out_names=names, display_names=display, sources=sources,
+                out_distribution=out_distribution, group_keys=group_keys,
+                aggregates=aggregates)
 
 
-def _contains_star(expr) -> bool:
-    from .ast_nodes import Star
-
-    return isinstance(expr, Star)
+def _check_grouped(expr: Expression, group_by) -> None:
+    """Reject a column a GROUP BY output reads outside its aggregates that
+    no GROUP BY key names."""
+    for ref in walk(expr, into_aggregates=False):
+        if isinstance(ref, ColumnRef) and not any(
+            key.name == ref.name
+            and (ref.table is None or key.table is None
+                 or key.table == ref.table)
+            for key in group_by
+        ):
+            raise PlanError(f"column {ref.display()!r} must appear in "
+                            "GROUP BY or an aggregate")
 
 
 def _bindings_from(

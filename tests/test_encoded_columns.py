@@ -19,13 +19,13 @@ from hypothesis import given, strategies as st
 from repro.sqlengine import Database
 from repro.sqlengine.operators import (
     DENSE_SPAN_FLOOR,
+    _reduce_slice,
     build_key_index,
     direct_group_rows,
     distinct_rows,
     encode_values,
     group_rows,
 )
-from repro.sqlengine.parallel import AggregateSpec, _reduce_slice
 from repro.sqlengine.table import Table
 from repro.sqlengine.types import FLOAT64, INT64, Column
 
@@ -546,21 +546,22 @@ def test_non_expanding_left_join_gathers_plain_values():
 # ---------------------------------------------------------------------------
 
 
-def _specs(rng, n):
+def _aggregates(rng, n):
+    """(kind, argument) pairs: every kind direct addressing reduces."""
     ints = rng.integers(-(2 ** 63), 2 ** 63 - 1, n)
     floats = rng.normal(size=n)
     floats[rng.random(n) < 0.1] = np.nan
     mask = rng.random(n) < 0.3
     return [
-        AggregateSpec("count*"),
-        AggregateSpec("count", ints, mask.copy(), INT64),
-        AggregateSpec("count", floats, None, FLOAT64),
-        AggregateSpec("min", ints, None, INT64),
-        AggregateSpec("min", ints, mask.copy(), INT64),
-        AggregateSpec("max", ints, mask.copy(), INT64),
-        AggregateSpec("min", floats, mask.copy(), FLOAT64),
-        AggregateSpec("max", floats, None, FLOAT64),
-        AggregateSpec("max", rng.random(n) < 0.5, mask.copy(), "bool"),
+        ("count*", None),
+        ("count", Column(ints, INT64, mask.copy())),
+        ("count", Column(floats, FLOAT64)),
+        ("min", Column(ints, INT64)),
+        ("min", Column(ints, INT64, mask.copy())),
+        ("max", Column(ints, INT64, mask.copy())),
+        ("min", Column(floats, FLOAT64, mask.copy())),
+        ("max", Column(floats, FLOAT64)),
+        ("max", Column(rng.random(n) < 0.5, "bool", mask.copy())),
     ]
 
 
@@ -574,14 +575,17 @@ def assert_direct_equals_sorted(key: Column, seed: int = 0) -> None:
                           key.storage[order[starts]])
     assert np.array_equal(direct.counts, counts)
     # ... and every reduction the one reducer computes over them.
-    for spec in _specs(np.random.default_rng(seed), len(key)):
-        expected = _reduce_slice(spec, order, starts, counts)
-        got = _reduce_slice(spec, None, None, direct.counts, direct)
-        assert got[0].dtype == expected[0].dtype, spec.kind
-        assert np.array_equal(got[0], expected[0], equal_nan=True), spec.kind
-        assert (got[1] is None) == (expected[1] is None), spec.kind
-        if got[1] is not None:
-            assert np.array_equal(got[1], expected[1])
+    for kind, argument in _aggregates(np.random.default_rng(seed), len(key)):
+        expected = _reduce_slice(kind, argument, order, starts, counts)
+        got = _reduce_slice(kind, argument, None, None, direct.counts,
+                            direct)
+        assert got.sql_type == expected.sql_type, kind
+        assert got.values.dtype == expected.values.dtype, kind
+        assert np.array_equal(got.values, expected.values,
+                              equal_nan=True), kind
+        assert (got.mask is None) == (expected.mask is None), kind
+        if got.mask is not None:
+            assert np.array_equal(got.mask, expected.mask)
 
 
 @given(st.lists(st.integers(-40, 40), min_size=1, max_size=80),
@@ -611,7 +615,7 @@ def test_direct_address_group_by_span_limit_and_refusals():
     assert direct_group_rows(
         Column.from_values(np.array(["a"], dtype=object))) is None
     with pytest.raises(Exception):
-        _reduce_slice(AggregateSpec("sum", np.arange(4), None, INT64),
+        _reduce_slice("sum", Column(np.arange(4), INT64),
                       None, None, np.ones(4, dtype=np.int64),
                       direct_group_rows(Column.from_values(np.arange(4))))
 

@@ -172,6 +172,20 @@ def test_non_grouped_column_rejected(db):
     ):
         with pytest.raises(PlanError, match="'v2' must appear in GROUP BY"):
             db.execute(sql)
+    for sql, message in (
+        ("select v1 + 1 k, count(*) c from e group by v1 + 1",
+         "GROUP BY supports plain column references only"),
+        ("select * from e group by v1",
+         "'\\*' cannot be combined with GROUP BY"),
+        ("select v1, v2 from e group by v1",
+         "'v2' must appear in GROUP BY"),
+    ):
+        with pytest.raises(PlanError, match=message):
+            db.execute(sql)
+        # A rejected CREATE TABLE AS leaves no table behind.
+        with pytest.raises(PlanError, match=message):
+            db.execute(f"create table rejected as {sql}")
+        assert "rejected" not in db.catalog
 
 
 def test_distinct(db):

@@ -26,9 +26,11 @@ from repro.sqlengine import Database, operators
 from repro.sqlengine import executor as executor_module
 from repro.sqlengine.mpp import SegmentPool
 from repro.sqlengine.operators import (
+    AGGREGATE_KINDS,
     CACHE_KERNEL_MIN_ROWS,
     JOIN_ROUTES,
     JoinRoute,
+    _reduce_slice,
     build_key_index,
     join_indices,
     pad_left_outer,
@@ -38,12 +40,7 @@ from repro.sqlengine.operators import (
     sorted_group_rows,
     spelled_out,
 )
-from repro.sqlengine.parallel import (
-    AGGREGATE_KINDS,
-    AggregateSpec,
-    _reduce_slice,
-    parallel_join_indices,
-)
+from repro.sqlengine.parallel import parallel_join_indices
 from repro.sqlengine.types import FLOAT64, INT64, TEXT, Column
 
 from .join_reference import merge_join_indices
@@ -556,21 +553,21 @@ def test_reducer_agrees_with_python_loop(kind, rows, floats, masked,
     starts = np.array([g for g in range(len(rows))
                        if g == 0 or grouped_keys[g] != grouped_keys[g - 1]])
     row_counts = np.diff(np.append(starts, len(rows)))
-    spec = AggregateSpec(
-        kind,
-        None if kind == "count*" else np.array(
-            values, dtype=np.float64 if floats else np.int64),
-        np.array(nulls) if masked else None,
+    argument = None if kind == "count*" else Column(
+        np.array(values, dtype=np.float64 if floats else np.int64),
         FLOAT64 if floats else INT64,
+        np.array(nulls) if masked else None,
     )
-    got, got_nulls = _reduce_slice(spec, None if pregrouped else order,
-                                   starts, row_counts)
+    result = _reduce_slice(kind, argument, None if pregrouped else order,
+                           starts, row_counts)
+    got, got_nulls = result.values, result.mask
     if kind in ("count*", "count") or (kind == "sum" and not floats):
-        assert got.dtype == np.int64
+        assert got.dtype == np.int64 and result.sql_type == INT64
     elif kind in ("min", "max"):
-        assert got.dtype == spec.values.dtype
+        assert got.dtype == argument.values.dtype
+        assert result.sql_type == argument.sql_type
     else:
-        assert got.dtype == np.float64
+        assert got.dtype == np.float64 and result.sql_type == FLOAT64
     assert (got_nulls is None) == (not any(null for _, null in expected))
     for group, (value, null) in enumerate(expected):
         if null:

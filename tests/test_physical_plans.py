@@ -439,6 +439,17 @@ def test_group_by_over_join_matches_sqlite(query):
     _two_table_db().execute(query)
 
 
+def test_in_list_items_are_planned_like_any_operand():
+    """A column in an IN list is read like any other: a predicate whose
+    list names the other side of a join stays above it, and a list item
+    is gathered, not pruned."""
+    db = _two_table_db()
+    db.execute("select graph2.v1, r2.rep from graph2, reps as r2 "
+               "where graph2.v2 = r2.v and graph2.v1 in (r2.v, 7)")
+    db.execute("select distinct r2.rep from graph2, reps as r2 "
+               "where graph2.v2 = r2.v and r2.v in (graph2.v1)")
+
+
 def test_group_by_over_join_with_nulls_in_aggregate_argument():
     db = tee(Database(n_segments=4))
     db.execute("create table e (v1 int64, v2 int64)")
@@ -1267,3 +1278,64 @@ def test_chain_byte_size_is_the_gathered_frames(database, query,
     _BYTE_SIZE_DBS[database]().execute(query)
     assert sizes  # at least one join ran on the chain
     assert all(virtual == gathered for virtual, gathered in sizes)
+
+
+# ---------------------------------------------------------------------------
+# the schema each core shape produces
+# ---------------------------------------------------------------------------
+
+
+def _schema_db() -> Database:
+    db = Database(n_segments=4)
+    db.load_table("e", {"v1": np.array([1, 1, 2, 3, 3]),
+                        "v2": np.array([2, 3, 3, 4, 5])}, distributed_by="v1")
+    db.load_table("n", {"v": np.array([1, 2, 3]),
+                        "w": np.array([10, 20, 30])}, distributed_by="v")
+    return db
+
+
+#: (SQL, storage names, display names, distribution) per core shape.
+CORE_SHAPES = [
+    pytest.param("select * from n a, n b where a.v = b.v",
+                 ["v", "w", "v__3", "w__4"], ["v", "w", "v", "w"], "v",
+                 id="star-over-inner-join"),
+    pytest.param("select distinct a.v1, b.v1 from e a, e b "
+                 "where a.v1 = b.v1",
+                 ["v1", "v1__2"], ["v1", "v1"], "v1",
+                 id="repeated-display-names-under-distinct"),
+    pytest.param("select v1 as k, v2 from e", ["k", "v2"], ["k", "v2"], "k",
+                 id="alias"),
+    pytest.param("select v1, count(*) c from e group by v1",
+                 ["v1", "c"], ["v1", "c"], "v1", id="bare-group-key"),
+    pytest.param("select e.v1 k, min(e.v2) m from e group by e.v1",
+                 ["k", "m"], ["k", "m"], "k", id="qualified-group-key"),
+    pytest.param("select count(*), max(v2) from e",
+                 ["column1", "column2"], ["column1", "column2"], None,
+                 id="aggregate-only"),
+    pytest.param("select distinct n.v, e.v2 from e, n "
+                 "where e.v1 = n.v and e.v2 > 2",
+                 ["v", "v2"], ["v", "v2"], "v", id="fused-join-distinct"),
+    pytest.param("select e.v2, n.w from e left join n on e.v2 = n.v",
+                 ["v2", "w"], ["v2", "w"], "v2", id="final-left-join"),
+    pytest.param("select e.v1, n.w from e, n where e.v2 > n.v",
+                 ["v1", "w"], ["v1", "w"], None, id="cartesian-step"),
+    pytest.param("select s.k, s.c from "
+                 "(select v2 k, count(*) c from e group by v2) s",
+                 ["k", "c"], ["k", "c"], "k", id="group-by-subquery"),
+    pytest.param("select v1 from e union all select v2 from e",
+                 ["v1"], ["v1"], None, id="union-all"),
+    pytest.param("select 1, 2 as b", ["column1", "b"], ["column1", "b"],
+                 None, id="select-without-from"),
+]
+
+
+@pytest.mark.parametrize("sql, names, display, distribution", CORE_SHAPES)
+def test_core_shape_schema(sql, names, display, distribution):
+    """Each core shape's storage names, display names and distribution,
+    cold and from the cached plan alike."""
+    db = _schema_db()
+    for _ in range(2):
+        relation = db.execute(sql).relation
+        assert relation.names == names
+        assert relation.display_names == display
+        assert relation.distribution == distribution

@@ -26,7 +26,10 @@ on the GF(2^64) map does, and holds each round to one evaluation of h per
 live vertex and each composition to h over its null-extended rows only.
 """
 
+import hashlib
+import importlib.util
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +80,36 @@ NO_BRANCH_TRAFFIC_EXPECTED = {
 }
 
 
+#: The counters :data:`GOLDEN` pins per configuration: the paper's axes.
+GOLDEN_COUNTERS = ("queries", "rows_written", "bytes_written", "motion_bytes",
+                   "broadcast_bytes", "peak_live_bytes")
+
+#: Per configuration: ``GOLDEN_COUNTERS`` and the label digest, as
+#: :func:`_run_everything` records them.  Recorded at commit ``3460619``;
+#: a change that moves one changes what a run computes or charges.
+GOLDEN = {
+    'BreadthFirstSearchCC/gnm': (40, 46000, 736000, 3648000, 0, 377600, '87e872f99d71b8dc'),
+    'Cracker/gnm': (39, 83743, 1310864, 3156880, 1344448, 752184, '87e872f99d71b8dc'),
+    'Cracker/path': (118, 4169890, 66602520, 159758088, 2405152, 22095064, 'ee2047cfe6b1cd39'),
+    'GraphSquaringCC/gnm-small': (18, 61851, 989616, 82697408, 494720, 636480, '92bae4bd53e2dcee'),
+    'GraphSquaringCC/path-small': (33, 99697, 1595152, 143820480, 470784, 717584, 'f0c062ca2fb0d021'),
+    'HashToMin/gnm': (28, 133184, 2130944, 5368864, 0, 1007632, '87e872f99d71b8dc'),
+    'RandomisedContraction/gnm': (81, 71214, 1139424, 1735456, 406784, 524800, '421a0d5223ca2e3d'),
+    'RandomisedContraction/gnm-sparse-ids': (73, 70860, 1133760, 1718736, 395072, 524800, '795dd66f01deb30b'),
+    'RandomisedContraction/path': (81, 19180, 306880, 609456, 373824, 143920, 'f90e32ba4a3b33d3'),
+    'TwoPhase/gnm': (50, 84682, 1332512, 4937120, 2162304, 354976, '87e872f99d71b8dc'),
+    'TwoPhase/path': (125, 79474, 1259584, 10085280, 9497664, 107968, 'ee2047cfe6b1cd39'),
+    'rc-deterministic-space/gnm': (71, 63808, 1020928, 3452128, 1826304, 471840, '421a0d5223ca2e3d'),
+    'rc-deterministic-space/gnm-sparse-ids': (64, 60831, 973296, 3205280, 1628544, 473472, '795dd66f01deb30b'),
+    'rc-deterministic-space/path': (71, 23841, 381456, 1736000, 1425792, 119984, 'f90e32ba4a3b33d3'),
+    'rc-encryption/gnm': (71, 64275, 1028400, 3487808, 1846912, 471168, 'fd5abf073f9c091f'),
+    'rc-encryption/path': (78, 25546, 408736, 1875584, 1539200, 120016, 'ab4c72087f3a05e3'),
+    'rc-random-reals/gnm': (80, 71576, 1145216, 4877888, 2452736, 606336, 'b6b77ac1c8af7803'),
+    'rc-random-reals/path': (110, 34267, 548272, 3231824, 2849856, 191568, '2f75ff06a33a4210'),
+    'rc-spark/gnm': (81, 71214, 1139424, 2579776, 98048, 524800, '421a0d5223ca2e3d'),
+}
+
+
 def _configurations():
     random_graph = gnm_random_graph(3000, 6000, np.random.default_rng(7))
     path = path_graph(1500)
@@ -119,12 +152,21 @@ def _configurations():
             yield f"{name}/{graph_name}", factory, edges, Database
 
 
-def _run_everything(monkeypatch) -> tuple[set, set, dict]:
+def _label_digest(vertices: np.ndarray, labels: np.ndarray) -> str:
+    """sha256 of a run's (vertex, label) pairs sorted by vertex, first 16
+    hex digits."""
+    order = np.argsort(vertices, kind="stable")
+    pairs = np.stack([vertices[order], labels[order]], axis=1)
+    return hashlib.sha256(np.ascontiguousarray(pairs).tobytes()).hexdigest()[:16]
+
+
+def _run_everything(monkeypatch) -> tuple[set, set, dict, dict]:
     """Run every configuration on a default ``Database()``; returns the
-    counters that moved, the join-route notes reported and the DISTINCT
-    branches each run took."""
+    counters that moved, the join-route notes reported, the DISTINCT
+    branches each run took, and each run's :data:`GOLDEN` figures."""
     notes: set[str] = set()
     branches: dict[str, set] = {}
+    golden: dict[str, tuple] = {}
     taken = record_branches(monkeypatch)
     dispatch_join = executor_module.Executor._dispatch_join
 
@@ -146,10 +188,13 @@ def _run_everything(monkeypatch) -> tuple[set, set, dict]:
             result = factory().run(db, "edges", seed=5)
             assert result.n_labelled > 0, run_name
             snapshot = db.stats.snapshot()
+            digest = _label_digest(*result.labels(db))
         moved.update(name for name in stats.COUNTERS
                      if getattr(snapshot, name))
         branches[run_name] = set(taken)
-    return moved, notes, branches
+        golden[run_name] = tuple(
+            getattr(snapshot, name) for name in GOLDEN_COUNTERS) + (digest,)
+    return moved, notes, branches, golden
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +208,7 @@ def test_every_counter_sees_traffic_from_some_algorithm(default_traffic):
     assert stats.RETIRED <= set(stats.COUNTERS)
     assert not stats.RETIRED & set(NO_TRAFFIC_EXPECTED)
     assert all(NO_TRAFFIC_EXPECTED.values())  # one reason per name
-    seen, _, _ = default_traffic
+    seen, _, _, _ = default_traffic
     assert seen & stats.RETIRED == set(), "a retired counter moved"
     allowed = set(NO_TRAFFIC_EXPECTED) | stats.RETIRED
     assert set(stats.COUNTERS) - seen - allowed == set(), (
@@ -172,11 +217,24 @@ def test_every_counter_sees_traffic_from_some_algorithm(default_traffic):
     assert seen & set(NO_TRAFFIC_EXPECTED) == set()
 
 
+def test_count_metrics_and_labels_match_the_golden_runs(default_traffic):
+    """Every configuration writes, moves and holds the bytes, and labels
+    the vertices, it did when :data:`GOLDEN` was recorded: motion is
+    charged from each core's compiled distribution (a CTAS's
+    redistribution, a DISTINCT's or GROUP BY's co-location), so a plan
+    that mis-names one moves these figures."""
+    _, _, _, golden = default_traffic
+    assert set(golden) == set(GOLDEN)
+    mismatched = {name: (golden[name], GOLDEN[name]) for name in GOLDEN
+                  if golden[name] != GOLDEN[name]}
+    assert not mismatched, mismatched
+
+
 def test_every_join_route_is_reached_by_some_algorithm(default_traffic):
     notes = set(JOIN_ROUTES.values())
     assert set(NO_ROUTE_TRAFFIC_EXPECTED) <= notes
     assert all(NO_ROUTE_TRAFFIC_EXPECTED.values())  # one reason per name
-    _, seen, _ = default_traffic
+    _, seen, _, _ = default_traffic
     # The planner reports nothing outside its registry ...
     assert seen <= notes
     # ... and nothing in it goes unused without a stated reason.
@@ -191,7 +249,7 @@ def test_tableless_routes_are_reached_without_an_allow_list_entry(
     """Each round's ``reps.v`` on the path fills its key domain — round 1's
     ids, later rounds' dictionary codes — so the default runs reach both
     routes that skip the direct-address table."""
-    _, seen, _ = default_traffic
+    _, seen, _, _ = default_traffic
     tableless = {JOIN_ROUTES["dense-offset"],
                  JOIN_ROUTES["dictionary-identity"]}
     assert tableless <= seen
@@ -203,7 +261,7 @@ def test_every_distinct_branch_is_reached_by_some_algorithm(
     """Codes pack in every RC variant's contraction, plain offsets in the
     baselines' DISTINCTs, and the Spark model's plain 64-bit pairs are
     ranked; every other branch has a stated reason."""
-    _, _, branches = default_traffic
+    _, _, branches, _ = default_traffic
     assert set(NO_BRANCH_TRAFFIC_EXPECTED) <= set(BRANCHES)
     assert all(NO_BRANCH_TRAFFIC_EXPECTED.values())  # one reason per name
     seen = set().union(*branches.values())
@@ -299,3 +357,27 @@ def test_composition_applies_h_only_to_null_extended_rows(spied_fast_run):
     for number, extended in null_extended.items():
         values = sum(rows for at, rows in passed if at == number)
         assert values <= extended, (number, values, extended)
+
+
+def test_key_forms_script_reports_one_configuration():
+    """``scripts/key_forms.py``'s spies on the contraction over a path:
+    every join on codes with no table, every DISTINCT packing codes, every
+    GROUP BY on codes and h evaluated over a dictionary."""
+    spec = importlib.util.spec_from_file_location(
+        "key_forms",
+        Path(__file__).resolve().parent.parent / "scripts" / "key_forms.py")
+    key_forms = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(key_forms)
+    name, factory, edges, database = next(
+        config for config in _configurations()
+        if config[0] == "RandomisedContraction/path")
+    seen = key_forms.run(factory, edges, database)
+    assert {(op, forms, route) for op, forms, route in seen} == {
+        ("join", "codes = codes", "identity"),
+        ("distinct", "codes+codes", "packed-codes"),
+        ("group", "codes", "direct"),
+        ("group", "codes", "sorted"),
+        ("udf", "dictionary", ""),
+    }
+    report = key_forms.report(name, seen).splitlines()
+    assert report[0] == name and len(report) == 6
