@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-unit fuzz bench bench-quick perf perf-aa perf-ab grid-ab perf-4m size key-forms clean
+.PHONY: test test-unit fuzz bench bench-quick perf perf-aa perf-ab grid-ab perf-4m size key-forms stmt-costs clean
 
 ## tier-1: the full unit + benchmark collection, fail-fast
 test:
@@ -74,6 +74,12 @@ size:
 ## GROUP BY and UDF domain of every shipped algorithm (~5 s)
 key-forms:
 	$(PYTHON) scripts/key_forms.py
+
+## what a warm RC run pays per statement on G(1k, 2k) and G(50k, 100k):
+## microseconds per statement kind, and the shares of the wall-clock in
+## the plan cache's lookup and in GF(2^64) map set-up and apply (~15 s)
+stmt-costs:
+	$(PYTHON) scripts/stmt_costs.py
 
 # benchmarks/results is regenerated scratch output.
 clean:

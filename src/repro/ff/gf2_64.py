@@ -73,7 +73,8 @@ def gf2_mul(a: int, x: int) -> int:
         if x & 1:
             result ^= a
         x >>= 1
-        a = gf2_xtime(a)
+        # gf2_xtime inlined: a call per bit would cost more than the loop.
+        a = ((a << 1) ^ IRREDUCIBLE_POLY) & MASK64 if a >> 63 else a << 1
     return result
 
 
@@ -114,7 +115,8 @@ def _basis_products(a: int) -> list[int]:
     value = to_unsigned(a)
     for _ in range(64):
         products.append(value)
-        value = gf2_xtime(value)
+        value = ((value << 1) ^ IRREDUCIBLE_POLY) & MASK64 if value >> 63 \
+            else value << 1
     return products
 
 
@@ -129,7 +131,8 @@ class Gf2AffineMap:
     Building the 8 tables costs a few thousand scalar operations once per
     contraction round; applying the map is then 8 ``np.take`` gathers plus
     XORs per batch, which is what makes the finite-fields method practical
-    in a Python-hosted engine.
+    in a Python-hosted engine.  The first :meth:`apply` with a value to
+    map builds the tables: a contraction's composition map often sees none.
     """
 
     def __init__(self, a: int, b: int):
@@ -138,51 +141,60 @@ class Gf2AffineMap:
             raise ValueError("A must be non-zero so that h is a bijection")
         self.a = a
         self.b = to_unsigned(b)
-        # basis[j, bit] = a * x^(8j + bit): byte j's table is the XOR of the
-        # basis values its index bits select, so all eight tables double
-        # together — entries with bit ``b`` set are the entries without it,
-        # XOR that bit's value.
-        basis = np.array(_basis_products(a), dtype=np.uint64).reshape(8, 8)
-        tables = np.zeros((8, 256), dtype=np.uint64)
-        for bit in range(8):
-            stride = 1 << bit
-            tables[:, stride: 2 * stride] = \
-                tables[:, :stride] ^ basis[:, bit, None]
-        self._tables = tables
+        self._tables: np.ndarray | None = None
         self._wide_tables: np.ndarray | None = None
+
+    def _byte_tables(self) -> np.ndarray:
+        if self._tables is None:
+            # basis[2j + h, bit] = a * x^(8j + 4h + bit).  The 16 nibble
+            # spans double together (entries with bit b set are those without
+            # it, XOR that bit's value); byte j's table is its high span XOR
+            # its low span, broadcast (37 against 52 us doubling bytes).
+            basis = np.array(_basis_products(self.a),
+                             dtype=np.uint64).reshape(16, 4)
+            spans = np.zeros((16, 16), dtype=np.uint64)
+            for bit in range(4):
+                stride = 1 << bit
+                np.bitwise_xor(spans[:, :stride], basis[:, bit, None],
+                               out=spans[:, stride: 2 * stride])
+            self._tables = (spans[1::2, :, None] ^ spans[0::2, None, :]) \
+                .reshape(8, 256)
+        return self._tables
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply ``h`` to an array of unsigned 64-bit integers."""
         x = np.ascontiguousarray(x, dtype=np.uint64)
         result = np.full(x.shape, np.uint64(self.b), dtype=np.uint64)
+        if x.size == 0:
+            return result
         if x.size >= WIDE_TABLE_MIN_VALUES:
             # Four gathers per value instead of eight: 36.8 -> 17.5 ns/row.
-            wide = self._wide_tables
-            if wide is None:
+            tables, bits = self._wide_tables, 16
+            if tables is None:
                 # T16_j[hi << 8 | lo] = T_2j[lo] ^ T_2j+1[hi]
-                wide = self._wide_tables = (
-                    self._tables[1::2, :, None] ^ self._tables[0::2, None, :]
+                byte = self._byte_tables()
+                tables = self._wide_tables = (
+                    byte[1::2, :, None] ^ byte[0::2, None, :]
                 ).reshape(4, 1 << 16)
-            # Little-endian layout puts bits 16j..16j+15 in column j.  A
-            # lane that is zero in every value adds T16_j[0] = 0: skip it
-            # (ids below 2^32 take two gathers).
-            # Every lane is gathered into one reused buffer, not a fresh
-            # array per lane.  ``mode="clip"`` never clips — a 16-bit lane
-            # addresses all of its table — but spares ``np.take`` the
-            # bounds-checked copy it makes into ``out`` otherwise
-            # (500k values: 9.3 ms fresh, 22.5 checked, 5.6 clipped).
-            words = x.astype("<u8", copy=False).view("<u2").reshape(-1, 4)
-            occupied = int(np.bitwise_or.reduce(x, axis=None))
-            flat = result.reshape(-1)
-            gathered = np.empty_like(flat)
-            for j in range(4):
-                if occupied >> (16 * j) & 0xFFFF:
-                    np.take(wide[j], words[:, j], out=gathered, mode="clip")
-                    flat ^= gathered
-            return result
-        for j in range(8):
-            byte = (x >> np.uint64(8 * j)).astype(np.uint8)
-            result ^= self._tables[j][byte]
+        else:
+            tables, bits = self._byte_tables(), 8
+        # Little-endian layout puts lane j's bits in column j.  A lane that
+        # is zero in every value adds T_j[0] = 0: skip it (ids below 2^32
+        # take half the gathers).
+        # Every lane is gathered into one reused buffer, not a fresh array
+        # per lane.  ``mode="clip"`` never clips — a lane addresses all of
+        # its table — but spares ``np.take`` the bounds-checked copy it
+        # makes into ``out`` otherwise (500k values: 9.3 ms fresh, 22.5
+        # checked, 5.6 clipped).
+        lanes = x.astype("<u8", copy=False).view(f"<u{bits // 8}") \
+            .reshape(-1, 64 // bits)
+        occupied = int(np.bitwise_or.reduce(x, axis=None))
+        flat = result.reshape(-1)
+        gathered = np.empty_like(flat)
+        for j in range(64 // bits):
+            if occupied >> (bits * j) & ((1 << bits) - 1):
+                np.take(tables[j], lanes[:, j], out=gathered, mode="clip")
+                flat ^= gathered
         return result
 
     def apply_scalar(self, x: int) -> int:

@@ -753,7 +753,7 @@ def _output_shape(
                     add(col, f"{binding}.{col}")
             continue
         if is_aggregate:
-            _check_grouped(expr, core.group_by)
+            _check_grouped(expr, bindings, group_keys)
         if isinstance(expr, ColumnRef):
             add(item.alias or expr.name, _qualify(expr, bindings))
         else:
@@ -773,16 +773,15 @@ def _output_shape(
                 aggregates=aggregates)
 
 
-def _check_grouped(expr: Expression, group_by) -> None:
+def _check_grouped(expr: Expression, bindings: dict[str, list[str]],
+                   group_keys: list[str]) -> None:
     """Reject a column a GROUP BY output reads outside its aggregates that
-    no GROUP BY key names."""
+    no GROUP BY key names, once both are resolved against the core's
+    bindings: a bare name two bindings share is ambiguous, whatever the
+    keys."""
     for ref in walk(expr, into_aggregates=False):
-        if isinstance(ref, ColumnRef) and not any(
-            key.name == ref.name
-            and (ref.table is None or key.table is None
-                 or key.table == ref.table)
-            for key in group_by
-        ):
+        if isinstance(ref, ColumnRef) \
+                and _qualify(ref, bindings) not in group_keys:
             raise PlanError(f"column {ref.display()!r} must appear in "
                             "GROUP BY or an aggregate")
 

@@ -2,22 +2,29 @@
 
 Covers the two caches the hot path relies on:
 
-* the **plan/statement cache** (template-normalised parsed ASTs),
+* the **plan/statement cache** (template-normalised parsed ASTs) and the
+  exact-text memo in front of it,
 * the **table-level index cache** (versioned per-column sorted indexes),
 
 plus the acceptance-level integration: a full Randomised Contraction run
 must populate both caches while every table it writes holds the rows stdlib
-sqlite computes for the same statement (``tests/sqlite_oracle.py``).
+sqlite computes for the same statement (``tests/sqlite_oracle.py``), and
+a warm run's fixed cost — normalisations, parses, GF(2^64) map builds —
+is counted, so that a repeated statement provably pays no parse work.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import RandomisedContraction
+from repro.core import RandomisedContraction, TwoPhase
 from repro.core.unionfind import unionfind_labels
+from repro.ff.gf2_64 import Gf2AffineMap
 from repro.graphs import gnm_random_graph
 from repro.graphs.io import load_edges_into
-from repro.sqlengine import Database, operators
+from repro.sqlengine import Database, operators, plancache
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.plancache import PlanCache, normalize_statement
 
@@ -110,6 +117,86 @@ def test_plan_cache_repeated_hits_reuse_one_entry():
         results.append((statement, hit))
     assert [hit for _, hit in results] == [False, True, True, True, True]
     assert len(cache) == 1
+
+
+@pytest.fixture
+def plan_work(monkeypatch):
+    """Counts of the plan cache's normalisations, template builds and
+    direct parses from here on."""
+    work = {"normalise": 0, "build": 0, "parse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            work[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(plancache, "normalize_statement",
+                        counted("normalise", plancache.normalize_statement))
+    monkeypatch.setattr(plancache, "parse_statement",
+                        counted("parse", plancache.parse_statement))
+    monkeypatch.setattr(PlanCache, "_build",
+                        counted("build", PlanCache._build))
+    return work
+
+
+#: Statements whose template fails verification: ``int64``'s digits are
+#: parameterised and ``int$0`` is no column type.
+UNVERIFIABLE = ("create table a (v int64)", "create table b (v int64)")
+
+
+def test_memoised_text_is_served_without_normalising(plan_work):
+    cache = PlanCache()
+    sql = "select v1 from t7 where v1 != 3"
+    first, hit, entry = cache.entry_for(sql)
+    assert not hit and plan_work == {"normalise": 1, "build": 1, "parse": 1}
+    again, hit, same = cache.entry_for(sql)
+    assert hit and same is entry and again is first
+    assert plan_work == {"normalise": 1, "build": 1, "parse": 1}
+    # A memo hit re-patches what another text of the template left.
+    cache.entry_for("select v1 from t8 where v1 != 4")
+    assert cache.entry_for(sql)[0] == parse_statement(sql)
+
+
+def test_memoised_text_whose_template_was_evicted_is_built_again(plan_work):
+    """The memo holds a text whose template the cache has evicted: the
+    text is normalised, parsed and verified again, never served from the
+    evicted entry, and then remembered with the new one."""
+    cache = PlanCache(max_entries=2)
+    sql = "select v1 from t7 where v1 != 3"
+    _, _, entry = cache.entry_for(sql)
+    # Failed templates take cache entries but no memo slots: these two
+    # evict the text's template while the memo keeps the text.
+    for unverifiable in UNVERIFIABLE:
+        cache.entry_for(unverifiable)
+    plan_work.update(normalise=0, build=0, parse=0)
+    statement, hit, rebuilt = cache.entry_for(sql)
+    assert not hit and rebuilt is not entry
+    assert plan_work == {"normalise": 1, "build": 1, "parse": 1}
+    assert statement == parse_statement(sql)
+    statement, hit, again = cache.entry_for(sql)
+    assert hit and again is rebuilt and plan_work["normalise"] == 1
+
+
+def test_text_of_an_unverifiable_template_is_parsed_every_time(plan_work):
+    cache = PlanCache()
+    sql = UNVERIFIABLE[0]
+    for _ in range(3):
+        statement, hit, entry = cache.entry_for(sql)
+        assert (hit, entry) == (False, None)
+        assert statement == parse_statement(sql)
+    # One template build; a normalisation and a direct parse per lookup.
+    assert plan_work == {"normalise": 3, "build": 1, "parse": 3}
+
+
+def test_text_memo_is_bounded():
+    cache = PlanCache(max_entries=8)
+    for i in range(50):
+        statement, hit, _ = cache.entry_for(f"select {i} from t{i}")
+        assert hit == (i > 0)
+        assert len(cache._memo) <= 8
+    assert len(cache) == 1
+    assert statement == parse_statement("select 49 from t49")
 
 
 # ---------------------------------------------------------------------------
@@ -273,3 +360,121 @@ def test_randomised_contraction_exercises_caches(variant):
         truth_grouped.setdefault(label, set()).add(vertex)
     assert sorted(map(sorted, grouped.values())) == \
         sorted(map(sorted, truth_grouped.values()))
+
+
+# ---------------------------------------------------------------------------
+# the text memo over whole runs: same ASTs, same counters, no parse work
+# ---------------------------------------------------------------------------
+
+
+#: Runs on one database over a G(1k, 2k): the algorithm, the seed and the
+#: run's ``(plan_cache_hits, plan_cache_misses)`` as recorded at commit
+#: ``4a91b31``, before statement texts were memoised: the memo serves a
+#: text exactly when the template cache did.
+MEMO_RUNS = (
+    ("fast", 1, (53, 12)),
+    ("fast", 2, (57, 0)),
+    ("deterministic-space", 1, (47, 10)),
+    ("deterministic-space", 2, (50, 0)),
+    ("two-phase", 1, (39, 11)),
+)
+
+
+def _g1k_2k():
+    return gnm_random_graph(1000, 2000, np.random.default_rng(3))
+
+
+def test_memoised_runs_parse_like_the_parser_and_count_as_before(
+        plan_work, monkeypatch):
+    lookups = []
+    entry_for = PlanCache.entry_for
+
+    def checked(self, sql):
+        statement, hit, entry = entry_for(self, sql)
+        # Compared before the statement runs: the next lookup re-patches.
+        assert statement == parse_statement(sql), sql
+        lookups.append(sql)
+        return statement, hit, entry
+
+    monkeypatch.setattr(PlanCache, "entry_for", checked)
+    counts = []
+    with Database() as db:
+        load_edges_into(db, "edges", _g1k_2k())
+        for algorithm, seed, _ in MEMO_RUNS:
+            algo = TwoPhase() if algorithm == "two-phase" \
+                else RandomisedContraction(variant=algorithm)
+            stats = algo.run(db, "edges", seed=seed).stats
+            counts.append((stats.plan_cache_hits, stats.plan_cache_misses))
+    assert counts == [golden for *_, golden in MEMO_RUNS]
+    # Each text is normalised once, however often it runs.
+    assert plan_work["normalise"] == len(set(lookups)) < len(lookups)
+
+
+def test_a_warm_run_repeats_no_parse_work(plan_work, monkeypatch):
+    """The fixed cost of a warm contraction run, counted rather than
+    timed: a text the database has run before is neither normalised nor
+    parsed again, so re-running a seed normalises nothing and a fresh
+    seed normalises its representatives and composition statements only
+    — the ones carrying the round's random constants — and no round
+    builds more than two GF(2^64) maps (its h, and the composition's
+    accumulated affine map).  The fresh seed takes as many rounds (8) as
+    a warm-up run did: the texts naming the last round are new
+    otherwise."""
+    maps = []
+    init = Gf2AffineMap.__init__
+
+    def counting(self, a, b):
+        maps.append((a, b))
+        init(self, a, b)
+
+    monkeypatch.setattr(Gf2AffineMap, "__init__", counting)
+    algo = RandomisedContraction()
+    with Database() as db:
+        load_edges_into(db, "edges", _g1k_2k())
+        execute = db.execute
+        issued = []
+
+        def recording(sql, label=""):
+            issued.append((label.rpartition(":")[2], sql))
+            return execute(sql, label=label)
+
+        db.execute = recording
+        for seed in (1, 2, 3):
+            algo.run(db, "edges", seed=seed)
+        seen = {sql for _, sql in issued}
+        for seed, fresh in ((3, False), (6, True)):
+            issued.clear()
+            maps.clear()
+            plan_work.update(normalise=0, build=0, parse=0)
+            rounds = algo.run(db, "edges", seed=seed).rounds
+            constants = [sql for kind, sql in issued
+                         if kind in ("reps", "compose")]
+            new = [sql for _, sql in issued if sql not in seen]
+            assert new == (constants if fresh else [])
+            assert plan_work["normalise"] == len(new)
+            assert plan_work["build"] == plan_work["parse"] == 0
+            assert len(maps) <= 2 * rounds
+            seen.update(sql for _, sql in issued)
+
+
+def test_stmt_costs_script_reports_one_shape():
+    """``scripts/stmt_costs.py`` on a small G(n, m): every statement kind
+    of the fast contraction timed, and the plan-cache and GF(2^64) shares
+    of the wall-clock reported."""
+    spec = importlib.util.spec_from_file_location(
+        "stmt_costs",
+        Path(__file__).resolve().parent.parent / "scripts" / "stmt_costs.py")
+    stmt_costs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stmt_costs)
+    costs = stmt_costs.measure(200, 400, warmups=1, runs=2)
+    kinds = costs["kinds"]
+    assert set(kinds) == {"setup", "reps", "relabel-src", "contract",
+                          "compose", "ddl"}
+    assert kinds["setup"] == 2
+    assert kinds["reps"] == kinds["relabel-src"] == kinds["contract"] \
+        == kinds["compose"] + 2
+    assert all(0 < seconds < costs["wall_s"]
+               for seconds in costs["method_s"].values())
+    report = stmt_costs.report("G(200, 400)", costs).splitlines()
+    assert report[0].startswith("G(200, 400): 2 warm runs")
+    assert len(report) == 1 + len(kinds) + len(stmt_costs.SHARES) == 9

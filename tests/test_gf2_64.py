@@ -9,6 +9,7 @@ from repro.ff.gf2_64 import (
     MASK64,
     WIDE_TABLE_MIN_VALUES,
     Gf2AffineMap,
+    _basis_products,
     gf2_axplusb,
     gf2_inv,
     gf2_mul,
@@ -209,6 +210,45 @@ def test_affine_map_top_lane_alone_matches_scalar():
     assert np.array_equal(large, small)
     for i in (*range(64), n - 1):
         assert int(large[i]) == mapping.apply_scalar(int(xs[i]))
+
+
+@pytest.fixture(scope="module")
+def boundary_batch():
+    """A map, 2^16 values (every lane width set somewhere, zero and the
+    top bit among them) and the scalar reference image of each."""
+    mapping = Gf2AffineMap(0xF0E1D2C3B4A59687, 0x0123456789ABCDEF)
+    xs = np.random.default_rng(17).integers(
+        0, 1 << 64, size=WIDE_TABLE_MIN_VALUES, dtype=np.uint64)
+    xs[:6] = [0, 1, 0xFF, 0xFFFF, 1 << 63, MASK64]
+    xs[7:1000:3] >>= np.uint64(40)  # short ids: high lanes zero
+    return mapping, xs, [mapping.apply_scalar(x) for x in xs.tolist()]
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000, WIDE_TABLE_MIN_VALUES - 1,
+                               WIDE_TABLE_MIN_VALUES])
+def test_affine_map_matches_scalar_on_either_side_of_the_wide_path(
+        boundary_batch, n):
+    """Both lane widths — bytes below ``WIDE_TABLE_MIN_VALUES`` values,
+    16 bits from it — give the scalar reference's bits, for unsigned
+    input, its signed int64 view and a non-contiguous view."""
+    mapping, xs, reference = boundary_batch
+    xs = xs[:n].copy()
+    for form in (xs, xs.view(np.int64), np.repeat(xs, 2)[::2]):
+        image = mapping.apply(form)
+        assert image.dtype == np.uint64 and image.shape == (n,)
+        assert image.tolist() == reference[:n]
+
+
+@pytest.mark.parametrize("a", [1, 0x1B, 1 << 63, MASK64,
+                               *np.random.default_rng(3).integers(
+                                   1, 1 << 64, size=4,
+                                   dtype=np.uint64).tolist()])
+def test_basis_products_are_repeated_xtime(a):
+    expected, value = [], a
+    for _ in range(64):
+        expected.append(value)
+        value = gf2_xtime(value)
+    assert _basis_products(a) == expected
 
 
 def test_affine_map_rejects_zero_a():

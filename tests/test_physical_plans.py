@@ -18,10 +18,13 @@ Covers the tentpole behaviours of the physical plan cache:
   none of which may ever patch a wrong parameter.
 """
 
+import sqlite3
+
 import numpy as np
 import pytest
 
 from repro.sqlengine import Database
+from repro.sqlengine.errors import PlanError
 from repro.sqlengine.plancache import normalize_statement
 
 from .distinct_reference import record_branches
@@ -437,6 +440,31 @@ def test_group_by_over_join_matches_sqlite(query):
     """A GROUP BY over a join runs over the chain's materialised frame,
     whatever side its keys come from; its groups are sqlite's."""
     _two_table_db().execute(query)
+
+
+def test_group_by_over_join_rejects_an_ambiguous_bare_name():
+    """A bare name both joined tables carry is ambiguous in a grouped
+    output whichever of them the GROUP BY keys name, as sqlite rules; its
+    qualified forms group as sqlite groups them."""
+    db = tee(Database())
+    db.execute("create table a (k int64, x int64)")
+    db.execute("insert into a values (1, 10), (2, 20), (2, 21), (3, 30)")
+    db.execute("create table b (k int64, x int64)")
+    db.execute("insert into b values (1, 5), (2, 6), (2, 6), (4, 7)")
+    join = "from a join b on a.k = b.k"
+    for keys in ("a.x, b.x", "a.x"):
+        sql = f"select x + 1 y, count(*) c {join} group by {keys}"
+        with pytest.raises(PlanError, match="ambiguous column 'x'"):
+            db.execute(sql)
+        with pytest.raises(sqlite3.OperationalError,
+                           match="ambiguous column name: x"):
+            db.oracle.execute(sql)
+    compared = db.oracle.compared
+    for sql in (f"select a.x + 1 y, count(*) c {join} group by a.x, b.x",
+                f"select a.x + 1 y, count(*) c {join} group by a.x",
+                f"select a.x, b.x, count(*) c {join} group by a.x, b.x"):
+        db.execute(sql)
+    assert db.oracle.compared == compared + 3
 
 
 def test_in_list_items_are_planned_like_any_operand():
