@@ -14,9 +14,9 @@
     * ``group``: a GROUP BY's keys and its layout — ``direct``
       (``direct_group_rows`` served it) or ``sorted``
       (``Executor._group_kernel``);
-    * ``udf``: each immutable-UDF evaluation over a domain
-      (``functions._EvaluatedDomain``): over a ``dictionary``, or over
-      the ``plain-span`` of a plain integer column.
+    * ``udf``: each immutable-UDF evaluation over an encoded column's
+      ``dictionary`` (``functions._EvaluatedDomain``); a call over a
+      plain column passes every row and builds none.
 
     The Spark model runs its own partitioned kernels, so its joins,
     DISTINCTs and GROUP BYs are read off ``SparkExecutor``'s
@@ -98,10 +98,9 @@ def spy(monkeypatch) -> Counter:
     class RecordedDomain(functions._EvaluatedDomain):
         __slots__ = ()
 
-        def __init__(self, literals, dictionary, low, present, results):
-            seen["udf", "dictionary" if dictionary is not None
-                 else "plain-span", ""] += 1
-            super().__init__(literals, dictionary, low, present, results)
+        def __init__(self, *args):
+            seen["udf", "dictionary", ""] += 1
+            super().__init__(*args)
 
     spark_join = SparkExecutor._dispatch_join
     spark_distinct = SparkExecutor._distinct_kernel

@@ -7,7 +7,7 @@ The package layers, bottom to top:
 * :mod:`repro.sqlengine` — an in-process, MPP-simulating SQL engine (the
   substitute for the paper's Apache HAWQ cluster) with full accounting of
   rows/bytes written, peak space and data motion;
-* :mod:`repro.spark` — a deliberately less-optimised row-at-a-time backend
+* :mod:`repro.spark` — a shuffle-everything, per-task, index-less backend
   standing in for Spark SQL (Section VII-C);
 * :mod:`repro.graphs` — edge-list containers and the synthetic dataset
   generators reproducing the roles of Table II;

@@ -15,9 +15,9 @@ across calls exactly like a C UDF would keep state per prepared statement.
 All three are registered ``immutable=True`` — each is a function of its
 arguments alone — so over an edge column the engine evaluates them once
 per distinct vertex id rather than once per edge row: over the
-dictionary of an encoded column, over the occurring ids of round 1's
-plain dense one, and not again for the group keys of the same statement
-or a later call over the same vertex set (see
+dictionary of an encoded column (every round's edge columns are), not
+again for the group keys of the same statement or a later call over the
+same vertex set, and not at all over zero rows (see
 :mod:`repro.sqlengine.functions`).  Column arguments arrive as int64 and
 are reinterpreted as uint64 in place, without a copy.
 """

@@ -7,7 +7,8 @@ gap comes from the database's more mature query optimisation and execution.
 
 :class:`SparkSQLDatabase` reproduces that setting: the *same* SQL text runs
 through the same parser and planner, but execution models an RDD/shuffle
-engine instead of a co-located MPP database:
+engine instead of a co-located MPP database.  Four differences are
+modelled:
 
 * **no co-location awareness** — every join, aggregation and distinct
   performs a full shuffle of its inputs (charged as motion), because the
@@ -15,14 +16,21 @@ engine instead of a co-located MPP database:
 * **task granularity** — operator inputs are hash-partitioned into a fixed
   number of tasks and each task runs the kernel separately, paying Python/
   numpy dispatch per task the way an executor pays per-task overhead
-  (smaller batches, same total work, more fixed cost);
+  (smaller batches, same total work, more fixed cost); a GROUP BY is
+  sorted task by task, never reduced by direct addressing over the whole
+  column;
 * **no broadcast optimisation** — small relations are shuffled like large
-  ones.
+  ones;
+* **no index reuse** — Spark SQL keeps no table indexes, so every join
+  sorts its own build side and no GROUP BY finds its key pre-sorted.
 
-Everything else (SQL dialect, UDFs, statistics, space budget) behaves
-identically, so algorithms run unchanged against either backend and the
-measured ratio is attributable to the execution model — which is exactly
-the comparison Section VII-C makes.
+Storage is shared, not modelled: dictionary-encoded columns are a storage
+form that Spark's columnar cache and Parquet use too, so the model stores
+and reads the same encoded columns the database does, and its per-task
+kernels run on their codes.  Everything else (SQL dialect, UDFs,
+statistics, space budget) behaves identically, so algorithms run unchanged
+against either backend and the measured ratio is attributable to the
+execution model — which is exactly the comparison Section VII-C makes.
 """
 
 from __future__ import annotations
@@ -57,12 +65,9 @@ def _partition_ids(key: Column, n_tasks: int) -> np.ndarray:
 
 
 class SparkExecutor(Executor):
-    """Executor with shuffle-everything, per-task kernel execution."""
-
-    #: Every keyed operator runs task by task through the kernels below: no
-    #: dictionary-encoded columns (their DISTINCT and joins are whole-column
-    #: kernels) and no direct-address GROUP BY.
-    whole_column_shortcuts = False
+    """Executor with shuffle-everything, per-task, index-less kernel
+    execution over the database's own column forms (see the module
+    docstring)."""
 
     #: Spark SQL has no MPP-style table indexes to reuse; this also keeps
     #: the shuffle-everything accounting pure.
@@ -140,6 +145,10 @@ class SparkExecutor(Executor):
             if rows.size:
                 self.tasks_launched += 1
                 yield rows
+
+    def _direct_groups(self, key_columns, group_index, aggregates):
+        # Every GROUP BY runs task by task (_group_kernel).
+        return None
 
     def _group_kernel(self, key_columns, index=None):
         n = len(key_columns[0]) if key_columns else 0

@@ -392,15 +392,13 @@ class _JoinChain:
     """
 
     __slots__ = ("_frames", "_maps", "_outer", "_gather_cache", "_base",
-                 "_surviving", "_text_widths", "_encode", "_expanded",
+                 "_surviving", "_text_widths", "_expanded",
                  "length", "distribution", "n_joins", "n_outer")
 
-    def __init__(self, frame: Frame, encode: bool = True):
-        #: Whether build-side gathers may dictionary-encode, and the
-        #: bindings whose join expanded them: their columns are gathered
-        #: through :func:`_encoded_source` unless a row they gather is
-        #: null-extended.
-        self._encode = encode
+    def __init__(self, frame: Frame):
+        #: The bindings whose join expanded them: their columns are
+        #: gathered through :func:`_encoded_source` unless a row they
+        #: gather is null-extended.
         self._expanded: set[str] = set()
         self._frames: dict[str, Frame] = {b: frame for b in frame.bindings}
         self._maps: dict[str, Optional[np.ndarray]] = {
@@ -521,7 +519,7 @@ class _JoinChain:
             self._maps[binding] = r_idx
             if outer and l_idx is not None:
                 self._outer.add(binding)
-            if self._encode and r_idx.shape[0] >= right.length:
+            if r_idx.shape[0] >= right.length:
                 self._expanded.add(binding)
         self._gather_cache.clear()
         self.length = int(r_idx.shape[0])
@@ -541,15 +539,6 @@ class _JoinChain:
 
 class Executor:
     """Executes parsed statements against a catalog."""
-
-    #: Two whole-column shortcuts sit beside the overridable kernels below
-    #: rather than behind them: expanding build-side gathers leave
-    #: dictionary-encoded (:func:`_encoded_source`; encoded joins, DISTINCT
-    #: and comparisons follow from the columns' form) and dense GROUP BY
-    #: keys are reduced by direct addressing.  Executors that model
-    #: per-task execution — every keyed operator through their own
-    #: partitioned kernels — set this False.
-    whole_column_shortcuts = True
 
     #: Consult stored tables' index caches for joins and grouping.
     #: Executors that model index-less engines (the Spark comparison) set
@@ -598,8 +587,7 @@ class Executor:
         not depend on its keys' form, so — unlike the rule that *creates*
         encodings — this one may read the cache."""
         keys = [frame.column(name) for name in names]
-        if self.whole_column_shortcuts and len(keys) == 1 \
-                and keys[0].codes is None:
+        if len(keys) == 1 and keys[0].codes is None:
             source = frame.sources.get(names[0])
             if source is not None:
                 table, column_name = source
@@ -827,8 +815,7 @@ class Executor:
         # UNION ALL arm arity was validated at compile time
         # (physicalplan.compile_select), so no arm runs on a mismatch.
         relations = [self._run_core(core) for core in plan.cores]
-        scanned = _union_scan(plan, self.catalog) \
-            if self.whole_column_shortcuts else None
+        scanned = _union_scan(plan, self.catalog)
         first = relations[0]
         columns = {}
         for position, name in enumerate(first.names):
@@ -887,7 +874,7 @@ class Executor:
                 )
         current = frames[plan.scans[0].binding]
         if plan.final_join is not None:
-            chain = _JoinChain(current, self.whole_column_shortcuts)
+            chain = _JoinChain(current)
             for step in plan.steps:
                 self._join_step(chain, frames[step.binding], step)
             for left_join in plan.left_joins:
@@ -1102,8 +1089,7 @@ class Executor:
         scatter reduction computes exactly, and keys dense enough for
         :func:`~repro.sqlengine.operators.direct_group_rows`."""
         if (
-            self.whole_column_shortcuts
-            and len(key_columns) == 1
+            len(key_columns) == 1
             and not (group_index is not None and group_index.is_sorted)
             and all(
                 node.name in ("count", "min", "max") and not node.distinct

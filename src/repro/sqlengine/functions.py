@@ -26,24 +26,27 @@ Volatility: ``register_udf(..., immutable=False)`` (and
 every row of its column arguments, every time.  Declaring
 ``immutable=True`` says what PostgreSQL's ``IMMUTABLE`` says: a row's
 result depends on that row's arguments alone.  The engine then calls
-the function once per *distinct* value of a lone NULL-free integer
-column argument whose values have dense *slots* — an encoded column's
-codes (see :mod:`repro.sqlengine.types`), a plain column's ``v - min``
-over a span :func:`~repro.sqlengine.operators._dense_span_limit` admits
-(plain vertex ids) — and gathers the results back through the slots:
+the function once per *distinct* value of a lone encoded column argument
+(see :mod:`repro.sqlengine.types`) and gathers the results back through
+the codes:
 
-* an encoded column at least as long as its dictionary is evaluated over
-  the whole dictionary, values of the stored columns it encodes;
-* any other such column over the values that *occur* (a presence mask
-  over the slots).  A value no row holds is never passed: a partial
-  function such as ``axbmodp`` sees only what the query supplied.
+* a column at least as long as its dictionary is evaluated over the whole
+  dictionary, values of the stored columns it encodes;
+* a shorter one over the entries that *occur* (a presence mask over the
+  codes), when :func:`~repro.sqlengine.operators._dense_span_limit`
+  admits its dictionary's size.  A value no row holds is never passed: a
+  partial function such as ``axbmodp`` sees only what the query supplied.
+
+Any other call passes every row, so it never sees such a value either,
+and a call over zero rows returns an empty column of the declared type
+without calling the function.
 
 That is |V| field multiplications instead of 2|E| in a contraction
 round.  Each such function also keeps its last evaluation, keyed by its
-literal arguments and its domain — the dictionary object (read-only, and
-held, so its identity stands for its content) or the plain span — with
-the evaluated-presence mask, and a later call whose rows all lie in that
-domain is a gather with no call at all.  So ``least(h(v1),
+literal arguments and the dictionary object (read-only, and held, so its
+identity stands for its content), with the evaluated-presence mask, and a
+later call whose codes all lie in that evaluation is a gather with no
+call at all.  So ``least(h(v1),
 min(h(v2)))`` evaluates ``h`` once per round: the group keys ``v1`` lie
 in the domain the aggregate's call over ``v2`` just evaluated.
 """
@@ -206,33 +209,20 @@ def _union_masks(columns: Sequence[Column], length: int) -> np.ndarray | None:
 
 
 class _EvaluatedDomain:
-    """An immutable UDF's last evaluation: ``results[s]`` is its value at
-    slot ``s`` of a domain — code ``s`` of ``dictionary``, or id ``low +
-    s`` of a plain column — under the literal arguments ``literals``, for
-    every slot ``present`` marks (``None``: every slot).  Holding
+    """An immutable UDF's last evaluation: ``results[c]`` is its value at
+    code ``c`` of ``dictionary`` under the literal arguments ``literals``,
+    for every code ``present`` marks (``None``: every code).  Holding
     ``dictionary`` keeps its identity from being recycled; it is
     read-only, so identity implies content."""
 
-    __slots__ = ("literals", "dictionary", "low", "present", "results")
+    __slots__ = ("literals", "dictionary", "present", "results")
 
-    def __init__(self, literals: tuple, dictionary: Optional[np.ndarray],
-                 low: int, present: Optional[np.ndarray],
-                 results: np.ndarray):
+    def __init__(self, literals: tuple, dictionary: np.ndarray,
+                 present: Optional[np.ndarray], results: np.ndarray):
         self.literals = literals
         self.dictionary = dictionary
-        self.low = low
         self.present = present
         self.results = results
-
-    def covers(self, literals: tuple, dictionary: Optional[np.ndarray],
-               low: int, span: int) -> bool:
-        """Whether a call with these literals over slots ``[low, low +
-        span)`` of ``dictionary`` (plain ids when ``None``) falls in this
-        domain's range; the caller still checks ``present``."""
-        return (self.dictionary is dictionary
-                and self.literals == literals
-                and self.low <= low
-                and low + span <= self.low + self.results.shape[0])
 
 
 class FunctionRegistry:
@@ -270,12 +260,13 @@ class FunctionRegistry:
 
         ``immutable`` declares, as PostgreSQL's ``IMMUTABLE`` does, that a
         row's result depends on that row's arguments alone.  The engine may
-        then evaluate the function once per *distinct* argument value —
-        over an encoded column's dictionary, or the values a dense column
-        holds — with the results gathered back per row, and not at all
+        then evaluate the function once per *distinct* value of an encoded
+        column argument — over its dictionary, or the entries its rows
+        hold — with the results gathered back per row, and not at all
         when the previous call's evaluation, for the same literals,
-        already covers every row (see the module docstring).  A function
-        not so declared is called with every row, always.
+        already covers every row, or when there is no row (see the module
+        docstring).  A function not so declared is called with every row,
+        always.
         """
         lowered = name.lower()
         last: list[Optional[_EvaluatedDomain]] = [None]
@@ -294,60 +285,53 @@ class FunctionRegistry:
                       length: int) -> Optional[np.ndarray]:
             """The result rows through one evaluation per distinct value
             (or none, when ``last`` already holds them); ``None`` for a
-            column without a dense set of distinct values."""
-            if length == 0 or column.mask is not None \
-                    or column.storage.dtype.kind != "i":
+            plain column, or one whose dictionary is too large to mark
+            presence in."""
+            dictionary, codes = column.dictionary, column.codes
+            if dictionary is None:
                 return None
             literals = tuple((type(arg.value), arg.value)
                              if isinstance(arg, ScalarArg) else None
                              for arg in args)
-            dictionary = column.dictionary
-            if dictionary is None:
-                values = column.values
-                low = int(values.min())
-                span = int(values.max()) - low + 1
-            else:
-                low, span = 0, int(dictionary.shape[0])
             domain = last[0]
-            if domain is not None and domain.covers(literals, dictionary,
-                                                    low, span):
-                slots = column.codes if dictionary is not None \
-                    else values - domain.low if domain.low else values
-                if domain.present is None or domain.present[slots].all():
-                    return domain.results[slots]
+            if domain is not None and domain.dictionary is dictionary \
+                    and domain.literals == literals \
+                    and (domain.present is None
+                         or domain.present[codes].all()):
+                return domain.results[codes]
 
             def applied(domain_values: np.ndarray) -> np.ndarray:
                 return evaluate(
                     [arg.value if isinstance(arg, ScalarArg) else domain_values
                      for arg in args], int(domain_values.shape[0]))
 
-            if dictionary is not None and span <= length:
+            span = int(dictionary.shape[0])
+            if span <= length:
                 # Every entry is a value of the stored column the
                 # dictionary encodes: evaluate them all, no presence pass.
-                slots, present, results = column.codes, None, \
-                    applied(dictionary)
+                present, results = None, applied(dictionary)
             elif span <= _dense_span_limit(length):
-                # Only the values that occur: a partial function must not
-                # see a slot's value that no row holds.
-                slots = column.codes if dictionary is not None \
-                    else values - low if low else values
+                # Only the entries that occur: a partial function must not
+                # see a value that no row holds.
                 present = np.zeros(span, dtype=bool)
-                present[slots] = True
+                present[codes] = True
                 occurring = np.flatnonzero(present)
-                evaluated = applied(occurring + low if dictionary is None
-                                    else dictionary[occurring])
+                evaluated = applied(dictionary[occurring])
                 results = np.zeros(span, dtype=evaluated.dtype)
                 results[occurring] = evaluated
             else:
                 return None
-            last[0] = _EvaluatedDomain(literals, dictionary, low, present,
+            last[0] = _EvaluatedDomain(literals, dictionary, present,
                                        results)
-            return results[slots]
+            return results[codes]
 
         def call(args: Sequence[ArgValue], length: int) -> Column:
             columns = [arg for arg in args if not isinstance(arg, ScalarArg)]
             result = None
-            if immutable and len(columns) == 1:
+            if immutable and length == 0:
+                # No row to compute: the function is not called.
+                result = np.empty(0, dtype=dtype_for(returns))
+            elif immutable and len(columns) == 1:
                 # The literals are the same for every row: one call per
                 # distinct value of the one column argument.
                 result = per_value(args, columns[0], length)

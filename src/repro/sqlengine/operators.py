@@ -61,10 +61,9 @@ returns the distinct rows in ascending **key** order (so the next GROUP BY
 or index over the leading column finds it sorted), as columns in the
 input's forms.  NULL-free int64 keys pack each row's offsets — an encoded
 column's codes, a plain column's values less their least — into one word,
-value-sort the words and unpack the survivors; offsets wider than 63 bits
-together rank the plain columns first (:func:`encode_values`).  Every
-other key — NULLs, floats, text, words still too wide — takes the first
-row of each :func:`group_rows` group, groups coming in key order too.
+value-sort the words and unpack the survivors.  Every other key — NULLs,
+floats, text, offsets wider than 63 bits together — takes the first row
+of each :func:`group_rows` group, groups coming in key order too.
 
 **Sort-merge grouping** (:func:`sorted_group_rows`) is the fallback of
 :func:`group_rows` for multi-column float or text keys and NULL-bearing
@@ -73,8 +72,8 @@ reference the kernel tests diff grouping *index arrays* against — what an
 outside SQL engine cannot referee.  The join's sort-merge reference lives
 with the tests (``tests/join_reference.py``): no engine code calls it.
 
-Sparse keys in plain columns — stored field values, the Spark model's
-every key — are where sorting still costs, and at a million rows the cost
+Sparse keys in plain columns — stored field values, the baselines'
+computed keys — are where sorting still costs, and at a million rows the cost
 of every kernel above is cache misses, not comparisons.  Two primitives
 keep the memory accesses sequential: :func:`stable_argsort` (vectorised
 unstable sort, ties repaired by one value sort) builds every stable order
@@ -1129,15 +1128,13 @@ def _boundaries(sorted_values: np.ndarray) -> np.ndarray:
 
 class _PackedKey(NamedTuple):
     """One column of a packed DISTINCT: ``array`` holds its codes (every
-    row), its values at the DISTINCT's rows — an offset is a value less
-    ``base`` — or their ranks in ``dictionary``; offsets fit ``width``
-    bits."""
+    row) or its values at the DISTINCT's rows — an offset is a value less
+    ``base``; offsets fit ``width`` bits."""
 
     column: Column
     array: np.ndarray
     base: int
     width: int
-    dictionary: Optional[np.ndarray]
 
 
 def distinct_rows(
@@ -1149,9 +1146,8 @@ def distinct_rows(
     ``rows``, when given, are the ascending positions of the only rows the
     DISTINCT reads — a fused join→DISTINCT's WHERE (see
     :mod:`repro.sqlengine.executor`).  NULL-free int64 keys whose offsets
-    fit one word, the plain columns ranked if they must, are packed and
-    sorted (:func:`_packed_distinct`); any other key is grouped
-    (:func:`_grouped_distinct`).
+    fit one word are packed and sorted (:func:`_packed_distinct`); any
+    other key is grouped (:func:`_grouped_distinct`).
     """
     if columns and all(col.mask is None and col.storage.dtype == np.int64
                        for col in columns):
@@ -1166,33 +1162,20 @@ def _packed_keys(
 ) -> Optional[list[_PackedKey]]:
     """Each column's :class:`_PackedKey` — an encoded column's offset is
     its code, a plain column's its value less the least one — or ``None``
-    when the offsets need more than 63 bits even with every plain column
-    ranked (:func:`encode_values`)."""
+    when the offsets need more than 63 bits."""
     keys = []
     for col in columns:
         if col.codes is not None:
             width = (int(col.dictionary.shape[0]) - 1).bit_length()
-            keys.append(_PackedKey(col, col.codes, 0, width, None))
+            keys.append(_PackedKey(col, col.codes, 0, width))
             continue
         values = col.values if rows is None else col.values[rows]
         low, high = (int(values.min()), int(values.max())) \
             if values.shape[0] else (0, 0)
-        keys.append(_PackedKey(col, values, low, (high - low).bit_length(),
-                               None))
+        keys.append(_PackedKey(col, values, low, (high - low).bit_length()))
     if sum(key.width for key in keys) > 63:
-        keys = [key if key.column.codes is not None else _ranked(key)
-                for key in keys]
-        if sum(key.width for key in keys) > 63:
-            return None
+        return None
     return keys
-
-
-def _ranked(key: _PackedKey) -> _PackedKey:
-    """A plain key as ranks among its distinct values, which unpack
-    through its ``dictionary``."""
-    dictionary, ranks = encode_values(key.array)
-    width = (int(dictionary.shape[0]) - 1).bit_length()
-    return _PackedKey(key.column, ranks, 0, width, dictionary)
 
 
 def _packed_distinct(
@@ -1201,7 +1184,7 @@ def _packed_distinct(
     """DISTINCT by one value sort: each row's offsets are packed into one
     int64 word, first column in the high bits; ``ndarray.sort`` (9.5
     ns/row) brings equal rows together *and* the distinct ones into key
-    order, because offsets, codes and ranks order as their values do.  The
+    order, because offsets and codes order as their values do.  The
     survivors are unpacked by shift and mask straight into the output
     columns: nothing is hashed and no row is gathered.  A GROUP BY or
     index build over the leading column of the result finds it sorted.
@@ -1242,9 +1225,7 @@ def _offsets_at(key: _PackedKey, rows: Optional[np.ndarray]) -> np.ndarray:
 
 def _unpacked(key: _PackedKey, offsets: np.ndarray) -> Column:
     """The column of a packed key's distinct ``offsets``, in its form."""
-    if key.dictionary is not None:
-        offsets = key.dictionary[offsets]
-    elif key.base:
+    if key.base:
         offsets += key.base
     return key.column.with_storage(offsets)
 
@@ -1252,8 +1233,8 @@ def _unpacked(key: _PackedKey, offsets: np.ndarray) -> Column:
 def _grouped_distinct(
     columns: list[Column], rows: Optional[np.ndarray]
 ) -> list[Column]:
-    """DISTINCT of every other key — NULLs, floats, text, words wider than
-    63 bits after ranking: the first row of each :func:`group_rows` group,
+    """DISTINCT of every other key — NULLs, floats, text, offsets wider
+    than 63 bits together: the first row of each :func:`group_rows` group,
     which come in key order (NULLs last, each NaN a group of its own)."""
     if rows is not None:
         columns = [col.take(rows) for col in columns]

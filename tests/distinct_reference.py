@@ -20,7 +20,7 @@ from repro.sqlengine import operators
 from repro.sqlengine.types import Column
 
 #: Every branch of ``operators.distinct_rows``.
-BRANCHES = ("packed-codes", "packed-offsets", "ranked", "grouped")
+BRANCHES = ("packed-codes", "packed-offsets", "grouped")
 
 
 def _token(value) -> tuple:
@@ -57,12 +57,9 @@ def reference_rows(columns: list[Column],
 
 
 def packed_branch(keys) -> str:
-    """The branch a packed DISTINCT over these keys reports: ``ranked``
-    when a plain column was ranked, ``packed-offsets`` when a plain column
-    packed its values' offsets, ``packed-codes`` when every column was
-    encoded."""
-    if any(key.dictionary is not None for key in keys):
-        return "ranked"
+    """The branch a packed DISTINCT over these keys reports:
+    ``packed-offsets`` when a plain column packed its values' offsets,
+    ``packed-codes`` when every column was encoded."""
     if any(key.column.codes is None for key in keys):
         return "packed-offsets"
     return "packed-codes"

@@ -48,13 +48,13 @@ engine does, so both evaluate a fallback over the same rows:
   must agree on it too.  The harness asserts that every branch of the
   one DISTINCT kernel met sqlite: codes packed (there is no size gate,
   so fuzz-sized tables are encoded like million-row ones), plain offsets
-  packed, two wide columns ranked, and NULL-bearing keys grouped.
+  packed, and two wide columns and NULL-bearing keys grouped.
 
-The UDF is registered ``immutable`` on the engine, so a call over a dense
-column evaluates it once per occurring value and a later call over the
-same domain reuses that evaluation (the warm pass always can), and as a
-strict scalar callback on sqlite.  The harness asserts that both kinds of
-evaluation domain — a dictionary and a plain id span — were built.
+The UDF is registered ``immutable`` on the engine, so a call over an
+encoded column evaluates it once per occurring value and a later call
+over the same dictionary reuses that evaluation (the warm pass always
+can), and as a strict scalar callback on sqlite.  The harness asserts
+that such an evaluation over a dictionary was built.
 
 The input gates of the cache-conscious sort and probe primitives
 (``operators.CACHE_KERNEL_MIN_ROWS``, ``PRESORTED_MAX_DESCENTS``) are
@@ -500,12 +500,12 @@ def test_differential_fuzz(monkeypatch):
         return route
 
     monkeypatch.setattr(executor_module, "plan_join", recording_plan_join)
-    domains = {"dictionary": 0, "span": 0}
+    domains = {"dictionary": 0}
     evaluated_domain = functions._EvaluatedDomain
 
-    def recording_domain(literals, dictionary, *args):
-        domains["span" if dictionary is None else "dictionary"] += 1
-        return evaluated_domain(literals, dictionary, *args)
+    def recording_domain(*args):
+        domains["dictionary"] += 1
+        return evaluated_domain(*args)
 
     monkeypatch.setattr(functions, "_EvaluatedDomain", recording_domain)
     # Joint encodings of two or more columns built: the stacked scans'.
@@ -600,7 +600,7 @@ def test_differential_fuzz(monkeypatch):
     assert composite["joins"] > 0  # a two-column key met the oracle
     assert composite["three_column"] > 0
     # Every DISTINCT branch met the oracle: the wide columns' pairs are
-    # the ranked branch's.
+    # grouped.
     assert diffed == set(BRANCHES), diffed
     # ... and actually generate the statement shapes it claims to cover.
     assert shapes["union_all"] > 0
@@ -610,7 +610,7 @@ def test_differential_fuzz(monkeypatch):
     assert shapes["distinct"] > 0
     assert shapes["udf"] > 0 and shapes["udf_reps"] > 0
     assert all(shapes[shape] > 0 for shape in SHAPE_PATTERNS), shapes
-    assert domains["dictionary"] > 0 and domains["span"] > 0
+    assert domains["dictionary"] > 0
     assert joint["built"] > 0
 
 

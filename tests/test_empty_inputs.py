@@ -91,7 +91,7 @@ def test_distinct_and_group_kernels_on_degenerate_inputs():
 @pytest.mark.parametrize("n_columns", (1, 2, 3))
 def test_distinct_kernel_on_zero_one_and_two_rows(n_columns):
     """The packed branch at its smallest, int64's extremes included (a
-    pair of them overflows a word: the ranked branch)."""
+    pair of them overflows a word: the grouped branch)."""
     def kept(*rows):
         columns = [Column(np.array(rows, dtype=np.int64) - c, "int64")
                    for c in range(n_columns)]

@@ -381,15 +381,21 @@ def test_union_all_encodes_only_the_null_free_int_columns():
         assert relation.column("w").codes is not None
 
 
-def test_spark_model_stacks_plain_columns():
+def test_spark_model_stores_the_doubled_table_over_the_joint_dictionary():
+    """Encoded columns are storage, which the Spark model shares: its
+    setup query stacks the same joint encoding the database's does."""
     from repro.spark import SparkSQLDatabase
 
     with SparkSQLDatabase() as db:
-        _edges_db(db, np.random.default_rng(8))
+        v1, v2 = _edges_db(db, np.random.default_rng(8))
         db.execute("create table g as select v1, v2 from e "
                    "union all select v2, v1 from e")
-        assert db.table("g").column("v1").codes is None
-        assert db.table("e").cached_encoding("v1") is None
+        a, b = (db.table("g").column(name) for name in ("v1", "v2"))
+        assert a.codes is not None and a.dictionary is b.dictionary
+        assert a.dictionary is \
+            db.table("e").joint_encoding(["v1", "v2"])["v1"].dictionary
+        assert np.array_equal(a.values, np.append(v1, v2))
+        assert np.array_equal(b.values, np.append(v2, v1))
 
 
 def test_second_run_builds_no_joint_encoding(monkeypatch):
@@ -473,29 +479,23 @@ def test_packed_distinct_falls_back_when_it_cannot_pack(monkeypatch):
 
 def test_executor_distinct_over_encoded_columns_is_in_key_order():
     """Through SQL: two expanding gathers of one stored column leave
-    encoded, and their DISTINCT comes out in key order — the order the
-    plain engine's DISTINCT over the same values has too; the motion it
-    charges is the plain engine's."""
+    encoded, and their DISTINCT comes out in key order, holding sqlite's
+    rows."""
     rng = np.random.default_rng(4)
     reps = rng.permutation(200) * (2 ** 62 // 200) - 2 ** 61
     edges = {"v1": rng.integers(0, 200, 3000),
              "v2": rng.integers(0, 200, 3000)}
     sql = ("select distinct a.rep x, b.rep y from e, r as a, r as b "
            "where e.v1 = a.v and e.v2 = b.v and a.rep != b.rep")
-    results = {}
-    for encode_columns in (True, False):
-        with Database() as db:
-            db._executor.whole_column_shortcuts = encode_columns
-            db.load_table("e", edges)
-            db.load_table("r", {"v": np.arange(200), "rep": reps // 7 * 7})
-            relation = db.execute(sql).relation
-            results[encode_columns] = (relation, db.stats.motion_bytes)
-    (encoded, motion), (plain, plain_motion) = results[True], results[False]
-    assert encoded.column("x").codes is not None
-    assert plain.column("x").codes is None
-    assert motion == plain_motion
-    rows = encoded.rows()
-    assert rows == sorted(rows) == plain.rows()
+    with tee(Database()) as db:
+        db.load_table("e", edges)
+        db.load_table("r", {"v": np.arange(200), "rep": reps // 7 * 7})
+        relation = db.execute(sql).relation
+        assert db.oracle.compared == 1
+        expected = sorted(db.oracle.execute(sql))
+    assert relation.column("x").codes is not None
+    assert relation.column("y").codes is not None
+    assert relation.rows() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -629,14 +629,18 @@ def test_direct_address_group_by_span_limit_and_refusals():
     "select k, x, count(*) c from t group by k, x",
     "select k, count(distinct x) d from t group by k",
 ])
-def test_executor_direct_group_by_matches_the_sorting_engine(sql):
+def test_executor_direct_group_by_matches_the_sorting_engine(sql,
+                                                            monkeypatch):
     rng = np.random.default_rng(5)
     columns = {"k": rng.integers(-30, 30, 600), "x": rng.integers(-9, 9, 600),
                "y": rng.normal(size=600)}
     results = []
-    for shortcuts in (True, False):
+    for direct in (True, False):
         with Database() as db:
-            db._executor.whole_column_shortcuts = shortcuts
+            if not direct:
+                # Every GROUP BY sorts.
+                monkeypatch.setattr(db._executor, "_direct_groups",
+                                    lambda *args: None)
             db.load_table("t", columns)
             db.execute("create table u as select k, x, y, "
                        "nullif(x, 3) n from t")
@@ -722,33 +726,33 @@ def test_immutable_udf_is_applied_once_per_occurring_value():
         impure = db.execute("select impure(3, rep) y from g").column("y")
         assert len(calls) == 2 and calls[-1].shape[0] == 2000
         assert impure.tolist() == pure.tolist()
-
-        # A dense plain column: one call over the ids that occur, never
-        # over the absent 7 in [min, max] this function raises on.
-        got = db.execute("select pure(3, v) y from e").column("y")
+        # The same dictionary and literals again — or any rows inside it —
+        # make no call; different literals do.
+        again = db.execute("select pure(3, rep) y from g").column("y")
+        cut = int(np.median(reps))
+        subset = db.execute(f"select pure(3, rep) y from g where rep > {cut}")
+        assert len(calls) == 2
+        assert again.tolist() == pure.tolist()
+        assert subset.column("y").tolist() == [
+            3 * v for v in g_rep.values.tolist() if v > cut]
+        db.execute("select pure(4, rep) y from g")
         assert len(calls) == 3
-        assert np.array_equal(calls[-1], np.unique(ids))
+        assert np.array_equal(calls[-1], np.unique(reps))
+
+        # A plain column: one call with every row, every time — so never
+        # with the absent 7 in [min, max] this function raises on.
+        got = db.execute("select pure(3, v) y from e").column("y")
+        db.execute("select pure(3, v) y from e where v > 20")
+        assert len(calls) == 5
+        assert calls[-2].tolist() == ids.tolist()
+        assert calls[-1].tolist() == [i for i in ids.tolist() if i > 20]
         assert got.tolist() == (ids * 3).tolist()
+        assert not any((call == 7).any() for call in calls)
         # (It does raise when a row supplies 7.)
         with pytest.raises(ValueError, match="outside"):
             db.execute("select pure(3, v - 1) y from e")
-        # The same domain and literals again — or any rows inside it —
-        # make no call; different literals do.
-        n_calls = len(calls)
-        again = db.execute("select pure(3, v) y from e").column("y")
-        subset = db.execute("select pure(3, v) y from e where v > 20")
-        assert len(calls) == n_calls
-        assert again.tolist() == got.tolist()
-        assert subset.column("y").tolist() == [3 * i for i in ids if i > 20]
-        db.execute("select pure(4, v) y from e")
-        assert len(calls) == n_calls + 1
-        assert np.array_equal(calls[-1], np.unique(ids))
 
-        # Row-wise stay: a sparse plain column ...
-        db.load_table("sparse", {"v": ids * 2 ** 40})
-        db.execute("select pure(3, v) y from sparse")
-        assert calls[-1].shape[0] == 2000
-        # ... a NULL-bearing one (nullif makes v = 8 NULL) ...
+        # Row-wise too: a NULL-bearing column (nullif makes v = 8 NULL) ...
         nulls = db.execute("select pure(3, nullif(v, 8)) y from e")
         assert calls[-1].shape[0] == 2000
         assert [y for (y,) in nulls.rows()] == [
@@ -773,6 +777,36 @@ def test_immutable_udf_is_applied_once_per_occurring_value():
         got = db.execute("select pure(7, rep) y from small").column("y")
         assert len(calls) == n_calls
         assert got.tolist() == [7 * int(reps[ids[0]])] * small_rows
+
+
+@pytest.mark.parametrize("returns", ("int64", "float64", "text"))
+def test_immutable_udf_over_zero_rows_is_not_called(returns):
+    """No row, no call: an immutable function over an empty column — a
+    composition's fallback when no label row is null-extended — returns
+    an empty column of its declared type; one not declared immutable is
+    still called."""
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return np.asarray(x).astype(np.dtype(object if returns == "text"
+                                             else returns))
+
+    with Database() as db:
+        db.create_function("pure", counted, returns=returns, immutable=True)
+        db.create_function("impure", counted, returns=returns)
+        db.load_table("t", {"v": np.arange(5)})
+        db.execute("create table z as select v from t where v > 9")
+        column = db.execute("select pure(v) y from z").relation.column("y")
+        assert len(column) == 0 and column.sql_type == returns
+        assert column.values.dtype == np.dtype(object if returns == "text"
+                                               else returns)
+        assert calls == []
+        db.execute("select impure(v) y from z")
+        assert calls == [0]
+        # A row makes the call.
+        db.execute("select pure(v) y from t where v = 3")
+        assert calls == [0, 1]
 
 
 def test_dictionaries_are_read_only():

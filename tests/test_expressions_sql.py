@@ -279,7 +279,8 @@ def test_coalesce_promotes_over_every_argument_without_nulls():
 
 def test_coalesce_returns_a_null_free_encoded_first_argument_as_it_is():
     """An expanding LEFT JOIN matching every probe row gathers ``r.rep`` as
-    codes; ``coalesce`` hands that column on, codes and all."""
+    codes; ``coalesce`` hands that column on, codes and all, and its
+    immutable fallback, left no row, is not called."""
     db = Database()
     rng = np.random.default_rng(5)
     rep = rng.integers(-(2 ** 62), 2 ** 62, 50)
@@ -300,7 +301,7 @@ def test_coalesce_returns_a_null_free_encoded_first_argument_as_it_is():
     assert column.codes is not None and column.mask is None
     assert column.dictionary is db.table("r").cached_encoding("rep").dictionary
     assert np.array_equal(column.values, rep[relation.column("k").values])
-    assert calls == [0]
+    assert calls == []
 
 
 def test_coalesce_over_aggregates_restricts_them_to_the_null_groups():

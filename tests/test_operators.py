@@ -619,11 +619,11 @@ BRANCH_CASES = {
         "packed-offsets"),
     "sparse-single": (lambda k: [int_column(k["full"] >> 2)],
                       "packed-offsets"),
-    "full-range-single": (lambda k: [int_column(k["full"])], "ranked"),
+    "full-range-single": (lambda k: [int_column(k["full"])], "grouped"),
     "full-range-pair": (
-        lambda k: [int_column(k["full"]), int_column(k["other"])], "ranked"),
+        lambda k: [int_column(k["full"]), int_column(k["other"])], "grouped"),
     "full-range-and-codes": (
-        lambda k: [_encoded(k["small"]), int_column(k["full"])], "ranked"),
+        lambda k: [_encoded(k["small"]), int_column(k["full"])], "grouped"),
     "wide-codes": (lambda k: [Column.encoded(codes, WIDE_DICTIONARY)
                               for codes in k["wide"]], "grouped"),
     "nulls": (lambda k: [int_column(k["small"],
@@ -638,9 +638,9 @@ BRANCH_CASES = {
 @pytest.mark.parametrize("case", sorted(BRANCH_CASES))
 def test_each_branch_serves_its_keys(monkeypatch, case):
     """Each key shape takes its branch — codes packed as they are, plain
-    offsets, plain columns ranked when the offsets overflow a word, and
-    every other key grouped — with and without ``rows``, and the output
-    is the reference's."""
+    offsets, and every other key grouped, offsets that overflow a word
+    included — with and without ``rows``, and the output is the
+    reference's."""
     make, branch = BRANCH_CASES[case]
     columns = make(_branch_keys(np.random.default_rng(len(case))))
     taken = record_branches(monkeypatch)

@@ -945,10 +945,10 @@ def test_rc_deterministic_space_compositions_keep_every_label_row(
     assert contractions == [True] * (2 * result.rounds)
 
 
-def test_plain_sparse_pairs_are_ranked_into_key_order(monkeypatch):
+def test_plain_sparse_pairs_are_grouped_into_key_order(monkeypatch):
     """Plain 64-bit pairs whose offsets overflow a word — a DISTINCT
-    straight over stored field values — rank their values first, and
-    come out in key order like every DISTINCT."""
+    straight over stored field values — are grouped, and come out in key
+    order like every DISTINCT."""
     rng = np.random.default_rng(3)
     a = rng.integers(-(2 ** 62), 2 ** 62, 40)[rng.integers(0, 40, 400)]
     b = rng.integers(-(2 ** 62), 2 ** 62, 40)[rng.integers(0, 40, 400)]
@@ -956,7 +956,7 @@ def test_plain_sparse_pairs_are_ranked_into_key_order(monkeypatch):
     db.load_table("t", {"a": a, "b": b})
     taken = record_branches(monkeypatch)
     rows = db.execute("select distinct a, b from t").rows()
-    assert taken == ["ranked"]
+    assert taken == ["grouped"]
     assert rows == sorted(set(zip(a.tolist(), b.tolist())))
 
 

@@ -73,10 +73,10 @@ NO_ROUTE_TRAFFIC_EXPECTED = {
 #: DISTINCT branches no default-configuration run reaches.
 NO_BRANCH_TRAFFIC_EXPECTED = {
     "grouped":
-        "NULL, float and text keys, and integer keys too wide to pack even "
-        "ranked: every reproduced algorithm DISTINCTs NULL-free int64 "
-        "columns, which pack, ranked at worst (tests/test_operators.py and "
-        "the differential fuzz reach it)",
+        "NULL, float and text keys, and integer keys too wide to pack: "
+        "every reproduced algorithm DISTINCTs NULL-free int64 columns, "
+        "which pack (tests/test_operators.py and the differential fuzz "
+        "reach it)",
 }
 
 
@@ -121,8 +121,8 @@ def _configurations():
     sparse_ids = EdgeList(random_graph.src * 1_000_003 + 2 ** 40,
                           random_graph.dst * 1_000_003 + 2 ** 40)
     configs = {cls.__name__: cls for cls in set(ALGORITHMS.values())}
-    # The Spark model keeps no encoded column: its contraction's DISTINCT
-    # over sparse 64-bit pairs ranks them.
+    # The Spark model stores and reads the same encoded columns; its
+    # kernels run task by task over them.
     yield "rc-spark/gnm", RandomisedContraction, random_graph, \
         SparkSQLDatabase
     configs.update({
@@ -258,9 +258,9 @@ def test_tableless_routes_are_reached_without_an_allow_list_entry(
 
 def test_every_distinct_branch_is_reached_by_some_algorithm(
         default_traffic):
-    """Codes pack in every RC variant's contraction, plain offsets in the
-    baselines' DISTINCTs, and the Spark model's plain 64-bit pairs are
-    ranked; every other branch has a stated reason."""
+    """Codes pack in every RC variant's contraction, the Spark model's
+    included, and plain offsets in the baselines' DISTINCTs; every other
+    branch has a stated reason."""
     _, _, branches, _ = default_traffic
     assert set(NO_BRANCH_TRAFFIC_EXPECTED) <= set(BRANCHES)
     assert all(NO_BRANCH_TRAFFIC_EXPECTED.values())  # one reason per name
@@ -271,10 +271,9 @@ def test_every_distinct_branch_is_reached_by_some_algorithm(
         "a reason")
     assert seen & set(NO_BRANCH_TRAFFIC_EXPECTED) == set()
     rc_runs = [name for name in branches
-               if name.startswith(("RandomisedContraction/", "rc-"))
-               and not name.startswith("rc-spark")]
+               if name.startswith(("RandomisedContraction/", "rc-"))]
+    assert "rc-spark/gnm" in rc_runs
     assert all("packed-codes" in branches[name] for name in rc_runs)
-    assert "ranked" in branches["rc-spark/gnm"]
 
 
 #: G(70k, 140k): the spied fast-variant run's graph size.
@@ -332,9 +331,10 @@ def test_each_round_evaluates_h_once_per_live_vertex(spied_fast_run):
     """``least(h(v1), min(h(v2)))`` over the doubled edge table passes h
     each of its round's live vertices at most once — |V| in round 1, the
     representatives round k - 1 chose after — because the aggregate's
-    call runs over distinct ids (round 1's plain dense ``v2``, a later
-    round's dictionary of those representatives) and the call over the
-    group keys ``v1`` reuses that evaluation instead of calling again."""
+    call runs over the dictionary of ``v2``'s codes (round 1's vertex
+    dictionary, a later round's of those representatives) and the call
+    over the group keys ``v1`` reuses that evaluation instead of calling
+    again."""
     passed, chosen = spied_fast_run["passed"], spied_fast_run["chosen"]
     rounds = sorted(chosen)
     assert len(rounds) > 3
@@ -362,16 +362,16 @@ def test_composition_applies_h_only_to_null_extended_rows(spied_fast_run):
 def test_key_forms_script_reports_one_configuration():
     """``scripts/key_forms.py``'s spies on the contraction over a path:
     every join on codes with no table, every DISTINCT packing codes, every
-    GROUP BY on codes and h evaluated over a dictionary."""
+    GROUP BY on codes and h evaluated over a dictionary.  On the Spark
+    model every key is codes too, run through its partitioned kernels."""
     spec = importlib.util.spec_from_file_location(
         "key_forms",
         Path(__file__).resolve().parent.parent / "scripts" / "key_forms.py")
     key_forms = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(key_forms)
-    name, factory, edges, database = next(
-        config for config in _configurations()
-        if config[0] == "RandomisedContraction/path")
-    seen = key_forms.run(factory, edges, database)
+    configs = {config[0]: config[1:] for config in _configurations()
+               if config[0] in ("RandomisedContraction/path", "rc-spark/gnm")}
+    seen = key_forms.run(*configs["RandomisedContraction/path"])
     assert {(op, forms, route) for op, forms, route in seen} == {
         ("join", "codes = codes", "identity"),
         ("distinct", "codes+codes", "packed-codes"),
@@ -379,5 +379,13 @@ def test_key_forms_script_reports_one_configuration():
         ("group", "codes", "sorted"),
         ("udf", "dictionary", ""),
     }
-    report = key_forms.report(name, seen).splitlines()
-    assert report[0] == name and len(report) == 6
+    report = key_forms.report("RandomisedContraction/path",
+                              seen).splitlines()
+    assert report[0] == "RandomisedContraction/path" and len(report) == 6
+    spark = key_forms.run(*configs["rc-spark/gnm"])
+    assert {(op, forms, route) for op, forms, route in spark} == {
+        ("join", "codes = codes", "spark-partitioned"),
+        ("distinct", "codes+codes", "packed-codes"),
+        ("group", "codes", "partitioned"),
+        ("udf", "dictionary", ""),
+    }
