@@ -11,7 +11,8 @@
       route note it chose;
     * ``distinct``: ``executor.distinct_rows``'s columns and the branch
       of the one DISTINCT kernel that ran;
-    * ``group``: a GROUP BY's keys and its layout — ``direct``
+    * ``group``: a GROUP BY's keys and its layout — ``runs`` (the key
+      arrived sorted: ``run_starts`` served it), ``direct``
       (``direct_group_rows`` served it) or ``sorted``
       (``Executor._group_kernel``);
     * ``udf``: each immutable-UDF evaluation over an encoded column's
@@ -66,6 +67,7 @@ def spy(monkeypatch) -> Counter:
     plan_join = executor.plan_join
     distinct_rows = executor.distinct_rows
     group_kernel = executor.Executor._group_kernel
+    run_starts = executor.run_starts
     direct_group_rows = executor.direct_group_rows
 
     def joining(left_keys, right_keys, right_index=None):
@@ -85,12 +87,18 @@ def spy(monkeypatch) -> Counter:
     def distinct(columns, rows=None):
         return record_distinct(columns, lambda: distinct_rows(columns, rows))
 
-    def grouping(self, key_columns, index=None):
+    def grouping(self, key_columns):
         seen["group", key_form(key_columns), "sorted"] += 1
-        return group_kernel(self, key_columns, index)
+        return group_kernel(self, key_columns)
 
-    def addressing(key, index=None):
-        groups = direct_group_rows(key, index)
+    def in_runs(key):
+        starts = run_starts(key)
+        if starts is not None:
+            seen["group", key_form([key]), "runs"] += 1
+        return starts
+
+    def addressing(key):
+        groups = direct_group_rows(key)
         if groups is not None:
             seen["group", key_form([key]), "direct"] += 1
         return groups
@@ -119,9 +127,9 @@ def spy(monkeypatch) -> Counter:
         return record_distinct(
             columns, lambda: spark_distinct(self, columns, rows))
 
-    def spark_grouping(self, key_columns, index=None):
+    def spark_grouping(self, key_columns):
         seen["group", key_form(key_columns), "partitioned"] += 1
-        return spark_group(self, key_columns, index)
+        return spark_group(self, key_columns)
 
     monkeypatch.setattr(SparkExecutor, "_dispatch_join", spark_joining)
     monkeypatch.setattr(SparkExecutor, "_distinct_kernel",
@@ -130,6 +138,7 @@ def spy(monkeypatch) -> Counter:
     monkeypatch.setattr(executor, "plan_join", joining)
     monkeypatch.setattr(executor, "distinct_rows", distinct)
     monkeypatch.setattr(executor.Executor, "_group_kernel", grouping)
+    monkeypatch.setattr(executor, "run_starts", in_runs)
     monkeypatch.setattr(executor, "direct_group_rows", addressing)
     monkeypatch.setattr(functions, "_EvaluatedDomain", RecordedDomain)
     return seen

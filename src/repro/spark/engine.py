@@ -18,11 +18,14 @@ modelled:
   numpy dispatch per task the way an executor pays per-task overhead
   (smaller batches, same total work, more fixed cost); a GROUP BY is
   sorted task by task, never reduced by direct addressing over the whole
-  column;
+  column.  With one task, or too few rows to split, an operator is one
+  task over whole columns;
 * **no broadcast optimisation** — small relations are shuffled like large
   ones;
 * **no index reuse** — Spark SQL keeps no table indexes, so every join
-  sorts its own build side and no GROUP BY finds its key pre-sorted.
+  sorts its own build side; and the model keeps no sort order either —
+  every GROUP BY sorts task by task, so none is reduced where it lies,
+  even over a key that arrives sorted.
 
 Storage is shared, not modelled: dictionary-encoded columns are a storage
 form that Spark's columnar cache and Parquet use too, so the model stores
@@ -93,16 +96,20 @@ class SparkExecutor(Executor):
             note.append("spark-partitioned")
         return self._partitioned_join(left_keys, right_keys, left_outer)
 
+    def _one_task(self, n_rows: int) -> bool:
+        """Whether an operator over ``n_rows`` runs as one task over whole
+        columns: the model has one task, or too few rows to split."""
+        return self.n_tasks == 1 or n_rows < self.n_tasks * 4
+
     def _partitioned_join(self, left_keys, right_keys, outer: bool):
         n_left = len(left_keys[0])
         n_right = len(right_keys[0])
-        if min(n_left, n_right) == 0 or max(n_left, n_right) < self.n_tasks * 4:
+        kernel = left_join_indices if outer else join_indices
+        if min(n_left, n_right) == 0 or self._one_task(max(n_left, n_right)):
             self.tasks_launched += 1
-            kernel = left_join_indices if outer else join_indices
             return kernel(left_keys, right_keys)
         out_left = []
         out_right = []
-        kernel = left_join_indices if outer else join_indices
         for l_rows, r_rows in zip(self._partitions(left_keys[0]),
                                   self._partitions(right_keys[0])):
             if l_rows.size == 0:
@@ -146,13 +153,12 @@ class SparkExecutor(Executor):
                 self.tasks_launched += 1
                 yield rows
 
-    def _direct_groups(self, key_columns, group_index, aggregates):
-        # Every GROUP BY runs task by task (_group_kernel).
+    def _direct_groups(self, key_columns, aggregates):
+        # Every GROUP BY sorts task by task (_group_kernel).
         return None
 
-    def _group_kernel(self, key_columns, index=None):
-        n = len(key_columns[0]) if key_columns else 0
-        if n < self.n_tasks * 4:
+    def _group_kernel(self, key_columns):
+        if self._one_task(len(key_columns[0])):
             self.tasks_launched += 1
             return group_rows(key_columns)
         out_order = []
@@ -167,12 +173,11 @@ class SparkExecutor(Executor):
         return np.concatenate(out_order), np.concatenate(out_starts)
 
     def _distinct_kernel(self, columns, rows=None):
+        if self._one_task(len(columns[0]) if rows is None else len(rows)):
+            self.tasks_launched += 1
+            return distinct_rows(columns, rows)
         if rows is not None:
             columns = [col.take(rows) for col in columns]
-        n = len(columns[0]) if columns else 0
-        if n < self.n_tasks * 4:
-            self.tasks_launched += 1
-            return distinct_rows(columns)
         tasks = [distinct_rows(columns, task_rows)
                  for task_rows in self._task_rows(columns[0])]
         # Equal rows share a first column, so no two tasks hold one row;

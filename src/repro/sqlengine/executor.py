@@ -23,16 +23,17 @@ GROUP BY key that is not a column, ``*`` beside GROUP BY and a column read
 outside the GROUP BY keys and the aggregates; the plan cache's checks
 re-validate every compiled name after each parameter patch.
 
-Join and group execution is *index-aware*.  Base-table frames carry
-provenance (``Frame.sources``): as long as a frame is an unfiltered scan of
-a stored table, its columns are traceable back to that table, and keyed
-operators consult the table's versioned index cache
+Join execution is *index-aware*.  Base-table frames carry provenance
+(``Frame.sources``): as long as a frame is an unfiltered scan of a stored
+table, its columns are traceable back to that table, and a join's build
+side consults the table's versioned index cache
 (:meth:`~repro.sqlengine.table.Table.ensure_index`).  A cached
 :class:`~repro.sqlengine.operators.KeyIndex` supplies the build side of a
 join pre-sorted (with uniqueness, sortedness and min/max stats), so the
 second and third join against the same table — the paper's per-round
-``reps`` pattern — skips its sort entirely; a GROUP BY over a column the
-index proves pre-sorted on disk skips both its sort and its gather.
+``reps`` pattern — skips its sort entirely.  A GROUP BY reads no index:
+it picks its layout off the key column it is handed (see
+:meth:`Executor._aggregate`).
 
 How a join runs is decided in one place,
 :func:`~repro.sqlengine.operators.plan_join`, and the executor runs the
@@ -91,16 +92,16 @@ dictionary take the planner's ``dictionary`` route, ``v1 != r2.rep``
 compares codes (:mod:`~repro.sqlengine.expressions`), an immutable UDF is
 applied to the dictionary, once for every call over it
 (:mod:`~repro.sqlengine.functions`), DISTINCT
-packs and sorts the codes, GROUP BY finds that output sorted.  The rules
+packs and sorts the codes, GROUP BY reduces that output where it lies.  The rules
 read a join's row counts, whether a gathered row is null-extended and a
 column's provenance — nothing about how the statement runs — so the form
 is a deterministic function of the statement and its input relation.  A
 DISTINCT's row order does not depend on the form: **it is ascending key
 order.**  Space, motion and written bytes charge 8 bytes per cell in
 either form.  Dense GROUP BY keys
-nothing has sorted yet — round 1's vertex codes — are reduced by direct
+that arrive unsorted — round 1's vertex codes — are reduced by direct
 addressing (:func:`~repro.sqlengine.operators.direct_group_rows`) through
-the one reducer the sorted path calls.
+the one reducer the other layouts call.
 
 MPP accounting happens where a real MPP executor would move data: a join or
 aggregation whose input is not already distributed on its key charges a
@@ -146,6 +147,7 @@ from .operators import (
     group_rows,
     pad_left_outer,
     plan_join,
+    run_starts,
 )
 from .physicalplan import (
     CorePlan,
@@ -540,7 +542,7 @@ class _JoinChain:
 class Executor:
     """Executes parsed statements against a catalog."""
 
-    #: Consult stored tables' index caches for joins and grouping.
+    #: Consult stored tables' index caches for joins' build sides.
     #: Executors that model index-less engines (the Spark comparison) set
     #: this False, as do the few tests that need a join to sort its own
     #: build side — on the instance; nothing selects it from outside.
@@ -562,9 +564,8 @@ class Executor:
         self, frame: Frame, qualified_name: str
     ) -> Optional[KeyIndex]:
         """Fetch, or build and cache, the index of the stored column behind
-        a join's build-side key or a GROUP BY key, if there is one.  The
-        statement that builds an index counts the miss; later ones count
-        hits."""
+        a join's build-side key, if there is one.  The statement that
+        builds an index counts the miss; later ones count hits."""
         if not self.use_index_cache:
             return None
         source = frame.sources.get(qualified_name)
@@ -625,9 +626,9 @@ class Executor:
         return l_idx, r_idx
 
     def _group_kernel(
-        self, key_columns: list[Column], index: Optional[KeyIndex] = None
+        self, key_columns: list[Column]
     ) -> tuple[np.ndarray, np.ndarray]:
-        return group_rows(key_columns, index=index)
+        return group_rows(key_columns)
 
     def _distinct_kernel(
         self, columns: list[Column], rows: Optional[np.ndarray] = None
@@ -1006,9 +1007,10 @@ class Executor:
         self, plan: CorePlan, frame: Frame
     ) -> tuple[dict[str, Column], Environment]:
         """GROUP BY (or a global aggregate) over a frame: the one runner.
-        Dense keys nothing has sorted yet are reduced by direct addressing;
-        any other key is sorted — or found sorted by a cached index — and
-        both layouts feed the one reducer,
+        The layout is read off the key columns (:meth:`_direct_groups`):
+        a key that arrives sorted is reduced where it lies, a dense one by
+        direct addressing, any other key through a sort — and every layout
+        feeds the one reducer,
         :func:`~repro.sqlengine.operators._reduce_slice`.  Returns the group
         keys by qualified and bare name, and the environment the outputs
         are evaluated in: those keys and every aggregate's result."""
@@ -1016,39 +1018,25 @@ class Executor:
         key_names = plan.group_keys
         key_columns = [frame.columns[name] for name in key_names]
 
-        direct = None
-        presorted = False
+        # ``order`` None: the rows already lie group by group.
+        order = starts = direct = None
         if key_columns:
-            group_index = None
-            if len(key_names) == 1:
-                # A group key scanned straight off a stored table uses (and
-                # warms) the table's index cache: the sort performed here is
-                # the same one the round's joins need.
-                group_index = self._stored_index(frame, key_names[0])
-            direct = self._direct_groups(key_columns, group_index,
-                                         plan.aggregates)
-            if direct is not None:
-                order = starts = None
+            layout = self._direct_groups(key_columns, plan.aggregates)
+            if isinstance(layout, DirectGroups):
+                direct = layout
                 n_groups, counts = int(direct.present.shape[0]), direct.counts
             else:
-                order, starts = self._group_kernel(key_columns,
-                                                   index=group_index)
-                # A cached index that proves the key pre-sorted on disk
-                # returned the identity order: skip the aggregate gathers.
-                presorted = (
-                    group_index is not None
-                    and group_index.is_sorted
-                    and order is group_index.order
-                )
-                if presorted:
+                if layout is None:
+                    order, starts = self._group_kernel(key_columns)
+                else:
+                    starts = layout
                     self.stats.bump("group_sorts_skipped")
                 n_groups = int(starts.shape[0])
-                counts = np.diff(np.append(starts, order.shape[0]))
+                counts = np.diff(np.append(starts, frame.length))
             # Motion: grouping needs rows co-located by the group key.
             self._charge_motion(frame.byte_size(), frame.length,
                                 bool(frame.distribution & set(key_names)))
         else:
-            order = np.arange(frame.length)
             starts = np.zeros(1, dtype=np.int64)
             n_groups = 1
             counts = np.array([frame.length])
@@ -1058,8 +1046,7 @@ class Executor:
         for node in plan.aggregates:
             if node not in results:
                 results[node] = self._compute_aggregate(
-                    node, env, order, starts, counts, n_groups, presorted,
-                    direct)
+                    node, env, order, starts, counts, n_groups, direct)
 
         grouped: dict[str, Column] = {}
         for ref, qualified, column in zip(plan.core.group_by, key_names,
@@ -1068,10 +1055,8 @@ class Executor:
                 # The occurring slots are the group keys, in the key
                 # column's own form.
                 keys = column.with_storage(direct.present + direct.low)
-            elif n_groups:
-                keys = column.take(order[starts])
             else:
-                keys = column.take(starts)
+                keys = column.take(starts if order is None else order[starts])
             grouped[qualified] = keys
             grouped.setdefault(ref.name, keys)
         return grouped, Environment(grouped, n_groups, self.registry,
@@ -1080,34 +1065,33 @@ class Executor:
     def _direct_groups(
         self,
         key_columns: list[Column],
-        group_index: Optional[KeyIndex],
         aggregates: list[Aggregate],
-    ) -> Optional[DirectGroups]:
-        """The groups of a GROUP BY direct addressing serves, else ``None``:
-        one key column nothing has sorted yet — a sorted one reduces in
-        place, cheaper still — only counts, minima and maxima, which a
-        scatter reduction computes exactly, and keys dense enough for
-        :func:`~repro.sqlengine.operators.direct_group_rows`."""
-        if (
-            len(key_columns) == 1
-            and not (group_index is not None and group_index.is_sorted)
-            and all(
-                node.name in ("count", "min", "max") and not node.distinct
-                for node in aggregates
-            )
-        ):
-            return direct_group_rows(key_columns[0], group_index)
+    ) -> Optional[DirectGroups | np.ndarray]:
+        """The layout of a GROUP BY that needs no sort, else ``None``.  One
+        key column that arrives sorted
+        (:func:`~repro.sqlengine.operators.run_starts`) gives its group
+        starts: its rows are reduced where they lie, whatever the
+        aggregates.  Otherwise one dense key under counts, minima and
+        maxima only, which a scatter reduction computes exactly, gives
+        :func:`~repro.sqlengine.operators.direct_group_rows`' groups."""
+        if len(key_columns) != 1:
+            return None
+        starts = run_starts(key_columns[0])
+        if starts is not None:
+            return starts
+        if all(node.name in ("count", "min", "max") and not node.distinct
+               for node in aggregates):
+            return direct_group_rows(key_columns[0])
         return None
 
     def _compute_aggregate(
         self,
         node: Aggregate,
         env: Environment,
-        order: np.ndarray,
+        order: Optional[np.ndarray],
         starts: np.ndarray,
         counts: np.ndarray,
         n_groups: int,
-        presorted: bool = False,
         direct: Optional[DirectGroups] = None,
     ) -> Column:
         if node.name == "count" and node.arg is None:
@@ -1117,7 +1101,7 @@ class Executor:
         argument = evaluate(node.arg, env)
         if node.distinct:
             return self._count_distinct(argument, order, counts, n_groups)
-        if direct is None and order.shape[0] == 0:
+        if env.length == 0:
             # Global aggregate over an empty input: count is 0, the others
             # are NULL (SQL semantics); grouped aggregates have no groups.
             if n_groups == 0:
@@ -1129,22 +1113,22 @@ class Executor:
             INT64, FLOAT64, BOOL
         ):
             raise PlanError(f"{node.name}() on non-numeric column")
-        # The cached index that proved the input pre-grouped on disk made
-        # the grouping order the identity: the reducer skips its gathers.
-        return _reduce_slice(node.name, argument,
-                             None if presorted else order, starts, counts,
+        return _reduce_slice(node.name, argument, order, starts, counts,
                              direct)
 
     def _count_distinct(
-        self, argument: Column, order: np.ndarray, counts: np.ndarray,
-        n_groups: int,
+        self, argument: Column, order: Optional[np.ndarray],
+        counts: np.ndarray, n_groups: int,
     ) -> Column:
         """count(distinct x) per group of the caller's grouping (one global
-        group without GROUP BY): distinct (group position, x) pairs,
-        counted per position.  Groups are told apart by position, never by
-        key value, so a group whose key is NULL counts like any other."""
-        group_of_row = np.empty(order.shape[0], dtype=np.int64)
-        group_of_row[order] = np.repeat(np.arange(n_groups), counts)
+        group without GROUP BY; ``order`` None: the rows lie group by
+        group): distinct (group position, x) pairs, counted per position.
+        Groups are told apart by position, never by key value, so a group
+        whose key is NULL counts like any other."""
+        group_of_row = np.repeat(np.arange(n_groups), counts)
+        if order is not None:
+            grouped, group_of_row = group_of_row, np.empty_like(group_of_row)
+            group_of_row[order] = grouped
         rows = np.flatnonzero(~argument.null_mask())
         groups, _ = distinct_rows([Column(group_of_row[rows], INT64),
                                    argument.take(rows)])

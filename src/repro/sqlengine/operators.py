@@ -49,12 +49,16 @@ Every join runs its route's kernel once, over the whole probe side, on
 the calling thread (:meth:`JoinRoute.run`); nothing about the host — its
 core count included — changes a route, its note or its output.
 
-**Grouping** sorts (:func:`group_rows`: a cached index's order, else
-:func:`stable_argsort` of the key or its packed word) unless the keys are
-dense integers — vertex ids, or any encoded column's codes — which
-:func:`direct_group_rows` groups by address: a ``bincount`` and one
-scatter reduction per aggregate, groups in ascending key order like the
-sort's.
+**Grouping** reads its layout off the key column it is handed.  One
+NULL-free integer key — codes or values — that arrives non-decreasing
+(a DISTINCT's leading column, any GROUP BY output) already lies group by
+group: :func:`run_starts` finds the groups in one ``!=`` pass and every
+aggregate reduces the rows where they lie.  Otherwise dense integer keys —
+vertex ids, or any encoded column's codes — under count, min and max are
+grouped by address (:func:`direct_group_rows`: a ``bincount`` and one
+scatter reduction per aggregate), and every other key is sorted
+(:func:`group_rows`: :func:`stable_argsort` of the key or its packed
+word).  All three give the groups in ascending key order.
 
 **DISTINCT** has one kernel and one row order: :func:`distinct_rows`
 returns the distinct rows in ascending **key** order (so the next GROUP BY
@@ -218,33 +222,27 @@ class KeyIndex:
     dense-key columns never need them — the direct-address join consumes
     only the O(n) statistics — so building them eagerly would make every
     one-shot dense join pay for a sort it never uses.  The first consumer
-    that does need the sorted order (a sparse-key join probe, or GROUP BY
-    through the executor's index-aware grouping) materialises it once, and
-    the table cache keeps it.
+    that does need the sorted order (a sparse-key join probe)
+    materialises it once, and the table cache keeps it.
 
     An index over a dictionary-encoded column is built from its **codes**
     (``dictionary`` given): order, uniqueness and sortedness are the
     values' own because the dictionary is strictly increasing, so nothing
-    here gathers a value until a join asks for ``sorted_values``; grouping
-    reads ``sorted_keys`` and never does.  ``min_value`` / ``max_value``
-    are values either way.
+    here gathers a value until a join asks for ``sorted_values``.
+    ``min_value`` / ``max_value`` are values either way.
 
     A column found non-decreasing (``is_sorted``: every GROUP BY output,
     a DISTINCT's leading column) costs one comparison pass more: its
     bounds are its ends, its uniqueness one ``==`` of neighbours, and its
     order the identity — no ``bincount``, no sort.
 
-    ``histogram``, kept from the build over dense keys that are not
-    sorted, counts the rows of each key in ``[min_value, max_value]`` —
-    over codes, of each code from 0 to the largest: the direct-address
-    GROUP BY over the same column reads it instead of counting again.
-    That GROUP BY never serves a sorted key — one reduces in place — so a
-    sorted build keeps none.
+    Only a join's build side reads one (from a stored table's index
+    cache); a GROUP BY reads its layout off the key column itself.
     """
 
     __slots__ = ("_keys", "n_rows", "is_unique", "min_value", "max_value",
                  "is_sorted", "_order", "_sorted_keys", "_dictionary",
-                 "_sorted_values", "histogram")
+                 "_sorted_values")
 
     def __init__(
         self,
@@ -256,7 +254,6 @@ class KeyIndex:
         sorted_keys: Optional[np.ndarray] = None,
         is_sorted: bool = False,
         dictionary: Optional[np.ndarray] = None,
-        histogram: Optional[np.ndarray] = None,
     ):
         self._keys = keys
         self.n_rows = int(keys.shape[0])
@@ -264,15 +261,14 @@ class KeyIndex:
         self.min_value = min_value
         self.max_value = max_value
         #: True when the column is already non-decreasing on disk — the
-        #: stable argsort is then the identity, so sorted consumers (index
-        #: probes, GROUP BY) skip both the sort and the gather.  GROUP BY
-        #: output tables (the paper's per-round ``reps``) always qualify.
+        #: stable argsort is then the identity, so index probes skip both
+        #: the sort and the gather.  GROUP BY output tables (the paper's
+        #: per-round ``reps``) always qualify.
         self.is_sorted = is_sorted
         self._order = order
         self._sorted_keys = sorted_keys
         self._dictionary = dictionary
         self._sorted_values: Optional[np.ndarray] = None
-        self.histogram = histogram
 
     def fills(self, span: int) -> bool:
         """Whether the indexed keys are sorted, unique and exactly ``span``
@@ -325,8 +321,8 @@ def build_key_index(
     Sortedness is checked first.  A sorted column reads its bounds off its
     ends (through the dictionary for codes) and its uniqueness off one
     comparison of neighbours.  Otherwise the bounds take a ``min`` and a
-    ``max``; dense integer keys then take a ``bincount``, kept as the
-    histogram, and sparse ones the stable sort."""
+    ``max``; dense integer keys then take a ``bincount`` and sparse ones
+    the stable sort."""
     if values.dtype == object:
         raise ExecutionError("key indexes require fixed-width numeric columns")
     n = int(values.shape[0])
@@ -354,16 +350,12 @@ def build_key_index(
         low, high = int(values.min()), int(values.max())
         min_value, max_value = (low, high) if dictionary is None else (
             int(dictionary[low]), int(dictionary[high]))
-        # Codes are counted from code 0, the first slot of a direct-address
-        # GROUP BY over them; values from their least.
-        base = low if dictionary is None else 0
-        if high - base + 1 <= _dense_span_limit(n):
+        if high - low + 1 <= _dense_span_limit(n):
             # Dense keys: uniqueness comes from an O(n) bincount and the
             # join kernel will use direct addressing — defer the sort.
-            counts = np.bincount(values - base if base else values)
+            counts = np.bincount(values - low if low else values)
             return KeyIndex(values, int(counts.max()) <= 1, min_value,
-                            max_value, dictionary=dictionary,
-                            histogram=counts)
+                            max_value, dictionary=dictionary)
     order, sorted_keys = stable_argsort(values)
     is_unique = not bool((sorted_keys[1:] == sorted_keys[:-1]).any())
     return KeyIndex(values, is_unique, min_value, max_value, order,
@@ -890,28 +882,16 @@ def probe_unique(
 # ---------------------------------------------------------------------------
 
 
-def group_rows(
-    key_columns: list[Column], index: Optional[KeyIndex] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def group_rows(key_columns: list[Column]) -> tuple[np.ndarray, np.ndarray]:
     """Group rows by key equality.
 
     Returns ``(order, starts)``: ``order`` sorts rows so equal keys are
     adjacent; ``starts`` indexes into ``order`` at each group's first row.
     NULL keys form their own group (SQL GROUP BY treats NULLs as equal).
-
-    ``index`` is an optional cached :class:`KeyIndex` over a single NULL-free
-    key column; it makes grouping sort-free.
     """
     n = len(key_columns[0]) if key_columns else 0
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if (
-        index is not None
-        and len(key_columns) == 1
-        and key_columns[0].mask is None
-        and index.n_rows == n
-    ):
-        return index.order, _boundaries(index.sorted_keys)
     if all(col.mask is None for col in key_columns):
         if len(key_columns) == 1:
             # Codes group exactly as their values do.
@@ -928,56 +908,62 @@ def group_rows(
     return sorted_group_rows(key_columns)
 
 
+def run_starts(key: Column) -> Optional[np.ndarray]:
+    """The group starts of one key column whose rows already lie group by
+    group, else ``None``: a non-empty NULL-free integer column — codes or
+    values — that one ``>=`` pass finds non-decreasing.  The starts are
+    one ``!=`` pass; the stable sort would be the identity, so the rows
+    are reduced where they lie, with no sort and no gather.  Each round's
+    ``reps`` GROUP BY from round 2 on reads such a key: the contract's
+    DISTINCT emits it in key order."""
+    keys = key.storage
+    if key.mask is not None or keys.dtype.kind != "i" or not keys.shape[0]:
+        return None
+    if not np.greater_equal(keys[1:], keys[:-1]).all():
+        return None
+    return _boundaries(keys)
+
+
 class DirectGroups:
     """Rows grouped by direct addressing instead of a sort: row ``i``
     belongs to slot ``slots[i]`` of ``span``; the groups are the slots
     that occur, ``present``, ascending — the key order :func:`group_rows`
     yields — with ``counts`` rows each, and group ``g``'s key is
-    ``low + present[g]``.  ``per_slot``, when the caller has it, is the
-    keys' histogram over the span."""
+    ``low + present[g]``."""
 
     __slots__ = ("slots", "span", "low", "present", "counts")
 
-    def __init__(self, keys: np.ndarray, low: int, span: int,
-                 per_slot: Optional[np.ndarray] = None):
+    def __init__(self, keys: np.ndarray, low: int, span: int):
         self.slots = keys - low if low else keys
         self.span = span
         self.low = low
-        if per_slot is None:
-            per_slot = np.bincount(self.slots, minlength=span)
+        per_slot = np.bincount(self.slots, minlength=span)
         self.present = np.flatnonzero(per_slot)
         self.counts = per_slot[self.present]
 
 
-def direct_group_rows(
-    key: Column, index: Optional[KeyIndex] = None
-) -> Optional[DirectGroups]:
+def direct_group_rows(key: Column) -> Optional[DirectGroups]:
     """Group one NULL-free integer key column without sorting it, when its
     keys are dense (a span :func:`_dense_span_limit` admits — vertex ids,
     or the codes of an encoded column, whose span is its dictionary's
     length); ``None`` otherwise.  ``bincount`` is 3 ns/row and a
     ``ufunc.at`` reduction 4–6, against 60 for :func:`stable_argsort`
     plus a gather per aggregate: what round 1 of a contraction, whose
-    codes nothing has sorted yet, spends its GROUP BY on.  An ``index``
-    built over the same dense keys — values or codes — hands over its
-    histogram, so they are counted once."""
+    codes nothing has sorted yet, spends its GROUP BY on.  A key that
+    arrives sorted goes to :func:`run_starts` instead: ``ufunc.at``
+    serialises on the repeated slots of a sorted key (2x slower than
+    ``reduceat`` over its runs at 200 rows a group)."""
     n = len(key)
     if n == 0 or key.mask is not None or key.storage.dtype.kind != "i":
         return None
     keys = key.storage
     if key.codes is not None:
         low, high = 0, int(key.dictionary.shape[0]) - 1
-    elif index is not None and index.min_value is not None:
-        low, high = index.min_value, index.max_value
     else:
         low, high = int(keys.min()), int(keys.max())
-    per_slot = None if index is None else index.histogram
-    if per_slot is not None:
-        # Counted from ``low``: no slot above the histogram's is occupied.
-        high = low + int(per_slot.shape[0]) - 1
     if high - low + 1 > _dense_span_limit(n):
         return None
-    return DirectGroups(keys, low, high - low + 1, per_slot)
+    return DirectGroups(keys, low, high - low + 1)
 
 
 #: Aggregate kinds the reducer computes (``count*`` takes no argument).

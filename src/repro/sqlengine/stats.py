@@ -68,8 +68,8 @@ COUNTERS = (
     # ... with a LEFT OUTER JOIN inside: its null-extended probe rows
     # travelled as a validity mask through the composed maps.
     "left_chain_fusions",
-    # A GROUP BY ran sort-free and gather-free: a cached index proved its
-    # input pre-sorted on disk.
+    # A GROUP BY ran sort-free and gather-free: its one NULL-free integer
+    # key arrived sorted, and its rows were reduced where they lie.
     "group_sorts_skipped",
     # Retired (see RETIRED): nothing moves them any more.
     "hash_distincts",

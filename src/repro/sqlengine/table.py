@@ -1,10 +1,10 @@
 """Stored tables and the catalog.
 
-Tables carry a **versioned per-column index cache**: the first keyed
-operation against a stored column builds a :class:`~repro.sqlengine.operators.KeyIndex`
+Tables carry a **versioned per-column index cache**: the first join that
+builds on a stored column builds a :class:`~repro.sqlengine.operators.KeyIndex`
 (sorted order, uniqueness, min/max stats) and caches it on the table;
-subsequent joins and groupings against the same column reuse it instead of
-re-sorting.  Any mutation (``INSERT`` append, ``TRUNCATE``) bumps the table
+subsequent joins against the same column reuse it instead of re-sorting
+(a GROUP BY reads no index: it takes its layout off the key column).  Any mutation (``INSERT`` append, ``TRUNCATE``) bumps the table
 version, which invalidates every cached index — a stale index can therefore
 never be observed.  The paper's algorithms join the per-round ``reps``
 table two to three times per contraction round, which is exactly the reuse

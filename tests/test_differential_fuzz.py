@@ -25,7 +25,12 @@ with an integer and a float branch, joins on two- and three-column keys,
 one column NULL-bearing, projections of integers spread over 2^41, and
 joins — inner and LEFT — whose
 build side is a stored GROUP BY output, as each round's ``reps`` is,
-joined back to its input) over small random tables, and holds
+joined back to its input; and, every few statements from a stream of
+their own, GROUP BYs over a key that arrives sorted — a DISTINCT
+subquery's leading column, or a stored DISTINCT output's, as each
+round's ``reps`` reads the contraction's — beside sorted keys that must
+not be reduced in place: NULL-bearing, float, text, one of two) over
+small random tables, and holds
 each statement to two contracts.  sqlite short-circuits COALESCE as the
 engine does, so both evaluate a fallback over the same rows:
 
@@ -48,7 +53,9 @@ engine does, so both evaluate a fallback over the same rows:
   must agree on it too.  The harness asserts that every branch of the
   one DISTINCT kernel met sqlite: codes packed (there is no size gate,
   so fuzz-sized tables are encoded like million-row ones), plain offsets
-  packed, and two wide columns and NULL-bearing keys grouped.
+  packed, and two wide columns and NULL-bearing keys grouped.  Every
+  full batch must have reduced a GROUP BY whose key arrived sorted in
+  place (``group_sorts_skipped``), so sqlite referees that layout too.
 
 The UDF is registered ``immutable`` on the engine, so a call over an
 encoded column evaluates it once per occurring value and a later call
@@ -103,6 +110,10 @@ FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20200420"))
 #: DDL churn step (append + rename round-trip) halfway through each batch.
 BATCH = 40
 
+#: Every this many statements of a batch, a GROUP BY over a key that
+#: arrives sorted (:func:`_sorted_key_group`) runs beside them.
+SORTED_KEY_EVERY = 4
+
 TABLES = {
     "t0": ("k0", "a0", "n0"),
     "t1": ("k1", "a1", "n1"),
@@ -155,6 +166,8 @@ DERIVED_TABLES = [
     "where x.k0 = y.k1",
     "create table g0 as select hk g, min(ha) m from h0 group by hk",
     "create table g1 as select k2 g, count(*) m from t2 group by k2",
+    # A stored DISTINCT output: its leading column is in key order.
+    "create table d0 as select distinct k1 dk, a1 da, n1 dn from t1",
 ]
 
 #: A derived GROUP BY output joined back to its input (or to a table of
@@ -173,6 +186,13 @@ SHAPE_PATTERNS = {
     "case_int_float": r"case when .* else -?\d+\.\d+ end",
     "grouped_join": r" as q on \(p\.\w+ = q\.g\)",
     "stacked_scans": r"\(select \w+ c0, \w+ c1 from \w+ union all ",
+    # GROUP BYs over a key that arrives sorted (_sorted_key_group).
+    "sorted_key": r"\(select distinct k\d c0, .* group by s\.c0$",
+    "stored_distinct_key": r" from d0 as s group by s\.dk$",
+    "sorted_null_key": r"\(select distinct n\d c0, ",
+    "sorted_float_key": r"\(select distinct k\d \* 0\.5 c0, ",
+    "sorted_text_key": r"\(select distinct case when .* end c0, ",
+    "two_sorted_keys": r" group by s\.(c0|dk), s\.",
 }
 
 
@@ -371,6 +391,49 @@ def _stacked_scans(rand: random.Random) -> str:
             f"{kind} {build} as q on (u.c0 = q.g)")
 
 
+def _sorted_key_group(rand: random.Random) -> str:
+    """A GROUP BY over a key that arrives sorted — a DISTINCT subquery's
+    leading column, or the stored DISTINCT output's — which is reduced in
+    the runs it lies in, under every aggregate kind and the contraction's
+    ``least(udf(k), min(udf(v)))``; or a sorted key that must not be: a
+    NULL-bearing, float or text one, or one of two keys."""
+    table = rand.choice(list(TABLES))
+    key, val, nullable = TABLES[table]
+    lead, integer = key, True
+    roll = rand.random()
+    if roll < 0.12:
+        lead = nullable
+    elif roll < 0.24:
+        lead, integer = f"{key} * 0.5", False
+    elif roll < 0.36:
+        lead, integer = (f"case when {key} > {rand.randint(1, 4)} "
+                         f"then 'hi' else 'lo' end"), False
+    if lead == key and rand.random() < 0.3:
+        columns, from_sql = ("dk", "da", "dn"), "d0 as s"
+    else:
+        columns = ("c0", "c1", "c2")
+        from_sql = (f"(select distinct {lead} c0, {val} c1, {nullable} c2 "
+                    f"from {table}) as s")
+    keys = [f"s.{columns[0]}"]
+    if rand.random() < 0.2:
+        keys.append(f"s.{columns[1]}")
+    items = keys + ["count(*) c"]
+    for position, fn in enumerate(
+            rand.sample(["min", "max", "sum", "avg", "count"],
+                        rand.randint(1, 3))):
+        argument = f"s.{rand.choice(columns[1:])}"
+        if fn == "count" and rand.random() < 0.4:
+            items.append(f"count(distinct {argument}) d{position}")
+        else:
+            items.append(f"{fn}({argument}) f{position}")
+    if integer and rand.random() < 0.3:
+        scale = rand.choice(UDF_SCALES)
+        items.append(f"least(udf({scale}, {keys[0]}), "
+                     f"min(udf({scale}, s.{columns[1]}))) u")
+    return f"select {', '.join(items)} from {from_sql} " \
+        f"group by {', '.join(keys)}"
+
+
 def generate_query(rand: random.Random) -> str:
     if rand.random() < 0.08:
         return _stacked_scans(rand)
@@ -524,6 +587,7 @@ def test_differential_fuzz(monkeypatch):
     taken = record_branches(monkeypatch)
     diffed: set[str] = set()
     rand = random.Random(FUZZ_SEED)
+    sorted_rand = random.Random(FUZZ_SEED + 1)
     executed = 0
     engaged = {"chain": 0, "fused": 0, "left_chain": 0, "encoded": 0}
     shapes = {"union_all": 0, "subquery_from": 0, "outer_group": 0,
@@ -544,42 +608,51 @@ def test_differential_fuzz(monkeypatch):
             oracle.execute(statement)
             db.execute(statement)
         batch_rounds = min(BATCH, FUZZ_ROUNDS - executed)
+        skipped = db.stats.group_sorts_skipped
         for batch_position in range(batch_rounds):
             if batch_position == BATCH // 2:
                 for statement in churn_statements(rand):
                     oracle.execute(statement)
                     db.execute(statement)
-            sql = generate_query(rand)
-            if " union all " in sql:
-                shapes["union_all"] += 1
-            if "(select" in sql:
-                shapes["subquery_from"] += 1
-            if "left outer join" in sql and " group by " in sql:
-                shapes["outer_group"] += 1
-            # An explicit inner JOIN, or a comma after a FROM alias.
-            if re.search(r"(?<!outer) join |as \w+, ", sql) \
-                    and " group by " in sql:
-                shapes["inner_group"] += 1
-            shapes["distinct"] += "select distinct " in sql
-            shapes["udf"] += "udf(" in sql
-            shapes["udf_reps"] += "least(udf(" in sql
-            for shape, pattern in SHAPE_PATTERNS.items():
-                shapes[shape] += re.search(pattern, sql) is not None
-            taken.clear()
-            planned = db.execute(sql).relation
-            # Warm pass: the cached template's physical plan re-executes.
-            plan_hits = db.stats.physical_plan_hits
-            warm = db.execute(sql).relation
-            assert_identical(sql, "warm", warm, planned)
-            assert db.stats.physical_plan_hits == plan_hits + 1, sql
-            # Row content: equal to sqlite's as multisets of rows.
-            assert sorted_rows(planned.rows()) == \
-                sorted_rows(oracle.execute(sql)), sql
-            diffed.update(taken)
-            engaged["encoded"] += any(
-                planned.column(name).codes is not None
-                for name in planned.names)
+            sqls = [generate_query(rand)]
+            if batch_position % SORTED_KEY_EVERY == 0:
+                # Drawn from a stream of its own, so the other statements
+                # stay those the seed generated without it.
+                sqls.append(_sorted_key_group(sorted_rand))
+            for sql in sqls:
+                if " union all " in sql:
+                    shapes["union_all"] += 1
+                if "(select" in sql:
+                    shapes["subquery_from"] += 1
+                if "left outer join" in sql and " group by " in sql:
+                    shapes["outer_group"] += 1
+                # An explicit inner JOIN, or a comma after a FROM alias.
+                if re.search(r"(?<!outer) join |as \w+, ", sql) \
+                        and " group by " in sql:
+                    shapes["inner_group"] += 1
+                shapes["distinct"] += "select distinct " in sql
+                shapes["udf"] += "udf(" in sql
+                shapes["udf_reps"] += "least(udf(" in sql
+                for shape, pattern in SHAPE_PATTERNS.items():
+                    shapes[shape] += re.search(pattern, sql) is not None
+                taken.clear()
+                planned = db.execute(sql).relation
+                # Warm pass: the cached template's physical plan re-executes.
+                plan_hits = db.stats.physical_plan_hits
+                warm = db.execute(sql).relation
+                assert_identical(sql, "warm", warm, planned)
+                assert db.stats.physical_plan_hits == plan_hits + 1, sql
+                # Row content: equal to sqlite's as multisets of rows.
+                assert sorted_rows(planned.rows()) == \
+                    sorted_rows(oracle.execute(sql)), sql
+                diffed.update(taken)
+                engaged["encoded"] += any(
+                    planned.column(name).codes is not None
+                    for name in planned.names)
             executed += 1
+        if batch_rounds == BATCH:
+            # A GROUP BY over a key that arrived sorted met sqlite.
+            assert db.stats.group_sorts_skipped > skipped
         engaged["chain"] += db.stats.join_chain_fusions
         engaged["left_chain"] += db.stats.left_chain_fusions
         engaged["fused"] += db.stats.fused_pipelines

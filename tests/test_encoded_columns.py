@@ -188,7 +188,7 @@ def test_index_over_an_encoded_column_is_built_from_codes():
     assert index._sorted_values is None
     assert np.array_equal(index.sorted_values, reference.sorted_values)
     # Grouping reads the codes and gives the values' groups.
-    for got, expected in zip(group_rows([encoded], index),
+    for got, expected in zip(group_rows([encoded]),
                              group_rows([Column.from_values(values)])):
         assert np.array_equal(got, expected)
     # A stored-sorted column: the ends are the bounds, the order is free.
@@ -282,23 +282,6 @@ def test_encode_values_falls_back_on_a_shared_prefix_out_of_order(
     assert calls == ([len(values)] if falls_back else [])
     assert np.array_equal(dictionary, real_unique(values))
     assert np.array_equal(dictionary[codes], values)
-
-
-def test_direct_group_by_over_codes_reads_the_index_histogram(monkeypatch):
-    """The dense index build over codes counts each code once; the
-    direct-address GROUP BY over the same column reuses that count."""
-    import repro.sqlengine.operators as operators_module
-
-    rng = np.random.default_rng(4)
-    column = encode(rng.integers(-(2 ** 62), 2 ** 62, 300)[
-        rng.integers(0, 300, 2000)])
-    index = build_key_index(column.codes, column.dictionary)
-    assert np.array_equal(index.histogram, np.bincount(column.codes))
-    expected = direct_group_rows(column)
-    monkeypatch.setattr(operators_module.np, "bincount", None)
-    groups = direct_group_rows(column, index)
-    assert np.array_equal(groups.present, expected.present)
-    assert np.array_equal(groups.counts, expected.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +587,7 @@ def test_direct_address_group_by_span_limit_and_refusals():
     assert_direct_equals_sorted(at_limit)
     assert direct_group_rows(
         Column.from_values(np.array([-5, DENSE_SPAN_FLOOR - 5]))) is None
-    # An index's statistics stand in for the two passes that find them.
-    index = build_key_index(at_limit.values)
-    assert direct_group_rows(at_limit, index).span == DENSE_SPAN_FLOOR
+    assert direct_group_rows(at_limit).span == DENSE_SPAN_FLOOR
     # Empty, NULL-bearing, float and text keys are not its shape.
     assert direct_group_rows(Column.from_values(np.empty(0, np.int64))) is None
     assert direct_group_rows(Column(np.array([1, 2]), INT64,

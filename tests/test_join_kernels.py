@@ -227,7 +227,8 @@ def test_executor_probes_a_warm_sparse_index(monkeypatch):
                             "rep": reps})
         # Warm the index on the build side, as the round loop's first join
         # does.
-        db.execute("select r.rep, count(*) c from r group by r.rep")
+        db.execute("select e.v2 from e, r where e.v1 = r.rep")
+        notes.clear()
         return db
 
     notes = _recording_notes(monkeypatch)
@@ -251,8 +252,9 @@ def _warm_dense_twin(monkeypatch, build_keys):
         db = Database(n_segments=4)
         db.load_table("e", {"v1": v1, "v2": v2})
         db.load_table("r", {"v": build_keys, "rep": rep})
-        db.execute("select r.v, count(*) c from r group by r.v")  # warm index
+        db.execute("select e.v1 from e, r where e.v2 = r.v")  # warm index
         assert db.stats.index_cache_misses == 1
+        notes.clear()
         return db
 
     notes = _recording_notes(monkeypatch)
@@ -588,19 +590,33 @@ _SUM_ITEMS = "sum(case when keep = 1 then i end) s, avg(f) a"
 
 @pytest.mark.parametrize("n_keys", [1, 7, 200])
 def test_group_by_layouts_agree_with_python_loop(n_keys, monkeypatch):
-    """A GROUP BY reduces dense keys by direct addressing, any other key
-    through a sort, and a key its stored index proves sorted (one key
-    value) in place; every layout, and sum/avg (never direct), gives the
-    per-group loop's values."""
+    """A GROUP BY reads its layout off its key: one NULL-free integer key
+    that arrives sorted — stored so, or gathered so by a join — is reduced
+    in the runs it lies in, under every aggregate kind; any other dense
+    key by direct addressing (count, min and max only); any other key —
+    sparse, or sorted but NULL-bearing — through a sort.  Every layout
+    gives the per-group loop's values."""
     layouts: list = []
-    real = executor_module.direct_group_rows
 
-    def spy(*args):
-        groups = real(*args)
-        layouts.append("direct" if groups is not None else "sorted")
-        return groups
+    def spying(layout, real):
+        def spy(key):
+            found = real(key)
+            if found is not None:
+                layouts.append(layout)
+            return found
+        return spy
 
-    monkeypatch.setattr(executor_module, "direct_group_rows", spy)
+    group_kernel = executor_module.Executor._group_kernel
+
+    def sorting(self, key_columns):
+        layouts.append("sorted")
+        return group_kernel(self, key_columns)
+
+    monkeypatch.setattr(executor_module, "run_starts",
+                        spying("runs", executor_module.run_starts))
+    monkeypatch.setattr(executor_module, "direct_group_rows",
+                        spying("direct", executor_module.direct_group_rows))
+    monkeypatch.setattr(executor_module.Executor, "_group_kernel", sorting)
     rng = np.random.default_rng(n_keys)
     n = 1500
     keys = rng.integers(0, n_keys, n)
@@ -610,6 +626,11 @@ def test_group_by_layouts_agree_with_python_loop(n_keys, monkeypatch):
     db = Database(n_segments=4)
     db.load_table("t", {"k": keys, "s": keys * (2 ** 40) + 3, "i": ints,
                         "f": floats, "keep": keep})
+    # The same rows stored in key order, and the keys once each.
+    by_key = np.argsort(keys, kind="stable")
+    db.load_table("o", {"k": keys[by_key], "i": ints[by_key],
+                        "f": floats[by_key], "keep": keep[by_key]})
+    db.load_table("u", {"k": np.unique(keys)})
 
     dropped = (keep == 0).tolist()
     never = [False] * n
@@ -624,28 +645,51 @@ def test_group_by_layouts_agree_with_python_loop(n_keys, monkeypatch):
     sums = [
         _loop_reduce("sum", keys.tolist(), ints.tolist(), dropped),
         _loop_reduce("avg", keys.tolist(), floats.tolist(), never),
+        [(len({int(i) for k, i, kept in zip(keys, ints, keep)
+                if k == key and kept}), False)
+         for key in sorted(set(keys.tolist()))],
     ]
 
-    def expected(reduced, key_of):
+    def expected(reduced, key_of=int):
         return [(key_of(key), *(column[g][0] for column in reduced))
                 for g, key in enumerate(sorted(set(keys.tolist())))]
 
-    for key, layout, key_of in (("k", "direct", int),
-                                ("s", "sorted", lambda k: k * 2 ** 40 + 3)):
+    sorted_by_one_key = "runs" if n_keys == 1 else None
+    for sql, layout, key_of in (
+        (f"select k, {_GROUP_ITEMS} from t group by k", "direct", int),
+        (f"select s, {_GROUP_ITEMS} from t group by s", "sorted",
+         lambda k: k * 2 ** 40 + 3),
+        # A stored table in key order.
+        (f"select k, {_GROUP_ITEMS} from o group by k", "runs", int),
+        # A join's gather of the build side's unique keys along a probe
+        # side in key order: no stored table is behind the key.
+        (f"select u.k, {_GROUP_ITEMS} from o, u where o.k = u.k "
+         f"group by u.k", "runs", int),
+    ):
         layouts.clear()
         skipped = db.stats.group_sorts_skipped
-        rows = db.execute(f"select {key}, {_GROUP_ITEMS} from t "
-                          f"group by {key}").rows()
-        if n_keys == 1:
-            assert layouts == []
-            assert db.stats.group_sorts_skipped == skipped + 1
-        else:
-            assert layouts == [layout]
-        assert sorted(rows) == expected(columns, key_of)
+        rows = db.execute(sql).rows()
+        layout = sorted_by_one_key or layout
+        assert layouts == [layout], sql
+        assert db.stats.group_sorts_skipped == skipped + (layout == "runs")
+        assert sorted(rows) == expected(columns, key_of), sql
+    # sum, avg and count(distinct): never direct; in place when sorted.
+    sum_items = f"{_SUM_ITEMS}, count(distinct case when keep = 1 then i end) d"
+    for table, layout in (("t", sorted_by_one_key or "sorted"),
+                          ("o", "runs")):
+        layouts.clear()
+        rows = db.execute(f"select k, {sum_items} from {table} "
+                          f"group by k").rows()
+        assert layouts == [layout], table
+        assert sorted(rows) == expected(sums)
+    # A sorted key with a NULL (key 0's rows, stored first) is sorted: its
+    # NULL rows are one group, as in the loop, whose NULL key goes first.
+    db.execute("create table z as select nullif(k, 0) k, i, f, keep from o")
     layouts.clear()
-    rows = db.execute(f"select k, {_SUM_ITEMS} from t group by k").rows()
-    assert layouts == []
-    assert sorted(rows) == expected(sums, int)
+    rows = db.execute(f"select k, {_GROUP_ITEMS} from z group by k").rows()
+    assert layouts == ["sorted"]
+    assert sorted(rows, key=lambda row: (row[0] is not None, row[0] or 0)) \
+        == expected(columns, lambda k: k or None)
 
 
 @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=0,

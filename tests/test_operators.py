@@ -20,6 +20,7 @@ from repro.sqlengine.operators import (
     group_rows,
     join_indices,
     left_join_indices,
+    run_starts,
     sorted_group_rows,
     sorted_lookup,
     stable_argsort,
@@ -347,15 +348,20 @@ def test_distinct_duplicate_heavy_and_negative_keys():
 
 @given(any_keys)
 def test_group_rows_agrees_with_reference(keys):
-    column = int_column(keys)
-    expected = sorted_group_rows([column])
-    got = group_rows([column])
-    assert np.array_equal(got[0], expected[0])
-    assert np.array_equal(got[1], expected[1])
-    index = build_key_index(column.values)
-    with_index = group_rows([column], index=index)
-    assert np.array_equal(with_index[0], expected[0])
-    assert np.array_equal(with_index[1], expected[1])
+    for values in (keys, sorted(keys)):
+        column = int_column(values)
+        expected = sorted_group_rows([column])
+        got = group_rows([column])
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+        # A key that arrives sorted is its own grouping order: its group
+        # starts are the reference's, and its rows need no gather.
+        starts = run_starts(column)
+        if len(values) and values == sorted(values):
+            assert np.array_equal(expected[0], np.arange(len(values)))
+            assert np.array_equal(starts, expected[1])
+        else:
+            assert starts is None
 
 
 @given(dense_keys, dense_keys)
@@ -697,13 +703,6 @@ def test_key_index_matches_a_numpy_reference(ordered, dense, encoded,
     assert np.array_equal(index.order, order)
     assert np.array_equal(index.sorted_keys, storage[order])
     assert np.array_equal(index.sorted_values, values[order])
-    if index.is_sorted or not (dense or encoded):
-        # A sorted key never reaches the direct-address GROUP BY.
-        assert index.histogram is None
-    else:
-        # Codes are counted from code 0, values from their least.
-        counted = storage if encoded else values - values.min()
-        assert np.array_equal(index.histogram, np.bincount(counted))
 
 
 @pytest.mark.parametrize("n", (1, 50, 3 * CACHE_KERNEL_MIN_ROWS + 7))

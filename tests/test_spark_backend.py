@@ -6,7 +6,12 @@ from hypothesis import given, settings
 
 from repro import connected_components
 from repro.core import RandomisedContraction
-from repro.graphs import gnm_random_graph, path_graph, streets_like_graph
+from repro.graphs import (
+    gnm_random_graph,
+    load_edges_into,
+    path_graph,
+    streets_like_graph,
+)
 from repro.spark import SparkSQLDatabase
 from repro.spark.engine import SparkExecutor, _partition_ids
 from repro.sqlengine import Database
@@ -95,6 +100,59 @@ def test_spark_launches_tasks():
     edges = path_graph(3000)
     connected_components(edges, "rc", seed=1, db=spark)
     assert spark.tasks_launched > 50
+
+
+def test_one_task_model_runs_each_keyed_operator_as_one_task(monkeypatch):
+    """With one task the model takes its whole-column branch: every join,
+    GROUP BY and DISTINCT launches exactly one task — no key is hashed
+    into a partition that holds every row, and no DISTINCT runs twice —
+    and the labels and motion bytes are the 64-task run's."""
+    import repro.spark.engine as engine_module
+
+    kernels = ("_dispatch_join", "_group_kernel", "_distinct_kernel")
+    calls = dict.fromkeys(kernels + ("distinct_rows", "_partitions"), 0)
+    for name in kernels:
+        def counting(self, *args, _name=name,
+                     _real=getattr(SparkExecutor, name)):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(SparkExecutor, name, counting)
+    real_partitions = SparkExecutor._partitions
+    real_distinct = engine_module.distinct_rows
+
+    def partitions(self, key):
+        calls["_partitions"] += 1
+        return real_partitions(self, key)
+
+    def distinct(*args):
+        calls["distinct_rows"] += 1
+        return real_distinct(*args)
+
+    monkeypatch.setattr(SparkExecutor, "_partitions", partitions)
+    monkeypatch.setattr(engine_module, "distinct_rows", distinct)
+    edges = gnm_random_graph(2000, 4000, np.random.default_rng(3))
+    runs = {}
+    for n_tasks in (1, 64):
+        for key in calls:
+            calls[key] = 0
+        db = SparkSQLDatabase(n_tasks=n_tasks)
+        load_edges_into(db, "edges", edges)
+        result = RandomisedContraction().run(db, "edges", seed=5)
+        vertices, labels = result.labels(db)
+        order = np.argsort(vertices)
+        runs[n_tasks] = (vertices[order].tolist(), labels[order].tolist(),
+                         db.stats.motion_bytes)
+        operators = sum(calls[name] for name in kernels)
+        assert all(calls[name] for name in kernels), calls
+        if n_tasks == 1:
+            assert db.tasks_launched == operators
+            assert calls["_partitions"] == 0
+            assert calls["distinct_rows"] == calls["_distinct_kernel"]
+        else:
+            assert db.tasks_launched > operators
+            assert calls["_partitions"] > 0
+    assert runs[1] == runs[64]
 
 
 def test_partition_ids_cover_all_tasks():

@@ -362,8 +362,10 @@ def test_composition_applies_h_only_to_null_extended_rows(spied_fast_run):
 def test_key_forms_script_reports_one_configuration():
     """``scripts/key_forms.py``'s spies on the contraction over a path:
     every join on codes with no table, every DISTINCT packing codes, every
-    GROUP BY on codes and h evaluated over a dictionary.  On the Spark
-    model every key is codes too, run through its partitioned kernels."""
+    GROUP BY on codes — round 1's by address, every later one's in the
+    runs its sorted key arrives in — and h evaluated over a dictionary.
+    On the Spark model every key is codes too, run through its
+    partitioned kernels."""
     spec = importlib.util.spec_from_file_location(
         "key_forms",
         Path(__file__).resolve().parent.parent / "scripts" / "key_forms.py")
@@ -376,7 +378,7 @@ def test_key_forms_script_reports_one_configuration():
         ("join", "codes = codes", "identity"),
         ("distinct", "codes+codes", "packed-codes"),
         ("group", "codes", "direct"),
-        ("group", "codes", "sorted"),
+        ("group", "codes", "runs"),
         ("udf", "dictionary", ""),
     }
     report = key_forms.report("RandomisedContraction/path",
