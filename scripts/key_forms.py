@@ -10,7 +10,9 @@
     * ``join``: ``executor.plan_join``'s probe and build keys and the
       route note it chose;
     * ``distinct``: ``executor.distinct_rows``'s columns and the branch
-      of the one DISTINCT kernel that ran;
+      of the one DISTINCT kernel that ran; a packed one adds its word
+      width (``32``: ``uint32`` words, ``64``: int64) and the rows it
+      selected (``all``, a WHERE's ``mask`` or its ``positions``);
     * ``group``: a GROUP BY's keys and its layout — ``runs`` (the key
       arrived sorted: ``run_starts`` served it), ``direct``
       (``direct_group_rows`` served it) or ``sorted``
@@ -46,7 +48,7 @@ import pytest  # noqa: E402
 
 from repro.graphs import load_edges_into  # noqa: E402
 from repro.spark.engine import SparkExecutor  # noqa: E402
-from repro.sqlengine import executor, functions  # noqa: E402
+from repro.sqlengine import executor, functions, operators  # noqa: E402
 from tests.distinct_reference import record_branches  # noqa: E402
 from tests.test_traffic import _configurations  # noqa: E402
 
@@ -64,6 +66,8 @@ def spy(monkeypatch) -> Counter:
     for every keyed operator that runs from here on."""
     seen: Counter = Counter()
     branches = record_branches(monkeypatch)
+    packings: list[str] = []
+    packed_distinct = operators._packed_distinct
     plan_join = executor.plan_join
     distinct_rows = executor.distinct_rows
     group_kernel = executor.Executor._group_kernel
@@ -76,11 +80,23 @@ def spy(monkeypatch) -> Counter:
              route.note()] += 1
         return route
 
+    def packing(keys, rows):
+        width = sum(key.width for key in keys)
+        selection = "all" if rows is None \
+            else "mask" if rows.dtype == bool else "positions"
+        packings.append(
+            f"{32 if width <= operators.NARROW_WORD_BITS else 64} "
+            f"{selection}")
+        return packed_distinct(keys, rows)
+
     def record_distinct(columns, run):
-        """Run one DISTINCT, recording its forms and its last branch."""
+        """Run one DISTINCT, recording its forms and its last branch (with
+        a packed one's word width and selection)."""
         before = len(branches)
         result = run()
         branch = branches[-1] if len(branches) > before else "empty"
+        if branch.startswith("packed"):
+            branch = f"{branch} {packings[-1]}"
         seen["distinct", key_form(columns), branch] += 1
         return result
 
@@ -131,6 +147,7 @@ def spy(monkeypatch) -> Counter:
         seen["group", key_form(key_columns), "partitioned"] += 1
         return spark_group(self, key_columns)
 
+    monkeypatch.setattr(operators, "_packed_distinct", packing)
     monkeypatch.setattr(SparkExecutor, "_dispatch_join", spark_joining)
     monkeypatch.setattr(SparkExecutor, "_distinct_kernel",
                         spark_distinct_rows)
@@ -157,7 +174,7 @@ def run(factory, edges, database) -> Counter:
 def report(name: str, seen: Counter) -> str:
     lines = [name]
     for (operator, forms, route), calls in sorted(seen.items()):
-        lines.append(f"  {operator:<9} {forms:<22} {route:<18} {calls:>4}")
+        lines.append(f"  {operator:<9} {forms:<22} {route:<26} {calls:>4}")
     return "\n".join(lines)
 
 

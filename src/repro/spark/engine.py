@@ -52,7 +52,7 @@ from ..sqlengine.operators import (
     join_indices,
     left_join_indices,
 )
-from ..sqlengine.types import Column
+from ..sqlengine.types import Column, selected_positions, selection_size
 
 
 def _partition_ids(key: Column, n_tasks: int) -> np.ndarray:
@@ -173,10 +173,12 @@ class SparkExecutor(Executor):
         return np.concatenate(out_order), np.concatenate(out_starts)
 
     def _distinct_kernel(self, columns, rows=None):
-        if self._one_task(len(columns[0]) if rows is None else len(rows)):
+        if self._one_task(len(columns[0]) if rows is None
+                          else selection_size(rows)):
             self.tasks_launched += 1
             return distinct_rows(columns, rows)
         if rows is not None:
+            rows = selected_positions(rows)
             columns = [col.take(rows) for col in columns]
         tasks = [distinct_rows(columns, task_rows)
                  for task_rows in self._task_rows(columns[0])]

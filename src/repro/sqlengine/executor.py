@@ -58,16 +58,23 @@ rows ride the composed maps as ``NO_MATCH`` validity markers that only
 materialisation resolves into null masks, so an outer join can sit in any
 chain position.  DISTINCT, projection and GROUP BY all read the one frame
 the chain materialises; :meth:`Executor._aggregate` is the only GROUP BY
-runner.  A residual WHERE selects rows by position, never by boolean
-mask — one ``flatnonzero`` and a gather per column — and in a fused
-join→DISTINCT (the contraction's contract, ``CorePlan.fused``) the WHERE
-reaches DISTINCT as those positions: projection reads the unfiltered
-frame (its items are plain column references, so nothing is evaluated),
-and the DISTINCT gathers each column's codes or values at the positions
-straight into its packed words — no column is compressed on its own.
-The DISTINCT's input relation, its row order and the motion it is
-charged are the filtered relation's, as if the frame had been filtered
-first.
+runner.  A residual WHERE selects rows by position — one ``flatnonzero``
+and a gather per column, cheaper than compressing each column by mask —
+and in a fused join→DISTINCT (the contraction's contract,
+``CorePlan.fused``) the WHERE reaches DISTINCT as its kept rows:
+projection reads the unfiltered frame (its items are plain column
+references, so nothing is evaluated), and the DISTINCT selects the rows
+once, in its packed words.  Below
+:data:`~repro.sqlengine.operators.DISTINCT_MASK_MIN_KEPT` (3/4) of
+the rows kept, it gathers each column's codes or values at the positions
+straight into the words; at or above it, it is handed the WHERE's mask,
+packs every row's word from the whole columns and compresses that one
+array — no positions array and no per-column gather exist beside it
+(a G(500k, 1M) contract keeps 84–98% of its rows, a path's ~50%).  The
+words are ``uint32`` when the keys fit 32 bits together.  No column is
+compressed on its own.  The DISTINCT's input relation, its row order and
+the motion it is charged are the filtered relation's, as if the frame
+had been filtered first.
 
 The executor also decides **which columns are dictionary-encoded** (the
 second physical form of :class:`~repro.sqlengine.types.Column`), and it is
@@ -145,6 +152,7 @@ from .operators import (
     direct_group_rows,
     distinct_rows,
     group_rows,
+    kept_rows,
     pad_left_outer,
     plan_join,
     run_starts,
@@ -161,7 +169,7 @@ from .physicalplan import (
 )
 from .stats import EngineStats
 from .table import Catalog, Table
-from .types import BOOL, FLOAT64, INT64, Column, dtype_for
+from .types import BOOL, FLOAT64, INT64, Column, dtype_for, selection_size
 from .types import _FIXED_WIDTH
 
 #: Safety valve: a join step with no usable equality predicate falls back to
@@ -858,10 +866,11 @@ class Executor:
         once, after the last, only the columns the core reads above it.
 
         A fused join→DISTINCT gets the unfiltered frame and the kept rows
-        as ascending positions (``None``: every row), which its DISTINCT
-        selects once (:meth:`_distinct`); its items are plain column
-        references, so projecting every row evaluates nothing.  Any other
-        core gets the filtered frame and ``None``."""
+        (``None``: every row) — ascending positions, or the boolean mask
+        when the WHERE keeps most rows — which its DISTINCT selects once
+        (:meth:`_distinct`); its items are plain column references, so
+        projecting every row evaluates nothing.  Any other core gets the
+        filtered frame and ``None``."""
         if not plan.scans:
             # SELECT without FROM: one anonymous row.
             return Frame({}, {}, 1, frozenset()), None
@@ -889,7 +898,7 @@ class Executor:
                 if chain.n_outer:
                     self.stats.bump("left_chain_fusions")
             current = chain.materialise(plan.final_join)
-        rows = self._kept_rows(current, plan.residual) \
+        rows = self._kept_rows(current, plan.residual, plan.fused) \
             if plan.residual else None
         if rows is None or plan.fused:
             return current, rows
@@ -949,21 +958,24 @@ class Executor:
                      scan.distribution)
 
     def _kept_rows(
-        self, frame: Frame, predicates: list[Expression]
+        self, frame: Frame, predicates: list[Expression],
+        fused: bool = False,
     ) -> Optional[np.ndarray]:
-        """The ascending positions of the rows every predicate holds on,
-        ``None`` when that is every row.  Rows are selected by position,
-        never by boolean mask: one ``flatnonzero`` and a gather per column
-        cost a third or less of what compressing two columns by mask does
-        (7.7 against 19.6 ms for 2M rows, 83% kept)."""
+        """The rows every predicate holds on, ``None`` when that is every
+        row: their ascending positions, which a gather per column reads —
+        compressing two columns by mask costs more below ~19 in 20 rows
+        kept (18.4 against 9.3 ms for 2M rows, 84% kept).  A ``fused``
+        join→DISTINCT that keeps at least
+        :data:`~repro.sqlengine.operators.DISTINCT_MASK_MIN_KEPT` of the
+        rows gets the boolean mask instead: its DISTINCT compresses one
+        word array, with no positions array and no per-column gather
+        beside it (a G(500k, 1M) round 1 keeps 84%)."""
         env = Environment(frame.env_columns(), frame.length, self.registry)
         # truth_values hands back a fresh array: the first one is the mask.
         keep = truth_values(evaluate(predicates[0], env))
         for predicate in predicates[1:]:
             keep &= truth_values(evaluate(predicate, env))
-        if keep.all():
-            return None
-        return np.flatnonzero(keep)
+        return kept_rows(keep, mask_ok=fused)
 
     def _apply_filters(self, frame: Frame, predicates: list[Expression]) -> Frame:
         rows = self._kept_rows(frame, predicates)
@@ -1138,14 +1150,17 @@ class Executor:
 
     def _distinct(self, relation: Relation,
                   rows: Optional[np.ndarray] = None) -> Relation:
-        """DISTINCT over ``relation``'s ``rows`` (ascending positions, a
-        fused join→DISTINCT's WHERE; ``None``: every row), which the
-        kernel gathers straight into its packed words.  The input relation
-        — its rows, the motion charged for it — is the filtered one."""
+        """DISTINCT over ``relation``'s ``rows`` (a fused join→DISTINCT's
+        WHERE: ascending positions or a boolean mask; ``None``: every row),
+        which the kernel selects once, in its packed words.  The input
+        relation — its rows, the motion charged for it — is the filtered
+        one: the kept rows and their bytes, whatever the selection's
+        form."""
         names = relation.names
         columns = [relation.columns[n] for n in names]
         self._charge_motion(sum(col.byte_size(rows) for col in columns),
-                            relation.n_rows if rows is None else len(rows),
+                            relation.n_rows if rows is None
+                            else selection_size(rows),
                             relation.distribution is not None)
         return Relation(list(names),
                         dict(zip(names, self._distinct_kernel(columns, rows))),

@@ -64,8 +64,11 @@ word).  All three give the groups in ascending key order.
 returns the distinct rows in ascending **key** order (so the next GROUP BY
 or index over the leading column finds it sorted), as columns in the
 input's forms.  NULL-free int64 keys pack each row's offsets — an encoded
-column's codes, a plain column's values less their least — into one word,
-value-sort the words and unpack the survivors.  Every other key — NULLs,
+column's codes, a plain column's values less their least — into one word
+(a ``uint32`` when they fit 32 bits together, else an int64), value-sort
+the words and unpack the survivors; a fused join→DISTINCT's WHERE selects
+its rows once, by positions gathered into the words or by one mask
+compress of them.  Every other key — NULLs,
 floats, text, offsets wider than 63 bits together — takes the first row
 of each :func:`group_rows` group, groups coming in key order too.
 
@@ -100,12 +103,13 @@ the final round's queries run over zero rows.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ExecutionError
-from .types import FLOAT64, INT64, Column
+from .types import FLOAT64, INT64, Column, selected_positions
 
 #: Right-index sentinel for unmatched rows in a left outer join.
 NO_MATCH = -1
@@ -1114,13 +1118,44 @@ def _boundaries(sorted_values: np.ndarray) -> np.ndarray:
 
 class _PackedKey(NamedTuple):
     """One column of a packed DISTINCT: ``array`` holds its codes (every
-    row) or its values at the DISTINCT's rows — an offset is a value less
-    ``base``; offsets fit ``width`` bits."""
+    row) or its values — at the DISTINCT's positions, or every row under a
+    mask — an offset is a value less ``base``; offsets fit ``width``
+    bits."""
 
     column: Column
     array: np.ndarray
     base: int
     width: int
+
+
+#: Packed words at most this wide sort as ``uint32``: 2.2-2.4x faster than
+#: int64 (0.9 against 2.0 ms for 200k words, 10.8 against 24.1 ms for 2M).
+NARROW_WORD_BITS = 32
+
+#: Which ``uint32`` of a native int64 holds its low half.
+_LOW_HALF = 0 if sys.byteorder == "little" else 1
+
+#: A DISTINCT compresses its word array by a boolean mask keeping at least
+#: this share of the words, and gathers at positions below it: one
+#: compress allocates no positions array and no gather beside the words,
+#: but below ~9 in 10 kept it is slower — 2x at 3/4 kept (13.5 against
+#: 6.1 ms for 1.7M words), 3.4x at half.  It serves a fused
+#: join→DISTINCT's WHERE (the executor's ``_kept_rows``) and the dedup of
+#: the sorted words alike.
+DISTINCT_MASK_MIN_KEPT = 0.75
+
+
+def kept_rows(keep: np.ndarray,
+              mask_ok: bool = True) -> Optional[np.ndarray]:
+    """The rows ``keep`` holds on: ``None`` when that is every row, the
+    mask itself when it keeps at least :data:`DISTINCT_MASK_MIN_KEPT` of
+    them and ``mask_ok``, else their ascending positions."""
+    kept = int(np.count_nonzero(keep))
+    if kept == keep.shape[0]:
+        return None
+    if mask_ok and kept >= DISTINCT_MASK_MIN_KEPT * keep.shape[0]:
+        return keep
+    return np.flatnonzero(keep)
 
 
 def distinct_rows(
@@ -1129,11 +1164,12 @@ def distinct_rows(
     """DISTINCT: the distinct rows themselves, in ascending key order, as
     columns in the input's forms.
 
-    ``rows``, when given, are the ascending positions of the only rows the
-    DISTINCT reads — a fused join→DISTINCT's WHERE (see
-    :mod:`repro.sqlengine.executor`).  NULL-free int64 keys whose offsets
-    fit one word are packed and sorted (:func:`_packed_distinct`); any
-    other key is grouped (:func:`_grouped_distinct`).
+    ``rows``, when given, selects the only rows the DISTINCT reads — a
+    fused join→DISTINCT's WHERE (see :mod:`repro.sqlengine.executor`): their
+    ascending positions, or a boolean mask over every row.  NULL-free
+    int64 keys whose offsets fit one word are packed and sorted
+    (:func:`_packed_distinct`); any other key is grouped
+    (:func:`_grouped_distinct`).
     """
     if columns and all(col.mask is None and col.storage.dtype == np.int64
                        for col in columns):
@@ -1147,15 +1183,17 @@ def _packed_keys(
     columns: list[Column], rows: Optional[np.ndarray]
 ) -> Optional[list[_PackedKey]]:
     """Each column's :class:`_PackedKey` — an encoded column's offset is
-    its code, a plain column's its value less the least one — or ``None``
-    when the offsets need more than 63 bits."""
+    its code, a plain column's its value less the least one (of the rows
+    at the positions, or of every row under a mask: either is exact) — or
+    ``None`` when the offsets need more than 63 bits."""
     keys = []
     for col in columns:
         if col.codes is not None:
             width = (int(col.dictionary.shape[0]) - 1).bit_length()
             keys.append(_PackedKey(col, col.codes, 0, width))
             continue
-        values = col.values if rows is None else col.values[rows]
+        values = col.values if rows is None or rows.dtype == np.bool_ \
+            else col.values[rows]
         low, high = (int(values.min()), int(values.max())) \
             if values.shape[0] else (0, 0)
         keys.append(_PackedKey(col, values, low, (high - low).bit_length()))
@@ -1168,31 +1206,49 @@ def _packed_distinct(
     keys: list[_PackedKey], rows: Optional[np.ndarray]
 ) -> list[Column]:
     """DISTINCT by one value sort: each row's offsets are packed into one
-    int64 word, first column in the high bits; ``ndarray.sort`` (9.5
-    ns/row) brings equal rows together *and* the distinct ones into key
-    order, because offsets and codes order as their values do.  The
-    survivors are unpacked by shift and mask straight into the output
+    word, first column in the high bits; ``ndarray.sort`` brings equal
+    rows together *and* the distinct ones into key order, because offsets
+    and codes order as their values do.  The survivors are widened to
+    int64 once and unpacked by shift and mask straight into the output
     columns: nothing is hashed and no row is gathered.  A GROUP BY or
     index build over the leading column of the result finds it sorted.
 
-    Codes are gathered at ``rows`` straight into the fold, so no column is
-    compressed by boolean mask (5.8 against 23.6 ms on the 2M rows of a
-    G(500k, 1M) round 1), and the first column's gather is the word array
-    itself.  Every other gather is freed as soon as it is folded in: one
-    held through the sort makes the sort's allocations fault in fresh
-    pages (3 ms of 60 there)."""
-    words = _offsets_at(keys[0], rows)
-    if words is keys[0].column.storage:
-        words = words.copy()
+    A word is a ``uint32`` when the offsets fit :data:`NARROW_WORD_BITS`
+    together — codes are gathered through their low halves, so no int64
+    copy of them is made — and an int64 otherwise.  The first word of each
+    run of equal ones survives the sort, selected as :func:`kept_rows`
+    says: by one compress when most survive.
+
+    Under positions, each column's codes or values there are gathered
+    straight into the fold, the first column's gather being the word array
+    itself, and every other gather is freed as soon as it is folded in:
+    one held through the sort makes the sort's allocations fault in fresh
+    pages.  A mask (a WHERE that kept most rows) is never turned into
+    positions: every row's word is packed from the whole columns, which
+    the fold reads without a gather, and that one word array is compressed
+    once — no positions array and no per-column gather exist."""
+    narrow = sum(key.width for key in keys) <= NARROW_WORD_BITS
+    dtype = np.uint32 if narrow else np.int64
+    mask = rows if rows is not None and rows.dtype == np.bool_ else None
+    positions = None if mask is not None else rows
+    words = _offsets_at(keys[0], positions, narrow)
+    if words.dtype != dtype or not words.flags.owndata \
+            or words is keys[0].column.storage:
+        words = words.astype(dtype)
     for key in keys[1:]:
         words <<= key.width
-        words |= _offsets_at(key, rows)
+        np.bitwise_or(words, _offsets_at(key, positions, narrow), out=words,
+                      casting="unsafe")
+    if mask is not None:
+        words = words[mask]
     words.sort()
     head = np.empty(words.shape[0], dtype=bool)
     head[:1] = True
     np.not_equal(words[1:], words[:-1], out=head[1:])
-    if not head.all():
-        words = words[np.flatnonzero(head)]
+    survivors = kept_rows(head)
+    if survivors is not None:
+        words = words[survivors]
+    words = words.astype(np.int64, copy=False)
     distinct = []
     for key in keys[:0:-1]:
         distinct.append(_unpacked(key, words & ((1 << key.width) - 1)))
@@ -1201,12 +1257,18 @@ def _packed_distinct(
     return distinct[::-1]
 
 
-def _offsets_at(key: _PackedKey, rows: Optional[np.ndarray]) -> np.ndarray:
-    """A packed key's offsets at ``rows``: codes gathered there, values
-    (already at ``rows``) less their base."""
-    if rows is not None and key.column.codes is not None:
-        return key.array[rows]
-    return key.array - key.base if key.base else key.array
+def _offsets_at(key: _PackedKey, positions: Optional[np.ndarray],
+                narrow: bool) -> np.ndarray:
+    """A packed key's offsets at ``positions`` (``None``: every row) —
+    codes gathered there, or every row's codes as they are, as the low
+    ``uint32`` halves of the codes when ``narrow``; values (already
+    selected) less their base."""
+    if key.column.codes is None:
+        return key.array - key.base if key.base else key.array
+    codes = key.array
+    if narrow:
+        codes = np.ascontiguousarray(codes).view(np.uint32)[_LOW_HALF::2]
+    return codes if positions is None else codes[positions]
 
 
 def _unpacked(key: _PackedKey, offsets: np.ndarray) -> Column:
@@ -1223,6 +1285,7 @@ def _grouped_distinct(
     than 63 bits together: the first row of each :func:`group_rows` group,
     which come in key order (NULLs last, each NaN a group of its own)."""
     if rows is not None:
+        rows = selected_positions(rows)
         columns = [col.take(rows) for col in columns]
     order, starts = group_rows(columns)
     keep = order[starts]

@@ -40,10 +40,13 @@ def row_tokens(columns: list[Column]) -> list[tuple]:
 
 def reference_rows(columns: list[Column],
                    rows: Optional[np.ndarray] = None) -> list[tuple]:
-    """The distinct rows of ``columns`` at ``rows`` (``None``: every row)
-    as token tuples, in the order a DISTINCT must return them."""
+    """The distinct rows of ``columns`` at ``rows`` (positions, or a
+    boolean mask over every row; ``None``: every row) as token tuples, in
+    the order a DISTINCT must return them."""
     table = row_tokens(columns)
     if rows is not None:
+        if rows.dtype == np.bool_:
+            rows = np.flatnonzero(rows)
         table = [table[i] for i in rows.tolist()]
     seen: set = set()
     kept = []

@@ -74,13 +74,18 @@ so the same statements also cross the sparse-key kernels — sorted-index
 and merge probes — that carry the contraction loop after round 1.  The
 harness asserts that both kinds of route were taken, and both routes of
 a build side that fills its key domain (``dense-offset`` on values,
-``dictionary-identity`` on codes), which no span limit bounds, and that a
-joint encoding of two or more columns was built.
+``dictionary-identity`` on codes), which no span limit bounds — every
+batch plants a join onto such a table (:func:`filling_builds`), so no
+seed misses them — and that a joint encoding of two or more columns was
+built.
 
 A second harness (:func:`test_filtered_distinct_fuzz`) generates only
 fused join->DISTINCTs under a WHERE over both sides of the join — the
-contract's shape, whose DISTINCT takes the kept rows as positions — and
-holds them to the same two contracts.
+contract's shape, whose DISTINCT takes the kept rows as positions, or as
+the mask when the WHERE keeps at least 3/4 of them — and holds them to
+the same two contracts.  Every batch plants DISTINCTs that engage both
+selections, both packed word widths (32 and 64 bits) and a text column
+(:func:`planted_distincts`).
 
 Runs in tier-1 under a fixed seed.  Env knobs for CI:
 
@@ -434,6 +439,30 @@ def _sorted_key_group(rand: random.Random) -> str:
         f"group by {', '.join(keys)}"
 
 
+def filling_builds(rand: random.Random) -> tuple[list[str], list[str]]:
+    """Tables whose key fills its domain, and a join onto each — planted
+    in every batch, so both routes that skip the table are met there
+    whatever the batch's random tables hold: ``f1`` is the DISTINCT of a
+    stacked scan's first column, codes that cover the joint dictionary
+    (``dictionary-identity``); ``f2`` holds a contiguous run of values,
+    one row each, in order (``dense-offset``).  Returns (the tables'
+    statements, the joins)."""
+    table = rand.choice(list(TABLES))
+    key, val, _ = TABLES[table]
+    stacked = (f"(select {key} c0, {val} c1 from {table} union all "
+               f"select {val} c0, {key} c1 from {table}) as u")
+    low = rand.randint(-5, 0)
+    rows = ", ".join(f"({low + offset}, {rand.randint(-3, 3)})"
+                     for offset in range(rand.randint(4, 12)))
+    probe = rand.choice((key, val))
+    return ([f"create table f1 as select distinct u.c0 f from {stacked}",
+             "create table f2 (f int64, c int64)",
+             f"insert into f2 values {rows}"],
+            [f"select u.c1, q.f from {stacked} join f1 as q on (u.c0 = q.f)",
+             f"select x.{probe}, q.c from {table} as x join f2 as q on "
+             f"(x.{probe} = q.f)"])
+
+
 def generate_query(rand: random.Random) -> str:
     if rand.random() < 0.08:
         return _stacked_scans(rand)
@@ -588,6 +617,7 @@ def test_differential_fuzz(monkeypatch):
     diffed: set[str] = set()
     rand = random.Random(FUZZ_SEED)
     sorted_rand = random.Random(FUZZ_SEED + 1)
+    fill_rand = random.Random(FUZZ_SEED + 2)
     executed = 0
     engaged = {"chain": 0, "fused": 0, "left_chain": 0, "encoded": 0}
     shapes = {"union_all": 0, "subquery_from": 0, "outer_group": 0,
@@ -604,7 +634,9 @@ def test_differential_fuzz(monkeypatch):
         db.create_function("udf", fuzz_udf, immutable=True)
         oracle = SqliteOracle()
         oracle.create_function("udf", fuzz_udf)
-        for statement in table_statements(rand):
+        # Drawn from a stream of its own, like the sorted-key GROUP BYs.
+        fill_tables, fill_joins = filling_builds(fill_rand)
+        for statement in table_statements(rand) + fill_tables:
             oracle.execute(statement)
             db.execute(statement)
         batch_rounds = min(BATCH, FUZZ_ROUNDS - executed)
@@ -635,6 +667,9 @@ def test_differential_fuzz(monkeypatch):
                 shapes["udf_reps"] += "least(udf(" in sql
                 for shape, pattern in SHAPE_PATTERNS.items():
                     shapes[shape] += re.search(pattern, sql) is not None
+            if batch_position == 0:
+                sqls += fill_joins  # held to both contracts, not counted
+            for sql in sqls:
                 taken.clear()
                 planned = db.execute(sql).relation
                 # Warm pass: the cached template's physical plan re-executes.
@@ -706,21 +741,45 @@ def text_table_statements(rand: random.Random) -> list[str]:
             f"insert into s0 values {', '.join(rows)}"]
 
 
-def _filtered_distinct(rand: random.Random) -> str:
-    """A DISTINCT of plain columns directly above a join, under a WHERE
-    over both sides of it — the contraction's contract: an edge-like table
-    joined twice to a stored GROUP BY output, whose build-side gathers
-    arrive dictionary-encoded.  A text join, a LEFT JOIN tail, NULL-bearing
-    operands, a predicate column the DISTINCT does not project, and WHEREs
-    that keep every row or none ride along."""
+def _contract_join(rand: random.Random,
+                   twice: bool = True) -> tuple[str, str, list[str]]:
+    """An edge-like table joined twice to a stored GROUP BY output, as the
+    contraction's contract joins the edges to ``reps`` (or once, on its
+    key, unless ``twice``): (the probe table, the FROM clause, its
+    integer columns)."""
     probe = rand.choice(list(TABLES))
     key, val, nullable = TABLES[probe]
     build = rand.choice(("g0", "g1"))
+    numeric = ["r2.g", "r2.m", f"e.{key}", f"e.{val}", f"e.{nullable}"]
+    if not twice:
+        return (probe, f"{probe} as e join {build} as r2 on (e.{key} = r2.g)",
+                numeric)
     from_sql = (f"{probe} as e join {build} as r1 on (e.{key} = r1.g) "
                 f"join {build} as r2 on (e.{val} = r2.g)")
-    numeric = ["r1.g", "r1.m", "r2.g", "r2.m", f"e.{key}", f"e.{val}",
-               f"e.{nullable}"]
-    projectable = list(numeric)
+    return probe, from_sql, ["r1.g", "r1.m"] + numeric
+
+
+def _residual(rand: random.Random, numeric: list[str]) -> str:
+    """A comparison of two columns of different bindings: a WHERE term no
+    scan can take, so it stays above the join."""
+    left = rand.choice(numeric)
+    right = rand.choice([ref for ref in numeric
+                         if ref.split(".")[0] != left.split(".")[0]])
+    offset = rand.choice(("", f" + {rand.randint(-2, 2)}"))
+    return (f"{left} {rand.choice(('!=', '<', '>', '='))} "
+            f"{right}{offset}")
+
+
+def _filtered_distinct(rand: random.Random) -> str:
+    """A DISTINCT of plain columns directly above a join, under a WHERE
+    over both sides of it — the contraction's contract, whose build-side
+    gathers arrive dictionary-encoded.  A text join, a LEFT JOIN tail,
+    NULL-bearing operands, a column of integers spread over 2^41 (packed
+    into int64 words), a predicate column the DISTINCT does not project,
+    and WHEREs that keep every row or none ride along."""
+    probe, from_sql, numeric = _contract_join(rand)
+    key, val, nullable = TABLES[probe]
+    projectable = numeric + [f"e.{WIDE[probe]}"]
     if rand.random() < 0.25:
         from_sql += f" join s0 as s on (e.{key} = s.k)"
         projectable.append("s.s")
@@ -736,14 +795,8 @@ def _filtered_distinct(rand: random.Random) -> str:
     elif roll < 0.2:
         where = ["r1.m + r2.g < -1000"]  # keeps no row
     else:
-        where = []
-        for _ in range(rand.randint(1, 2)):
-            left = rand.choice(numeric)
-            right = rand.choice([ref for ref in numeric
-                                 if ref.split(".")[0] != left.split(".")[0]])
-            offset = rand.choice(("", f" + {rand.randint(-2, 2)}"))
-            where.append(f"{left} {rand.choice(('!=', '<', '>', '='))} "
-                         f"{right}{offset}")
+        where = [_residual(rand, numeric)
+                 for _ in range(rand.randint(1, 2))]
     items = [f"{ref} c{position}" if rand.random() < 0.5 else ref
              for position, ref in enumerate(
                  rand.sample(projectable, rand.randint(1, 3)))]
@@ -751,30 +804,105 @@ def _filtered_distinct(rand: random.Random) -> str:
             f"where {' and '.join(where)}")
 
 
+#: What each planted fused DISTINCT must engage: (its items' kind, the
+#: selection its WHERE hands it).
+PLANTED_DISTINCTS = [("text", "positions"), ("narrow", "mask"),
+                     ("narrow", "positions"), ("wide", "mask"),
+                     ("wide", "positions")]
+
+
+def planted_distincts(rand: random.Random, oracle) -> list[str]:
+    """Fused DISTINCTs that engage every selection and word width, planted
+    in every batch whatever its random tables hold: a WHERE keeping at
+    least ``DISTINCT_MASK_MIN_KEPT`` of the rows but not all (the mask) or
+    fewer but some (positions), over a text column (joined alone to the
+    edge-like table), narrow columns or the 2^41-spread one — whose span
+    over the rows the DISTINCT packs (every row under a mask, the kept
+    ones otherwise) needs an int64 word.  Each WHERE is drawn until
+    sqlite's counts show it qualifies."""
+    from repro.sqlengine.operators import DISTINCT_MASK_MIN_KEPT
+
+    def scalar(sql: str):
+        (value,), = oracle.execute(sql)
+        return value
+
+    planted = []
+    for kind, selection in PLANTED_DISTINCTS:
+        for _ in range(1000):
+            # One join half the time: a batch whose contract joins match 3
+            # rows or fewer has no WHERE keeping 3/4 of them but not all.
+            probe, from_sql, numeric = _contract_join(
+                rand, twice=rand.random() < 0.5)
+            key, val, nullable = TABLES[probe]
+            items = ["r2.g", f"e.{key}"]
+            if kind == "text":
+                # One join, so that small text tables still match rows.
+                from_sql = f"{probe} as e join s0 as s on (e.{key} = s.k)"
+                numeric = [f"e.{key}", f"e.{val}", f"e.{nullable}", "s.k"]
+                items = ["s.s", f"e.{val}"]
+            elif kind == "wide":
+                items = [f"e.{WIDE[probe]}", "r2.g"]
+            where = " and ".join(_residual(rand, numeric)
+                                 for _ in range(rand.randint(1, 2)))
+            n_rows = scalar(f"select count(*) from {from_sql}")
+            kept = scalar(f"select count(*) from {from_sql} where {where}")
+            if selection == "mask":
+                fits = DISTINCT_MASK_MIN_KEPT * n_rows <= kept < n_rows
+            else:
+                fits = 0 < kept < DISTINCT_MASK_MIN_KEPT * n_rows
+            if fits and kind == "wide":
+                packed = from_sql if selection == "mask" \
+                    else f"{from_sql} where {where}"
+                fits = scalar(f"select max(e.{WIDE[probe]}) - "
+                              f"min(e.{WIDE[probe]}) from {packed}") \
+                    >= 1 << operators.NARROW_WORD_BITS
+            if fits:
+                planted.append(f"select distinct {', '.join(items)} "
+                               f"from {from_sql} where {where}")
+                break
+        else:
+            raise AssertionError(f"no {kind} DISTINCT over {selection} "
+                                 f"could be planted")
+    return planted
+
+
 def test_filtered_distinct_fuzz(monkeypatch):
     """Fused join->DISTINCTs under a residual WHERE, against sqlite and
     against their own warm re-execution.  Their DISTINCT gets the kept
-    rows as positions; the harness asserts every way those positions are
-    served was generated: packed into encoded words, taken from plain,
-    NULL-bearing and text columns first, ``None`` for a WHERE that keeps
-    every row, and an empty selection for one that keeps none."""
+    rows as positions, or as the mask when the WHERE keeps most rows; the
+    harness asserts every way those rows are served was generated: packed
+    into encoded words, taken from plain, NULL-bearing and text columns
+    first, ``None`` for a WHERE that keeps every row, and an empty
+    selection for one that keeps none — and in every batch both
+    selections and both word widths (:func:`planted_distincts`)."""
     import repro.sqlengine.executor as executor_module
+    from repro.sqlengine.types import selection_size
 
     engaged = {"encoded": 0, "plain": 0, "nulls": 0, "text": 0,
                "kept_all": 0, "kept_none": 0, "left_tail": 0}
+    batch: set = set()  # selections and word widths met in this batch
     execute_from = executor_module.Executor._execute_from
     distinct = executor_module.Executor._distinct
+    packed_distinct = operators._packed_distinct
 
     def recording_execute_from(self, plan):
         frame, rows = execute_from(self, plan)
         if plan.fused and plan.residual:
             engaged["kept_all"] += rows is None
-            engaged["kept_none"] += rows is not None and rows.shape[0] == 0
+            engaged["kept_none"] += rows is not None \
+                and selection_size(rows) == 0
             engaged["left_tail"] += bool(plan.left_joins)
         return frame, rows
 
+    def recording_packed(keys, rows):
+        narrow = sum(key.width for key in keys) <= operators.NARROW_WORD_BITS
+        batch.add("narrow" if narrow else "wide")
+        return packed_distinct(keys, rows)
+
     def recording_distinct(self, relation, rows=None):
-        if rows is not None and rows.shape[0]:
+        if rows is not None:
+            batch.add("mask" if rows.dtype == np.bool_ else "positions")
+        if rows is not None and selection_size(rows):
             columns = [relation.column(name) for name in relation.names]
             engaged["encoded"] += all(col.codes is not None
                                       for col in columns)
@@ -787,7 +915,11 @@ def test_filtered_distinct_fuzz(monkeypatch):
                         recording_execute_from)
     monkeypatch.setattr(executor_module.Executor, "_distinct",
                         recording_distinct)
+    monkeypatch.setattr(operators, "_packed_distinct", recording_packed)
     rand = random.Random(FUZZ_SEED)
+    # Drawn from a stream of its own, so the generated statements stay
+    # those the seed gives without them.
+    plant_rand = random.Random(FUZZ_SEED + 1)
     executed = 0
     while executed < FUZZ_ROUNDS:
         db = planned_db()
@@ -795,14 +927,18 @@ def test_filtered_distinct_fuzz(monkeypatch):
         for statement in table_statements(rand) + text_table_statements(rand):
             oracle.execute(statement)
             db.execute(statement)
-        for _ in range(min(BATCH, FUZZ_ROUNDS - executed)):
-            sql = _filtered_distinct(rand)
+        batch.clear()
+        sqls = planted_distincts(plant_rand, oracle)
+        n_generated = min(BATCH, FUZZ_ROUNDS - executed)
+        sqls += [_filtered_distinct(rand) for _ in range(n_generated)]
+        for sql in sqls:
             planned = db.execute(sql).relation
             warm = db.execute(sql).relation
             assert_identical(sql, "warm", warm, planned)
             assert sorted_rows(planned.rows()) == \
                 sorted_rows(oracle.execute(sql)), sql
-            executed += 1
+        executed += n_generated
+        assert batch == {"mask", "positions", "narrow", "wide"}, batch
         db.close()
         oracle.close()
     assert all(engaged.values()), engaged

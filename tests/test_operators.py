@@ -540,8 +540,8 @@ def _encoded(values) -> Column:
 def distinct_inputs(draw):
     """``(columns, rows)``: one to three integer columns, each plain or
     encoded, dense or full-range; eight or nine encoded columns too wide
-    to pack; or a key with NULLs, floats or text — and the positions a
-    WHERE kept, or ``None``."""
+    to pack; or a key with NULLs, floats or text — and the rows a WHERE
+    kept, as positions or as the mask, or ``None``."""
     n = draw(st.integers(0, 30))
 
     def drawn(elements):
@@ -576,8 +576,8 @@ def distinct_inputs(draw):
         text = Column(np.array(drawn(st.sampled_from(TEXT_VALUES)),
                                dtype=object), "text", nulls)
         columns = [text] + [int_key() for _ in range(draw(st.integers(0, 1)))]
-    rows = np.flatnonzero(drawn(st.booleans())) if draw(st.booleans()) \
-        else None
+    kept = np.array(drawn(st.booleans()), dtype=bool)
+    rows = draw(st.sampled_from((None, np.flatnonzero(kept), kept)))
     return columns, rows
 
 
@@ -645,15 +645,97 @@ BRANCH_CASES = {
 def test_each_branch_serves_its_keys(monkeypatch, case):
     """Each key shape takes its branch — codes packed as they are, plain
     offsets, and every other key grouped, offsets that overflow a word
-    included — with and without ``rows``, and the output is the
-    reference's."""
+    included — with and without ``rows`` (positions or a mask), and the
+    output is the reference's."""
     make, branch = BRANCH_CASES[case]
     columns = make(_branch_keys(np.random.default_rng(len(case))))
     taken = record_branches(monkeypatch)
-    for rows in (None, np.arange(0, len(columns[0]), 3)):
+    n = len(columns[0])
+    for rows in (None, np.arange(0, n, 3), np.arange(n) % 5 != 2):
         got = distinct_rows(columns, rows)
         assert row_tokens(got) == reference_rows(columns, rows), rows
-    assert taken == [branch, branch]
+    assert taken == [branch] * 3
+
+
+#: Total packed width -> the widths of its columns, by form: words are
+#: uint32 up to 32 bits and int64 above.  Codes need a dictionary of
+#: 2^(width - 1) + 1 entries, so no two-code case reaches 63 bits.
+PACKED_WIDTHS = {
+    31: {"codes+plain": (12, 19), "plain+plain": (15, 16),
+         "codes+codes": (16, 15)},
+    32: {"codes+plain": (12, 20), "plain+plain": (16, 16),
+         "codes+codes": (16, 16)},
+    33: {"codes+plain": (13, 20), "plain+plain": (16, 17),
+         "codes+codes": (17, 16)},
+    63: {"codes+plain": (20, 43), "plain+plain": (31, 32)},
+}
+
+def _kept(rng, n: int, share: float) -> np.ndarray:
+    """A mask keeping about ``share`` of ``n`` rows, rows 0 and 1 among
+    them."""
+    keep = rng.random(n) < share
+    keep[:2] = True
+    return keep
+
+
+#: A selection's name -> the rows it keeps of ``n`` (``rng``'s draw).
+SELECTIONS = {
+    "every-row": lambda rng, n: None,
+    "positions": lambda rng, n: np.flatnonzero(_kept(rng, n, 0.5)),
+    "mask-0": lambda rng, n: np.zeros(n, dtype=bool),
+    "mask-50": lambda rng, n: _kept(rng, n, 0.5),
+    "mask-80": lambda rng, n: _kept(rng, n, 0.8),
+    "mask-100": lambda rng, n: np.ones(n, dtype=bool),
+}
+
+
+def _width_key(form: str, width: int, rng, n: int) -> Column:
+    """A key column of ``n`` rows whose offsets need exactly ``width``
+    bits whatever rows a selection keeps: codes into a dictionary of
+    2^(width - 1) + 1 entries, or plain values from a negative base to
+    2^(width - 1) above it, both ends at rows 0 and 1 and every other row
+    drawn from 40 values between (so rows repeat)."""
+    top = 1 << (width - 1)
+    pool = np.concatenate([[top, 0], rng.integers(0, top, 40)])
+    offsets = np.concatenate([pool[:2], pool[rng.integers(2, 42, n - 2)]])
+    if form == "codes":
+        dictionary = np.arange(top + 1, dtype=np.int64) * 3 - 7
+        return Column.encoded(offsets.astype(np.int64), dictionary)
+    return int_column(offsets - (1 << 45) - 11)
+
+
+@pytest.mark.parametrize("selection", sorted(SELECTIONS))
+@pytest.mark.parametrize("width, forms", [
+    (width, forms) for width, cases in sorted(PACKED_WIDTHS.items())
+    for forms in sorted(cases)])
+def test_packed_distinct_at_each_word_width_and_selection(
+        monkeypatch, width, forms, selection):
+    """Two keys whose offsets pack into exactly ``width`` bits — codes,
+    plain values over a negative base, or one of each — under every form
+    of selection: the reference's rows, in key order and the input's
+    forms, through uint32 words up to 32 bits and int64 words above."""
+    rng = np.random.default_rng(width)
+    n = 3000
+    columns = [_width_key(form, bits, rng, n) for form, bits in
+               zip(forms.split("+"), PACKED_WIDTHS[width][forms])]
+    rows = SELECTIONS[selection](rng, n)
+    narrow: list = []
+    offsets_at = operators._offsets_at
+
+    def recording(key, positions, narrow_words):
+        narrow.append(narrow_words)
+        return offsets_at(key, positions, narrow_words)
+
+    monkeypatch.setattr(operators, "_offsets_at", recording)
+    taken = record_branches(monkeypatch)
+    got = distinct_rows(columns, rows)
+    assert row_tokens(got) == reference_rows(columns, rows)
+    assert taken == ["packed-codes" if forms == "codes+codes"
+                     else "packed-offsets"]
+    assert narrow == [width <= operators.NARROW_WORD_BITS] * 2
+    for out, col in zip(got, columns):
+        assert out.storage.dtype == np.int64
+        assert out.dictionary is col.dictionary
 
 
 # ---------------------------------------------------------------------------

@@ -250,9 +250,9 @@ def test_fused_distinct_matches_materialising_pipeline(query):
 
 def _record_distinct_rows(monkeypatch) -> list:
     """Spy on the executor's calls of ``operators.distinct_rows``:
-    ``(statement, rows)`` per call — the statement being the label's last
-    part, ``rows`` the positions the DISTINCT was handed (``None``: every
-    row of its input)."""
+    ``(statement, rows, length)`` per call — the statement being the
+    label's last part, ``rows`` the selection the DISTINCT was handed
+    (``None``: every row of its input) and ``length`` its input's rows."""
     from repro.sqlengine import executor as executor_module
 
     calls: list = []
@@ -265,7 +265,7 @@ def _record_distinct_rows(monkeypatch) -> list:
         return execute(db, sql, label)
 
     def recording(columns, rows=None):
-        calls.append((current["statement"], rows))
+        calls.append((current["statement"], rows, len(columns[0])))
         return distinct_rows(columns, rows)
 
     monkeypatch.setattr(Database, "execute", labelled_execute)
@@ -275,7 +275,7 @@ def _record_distinct_rows(monkeypatch) -> list:
 
 def _filter_before_distinct(monkeypatch) -> None:
     """Make every core filter its frame before DISTINCT: the reference a
-    DISTINCT over positions must match."""
+    DISTINCT over a selection must match."""
     from repro.sqlengine import executor as executor_module
 
     execute_from = executor_module.Executor._execute_from
@@ -287,16 +287,35 @@ def _filter_before_distinct(monkeypatch) -> None:
     monkeypatch.setattr(executor_module.Executor, "_execute_from", filtering)
 
 
-def test_contract_and_relink_hand_distinct_positions(monkeypatch):
+def _assert_selection(rows, length: int) -> str:
+    """``rows`` is a selection a fused DISTINCT may be handed: a mask over
+    its ``length`` rows keeping at least ``DISTINCT_MASK_MIN_KEPT`` of them
+    but not all, or ascending positions keeping fewer; its form."""
+    from repro.sqlengine.operators import DISTINCT_MASK_MIN_KEPT
+
+    if rows.dtype == np.bool_:
+        assert rows.shape[0] == length
+        assert DISTINCT_MASK_MIN_KEPT * length <= rows.sum() < length
+        return "mask"
+    assert rows.dtype.kind == "i"
+    assert bool((rows[1:] > rows[:-1]).all())
+    assert rows.shape[0] < DISTINCT_MASK_MIN_KEPT * length
+    return "positions"
+
+
+def test_contract_and_relink_hand_distinct_their_kept_rows(monkeypatch):
     """The contract statement of both RC variants and Cracker's relink
     are fused join→DISTINCTs whose WHERE drops rows: their DISTINCT gets
-    the kept rows as ascending positions, not a filtered frame."""
+    the kept rows, not a filtered frame — the mask where the WHERE keeps
+    most rows, ascending positions where it keeps fewer; between them the
+    runs hand both."""
     from repro.core import Cracker, RandomisedContraction
     from repro.graphs import gnm_random_graph
     from repro.graphs.io import load_edges_into
 
     calls = _record_distinct_rows(monkeypatch)
     edges = gnm_random_graph(400, 700, np.random.default_rng(37))
+    forms = set()
     for algorithm, statement in (
             (RandomisedContraction(), "contract"),
             (RandomisedContraction(variant="deterministic-space"),
@@ -306,32 +325,39 @@ def test_contract_and_relink_hand_distinct_positions(monkeypatch):
         with Database() as db:
             load_edges_into(db, "edges", edges)
             algorithm.run(db, "edges", seed=5)
-        handed = [rows for name, rows in calls
+        handed = [(rows, length) for name, rows, length in calls
                   if name == statement and rows is not None]
-        assert any(rows.shape[0] for rows in handed), \
+        assert any(rows.any() for rows, _ in handed), \
             (algorithm.name, statement)
-        for rows in handed:
-            assert rows.dtype.kind == "i"
-            assert bool((rows[1:] > rows[:-1]).all())
+        forms.update(_assert_selection(rows, length)
+                     for rows, length in handed)
+    assert forms == {"mask", "positions"}
 
 
-def test_where_keeping_every_row_hands_distinct_no_positions(monkeypatch):
+def test_fused_where_hands_distinct_none_a_mask_or_positions(monkeypatch):
     """A fused DISTINCT's residual WHERE (one over both sides of the join:
     a one-table predicate filters its scan) that keeps every row hands
-    ``None``; one that drops rows hands exactly the kept ones, ascending."""
+    ``None``; one that keeps most rows hands the mask over every row, one
+    that keeps fewer the kept positions, ascending — exactly the kept
+    rows, either way."""
     calls = _record_distinct_rows(monkeypatch)
     db = _two_table_db()
     join = ("select distinct v1, r2.rep as v2 from graph2, reps as r2 "
             "where graph2.v2 = r2.v")
     db.execute(f"{join} and v1 + r2.v >= 0")
-    assert [rows for _, rows in calls] == [None]
-    calls.clear()
-    kept = db.execute(f"select count(*) from graph2, reps as r2 "
-                      f"where graph2.v2 = r2.v and v1 < r2.v").scalar()
-    db.execute(f"{join} and v1 < r2.v")
-    (_, rows), = calls
-    assert rows.shape[0] == kept < db.table("graph2").n_rows
-    assert bool((rows[1:] > rows[:-1]).all())
+    assert [rows for _, rows, _ in calls] == [None]
+    n_rows = db.table("graph2").n_rows
+    for where, form in (("v1 < r2.v", "positions"),
+                        ("v1 + r2.v > 60", "mask")):
+        calls.clear()
+        kept = db.execute(f"select count(*) from graph2, reps as r2 "
+                          f"where graph2.v2 = r2.v and {where}").scalar()
+        db.execute(f"{join} and {where}")
+        (_, rows, length), = calls
+        assert length == n_rows
+        assert _assert_selection(rows, length) == form
+        kept_rows = np.flatnonzero(rows) if form == "mask" else rows
+        assert kept_rows.shape[0] == kept
 
 
 #: Per-seed data motion of an RC run on G(400, 700) (graph seed 37), as
