@@ -7,7 +7,7 @@
     spies on the engine's keyed operators, and prints, per configuration,
     each operator's key forms and route with the number of calls:
 
-    * ``join``: ``executor.plan_join``'s probe and build keys and the
+    * ``join``: ``executor.join_rows``' probe and build keys and the
       route note it chose;
     * ``distinct``: ``executor.distinct_rows``'s columns and the branch
       of the one DISTINCT kernel that ran; a packed one adds its word
@@ -68,17 +68,17 @@ def spy(monkeypatch) -> Counter:
     branches = record_branches(monkeypatch)
     packings: list[str] = []
     packed_distinct = operators._packed_distinct
-    plan_join = executor.plan_join
+    join_rows = executor.join_rows
     distinct_rows = executor.distinct_rows
     group_kernel = executor.Executor._group_kernel
     run_starts = executor.run_starts
     direct_group_rows = executor.direct_group_rows
 
     def joining(left_keys, right_keys, right_index=None):
-        route = plan_join(left_keys, right_keys, right_index)
+        joined = join_rows(left_keys, right_keys, right_index)
         seen["join", f"{key_form(left_keys)} = {key_form(right_keys)}",
-             route.note()] += 1
-        return route
+             operators.JOIN_ROUTES[joined[0]]] += 1
+        return joined
 
     def packing(keys, rows):
         width = sum(key.width for key in keys)
@@ -130,13 +130,10 @@ def spy(monkeypatch) -> Counter:
     spark_distinct = SparkExecutor._distinct_kernel
     spark_group = SparkExecutor._group_kernel
 
-    def spark_joining(self, left_outer, left_keys, right_keys, right_index,
-                      note):
-        note = [] if note is None else note
-        pair = spark_join(self, left_outer, left_keys, right_keys,
-                          right_index, note)
+    def spark_joining(self, left_outer, left_keys, right_keys, *args):
+        pair = spark_join(self, left_outer, left_keys, right_keys, *args)
         seen["join", f"{key_form(left_keys)} = {key_form(right_keys)}",
-             note[-1]] += 1
+             args[-1][-1]] += 1
         return pair
 
     def spark_distinct_rows(self, columns, rows=None):
@@ -152,7 +149,7 @@ def spy(monkeypatch) -> Counter:
     monkeypatch.setattr(SparkExecutor, "_distinct_kernel",
                         spark_distinct_rows)
     monkeypatch.setattr(SparkExecutor, "_group_kernel", spark_grouping)
-    monkeypatch.setattr(executor, "plan_join", joining)
+    monkeypatch.setattr(executor, "join_rows", joining)
     monkeypatch.setattr(executor, "distinct_rows", distinct)
     monkeypatch.setattr(executor.Executor, "_group_kernel", grouping)
     monkeypatch.setattr(executor, "run_starts", in_runs)

@@ -52,9 +52,13 @@ the Spark model's RC on every dataset of the table, at ``REPRO_SCALE``
 ``repro.bench.Harness``, each cell on a fresh database.  A first round of
 every cell warms both sides up; then ``--pairs`` rounds alternate which
 side runs each cell first.  It prints every cell's median milliseconds
-per side, each dataset's HM/RC, CR/RC and TP/RC ratios on the working
-tree beside the paper's, and per algorithm both sides' median total over
-the cells that finished, with its quartiles over the rounds.  It fails if
+per side with its quartiles over the rounds, the rounds the change ran
+faster, and ``~`` when the change's median lies within the base's
+quartiles — a difference the cell's own spread can make (at three
+rounds a cell swings by some 15%); then each dataset's HM/RC, CR/RC and
+TP/RC ratios on the working tree beside the paper's, and per algorithm
+both sides' median total over the cells that finished, with its
+quartiles over the rounds.  It fails if
 any cell's labels, statement count, bytes written, motion bytes, peak
 bytes or finish differ between the sides.
 """
@@ -409,6 +413,20 @@ class GridSide:
             db.close()
 
 
+def cell_summary(base: list[float], change: list[float]) -> str:
+    """One grid cell's seconds over the rounds, paired round by round, as
+    one line: each side's median milliseconds with its quartiles, the
+    ratio of the medians, the rounds the change ran faster, and ``~`` when
+    the change's median lies within the base's quartiles."""
+    (b_low, b_mid, b_high), (c_low, c_mid, c_high) = (
+        [value * 1e3 for value in quartiles(side)] for side in (base, change))
+    wins = sum(c < b for b, c in zip(base, change))
+    within = "  ~" if b_low <= c_mid <= b_high else ""
+    return (f"base {b_mid:9.1f} ms [{b_low:.1f}, {b_high:.1f}]  "
+            f"change {c_mid:9.1f} ms [{c_low:.1f}, {c_high:.1f}]  "
+            f"ratio {c_mid / b_mid:.3f}x  wins {wins}/{len(base)}{within}")
+
+
 def run_grid(pairs: int, scale: float,
              datasets: Optional[list[str]] = None) -> bool:
     """One warm-up round and ``pairs`` timed rounds of the Table III grid
@@ -452,9 +470,8 @@ def run_grid(pairs: int, scale: float,
         if (dataset, name) not in finished:
             print(f"grid {dataset:<17} {name:<8} did not finish")
             continue
-        base, change = (medians[(dataset, name), side] for side in sides)
-        print(f"grid {dataset:<17} {name:<8} base {base * 1e3:9.1f} ms  "
-              f"change {change * 1e3:9.1f} ms  ratio {change / base:.3f}x")
+        print(f"grid {dataset:<17} {name:<8} " + cell_summary(
+            *(seconds[(dataset, name), side] for side in sides)))
     for dataset in datasets:
         paper = PAPER_TABLE3[dataset]
         rc = medians[(dataset, "rc"), "change"]

@@ -22,8 +22,10 @@ modelled:
   task over whole columns;
 * **no broadcast optimisation** — small relations are shuffled like large
   ones;
-* **no index reuse** — Spark SQL keeps no table indexes, so every join
-  sorts its own build side; and the model keeps no sort order either —
+* **no index reuse** — Spark SQL keeps no table indexes, so the model's
+  joins never ask for one (its ``_dispatch_join`` does not call
+  ``_stored_index``): no table caches an index and every join sorts or
+  addresses its own build side; and the model keeps no sort order either —
   every GROUP BY sorts task by task, so none is reduced where it lies,
   even over a key that arrives sorted.
 
@@ -72,10 +74,6 @@ class SparkExecutor(Executor):
     execution over the database's own column forms (see the module
     docstring)."""
 
-    #: Spark SQL has no MPP-style table indexes to reuse; this also keeps
-    #: the shuffle-everything accounting pure.
-    use_index_cache = False
-
     def __init__(self, catalog, registry, cluster, stats, n_tasks: int = 64):
         super().__init__(catalog, registry, cluster, stats)
         self.n_tasks = n_tasks
@@ -90,10 +88,10 @@ class SparkExecutor(Executor):
 
     # -- kernels: hash-partitioned per-task execution ------------------------
 
-    def _dispatch_join(self, left_outer, left_keys, right_keys, right_index,
-                       note):
-        if note is not None:
-            note.append("spark-partitioned")
+    def _dispatch_join(self, left_outer, left_keys, right_keys, right,
+                       right_names, note):
+        # Spark SQL has no table indexes to reuse: none is asked for.
+        note.append("spark-partitioned")
         return self._partitioned_join(left_keys, right_keys, left_outer)
 
     def _one_task(self, n_rows: int) -> bool:

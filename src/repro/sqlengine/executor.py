@@ -25,9 +25,9 @@ re-validate every compiled name after each parameter patch.
 
 Join execution is *index-aware*.  Base-table frames carry provenance
 (``Frame.sources``): as long as a frame is an unfiltered scan of a stored
-table, its columns are traceable back to that table, and a join's build
-side consults the table's versioned index cache
-(:meth:`~repro.sqlengine.table.Table.ensure_index`).  A cached
+table, its columns are traceable back to that table, and a join's
+single-column build side consults the table's index cache
+(:meth:`~repro.sqlengine.table.Table.index_for`).  A cached
 :class:`~repro.sqlengine.operators.KeyIndex` supplies the build side of a
 join pre-sorted (with uniqueness, sortedness and min/max stats), so the
 second and third join against the same table — the paper's per-round
@@ -35,11 +35,11 @@ second and third join against the same table — the paper's per-round
 it picks its layout off the key column it is handed (see
 :meth:`Executor._aggregate`).
 
-How a join runs is decided in one place,
-:func:`~repro.sqlengine.operators.plan_join`, and the executor runs the
-route it returns: its kernel, called once over every probe row.  The
-executor runs one statement at a time, on the calling thread, and starts
-no thread; nothing it does depends on the host's core count.
+How a join runs is decided, and run, in one call,
+:func:`~repro.sqlengine.operators.join_rows`: its route's kernel, called
+once over every probe row.  The executor runs one statement at a time,
+on the calling thread, and starts no thread; nothing it does depends on
+the host's core count.
 
 Every join runs through one runner, the **join chain** (see
 :class:`_JoinChain`): a join feeding another join's build side never
@@ -92,10 +92,10 @@ stored table stacks a **joint** encoding of the NULL-free int64 columns
 each output column draws from — one dictionary over all of them, cached
 on the table the same way — so the setup query stores the doubled edge
 table over one vertex dictionary and round 1 runs on codes like every
-later round.  ``take`` / ``filter`` carry the form,
+later round.  ``take`` carries the form,
 ``CREATE TABLE AS`` stores it, and every consumer recognises it by the
 columns it is handed, not by a flag: joins of two columns over one
-dictionary take the planner's ``dictionary`` route, ``v1 != r2.rep``
+dictionary join their codes, ``v1 != r2.rep``
 compares codes (:mod:`~repro.sqlengine.expressions`), an immutable UDF is
 applied to the dictionary, once for every call over it
 (:mod:`~repro.sqlengine.functions`), DISTINCT
@@ -145,6 +145,7 @@ from .expressions import AMBIGUOUS, Environment, evaluate, truth_values
 from .functions import FunctionRegistry
 from .mpp import Cluster
 from .operators import (
+    JOIN_ROUTES,
     NO_MATCH,
     DirectGroups,
     KeyIndex,
@@ -152,9 +153,9 @@ from .operators import (
     direct_group_rows,
     distinct_rows,
     group_rows,
+    join_rows,
     kept_rows,
     pad_left_outer,
-    plan_join,
     run_starts,
 )
 from .physicalplan import (
@@ -550,12 +551,6 @@ class _JoinChain:
 class Executor:
     """Executes parsed statements against a catalog."""
 
-    #: Consult stored tables' index caches for joins' build sides.
-    #: Executors that model index-less engines (the Spark comparison) set
-    #: this False, as do the few tests that need a join to sort its own
-    #: build side — on the instance; nothing selects it from outside.
-    use_index_cache = True
-
     def __init__(
         self,
         catalog: Catalog,
@@ -574,8 +569,6 @@ class Executor:
         """Fetch, or build and cache, the index of the stored column behind
         a join's build-side key, if there is one.  The statement that
         builds an index counts the miss; later ones count hits."""
-        if not self.use_index_cache:
-            return None
         source = frame.sources.get(qualified_name)
         if source is None:
             return None
@@ -591,8 +584,8 @@ class Executor:
         """One side's key columns for a join kernel.  A stored column that
         an earlier statement's gather left an encoding of (see
         :func:`_encoded_source`) joins in that form: the composition joins
-        ``reps.rep``, which the round's relabelling encoded, and skips the
-        sparse-key probe for the dictionary route.  A join's row pairs do
+        ``reps.rep``, which the round's relabelling encoded, on its codes
+        instead of probing sparse values.  A join's row pairs do
         not depend on its keys' form, so — unlike the rule that *creates*
         encodings — this one may read the cache."""
         keys = [frame.column(name) for name in names]
@@ -619,16 +612,19 @@ class Executor:
         left_outer: bool,
         left_keys: list[Column],
         right_keys: list[Column],
-        right_index: Optional[KeyIndex],
-        note: Optional[list],
+        right: Frame,
+        right_names: list[str],
+        note: list,
     ) -> tuple[Optional[np.ndarray], np.ndarray]:
-        """Inner or left-outer join: plan the route, then run it.  Left
-        rows are ``None`` when the join kept every probe row once, in
-        order (see :meth:`~repro.sqlengine.operators.JoinRoute.run`)."""
-        route = plan_join(left_keys, right_keys, right_index)
-        l_idx, r_idx = route.run()
-        if note is not None:
-            note.append(route.note())
+        """Inner or left-outer join of the build frame ``right`` on its
+        columns ``right_names``.  A single-column build side consults —
+        and on a miss populates — its table's index cache.  Left rows are
+        ``None`` when the join kept every probe row once, in order (see
+        :func:`~repro.sqlengine.operators.join_rows`)."""
+        right_index = self._stored_index(right, right_names[0]) \
+            if len(right_names) == 1 else None
+        kind, l_idx, r_idx = join_rows(left_keys, right_keys, right_index)
+        note.append(JOIN_ROUTES[kind])
         if left_outer:
             return pad_left_outer(l_idx, r_idx, len(left_keys[0]))
         return l_idx, r_idx
@@ -927,17 +923,12 @@ class Executor:
         else:
             left_keys = self._join_keys(chain, step.left_names)
             right_keys = self._join_keys(right, step.right_names)
-            # A single-column build side (the dominant shape) consults —
-            # and on a miss populates — its table's index cache.
-            right_index = self._stored_index(right, step.right_names[0]) \
-                if len(step.right_names) == 1 else None
             self._charge_join_motion(chain, step.left_names)
             self._charge_join_motion(right, step.right_names)
             note: list = []
             l_idx, r_idx = self._dispatch_join(outer, left_keys, right_keys,
-                                               right_index, note)
-            if note:
-                step.kernel = note[-1]
+                                               right, step.right_names, note)
+            step.kernel = note[-1]
         chain.apply(l_idx, r_idx, right, step, outer)
 
     def _scan_frame(self, scan: ScanPlan) -> Frame:

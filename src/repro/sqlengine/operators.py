@@ -14,40 +14,41 @@ label row finds its one row of the per-vertex ``reps`` table).  The
 public entry points (:func:`join_indices`, :func:`left_join_indices`)
 spell the identity out as ``arange``.
 
-**Joins** are planned once and written once.  :func:`plan_join` is the
-only place that decides how an equi-join runs: it returns a
-:class:`JoinRoute` naming one of three kernels and the arrays it reads —
+**Joins** are planned and run in one call.  :func:`join_rows` is the
+only place that decides how an equi-join runs, and it calls the route's
+kernel once, over the whole probe side, on the calling thread — one of
+three kernels:
 
-* **no table at all** (:func:`_offset_probe`) when the build side's
-  cached index shows its keys sorted, unique and filling their whole
-  domain — round 1's ``reps.v``, and every later one of a
-  single-component input: key ``k`` is build row ``k - min``, so the
-  probe keys, shifted, *are* the right rows.  The only work is the
-  probe's bounds check, and none at all for codes;
-* a **direct-address table** (:func:`_dense_probe`) when the build-side
-  key range is dense (span comparable to the row count, as with vertex
-  IDs): O(n), no sort at all.  Two **dictionary-encoded** key columns
-  sharing one dictionary (see :mod:`repro.sqlengine.types`) take it
-  whatever their values are — the ``dictionary`` route: the build side's
-  codes are its keys' slots, the probe side's codes address them, and no
-  64-bit value is read.  That is every join of the contraction loop
-  that the first kernel does not take;
+* **no table at all** (:func:`_offset_probe`, the ``dense-offset``
+  route) when the build side's cached index shows its keys sorted,
+  unique and filling their whole domain — round 1's ``reps.v``, and
+  every later one of a single-component input: key ``k`` is build row
+  ``k - min``, so the probe keys, shifted, *are* the right rows.  The
+  only work is the probe's bounds check, and none at all for codes;
+* a **direct-address table** (:func:`_dense_probe`, ``dense-unique`` or
+  ``dense-runs``) when the build-side key range is dense (span
+  comparable to the row count, as with vertex IDs): O(n), no sort at
+  all;
 * a **sorted-order probe** (:func:`_sorted_probe`, the ``sorted`` route)
   for every other key — sparse 64-bit values in plain columns, floats,
   text — one binary search per row into unique integer build keys, a
   run expansion (:func:`_expand_runs`, the only one) into any others.
   The sorted order and the uniqueness come from a :class:`KeyIndex` when
   the build side's stored table caches one (see
-  :meth:`repro.sqlengine.table.Table.ensure_index`), so repeated joins
+  :meth:`repro.sqlengine.table.Table.index_for`), so repeated joins
   against the same table pay the sort once; otherwise the route sorts.
+
+Two **dictionary-encoded** key columns sharing one dictionary (see
+:mod:`repro.sqlengine.types`) are integer keys over one key space, the
+dictionary's slots: they join on their codes through the same routes,
+with the dictionary's length as their domain — no dense-span limit
+applies and no 64-bit value is read.  Every join of the contraction loop
+is such a join.
 
 A multi-column key is one order-preserving int64 word per row
 (:func:`pack_keys`, over both sides of a join), on which joins and GROUP
-BY run their single-column kernels.
-
-Every join runs its route's kernel once, over the whole probe side, on
-the calling thread (:meth:`JoinRoute.run`); nothing about the host — its
-core count included — changes a route, its note or its output.
+BY run their single-column kernels.  Nothing about the host — its core
+count included — changes a route, its note or its output.
 
 **Grouping** reads its layout off the key column it is handed.  One
 NULL-free integer key — codes or values — that arrives non-decreasing
@@ -104,7 +105,7 @@ the final round's queries run over zero rows.
 from __future__ import annotations
 
 import sys
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -500,12 +501,10 @@ def _empty_pair() -> tuple[np.ndarray, np.ndarray]:
 # joins
 # ---------------------------------------------------------------------------
 
-#: Every route :func:`plan_join` can return, with the kernel-strategy note
+#: Every route :func:`join_rows` can take, with the kernel-strategy note
 #: it reports.
 JOIN_ROUTES = {
     "empty": "empty",
-    "dictionary-identity": "identity",
-    "dictionary": "dictionary",
     "dense-offset": "offset",
     "dense-unique": "dense",
     "dense-runs": "dense",
@@ -513,57 +512,13 @@ JOIN_ROUTES = {
 }
 
 
-class JoinRoute:
-    """How one inner equi-join runs — everything :func:`plan_join` decided.
-
-    ``kernel`` is a module-level function called once, as
-    ``kernel(*args)``, over the whole probe side: ``args`` are the probe
-    keys, the build side's slot or bucket table or sorted values and
-    order, and the scalars that shape the probe.  ``kernel`` is ``None``
-    when no row can match.
-
-    A kernel returns ``(None, right rows)`` when every probe row matched
-    exactly one build row: the left rows are then the probe rows
-    themselves, in order.  The join's left rows stay ``None`` — the
-    identity over the probe side — when the kernel said so and no NULL key
-    was filtered out.
-    """
-
-    __slots__ = ("kind", "kernel", "args", "left_rows", "right_rows")
-
-    def __init__(self, kind: str, kernel: Optional[Callable] = None,
-                 args: tuple = ()):
-        self.kind = kind
-        self.kernel = kernel
-        self.args = args
-        #: Row numbers behind the key positions of a side that had NULL
-        #: keys filtered out (``None``: positions are rows).
-        self.left_rows: Optional[np.ndarray] = None
-        self.right_rows: Optional[np.ndarray] = None
-
-    def note(self) -> str:
-        """The kernel-strategy name the executor records on the plan."""
-        return JOIN_ROUTES[self.kind]
-
-    def run(self) -> tuple[Optional[np.ndarray], np.ndarray]:
-        """Aligned ``(left rows, right rows)``: the kernel called once,
-        its key positions mapped back to the rows of a side whose NULL
-        keys were filtered out.  Left rows are ``None`` when every probe
-        row matched once, in order."""
-        if self.kernel is None:
-            return _empty_pair()
-        l_idx, r_idx = self.kernel(*self.args)
-        if self.left_rows is not None:
-            l_idx = self.left_rows if l_idx is None else self.left_rows[l_idx]
-        if self.right_rows is not None:
-            r_idx = self.right_rows[r_idx]
-        return l_idx, r_idx
-
-
-def _valid_keys(columns: list[Column]) -> tuple[list, Optional[np.ndarray]]:
-    """The key columns' values at the rows where no key column is NULL,
-    and those rows' numbers (``None``: every row)."""
-    arrays = [col.values for col in columns]
+def _valid_keys(
+    columns: list[Column], codes: bool = False,
+) -> tuple[list, Optional[np.ndarray]]:
+    """The key columns' values (``codes``: their codes) at the rows where
+    no key column is NULL, and those rows' numbers (``None``: every
+    row)."""
+    arrays = [col.codes if codes else col.values for col in columns]
     valid = _non_null_rows(columns)
     if valid is None:
         return arrays, None
@@ -571,124 +526,109 @@ def _valid_keys(columns: list[Column]) -> tuple[list, Optional[np.ndarray]]:
     return [array[rows] for array in arrays], rows
 
 
-def plan_join(
+def join_rows(
     left_keys: list[Column],
     right_keys: list[Column],
     right_index: Optional[KeyIndex] = None,
-) -> JoinRoute:
-    """Plan an inner m:n equi-join: strip NULL keys (they never match —
-    SQL semantics), pack a multi-column key into one word per row
-    (:func:`pack_keys`, over both sides at once), then let
-    :func:`_route_keys` pick the route.
+) -> tuple[str, Optional[np.ndarray], np.ndarray]:
+    """An inner m:n equi-join, planned and run: ``(route kind, left rows,
+    right rows)``, the rows aligned.  Left rows are ``None`` when every
+    probe row matched exactly once, in order, and no NULL key was
+    filtered out.
+
+    NULL keys are stripped (they never match — SQL semantics), a
+    multi-column key is packed into one word per row (:func:`pack_keys`,
+    over both sides at once), :func:`_route_keys` picks the route and
+    calls its kernel once, and the key positions are mapped back to the
+    rows of a side whose NULL keys were filtered out.  Two single-column
+    keys over one dictionary object join on their codes, whose domain is
+    the dictionary: equal codes are equal values, and no value is read.
 
     ``right_index`` is an optional precomputed :class:`KeyIndex` over the
     *unfiltered* build-side key column (typically from a stored table's
     index cache); it lets the route skip its build-side sort.  It is
     ignored whenever the build side had NULL rows filtered out, since its
-    row numbering would no longer line up.  An index that
+    row numbering would no longer line up.  Only an index that
     :meth:`KeyIndex.fills` its key domain — checked in O(1) — takes the
-    join off every table: the ``dictionary-identity`` and ``dense-offset``
-    routes read the right rows straight off the probe keys.  Without an
-    index (the Spark model keeps none) no join takes them.
+    ``dense-offset`` route: the right rows are read straight off the probe
+    keys.  Without an index (the Spark model keeps none) no join takes it.
     """
     if len(left_keys) != len(right_keys) or not left_keys:
         raise ExecutionError("join requires matching non-empty key lists")
-    route = _dictionary_route(left_keys, right_keys, right_index)
-    if route is not None:
-        return route
-    left, left_rows = _valid_keys(left_keys)
-    right, right_rows = _valid_keys(right_keys)
+    dictionary = left_keys[0].dictionary
+    domain = int(dictionary.shape[0]) if (
+        len(left_keys) == 1 and dictionary is not None
+        and dictionary is right_keys[0].dictionary) else None
+    left, left_rows = _valid_keys(left_keys, domain is not None)
+    right, right_rows = _valid_keys(right_keys, domain is not None)
     if right_rows is not None:
         right_index = None
     if left[0].shape[0] == 0 or right[0].shape[0] == 0:
-        return JoinRoute("empty")
+        return ("empty", *_empty_pair())
     lk, rk = (left[0], right[0]) if len(left) == 1 \
         else pack_keys([left, right])
-    route = _route_keys(lk, rk, right_index)
-    route.left_rows, route.right_rows = left_rows, right_rows
-    return route
-
-
-def _dictionary_route(
-    left_keys: list[Column], right_keys: list[Column],
-    right_index: Optional[KeyIndex],
-) -> Optional[JoinRoute]:
-    """The route of two encoded key columns sharing one dictionary object
-    over a unique build side, else ``None``.
-
-    Equal codes are then equal values, so the build side's codes *are* its
-    keys' positions in the probe side's dictionary.  When its index shows
-    them sorted, unique and as many as the dictionary's entries, code ``c``
-    is build row ``c``: the ``dictionary-identity`` route hands the probe
-    codes back as the right rows — no table, no gather and no match check,
-    since codes address the dictionary by construction.  Otherwise one
-    scatter fills the direct-address table and :func:`_dense_probe` probes
-    it with the codes — no value is read, sorted or searched on either
-    side.  Duplicate build keys, distinct dictionaries and plain columns
-    take the routes of :func:`_route_keys` over the (materialised) values.
-    """
-    left, right = left_keys[0], right_keys[0]
-    if (
-        len(left_keys) != 1
-        or left.dictionary is None
-        or left.dictionary is not right.dictionary
-        or not len(left) or not len(right)
-    ):
-        return None
-    span = int(left.dictionary.shape[0])
-    if right_index is not None and right_index.fills(span):
-        return JoinRoute("dictionary-identity", _offset_probe,
-                         (left.codes, 0, span, True))
-    if not (right_index.is_unique if right_index is not None
-            else int(np.bincount(right.codes, minlength=span).max()) <= 1):
-        return None
-    slots = np.full(span, NO_MATCH, dtype=np.int64)
-    slots[right.codes] = np.arange(len(right), dtype=np.int64)
-    return JoinRoute("dictionary", _dense_probe,
-                     (left.codes, slots, None, None, 0, span, True))
+    kind, l_idx, r_idx = _route_keys(lk, rk, right_index, domain)
+    if left_rows is not None:
+        l_idx = left_rows if l_idx is None else left_rows[l_idx]
+    if right_rows is not None:
+        r_idx = right_rows[r_idx]
+    return kind, l_idx, r_idx
 
 
 def _route_keys(
     lk: np.ndarray, rk: np.ndarray, right_index: Optional[KeyIndex],
-) -> JoinRoute:
-    """The one join-route decision, over non-empty NULL-free keys.
+    domain: Optional[int] = None,
+) -> tuple[str, Optional[np.ndarray], np.ndarray]:
+    """The one join-route decision, over non-empty NULL-free keys, and its
+    kernel's ``(kind, left positions, right positions)``.
 
     Integer keys: a build side whose index :meth:`~KeyIndex.fills` its
     range is addressed by offset, with no table (``dense-offset``: key
     ``k`` is build row ``k - min``); any other dense build-side range gets
     a direct-address table (slots for unique keys, buckets otherwise) —
     O(n), no sort.  The offset route allocates nothing, so the dense-span
-    limit does not bound it.  Any other key takes the ``sorted`` route:
+    limit does not bound it.  Codes (``domain``: their dictionary's
+    length) span ``0 .. domain - 1`` and address it in bounds, whatever
+    the dense-span limit says.  Any other key takes the ``sorted`` route:
     order and uniqueness from the build index, else a sort and one compare
     of neighbours; one search per row into unique integer keys, a run
     expansion (two, which match NaN to NaN) otherwise.
     """
     n_right = int(rk.shape[0])
     ints = lk.dtype.kind == "i" and rk.dtype.kind == "i"
+    codes = domain is not None
     if ints:
-        if right_index is not None and right_index.min_value is not None:
-            rmin, rmax = right_index.min_value, right_index.max_value
+        if codes:
+            rmin, span = 0, domain
         else:
-            rmin, rmax = int(rk.min()), int(rk.max())
-        span = rmax - rmin + 1
+            if right_index is not None and right_index.min_value is not None:
+                rmin, rmax = right_index.min_value, right_index.max_value
+            else:
+                rmin, rmax = int(rk.min()), int(rk.max())
+            span = rmax - rmin + 1
         if right_index is not None and right_index.fills(span):
-            return JoinRoute("dense-offset", _offset_probe, (lk, rmin, span))
-        if span <= _dense_span_limit(n_right):
-            rel_right = rk - rmin
+            return ("dense-offset", *_offset_probe(lk, rmin, span, codes))
+        if codes or span <= _dense_span_limit(n_right):
+            rel_right = rk - rmin if rmin else rk
             counts = None
             if right_index is None or not right_index.is_unique:
                 counts = np.bincount(rel_right, minlength=span)
-            if counts is None or n_right < 2 or int(counts.max()) <= 1:
+                if n_right < 2 or int(counts.max()) <= 1:
+                    # Unique keys: the counts go before the slot table is
+                    # allocated, which then reuses their memory instead
+                    # of faulting in fresh pages.
+                    counts = None
+            if counts is None:
                 slots = np.full(span, NO_MATCH, dtype=np.int64)
                 slots[rel_right] = np.arange(n_right, dtype=np.int64)
-                return JoinRoute("dense-unique", _dense_probe,
-                                 (lk, slots, None, None, rmin, span))
+                return ("dense-unique", *_dense_probe(
+                    lk, slots, None, None, rmin, span, codes))
             # Duplicate build keys: bucket right rows by key code.
             order = right_index.order if right_index is not None \
                 else stable_argsort(rel_right)[0]
             starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            return JoinRoute("dense-runs", _dense_probe,
-                             (lk, counts, starts, order, rmin, span))
+            return ("dense-runs", *_dense_probe(
+                lk, counts, starts, order, rmin, span, codes))
     if right_index is None:
         order, sorted_values = stable_argsort(rk)
         unique = not bool((sorted_values[1:] == sorted_values[:-1]).any())
@@ -696,8 +636,8 @@ def _route_keys(
         sorted_values = right_index.sorted_values
         order = None if right_index.is_sorted else right_index.order
         unique = right_index.is_unique
-    return JoinRoute("sorted", _sorted_probe,
-                     (lk, sorted_values, order, ints and unique))
+    return ("sorted", *_sorted_probe(lk, sorted_values, order,
+                                     ints and unique))
 
 
 def join_indices(
@@ -707,16 +647,16 @@ def join_indices(
     note: Optional[list] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inner m:n equi-join; returns aligned (left_rows, right_rows) —
-    :func:`plan_join`'s route, run.
+    :func:`join_rows` with the identity left rows spelled out.
 
     ``note``, when given, receives the name of the kernel strategy the
     route settled on (``"dense"``, ``"offset"``, ``"merge"`` ...) —
     the executor records it on the statement's physical plan.
     """
-    route = plan_join(left_keys, right_keys, right_index)
+    kind, l_idx, r_idx = join_rows(left_keys, right_keys, right_index)
     if note is not None:
-        note.append(route.note())
-    return spelled_out(*route.run())
+        note.append(JOIN_ROUTES[kind])
+    return spelled_out(l_idx, r_idx)
 
 
 def spelled_out(

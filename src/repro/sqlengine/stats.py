@@ -91,7 +91,8 @@ _COUNTER_NAMES = frozenset(COUNTERS)
 #: them as per-layer metrics (a missing counter would report ``None``).
 #: They leave together with those probes, and so do the other inert
 #: shells the probes call: ``mpp.SegmentPool`` (``n_segments``,
-#: ``n_workers = 1``, a no-op ``shutdown``; ``Database.pool`` holds one)
+#: ``n_workers = 1``, a no-op ``shutdown``; ``Database.pool`` holds one,
+#: whose ``n_workers`` the benchmark reports as ``mpp.workers``)
 #: and ``parallel.parallel_join_indices`` (``join_indices``, pool
 #: ignored).
 RETIRED = frozenset({

@@ -1,12 +1,13 @@
 """Stored tables and the catalog.
 
-Tables carry a **versioned per-column index cache**: the first join that
-builds on a stored column builds a :class:`~repro.sqlengine.operators.KeyIndex`
-(sorted order, uniqueness, min/max stats) and caches it on the table;
-subsequent joins against the same column reuse it instead of re-sorting
-(a GROUP BY reads no index: it takes its layout off the key column).  Any mutation (``INSERT`` append, ``TRUNCATE``) bumps the table
-version, which invalidates every cached index — a stale index can therefore
-never be observed.  The paper's algorithms join the per-round ``reps``
+Tables carry a **per-column index cache** (:meth:`Table.index_for`): the
+first join that builds on a stored column builds a
+:class:`~repro.sqlengine.operators.KeyIndex` (sorted order, uniqueness,
+min/max stats) and caches it on the table; subsequent joins against the
+same column reuse it instead of re-sorting (a GROUP BY reads no index: it
+takes its layout off the key column).  Any mutation (``INSERT`` append,
+``TRUNCATE``) empties the cache — a stale index can therefore never be
+observed.  The paper's algorithms join the per-round ``reps``
 table two to three times per contraction round, which is exactly the reuse
 pattern this cache targets.
 
@@ -19,8 +20,8 @@ several such columns over one dictionary (:meth:`Table.joint_encoding`),
 computed the first time a UNION ALL of unfiltered scans of the table
 stacks them (see :mod:`repro.sqlengine.executor`).  Both are built by
 :func:`~repro.sqlengine.operators.encode_values`.  The stored columns
-themselves never change form.  Each cache is filled once per
-table version: every statement after the first that reads the ``reps``
+themselves never change form.  Each cache is filled once between
+mutations: every statement after the first that reads the ``reps``
 table shares its one index and, above all, its one dictionary *object*,
 which is how kernels recognise codes they may compare.  Statements run
 one at a time, so a fill needs no lock.
@@ -66,12 +67,10 @@ class Table:
         self.columns = dict(columns)
         self.distribution_column = distribution_column
         self._byte_size: Optional[int] = None
-        #: Bumped on every mutation; cached indexes are tagged with the
-        #: version they were built against and ignored once it moves on.
-        self.version = 0
-        self._indexes: dict[str, tuple[int, KeyIndex]] = {}
-        #: Encodings by sorted column names: (version, {name: column}).
-        self._encoded: dict[tuple[str, ...], tuple[int, dict]] = {}
+        #: Both caches are emptied on every mutation.
+        self._indexes: dict[str, KeyIndex] = {}
+        #: Encodings by sorted column names: {name: column}.
+        self._encoded: dict[tuple[str, ...], dict[str, Column]] = {}
 
     @property
     def n_rows(self) -> int:
@@ -120,30 +119,20 @@ class Table:
     # -- per-column index cache --------------------------------------------
 
     def _invalidate_indexes(self) -> None:
-        self.version += 1
         self._indexes.clear()
         self._encoded.clear()
 
-    def cached_index(self, column_name: str) -> Optional[KeyIndex]:
-        """Return the cached index for a column, or None if absent/stale."""
-        entry = self._indexes.get(column_name)
-        if entry is None or entry[0] != self.version:
-            return None
-        return entry[1]
-
-    def ensure_index(self, column_name: str) -> Optional[KeyIndex]:
-        """Return (building and caching if needed) the index for a column.
-
-        Returns ``None`` for columns that cannot be indexed: text columns
-        (object storage, no cheap stats) and columns with NULLs (the join
-        kernels pre-filter NULL rows, which would invalidate positions).
-        """
-        return self.index_for(column_name)[0]
-
     def index_for(self, column_name: str) -> tuple[Optional[KeyIndex], bool]:
-        """:meth:`ensure_index`, plus whether *this call* built the index
-        (and so counts the cache miss); later calls share it."""
-        cached = self.cached_index(column_name)
+        """The index of a column (built and cached on first use), and
+        whether *this call* built it (and so counts the cache miss); later
+        calls share it.
+
+        The index is ``None`` for columns that cannot be indexed: text
+        columns (object storage, no cheap stats) and columns with NULLs
+        (the join kernels pre-filter NULL rows, which would invalidate
+        positions).
+        """
+        cached = self._indexes.get(column_name)
         if cached is not None:
             return cached, False
         col = self.column(column_name)
@@ -152,21 +141,19 @@ class Table:
         # An encoded column is indexed through its codes: nothing gathers
         # its values until a join asks for them.
         index = build_key_index(col.storage, col.dictionary)
-        self._indexes[column_name] = (self.version, index)
+        self._indexes[column_name] = index
         return index, True
 
     def cached_encoding(self, column_name: str) -> Optional[Column]:
         """The encoded form :meth:`encoded_column` cached, if it has."""
         entry = self._encoded.get((column_name,))
-        if entry is None or entry[0] != self.version:
-            return None
-        return entry[1][column_name]
+        return None if entry is None else entry[column_name]
 
     def encoded_column(self, column_name: str) -> Optional[Column]:
         """The dictionary-encoded form of a stored column (built and cached
         on first use, like an index), or ``None`` for a column that has no
         such form: anything but NULL-free int64.  Every caller gets the
-        same dictionary object for one table version."""
+        same dictionary object until the table changes."""
         col = self.column(column_name)
         if col.codes is not None:
             return col
@@ -178,14 +165,14 @@ class Table:
     ) -> Optional[dict[str, Column]]:
         """Columns encoded over **one** dictionary — the sorted distinct
         values of all of them — by name; ``None`` unless every one is
-        NULL-free int64.  Built and cached per table version and set of
-        names, like :meth:`encoded_column` (a set of one), so every caller
-        gets the same dictionary object.  Columns already stored over one
+        NULL-free int64.  Built and cached per set of names, like
+        :meth:`encoded_column` (a set of one), so every caller gets the
+        same dictionary object.  Columns already stored over one
         dictionary are their own joint encoding."""
         names = tuple(sorted(set(column_names)))
         entry = self._encoded.get(names)
-        if entry is not None and entry[0] == self.version:
-            return entry[1]
+        if entry is not None:
+            return entry
         columns = [self.column(name) for name in names]
         if any(col.sql_type != INT64 or col.mask is not None
                for col in columns):
@@ -203,7 +190,7 @@ class Table:
                                  column_values)
             for i, (name, column_values) in enumerate(zip(names, values))
         }
-        self._encoded[names] = (self.version, encoded)
+        self._encoded[names] = encoded
         return encoded
 
 

@@ -18,7 +18,7 @@ de-duplicated on their dense codes and the 64-bit values are never
 touched.  The form is invisible to SQL and to the space accounting
 (:meth:`Column.byte_size` charges 8 bytes per cell either way); who
 produces it is the executor's business (see
-:mod:`repro.sqlengine.executor`), and ``take`` / ``filter`` carry it along.
+:mod:`repro.sqlengine.executor`), and ``take`` carries it along.
 """
 
 from __future__ import annotations
@@ -200,16 +200,6 @@ class Column:
             return self.with_storage(self.codes[indices])
         mask = self.mask[indices] if self.mask is not None else None
         return Column(self._values[indices], self.sql_type, mask)
-
-    def filter(self, keep: np.ndarray) -> "Column":
-        """Keep rows where ``keep`` is True — selected by position: below
-        ~9 in 10 rows kept, compressing one array by mask costs more than
-        one ``flatnonzero`` and a gather (2M int64 rows: 12.4 against 5.8
-        ms at 3/4 kept, 6.6 against 6.1 at 9/10; 4.7 against 6.5 at
-        19/20), and the positions serve every further column.  Only one
-        array compressed once past that share wins (the fused
-        join→DISTINCT's words, see :mod:`repro.sqlengine.executor`)."""
-        return self.take(np.flatnonzero(keep))
 
     def null_mask(self) -> np.ndarray:
         """Return a boolean mask of NULL positions (materialised)."""

@@ -73,8 +73,8 @@ the dense dispatch off (``DENSE_SPAN_FACTOR`` = ``DENSE_SPAN_FLOOR`` = 0),
 so the same statements also cross the sparse-key kernels — sorted-index
 and merge probes — that carry the contraction loop after round 1.  The
 harness asserts that both kinds of route were taken, and both routes of
-a build side that fills its key domain (``dense-offset`` on values,
-``dictionary-identity`` on codes), which no span limit bounds — every
+a build side that fills its key domain (``dense-offset``, on values and
+on codes), which no span limit bounds — every
 batch plants a join onto such a table (:func:`filling_builds`), so no
 seed misses them — and that a joint encoding of two or more columns was
 built.
@@ -444,9 +444,9 @@ def filling_builds(rand: random.Random) -> tuple[list[str], list[str]]:
     in every batch, so both routes that skip the table are met there
     whatever the batch's random tables hold: ``f1`` is the DISTINCT of a
     stacked scan's first column, codes that cover the joint dictionary
-    (``dictionary-identity``); ``f2`` holds a contiguous run of values,
-    one row each, in order (``dense-offset``).  Returns (the tables'
-    statements, the joins)."""
+    (``dense-offset`` on codes); ``f2`` holds a contiguous run of values,
+    one row each, in order (``dense-offset`` on values).  Returns (the
+    tables' statements, the joins)."""
     table = rand.choice(list(TABLES))
     key, val, _ = TABLES[table]
     stacked = (f"(select {key} c0, {val} c1 from {table} union all "
@@ -580,18 +580,21 @@ def test_differential_fuzz(monkeypatch):
 
     monkeypatch.setattr(operators, "CACHE_KERNEL_MIN_ROWS", 1)
     monkeypatch.setattr(operators, "PRESORTED_MAX_DESCENTS", -1)
-    routes: set[str] = set()
+    # (route kind, whether the keys were codes over one dictionary)
+    routes: set[tuple[str, bool]] = set()
     composite = {"joins": 0, "three_column": 0}
-    plan_join = executor_module.plan_join
+    join_rows = executor_module.join_rows
 
-    def recording_plan_join(left_keys, *args):
-        route = plan_join(left_keys, *args)
-        routes.add(route.kind)
+    def recording_join_rows(left_keys, right_keys, *args):
+        joined = join_rows(left_keys, right_keys, *args)
+        dictionary = left_keys[0].dictionary
+        routes.add((joined[0], len(left_keys) == 1 and dictionary is not None
+                    and dictionary is right_keys[0].dictionary))
         composite["joins"] += len(left_keys) > 1
         composite["three_column"] += len(left_keys) > 2
-        return route
+        return joined
 
-    monkeypatch.setattr(executor_module, "plan_join", recording_plan_join)
+    monkeypatch.setattr(executor_module, "join_rows", recording_join_rows)
     domains = {"dictionary": 0}
     evaluated_domain = functions._EvaluatedDomain
 
@@ -699,12 +702,13 @@ def test_differential_fuzz(monkeypatch):
     assert engaged["left_chain"] > 0
     assert engaged["fused"] > 0
     assert engaged["encoded"] > 0  # results that left the engine encoded
-    assert routes & {"dense-unique", "dense-runs"}
+    kinds = {kind for kind, _ in routes}
+    assert kinds & {"dense-unique", "dense-runs"}
     # A build side that fills its domain skips the table, on values and
     # on codes.
-    assert {"dense-offset", "dictionary-identity"} <= routes, routes
+    assert {("dense-offset", False), ("dense-offset", True)} <= routes, routes
     if FUZZ_ROUNDS > BATCH:  # a sparse-key batch ran
-        assert "sorted" in routes  # note "merge"
+        assert "sorted" in kinds  # note "merge"
     assert composite["joins"] > 0  # a two-column key met the oracle
     assert composite["three_column"] > 0
     # Every DISTINCT branch met the oracle: the wide columns' pairs are

@@ -208,21 +208,20 @@ def test_index_cache_hit_and_build(db):
     db.execute("create table t (v int64)")
     db.execute("insert into t values (3), (1), (2)")
     table = db.table("t")
-    assert table.cached_index("v") is None
-    index = table.ensure_index("v")
-    assert index is not None and index.is_unique
-    assert table.cached_index("v") is index
-    assert table.ensure_index("v") is index
+    index, built = table.index_for("v")
+    assert built and index is not None and index.is_unique
+    again, built = table.index_for("v")
+    assert again is index and not built
 
 
 def test_index_cache_invalidated_by_append(db):
     db.execute("create table t (v int64)")
     db.execute("insert into t values (3), (1)")
     table = db.table("t")
-    stale = table.ensure_index("v")
+    stale, _ = table.index_for("v")
     db.execute("insert into t values (2)")
-    assert table.cached_index("v") is None  # version moved on
-    fresh = table.ensure_index("v")
+    fresh, built = table.index_for("v")
+    assert built  # the append emptied the cache
     assert fresh is not stale
     assert fresh.n_rows == 3
     assert (fresh.min_value, fresh.max_value) == (1, 3)
@@ -232,9 +231,10 @@ def test_index_cache_invalidated_by_truncate(db):
     db.execute("create table t (v int64)")
     db.execute("insert into t values (5)")
     table = db.table("t")
-    table.ensure_index("v")
+    stale, _ = table.index_for("v")
     db.execute("truncate table t")
-    assert table.cached_index("v") is None
+    index, built = table.index_for("v")
+    assert built and index is not stale and index.n_rows == 0
     assert table.n_rows == 0
 
 
@@ -255,9 +255,9 @@ def test_unindexable_columns_return_none(db):
     db.execute("create table t (name text, v int64)")
     db.execute("insert into t values ('a', 1)")
     table = db.table("t")
-    assert table.ensure_index("name") is None
+    assert table.index_for("name") == (None, False)
     db.execute("insert into t values ('b', null)")
-    assert table.ensure_index("v") is None  # NULL-bearing column
+    assert table.index_for("v") == (None, False)  # NULL-bearing column
 
 
 def test_dense_index_defers_its_sort(db):
@@ -265,7 +265,7 @@ def test_dense_index_defers_its_sort(db):
     direct-address join never consumes must not be paid up front."""
     values = np.random.default_rng(0).permutation(10_000).astype(np.int64)
     db.load_table("t", {"v": values})
-    index = db.table("t").ensure_index("v")
+    index, _ = db.table("t").index_for("v")
     assert index.is_unique and (index.min_value, index.max_value) == (0, 9_999)
     assert index._order is None  # not materialised by stats-only consumers
     # First consumer that needs the order materialises it correctly.
@@ -327,9 +327,9 @@ def test_probe_side_index_is_neither_read_nor_built(warm_probe_index):
     delta = db.stats.snapshot().delta(before)
     assert delta.index_cache_misses == 1
     assert delta.index_cache_hits == 0
-    assert db.table("reps").cached_index("v") is not None
-    assert (db.table("graph").cached_index("v1") is not None) \
-        == warm_probe_index
+    # Cached already: neither call builds an index.
+    assert db.table("reps").index_for("v")[1] is False
+    assert db.table("graph").index_for("v1")[1] is not warm_probe_index
 
 
 # ---------------------------------------------------------------------------

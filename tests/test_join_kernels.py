@@ -29,14 +29,13 @@ from repro.sqlengine.operators import (
     AGGREGATE_KINDS,
     CACHE_KERNEL_MIN_ROWS,
     JOIN_ROUTES,
-    JoinRoute,
     _reduce_slice,
     build_key_index,
     join_indices,
+    join_rows,
     pad_left_outer,
     group_rows,
     left_join_indices,
-    plan_join,
     sorted_group_rows,
     spelled_out,
 )
@@ -67,12 +66,9 @@ def _recording_notes(monkeypatch) -> list:
     notes: list = []
     dispatch = executor_module.Executor._dispatch_join
 
-    def recording(self, left_outer, left_keys, right_keys, right_index,
-                  note):
-        note = [] if note is None else note
-        pair = dispatch(self, left_outer, left_keys, right_keys, right_index,
-                        note)
-        notes.append(note[-1])
+    def recording(self, *args):
+        pair = dispatch(self, *args)
+        notes.append(args[-1][-1])
         return pair
 
     monkeypatch.setattr(executor_module.Executor, "_dispatch_join", recording)
@@ -207,7 +203,7 @@ def _index_less_twin(build, query):
     """``query``'s rows on a database ``build`` made, and on its twin whose
     joins sort their own build sides."""
     indexed, index_less = build(), build()
-    index_less._executor.use_index_cache = False
+    index_less._executor._stored_index = lambda frame, name: None
     return indexed.execute(query).rows(), index_less.execute(query).rows()
 
 
@@ -283,7 +279,7 @@ def test_executor_reads_rows_off_a_warm_index_that_fills_its_range(
     assert notes == ["offset", "dense"]
 
 
-# -- JoinRoute.run: NULL-filtered sides and the identity left rows ----------
+# -- join_rows: NULL-filtered sides and the identity left rows ---------------
 
 
 #: Build-side shapes of the route cases -> (sparse keys, duplicate keys,
@@ -331,21 +327,19 @@ RUN_CASES += [("sorted-indexed-unique", "left"),
 
 @pytest.mark.parametrize("shape,nulls", RUN_CASES,
                          ids=[f"{k}-{n}" for k, n in RUN_CASES])
-def test_run_maps_filtered_rows_back(shape, nulls):
+def test_join_rows_maps_filtered_rows_back(shape, nulls):
     """A side with NULL keys is joined over its non-NULL rows, and
-    :meth:`JoinRoute.run` maps the key positions back to rows; a probe
-    whose every non-NULL row matched once returns exactly the surviving
-    rows, the identity ``None`` only when none was filtered."""
+    :func:`join_rows` maps the key positions back to rows; a probe whose
+    every non-NULL row matched once returns exactly the surviving rows,
+    the identity ``None`` only when none was filtered."""
     left, right, index = _run_case_inputs(shape, nulls)
-    route = plan_join([left], [right], right_index=index)
-    assert route.kind == ("sorted" if shape.startswith("sorted") else shape)
-    l_idx, r_idx = route.run()
+    kind, l_idx, r_idx = join_rows([left], [right], right_index=index)
+    assert kind == ("sorted" if shape.startswith("sorted") else shape)
     expected = merge_join_indices([left], [right])
     got = spelled_out(l_idx, r_idx)
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
     if not RUN_SHAPES[shape][1] and nulls == "left":
-        assert l_idx is route.left_rows
         assert np.array_equal(l_idx, np.flatnonzero(~left.mask))
 
 
@@ -360,9 +354,9 @@ NO_KERNEL_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(NO_KERNEL_CASES))
-def test_run_of_routes_without_a_kernel(case):
-    """An empty or all-NULL side: the planner picks no kernel, ``run``
-    returns no pair, and so does the reference."""
+def test_join_rows_of_routes_without_a_kernel(case):
+    """An empty or all-NULL side: the join takes the ``empty`` route, runs
+    no kernel and returns no pair, and so does the reference."""
     probe, build, indexed = NO_KERNEL_CASES[case]
 
     def column(keys):
@@ -372,10 +366,8 @@ def test_run_of_routes_without_a_kernel(case):
 
     left, right = column(probe), column(build)
     index = build_key_index(right.values) if indexed else None
-    route = plan_join([left], [right], right_index=index)
-    assert (route.kind, route.kernel, route.note()) == \
-        ("empty", None, JOIN_ROUTES["empty"])
-    l_idx, r_idx = route.run()
+    kind, l_idx, r_idx = join_rows([left], [right], right_index=index)
+    assert kind == "empty"
     assert l_idx.shape == r_idx.shape == (0,)
     assert merge_join_indices([left], [right])[0].shape == (0,)
 
@@ -434,12 +426,12 @@ def composite_keys(draw, max_rows=30):
 @settings(max_examples=300, deadline=None)
 @given(composite_keys())
 def test_composite_join_matches_reference(sides):
-    """``plan_join`` over two or three columns — dense, full-range int64,
+    """``join_rows`` over two or three columns — dense, full-range int64,
     float with ±0.0 and NaN, text — with NULL keys on either side gives
     the reference's pairs, inner and left outer."""
     left, right = sides
     expected = merge_join_indices(left, right)
-    got = spelled_out(*plan_join(left, right).run())
+    got = spelled_out(*join_rows(left, right)[1:])
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
     n_left = len(left[0])
@@ -797,9 +789,10 @@ def test_rc_end_to_end_index_less_identical():
 
     edges = gnm_random_graph(500, 900, np.random.default_rng(17))
 
-    def run(use_index_cache):
+    def run(indexed):
         db = Database(n_segments=4)
-        db._executor.use_index_cache = use_index_cache
+        if not indexed:
+            db._executor._stored_index = lambda frame, name: None
         load_edges_into(db, "edges", edges)
         result = RandomisedContraction().run(db, "edges", seed=13)
         vertices, labels = result.labels(db)
@@ -834,7 +827,8 @@ def _join_case(dense, unique_build, indexed=True, left_outer=False,
     table's cached one; without it the route sorts for itself).
     ``encoded`` gives both sides the dictionary-encoded form over one
     shared dictionary, of which the build side holds a part: the probes
-    absent from it are codes without a build row.  ``sorted_build`` stores
+    absent from it are codes without a build row.  The join reads codes
+    only: neither side's values are gathered.  ``sorted_build`` stores
     the build side in key order: a unique dense one then fills its key
     range, and an encoded one fills its dictionary unless misses widen
     it."""
@@ -864,7 +858,8 @@ def _join_case(dense, unique_build, indexed=True, left_outer=False,
                 Column.encoded(np.searchsorted(dictionary, values),
                                dictionary)
                 for values in (probe, build))
-            assert np.array_equal(right_col.values, build)
+            assert np.array_equal(
+                right_col.dictionary[right_col.codes], build)
         right_index = build_key_index(right_col.storage,
                                       right_col.dictionary) \
             if indexed else None
@@ -872,6 +867,8 @@ def _join_case(dense, unique_build, indexed=True, left_outer=False,
         expected = merge_join_indices([int_column(probe)],
                                       [int_column(build)])
         got = join([left_col], [right_col], right_index, note)
+        if encoded:
+            assert left_col._values is None and right_col._values is None
         if left_outer:
             expected = pad_left_outer(*expected, len(left_col))
             got = pad_left_outer(*got, len(left_col))
@@ -892,15 +889,31 @@ KERNEL_CASES = {
         "dense-runs"),
     "sorted-unique-probe": (_join_case(False, True), "sorted"),
     "sorted-runs-probe": (_join_case(False, False), "sorted"),
-    "dictionary-probe": (
-        _join_case(False, True, encoded=True), "dictionary"),
-    "dictionary-no-index-probe": (
-        _join_case(False, True, indexed=False, encoded=True), "dictionary"),
-    "left-dictionary-probe": (
+    # Codes over one shared dictionary — the build side a strict subset
+    # of it (the misses are the rest), holding duplicates, or filling it
+    # in order — with and without the build index, inner and LEFT.
+    "codes-dense-probe": (
+        _join_case(False, True, encoded=True), "dense-unique"),
+    "codes-dense-no-index-probe": (
+        _join_case(False, True, indexed=False, encoded=True),
+        "dense-unique"),
+    "left-codes-dense-probe": (
         _join_case(False, True, encoded=True, left_outer=True),
-        "dictionary"),
-    "dictionary-duplicate-build": (
-        _join_case(False, False, encoded=True), "sorted"),
+        "dense-unique"),
+    "left-codes-dense-no-index-probe": (
+        _join_case(False, True, indexed=False, encoded=True,
+                   left_outer=True), "dense-unique"),
+    "codes-runs-probe": (
+        _join_case(False, False, encoded=True), "dense-runs"),
+    "codes-runs-no-index-probe": (
+        _join_case(False, False, indexed=False, encoded=True),
+        "dense-runs"),
+    "left-codes-runs-probe": (
+        _join_case(False, False, encoded=True, left_outer=True),
+        "dense-runs"),
+    "left-codes-runs-no-index-probe": (
+        _join_case(False, False, indexed=False, encoded=True,
+                   left_outer=True), "dense-runs"),
     "dense-unique-probe": (_join_case(True, True), "dense-unique"),
     "dense-bucket-probe": (_join_case(True, False), "dense-runs"),
     "left-dense-probe": (
@@ -914,9 +927,9 @@ KERNEL_CASES = {
         _join_case(False, True, misses=False), "sorted"),
     "sorted-unique-no-index-all-match": (
         _join_case(False, True, indexed=False, misses=False), "sorted"),
-    "left-dictionary-all-match": (
+    "left-codes-all-match": (
         _join_case(False, True, encoded=True, left_outer=True,
-                   misses=False), "dictionary"),
+                   misses=False), "dense-unique"),
     # A build side stored in key order that fills its key range: no table.
     "dense-offset-probe": (
         _join_case(True, True, sorted_build=True), "dense-offset"),
@@ -931,16 +944,23 @@ KERNEL_CASES = {
         "dense-unique"),
     "dense-sorted-bucket-probe": (
         _join_case(True, False, sorted_build=True), "dense-runs"),
-    "dictionary-identity-probe": (
+    "codes-offset-probe": (
         _join_case(False, True, encoded=True, sorted_build=True,
-                   misses=False), "dictionary-identity"),
-    "left-dictionary-identity-probe": (
+                   misses=False), "dense-offset"),
+    "left-codes-offset-probe": (
         _join_case(False, True, encoded=True, sorted_build=True,
-                   left_outer=True, misses=False), "dictionary-identity"),
+                   left_outer=True, misses=False), "dense-offset"),
+    "codes-offset-no-index": (
+        _join_case(False, True, indexed=False, encoded=True,
+                   sorted_build=True, misses=False), "dense-unique"),
+    "left-codes-offset-no-index": (
+        _join_case(False, True, indexed=False, encoded=True,
+                   sorted_build=True, left_outer=True, misses=False),
+        "dense-unique"),
     # The misses are dictionary entries no build row holds: holes.
-    "dictionary-sorted-with-holes": (
+    "codes-sorted-with-holes": (
         _join_case(False, True, encoded=True, sorted_build=True),
-        "dictionary"),
+        "dense-unique"),
 }
 
 #: The cases that sort (``stable_argsort``) or search (``sorted_lookup``)
@@ -948,7 +968,7 @@ KERNEL_CASES = {
 PLAIN_NUMPY_CASES = [
     "sorted-runs-no-index", "sorted-unique-no-index",
     "left-dense-runs-no-index", "sorted-unique-probe", "sorted-runs-probe",
-    "dictionary-duplicate-build", "dense-bucket-probe", "left-sorted-probe",
+    "codes-runs-probe", "dense-bucket-probe", "left-sorted-probe",
     "sorted-unique-all-match",
 ]
 
@@ -962,6 +982,10 @@ SPARSE_DISPATCH_ROUTES = {
     # The offset route allocates nothing: no span limit bounds it.
     "dense-offset-probe": "dense-offset",
     "dense-offset-no-index": "sorted",
+    # Codes address their dictionary whatever the span limit says.
+    "codes-dense-probe": "dense-unique",
+    "codes-runs-no-index-probe": "dense-runs",
+    "codes-offset-probe": "dense-offset",
 }
 
 MATRIX = ([(kernel, "serial") for kernel in KERNEL_CASES]
@@ -1026,16 +1050,17 @@ def test_retired_parallel_join_indices_is_join_indices(kernel):
 IDENTITY_PROBES = {
     "dense-unique-probe": False,
     "sorted-unique-probe": False,
-    "dictionary-probe": False,
+    "codes-dense-probe": False,
     "left-dense-probe": False,
     "dense-unique-all-match": True,
     "sorted-unique-all-match": True,
     "sorted-unique-no-index": False,
     "sorted-unique-no-index-all-match": True,
-    "left-dictionary-all-match": True,
+    "left-codes-all-match": True,
     "dense-offset-probe": False,
     "dense-offset-all-match": True,
-    "dictionary-identity-probe": True,
+    "codes-offset-probe": True,
+    "codes-offset-no-index": True,
 }
 
 
@@ -1047,14 +1072,14 @@ def test_fully_matching_probes_return_identity_left_rows(kernel,
     (held against the reference by ``_run_case``) show the identity is
     the right answer."""
     identities = []
-    run = JoinRoute.run
+    join = operators.join_rows
 
-    def recording_run(route):
-        pair = run(route)
-        identities.append(pair[0] is None)
-        return pair
+    def recording_join(*args):
+        kind, l_idx, r_idx = join(*args)
+        identities.append(l_idx is None)
+        return kind, l_idx, r_idx
 
-    monkeypatch.setattr(JoinRoute, "run", recording_run)
+    monkeypatch.setattr(operators, "join_rows", recording_join)
     case, _ = KERNEL_CASES[kernel]
     _run_case(case)
     assert identities == [IDENTITY_PROBES[kernel]]

@@ -198,7 +198,7 @@ def test_database_close_is_idempotent_and_execute_after_close_works():
     holds no thread — so a double close is a no-op and the database runs
     its joins afterwards as before."""
     db = Database(n_segments=4)
-    db._executor.use_index_cache = False
+    db._executor._stored_index = lambda frame, name: None
     rng = np.random.default_rng(1)
     n = 3000
     db.load_table("e", {"v1": rng.integers(0, 100, n),
@@ -263,7 +263,7 @@ def test_stats_deltas_do_not_depend_on_the_segment_count():
 
     def build(n_segments):
         db = Database(n_segments=n_segments)
-        db._executor.use_index_cache = False
+        db._executor._stored_index = lambda frame, name: None
         db.load_table("e", {"v1": v1, "v2": v2})
         db.load_table("r", {"v": np.arange(120, dtype=np.int64),
                             "rep": rep})

@@ -214,9 +214,10 @@ def test_joins_start_no_thread(shape, note, monkeypatch):
     else:
         query = "select e.v2, r.rep from e, r where e.v1 = r.k"
 
-    def run(use_index_cache):
+    def run(indexed):
         with Database(n_segments=4) as db:
-            db._executor.use_index_cache = use_index_cache
+            if not indexed:
+                db._executor._stored_index = lambda frame, name: None
             db.load_table("e", {"v1": probe,
                                 "v2": np.arange(n, dtype=np.int64)})
             db.load_table("r", {"k": build_keys,

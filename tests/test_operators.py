@@ -255,10 +255,10 @@ def test_every_row_matching_join_has_identity_left_rows(right, data):
     expected = merge_join_indices([lcol], [rcol])
     for r_index in (None, build_key_index(rcol.values)):
         if left:
-            route = operators.plan_join([lcol], [rcol], right_index=r_index)
-            l_idx, r_idx = route.run()
+            kind, l_idx, r_idx = operators.join_rows([lcol], [rcol],
+                                                     right_index=r_index)
             assert l_idx is None
-            assert (route.kind == "dense-offset") == \
+            assert (kind == "dense-offset") == \
                 (fills and r_index is not None)
             assert np.array_equal(r_idx, expected[1])
         got = join_indices([lcol], [rcol], right_index=r_index)
@@ -276,7 +276,7 @@ def test_left_join_matching_only_some_rows_agrees_with_reference(right, data):
     at = data.draw(st.integers(min_value=0, max_value=len(left)))
     left.insert(at, max(right) + 1)
     lcol, rcol = int_column(left), int_column(right)
-    assert operators.plan_join([lcol], [rcol]).run()[0] is not None
+    assert operators.join_rows([lcol], [rcol])[1] is not None
     assert_same_pairs(join_indices([lcol], [rcol]),
                       merge_join_indices([lcol], [rcol]))
     l_idx, r_idx = left_join_indices([lcol], [rcol])
@@ -290,7 +290,7 @@ def test_identity_left_rows_survive_null_key_filtering():
     the join's left rows are the surviving row numbers."""
     lcol = int_column([3, 1, 2, 1], mask_positions=[1])
     rcol = int_column([1, 2, 3])
-    l_idx, r_idx = operators.plan_join([lcol], [rcol]).run()
+    _, l_idx, r_idx = operators.join_rows([lcol], [rcol])
     assert l_idx.tolist() == [0, 2, 3] and r_idx.tolist() == [2, 1, 0]
     l_idx, r_idx = left_join_indices([lcol], [rcol])
     assert l_idx.tolist() == [0, 2, 3, 1]
@@ -819,7 +819,7 @@ def test_dense_probe_over_codes_skips_bounds_yet_matches_the_reference(
     right = Column.encoded(build, dictionary)
     note: list = []
     pairs = join_indices([left], [right], note=note)
-    assert note == ["dictionary"]
+    assert note == ["dense"]
     assert_same_pairs(pairs, merge_join_indices(
         [int_column(dictionary[probe])], [int_column(dictionary[build])]))
 
@@ -854,9 +854,8 @@ def _build_side(shape, low, n):
 def test_build_sides_that_fill_their_domain_skip_the_table(
         shape, low, n, misses, encoded, null_probes, data):
     """A build side whose index shows every key of its domain, in order,
-    takes the tableless route — ``dense-offset`` over values,
-    ``dictionary-identity`` over codes, whose domain is the dictionary —
-    and any other keeps the table; inner and LEFT joins give the
+    takes the tableless route — ``dense-offset``, over values or over
+    codes, whose domain is the dictionary — and any other keeps the table; inner and LEFT joins give the
     reference's pairs either way, with and without probe keys outside
     the build side (below its range, above it, in its hole) and NULL
     probe keys."""
@@ -881,22 +880,22 @@ def test_build_sides_that_fill_their_domain_skip_the_table(
                                       dictionary)
                        for keys in (probe, build))
         fills = shape != "unsorted" and dictionary.shape[0] == n
-        kind = "dictionary-identity" if fills else "dictionary"
+        kind = "dense-offset" if fills else "dense-unique"
     else:
         left = int_column(probe, nulls)
         right = int_column(build)
         kind = "dense-offset" if shape == "filled" else None
     index = build_key_index(right.storage, right.dictionary)
-    route = operators.plan_join([left], [right], right_index=index)
+    got, l_idx, r_idx = operators.join_rows([left], [right],
+                                            right_index=index)
     if kind is not None:
-        assert route.kind == kind
+        assert got == kind
     else:
-        assert route.kind not in ("dense-offset", "dictionary-identity")
+        assert got != "dense-offset"
     expected = merge_join_indices([int_column(probe, nulls)],
                                   [int_column(build)])
-    l_idx, r_idx = route.run()
     assert_same_pairs(operators.spelled_out(l_idx, r_idx), expected)
-    if route.kind in ("dense-offset", "dictionary-identity"):
+    if got == "dense-offset":
         every_row = expected[0].shape[0] == probe.shape[0]
         assert (l_idx is None) == (every_row and not nulls)
         assert not r_idx.flags.writeable or not np.shares_memory(
@@ -914,11 +913,11 @@ def test_offset_route_never_hands_out_a_writable_probe_array():
     they are a new array."""
     probe = np.array([2, 0, 1, 1], dtype=np.int64)
     for low, aliased in ((0, True), (5, False)):
-        route = operators.plan_join(
-            [int_column(probe + low)], [int_column(np.arange(3) + low)],
+        left = int_column(probe + low)
+        kind, l_idx, r_idx = operators.join_rows(
+            [left], [int_column(np.arange(3) + low)],
             right_index=build_key_index(np.arange(3) + low))
-        assert route.kind == "dense-offset"
-        l_idx, r_idx = route.run()
+        assert kind == "dense-offset"
         assert l_idx is None and r_idx.tolist() == [2, 0, 1, 1]
         assert not r_idx.flags.writeable if aliased else r_idx.flags.writeable
-        assert np.shares_memory(r_idx, route.args[0]) == aliased
+        assert np.shares_memory(r_idx, left.values) == aliased

@@ -91,3 +91,24 @@ def test_grid_ab_of_a_tree_against_itself(perf_ab, capsys):
         assert f"grid total {name:<8} change" in out
     assert "grid candels10         HM/RC" in out
     assert "grid cells identical on every round: True" in out
+
+
+def test_grid_cell_summary_reads_the_spread():
+    """A cell's line gives both sides' median and quartiles over the
+    rounds, the rounds the change ran faster, and ``~`` exactly when the
+    change's median lies within the base's quartiles."""
+    spec = importlib.util.spec_from_file_location(
+        "perf_ab", ROOT / "scripts" / "perf_ab.py")
+    perf_ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perf_ab)
+    base = [0.010, 0.011, 0.012]
+    assert perf_ab.cell_summary(base, [0.008, 0.0085, 0.009]) == (
+        "base      11.0 ms [10.5, 11.5]  change       8.5 ms [8.2, 8.8]  "
+        "ratio 0.773x  wins 3/3")
+    assert perf_ab.cell_summary(base, [0.0112, 0.0108, 0.0125]) == (
+        "base      11.0 ms [10.5, 11.5]  change      11.2 ms [11.0, 11.8]  "
+        "ratio 1.018x  wins 1/3  ~")
+    # The quartiles' ends count as within them.
+    assert perf_ab.cell_summary(base, [0.0115, 0.0115, 0.0115]).endswith(
+        "wins 1/3  ~")
+    assert perf_ab.cell_summary([0.002], [0.001]).endswith("wins 1/1")

@@ -547,8 +547,9 @@ def test_group_by_on_stored_key_reads_no_index():
         db.execute(f"select {table}.v1, count(*) c, sum({table}.v2) total "
                    f"from {table} group by {table}.v1")
     assert db.stats.index_cache_misses == db.stats.index_cache_hits == 0
-    assert db.table("e").cached_index("v1") is None
-    assert db.table("s").cached_index("v1") is None
+    # Neither is cached: the first ask builds each.
+    assert db.table("e").index_for("v1")[1] is True
+    assert db.table("s").index_for("v1")[1] is True
     # The stored-sorted key was reduced where it lies, both times.
     assert db.stats.group_sorts_skipped == 2
 
@@ -722,9 +723,19 @@ def test_rc_fast_variant_round_loop_distinct_runs_on_codes(monkeypatch):
     assert db.stats.group_sorts_skipped >= result.rounds - 1
 
 
+def _route_on(left_keys, right_keys, note: list) -> str:
+    """A join's route note and the key form it ran on: ``"offset on
+    codes"`` for two key columns over one dictionary, else ``... on
+    plain``."""
+    dictionary = left_keys[0].dictionary
+    shared = dictionary is not None and dictionary is right_keys[0].dictionary
+    return f"{note[-1]} on {'codes' if shared else 'plain'}"
+
+
 def _run_deterministic_space(monkeypatch, edges):
     """One deterministic-space RC run; returns the result, each
-    composition's (join route, null-extended rows) in round order, whether
+    composition's (join route on its key form, null-extended rows) in
+    round order, whether
     the stored labels are encoded, and the labels' edge check."""
     from repro.core import RandomisedContraction
     from repro.graphs.io import load_edges_into
@@ -733,13 +744,11 @@ def _run_deterministic_space(monkeypatch, edges):
     compositions = []
     dispatch_join = executor_module.Executor._dispatch_join
 
-    def recording_dispatch(self, left_outer, left_keys, right_keys,
-                           right_index, note):
-        note = [] if note is None else note
-        l_idx, r_idx = dispatch_join(self, left_outer, left_keys, right_keys,
-                                     right_index, note)
+    def recording_dispatch(self, left_outer, *args):
+        l_idx, r_idx = dispatch_join(self, left_outer, *args)
         if left_outer:  # the loop's only LEFT JOIN is the composition
-            compositions.append((note[-1], int((r_idx < 0).sum())))
+            compositions.append((_route_on(args[0], args[1], args[-1]),
+                                 int((r_idx < 0).sum())))
         return l_idx, r_idx
 
     monkeypatch.setattr(executor_module.Executor, "_dispatch_join",
@@ -761,22 +770,23 @@ def test_rc_deterministic_space_composition_joins_codes(monkeypatch):
     row on a path (one component), so it gathers ``reps.rep`` as codes and
     ``coalesce`` stores them: from round 2 on each composition joins two
     columns over one dictionary — every entry of which is a ``reps.v``
-    row, in order, so the codes are the build rows (``identity``) — and
+    row, in order, so the codes are the build rows (``offset``) — and
     the final labels are encoded."""
     from repro.graphs import path_graph
 
     result, compositions, encoded, consistent = _run_deterministic_space(
         monkeypatch, path_graph(1500))
     assert result.rounds > 2
-    assert compositions == [("identity", 0)] * (result.rounds - 1)
+    assert compositions == [("offset on codes", 0)] * (result.rounds - 1)
     assert encoded and consistent
 
 
 def _round_join_routes(monkeypatch, edges,
                        variant: str = "deterministic-space") -> list:
     """One RC run (deterministic space unless ``variant`` says); returns
-    ``(round, statement, route note)`` per join, the statement being the
-    label's last part (``relabel-src``, ``contract``, ``compose``)."""
+    ``(round, statement, route note on key form)`` per join (see
+    :func:`_route_on`), the statement being the label's last part
+    (``relabel-src``, ``contract``, ``compose``)."""
     from repro.core import RandomisedContraction
     from repro.graphs.io import load_edges_into
     from repro.sqlengine import executor as executor_module
@@ -791,12 +801,10 @@ def _round_join_routes(monkeypatch, edges,
         current["round"] += current["statement"] == "reps"
         return execute(db, sql, label)
 
-    def recording_dispatch(self, left_outer, left_keys, right_keys,
-                           right_index, note):
-        note = [] if note is None else note
-        pair = dispatch_join(self, left_outer, left_keys, right_keys,
-                             right_index, note)
-        routes.append((current["round"], current["statement"], note[-1]))
+    def recording_dispatch(self, *args):
+        pair = dispatch_join(self, *args)
+        routes.append((current["round"], current["statement"],
+                       _route_on(args[1], args[2], args[-1])))
         return pair
 
     monkeypatch.setattr(Database, "execute", labelled_execute)
@@ -814,7 +822,7 @@ def test_rc_deterministic_space_joins_read_rows_off_the_keys_on_a_path(
     in order, as codes that fill their dictionary — round 1's the doubled
     edge table's vertex dictionary, later rounds' the representatives' —
     so every contract and composition join reads its rows off the probe
-    codes (``identity``) and none builds a table."""
+    codes (``offset``) and none builds a table."""
     from repro.graphs import path_graph
 
     routes = _round_join_routes(monkeypatch, path_graph(1500))
@@ -822,7 +830,7 @@ def test_rc_deterministic_space_joins_read_rows_off_the_keys_on_a_path(
         {"contract", "compose"}
     assert {round_no for round_no, _, _ in routes} > {1, 2}
     for _, _, note in routes:
-        assert note == "identity"
+        assert note == "offset on codes"
 
 
 def test_rc_deterministic_space_contract_keeps_the_table_for_holes(
@@ -830,7 +838,7 @@ def test_rc_deterministic_space_contract_keeps_the_table_for_holes(
     """On G(3000, 2000) components finish in round 1: their
     representatives stay in round 2's dictionary but leave its ``reps.v``,
     whose codes then have holes, so the round-2 contract probes a table
-    (``dictionary``).  Round 1 has none: isolated ids never enter the
+    (``dense``).  Round 1 has none: isolated ids never enter the
     doubled edge table's vertex dictionary, which its ``reps.v`` fills."""
     from repro.graphs import gnm_random_graph
 
@@ -840,9 +848,9 @@ def test_rc_deterministic_space_contract_keeps_the_table_for_holes(
     for round_no, statement, note in routes:
         if statement == "contract":
             contract.setdefault(round_no, []).append(note)
-    assert contract[1] == ["identity", "identity"]
-    assert contract[2] == ["dictionary", "dictionary"]
-    assert all(set(notes) <= {"dictionary", "identity"}
+    assert contract[1] == ["offset on codes", "offset on codes"]
+    assert contract[2] == ["dense on codes", "dense on codes"]
+    assert all(set(notes) <= {"dense on codes", "offset on codes"}
                for round_no, notes in contract.items() if round_no >= 2)
 
 
@@ -864,7 +872,7 @@ def test_rc_round_one_reads_rows_off_the_vertex_codes(monkeypatch):
                          in _round_join_routes(monkeypatch, edges, variant)
                          if round_no == 1]
             assert {statement for statement, _ in round_one} == statements
-            assert {note for _, note in round_one} == {"identity"}
+            assert {note for _, note in round_one} == {"offset on codes"}
 
 
 def test_rc_deterministic_space_composition_probes_plain_keys_once_a_component_finishes(
@@ -882,9 +890,9 @@ def test_rc_deterministic_space_composition_probes_plain_keys_once_a_component_f
         monkeypatch, edges)
     assert result.rounds > 3
     # Round 2 still probes round 1's encoded labels; nothing after does.
-    routes = [route for route, _ in compositions]
-    assert routes[0] == "dictionary"
-    assert "dictionary" not in routes[1:]
+    forms = [route.split(" on ")[1] for route, _ in compositions]
+    assert forms[0] == "codes"
+    assert "codes" not in forms[1:]
     assert [padded for _, padded in compositions] == [2] * len(compositions)
     assert not encoded and consistent
 

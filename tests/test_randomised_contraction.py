@@ -324,7 +324,7 @@ def test_run_does_not_depend_on_the_host_core_count(variant, monkeypatch):
     for got, expected in zip(sixteen[3], one[3], strict=True):
         assert np.array_equal(got, expected)
     # Round 1 read its build rows off the probe codes, unchunked.
-    assert "identity" in one[2]
+    assert "offset" in one[2]
 
 
 @pytest.mark.parametrize("variant", ["fast", "deterministic-space"])

@@ -102,6 +102,30 @@ def test_spark_launches_tasks():
     assert spark.tasks_launched > 50
 
 
+def test_spark_model_keeps_no_index(monkeypatch):
+    """Spark SQL keeps no table indexes: an RC run on the model never asks
+    a table for one, so no table caches one and the index-cache counters
+    stay 0 — where the database's own run of the input fills them."""
+    from repro.sqlengine.table import Table
+
+    asked = []
+    index_for = Table.index_for
+
+    def recording(table, column_name):
+        asked.append((table.name, column_name))
+        return index_for(table, column_name)
+
+    monkeypatch.setattr(Table, "index_for", recording)
+    edges = gnm_random_graph(400, 600, np.random.default_rng(6))
+    spark = SparkSQLDatabase(n_tasks=8)
+    connected_components(edges, "rc", seed=1, db=spark)
+    assert asked == []
+    assert spark.stats.index_cache_hits == spark.stats.index_cache_misses == 0
+    db = Database()
+    connected_components(edges, "rc", seed=1, db=db)
+    assert asked and db.stats.index_cache_misses > 0
+
+
 def test_one_task_model_runs_each_keyed_operator_as_one_task(monkeypatch):
     """With one task the model takes its whole-column branch: every join,
     GROUP BY and DISTINCT launches exactly one task — no key is hashed
@@ -186,7 +210,7 @@ def test_partitioned_join_matches_plain_join():
     executor = make_spark_executor()
     got = sorted(zip(*[arr.tolist() for arr in
                        executor._dispatch_join(False, [left], [right],
-                                               None, None)]))
+                                               None, [], [])]))
     assert got == expected
 
 
@@ -199,7 +223,7 @@ def test_partitioned_left_join_matches_plain():
     executor = make_spark_executor()
     got = sorted(zip(*[arr.tolist() for arr in
                        executor._dispatch_join(True, [left], [right],
-                                               None, None)]))
+                                               None, [], [])]))
     assert got == expected
 
 

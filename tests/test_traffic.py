@@ -170,12 +170,9 @@ def _run_everything(monkeypatch) -> tuple[set, set, dict, dict]:
     taken = record_branches(monkeypatch)
     dispatch_join = executor_module.Executor._dispatch_join
 
-    def recording_dispatch(self, left_outer, left_keys, right_keys,
-                           right_index, note):
-        note = [] if note is None else note
-        pair = dispatch_join(self, left_outer, left_keys, right_keys,
-                             right_index, note)
-        notes.add(note[-1])
+    def recording_dispatch(self, *args):
+        pair = dispatch_join(self, *args)
+        notes.add(args[-1][-1])
         return pair
 
     monkeypatch.setattr(executor_module.Executor, "_dispatch_join",
@@ -246,14 +243,12 @@ def test_every_join_route_is_reached_by_some_algorithm(default_traffic):
 
 def test_tableless_routes_are_reached_without_an_allow_list_entry(
         default_traffic):
-    """Each round's ``reps.v`` on the path fills its key domain — round 1's
-    ids, later rounds' dictionary codes — so the default runs reach both
-    routes that skip the direct-address table."""
+    """Each round's ``reps.v`` on the path fills its key domain — the
+    dictionary of its codes — so the default runs reach the route that
+    skips the direct-address table."""
     _, seen, _, _ = default_traffic
-    tableless = {JOIN_ROUTES["dense-offset"],
-                 JOIN_ROUTES["dictionary-identity"]}
-    assert tableless <= seen
-    assert not tableless & set(NO_ROUTE_TRAFFIC_EXPECTED)
+    assert JOIN_ROUTES["dense-offset"] in seen
+    assert JOIN_ROUTES["dense-offset"] not in NO_ROUTE_TRAFFIC_EXPECTED
 
 
 def test_every_distinct_branch_is_reached_by_some_algorithm(
@@ -378,7 +373,7 @@ def test_key_forms_script_reports_one_configuration():
                if config[0] in ("RandomisedContraction/path", "rc-spark/gnm")}
     seen = key_forms.run(*configs["RandomisedContraction/path"])
     assert {(op, forms, route) for op, forms, route in seen} == {
-        ("join", "codes = codes", "identity"),
+        ("join", "codes = codes", "offset"),
         ("distinct", "codes+codes", "packed-codes 32 positions"),
         ("group", "codes", "direct"),
         ("group", "codes", "runs"),

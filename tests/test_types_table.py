@@ -40,7 +40,7 @@ def test_take_and_filter_carry_masks():
     c = Column(np.array([1, 2, 3]), INT64, np.array([False, True, False]))
     taken = c.take(np.array([2, 1]))
     assert taken.to_list() == [3, None]
-    kept = c.filter(np.array([True, True, False]))
+    kept = c.take(np.flatnonzero(np.array([True, True, False])))
     assert kept.to_list() == [1, None]
 
 
