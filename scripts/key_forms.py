@@ -7,8 +7,9 @@
     spies on the engine's keyed operators, and prints, per configuration,
     each operator's key forms and route with the number of calls:
 
-    * ``join``: ``executor.join_rows``' probe and build keys and the
-      route note it chose;
+    * ``join``: ``executor.join_rows``' probe and build keys, the route
+      note it chose and whether it read a cached build index (``idx``,
+      ``offset idx``) or none (``-``, ``dense -``);
     * ``distinct``: ``executor.distinct_rows``'s columns and the branch
       of the one DISTINCT kernel that ran; a packed one adds its word
       width (``32``: ``uint32`` words, ``64``: int64) and the rows it
@@ -23,8 +24,9 @@
 
     The Spark model runs its own partitioned kernels, so its joins,
     DISTINCTs and GROUP BYs are read off ``SparkExecutor``'s
-    ``_dispatch_join`` (route ``spark-partitioned``), ``_distinct_kernel``
-    (the branch of its last pass) and ``_group_kernel`` (``partitioned``).
+    ``_dispatch_join`` (route ``spark-partitioned -``: it reads no
+    index), ``_distinct_kernel`` (the branch of its last pass) and
+    ``_group_kernel`` (``partitioned``).
 
 A key column's form is ``codes`` (dictionary-encoded), ``plain`` (int64
 values) or its SQL type; a multi-column key joins its columns' forms with
@@ -77,7 +79,8 @@ def spy(monkeypatch) -> Counter:
     def joining(left_keys, right_keys, right_index=None):
         joined = join_rows(left_keys, right_keys, right_index)
         seen["join", f"{key_form(left_keys)} = {key_form(right_keys)}",
-             operators.JOIN_ROUTES[joined[0]]] += 1
+             f"{operators.JOIN_ROUTES[joined[0]]} "
+             f"{'-' if right_index is None else 'idx'}"] += 1
         return joined
 
     def packing(keys, rows):
@@ -133,7 +136,7 @@ def spy(monkeypatch) -> Counter:
     def spark_joining(self, left_outer, left_keys, right_keys, *args):
         pair = spark_join(self, left_outer, left_keys, right_keys, *args)
         seen["join", f"{key_form(left_keys)} = {key_form(right_keys)}",
-             args[-1][-1]] += 1
+             f"{args[-1][-1]} -"] += 1
         return pair
 
     def spark_distinct_rows(self, columns, rows=None):

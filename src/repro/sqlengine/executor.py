@@ -28,11 +28,13 @@ Join execution is *index-aware*.  Base-table frames carry provenance
 table, its columns are traceable back to that table, and a join's
 single-column build side consults the table's index cache
 (:meth:`~repro.sqlengine.table.Table.index_for`).  A cached
-:class:`~repro.sqlengine.operators.KeyIndex` supplies the build side of a
-join pre-sorted (with uniqueness, sortedness and min/max stats), so the
-second and third join against the same table — the paper's per-round
-``reps`` pattern — skips its sort entirely.  A GROUP BY reads no index:
-it picks its layout off the key column it is handed (see
+:class:`~repro.sqlengine.operators.KeyIndex` hands the join route the
+build side's row count, uniqueness, sortedness and min/max — no array —
+so the second and third join against the same table — the paper's
+per-round ``reps`` pattern — read their route off five numbers: a
+``reps.v`` that fills its domain takes ``dense-offset`` and builds no
+table, and a sorted build side is searched where it lies.  A GROUP BY
+reads no index: it picks its layout off the key column it is handed (see
 :meth:`Executor._aggregate`).
 
 How a join runs is decided, and run, in one call,
@@ -161,7 +163,6 @@ from .operators import (
 from .physicalplan import (
     CorePlan,
     JoinStepPlan,
-    LeftJoinPlan,
     PhysicalPlan,
     ScanPlan,
     SelectPlan,
@@ -509,15 +510,15 @@ class _JoinChain:
         return total
 
     def apply(self, l_idx: Optional[np.ndarray], r_idx: np.ndarray,
-              right: Frame, step, outer: bool = False) -> None:
+              right: Frame, step: JoinStepPlan) -> None:
         """Fold one executed join step into the chain's row maps.
 
-        ``outer`` marks a LEFT JOIN: ``r_idx`` then carries ``NO_MATCH``
-        for null-extended probe rows, which the right bindings' maps keep
-        as validity markers.  ``l_idx`` always holds valid chain rows, so
-        composing the existing maps needs no special casing — a NO_MATCH
-        already present in an earlier outer binding's map is gathered
-        through like any other entry.  ``l_idx`` is ``None`` when the join
+        ``step.outer`` marks a LEFT JOIN: ``r_idx`` then carries
+        ``NO_MATCH`` for null-extended probe rows, which the right
+        bindings' maps keep as validity markers.  ``l_idx`` always holds
+        valid chain rows, so composing the existing maps needs no special
+        casing — a NO_MATCH already present in an earlier outer binding's
+        map is gathered through like any other entry.  ``l_idx`` is ``None`` when the join
         kept every chain row once, in order: the existing maps stand as
         they are, and a LEFT JOIN that did so null-extended nothing.
         """
@@ -528,7 +529,7 @@ class _JoinChain:
         for binding in right.bindings:
             self._frames[binding] = right
             self._maps[binding] = r_idx
-            if outer and l_idx is not None:
+            if step.outer and l_idx is not None:
                 self._outer.add(binding)
             if r_idx.shape[0] >= right.length:
                 self._expanded.add(binding)
@@ -537,7 +538,7 @@ class _JoinChain:
         self.distribution = step.out_distribution
         self._surviving = list(step.left_gather) + list(step.right_gather)
         self.n_joins += 1
-        if outer:
+        if step.outer:
             self.n_outer += 1
 
     def materialise(self, step) -> Frame:
@@ -879,13 +880,10 @@ class Executor:
                     frames[scan.binding], scan.filters
                 )
         current = frames[plan.scans[0].binding]
-        if plan.final_join is not None:
+        if plan.steps:
             chain = _JoinChain(current)
             for step in plan.steps:
                 self._join_step(chain, frames[step.binding], step)
-            for left_join in plan.left_joins:
-                self._join_step(chain, self._scan_frame(left_join.scan),
-                                left_join, outer=True)
             if chain.n_joins >= 2:
                 # Telemetry: joins streamed without materialising any
                 # intermediate output (outer joins riding inside count
@@ -893,7 +891,7 @@ class Executor:
                 self.stats.bump("join_chain_fusions")
                 if chain.n_outer:
                     self.stats.bump("left_chain_fusions")
-            current = chain.materialise(plan.final_join)
+            current = chain.materialise(plan.steps[-1])
         rows = self._kept_rows(current, plan.residual, plan.fused) \
             if plan.residual else None
         if rows is None or plan.fused:
@@ -901,10 +899,9 @@ class Executor:
         return current.take(rows), None
 
     def _join_step(
-        self, chain: _JoinChain, right: Frame,
-        step: JoinStepPlan | LeftJoinPlan, outer: bool = False,
+        self, chain: _JoinChain, right: Frame, step: JoinStepPlan,
     ) -> None:
-        """Run one join step — equi-join (``outer``: LEFT JOIN, whose
+        """Run one join step — equi-join (``step.outer``: LEFT JOIN, whose
         unmatched probe rows surface as ``NO_MATCH`` right indices) or
         cartesian product — against the chain and fold its output index
         pair into the composed row maps."""
@@ -926,10 +923,11 @@ class Executor:
             self._charge_join_motion(chain, step.left_names)
             self._charge_join_motion(right, step.right_names)
             note: list = []
-            l_idx, r_idx = self._dispatch_join(outer, left_keys, right_keys,
-                                               right, step.right_names, note)
+            l_idx, r_idx = self._dispatch_join(step.outer, left_keys,
+                                               right_keys, right,
+                                               step.right_names, note)
             step.kernel = note[-1]
-        chain.apply(l_idx, r_idx, right, step, outer)
+        chain.apply(l_idx, r_idx, right, step)
 
     def _scan_frame(self, scan: ScanPlan) -> Frame:
         binding = scan.binding

@@ -33,10 +33,15 @@ three kernels:
   for every other key — sparse 64-bit values in plain columns, floats,
   text — one binary search per row into unique integer build keys, a
   run expansion (:func:`_expand_runs`, the only one) into any others.
-  The sorted order and the uniqueness come from a :class:`KeyIndex` when
-  the build side's stored table caches one (see
-  :meth:`repro.sqlengine.table.Table.index_for`), so repeated joins
-  against the same table pay the sort once; otherwise the route sorts.
+  The route sorts its build side, unless that side is stored sorted.
+
+The route reads a build side's statistics — row count, uniqueness,
+sortedness, bounds — off the :class:`KeyIndex` its stored table caches
+(see :meth:`repro.sqlengine.table.Table.index_for`), else off the keys.
+An index holds those five numbers and no array: the contraction loop's
+joins need no more (they take ``dense-offset``, or a direct-address
+table where a finished component leaves holes in the codes), and a
+sorted build side is its own sorted order.
 
 Two **dictionary-encoded** key columns sharing one dictionary (see
 :mod:`repro.sqlengine.types`) are integer keys over one key space, the
@@ -161,26 +166,26 @@ def stable_argsort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order = np.argsort(values, kind="stable")
         return order, values[order]
     order = np.argsort(values)
-    sorted_values = values[order]
+    ordered = values[order]
     run_start = np.empty(n, dtype=bool)
     run_start[0] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=run_start[1:])
+    np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
     if run_start.all():
-        return order, sorted_values
+        return order, ordered
     row_bits = (n - 1).bit_length()
     packed = np.cumsum(run_start, dtype=np.int64)
     packed <<= row_bits
     packed |= order
     packed.sort()
     packed &= (1 << row_bits) - 1
-    return packed, sorted_values
+    return packed, ordered
 
 
 def sorted_lookup(
-    sorted_values: np.ndarray, keys: np.ndarray, side: str = "left"
+    ordered: np.ndarray, keys: np.ndarray, side: str = "left"
 ) -> np.ndarray:
-    """``np.searchsorted(sorted_values, keys, side)`` — the one probe of a
-    sorted index.
+    """``np.searchsorted(ordered, keys, side)`` — the one probe of a
+    sorted build side.
 
     Random needles make every binary search miss the cache and mispredict
     its branches (261 ns/row for 2M probes into 466k keys).  Probing in
@@ -194,13 +199,13 @@ def sorted_lookup(
     n = int(keys.shape[0])
     if (
         n < CACHE_KERNEL_MIN_ROWS
-        or sorted_values.shape[0] == 0
+        or ordered.shape[0] == 0
         or keys.dtype != np.int64
-        or sorted_values.dtype != np.int64
+        or ordered.dtype != np.int64
     ):
-        return np.searchsorted(sorted_values, keys, side=side)
-    low = int(sorted_values[0])
-    shift = max((int(sorted_values[-1]) - low).bit_length() - 16, 0)
+        return np.searchsorted(ordered, keys, side=side)
+    low = int(ordered[0])
+    shift = max((int(ordered[-1]) - low).bit_length() - 16, 0)
     # Offsets wrap modulo 2^64 for keys below the range; those and keys
     # above it land in the last bucket.
     bucket = keys.view(np.uint64) - np.uint64(low & 0xFFFFFFFFFFFFFFFF)
@@ -208,7 +213,7 @@ def sorted_lookup(
     np.minimum(bucket, np.uint64(0xFFFF), out=bucket)
     visit = np.argsort(bucket.astype(np.uint16), kind="stable")
     positions = np.empty(n, dtype=np.intp)
-    positions[visit] = np.searchsorted(sorted_values, keys[visit], side=side)
+    positions[visit] = np.searchsorted(ordered, keys[visit], side=side)
     return positions
 
 
@@ -218,98 +223,38 @@ def sorted_lookup(
 
 
 class KeyIndex:
-    """A reusable single-column index: key statistics plus sorted order.
+    """A reusable single-column index: five statistics of the key column,
+    no array.
 
-    ``is_unique`` and the min/max bounds let the join kernels skip the
-    duplicate-expansion machinery and size a direct-address table without
-    touching the data.  ``order`` (the
-    stable argsort of the values) and ``sorted_values`` are **lazy**:
-    dense-key columns never need them — the direct-address join consumes
-    only the O(n) statistics — so building them eagerly would make every
-    one-shot dense join pay for a sort it never uses.  The first consumer
-    that does need the sorted order (a sparse-key join probe)
-    materialises it once, and the table cache keeps it.
-
-    An index over a dictionary-encoded column is built from its **codes**
-    (``dictionary`` given): order, uniqueness and sortedness are the
-    values' own because the dictionary is strictly increasing, so nothing
-    here gathers a value until a join asks for ``sorted_values``.
-    ``min_value`` / ``max_value`` are values either way.
-
-    A column found non-decreasing (``is_sorted``: every GROUP BY output,
-    a DISTINCT's leading column) costs one comparison pass more: its
-    bounds are its ends, its uniqueness one ``==`` of neighbours, and its
-    order the identity — no ``bincount``, no sort.
+    ``n_rows``, ``is_unique``, ``is_sorted`` (the column is non-decreasing
+    as stored) and the ``min_value`` / ``max_value`` bounds let a join
+    route pick its kernel, skip the duplicate-expansion machinery and size
+    a direct-address table without touching the data; an index that
+    :meth:`fills` its domain spares the join any table at all.  A sorted
+    build side is its own sorted order, so the route reads it where it
+    lies; every other build side is sorted or addressed by the route
+    itself, as it is without an index.
 
     Only a join's build side reads one (from a stored table's index
     cache); a GROUP BY reads its layout off the key column itself.
     """
 
-    __slots__ = ("_keys", "n_rows", "is_unique", "min_value", "max_value",
-                 "is_sorted", "_order", "_sorted_keys", "_dictionary",
-                 "_sorted_values")
+    __slots__ = ("n_rows", "is_unique", "is_sorted", "min_value",
+                 "max_value")
 
-    def __init__(
-        self,
-        keys: np.ndarray,
-        is_unique: bool,
-        min_value: Optional[int],
-        max_value: Optional[int],
-        order: Optional[np.ndarray] = None,
-        sorted_keys: Optional[np.ndarray] = None,
-        is_sorted: bool = False,
-        dictionary: Optional[np.ndarray] = None,
-    ):
-        self._keys = keys
-        self.n_rows = int(keys.shape[0])
+    def __init__(self, n_rows: int, is_unique: bool, is_sorted: bool,
+                 min_value: Optional[int], max_value: Optional[int]):
+        self.n_rows = n_rows
         self.is_unique = is_unique
+        self.is_sorted = is_sorted
         self.min_value = min_value
         self.max_value = max_value
-        #: True when the column is already non-decreasing on disk — the
-        #: stable argsort is then the identity, so index probes skip both
-        #: the sort and the gather.  GROUP BY output tables (the paper's
-        #: per-round ``reps``) always qualify.
-        self.is_sorted = is_sorted
-        self._order = order
-        self._sorted_keys = sorted_keys
-        self._dictionary = dictionary
-        self._sorted_values: Optional[np.ndarray] = None
 
     def fills(self, span: int) -> bool:
         """Whether the indexed keys are sorted, unique and exactly ``span``
         many — over a domain of ``span`` keys, all of them, in order, so
         the ``i``-th key of the domain is row ``i``.  O(1)."""
         return self.is_sorted and self.is_unique and self.n_rows == span
-
-    @property
-    def order(self) -> np.ndarray:
-        if self._order is None:
-            if self.is_sorted:
-                self._order = np.arange(self.n_rows, dtype=np.int64)
-            else:
-                self._order, self._sorted_keys = stable_argsort(self._keys)
-        return self._order
-
-    @property
-    def sorted_keys(self) -> np.ndarray:
-        """The indexed array in sorted order: values, or codes when the
-        index was built over an encoded column."""
-        if self._sorted_keys is None:
-            if self.is_sorted:
-                self._sorted_keys = self._keys
-            else:
-                order = self.order  # a sort here fills both
-                if self._sorted_keys is None:
-                    self._sorted_keys = self._keys[order]
-        return self._sorted_keys
-
-    @property
-    def sorted_values(self) -> np.ndarray:
-        if self._dictionary is None:
-            return self.sorted_keys
-        if self._sorted_values is None:
-            self._sorted_values = self._dictionary[self.sorted_keys]
-        return self._sorted_values
 
 
 def _dense_span_limit(n_rows: int) -> int:
@@ -321,50 +266,37 @@ def build_key_index(
     values: np.ndarray, dictionary: Optional[np.ndarray] = None
 ) -> KeyIndex:
     """Build a :class:`KeyIndex` over a non-null numeric column —
-    ``values`` are its codes when ``dictionary`` is given.
+    ``values`` are its codes when ``dictionary`` is given.  Order,
+    uniqueness and sortedness of codes are the values' own, because the
+    dictionary is strictly increasing; the bounds are values either way.
 
-    Sortedness is checked first.  A sorted column reads its bounds off its
-    ends (through the dictionary for codes) and its uniqueness off one
-    comparison of neighbours.  Otherwise the bounds take a ``min`` and a
-    ``max``; dense integer keys then take a ``bincount`` and sparse ones
-    the stable sort."""
+    Sortedness is checked first.  A sorted column (any GROUP BY output, a
+    DISTINCT's leading column) reads its bounds off its ends and its
+    uniqueness off one comparison of neighbours.  Otherwise the bounds
+    take a ``min`` and a ``max``; dense integer keys then take a
+    ``bincount`` and any other key one ``np.sort``.  Nothing is kept but
+    the five numbers."""
     if values.dtype == object:
         raise ExecutionError("key indexes require fixed-width numeric columns")
     n = int(values.shape[0])
     if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return KeyIndex(values, True, None, None, order=empty,
-                        sorted_keys=values, is_sorted=True,
-                        dictionary=dictionary)
+        return KeyIndex(0, True, True, None, None)
     is_sorted = n < 2 or bool(np.all(values[1:] >= values[:-1]))
-    min_value = max_value = None
-    ints = values.dtype.kind in "iu"
+    low = high = None
+    if values.dtype.kind in "iu":
+        low, high = (int(values[0]), int(values[-1])) if is_sorted \
+            else (int(values.min()), int(values.max()))
     if is_sorted:
-        # Pre-sorted storage (any GROUP BY output, a DISTINCT's leading
-        # column): the stable argsort is the identity, the bounds are the
-        # ends and uniqueness is one comparison of neighbours.
-        if ints:
-            low, high = int(values[0]), int(values[-1])
-            min_value, max_value = (low, high) if dictionary is None else (
-                int(dictionary[low]), int(dictionary[high]))
         is_unique = n < 2 or not bool((values[1:] == values[:-1]).any())
-        return KeyIndex(values, is_unique, min_value, max_value,
-                        sorted_keys=values, is_sorted=True,
-                        dictionary=dictionary)
-    if ints:
-        low, high = int(values.min()), int(values.max())
-        min_value, max_value = (low, high) if dictionary is None else (
-            int(dictionary[low]), int(dictionary[high]))
-        if high - low + 1 <= _dense_span_limit(n):
-            # Dense keys: uniqueness comes from an O(n) bincount and the
-            # join kernel will use direct addressing — defer the sort.
-            counts = np.bincount(values - low if low else values)
-            return KeyIndex(values, int(counts.max()) <= 1, min_value,
-                            max_value, dictionary=dictionary)
-    order, sorted_keys = stable_argsort(values)
-    is_unique = not bool((sorted_keys[1:] == sorted_keys[:-1]).any())
-    return KeyIndex(values, is_unique, min_value, max_value, order,
-                    sorted_keys, False, dictionary)
+    elif low is not None and high - low + 1 <= _dense_span_limit(n):
+        counts = np.bincount(values - low if low else values)
+        is_unique = int(counts.max()) <= 1
+    else:
+        ordered = np.sort(values)
+        is_unique = not bool((ordered[1:] == ordered[:-1]).any())
+    if low is not None and dictionary is not None:
+        low, high = int(dictionary[low]), int(dictionary[high])
+    return KeyIndex(n, is_unique, is_sorted, low, high)
 
 
 def encode_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -546,9 +478,10 @@ def join_rows(
 
     ``right_index`` is an optional precomputed :class:`KeyIndex` over the
     *unfiltered* build-side key column (typically from a stored table's
-    index cache); it lets the route skip its build-side sort.  It is
-    ignored whenever the build side had NULL rows filtered out, since its
-    row numbering would no longer line up.  Only an index that
+    index cache); its statistics spare the route a pass over the build
+    keys, and a sorted one its build-side sort.  It is ignored whenever
+    the build side had NULL rows filtered out, since its row numbering
+    would no longer line up.  Only an index that
     :meth:`KeyIndex.fills` its key domain — checked in O(1) — takes the
     ``dense-offset`` route: the right rows are read straight off the probe
     keys.  Without an index (the Spark model keeps none) no join takes it.
@@ -590,12 +523,15 @@ def _route_keys(
     limit does not bound it.  Codes (``domain``: their dictionary's
     length) span ``0 .. domain - 1`` and address it in bounds, whatever
     the dense-span limit says.  Any other key takes the ``sorted`` route:
-    order and uniqueness from the build index, else a sort and one compare
-    of neighbours; one search per row into unique integer keys, a run
-    expansion (two, which match NaN to NaN) otherwise.
+    one search per row into unique integer keys, a run expansion (two,
+    which match NaN to NaN) otherwise.  A build side its index shows
+    sorted is searched and expanded where it lies, through no order, in
+    both the ``sorted`` route and ``dense-runs``; any other is sorted
+    here, its uniqueness one compare of neighbours.
     """
     n_right = int(rk.shape[0])
     ints = lk.dtype.kind == "i" and rk.dtype.kind == "i"
+    stored_sorted = right_index is not None and right_index.is_sorted
     codes = domain is not None
     if ints:
         if codes:
@@ -624,19 +560,16 @@ def _route_keys(
                 return ("dense-unique", *_dense_probe(
                     lk, slots, None, None, rmin, span, codes))
             # Duplicate build keys: bucket right rows by key code.
-            order = right_index.order if right_index is not None \
-                else stable_argsort(rel_right)[0]
+            order = None if stored_sorted else stable_argsort(rel_right)[0]
             starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
             return ("dense-runs", *_dense_probe(
                 lk, counts, starts, order, rmin, span, codes))
-    if right_index is None:
-        order, sorted_values = stable_argsort(rk)
-        unique = not bool((sorted_values[1:] == sorted_values[:-1]).any())
+    if stored_sorted:
+        order, ordered, unique = None, rk, right_index.is_unique
     else:
-        sorted_values = right_index.sorted_values
-        order = None if right_index.is_sorted else right_index.order
-        unique = right_index.is_unique
-    return ("sorted", *_sorted_probe(lk, sorted_values, order,
+        order, ordered = stable_argsort(rk)
+        unique = not bool((ordered[1:] == ordered[:-1]).any())
+    return ("sorted", *_sorted_probe(lk, ordered, order,
                                      ints and unique))
 
 
@@ -775,15 +708,15 @@ def _dense_probe(
 
 
 def _sorted_probe(
-    lk: np.ndarray, sorted_values: np.ndarray, order: Optional[np.ndarray],
+    lk: np.ndarray, ordered: np.ndarray, order: Optional[np.ndarray],
     unique: bool,
 ) -> tuple[Optional[np.ndarray], np.ndarray]:
     """Kernel: the probe keys ``lk`` against a sorted build side
     (``order`` is ``None`` when it is stored sorted)."""
     if unique:
-        return probe_unique(lk, sorted_values, order)
-    lo = sorted_lookup(sorted_values, lk, side="left")
-    hi = sorted_lookup(sorted_values, lk, side="right")
+        return probe_unique(lk, ordered, order)
+    lo = sorted_lookup(ordered, lk, side="left")
+    hi = sorted_lookup(ordered, lk, side="right")
     return _expand_runs(lo, hi - lo, order)
 
 
@@ -805,15 +738,15 @@ def _expand_runs(
 
 
 def probe_unique(
-    lk: np.ndarray, sorted_values: np.ndarray, order: Optional[np.ndarray],
+    lk: np.ndarray, ordered: np.ndarray, order: Optional[np.ndarray],
 ) -> tuple[Optional[np.ndarray], np.ndarray]:
     """Matches of probe rows ``lk`` in a sorted array of unique keys whose
     position ``i`` is build row ``order[i]`` (``None``: stored sorted,
     positions are rows).  Left rows are ``None`` when every probe row
     matched."""
-    pos = sorted_lookup(sorted_values, lk)
-    np.minimum(pos, sorted_values.shape[0] - 1, out=pos)
-    match = sorted_values[pos] == lk
+    pos = sorted_lookup(ordered, lk)
+    np.minimum(pos, ordered.shape[0] - 1, out=pos)
+    match = ordered[pos] == lk
     if match.all():
         return None, pos if order is None else order[pos]
     l_idx = np.flatnonzero(match)
@@ -948,18 +881,18 @@ def _reduce_slice(
                                        starts)
     if kind == "count":
         return Column(valid_counts, INT64)
-    sorted_values = values if order is None else values[order]
+    ordered = values if order is None else values[order]
     dtype = values.dtype
     empty = None if sorted_mask is None else valid_counts == 0
     if kind in ("min", "max"):
-        padded = sorted_values if sorted_mask is None else np.where(
-            sorted_mask, _sentinel(kind, dtype), sorted_values)
+        padded = ordered if sorted_mask is None else np.where(
+            sorted_mask, _sentinel(kind, dtype), ordered)
         reducer = np.minimum if kind == "min" else np.maximum
         reduced = reducer.reduceat(padded, starts)
         return Column(reduced.astype(dtype, copy=False), sql_type, empty)
     # sum / avg: float64 accumulation in reference row order.
-    padded = sorted_values if sorted_mask is None else np.where(
-        sorted_mask, 0, sorted_values)
+    padded = ordered if sorted_mask is None else np.where(
+        sorted_mask, 0, ordered)
     sums = np.add.reduceat(padded.astype(np.float64), starts)
     if kind == "sum":
         if sql_type == INT64:
@@ -1047,12 +980,12 @@ def sorted_group_rows(key_columns: list[Column]) -> tuple[np.ndarray, np.ndarray
     return order, starts
 
 
-def _boundaries(sorted_values: np.ndarray) -> np.ndarray:
+def _boundaries(ordered: np.ndarray) -> np.ndarray:
     """Group-start positions within an already-sorted key array."""
-    n = sorted_values.shape[0]
+    n = ordered.shape[0]
     change = np.zeros(n, dtype=bool)
     change[0] = True
-    change[1:] = sorted_values[1:] != sorted_values[:-1]
+    change[1:] = ordered[1:] != ordered[:-1]
     return np.flatnonzero(change)
 
 

@@ -44,9 +44,13 @@ The compiler also wires in **pipeline fusion**:
   streams through composed row-index maps: a join feeding another join's
   build side never materialises its output, and each downstream-consumed
   column is gathered exactly once across the whole chain (see
-  ``_JoinChain`` in the executor, the only join runner).  LEFT OUTER JOINs
-  take part like any other step — their null-extended rows travel as
-  validity markers in the composed maps.
+  ``_JoinChain`` in the executor, the only join runner).  A LEFT OUTER
+  JOIN is a step like any other (:class:`JoinStepPlan` with ``outer``),
+  placed after the greedy inner order — its null-extended rows travel as
+  validity markers in the composed maps.  Its scan joins the core's
+  bindings only after the WHERE is classified, so no WHERE conjunct is
+  pushed below an outer join: one over its binding filters the joined
+  rows.
 
 Together they make a ``SELECT DISTINCT col, ...`` directly above a join —
 outer or inner — a **fused join→DISTINCT** (``CorePlan.fused``): the
@@ -189,7 +193,9 @@ class ScanPlan:
 
 @dataclass
 class JoinStepPlan:
-    """One step of the greedy join pipeline (equi-join or cartesian)."""
+    """One step of the join pipeline: an inner equi-join or cartesian
+    step of the greedy order, or (``outer``) a LEFT OUTER JOIN, which
+    always has an equality edge and follows every inner step."""
 
     binding: str  # the right-side binding this step joins in
     cartesian: bool
@@ -200,29 +206,7 @@ class JoinStepPlan:
     out_bindings: dict[str, list[str]]
     out_distribution: frozenset[str]
     kernel: str = ""  # last kernel strategy the dispatch picked (telemetry)
-
-
-@dataclass
-class LeftJoinPlan:
-    """A LEFT OUTER JOIN appended after the inner pipeline.
-
-    Shares the join-step surface the executor's one step routine reads
-    (``binding``, key names, gather lists, output wiring, ``kernel``
-    telemetry) so an outer join can occupy any chain position without
-    special-casing; ``cartesian`` is a constant because a LEFT JOIN always
-    has at least one equality edge.
-    """
-
-    scan: ScanPlan
-    left_names: list[str]
-    right_names: list[str]
-    left_gather: list[str]
-    right_gather: list[str]
-    out_bindings: dict[str, list[str]]
-    out_distribution: frozenset[str]
-    binding: str = ""
-    kernel: str = ""  # last kernel strategy the dispatch picked (telemetry)
-    cartesian: bool = False
+    outer: bool = False
 
 
 @dataclass
@@ -230,19 +214,21 @@ class CorePlan:
     """The compiled pipeline of one SELECT core, and the shape of its
     output.
 
-    The executor streams the joins (inner ``steps``, then ``left_joins``)
-    through composed row-index maps: a join feeding another join's build
-    side never materialises the intermediate, and every
-    downstream-consumed column is gathered exactly once, across the whole
-    chain.  Above the joins it reads the output's names, sources and
-    distribution, the GROUP BY keys and the aggregates off this plan; it
-    decides none of them.
+    The executor streams the joins (``steps``: the greedy inner order,
+    then the LEFT JOINs in query order) through composed row-index maps:
+    a join feeding another join's build side never materialises the
+    intermediate, and every downstream-consumed column is gathered
+    exactly once, across the whole chain.  Above the joins it reads the
+    output's names, sources and distribution, the GROUP BY keys and the
+    aggregates off this plan; it decides none of them.
     """
 
     core: SelectCore
+    #: Every FROM item, the left-joined ones last.
     scans: list[ScanPlan]
+    #: The joins in execution order; the last one's output is the frame
+    #: the chain materialises.
     steps: list[JoinStepPlan]
-    left_joins: list[LeftJoinPlan]
     residual: list[Expression]
     is_aggregate: bool
     #: Unique storage keys, one per output (a repeated name ``n`` at
@@ -265,9 +251,6 @@ class CorePlan:
     #: on, and the residual WHERE reaches DISTINCT as row positions
     #: (telemetry: ``fused_pipelines``).
     fused: bool = False
-    #: The pipeline's final join in execution order (left joins run after
-    #: every inner step) — the step whose output the chain materialises.
-    final_join: object = None
 
 
 @dataclass
@@ -438,7 +421,7 @@ class _Compiler:
         )
         if not core.from_items:
             # SELECT without FROM: one anonymous row, nothing to plan.
-            return CorePlan(core, [], [], [], [], is_aggregate,
+            return CorePlan(core, [], [], [], is_aggregate,
                             **_output_shape(core, {}, is_aggregate,
                                             frozenset()))
 
@@ -499,9 +482,8 @@ class _Compiler:
                 ]
                 if not edges:
                     continue
-                steps.append(
-                    self._compile_inner(acc_bindings, by_binding[binding], edges)
-                )
+                steps.append(self._compile_step(
+                    acc_bindings, by_binding[binding], edges))
                 acc_bindings[binding] = list(by_binding[binding].columns)
                 joined.add(binding)
                 pending.remove(binding)
@@ -519,45 +501,56 @@ class _Compiler:
         for _, _, ref_a, ref_b in unused_edges:
             residual.append(BinaryOp("=", ref_a, ref_b))
 
-        left_plans: list[LeftJoinPlan] = []
+        # LEFT JOINs follow, in query order.  Their scans enter
+        # ``by_binding`` only now, after the WHERE was classified, so no
+        # conjunct is pushed below an outer join.
         for join in left_join_items:
-            left_plans.append(self._compile_left(acc_bindings, join))
+            scan = add_scan(join.table)
+            binding_columns[scan.binding] = set(scan.columns)
+            edges = [_as_join_edge(p, binding_columns)
+                     for p in _conjuncts(join.condition)]
+            usable = [e for e in edges if e is not None
+                      and scan.binding in _edge_bindings(e)]
+            if not usable:
+                raise PlanError(
+                    "LEFT JOIN requires at least one equality condition")
+            if len(usable) < len(edges):
+                raise PlanError(
+                    f"each LEFT JOIN condition must equate a column of "
+                    f"{scan.binding!r} with a column of an earlier table")
+            steps.append(self._compile_step(acc_bindings, scan, usable,
+                                            outer=True))
+            acc_bindings[scan.binding] = list(scan.columns)
 
-        all_bindings = dict(acc_bindings)
+        needed = self._collect_needed(core, residual, acc_bindings)
+        self._wire_gathers(by_binding, order[0], steps, needed)
 
-        needed = self._collect_needed(core, residual, all_bindings)
-        self._wire_gathers(core, by_binding, order, steps, left_plans, needed)
-
-        # The pipeline's final join in execution order (left joins run after
-        # every inner step).
-        final_join = left_plans[-1] if left_plans else (
-            steps[-1] if steps else None
-        )
+        final = steps[-1] if steps else None
         shape = _output_shape(
-            core, all_bindings, is_aggregate,
-            by_binding[order[0]].distribution if final_join is None
-            else final_join.out_distribution,
+            core, acc_bindings, is_aggregate,
+            by_binding[order[0]].distribution if final is None
+            else final.out_distribution,
         )
         fused = (
             core.distinct
             and not is_aggregate
-            and final_join is not None
-            and not final_join.cartesian
+            and final is not None
+            and not final.cartesian
             and bool(core.items)
             and all(isinstance(item.expr, ColumnRef) for item in core.items)
             and needed is not None
         )
-        return CorePlan(core, scans, steps, left_plans, residual,
-                        is_aggregate, **shape, fused=fused,
-                        final_join=final_join)
+        return CorePlan(core, scans, steps, residual, is_aggregate, **shape,
+                        fused=fused)
 
-    # -- inner / left join steps -----------------------------------------
+    # -- join steps ------------------------------------------------------
 
-    def _compile_inner(
+    def _compile_step(
         self,
         acc_bindings: dict[str, list[str]],
         right: ScanPlan,
         edges: list[tuple[str, str, ColumnRef, ColumnRef]],
+        outer: bool = False,
     ) -> JoinStepPlan:
         right_bindings = {right.binding: list(right.columns)}
         left_names: list[str] = []
@@ -570,46 +563,12 @@ class _Compiler:
                 left_ref, right_ref = ref_b, ref_a
             left_names.append(_qualify(left_ref, acc_bindings))
             right_names.append(_qualify(right_ref, right_bindings))
-        distribution = frozenset(left_names) | frozenset(right_names)
+        # A LEFT JOIN's null-extended rows are not distributed on its
+        # right keys.
+        distribution = frozenset(left_names) if outer \
+            else frozenset(left_names) | frozenset(right_names)
         return JoinStepPlan(right.binding, False, left_names, right_names,
-                            [], [], {}, distribution)
-
-    def _compile_left(
-        self, acc_bindings: dict[str, list[str]], join
-    ) -> LeftJoinPlan:
-        scan = self.compile_scan(join.table)
-        binding = scan.binding
-        if binding in acc_bindings:
-            raise PlanError(f"duplicate table binding {binding!r}")
-        right_bindings = {binding: list(scan.columns)}
-        binding_columns = {b: set(cols) for b, cols in acc_bindings.items()}
-        binding_columns[binding] = set(scan.columns)
-        left_names: list[str] = []
-        right_names: list[str] = []
-        residual: list[Expression] = []
-        for predicate in _conjuncts(join.condition):
-            edge = _as_join_edge(predicate, binding_columns)
-            if edge is None:
-                residual.append(predicate)
-                continue
-            _, _, ref_a, ref_b = edge
-            if _ref_binding(ref_b, right_bindings) == binding:
-                left_ref, right_ref = ref_a, ref_b
-            elif _ref_binding(ref_a, right_bindings) == binding:
-                left_ref, right_ref = ref_b, ref_a
-            else:
-                residual.append(predicate)
-                continue
-            left_names.append(_qualify(left_ref, acc_bindings))
-            right_names.append(_qualify(right_ref, right_bindings))
-        if not left_names:
-            raise PlanError("LEFT JOIN requires at least one equality condition")
-        if residual:
-            raise PlanError("non-equality LEFT JOIN conditions are not supported")
-        plan = LeftJoinPlan(scan, left_names, right_names, [], [], {},
-                            frozenset(left_names), binding=binding)
-        acc_bindings[binding] = list(scan.columns)
-        return plan
+                            [], [], {}, distribution, outer=outer)
 
     # -- column pruning ---------------------------------------------------
 
@@ -635,11 +594,9 @@ class _Compiler:
 
     def _wire_gathers(
         self,
-        core: SelectCore,
         by_binding: dict[str, ScanPlan],
-        order: list[str],
+        first: str,
         steps: list[JoinStepPlan],
-        left_plans: list[LeftJoinPlan],
         needed: Optional[set[str]],
     ) -> None:
         """Fill each step's gather lists and output bindings.
@@ -652,39 +609,18 @@ class _Compiler:
         def quals(binding: str) -> list[str]:
             return [f"{binding}.{c}" for c in by_binding[binding].columns]
 
-        def lj_quals(plan: LeftJoinPlan) -> list[str]:
-            return [f"{plan.scan.binding}.{c}" for c in plan.scan.columns]
-
         # Forward pass: the left-side column list in front of each step.
-        prefix = quals(order[0])
+        sequence = [first] + [step.binding for step in steps]
+        prefix = quals(first)
         step_left_cols: list[list[str]] = []
         for step in steps:
             step_left_cols.append(list(prefix))
             prefix = prefix + quals(step.binding)
-        left_left_cols: list[list[str]] = []
-        for plan in left_plans:
-            left_left_cols.append(list(prefix))
-            prefix = prefix + lj_quals(plan)
 
         # Backward pass: what each operator's output must contain.
         downstream = None if needed is None else set(needed)
-        for plan, left_cols in zip(reversed(left_plans),
-                                   reversed(left_left_cols)):
-            right_cols = lj_quals(plan)
-            if downstream is None:
-                plan.left_gather = list(left_cols)
-                plan.right_gather = list(right_cols)
-            else:
-                plan.left_gather = [c for c in left_cols if c in downstream]
-                plan.right_gather = [c for c in right_cols if c in downstream]
-                downstream = (
-                    (downstream - set(right_cols)) | set(plan.left_names)
-                )
-            plan.out_bindings = _bindings_from(
-                plan.left_gather + plan.right_gather, self._binding_order(
-                    order, steps, left_plans, plan)
-            )
-        for step, left_cols in zip(reversed(steps), reversed(step_left_cols)):
+        for i in reversed(range(len(steps))):
+            step, left_cols = steps[i], step_left_cols[i]
             right_cols = quals(step.binding)
             if downstream is None:
                 step.left_gather = list(left_cols)
@@ -696,22 +632,7 @@ class _Compiler:
                     (downstream - set(right_cols)) | set(step.left_names)
                 )
             step.out_bindings = _bindings_from(
-                step.left_gather + step.right_gather,
-                self._binding_order(order, steps, left_plans, step),
-            )
-
-    def _binding_order(self, order, steps, left_plans, upto) -> list[str]:
-        """Binding sequence of the frame produced by ``upto``."""
-        result = [order[0]]
-        for step in steps:
-            result.append(step.binding)
-            if step is upto:
-                return result
-        for plan in left_plans:
-            result.append(plan.scan.binding)
-            if plan is upto:
-                return result
-        return result
+                step.left_gather + step.right_gather, sequence[:i + 2])
 
 
 def _output_shape(

@@ -2,10 +2,11 @@
 
 Tables carry a **per-column index cache** (:meth:`Table.index_for`): the
 first join that builds on a stored column builds a
-:class:`~repro.sqlengine.operators.KeyIndex` (sorted order, uniqueness,
-min/max stats) and caches it on the table; subsequent joins against the
-same column reuse it instead of re-sorting (a GROUP BY reads no index: it
-takes its layout off the key column).  Any mutation (``INSERT`` append,
+:class:`~repro.sqlengine.operators.KeyIndex` (row count, uniqueness,
+sortedness, min/max — five numbers, no array) and caches it on the
+table; subsequent joins against the same column read their route off it
+instead of re-scanning the keys (a GROUP BY reads no index: it takes its
+layout off the key column).  Any mutation (``INSERT`` append,
 ``TRUNCATE``) empties the cache — a stale index can therefore never be
 observed.  The paper's algorithms join the per-round ``reps``
 table two to three times per contraction round, which is exactly the reuse
@@ -138,8 +139,8 @@ class Table:
         col = self.column(column_name)
         if col.sql_type == TEXT or col.mask is not None:
             return None, False
-        # An encoded column is indexed through its codes: nothing gathers
-        # its values until a join asks for them.
+        # An encoded column is indexed through its codes: no value is
+        # gathered.
         index = build_key_index(col.storage, col.dictionary)
         self._indexes[column_name] = index
         return index, True

@@ -895,7 +895,7 @@ def test_filtered_distinct_fuzz(monkeypatch):
             engaged["kept_all"] += rows is None
             engaged["kept_none"] += rows is not None \
                 and selection_size(rows) == 0
-            engaged["left_tail"] += bool(plan.left_joins)
+            engaged["left_tail"] += any(step.outer for step in plan.steps)
         return frame, rows
 
     def recording_packed(keys, rows):

@@ -32,7 +32,6 @@ def test_key_index_over_empty_and_all_null_columns(db):
     index = build_key_index(np.empty(0, dtype=np.int64))
     assert index.n_rows == 0 and index.is_unique and index.is_sorted
     assert index.min_value is None and index.max_value is None
-    assert index.order.shape[0] == 0
     db.execute("create table z (v int64, w int64)")
     assert db.table("z").index_for("v")[0] is not None
     db.execute("create table nn (v int64)")

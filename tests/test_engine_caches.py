@@ -260,17 +260,26 @@ def test_unindexable_columns_return_none(db):
     assert table.index_for("v") == (None, False)  # NULL-bearing column
 
 
-def test_dense_index_defers_its_sort(db):
-    """Dense-key columns get O(n) stats only; the argsort that the
-    direct-address join never consumes must not be paid up front."""
-    values = np.random.default_rng(0).permutation(10_000).astype(np.int64)
-    db.load_table("t", {"v": values})
-    index, _ = db.table("t").index_for("v")
+def test_key_index_holds_five_numbers_and_no_array(db):
+    """A cached index is statistics only: whatever its column — dense or
+    sparse, sorted or not, plain or encoded — it keeps no array alive."""
+    rng = np.random.default_rng(0)
+    columns = {"dense": rng.permutation(10_000),
+               "sparse": rng.permutation(10_000) << 40,
+               "ordered": np.arange(10_000) // 2}
+    db.load_table("t", {name: values.astype(np.int64)
+                        for name, values in columns.items()})
+    # The expanding join leaves ``s.dense`` dictionary-encoded.
+    db.execute("create table u as select s.dense as v "
+               "from t join t as s on t.ordered = s.ordered")
+    assert db.table("u").column("v").codes is not None
+    for table, name in [("t", name) for name in columns] + [("u", "v")]:
+        index, _ = db.table(table).index_for(name)
+        fields = [getattr(index, slot) for slot in type(index).__slots__]
+        assert len(fields) == 5
+        assert not any(isinstance(f, np.ndarray) for f in fields)
+    index, _ = db.table("t").index_for("dense")
     assert index.is_unique and (index.min_value, index.max_value) == (0, 9_999)
-    assert index._order is None  # not materialised by stats-only consumers
-    # First consumer that needs the order materialises it correctly.
-    assert np.array_equal(index.order, np.argsort(values, kind="stable"))
-    assert index._order is not None
 
 
 def test_disjoint_range_join_motion_independent_of_index_cache():

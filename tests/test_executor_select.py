@@ -92,6 +92,40 @@ def test_left_join_then_is_null_filter(db):
     assert sorted(r[0] for r in rows) == [4, 5]
 
 
+def test_left_join_without_an_equality_edge_is_rejected():
+    """A LEFT JOIN needs one condition equating a column of the joined
+    table with an earlier one."""
+    db = Database()
+    for name in ("a", "r"):
+        db.load_table(name, {"k": np.arange(3, dtype=np.int64),
+                             "v": np.arange(3, dtype=np.int64)})
+    with pytest.raises(PlanError,
+                       match="LEFT JOIN requires at least one equality"):
+        db.execute("select a.k from a left join r on (r.v > 1)")
+
+
+def test_left_join_condition_between_earlier_tables_is_rejected():
+    """Every LEFT JOIN condition is an equi-join edge into the joined
+    table: one between two earlier tables is refused, and the message
+    says so rather than calling the equality a non-equality."""
+    db = Database()
+    for name in ("a", "b", "r"):
+        db.load_table(name, {"k": np.arange(3, dtype=np.int64),
+                             "x": np.arange(3, dtype=np.int64),
+                             "y": np.arange(3, dtype=np.int64),
+                             "v": np.arange(3, dtype=np.int64)})
+    queries = [
+        "select a.k from a join b on (a.k = b.k) "
+        "left join r on (a.x = b.y and a.k = r.v)",
+        "select a.k from a left join r on (a.k = r.v and r.x > 1)",
+    ]
+    for query in queries:
+        with pytest.raises(PlanError, match=(
+                "each LEFT JOIN condition must equate a column of 'r' "
+                "with a column of an earlier table")):
+            db.execute(query)
+
+
 def test_group_by_min_max(db):
     rows = db.execute(
         "select v1, min(v2), max(v2) from e group by v1"

@@ -944,6 +944,8 @@ KERNEL_CASES = {
         "dense-unique"),
     "dense-sorted-bucket-probe": (
         _join_case(True, False, sorted_build=True), "dense-runs"),
+    "sorted-runs-stored-sorted": (
+        _join_case(False, False, sorted_build=True), "sorted"),
     "codes-offset-probe": (
         _join_case(False, True, encoded=True, sorted_build=True,
                    misses=False), "dense-offset"),
@@ -1043,6 +1045,27 @@ def test_retired_parallel_join_indices_is_join_indices(kernel):
     for expected, pair in zip(serial, got):
         assert pair.dtype == expected.dtype
         assert np.array_equal(expected, pair)
+
+
+@pytest.mark.parametrize("kernel", ("dense-sorted-bucket-probe",
+                                    "sorted-runs-stored-sorted"))
+def test_sorted_indexed_build_side_expands_through_no_order(kernel,
+                                                            monkeypatch):
+    """A build side its index shows stored sorted, holding duplicate keys,
+    is its own sorted order: ``dense-runs`` and ``sorted`` both expand
+    its runs at positions that are its rows, gathered through no order
+    array — and the matrix case's pairs are the reference's."""
+    orders = []
+    expand_runs = operators._expand_runs
+
+    def recording(first, counts, order):
+        orders.append(order)
+        return expand_runs(first, counts, order)
+
+    monkeypatch.setattr(operators, "_expand_runs", recording)
+    case, route = KERNEL_CASES[kernel]
+    assert _run_case(case) == [JOIN_ROUTES[route]]
+    assert orders == [None]
 
 
 #: Matrix cases over a unique build side -> whether every probe row

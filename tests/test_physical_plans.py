@@ -905,9 +905,10 @@ def _record_identity_joins(monkeypatch) -> list:
     applied = []
     apply = _JoinChain.apply
 
-    def recording_apply(chain, l_idx, r_idx, right, step, outer=False):
-        applied.append((tuple(right.bindings), outer, l_idx is None, chain))
-        apply(chain, l_idx, r_idx, right, step, outer)
+    def recording_apply(chain, l_idx, r_idx, right, step):
+        applied.append((tuple(right.bindings), step.outer, l_idx is None,
+                        chain))
+        apply(chain, l_idx, r_idx, right, step)
 
     monkeypatch.setattr(_JoinChain, "apply", recording_apply)
     return applied
@@ -1169,6 +1170,21 @@ LEFT_CHAIN_QUERIES = [
     "select e.v1 g, count(*) c, sum(lj.rep) s from e join r as rv "
     "on (e.v1 = rv.v) left join r as lj on (e.v2 = lj.v) "
     "where e.w > 2 group by e.v1",
+    # A WHERE over the LEFT-joined binding filters the joined rows: a
+    # null-extended row fails ``lj.rep > 2`` and is all ``lj.v is null``
+    # keeps.  Pushed below the join, either would null-extend rows
+    # instead.  Over a stored table ...
+    "select e.w, rv.rep, lj.rep from e join r as rv on (e.v1 = rv.v) "
+    "left join r as lj on (e.v2 = lj.v) where lj.rep > 2",
+    "select e.w, rv.rep from e join r as rv on (e.v1 = rv.v) "
+    "left join r as lj on (e.v2 = lj.v) where lj.v is null",
+    # ... and over a subquery that misses some keys.
+    "select e.v1, rv.rep, lj.w from e join r as rv on (e.v1 = rv.v) "
+    "left join (select r.v, r.rep as w from r where r.v < 200) as lj "
+    "on (e.v2 = lj.v) where lj.w > 2",
+    "select e.v1, rv.rep from e join r as rv on (e.v1 = rv.v) "
+    "left join (select r.v, r.rep as w from r where r.v < 200) as lj "
+    "on (e.v2 = lj.v) where lj.v is null",
 ]
 
 
@@ -1333,8 +1349,8 @@ def test_chain_byte_size_is_the_gathered_frames(database, query,
     apply = _JoinChain.apply
     sizes = []
 
-    def checked_apply(chain, l_idx, r_idx, right, step, outer=False):
-        apply(chain, l_idx, r_idx, right, step, outer)
+    def checked_apply(chain, l_idx, r_idx, right, step):
+        apply(chain, l_idx, r_idx, right, step)
         sizes.append((chain.byte_size(),
                       chain.materialise(step).byte_size()))
 

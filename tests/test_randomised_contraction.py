@@ -304,8 +304,8 @@ def test_run_does_not_depend_on_the_host_core_count(variant, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         kernels = []
 
-        def recording(self, chain, right, step, outer=False):
-            join_step(self, chain, right, step, outer)
+        def recording(self, chain, right, step):
+            join_step(self, chain, right, step)
             kernels.append(step.kernel)
 
         monkeypatch.setattr(executor_module.Executor, "_join_step",
