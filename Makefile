@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-unit fuzz bench bench-quick perf perf-aa perf-ab grid-ab perf-4m size key-forms stmt-costs clean
+.PHONY: test test-unit fuzz bench bench-quick perf perf-aa perf-ab grid-ab perf-4m size working-memory key-forms stmt-costs clean
 
 ## tier-1: the full unit + benchmark collection, fail-fast
 test:
@@ -69,6 +69,14 @@ size:
 	@echo "executor.py lines: $$(wc -l < src/repro/sqlengine/executor.py)"
 	@echo "stats.COUNTERS:    $$($(PYTHON) -c 'from repro.sqlengine import stats; print(len(stats.COUNTERS), "(retired:", len(stats.RETIRED), end=")")')"
 	@echo "join routes:       $$($(PYTHON) -c 'from repro.sqlengine import operators; print(len(operators.JOIN_ROUTES))')"
+
+## the six ratios tests/test_working_memory.py bounds, beside their bounds:
+## (input table bytes + traced peak) / peak_live_bytes of a warm RC run,
+## fast and deterministic-space, on its three graphs (~15 s)
+working-memory:
+	@$(PYTHON) -c 'from tests.test_working_memory import BOUND, working_memory_ratio as ratio; \
+	[print(f"{graph:<6} {variant:<20} {ratio(graph, variant):.3f}  bound {bound}") \
+	 for (graph, variant), bound in sorted(BOUND.items())]'
 
 ## the key forms (codes or plain) and the route of every join, DISTINCT,
 ## GROUP BY and UDF domain of every shipped algorithm (~5 s)

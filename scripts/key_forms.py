@@ -10,10 +10,12 @@
     * ``join``: ``executor.join_rows``' probe and build keys, the route
       note it chose and whether it read a cached build index (``idx``,
       ``offset idx``) or none (``-``, ``dense -``);
-    * ``distinct``: ``executor.distinct_rows``'s columns and the branch
-      of the one DISTINCT kernel that ran; a packed one adds its word
-      width (``32``: ``uint32`` words, ``64``: int64) and the rows it
-      selected (``all``, a WHERE's ``mask`` or its ``positions``);
+    * ``distinct``: the columns of ``executor.distinct_rows`` or of a
+      fused join→DISTINCT's block loop (``executor.packed_distinct``)
+      and the branch of the one DISTINCT kernel that ran; a packed one
+      adds its word width (``32``: ``uint32`` words, ``64``: int64) and
+      the forms its blocks selected their rows in (``all``, a WHERE's
+      ``mask`` or its ``positions``, ``+``-joined when blocks differ);
     * ``group``: a GROUP BY's keys and its layout — ``runs`` (the key
       arrived sorted: ``run_starts`` served it), ``direct``
       (``direct_group_rows`` served it) or ``sorted``
@@ -69,9 +71,12 @@ def spy(monkeypatch) -> Counter:
     seen: Counter = Counter()
     branches = record_branches(monkeypatch)
     packings: list[str] = []
-    packed_distinct = operators._packed_distinct
+    selections: set = set()
+    unpack = operators._unpack
+    pack_rows = operators._pack_rows
     join_rows = executor.join_rows
     distinct_rows = executor.distinct_rows
+    blocked_distinct = executor.packed_distinct
     group_kernel = executor.Executor._group_kernel
     run_starts = executor.run_starts
     direct_group_rows = executor.direct_group_rows
@@ -83,14 +88,18 @@ def spy(monkeypatch) -> Counter:
              f"{'-' if right_index is None else 'idx'}"] += 1
         return joined
 
-    def packing(keys, rows):
+    def selecting(keys, columns, rows, *args):
+        selections.add("all" if rows is None
+                       else "mask" if rows.dtype == bool else "positions")
+        return pack_rows(keys, columns, rows, *args)
+
+    def packing(keys, words):
         width = sum(key.width for key in keys)
-        selection = "all" if rows is None \
-            else "mask" if rows.dtype == bool else "positions"
         packings.append(
             f"{32 if width <= operators.NARROW_WORD_BITS else 64} "
-            f"{selection}")
-        return packed_distinct(keys, rows)
+            f"{'+'.join(sorted(selections)) or 'all'}")
+        selections.clear()
+        return unpack(keys, words)
 
     def record_distinct(columns, run):
         """Run one DISTINCT, recording its forms and its last branch (with
@@ -103,8 +112,12 @@ def spy(monkeypatch) -> Counter:
         seen["distinct", key_form(columns), branch] += 1
         return result
 
-    def distinct(columns, rows=None):
-        return record_distinct(columns, lambda: distinct_rows(columns, rows))
+    def distinct(columns):
+        return record_distinct(columns, lambda: distinct_rows(columns))
+
+    def blocked(keys, n_rows, blocks):
+        return record_distinct([key.column for key in keys],
+                               lambda: blocked_distinct(keys, n_rows, blocks))
 
     def grouping(self, key_columns):
         seen["group", key_form(key_columns), "sorted"] += 1
@@ -139,21 +152,23 @@ def spy(monkeypatch) -> Counter:
              f"{args[-1][-1]} -"] += 1
         return pair
 
-    def spark_distinct_rows(self, columns, rows=None):
+    def spark_distinct_rows(self, columns):
         return record_distinct(
-            columns, lambda: spark_distinct(self, columns, rows))
+            columns, lambda: spark_distinct(self, columns))
 
     def spark_grouping(self, key_columns):
         seen["group", key_form(key_columns), "partitioned"] += 1
         return spark_group(self, key_columns)
 
-    monkeypatch.setattr(operators, "_packed_distinct", packing)
+    monkeypatch.setattr(operators, "_unpack", packing)
+    monkeypatch.setattr(operators, "_pack_rows", selecting)
     monkeypatch.setattr(SparkExecutor, "_dispatch_join", spark_joining)
     monkeypatch.setattr(SparkExecutor, "_distinct_kernel",
                         spark_distinct_rows)
     monkeypatch.setattr(SparkExecutor, "_group_kernel", spark_grouping)
     monkeypatch.setattr(executor, "join_rows", joining)
     monkeypatch.setattr(executor, "distinct_rows", distinct)
+    monkeypatch.setattr(executor, "packed_distinct", blocked)
     monkeypatch.setattr(executor.Executor, "_group_kernel", grouping)
     monkeypatch.setattr(executor, "run_starts", in_runs)
     monkeypatch.setattr(executor, "direct_group_rows", addressing)

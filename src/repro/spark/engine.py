@@ -54,7 +54,7 @@ from ..sqlengine.operators import (
     join_indices,
     left_join_indices,
 )
-from ..sqlengine.types import Column, selected_positions, selection_size
+from ..sqlengine.types import Column
 
 
 def _partition_ids(key: Column, n_tasks: int) -> np.ndarray:
@@ -170,15 +170,16 @@ class SparkExecutor(Executor):
             offset += rows.size
         return np.concatenate(out_order), np.concatenate(out_starts)
 
-    def _distinct_kernel(self, columns, rows=None):
-        if self._one_task(len(columns[0]) if rows is None
-                          else selection_size(rows)):
+    def _blocked_distinct(self, plan, chain):
+        # Every DISTINCT runs task by task over the filtered columns
+        # (_distinct_kernel).
+        return None
+
+    def _distinct_kernel(self, columns):
+        if self._one_task(len(columns[0])):
             self.tasks_launched += 1
-            return distinct_rows(columns, rows)
-        if rows is not None:
-            rows = selected_positions(rows)
-            columns = [col.take(rows) for col in columns]
-        tasks = [distinct_rows(columns, task_rows)
+            return distinct_rows(columns)
+        tasks = [distinct_rows([col.take(task_rows) for col in columns])
                  for task_rows in self._task_rows(columns[0])]
         # Equal rows share a first column, so no two tasks hold one row;
         # the final pass merges the tasks' outputs into key order.

@@ -58,25 +58,26 @@ gathered, down to the stored table's own column objects.
 LEFT OUTER JOINs stream inside the chain too: their null-extended probe
 rows ride the composed maps as ``NO_MATCH`` validity markers that only
 materialisation resolves into null masks, so an outer join can sit in any
-chain position.  DISTINCT, projection and GROUP BY all read the one frame
-the chain materialises; :meth:`Executor._aggregate` is the only GROUP BY
-runner.  A residual WHERE selects rows by position — one ``flatnonzero``
-and a gather per column, cheaper than compressing each column by mask —
-and in a fused join→DISTINCT (the contraction's contract,
-``CorePlan.fused``) the WHERE reaches DISTINCT as its kept rows:
-projection reads the unfiltered frame (its items are plain column
-references, so nothing is evaluated), and the DISTINCT selects the rows
-once, in its packed words.  Below
-:data:`~repro.sqlengine.operators.DISTINCT_MASK_MIN_KEPT` (3/4) of
-the rows kept, it gathers each column's codes or values at the positions
-straight into the words; at or above it, it is handed the WHERE's mask,
-packs every row's word from the whole columns and compresses that one
-array — no positions array and no per-column gather exist beside it
-(a G(500k, 1M) contract keeps 84–98% of its rows, a path's ~50%).  The
-words are ``uint32`` when the keys fit 32 bits together.  No column is
-compressed on its own.  The DISTINCT's input relation, its row order and
-the motion it is charged are the filtered relation's, as if the frame
-had been filtered first.
+chain position.  Projection and GROUP BY read the one frame the chain
+materialises; :meth:`Executor._aggregate` is the only GROUP BY runner.
+A residual WHERE selects rows by position — one ``flatnonzero`` and a
+gather per column, cheaper than compressing each column by mask.
+
+A fused join→DISTINCT (the contraction's contract, ``CorePlan.fused``)
+whose columns pack into one word never materialises the chain: it runs
+as one loop over blocks of :data:`BLOCK_ROWS` chain rows
+(:meth:`Executor._blocked_distinct`).  Each block gathers its columns
+through the composed maps, evaluates the WHERE over them and packs the
+words of the rows it keeps — at their positions below
+:data:`~repro.sqlengine.operators.DISTINCT_MASK_MIN_KEPT` (3/4) of the
+block kept, by one mask compress at or above it (a G(500k, 1M) contract
+keeps 84–98% of its rows, a path's ~50%) — into one word buffer, the
+only array of the chain's length; the sort, dedup and unpack run once,
+after the last block has released the chain's maps.  Any other fused
+DISTINCT — NULL-bearing, text, float or wider-than-63-bit keys, a
+LEFT-joined binding with null-extended rows — materialises, filters and
+de-duplicates its frame.  Either way the DISTINCT's input relation, its
+row order and the motion it is charged are the filtered relation's.
 
 The executor also decides **which columns are dictionary-encoded** (the
 second physical form of :class:`~repro.sqlengine.types.Column`), and it is
@@ -157,6 +158,8 @@ from .operators import (
     group_rows,
     join_rows,
     kept_rows,
+    packed_distinct,
+    packed_keys,
     pad_left_outer,
     run_starts,
 )
@@ -171,12 +174,21 @@ from .physicalplan import (
 )
 from .stats import EngineStats
 from .table import Catalog, Table
-from .types import BOOL, FLOAT64, INT64, Column, dtype_for, selection_size
+from .types import BOOL, FLOAT64, INT64, Column, dtype_for
 from .types import _FIXED_WIDTH
 
 #: Safety valve: a join step with no usable equality predicate falls back to
 #: a cartesian product only below this many output rows.
 MAX_CARTESIAN_ROWS = 1 << 21
+
+#: Join chain rows per block of a fused join→DISTINCT.  The contract's
+#: median over warm RC runs at 8192 / 16384 / 32768 / 65536 rows took
+#: 117.2 / 109.2 / 109.6 / 105.8 ms on G(500k, 1M) and 56.5 / 52.3 / 51.7
+#: / 50.6 ms on path(500k), deterministic-space (2-vCPU Xeon); the
+#: deterministic-space ratios of ``tests/test_working_memory.py`` (dense,
+#: gnm, path) read 1.381 / 1.309 / 1.435 at 16384, 1.614 / 1.476 / 1.666
+#: at 32768.
+BLOCK_ROWS = 1 << 14
 
 
 @dataclass
@@ -459,18 +471,34 @@ class _JoinChain:
             self._gather_cache[binding] = state
         return frame, state[0], state[1]
 
-    def column(self, qualified: str) -> Column:
+    def source(self, qualified: str) -> Optional[Column]:
+        """The column the chain gathers ``qualified`` from through its map
+        (:func:`_encoded_source`'s when its binding's join expanded it),
+        or ``None`` when a row it gathers is null-extended."""
+        binding = qualified.split(".", 1)[0]
+        frame, safe_map, invalid = self._gather_state(binding)
+        if invalid is not None:
+            return None
+        if safe_map is not None and binding in self._expanded:
+            return _encoded_source(frame, qualified)
+        return frame.columns[qualified]
+
+    def column(self, qualified: str, rows: Optional[slice] = None) -> Column:
+        """One column of the chain's output, at its ``rows`` (``None``:
+        all of them)."""
         binding = qualified.split(".", 1)[0]
         frame, safe_map, invalid = self._gather_state(binding)
         col = frame.columns[qualified]
-        if invalid is None:
-            if safe_map is None:
-                return col
-            if binding in self._expanded:
-                col = _encoded_source(frame, qualified)
-            return col.take(safe_map)
-        return _gather_padded(col, safe_map, invalid, frame.length,
-                              self.length)
+        if invalid is not None:
+            if rows is not None:
+                safe_map, invalid = safe_map[rows], invalid[rows]
+            return _gather_padded(col, safe_map, invalid, frame.length,
+                                  invalid.shape[0])
+        if safe_map is None:
+            return col if rows is None else col.take(rows)
+        if binding in self._expanded:
+            col = _encoded_source(frame, qualified)
+        return col.take(safe_map if rows is None else safe_map[rows])
 
     def _text_row_widths(self, qualified: str, col: Column) -> np.ndarray:
         """Exact byte length of each base row of a text column (the same
@@ -541,12 +569,26 @@ class _JoinChain:
         if step.outer:
             self.n_outer += 1
 
-    def materialise(self, step) -> Frame:
-        """The frame ``step``, the latest applied join, produces — each
+    def materialise(self, step, rows: Optional[slice] = None) -> Frame:
+        """The frame ``step``, the latest applied join, produces — at its
+        ``rows``: a block of a fused join→DISTINCT, or all of them — each
         surviving column gathered once, through the composed map."""
-        columns = {name: self.column(name) for name in self._surviving}
-        return Frame(columns, step.out_bindings, self.length,
+        columns = {name: self.column(name, rows) for name in self._surviving}
+        return Frame(columns, step.out_bindings,
+                     self.length if rows is None
+                     else len(range(*rows.indices(self.length))),
                      self.distribution)
+
+    def blocks(self, step, size: int):
+        """The frame ``step`` produces, ``size`` rows at a time, in order.
+        Read once: past the last block the chain drops its row maps and
+        frames, freed then though its reader still holds the chain."""
+        for start in range(0, self.length, size):
+            yield self.materialise(step, None if size >= self.length
+                                   else slice(start, start + size))
+        self._frames.clear()
+        self._maps.clear()
+        self._gather_cache.clear()
 
 
 class Executor:
@@ -635,12 +677,10 @@ class Executor:
     ) -> tuple[np.ndarray, np.ndarray]:
         return group_rows(key_columns)
 
-    def _distinct_kernel(
-        self, columns: list[Column], rows: Optional[np.ndarray] = None
-    ) -> list[Column]:
-        """The distinct rows of ``columns`` at ``rows``, in ascending key
-        order (the kernel's contract; overriding executors must keep it)."""
-        return distinct_rows(columns, rows)
+    def _distinct_kernel(self, columns: list[Column]) -> list[Column]:
+        """The distinct rows of ``columns``, in ascending key order (the
+        kernel's contract; overriding executors must keep it)."""
+        return distinct_rows(columns)
 
     # ------------------------------------------------------------------
     # statement dispatch
@@ -837,7 +877,17 @@ class Executor:
                         display_names=list(first.display_names))
 
     def _run_core(self, plan: CorePlan) -> Relation:
-        frame, rows = self._execute_from(plan)
+        frame = self._execute_from(plan)
+        if plan.fused:
+            self.stats.bump("fused_pipelines")
+            relation = self._blocked_distinct(plan, frame)
+            if relation is not None:
+                return relation
+        if isinstance(frame, _JoinChain):
+            # Rebinding frees the chain and its row maps.
+            frame = frame.materialise(plan.steps[-1])
+        if plan.residual:
+            frame = self._apply_filters(frame, plan.residual)
         if plan.is_aggregate:
             columns, env = self._aggregate(plan, frame)
         else:
@@ -845,32 +895,21 @@ class Executor:
             env = Environment(frame.env_columns(), frame.length,
                               self.registry)
         relation = self._project(plan, columns, env)
-        if plan.fused:
-            self.stats.bump("fused_pipelines")
         if plan.core.distinct:
-            relation = self._distinct(relation, rows)
+            relation = self._distinct(relation)
         return relation
 
     # -- plan execution: scans, joins, filters -----------------------------
 
-    def _execute_from(
-        self, plan: CorePlan
-    ) -> tuple[Frame, Optional[np.ndarray]]:
-        """Run a core's scan/join pipeline: the joined :class:`Frame` and
-        the rows its residual predicates keep.  Every join — inner, left
-        outer or cartesian, one or many — streams through one
-        :class:`_JoinChain`'s composed row maps; the chain materialises
-        once, after the last, only the columns the core reads above it.
-
-        A fused join→DISTINCT gets the unfiltered frame and the kept rows
-        (``None``: every row) — ascending positions, or the boolean mask
-        when the WHERE keeps most rows — which its DISTINCT selects once
-        (:meth:`_distinct`); its items are plain column references, so
-        projecting every row evaluates nothing.  Any other core gets the
-        filtered frame and ``None``."""
+    def _execute_from(self, plan: CorePlan) -> "Frame | _JoinChain":
+        """Run a core's scans, their pushed-down filters and its joins:
+        the scanned :class:`Frame`, or the :class:`_JoinChain` every join
+        — inner, left outer or cartesian, one or many — streamed through,
+        which the core materialises once, or a fused join→DISTINCT one
+        block at a time (:meth:`_blocked_distinct`)."""
         if not plan.scans:
             # SELECT without FROM: one anonymous row.
-            return Frame({}, {}, 1, frozenset()), None
+            return Frame({}, {}, 1, frozenset())
         frames: dict[str, Frame] = {
             scan.binding: self._scan_frame(scan) for scan in plan.scans
         }
@@ -880,23 +919,50 @@ class Executor:
                     frames[scan.binding], scan.filters
                 )
         current = frames[plan.scans[0].binding]
-        if plan.steps:
-            chain = _JoinChain(current)
-            for step in plan.steps:
-                self._join_step(chain, frames[step.binding], step)
-            if chain.n_joins >= 2:
-                # Telemetry: joins streamed without materialising any
-                # intermediate output (outer joins riding inside count
-                # separately).
-                self.stats.bump("join_chain_fusions")
-                if chain.n_outer:
-                    self.stats.bump("left_chain_fusions")
-            current = chain.materialise(plan.steps[-1])
-        rows = self._kept_rows(current, plan.residual, plan.fused) \
-            if plan.residual else None
-        if rows is None or plan.fused:
-            return current, rows
-        return current.take(rows), None
+        if not plan.steps:
+            return current
+        chain = _JoinChain(current)
+        for step in plan.steps:
+            self._join_step(chain, frames[step.binding], step)
+        if chain.n_joins >= 2:
+            # Telemetry: joins streamed without materialising any
+            # intermediate output (outer joins riding inside count
+            # separately).
+            self.stats.bump("join_chain_fusions")
+            if chain.n_outer:
+                self.stats.bump("left_chain_fusions")
+        return chain
+
+    def _blocked_distinct(
+        self, plan: CorePlan, chain: _JoinChain
+    ) -> Optional[Relation]:
+        """A fused join→DISTINCT as one loop over blocks of
+        :data:`BLOCK_ROWS` chain rows (see the module docstring), when the
+        columns the chain gathers its keys from pack
+        (:func:`~repro.sqlengine.operators.packed_keys`); ``None``
+        otherwise.  Each block's WHERE selects its rows as
+        :func:`~repro.sqlengine.operators.kept_rows` says, and the motion
+        charged is the kept rows' bytes."""
+        sources = [chain.source(name) for name in plan.sources]
+        keys = None if None in sources else packed_keys(sources)
+        if keys is None:
+            return None
+
+        def selected(block: Frame) -> tuple[list[Column], Optional[np.ndarray]]:
+            rows = kept_rows(self._where(block, plan.residual)) \
+                if plan.residual else None
+            return [block.columns[name] for name in plan.sources], rows
+
+        # map() holds no block: one block's arrays live at a time.
+        distinct, kept = packed_distinct(
+            keys, chain.length,
+            map(selected, chain.blocks(plan.steps[-1], BLOCK_ROWS)))
+        self._charge_motion(_FIXED_WIDTH[INT64] * len(keys) * kept, kept,
+                            plan.out_distribution is not None)
+        return Relation(list(plan.out_names),
+                        dict(zip(plan.out_names, distinct)),
+                        plan.out_distribution,
+                        display_names=list(plan.display_names))
 
     def _join_step(
         self, chain: _JoinChain, right: Frame, step: JoinStepPlan,
@@ -946,29 +1012,22 @@ class Executor:
         return Frame(columns, {binding: list(scan.columns)}, relation.n_rows,
                      scan.distribution)
 
-    def _kept_rows(
-        self, frame: Frame, predicates: list[Expression],
-        fused: bool = False,
-    ) -> Optional[np.ndarray]:
-        """The rows every predicate holds on, ``None`` when that is every
-        row: their ascending positions, which a gather per column reads —
-        compressing two columns by mask costs more below ~19 in 20 rows
-        kept (18.4 against 9.3 ms for 2M rows, 84% kept).  A ``fused``
-        join→DISTINCT that keeps at least
-        :data:`~repro.sqlengine.operators.DISTINCT_MASK_MIN_KEPT` of the
-        rows gets the boolean mask instead: its DISTINCT compresses one
-        word array, with no positions array and no per-column gather
-        beside it (a G(500k, 1M) round 1 keeps 84%)."""
+    def _where(self, frame: Frame,
+               predicates: list[Expression]) -> np.ndarray:
+        """The mask of the rows every predicate holds on."""
         env = Environment(frame.env_columns(), frame.length, self.registry)
         # truth_values hands back a fresh array: the first one is the mask.
         keep = truth_values(evaluate(predicates[0], env))
         for predicate in predicates[1:]:
             keep &= truth_values(evaluate(predicate, env))
-        return kept_rows(keep, mask_ok=fused)
+        return keep
 
     def _apply_filters(self, frame: Frame, predicates: list[Expression]) -> Frame:
-        rows = self._kept_rows(frame, predicates)
-        return frame if rows is None else frame.take(rows)
+        """The frame's rows every predicate holds on, gathered at their
+        positions — compressing two columns by mask costs more below ~19
+        in 20 rows kept (18.4 against 9.3 ms for 2M rows, 84% kept)."""
+        keep = self._where(frame, predicates)
+        return frame if keep.all() else frame.take(np.flatnonzero(keep))
 
     def _charge_motion(self, n_bytes: int, n_rows: int,
                        colocated: bool) -> None:
@@ -1137,21 +1196,14 @@ class Executor:
             np.bincount(groups.values, minlength=n_groups).astype(
                 np.int64, copy=False), INT64)
 
-    def _distinct(self, relation: Relation,
-                  rows: Optional[np.ndarray] = None) -> Relation:
-        """DISTINCT over ``relation``'s ``rows`` (a fused join→DISTINCT's
-        WHERE: ascending positions or a boolean mask; ``None``: every row),
-        which the kernel selects once, in its packed words.  The input
-        relation — its rows, the motion charged for it — is the filtered
-        one: the kept rows and their bytes, whatever the selection's
-        form."""
+    def _distinct(self, relation: Relation) -> Relation:
+        """DISTINCT over ``relation``, charged the motion of its bytes."""
         names = relation.names
         columns = [relation.columns[n] for n in names]
-        self._charge_motion(sum(col.byte_size(rows) for col in columns),
-                            relation.n_rows if rows is None
-                            else selection_size(rows),
+        self._charge_motion(sum(col.byte_size() for col in columns),
+                            relation.n_rows,
                             relation.distribution is not None)
         return Relation(list(names),
-                        dict(zip(names, self._distinct_kernel(columns, rows))),
+                        dict(zip(names, self._distinct_kernel(columns))),
                         relation.distribution, list(relation.display_names))
 

@@ -72,9 +72,11 @@ or index over the leading column finds it sorted), as columns in the
 input's forms.  NULL-free int64 keys pack each row's offsets — an encoded
 column's codes, a plain column's values less their least — into one word
 (a ``uint32`` when they fit 32 bits together, else an int64), value-sort
-the words and unpack the survivors; a fused join→DISTINCT's WHERE selects
-its rows once, by positions gathered into the words or by one mask
-compress of them.  Every other key — NULLs,
+the words and unpack the survivors.  The packing runs over blocks of
+rows (:func:`packed_distinct`): a whole-column DISTINCT is one block, and
+a fused join→DISTINCT hands one block of its join chain's rows at a
+time, with the rows its WHERE keeps there, so no edge-length column is
+gathered, filtered or packed whole.  Every other key — NULLs,
 floats, text, offsets wider than 63 bits together — takes the first row
 of each :func:`group_rows` group, groups coming in key order too.
 
@@ -110,12 +112,12 @@ the final round's queries run over zero rows.
 from __future__ import annotations
 
 import sys
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ExecutionError
-from .types import FLOAT64, INT64, Column, selected_positions
+from .types import FLOAT64, INT64, Column
 
 #: Right-index sentinel for unmatched rows in a left outer join.
 NO_MATCH = -1
@@ -226,7 +228,8 @@ class KeyIndex:
     """A reusable single-column index: five statistics of the key column,
     no array.
 
-    ``n_rows``, ``is_unique``, ``is_sorted`` (the column is non-decreasing
+    ``n_rows``, ``is_unique`` (``None``: unknown, see
+    :func:`build_key_index`), ``is_sorted`` (the column is non-decreasing
     as stored) and the ``min_value`` / ``max_value`` bounds let a join
     route pick its kernel, skip the duplicate-expansion machinery and size
     a direct-address table without touching the data; an index that
@@ -242,7 +245,8 @@ class KeyIndex:
     __slots__ = ("n_rows", "is_unique", "is_sorted", "min_value",
                  "max_value")
 
-    def __init__(self, n_rows: int, is_unique: bool, is_sorted: bool,
+    def __init__(self, n_rows: int, is_unique: Optional[bool],
+                 is_sorted: bool,
                  min_value: Optional[int], max_value: Optional[int]):
         self.n_rows = n_rows
         self.is_unique = is_unique
@@ -274,8 +278,11 @@ def build_key_index(
     DISTINCT's leading column) reads its bounds off its ends and its
     uniqueness off one comparison of neighbours.  Otherwise the bounds
     take a ``min`` and a ``max``; dense integer keys then take a
-    ``bincount`` and any other key one ``np.sort``.  Nothing is kept but
-    the five numbers."""
+    ``bincount``, and other codes one ``np.sort``.  Uniqueness of any
+    other key is left unknown (``None``): no join route reads it — such a
+    build side is neither sorted nor dense, so the ``sorted`` route sorts
+    it and compares neighbours itself.  Nothing is kept but the five
+    numbers."""
     if values.dtype == object:
         raise ExecutionError("key indexes require fixed-width numeric columns")
     n = int(values.shape[0])
@@ -291,9 +298,11 @@ def build_key_index(
     elif low is not None and high - low + 1 <= _dense_span_limit(n):
         counts = np.bincount(values - low if low else values)
         is_unique = int(counts.max()) <= 1
-    else:
+    elif dictionary is not None:
         ordered = np.sort(values)
         is_unique = not bool((ordered[1:] == ordered[:-1]).any())
+    else:
+        is_unique = None
     if low is not None and dictionary is not None:
         low, high = int(dictionary[low]), int(dictionary[high])
     return KeyIndex(n, is_unique, is_sorted, low, high)
@@ -990,13 +999,12 @@ def _boundaries(ordered: np.ndarray) -> np.ndarray:
 
 
 class _PackedKey(NamedTuple):
-    """One column of a packed DISTINCT: ``array`` holds its codes (every
-    row) or its values — at the DISTINCT's positions, or every row under a
-    mask — an offset is a value less ``base``; offsets fit ``width``
-    bits."""
+    """One column of a packed DISTINCT: an offset is an encoded
+    ``column``'s code, a plain one's value less ``base``, and offsets fit
+    ``width`` bits.  ``column`` is also the form the distinct rows come
+    out in."""
 
     column: Column
-    array: np.ndarray
     base: int
     width: int
 
@@ -1008,120 +1016,142 @@ NARROW_WORD_BITS = 32
 #: Which ``uint32`` of a native int64 holds its low half.
 _LOW_HALF = 0 if sys.byteorder == "little" else 1
 
-#: A DISTINCT compresses its word array by a boolean mask keeping at least
-#: this share of the words, and gathers at positions below it: one
-#: compress allocates no positions array and no gather beside the words,
-#: but below ~9 in 10 kept it is slower — 2x at 3/4 kept (13.5 against
-#: 6.1 ms for 1.7M words), 3.4x at half.  It serves a fused
-#: join→DISTINCT's WHERE (the executor's ``_kept_rows``) and the dedup of
-#: the sorted words alike.
+#: A selection keeping at least this share of the rows is a boolean mask,
+#: one below it ascending positions: one compress allocates no positions
+#: array and no gather beside the words, but below ~9 in 10 kept it is
+#: slower — 2x at 3/4 kept (13.5 against 6.1 ms for 1.7M words), 3.4x at
+#: half.  It serves each block of a fused join→DISTINCT (the executor's
+#: ``_blocked_distinct``) and the dedup of the sorted words alike.
 DISTINCT_MASK_MIN_KEPT = 0.75
 
 
-def kept_rows(keep: np.ndarray,
-              mask_ok: bool = True) -> Optional[np.ndarray]:
+def kept_rows(keep: np.ndarray) -> Optional[np.ndarray]:
     """The rows ``keep`` holds on: ``None`` when that is every row, the
     mask itself when it keeps at least :data:`DISTINCT_MASK_MIN_KEPT` of
-    them and ``mask_ok``, else their ascending positions."""
+    them, else their ascending positions."""
     kept = int(np.count_nonzero(keep))
     if kept == keep.shape[0]:
         return None
-    if mask_ok and kept >= DISTINCT_MASK_MIN_KEPT * keep.shape[0]:
+    if kept >= DISTINCT_MASK_MIN_KEPT * keep.shape[0]:
         return keep
     return np.flatnonzero(keep)
 
 
-def distinct_rows(
-    columns: list[Column], rows: Optional[np.ndarray] = None
-) -> list[Column]:
+def distinct_rows(columns: list[Column]) -> list[Column]:
     """DISTINCT: the distinct rows themselves, in ascending key order, as
     columns in the input's forms.
 
-    ``rows``, when given, selects the only rows the DISTINCT reads — a
-    fused join→DISTINCT's WHERE (see :mod:`repro.sqlengine.executor`): their
-    ascending positions, or a boolean mask over every row.  NULL-free
-    int64 keys whose offsets fit one word are packed and sorted
-    (:func:`_packed_distinct`); any other key is grouped
-    (:func:`_grouped_distinct`).
+    NULL-free int64 keys whose offsets fit one word are packed and sorted
+    (:func:`packed_distinct`, every row one block); any other key is
+    grouped (:func:`_grouped_distinct`).
     """
-    if columns and all(col.mask is None and col.storage.dtype == np.int64
-                       for col in columns):
-        keys = _packed_keys(columns, rows)
-        if keys is not None:
-            return _packed_distinct(keys, rows)
-    return _grouped_distinct(columns, rows)
+    keys = packed_keys(columns)
+    if keys is None:
+        return _grouped_distinct(columns)
+    return packed_distinct(keys, len(columns[0]), [(columns, None)])[0]
 
 
-def _packed_keys(
-    columns: list[Column], rows: Optional[np.ndarray]
-) -> Optional[list[_PackedKey]]:
+def packed_keys(columns: list[Column]) -> Optional[list[_PackedKey]]:
     """Each column's :class:`_PackedKey` — an encoded column's offset is
-    its code, a plain column's its value less the least one (of the rows
-    at the positions, or of every row under a mask: either is exact) — or
-    ``None`` when the offsets need more than 63 bits."""
+    its code, a plain column's its value less its least — or ``None``
+    when a column is not NULL-free int64 or the offsets need more than 63
+    bits.  A plain column's bounds are every row's, so the keys pack any
+    rows drawn from ``columns``: a fused join→DISTINCT hands the columns
+    its blocks gather from."""
+    if not columns:
+        return None
     keys = []
     for col in columns:
+        if col.mask is not None or col.storage.dtype != np.int64:
+            return None
         if col.codes is not None:
             width = (int(col.dictionary.shape[0]) - 1).bit_length()
-            keys.append(_PackedKey(col, col.codes, 0, width))
+            keys.append(_PackedKey(col, 0, width))
             continue
-        values = col.values if rows is None or rows.dtype == np.bool_ \
-            else col.values[rows]
+        values = col.values
         low, high = (int(values.min()), int(values.max())) \
             if values.shape[0] else (0, 0)
-        keys.append(_PackedKey(col, values, low, (high - low).bit_length()))
+        keys.append(_PackedKey(col, low, (high - low).bit_length()))
     if sum(key.width for key in keys) > 63:
         return None
     return keys
 
 
-def _packed_distinct(
-    keys: list[_PackedKey], rows: Optional[np.ndarray]
-) -> list[Column]:
-    """DISTINCT by one value sort: each row's offsets are packed into one
-    word, first column in the high bits; ``ndarray.sort`` brings equal
-    rows together *and* the distinct ones into key order, because offsets
-    and codes order as their values do.  The survivors are widened to
-    int64 once and unpacked by shift and mask straight into the output
-    columns: nothing is hashed and no row is gathered.  A GROUP BY or
-    index build over the leading column of the result finds it sorted.
+def packed_distinct(
+    keys: list[_PackedKey], n_rows: int,
+    blocks: Iterable[tuple[list[Column], Optional[np.ndarray]]],
+) -> tuple[list[Column], int]:
+    """DISTINCT by one value sort of packed words, over the rows
+    ``blocks`` selects, at most ``n_rows``: each block is its key columns
+    (in the forms of ``keys``' columns) and the rows to keep of them
+    (:func:`kept_rows`' form).  Returns the distinct rows and the kept
+    count.
 
-    A word is a ``uint32`` when the offsets fit :data:`NARROW_WORD_BITS`
-    together — codes are gathered through their low halves, so no int64
-    copy of them is made — and an int64 otherwise.  The first word of each
-    run of equal ones survives the sort, selected as :func:`kept_rows`
-    says: by one compress when most survive.
-
-    Under positions, each column's codes or values there are gathered
-    straight into the fold, the first column's gather being the word array
-    itself, and every other gather is freed as soon as it is folded in:
-    one held through the sort makes the sort's allocations fault in fresh
-    pages.  A mask (a WHERE that kept most rows) is never turned into
-    positions: every row's word is packed from the whole columns, which
-    the fold reads without a gather, and that one word array is compressed
-    once — no positions array and no per-column gather exist."""
+    The kept rows' words — ``uint32`` when the offsets fit
+    :data:`NARROW_WORD_BITS` together, else int64 — are packed block by
+    block into one buffer at a cursor (:func:`_pack_rows`), and the kept
+    prefix is sorted where it lies (shrinking the buffer by
+    ``ndarray.resize`` fragments the heap: a warm database's peak RSS
+    grew 0.7 MB more over 1000 runs of G(1k, 2k)).  Sorting brings equal
+    rows together *and* the distinct ones into key order, as offsets and
+    codes order as their values do.  The first word of each run
+    survives, selected as :func:`kept_rows` says; the survivors are
+    widened to int64 once — copied if still the buffer's prefix, so no
+    output holds the buffer — and unpacked by shift and mask
+    (:func:`_unpack`): nothing is hashed and no row is gathered.  The
+    result's leading column comes out sorted."""
     narrow = sum(key.width for key in keys) <= NARROW_WORD_BITS
-    dtype = np.uint32 if narrow else np.int64
-    mask = rows if rows is not None and rows.dtype == np.bool_ else None
-    positions = None if mask is not None else rows
-    words = _offsets_at(keys[0], positions, narrow)
-    if words.dtype != dtype or not words.flags.owndata \
-            or words is keys[0].column.storage:
-        words = words.astype(dtype)
-    for key in keys[1:]:
-        words <<= key.width
-        np.bitwise_or(words, _offsets_at(key, positions, narrow), out=words,
-                      casting="unsafe")
-    if mask is not None:
-        words = words[mask]
+    words = np.empty(n_rows, dtype=np.uint32 if narrow else np.int64)
+    cursor = 0
+    for block in blocks:
+        cursor = _pack_rows(keys, *block, words, cursor)
+        del block  # before the next block is gathered
+    words = words[:cursor]
     words.sort()
-    head = np.empty(words.shape[0], dtype=bool)
+    head = np.empty(cursor, dtype=bool)
     head[:1] = True
     np.not_equal(words[1:], words[:-1], out=head[1:])
     survivors = kept_rows(head)
+    del head
     if survivors is not None:
         words = words[survivors]
-    words = words.astype(np.int64, copy=False)
+    del survivors
+    # No view of the buffer outlives the statement.
+    words = words.astype(np.int64, copy=words.base is not None)
+    return _unpack(keys, words), cursor
+
+
+def _pack_rows(keys: list[_PackedKey], columns: list[Column],
+               rows: Optional[np.ndarray], words: np.ndarray,
+               cursor: int) -> int:
+    """Pack the words of ``columns``' rows that ``rows`` keeps into
+    ``words`` from ``cursor`` on, first column in the high bits; the
+    cursor after them.  Positions (and ``None``: every row) gather each
+    column's offsets straight into the words; a mask packs every row's
+    word and compresses them into the words once."""
+    mask = rows if rows is not None and rows.dtype == np.bool_ else None
+    positions = None if mask is not None else rows
+    n = len(columns[0]) if rows is None else \
+        rows.shape[0] if mask is None else int(np.count_nonzero(mask))
+    out = words[cursor:cursor + n]
+    packed = out if mask is None else np.empty(mask.shape[0], words.dtype)
+    narrow = words.dtype == np.uint32
+    for i, (key, col) in enumerate(zip(keys, columns)):
+        offsets = _offsets_at(col, positions, narrow)
+        if i == 0:
+            np.subtract(offsets, key.base, out=packed, casting="unsafe")
+            continue
+        packed <<= key.width
+        np.bitwise_or(packed, offsets - key.base if key.base else offsets,
+                      out=packed, casting="unsafe")
+    if mask is not None:
+        np.compress(mask, packed, out=out)
+    return cursor + n
+
+
+def _unpack(keys: list[_PackedKey], words: np.ndarray) -> list[Column]:
+    """The columns of the distinct rows whose int64 ``words`` these are,
+    in key order, each in its key's form (``words`` is consumed)."""
     distinct = []
     for key in keys[:0:-1]:
         distinct.append(_unpacked(key, words & ((1 << key.width) - 1)))
@@ -1130,18 +1160,18 @@ def _packed_distinct(
     return distinct[::-1]
 
 
-def _offsets_at(key: _PackedKey, positions: Optional[np.ndarray],
+def _offsets_at(column: Column, positions: Optional[np.ndarray],
                 narrow: bool) -> np.ndarray:
-    """A packed key's offsets at ``positions`` (``None``: every row) —
-    codes gathered there, or every row's codes as they are, as the low
-    ``uint32`` halves of the codes when ``narrow``; values (already
-    selected) less their base."""
-    if key.column.codes is None:
-        return key.array - key.base if key.base else key.array
-    codes = key.array
-    if narrow:
-        codes = np.ascontiguousarray(codes).view(np.uint32)[_LOW_HALF::2]
-    return codes if positions is None else codes[positions]
+    """A packed column's codes or values at ``positions`` (``None``:
+    every row) — codes through their low ``uint32`` halves when
+    ``narrow``, so no int64 copy of them is made."""
+    if column.codes is None:
+        array = column.values
+    else:
+        array = column.codes
+        if narrow:
+            array = np.ascontiguousarray(array).view(np.uint32)[_LOW_HALF::2]
+    return array if positions is None else array[positions]
 
 
 def _unpacked(key: _PackedKey, offsets: np.ndarray) -> Column:
@@ -1151,15 +1181,10 @@ def _unpacked(key: _PackedKey, offsets: np.ndarray) -> Column:
     return key.column.with_storage(offsets)
 
 
-def _grouped_distinct(
-    columns: list[Column], rows: Optional[np.ndarray]
-) -> list[Column]:
+def _grouped_distinct(columns: list[Column]) -> list[Column]:
     """DISTINCT of every other key — NULLs, floats, text, offsets wider
     than 63 bits together: the first row of each :func:`group_rows` group,
     which come in key order (NULLs last, each NaN a group of its own)."""
-    if rows is not None:
-        rows = selected_positions(rows)
-        columns = [col.take(rows) for col in columns]
     order, starts = group_rows(columns)
     keep = order[starts]
     return [col.take(keep) for col in columns]

@@ -54,12 +54,14 @@ The compiler also wires in **pipeline fusion**:
 
 Together they make a ``SELECT DISTINCT col, ...`` directly above a join —
 outer or inner — a **fused join→DISTINCT** (``CorePlan.fused``): the
-chain's one materialisation gathers exactly the projected and
-residual-filter columns, and DISTINCT reads them with no projection pass
-in between.  The WHERE reaches DISTINCT as positions: the executor
-evaluates the residual predicates over the materialised frame and hands
-DISTINCT the kept rows' positions instead of a filtered frame, which it
-selects once.  Every GROUP BY runs over the chain's materialised frame.
+chain gathers exactly the projected and residual-filter columns, and
+DISTINCT reads them with no projection pass in between.  When its keys
+pack into one word the executor never materialises the chain: it
+gathers those columns one block of chain rows at a time, evaluates the
+residual predicates over the block and packs the kept rows' words, so
+no filtered frame — no column of the chain's length — is built.  Any
+other fused DISTINCT materialises, filters and de-duplicates its frame.
+Every GROUP BY runs over the chain's materialised frame.
 """
 
 from __future__ import annotations
@@ -246,10 +248,9 @@ class CorePlan:
     #: Every aggregate node of the select items, in walk order (equal
     #: nodes repeat: patching may make them differ).
     aggregates: list[Aggregate]
-    #: A SELECT DISTINCT of plain columns directly above a join: the
-    #: chain's materialised frame holds only what it projects and filters
-    #: on, and the residual WHERE reaches DISTINCT as row positions
-    #: (telemetry: ``fused_pipelines``).
+    #: A SELECT DISTINCT of plain columns directly above a join: the chain
+    #: gathers only what it projects and filters on, one block of rows at
+    #: a time when the keys pack (telemetry: ``fused_pipelines``).
     fused: bool = False
 
 

@@ -56,21 +56,6 @@ def dtype_for(sql_type: str) -> np.dtype:
         raise ExecutionError(f"unknown SQL type {sql_type!r}")
 
 
-def selection_size(rows: np.ndarray) -> int:
-    """How many rows a selection keeps: ascending positions, or a boolean
-    mask over every row (a fused join→DISTINCT's WHERE that keeps most
-    rows, see :mod:`repro.sqlengine.executor`)."""
-    if rows.dtype == np.bool_:
-        return int(np.count_nonzero(rows))
-    return int(rows.shape[0])
-
-
-def selected_positions(rows: np.ndarray) -> np.ndarray:
-    """A selection as ascending positions, which serve a gather of every
-    column: a boolean mask is compressed once, by ``flatnonzero``."""
-    return np.flatnonzero(rows) if rows.dtype == np.bool_ else rows
-
-
 def sql_type_of_value(value: object) -> str:
     """Infer the SQL type of a Python literal."""
     if isinstance(value, bool):
@@ -213,18 +198,14 @@ class Column:
             return self.values
         return self.values[~self.mask]
 
-    def byte_size(self, rows: Optional[np.ndarray] = None) -> int:
-        """Storage footprint used for the engine's space accounting — of
-        the rows at positions ``rows`` only, when given: what
-        ``take(rows).byte_size()`` would say, without the gather; ``rows``
-        may be positions or a boolean mask (:func:`selection_size`)."""
-        n = len(self) if rows is None else selection_size(rows)
+    def byte_size(self) -> int:
+        """Storage footprint used for the engine's space accounting."""
+        n = len(self)
         if self.sql_type in _FIXED_WIDTH:
             size = _FIXED_WIDTH[self.sql_type] * n
         else:
-            values = self.values if rows is None else self.values[rows]
-            size = sum(len(str(v)) for v in values) + n
-        if self.mask is not None and (rows is None or self.mask[rows].any()):
+            size = sum(len(str(v)) for v in self.values) + n
+        if self.mask is not None:
             size += n
         return size
 

@@ -72,17 +72,17 @@ def record_branches(monkeypatch) -> list[str]:
     """Spy on ``distinct_rows``: the returned list receives the branch of
     every DISTINCT run from here on, in call order."""
     taken: list[str] = []
-    packed = operators._packed_distinct
+    packed = operators._unpack
     grouped = operators._grouped_distinct
 
-    def recording_packed(keys, rows):
+    def recording_packed(keys, words):
         taken.append(packed_branch(keys))
-        return packed(keys, rows)
+        return packed(keys, words)
 
-    def recording_grouped(columns, rows):
+    def recording_grouped(columns):
         taken.append("grouped")
-        return grouped(columns, rows)
+        return grouped(columns)
 
-    monkeypatch.setattr(operators, "_packed_distinct", recording_packed)
+    monkeypatch.setattr(operators, "_unpack", recording_packed)
     monkeypatch.setattr(operators, "_grouped_distinct", recording_grouped)
     return taken

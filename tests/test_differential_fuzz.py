@@ -66,7 +66,11 @@ that such an evaluation over a dictionary was built.
 The input gates of the cache-conscious sort and probe primitives
 (``operators.CACHE_KERNEL_MIN_ROWS``, ``PRESORTED_MAX_DESCENTS``) are
 switched off, so every execution sorts with ``stable_argsort``'s tie
-repair and probes with ``sorted_lookup``'s buckets on these tiny tables.
+repair and probes with ``sorted_lookup``'s buckets on these tiny tables,
+and a fused join→DISTINCT's block loop runs over blocks of
+:data:`BLOCK_ROWS_UNDER_FUZZ` rows (``executor.BLOCK_ROWS``), a small
+prime, so its blocks end mid-chain; every full batch must have run such
+a loop over more than one block against sqlite.
 The tables' keys are small integers, which
 the kernels treat as a dense range; every other batch therefore runs with
 the dense dispatch off (``DENSE_SPAN_FACTOR`` = ``DENSE_SPAN_FLOOR`` = 0),
@@ -109,6 +113,10 @@ from .distinct_reference import BRANCHES, record_branches
 from .sqlite_oracle import SqliteOracle, sorted_rows
 
 FUZZ_ROUNDS = int(os.environ.get("REPRO_FUZZ_ROUNDS", "200"))
+
+#: The rows per block of a fused join→DISTINCT under fuzz: a small prime,
+#: so that the blocks of a few dozen chain rows end anywhere.
+BLOCK_ROWS_UNDER_FUZZ = 7
 FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20200420"))
 
 #: Fresh random tables (and databases) every this many statements, with a
@@ -445,8 +453,10 @@ def filling_builds(rand: random.Random) -> tuple[list[str], list[str]]:
     whatever the batch's random tables hold: ``f1`` is the DISTINCT of a
     stacked scan's first column, codes that cover the joint dictionary
     (``dense-offset`` on codes); ``f2`` holds a contiguous run of values,
-    one row each, in order (``dense-offset`` on values).  Returns (the
-    tables' statements, the joins)."""
+    one row each, in order (``dense-offset`` on values).  A filtered
+    DISTINCT over the first join packs codes of its two rows per edge —
+    at least 16, so its block loop crosses blocks under fuzz.  Returns
+    (the tables' statements, the joins)."""
     table = rand.choice(list(TABLES))
     key, val, _ = TABLES[table]
     stacked = (f"(select {key} c0, {val} c1 from {table} union all "
@@ -460,7 +470,9 @@ def filling_builds(rand: random.Random) -> tuple[list[str], list[str]]:
              f"insert into f2 values {rows}"],
             [f"select u.c1, q.f from {stacked} join f1 as q on (u.c0 = q.f)",
              f"select x.{probe}, q.c from {table} as x join f2 as q on "
-             f"(x.{probe} = q.f)"])
+             f"(x.{probe} = q.f)",
+             f"select distinct u.c1, q.f from {stacked} join f1 as q on "
+             f"(u.c0 = q.f) where u.c1 + 1 > q.f"])
 
 
 def generate_query(rand: random.Random) -> str:
@@ -580,6 +592,17 @@ def test_differential_fuzz(monkeypatch):
 
     monkeypatch.setattr(operators, "CACHE_KERNEL_MIN_ROWS", 1)
     monkeypatch.setattr(operators, "PRESORTED_MAX_DESCENTS", -1)
+    monkeypatch.setattr(executor_module, "BLOCK_ROWS", BLOCK_ROWS_UNDER_FUZZ)
+    # Block loops over more than one block.
+    crossed = {"loops": 0}
+    blocked_distinct = executor_module.packed_distinct
+
+    def recording_blocked_distinct(keys, n_rows, blocks):
+        crossed["loops"] += n_rows > BLOCK_ROWS_UNDER_FUZZ
+        return blocked_distinct(keys, n_rows, blocks)
+
+    monkeypatch.setattr(executor_module, "packed_distinct",
+                        recording_blocked_distinct)
     # (route kind, whether the keys were codes over one dictionary)
     routes: set[tuple[str, bool]] = set()
     composite = {"joins": 0, "three_column": 0}
@@ -644,6 +667,7 @@ def test_differential_fuzz(monkeypatch):
             db.execute(statement)
         batch_rounds = min(BATCH, FUZZ_ROUNDS - executed)
         skipped = db.stats.group_sorts_skipped
+        loops = crossed["loops"]
         for batch_position in range(batch_rounds):
             if batch_position == BATCH // 2:
                 for statement in churn_statements(rand):
@@ -691,6 +715,8 @@ def test_differential_fuzz(monkeypatch):
         if batch_rounds == BATCH:
             # A GROUP BY over a key that arrived sorted met sqlite.
             assert db.stats.group_sorts_skipped > skipped
+            # So did a block loop over more than one block.
+            assert crossed["loops"] > loops
         engaged["chain"] += db.stats.join_chain_fusions
         engaged["left_chain"] += db.stats.left_chain_fusions
         engaged["fused"] += db.stats.fused_pipelines
@@ -819,11 +845,12 @@ def planted_distincts(rand: random.Random, oracle) -> list[str]:
     """Fused DISTINCTs that engage every selection and word width, planted
     in every batch whatever its random tables hold: a WHERE keeping at
     least ``DISTINCT_MASK_MIN_KEPT`` of the rows but not all (the mask) or
-    fewer but some (positions), over a text column (joined alone to the
-    edge-like table), narrow columns or the 2^41-spread one — whose span
-    over the rows the DISTINCT packs (every row under a mask, the kept
-    ones otherwise) needs an int64 word.  Each WHERE is drawn until
-    sqlite's counts show it qualifies."""
+    fewer but some (positions) — of the one block a join of these tiny
+    tables makes — over a text column (joined alone to the edge-like
+    table), narrow columns or the 2^41-spread one, whose span over the
+    kept rows, and so over the column the block loop reads its bounds
+    off, needs an int64 word.  Each WHERE is drawn until sqlite's counts
+    show it qualifies."""
     from repro.sqlengine.operators import DISTINCT_MASK_MIN_KEPT
 
     def scalar(sql: str):
@@ -855,10 +882,9 @@ def planted_distincts(rand: random.Random, oracle) -> list[str]:
             else:
                 fits = 0 < kept < DISTINCT_MASK_MIN_KEPT * n_rows
             if fits and kind == "wide":
-                packed = from_sql if selection == "mask" \
-                    else f"{from_sql} where {where}"
                 fits = scalar(f"select max(e.{WIDE[probe]}) - "
-                              f"min(e.{WIDE[probe]}) from {packed}") \
+                              f"min(e.{WIDE[probe]}) from {from_sql} "
+                              f"where {where}") \
                     >= 1 << operators.NARROW_WORD_BITS
             if fits:
                 planted.append(f"select distinct {', '.join(items)} "
@@ -872,54 +898,71 @@ def planted_distincts(rand: random.Random, oracle) -> list[str]:
 
 def test_filtered_distinct_fuzz(monkeypatch):
     """Fused join->DISTINCTs under a residual WHERE, against sqlite and
-    against their own warm re-execution.  Their DISTINCT gets the kept
-    rows as positions, or as the mask when the WHERE keeps most rows; the
-    harness asserts every way those rows are served was generated: packed
-    into encoded words, taken from plain, NULL-bearing and text columns
-    first, ``None`` for a WHERE that keeps every row, and an empty
-    selection for one that keeps none — and in every batch both
-    selections and both word widths (:func:`planted_distincts`)."""
+    against their own warm re-execution and one whose block loop runs in
+    blocks of :data:`BLOCK_ROWS_UNDER_FUZZ` rows.  Keys that pack run as
+    a block loop, each block packing the rows it keeps, as positions or
+    as the mask when the WHERE keeps most of them; the harness asserts
+    every way those rows are served was generated: encoded and plain
+    words packed block by block, NULL-bearing and text columns filtered
+    first, a WHERE that keeps every row and one that keeps none, a LEFT
+    JOIN in the chain — and in every batch both selections and both word
+    widths (:func:`planted_distincts`)."""
     import repro.sqlengine.executor as executor_module
-    from repro.sqlengine.types import selection_size
 
     engaged = {"encoded": 0, "plain": 0, "nulls": 0, "text": 0,
                "kept_all": 0, "kept_none": 0, "left_tail": 0}
     batch: set = set()  # selections and word widths met in this batch
-    execute_from = executor_module.Executor._execute_from
+    fallback = {"plan": None}  # a fused core whose keys did not pack
+    blocked = executor_module.Executor._blocked_distinct
+    blocked_distinct = executor_module.packed_distinct
     distinct = executor_module.Executor._distinct
-    packed_distinct = operators._packed_distinct
+    pack_rows = operators._pack_rows
+    unpack = operators._unpack
 
-    def recording_execute_from(self, plan):
-        frame, rows = execute_from(self, plan)
-        if plan.fused and plan.residual:
-            engaged["kept_all"] += rows is None
-            engaged["kept_none"] += rows is not None \
-                and selection_size(rows) == 0
+    def recording_blocked(self, plan, chain):
+        relation = blocked(self, plan, chain)
+        if plan.residual:
             engaged["left_tail"] += any(step.outer for step in plan.steps)
-        return frame, rows
+            fallback["plan"] = plan if relation is None else None
+        return relation
 
-    def recording_packed(keys, rows):
-        narrow = sum(key.width for key in keys) <= operators.NARROW_WORD_BITS
-        batch.add("narrow" if narrow else "wide")
-        return packed_distinct(keys, rows)
+    def recording_blocked_distinct(keys, n_rows, blocks):
+        distinct_columns, kept = blocked_distinct(keys, n_rows, blocks)
+        engaged["kept_all"] += kept == n_rows
+        engaged["kept_none"] += n_rows > 0 and kept == 0
+        if kept:
+            engaged["encoded"] += all(key.column.codes is not None
+                                      for key in keys)
+            engaged["plain"] += any(key.column.codes is None
+                                    for key in keys)
+        return distinct_columns, kept
 
-    def recording_distinct(self, relation, rows=None):
-        if rows is not None:
-            batch.add("mask" if rows.dtype == np.bool_ else "positions")
-        if rows is not None and selection_size(rows):
+    def recording_distinct(self, relation):
+        if fallback["plan"] is not None and relation.n_rows:
             columns = [relation.column(name) for name in relation.names]
-            engaged["encoded"] += all(col.codes is not None
-                                      for col in columns)
-            engaged["plain"] += any(col.codes is None for col in columns)
             engaged["nulls"] += any(col.mask is not None for col in columns)
             engaged["text"] += any(col.sql_type == "text" for col in columns)
-        return distinct(self, relation, rows)
+        fallback["plan"] = None
+        return distinct(self, relation)
 
-    monkeypatch.setattr(executor_module.Executor, "_execute_from",
-                        recording_execute_from)
+    def recording_pack_rows(keys, columns, rows, *args):
+        if rows is not None:
+            batch.add("mask" if rows.dtype == np.bool_ else "positions")
+        return pack_rows(keys, columns, rows, *args)
+
+    def recording_unpack(keys, words):
+        narrow = sum(key.width for key in keys) <= operators.NARROW_WORD_BITS
+        batch.add("narrow" if narrow else "wide")
+        return unpack(keys, words)
+
+    monkeypatch.setattr(executor_module.Executor, "_blocked_distinct",
+                        recording_blocked)
+    monkeypatch.setattr(executor_module, "packed_distinct",
+                        recording_blocked_distinct)
     monkeypatch.setattr(executor_module.Executor, "_distinct",
                         recording_distinct)
-    monkeypatch.setattr(operators, "_packed_distinct", recording_packed)
+    monkeypatch.setattr(operators, "_pack_rows", recording_pack_rows)
+    monkeypatch.setattr(operators, "_unpack", recording_unpack)
     rand = random.Random(FUZZ_SEED)
     # Drawn from a stream of its own, so the generated statements stay
     # those the seed gives without them.
@@ -935,14 +978,23 @@ def test_filtered_distinct_fuzz(monkeypatch):
         sqls = planted_distincts(plant_rand, oracle)
         n_generated = min(BATCH, FUZZ_ROUNDS - executed)
         sqls += [_filtered_distinct(rand) for _ in range(n_generated)]
+        planned = {}
         for sql in sqls:
-            planned = db.execute(sql).relation
+            planned[sql] = db.execute(sql).relation
             warm = db.execute(sql).relation
-            assert_identical(sql, "warm", warm, planned)
-            assert sorted_rows(planned.rows()) == \
+            assert_identical(sql, "warm", warm, planned[sql])
+            assert sorted_rows(planned[sql].rows()) == \
                 sorted_rows(oracle.execute(sql)), sql
-        executed += n_generated
+        # The plants chose their selections for one block per chain: met
+        # before any statement runs in small blocks.
         assert batch == {"mask", "positions", "narrow", "wide"}, batch
+        with monkeypatch.context() as small:
+            small.setattr(executor_module, "BLOCK_ROWS",
+                          BLOCK_ROWS_UNDER_FUZZ)
+            for sql in sqls:
+                assert_identical(sql, "small blocks",
+                                 db.execute(sql).relation, planned[sql])
+        executed += n_generated
         db.close()
         oracle.close()
     assert all(engaged.values()), engaged

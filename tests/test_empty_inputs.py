@@ -16,6 +16,8 @@ from repro.sqlengine.operators import (
     group_rows,
     join_indices,
     left_join_indices,
+    packed_distinct,
+    packed_keys,
     pad_left_outer,
 )
 from repro.sqlengine.types import Column
@@ -80,9 +82,11 @@ def test_distinct_and_group_kernels_on_degenerate_inputs():
     # NULLs compare equal.
     assert [col.to_list() for col in distinct_rows([ALL_NULL])] == [[None]]
     nothing = np.empty(0, dtype=np.int64)
-    # A WHERE that kept no row.
-    assert [len(col) for col in distinct_rows([FILLED, FILLED],
-                                              nothing)] == [0, 0]
+    # A WHERE that kept no row of a block, and a chain of no block.
+    keys = packed_keys([FILLED, FILLED])
+    for blocks in ([([FILLED, FILLED], nothing)], []):
+        distinct, kept = packed_distinct(keys, len(FILLED), blocks)
+        assert [len(col) for col in distinct] == [0, 0] and kept == 0
     order, starts = group_rows([EMPTY])
     assert order.shape[0] == 0 and starts.shape[0] == 0
 

@@ -19,7 +19,10 @@ from repro.sqlengine.operators import (
     distinct_rows,
     group_rows,
     join_indices,
+    kept_rows,
     left_join_indices,
+    packed_distinct,
+    packed_keys,
     run_starts,
     sorted_group_rows,
     sorted_lookup,
@@ -144,8 +147,8 @@ def test_group_rows_empty():
     assert order.shape[0] == 0 and starts.shape[0] == 0
 
 
-def distinct_lists(columns, rows=None) -> list[list]:
-    return [col.to_list() for col in distinct_rows(columns, rows)]
+def distinct_lists(columns) -> list[list]:
+    return [col.to_list() for col in distinct_rows(columns)]
 
 
 @given(key_lists)
@@ -509,7 +512,10 @@ def test_merge_probe_agrees_with_reference(n):
         for right_values in (build, rng.permutation(build)):
             lcol, rcol = int_column(left_values), int_column(right_values)
             r_index = build_key_index(rcol.values)
-            assert r_index.is_unique
+            # Stored sorted, the index knows the keys unique; unsorted,
+            # the route finds out itself.
+            assert r_index.is_unique is (True if right_values is build
+                                         else None)
             for index in (r_index, None):
                 note: list = []
                 got = join_indices([lcol], [rcol], right_index=index,
@@ -538,10 +544,9 @@ def _encoded(values) -> Column:
 
 @st.composite
 def distinct_inputs(draw):
-    """``(columns, rows)``: one to three integer columns, each plain or
-    encoded, dense or full-range; eight or nine encoded columns too wide
-    to pack; or a key with NULLs, floats or text — and the rows a WHERE
-    kept, as positions or as the mask, or ``None``."""
+    """One to three integer columns, each plain or encoded, dense or
+    full-range; eight or nine encoded columns too wide to pack; or a key
+    with NULLs, floats or text."""
     n = draw(st.integers(0, 30))
 
     def drawn(elements):
@@ -576,21 +581,18 @@ def distinct_inputs(draw):
         text = Column(np.array(drawn(st.sampled_from(TEXT_VALUES)),
                                dtype=object), "text", nulls)
         columns = [text] + [int_key() for _ in range(draw(st.integers(0, 1)))]
-    kept = np.array(drawn(st.booleans()), dtype=bool)
-    rows = draw(st.sampled_from((None, np.flatnonzero(kept), kept)))
-    return columns, rows
+    return columns
 
 
 @given(distinct_inputs())
-def test_distinct_rows_is_the_sorted_row_set(case):
+def test_distinct_rows_is_the_sorted_row_set(columns):
     """Whatever the branch, the output is the reference: the distinct
-    rows at ``rows`` in ascending key order, NULLs last, each NaN row
-    kept apart — as columns of the input's types and forms, with the
-    input's storage left as it was."""
-    columns, rows = case
+    rows in ascending key order, NULLs last, each NaN row kept apart — as
+    columns of the input's types and forms, with the input's storage left
+    as it was."""
     stored = [(col.storage.copy(), col.mask) for col in columns]
-    got = distinct_rows(columns, rows)
-    assert row_tokens(got) == reference_rows(columns, rows)
+    got = distinct_rows(columns)
+    assert row_tokens(got) == reference_rows(columns)
     for out, col in zip(got, columns):
         assert out.sql_type == col.sql_type
         assert out.dictionary is col.dictionary
@@ -598,6 +600,40 @@ def test_distinct_rows_is_the_sorted_row_set(case):
         assert np.array_equal(col.storage, storage,
                               equal_nan=storage.dtype.kind == "f")
         assert col.mask is mask
+
+
+def _blocks(columns: list[Column], keep: np.ndarray, size: int) -> list:
+    """``columns`` cut into blocks of ``size`` rows, each with the rows
+    ``keep`` holds there in :func:`kept_rows`' form — as a fused
+    join→DISTINCT hands them."""
+    return [([col.take(slice(start, start + size)) for col in columns],
+             kept_rows(keep[start:start + size]))
+            for start in range(0, keep.shape[0], size)]
+
+
+@given(st.data())
+def test_packed_distinct_over_blocks_is_the_sorted_row_set(data):
+    """Packed block by block — each block's kept rows every row, a mask
+    or positions — the output is the reference's over the kept rows,
+    whatever the block size, and the kept count is theirs."""
+    n = data.draw(st.integers(0, 40))
+
+    def key():
+        values = data.draw(st.lists(st.integers(-6, 6), min_size=n,
+                                    max_size=n))
+        return _encoded(values) if data.draw(st.booleans()) \
+            else int_column(values)
+
+    columns = [key() for _ in range(data.draw(st.integers(1, 3)))]
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                       max_size=n)), dtype=bool)
+    size = data.draw(st.integers(1, 9))
+    got, kept = packed_distinct(packed_keys(columns), n,
+                                _blocks(columns, keep, size))
+    assert row_tokens(got) == reference_rows(columns, keep)
+    assert kept == int(keep.sum())
+    for out, col in zip(got, columns):
+        assert out.dictionary is col.dictionary
 
 
 def _branch_keys(rng) -> dict:
@@ -645,14 +681,18 @@ BRANCH_CASES = {
 def test_each_branch_serves_its_keys(monkeypatch, case):
     """Each key shape takes its branch — codes packed as they are, plain
     offsets, and every other key grouped, offsets that overflow a word
-    included — with and without ``rows`` (positions or a mask), and the
+    included — over every row and over the rows a WHERE kept (filtered
+    first, as a DISTINCT that runs in no blocks is handed them), and the
     output is the reference's."""
     make, branch = BRANCH_CASES[case]
     columns = make(_branch_keys(np.random.default_rng(len(case))))
     taken = record_branches(monkeypatch)
     n = len(columns[0])
-    for rows in (None, np.arange(0, n, 3), np.arange(n) % 5 != 2):
-        got = distinct_rows(columns, rows)
+    for rows in (None, np.arange(0, n, 3),
+                 np.flatnonzero(np.arange(n) % 5 != 2)):
+        kept = columns if rows is None else [col.take(rows)
+                                             for col in columns]
+        got = distinct_rows(kept)
         assert row_tokens(got) == reference_rows(columns, rows), rows
     assert taken == [branch] * 3
 
@@ -678,7 +718,8 @@ def _kept(rng, n: int, share: float) -> np.ndarray:
     return keep
 
 
-#: A selection's name -> the rows it keeps of ``n`` (``rng``'s draw).
+#: A selection's name -> the rows it keeps of a block of ``n``
+#: (``rng``'s draw), in the form a block hands them in.
 SELECTIONS = {
     "every-row": lambda rng, n: None,
     "positions": lambda rng, n: np.flatnonzero(_kept(rng, n, 0.5)),
@@ -687,6 +728,9 @@ SELECTIONS = {
     "mask-80": lambda rng, n: _kept(rng, n, 0.8),
     "mask-100": lambda rng, n: np.ones(n, dtype=bool),
 }
+
+#: The uneven blocks the width tests cut their 3000 rows into.
+WIDTH_BLOCKS = ((0, 1000), (1000, 2001), (2001, 3000))
 
 
 def _width_key(form: str, width: int, rng, n: int) -> Column:
@@ -711,28 +755,35 @@ def _width_key(form: str, width: int, rng, n: int) -> Column:
 def test_packed_distinct_at_each_word_width_and_selection(
         monkeypatch, width, forms, selection):
     """Two keys whose offsets pack into exactly ``width`` bits — codes,
-    plain values over a negative base, or one of each — under every form
-    of selection: the reference's rows, in key order and the input's
-    forms, through uint32 words up to 32 bits and int64 words above."""
+    plain values over a negative base, or one of each — in three blocks
+    under every form of selection: the reference's rows, in key order
+    and the input's forms, through uint32 words up to 32 bits and int64
+    words above."""
     rng = np.random.default_rng(width)
     n = 3000
     columns = [_width_key(form, bits, rng, n) for form, bits in
                zip(forms.split("+"), PACKED_WIDTHS[width][forms])]
-    rows = SELECTIONS[selection](rng, n)
+    blocks, kept = [], []
+    for start, stop in WIDTH_BLOCKS:
+        rows = SELECTIONS[selection](rng, stop - start)
+        blocks.append(([col.take(slice(start, stop)) for col in columns],
+                       rows))
+        every = np.arange(start, stop)
+        kept.append(every if rows is None else every[rows])
     narrow: list = []
     offsets_at = operators._offsets_at
 
-    def recording(key, positions, narrow_words):
+    def recording(column, positions, narrow_words):
         narrow.append(narrow_words)
-        return offsets_at(key, positions, narrow_words)
+        return offsets_at(column, positions, narrow_words)
 
     monkeypatch.setattr(operators, "_offsets_at", recording)
     taken = record_branches(monkeypatch)
-    got = distinct_rows(columns, rows)
-    assert row_tokens(got) == reference_rows(columns, rows)
+    got, _ = packed_distinct(packed_keys(columns), n, blocks)
+    assert row_tokens(got) == reference_rows(columns, np.concatenate(kept))
     assert taken == ["packed-codes" if forms == "codes+codes"
                      else "packed-offsets"]
-    assert narrow == [width <= operators.NARROW_WORD_BITS] * 2
+    assert narrow == [width <= operators.NARROW_WORD_BITS] * 6
     for out, col in zip(got, columns):
         assert out.storage.dtype == np.int64
         assert out.dictionary is col.dictionary
@@ -765,8 +816,9 @@ def _index_keys(rng, n, ordered, dense, unique):
 def test_key_index_matches_a_numpy_reference(ordered, dense, encoded,
                                              unique, n):
     """Every build — a sorted one reading its ends and one ``==`` pass, a
-    dense one its ``bincount``, a sparse one its sort — holds what
-    ``np.unique`` says about the keys."""
+    dense one its ``bincount``, sparse codes their sort — holds what
+    ``np.unique`` says about the keys; sparse unsorted values leave
+    their uniqueness unknown, since no join route reads it."""
     rng = np.random.default_rng(n * 16 + ordered * 8 + dense * 4
                                 + encoded * 2 + unique)
     values = _index_keys(rng, n, ordered, dense, unique)
@@ -777,11 +829,14 @@ def test_key_index_matches_a_numpy_reference(ordered, dense, encoded,
     else:
         storage = values
         index = build_key_index(storage)
+    is_sorted = bool(np.all(np.diff(storage) >= 0))
     assert index.n_rows == n
-    assert index.is_unique == (np.unique(values).shape[0] == n)
+    assert index.is_unique == (
+        None if not (is_sorted or dense or encoded)
+        else np.unique(values).shape[0] == n)
     assert (index.min_value, index.max_value) == \
         (int(values.min()), int(values.max()))
-    assert index.is_sorted == bool(np.all(np.diff(storage) >= 0))
+    assert index.is_sorted == is_sorted
 
 
 @pytest.mark.parametrize("n", (1, 50, 3 * CACHE_KERNEL_MIN_ROWS + 7))

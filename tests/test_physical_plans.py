@@ -5,8 +5,9 @@ Covers the tentpole behaviours of the physical plan cache:
 * templates cache a compiled plan (hit/miss/invalidation counters),
 * validity across schema changes and the per-round rename/drop churn that
   Randomised Contraction performs (``reps{N}``/``tmp``/``graph`` cycling),
-* a fused join->DISTINCT taking its WHERE as row positions, with the
-  motion and stored tables of filter-then-DISTINCT,
+* a fused join->DISTINCT running as a loop over blocks of its join
+  chain's rows, each block packing the rows its WHERE keeps, with the
+  rows, motion and stored tables of the materialised filter-then-DISTINCT,
 * pipeline fusion (column pruning, fused join->DISTINCT, join chains)
   and GROUP BY over joins producing the rows stdlib sqlite produces — the
   databases below are teed (``tests/sqlite_oracle.py``): every statement
@@ -248,48 +249,55 @@ def test_fused_distinct_matches_materialising_pipeline(query):
     assert db.stats.fused_pipelines > 0
 
 
-def _record_distinct_rows(monkeypatch) -> list:
-    """Spy on the executor's calls of ``operators.distinct_rows``:
-    ``(statement, rows, length)`` per call — the statement being the
-    label's last part, ``rows`` the selection the DISTINCT was handed
-    (``None``: every row of its input) and ``length`` its input's rows."""
+def _record_blocks(monkeypatch) -> list:
+    """Spy on the executor's fused join→DISTINCT block loop
+    (``operators.packed_distinct`` as the executor calls it): per loop,
+    ``(statement, blocks, chain rows, kept rows, key columns)`` — the
+    statement being the label's last part and ``blocks`` each block's
+    ``(rows, length)``: the selection it packed (``None``: every row of
+    the block) and its row count."""
     from repro.sqlengine import executor as executor_module
 
     calls: list = []
     current = {"statement": ""}
     execute = Database.execute
-    distinct_rows = executor_module.distinct_rows
+    packed_distinct = executor_module.packed_distinct
 
     def labelled_execute(db, sql, label=""):
         current["statement"] = label.rsplit(":", 1)[-1]
         return execute(db, sql, label)
 
-    def recording(columns, rows=None):
-        calls.append((current["statement"], rows, len(columns[0])))
-        return distinct_rows(columns, rows)
+    def recording(keys, n_rows, blocks):
+        seen = []
+
+        def watched():
+            for columns, rows in blocks:
+                seen.append((rows, len(columns[0])))
+                yield columns, rows
+
+        distinct, kept = packed_distinct(keys, n_rows, watched())
+        calls.append((current["statement"], seen, n_rows, kept,
+                      [key.column for key in keys]))
+        return distinct, kept
 
     monkeypatch.setattr(Database, "execute", labelled_execute)
-    monkeypatch.setattr(executor_module, "distinct_rows", recording)
+    monkeypatch.setattr(executor_module, "packed_distinct", recording)
     return calls
 
 
-def _filter_before_distinct(monkeypatch) -> None:
-    """Make every core filter its frame before DISTINCT: the reference a
-    DISTINCT over a selection must match."""
+def _materialise_fused_distincts(monkeypatch) -> None:
+    """Run no block loop: every fused join→DISTINCT materialises its
+    frame, filters it and de-duplicates the filtered relation — the
+    reference the block loop must match."""
     from repro.sqlengine import executor as executor_module
 
-    execute_from = executor_module.Executor._execute_from
-
-    def filtering(self, plan):
-        frame, rows = execute_from(self, plan)
-        return (frame if rows is None else frame.take(rows)), None
-
-    monkeypatch.setattr(executor_module.Executor, "_execute_from", filtering)
+    monkeypatch.setattr(executor_module.Executor, "_blocked_distinct",
+                        lambda self, plan, chain: None)
 
 
 def _assert_selection(rows, length: int) -> str:
-    """``rows`` is a selection a fused DISTINCT may be handed: a mask over
-    its ``length`` rows keeping at least ``DISTINCT_MASK_MIN_KEPT`` of them
+    """``rows`` is a selection a block may pack: a mask over its
+    ``length`` rows keeping at least ``DISTINCT_MASK_MIN_KEPT`` of them
     but not all, or ascending positions keeping fewer; its form."""
     from repro.sqlengine.operators import DISTINCT_MASK_MIN_KEPT
 
@@ -303,17 +311,36 @@ def _assert_selection(rows, length: int) -> str:
     return "positions"
 
 
-def test_contract_and_relink_hand_distinct_their_kept_rows(monkeypatch):
+def _kept(blocks) -> int:
+    """The rows a block loop's selections keep."""
+    return sum(length if rows is None
+               else int(rows.sum()) if rows.dtype == np.bool_
+               else rows.shape[0] for rows, length in blocks)
+
+
+def _assert_blocks_cover(blocks, n_rows: int) -> None:
+    """The blocks cut the chain's rows in order: full blocks of
+    ``BLOCK_ROWS`` but the last."""
+    from repro.sqlengine.executor import BLOCK_ROWS
+
+    lengths = [length for _, length in blocks]
+    assert sum(lengths) == n_rows
+    assert all(length == BLOCK_ROWS for length in lengths[:-1])
+    assert all(0 < length <= BLOCK_ROWS for length in lengths[-1:])
+
+
+def test_contract_and_relink_select_their_kept_rows_block_by_block(
+        monkeypatch):
     """The contract statement of both RC variants and Cracker's relink
-    are fused join→DISTINCTs whose WHERE drops rows: their DISTINCT gets
-    the kept rows, not a filtered frame — the mask where the WHERE keeps
-    most rows, ascending positions where it keeps fewer; between them the
-    runs hand both."""
+    are fused join→DISTINCTs whose WHERE drops rows: they run as a block
+    loop over their join chain, and each block packs the rows it keeps —
+    the mask where the WHERE keeps most of them, ascending positions
+    where it keeps fewer; between them the runs select both ways."""
     from repro.core import Cracker, RandomisedContraction
     from repro.graphs import gnm_random_graph
     from repro.graphs.io import load_edges_into
 
-    calls = _record_distinct_rows(monkeypatch)
+    calls = _record_blocks(monkeypatch)
     edges = gnm_random_graph(400, 700, np.random.default_rng(37))
     forms = set()
     for algorithm, statement in (
@@ -325,39 +352,51 @@ def test_contract_and_relink_hand_distinct_their_kept_rows(monkeypatch):
         with Database() as db:
             load_edges_into(db, "edges", edges)
             algorithm.run(db, "edges", seed=5)
-        handed = [(rows, length) for name, rows, length in calls
-                  if name == statement and rows is not None]
-        assert any(rows.any() for rows, _ in handed), \
+        loops = [call for call in calls if call[0] == statement]
+        assert loops, (algorithm.name, statement)
+        selected = [(rows, length) for _, blocks, _, _, _ in loops
+                    for rows, length in blocks if rows is not None]
+        assert any(rows.any() for rows, _ in selected), \
             (algorithm.name, statement)
+        for _, blocks, n_rows, kept, _ in loops:
+            _assert_blocks_cover(blocks, n_rows)
+            assert kept == _kept(blocks)
         forms.update(_assert_selection(rows, length)
-                     for rows, length in handed)
+                     for rows, length in selected)
     assert forms == {"mask", "positions"}
 
 
-def test_fused_where_hands_distinct_none_a_mask_or_positions(monkeypatch):
+@pytest.mark.parametrize("where, form", [
+    ("v1 + r2.v >= 0", None),
+    ("v1 < r2.v", "positions"),
+    ("v1 + r2.v > 60", "mask"),
+])
+def test_fused_where_selects_each_block_by_none_a_mask_or_positions(
+        monkeypatch, where, form):
     """A fused DISTINCT's residual WHERE (one over both sides of the join:
-    a one-table predicate filters its scan) that keeps every row hands
-    ``None``; one that keeps most rows hands the mask over every row, one
-    that keeps fewer the kept positions, ascending — exactly the kept
-    rows, either way."""
-    calls = _record_distinct_rows(monkeypatch)
+    a one-table predicate filters its scan), cut into four blocks, keeps
+    every row of each (``None``), most of each (the block's mask) or fewer
+    (their positions, ascending) — exactly the kept rows, block by block,
+    and the rows packed are the statement's kept rows."""
+    from repro.sqlengine import executor as executor_module
+
+    calls = _record_blocks(monkeypatch)
     db = _two_table_db()
-    join = ("select distinct v1, r2.rep as v2 from graph2, reps as r2 "
-            "where graph2.v2 = r2.v")
-    db.execute(f"{join} and v1 + r2.v >= 0")
-    assert [rows for _, rows, _ in calls] == [None]
     n_rows = db.table("graph2").n_rows
-    for where, form in (("v1 < r2.v", "positions"),
-                        ("v1 + r2.v > 60", "mask")):
-        calls.clear()
-        kept = db.execute(f"select count(*) from graph2, reps as r2 "
-                          f"where graph2.v2 = r2.v and {where}").scalar()
-        db.execute(f"{join} and {where}")
-        (_, rows, length), = calls
-        assert length == n_rows
-        assert _assert_selection(rows, length) == form
-        kept_rows = np.flatnonzero(rows) if form == "mask" else rows
-        assert kept_rows.shape[0] == kept
+    monkeypatch.setattr(executor_module, "BLOCK_ROWS", n_rows // 4)
+    kept = db.execute(f"select count(*) from graph2, reps as r2 "
+                      f"where graph2.v2 = r2.v and {where}").scalar()
+    db.execute(f"select distinct v1, r2.rep as v2 from graph2, reps as r2 "
+               f"where graph2.v2 = r2.v and {where}")
+    (_, blocks, chain_rows, packed, _), = calls
+    assert chain_rows == n_rows and len(blocks) == 4
+    _assert_blocks_cover(blocks, n_rows)
+    assert packed == _kept(blocks) == kept
+    if form is None:
+        assert all(rows is None for rows, _ in blocks)
+    else:
+        assert {_assert_selection(rows, length)
+                for rows, length in blocks} == {form}
 
 
 #: Per-seed data motion of an RC run on G(400, 700) (graph seed 37), as
@@ -370,15 +409,16 @@ RC_MOTION_BYTES = {("fast", 5): 283936, ("fast", 6): 296128,
 @pytest.mark.parametrize("variant", ["fast", "deterministic-space"])
 def test_filtered_distinct_charges_filter_then_distinct_motion(
         monkeypatch, variant):
-    """DISTINCT over positions charges the motion of the filtered
-    relation: every statement of an RC run moves the bytes it moves when
-    the frame is filtered first, the stored tables are the same, and the
-    run's total is the pinned per-seed value."""
+    """The block loop charges the motion of the filtered relation: every
+    statement of an RC run moves the bytes it moves when the frame is
+    materialised and filtered first, the stored tables are the same, and
+    the run's total is the pinned per-seed value."""
     from repro.core import RandomisedContraction
     from repro.graphs import gnm_random_graph
     from repro.graphs.io import load_edges_into
 
     edges = gnm_random_graph(400, 700, np.random.default_rng(37))
+    calls = _record_blocks(monkeypatch)
 
     def run(seed):
         with Database() as db:
@@ -393,14 +433,140 @@ def test_filtered_distinct_charges_filter_then_distinct_motion(
         return result.stats.motion_bytes, moved, labels
 
     for seed in (5, 6):
+        calls.clear()
         total, moved, labels = run(seed)
         assert total == RC_MOTION_BYTES[variant, seed]
+        assert calls
         with monkeypatch.context() as patched:
-            _filter_before_distinct(patched)
+            _materialise_fused_distincts(patched)
+            calls.clear()
             filtered_total, filtered_moved, filtered_labels = run(seed)
+            assert not calls
         assert (total, moved) == (filtered_total, filtered_moved)
         assert all(np.array_equal(a, b)
                    for a, b in zip(labels, filtered_labels))
+
+
+def _block_tables(db, n: int, block: int) -> None:
+    """``e``: ``n`` rows numbered ``i``, each joining one of 50 ``d``
+    rows on ``k``; ``a`` repeats over 13 values, ``blk`` is the row's
+    block number mod 3 and ``par`` its number mod 4.  ``d.rep`` is spread
+    over 2^46 and ``d.zero`` is 0, so a predicate adding it reads both
+    sides and stays a residual WHERE."""
+    i = np.arange(n, dtype=np.int64)
+    db.load_table("e", {"i": i, "k": i % 50, "a": i * 7 % 13,
+                        "blk": i // block % 3, "par": i % 4})
+    v = np.arange(50, dtype=np.int64)
+    db.load_table("d", {"v": v, "rep": (v % 17) << 42,
+                        "zero": np.zeros(50, dtype=np.int64)})
+
+
+#: A residual WHERE by what it keeps of each block: block ``b`` keeps all
+#: its rows when ``b % 3 == 0``; when ``b % 3 == 1`` three in four (a
+#: mask) or one in four (positions); and none when ``b % 3 == 2``.
+BLOCK_WHERES = {
+    "all-mask-none": "e.blk + d.zero = 0 or (e.blk + d.zero = 1 "
+                     "and e.par != 0)",
+    "all-positions-none": "e.blk + d.zero = 0 or (e.blk + d.zero = 1 "
+                          "and e.par = 0)",
+    "every-row": "e.a + d.zero >= 0",
+}
+
+
+def _relation_state(relation) -> list:
+    """Everything two executions of one statement must agree on."""
+    return [(name, display, col.sql_type, col.to_list(), col.dictionary)
+            for name, display, col in zip(
+                relation.names, relation.display_names,
+                (relation.columns[name] for name in relation.names))]
+
+
+@pytest.mark.parametrize("where", sorted(BLOCK_WHERES))
+@pytest.mark.parametrize("length", ["0", "1", "B-1", "B", "B+1", "3B+7"])
+def test_block_loop_matches_the_materialised_path(monkeypatch, length,
+                                                  where):
+    """Over a join chain of 0, 1, B - 1, B, B + 1 and 3B + 7 rows (B:
+    ``BLOCK_ROWS``), and a WHERE keeping all, most, few or none of a
+    block's rows, the block loop's DISTINCT is the materialised path's
+    — names, types, rows in order, dictionaries — its motion is the
+    same, and its rows are sqlite's."""
+    from repro.sqlengine.executor import BLOCK_ROWS
+
+    n = {"0": 0, "1": 1, "B-1": BLOCK_ROWS - 1, "B": BLOCK_ROWS,
+         "B+1": BLOCK_ROWS + 1, "3B+7": 3 * BLOCK_ROWS + 7}[length]
+    calls = _record_blocks(monkeypatch)
+    db = tee(Database(n_segments=4))
+    _block_tables(db, n, BLOCK_ROWS)
+    sql = (f"select distinct e.a, d.rep from e, d where e.k = d.v "
+           f"and ({BLOCK_WHERES[where]})")
+
+    def run():
+        relation = db.execute(sql).relation
+        return _relation_state(relation), db.stats.log[-1].motion_bytes
+
+    blocked = run()
+    (_, blocks, chain_rows, kept, _), = calls
+    assert chain_rows == n and len(blocks) == -(-n // BLOCK_ROWS)
+    assert kept == _kept(blocks)
+    if n:
+        _assert_blocks_cover(blocks, n)
+    if length == "3B+7" and where == "all-mask-none":
+        rows = [rows for rows, _ in blocks]
+        assert rows[0] is None and rows[3] is None
+        assert _assert_selection(rows[1], BLOCK_ROWS) == "mask"
+        assert rows[2].shape[0] == 0
+    with monkeypatch.context() as patched:
+        _materialise_fused_distincts(patched)
+        assert run() == blocked
+    db.close()
+
+
+#: Fused DISTINCTs whose keys do not pack, so no block loop runs: the
+#: projection over the joined tables ``e`` and ``d`` (and ``dl``, which
+#: misses half of ``d``'s keys, or ``en``, whose ``n`` is NULL where
+#: ``dl`` misses).
+UNPACKED_DISTINCTS = {
+    "nulls": "select distinct en.n, d.rep from en, d "
+             "where en.k = d.v and (en.n + d.zero >= 0 or en.n is null)",
+    "text": "select distinct d.name, e.a from e, d where e.k = d.v "
+            "and e.par + d.zero > 0",
+    "float": "select distinct d.half, e.a from e, d where e.k = d.v "
+             "and e.par + d.zero > 0",
+    "wide": "select distinct e.wide, d.wide from e, d where e.k = d.v "
+            "and e.par + d.zero > 0",
+    "left-joined": "select distinct e.a, dl.rep from e left join dl "
+                   "on (e.k = dl.v)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPACKED_DISTINCTS))
+def test_fused_distinct_whose_keys_do_not_pack_materialises(monkeypatch,
+                                                            case):
+    """A NULL-bearing, text, float or wider-than-63-bit key, or a
+    LEFT-joined binding with null-extended rows: the fused DISTINCT runs
+    no block loop — it materialises, filters and de-duplicates its frame
+    — and its rows are sqlite's."""
+    calls = _record_blocks(monkeypatch)
+    db = tee(Database(n_segments=4))
+    n = 400
+    i = np.arange(n, dtype=np.int64)
+    spread = np.array([-(1 << 62), 1 << 62], dtype=np.int64)
+    db.load_table("e", {"i": i, "k": i % 50, "a": i * 7 % 13,
+                        "par": i % 4, "wide": spread[i % 2] + i})
+    v = np.arange(50, dtype=np.int64)
+    db.load_table("d", {"v": v, "rep": (v % 17) << 42,
+                        "zero": np.zeros(50, dtype=np.int64),
+                        "name": np.array([f"n{x % 7}" for x in v],
+                                         dtype=object),
+                        "half": v % 9 / 2, "wide": spread[v % 2] - v})
+    db.load_table("dl", {"v": v[::2], "rep": v[::2] % 5})
+    db.execute("create table en as select e.i as i, e.k as k, dl.rep as n "
+               "from e left join dl on (e.k = dl.v)")
+    before = db.stats.fused_pipelines
+    db.execute(UNPACKED_DISTINCTS[case])
+    assert db.stats.fused_pipelines == before + 1
+    assert calls == []
+    db.close()
 
 
 def test_computed_distinct_item_never_sees_a_dropped_row():
@@ -706,19 +872,23 @@ def test_rc_random_reals_round_loop_fuses_join_group_by():
 def test_rc_fast_variant_round_loop_distinct_runs_on_codes(monkeypatch):
     """The fast variant's contract DISTINCT pairs two gathers of
     ``reps.rep``: both arrive dictionary-encoded over one dictionary, so
-    every round's DISTINCT packs codes — in key order, which the next
-    round's ``reps`` GROUP BY finds already sorted — and never ranks or
-    groups a plain 64-bit value."""
+    every round's DISTINCT is a block loop packing codes — in key order,
+    which the next round's ``reps`` GROUP BY finds already sorted — and
+    never ranks or groups a plain 64-bit value."""
     from repro.core import RandomisedContraction
     from repro.graphs import gnm_random_graph
     from repro.graphs.io import load_edges_into
 
     edges = gnm_random_graph(400, 700, np.random.default_rng(33))
+    calls = _record_blocks(monkeypatch)
     db = Database(n_segments=4)
     load_edges_into(db, "edges", edges)
     taken = record_branches(monkeypatch)
     result = RandomisedContraction().run(db, "edges", seed=5)
     assert taken == ["packed-codes"] * result.rounds
+    assert [call[0] for call in calls] == ["contract"] * result.rounds
+    assert all(col.codes is not None
+               for *_, columns in calls for col in columns)
     # Every round but the first groups a DISTINCT's output.
     assert db.stats.group_sorts_skipped >= result.rounds - 1
 

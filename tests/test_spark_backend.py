@@ -130,11 +130,15 @@ def test_one_task_model_runs_each_keyed_operator_as_one_task(monkeypatch):
     """With one task the model takes its whole-column branch: every join,
     GROUP BY and DISTINCT launches exactly one task — no key is hashed
     into a partition that holds every row, and no DISTINCT runs twice —
-    and the labels and motion bytes are the 64-task run's."""
+    and the labels and motion bytes are the 64-task run's.  Neither runs
+    a fused DISTINCT's block loop: every DISTINCT is a kernel call over
+    the filtered columns."""
     import repro.spark.engine as engine_module
+    import repro.sqlengine.executor as executor_module
 
     kernels = ("_dispatch_join", "_group_kernel", "_distinct_kernel")
-    calls = dict.fromkeys(kernels + ("distinct_rows", "_partitions"), 0)
+    calls = dict.fromkeys(
+        kernels + ("distinct_rows", "_partitions", "packed_distinct"), 0)
     for name in kernels:
         def counting(self, *args, _name=name,
                      _real=getattr(SparkExecutor, name)):
@@ -153,8 +157,15 @@ def test_one_task_model_runs_each_keyed_operator_as_one_task(monkeypatch):
         calls["distinct_rows"] += 1
         return real_distinct(*args)
 
+    real_blocks = executor_module.packed_distinct
+
+    def blocks(*args):
+        calls["packed_distinct"] += 1
+        return real_blocks(*args)
+
     monkeypatch.setattr(SparkExecutor, "_partitions", partitions)
     monkeypatch.setattr(engine_module, "distinct_rows", distinct)
+    monkeypatch.setattr(executor_module, "packed_distinct", blocks)
     edges = gnm_random_graph(2000, 4000, np.random.default_rng(3))
     runs = {}
     for n_tasks in (1, 64):
@@ -169,6 +180,7 @@ def test_one_task_model_runs_each_keyed_operator_as_one_task(monkeypatch):
                          db.stats.motion_bytes)
         operators = sum(calls[name] for name in kernels)
         assert all(calls[name] for name in kernels), calls
+        assert calls["packed_distinct"] == 0
         if n_tasks == 1:
             assert db.tasks_launched == operators
             assert calls["_partitions"] == 0
@@ -239,18 +251,19 @@ def test_partitioned_group_covers_all_rows():
 
 def test_partitioned_distinct_matches_plain():
     """Task by task, then merged: the partitioned DISTINCT is the plain
-    kernel's, row for row — in key order — with and without the
-    positions a WHERE kept."""
+    kernel's, row for row — in key order — over every row and over the
+    rows a WHERE kept."""
     rng = np.random.default_rng(6)
     a = int_column(rng.integers(0, 30, size=2500))
     b = int_column(rng.integers(-(2 ** 62), 2 ** 62, size=30)[
         rng.integers(0, 30, size=2500)])
     executor = make_spark_executor()
-    for rows in (None, np.arange(0, 2500, 3)):
+    kept = np.arange(0, 2500, 3)
+    for columns in ([a, b], [a.take(kept), b.take(kept)]):
         tasks = executor.tasks_launched
-        got = executor._distinct_kernel([a, b], rows)
+        got = executor._distinct_kernel(columns)
         assert executor.tasks_launched > tasks + 1
-        expected = distinct_rows([a, b], rows)
+        expected = distinct_rows(columns)
         assert [col.to_list() for col in got] == \
             [col.to_list() for col in expected]
 

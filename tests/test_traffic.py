@@ -357,13 +357,14 @@ def test_composition_applies_h_only_to_null_extended_rows(spied_fast_run):
 def test_key_forms_script_reports_one_configuration():
     """``scripts/key_forms.py``'s spies on the contraction over a path:
     every join on codes with no table, off a cached build index, every
-    DISTINCT packing codes into 32-bit words at the positions its WHERE
-    kept (a path's contract keeps about half its rows), every GROUP BY on
-    codes — round 1's by address, every later one's in the runs its
-    sorted key arrives in — and h evaluated over a dictionary.  On the
-    Spark model every key is codes too, run through its partitioned
-    kernels, which read no index: a DISTINCT's last pass merges every
-    task's rows, or selects them itself when one task holds them all."""
+    DISTINCT a block loop packing codes into 32-bit words at the
+    positions its WHERE kept (a path's contract keeps about half its
+    rows), every GROUP BY on codes — round 1's by address, every later
+    one's in the runs its sorted key arrives in — and h evaluated over a
+    dictionary.  On the Spark model every key is codes too, run through
+    its partitioned kernels, which read no index and run no block loop:
+    every DISTINCT packs all the rows it is handed — a filtered frame,
+    task by task, then the merge of every task's rows."""
     spec = importlib.util.spec_from_file_location(
         "key_forms",
         Path(__file__).resolve().parent.parent / "scripts" / "key_forms.py")
@@ -386,8 +387,6 @@ def test_key_forms_script_reports_one_configuration():
     assert {(op, forms, route) for op, forms, route in spark} == {
         ("join", "codes = codes", "spark-partitioned -"),
         ("distinct", "codes+codes", "packed-codes 32 all"),
-        ("distinct", "codes+codes", "packed-codes 32 mask"),
-        ("distinct", "codes+codes", "packed-codes 32 positions"),
         ("group", "codes", "partitioned"),
         ("udf", "dictionary", ""),
     }

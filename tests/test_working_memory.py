@@ -12,11 +12,13 @@ encoding), then traces a second run and holds
 
 with ``k`` per graph and variant.  The input table is loaded before the
 trace starts, so its bytes are added back.  Each ``k`` is the ratio
-measured once the fused join→DISTINCT compressed its word array by mask
-where most rows survive and sorted 32-bit words, plus 5%.  Before that, the gnm and dense cases
-read above their bounds (gnm 1.523 / 1.892, dense 1.394 / 2.534, path
-1.323 / 1.786, fast / deterministic-space).  A bound is lowered as the
-engine's temporaries shrink, never raised to pass.
+measured once the fused join→DISTINCT ran in blocks of chain rows, plus
+5%.  The history, fast / deterministic-space: before the DISTINCT
+compressed its words by mask and sorted 32-bit words, gnm 1.523 / 1.892,
+path 1.323 / 1.786, dense 1.394 / 2.534; after, with no blocks, gnm
+1.241 / 1.579, path 1.323 / 1.786, dense 1.039 / 1.969 (the bounds were
+those plus 5%).  A bound is lowered as the engine's temporaries shrink,
+never raised to pass.
 """
 
 from __future__ import annotations
@@ -41,14 +43,14 @@ GRAPHS = {
 }
 
 #: (graph, variant) -> k: the measured ratio plus 5% (fast / deterministic-
-#: space: gnm 1.241 / 1.579, path 1.323 / 1.786, dense 1.039 / 1.969).
+#: space: gnm 1.017 / 1.309, path 1.196 / 1.436, dense 0.832 / 1.381).
 BOUND = {
-    ("gnm", "fast"): 1.303,
-    ("gnm", "deterministic-space"): 1.658,
-    ("path", "fast"): 1.389,
-    ("path", "deterministic-space"): 1.875,
-    ("dense", "fast"): 1.091,
-    ("dense", "deterministic-space"): 2.067,
+    ("gnm", "fast"): 1.068,
+    ("gnm", "deterministic-space"): 1.375,
+    ("path", "fast"): 1.256,
+    ("path", "deterministic-space"): 1.507,
+    ("dense", "fast"): 0.873,
+    ("dense", "deterministic-space"): 1.450,
 }
 
 
