@@ -62,13 +62,18 @@ grid-ab:
 perf-4m:
 	python3 perf/run.py --workload gnm_1m --scale 4 --reps 3 --seconds 0 --trace 0
 
-## the numbers every ROADMAP re-anchor re-counts by hand ("Size")
+## the numbers every ROADMAP re-anchor re-counts by hand ("Size"), and the
+## import closure of a labelling process: the peak RSS of a fresh
+## `import repro, repro.cli` and the third-party packages it loads (numpy)
 size:
 	@echo "src/ lines:        $$(find src -name '*.py' | xargs cat | wc -l)"
 	@echo "sqlengine/ lines:  $$(find src/repro/sqlengine -name '*.py' | xargs cat | wc -l)"
 	@echo "executor.py lines: $$(wc -l < src/repro/sqlengine/executor.py)"
 	@echo "stats.COUNTERS:    $$($(PYTHON) -c 'from repro.sqlengine import stats; print(len(stats.COUNTERS), "(retired:", len(stats.RETIRED), end=")")')"
 	@echo "join routes:       $$($(PYTHON) -c 'from repro.sqlengine import operators; print(len(operators.JOIN_ROUTES))')"
+	@echo "import repro:      $$($(PYTHON) -c 'import resource, sys; before = set(sys.modules); import repro, repro.cli; \
+	  loaded = {m.split(".")[0] for m in set(sys.modules) - before} - set(sys.stdlib_module_names) - {"repro"}; \
+	  print(f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB ru_maxrss; third-party:", *sorted(loaded))')"
 
 ## the six ratios tests/test_working_memory.py bounds, beside their bounds:
 ## (input table bytes + traced peak) / peak_live_bytes of a warm RC run,

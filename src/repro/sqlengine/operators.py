@@ -357,12 +357,15 @@ def encode_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     head = np.empty(n, dtype=bool)
     head[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    rank = head.astype(np.int64)
+    dictionary = ordered[np.flatnonzero(head)]
+    rank = ordered  # the sorted values' buffer: one row-length array fewer
+    np.copyto(rank, head)
+    del head
     np.cumsum(rank, out=rank)
     rank -= 1
     codes = np.empty(n, dtype=np.int64)
     codes[rows] = rank
-    return ordered[np.flatnonzero(head)], codes
+    return dictionary, codes
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,39 @@ def test_encode_values_falls_back_on_a_shared_prefix_out_of_order(
     assert np.array_equal(dictionary[codes], values)
 
 
+@pytest.mark.parametrize("low, high, shift", [
+    (-7, 2_500, None),               # the dense span: no sort
+    (0, 2 ** 40, 0),                 # the sort, whole values beside the row
+    (-(2 ** 63), 2 ** 63 - 1, 13),   # the sort over shifted prefixes
+])
+def test_encode_values_paths_with_duplicates_are_numpy_unique(
+        monkeypatch, low, high, shift):
+    """Each path on its own, every value twice or more, at a size above
+    CACHE_KERNEL_MIN_ROWS, with no fallback to ``np.unique``."""
+    import repro.sqlengine.operators as operators_module
+
+    rng = np.random.default_rng(17)
+    pool = rng.integers(low, high, 2_500, endpoint=True)
+    values = rng.permutation(np.concatenate([pool, pool, pool[:1_000]]))
+    n = values.shape[0]
+    span = int(values.max()) - int(values.min()) + 1
+    dense = span <= operators_module._dense_span_limit(n)
+    assert dense == (shift is None)
+    if not dense:
+        bits = (span - 1).bit_length() + (n - 1).bit_length()
+        assert max(bits - 64, 0) == shift
+    expected_dictionary, expected_codes = np.unique(values,
+                                                    return_inverse=True)
+    calls = []
+    monkeypatch.setattr(operators_module.np, "unique",
+                        lambda *args, **kwargs: calls.append(args))
+    dictionary, codes = encode_values(values)
+    assert calls == []
+    assert dictionary.dtype == codes.dtype == np.int64
+    assert np.array_equal(dictionary, expected_dictionary)
+    assert np.array_equal(codes, expected_codes)
+
+
 # ---------------------------------------------------------------------------
 # the encoding rule on a UNION ALL of one table's scans
 # ---------------------------------------------------------------------------

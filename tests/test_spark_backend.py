@@ -50,6 +50,21 @@ def test_spark_join_group_by_matches_mpp_above_task_threshold():
     assert sorted(mpp.execute(q).rows()) == sorted(spark.execute(q).rows())
 
 
+def test_spark_text_keys_above_task_threshold_match_mpp():
+    """Regression: half of all strings hash negative, and partitioning a
+    text key once raised OverflowError converting hash() to uint64."""
+    names = np.array([f"n{i % 50}" for i in range(400)], dtype=object)
+    mpp = Database()
+    spark = SparkSQLDatabase(n_tasks=8)
+    for db in (mpp, spark):
+        db.load_table("t", {"k": names, "v": np.arange(400, dtype=np.int64)})
+    for q in ("select k, count(*) c, sum(v) s from t group by k",
+              "select distinct k from t",
+              "select count(*) c from t a join t b on a.k = b.k"):
+        assert sorted(mpp.execute(q).rows()) == \
+            sorted(spark.execute(q).rows()), q
+
+
 def test_same_sql_same_answers():
     sql = """
         create table doubled as
@@ -202,6 +217,26 @@ def test_partition_ids_send_nulls_to_task_zero():
                                 mask=np.array([False, True, False]))
     parts = _partition_ids(column, 8)
     assert parts[1] == 0
+
+
+@pytest.mark.parametrize("n_tasks, id_type", [(2, np.uint8), (64, np.uint8),
+                                              (300, np.uint16)])
+def test_partitions_match_the_int64_stable_argsort(n_tasks, id_type):
+    """Narrow task ids (a radix argsort) and bincount bounds give every
+    task the rows an int64 stable argsort gives it, NULL keys in task 0."""
+    rng = np.random.default_rng(n_tasks)
+    key = Column.from_values(rng.integers(0, 5_000, 20_000),
+                             mask=rng.random(20_000) < 0.1)
+    parts = _partition_ids(key, n_tasks)
+    assert parts.dtype == id_type
+    wide = parts.astype(np.int64)
+    order = np.argsort(wide, kind="stable")
+    tasks = make_spark_executor(n_tasks)._partitions(key)
+    assert len(tasks) == n_tasks
+    for task, rows in enumerate(tasks):
+        assert np.array_equal(rows, order[wide[order] == task]), task
+    assert np.flatnonzero(key.mask).tolist() == \
+        [row for row in tasks[0].tolist() if key.mask[row]]
 
 
 def make_spark_executor(n_tasks=8):
